@@ -151,6 +151,26 @@ def _measure_suite(
             )
 
 
+def _source_lines(entries: dict) -> None:
+    """Report-only codebase size: non-blank lines of ``*.py`` under the
+    checkout's ``src/`` and ``tests/`` (lower is better; skipped when the
+    package runs from somewhere that has neither)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.normpath(os.path.join(here, "..", "..", ".."))
+    for label in ("src", "tests"):
+        top = os.path.join(root, label)
+        if not os.path.isdir(top):
+            continue
+        count = 0
+        for folder, _dirs, files in os.walk(top):
+            for filename in files:
+                if filename.endswith(".py"):
+                    path = os.path.join(folder, filename)
+                    with open(path, encoding="utf-8") as handle:
+                        count += sum(1 for line in handle if line.strip())
+        entries[f"loc.{label}"] = _entry(float(count), "lines", gate=False)
+
+
 def run_bench_suite(
     name: str = "smoke",
     scale: float = 1.0,
@@ -186,6 +206,7 @@ def run_bench_suite(
         repeats,
         entries,
     )
+    _source_lines(entries)
     return {
         "name": name,
         "version": ARTIFACT_VERSION,

@@ -248,8 +248,27 @@ class Coordinator:
         return self._ring.node_for(self._routing.key(row))
 
     def _deliver(self, name: str, rows: list[tuple]) -> None:
-        self._invoke(name, lambda c: c.insert(rows), "ship")
-        self._rows_sent[name] += len(rows)
+        """Ship ``rows`` in slices of at most ``batch_size``.
+
+        A whole-trace ``insert`` (or a single-owner ``insert_cols``)
+        hands over far more than one buffer's worth; one frame per slice
+        keeps every INSERT under the wire's frame limit.  ``_rows_sent``
+        advances per slice, so a crash between slices accounts exactly
+        the slices the node was given.
+        """
+        for start in range(0, len(rows), self.batch_size):
+            piece = rows[start : start + self.batch_size]
+            self._rows_sent[name] += len(piece)
+            try:
+                self._clients[name].insert(piece)
+            except ClientConnectionError:
+                if not self.auto_recover:
+                    raise
+                # The client tracked the slice before its transport
+                # failed, so the reconnect replays it with the other
+                # unacked batches — inserting it again would apply it
+                # twice.  The next call on this client reconnects.
+                self._recover(name, "ship")
 
     def _ship(self, name: str) -> None:
         buffer = self._buffers[name]

@@ -125,7 +125,7 @@ class QueryEngine:
         self._validate()
         self._where_fn = query.where.compile(schema) if query.where else None
         self._group_fns = tuple(g.expression.compile(schema) for g in query.group_by)
-        self._cols_plan = _UNBUILT  # built lazily on first insert_cols
+        self._cols_plan: tuple | None = None  # built on first insert_cols
         self._group_aliases = tuple(g.alias for g in query.group_by)
         self._agg_plans = tuple(
             _AggPlan(item, schema) for item in query.select if item.is_aggregate
@@ -259,157 +259,77 @@ class QueryEngine:
         """Offer a batch of stream tuples; identical results to per-tuple
         :meth:`process`, at lower per-tuple cost.
 
-        The selected tuples are grouped by key so each group's UDAF states
-        take **one** ``update_many`` call per aggregate instead of one
-        ``update`` per tuple.  Group creation, low-table eviction, and
-        bucket-close emission still happen at exactly the same stream
-        positions as the per-tuple path (an eviction victim's deferred
-        updates are applied before its partial state merges upward), so
-        every accumulator sees the identical operation sequence and the
-        results match :meth:`process` bit for bit.  Expressions are still
-        evaluated once per tuple; what the batch amortizes is the group
-        lookup and per-tuple UDAF dispatch.
+        The batch is transposed and handed to :meth:`insert_cols` — the
+        engine's one batch kernel — so everything said there about update
+        order and bit-identity with :meth:`process` holds here.
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
-        self._tuples_in += len(rows)
-        where_fn = self._where_fn
-        if where_fn is not None:
-            rows = [row for row in rows if where_fn(row)]
-        self._tuples_selected += len(rows)
-        # Key building is the hottest expression work; arity-specialized
-        # tuple literals beat tuple(<generator>) measurably.  Compiled
-        # expressions are pure, so hoisting them out of the stateful loop
-        # cannot change results.
-        group_fns = self._group_fns
-        if len(group_fns) == 1:
-            (g0,) = group_fns
-            keys = [(g0(row),) for row in rows]
-        elif len(group_fns) == 2:
-            g0, g1 = group_fns
-            keys = [(g0(row), g1(row)) for row in rows]
-        elif len(group_fns) == 3:
-            g0, g1, g2 = group_fns
-            keys = [(g0(row), g1(row), g2(row)) for row in rows]
-        else:
-            keys = [tuple(fn(row) for fn in group_fns) for row in rows]
-        watch_bucket = self._emit_on_bucket_change
-        two_level = self.two_level
-        low = self._low
-        high = self._high
-        low_get = low.get
-        high_get = high.get
-        agg_plans = self._agg_plans
-        capacity = self.low_table_size
-        # key -> (states, deferred rows, rows.append); states already live
-        # in low/high.
-        pending: dict[tuple, tuple] = {}
-        pending_get = pending.get
-        for key, row in zip(keys, rows):
-            if watch_bucket:
-                bucket = key[0]
-                if self._current_bucket is _NO_BUCKET:
-                    self._current_bucket = bucket
-                elif bucket != self._current_bucket:
-                    # Close the run: apply its updates before emitting the
-                    # finished bucket, exactly as process() would have.
-                    self._apply_pending(pending)
-                    pending = {}
-                    pending_get = pending.get
-                    self._flush_bucket(self._current_bucket)
-                    self._current_bucket = bucket
-            entry = pending_get(key)
-            if entry is not None:
-                entry[2](row)
-                continue
-            if two_level:
-                states = low_get(key)
-                if states is None:
-                    if len(low) >= capacity:
-                        evicted_key, evicted_states = low.popitem()
-                        evicted = pending.pop(evicted_key, None)
-                        if evicted is not None:
-                            self._apply_batch(evicted_states, evicted[1])
-                        self._merge_up(evicted_key, evicted_states)
-                        self._low_evictions += 1
-                    states = [plan.udaf.create() for plan in agg_plans]
-                    low[key] = states
-            else:
-                states = high_get(key)
-                if states is None:
-                    states = [plan.udaf.create() for plan in agg_plans]
-                    high[key] = states
-            key_rows = [row]
-            pending[key] = (states, key_rows, key_rows.append)
-        self._apply_pending(pending)
-        if self._store is not None:
-            # One call per batch, never per tuple: the store accounts the
-            # touched keys and enforces the hot-tier budget.
-            self._store.observe_batch(keys)
+        if rows:
+            self.insert_cols(list(zip(*rows)))
 
     # -- columnar path ------------------------------------------------------------
 
-    @property
-    def has_columnar_plan(self) -> bool:
-        """True when :meth:`insert_cols` runs fully columnar (no row tuples)."""
-        return self._columnar_plan() is not None
+    def _columnar_plan(self) -> tuple:
+        """(where, group, args) columnar closures; built on first use.
 
-    def _columnar_plan(self):
-        """(where, group, args) columnar closures, or None to fall back.
-
-        The plan exists when the WHERE clause (if any), every GROUP BY
-        expression, and every aggregate argument have a columnar form
-        (:meth:`~repro.dsms.expressions.Expression.compile_cols`).  Built
-        once, on first use.
+        Collector engines that only ever fold partial states never pay
+        for the compilation.
         """
         plan = self._cols_plan
-        if plan is not _UNBUILT:
-            return plan
-        schema = self.schema
-        query = self.query
-        where = None
-        ok = True
-        if query.where is not None:
-            where = query.where.compile_cols(schema)
-            ok = where is not None
-        group_fns = []
-        if ok:
-            for group in query.group_by:
-                fn = group.expression.compile_cols(schema)
-                if fn is None:
-                    ok = False
-                    break
-                group_fns.append(fn)
-        arg_fns: list[tuple] = []
-        if ok:
-            for item in query.select:
-                if not item.is_aggregate:
-                    continue
-                compiled = tuple(
-                    arg.compile_cols(schema) for arg in item.aggregate.args
-                )
-                if any(fn is None for fn in compiled):
-                    ok = False
-                    break
-                arg_fns.append(compiled)
-        self._cols_plan = (where, tuple(group_fns), tuple(arg_fns)) if ok else None
-        return self._cols_plan
+        if plan is None:
+            schema = self.schema
+            query = self.query
+            where = query.where
+            plan = self._cols_plan = (
+                where.compile_cols(schema) if where is not None else None,
+                tuple(g.expression.compile_cols(schema) for g in query.group_by),
+                tuple(
+                    tuple(arg.compile_cols(schema) for arg in item.aggregate.args)
+                    for item in query.select
+                    if item.is_aggregate
+                ),
+            )
+        return plan
+
+    def _select_and_key(self, cols: list, count: int) -> tuple[list, int, list]:
+        """Apply WHERE to a columnar batch: (kept cols, kept count, keys).
+
+        Group keys are evaluated on the kept rows only, like every other
+        expression downstream of the filter.
+        """
+        where_fn, group_fns, _arg_fns = self._columnar_plan()
+        if where_fn is not None:
+            mask = where_fn(cols, count)
+            selected = [i for i, keep in enumerate(mask) if keep]
+            if len(selected) != count:
+                cols = [[col[i] for i in selected] for col in cols]
+                count = len(selected)
+        if not group_fns:
+            keys: list[tuple] = [()] * count
+        elif len(group_fns) == 1:
+            keys = [(k,) for k in group_fns[0](cols, count)]
+        else:
+            keys = list(zip(*(fn(cols, count) for fn in group_fns)))
+        return cols, count, keys
 
     def insert_cols(self, cols: list) -> None:
-        """Offer a batch as per-field columns; results match :meth:`insert_many`
-        bit for bit.
+        """Offer a batch as per-field columns; results match per-tuple
+        :meth:`process` bit for bit.
 
-        ``cols`` holds one equal-length list per schema field (the
-        transpose of the rows :meth:`insert_many` takes).  When the plan
-        is fully columnar the batch never materializes a row tuple: the
-        WHERE mask, group keys, and every aggregate argument are computed
-        column-at-a-time up front, and the stateful grouping loop walks
-        row *indices*.  The loop performs group creation, low-table
-        eviction, and bucket-close emission at exactly the same stream
-        positions as :meth:`insert_many` — every UDAF state sees the
-        identical sequence of ``update``/``update_many`` calls with
-        identical arguments.  Plans with no columnar form (short-circuit
-        WHERE clauses, exotic expressions) transpose and delegate.
+        ``cols`` holds one equal-length sequence per schema field (the
+        transpose of the rows :meth:`insert_many` takes).  The batch never
+        materializes a row tuple: the WHERE mask, group keys, and every
+        aggregate argument are computed column-at-a-time up front, and
+        the stateful grouping loop walks row *indices*, collecting each
+        group's rows so its UDAF states take **one** ``update_many`` per
+        aggregate instead of one ``update`` per tuple.  Group creation,
+        low-table eviction, and bucket-close emission still happen at
+        exactly the same stream positions as the per-tuple path (an
+        eviction victim's deferred updates are applied before its partial
+        state merges upward), so every accumulator sees the identical
+        operation sequence.  Compiled expressions are pure, so hoisting
+        them out of the stateful loop cannot change results.
         """
         if cols:
             count = len(cols[0])
@@ -423,29 +343,14 @@ class QueryEngine:
             count = 0
         if count == 0:
             return
-        plan = self._columnar_plan()
-        if plan is None:
-            self.insert_many(list(zip(*cols)))
-            return
-        where_fn, group_fns, agg_arg_fns = plan
         self._tuples_in += count
-        if where_fn is not None:
-            mask = where_fn(cols, count)
-            selected = [i for i, keep in enumerate(mask) if keep]
-            if len(selected) != count:
-                cols = [[col[i] for i in selected] for col in cols]
-                count = len(selected)
+        cols, count, keys = self._select_and_key(cols, count)
         self._tuples_selected += count
         if count == 0:
             return
-        if not group_fns:
-            keys: list[tuple] = [()] * count
-        elif len(group_fns) == 1:
-            keys = [(k,) for k in group_fns[0](cols, count)]
-        else:
-            keys = list(zip(*(fn(cols, count) for fn in group_fns)))
         # One columnar evaluation per aggregate argument for the whole
         # batch — this is what the row path pays per tuple per group.
+        _where_fn, _group_fns, agg_arg_fns = self._columnar_plan()
         arg_cols = tuple(
             tuple(fn(cols, count) for fn in fns) for fns in agg_arg_fns
         )
@@ -457,7 +362,8 @@ class QueryEngine:
         high_get = high.get
         agg_plans = self._agg_plans
         capacity = self.low_table_size
-        # key -> (states, row indices, indices.append); mirrors insert_many.
+        # key -> (states, row indices, indices.append); states already live
+        # in low/high.
         pending: dict[tuple, tuple] = {}
         pending_get = pending.get
         for index, key in enumerate(keys):
@@ -466,6 +372,8 @@ class QueryEngine:
                 if self._current_bucket is _NO_BUCKET:
                     self._current_bucket = bucket
                 elif bucket != self._current_bucket:
+                    # Close the run: apply its updates before emitting the
+                    # finished bucket, exactly as process() would have.
                     self._apply_pending_cols(pending, arg_cols)
                     pending = {}
                     pending_get = pending.get
@@ -498,12 +406,17 @@ class QueryEngine:
             pending[key] = (states, indices, indices.append)
         self._apply_pending_cols(pending, arg_cols)
         if self._store is not None:
+            # One call per batch, never per tuple: the store accounts the
+            # touched keys and enforces the hot-tier budget.
             self._store.observe_batch(keys)
 
     def _apply_pending_cols(self, pending: dict, arg_cols: tuple) -> None:
         agg_plans = self._agg_plans
         for states, indices, _append in pending.values():
             if len(indices) == 1:
+                # Inline the singleton case: on key-diverse streams most
+                # groups see one row per batch and the list machinery (and
+                # even an extra call frame) would dominate.
                 index = indices[0]
                 for plan, state, acols in zip(agg_plans, states, arg_cols):
                     if plan.star:
@@ -524,6 +437,8 @@ class QueryEngine:
             if plan.star:
                 batch = [()] * len(indices)
             elif len(acols) == 1:
+                # Tuple literals beat tuple(<generator>) by enough to
+                # matter on this hot path.
                 col = acols[0]
                 batch = [(col[i],) for i in indices]
             elif len(acols) == 2:
@@ -535,51 +450,6 @@ class QueryEngine:
                 plan.udaf.update(state, batch[0])
             else:
                 plan.udaf.update_many(state, batch)
-
-    def _apply_pending(self, pending: dict[tuple, tuple]) -> None:
-        agg_plans = self._agg_plans
-        for states, key_rows, _append in pending.values():
-            if len(key_rows) == 1:
-                # Inline the singleton case: on key-diverse streams most
-                # groups see one row per batch and the list machinery (and
-                # even an extra call frame) would dominate.
-                row = key_rows[0]
-                for plan, state in zip(agg_plans, states):
-                    arg_fns = plan.arg_fns
-                    if plan.star:
-                        plan.udaf.update(state, ())
-                    elif len(arg_fns) == 1:
-                        plan.udaf.update(state, (arg_fns[0](row),))
-                    else:
-                        plan.udaf.update(
-                            state, tuple(fn(row) for fn in arg_fns)
-                        )
-            else:
-                self._apply_batch(states, key_rows)
-
-    def _apply_batch(self, states: list, key_rows: list[tuple]) -> None:
-        if len(key_rows) == 1:
-            # Singleton groups are common when keys rarely repeat within a
-            # batch; skip the batch-list machinery entirely.
-            self._update_states(states, key_rows[0])
-            return
-        for plan, state in zip(self._agg_plans, states):
-            if plan.star:
-                batch = [()] * len(key_rows)
-            elif len(plan.arg_fns) == 1:
-                # Tuple literals beat tuple(<generator>) by enough to
-                # matter on this hot path.
-                fn = plan.arg_fns[0]
-                batch = [(fn(row),) for row in key_rows]
-            elif len(plan.arg_fns) == 2:
-                first_fn, second_fn = plan.arg_fns
-                batch = [(first_fn(row), second_fn(row)) for row in key_rows]
-            else:
-                batch = [
-                    tuple(fn(row) for fn in plan.arg_fns)
-                    for row in key_rows
-                ]
-            plan.udaf.update_many(state, batch)
 
     def _process_low(self, key: tuple, row: tuple) -> None:
         low = self._low
@@ -1057,9 +927,6 @@ class _NoBucket:
 
 
 _NO_BUCKET = _NoBucket()
-
-#: Sentinel marking a columnar plan not built yet (None means "no plan").
-_UNBUILT = object()
 
 
 def run_query(

@@ -23,8 +23,9 @@ input column itself with no copy, and arithmetic maps elementwise.  The
 engine's :meth:`~repro.dsms.engine.QueryEngine.insert_cols` uses these to
 skip materializing row tuples entirely.  Each element goes through the
 same scalar operation as the row path, so results are bit-identical.
-``compile_cols`` returns ``None`` where columnar evaluation could change
-semantics — notably AND/OR, whose row form short-circuits.
+AND/OR, whose row form short-circuits, evaluate *masked*: operand *k*
+runs only on the rows operands *< k* left undecided, so a guard such as
+``size != 0 and len / size > 1`` never divides on the guarded rows.
 """
 
 from __future__ import annotations
@@ -101,15 +102,15 @@ class Expression(ABC):
     def compile(self, schema: Schema) -> Evaluator:
         """Compile to a closure ``row -> value`` resolved against ``schema``."""
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
-        """Compile to a columnar closure ``(cols, n) -> column``, or None.
+    @abstractmethod
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
+        """Compile to a columnar closure ``(cols, n) -> column``.
 
-        None means this expression has no columnar form (the caller falls
-        back to row-at-a-time evaluation).  When a closure is returned it
-        applies the very same scalar operation per element as
-        :meth:`compile`, so the two paths produce identical values.
+        The closure applies the very same scalar operation per element as
+        :meth:`compile`, to exactly the elements the row form would have
+        evaluated, so the two paths produce identical values and raise on
+        the same inputs.
         """
-        return None
 
     @abstractmethod
     def columns(self) -> set[str]:
@@ -201,11 +202,9 @@ class BinaryOp(Expression):
         fn = _ARITHMETIC[self.op]
         return lambda row: fn(left(row), right(row))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
         left = self.left.compile_cols(schema)
         right = self.right.compile_cols(schema)
-        if left is None or right is None:
-            return None
         fn = _gsql_divide if self.op == "/" else _ARITHMETIC[self.op]
         return lambda cols, n: [
             fn(a, b) for a, b in zip(left(cols, n), right(cols, n))
@@ -236,10 +235,8 @@ class UnaryOp(Expression):
         operand = self.operand.compile(schema)
         return lambda row: -operand(row)  # type: ignore[operator]
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
         operand = self.operand.compile_cols(schema)
-        if operand is None:
-            return None
         return lambda cols, n: [-v for v in operand(cols, n)]
 
     def columns(self) -> set[str]:
@@ -272,11 +269,9 @@ class Comparison(Expression):
         fn = _COMPARISONS[self.op]
         return lambda row: fn(left(row), right(row))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
         left = self.left.compile_cols(schema)
         right = self.right.compile_cols(schema)
-        if left is None or right is None:
-            return None
         fn = _COMPARISONS[self.op]
         return lambda cols, n: [
             fn(a, b) for a, b in zip(left(cols, n), right(cols, n))
@@ -320,6 +315,42 @@ class BooleanOp(Expression):
             return lambda row: all(fn(row) for fn in compiled)
         return lambda row: any(fn(row) for fn in compiled)
 
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
+        compiled = [e.compile_cols(schema) for e in self.operands]
+        if self.op == "not":
+            inner = compiled[0]
+            return lambda cols, n: [not v for v in inner(cols, n)]
+        # Masked evaluation reproduces short-circuit: a row stays live
+        # while no operand has settled it (a falsy one settles AND, a
+        # truthy one OR), and each operand sees the live rows only — the
+        # very rows on which the row form's all()/any() reaches it.
+        settles = self.op == "or"
+        needs = [
+            [schema.index_of(name) for name in e.columns()]
+            for e in self.operands
+        ]
+
+        def evaluate(cols: list, n: int) -> list:
+            live: list | range = range(n)
+            for fn, need in zip(compiled, needs):
+                if len(live) == n:
+                    values = fn(cols, n)
+                else:
+                    part: list = [None] * len(cols)
+                    for index in need:
+                        column = cols[index]
+                        part[index] = [column[i] for i in live]
+                    values = fn(part, len(live))
+                live = [i for i, v in zip(live, values) if bool(v) != settles]
+                if not live:
+                    break
+            result = [settles] * n
+            for i in live:
+                result[i] = not settles
+            return result
+
+        return evaluate
+
     def columns(self) -> set[str]:
         names: set[str] = set()
         for expr in self.operands:
@@ -359,11 +390,9 @@ class FunctionCall(Expression):
             return lambda row: fn(single(row))
         return lambda row: fn(*(c(row) for c in compiled))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
         fn = _FUNCTIONS[self.name]
         compiled = [a.compile_cols(schema) for a in self.args]
-        if any(c is None for c in compiled):
-            return None
         if len(compiled) == 1:
             single = compiled[0]
             return lambda cols, n: [fn(v) for v in single(cols, n)]

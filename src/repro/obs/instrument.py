@@ -3,11 +3,13 @@
 Instrumentation is strictly opt-in and rebinding-based: when a
 :class:`~repro.obs.registry.MetricsRegistry` is attached to a
 :class:`~repro.dsms.engine.QueryEngine`, the engine's ``process`` /
-``insert_many`` / ``flush`` / ``checkpoint`` / ``restore`` methods are
-shadowed by timed wrappers *on that instance only*, and each aggregate
-plan's UDAF is wrapped in a :class:`TimedUdaf`.  Uninstrumented engines
-keep the untouched class methods, so the disabled-mode cost is exactly
-zero — no per-tuple flag checks on the fast path.
+``insert_cols`` / ``flush`` / ``checkpoint`` / ``restore`` methods are
+shadowed by timed wrappers *on that instance only* (``insert_many``
+transposes into ``insert_cols``, so it reaches the same wrapper), and
+each aggregate plan's UDAF is wrapped in a :class:`TimedUdaf`.
+Uninstrumented engines keep the untouched class methods, so the
+disabled-mode cost is exactly zero — no per-tuple flag checks on the
+fast path.
 
 The wrappers never change behaviour: they delegate to the original class
 methods and record deltas of the engine's own statistics counters, so an
@@ -18,7 +20,7 @@ instrumented run produces bit-identical results to an uninstrumented one
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.dsms.engine import QueryEngine
@@ -120,7 +122,7 @@ class EngineInstrumentation:
             plan.udaf = TimedUdaf(plan.udaf, metrics, prefix)
         # Shadow the class methods on this instance only.
         engine.process = self._process
-        engine.insert_many = self._insert_many
+        engine.insert_cols = self._insert_cols
         engine.flush = self._flush
         engine.checkpoint = self._checkpoint
         engine.restore = self._restore
@@ -151,17 +153,15 @@ class EngineInstrumentation:
         if len(engine._emitted) != emitted_before:
             self.emitted.add(float(len(engine._emitted) - emitted_before))
 
-    def _insert_many(self, rows: Iterable[tuple]) -> None:
+    def _insert_cols(self, cols: list) -> None:
         engine = self.engine
-        if not isinstance(rows, (list, tuple)):
-            rows = list(rows)
         selected_before = engine._tuples_selected
         evictions_before = engine._low_evictions
         emitted_before = len(engine._emitted)
         start = _perf_ns()
-        type(engine).insert_many(engine, rows)
+        type(engine).insert_cols(engine, cols)
         elapsed_us = (_perf_ns() - start) / 1e3
-        count = len(rows)
+        count = len(cols[0]) if cols else 0
         self.ingest.add(float(count))
         self.rate.observe(float(count))
         self.batch_sizes.observe(float(count))
@@ -171,11 +171,8 @@ class EngineInstrumentation:
         if selected:
             self.selected.add(float(selected))
             if engine._group_fns:
-                where_fn = engine._where_fn
-                for row in rows:
-                    if where_fn is None or where_fn(row):
-                        key = tuple(fn(row) for fn in engine._group_fns)
-                        self.hot.observe(self._hot_key(key))
+                for key in engine._select_and_key(cols, count)[2]:
+                    self.hot.observe(self._hot_key(key))
         if engine._low_evictions != evictions_before:
             self.evictions.add(float(engine._low_evictions - evictions_before))
         if len(engine._emitted) != emitted_before:

@@ -75,8 +75,7 @@ class GroupKeyRouter:
     names a schema column, just indexes that column — to produce the key
     a placement function maps to a shard or node.  Keeps columnar twins
     of the expressions so ``INSERT_COLS`` batches route without
-    transposing (falling back to row-at-a-time evaluation when an
-    expression has no columnar form).
+    transposing.
 
     ``keyed`` is False when the query has no GROUP BY and no
     ``shard_key``: a single global group, where any placement merges
@@ -87,8 +86,6 @@ class GroupKeyRouter:
         self._group_fns = tuple(
             g.expression.compile(schema) for g in query.group_by
         )
-        # Columnar twins of the routing expressions; None entries mean
-        # keys() falls back to row-at-a-time key evaluation.
         self._group_col_fns = tuple(
             g.expression.compile_cols(schema) for g in query.group_by
         )
@@ -116,15 +113,6 @@ class GroupKeyRouter:
         if self._shard_index is not None:
             return cols[self._shard_index]
         fns = self._group_col_fns
-        if all(fn is not None for fn in fns):
-            if len(fns) == 1:
-                return fns[0](cols, count)
-            return list(zip(*(fn(cols, count) for fn in fns)))
-        # Some routing expression has no columnar twin (e.g. a boolean
-        # short-circuit): evaluate keys row-at-a-time, same as key().
-        rows = list(zip(*cols))
-        row_fns = self._group_fns
-        if len(row_fns) == 1:
-            fn = row_fns[0]
-            return [fn(row) for row in rows]
-        return [tuple(fn(row) for fn in row_fns) for row in rows]
+        if len(fns) == 1:
+            return fns[0](cols, count)
+        return list(zip(*(fn(cols, count) for fn in fns)))

@@ -9,8 +9,10 @@ process granularity:
 * tuples are hash-partitioned by GROUP BY key across ``shards`` workers,
   each owning a private :class:`~repro.dsms.engine.QueryEngine` built from
   the same query text;
-* batches ship over bounded queues (the backpressure boundary) and ingest
-  through the engine's batched ``insert_many`` path;
+* batches ship over bounded queues (the backpressure boundary) — row
+  buffers as tuples, columnar partitions as packed
+  :func:`repro.core.cols.pack_cols` bytes — and ingest through the
+  engine's batch kernel;
 * queries collect serde-encoded partial states and fold them with
   :func:`repro.core.merge.merge_all` — landmark/decay compatibility is
   checked at merge, exactly as the paper requires.
@@ -58,7 +60,6 @@ from repro.parallel.routing import (
     stable_route,
     validate_mergeable,
 )
-from repro.parallel.shmring import ShmRing
 from repro.parallel.supervision import ShardFailure
 from repro.parallel.worker import ShardPlan, shard_worker_main
 
@@ -103,20 +104,6 @@ class ShardedEngine:
         factory must be picklable under spawn start methods.
     two_level / low_table_size:
         Forwarded to every worker's :class:`QueryEngine`.
-    transport:
-        How *columnar* batches (:meth:`insert_cols`) cross the process
-        boundary.  ``"cols"`` (default) packs each per-shard partition
-        with :func:`repro.core.cols.pack_cols` and ships raw bytes on
-        the queue — one dense buffer instead of a pickled list of
-        tuples.  ``"pickle"`` ships the column lists pickled (the
-        ablation baseline).  ``"shm"`` writes packed bytes into a
-        per-shard :class:`~repro.parallel.shmring.ShmRing` and queues
-        only ``(offset, nbytes)`` control messages; payloads larger
-        than the ring fall back to the queue.  Row-path batches
-        (:meth:`process` / :meth:`insert_many`) always travel as
-        pickled tuples, unchanged.  Ignored when inline.
-    ring_bytes:
-        Capacity of each shard's shared-memory ring (``"shm"`` only).
     shard_key:
         Optional schema column name to route on (cheap tuple index)
         instead of evaluating the GROUP BY expressions in the router.
@@ -174,8 +161,6 @@ class ShardedEngine:
         registry_params: dict | None = None,
         two_level: bool = True,
         low_table_size: int = 4096,
-        transport: str = "cols",
-        ring_bytes: int = 8 * 1024 * 1024,
         shard_key: str | None = None,
         router: Callable[[object, int], int] | None = None,
         start_method: str | None = None,
@@ -201,18 +186,9 @@ class ShardedEngine:
             raise ParameterError(
                 f"max_respawns must be >= 0, got {max_respawns!r}"
             )
-        if transport not in ("cols", "pickle", "shm"):
-            raise ParameterError(
-                f"transport must be 'cols', 'pickle', or 'shm', "
-                f"got {transport!r}"
-            )
-        if ring_bytes < 1:
-            raise ParameterError(f"ring_bytes must be >= 1, got {ring_bytes!r}")
         self.shards = shards
         self.inline = processes == 0
         self.batch_size = batch_size
-        self.transport = transport
-        self._ring_bytes = ring_bytes
         self.supervise = supervise
         self.max_respawns = max_respawns
         self._plan = ShardPlan(
@@ -250,7 +226,6 @@ class ShardedEngine:
         self._workers: list = []
         self._queues: list = []
         self._conns: list = []
-        self._rings: list[ShmRing | None] = []
         self._engines: list[QueryEngine] = []
         self._queue_depth = queue_depth
         # Supervision state: per-shard loss accounting and checkpoints.
@@ -271,11 +246,10 @@ class ShardedEngine:
         else:
             self._context = multiprocessing.get_context(start_method)
             for shard in range(shards):
-                queue, conn, process, ring = self._spawn(shard)
+                queue, conn, process = self._spawn(shard)
                 self._queues.append(queue)
                 self._conns.append(conn)
                 self._workers.append(process)
-                self._rings.append(ring)
 
     def _obs_init(self, metrics) -> None:
         self._metrics = metrics
@@ -296,23 +270,18 @@ class ShardedEngine:
     # -- worker lifecycle ---------------------------------------------------------
 
     def _spawn(self, shard: int):
-        """Start one worker process with a fresh queue, pipe, and ring."""
+        """Start one worker process with a fresh queue and pipe."""
         queue = self._context.Queue(maxsize=self._queue_depth)
         parent_conn, child_conn = self._context.Pipe(duplex=False)
-        ring = (
-            ShmRing.create(self._ring_bytes, self._context)
-            if self.transport == "shm"
-            else None
-        )
         process = self._context.Process(
             target=shard_worker_main,
-            args=(self._plan, shard, queue, child_conn, ring),
+            args=(self._plan, shard, queue, child_conn),
             daemon=True,
             name=f"repro-shard-{shard}",
         )
         process.start()
         child_conn.close()
-        return queue, parent_conn, process, ring
+        return queue, parent_conn, process
 
     def _abandon_transport(self, shard: int) -> None:
         """Discard a dead worker's queue and pipe without blocking.
@@ -328,10 +297,6 @@ class ShardedEngine:
             self._conns[shard].close()
         except OSError:  # pragma: no cover - already torn down
             pass
-        ring = self._rings[shard]
-        if ring is not None:
-            ring.close()
-            ring.unlink()
 
     def _recover(self, shard: int, phase: str) -> None:
         """Respawn a dead shard worker from its last checkpoint.
@@ -371,11 +336,10 @@ class ShardedEngine:
                 f"{self.max_respawns} exhausted"
             )
         self._respawns[shard] += 1
-        queue, conn, new_process, ring = self._spawn(shard)
+        queue, conn, new_process = self._spawn(shard)
         self._queues[shard] = queue
         self._conns[shard] = conn
         self._workers[shard] = new_process
-        self._rings[shard] = ring
         blob = self._ckpt_blobs[shard]
         if blob is not None and self._plan.store_dir is None:
             # Store-backed shards recover from their own segment manifest
@@ -493,10 +457,10 @@ class ShardedEngine:
         the transposed batch to — GROUP BY keys come from the columnar
         compiled expressions when available — and each shard's partition
         stays columnar end to end: packed with
-        :func:`repro.core.cols.pack_cols` (or the ``transport`` chosen
-        at construction) on the way out, ingested through the worker
-        engine's ``insert_cols`` bulk path on the way in.  Results are
-        bit-identical to the row path.
+        :func:`repro.core.cols.pack_cols` on the way out — one dense
+        buffer on the queue instead of a pickled list of tuples —
+        ingested through the worker engine's ``insert_cols`` kernel on
+        the way in.  Results are bit-identical to the row path.
 
         Any rows the shard buffered via :meth:`process` /
         :meth:`insert_many` ship first, so interleaving the two paths
@@ -514,7 +478,7 @@ class ShardedEngine:
                 )
         if count == 0:
             return
-        keys = self._shard_keys(cols, count)
+        keys = self._routing.keys(cols, count) if self._routing.keyed else None
         router = self._router
         n = self.shards
         index_lists: list[list[int]] = [[] for __ in range(n)]
@@ -538,12 +502,6 @@ class ShardedEngine:
                 part = [[column[i] for i in indices] for column in cols]
                 self._ship_cols(shard, part, len(indices))
 
-    def _shard_keys(self, cols: list, count: int):
-        """Routing key per row of a columnar batch (None = no GROUP BY)."""
-        if not self._routing.keyed:
-            return None
-        return self._routing.keys(cols, count)
-
     def _ship(self, shard: int) -> None:
         buffer = self._buffers[shard]
         if not buffer:
@@ -564,7 +522,7 @@ class ShardedEngine:
             self._m_batches.add(1.0)
 
     def _ship_cols(self, shard: int, part: list, count: int) -> None:
-        """Deliver one shard's columnar partition over the transport."""
+        """Deliver one shard's columnar partition as packed bytes."""
         if self.inline:
             self._engines[shard].insert_cols(part)
         else:
@@ -573,40 +531,11 @@ class ShardedEngine:
                     self._m_queue_depth.set(float(self._queues[shard].qsize()))
                 except NotImplementedError:  # pragma: no cover - macOS qsize
                     pass
-            if self.transport == "pickle":
-                self._put(shard, ("cols", part), "ship")
-            else:
-                payload = pack_cols(part)
-                if (
-                    self.transport == "shm"
-                    and len(payload) <= self._ring_bytes
-                ):
-                    offset = self._ring_write(shard, payload)
-                    self._put(
-                        shard, ("shmc", offset, len(payload)), "ship"
-                    )
-                else:
-                    # "cols", or an shm payload too big for the ring.
-                    self._put(shard, ("colb", payload), "ship")
+            self._put(shard, ("colb", pack_cols(part)), "ship")
             self._shipped_total[shard] += count
         if self._obs:
             self._m_shard_rows[shard].add(float(count))
             self._m_batches.add(1.0)
-
-    def _ring_write(self, shard: int, payload: bytes) -> int:
-        """Write one payload into the shard's ring, surviving worker death.
-
-        Mirrors :meth:`_put`: supervised mode alternates bounded write
-        attempts with liveness checks (recovery replaces the ring along
-        with the worker); unsupervised mode just keeps trying, matching
-        the blocking queue ``put``.
-        """
-        while True:
-            if self.supervise and not self._workers[shard].is_alive():
-                self._recover(shard, "ship")
-            offset = self._rings[shard].try_write(payload, timeout=_PUT_POLL_S)
-            if offset is not None:
-                return offset
 
     def _ship_all(self) -> None:
         for shard in range(self.shards):
@@ -809,7 +738,6 @@ class ShardedEngine:
             "rows_routed": self._rows_routed,
             "buffered": [len(b) for b in self._buffers],
             "batch_size": self.batch_size,
-            "transport": self.transport,
             "supervised": self.supervise,
             "respawns": list(self._respawns),
             "failures": [failure.to_dict() for failure in self._failures],
@@ -892,10 +820,6 @@ class ShardedEngine:
             for process in self._workers:
                 if process.exitcode is None:
                     process.join(timeout=_CLOSE_WAIT_S)
-            for ring in self._rings:
-                if ring is not None:
-                    ring.close()
-                    ring.unlink()
         self._closed = True
         self._close_stats = {"tuples_per_shard": counts}
         return self._close_stats

@@ -12,16 +12,9 @@ Protocol (messages on the worker's bounded input queue, in order):
 ``("colb", packed_bytes)``
     Ingest one columnar batch: the payload is a
     :func:`repro.core.cols.pack_cols` byte string, unpacked here and fed
-    through the engine's ``insert_cols`` bulk path.  The default shard
-    transport — typed column blocks cross the process boundary as raw
-    bytes instead of a pickled list of tuples.
-``("cols", [column, ...])``
-    Ingest one columnar batch shipped as pickled column lists (the
-    ``transport="pickle"`` ablation baseline).
-``("shmc", offset, nbytes)``
-    Ingest one columnar batch whose packed bytes live in the shared
-    memory ring (``transport="shm"``): copy them out of the ring at
-    ``offset``, release the space, then proceed exactly like ``colb``.
+    through the engine's ``insert_cols`` kernel — typed column blocks
+    cross the process boundary as raw bytes instead of a pickled list
+    of tuples.
 ``("heartbeat", row)``
     Advance event time via the engine's ``heartbeat`` — punctuation, not
     data.  No reply; ordering relative to earlier ``rows`` batches is
@@ -129,19 +122,14 @@ class ShardPlan:
         )
 
 
-def shard_worker_main(
-    plan: ShardPlan, shard_id: int, in_queue, conn, ring=None
-) -> None:
+def shard_worker_main(plan: ShardPlan, shard_id: int, in_queue, conn) -> None:
     """Run one shard's ingest loop until ``("stop",)`` arrives.
 
     ``in_queue`` is a bounded ``multiprocessing.Queue`` (the backpressure
     boundary: the parent's ``put`` blocks when this worker falls behind);
-    ``conn`` is the worker end of a one-way ``multiprocessing.Pipe``;
-    ``ring`` is the consumer side of the shard's
-    :class:`~repro.parallel.shmring.ShmRing` when the engine was built
-    with ``transport="shm"`` (None otherwise).  Runs equally well
-    in-process (the inline ``processes=0`` mode and the unit tests drive
-    it with pre-loaded queues).
+    ``conn`` is the worker end of a one-way ``multiprocessing.Pipe``.
+    Runs equally well in-process (the inline ``processes=0`` mode and the
+    unit tests drive it with pre-loaded queues).
     """
     try:
         engine = plan.build_engine(store_dir=plan.shard_store_dir(shard_id))
@@ -152,11 +140,6 @@ def shard_worker_main(
                 engine.insert_many(message[1])
             elif tag == "colb":
                 engine.insert_cols(unpack_cols(message[1])[0])
-            elif tag == "cols":
-                engine.insert_cols(message[1])
-            elif tag == "shmc":
-                payload = ring.read(message[1], message[2])
-                engine.insert_cols(unpack_cols(payload)[0])
             elif tag == "heartbeat":
                 engine.heartbeat(message[1])
             elif tag == "merge":
@@ -185,6 +168,4 @@ def shard_worker_main(
         except (OSError, ValueError):
             pass
     finally:
-        if ring is not None:
-            ring.close()
         conn.close()

@@ -165,13 +165,7 @@ class ShardedBackend(_BackendBase):
 
     kind = "sharded"
 
-    def __init__(
-        self,
-        plan: ShardPlan,
-        shards: int,
-        processes: int | None,
-        transport: str = "cols",
-    ):
+    def __init__(self, plan: ShardPlan, shards: int, processes: int | None):
         super().__init__(plan)
         self._restored: list[bytes] = []
         self._sharded = ShardedEngine(
@@ -184,7 +178,6 @@ class ShardedBackend(_BackendBase):
             registry_factory=plan.registry_factory,
             registry_params=plan.registry_params,
             router=stable_route,
-            transport=transport,
             store_dir=plan.store_dir,
             store_hot_groups=plan.store_hot_groups,
         )
@@ -251,7 +244,6 @@ def build_backend(
     two_level: bool = True,
     low_table_size: int = 4096,
     registry_params: dict | None = None,
-    transport: str = "cols",
     store_dir: str | None = None,
     store_hot_groups: int = 4096,
 ):
@@ -260,9 +252,7 @@ def build_backend(
     ``shards=0`` (the default) serves from a single in-process engine;
     ``shards>=1`` builds a :class:`ShardedBackend` with that many
     partitions (``processes=0`` keeps the shards inline — deterministic
-    and CI-safe; ``None`` runs one OS process per shard).  ``transport``
-    picks how columnar batches reach the shard workers — see
-    :class:`~repro.parallel.sharded.ShardedEngine`.
+    and CI-safe; ``None`` runs one OS process per shard).
 
     ``store_dir`` turns on tiered group-state storage (:mod:`repro.store`):
     each engine keeps at most ``store_hot_groups`` groups in RAM and
@@ -284,6 +274,4 @@ def build_backend(
     )
     if shards == 0:
         return SingleEngineBackend(plan)
-    return ShardedBackend(
-        plan, shards=shards, processes=processes, transport=transport
-    )
+    return ShardedBackend(plan, shards=shards, processes=processes)

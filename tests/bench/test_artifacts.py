@@ -41,6 +41,12 @@ class TestArtifactShape:
         entry = names["fig2a.no_decay.ns_per_tuple"]
         assert entry["value"] > 0 and entry["unit"] == "ns"
 
+    def test_source_line_counts_are_report_only(self, artifact):
+        for name in ("loc.src", "loc.tests"):
+            entry = artifact["entries"][name]
+            assert entry["value"] > 1000 and entry["unit"] == "lines"
+            assert not entry["gate"] and not entry["higher_is_better"]
+
     def test_absolute_timings_ungated_relative_costs_gated(self, artifact):
         for name, entry in artifact["entries"].items():
             if name.endswith(".ns_per_tuple") or name.endswith(".tuples_per_sec"):

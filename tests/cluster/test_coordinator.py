@@ -10,6 +10,8 @@ import pytest
 
 from repro.cluster import Coordinator, LocalNode
 from repro.core.errors import ParameterError
+from repro.serve import ServeClient
+from repro.serve.protocol import MAX_FRAME_BYTES
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows
 
@@ -37,6 +39,31 @@ class TestExactFanOut:
         with local_cluster(tmp_path, n=2) as cluster:
             cluster.insert_cols(cols)
             got = cluster.query()
+        assert canon(got) == canon(expected_rows(SQL, rows))
+
+    def test_whole_trace_insert_ships_bounded_frames(self, tmp_path, monkeypatch):
+        # One insert() of a whole trace used to leave each node's buffer
+        # as a single multi-megabyte INSERT frame; deliveries are sliced
+        # to batch_size rows, so frame size no longer grows with input.
+        rows = make_rows(200_000)
+        sent: list[int] = []
+        perform = ServeClient._perform
+
+        def spy(client, op, arg=None):
+            if op == "send":
+                sent.append(len(arg))
+            return perform(client, op, arg)
+
+        monkeypatch.setattr(ServeClient, "_perform", spy)
+        with Coordinator.local(
+            SQL, PACKET_SCHEMA, str(tmp_path), node_count=3
+        ) as cluster:
+            cluster.insert(rows)
+            got = cluster.query()
+            per_node = cluster.stats()["per_node"]
+            assert sum(n["rows_sent"] for n in per_node.values()) == len(rows)
+        assert max(sent) < MAX_FRAME_BYTES // 2
+        assert len(sent) >= len(rows) // cluster.batch_size
         assert canon(got) == canon(expected_rows(SQL, rows))
 
     def test_query_is_nondestructive_and_incremental(self, tmp_path):

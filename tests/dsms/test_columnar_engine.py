@@ -1,9 +1,10 @@
 """The engine's columnar ingest path: bit-identity with the row path.
 
-:meth:`QueryEngine.insert_cols` promises results equal to
-:meth:`insert_many` of the transposed batch — not approximately, but as
-the identical sequence of UDAF calls.  Every test here feeds two engines
-the same logical stream through the two paths and demands ``==`` on the
+:meth:`QueryEngine.insert_cols` is the engine's one batch kernel
+(:meth:`insert_many` transposes into it) and promises results equal to
+per-tuple :meth:`process` — not approximately, but as the identical
+sequence of UDAF calls.  Every test here feeds two engines the same
+logical stream through two entry points and demands ``==`` on the
 flushed results, including for sketch-backed aggregates whose internal
 layout depends on the exact update order.
 """
@@ -89,6 +90,36 @@ QUERIES = [
         "where proto = 'tcp' and len > 100 group by time/60 as tb",
         id="boolean-where-fallback",
     ),
+    pytest.param(
+        "select destPort, count(*) as c, sum(len) as s from TCP "
+        "where proto = 'tcp' and len > 100 and destPort = 80 "
+        "group by destPort",
+        id="boolean-and-three-operands",
+    ),
+    pytest.param(
+        "select proto, count(*) as c from TCP "
+        "where not (proto = 'udp' or len < 60 or time >= 170) "
+        "group by proto",
+        id="boolean-not-over-or",
+    ),
+    pytest.param(
+        "select tb, max(len) as hi from TCP "
+        "where (destPort = 443 or len > 400) and (proto = 'tcp' or time < 30) "
+        "group by time/60 as tb",
+        id="boolean-nested-and-of-ors",
+    ),
+    pytest.param(
+        # time is 0 on some rows: the division must only ever see the
+        # rows the guard let through, exactly like short-circuit AND.
+        "select destIP, count(*) as c, sum(len / time) as r from TCP "
+        "where time != 0 and len / time > 1 group by destIP",
+        id="boolean-guarded-division",
+    ),
+    pytest.param(
+        "select destIP, count(*) as c from TCP "
+        "where time = 0 or len / time > 1 group by destIP",
+        id="boolean-or-guarded-division",
+    ),
 ]
 
 
@@ -114,25 +145,48 @@ class TestBitIdentity:
                 mixed.insert_cols(to_cols(chunk))
         assert mixed.flush() == via_rows.flush()
 
-    def test_boolean_where_has_no_columnar_plan(self):
-        # BooleanOp keeps Python's short-circuit semantics, which a
-        # column-at-a-time mask cannot reproduce for side-effect-free
-        # rows only by accident — so it opts out and insert_cols falls
-        # back to the transpose (still bit-identical, per the test above).
-        fallback = engine(
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_batch_entry_points_match_per_tuple_process(self, sql):
+        # insert_many transposes into insert_cols, so the two tests above
+        # compare the kernel with itself; process() is the independent
+        # per-tuple reference.
+        rows = make_rows()
+        reference, via_rows, via_cols = engine(sql), engine(sql), engine(sql)
+        for row in rows:
+            reference.process(row)
+        via_rows.insert_many(iter(rows))
+        for start in range(0, len(rows), 64):
+            via_cols.insert_cols(to_cols(rows[start : start + 64]))
+        expected = reference.flush()
+        assert via_rows.flush() == expected
+        assert via_cols.flush() == expected
+
+    def test_boolean_where_runs_columnar_and_matches_process(self):
+        # BooleanOp evaluates masked — operand k only on the rows still
+        # undecided after operands < k — which reproduces Python's
+        # short-circuit, so a boolean WHERE needs no row fallback.
+        sql = (
             "select tb, count(*) as c from TCP "
             "where proto = 'tcp' and len > 100 group by time/60 as tb"
         )
-        assert not fallback.has_columnar_plan
-        columnar = engine(
-            "select tb, count(*) as c from TCP group by time/60 as tb"
-        )
-        assert columnar.has_columnar_plan
+        rows = make_rows()
+        reference, columnar = engine(sql), engine(sql)
+        for row in rows:
+            reference.process(row)
+        where_fn, _group_fns, _arg_fns = columnar._columnar_plan()
+        assert where_fn(to_cols(rows), len(rows)) == [
+            reference._where_fn(row) for row in rows
+        ]
+        columnar.insert_cols(to_cols(rows))
+        assert columnar.tuples_selected == reference.tuples_selected
+        assert columnar.flush() == reference.flush()
 
     def test_empty_batch_is_a_noop(self):
         one = engine(QUERIES[0].values[0])
         one.insert_cols([])
         one.insert_cols([[], [], [], [], [], []])
+        one.insert_many([])
+        one.insert_many(iter(()))
         assert one.flush() == []
 
     def test_ragged_batch_rejected(self):
@@ -179,27 +233,112 @@ class TestCompileCols:
             )
             assert out == expected, f"op {op}"
 
-    def test_boolean_op_opts_out(self):
-        expression = BooleanOp(
+    # Masked boolean evaluation: compile_cols must equal compile element
+    # for element and raise iff the row form raises.
+    BOOL_SCHEMA = Schema(
+        [
+            Field("size", FieldType.INT),
+            Field("len", FieldType.INT),
+            Field("x", FieldType.FLOAT),
+            Field("flag", FieldType.INT),
+            Field("name", FieldType.STR),
+        ]
+    )
+    BOOL_ROWS = [
+        (0, 10, 1.5, True, "a"),
+        (2, 10, float("nan"), 0, ""),
+        (5, 3, 0.0, 1, "b"),
+        (0, 0, -0.0, False, ""),
+        (1, 7, float("nan"), 2, "c"),
+        (4, 9, 2.0, 0, "d"),
+    ]
+
+    @staticmethod
+    def _guard(op="and"):
+        # size != 0 AND len / size > 1 — or its OR mirror.
+        test = Comparison("!=" if op == "and" else "=", Column("size"), Literal(0))
+        ratio = Comparison(
+            ">", BinaryOp("/", Column("len"), Column("size")), Literal(1)
+        )
+        return BooleanOp(op, (test, ratio))
+
+    BOOLEANS = {
+        "and-guarded-division": lambda: TestCompileCols._guard("and"),
+        "or-guarded-division": lambda: TestCompileCols._guard("or"),
+        "and-unguarded-division-raises": lambda: BooleanOp(
             "and",
             (
-                Comparison("=", Column("proto"), Literal("tcp")),
-                Comparison(">", Column("len"), Literal(100)),
+                Comparison(
+                    ">", BinaryOp("/", Column("len"), Column("size")), Literal(1)
+                ),
+                Comparison("!=", Column("size"), Literal(0)),
             ),
-        )
-        assert expression.compile_cols(SCHEMA) is None
-
-    def test_nested_tree_containing_boolean_opts_out(self):
-        inner = BooleanOp(
-            "or",
+        ),
+        "and-three-operands": lambda: BooleanOp(
+            "and",
             (
-                Comparison("=", Column("proto"), Literal("tcp")),
-                Comparison("=", Column("proto"), Literal("udp")),
+                Comparison(">", Column("len"), Literal(2)),
+                Column("flag"),
+                Comparison("!=", Column("name"), Literal("")),
             ),
-        )
-        assert Comparison("=", inner, Literal(True)).compile_cols(
-            SCHEMA
-        ) is None
+        ),
+        "or-three-operands-nan-and-bool-vs-int": lambda: BooleanOp(
+            "or", (Column("x"), Column("flag"), Column("name"))
+        ),
+        "not-of-raw-value": lambda: BooleanOp("not", (Column("x"),)),
+        "nested-not-or-inside-and": lambda: BooleanOp(
+            "and",
+            (
+                BooleanOp(
+                    "not",
+                    (
+                        BooleanOp(
+                            "or",
+                            (
+                                Comparison("=", Column("size"), Literal(0)),
+                                Comparison("=", Column("flag"), Literal(True)),
+                            ),
+                        ),
+                    ),
+                ),
+                Comparison(
+                    ">=", BinaryOp("/", Column("len"), Column("size")), Literal(2)
+                ),
+                BooleanOp("or", (Column("x"), Column("name"))),
+            ),
+        ),
+        "boolean-inside-comparison": lambda: Comparison(
+            "=",
+            BooleanOp("or", (Column("flag"), TestCompileCols._guard("and"))),
+            Literal(True),
+        ),
+        "all-rows-settled-early": lambda: BooleanOp(
+            "and",
+            (
+                Comparison("<", Column("size"), Literal(0)),
+                BinaryOp("/", Column("len"), Literal(0)),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOOLEANS))
+    def test_masked_boolean_matches_row_form(self, name):
+        expression = self.BOOLEANS[name]()
+        schema, rows = self.BOOL_SCHEMA, self.BOOL_ROWS
+        per_row = expression.compile(schema)
+        columnar = expression.compile_cols(schema)
+        try:
+            expected = [per_row(row) for row in rows]
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                columnar(to_cols(rows), len(rows))
+            assert "raises" in name
+            return
+        assert "raises" not in name
+        out = columnar(to_cols(rows), len(rows))
+        assert out == expected
+        assert [type(v) for v in out] == [type(v) for v in expected]
+        assert expected == [expression.evaluate(row, schema) for row in rows]
 
 
 class TestValidateCols:

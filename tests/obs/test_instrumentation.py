@@ -52,7 +52,9 @@ def make_rows(n: int = 500) -> list[tuple]:
     return rows
 
 
-def run_engine(metrics=None, rows=None, batch: int | None = None):
+def run_engine(
+    metrics=None, rows=None, batch: int | None = None, columnar: bool = False
+):
     rows = make_rows() if rows is None else rows
     engine = QueryEngine(
         parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
@@ -62,7 +64,11 @@ def run_engine(metrics=None, rows=None, batch: int | None = None):
             engine.process(row)
     else:
         for begin in range(0, len(rows), batch):
-            engine.insert_many(rows[begin:begin + batch])
+            chunk = rows[begin:begin + batch]
+            if columnar:
+                engine.insert_cols([list(col) for col in zip(*chunk)])
+            else:
+                engine.insert_many(chunk)
     return engine.flush()
 
 
@@ -87,9 +93,11 @@ class TestResultsUnchanged:
         plans = engine._agg_plans
         assert not any(isinstance(plan.udaf, TimedUdaf) for plan in plans)
 
-    def test_batched_instrumented_results_bit_identical(self):
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_batched_instrumented_results_bit_identical(self, columnar):
         metrics = MetricsRegistry(enabled=True)
-        assert run_engine(metrics=metrics, batch=64) == run_engine(batch=64)
+        observed = run_engine(metrics=metrics, batch=64, columnar=columnar)
+        assert observed == run_engine(batch=64)
 
     def test_checkpoint_restore_round_trip_instrumented(self):
         rows = make_rows()
@@ -144,9 +152,27 @@ class TestRecordedMetrics:
         # Group is (tb, destIP); the tracker should surface destIPs.
         assert all(isinstance(key, str) and key.startswith("192.") for key in keys)
 
-    def test_batched_path_records_batch_sizes_and_udaf_timings(self):
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_batch_entry_points_count_every_tuple_once(self, columnar):
+        # insert_many reaches the insert_cols wrapper through the
+        # transpose: both entry points are visible, neither counts twice.
+        rows = make_rows()
         metrics = MetricsRegistry(enabled=True)
-        run_engine(metrics=metrics, batch=64)
+        run_engine(metrics=metrics, rows=rows, batch=64, columnar=columnar)
+        snap = metrics.snapshot()["metrics"]
+        assert snap["engine.query.ingest.tuples"]["raw_total"] == len(rows)
+        tcp = sum(1 for row in rows if row[5] == "tcp")
+        assert snap["engine.query.ingest.selected"]["raw_total"] == tcp
+        batches = -(-len(rows) // 64)
+        assert snap["engine.query.ingest.latency_us"]["count"] == batches
+        top = metrics.get("engine.query.hot_keys").top(5)
+        assert sum(weight for _, weight, _ in top) == pytest.approx(tcp)
+        assert all(key.startswith("192.") for key, _, _ in top)
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_batched_path_records_batch_sizes_and_udaf_timings(self, columnar):
+        metrics = MetricsRegistry(enabled=True)
+        run_engine(metrics=metrics, batch=64, columnar=columnar)
         snap = metrics.snapshot()["metrics"]
         assert snap["engine.query.ingest.batch_size"]["p50"] == pytest.approx(
             64.0, rel=0.1

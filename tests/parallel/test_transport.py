@@ -1,24 +1,17 @@
-"""Columnar shard transports: the ring, the three wire choices, and
-crash accounting for columnar batches.
+"""The columnar shard transport and crash accounting for columnar batches.
 
-``ShardedEngine.insert_cols`` must equal the unsharded engine whatever
-carries the partitions across the process boundary — packed bytes on the
-queue (``"cols"``), pickled column lists (``"pickle"``), or the
-shared-memory ring (``"shm"``).  The transports differ only in copies,
-never in results, and the supervisor's exact loss accounting covers
-columnar batches the same as row batches.
+``ShardedEngine.insert_cols`` must equal the unsharded engine: per-shard
+partitions cross the process boundary as packed ``colb`` bytes on the
+queue, and the supervisor's exact loss accounting covers columnar
+batches the same as row batches.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
-from repro.core.cols import pack_cols, unpack_cols
-from repro.core.errors import ParameterError, QueryError
-from repro.parallel import ShardedEngine, stable_route
-from repro.parallel.shmring import ShmRing
+from repro.core.errors import QueryError
+from repro.parallel import ShardedEngine
 from repro.testing import kill_worker
 
 from tests.parallel.test_sharded import (
@@ -27,89 +20,20 @@ from tests.parallel.test_sharded import (
     make_rows,
     unsharded,
 )
-from tests.parallel.test_supervisor import SHARDS, routed_to, supervised_engine
+from tests.parallel.test_supervisor import routed_to, supervised_engine
 
 
 def to_cols(rows) -> list[list]:
     return [list(col) for col in zip(*rows)]
 
 
-@pytest.fixture
-def ring():
-    ring = ShmRing.create(64, multiprocessing.get_context())
-    yield ring
-    ring.close()
-    ring.unlink()
-
-
-class TestShmRing:
-    def test_write_read_roundtrip(self, ring):
-        offset = ring.try_write(b"hello")
-        assert offset == 0
-        assert ring.free_bytes() == 64 - 5
-        assert ring.read(offset, 5) == b"hello"
-        assert ring.free_bytes() == 64
-
-    def test_payload_wraps_at_the_boundary(self, ring):
-        first = ring.try_write(b"a" * 60)
-        assert ring.read(first, 60) == b"a" * 60
-        # 60 of 64 bytes consumed: the next payload must split at the wrap
-        second = ring.try_write(b"0123456789")
-        assert second == 60
-        assert ring.read(second, 10) == b"0123456789"
-        assert ring.free_bytes() == 64
-
-    def test_full_ring_times_out_instead_of_overwriting(self, ring):
-        assert ring.try_write(b"x" * 64) == 0
-        assert ring.try_write(b"y", timeout=0.01) is None
-        ring.read(0, 64)  # consumer frees the space
-        assert ring.try_write(b"y") is not None
-
-    def test_oversized_payload_rejected(self, ring):
-        with pytest.raises(ParameterError, match="exceeds ring capacity"):
-            ring.try_write(b"z" * 65)
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ParameterError, match="capacity"):
-            ShmRing(0, None)
-
-    def test_consumer_side_attaches_by_name(self, ring):
-        offset = ring.try_write(b"shared-bytes")
-        consumer = ShmRing.__new__(ShmRing)
-        consumer.__setstate__(ring.__getstate__())
-        try:
-            assert consumer.read(offset, 12) == b"shared-bytes"
-            # the shared consumed counter freed the producer's space
-            assert ring.free_bytes() == 64
-        finally:
-            consumer.close()
-
-    def test_packed_batch_through_the_ring(self):
-        payload = pack_cols(to_cols(make_rows(8)))
-        ring = ShmRing.create(4096, multiprocessing.get_context())
-        try:
-            offset = ring.try_write(payload)
-            cols, seq, count = unpack_cols(ring.read(offset, len(payload)))
-        finally:
-            ring.close()
-            ring.unlink()
-        assert seq is None
-        assert count == 8
-        assert cols == to_cols(make_rows(8))
-
-
 class TestTransportEquivalence:
-    @pytest.mark.parametrize("transport", ["cols", "pickle", "shm"])
-    def test_inline_accepts_every_transport(self, transport):
-        # Inline mode never crosses a process boundary; the parameter
-        # must still be accepted (and reported) for config portability.
+    def test_inline_columnar_matches_unsharded(self):
         rows = make_rows(300)
         with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=3, processes=0,
-            transport=transport,
+            COUNT_SUM_SQL, SCHEMA, shards=3, processes=0
         ) as engine:
             engine.insert_cols(to_cols(rows))
-            assert engine.stats()["transport"] == transport
             assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
 
     def test_interleaved_row_and_columnar_batches_inline(self):
@@ -144,40 +68,15 @@ class TestTransportEquivalence:
             with pytest.raises(QueryError, match="ragged"):
                 engine.insert_cols([[1], [], [], [], [], []])
 
-    def test_transport_validated(self):
-        with pytest.raises(ParameterError, match="transport"):
-            ShardedEngine(
-                COUNT_SUM_SQL, SCHEMA, shards=2, processes=0,
-                transport="carrier-pigeon",
-            )
-        with pytest.raises(ParameterError, match="ring_bytes"):
-            ShardedEngine(
-                COUNT_SUM_SQL, SCHEMA, shards=2, processes=0, ring_bytes=0
-            )
-
     @pytest.mark.slow
-    @pytest.mark.parametrize("transport", ["cols", "pickle", "shm"])
-    def test_process_mode_matches_unsharded(self, transport):
+    def test_process_mode_matches_unsharded(self):
         rows = make_rows(400)
         with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=2, processes=None,
-            batch_size=64, transport=transport,
+            COUNT_SUM_SQL, SCHEMA, shards=2, processes=None, batch_size=64
         ) as engine:
             engine.insert_cols(to_cols(rows[:200]))
             engine.insert_many(rows[200:300])
             engine.insert_cols(to_cols(rows[300:]))
-            assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
-
-    @pytest.mark.slow
-    def test_shm_overflow_falls_back_to_the_queue(self):
-        # A ring smaller than any packed batch forces the fallback path
-        # on every ship; results must not change.
-        rows = make_rows(300)
-        with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=2, processes=None,
-            transport="shm", ring_bytes=16,
-        ) as engine:
-            engine.insert_cols(to_cols(rows))
             assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
 
 
@@ -187,13 +86,12 @@ class TestColumnarCrashAccounting:
     """Satellite (f): worker death mid-columnar-stream keeps the exact
     loss accounting of the row path."""
 
-    @pytest.mark.parametrize("transport", ["cols", "shm"])
-    def test_columnar_rows_lost_exactly(self, transport):
+    def test_columnar_rows_lost_exactly(self):
         rows_before = make_rows(200)
         doomed = routed_to(make_rows(500), 1)[:40]
         rows_after = make_rows(200)
         assert doomed, "scenario needs rows routed to shard 1"
-        with supervised_engine(transport=transport) as engine:
+        with supervised_engine() as engine:
             engine.insert_cols(to_cols(rows_before))
             engine.checkpoint()
             engine.insert_cols(to_cols(doomed))  # shipped immediately

@@ -1,12 +1,20 @@
-"""Client-library behaviour: credits, flush, pushes, the asyncio twin."""
+"""Client-library behaviour: credits, flush, pushes, the asyncio driver,
+and the sans-IO core fed scripted bytes through both drivers."""
 
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import pytest
 
-from repro.serve import AsyncServeClient, RemoteError, ServeClient
+from repro.serve import (
+    AsyncServeClient,
+    ClientConnectionError,
+    RemoteError,
+    ServeClient,
+    protocol,
+)
 from tests.serve.util import SQL, canon, expected_rows, make_rows, serve
 
 
@@ -116,3 +124,174 @@ class TestAsyncClient:
             with ServeClient(server.host, server.port) as client:
                 sync_rows = client.query()
         assert canon(async_rows) == canon(sync_rows)
+
+
+class ScriptedTransport:
+    """Replays scripted chunks and records sends — no socket anywhere.
+
+    Wears both faces the drivers talk to: a blocking socket
+    (``sendall`` / ``recv`` / ``close``) and an asyncio stream pair
+    (``write`` / ``drain`` / ``read`` / ``wait_closed``).  One ``recv``
+    hands over exactly one scripted chunk; an exhausted script reads as
+    EOF, so a client that asks for bytes it should not need fails fast
+    instead of hanging.
+    """
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.sent: list[bytes] = []
+        self.closed = False
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+
+    def recv(self, _size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def close(self):
+        self.closed = True
+
+    write = sendall
+
+    async def drain(self):
+        pass
+
+    async def read(self, size):
+        return self.recv(size)
+
+    async def wait_closed(self):
+        pass
+
+
+class _Awaitable:
+    """The sync client behind the async surface, so one scenario serves
+    both drivers."""
+
+    def __init__(self, client):
+        self._client = client
+
+    def __getattr__(self, name):
+        attr = getattr(self._client, name)
+        if not callable(attr):
+            return attr
+
+        async def call(*args, **kwargs):
+            return attr(*args, **kwargs)
+
+        return call
+
+
+@pytest.fixture(params=["sync", "asyncio"])
+def scripted(request, monkeypatch):
+    """``run(chunks, scenario)``: connect the parametrised driver to a
+    scripted transport, await ``scenario(client)``, return its result and
+    the transport."""
+
+    def run(chunks, scenario, **options):
+        transport = ScriptedTransport(chunks)
+
+        async def open_connection(host, port):
+            return transport, transport
+
+        monkeypatch.setattr(
+            socket, "create_connection", lambda *a, **k: transport
+        )
+        monkeypatch.setattr(asyncio, "open_connection", open_connection)
+
+        async def main():
+            if request.param == "sync":
+                client = _Awaitable(ServeClient("scripted", 0, **options))
+            else:
+                client = await AsyncServeClient.connect(
+                    "scripted", 0, **options
+                )
+            return await scenario(client)
+
+        return asyncio.run(main()), transport
+
+    return run
+
+
+def frame(ftype, **payload) -> bytes:
+    return protocol.encode_frame(ftype, payload)
+
+
+WELCOME = frame(protocol.WELCOME, credits=2, wire_version=2, query="q")
+ERROR = frame(protocol.ERROR, code="bad-rows", message="arity")
+CREDIT = frame(protocol.CREDIT, credits=1, seq=1)
+RESULT = frame(protocol.RESULT, rows=[])
+
+
+def every_split(stream: bytes) -> list[list[bytes]]:
+    """The stream whole, cut in two at every byte, and byte by byte."""
+    cuts = [[stream[:k], stream[k:]] for k in range(1, len(stream))]
+    return [[stream], *cuts, [stream[i : i + 1] for i in range(len(stream))]]
+
+
+class TestScriptedCore:
+    """The one state machine, fed bytes directly (ROADMAP's stranded-frame
+    bug: ERROR and CREDIT in one chunk used to deadlock the next flush)."""
+
+    @staticmethod
+    async def rejected_batch(client):
+        await client.insert([("bad",)])
+        with pytest.raises(RemoteError) as excinfo:
+            await client.flush()
+        # The CREDIT behind the ERROR was book-kept with its chunk: the
+        # second flush needs no further bytes (the script has none left,
+        # so asking would read EOF).
+        report = await client.flush()
+        return excinfo.value.code, report, client.credits, client.window
+
+    def test_error_and_credit_coalesced_in_one_chunk(self, scripted):
+        outcome, transport = scripted(
+            [WELCOME, ERROR + CREDIT], self.rejected_batch
+        )
+        # (the rejected batch still shows as credited back: "acked")
+        report = {"outcomes": {1: "acked"}, "reconnects": 0}
+        assert outcome == ("bad-rows", report, 2, 2)
+        assert transport.chunks == []
+
+    def test_flush_is_identical_at_every_byte_boundary(self, scripted):
+        expected, _ = scripted([WELCOME, ERROR, CREDIT], self.rejected_batch)
+        for chunks in every_split(ERROR + CREDIT):
+            outcome, transport = scripted(
+                [WELCOME, *chunks], self.rejected_batch
+            )
+            assert outcome == expected, chunks
+            assert transport.chunks == [], chunks
+
+    def test_handshake_uses_the_same_decode_loop(self, scripted):
+        # WELCOME trickling in byte by byte, and frames sharing the
+        # WELCOME's chunk, are not lost with a handshake-private decoder.
+        async def scenario(client):
+            return await client.query(), client.credits
+
+        byte_by_byte = [WELCOME[i : i + 1] for i in range(len(WELCOME))]
+        outcome, _ = scripted([*byte_by_byte, RESULT], scenario)
+        assert outcome == ([], 2)
+        push = frame(protocol.RESULT, rows=[], sub=1, seq=1, done=True)
+
+        async def pushed(client):
+            return await client.results(1)
+
+        outcome, _ = scripted([WELCOME + push], pushed)
+        assert [p["seq"] for p in outcome] == [1]
+
+    def test_handshake_error_raises_and_releases_the_transport(self, scripted):
+        refused = frame(protocol.ERROR, code="schema-mismatch", message="no")
+        with pytest.raises(RemoteError) as excinfo:
+            scripted([refused], None)
+        assert excinfo.value.code == "schema-mismatch"
+
+    def test_eof_marks_the_client_dead_once(self, scripted):
+        async def scenario(client):
+            with pytest.raises(ClientConnectionError) as first:
+                await client.query()
+            with pytest.raises(ClientConnectionError) as second:
+                await client.stats()
+            return first.value is second.value, await client.close()
+
+        outcome, transport = scripted([WELCOME], scenario)
+        assert outcome == (True, {})
+        assert transport.closed
