@@ -444,6 +444,57 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.core.serde import (
+        PARTIALS_CHECKPOINT_VERSION,
+        read_partials_checkpoint,
+    )
+    from repro.dsms.engine import describe_partial_state
+
+    try:
+        with open(args.path, "rb") as handle:
+            image = handle.read()
+        # Full check: the file's CRC, then every blob's own.
+        sql, schema, blobs = read_partials_checkpoint(image)
+        described = [describe_partial_state(blob) for blob in blobs]
+    except (OSError, DecayError) as error:
+        print(f"error: {args.path}: {error}", file=sys.stderr)
+        return 2
+    groups = sum(blob["groups"] for blob in described)
+    report = {
+        "path": args.path,
+        "version": PARTIALS_CHECKPOINT_VERSION,
+        "query": sql,
+        "schema": schema,
+        "bytes": len(image),
+        "groups": groups,
+        "bytes_per_group": len(image) / groups if groups else None,
+        "blobs": described,
+    }
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return 0
+    print(f"checkpoint: {args.path} (v{report['version']}, CRC ok)")
+    print(f"query: {sql}")
+    print(f"schema: {', '.join(schema)}")
+    per_group = f", {len(image) / groups:.1f} B/group" if groups else ""
+    print(
+        f"{len(blobs)} blob(s), {groups:,} group(s), "
+        f"{len(image):,} bytes{per_group}"
+    )
+    for index, blob in enumerate(described):
+        columns = " ".join(
+            f"{kind}:{size:,}" for kind, size in blob["columns"]
+        )
+        print(
+            f"  blob {index}: v{blob['version']}, {blob['groups']:,} group(s), "
+            f"{blob['bytes']:,} B, tuples_in {blob['tuples_in']:,} | {columns}"
+        )
+    return 0
+
+
 def _cmd_store_inspect(args: argparse.Namespace) -> int:
     import json
     import os
@@ -771,6 +822,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _client_common(client_checkpoint)
     client_checkpoint.set_defaults(handler=_cmd_client_checkpoint)
+
+    checkpoint = commands.add_parser(
+        "checkpoint", help="inspect serve checkpoint files"
+    )
+    checkpoint_commands = checkpoint.add_subparsers(
+        dest="checkpoint_command", required=True
+    )
+    checkpoint_inspect = checkpoint_commands.add_parser(
+        "inspect", help="verify a checkpoint.bin and print what it holds"
+    )
+    checkpoint_inspect.add_argument(
+        "path", help="checkpoint file (<state-dir>/checkpoint.bin)"
+    )
+    checkpoint_inspect.add_argument("--json", action="store_true",
+                                    help="emit the report as JSON")
+    checkpoint_inspect.set_defaults(handler=_cmd_checkpoint_inspect)
 
     store = commands.add_parser(
         "store", help="inspect tiered group-state store directories"

@@ -5,7 +5,7 @@ The distributed deployment of the Section VI-B merge property.  A
 keys across N serving nodes (:class:`~repro.cluster.ring.HashRing`),
 forwards batches over the serve wire protocol under credit-window
 backpressure, and answers queries by folding every node's partial-state
-blobs with :func:`~repro.core.merge.merge_all` — byte-identical to one
+blobs with :func:`~repro.dsms.engine.fold_partials` — byte-identical to one
 in-process engine, because fixed-numerator partial states merge exactly
 regardless of placement.
 

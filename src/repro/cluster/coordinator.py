@@ -15,7 +15,7 @@ single engine:
   replay on reconnect.
 * **Query.**  ``query()`` flushes, pulls every node's partial-state
   blobs (``PARTIALS`` frames), folds them with
-  :func:`~repro.core.merge.merge_all`, and finalizes locally — HAVING /
+  :func:`~repro.dsms.engine.fold_partials`, and finalizes locally — HAVING /
   ORDER BY / LIMIT apply to the merged whole, so the answer is
   byte-identical to one in-process engine over the same stream.
 * **Recovery.**  Node clients are built with retries; when an operation
@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.errors import ParameterError, QueryError
-from repro.core.merge import merge_all
+from repro.dsms.engine import fold_partials
 from repro.parallel.routing import GroupKeyRouter, validate_mergeable
 from repro.parallel.worker import ShardPlan
 from repro.serve.client import ClientConnectionError, ServeClient
@@ -367,20 +367,12 @@ class Coordinator:
     def query(self) -> list[dict]:
         """Merged results over everything ingested, exactly.
 
-        Folds every node's partial states with
-        :func:`~repro.core.merge.merge_all` and finalizes locally, so
+        Folds every node's partial states into one collector
+        (:func:`~repro.dsms.engine.fold_partials`) and finalizes locally, so
         HAVING / ORDER BY / LIMIT see the merged whole — byte-identical
         to a single in-process engine over the same stream.
         """
-        blobs = self.partial_blobs()
-        collectors = []
-        for blob in blobs:
-            collector = self._plan.build_engine()
-            collector.merge_partial(blob)
-            collectors.append(collector)
-        if not collectors:
-            return []
-        return [dict(row) for row in merge_all(collectors).flush()]
+        return fold_partials(self._plan.build_engine, self.partial_blobs())
 
     def checkpoint(self) -> dict:
         """Flush, then checkpoint every node; refreshes recovery marks.

@@ -16,6 +16,7 @@ operations.  Layout of a packed batch (all integers network order)::
     kind 2  f64     payload = rows × float64
     kind 3  str     payload = rows × u32 byte-lengths, then UTF-8 blobs
     kind 4  tagged  payload = JSON list of tag_key-tagged values
+    kind 5  bytes   payload = rows × u32 byte-lengths, then the raw buffers
 
 ``seq+1`` is zero when the batch carries no sequence number.  The per-
 column ``kind`` is chosen from the *values* (falling back to ``tagged``
@@ -24,12 +25,13 @@ packing bit-exactly: unpacking a packed batch yields values equal to the
 originals under ``type()`` and ``repr()``, which is what lets the
 columnar data plane promise byte-identical query results.
 
-Two consumers share this module: :mod:`repro.serve.protocol` wraps a
-packed batch in an ``INSERT_COLS`` wire frame, and
-:mod:`repro.parallel.sharded` ships packed batches to shard workers
-(bytes on a queue or through the shared-memory ring) instead of pickling
-per-row tuples.  It deliberately lives in :mod:`repro.core` — below both
-— so neither layer imports the other.
+Three consumers share this module: :mod:`repro.serve.protocol` wraps a
+packed batch in an ``INSERT_COLS`` wire frame (and a one-column ``bytes``
+batch in ``PARTIALS_OK`` / ``ADOPT``), :mod:`repro.parallel.sharded` ships
+packed batches to shard workers instead of pickling per-row tuples, and
+:mod:`repro.dsms.engine` packs its partial state as one batch with a row
+per group.  It deliberately lives in :mod:`repro.core` — below all of
+them — so no layer imports another.
 
 All malformed input raises :class:`~repro.core.errors.ProtocolError`.
 """
@@ -48,10 +50,14 @@ __all__ = [
     "COL_F64",
     "COL_STR",
     "COL_TAGGED",
+    "COL_BYTES",
     "rows_to_cols",
     "cols_to_rows",
     "pack_cols",
     "unpack_cols",
+    "pack_column",
+    "read_column",
+    "describe_cols",
     "tag_value",
     "untag_value",
 ]
@@ -64,6 +70,12 @@ COL_I64 = 1
 COL_F64 = 2
 COL_STR = 3
 COL_TAGGED = 4
+COL_BYTES = 5
+
+_KIND_NAMES = {
+    COL_I64: "i64", COL_F64: "f64", COL_STR: "str", COL_TAGGED: "tagged",
+    COL_BYTES: "bytes",
+}
 
 #: codec version, seq+1 (0 = none), row count, column count.
 _COLS_HEAD = struct.Struct("!BQIH")
@@ -128,6 +140,10 @@ def _pack_column(values) -> tuple[int, bytes]:
         return COL_STR, struct.pack(
             f"!{len(encoded)}I", *map(len, encoded)
         ) + b"".join(encoded)
+    elif kinds == {bytes}:
+        return COL_BYTES, struct.pack(
+            f"!{len(values)}I", *map(len, values)
+        ) + b"".join(values)
     tagged = json.dumps(
         [tag_value(v) for v in values], separators=(",", ":")
     ).encode("utf-8")
@@ -147,13 +163,21 @@ def _unpack_column(kind: int, view, count: int) -> list:
                 f"f64 column: {len(view)} bytes for {count} rows"
             )
         return list(struct.unpack(f"!{count}d", view))
-    if kind == COL_STR:
+    if kind == COL_STR or kind == COL_BYTES:
         head = 4 * count
         if len(view) < head:
-            raise ProtocolError("str column shorter than its length table")
+            raise ProtocolError("column shorter than its length table")
         lengths = struct.unpack(f"!{count}I", view[:head])
         if head + sum(lengths) != len(view):
-            raise ProtocolError("str column blob does not match its lengths")
+            raise ProtocolError("column blob does not match its lengths")
+        if kind == COL_BYTES:
+            out = []
+            offset = head
+            for length in lengths:
+                end = offset + length
+                out.append(bytes(view[offset:end]))
+                offset = end
+            return out
         try:
             decoded = str(view[head:], "utf-8")
         except UnicodeDecodeError as exc:
@@ -196,6 +220,33 @@ def _unpack_column(kind: int, view, count: int) -> list:
     raise ProtocolError(f"unknown column kind {kind}")
 
 
+def pack_column(values) -> bytes:
+    """One self-describing column block, ``kind | nbytes | payload`` —
+    the unit :func:`pack_cols` repeats, for a lone typed list in a header
+    of the caller's own; read back with :func:`read_column`."""
+    kind, payload = _pack_column(values)
+    return _COL_HEAD.pack(kind, len(payload)) + payload
+
+
+def _block(view, offset: int) -> tuple[int, int, int]:
+    """``(kind, payload start, payload end)`` of the column block at ``offset``."""
+    try:
+        kind, nbytes = _COL_HEAD.unpack_from(view, offset)
+    except struct.error as exc:
+        raise ProtocolError(f"truncated columnar column header: {exc}") from exc
+    start = offset + _COL_HEAD.size
+    if start + nbytes > len(view):
+        raise ProtocolError("truncated columnar column payload")
+    return kind, start, start + nbytes
+
+
+def read_column(view, offset: int, count: int) -> tuple[list, int]:
+    """Parse the column block of ``count`` rows at ``offset`` into
+    ``(values, end offset)``; malformed input raises :class:`ProtocolError`."""
+    kind, start, end = _block(view, offset)
+    return _unpack_column(kind, view[start:end], count), end
+
+
 def pack_cols(cols, *, seq: int | None = None) -> bytes:
     """Pack equal-length per-field columns into one dense byte string.
 
@@ -219,10 +270,7 @@ def pack_cols(cols, *, seq: int | None = None) -> bytes:
             len(cols),
         )
     ]
-    for col in cols:
-        kind, payload = _pack_column(col)
-        parts.append(_COL_HEAD.pack(kind, len(payload)))
-        parts.append(payload)
+    parts.extend(map(pack_column, cols))
     return b"".join(parts)
 
 
@@ -244,20 +292,23 @@ def unpack_cols(body) -> tuple[list[list], int | None, int]:
         cols: list[list] = []
         offset = _COLS_HEAD.size
         for _ in range(ncols):
-            try:
-                kind, nbytes = _COL_HEAD.unpack_from(view, offset)
-            except struct.error as exc:
-                raise ProtocolError(
-                    f"truncated columnar column header: {exc}"
-                ) from exc
-            offset += _COL_HEAD.size
-            end = offset + nbytes
-            if end > len(view):
-                raise ProtocolError("truncated columnar column payload")
-            cols.append(_unpack_column(kind, view[offset:end], count))
-            offset = end
+            col, offset = read_column(view, offset, count)
+            cols.append(col)
         if offset != len(view):
             raise ProtocolError(
                 f"{len(view) - offset} trailing bytes after columnar columns"
             )
     return cols, (seq_tag - 1 if seq_tag else None), count
+
+
+def describe_cols(body) -> tuple[int, list[tuple[str, int]]]:
+    """``(row count, [(kind name, payload bytes) per column])`` of a packed
+    batch that :func:`unpack_cols` accepts — what an inspector prints."""
+    with memoryview(body) as view:
+        cols, _seq, count = unpack_cols(view)
+        layout = []
+        offset = _COLS_HEAD.size
+        for _ in cols:
+            kind, start, offset = _block(view, offset)
+            layout.append((_KIND_NAMES[kind], offset - start))
+    return count, layout

@@ -19,10 +19,15 @@ their dataclass fields, so any ``g`` shipped with the library is supported.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import struct
 import time
+import zlib
 
+from repro.core.cols import pack_column, read_column
 from repro.core.decay import ForwardDecay
-from repro.core.errors import ParameterError
+from repro.core.errors import ParameterError, ProtocolError
 from repro.core.functions import (
     ExponentialG,
     GeneralPolynomialG,
@@ -37,7 +42,10 @@ __all__ = [
     "load_summary",
     "dump_decay",
     "load_decay",
+    "summary_envelope_bytes",
+    "fsync_dir",
     "dump_partials_checkpoint",
+    "read_partials_checkpoint",
     "load_partials_checkpoint",
     "PARTIALS_CHECKPOINT_VERSION",
 ]
@@ -154,52 +162,132 @@ def load_summary(data: dict, metrics=None):
     return summary
 
 
+def summary_envelope_bytes(envelope: dict) -> bytes:
+    """A :func:`dump_summary` envelope → the summary's ``to_bytes`` buffer.
+
+    Byte-identical to calling ``to_bytes()`` on the live object: one
+    serde-version byte, then canonical JSON ``{"type": name, "payload"}``.
+    Works from the envelope alone, so store compaction can rewrite — and
+    a partial-state snapshot can splice — records never instantiated.
+    """
+    from repro.core import registry
+
+    registry.load_all()
+    cls = registry.get_summary(envelope["name"]).cls
+    body = json.dumps(
+        {"type": envelope["name"], "payload": envelope["payload"]},
+        separators=(",", ":"),
+        allow_nan=False,
+    )
+    return bytes([cls.SERDE_VERSION]) + body.encode("utf-8")
+
+
+def fsync_dir(directory: str) -> None:
+    """fsync a directory so a rename/creation inside it survives power loss."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 # -- engine partial-state checkpoints ----------------------------------------------
 
-PARTIALS_CHECKPOINT_VERSION = 1
+PARTIALS_CHECKPOINT_VERSION = 2
+
+_CKPT_MAGIC = b"FDCK"
+#: magic, version, header texts (query SQL + schema names), blob count.
+_CKPT_HEAD = struct.Struct("!4sBHI")
+_CKPT_CRC = struct.Struct("!I")
 
 
-def dump_partials_checkpoint(sql: str, schema_names: list, blobs: list) -> dict:
-    """Wrap engine partial-state buffers in a versioned checkpoint envelope.
+def dump_partials_checkpoint(sql: str, schema_names: list, blobs: list) -> bytes:
+    """Engine partial-state buffers as one checkpoint file image.
 
     ``blobs`` are :meth:`~repro.dsms.engine.QueryEngine.partial_state_bytes`
-    buffers (one per engine/shard).  The envelope records the query text
-    and schema so a restore into a different plan fails fast with a clear
-    error instead of a deep merge failure; the blobs themselves re-check
-    both on merge.  Binary blobs are hex-encoded: the envelope stays plain
-    JSON, diffable and safe to inspect.
+    buffers (one per engine/shard), stored raw.  The header records the
+    query text and schema so a restore into a different plan fails fast
+    with a clear error instead of a deep merge failure; the blobs
+    themselves re-check both on merge.  Layout (DESIGN.md §8 has the
+    diagram): ``"FDCK"``, version, the two counts, a ``str`` column block
+    (the SQL, then the schema names), a ``bytes`` column block (the
+    blobs), and the CRC32 of everything before it.
     """
-    return {
-        "version": PARTIALS_CHECKPOINT_VERSION,
-        "kind": "engine-partials",
-        "query": sql,
-        "schema": list(schema_names),
-        "blobs": [bytes(blob).hex() for blob in blobs],
-    }
+    texts = [sql, *schema_names]
+    blobs = [bytes(blob) for blob in blobs]
+    body = (
+        _CKPT_HEAD.pack(
+            _CKPT_MAGIC, PARTIALS_CHECKPOINT_VERSION, len(texts), len(blobs)
+        )
+        + pack_column(texts)
+        + pack_column(blobs)
+    )
+    return body + _CKPT_CRC.pack(zlib.crc32(body))
 
 
-def load_partials_checkpoint(data: dict, sql: str, schema_names: list) -> list:
-    """Validate a :func:`dump_partials_checkpoint` envelope; return blobs.
+def read_partials_checkpoint(data) -> tuple[str, list, list]:
+    """Parse a :func:`dump_partials_checkpoint` image: (sql, schema, blobs).
 
-    Raises :class:`ParameterError` on version/kind mismatches and when the
-    checkpoint was taken for a different query or schema.
+    Every defect — wrong magic or version, a length that runs past the
+    end, a CRC mismatch — raises :class:`ParameterError` naming the byte
+    offset it was found at.
     """
-    if data.get("version") != PARTIALS_CHECKPOINT_VERSION:
+    view = memoryview(data)
+    tail = len(view) - _CKPT_CRC.size
+    if tail < _CKPT_HEAD.size:
         raise ParameterError(
-            f"unsupported partials checkpoint version {data.get('version')!r}"
+            f"truncated partials checkpoint: {len(view)} bytes at offset 0"
         )
-    if data.get("kind") != "engine-partials":
+    magic, version, ntexts, nblobs = _CKPT_HEAD.unpack_from(view)
+    if magic != _CKPT_MAGIC:
         raise ParameterError(
-            f"not an engine-partials checkpoint: kind={data.get('kind')!r}"
+            f"not a partials checkpoint: magic {magic!r} at offset 0"
         )
-    if data.get("query") != sql:
+    if version != PARTIALS_CHECKPOINT_VERSION:
         raise ParameterError(
-            "checkpoint is for a different query: "
-            f"{data.get('query')!r} vs {sql!r}"
+            f"unsupported partials checkpoint version {version} at offset "
+            f"{len(_CKPT_MAGIC)} (expected {PARTIALS_CHECKPOINT_VERSION})"
         )
-    if data.get("schema") != list(schema_names):
+    if zlib.crc32(view[:tail]) != _CKPT_CRC.unpack_from(view, tail)[0]:
+        raise ParameterError(
+            f"partials checkpoint fails its CRC32 at offset {tail} "
+            "(truncated or corrupt)"
+        )
+    offset = _CKPT_HEAD.size
+    try:
+        texts, offset = read_column(view[:tail], offset, ntexts)
+        blobs, offset = read_column(view[:tail], offset, nblobs)
+    except ProtocolError as exc:
+        raise ParameterError(
+            f"malformed partials checkpoint at offset {offset}: {exc}"
+        ) from exc
+    if (
+        offset != tail
+        or set(map(type, texts)) != {str}
+        or set(map(type, blobs)) - {bytes}
+    ):
+        raise ParameterError(
+            f"malformed partials checkpoint at offset {offset}: expected "
+            "a text and a blob column filling the file"
+        )
+    return texts[0], texts[1:], blobs
+
+
+def load_partials_checkpoint(data, sql: str, schema_names: list) -> list:
+    """Validate a checkpoint image against a plan; return its blobs.
+
+    Raises :class:`ParameterError` as :func:`read_partials_checkpoint`
+    does, and when the checkpoint was taken for a different query or
+    schema.
+    """
+    stored_sql, stored_schema, blobs = read_partials_checkpoint(data)
+    if stored_sql != sql:
+        raise ParameterError(
+            f"checkpoint is for a different query: {stored_sql!r} vs {sql!r}"
+        )
+    if stored_schema != list(schema_names):
         raise ParameterError(
             "checkpoint is for a different schema: "
-            f"{data.get('schema')!r} vs {list(schema_names)!r}"
+            f"{stored_schema!r} vs {list(schema_names)!r}"
         )
-    return [bytes.fromhex(blob) for blob in data["blobs"]]
+    return blobs

@@ -24,28 +24,48 @@ the benchmark harness measures.
 
 from __future__ import annotations
 
-import json
-
+import copy
+import struct
+import time
+import zlib
 from typing import Callable, Iterable, Iterator
 
-from repro.core.errors import MergeError, QueryError
-from repro.core.protocol import (
-    StreamSummary,
-    decode_number,
-    encode_number,
-    tag_key,
-    untag_key,
+from repro.core.cols import (
+    describe_cols,
+    pack_cols,
+    pack_column,
+    read_column,
+    unpack_cols,
 )
+from repro.core.errors import MergeError, ProtocolError, QueryError
+from repro.core.protocol import StreamSummary, decode_number
+from repro.core.serde import summary_envelope_bytes
 from repro.dsms.parser import Query, SelectItem
 from repro.dsms.schema import Schema
 
-__all__ = ["QueryEngine", "ResultRow", "run_query", "PARTIAL_STATE_VERSION"]
+__all__ = [
+    "QueryEngine",
+    "ResultRow",
+    "run_query",
+    "fold_partials",
+    "describe_partial_state",
+    "PARTIAL_STATE_VERSION",
+]
 
 ResultRow = dict[str, object]
 
 #: Version byte leading every :meth:`QueryEngine.partial_state_bytes` buffer;
-#: bumped whenever the partial-state layout changes.
-PARTIAL_STATE_VERSION = 1
+#: bumped whenever the partial-state layout changes (1 was tagged JSON).
+PARTIAL_STATE_VERSION = 2
+
+#: version, tuples_in, tuples_selected, low_evictions, groups, header texts,
+#: open buckets (0 or 1), aggregates — see ``partial_state_bytes``.
+_PARTIAL_HEAD = struct.Struct("!BQQQIHBH")
+_CRC = struct.Struct("!I")
+
+#: Slot codes for aggregates whose state is not a fixed-arity scalar list.
+_SUMMARY_SLOT = -1
+_RAGGED_SLOT = -2
 
 
 class _AggPlan:
@@ -91,7 +111,7 @@ class QueryEngine:
         :meth:`drain`.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  When given
-        and enabled, this engine's ingest/flush/checkpoint paths record
+        and enabled, this engine's ingest/flush/partial-state paths record
         forward-decayed metrics under the ``engine.<metrics_name>.``
         prefix.  When None or disabled, the engine is byte-for-byte the
         uninstrumented fast path — instrumentation works by shadowing
@@ -740,138 +760,192 @@ class QueryEngine:
 
     # -- partial state (Section VI-B at engine granularity) -----------------------
 
-    def partial_state(self) -> dict:
-        """Flush-consistent snapshot of all live group state, mergeable.
+    def _snapshot(self) -> tuple[list[tuple], list[list]]:
+        """Flush-consistent ``(keys, states)`` of every live group.
 
-        This is the shard-worker half of the paper's distributed story:
-        per-site summaries computed for the same decay function and
-        landmark merge exactly, so a parallel engine ships *state*, not
-        tuples, at query time.  The snapshot covers every aggregate the
-        engine supports:
-
-        * mergeable builtin states (plain scalar lists) are embedded
-          directly;
-        * sketch/sampler UDAF states (:class:`StreamSummary` subclasses)
-          go through :func:`repro.core.serde.dump_summary`, the same
-          versioned payload as checkpointing.
-
-        The low-level table is drained upward first, so the snapshot is
-        identical whether the engine ran single- or two-level and the
-        engine keeps ingesting afterwards with unchanged results.  Open
-        time buckets are recorded (not emitted): merging partials must not
-        split a bucket's emission, exactly like the heartbeat rule.
+        The low-level table is drained upward first, so the view is the
+        same whether the engine ran single- or two-level, and ingest
+        continues afterwards with unchanged results.  Keys are sorted by
+        ``repr``, which makes the encoded bytes deterministic.  Cold
+        groups of a store-backed engine are read, not faulted in; their
+        summary slots stay ``to_bytes`` buffers.
         """
-        from repro.core.serde import dump_summary
-
-        self._drain_low()
-        store = self._store
-        if store is None:
-            snapshot_keys = sorted(self._high, key=repr)
-        else:
-            union = set(self._high)
-            union.update(store.cold_key_set())
-            snapshot_keys = sorted(union, key=repr)
-        groups = []
-        for key in snapshot_keys:
-            states = dict.get(self._high, key)
-            if states is None:
-                # Cold group: splice its stored encodings verbatim — they
-                # are the same representation this loop would produce, so
-                # no decode/re-encode round-trip (and no fault-in; the
-                # snapshot is non-destructive).
-                encoded = store.encoded_states(key)
-            else:
-                encoded = []
-                for state in states:
-                    if isinstance(state, StreamSummary):
-                        encoded.append(["summary", dump_summary(state)])
-                    else:
-                        encoded.append(
-                            ["plain", [encode_number(v) for v in state]]
-                        )
-            groups.append([[tag_key(part) for part in key], encoded])
-        return {
-            "version": PARTIAL_STATE_VERSION,
-            "query": self.query.sql(),
-            "schema": self.schema.names(),
-            "groups": groups,
-            "bucket": (None if self._current_bucket is _NO_BUCKET
-                       else [tag_key(self._current_bucket)]),
-            "tuples_in": self._tuples_in,
-            "tuples_selected": self._tuples_selected,
-            "low_evictions": self._low_evictions,
-        }
-
-    def partial_state_bytes(self) -> bytes:
-        """:meth:`partial_state` as a versioned wire buffer.
-
-        Layout mirrors :meth:`repro.core.protocol.StreamSummary.to_bytes`:
-        one version byte followed by a UTF-8 JSON body.  This is what shard
-        workers ship to the merge site.
-        """
-        body = json.dumps(
-            self.partial_state(), separators=(",", ":"), allow_nan=False
-        )
-        return bytes([PARTIAL_STATE_VERSION]) + body.encode("utf-8")
-
-    def merge_partial(self, data: dict | bytes | bytearray) -> None:
-        """Fold a :meth:`partial_state` snapshot into this engine.
-
-        Accepts either the dict or the :meth:`partial_state_bytes` buffer.
-        Group states merge pairwise: builtin states via their UDAF's
-        ``merge``, summary states via :meth:`StreamSummary.merge` — which
-        is where decay-function/landmark compatibility is enforced, as the
-        paper requires (any mismatch raises
-        :class:`~repro.core.errors.MergeError`).  Snapshots of a different
-        query or schema are rejected up front.
-
-        The snapshot's open bucket is adopted only when this engine has
-        none (the fresh-restore case); merging shards never closes a
-        bucket.  Tuple counters accumulate, so engine statistics reflect
-        the union of the merged substreams.
-        """
-        from repro.core.serde import load_summary
-
-        if isinstance(data, (bytes, bytearray)):
-            if not data:
-                raise MergeError("cannot merge an empty partial-state buffer")
-            if data[0] != PARTIAL_STATE_VERSION:
-                raise MergeError(
-                    f"unsupported partial-state version {data[0]} "
-                    f"(expected {PARTIAL_STATE_VERSION})"
-                )
-            try:
-                data = json.loads(bytes(data[1:]).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise MergeError(f"malformed partial-state buffer: {exc}") from exc
-        if data.get("version") != PARTIAL_STATE_VERSION:
-            raise MergeError(
-                f"unsupported partial-state version {data.get('version')!r}"
-            )
-        if data.get("query") != self.query.sql():
-            raise MergeError(
-                "partial state is for a different query: "
-                f"{data.get('query')!r} vs {self.query.sql()!r}"
-            )
-        if data.get("schema") != self.schema.names():
-            raise MergeError(
-                "partial state is for a different schema: "
-                f"{data.get('schema')!r} vs {self.schema.names()!r}"
-            )
         self._drain_low()
         high = self._high
-        for key_tags, encoded in data["groups"]:
-            key = tuple(untag_key(tag) for tag in key_tags)
-            theirs = [
-                load_summary(payload) if kind == "summary"
-                else [decode_number(v) for v in payload]
-                for kind, payload in encoded
-            ]
+        store = self._store
+        if store is None:
+            keys = sorted(high, key=repr)
+            return keys, [high[key] for key in keys]
+        union = set(high)
+        union.update(store.cold_key_set())
+        keys = sorted(union, key=repr)
+        rows = []
+        for key in keys:
+            states = dict.get(high, key)
+            if states is None:
+                states = [
+                    summary_envelope_bytes(payload) if kind == "summary"
+                    else [decode_number(v) for v in payload]
+                    for kind, payload in store.encoded_states(key)
+                ]
+            rows.append(states)
+        return keys, rows
+
+    def partial_state_bytes(self) -> bytes:
+        """Every live group's state as one mergeable, checksummed buffer.
+
+        The shard-worker half of the paper's distributed story: per-site
+        state for the same decay function and landmark merges exactly, so
+        a parallel engine ships *state*, not tuples, at query time.  The
+        same bytes are a shard's reply, a PARTIALS_OK / ADOPT blob and a
+        ``checkpoint.bin`` entry; a fresh engine resumes from them via
+        :meth:`merge_partial`.  Layout (DESIGN.md §7 has the diagram): a
+        fixed header, three column blocks — the query SQL and schema
+        names, the open time bucket if any, one slot code per aggregate
+        (its state arity, or ``-1`` summary / ``-2`` ragged) — then one
+        :mod:`repro.core.cols` batch with a row per group (key-part
+        columns, then each aggregate's state columns) and a CRC32.  The
+        open bucket is recorded, not emitted: merging partials must not
+        split a bucket's emission, exactly like the heartbeat rule.
+        """
+        obs = self._obs
+        start = time.perf_counter_ns() if obs is not None else 0
+        keys, rows = self._snapshot()
+        cols: list = list(zip(*keys))
+        slots = []
+        for index in range(len(self._agg_plans) if rows else 0):
+            states = [row[index] for row in rows]
+            if isinstance(states[0], (StreamSummary, bytes)):
+                slots.append(_SUMMARY_SLOT)
+                cols.append(
+                    [s if type(s) is bytes else s.to_bytes() for s in states]
+                )
+                continue
+            try:
+                cols.extend(list(zip(*states, strict=True)))
+                slots.append(len(states[0]))
+            except ValueError:  # arity differs between groups
+                slots.append(_RAGGED_SLOT)
+                cols.append([list(state) for state in states])
+        texts = [self.query.sql(), *self.schema.names()]
+        bucket = (
+            [] if self._current_bucket is _NO_BUCKET else [self._current_bucket]
+        )
+        body = b"".join((
+            _PARTIAL_HEAD.pack(
+                PARTIAL_STATE_VERSION, self._tuples_in, self._tuples_selected,
+                self._low_evictions, len(keys), len(texts), len(bucket),
+                len(slots),
+            ),
+            pack_column(texts),
+            pack_column(bucket),
+            pack_column(slots),
+            pack_cols(cols),
+        ))
+        blob = body + _CRC.pack(zlib.crc32(body))
+        if obs is not None:
+            obs.partial_encoded(start, len(keys), len(blob))
+        return blob
+
+    def _decode_partial(self, data) -> tuple:
+        """``(keys, states, bucket, counters)`` of a validated buffer.
+
+        Touches nothing: every truncation, flipped bit, foreign plan,
+        slot of the wrong kind for its aggregate (summary vs scalars) or
+        misshapen column raises :class:`MergeError` here, before the
+        first group is merged.  What it cannot see is a checksummed
+        buffer crafted with a wrong *scalar arity*: UDAFs declare none.
+        """
+        head, texts, bucket, slots, batch = _open_partial(data)
+        groups = head[4]
+        try:
+            cols, _seq, count = unpack_cols(batch)
+        except ProtocolError as exc:
+            raise MergeError(f"malformed partial-state buffer: {exc}") from exc
+        self._check_plan(texts[0] if texts else None, texts[1:])
+        nkeys = len(self._group_fns)
+        widths = [
+            code if code >= 0 else 1 for code in slots if type(code) is int
+        ]
+        # An empty engine writes no slots and no columns; a batch without
+        # columns (no key parts, no state slots) can hold one group at most.
+        # Mergeable aggregates keep scalar-list state, the rest a summary:
+        # a slot of the other kind would plant wrong-shaped state.
+        if (
+            len(widths) != len(slots)
+            or min(slots, default=0) < _RAGGED_SLOT
+            or len(slots) != (len(self._agg_plans) if groups else 0)
+            or any(
+                (code == _SUMMARY_SLOT) == plan.udaf.mergeable
+                for code, plan in zip(slots, self._agg_plans)
+            )
+            or len(cols) != (nkeys + sum(widths) if groups else 0)
+            or groups != (count if cols else min(groups, 1))
+        ):
+            raise MergeError(
+                "malformed partial-state buffer: its columns do not match "
+                "this query's keys and aggregates"
+            )
+        keys = list(zip(*cols[:nkeys])) if nkeys else [()] * groups
+        per_aggregate = []
+        at = nkeys
+        try:
+            if len(set(keys)) != groups:
+                raise ValueError("duplicate group key")
+            for code, width in zip(slots, widths):
+                if code == _SUMMARY_SLOT:
+                    decoded = [StreamSummary.from_bytes(b) for b in cols[at]]
+                elif code == _RAGGED_SLOT:
+                    decoded = [list(state) for state in cols[at]]
+                elif code:
+                    decoded = list(map(list, zip(*cols[at:at + code])))
+                else:
+                    decoded = [[] for _ in keys]
+                per_aggregate.append(decoded)
+                at += width
+        except Exception as exc:  # hostile key / summary bytes raise anything
+            raise MergeError(
+                f"malformed partial-state buffer: undecodable group: {exc}"
+            ) from exc
+        states = (
+            list(map(list, zip(*per_aggregate))) if per_aggregate
+            else [[] for _ in keys]
+        )
+        return keys, states, bucket, head[1:4]
+
+    def _check_plan(self, sql, schema_names: list) -> None:
+        if sql != self.query.sql():
+            raise MergeError(
+                "partial state is for a different query: "
+                f"{sql!r} vs {self.query.sql()!r}"
+            )
+        if schema_names != self.schema.names():
+            raise MergeError(
+                "partial state is for a different schema: "
+                f"{schema_names!r} vs {self.schema.names()!r}"
+            )
+
+    def _absorb(self, keys, states, bucket: list, counters: tuple) -> None:
+        """Merge decoded (or cloned) group states into the high table.
+
+        Builtin states merge via their UDAF's ``merge``, summary states
+        via :meth:`StreamSummary.merge` — which is where decay-function
+        and landmark compatibility is enforced, as the paper requires
+        (any mismatch raises :class:`MergeError`); absent groups are
+        inserted directly.  The open bucket is adopted only when this
+        engine has none (the fresh-restore case): merging shards never
+        closes a bucket.  Tuple counters accumulate, so statistics
+        reflect the union of the merged substreams.
+        """
+        self._drain_low()
+        high = self._high
+        plans = self._agg_plans
+        for key, theirs in zip(keys, states):
             mine = high.get(key)
             if mine is None:
                 high[key] = theirs
                 continue
-            for plan, own, other in zip(self._agg_plans, mine, theirs):
+            for plan, own, other in zip(plans, mine, theirs):
                 if plan.udaf.mergeable:
                     plan.udaf.merge(own, other)
                 elif isinstance(own, StreamSummary):
@@ -881,28 +955,55 @@ class QueryEngine:
                         f"aggregate {plan.alias!r} has unmergeable state "
                         f"{type(own).__name__}"
                     )
-        bucket = data.get("bucket")
-        if bucket is not None and self._current_bucket is _NO_BUCKET:
-            self._current_bucket = untag_key(bucket[0])
-        self._tuples_in += data["tuples_in"]
-        self._tuples_selected += data["tuples_selected"]
-        self._low_evictions += data["low_evictions"]
+        if bucket and self._current_bucket is _NO_BUCKET:
+            self._current_bucket = bucket[0]
+        self._tuples_in += counters[0]
+        self._tuples_selected += counters[1]
+        self._low_evictions += counters[2]
+
+    def merge_partial(self, data: bytes | bytearray | memoryview) -> None:
+        """Fold a :meth:`partial_state_bytes` buffer into this engine.
+
+        The buffer is decoded and validated in full before the first
+        group merges (:meth:`_decode_partial`): one of a different query,
+        schema or layout version, truncated or corrupt, raises
+        :class:`MergeError` and leaves the engine as it was.  Merge
+        semantics are :meth:`_absorb`'s — the one error that can still
+        surface mid-merge is a summary refusing its peer (decay function,
+        landmark or capacity mismatch between engines of the same query),
+        after earlier groups have merged.
+        """
+        obs = self._obs
+        start = time.perf_counter_ns() if obs is not None else 0
+        decoded = self._decode_partial(data)
+        if obs is not None:
+            obs.partial_decoded(start)
+        self._absorb(*decoded)
 
     def merge(self, other: "QueryEngine") -> None:
         """Absorb another engine's live state (same query and schema).
 
         Makes engines themselves :class:`~repro.core.merge.Mergeable`, so a
         list of per-shard engines folds with
-        :func:`repro.core.merge.merge_all` like any other summary.  Routed
-        through the partial-state encoding — one code path for in-process
-        and cross-process merging.  ``other`` keeps its state (its low
-        table is drained upward, which does not change its results).
+        :func:`repro.core.merge.merge_all` like any other summary.  The
+        other engine's live tables go through the same per-group merge as
+        :meth:`merge_partial`, with no encode in between; ``other`` keeps
+        its state (states are cloned; draining its low table upward does
+        not change its results).
         """
         if not isinstance(other, QueryEngine):
             raise MergeError(
                 f"cannot merge {type(other).__name__} into QueryEngine"
             )
-        self.merge_partial(other.partial_state())
+        self._check_plan(other.query.sql(), other.schema.names())
+        keys, rows = other._snapshot()
+        bucket = other._current_bucket
+        self._absorb(
+            keys,
+            [[_clone_state(state) for state in row] for row in rows],
+            [] if bucket is _NO_BUCKET else [bucket],
+            (other._tuples_in, other._tuples_selected, other._low_evictions),
+        )
 
     def state_size_bytes(self) -> int:
         """Total aggregate state held, summed over groups and levels."""
@@ -927,6 +1028,82 @@ class _NoBucket:
 
 
 _NO_BUCKET = _NoBucket()
+
+
+def _open_partial(data) -> tuple:
+    """A buffer's framing, checked (version, size, CRC32): ``(header
+    fields, texts, open bucket, slot codes, packed group batch)``."""
+    if not data:
+        raise MergeError("cannot merge an empty partial-state buffer")
+    if data[0] != PARTIAL_STATE_VERSION:
+        raise MergeError(
+            f"unsupported partial-state version {data[0]} "
+            f"(expected {PARTIAL_STATE_VERSION})"
+        )
+    view = memoryview(data)
+    tail = len(view) - _CRC.size
+    if tail < _PARTIAL_HEAD.size:
+        raise MergeError(f"truncated partial-state buffer: {len(view)} bytes")
+    head = _PARTIAL_HEAD.unpack_from(view)
+    if zlib.crc32(view[:tail]) != _CRC.unpack_from(view, tail)[0]:
+        raise MergeError(
+            f"partial-state buffer of {len(view)} bytes fails its CRC32 "
+            "(truncated or corrupt)"
+        )
+    try:
+        texts, offset = read_column(view, _PARTIAL_HEAD.size, head[5])
+        bucket, offset = read_column(view, offset, head[6])
+        slots, offset = read_column(view, offset, head[7])
+    except ProtocolError as exc:
+        raise MergeError(f"malformed partial-state buffer: {exc}") from exc
+    return head, texts, bucket, slots, view[offset:tail]
+
+
+def describe_partial_state(data) -> dict:
+    """What ``repro checkpoint inspect`` reports for one buffer, from its
+    framing and column-block headers alone (CRC checked)."""
+    head, texts, bucket, slots, batch = _open_partial(data)
+    try:
+        layout = describe_cols(batch)[1]
+    except ProtocolError as exc:
+        raise MergeError(f"malformed partial-state buffer: {exc}") from exc
+    return {
+        "version": head[0],
+        "tuples_in": head[1],
+        "groups": head[4],
+        "bytes": len(data),
+        "open_bucket": bucket,
+        "slots": slots,
+        "columns": layout,
+    }
+
+
+def _clone_state(state):
+    """An independent copy of one aggregate state from a live snapshot."""
+    if type(state) is list:
+        return list(state)
+    if type(state) is bytes:  # a cold group's summary, still serialized
+        return StreamSummary.from_bytes(state)
+    return copy.deepcopy(state)
+
+
+def fold_partials(
+    build_engine: Callable[[], QueryEngine], blobs: Iterable[bytes]
+) -> list[ResultRow]:
+    """Finalized results of the merge of partial-state ``blobs``.
+
+    The one merge-at-query fold (serve backends, the sharded engine, the
+    cluster coordinator): a single collector from ``build_engine()``
+    absorbs every blob in blob order and flushes, so HAVING / ORDER BY /
+    LIMIT apply to the merged whole.  This is operation for operation
+    the left fold ``merge_all([collector(b) for b in blobs])`` performs
+    — per group, the first blob's state is inserted and each later one
+    is merged into it in blob order — minus the per-blob engine builds.
+    """
+    collector = build_engine()
+    for blob in blobs:
+        collector.merge_partial(blob)
+    return collector.flush()
 
 
 def run_query(

@@ -5,8 +5,10 @@ Instrumentation is strictly opt-in and rebinding-based: when a
 :class:`~repro.dsms.engine.QueryEngine`, the engine's ``process`` /
 ``insert_cols`` / ``flush`` / ``checkpoint`` / ``restore`` methods are
 shadowed by timed wrappers *on that instance only* (``insert_many``
-transposes into ``insert_cols``, so it reaches the same wrapper), and
-each aggregate plan's UDAF is wrapped in a :class:`TimedUdaf`.
+transposes into ``insert_cols``, so it reaches the same wrapper), each
+aggregate plan's UDAF is wrapped in a :class:`TimedUdaf`, and the
+once-per-snapshot partial-state codec calls report through
+:meth:`EngineInstrumentation.partial_encoded` / ``partial_decoded``.
 Uninstrumented engines keep the untouched class methods, so the
 disabled-mode cost is exactly zero — no per-tuple flag checks on the
 fast path.
@@ -101,6 +103,10 @@ class EngineInstrumentation:
         "flush_us",
         "checkpoint_us",
         "restore_us",
+        "partial_encode_us",
+        "partial_decode_us",
+        "partial_groups",
+        "partial_bytes",
     )
 
     def __init__(self, engine: "QueryEngine", metrics: "MetricsRegistry", name: str):
@@ -118,6 +124,10 @@ class EngineInstrumentation:
         self.flush_us = metrics.latency(f"{prefix}.flush_us")
         self.checkpoint_us = metrics.latency(f"{prefix}.checkpoint_us")
         self.restore_us = metrics.latency(f"{prefix}.restore_us")
+        self.partial_encode_us = metrics.latency(f"{prefix}.partial.encode_us")
+        self.partial_decode_us = metrics.latency(f"{prefix}.partial.decode_us")
+        self.partial_groups = metrics.gauge(f"{prefix}.partial.groups")
+        self.partial_bytes = metrics.gauge(f"{prefix}.partial.bytes")
         for plan in engine._agg_plans:
             plan.udaf = TimedUdaf(plan.udaf, metrics, prefix)
         # Shadow the class methods on this instance only.
@@ -200,6 +210,16 @@ class EngineInstrumentation:
         start = _perf_ns()
         type(engine).restore(engine, data)
         self.restore_us.observe((_perf_ns() - start) / 1e3)
+
+    def partial_encoded(self, start_ns: int, groups: int, nbytes: int) -> None:
+        """One ``partial_state_bytes`` snapshot: codec time and volume."""
+        self.partial_encode_us.observe((_perf_ns() - start_ns) / 1e3)
+        self.partial_groups.set(float(groups))
+        self.partial_bytes.set(float(nbytes))
+
+    def partial_decoded(self, start_ns: int) -> None:
+        """One ``merge_partial`` decode (validation included)."""
+        self.partial_decode_us.observe((_perf_ns() - start_ns) / 1e3)
 
 
 def instrument_engine(

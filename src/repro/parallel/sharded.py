@@ -13,9 +13,9 @@ process granularity:
   buffers as tuples, columnar partitions as packed
   :func:`repro.core.cols.pack_cols` bytes — and ingest through the
   engine's batch kernel;
-* queries collect serde-encoded partial states and fold them with
-  :func:`repro.core.merge.merge_all` — landmark/decay compatibility is
-  checked at merge, exactly as the paper requires.
+* queries collect partial-state blobs and fold them with
+  :func:`repro.dsms.engine.fold_partials` — landmark/decay compatibility
+  is checked at merge, exactly as the paper requires.
 
 Partitioning by group key means no group is split across shards, but
 correctness does not depend on it: merge-at-query combines same-key
@@ -51,8 +51,7 @@ from typing import Callable, Iterable
 
 from repro.core.cols import pack_cols
 from repro.core.errors import ParameterError, QueryError
-from repro.core.merge import merge_all
-from repro.dsms.engine import QueryEngine, ResultRow
+from repro.dsms.engine import QueryEngine, ResultRow, fold_partials
 from repro.dsms.schema import Schema
 from repro.dsms.udaf import UdafRegistry, default_registry
 from repro.parallel.routing import (
@@ -697,21 +696,15 @@ class ShardedEngine:
     def query(self) -> list[ResultRow]:
         """Merged results over everything ingested so far.
 
-        Collects every shard's partial state, folds the per-shard collector
-        engines with :func:`~repro.core.merge.merge_all`, and finalizes —
+        Collects every shard's partial state, folds the blobs into one
+        collector (:func:`~repro.dsms.engine.fold_partials`), and finalizes —
         HAVING / ORDER BY / LIMIT apply to the merged groups, identically
         to an unsharded flush.  Ingestion may continue afterwards; a later
         ``query()`` reflects the longer prefix (merge-at-query).
         """
         blobs = self.partial_states()
         start = time.perf_counter_ns() if self._obs else 0
-        collectors = []
-        for blob in blobs:
-            collector = self._plan.build_engine()
-            collector.merge_partial(blob)
-            collectors.append(collector)
-        combined = merge_all(collectors)
-        rows = combined.flush()
+        rows = fold_partials(self._plan.build_engine, blobs)
         if self._obs:
             elapsed_us = (time.perf_counter_ns() - start) / 1e3
             self._m_merge_us.observe(elapsed_us)

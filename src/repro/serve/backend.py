@@ -6,10 +6,11 @@ non-destructive merge-at-query reads, and partial-state checkpoints — so
 
 **Query semantics.**  A served query answers over *everything ingested so
 far* and leaves the engine running: the backend snapshots partial states
-(the Section VI-B mergeable form), folds them into throwaway collector
-engines, and finalizes those.  HAVING / ORDER BY / LIMIT apply to the
-merged whole, exactly like an unsharded flush.  Result order is the
-engine's flush order (group keys sorted by ``repr``).
+(the Section VI-B mergeable form), folds them into one throwaway collector
+engine (:func:`~repro.dsms.engine.fold_partials`), and finalizes that.
+HAVING / ORDER BY / LIMIT apply to the merged whole, exactly like an
+unsharded flush.  Result order is the engine's flush order (group keys
+sorted by ``repr``).
 
 **Checkpoints.**  ``partial_blobs()`` is also the crash-recovery story:
 the server persists the blobs on graceful shutdown and feeds them back via
@@ -22,8 +23,7 @@ workers.
 from __future__ import annotations
 
 from repro.core.errors import ParameterError
-from repro.core.merge import merge_all
-from repro.dsms.engine import QueryEngine, ResultRow
+from repro.dsms.engine import ResultRow, fold_partials
 from repro.dsms.schema import Schema
 from repro.parallel.sharded import ShardedEngine, stable_route
 from repro.parallel.worker import ShardPlan
@@ -32,7 +32,7 @@ __all__ = ["SingleEngineBackend", "ShardedBackend", "build_backend"]
 
 
 class _BackendBase:
-    """Shared plumbing: the plan, and blob folding for queries/restores."""
+    """Shared plumbing: the plan, and the merge-at-query fold."""
 
     kind = "?"
 
@@ -41,15 +41,9 @@ class _BackendBase:
         self.sql = plan.build_engine().query.sql()
         self.schema: Schema = plan.schema
 
-    def _fold(self, blobs: list[bytes]) -> list[ResultRow]:
-        collectors = []
-        for blob in blobs:
-            collector = self._plan.build_engine()
-            collector.merge_partial(blob)
-            collectors.append(collector)
-        if not collectors:
-            return []
-        return merge_all(collectors).flush()
+    def query(self) -> list[ResultRow]:
+        """Merged results over everything ingested so far (non-destructive)."""
+        return fold_partials(self._plan.build_engine, self.partial_blobs())
 
     def checkpoint_blobs(self) -> list[bytes]:
         """The blobs a graceful-shutdown checkpoint should persist.
@@ -99,10 +93,6 @@ class SingleEngineBackend(_BackendBase):
     def heartbeat(self, row: tuple) -> None:
         """Advance event time via punctuation (no data)."""
         self._engine.heartbeat(row)
-
-    def query(self) -> list[ResultRow]:
-        """Merged results over everything ingested so far (non-destructive)."""
-        return self._fold([self._engine.partial_state_bytes()])
 
     def partial_blobs(self) -> list[bytes]:
         """The engine's partial state, as a one-element blob list."""
@@ -194,21 +184,17 @@ class ShardedBackend(_BackendBase):
         """Broadcast punctuation to every shard."""
         self._sharded.heartbeat_all(row)
 
-    def query(self) -> list[ResultRow]:
-        """Merged results over restored + live shard states."""
-        return self._fold(self.partial_blobs())
-
     def partial_blobs(self) -> list[bytes]:
         """Restored checkpoint blobs plus live per-shard states."""
         return list(self._restored) + self._sharded.partial_states()
 
     def restore_blobs(self, blobs: list[bytes]) -> None:
         """Adopt checkpoint blobs as pre-merged partials beside the shards."""
-        # Validate each blob eagerly (wrong query/schema must fail at
-        # restore time, not at the first query) by test-merging into a
-        # throwaway collector; keep the raw bytes for query-time folds.
+        # Validate eagerly (wrong query/schema must fail at restore time,
+        # not at the first query) by test-merging into one throwaway
+        # collector; keep the raw bytes for query-time folds.
+        probe = self._plan.build_engine()
         for blob in blobs:
-            probe = self._plan.build_engine()
             probe.merge_partial(blob)
         self._restored.extend(bytes(blob) for blob in blobs)
 

@@ -230,7 +230,7 @@ class _ClientCore:
             raise self._mark_dead(error) from error
         return reply
 
-    def _send(self, ftype: int, payload: dict | None = None):
+    def _send(self, ftype: int, payload: dict | bytes | None = None):
         yield from self._io(
             "send",
             protocol.encode_frame(
@@ -404,7 +404,9 @@ class _ClientCore:
                 if not self.auto_reconnect or attempts > self.retries:
                     raise
 
-    def _ask(self, ftype: int, reply_type: int, payload: dict | None = None):
+    def _ask(
+        self, ftype: int, reply_type: int, payload: dict | bytes | None = None
+    ):
         """One request/reply exchange, retried across reconnects."""
 
         def exchange():
@@ -563,11 +565,11 @@ class _ClientCore:
         """The server backend's partial-state blobs (mergeable, exact).
 
         What a cluster coordinator fans out to every node and folds with
-        :func:`repro.core.merge.merge_all`; the node keeps its state and
-        keeps ingesting.
+        :func:`repro.dsms.engine.fold_partials`; the node keeps its state
+        and keeps ingesting.
         """
         reply = yield from self._ask(protocol.PARTIALS, protocol.PARTIALS_OK)
-        return protocol.decode_blobs(reply.payload.get("blobs", []))
+        return protocol.decode_blobs(reply.payload["body"])
 
     @_operation
     def adopt(self, blobs: list[bytes]) -> int:
@@ -580,7 +582,7 @@ class _ClientCore:
         reply = yield from self._ask(
             protocol.ADOPT,
             protocol.ADOPT_OK,
-            {"blobs": protocol.encode_blobs(blobs)},
+            protocol.encode_blobs(blobs),
         )
         return int(reply.payload.get("adopted", 0))
 

@@ -13,26 +13,20 @@ Frame layout (all integers big-endian)::
 
 ``length`` counts the type byte plus the body.  Bodies are JSON objects;
 values that JSON would mangle (non-finite floats, tuple-vs-list identity)
-travel through the same tagged encoding as the engine's partial states
-(:func:`repro.core.protocol.tag_key`), so result rows round-trip the wire
+travel through the tagged encoding of
+:func:`repro.core.protocol.tag_key`, so result rows round-trip the wire
 byte-exactly.
 
-One frame type is the exception: ``INSERT_COLS`` (wire version 2) carries
-a *binary* body — a batch of stream tuples transposed into typed column
-buffers, so a million-row batch costs one ``struct`` unpack per column
-instead of a million tagged JSON values.  Layout after the type byte::
-
-    +----+---------+------------+------------+----------------------+
-    | v  | seq+1   | rows: u32  | cols: u16  | column block × cols  |
-    | u8 | u64     |            |            |                      |
-    +----+---------+------------+------------+----------------------+
-
-    column block := kind: u8 | nbytes: u32 | payload[nbytes]
-
-    kind 1  i64     payload = rows × int64
-    kind 2  f64     payload = rows × float64
-    kind 3  str     payload = rows × u32 byte-lengths, then UTF-8 blobs
-    kind 4  tagged  payload = JSON list of tag_key-tagged values
+Three frame types are the exception and carry a *binary* body, a
+:mod:`repro.core.cols` packed batch.  ``INSERT_COLS`` (wire version 2)
+holds a batch of stream tuples transposed into typed column buffers, so
+a million-row batch costs one ``struct`` unpack per column instead of a
+million tagged JSON values; ``PARTIALS_OK`` and ``ADOPT`` hold one
+``bytes`` column whose rows are the raw partial-state blobs
+(:func:`encode_blobs` — no hex, no envelope).  Layout after the type
+byte: the packed batch of :mod:`repro.core.cols`, whose module docstring
+has the diagram (version, ``seq+1``, row and column counts, then one
+``kind | nbytes | payload`` block per column).
 
 ``seq+1`` is zero when the batch carries no sequence number.  The per-
 column ``kind`` is chosen from the *values* (falling back to ``tagged``
@@ -67,9 +61,9 @@ INSERT_COLS 16   client → srv binary columnar batch (wire version >= 2);
                               same credit/seq semantics as INSERT
 PARTIALS   17    client → srv (empty) request the backend's partial-state
                               blobs (the Section VI-B mergeable form)
-PARTIALS_OK 18   srv → client ``blobs`` (hex), ``tuples_in`` — what a
-                              cluster router folds with ``merge_all``
-ADOPT      19    client → srv ``blobs`` (hex) — fold foreign partial
+PARTIALS_OK 18   srv → client binary blob batch — what a cluster router
+                              folds with ``fold_partials``
+ADOPT      19    client → srv binary blob batch — fold foreign partial
                               states into this backend (shard rebalance)
 ADOPT_OK   20    srv → client ``adopted`` — blob count folded in
 ========== ===== ============ ====================================================
@@ -92,8 +86,9 @@ INSERT frames; a v2 client on a v1 server falls back to row frames.
 Framing errors (bad length, oversized frame, undecodable body — columnar
 bodies included) are *connection-scoped*: the server answers with ERROR
 and drops that connection, never the process.  Semantic errors (bad rows,
-unknown frame type, a query failure) are *frame-scoped*: ERROR is sent
-and the connection keeps going.
+unknown frame type, a query failure, an undecodable ADOPT blob batch, a
+reply larger than ``max_frame_bytes`` — code ``reply-too-large``) are
+*frame-scoped*: ERROR is sent and the connection keeps going.
 """
 
 from __future__ import annotations
@@ -102,6 +97,7 @@ import json
 import struct
 
 from repro.core.cols import (
+    COL_BYTES,
     COL_F64,
     COL_I64,
     COL_STR,
@@ -124,6 +120,7 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "RemoteError",
+    "FrameTooLarge",
     "encode_frame",
     "decode_frame_body",
     "encode_rows",
@@ -137,6 +134,7 @@ __all__ = [
     "COL_F64",
     "COL_STR",
     "COL_TAGGED",
+    "COL_BYTES",
     "encode_result_rows",
     "decode_result_rows",
     "encode_blobs",
@@ -251,16 +249,35 @@ class RemoteError(ProtocolError):
         self.code = code
 
 
+class FrameTooLarge(ProtocolError):
+    """A frame to be sent exceeds ``max_frame_bytes`` (nothing was sent)."""
+
+
+#: Frame types whose body is a packed blob batch, parsed on demand with
+#: :func:`decode_blobs` (the payload carries the raw ``body``).
+_BLOB_FRAMES = frozenset((PARTIALS_OK, ADOPT))
+
+
 def encode_frame(
-    ftype: int, payload: dict | None = None, *, max_frame_bytes: int = MAX_FRAME_BYTES
+    ftype: int,
+    payload: dict | bytes | None = None,
+    *,
+    max_frame_bytes: int = MAX_FRAME_BYTES,
 ) -> bytes:
-    """Serialize one frame (header + type byte + JSON body)."""
-    body = json.dumps(
-        payload or {}, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    """Serialize one frame: header + type byte + body.
+
+    A dict (or None) becomes the JSON body; ``bytes`` are a binary body
+    already encoded (:func:`encode_blobs`, a packed column batch).
+    """
+    if isinstance(payload, bytes):
+        body = payload
+    else:
+        body = json.dumps(
+            payload or {}, separators=(",", ":"), allow_nan=False
+        ).encode("utf-8")
     length = 1 + len(body)
     if length > max_frame_bytes:
-        raise ProtocolError(
+        raise FrameTooLarge(
             f"{frame_name(ftype)} frame is {length} bytes; "
             f"the wire limit is {max_frame_bytes}"
         )
@@ -284,6 +301,8 @@ def decode_frame_body(body) -> Frame:
         if seq is not None:
             payload["seq"] = seq
         return Frame(INSERT_COLS, payload)
+    if ftype in _BLOB_FRAMES:
+        return Frame(ftype, {"body": bytes(body[1:])})
     try:
         payload = json.loads(bytes(body[1:]).decode("utf-8") or "{}")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -397,14 +416,9 @@ def encode_cols(
     produced by :func:`rows_to_cols`.  Returns header + type byte + binary
     body, ready for the socket.
     """
-    body = pack_cols(cols, seq=seq)
-    length = 1 + len(body)
-    if length > max_frame_bytes:
-        raise ProtocolError(
-            f"INSERT_COLS frame is {length} bytes; "
-            f"the wire limit is {max_frame_bytes}"
-        )
-    return HEADER.pack(length) + bytes([INSERT_COLS]) + body
+    return encode_frame(
+        INSERT_COLS, pack_cols(cols, seq=seq), max_frame_bytes=max_frame_bytes
+    )
 
 
 def decode_cols(body) -> tuple[list[list], int | None, int]:
@@ -417,23 +431,21 @@ def decode_cols(body) -> tuple[list[list], int | None, int]:
     return unpack_cols(body)
 
 
-def encode_blobs(blobs) -> list[str]:
-    """Partial-state blobs → hex strings (PARTIALS_OK / ADOPT bodies).
+def encode_blobs(blobs) -> bytes:
+    """Partial-state blobs → a PARTIALS_OK / ADOPT frame body.
 
-    Hex keeps the frame body plain JSON — inspectable, and the same
-    encoding the on-disk partials checkpoint uses.
+    The body is a packed batch of one ``bytes`` column, one row per blob:
+    the blobs travel raw, length-prefixed by the column's length table.
     """
-    return [bytes(blob).hex() for blob in blobs]
+    return pack_cols([[bytes(blob) for blob in blobs]])
 
 
-def decode_blobs(data) -> list[bytes]:
+def decode_blobs(body) -> list[bytes]:
     """Inverse of :func:`encode_blobs`; shape errors become ProtocolError."""
-    if not isinstance(data, list):
-        raise ProtocolError("blobs must be a list of hex strings")
-    try:
-        return [bytes.fromhex(blob) for blob in data]
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed partial-state blob: {exc}") from exc
+    cols, _seq, _count = unpack_cols(body)
+    if len(cols) != 1 or set(map(type, cols[0])) - {bytes}:
+        raise ProtocolError("blob batch must be one column of bytes")
+    return cols[0]
 
 
 def encode_result_rows(rows) -> list:

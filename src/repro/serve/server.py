@@ -40,20 +40,28 @@ Design notes:
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import threading
 import time
 
 from repro.core.errors import DecayError, ParameterError, ProtocolError
-from repro.core.serde import dump_partials_checkpoint, load_partials_checkpoint
+from repro.core.serde import (
+    dump_partials_checkpoint,
+    fsync_dir,
+    load_partials_checkpoint,
+)
 from repro.serve import protocol
 from repro.serve.protocol import HEADER, encode_frame, frame_name
 
 __all__ = ["StreamServer", "ThreadedServer", "CHECKPOINT_FILENAME"]
 
-#: Name of the checkpoint file inside ``state_dir``.
-CHECKPOINT_FILENAME = "checkpoint.json"
+#: Name of the checkpoint file inside ``state_dir``
+#: (:func:`repro.core.serde.dump_partials_checkpoint`'s binary image).
+CHECKPOINT_FILENAME = "checkpoint.bin"
+
+#: The JSON checkpoint earlier builds wrote; a state dir holding only this
+#: is refused at start-up rather than silently started empty.
+_LEGACY_CHECKPOINT = "checkpoint.json"
 
 
 class _CloseConnection(Exception):
@@ -63,9 +71,10 @@ class _CloseConnection(Exception):
 class _Connection:
     """Per-connection state: writer serialization, credits, subscriptions."""
 
-    def __init__(self, reader, writer):
+    def __init__(self, reader, writer, max_frame_bytes: int):
         self.reader = reader
         self.writer = writer
+        self.max_frame_bytes = max_frame_bytes
         self.hello_done = False
         self.wire_version = protocol.WIRE_VERSION  # negotiated at HELLO
         self.tuples_in = 0
@@ -79,9 +88,12 @@ class _Connection:
         self._next_sub += 1
         return sub
 
-    async def send(self, ftype: int, payload: dict | None = None) -> None:
+    async def send(self, ftype: int, payload: dict | bytes | None = None) -> None:
+        # Encoded before anything is written: a reply over the limit
+        # raises FrameTooLarge with the byte stream still intact.
+        data = encode_frame(ftype, payload, max_frame_bytes=self.max_frame_bytes)
         async with self._write_lock:
-            self.writer.write(encode_frame(ftype, payload))
+            self.writer.write(data)
             await self.writer.drain()
 
     async def close(self) -> None:
@@ -109,8 +121,9 @@ class StreamServer:
         INSERT batches a client may have in flight (the backpressure
         bound granted in WELCOME).
     max_frame_bytes:
-        Frame size ceiling; oversized frames are rejected before their
-        body is read.
+        Frame size ceiling, both ways: oversized requests are rejected
+        before their body is read (connection-scoped), and a reply that
+        would exceed it becomes a frame-scoped ``reply-too-large`` ERROR.
     idle_timeout_s:
         Drop connections silent for this long (None = never).
     state_dir:
@@ -192,13 +205,25 @@ class StreamServer:
         """Bind the listener, restoring a checkpoint first if one exists."""
         path = self.checkpoint_path
         if path is not None and os.path.exists(path):
-            with open(path) as handle:
-                envelope = json.load(handle)
-            blobs = load_partials_checkpoint(
-                envelope, self.backend.sql, self.backend.schema.names()
-            )
+            with open(path, "rb") as handle:
+                image = handle.read()
+            try:
+                blobs = load_partials_checkpoint(
+                    image, self.backend.sql, self.backend.schema.names()
+                )
+            except ParameterError as error:
+                raise ParameterError(f"{path}: {error}") from error
             self.backend.restore_blobs(blobs)
             self.restored_blobs = len(blobs)
+        elif path is not None:
+            legacy = os.path.join(self.state_dir, _LEGACY_CHECKPOINT)
+            if os.path.exists(legacy):
+                raise ParameterError(
+                    f"{legacy} is a JSON checkpoint from an earlier build; "
+                    f"this build restores only {CHECKPOINT_FILENAME} and "
+                    "will not start empty over it — move it away to start "
+                    "fresh"
+                )
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
@@ -263,22 +288,26 @@ class StreamServer:
 
         Store-backed backends checkpoint through their segment manifest
         (``checkpoint_blobs`` publishes it and returns no blobs); the
-        envelope written here then only marks that a checkpoint ran.
+        file written here then only marks that a checkpoint ran.
         """
         path = self.checkpoint_path
         if path is None:
             return None
-        envelope = dump_partials_checkpoint(
+        image = dump_partials_checkpoint(
             self.backend.sql,
             self.backend.schema.names(),
             self.backend.checkpoint_blobs(),
         )
         os.makedirs(self.state_dir, exist_ok=True)
         tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(envelope, handle)
-            handle.write("\n")
+        with open(tmp, "wb") as handle:
+            handle.write(image)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
+        fsync_dir(self.state_dir)
+        if self._obs:
+            self.metrics.gauge("serve.checkpoint.bytes").set(float(len(image)))
         return path
 
     # -- statistics ---------------------------------------------------------------
@@ -311,7 +340,7 @@ class StreamServer:
     # -- connection handling ------------------------------------------------------
 
     async def _on_connection(self, reader, writer) -> None:
-        conn = _Connection(reader, writer)
+        conn = _Connection(reader, writer, self.max_frame_bytes)
         self._connections.add(conn)
         self.connections_total += 1
         if self._obs:
@@ -400,11 +429,18 @@ class StreamServer:
                 f"{frame.name} before HELLO", close=True, frame=frame.ftype,
             )
             return
-        if self._obs:
-            with self.metrics.timer(f"serve.frame.{frame.name}.us"):
+        try:
+            if self._obs:
+                with self.metrics.timer(f"serve.frame.{frame.name}.us"):
+                    await handler(self, conn, frame.payload)
+            else:
                 await handler(self, conn, frame.payload)
-        else:
-            await handler(self, conn, frame.payload)
+        except protocol.FrameTooLarge as error:
+            # Nothing of the reply was written, so the stream, the credit
+            # window and the backend are intact: fail this request only.
+            await self._error(
+                conn, "reply-too-large", str(error), frame=frame.ftype
+            )
 
     # -- frame handlers -----------------------------------------------------------
 
@@ -593,15 +629,23 @@ class StreamServer:
                     )
                     return
                 done = count is not None and seq >= count
-                await conn.send(
-                    protocol.RESULT,
-                    {
-                        "rows": protocol.encode_result_rows(rows),
-                        "sub": sub,
-                        "seq": seq,
-                        "done": done,
-                    },
-                )
+                try:
+                    await conn.send(
+                        protocol.RESULT,
+                        {
+                            "rows": protocol.encode_result_rows(rows),
+                            "sub": sub,
+                            "seq": seq,
+                            "done": done,
+                        },
+                    )
+                except protocol.FrameTooLarge as error:
+                    await conn.send(
+                        protocol.ERROR,
+                        {"code": "reply-too-large", "message": str(error),
+                         "sub": sub},
+                    )
+                    return
                 if not done:
                     await asyncio.sleep(interval)
         except (ConnectionResetError, BrokenPipeError, OSError):
@@ -630,13 +674,7 @@ class StreamServer:
         except DecayError as error:
             await self._error(conn, "partials-failed", str(error))
             return
-        await conn.send(
-            protocol.PARTIALS_OK,
-            {
-                "blobs": protocol.encode_blobs(blobs),
-                "tuples_in": self.backend.tuples_in,
-            },
-        )
+        await conn.send(protocol.PARTIALS_OK, protocol.encode_blobs(blobs))
 
     async def _handle_adopt(self, conn: _Connection, payload: dict) -> None:
         # The cluster router's rebalance path: fold partial states taken
@@ -644,11 +682,7 @@ class StreamServer:
         # in restore_blobs (wrong query/schema fails here, frame-scoped),
         # so a bad shipment never corrupts the engine.
         try:
-            blobs = protocol.decode_blobs(payload.get("blobs", []))
-        except ProtocolError as error:
-            await self._error(conn, "bad-adopt", str(error))
-            return
-        try:
+            blobs = protocol.decode_blobs(payload["body"])
             self.backend.restore_blobs(blobs)
         except DecayError as error:
             await self._error(conn, "bad-adopt", str(error))

@@ -1,8 +1,9 @@
 """Append-only segment files: the cold tier's on-disk record format.
 
-A segment holds serialized group states — the same versioned serde
-payloads that :meth:`~repro.dsms.engine.QueryEngine.partial_state`
-ships between shards — in a crash-evident, random-access layout:
+A segment holds serialized group states — the values a
+:meth:`~repro.dsms.engine.QueryEngine.partial_state_bytes` snapshot
+carries column-wise, here one record per group — in a crash-evident,
+random-access layout:
 
 ``header``
     ``b"RSEG"`` magic plus one format-version byte.
@@ -14,11 +15,10 @@ ships between shards — in a crash-evident, random-access layout:
     key parts and state blocks (int/float scalars packed as little-endian
     ``q``/``d`` exactly like :mod:`repro.core.cols`; summaries as their
     :meth:`~repro.core.protocol.StreamSummary.to_bytes` serde buffer).
-    Keys use :func:`repro.core.protocol.tag_key`, states use the
-    ``partial_state`` group encoding (``["plain", ...]`` scalars or
-    ``["summary", ...]`` serde envelopes), so a record folds into any
-    engine running the same query with zero re-encoding — both body
-    versions decode to the identical record dict.
+    Keys use :func:`repro.core.protocol.tag_key`, states the record's
+    own group encoding (``["plain", ...]`` scalars or ``["summary", ...]``
+    serde envelopes); both body versions decode to the identical record
+    dict, which a snapshot splices into its columns without a fault-in.
 ``footer``
     A length+CRC framed index.  Version 1: JSON mapping the canonical
     key string of every record to ``[offset, length]``.  Version 2:
@@ -48,6 +48,7 @@ import zlib
 from typing import Iterator
 
 from repro.core.errors import StoreError
+from repro.core.serde import fsync_dir, summary_envelope_bytes
 
 __all__ = [
     "SEGMENT_VERSION",
@@ -111,15 +112,6 @@ def key_hash(canonical: str) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def fsync_dir(directory: str) -> None:
-    """fsync a directory so a rename/creation inside it survives power loss."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 # -- record body encoding -----------------------------------------------------------
 
 
@@ -169,28 +161,8 @@ def _decode_scalar(body: bytes, pos: int) -> tuple[object, int]:
     raise ValueError(f"unknown scalar tag {tag}")
 
 
-def _summary_to_bytes(envelope: dict) -> bytes:
-    """A ``dump_summary`` envelope → the summary's ``to_bytes`` buffer.
-
-    Byte-identical to calling ``to_bytes()`` on the live object: one
-    serde-version byte, then canonical JSON ``{"type": name, "payload"}``.
-    Works from the envelope alone so compaction can rewrite records it
-    never instantiated.
-    """
-    from repro.core import registry
-
-    registry.load_all()
-    cls = registry.get_summary(envelope["name"]).cls
-    body = json.dumps(
-        {"type": envelope["name"], "payload": envelope["payload"]},
-        separators=(",", ":"),
-        allow_nan=False,
-    )
-    return bytes([cls.SERDE_VERSION]) + body.encode("utf-8")
-
-
 def _summary_from_bytes(raw: bytes) -> dict:
-    """Inverse of :func:`_summary_to_bytes`: serde buffer → envelope dict.
+    """Inverse of :func:`~repro.core.serde.summary_envelope_bytes`: serde buffer → envelope dict.
 
     Reconstructs the exact ``dump_summary`` envelope (same keys, same
     insertion order) without instantiating the summary, so cold-group
@@ -243,7 +215,7 @@ def _encode_body_v2(tagged_key: list, encoded_states: list, generation: int) -> 
     out += _U16.pack(len(encoded_states))
     for kind, payload in encoded_states:
         if kind == "summary":
-            raw = _summary_to_bytes(payload)
+            raw = summary_envelope_bytes(payload)
             out += _U8.pack(_STATE_SUMMARY)
             out += _U32.pack(len(raw))
             out += raw

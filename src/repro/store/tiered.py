@@ -7,7 +7,7 @@ store evicts the groups with the smallest *decayed touch weight* — forward
 decay (Definition 3) over the store's arrival index, so "coldest" is the
 paper's own notion of staleness: the group whose recent activity,
 ``g``-weighted toward the present, is lowest.  Evicted state is serialized
-with the exact ``partial_state`` encodings and appended to the **cold
+exactly (plain scalars and summary serde envelopes) and appended to the **cold
 tier**, an append-only :mod:`~repro.store.segment` file.
 
 Exactness comes from the *write-back / fault-in* discipline, not from
@@ -25,7 +25,7 @@ RAM: cold locations live in an mmap-backed
 :class:`~repro.store.directory.KeyDirectory` keyed by 64-bit key hash.
 Hashes may collide, so every cold read verifies the record's full key and
 tries the next candidate on a mismatch — collisions cost an extra read,
-never a wrong group.  Cold-key enumeration (flush, ``partial_state``,
+never a wrong group.  Cold-key enumeration (flush, ``partial_state_bytes``,
 ``group_count``) walks the directory and reads each record's key block
 back from its segment; that is the deliberate trade — enumeration pays
 O(cold) reads so steady-state ingest pays O(1) RAM.
@@ -689,8 +689,8 @@ class TieredStore:
     def encoded_states(self, key: tuple) -> list:
         """A cold group's stored encodings, read without faulting it in.
 
-        Used by ``partial_state`` to splice cold groups into the snapshot
-        with zero decode/re-encode work.  Raises ``KeyError`` when the
+        Used by ``partial_state_bytes`` to splice cold groups into the
+        snapshot's columns without instantiating their summaries.  Raises ``KeyError`` when the
         key is not cold.
         """
         tagged = [tag_key(part) for part in key]

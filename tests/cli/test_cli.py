@@ -300,3 +300,65 @@ class TestStoreInspectCommand:
         assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
         assert "manifest: none" in out
+
+
+class TestCheckpointInspectCommand:
+    SQL = (
+        "select tb, destIP, count(*) as c, sum(len) as s from TCP "
+        "group by time/60 as tb, destIP"
+    )
+
+    def _make_checkpoint(self, tmp_path, shards: int = 2) -> str:
+        from repro.serve import StreamServer, ThreadedServer, build_backend
+
+        backend = build_backend(
+            self.SQL, PACKET_SCHEMA, shards=shards, processes=0
+        )
+        backend.insert_many(generate_trace(
+            duration_sec=2.0, rate_per_sec=400, seed=5
+        ))
+        server = ThreadedServer(
+            StreamServer(backend, state_dir=str(tmp_path / "state"))
+        ).start()
+        return server.stop()
+
+    def test_inspect_renders_header_blobs_and_columns(self, tmp_path, capsys):
+        path = self._make_checkpoint(tmp_path)
+        assert main(["checkpoint", "inspect", path]) == 0
+        out = capsys.readouterr().out
+        assert "v2, CRC ok" in out
+        assert "2 blob(s)" in out and "B/group" in out
+        assert "count(*) AS c" in out
+        assert "blob 1: v2" in out
+        assert "i64:" in out and "str:" in out and "f64:" in out
+
+    def test_inspect_json(self, tmp_path, capsys):
+        import json
+        import os
+
+        path = self._make_checkpoint(tmp_path)
+        assert main(["checkpoint", "inspect", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["version"] == 2
+        assert report["bytes"] == os.path.getsize(path)
+        assert report["schema"] == PACKET_SCHEMA.names()
+        assert report["groups"] == sum(b["groups"] for b in report["blobs"])
+        assert report["bytes_per_group"] == report["bytes"] / report["groups"]
+        columns = report["blobs"][0]["columns"]
+        assert [kind for kind, _size in columns] == ["i64", "str", "i64", "f64"]
+        assert sum(size for _kind, size in columns) < report["blobs"][0]["bytes"]
+
+    def test_inspect_flags_corruption_with_an_offset(self, tmp_path, capsys):
+        path = self._make_checkpoint(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.seek(100)
+            byte = handle.read(1)
+            handle.seek(100)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        assert main(["checkpoint", "inspect", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "CRC32 at offset" in err
+
+    def test_inspect_missing_file_errors(self, tmp_path, capsys):
+        assert main(["checkpoint", "inspect", str(tmp_path / "nope")]) == 2
+        assert "nope" in capsys.readouterr().err

@@ -14,17 +14,21 @@ import struct
 import pytest
 
 from repro.core.cols import (
+    COL_BYTES,
     COL_F64,
     COL_I64,
     COL_STR,
     COL_TAGGED,
     COLS_CODEC_VERSION,
     cols_to_rows,
+    describe_cols,
     pack_cols,
+    pack_column,
+    read_column,
     rows_to_cols,
     unpack_cols,
 )
-from repro.core.errors import ProtocolError
+from repro.core.errors import ParameterError, ProtocolError
 
 #: Two rows over (int, float, str) with seq=41 — every dense kind at once.
 GOLDEN_ROWS = [(7, 1.5, "a"), (-2, -0.25, "bc")]
@@ -68,6 +72,63 @@ class TestGoldenBytes:
         assert kind == COL_TAGGED
         assert unpack_cols(body)[0] == [[True, False]]
         assert isinstance(unpack_cols(body)[0][0][0], bool)
+
+
+#: One ``bytes`` column (kind 5): raw buffers behind a u32 length table.
+GOLDEN_BYTES_COLUMN = [b"\x00\xff", b"", b"abc"]
+GOLDEN_BYTES_BODY = bytes.fromhex(
+    "01"                    # codec version 1
+    "0000000000000000"      # no seq
+    "00000003"              # 3 rows
+    "0001"                  # 1 column
+    "05" "00000011"         # col 0: bytes, 17 bytes
+    "00000002" "00000000" "00000003"  # byte lengths
+    "00ff" "616263"         # the buffers, back to back
+)
+
+
+class TestBytesColumn:
+    def test_packed_bytes_column_matches_fixture(self):
+        assert pack_cols([GOLDEN_BYTES_COLUMN]) == GOLDEN_BYTES_BODY
+
+    def test_fixture_unpacks_to_the_source_buffers(self):
+        cols, seq, count = unpack_cols(GOLDEN_BYTES_BODY)
+        assert (cols, seq, count) == ([GOLDEN_BYTES_COLUMN], None, 3)
+        assert all(type(value) is bytes for value in cols[0])
+
+    def test_describe_reads_kinds_and_sizes_from_the_headers(self):
+        assert describe_cols(GOLDEN_BYTES_BODY) == (3, [("bytes", 17)])
+        assert GOLDEN_BYTES_BODY[15] == COL_BYTES
+        assert describe_cols(GOLDEN_BODY) == (
+            2, [("i64", 16), ("f64", 16), ("str", 11)]
+        )
+        with pytest.raises(ProtocolError, match="truncated"):
+            describe_cols(GOLDEN_BODY[:20])
+
+    def test_every_truncation_raises(self):
+        for cut in range(len(GOLDEN_BYTES_BODY)):
+            with pytest.raises(ProtocolError):
+                unpack_cols(GOLDEN_BYTES_BODY[:cut])
+
+    def test_length_table_mismatch_rejected(self):
+        body = bytearray(GOLDEN_BYTES_BODY)
+        body[-9] += 1  # last length 3 -> 4: one byte more than the blob
+        with pytest.raises(ProtocolError, match="does not match"):
+            unpack_cols(bytes(body))
+
+    def test_bytes_mixed_with_str_falls_back_and_is_refused(self):
+        # tag_key has no bytes tag: a mixed column cannot be packed.
+        with pytest.raises(ParameterError, match="bytes"):
+            pack_cols([[b"x", "y"]])
+
+    def test_lone_column_block_round_trips(self):
+        block = pack_column(GOLDEN_BYTES_COLUMN)
+        assert block == GOLDEN_BYTES_BODY[15:]
+        padded = b"\xaa" + block + b"\xbb"
+        values, end = read_column(padded, 1, 3)
+        assert (values, end) == (GOLDEN_BYTES_COLUMN, len(padded) - 1)
+        with pytest.raises(ProtocolError, match="truncated"):
+            read_column(block[:-1], 0, 3)
 
 
 class TestRoundTrip:

@@ -1,0 +1,370 @@
+"""The v2 partial-state blob: golden bytes, exact round trips, hostile input.
+
+``partial_state_bytes()`` is the one encoding every carrier ships raw —
+shard replies, PARTIALS_OK / ADOPT bodies, ``checkpoint.bin`` — so its
+bytes are pinned literally here, its round trip is checked over every
+UDAF and the awkward key / state values, and every damaged buffer must
+end in :class:`MergeError` with the engine untouched.
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.core.cols import pack_cols, pack_column
+from repro.core.errors import MergeError
+from repro.core.merge import merge_all
+from repro.dsms.engine import (
+    PARTIAL_STATE_VERSION,
+    QueryEngine,
+    describe_partial_state,
+    fold_partials,
+)
+from repro.dsms.parser import parse_query
+from repro.dsms.schema import Field, FieldType, Schema
+from repro.dsms.udaf import Udaf, default_registry
+
+SCHEMA = Schema(
+    [
+        Field("time", FieldType.INT),
+        Field("k", FieldType.STR),
+        Field("k2", FieldType.STR),
+        Field("v", FieldType.INT),
+        Field("w", FieldType.FLOAT),
+        Field("x", FieldType.FLOAT),
+    ]
+)
+
+
+class RaggedUdaf(Udaf):
+    """Distinct values seen, as a sorted list: a state of ragged arity."""
+
+    name = "ragged"
+    arity = 1
+    mergeable = True
+
+    def create(self) -> list:
+        return []
+
+    def update(self, state: list, args: tuple) -> None:
+        self.merge(state, [args[0]])
+
+    def merge(self, state: list, other: list) -> None:
+        state[:] = sorted(set(state) | set(other))
+
+    def finalize(self, state: list) -> list:
+        return list(state)
+
+
+def registry():
+    reg = default_registry(sample_size=4)
+    reg.register(RaggedUdaf())
+    return reg
+
+
+#: One call per UDAF in ``default_registry()``, plus the ragged one.
+CALLS = {
+    "count": "count(*)",
+    "sum": "sum(x)",
+    "min": "min(x)",
+    "max": "max(x)",
+    "avg": "avg(x)",
+    "fwd_hh": "fwd_hh(v, w)",
+    "unary_hh": "unary_hh(v)",
+    "sw_hh": "sw_hh(v, time)",
+    "eh_count": "eh_count(time)",
+    "eh_sum": "eh_sum(time, v)",
+    "eh_decayed": "eh_decayed(time)",
+    "fwd_quantiles": "fwd_quantiles(v, w)",
+    "fwd_distinct": "fwd_distinct(v, time)",
+    "prisamp": "prisamp(v, w)",
+    "wrsamp": "wrsamp(v, w)",
+    "reservoir": "reservoir(v)",
+    "aggsamp": "aggsamp(v)",
+    "ragged": "ragged(v)",
+}
+
+
+def test_calls_cover_the_default_registry():
+    assert set(CALLS) == set(default_registry().names()) | {"ragged"}
+
+
+def build(calls, group_by="k", **kwargs) -> QueryEngine:
+    keys = group_by.split(", ") if group_by else []
+    select = ", ".join(
+        keys + [f"{call} as a{i}" for i, call in enumerate(calls)]
+    )
+    sql = f"select {select} from TCP" + (
+        f" group by {group_by}" if group_by else ""
+    )
+    return QueryEngine(parse_query(sql, registry()), SCHEMA, **kwargs)
+
+
+def untouched(engine: QueryEngine) -> bool:
+    return engine.group_count == 0 and engine.tuples_processed == 0
+
+
+# -- golden bytes ------------------------------------------------------------------
+
+GOLDEN_SCHEMA = Schema(
+    [
+        Field("time", FieldType.INT),
+        Field("destIP", FieldType.STR),
+        Field("len", FieldType.INT),
+    ]
+)
+GOLDEN_SQL = (
+    "select tb, destIP, count(*) as c, sum(len) as s, unary_hh(len) as hh "
+    "from TCP group by time/60 as tb, destIP"
+)
+GOLDEN_ROWS = [(61, "h1", 40), (62, "h2", 1500), (63, "h1", 40)]
+#: Scalar + sketch aggregates over two groups, bucket 1 still open.
+GOLDEN_BLOB = bytes.fromhex(
+    "0200000000000000030000000000000003000000000000000000000002000401"
+    "000303000000a70000008a00000004000000060000000353454c454354207462"
+    "2041532074622c20646573744950204153206465737449502c20636f756e7428"
+    "2a2920415320632c2073756d286c656e2920415320732c20756e6172795f6868"
+    "286c656e292041532068682046524f4d205443502047524f5550204259202874"
+    "696d65202f203630292041532074622c20646573744950204153206465737449"
+    "5074696d656465737449506c656e010000000800000000000000010100000018"
+    "00000000000000010000000000000001ffffffffffffffff0100000000000000"
+    "0000000002000501000000100000000000000001000000000000000103000000"
+    "0c00000002000000026831683201000000100000000000000002000000000000"
+    "000102000000104054000000000000409770000000000005000000ce00000062"
+    "00000064017b2274797065223a22756e6172795f7370616365736176696e6722"
+    "2c227061796c6f6164223a7b226361706163697479223a3130302c22746f7461"
+    "6c223a322e302c22636f756e74657273223a5b5b5b22696e74222c34305d2c32"
+    "2c305d5d7d7d017b2274797065223a22756e6172795f7370616365736176696e"
+    "67222c227061796c6f6164223a7b226361706163697479223a3130302c22746f"
+    "74616c223a312e302c22636f756e74657273223a5b5b5b22696e74222c313530"
+    "305d2c312c305d5d7d7d519a76b8"
+)
+
+
+def golden_engine(rows=()) -> QueryEngine:
+    engine = QueryEngine(
+        parse_query(GOLDEN_SQL, default_registry()),
+        GOLDEN_SCHEMA,
+        emit_on_bucket_change=True,
+    )
+    engine.insert_many(list(rows))
+    return engine
+
+
+class TestGoldenBytes:
+    def test_writer_matches_fixture(self):
+        assert golden_engine(GOLDEN_ROWS).partial_state_bytes() == GOLDEN_BLOB
+
+    def test_fixture_decodes_to_the_source_state(self):
+        restored = golden_engine()
+        restored.merge_partial(GOLDEN_BLOB)
+        source = golden_engine(GOLDEN_ROWS)
+        assert restored.tuples_processed == 3
+        # The open bucket was adopted, not emitted; the next bucket's
+        # first tuple closes it exactly as in the source.
+        assert restored.drain() == []
+        for engine in (restored, source):
+            engine.process((120, "h1", 1))
+        assert restored.drain() == source.drain()
+        assert restored.flush() == source.flush()
+
+    def test_describe_reads_the_fixture(self):
+        info = describe_partial_state(GOLDEN_BLOB)
+        assert info["version"] == PARTIAL_STATE_VERSION == 2
+        assert (info["groups"], info["bytes"]) == (2, len(GOLDEN_BLOB))
+        assert info["open_bucket"] == [1]
+        assert info["slots"] == [1, 1, -1]
+        assert [kind for kind, _size in info["columns"]] == [
+            "i64", "str", "i64", "f64", "bytes"
+        ]
+
+
+# -- exact round trip --------------------------------------------------------------
+
+KEY_PARTS = st.sampled_from(
+    [0, 1, True, False, None, -0.0, 0.0, float("nan"), float("inf"),
+     float("-inf"), 1 << 70, -(1 << 70), "", "h", "é", ("t", 1), (2, (3,))]
+)
+STATE_VALUES = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from([1 << 70, -(1 << 64), -0.0, float("nan"), float("inf"),
+                     float("-inf"), 0.1, 1e308]),
+)
+ROWS = st.lists(
+    st.tuples(
+        KEY_PARTS, KEY_PARTS, st.integers(0, 1023),
+        st.floats(0.5, 8.0), STATE_VALUES,
+    ),
+    max_size=24,
+)
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        calls=st.lists(
+            st.sampled_from(sorted(CALLS.values())), min_size=0, max_size=3
+        ),
+        rows=ROWS,
+        group_by=st.sampled_from(["k", "k, k2", ""]),
+        two_level=st.booleans(),
+    )
+    def test_flush_after_merge_partial_equals_the_source(
+        self, calls, rows, group_by, two_level
+    ):
+        assume(calls or group_by)
+        stream = [(i + 1, *row) for i, row in enumerate(rows)]
+        options = dict(group_by=group_by, two_level=two_level, low_table_size=2)
+        source = build(calls, **options)
+        source.insert_many(stream)
+        blob = source.partial_state_bytes()
+
+        restored = build(calls, **options)
+        restored.merge_partial(blob)
+        # Deterministic bytes: the restored state re-encodes identically.
+        assert restored.partial_state_bytes() == blob
+        assert restored.tuples_processed == len(stream)
+        assert restored.low_evictions == source.low_evictions
+        # repr, not ==: NaN states and keys must compare equal to themselves.
+        assert repr(restored.flush()) == repr(source.flush())
+
+    @pytest.mark.parametrize("call", sorted(CALLS.values()))
+    def test_merge_of_live_engines_matches_merge_partial(self, call):
+        stream = [
+            (i + 1, f"h{i % 3}", "", i % 7, 1.0 + i % 2, float(i))
+            for i in range(40)
+        ]
+        donor = build([call])
+        donor.insert_many(stream)
+        via_blob, via_merge = build([call]), build([call])
+        via_blob.merge_partial(donor.partial_state_bytes())
+        via_merge.merge(donor)
+        assert via_merge.partial_state_bytes() == via_blob.partial_state_bytes()
+        # The donor keeps ingesting without disturbing the merged copy.
+        before = via_merge.partial_state_bytes()
+        donor.insert_many([(99, "h0", "", 3, 1.0, 1.0)])
+        assert via_merge.partial_state_bytes() == before
+
+
+class TestFoldOrder:
+    def test_fold_partials_equals_merge_all_of_collectors(self):
+        """Overlapping groups in every blob — the post-rebalance ADOPT
+        case — with float sums and sketches, whose merges are order-
+        sensitive: one collector must reproduce the old fold exactly."""
+        calls = ["sum(x)", "avg(x)", "fwd_hh(v, w)", "fwd_quantiles(v, w)"]
+        donors = [build(calls) for _ in range(4)]
+        for i in range(400):
+            row = (i + 1, f"h{i % 5}", "", i % 11, 0.1 * (1 + i % 7), 0.1 * i)
+            donors[(i * i) % 4].process(row)
+        blobs = [donor.partial_state_bytes() for donor in donors]
+
+        collectors = []
+        for blob in blobs:
+            collector = build(calls)
+            collector.merge_partial(blob)
+            collectors.append(collector)
+        old = merge_all(collectors).flush()
+
+        assert fold_partials(lambda: build(calls), blobs) == old
+        assert fold_partials(lambda: build(calls), []) == []
+
+
+# -- hostile / stale input ---------------------------------------------------------
+
+
+def reseal(body: bytes) -> bytes:
+    return body + struct.pack("!I", zlib.crc32(body))
+
+
+def crafted(groups, slots, cols, texts=None) -> bytes:
+    """A well-sealed v2 buffer with arbitrary structure inside."""
+    engine = golden_engine()
+    if texts is None:
+        texts = [engine.query.sql(), *engine.schema.names()]
+    head = struct.pack(
+        "!BQQQIHBH", 2, 0, 0, 0, groups, len(texts), 0, len(slots)
+    )
+    return reseal(
+        head + pack_column(texts) + pack_column([]) + pack_column(slots)
+        + pack_cols(cols)
+    )
+
+
+#: A well-formed summary buffer (what the ``unary_hh`` slot carries).
+HH_BYTES = (
+    b'\x01{"type":"unary_spacesaving","payload":'
+    b'{"capacity":100,"total":1.0,"counters":[[["int",40],1,0]]}}'
+)
+
+
+class TestHostileInput:
+    def test_every_truncation_is_a_merge_error(self):
+        for cut in range(len(GOLDEN_BLOB)):
+            engine = golden_engine()
+            with pytest.raises(MergeError):
+                engine.merge_partial(GOLDEN_BLOB[:cut])
+            assert untouched(engine)
+
+    def test_bit_flips_surface_or_decode_identically(self):
+        surfaced = total = 0
+        for index in range(len(GOLDEN_BLOB)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(GOLDEN_BLOB)
+                damaged[index] ^= mask
+                engine = golden_engine()
+                total += 1
+                try:
+                    engine.merge_partial(bytes(damaged))
+                except MergeError:
+                    surfaced += 1
+                    assert untouched(engine)
+                else:
+                    assert engine.partial_state_bytes() == GOLDEN_BLOB
+        assert surfaced >= 0.99 * total
+
+    def test_v1_json_blob_names_its_version(self):
+        with pytest.raises(
+            MergeError, match="unsupported partial-state version 1"
+        ):
+            golden_engine().merge_partial(b'\x01{"version":1,"groups":[]}')
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            crafted(1, [1, 1], [[1], ["h"], [1], [2.0]]),  # an aggregate short
+            crafted(1, [1, 1, 1], [[1], ["h"], [1]]),  # columns short
+            crafted(2, [1, 1, -1], [[1], ["h"], [1], [2.0], [b"x"]]),  # groups
+            crafted(2, [1, 1, -3], [[1, 1], ["h", "i"], [1, 1], [2.0, 2.0],
+                                    [b"", b""]]),  # unknown slot code
+            crafted(2, [1, 1, -1], [[1, 1], ["h", "h"], [1, 1], [2.0, 2.0],
+                                    [b"", b""]]),  # duplicate key
+            crafted(1, [1, 1, -1], [[[1]], ["h"], [1], [2.0], [b""]]),  # key
+            crafted(1, [1, 1, -1], [[1], ["h"], [1], [2.0], [b"\x01{"]]),
+            crafted(1, [1, 1, -1], [[1], ["h"], [1], [2.0], ["str"]]),
+            crafted(1, [1, True, -1], [[1], ["h"], [1], [2.0], [b""]]),
+            # A slot of the wrong kind for its aggregate: scalars where the
+            # sketch belongs, a (valid) summary where the count belongs.
+            crafted(1, [1, 1, 1], [[1], ["h"], [1], [2.0], [3]]),
+            crafted(1, [-1, 1, -1], [[1], ["h"], [HH_BYTES], [2.0], [HH_BYTES]]),
+            crafted(0, [], [], texts=[]),  # no plan at all
+        ],
+    )
+    def test_sealed_but_malformed_buffers_are_rejected_whole(self, blob):
+        engine = golden_engine()
+        with pytest.raises(MergeError):
+            engine.merge_partial(blob)
+        assert untouched(engine)
+
+    def test_the_crafting_helper_can_also_build_an_acceptable_buffer(self):
+        # Control for the cases above: same helper, right slot kinds.
+        engine = golden_engine()
+        engine.merge_partial(
+            crafted(1, [1, 1, -1], [[1], ["h"], [1], [2.0], [HH_BYTES]])
+        )
+        assert engine.flush() == [
+            {"tb": 1, "destIP": "h", "c": 1, "s": 2.0, "hh": [(40, 1.0, 0.0)]}
+        ]

@@ -1,10 +1,10 @@
 """Engine partial-state snapshots: the shard-merge half of Section VI-B.
 
-``QueryEngine.partial_state()`` / ``merge_partial()`` are what
+``QueryEngine.partial_state_bytes()`` / ``merge_partial()`` are what
 ``repro.parallel`` ships between shard workers and the merge site, so
 these tests pin down the contract: a snapshot restored into a fresh
-engine (optionally via the wire encoding) and merged with the other
-substreams' snapshots must equal direct single-engine ingestion.
+engine and merged with the other substreams' snapshots must equal
+direct single-engine ingestion.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class TestRoundTrip:
         rows = make_rows()
         direct = ingest_all(build_engine(), rows)
 
-        snapshot = ingest_all(build_engine(), rows).partial_state()
+        snapshot = ingest_all(build_engine(), rows).partial_state_bytes()
         restored = build_engine()
-        restored.merge_partial(snapshot)
+        restored.merge_partial(memoryview(bytearray(snapshot)))
 
         assert restored.flush() == direct.flush()
 
@@ -102,7 +102,7 @@ class TestRoundTrip:
     def test_snapshot_is_non_destructive(self):
         rows = make_rows()
         engine = ingest_all(build_engine(), rows[:100])
-        engine.partial_state()  # mid-stream snapshot
+        engine.partial_state_bytes()  # mid-stream snapshot
         engine.insert_many(rows[100:])
         assert engine.flush() == ingest_all(build_engine(), rows).flush()
 
@@ -115,16 +115,16 @@ class TestTwoLevelAndBuckets:
         donor = ingest_all(build_engine(low_table_size=2), rows)
         assert donor.low_evictions > 0  # the snapshot drains a hot low table
         restored = build_engine(low_table_size=2)
-        restored.merge_partial(donor.partial_state())
+        restored.merge_partial(donor.partial_state_bytes())
 
         assert restored.flush() == direct.flush()
         assert restored.low_evictions == donor.low_evictions
 
     def test_single_level_snapshot_matches_two_level(self):
         rows = make_rows()
-        one = ingest_all(build_engine(two_level=False), rows).partial_state()
-        two = ingest_all(build_engine(two_level=True), rows).partial_state()
-        assert one["groups"] == two["groups"]
+        one = ingest_all(build_engine(two_level=False), rows)
+        two = ingest_all(build_engine(two_level=True), rows)
+        assert one.partial_state_bytes() == two.partial_state_bytes()
 
     def test_open_bucket_survives_round_trip(self):
         sql = (
@@ -139,7 +139,7 @@ class TestTwoLevelAndBuckets:
         donor.insert_many(rows)
         donor.drain()  # bucket 0 already emitted by the donor
         restored = build_engine(sql, emit_on_bucket_change=True)
-        restored.merge_partial(donor.partial_state())
+        restored.merge_partial(donor.partial_state_bytes())
 
         # The open bucket was adopted, not emitted: feeding the next
         # bucket's first tuple closes it exactly as in the donor.
@@ -155,7 +155,7 @@ class TestTwoLevelAndBuckets:
         left.process((130, "s0", "h0", 80, 10, "tcp"))  # bucket 2 open
         right = build_engine(sql, emit_on_bucket_change=True)
         right.process((70, "s0", "h0", 80, 10, "tcp"))  # bucket 1 open
-        left.merge_partial(right.partial_state())
+        left.merge_partial(right.partial_state_bytes())
         # left already had a bucket: the snapshot's must not replace it.
         assert left.drain() == []
         rows = left.flush()
@@ -176,6 +176,17 @@ class TestSketchStates:
         restored.merge_partial(blob)
 
         assert restored.flush() == direct.flush()
+
+    def test_sampler_query_resumes_exactly(self):
+        # RNG state rides in the summary payload: a fresh engine resumed
+        # from a mid-stream snapshot draws the same sample.
+        sql = "select proto, prisamp(destIP, 1 + time) as samp from TCP group by proto"
+        rows = make_rows(300)
+        uninterrupted = ingest_all(build_engine(sql), rows)
+        first_half = ingest_all(build_engine(sql), rows[:150])
+        resumed = build_engine(sql)
+        resumed.merge_partial(first_half.partial_state_bytes())
+        assert ingest_all(resumed, rows[150:]).flush() == uninterrupted.flush()
 
     def test_sketch_shard_merge_within_error(self):
         # SpaceSaving merge is approximate in general; on a stream small
@@ -222,19 +233,20 @@ class TestRejection:
                              "group by destIP")
         donor.process(make_rows(1)[0])
         with pytest.raises(MergeError, match="different query"):
-            build_engine().merge_partial(donor.partial_state())
+            build_engine().merge_partial(donor.partial_state_bytes())
 
     def test_rejects_other_schema(self):
-        snapshot = build_engine().partial_state()
-        snapshot["schema"] = ["a", "b"]
+        wider = Schema([*SCHEMA.fields, Field("flags", FieldType.INT)])
+        query = parse_query(COUNT_SUM_SQL, default_registry())
+        donor = QueryEngine(query, wider)
         with pytest.raises(MergeError, match="different schema"):
-            build_engine().merge_partial(snapshot)
+            build_engine().merge_partial(donor.partial_state_bytes())
 
-    def test_rejects_wrong_dict_version(self):
-        snapshot = build_engine().partial_state()
-        snapshot["version"] = 99
-        with pytest.raises(MergeError, match="version"):
-            build_engine().merge_partial(snapshot)
+    def test_rejects_v1_json_blob(self):
+        with pytest.raises(
+            MergeError, match="unsupported partial-state version 1"
+        ):
+            build_engine().merge_partial(b'\x01{"version":1,"groups":[]}')
 
     def test_rejects_wrong_wire_version(self):
         blob = build_engine().partial_state_bytes()
@@ -246,7 +258,7 @@ class TestRejection:
             build_engine().merge_partial(b"")
 
     def test_rejects_malformed_body(self):
-        with pytest.raises(MergeError, match="malformed"):
+        with pytest.raises(MergeError, match="truncated"):
             build_engine().merge_partial(
                 bytes([PARTIAL_STATE_VERSION]) + b"{not json"
             )
@@ -263,7 +275,7 @@ class TestRejection:
         # Same query text, different sketch capacity: the summary-level
         # compatibility check must catch it at merge time.
         with pytest.raises(MergeError, match="capacity mismatch"):
-            left.merge_partial(right.partial_state())
+            left.merge_partial(right.partial_state_bytes())
 
 
 class TestCounters:
@@ -271,6 +283,6 @@ class TestCounters:
         rows = make_rows()
         left = ingest_all(build_engine(), rows[:80])
         right = ingest_all(build_engine(), rows[80:])
-        left.merge_partial(right.partial_state())
+        left.merge_partial(right.partial_state_bytes())
         assert left.tuples_processed == len(rows)
         assert left.tuples_selected == len(rows)

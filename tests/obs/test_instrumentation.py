@@ -116,6 +116,24 @@ class TestResultsUnchanged:
         snap = metrics.snapshot()["metrics"]
         assert snap["engine.query.checkpoint_us"]["count"] == 1
 
+    def test_partial_state_codec_is_recorded_per_snapshot(self):
+        metrics = MetricsRegistry(enabled=True)
+        engine = QueryEngine(
+            parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
+        )
+        engine.insert_many(make_rows())
+        blob = engine.partial_state_bytes()
+        engine.merge_partial(blob)
+        snap = metrics.snapshot()["metrics"]
+        assert snap["engine.query.partial.encode_us"]["count"] == 1
+        assert snap["engine.query.partial.decode_us"]["count"] == 1
+        assert snap["engine.query.partial.bytes"]["value"] == len(blob)
+        assert snap["engine.query.partial.groups"]["value"] == engine.group_count
+        # Disabled registry: the snapshot path never looks at a clock.
+        plain = QueryEngine(parse_query(SQL, default_registry()), SCHEMA)
+        plain.insert_many(make_rows())
+        assert plain.partial_state_bytes() == blob
+
 
 class TestRecordedMetrics:
     def test_expected_metric_names_appear(self):

@@ -7,7 +7,6 @@ the single and the sharded backend.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -17,6 +16,7 @@ from repro.core.serde import (
     PARTIALS_CHECKPOINT_VERSION,
     dump_partials_checkpoint,
     load_partials_checkpoint,
+    read_partials_checkpoint,
 )
 from repro.serve import (
     CHECKPOINT_FILENAME,
@@ -93,6 +93,25 @@ class TestExplicitCheckpointFrame:
         finally:
             server.stop()
 
+    def test_stats_frame_shows_checkpoint_volume_and_time(self, tmp_path):
+        from repro.obs.registry import MetricsRegistry
+
+        backend = build_backend(SQL, PACKET_SCHEMA)
+        server = ThreadedServer(StreamServer(
+            backend, state_dir=str(tmp_path),
+            metrics=MetricsRegistry(enabled=True),
+        )).start()
+        try:
+            with ServeClient(server.host, server.port) as client:
+                client.insert(make_rows(80))
+                client.flush()
+                info = client.checkpoint()
+                metrics = client.stats()["metrics"]["metrics"]
+        finally:
+            server.stop()
+        assert metrics["serve.checkpoint.bytes"]["value"] == info["bytes"]
+        assert metrics["serve.frame.CHECKPOINT.us"]["count"] == 1
+
     def test_explicit_checkpoint_survives_hard_kill(self, tmp_path):
         """CHECKPOINT then *no* graceful stop: restore still works.
 
@@ -122,43 +141,49 @@ class TestExplicitCheckpointFrame:
 class TestCheckpointEnvelope:
     def test_roundtrip(self):
         blobs = [b"\x01one", b"\x01two"]
-        envelope = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), blobs)
-        assert envelope["version"] == PARTIALS_CHECKPOINT_VERSION
-        assert envelope["kind"] == "engine-partials"
+        image = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), blobs)
+        assert image[:4] == b"FDCK"
+        assert image[4] == PARTIALS_CHECKPOINT_VERSION
         restored = load_partials_checkpoint(
-            envelope, SQL, PACKET_SCHEMA.names()
+            image, SQL, PACKET_SCHEMA.names()
         )
         assert restored == blobs
 
-    def test_envelope_is_json_safe(self):
-        envelope = dump_partials_checkpoint(
-            SQL, PACKET_SCHEMA.names(), [b"\x00\xff"]
+    def test_blobs_are_stored_raw(self):
+        image = dump_partials_checkpoint(
+            SQL, PACKET_SCHEMA.names(), [b"\x00\xff raw"]
         )
-        assert json.loads(json.dumps(envelope)) == envelope
+        assert b"\x00\xff raw" in image
+        assert read_partials_checkpoint(image) == (
+            SQL, PACKET_SCHEMA.names(), [b"\x00\xff raw"]
+        )
 
     def test_wrong_query_rejected(self):
-        envelope = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
+        image = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
         with pytest.raises(ParameterError, match="different query"):
             load_partials_checkpoint(
-                envelope, "select x from TCP group by x", PACKET_SCHEMA.names()
+                image, "select x from TCP group by x", PACKET_SCHEMA.names()
             )
 
     def test_wrong_schema_rejected(self):
-        envelope = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
+        image = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
         with pytest.raises(ParameterError, match="different schema"):
-            load_partials_checkpoint(envelope, SQL, ["a", "b"])
+            load_partials_checkpoint(image, SQL, ["a", "b"])
 
     def test_wrong_version_rejected(self):
-        envelope = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
-        envelope["version"] = 99
-        with pytest.raises(ParameterError, match="version"):
-            load_partials_checkpoint(envelope, SQL, PACKET_SCHEMA.names())
+        image = bytearray(
+            dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
+        )
+        image[4] = 99
+        with pytest.raises(ParameterError, match="version 99 at offset 4"):
+            load_partials_checkpoint(image, SQL, PACKET_SCHEMA.names())
 
-    def test_wrong_kind_rejected(self):
-        envelope = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
-        envelope["kind"] = "something-else"
-        with pytest.raises(ParameterError, match="kind"):
-            load_partials_checkpoint(envelope, SQL, PACKET_SCHEMA.names())
+    def test_wrong_magic_rejected(self):
+        image = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
+        with pytest.raises(ParameterError, match="magic .* at offset 0"):
+            load_partials_checkpoint(
+                b"JSON" + image[4:], SQL, PACKET_SCHEMA.names()
+            )
 
     def test_restore_for_other_query_fails_at_startup(self, tmp_path):
         server = serve_with_state(tmp_path)
@@ -175,3 +200,101 @@ class TestCheckpointEnvelope:
             ThreadedServer(
                 StreamServer(other, state_dir=str(tmp_path))
             ).start()
+
+
+GOLDEN_SQL = "select k, count(*) as c from TCP group by k"
+GOLDEN_SCHEMA = ["time", "k"]
+GOLDEN_BLOBS = [b"\x02state-a", b"", b"\x02b"]
+GOLDEN_IMAGE = bytes.fromhex(
+    "4644434b" "02" "0003" "00000003"  # "FDCK", v2, 3 texts, 3 blobs
+    "03" "0000003c"                    # texts: str column, 60 bytes
+    "0000002b" "00000004" "00000001"   # byte lengths
+    "73656c656374206b2c20636f756e74282a2920617320632066726f6d2054435020"
+    "67726f7570206279206b" "74696d65" "6b"
+    "05" "00000016"                    # blobs: bytes column, 22 bytes
+    "00000008" "00000000" "00000002"
+    "0273746174652d61" "0262"
+    "80c8e28f"                         # crc32 of everything above
+)
+
+
+class TestCheckpointBytes:
+    def test_writer_matches_fixture(self):
+        image = dump_partials_checkpoint(GOLDEN_SQL, GOLDEN_SCHEMA, GOLDEN_BLOBS)
+        assert image == GOLDEN_IMAGE
+
+    def test_fixture_reads_back(self):
+        assert read_partials_checkpoint(GOLDEN_IMAGE) == (
+            GOLDEN_SQL, GOLDEN_SCHEMA, GOLDEN_BLOBS
+        )
+
+    def test_every_truncation_and_flip_names_an_offset(self):
+        """Byte-level fuzz: every cut and every flipped bit must end in
+        a located ParameterError or read back the original exactly."""
+        damaged = [GOLDEN_IMAGE[:cut] for cut in range(len(GOLDEN_IMAGE))]
+        for index in range(len(GOLDEN_IMAGE)):
+            for mask in (0x01, 0x80, 0xFF):
+                image = bytearray(GOLDEN_IMAGE)
+                image[index] ^= mask
+                damaged.append(bytes(image))
+        surfaced = 0
+        for image in damaged:
+            try:
+                parsed = read_partials_checkpoint(image)
+            except ParameterError as error:
+                surfaced += 1
+                assert "offset" in str(error)
+            else:
+                assert parsed == (GOLDEN_SQL, GOLDEN_SCHEMA, GOLDEN_BLOBS)
+        assert surfaced >= 0.99 * len(damaged)
+
+
+class TestUnreadableStateDir:
+    """A state dir the server cannot restore must fail start-up loudly."""
+
+    def _checkpointed(self, tmp_path) -> str:
+        server = serve_with_state(tmp_path)
+        with ServeClient(server.host, server.port) as client:
+            client.insert(make_rows(60))
+            client.flush()
+        return server.stop()
+
+    def _start(self, tmp_path):
+        backend = build_backend(SQL, PACKET_SCHEMA)
+        return ThreadedServer(
+            StreamServer(backend, state_dir=str(tmp_path))
+        ).start()
+
+    @pytest.mark.parametrize(
+        "damage, offset",
+        [
+            (lambda image: b"XXXX" + image[4:], "offset 0"),  # magic
+            (lambda image: image[:-9], "CRC32 at offset"),  # length
+            (  # one flipped bit mid-file
+                lambda image: image[:200]
+                + bytes([image[200] ^ 0x10]) + image[201:],
+                "CRC32 at offset",
+            ),
+        ],
+    )
+    def test_corrupt_checkpoint_fails_startup(self, tmp_path, damage, offset):
+        path = self._checkpointed(tmp_path)
+        with open(path, "rb") as handle:
+            image = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(damage(image))
+        with pytest.raises(ParameterError) as excinfo:
+            self._start(tmp_path)
+        assert path in str(excinfo.value)
+        assert offset in str(excinfo.value)
+
+    def test_legacy_json_checkpoint_is_refused(self, tmp_path):
+        legacy = tmp_path / "checkpoint.json"
+        legacy.write_text('{"version": 1, "kind": "engine-partials"}')
+        with pytest.raises(ParameterError, match="checkpoint.json"):
+            self._start(tmp_path)
+        # ...but not once a current checkpoint sits beside it.
+        legacy.unlink()
+        self._checkpointed(tmp_path)
+        legacy.write_text("{}")
+        self._start(tmp_path).stop()

@@ -15,7 +15,14 @@ from repro.serve import (
     ServeClient,
     protocol,
 )
-from tests.serve.util import SQL, canon, expected_rows, make_rows, serve
+from tests.serve.util import (
+    SQL,
+    Awaitable,
+    canon,
+    expected_rows,
+    make_rows,
+    serve,
+)
 
 
 class TestSyncClient:
@@ -163,24 +170,6 @@ class ScriptedTransport:
         pass
 
 
-class _Awaitable:
-    """The sync client behind the async surface, so one scenario serves
-    both drivers."""
-
-    def __init__(self, client):
-        self._client = client
-
-    def __getattr__(self, name):
-        attr = getattr(self._client, name)
-        if not callable(attr):
-            return attr
-
-        async def call(*args, **kwargs):
-            return attr(*args, **kwargs)
-
-        return call
-
-
 @pytest.fixture(params=["sync", "asyncio"])
 def scripted(request, monkeypatch):
     """``run(chunks, scenario)``: connect the parametrised driver to a
@@ -200,7 +189,7 @@ def scripted(request, monkeypatch):
 
         async def main():
             if request.param == "sync":
-                client = _Awaitable(ServeClient("scripted", 0, **options))
+                client = Awaitable(ServeClient("scripted", 0, **options))
             else:
                 client = await AsyncServeClient.connect(
                     "scripted", 0, **options

@@ -189,3 +189,68 @@ class TestRemoteError:
 
     def test_is_a_protocol_error(self):
         assert isinstance(RemoteError("x", "y"), ProtocolError)
+
+
+#: Three raw blobs (one empty) as a PARTIALS_OK frame; ADOPT carries the
+#: same body under its own type byte.
+GOLDEN_BLOBS = [b"\x02state-a", b"", b"\x02b"]
+GOLDEN_BLOB_BODY = bytes.fromhex(
+    "01" "0000000000000000" "00000003" "0001"  # cols v1, no seq, 3 rows, 1 col
+    "05" "00000016"                            # bytes column, 22 bytes
+    "00000008" "00000000" "00000002"           # byte lengths
+    "0273746174652d61" "0262"                  # the blobs, raw
+)
+GOLDEN_PARTIALS_OK = bytes.fromhex("0000002b" "12") + GOLDEN_BLOB_BODY
+GOLDEN_ADOPT = bytes.fromhex("0000002b" "13") + GOLDEN_BLOB_BODY
+
+
+class TestBlobFrames:
+    def test_writer_matches_fixtures(self):
+        body = protocol.encode_blobs(GOLDEN_BLOBS)
+        assert body == GOLDEN_BLOB_BODY
+        assert encode_frame(protocol.PARTIALS_OK, body) == GOLDEN_PARTIALS_OK
+        assert encode_frame(protocol.ADOPT, body) == GOLDEN_ADOPT
+
+    @pytest.mark.parametrize(
+        "data, ftype",
+        [
+            (GOLDEN_PARTIALS_OK, protocol.PARTIALS_OK),
+            (GOLDEN_ADOPT, protocol.ADOPT),
+        ],
+    )
+    def test_fixtures_decode_to_the_source_blobs(self, data, ftype):
+        decoder = FrameDecoder()
+        decoder.feed(data)
+        (frame,) = decoder.frames()
+        assert frame.ftype == ftype
+        assert protocol.decode_blobs(frame.payload["body"]) == GOLDEN_BLOBS
+
+    def test_round_trip_and_no_text_expansion(self):
+        blobs = [bytes(range(256)) * 4, b"", b"\x00"]
+        body = protocol.encode_blobs(blobs)
+        assert protocol.decode_blobs(body) == blobs
+        assert protocol.decode_blobs(memoryview(body)) == blobs
+        assert protocol.decode_blobs(protocol.encode_blobs([])) == []
+        # Raw bytes plus a length table — not hex's 2x.
+        assert len(body) == sum(map(len, blobs)) + 15 + 5 + 4 * len(blobs)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"",
+            b'{"blobs": "deadbeef"}',
+            GOLDEN_BLOB_BODY[:-1],
+            GOLDEN_BLOB_BODY + b"\x00",
+            protocol.pack_cols([[1, 2]]),  # a column, but not of bytes
+            protocol.pack_cols([[b"a"], [b"b"]]),  # two columns
+        ],
+    )
+    def test_malformed_bodies_are_protocol_errors(self, body):
+        with pytest.raises(ProtocolError):
+            protocol.decode_blobs(body)
+
+    def test_oversized_frame_raises_the_typed_error(self):
+        with pytest.raises(protocol.FrameTooLarge, match="PARTIALS_OK frame"):
+            encode_frame(
+                protocol.PARTIALS_OK, GOLDEN_BLOB_BODY, max_frame_bytes=16
+            )

@@ -8,13 +8,25 @@ client — failure stays connection-scoped.
 
 from __future__ import annotations
 
+import asyncio
 import random
 import struct
 
 import pytest
 
-from repro.serve import ServeClient, protocol
-from tests.serve.util import RawConnection, make_rows, serve
+from repro.dsms.engine import QueryEngine
+from repro.dsms.parser import parse_query
+from repro.dsms.udaf import default_registry
+from repro.serve import AsyncServeClient, RemoteError, ServeClient, protocol
+from repro.workloads.netflow import PACKET_SCHEMA
+from tests.serve.util import (
+    SQL,
+    Awaitable,
+    RawConnection,
+    canon,
+    make_rows,
+    serve,
+)
 
 
 def assert_still_serving(server) -> None:
@@ -193,6 +205,92 @@ class TestSemanticErrors:
                 assert getattr(excinfo.value, "code", "") == "no-state-dir"
                 # connection survives
                 assert client.stats()["server"]["errors_total"] == 1
+
+
+class TestReplyTooLarge:
+    """A reply over ``max_frame_bytes`` fails that request only: the
+    connection, its credit window and later requests all survive."""
+
+    LIMIT = 600
+    #: One group survives the HAVING, so RESULT stays small while the
+    #: partial-state reply does not.
+    SMALL_RESULT_SQL = SQL + " having c > 4"
+    BATCHES = [make_rows(4, start=100 + 60 * j) for j in range(8)] + [
+        [row for row in make_rows(25, start=1_200) if row[3] == "d0"]
+    ]
+
+    @pytest.mark.parametrize("driver", ["sync", "asyncio"])
+    @pytest.mark.parametrize(
+        "request_name, sql, reply",
+        [
+            ("query", SQL, "RESULT"),
+            ("partials", SMALL_RESULT_SQL, "PARTIALS_OK"),
+            ("checkpoint", SMALL_RESULT_SQL, "CHECKPOINT_OK"),
+        ],
+    )
+    def test_oversized_reply_is_frame_scoped(
+        self, tmp_path, driver, request_name, sql, reply
+    ):
+        # A state dir long enough that even CHECKPOINT_OK's path is over
+        # the limit.
+        state_dir = tmp_path / ("d" * 200) / ("e" * 200) / ("f" * 200)
+        batches = self.BATCHES
+
+        async def scenario(host, port):
+            if driver == "sync":
+                client = Awaitable(ServeClient(host, port))
+            else:
+                client = await AsyncServeClient.connect(host, port)
+            for batch in batches[:-1]:
+                await client.insert(batch)
+            await client.flush()
+            window = client.window
+            with pytest.raises(RemoteError) as excinfo:
+                await getattr(client, request_name)()
+            assert excinfo.value.code == "reply-too-large"
+            assert f"{reply} frame is" in str(excinfo.value)
+            assert f"limit is {self.LIMIT}" in str(excinfo.value)
+            # Same connection: ingest still flows under the full window...
+            await client.insert(batches[-1])
+            await client.flush()
+            assert (client.credits, client.window) == (window, window)
+            # ...and the next request gets a structured answer, not EOF.
+            if reply == "RESULT":
+                with pytest.raises(RemoteError) as excinfo:
+                    await client.query()
+                assert excinfo.value.code == "reply-too-large"
+                rows = None
+            else:
+                rows = await client.query()
+            await client.close()
+            return rows
+
+        with serve(
+            sql, max_frame_bytes=self.LIMIT, state_dir=str(state_dir)
+        ) as server:
+            rows = asyncio.run(scenario(server.host, server.port))
+            assert server.server.errors_total == (2 if rows is None else 1)
+        if rows is not None:
+            reference = QueryEngine(
+                parse_query(sql, default_registry()), PACKET_SCHEMA
+            )
+            reference.insert_many([row for batch in batches for row in batch])
+            expected = reference.flush()
+            assert expected and canon(rows) == canon(expected)
+
+
+    def test_oversized_subscription_push_ends_that_subscription(self):
+        with serve(max_frame_bytes=self.LIMIT) as server:
+            with ServeClient(server.host, server.port) as client:
+                for batch in self.BATCHES:
+                    client.insert(batch)
+                client.flush()
+                client.subscribe(0.01, count=3)
+                with pytest.raises(RemoteError) as excinfo:
+                    client.results(1)
+                assert excinfo.value.code == "reply-too-large"
+                client.insert(self.BATCHES[0])
+                client.flush()  # the connection itself is fine
 
 
 class TestDisconnects:

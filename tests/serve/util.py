@@ -48,6 +48,24 @@ def serve(sql: str = SQL, **kwargs) -> ThreadedServer:
     return ThreadedServer(StreamServer(backend, **kwargs)).start()
 
 
+class Awaitable:
+    """The sync client behind the async surface, so one scenario serves
+    both drivers."""
+
+    def __init__(self, client):
+        self._client = client
+
+    def __getattr__(self, name):
+        attr = getattr(self._client, name)
+        if not callable(attr):
+            return attr
+
+        async def call(*args, **kwargs):
+            return attr(*args, **kwargs)
+
+        return call
+
+
 class RawConnection:
     """A bare socket speaking hand-crafted bytes, for malformed-frame tests."""
 

@@ -170,11 +170,11 @@ class TestByteIdentity:
         engine = build_engine(sql, store=store)
         engine.insert_many(rows[:half])
         assert store.cold_count > 0
-        engine.merge_partial(donor.partial_state())
+        engine.merge_partial(donor.partial_state_bytes())
 
         reference = build_engine(sql)
         reference.insert_many(rows[:half])
-        reference.merge_partial(donor.partial_state())
+        reference.merge_partial(donor.partial_state_bytes())
         assert engine.flush() == reference.flush()
 
     def test_compaction_preserves_results(self, tmp_path):
