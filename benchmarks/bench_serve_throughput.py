@@ -10,10 +10,9 @@ Usage::
 Streams the smoke count/sum workload through a real ``repro.serve`` TCP
 loopback connection — framing, codec bodies, credit round-trips and all —
 into a single-engine backend and a 4-way (inline) sharded backend, and
-compares against the in-process ``insert_many`` baseline.  Each backend
-is measured twice: columnar v2 ``INSERT_COLS`` framing (primary) and the
-v1 row-JSON ablation.  Sharded backends get a third pass on real worker
-processes.  Writes the standard ``BENCH_serve.json`` artifact.
+compares against the in-process ``insert_many`` baseline.  Sharded
+backends get a second pass on real worker processes.  Writes the
+standard ``BENCH_serve.json`` artifact.
 
 Gating is host-independent: absolute throughput is recorded only; the
 gated entries are served-vs-in-process result equality (exact), the
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
         "--scale", type=float, default=1.0, help="trace rate multiplier"
     )
     parser.add_argument(
-        "--batch-size", type=int, default=512, help="rows per INSERT frame"
+        "--batch-size", type=int, default=512, help="rows per INSERT_COLS frame"
     )
     parser.add_argument(
         "--no-recovery",
@@ -90,36 +89,22 @@ def main(argv=None) -> int:
         f"batch {artifact['config']['batch_size']})"
     )
     print(f"{'backend':>12} {'rows/s':>12} {'overhead':>9} "
-          f"{'vs rows':>8} {'ckpt bytes':>11} {'match':>6}")
+          f"{'ckpt bytes':>11} {'match':>6}")
     print(f"{'in-proc':>12} {inprocess:>12,.0f} {'1.00x':>9} "
-          f"{'-':>8} {'-':>11} {'-':>6}")
+          f"{'-':>11} {'-':>6}")
     failures = []
     for shards in args.shards:
         label = "single" if shards == 0 else f"sharded{shards}"
         prefix = f"serve.{label}"
         rate = entries[f"{prefix}.rows_per_sec"]["value"]
         overhead = entries[f"{prefix}.wire_overhead"]["value"]
-        speedup = entries[f"{prefix}.columnar_speedup"]["value"]
         ckpt = entries[f"{prefix}.checkpoint_bytes"]["value"]
         match = entries[f"{prefix}.match_inprocess"]["value"] == 1.0
         print(f"{label:>12} {rate:>12,.0f} {overhead:>8.2f}x "
-              f"{speedup:>7.2f}x {ckpt:>11,.0f} "
-              f"{'ok' if match else 'FAIL':>6}")
+              f"{ckpt:>11,.0f} {'ok' if match else 'FAIL':>6}")
         if not match:
             failures.append(
                 f"served result ({label}) does not match the in-process run"
-            )
-        row_rate = entries[f"{prefix}.row_frames.rows_per_sec"]["value"]
-        row_match = (
-            entries[f"{prefix}.row_frames.match_inprocess"]["value"] == 1.0
-        )
-        print(f"{label + '/rows':>12} {row_rate:>12,.0f} "
-              f"{inprocess / row_rate:>8.2f}x {'-':>8} {'-':>11} "
-              f"{'ok' if row_match else 'FAIL':>6}")
-        if not row_match:
-            failures.append(
-                f"row-frame served result ({label}) does not match the "
-                "in-process run"
             )
         if shards == 0 and overhead > 2.0:
             failures.append(
@@ -134,7 +119,7 @@ def main(argv=None) -> int:
                 entries[f"{prefix}.mp.match_inprocess"]["value"] == 1.0
             )
             print(f"{label + '/mp':>12} {mp_rate:>12,.0f} "
-                  f"{inprocess / mp_rate:>8.2f}x {'-':>8} {'-':>11} "
+                  f"{inprocess / mp_rate:>8.2f}x {'-':>11} "
                   f"{'ok' if mp_match else 'FAIL':>6}")
             if not mp_match:
                 failures.append(

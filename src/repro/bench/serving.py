@@ -2,7 +2,7 @@
 
 Measures the cost of putting :mod:`repro.serve` between a stream and the
 engine: rows/second streamed through a real TCP loopback connection
-(framing + JSON + credit round-trips included) into a single-engine and a
+(framing + column packing + credit round-trips included) into a single-engine and a
 sharded backend, versus the in-process ``insert_many`` baseline.
 
 Gating follows the repo's host-independence rule:
@@ -16,9 +16,6 @@ Gating follows the repo's host-independence rule:
   contractual bound — loopback ingest within 2x of in-process — holds
   everywhere.  The sharded ratio additionally pays routing, so it stays
   report-only;
-* the ``row_frames.*`` entries are the v1 row-JSON ablation and
-  ``columnar_speedup`` the ratio between the two framings — report-only
-  context for what typed column batches buy on the wire;
 * ``mp.speedup_vs_inprocess`` (real worker processes) is gated with a
   floor of 1.0 only when the host has at least ``max(4, shards)`` cores;
   on smaller hosts the number is recorded for the table but a speedup is
@@ -92,7 +89,6 @@ def _time_served(
     batch_size: int,
     repeats: int,
     *,
-    columnar: bool = True,
     processes: int | None = 0,
 ):
     """Loopback ingest through a real server.
@@ -106,9 +102,8 @@ def _time_served(
     would dominate a cross-phase comparison on a busy (or single-core)
     machine.
 
-    ``columnar`` selects the client framing (v2 INSERT_COLS batches vs
-    the v1 row-JSON ablation); ``processes=None`` runs the sharded
-    backend on real worker processes instead of inline shards.
+    ``processes=None`` runs the sharded backend on real worker processes
+    instead of inline shards.
     """
     rates, ratios = [], []
     served = None
@@ -122,9 +117,7 @@ def _time_served(
             server = ThreadedServer(
                 StreamServer(backend, state_dir=state_dir)
             ).start()
-            with ServeClient(
-                server.host, server.port, columnar=columnar
-            ) as client:
+            with ServeClient(server.host, server.port) as client:
                 start = time.perf_counter_ns()
                 for begin in range(0, len(trace), batch_size):
                     client.insert(trace[begin:begin + batch_size])
@@ -232,9 +225,6 @@ def run_serve_suite(
         rate, overhead, served, checkpoint_bytes = _time_served(
             trace, shards, batch_size, repeats
         )
-        row_rate, __, row_served, __ = _time_served(
-            trace, shards, batch_size, repeats, columnar=False
-        )
         prefix = f"serve.{label}"
         entries[f"{prefix}.rows_per_sec"] = _entry(
             rate, "rows/s", gate=False, higher_is_better=True
@@ -254,19 +244,6 @@ def run_serve_suite(
         )
         entries[f"{prefix}.checkpoint_bytes"] = _entry(
             float(checkpoint_bytes), "bytes", gate=True
-        )
-        # Row-framing ablation: the same stream through v1 JSON INSERT
-        # frames.  The speedup is what the columnar plane buys on the wire.
-        entries[f"{prefix}.row_frames.rows_per_sec"] = _entry(
-            row_rate, "rows/s", gate=False, higher_is_better=True
-        )
-        entries[f"{prefix}.row_frames.match_inprocess"] = _entry(
-            1.0 if row_served == expected else 0.0, "bool", gate=True,
-            higher_is_better=True, exact=True,
-        )
-        entries[f"{prefix}.columnar_speedup"] = _entry(
-            rate / row_rate, "x row frames", gate=False,
-            higher_is_better=True,
         )
         if shards > 0 and multiprocess:
             # Real worker processes: the served sharded rate should beat

@@ -790,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--trace", required=True,
                         help="CSV trace path (as written by `repro trace`)")
     replay.add_argument("--batch", type=int, default=512,
-                        help="rows per INSERT frame")
+                        help="rows per INSERT_COLS frame")
     replay.add_argument("--query", action="store_true",
                         help="print the merged results after replaying")
     replay.set_defaults(handler=_cmd_client_replay)

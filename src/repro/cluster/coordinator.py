@@ -9,10 +9,12 @@ single engine:
   queries round-robin.  Placement never affects answers — Section
   VI-B's fixed numerators make partial states merge exactly — so the
   ring is purely a balance/affinity choice.
-* **Ingest.**  Rows buffer per node and ship as batches through
-  :class:`~repro.serve.client.ServeClient` (columnar ``INSERT_COLS``
-  frames on the wire), under the server's credit window with seq-keyed
-  replay on reconnect.
+* **Ingest.**  Batches are partitioned in columns and each node's slice
+  goes out through ``ServeClient.insert_cols`` in ``batch_size``-row
+  ``INSERT_COLS`` frames, under the server's credit window with
+  seq-keyed replay on reconnect.  Rows exist only at the public edge
+  (``insert`` transposes once, ``process`` fills one edge buffer flushed
+  the same way); nothing below transposes again.
 * **Query.**  ``query()`` flushes, pulls every node's partial-state
   blobs (``PARTIALS`` frames), folds them with
   :func:`~repro.dsms.engine.fold_partials`, and finalizes locally — HAVING /
@@ -37,6 +39,7 @@ import os
 import time
 from dataclasses import dataclass
 
+from repro.core.cols import rows_to_cols
 from repro.core.errors import ParameterError, QueryError
 from repro.dsms.engine import fold_partials
 from repro.parallel.routing import GroupKeyRouter, validate_mergeable
@@ -99,7 +102,8 @@ class Coordinator:
         Consistent-hash ring configuration (see
         :class:`~repro.cluster.ring.HashRing`).
     batch_size:
-        Rows buffered per node before a batch ships.
+        Rows per ``INSERT_COLS`` frame (larger partitions are sliced),
+        and rows :meth:`process` buffers at the edge before routing them.
     retries:
         Per-client reconnect budget for *transient* failures; exhausted
         retries escalate to node respawn (when ``auto_recover``).
@@ -165,13 +169,12 @@ class Coordinator:
         self._ring = HashRing(names, vnodes=vnodes, seed=ring_seed)
         self._nodes = {node.name: node for node in nodes}
         self._clients: dict[str, ServeClient] = {}
-        self._buffers: dict[str, list[tuple]] = {name: [] for name in names}
+        self._edge: list[tuple] = []  # rows from process(), not yet routed
         self._rows_sent: dict[str, int] = {name: 0 for name in names}
         self._ckpt_mark: dict[str, int] = {name: 0 for name in names}
         self._respawns: dict[str, int] = {name: 0 for name in names}
         self._failures: list[NodeFailure] = []
         self._rows_routed = 0
-        self._round_robin = 0
         self._closed = False
         for node in nodes:
             if not node.alive():
@@ -239,116 +242,89 @@ class Coordinator:
 
     # -- routing / ingestion ------------------------------------------------------
 
-    def _owner(self, row: tuple) -> str:
-        if not self._routing.keyed:
-            nodes = self._ring.nodes
-            name = nodes[self._round_robin % len(nodes)]
-            self._round_robin += 1
-            return name
-        return self._ring.node_for(self._routing.key(row))
+    def _deliver(self, name: str, cols: list, count: int) -> None:
+        """Ship one node's column slice in ``batch_size``-row pieces.
 
-    def _deliver(self, name: str, rows: list[tuple]) -> None:
-        """Ship ``rows`` in slices of at most ``batch_size``.
-
-        A whole-trace ``insert`` (or a single-owner ``insert_cols``)
-        hands over far more than one buffer's worth; one frame per slice
-        keeps every INSERT under the wire's frame limit.  ``_rows_sent``
-        advances per slice, so a crash between slices accounts exactly
-        the slices the node was given.
+        A whole-trace ``insert`` hands over far more than one frame's
+        worth; one frame per piece keeps every batch under the wire's
+        frame limit.  ``_rows_sent`` advances per piece the client
+        tracked, so a crash between pieces accounts exactly what the node
+        was given — and a piece the client refused outright
+        (``FrameTooLarge``) was never sent, replayed or counted.
         """
-        for start in range(0, len(rows), self.batch_size):
-            piece = rows[start : start + self.batch_size]
-            self._rows_sent[name] += len(piece)
+        for start in range(0, count, self.batch_size):
+            piece = [column[start : start + self.batch_size] for column in cols]
+            sent = len(piece[0])
             try:
-                self._clients[name].insert(piece)
+                self._clients[name].insert_cols(piece)
             except ClientConnectionError:
-                if not self.auto_recover:
-                    raise
-                # The client tracked the slice before its transport
+                # The client tracked the piece before its transport
                 # failed, so the reconnect replays it with the other
                 # unacked batches — inserting it again would apply it
                 # twice.  The next call on this client reconnects.
+                self._rows_sent[name] += sent
+                if not self.auto_recover:
+                    raise
                 self._recover(name, "ship")
-
-    def _ship(self, name: str) -> None:
-        buffer = self._buffers[name]
-        if buffer:
-            self._buffers[name] = []
-            self._deliver(name, buffer)
-
-    def insert(self, rows) -> None:
-        """Route a batch of tuples; full per-node buffers ship at once."""
-        self._ensure_open()
-        full = set()
-        for row in rows:
-            name = self._owner(row)
-            buffer = self._buffers[name]
-            buffer.append(tuple(row))
-            self._rows_routed += 1
-            if len(buffer) >= self.batch_size:
-                full.add(name)
-        for name in full:
-            self._ship(name)
-
-    def process(self, row: tuple) -> None:
-        """Route one tuple (batched; see ``batch_size``)."""
-        self.insert([row])
+            else:
+                self._rows_sent[name] += sent
 
     def insert_cols(self, cols: list) -> None:
-        """Route one columnar batch, partitioning columns per node.
+        """Route one columnar batch, one column slice per owning node.
 
-        Keys come from the columnar compiled expressions (same keys the
-        row path computes), so both paths place every row identically.
+        ``cols`` is one equal-length list per schema field; an empty
+        batch is ignored.  Rows buffered by :meth:`process` ship first,
+        so interleaving the two preserves per-node arrival order.
         """
         self._ensure_open()
-        if not cols:
-            return
-        count = len(cols[0])
-        for index, column in enumerate(cols):
-            if len(column) != count:
-                raise QueryError(
-                    f"ragged columnar batch: column {index} has "
-                    f"{len(column)} rows, column 0 has {count}"
-                )
-        if count == 0:
-            return
-        if not self._routing.keyed:
-            rows = list(zip(*cols))
-            self.insert(rows)
-            return
-        keys = self._routing.keys(cols, count)
-        partitions: dict[str, list[int]] = {}
-        for i, key in enumerate(keys):
-            partitions.setdefault(self._ring.node_for(key), []).append(i)
-        self._rows_routed += count
-        for name, indices in partitions.items():
-            self._ship(name)
-            if len(indices) == count:
-                part = cols
-            else:
-                part = [[column[i] for i in indices] for column in cols]
-            self._deliver(name, list(zip(*part)))
+        self._flush_edge()
+        parts = self._routing.partition(
+            cols, self._ring.node_for, self._ring.nodes
+        )
+        for name, part, count in parts:
+            self._rows_routed += count
+            self._deliver(name, part, count)
+
+    def insert(self, rows) -> None:
+        """Route a batch of tuples: transposed here, once, and handed to
+        :meth:`insert_cols`."""
+        self.insert_cols(rows_to_cols(rows))
+
+    def process(self, row: tuple) -> None:
+        """Offer one tuple: buffered at the edge and routed with its batch
+        at ``batch_size`` rows, or before any heartbeat, read or close."""
+        self._ensure_open()
+        self._edge.append(row)
+        if len(self._edge) >= self.batch_size:
+            self._flush_edge()
+
+    def _flush_edge(self) -> None:
+        """Route and ship the rows :meth:`process` buffered."""
+        if self._edge:
+            rows, self._edge = self._edge, []
+            self.insert_cols(rows_to_cols(rows))
+
+    def _heartbeat(self, names, row: tuple) -> None:
+        self._ensure_open()
+        self._flush_edge()
+        for name in names:
+            self._invoke(name, lambda c: c.heartbeat(tuple(row)), "ship")
 
     def heartbeat(self, row: tuple) -> None:
         """Route punctuation to the node owning ``row``'s group key."""
-        self._ensure_open()
-        name = self._owner(row)
-        self._ship(name)
-        self._invoke(name, lambda c: c.heartbeat(tuple(row)), "ship")
+        owner = self._routing.owner(row, self._ring.node_for, self._ring.nodes)
+        self._heartbeat([owner], row)
 
     def heartbeat_all(self, row: tuple) -> None:
         """Broadcast punctuation to every node (global event time)."""
-        self._ensure_open()
-        for name in self._ring.nodes:
-            self._ship(name)
-            self._invoke(name, lambda c: c.heartbeat(tuple(row)), "ship")
+        self._heartbeat(self._ring.nodes, row)
 
     def flush(self) -> dict:
-        """Ship every buffer and wait for every in-flight batch's ack."""
+        """Ship buffered rows and wait for every in-flight batch's ack."""
         self._ensure_open()
+        self._flush_edge()
         reports = {}
         for name in self._ring.nodes:
-            self._ship(name)
             reports[name] = self._invoke(name, lambda c: c.flush(), "flush")
         return reports
 
@@ -356,11 +332,9 @@ class Coordinator:
 
     def partial_blobs(self) -> list[bytes]:
         """Every node's partial-state blobs (pending rows flushed first)."""
-        self._ensure_open()
+        self.flush()
         blobs: list[bytes] = []
         for name in self._ring.nodes:
-            self._ship(name)
-            self._invoke(name, lambda c: c.flush(), "flush")
             blobs.extend(self._invoke(name, lambda c: c.partials(), "query"))
         return blobs
 
@@ -381,11 +355,9 @@ class Coordinator:
         *after* the checkpoint (and of those, only the acked ones —
         unacked batches replay).  Returns per-node checkpoint reports.
         """
-        self._ensure_open()
+        self.flush()
         reports = {}
         for name in self._ring.nodes:
-            self._ship(name)
-            self._invoke(name, lambda c: c.flush(), "flush")
             reports[name] = self._invoke(
                 name, lambda c: c.checkpoint(), "checkpoint"
             )
@@ -406,7 +378,6 @@ class Coordinator:
             node.start()
         self._nodes[node.name] = node
         self._clients[node.name] = self._dial(node)
-        self._buffers[node.name] = []
         self._rows_sent[node.name] = 0
         self._ckpt_mark[node.name] = 0
         self._respawns[node.name] = 0
@@ -430,7 +401,7 @@ class Coordinator:
             raise ParameterError("cannot decommission the last node")
         if heir is not None and (heir == name or heir not in self._nodes):
             raise ParameterError(f"invalid heir {heir!r}")
-        self._ship(name)
+        self._flush_edge()
         self._invoke(name, lambda c: c.flush(), "flush")
         blobs = self._invoke(name, lambda c: c.partials(), "decommission")
         moved = self._rows_sent[name]
@@ -451,8 +422,7 @@ class Coordinator:
             pass
         node = self._nodes.pop(name)
         node.stop()
-        del self._buffers[name], self._rows_sent[name]
-        del self._ckpt_mark[name], self._respawns[name]
+        del self._rows_sent[name], self._ckpt_mark[name], self._respawns[name]
         return {
             "node": name,
             "heir": heir,
@@ -470,7 +440,7 @@ class Coordinator:
     @property
     def rows_routed(self) -> int:
         """Tuples accepted by the router so far (shipped or buffered)."""
-        return self._rows_routed
+        return self._rows_routed + len(self._edge)
 
     @property
     def failures(self) -> list[NodeFailure]:
@@ -490,14 +460,14 @@ class Coordinator:
             server = self._invoke(name, lambda c: c.stats(), "stats")
             per_node[name] = {
                 "rows_sent": self._rows_sent[name],
-                "buffered": len(self._buffers[name]),
                 "checkpoint_mark": self._ckpt_mark[name],
                 "respawns": self._respawns[name],
                 "server": server,
             }
         return {
             "nodes": len(self._ring),
-            "rows_routed": self._rows_routed,
+            "rows_routed": self.rows_routed,
+            "buffered": len(self._edge),
             "tuples_in": sum(
                 info["server"]["backend"]["tuples_in"]
                 for info in per_node.values()
@@ -535,13 +505,17 @@ class Coordinator:
         if self._closed:
             return self._close_stats
         counts: dict[str, int] = {}
+        unreachable = (ClientConnectionError, ConnectionError, OSError, QueryError)
+        try:
+            self._flush_edge()
+        except unreachable:
+            pass
         for name in list(self._ring.nodes):
             try:
-                self._ship(name)
                 self._clients[name].flush()
                 stats = self._clients[name].stats()
                 counts[name] = stats["backend"]["tuples_in"]
-            except (ClientConnectionError, ConnectionError, OSError, QueryError):
+            except unreachable:
                 counts[name] = -1
         for client in self._clients.values():
             try:

@@ -51,6 +51,7 @@ __all__ = [
     "COL_STR",
     "COL_TAGGED",
     "COL_BYTES",
+    "row_count",
     "rows_to_cols",
     "cols_to_rows",
     "pack_cols",
@@ -84,6 +85,18 @@ _COLS_HEAD = struct.Struct("!BQIH")
 _COL_HEAD = struct.Struct("!BI")
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def row_count(cols, error: type[Exception] = ProtocolError) -> int:
+    """Rows in a column batch (0 when empty); ragged columns raise ``error``."""
+    count = len(cols[0]) if cols else 0
+    for index, col in enumerate(cols):
+        if len(col) != count:
+            raise error(
+                f"ragged columnar batch: column {index} has {len(col)} "
+                f"rows, column 0 has {count}"
+            )
+    return count
 
 
 def rows_to_cols(rows) -> list[list]:
@@ -254,12 +267,7 @@ def pack_cols(cols, *, seq: int | None = None) -> bytes:
     The result is the codec body only — callers add their own framing
     (the wire protocol's length prefix, or none at all on a queue).
     """
-    count = len(cols[0]) if cols else 0
-    for index, col in enumerate(cols):
-        if len(col) != count:
-            raise ProtocolError(
-                f"column {index} has {len(col)} rows, column 0 has {count}"
-            )
+    count = row_count(cols)
     if seq is not None and not 0 <= seq < (1 << 64) - 1:
         raise ProtocolError(f"seq out of range: {seq!r}")
     parts = [

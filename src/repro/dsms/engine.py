@@ -35,6 +35,7 @@ from repro.core.cols import (
     pack_cols,
     pack_column,
     read_column,
+    row_count,
     unpack_cols,
 )
 from repro.core.errors import MergeError, ProtocolError, QueryError
@@ -351,16 +352,7 @@ class QueryEngine:
         operation sequence.  Compiled expressions are pure, so hoisting
         them out of the stateful loop cannot change results.
         """
-        if cols:
-            count = len(cols[0])
-            for index, col in enumerate(cols):
-                if len(col) != count:
-                    raise QueryError(
-                        f"ragged columnar batch: column {index} has "
-                        f"{len(col)} rows, column 0 has {count}"
-                    )
-        else:
-            count = 0
+        count = row_count(cols, QueryError)
         if count == 0:
             return
         self._tuples_in += count

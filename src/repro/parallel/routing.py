@@ -6,8 +6,10 @@ any placement.  Routing is therefore purely a performance and balance
 concern, and both partitioned runtimes want the same machinery:
 
 * :class:`GroupKeyRouter` evaluates the GROUP BY expressions (or a
-  designated ``shard_key`` column) to produce one routing key per tuple,
-  with a columnar twin for ``INSERT_COLS`` batches;
+  designated ``shard_key`` column) to produce one routing key per row of
+  a columnar batch, and :meth:`~GroupKeyRouter.partition` splits the
+  batch into one column slice per owner — the one partitioner both
+  runtimes ship from;
 * :func:`stable_route` maps a key to one of ``n`` integer shards,
   deterministically across processes and hosts (blake2b, not the
   per-interpreter builtin ``hash``);
@@ -24,6 +26,7 @@ material.
 
 from __future__ import annotations
 
+from repro.core.cols import row_count
 from repro.core.errors import QueryError
 from repro.core.protocol import StreamSummary
 from repro.dsms.engine import QueryEngine
@@ -73,13 +76,14 @@ class GroupKeyRouter:
 
     Evaluates the compiled GROUP BY expressions — or, when ``shard_key``
     names a schema column, just indexes that column — to produce the key
-    a placement function maps to a shard or node.  Keeps columnar twins
-    of the expressions so ``INSERT_COLS`` batches route without
-    transposing.
+    a placement function maps to a shard or node.  Batches route in
+    columns (:meth:`partition`); :meth:`owner` places one tuple — a
+    heartbeat marker.
 
     ``keyed`` is False when the query has no GROUP BY and no
     ``shard_key``: a single global group, where any placement merges
-    correctly and the caller should spread load round-robin.
+    correctly, so rows are dealt round-robin over the owners (one
+    counter, continued across calls).
     """
 
     def __init__(self, query, schema: Schema, shard_key: str | None = None):
@@ -93,6 +97,7 @@ class GroupKeyRouter:
             self._shard_index: int | None = schema.index_of(shard_key)
         else:
             self._shard_index = None
+        self._round_robin = 0
 
     @property
     def keyed(self) -> bool:
@@ -116,3 +121,36 @@ class GroupKeyRouter:
         if len(fns) == 1:
             return fns[0](cols, count)
         return list(zip(*(fn(cols, count) for fn in fns)))
+
+    def owner(self, row: tuple, place, owners):
+        """The owner of one tuple: that of the one-row batch it makes."""
+        return next(self.partition([[value] for value in row], place, owners))[0]
+
+    def partition(self, cols: list, place, owners):
+        """Split a columnar batch by owner: ``(owner, part_cols, count)``.
+
+        ``cols`` is one equal-length list per schema field (ragged
+        raises :class:`QueryError`, empty yields nothing).  Row ``i``
+        goes to ``place(keys[i])`` — ``owners`` in turn when not
+        :attr:`keyed` — in arrival order; a single-owner batch passes
+        through whole, not copied.
+        """
+        count = row_count(cols, QueryError)
+        if count == 0:
+            return
+        picks: dict = {}
+        if self.keyed:
+            for i, key in enumerate(self.keys(cols, count)):
+                picks.setdefault(place(key), []).append(i)
+        else:
+            start = self._round_robin
+            self._round_robin = start + count
+            n = len(owners)
+            for offset in range(min(n, count)):
+                picks[owners[(start + offset) % n]] = range(offset, count, n)
+        for owner, indices in picks.items():
+            if len(indices) == count:
+                yield owner, cols, count
+            else:
+                part = [[column[i] for i in indices] for column in cols]
+                yield owner, part, len(indices)

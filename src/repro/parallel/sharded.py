@@ -9,10 +9,11 @@ process granularity:
 * tuples are hash-partitioned by GROUP BY key across ``shards`` workers,
   each owning a private :class:`~repro.dsms.engine.QueryEngine` built from
   the same query text;
-* batches ship over bounded queues (the backpressure boundary) — row
-  buffers as tuples, columnar partitions as packed
-  :func:`repro.core.cols.pack_cols` bytes — and ingest through the
-  engine's batch kernel;
+* batches are partitioned in columns and each shard's slice ships over
+  a bounded queue (the backpressure boundary) as packed
+  :func:`repro.core.cols.pack_cols` bytes into the engine's batch
+  kernel; rows exist only at the public edge (``insert_many`` transposes
+  once, ``process`` fills one edge buffer flushed the same way);
 * queries collect partial-state blobs and fold them with
   :func:`repro.dsms.engine.fold_partials` — landmark/decay compatibility
   is checked at merge, exactly as the paper requires.
@@ -49,7 +50,7 @@ import queue as queue_module
 import time
 from typing import Callable, Iterable
 
-from repro.core.cols import pack_cols
+from repro.core.cols import pack_cols, rows_to_cols
 from repro.core.errors import ParameterError, QueryError
 from repro.dsms.engine import QueryEngine, ResultRow, fold_partials
 from repro.dsms.schema import Schema
@@ -93,7 +94,8 @@ class ShardedEngine:
         determinism tests and single-core hosts.  Other values are
         rejected: partitions and workers are one-to-one by design.
     batch_size:
-        Rows buffered per shard before a batch ships to its worker.
+        Rows :meth:`process` buffers at the edge before routing them as
+        one batch (``insert_many`` / ``insert_cols`` batches ship at once).
     queue_depth:
         Bound of each worker's input queue, in batches.  A full queue
         blocks the router — backpressure, not unbounded buffering.
@@ -210,16 +212,14 @@ class ShardedEngine:
         self._routing = GroupKeyRouter(
             template.query, schema, shard_key=shard_key
         )
-        if router is not None:
-            self._router = router
-        else:
+        if router is None:
             # Builtin hash is the fast default; randomized per interpreter
             # for strings, but routing happens only in this process, and
             # merge-at-query is correct under any placement.
-            self._router = lambda key, n: hash(key) % n
-        self._buffers: list[list[tuple]] = [[] for __ in range(shards)]
+            router = lambda key, n: hash(key) % n
+        self._place = lambda key: router(key, shards)
+        self._edge: list[tuple] = []  # rows from process(), not yet routed
         self._rows_routed = 0
-        self._round_robin = 0
         self._closed = False
         self._close_stats: dict = {"tuples_per_shard": []}
         self._workers: list = []
@@ -283,7 +283,7 @@ class ShardedEngine:
         return queue, parent_conn, process
 
     def _abandon_transport(self, shard: int) -> None:
-        """Discard a dead worker's queue and pipe without blocking.
+        """Discard a dead or stopped worker's queue and pipe without blocking.
 
         ``cancel_join_thread`` first: the queue's feeder thread may hold
         batches nobody will ever read, and ``close``/``join_thread`` would
@@ -351,205 +351,121 @@ class ShardedEngine:
         if self._obs:
             self._m_respawns.add(1.0)
 
-    def _put(self, shard: int, message: tuple, phase: str) -> None:
+    def _put(self, shard: int, message: tuple, phase: str = "ship") -> bool:
         """Queue ``message`` to a shard, never hanging on a dead worker.
 
         Unsupervised mode keeps the plain blocking put (backpressure with
         no liveness cost).  Supervised mode alternates bounded puts with
         ``is_alive`` polls, so a worker killed while its queue is full is
         detected within ``_PUT_POLL_S`` and recovered; the message then
-        goes to the replacement.
+        goes to the replacement.  Always True, as :meth:`_try_put` may not be.
         """
         if not self.supervise:
             self._queues[shard].put(message)
-            return
+            return True
         while True:
             if not self._workers[shard].is_alive():
                 self._recover(shard, phase)
             try:
                 self._queues[shard].put(message, timeout=_PUT_POLL_S)
-                return
+                return True
             except queue_module.Full:
                 continue
 
-    def _request_state(self, shard: int) -> bytes:
-        """Ask one shard for its partial state; recover through deaths.
+    def _recv(self, shard: int, request: tuple, *, recover: bool = True):
+        """The payload of this worker's reply to ``request`` (already
+        queued) — the one place a shard connection is read.
 
-        The reply includes every batch shipped before the request (same
-        queue, FIFO), so a successful reply doubles as a checkpoint: the
-        blob and the rows-shipped mark recorded at request time become
-        the shard's recovery point.
+        A worker that died instead of answering is respawned from its
+        checkpoint and asked again (:meth:`_recover` raises once the
+        respawn budget is spent); unsupervised, or with ``recover=False``
+        (shutdown), the death raises :class:`QueryError`.
         """
-        attempts = 0
         while True:
-            mark = self._shipped_total[shard]
-            self._put(shard, ("state",), "request")
             try:
                 reply = self._conns[shard].recv()
             except EOFError:
-                if not self.supervise:
+                if not (self.supervise and recover):
                     raise QueryError(
-                        f"shard worker {shard} died before answering; "
-                        "check for exceptions in the worker log"
+                        f"shard worker {shard} died before answering "
+                        f"{request[0]!r}; check the worker log for exceptions"
                     ) from None
-                attempts += 1
                 self._recover(shard, "request")
-                if attempts > self.max_respawns:  # pragma: no cover - guard
-                    raise QueryError(
-                        f"shard worker {shard} kept dying during state "
-                        "collection"
-                    ) from None
+                self._put(shard, request, "request")
                 continue
             if reply[0] == "error":
                 raise QueryError(f"shard worker failed: {reply[1]}")
-            blob = reply[1]
-            self._ckpt_mark[shard] = mark
-            self._ckpt_blobs[shard] = blob
-            return blob
+            return reply[1]
 
     # -- routing / ingestion ------------------------------------------------------
 
-    def _route(self, row: tuple) -> int:
-        if not self._routing.keyed:
-            # No GROUP BY: a single global group; any placement merges
-            # correctly, so spread load round-robin.
-            shard = self._round_robin
-            self._round_robin = (shard + 1) % self.shards
-            return shard
-        return self._router(self._routing.key(row), self.shards)
-
     def process(self, row: tuple) -> None:
-        """Route one tuple to its shard (batched; see ``batch_size``)."""
+        """Offer one tuple: buffered at the edge and routed with its batch
+        at ``batch_size`` rows, or before any heartbeat, read or close."""
         self._ensure_open()
-        shard = self._route(row)
-        buffer = self._buffers[shard]
-        buffer.append(row)
-        self._rows_routed += 1
-        if len(buffer) >= self.batch_size:
-            self._ship(shard)
+        self._edge.append(row)
+        if len(self._edge) >= self.batch_size:
+            self._flush_edge()
 
     def insert_many(self, rows: Iterable[tuple]) -> None:
-        """Route a batch of tuples, shipping full per-shard buffers."""
-        self._ensure_open()
-        buffers = self._buffers
-        route = self._route
-        batch_size = self.batch_size
-        full: set[int] = set()
-        count = 0
-        for row in rows:
-            shard = route(row)
-            buffer = buffers[shard]
-            buffer.append(row)
-            count += 1
-            if len(buffer) >= batch_size:
-                full.add(shard)
-        self._rows_routed += count
-        for shard in full:
-            self._ship(shard)
+        """Route a batch of tuples: transposed here, once, and handed to
+        :meth:`insert_cols`."""
+        self.insert_cols(rows_to_cols(rows))
 
     def insert_cols(self, cols: list) -> None:
         """Route one columnar batch; per-shard partitions ship immediately.
 
         ``cols`` is one list per schema field, all the same length (as a
-        serve backend hands over from an ``INSERT_COLS`` frame).  Rows
-        are routed to exactly the shards :meth:`insert_many` would route
-        the transposed batch to — GROUP BY keys come from the columnar
-        compiled expressions when available — and each shard's partition
-        stays columnar end to end: packed with
-        :func:`repro.core.cols.pack_cols` on the way out — one dense
-        buffer on the queue instead of a pickled list of tuples —
-        ingested through the worker engine's ``insert_cols`` kernel on
-        the way in.  Results are bit-identical to the row path.
-
-        Any rows the shard buffered via :meth:`process` /
-        :meth:`insert_many` ship first, so interleaving the two paths
-        preserves per-shard arrival order.
+        serve backend hands over from an ``INSERT_COLS`` frame); an empty
+        batch is ignored.  Each shard's partition stays columnar end to
+        end — one :func:`repro.core.cols.pack_cols` buffer on the queue,
+        the worker engine's ``insert_cols`` kernel behind it — and
+        results are bit-identical to feeding the rows to :meth:`process`,
+        whose buffered rows ship first to keep per-shard arrival order.
         """
         self._ensure_open()
-        if not cols:
-            return
-        count = len(cols[0])
-        for index, column in enumerate(cols):
-            if len(column) != count:
-                raise QueryError(
-                    f"ragged columnar batch: column {index} has "
-                    f"{len(column)} rows, column 0 has {count}"
-                )
-        if count == 0:
-            return
-        keys = self._routing.keys(cols, count) if self._routing.keyed else None
-        router = self._router
-        n = self.shards
-        index_lists: list[list[int]] = [[] for __ in range(n)]
-        if keys is None:
-            # No GROUP BY: continue the row path's round-robin counter.
-            start = self._round_robin
-            self._round_robin = (start + count) % n
-            for i in range(count):
-                index_lists[(start + i) % n].append(i)
-        else:
-            for i, key in enumerate(keys):
-                index_lists[router(key, n)].append(i)
-        self._rows_routed += count
-        for shard, indices in enumerate(index_lists):
-            if not indices:
-                continue
-            self._ship(shard)
-            if len(indices) == count:
-                self._ship_cols(shard, cols, count)
+        self._flush_edge()
+        self._route_cols(cols, self._put)
+
+    def _flush_edge(self, put=None) -> None:
+        """Route and ship the rows :meth:`process` buffered."""
+        if self._edge:
+            rows, self._edge = self._edge, []
+            self._route_cols(rows_to_cols(rows), put or self._put)
+
+    def _route_cols(self, cols: list, put) -> None:
+        """Deliver each shard's part of ``cols``: to the inline engine,
+        or packed through ``put`` (shipped only if ``put`` queued it)."""
+        parts = self._routing.partition(cols, self._place, range(self.shards))
+        for shard, part, count in parts:
+            self._rows_routed += count
+            if self.inline:
+                self._engines[shard].insert_cols(part)
             else:
-                part = [[column[i] for i in indices] for column in cols]
-                self._ship_cols(shard, part, len(indices))
-
-    def _ship(self, shard: int) -> None:
-        buffer = self._buffers[shard]
-        if not buffer:
-            return
-        self._buffers[shard] = []
-        if self.inline:
-            self._engines[shard].insert_many(buffer)
-        else:
+                if self._obs:
+                    try:
+                        self._m_queue_depth.set(float(self._queues[shard].qsize()))
+                    except NotImplementedError:  # pragma: no cover - macOS
+                        pass
+                if not put(shard, ("colb", pack_cols(part))):
+                    continue
+                self._shipped_total[shard] += count
             if self._obs:
-                try:
-                    self._m_queue_depth.set(float(self._queues[shard].qsize()))
-                except NotImplementedError:  # pragma: no cover - macOS qsize
-                    pass
-            self._put(shard, ("rows", buffer), "ship")
-            self._shipped_total[shard] += len(buffer)
-        if self._obs:
-            self._m_shard_rows[shard].add(float(len(buffer)))
-            self._m_batches.add(1.0)
-
-    def _ship_cols(self, shard: int, part: list, count: int) -> None:
-        """Deliver one shard's columnar partition as packed bytes."""
-        if self.inline:
-            self._engines[shard].insert_cols(part)
-        else:
-            if self._obs:
-                try:
-                    self._m_queue_depth.set(float(self._queues[shard].qsize()))
-                except NotImplementedError:  # pragma: no cover - macOS qsize
-                    pass
-            self._put(shard, ("colb", pack_cols(part)), "ship")
-            self._shipped_total[shard] += count
-        if self._obs:
-            self._m_shard_rows[shard].add(float(count))
-            self._m_batches.add(1.0)
-
-    def _ship_all(self) -> None:
-        for shard in range(self.shards):
-            self._ship(shard)
+                self._m_shard_rows[shard].add(float(count))
+                self._m_batches.add(1.0)
 
     # -- punctuation --------------------------------------------------------------
 
-    def _deliver_heartbeat(self, shard: int, row: tuple) -> None:
-        # Ship the shard's buffered rows first so the marker never
-        # overtakes data routed before it — both travel the same queue.
-        self._ship(shard)
-        if self.inline:
-            self._engines[shard].heartbeat(row)
-        else:
-            self._put(shard, ("heartbeat", row), "ship")
+    def _deliver_heartbeat(self, shards: Iterable[int], row: tuple) -> None:
+        # Ship buffered rows first so the marker never overtakes data
+        # offered before it — both travel the same queues.
+        self._ensure_open()
+        self._flush_edge()
+        for shard in shards:
+            if self.inline:
+                self._engines[shard].heartbeat(row)
+            else:
+                self._put(shard, ("heartbeat", row))
 
     def heartbeat(self, row: tuple) -> None:
         """Route punctuation to the shard owning ``row``'s group key.
@@ -561,14 +477,12 @@ class ShardedEngine:
         whose keys all hash to one shard.  For stream-wide punctuation use
         :meth:`heartbeat_all`.
         """
-        self._ensure_open()
-        self._deliver_heartbeat(self._route(row), row)
+        owner = self._routing.owner(row, self._place, range(self.shards))
+        self._deliver_heartbeat([owner], row)
 
     def heartbeat_all(self, row: tuple) -> None:
         """Broadcast punctuation to every shard (global event time)."""
-        self._ensure_open()
-        for shard in range(self.shards):
-            self._deliver_heartbeat(shard, row)
+        self._deliver_heartbeat(range(self.shards), row)
 
     def drain(self) -> list[ResultRow]:
         """Result rows of time buckets closed by the shards so far.
@@ -579,33 +493,20 @@ class ShardedEngine:
         grouped within a shard, since every shard closes buckets at its
         own pace.  Cleared on read, like :meth:`QueryEngine.drain`.
 
-        Note that :meth:`query` ships buffered rows, which can itself
-        close buckets; emitted rows never appear in query results, so
+        Rows buffered by :meth:`process` ship first (which can itself
+        close buckets).  Emitted rows never appear in query results, so
         callers interleaving the two should drain *after* querying too.
+        A dead worker's undrained rows are part of its checkpoint delta.
         """
         self._ensure_open()
-        if self.inline:
-            rows: list[ResultRow] = []
-            for engine in self._engines:
-                rows.extend(engine.drain())
-            return rows
-        rows = []
+        self._flush_edge()
+        rows: list[ResultRow] = []
         for shard in range(self.shards):
-            self._put(shard, ("drain",), "request")
-            try:
-                reply = self._conns[shard].recv()
-            except EOFError:
-                if self.supervise:
-                    # Emitted-but-unsent rows died with the worker; the
-                    # loss is already covered by the checkpoint delta.
-                    self._recover(shard, "request")
-                    continue
-                raise QueryError(
-                    f"shard worker {shard} died before answering drain"
-                ) from None
-            if reply[0] == "error":
-                raise QueryError(f"shard worker failed: {reply[1]}")
-            rows.extend(reply[1])
+            if self.inline:
+                rows.extend(self._engines[shard].drain())
+            else:
+                self._put(shard, ("drain",), "request")
+                rows.extend(self._recv(shard, ("drain",)))
         return rows
 
     # -- querying -----------------------------------------------------------------
@@ -620,7 +521,7 @@ class ShardedEngine:
         window of rows.
         """
         self._ensure_open()
-        self._ship_all()
+        self._flush_edge()
         if self.inline:
             # Same contract as the worker's state handler: a snapshot of
             # a store-backed shard also makes its manifest durable.
@@ -630,30 +531,20 @@ class ShardedEngine:
                     engine.store_checkpoint()
             return blobs
         # Pipelined: every request is queued before the first reply is
-        # read, so shards snapshot concurrently.  No ship can interleave
-        # (single-threaded router), so the post-put row total is the mark.
-        marks = []
+        # read, so shards snapshot concurrently.
         for shard in range(self.shards):
             self._put(shard, ("state",), "request")
-            marks.append(self._shipped_total[shard])
         blobs: list[bytes] = []
         for shard in range(self.shards):
-            try:
-                reply = self._conns[shard].recv()
-            except EOFError:
-                if not self.supervise:
-                    raise QueryError(
-                        f"shard worker {shard} died before answering; "
-                        "check for exceptions in the worker log"
-                    ) from None
-                self._recover(shard, "request")
-                blobs.append(self._request_state(shard))
-                continue
-            if reply[0] == "error":
-                raise QueryError(f"shard worker failed: {reply[1]}")
-            self._ckpt_mark[shard] = marks[shard]
-            self._ckpt_blobs[shard] = reply[1]
-            blobs.append(reply[1])
+            blob = self._recv(shard, ("state",))
+            # The reply covers every batch shipped before the request
+            # (same queue, FIFO; no ship can interleave), so it doubles
+            # as a checkpoint: the blob and the rows-shipped total (the
+            # recovered baseline, if answering took a respawn) become
+            # the shard's recovery point.
+            self._ckpt_mark[shard] = self._shipped_total[shard]
+            self._ckpt_blobs[shard] = blob
+            blobs.append(blob)
         return blobs
 
     def store_pressure(self) -> float:
@@ -716,7 +607,7 @@ class ShardedEngine:
     @property
     def rows_routed(self) -> int:
         """Tuples accepted by the router so far (shipped or buffered)."""
-        return self._rows_routed
+        return self._rows_routed + len(self._edge)
 
     @property
     def failures(self) -> list[ShardFailure]:
@@ -724,12 +615,12 @@ class ShardedEngine:
         return list(self._failures)
 
     def stats(self) -> dict:
-        """Router-side statistics plus per-shard buffered counts."""
+        """Router-side statistics plus the edge buffer's row count."""
         return {
             "shards": self.shards,
             "inline": self.inline,
-            "rows_routed": self._rows_routed,
-            "buffered": [len(b) for b in self._buffers],
+            "rows_routed": self.rows_routed,
+            "buffered": len(self._edge),
             "batch_size": self.batch_size,
             "supervised": self.supervise,
             "respawns": list(self._respawns),
@@ -776,40 +667,29 @@ class ShardedEngine:
             return self._close_stats
         counts: list[int] = []
         if self.inline:
-            self._ship_all()
+            self._flush_edge()
             counts = [engine.tuples_processed for engine in self._engines]
             for engine in self._engines:
                 if engine.store is not None:
                     engine.store.close()
         else:
-            stopped = []
-            for shard in range(self.shards):
-                buffer = self._buffers[shard]
-                if buffer and self._try_put(shard, ("rows", buffer)):
-                    self._buffers[shard] = []
-                    self._shipped_total[shard] += len(buffer)
-                stopped.append(self._try_put(shard, ("stop",)))
-            for shard, conn in enumerate(self._conns):
-                if not stopped[shard] or not conn.poll(_CLOSE_WAIT_S):
-                    counts.append(-1)
-                    continue
-                try:
-                    reply = conn.recv()
-                    counts.append(reply[1] if reply[0] == "stopped" else -1)
-                except EOFError:
-                    counts.append(-1)
+            self._flush_edge(self._try_put)
+            shards = range(self.shards)
+            stopped = [self._try_put(shard, ("stop",)) for shard in shards]
+            for shard in shards:
+                count = -1
+                if stopped[shard] and self._conns[shard].poll(_CLOSE_WAIT_S):
+                    try:
+                        count = self._recv(shard, ("stop",), recover=False)
+                    except QueryError:
+                        pass
+                counts.append(count)
             for process in self._workers:
                 process.join(timeout=_CLOSE_WAIT_S)
                 if process.is_alive():
                     process.terminate()
-            for queue in self._queues:
-                queue.cancel_join_thread()
-                queue.close()
-            for conn in self._conns:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - already torn down
-                    pass
+            for shard in shards:
+                self._abandon_transport(shard)
             for process in self._workers:
                 if process.exitcode is None:
                     process.join(timeout=_CLOSE_WAIT_S)

@@ -7,18 +7,15 @@ under any multiprocessing start method (fork, spawn, forkserver).
 
 Protocol (messages on the worker's bounded input queue, in order):
 
-``("rows", [tuple, ...])``
-    Ingest one batch via the engine's batched ``insert_many`` path.
 ``("colb", packed_bytes)``
-    Ingest one columnar batch: the payload is a
+    Ingest one batch — the only data message: the payload is a
     :func:`repro.core.cols.pack_cols` byte string, unpacked here and fed
     through the engine's ``insert_cols`` kernel — typed column blocks
-    cross the process boundary as raw bytes instead of a pickled list
-    of tuples.
+    cross the process boundary as raw bytes, never as pickled tuples.
 ``("heartbeat", row)``
     Advance event time via the engine's ``heartbeat`` — punctuation, not
-    data.  No reply; ordering relative to earlier ``rows`` batches is
-    preserved because both travel the same queue.
+    data.  No reply; ordering relative to earlier batches is preserved
+    because both travel the same queue.
 ``("merge", blob)``
     Fold a serde-encoded partial state into the engine — how the
     supervisor re-seeds a respawned worker from the shard's most recent
@@ -29,7 +26,7 @@ Protocol (messages on the worker's bounded input queue, in order):
     keeps its state and keeps ingesting: merge-at-query, not
     merge-per-batch.
 ``("drain",)``
-    Reply ``("rows", [ResultRow, ...])`` with the result rows of time
+    Reply ``("drained", [ResultRow, ...])`` with the result rows of time
     buckets the engine has closed so far (cleared on read, exactly like
     :meth:`~repro.dsms.engine.QueryEngine.drain`).
 ``("stop",)``
@@ -136,9 +133,7 @@ def shard_worker_main(plan: ShardPlan, shard_id: int, in_queue, conn) -> None:
         while True:
             message = in_queue.get()
             tag = message[0]
-            if tag == "rows":
-                engine.insert_many(message[1])
-            elif tag == "colb":
+            if tag == "colb":
                 engine.insert_cols(unpack_cols(message[1])[0])
             elif tag == "heartbeat":
                 engine.heartbeat(message[1])
@@ -154,7 +149,7 @@ def shard_worker_main(plan: ShardPlan, shard_id: int, in_queue, conn) -> None:
                     engine.store_checkpoint()
                 conn.send(("state", blob))
             elif tag == "drain":
-                conn.send(("rows", engine.drain()))
+                conn.send(("drained", engine.drain()))
             elif tag == "stop":
                 if engine.store is not None:
                     engine.store.close()

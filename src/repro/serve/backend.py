@@ -1,6 +1,6 @@
 """Engine backends the server drives: one query, single- or sharded-core.
 
-Both backends expose the same small surface — batched ingest, punctuation,
+Both backends expose the same small surface — columnar ingest, punctuation,
 non-destructive merge-at-query reads, and partial-state checkpoints — so
 :class:`~repro.serve.server.StreamServer` never cares which one it holds.
 
@@ -81,10 +81,6 @@ class SingleEngineBackend(_BackendBase):
     def __init__(self, plan: ShardPlan):
         super().__init__(plan)
         self._engine = plan.build_engine(store_dir=plan.store_dir)
-
-    def insert_many(self, rows: list[tuple]) -> None:
-        """Ingest one batch through the engine's batched path."""
-        self._engine.insert_many(rows)
 
     def insert_cols(self, cols: list) -> None:
         """Ingest one columnar batch through the engine's bulk path."""
@@ -171,10 +167,6 @@ class ShardedBackend(_BackendBase):
             store_dir=plan.store_dir,
             store_hot_groups=plan.store_hot_groups,
         )
-
-    def insert_many(self, rows: list[tuple]) -> None:
-        """Route one batch across the shards."""
-        self._sharded.insert_many(rows)
 
     def insert_cols(self, cols: list) -> None:
         """Partition one columnar batch across the shards column-wise."""

@@ -29,9 +29,15 @@ marks the client **dead** — the transport is closed and every later call
 fails fast with the same structured :class:`ClientConnectionError` instead
 of confusing errors off a half-broken stream.  With ``retries > 0`` the
 client instead reconnects with exponential backoff + jitter and replays
-exactly the unacknowledged INSERT batches: each batch carries a ``seq``
-the server echoes on its CREDIT, so an acked batch is never re-sent and an
+exactly the unacknowledged batches: each batch carries a ``seq`` the
+server echoes on its CREDIT, so an acked batch is never re-sent and an
 unacked one is sent at most once per connection epoch.
+
+Rows stop here: :meth:`~ServeClient.insert` transposes once and all
+below sees columns.  A batch is packed into its ``INSERT_COLS`` frame
+when it is registered, *before* it takes a ``seq`` or a credit, so one
+the wire cannot carry (:class:`~repro.serve.protocol.FrameTooLarge`)
+leaves the client as it was; a replay re-sends the stored bytes.
 :meth:`~ServeClient.flush` then reports a deterministic per-batch outcome
 (``acked`` or ``replayed``) even across a server restart.
 """
@@ -44,6 +50,7 @@ import random
 import socket
 import time
 
+from repro.core.cols import row_count
 from repro.core.errors import DecayError, ProtocolError
 from repro.serve import protocol
 from repro.serve.protocol import Frame, FrameDecoder, RemoteError
@@ -102,7 +109,6 @@ class _ClientCore:
         backoff_s: float = 0.05,
         backoff_max_s: float = 2.0,
         jitter: bool = True,
-        columnar: bool = True,
         batch_rows: int = 1024,
     ):
         if retries < 0:
@@ -136,31 +142,19 @@ class _ClientCore:
         self._dead: ClientConnectionError | None = None
         self._closed = False
         self._close_info: dict = {}
-        # Columnar negotiation: the client HELLOs its preferred version
-        # and adopts whatever WELCOME grants; batches are framed at send
-        # time, so replays survive a server up/downgrade mid-stream.
-        self._columnar = columnar
-        self._prefer_version = (
-            protocol.WIRE_VERSION if columnar else protocol.MIN_WIRE_VERSION
-        )
-        self.negotiated_version = protocol.MIN_WIRE_VERSION
         # Client-side accumulation (the append() knob): rows buffer here
         # until batch_rows are ready, then ship as one batch.
         self.batch_rows = batch_rows
         self._row_buffer: list[tuple] = []
-        # Batch-replay accounting: every INSERT gets a client-unique seq;
+        # Batch-replay accounting: every batch gets a client-unique seq;
         # the server echoes it on the CREDIT that acknowledges the batch.
         self._next_seq = 1
-        self._unacked: dict[int, list] = {}  # seq -> raw rows (FIFO)
+        # seq -> (row count, INSERT_COLS frame bytes), oldest first
+        self._unacked: dict[int, tuple[int, bytes]] = {}
         self._sent_on_conn: set[int] = set()  # seqs sent this connection
         self._outcomes: dict[int, str] = {}  # seq -> "acked" | "replayed"
 
     # -- introspection -------------------------------------------------------------
-
-    @property
-    def columnar_active(self) -> bool:
-        """True when batches go out as INSERT_COLS on this connection."""
-        return self._columnar and self.negotiated_version >= 2
 
     @property
     def query_sql(self) -> str:
@@ -173,7 +167,7 @@ class _ClientCore:
 
     @property
     def unacked_batches(self) -> list[int]:
-        """Seqs of INSERT batches sent but not yet credited, oldest first."""
+        """Seqs of batches sent but not yet credited, oldest first."""
         return list(self._unacked)
 
     @property
@@ -184,7 +178,7 @@ class _ClientCore:
         loss accounting counts only *acked* rows (``sent - unacked``)
         against a node's last checkpoint.
         """
-        return sum(len(rows) for rows in self._unacked.values())
+        return sum(count for count, _frame in self._unacked.values())
 
     def drain_pushes(self) -> list[dict]:
         """Subscription results buffered so far (decoded, arrival order)."""
@@ -257,13 +251,7 @@ class _ClientCore:
 
     def _absorb_credit(self, payload: dict) -> None:
         self.credits += int(payload.get("credits", 1))
-        seq = payload.get("seq")
-        if seq is not None:
-            self._unacked.pop(seq, None)
-        elif self._unacked:
-            # Pre-seq server: credits return in send order, so the
-            # oldest outstanding batch is the one acknowledged.
-            self._unacked.pop(next(iter(self._unacked)))
+        self._unacked.pop(payload.get("seq"), None)
         # The server may grant 0 or 2 credits per batch to shrink or
         # grow the window under backend pressure; track the implied
         # window so flush's drain target follows it instead of
@@ -316,41 +304,18 @@ class _ClientCore:
 
     # -- handshake / reconnect -----------------------------------------------------
 
-    def _hello_payload(self, schema_names: list | None) -> dict:
-        payload = {"wire_version": self._prefer_version, "client": "repro"}
-        if schema_names is not None:
-            payload["schema"] = list(schema_names)
-        return payload
-
     def _connect(self):
         """Dial, handshake, and adopt the fresh connection (new decoder,
-        full credit window), falling back to the row wire if rejected.
-
-        A pre-columnar server that refuses the v2 HELLO outright (code
-        ``wire-version``) gets one redial at the minimum version; all
-        other handshake errors propagate.
-        """
-        while True:
-            yield ("dial",)
-            self._decoder = FrameDecoder(self._max_frame_bytes)
-            self._pending = []
-            yield from self._send(
-                protocol.HELLO, self._hello_payload(self._schema_names)
-            )
-            try:
-                welcome = yield from self._recv_reply(protocol.WELCOME)
-                break
-            except RemoteError as error:
-                if (
-                    error.code != "wire-version"
-                    or self._prefer_version <= protocol.MIN_WIRE_VERSION
-                ):
-                    raise
-                self._prefer_version = protocol.MIN_WIRE_VERSION
+        full credit window); a handshake ERROR propagates."""
+        yield ("dial",)
+        self._decoder = FrameDecoder(self._max_frame_bytes)
+        self._pending = []
+        hello = {"wire_version": protocol.WIRE_VERSION, "client": "repro"}
+        if self._schema_names is not None:
+            hello["schema"] = list(self._schema_names)
+        yield from self._send(protocol.HELLO, hello)
+        welcome = yield from self._recv_reply(protocol.WELCOME)
         self.server_info = welcome.payload
-        self.negotiated_version = int(
-            welcome.payload.get("wire_version", protocol.MIN_WIRE_VERSION)
-        )
         self.credits = int(welcome.payload.get("credits", 1))
         self.window = self.credits
         self._sent_on_conn = set()
@@ -386,9 +351,9 @@ class _ClientCore:
         credit.  Batches acked on the old connection are never re-sent —
         at most once per batch relative to the server's restored state.
         """
-        for seq, rows in list(self._unacked.items()):
+        for seq in list(self._unacked):
             self._outcomes[seq] = "replayed"
-            yield from self._send_batch(seq, rows)
+            yield from self._send_batch(seq)
 
     def _retrying(self, operation):
         """Run ``operation()``, reconnecting across transport deaths."""
@@ -417,60 +382,56 @@ class _ClientCore:
 
     # -- ingest --------------------------------------------------------------------
 
-    def _send_batch(self, seq: int, rows: list[tuple]):
-        """Spend a credit and frame one batch for the negotiated version.
-
-        Framing happens at send time, not registration time: a batch
-        registered against a v2 connection but replayed after reconnecting
-        to a v1 server goes out as a row INSERT, and vice versa.
-        """
+    def _send_batch(self, seq: int):
+        """Spend a credit and send a registered batch's stored frame —
+        first delivery and replay write the same bytes."""
         self.credits -= 1
         self._sent_on_conn.add(seq)
-        if self.columnar_active:
-            data = protocol.encode_cols(
-                protocol.rows_to_cols(rows),
-                seq=seq,
-                max_frame_bytes=self._max_frame_bytes,
-            )
-        else:
-            data = protocol.encode_frame(
-                protocol.INSERT,
-                {"rows": protocol.encode_rows(rows), "seq": seq},
-                max_frame_bytes=self._max_frame_bytes,
-            )
-        yield from self._io("send", data)
+        yield from self._io("send", self._unacked[seq][1])
 
-    def _ship(self, rows):
-        """Assign the next seq to a batch, track it until its CREDIT, and
-        deliver it under the credit window.
+    def _ship(self, cols: list):
+        """Pack a column batch into its frame, track it under the next
+        seq until its CREDIT, and deliver it under the credit window.
 
-        Batches are tracked as raw row tuples (not encoded frames) so the
-        wire format is chosen per connection at send time.
+        An empty batch sends nothing and returns ``None``; one that
+        cannot be framed (ragged, over ``max_frame_bytes``) raises before
+        any state changes.
         """
-        batch = [tuple(row) for row in rows]
+        count = row_count(cols)
+        if count == 0:
+            return None
         seq = self._next_seq
+        frame = protocol.encode_cols(
+            cols, seq=seq, max_frame_bytes=self._max_frame_bytes
+        )
         self._next_seq += 1
-        self._unacked[seq] = batch
+        self._unacked[seq] = (count, frame)
         self._outcomes[seq] = "acked"  # its fate by the next flush, unless replayed
 
         def deliver():
             # Already acked (or replayed by a reconnect) — nothing to do.
             if seq in self._unacked and seq not in self._sent_on_conn:
                 yield from self._await_credit()
-                yield from self._send_batch(seq, batch)
+                yield from self._send_batch(seq)
 
         yield from self._retrying(deliver)
         return seq
 
     @_operation
-    def insert(self, rows: list[tuple]) -> int:
-        """Send one INSERT batch, honouring the credit window.
+    def insert(self, rows: list[tuple]) -> int | None:
+        """Send one batch of row tuples, honouring the credit window.
 
-        Returns the batch's ``seq``.  With retries enabled the batch is
-        delivered across reconnects (replayed only if unacknowledged);
-        without, a transport error marks the client dead and raises.
+        Transposed here, once: :meth:`insert_cols` from then on.  Returns
+        the batch's ``seq`` (``None`` for an empty batch).  With retries
+        enabled the batch is delivered across reconnects (replayed only
+        if unacknowledged); without, a transport error marks the client
+        dead and raises.
         """
-        return (yield from self._ship(rows))
+        return (yield from self._ship(protocol.rows_to_cols(rows)))
+
+    #: Send one batch already in columns (one equal-length list per schema
+    #: field) — what :meth:`insert` becomes after its transpose.
+    insert_cols = _operation(_ship)
 
     @_operation
     def append(self, row: tuple) -> int | None:
@@ -482,13 +443,16 @@ class _ClientCore:
         """
         self._row_buffer.append(tuple(row))
         if len(self._row_buffer) >= self.batch_rows:
-            batch, self._row_buffer = self._row_buffer, []
-            return (yield from self._ship(batch))
+            return (yield from self._ship_buffer())
         return None
+
+    def _ship_buffer(self):
+        batch, self._row_buffer = self._row_buffer, []
+        return (yield from self._ship(protocol.rows_to_cols(batch)))
 
     @_operation
     def flush(self) -> dict:
-        """Block until every in-flight INSERT has been acknowledged.
+        """Block until every in-flight batch has been acknowledged.
 
         Inserts pipeline up to the credit window, so a rejected batch
         raises :class:`RemoteError` on a *later* read; ``flush`` waits for
@@ -500,9 +464,7 @@ class _ClientCore:
         (``replayed`` batches were re-sent after a reconnect, everything
         else was acknowledged first try).
         """
-        if self._row_buffer:
-            batch, self._row_buffer = self._row_buffer, []
-            yield from self._ship(batch)
+        yield from self._ship_buffer()
 
         def drained() -> bool:
             return self.credits >= self.window and not self._unacked
@@ -630,11 +592,11 @@ class ServeClient(_ClientCore):
     With ``retries=N`` (opt-in) the client survives transport failures and
     server restarts: failed calls reconnect with exponential backoff
     (``backoff_s`` doubling per attempt up to ``backoff_max_s``, jittered),
-    and unacknowledged INSERT batches are replayed by ``seq`` — see the
+    and unacknowledged batches are replayed by ``seq`` — see the
     module docstring for the exact semantics.  ``timeout_s`` bounds every
     socket operation; ``options`` are :class:`_ClientCore`'s keywords
     (``schema_names``, ``max_frame_bytes``, ``retries``, ``backoff_s``,
-    ``backoff_max_s``, ``jitter``, ``columnar``, ``batch_rows``).
+    ``backoff_max_s``, ``jitter``, ``batch_rows``).
     """
 
     def __init__(

@@ -18,11 +18,11 @@ travel through the tagged encoding of
 byte-exactly.
 
 Three frame types are the exception and carry a *binary* body, a
-:mod:`repro.core.cols` packed batch.  ``INSERT_COLS`` (wire version 2)
-holds a batch of stream tuples transposed into typed column buffers, so
-a million-row batch costs one ``struct`` unpack per column instead of a
-million tagged JSON values; ``PARTIALS_OK`` and ``ADOPT`` hold one
-``bytes`` column whose rows are the raw partial-state blobs
+:mod:`repro.core.cols` packed batch.  ``INSERT_COLS`` — the one ingest
+frame — holds a batch of stream tuples transposed into typed column
+buffers, so a million-row batch costs one ``struct`` unpack per column
+instead of a million tagged JSON values; ``PARTIALS_OK`` and ``ADOPT``
+hold one ``bytes`` column whose rows are the raw partial-state blobs
 (:func:`encode_blobs` — no hex, no envelope).  Layout after the type
 byte: the packed batch of :mod:`repro.core.cols`, whose module docstring
 has the diagram (version, ``seq+1``, row and column counts, then one
@@ -31,8 +31,10 @@ has the diagram (version, ``seq+1``, row and column counts, then one
 ``seq+1`` is zero when the batch carries no sequence number.  The per-
 column ``kind`` is chosen from the *values* (falling back to ``tagged``
 for mixed or out-of-range columns), so int/float/str identity survives
-the wire bit-exactly — the columnar path produces byte-identical results
-to row frames.
+the wire bit-exactly — a served batch produces byte-identical results to
+the same rows fed to an in-process engine.  Rows exist only above the
+client API: ``insert(rows)`` transposes once and everything below it,
+this module included, sees columns.
 
 Frame types
 -----------
@@ -42,10 +44,9 @@ name       code  direction    body
 ========== ===== ============ ====================================================
 HELLO      1     client → srv ``wire_version``, ``schema`` (names), ``client``
 WELCOME    2     srv → client negotiated ``credits``, server ``query``/``schema``
-INSERT     3     client → srv ``rows`` (list of tuples); consumes one credit;
-                              optional ``seq`` — client batch id for replay
+(reserved) 3     —            the retired row INSERT; answered ``unknown-frame``
 CREDIT     4     srv → client ``credits`` granted back (backpressure); echoes
-                              the INSERT's ``seq`` so acks key to batches
+                              the batch's ``seq`` so acks key to batches
 HEARTBEAT  5     client → srv ``row`` — punctuation, advances event time only
 QUERY      6     client → srv (empty) request merged results now
 RESULT     7     srv → client ``rows``; pushes carry ``sub``/``seq``/``done``
@@ -57,8 +58,8 @@ STATS_OK   12    srv → client server/backend/metrics statistics
 ERROR      13    srv → client structured ``code`` + ``message`` (+ ``frame``)
 BYE        14    client → srv (empty) graceful goodbye
 GOODBYE    15    srv → client ``tuples_in`` — connection totals, then close
-INSERT_COLS 16   client → srv binary columnar batch (wire version >= 2);
-                              same credit/seq semantics as INSERT
+INSERT_COLS 16   client → srv binary columnar batch; consumes one credit;
+                              optional ``seq`` — client batch id for replay
 PARTIALS   17    client → srv (empty) request the backend's partial-state
                               blobs (the Section VI-B mergeable form)
 PARTIALS_OK 18   srv → client binary blob batch — what a cluster router
@@ -78,10 +79,11 @@ connection keeps going.
 
 Version negotiation: HELLO carries the client's highest ``wire_version``;
 the server answers WELCOME with ``wire_version = min(client, server)``
-and both sides speak that.  A v1 client on a v2 server keeps sending row
-INSERT frames; a v2 client on a v1 server falls back to row frames.
-``INSERT_COLS`` on a connection that negotiated v1 is a frame-scoped
-``wire-version`` error.
+and both sides speak that, so a future client negotiates *down* to this
+build.  Version 2 is the only one spoken: version 1's row-JSON ``INSERT``
+frames ran at under half the columnar rate and were removed (DESIGN.md
+§10), and a HELLO below the minimum (or with a junk version) earns a
+connection-scoped ``wire-version`` ERROR naming the supported range.
 
 Framing errors (bad length, oversized frame, undecodable body — columnar
 bodies included) are *connection-scoped*: the server answers with ERROR
@@ -123,8 +125,6 @@ __all__ = [
     "FrameTooLarge",
     "encode_frame",
     "decode_frame_body",
-    "encode_rows",
-    "decode_rows",
     "encode_cols",
     "decode_cols",
     "rows_to_cols",
@@ -146,8 +146,8 @@ __all__ = [
 #: Highest protocol revision this build speaks (carried in HELLO).
 WIRE_VERSION = 2
 
-#: Oldest revision still accepted; v1 peers speak row INSERT frames only.
-MIN_WIRE_VERSION = 1
+#: Oldest revision still accepted (version 1's row frames are gone).
+MIN_WIRE_VERSION = 2
 
 #: Default ceiling on ``length``; larger frames are rejected before the
 #: body is buffered, so a hostile length prefix cannot balloon memory.
@@ -156,10 +156,10 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: ``struct`` format of the length prefix.
 HEADER = struct.Struct(">I")
 
-# Frame type codes (see the module docstring table).
+# Frame type codes (see the module docstring table).  3 is reserved: it
+# was the row INSERT and must never be reassigned to a different body.
 HELLO = 1
 WELCOME = 2
-INSERT = 3
 CREDIT = 4
 HEARTBEAT = 5
 QUERY = 6
@@ -181,7 +181,6 @@ ADOPT_OK = 20
 _FRAME_NAMES = {
     HELLO: "HELLO",
     WELCOME: "WELCOME",
-    INSERT: "INSERT",
     CREDIT: "CREDIT",
     HEARTBEAT: "HEARTBEAT",
     QUERY: "QUERY",
@@ -213,9 +212,7 @@ def negotiate_version(client_version) -> int | None:
     The result is ``min(client, WIRE_VERSION)``; clients older than
     :data:`MIN_WIRE_VERSION` (and junk versions) get ``None`` — reject.
     """
-    if not isinstance(client_version, int) or isinstance(client_version, bool):
-        return None
-    if client_version < MIN_WIRE_VERSION:
+    if type(client_version) is not int or client_version < MIN_WIRE_VERSION:
         return None
     return min(client_version, WIRE_VERSION)
 
@@ -379,25 +376,7 @@ class FrameDecoder:
             self._pos = pos
 
 
-# -- row encodings -----------------------------------------------------------------
-
-
-def encode_rows(rows) -> list:
-    """Stream tuples → JSON-safe lists (types are validated server-side)."""
-    return [list(row) for row in rows]
-
-
-def decode_rows(data: list) -> list:
-    """Inverse of :func:`encode_rows`; shape errors become ProtocolError."""
-    if not isinstance(data, list):
-        raise ProtocolError("INSERT rows must be a list")
-    try:
-        return [tuple(row) for row in data]
-    except TypeError as exc:
-        raise ProtocolError(f"malformed row in INSERT frame: {exc}") from exc
-
-
-# -- columnar encoding (wire version 2) --------------------------------------------
+# -- columnar encoding -------------------------------------------------------------
 #
 # The codec itself lives in :mod:`repro.core.cols` (the shard transport
 # packs the same batches without importing this package); this module
@@ -421,14 +400,10 @@ def encode_cols(
     )
 
 
-def decode_cols(body) -> tuple[list[list], int | None, int]:
-    """Parse an INSERT_COLS body → ``(columns, seq, row_count)``.
-
-    Any truncation, trailing garbage, or malformed column payload raises
-    :class:`ProtocolError` — these are framing errors, connection-scoped
-    like every other undecodable body.
-    """
-    return unpack_cols(body)
+#: Parse an INSERT_COLS body → ``(columns, seq, row_count)``.  Truncation,
+#: trailing garbage or a malformed column raises :class:`ProtocolError` —
+#: framing errors, connection-scoped like every other undecodable body.
+decode_cols = unpack_cols
 
 
 def encode_blobs(blobs) -> bytes:

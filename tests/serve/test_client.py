@@ -54,18 +54,6 @@ class TestSyncClient:
                 client.flush()
                 assert client.credits == client.window
 
-    def test_wire_version_mismatch_raises_at_connect(self, monkeypatch):
-        from repro.serve.client import _ClientCore
-
-        def old_hello(self, schema_names):
-            return {"wire_version": 0, "client": "repro"}
-
-        monkeypatch.setattr(_ClientCore, "_hello_payload", old_hello)
-        with serve() as server:
-            with pytest.raises(RemoteError) as excinfo:
-                ServeClient(server.host, server.port)
-            assert excinfo.value.code == "wire-version"
-
     def test_query_sql_property(self):
         with serve() as server:
             with ServeClient(server.host, server.port) as client:
@@ -249,6 +237,70 @@ class TestScriptedCore:
             )
             assert outcome == expected, chunks
             assert transport.chunks == [], chunks
+
+    def test_oversized_batch_leaves_the_client_usable(self, scripted):
+        # Regression: the batch used to be given a seq, stored as unacked
+        # and charged a credit *before* framing failed, so the next flush
+        # waited for a CREDIT that could never come.
+        async def scenario(client):
+            with pytest.raises(protocol.FrameTooLarge):
+                await client.insert(make_rows(2000))
+            with pytest.raises(protocol.ProtocolError, match="ragged"):
+                await client.insert_cols([[], [1]])  # not an empty batch
+            untouched = (
+                client.unacked_batches, client.unacked_rows,
+                client.credits, client.window,
+            )
+            seq = await client.insert(make_rows(3))
+            report = await client.flush()
+            return untouched, seq, report, await client.query()
+
+        outcome, transport = scripted(
+            [WELCOME, CREDIT, RESULT], scenario, max_frame_bytes=2048
+        )
+        report = {"outcomes": {1: "acked"}, "reconnects": 0}
+        assert outcome == (([], 0, 2, 2), 1, report, [])
+        assert transport.chunks == []
+        assert len(transport.sent) == 3  # HELLO, one INSERT_COLS, QUERY
+
+    def test_empty_batch_sends_nothing(self, scripted):
+        # Regression: insert([]) used to go out as a zero-column frame
+        # and come back as a bad-rows ERROR on the next read.
+        async def scenario(client):
+            rows = await client.insert([]), await client.flush()
+            cols = (
+                await client.insert_cols([]),
+                await client.insert_cols([[], []]),
+                await client.flush(),
+            )
+            return rows, cols, client.credits
+
+        outcome, transport = scripted([WELCOME], scenario)
+        report = {"outcomes": {}, "reconnects": 0}
+        assert outcome == ((None, report), (None, None, report), 2)
+        assert len(transport.sent) == 1  # the HELLO
+
+    def test_replay_resends_the_stored_frame_bytes(self, scripted):
+        # The connection drops with seq 1 unacknowledged (b"" is EOF);
+        # the reconnect re-sends the very bytes packed at registration,
+        # once, and the CREDIT that follows retires the batch for good.
+        async def scenario(client):
+            seq = await client.insert(make_rows(5))
+            report = await client.flush()
+            return seq, report, client.unacked_batches
+
+        outcome, transport = scripted(
+            [WELCOME, b"", WELCOME, CREDIT], scenario,
+            retries=2, backoff_s=0.001, jitter=False,
+        )
+        report = {"outcomes": {1: "replayed"}, "reconnects": 1}
+        assert outcome == (1, report, [])
+        hello, batch, hello_again, replay = transport.sent
+        assert hello == hello_again
+        assert replay == batch
+        frame = protocol.decode_frame_body(batch[protocol.HEADER.size :])
+        assert frame.ftype == protocol.INSERT_COLS
+        assert (frame.payload["seq"], frame.payload["count"]) == (1, 5)
 
     def test_handshake_uses_the_same_decode_loop(self, scripted):
         # WELCOME trickling in byte by byte, and frames sharing the

@@ -1,13 +1,14 @@
 """The columnar data plane over the wire: negotiation, framing scope,
-client batching, and end-to-end equality with the row path.
+client batching, and end-to-end equality with an in-process engine.
 
-Contract under test (DESIGN.md §10): INSERT_COLS is a pure transport
-change — switching a client between row and columnar framing, or a
-server between wire versions, never changes a query answer.  Errors keep
-their scopes: an undecodable columnar body is a framing violation
-(connection-scoped, like any garbage body), while a well-formed batch
-that fails schema validation — or arrives on a v1-negotiated connection —
-costs one ERROR frame and nothing else.
+Contract under test (DESIGN.md §10): INSERT_COLS is the one ingest frame
+and a pure transport — serving a stream never changes a query answer.
+Version 2 is the only wire spoken: older HELLOs are refused, newer ones
+negotiate down, and the retired row INSERT's type code answers
+``unknown-frame``.  Errors keep their scopes: an undecodable columnar
+body is a framing violation (connection-scoped, like any garbage body),
+while a well-formed batch that fails schema validation costs one ERROR
+frame and nothing else.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class TestNegotiationMatrix:
     @pytest.mark.parametrize(
         ("offered", "negotiated"),
         [
-            (protocol.MIN_WIRE_VERSION, protocol.MIN_WIRE_VERSION),
             (protocol.WIRE_VERSION, protocol.WIRE_VERSION),
             (protocol.WIRE_VERSION + 1, protocol.WIRE_VERSION),
             (999, protocol.WIRE_VERSION),
@@ -50,50 +50,74 @@ class TestNegotiationMatrix:
         assert protocol.negotiate_version(offered) == negotiated
 
     @pytest.mark.parametrize(
-        "offered", [0, -1, True, False, "2", 2.0, None, [2], {}]
+        "offered", [1, 0, -1, True, False, "2", 2.0, None, [2], {}]
     )
     def test_rejected_versions(self, offered):
         assert protocol.negotiate_version(offered) is None
 
+    def test_one_wire_version(self):
+        assert protocol.MIN_WIRE_VERSION == protocol.WIRE_VERSION == 2
+
     def test_welcome_reports_the_negotiated_version(self):
         with serve() as server:
-            for offered, expect in [(1, 1), (2, 2), (999, 2)]:
+            for offered in (2, 999):
                 raw = RawConnection(server.host, server.port)
                 raw.send_frame(protocol.HELLO, {"wire_version": offered})
                 welcome = raw.read_frame()
                 assert welcome.ftype == protocol.WELCOME
-                assert welcome.payload["wire_version"] == expect
+                assert welcome.payload["wire_version"] == 2
                 raw.close()
 
-
-class TestFrameScopedErrors:
-    def test_insert_cols_on_v1_connection_is_frame_scoped(self):
-        # A v1-negotiated connection sending INSERT_COLS is a semantic
-        # mistake, not a framing violation: ERROR + the credit returns,
-        # and the connection keeps working in row mode.
-        rows = make_rows(20)
+    @pytest.mark.parametrize("offered", [1, 0, "junk"])
+    def test_old_or_junk_hello_is_refused_naming_the_range(self, offered):
         with serve() as server:
             raw = RawConnection(server.host, server.port)
-            raw.send_frame(protocol.HELLO, {"wire_version": 1})
-            assert raw.read_frame().ftype == protocol.WELCOME
-            raw.send_raw(cols_frame(rows, seq=5))
+            raw.send_frame(protocol.HELLO, {"wire_version": offered})
             error = raw.read_frame()
             assert error.ftype == protocol.ERROR
             assert error.payload["code"] == "wire-version"
+            assert "2..2" in error.payload["message"]
+            assert raw.closed_by_server()
+            assert_still_serving(server)
+
+
+class TestFrameScopedErrors:
+    def test_retired_row_insert_code_is_an_unknown_frame(self):
+        # Type 3 was the row INSERT.  A foreign client still sending it
+        # gets a frame-scoped error (no credit was spent, none returns)
+        # and the connection keeps ingesting columnar batches.
+        rows = make_rows(20)
+        with serve() as server:
+            raw = RawConnection(server.host, server.port)
+            raw.hello()
+            raw.send_raw(encode_frame(3, {"rows": [list(r) for r in rows]}))
+            error = raw.read_frame()
+            assert error.ftype == protocol.ERROR
+            assert error.payload["code"] == "unknown-frame"
+            assert error.payload["frame"] == "type-3"
+            raw.send_raw(cols_frame(rows, seq=5))
             credit = raw.read_frame()
             assert credit.ftype == protocol.CREDIT
             assert credit.payload["seq"] == 5
-            # row framing still works on the same connection
-            raw.send_frame(
-                protocol.INSERT, {"rows": protocol.encode_rows(rows)}
-            )
-            assert raw.read_frame().ftype == protocol.CREDIT
             raw.send_frame(protocol.QUERY)
             result = raw.read_frame()
             assert result.ftype == protocol.RESULT
             assert canon(
                 protocol.decode_result_rows(result.payload["rows"])
             ) == canon(expected_rows(SQL, rows))
+            raw.close()
+
+    def test_zero_column_frame_is_frame_scoped(self):
+        # The client library never sends an empty batch; a hand-built
+        # zero-column frame keeps its arity error.
+        with serve() as server:
+            raw = RawConnection(server.host, server.port)
+            raw.hello()
+            raw.send_raw(protocol.encode_cols([], seq=1))
+            error = raw.read_frame()
+            assert error.payload["code"] == "bad-rows"
+            assert "0 columns" in error.payload["message"]
+            assert raw.read_frame().ftype == protocol.CREDIT
             raw.close()
 
     def test_schema_arity_mismatch_is_frame_scoped(self):
@@ -236,14 +260,10 @@ class TestFrameDecoderCompaction:
 
 class TestEndToEndEquality:
     @pytest.mark.parametrize("shards", [0, 4])
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_each_framing_matches_the_in_process_run(self, shards, columnar):
+    def test_served_run_matches_the_in_process_run(self, shards):
         rows = make_rows(300)
         with serve(shards=shards) as server:
-            with ServeClient(
-                server.host, server.port, columnar=columnar
-            ) as client:
-                assert client.columnar_active is columnar
+            with ServeClient(server.host, server.port) as client:
                 for start in range(0, len(rows), 37):
                     client.insert(rows[start : start + 37])
                 client.flush()
@@ -280,40 +300,10 @@ class TestEndToEndEquality:
                 ServeClient(server.host, server.port, batch_rows=0)
 
 
-class TestVersionFallback:
-    def test_client_redials_a_v1_only_server(self, monkeypatch):
-        # Simulate a legacy server that only accepts its own version: the
-        # client's first dial earns a wire-version reject, the automatic
-        # redial offers v1, and ingestion proceeds in row framing.
-        rows = make_rows(60)
-        monkeypatch.setattr(
-            protocol,
-            "negotiate_version",
-            lambda version: 1 if version == 1 else None,
-        )
-        with serve() as server:
-            with ServeClient(server.host, server.port) as client:
-                assert client.negotiated_version == 1
-                assert not client.columnar_active
-                client.insert(rows)
-                client.flush()
-                assert canon(client.query()) == canon(
-                    expected_rows(SQL, rows)
-                )
-
-    def test_columnar_false_offers_v1_outright(self):
-        with serve() as server:
-            with ServeClient(
-                server.host, server.port, columnar=False
-            ) as client:
-                assert client.negotiated_version == 1
-
-
 class TestColumnarReplay:
     def test_unacked_columnar_batches_replay_across_restart(self, tmp_path):
-        # Satellite (f): seq-keyed replay must cover columnar framing —
-        # the batch that dies with the first server is re-sent as
-        # INSERT_COLS after the reconnect, exactly once.
+        # The batch that dies with the first server is re-sent after the
+        # reconnect, exactly once.
         rows = make_rows(200)
         first = serve_with_state(tmp_path)
         port = first.port
@@ -321,7 +311,6 @@ class TestColumnarReplay:
             first.host, port, retries=10, backoff_s=0.01, jitter=False
         )
         try:
-            assert client.columnar_active
             seq1 = client.insert(rows[:100])
             assert client.flush()["outcomes"] == {seq1: "acked"}
             first.stop()
@@ -331,7 +320,6 @@ class TestColumnarReplay:
                 report = client.flush()
                 assert report["outcomes"][seq2] == "replayed"
                 assert report["reconnects"] == 1
-                assert client.columnar_active  # renegotiated at v2
                 assert canon(client.query()) == canon(
                     expected_rows(SQL, rows)
                 )

@@ -16,23 +16,21 @@ from repro.serve.protocol import (
     RemoteError,
     decode_frame_body,
     decode_result_rows,
-    decode_rows,
     encode_frame,
     encode_result_rows,
-    encode_rows,
     frame_name,
 )
 
 
 class TestFrameEncoding:
     def test_roundtrip(self):
-        wire = encode_frame(protocol.INSERT, {"rows": [[1, "a"]]})
+        wire = encode_frame(protocol.HEARTBEAT, {"row": [1, "a"]})
         (length,) = protocol.HEADER.unpack(wire[:4])
         assert length == len(wire) - 4
         frame = decode_frame_body(wire[4:])
-        assert frame.ftype == protocol.INSERT
-        assert frame.name == "INSERT"
-        assert frame.payload == {"rows": [[1, "a"]]}
+        assert frame.ftype == protocol.HEARTBEAT
+        assert frame.name == "HEARTBEAT"
+        assert frame.payload == {"row": [1, "a"]}
 
     def test_empty_payload_is_empty_object(self):
         wire = encode_frame(protocol.QUERY)
@@ -42,8 +40,8 @@ class TestFrameEncoding:
     def test_oversized_frame_rejected_at_encode(self):
         with pytest.raises(ProtocolError, match="wire limit"):
             encode_frame(
-                protocol.INSERT,
-                {"rows": ["x" * 100]},
+                protocol.HEARTBEAT,
+                {"row": ["x" * 100]},
                 max_frame_bytes=64,
             )
 
@@ -57,6 +55,9 @@ class TestFrameEncoding:
         assert frame_name(protocol.HELLO) == "HELLO"
         assert frame_name(protocol.GOODBYE) == "GOODBYE"
         assert frame_name(99) == "type-99"
+        # 3 was the row INSERT: reserved, unnamed, never reassigned
+        assert frame_name(3) == "type-3"
+        assert not hasattr(protocol, "INSERT")
 
     def test_frame_is_a_tuple(self):
         frame = Frame(protocol.QUERY, {"a": 1})
@@ -95,7 +96,7 @@ class TestFrameDecoder:
         assert [f.ftype for f in frames] == [protocol.QUERY]
 
     def test_byte_at_a_time(self):
-        wire = encode_frame(protocol.INSERT, {"rows": [[1, 2, 3]]})
+        wire = encode_frame(protocol.HEARTBEAT, {"rows": [[1, 2, 3]]})
         decoder = FrameDecoder()
         collected = []
         for i in range(len(wire)):
@@ -138,18 +139,6 @@ class TestFrameDecoder:
 
 
 class TestRowEncodings:
-    def test_stream_rows_roundtrip(self):
-        rows = [(1, 2.5, "a", "b", 3, 4, 5, "TCP")]
-        assert decode_rows(encode_rows(rows)) == rows
-
-    def test_rows_must_be_a_list(self):
-        with pytest.raises(ProtocolError, match="must be a list"):
-            decode_rows({"not": "a list"})
-
-    def test_malformed_row_rejected(self):
-        with pytest.raises(ProtocolError, match="malformed row"):
-            decode_rows([17])
-
     def test_result_rows_roundtrip_exactly(self):
         rows = [
             {"tb": 4, "ip": "10.0.0.1", "c": 7, "s": 2.75},

@@ -20,6 +20,7 @@ from repro.serve import (
     ThreadedServer,
     build_backend,
 )
+from repro.serve.protocol import rows_to_cols
 from repro.store import MANIFEST_NAME
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows
@@ -41,7 +42,7 @@ class TestSingleBackend:
             store_hot_groups=8, low_table_size=16,
         )
         for i in range(0, len(rows), 64):
-            backend.insert_many(rows[i : i + 64])
+            backend.insert_cols(rows_to_cols(rows[i : i + 64]))
         stats = backend.stats()
         assert stats["store"]["cold_groups"] > 0
         assert stats["store"]["hot_groups"] <= 8
@@ -54,7 +55,7 @@ class TestSingleBackend:
             SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
             low_table_size=16,
         )
-        backend.insert_many(wide_rows(200))
+        backend.insert_cols(rows_to_cols(wide_rows(200)))
         assert backend.checkpoint_blobs() == []
         assert os.path.exists(os.path.join(store_dir, MANIFEST_NAME))
         backend.close()
@@ -70,7 +71,7 @@ class TestSingleBackend:
 
     def test_storeless_checkpoint_blobs_unchanged(self):
         backend = build_backend(SQL, PACKET_SCHEMA)
-        backend.insert_many(make_rows(50))
+        backend.insert_cols(rows_to_cols(make_rows(50)))
         assert backend.checkpoint_blobs() == backend.partial_blobs()
         backend.close()
 
@@ -84,7 +85,7 @@ class TestShardedBackend:
             low_table_size=16,
         )
         for i in range(0, len(rows), 64):
-            backend.insert_many(rows[i : i + 64])
+            backend.insert_cols(rows_to_cols(rows[i : i + 64]))
         assert canon(backend.query()) == canon(expected_rows(SQL, rows))
         backend.close()
         shard_dirs = sorted(os.listdir(tmp_path / "s"))

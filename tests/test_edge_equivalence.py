@@ -1,0 +1,244 @@
+"""Rows stop at the edge: every public ingest edge equals the reference.
+
+A row is a public-API convenience — ``process`` / ``append`` buffer it,
+``insert_many`` / ``insert`` transpose it — and below the edge everything
+is one columnar plane.  So for every topology that fronts an engine, every
+way of offering the same stream must leave results *and* partial-state
+bytes identical to one in-process :class:`QueryEngine` fed row by row
+with ``process``: row-at-a-time, row batches, column batches, and the
+three interleaved with heartbeats, with an edge-buffer size that does
+not divide the trace so the buffer is flushed by a query, a heartbeat, a
+checkpoint and close rather than by filling up.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import contextlib
+
+import pytest
+
+from repro.cluster import Coordinator
+from repro.core.cols import rows_to_cols
+from repro.dsms.engine import fold_partials
+from repro.parallel import ShardedEngine, ShardPlan, stable_route
+from repro.serve import (
+    AsyncServeClient,
+    ServeClient,
+    StreamServer,
+    ThreadedServer,
+    build_backend,
+)
+from repro.workloads.netflow import PACKET_SCHEMA
+from tests.serve.util import SQL, canon, make_rows
+
+PLAN = ShardPlan(sql=SQL, schema=PACKET_SCHEMA)
+ROWS = make_rows(500)
+BATCH = 64  # edge buffer: 500 = 7 * 64 + 52
+CHUNK = 37  # caller's batches: 500 = 13 * 37 + 19
+
+
+def marker(time: int) -> tuple:
+    return (time, float(time), "", "", 0, 0, 0, "")
+
+
+class Edge:
+    """One topology behind the surface the scripts below drive.
+
+    ``target`` is the object under test; the method names map its
+    spelling of each edge (``process`` vs ``append``, ``insert_many`` vs
+    ``insert``) onto one vocabulary.  ``settle`` runs before a read on
+    topologies whose read calls do not themselves ship the edge buffer
+    (the clients: ``flush`` is their documented barrier).
+    """
+
+    def __init__(self, target, *, process, insert, heartbeat, blobs,
+                 call=lambda result: result, settle=None, ingested=None):
+        self.target = target
+        self._names = {
+            "process": process, "insert": insert, "heartbeat": heartbeat,
+            "blobs": blobs,
+        }
+        self._call = call
+        self._settle = settle
+        self._ingested = ingested
+
+    def do(self, op: str, *args):
+        if self._settle and op in ("heartbeat", "query", "checkpoint", "blobs"):
+            self._call(getattr(self.target, self._settle)())
+        name = self._names.get(op, op)
+        return self._call(getattr(self.target, name)(*args))
+
+    def close_count(self) -> int:
+        """Close the topology; how many rows its engines ingested."""
+        if self._settle:
+            self._call(getattr(self.target, self._settle)())
+        return self._ingested(self._call(self.target.close()))
+
+
+@contextlib.contextmanager
+def sharded(tmp_path, processes):
+    engine = ShardedEngine(
+        SQL, PACKET_SCHEMA, shards=3, processes=processes,
+        batch_size=BATCH, router=stable_route,
+    )
+    try:
+        yield Edge(
+            engine, process="process", insert="insert_many",
+            heartbeat="heartbeat_all", blobs="partial_states",
+            ingested=lambda stats: sum(stats["tuples_per_shard"]),
+        )
+    finally:
+        engine.close()
+
+
+@contextlib.contextmanager
+def cluster(tmp_path):
+    coordinator = Coordinator.local(
+        SQL, PACKET_SCHEMA, str(tmp_path / "cluster"), node_count=3,
+        batch_size=BATCH,
+    )
+    try:
+        yield Edge(
+            coordinator, process="process", insert="insert",
+            heartbeat="heartbeat_all", blobs="partial_blobs",
+            ingested=lambda stats: sum(stats["tuples_per_node"].values()),
+        )
+    finally:
+        coordinator.close()
+
+
+@contextlib.contextmanager
+def served(tmp_path, driver):
+    backend = build_backend(SQL, PACKET_SCHEMA, processes=0)
+    server = ThreadedServer(
+        StreamServer(backend, state_dir=str(tmp_path / "state"))
+    ).start()
+    options = dict(batch_rows=BATCH)
+    try:
+        if driver == "sync":
+            client = ServeClient(server.host, server.port, **options)
+            call = lambda result: result
+        else:
+            loop = asyncio.new_event_loop()
+            call = loop.run_until_complete
+            client = call(
+                AsyncServeClient.connect(server.host, server.port, **options)
+            )
+        try:
+            yield Edge(
+                client, process="append", insert="insert",
+                heartbeat="heartbeat", blobs="partials", call=call,
+                settle="flush",
+                ingested=lambda goodbye: goodbye["tuples_in"],
+            )
+        finally:
+            call(client.close())
+            if driver != "sync":
+                loop.close()
+    finally:
+        server.stop()
+
+
+TOPOLOGIES = {
+    "sharded-inline": lambda tmp: sharded(tmp, 0),
+    "sharded-mp": lambda tmp: sharded(tmp, None),
+    "cluster-local": cluster,
+    "client-sync": lambda tmp: served(tmp, "sync"),
+    "client-asyncio": lambda tmp: served(tmp, "asyncio"),
+}
+
+
+@pytest.fixture(
+    params=[
+        pytest.param(name, marks=pytest.mark.slow)
+        if name == "sharded-mp" else name
+        for name in TOPOLOGIES
+    ]
+)
+def edge(request, tmp_path):
+    with TOPOLOGIES[request.param](tmp_path) as topology:
+        yield topology
+
+
+def chunks():
+    return [ROWS[i : i + CHUNK] for i in range(0, len(ROWS), CHUNK)]
+
+
+def script(mode: str) -> list[tuple]:
+    """The stream as a list of edge operations."""
+    if mode == "process":
+        return [("process", row) for row in ROWS]
+    if mode == "rows":
+        return [("insert", chunk) for chunk in chunks()]
+    if mode == "cols":
+        return [("insert_cols", rows_to_cols(chunk)) for chunk in chunks()]
+    # Interleaved: the three forms in rotation, and after every
+    # row-at-a-time chunk — when 37 rows sit in the edge buffer — a
+    # heartbeat, a query or a checkpoint that must ship them first.
+    ops: list[tuple] = []
+    barriers = [("heartbeat",), ("query",), ("checkpoint",)]
+    for index, chunk in enumerate(chunks()):
+        form = index % 3
+        if form == 0:
+            ops.extend(("process", row) for row in chunk)
+            barrier = barriers[(index // 3) % 3]
+            if barrier == ("heartbeat",):
+                barrier = ("heartbeat", marker(chunk[-1][0]))
+            ops.append(barrier)
+        elif form == 1:
+            ops.append(("insert", chunk))
+        else:
+            ops.append(("insert_cols", rows_to_cols(chunk)))
+    return ops
+
+
+def reference_results(reference) -> list[str]:
+    """What the reference engine would answer now, without flushing it."""
+    return canon(
+        fold_partials(PLAN.build_engine, [reference.partial_state_bytes()])
+    )
+
+
+@pytest.mark.parametrize("mode", ["process", "rows", "cols", "interleaved"])
+def test_every_edge_matches_the_row_fed_reference(edge, mode):
+    reference = PLAN.build_engine()
+    for op, *args in script(mode):
+        if op == "process":
+            reference.process(*args)
+        elif op == "insert":
+            for row in args[0]:
+                reference.process(row)
+        elif op == "insert_cols":
+            for row in zip(*args[0]):
+                reference.process(row)
+        elif op == "heartbeat":
+            reference.heartbeat(*args)
+        result = edge.do(op, *args)
+        if op == "query":
+            assert canon(result) == reference_results(reference)
+    # Byte identity of the state itself: the topology's partial blobs,
+    # folded, are the reference engine's blob.
+    collector = PLAN.build_engine()
+    for blob in edge.do("blobs"):
+        collector.merge_partial(blob)
+    assert collector.partial_state_bytes() == reference.partial_state_bytes()
+    assert canon(edge.do("query")) == canon(reference.flush())
+
+
+def test_close_ships_the_edge_buffer(edge):
+    for row in ROWS[:CHUNK]:  # fewer than BATCH: nothing has shipped yet
+        edge.do("process", row)
+    assert edge.close_count() == CHUNK
+
+
+def test_an_empty_batch_is_ignored_at_every_edge(edge):
+    # No seq, no credit, no frame, no shard message: nothing to answer.
+    assert edge.do("insert", []) is None
+    assert edge.do("insert_cols", []) is None
+    assert edge.do("insert_cols", [[] for __ in PACKET_SCHEMA.names()]) is None
+    edge.do("insert", ROWS[:CHUNK])
+    reference = PLAN.build_engine()
+    reference.insert_many(ROWS[:CHUNK])
+    assert canon(edge.do("query")) == canon(reference.flush())
+    assert edge.close_count() == CHUNK
