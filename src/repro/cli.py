@@ -463,6 +463,9 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
         print(f"error: {args.path}: {error}", file=sys.stderr)
         return 2
     groups = sum(blob["groups"] for blob in described)
+    summary_bytes = sum(
+        slot["bytes"] for blob in described for slot in blob["summaries"]
+    )
     report = {
         "path": args.path,
         "version": PARTIALS_CHECKPOINT_VERSION,
@@ -471,6 +474,7 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
         "bytes": len(image),
         "groups": groups,
         "bytes_per_group": len(image) / groups if groups else None,
+        "summary_bytes": summary_bytes,
         "blobs": described,
     }
     if args.json:
@@ -482,7 +486,7 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
     per_group = f", {len(image) / groups:.1f} B/group" if groups else ""
     print(
         f"{len(blobs)} blob(s), {groups:,} group(s), "
-        f"{len(image):,} bytes{per_group}"
+        f"{len(image):,} bytes{per_group}, {summary_bytes:,} in summary buffers"
     )
     for index, blob in enumerate(described):
         columns = " ".join(
@@ -492,6 +496,11 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
             f"  blob {index}: v{blob['version']}, {blob['groups']:,} group(s), "
             f"{blob['bytes']:,} B, tuples_in {blob['tuples_in']:,} | {columns}"
         )
+        for slot in blob["summaries"]:
+            print(
+                f"    slot {slot['slot']}: {slot['type']} x {slot['buffers']:,}, "
+                f"{slot['bytes']:,} B"
+            )
     return 0
 
 
@@ -499,7 +508,8 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.core.errors import StoreError
+    from repro.core.errors import ParameterError, StoreError
+    from repro.core.protocol import summary_type_of
     from repro.store import MANIFEST_NAME, SegmentReader
 
     directory = args.directory
@@ -566,13 +576,21 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
                 reader = SegmentReader(path)
                 # Full scan: CRC-check every record, not just the footer.
                 # An inspect exists to find rot before a query does.
-                for _offset, _record in reader.iter_records():
-                    pass
+                summaries: dict[str, dict[str, int]] = {}
+                for _offset, record in reader.iter_records():
+                    for kind, payload in record["s"]:
+                        if kind == "summary":
+                            tally = summaries.setdefault(
+                                summary_type_of(payload), {"buffers": 0, "bytes": 0}
+                            )
+                            tally["buffers"] += 1
+                            tally["bytes"] += len(payload)
                 entry["status"] = "ok"
+                entry["summaries"] = dict(sorted(summaries.items()))
                 entry["format"] = f"v{reader.version}"
                 entry["records"] = reader.records
                 entry["live"] = live_by_segment.get(name, 0)
-            except StoreError as error:
+            except (StoreError, ParameterError) as error:
                 entry["status"] = f"corrupt: {error}"
         segments.append(entry)
     report["segments"] = segments
@@ -596,6 +614,8 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         if "records" in entry:
             line += f"  ({entry['records']:,} records, {entry['live']:,} live)"
         print(line)
+        for name, tally in entry.get("summaries", {}).items():
+            print(f"      {name} x {tally['buffers']:,}, {tally['bytes']:,} B")
     if not segments:
         print("  (no segment files)")
     return 0

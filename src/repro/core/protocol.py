@@ -40,25 +40,30 @@ The contract:
     list, current sample, ...).
 
 ``to_bytes()`` / ``from_bytes(data)``
-    Uniform binary serde: one leading version byte (per summary type,
-    ``SERDE_VERSION``) followed by a UTF-8 JSON body naming the summary's
-    registered type and its state payload.  Subclasses implement the
-    payload hooks ``_state_payload`` / ``_from_payload``; randomized
-    summaries capture their RNG state so a restored sampler continues the
-    exact random sequence of the original.
+    Uniform binary serde: the version byte ``SERDE_VERSION``, the
+    summary's registered type name, then its state payload packed by
+    :mod:`repro.core.tree`.  Subclasses implement the payload hooks
+    ``_state_payload`` / ``_from_payload`` — a JSON-compatible tree, so
+    no class writes a layout — and randomized summaries capture their RNG
+    state so a restored sampler continues the exact random sequence of
+    the original.  Version-1 buffers (a JSON body, still inside segment
+    records and checkpoints on disk) are read, never written.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from abc import ABC
 from typing import Any, ClassVar, Sequence
 
 from repro.core.errors import MergeError, ParameterError
+from repro.core.tree import pack_tree, unpack_tree
 
 __all__ = [
     "StreamSummary",
+    "summary_type_of",
     "encode_number",
     "decode_number",
     "tag_key",
@@ -141,6 +146,37 @@ def load_rng_state(data: Sequence) -> tuple:
 
 # -- the protocol ------------------------------------------------------------------
 
+#: The version-1 ``to_bytes`` layout: ``b"\x01"`` + canonical JSON
+#: ``{"type": name, "payload": ...}``.  Read-only since version 2.
+_JSON_VERSION = 1
+_JSON_HEAD = re.compile(rb'\x01\{"type":"([^"\\]+)"')
+
+
+def summary_type_of(data) -> str:
+    """The registry name a ``to_bytes`` buffer declares.
+
+    Read from the buffer's head alone — nothing is unpacked, looked up or
+    instantiated — so an inspector can label a summary slot it only holds
+    the bytes of.  Both buffer versions; anything else is a
+    :class:`ParameterError`.
+    """
+    head = bytes(data[:2 + 255])
+    match = _JSON_HEAD.match(head)
+    if match is not None:
+        name = match[1]
+    elif head[:1] == bytes((StreamSummary.SERDE_VERSION,)) and len(head) >= 2:
+        name = head[2:2 + head[1]]
+        if len(name) != head[1]:
+            raise ParameterError("summary buffer ends inside its type name")
+    else:
+        raise ParameterError(
+            f"not a summary buffer: it starts with {head[:2].hex() or 'nothing'}"
+        )
+    try:
+        return name.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"malformed summary type name: {exc}") from exc
+
 
 class StreamSummary(ABC):
     """Abstract base for every decayed summary, sketch, and sampler.
@@ -150,9 +186,9 @@ class StreamSummary(ABC):
     what :meth:`to_bytes`/:meth:`from_bytes` use to dispatch.
     """
 
-    #: Bumped independently per summary type whenever its payload layout
-    #: changes; written as the first byte of :meth:`to_bytes`.
-    SERDE_VERSION: ClassVar[int] = 1
+    #: Layout version of :meth:`to_bytes` buffers, their first byte.  One
+    #: for every summary: the payload codec is generic.
+    SERDE_VERSION: ClassVar[int] = 2
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -230,15 +266,23 @@ class StreamSummary(ABC):
         )
 
     def to_bytes(self) -> bytes:
-        """Serialize: ``bytes([SERDE_VERSION]) + json({"type", "payload"})``."""
+        """Serialize: ``SERDE_VERSION``, name length, name, packed payload.
+
+        ::
+
+            | 2: u8 | n: u8 | registry name: n bytes | tree: to the end |
+
+        The tree is :func:`repro.core.tree.pack_tree` of
+        :meth:`_state_payload`.
+        """
         from repro.core.registry import summary_name_of
 
-        body = {
-            "type": summary_name_of(type(self)),
-            "payload": self._state_payload(),
-        }
-        encoded = json.dumps(body, separators=(",", ":"), allow_nan=False)
-        return bytes([type(self).SERDE_VERSION]) + encoded.encode("utf-8")
+        name = summary_name_of(type(self)).encode("utf-8")
+        return b"".join((
+            bytes((self.SERDE_VERSION, len(name))),
+            name,
+            pack_tree(self._state_payload()),
+        ))
 
     @classmethod
     def from_bytes(cls, data: bytes | bytearray) -> "StreamSummary":
@@ -246,26 +290,44 @@ class StreamSummary(ABC):
 
         Callable on the base class (dispatches on the embedded type name)
         or on a concrete class (additionally checks the payload matches).
+        Reads version-1 (JSON) buffers too.  Whatever is wrong with the
+        buffer — its framing, its tree, or a well-formed tree that is not
+        this type's payload — raises :class:`ParameterError`.
         """
         from repro.core.registry import get_summary
 
         if not data:
             raise ParameterError("cannot deserialize an empty buffer")
-        version = data[0]
-        try:
-            body = json.loads(bytes(data[1:]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParameterError(f"malformed summary buffer: {exc}") from exc
-        if not isinstance(body, dict) or "type" not in body or "payload" not in body:
-            raise ParameterError("summary buffer missing type/payload")
-        target = get_summary(body["type"]).cls
+        data = bytes(data)
+        if data[0] == cls.SERDE_VERSION:
+            name = summary_type_of(data)
+            payload = unpack_tree(data[2 + data[1]:])
+        elif data[0] == _JSON_VERSION:
+            try:
+                body = json.loads(data[1:].decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError,
+                    RecursionError) as exc:
+                raise ParameterError(f"malformed summary buffer: {exc}") from exc
+            if not isinstance(body, dict) or not (
+                isinstance(body.get("type"), str) and "payload" in body
+            ):
+                raise ParameterError("summary buffer missing type/payload")
+            name, payload = body["type"], body["payload"]
+        else:
+            raise ParameterError(
+                f"unsupported summary serde version {data[0]} (expected "
+                f"{cls.SERDE_VERSION}, or {_JSON_VERSION} to read)"
+            )
+        target = get_summary(name).cls
         if not issubclass(target, cls):
             raise ParameterError(
                 f"buffer holds a {target.__name__}, not a {cls.__name__}"
             )
-        if version != target.SERDE_VERSION:
+        try:
+            return target._from_payload(payload)
+        except (KeyError, ValueError, TypeError, IndexError, AttributeError,
+                ArithmeticError) as exc:
             raise ParameterError(
-                f"unsupported {target.__name__} serde version {version} "
-                f"(expected {target.SERDE_VERSION})"
-            )
-        return target._from_payload(body["payload"])
+                f"malformed {name} summary buffer: its payload is not that "
+                f"of a {target.__name__}: {type(exc).__name__}: {exc}"
+            ) from exc

@@ -19,7 +19,6 @@ their dataclass fields, so any ``g`` shipped with the library is supported.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import struct
 import time
@@ -42,7 +41,6 @@ __all__ = [
     "load_summary",
     "dump_decay",
     "load_decay",
-    "summary_envelope_bytes",
     "fsync_dir",
     "dump_partials_checkpoint",
     "read_partials_checkpoint",
@@ -160,26 +158,6 @@ def load_summary(data: dict, metrics=None):
         metrics.latency("serde.restore.latency_us").observe(elapsed_us)
         metrics.counter("serde.restore.summaries").add(1.0)
     return summary
-
-
-def summary_envelope_bytes(envelope: dict) -> bytes:
-    """A :func:`dump_summary` envelope → the summary's ``to_bytes`` buffer.
-
-    Byte-identical to calling ``to_bytes()`` on the live object: one
-    serde-version byte, then canonical JSON ``{"type": name, "payload"}``.
-    Works from the envelope alone, so store compaction can rewrite — and
-    a partial-state snapshot can splice — records never instantiated.
-    """
-    from repro.core import registry
-
-    registry.load_all()
-    cls = registry.get_summary(envelope["name"]).cls
-    body = json.dumps(
-        {"type": envelope["name"], "payload": envelope["payload"]},
-        separators=(",", ":"),
-        allow_nan=False,
-    )
-    return bytes([cls.SERDE_VERSION]) + body.encode("utf-8")
 
 
 def fsync_dir(directory: str) -> None:

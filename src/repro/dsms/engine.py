@@ -39,8 +39,7 @@ from repro.core.cols import (
     unpack_cols,
 )
 from repro.core.errors import MergeError, ProtocolError, QueryError
-from repro.core.protocol import StreamSummary, decode_number
-from repro.core.serde import summary_envelope_bytes
+from repro.core.protocol import StreamSummary, decode_number, summary_type_of
 from repro.dsms.parser import Query, SelectItem
 from repro.dsms.schema import Schema
 
@@ -775,11 +774,16 @@ class QueryEngine:
         for key in keys:
             states = dict.get(high, key)
             if states is None:
-                states = [
-                    summary_envelope_bytes(payload) if kind == "summary"
-                    else [decode_number(v) for v in payload]
-                    for kind, payload in store.encoded_states(key)
-                ]
+                states = []
+                for kind, payload in store.encoded_states(key):
+                    if kind == "plain":
+                        payload = [decode_number(v) for v in payload]
+                    elif payload[0] != StreamSummary.SERDE_VERSION:
+                        # A record older than the packed layout.  The
+                        # all-RAM engine writes today's only, and this
+                        # blob must equal its blob byte for byte.
+                        payload = StreamSummary.from_bytes(payload).to_bytes()
+                    states.append(payload)
             rows.append(states)
         return keys, rows
 
@@ -805,6 +809,7 @@ class QueryEngine:
         keys, rows = self._snapshot()
         cols: list = list(zip(*keys))
         slots = []
+        summary_bytes = 0
         for index in range(len(self._agg_plans) if rows else 0):
             states = [row[index] for row in rows]
             if isinstance(states[0], (StreamSummary, bytes)):
@@ -812,6 +817,7 @@ class QueryEngine:
                 cols.append(
                     [s if type(s) is bytes else s.to_bytes() for s in states]
                 )
+                summary_bytes += sum(map(len, cols[-1]))
                 continue
             try:
                 cols.extend(list(zip(*states, strict=True)))
@@ -836,7 +842,7 @@ class QueryEngine:
         ))
         blob = body + _CRC.pack(zlib.crc32(body))
         if obs is not None:
-            obs.partial_encoded(start, len(keys), len(blob))
+            obs.partial_encoded(start, len(keys), len(blob), summary_bytes)
         return blob
 
     def _decode_partial(self, data) -> tuple:
@@ -1053,11 +1059,28 @@ def _open_partial(data) -> tuple:
 
 def describe_partial_state(data) -> dict:
     """What ``repro checkpoint inspect`` reports for one buffer, from its
-    framing and column-block headers alone (CRC checked)."""
+    framing and column-block headers alone (CRC checked).  Each summary
+    slot is named by the registry type its buffers declare in their first
+    bytes; no summary is unpacked."""
     head, texts, bucket, slots, batch = _open_partial(data)
     try:
         layout = describe_cols(batch)[1]
-    except ProtocolError as exc:
+        summary_cols = [
+            col for col in unpack_cols(batch)[0] if col and type(col[0]) is bytes
+        ]
+        summaries = [
+            {
+                "slot": slot,
+                "type": "/".join(sorted(set(map(summary_type_of, col)))),
+                "buffers": len(col),
+                "bytes": sum(map(len, col)),
+            }
+            for slot, col in zip(
+                (i for i, code in enumerate(slots) if code == _SUMMARY_SLOT),
+                summary_cols, strict=True,
+            )
+        ]
+    except ValueError as exc:  # ProtocolError, ParameterError, the strict zip
         raise MergeError(f"malformed partial-state buffer: {exc}") from exc
     return {
         "version": head[0],
@@ -1067,6 +1090,7 @@ def describe_partial_state(data) -> dict:
         "open_bucket": bucket,
         "slots": slots,
         "columns": layout,
+        "summaries": summaries,
     }
 
 

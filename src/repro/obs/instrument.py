@@ -107,6 +107,7 @@ class EngineInstrumentation:
         "partial_decode_us",
         "partial_groups",
         "partial_bytes",
+        "partial_summary_bytes",
     )
 
     def __init__(self, engine: "QueryEngine", metrics: "MetricsRegistry", name: str):
@@ -128,6 +129,9 @@ class EngineInstrumentation:
         self.partial_decode_us = metrics.latency(f"{prefix}.partial.decode_us")
         self.partial_groups = metrics.gauge(f"{prefix}.partial.groups")
         self.partial_bytes = metrics.gauge(f"{prefix}.partial.bytes")
+        self.partial_summary_bytes = metrics.gauge(
+            f"{prefix}.partial.summary_bytes"
+        )
         for plan in engine._agg_plans:
             plan.udaf = TimedUdaf(plan.udaf, metrics, prefix)
         # Shadow the class methods on this instance only.
@@ -211,11 +215,15 @@ class EngineInstrumentation:
         type(engine).restore(engine, data)
         self.restore_us.observe((_perf_ns() - start) / 1e3)
 
-    def partial_encoded(self, start_ns: int, groups: int, nbytes: int) -> None:
-        """One ``partial_state_bytes`` snapshot: codec time and volume."""
+    def partial_encoded(
+        self, start_ns: int, groups: int, nbytes: int, summary_bytes: int
+    ) -> None:
+        """One ``partial_state_bytes`` snapshot: codec time and volume,
+        and how much of the volume is summary (sketch / sampler) buffers."""
         self.partial_encode_us.observe((_perf_ns() - start_ns) / 1e3)
         self.partial_groups.set(float(groups))
         self.partial_bytes.set(float(nbytes))
+        self.partial_summary_bytes.set(float(summary_bytes))
 
     def partial_decoded(self, start_ns: int) -> None:
         """One ``merge_partial`` decode (validation included)."""

@@ -438,8 +438,10 @@ class _ClientCore:
         """Buffer one row client-side; ship when ``batch_rows`` accumulate.
 
         Returns the shipped batch's seq when this append triggered a
-        send, else ``None``.  :meth:`flush` ships any partial buffer
-        first, so appended rows are never stranded.
+        send, else ``None``.  Every later request — :meth:`flush`,
+        :meth:`heartbeat`, a read, a checkpoint, :meth:`close` — ships
+        the partial buffer first, so an appended row is never invisible
+        to it and never stranded.
         """
         self._row_buffer.append(tuple(row))
         if len(self._row_buffer) >= self.batch_rows:
@@ -476,6 +478,7 @@ class _ClientCore:
     @_operation
     def heartbeat(self, row: tuple) -> None:
         """Send punctuation: advances event time without contributing data."""
+        yield from self._ship_buffer()
         yield from self._retrying(
             lambda: self._send(protocol.HEARTBEAT, {"row": list(row)})
         )
@@ -485,6 +488,7 @@ class _ClientCore:
     @_operation
     def query(self) -> list[dict]:
         """Evaluate the continuous query over everything ingested so far."""
+        yield from self._ship_buffer()
         reply = yield from self._ask(protocol.QUERY, protocol.RESULT)
         return protocol.decode_result_rows(reply.payload["rows"])
 
@@ -495,6 +499,7 @@ class _ClientCore:
         Subscriptions are per-connection state: a reconnect does not
         re-subscribe (re-issue :meth:`subscribe` after a retry if needed).
         """
+        yield from self._ship_buffer()
         yield from self._retrying(
             lambda: self._send(
                 protocol.SUBSCRIBE, {"interval_s": interval_s, "count": count}
@@ -514,6 +519,7 @@ class _ClientCore:
     @_operation
     def checkpoint(self) -> dict:
         """Force a server-side checkpoint; returns ``{"path", "bytes"}``."""
+        yield from self._ship_buffer()
         reply = yield from self._ask(protocol.CHECKPOINT, protocol.CHECKPOINT_OK)
         return reply.payload
 
@@ -530,6 +536,7 @@ class _ClientCore:
         :func:`repro.dsms.engine.fold_partials`; the node keeps its state
         and keeps ingesting.
         """
+        yield from self._ship_buffer()
         reply = yield from self._ask(protocol.PARTIALS, protocol.PARTIALS_OK)
         return protocol.decode_blobs(reply.payload["body"])
 
@@ -541,6 +548,7 @@ class _ClientCore:
         (via :meth:`partials` or its on-disk checkpoint) merge exactly
         into another.  Returns the number of blobs adopted.
         """
+        yield from self._ship_buffer()
         reply = yield from self._ask(
             protocol.ADOPT,
             protocol.ADOPT_OK,
@@ -564,6 +572,7 @@ class _ClientCore:
             return self._close_info
         if self._dead is None:
             try:
+                yield from self._ship_buffer()
                 yield from self._send(protocol.BYE)
                 goodbye = yield from self._recv_reply(protocol.GOODBYE)
                 self._close_info = goodbye.payload

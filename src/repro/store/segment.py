@@ -16,9 +16,11 @@ random-access layout:
     ``q``/``d`` exactly like :mod:`repro.core.cols`; summaries as their
     :meth:`~repro.core.protocol.StreamSummary.to_bytes` serde buffer).
     Keys use :func:`repro.core.protocol.tag_key`, states the record's
-    own group encoding (``["plain", ...]`` scalars or ``["summary", ...]``
-    serde envelopes); both body versions decode to the identical record
-    dict, which a snapshot splices into its columns without a fault-in.
+    own group encoding (``["plain", [scalars]]`` or ``["summary",
+    to_bytes buffer]``, held raw: nothing here parses a summary); both
+    body versions decode to the identical record dict, which a snapshot
+    splices into its columns without a fault-in.  A version-1 body, being
+    JSON, spells a summary as its ``dump_summary`` envelope instead.
 ``footer``
     A length+CRC framed index.  Version 1: JSON mapping the canonical
     key string of every record to ``[offset, length]``.  Version 2:
@@ -48,7 +50,8 @@ import zlib
 from typing import Iterator
 
 from repro.core.errors import StoreError
-from repro.core.serde import fsync_dir, summary_envelope_bytes
+from repro.core.protocol import StreamSummary
+from repro.core.serde import dump_summary, fsync_dir, load_summary
 
 __all__ = [
     "SEGMENT_VERSION",
@@ -161,34 +164,6 @@ def _decode_scalar(body: bytes, pos: int) -> tuple[object, int]:
     raise ValueError(f"unknown scalar tag {tag}")
 
 
-def _summary_from_bytes(raw: bytes) -> dict:
-    """Inverse of :func:`~repro.core.serde.summary_envelope_bytes`: serde buffer → envelope dict.
-
-    Reconstructs the exact ``dump_summary`` envelope (same keys, same
-    insertion order) without instantiating the summary, so cold-group
-    splices stay byte-identical to hot-group checkpoints.
-    """
-    from repro.core import registry, serde
-
-    if not raw:
-        raise ValueError("empty summary buffer")
-    registry.load_all()
-    body = json.loads(raw[1:].decode("utf-8"))
-    name = body["type"]
-    cls = registry.get_summary(name).cls
-    if raw[0] != cls.SERDE_VERSION:
-        raise ValueError(
-            f"unsupported {name} serde version {raw[0]} "
-            f"(expected {cls.SERDE_VERSION})"
-        )
-    return {
-        "type": cls.__name__,
-        "name": name,
-        "version": serde._VERSION,
-        "payload": body["payload"],
-    }
-
-
 def _encode_body_v2(tagged_key: list, encoded_states: list, generation: int) -> bytes:
     out = bytearray()
     out += _V2_HEAD.pack(_V2_BODY_MARKER, generation, len(tagged_key))
@@ -215,10 +190,9 @@ def _encode_body_v2(tagged_key: list, encoded_states: list, generation: int) -> 
     out += _U16.pack(len(encoded_states))
     for kind, payload in encoded_states:
         if kind == "summary":
-            raw = summary_envelope_bytes(payload)
             out += _U8.pack(_STATE_SUMMARY)
-            out += _U32.pack(len(raw))
-            out += raw
+            out += _U32.pack(len(payload))
+            out += payload
         elif kind == "plain":
             out += _U8.pack(_STATE_PLAIN)
             out += _U32.pack(len(payload))
@@ -265,8 +239,8 @@ def _decode_body_v2(
                     raise ValueError(f"unknown key tag {tag}")
         if key_only:
             # Cold-key enumeration at millions of groups: the states block
-            # (summary JSON included) is the expensive part and the caller
-            # only wants the key.  The CRC already vouched for the bytes.
+            # is the expensive part and the caller only wants the key.
+            # The CRC already vouched for the bytes.
             return {"k": tagged_key, "g": generation}
         (nstates,) = _U16.unpack_from(body, pos)
         pos += _U16.size
@@ -281,7 +255,7 @@ def _decode_body_v2(
                 if len(raw) != length:
                     raise ValueError("summary state runs past end of body")
                 pos += length
-                states.append(["summary", _summary_from_bytes(raw)])
+                states.append(["summary", raw])
             elif skind == _STATE_PLAIN:
                 (count,) = _U32.unpack_from(body, pos)
                 pos += _U32.size
@@ -305,12 +279,25 @@ def _decode_body_v2(
     return {"k": tagged_key, "s": states, "g": generation}
 
 
+def _json_states(states: list, convert) -> list:
+    """A record's states with every summary put through ``convert``: JSON
+    bodies hold the envelope, the record dict the ``to_bytes`` buffer."""
+    return [
+        [kind, convert(payload) if kind == "summary" else payload]
+        for kind, payload in states
+    ]
+
+
 def _encode_record(
     tagged_key: list, encoded_states: list, generation: int, version: int
 ) -> bytes:
     if version == 1:
+        states = _json_states(
+            encoded_states,
+            lambda raw: dump_summary(StreamSummary.from_bytes(raw)),
+        )
         body = json.dumps(
-            {"k": tagged_key, "s": encoded_states, "g": generation},
+            {"k": tagged_key, "s": states, "g": generation},
             separators=(",", ":"),
             allow_nan=False,
         ).encode("utf-8")
@@ -352,6 +339,16 @@ def _decode_body(
             f"segment {segment}: malformed record at offset {offset}",
             segment=segment, offset=offset,
         )
+    try:
+        record["s"] = _json_states(
+            record["s"], lambda envelope: load_summary(envelope).to_bytes()
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StoreError(
+            f"segment {segment}: malformed record states at offset {offset}: "
+            f"{type(exc).__name__}: {exc}",
+            segment=segment, offset=offset,
+        ) from exc
     return record
 
 

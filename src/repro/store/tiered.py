@@ -599,21 +599,15 @@ class TieredStore:
     # -- spill / fault-in ---------------------------------------------------------
 
     def _encode_states(self, states: list) -> list:
-        from repro.core.serde import dump_summary
-
-        encoded = []
-        for state in states:
-            if isinstance(state, StreamSummary):
-                encoded.append(["summary", dump_summary(state)])
-            else:
-                encoded.append(["plain", [encode_number(v) for v in state]])
-        return encoded
+        return [
+            ["summary", state.to_bytes()] if isinstance(state, StreamSummary)
+            else ["plain", [encode_number(v) for v in state]]
+            for state in states
+        ]
 
     def _decode_states(self, encoded: list) -> list:
-        from repro.core.serde import load_summary
-
         return [
-            load_summary(payload) if kind == "summary"
+            StreamSummary.from_bytes(payload) if kind == "summary"
             else [decode_number(v) for v in payload]
             for kind, payload in encoded
         ]

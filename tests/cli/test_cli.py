@@ -220,18 +220,18 @@ class TestBenchScalingCommand:
 
 
 class TestStoreInspectCommand:
-    def _make_store(self, tmp_path) -> str:
+    def _make_store(
+        self, tmp_path,
+        sql="select tb, destIP, count(*) as c from TCP "
+            "group by time/60 as tb, destIP",
+    ) -> str:
         from repro.dsms.engine import QueryEngine
         from repro.dsms.parser import parse_query
         from repro.dsms.udaf import default_registry
         from repro.store import TieredStore
 
         directory = str(tmp_path / "store")
-        query = parse_query(
-            "select tb, destIP, count(*) as c from TCP "
-            "group by time/60 as tb, destIP",
-            default_registry(),
-        )
+        query = parse_query(sql, default_registry())
         store = TieredStore(directory, hot_groups=4)
         engine = QueryEngine(query, PACKET_SCHEMA, store=store,
                              low_table_size=8)
@@ -269,6 +269,27 @@ class TestStoreInspectCommand:
         assert report["manifest"]["directory_file"].endswith(".dir")
         assert all(s["status"] == "ok" for s in report["segments"])
         assert all(s["format"] == "v2" for s in report["segments"])
+
+    def test_inspect_names_summary_types_and_their_bytes(self, tmp_path, capsys):
+        import json
+
+        directory = self._make_store(
+            tmp_path,
+            "select destPort, unary_hh(len) as hh, prisamp(srcIP, len) as samp "
+            "from TCP group by destPort",
+        )
+        assert main(["store", "inspect", directory, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        tallies = [s["summaries"] for s in report["segments"] if s["summaries"]]
+        assert tallies
+        for tally in tallies:
+            assert set(tally) == {"unary_spacesaving", "priority_sampler"}
+            assert tally["priority_sampler"]["buffers"] == (
+                tally["unary_spacesaving"]["buffers"]
+            )
+            assert tally["priority_sampler"]["bytes"] > 2_500  # the RNG state
+        assert main(["store", "inspect", directory]) == 0
+        assert "priority_sampler x " in capsys.readouterr().out
 
     def test_inspect_flags_corruption(self, tmp_path, capsys):
         import os
@@ -308,12 +329,12 @@ class TestCheckpointInspectCommand:
         "group by time/60 as tb, destIP"
     )
 
-    def _make_checkpoint(self, tmp_path, shards: int = 2) -> str:
+    def _make_checkpoint(self, tmp_path, shards: int = 2, sql=SQL) -> str:
         from repro.core.cols import rows_to_cols
         from repro.serve import StreamServer, ThreadedServer, build_backend
 
         backend = build_backend(
-            self.SQL, PACKET_SCHEMA, shards=shards, processes=0
+            sql, PACKET_SCHEMA, shards=shards, processes=0
         )
         backend.insert_cols(rows_to_cols(generate_trace(
             duration_sec=2.0, rate_per_sec=400, seed=5
@@ -348,6 +369,27 @@ class TestCheckpointInspectCommand:
         columns = report["blobs"][0]["columns"]
         assert [kind for kind, _size in columns] == ["i64", "str", "i64", "f64"]
         assert sum(size for _kind, size in columns) < report["blobs"][0]["bytes"]
+
+    def test_inspect_names_summary_slots_and_their_bytes(self, tmp_path, capsys):
+        import json
+
+        path = self._make_checkpoint(
+            tmp_path, shards=1,
+            sql="select destPort, count(*) as c, unary_hh(len) as hh from TCP "
+                "group by destPort",
+        )
+        assert main(["checkpoint", "inspect", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (blob,) = report["blobs"]
+        (slot,) = blob["summaries"]
+        assert (slot["slot"], slot["type"]) == (1, "unary_spacesaving")
+        assert slot["buffers"] == blob["groups"]
+        assert report["summary_bytes"] == slot["bytes"]
+        assert 0.5 * report["bytes"] < slot["bytes"] < report["bytes"]
+        assert main(["checkpoint", "inspect", path]) == 0
+        out = capsys.readouterr().out
+        assert f"{slot['bytes']:,} in summary buffers" in out
+        assert "slot 1: unary_spacesaving x " in out
 
     def test_inspect_flags_corruption_with_an_offset(self, tmp_path, capsys):
         path = self._make_checkpoint(tmp_path)

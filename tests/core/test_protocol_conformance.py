@@ -6,7 +6,9 @@ protocol contract, whatever its family:
 * ``update_many`` is equivalent to repeated ``update`` (bit-identical for
   loop-based summaries, within float tolerance for vectorized ones);
 * ``from_bytes(to_bytes(s))`` answers queries identically and
-  re-serializes to the same bytes;
+  re-serializes to the same bytes; the buffer is the packed version-2
+  layout, the version-1 JSON layout still loads, and no damaged buffer
+  escapes as anything but :class:`ParameterError`;
 * mergeable summaries satisfy the substream property — merging summaries
   of disjoint substreams answers like the whole-stream summary (exactly
   for ``exact_merge`` entries, within tolerance for float state) — and
@@ -18,13 +20,17 @@ registry enrolls it here with no further work.
 
 from __future__ import annotations
 
+import json
+import pathlib
 import random
 
 import pytest
 
 from repro.core import registry
 from repro.core.errors import MergeError, ParameterError
-from repro.core.protocol import StreamSummary
+from repro.core.protocol import StreamSummary, summary_type_of
+from repro.core.tree import pack_tree, unpack_tree
+from tests.core.test_tree_codec import flips, identical
 
 registry.load_all()
 ALL = registry.iter_summaries()
@@ -153,6 +159,144 @@ class TestSerdeRoundTrip:
         blob = summary.to_bytes()
         with pytest.raises(ParameterError):
             info.cls.from_bytes(bytes([blob[0] + 1]) + blob[1:])
+
+
+def json_buffer(summary: StreamSummary) -> bytes:
+    """The version-1 ``to_bytes`` buffer of ``summary``, as every commit
+    before the packed layout wrote it."""
+    body = {
+        "type": registry.summary_name_of(type(summary)),
+        "payload": summary._state_payload(),
+    }
+    return b"\x01" + json.dumps(
+        body, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+#: Committed buffers of ``factory()`` fed ``feed(n=40)``: ``.v2`` as this
+#: writer must keep producing them, ``.v1`` as the last JSON-writing
+#: commit produced them (they sit in segments and checkpoints on disk).
+GOLDEN = ["weighted_spacesaving", "qdigest", "priority_sampler"]
+
+
+def golden_summary(name: str) -> StreamSummary:
+    info = registry.get_summary(name)
+    summary = info.factory()
+    feed(summary, info.input_kind, n=40)
+    return summary
+
+
+class TestPackedBuffers:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_payload_tree_round_trip_equals_the_json_round_trip(self, name):
+        info = registry.get_summary(name)
+        for n in (0, 200):
+            summary = info.factory()
+            feed(summary, info.input_kind, n=n)
+            payload = summary._state_payload()
+            assert identical(
+                unpack_tree(pack_tree(payload)), json.loads(json.dumps(payload))
+            )
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_version_1_buffer_loads_and_answers_identically(self, name):
+        info = registry.get_summary(name)
+        summary = info.factory()
+        feed(summary, info.input_kind)
+        old = json_buffer(summary)
+        assert summary_type_of(old) == summary_type_of(summary.to_bytes()) == name
+        restored = StreamSummary.from_bytes(old)
+        assert type(restored) is info.cls
+        assert query_of(restored) == query_of(summary)
+        # Read, never written: what comes back out is today's layout.
+        assert restored.to_bytes() == summary.to_bytes()
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_every_truncation_is_a_parameter_error(self, name):
+        info = registry.get_summary(name)
+        summary = info.factory()
+        feed(summary, info.input_kind, n=30)
+        blob = summary.to_bytes()
+        for cut in range(len(blob)):
+            with pytest.raises(ParameterError):
+                StreamSummary.from_bytes(blob[:cut])
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_a_flipped_bit_is_a_tree_or_a_parameter_error(self, name):
+        # Down to the tree only: some constructors size their tables from
+        # a parameter, and a flipped one asks for terabytes.  The golden
+        # types below go through ``_from_payload`` as well.
+        info = registry.get_summary(name)
+        summary = info.factory()
+        feed(summary, info.input_kind, n=30)
+        for damaged in flips(pack_tree(summary._state_payload())):
+            try:
+                unpack_tree(damaged)
+            except ParameterError:
+                pass
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_writer_matches_the_committed_bytes(self, name):
+        golden = (GOLDEN_DIR / f"{name}.v2").read_bytes()
+        assert golden_summary(name).to_bytes() == golden
+        assert StreamSummary.from_bytes(golden).to_bytes() == golden
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_committed_version_1_bytes_still_load(self, name):
+        old = (GOLDEN_DIR / f"{name}.v1").read_bytes()
+        assert old == json_buffer(golden_summary(name))
+        restored = StreamSummary.from_bytes(old)
+        fresh = golden_summary(name)
+        assert query_of(restored) == query_of(fresh)
+        assert restored.to_bytes() == (GOLDEN_DIR / f"{name}.v2").read_bytes()
+        # The restored summary keeps going exactly like the original —
+        # the sampler's random stream included.
+        info = registry.get_summary(name)
+        for summary in (restored, fresh):
+            feed(summary, info.input_kind, n=40, offset=1)
+        assert restored.to_bytes() == fresh.to_bytes()
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_flipped_bit_is_a_summary_or_a_parameter_error(self, name, version):
+        for damaged in flips((GOLDEN_DIR / f"{name}.v{version}").read_bytes()):
+            try:
+                StreamSummary.from_bytes(damaged)
+            except ParameterError:
+                pass
+
+    @pytest.mark.parametrize(
+        "name, payload, leaked",
+        [
+            ("qdigest", {}, "KeyError"),
+            ("priority_sampler",
+             {"k": 4, "seen": 1, "tiebreak": 1, "log_tau": None, "heap": [[1]],
+              "rng": [3, [0] * 625, None]},
+             "ValueError"),
+            ("weighted_spacesaving", [1, 2], "TypeError"),
+        ],
+    )
+    def test_a_wrong_payload_is_a_parameter_error_naming_the_type(
+        self, name, payload, leaked
+    ):
+        """A well-formed buffer of the wrong content used to escape as
+        whatever ``_from_payload`` tripped on (``leaked``)."""
+        body = json.dumps({"type": name, "payload": payload}).encode("utf-8")
+        packed = bytes((2, len(name))) + name.encode("utf-8") + pack_tree(payload)
+        for buffer in (b"\x01" + body, packed):
+            with pytest.raises(ParameterError, match=name) as caught:
+                StreamSummary.from_bytes(buffer)
+            assert type(caught.value.__cause__).__name__ == leaked
+
+    def test_foreign_buffers_are_refused_by_their_head(self):
+        for junk in (b"", b"\x02", b"\x02\x09qdigest", b"\x00abc", b"\x01[]",
+                     b"\x03" + golden_summary("qdigest").to_bytes()[1:]):
+            with pytest.raises(ParameterError):
+                StreamSummary.from_bytes(junk)
+            if junk:
+                with pytest.raises(ParameterError):
+                    summary_type_of(junk)
 
 
 class TestUpdateManyEquivalence:

@@ -134,6 +134,30 @@ GOLDEN_BLOB = bytes.fromhex(
     "00000000000000010000000000000001ffffffffffffffff0100000000000000"
     "0000000002000501000000100000000000000001000000000000000103000000"
     "0c00000002000000026831683201000000100000000000000002000000000000"
+    "000102000000104054000000000000409770000000000005000000fc0000007a"
+    "0000007a0211756e6172795f7370616365736176696e67080300000007020805"
+    "086361706163697479746f74616c636f756e7465727300036400000000000000"
+    "0500000000000000400701000000000703000000000702000000000603000000"
+    "696e740328000000000000000302000000000000000300000000000000000211"
+    "756e6172795f7370616365736176696e67080300000007020805086361706163"
+    "697479746f74616c636f756e7465727300036400000000000000050000000000"
+    "00f03f0701000000000703000000000702000000000603000000696e7403dc05"
+    "0000000000000301000000000000000300000000000000000542f090"
+)
+#: The same state as the commit before packed summary buffers wrote it:
+#: identical framing, the two ``unary_hh`` buffers in the version-1 (JSON)
+#: layout.  Such blobs sit in ``checkpoint.bin`` files; they must merge.
+GOLDEN_BLOB_V1_SUMMARIES = bytes.fromhex(
+    "0200000000000000030000000000000003000000000000000000000002000401"
+    "000303000000a70000008a00000004000000060000000353454c454354207462"
+    "2041532074622c20646573744950204153206465737449502c20636f756e7428"
+    "2a2920415320632c2073756d286c656e2920415320732c20756e6172795f6868"
+    "286c656e292041532068682046524f4d205443502047524f5550204259202874"
+    "696d65202f203630292041532074622c20646573744950204153206465737449"
+    "5074696d656465737449506c656e010000000800000000000000010100000018"
+    "00000000000000010000000000000001ffffffffffffffff0100000000000000"
+    "0000000002000501000000100000000000000001000000000000000103000000"
+    "0c00000002000000026831683201000000100000000000000002000000000000"
     "000102000000104054000000000000409770000000000005000000ce00000062"
     "00000064017b2274797065223a22756e6172795f7370616365736176696e6722"
     "2c227061796c6f6164223a7b226361706163697479223a3130302c22746f7461"
@@ -172,6 +196,13 @@ class TestGoldenBytes:
         assert restored.drain() == source.drain()
         assert restored.flush() == source.flush()
 
+    def test_blob_with_version_1_summaries_merges_to_the_same_state(self):
+        restored = golden_engine()
+        restored.merge_partial(GOLDEN_BLOB_V1_SUMMARIES)
+        # Read, never written: re-encoded, the buffers are today's layout.
+        assert restored.partial_state_bytes() == GOLDEN_BLOB
+        assert restored.flush() == golden_engine(GOLDEN_ROWS).flush()
+
     def test_describe_reads_the_fixture(self):
         info = describe_partial_state(GOLDEN_BLOB)
         assert info["version"] == PARTIAL_STATE_VERSION == 2
@@ -180,6 +211,14 @@ class TestGoldenBytes:
         assert info["slots"] == [1, 1, -1]
         assert [kind for kind, _size in info["columns"]] == [
             "i64", "str", "i64", "f64", "bytes"
+        ]
+        # The summary slot, named from its buffers' heads — either layout.
+        assert info["summaries"] == [
+            {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 244}
+        ]
+        old = describe_partial_state(GOLDEN_BLOB_V1_SUMMARIES)["summaries"]
+        assert old == [
+            {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 198}
         ]
 
 
@@ -294,8 +333,15 @@ def crafted(groups, slots, cols, texts=None) -> bytes:
     )
 
 
-#: A well-formed summary buffer (what the ``unary_hh`` slot carries).
-HH_BYTES = (
+#: A well-formed summary buffer (what the ``unary_hh`` slot carries) ...
+HH_BYTES = bytes.fromhex(
+    "0211756e6172795f7370616365736176696e6708030000000702080508636170"
+    "6163697479746f74616c636f756e746572730003640000000000000005000000"
+    "000000f03f0701000000000703000000000702000000000603000000696e7403"
+    "2800000000000000030100000000000000030000000000000000"
+)
+#: ... and the same summary as the version-1 (JSON) layout spelt it.
+HH_BYTES_V1 = (
     b'\x01{"type":"unary_spacesaving","payload":'
     b'{"capacity":100,"total":1.0,"counters":[[["int",40],1,0]]}}'
 )
@@ -359,11 +405,12 @@ class TestHostileInput:
             engine.merge_partial(blob)
         assert untouched(engine)
 
-    def test_the_crafting_helper_can_also_build_an_acceptable_buffer(self):
+    @pytest.mark.parametrize("hh", [HH_BYTES, HH_BYTES_V1], ids=["v2", "v1"])
+    def test_the_crafting_helper_can_also_build_an_acceptable_buffer(self, hh):
         # Control for the cases above: same helper, right slot kinds.
         engine = golden_engine()
         engine.merge_partial(
-            crafted(1, [1, 1, -1], [[1], ["h"], [1], [2.0], [HH_BYTES]])
+            crafted(1, [1, 1, -1], [[1], ["h"], [1], [2.0], [hh]])
         )
         assert engine.flush() == [
             {"tb": 1, "destIP": "h", "c": 1, "s": 2.0, "hh": [(40, 1.0, 0.0)]}

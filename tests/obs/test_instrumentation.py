@@ -12,7 +12,7 @@ import pytest
 from repro.core import registry as summary_registry
 from repro.core.serde import dump_summary, load_summary
 from repro.distributed.mapreduce import decayed_map_reduce
-from repro.dsms.engine import QueryEngine
+from repro.dsms.engine import QueryEngine, describe_partial_state
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
 from repro.dsms.udaf import default_registry
@@ -129,10 +129,29 @@ class TestResultsUnchanged:
         assert snap["engine.query.partial.decode_us"]["count"] == 1
         assert snap["engine.query.partial.bytes"]["value"] == len(blob)
         assert snap["engine.query.partial.groups"]["value"] == engine.group_count
+        assert snap["engine.query.partial.summary_bytes"]["value"] == 0
         # Disabled registry: the snapshot path never looks at a clock.
         plain = QueryEngine(parse_query(SQL, default_registry()), SCHEMA)
         plain.insert_many(make_rows())
         assert plain.partial_state_bytes() == blob
+
+
+    def test_partial_state_reports_how_much_of_it_is_summary_buffers(self):
+        metrics = MetricsRegistry(enabled=True)
+        sql = (
+            "select destIP, count(*) as c, unary_hh(len) as hh from TCP "
+            "group by destIP"
+        )
+        engine = QueryEngine(
+            parse_query(sql, default_registry()), SCHEMA, metrics=metrics
+        )
+        engine.insert_many(make_rows())
+        blob = engine.partial_state_bytes()
+        buffers = describe_partial_state(blob)["summaries"]
+        snap = metrics.snapshot()["metrics"]
+        sketch_bytes = snap["engine.query.partial.summary_bytes"]["value"]
+        assert sketch_bytes == sum(slot["bytes"] for slot in buffers)
+        assert 0.5 * len(blob) < sketch_bytes < len(blob)
 
 
 class TestRecordedMetrics:

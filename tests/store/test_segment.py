@@ -22,6 +22,7 @@ from repro.store import (
     canonical_key,
     read_record_at,
 )
+from repro.core.registry import create_summary
 from repro.store import segment as segment_mod
 
 KEY_A = [["int", 1], ["str", "h1"]]
@@ -75,6 +76,21 @@ class TestWriterReader:
             write_segment(path, version=version)
             records[version] = [r for _, r in SegmentReader(path).iter_records()]
         assert records[1] == records[2]
+
+    def test_a_summary_state_is_its_raw_buffer_in_both_versions(self, tmp_path):
+        # Version-1 bodies are JSON and spell a summary as its envelope;
+        # the record dict a reader hands out holds the to_bytes buffer.
+        summary = create_summary("weighted_spacesaving")
+        summary.update("h", 2.5)
+        states = [["plain", [1]], ["summary", summary.to_bytes()]]
+        for version in (1, 2):
+            path = str(tmp_path / f"v{version}.seg")
+            writer = SegmentWriter(path, version=version)
+            offset, length = writer.append(KEY_A, states)
+            writer.finalize()
+            assert read_record_at(path, offset, length)["s"] == states
+        with open(str(tmp_path / "v1.seg"), "rb") as handle:
+            assert b'"summary",{"type":"WeightedSpaceSaving"' in handle.read()
 
     def test_v2_is_smaller_than_v1(self, tmp_path):
         sizes = {}

@@ -20,12 +20,14 @@ import pytest
 from repro.core.decay import ForwardDecay
 from repro.core.errors import ParameterError, QueryError, StoreError
 from repro.core.functions import ExponentialG
+from repro.core.protocol import StreamSummary
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
 from repro.dsms.udaf import default_registry
 from repro.obs.registry import MetricsRegistry
 from repro.store import MANIFEST_NAME, TieredStore
+from tests.core.test_protocol_conformance import json_buffer
 
 SCHEMA = Schema(
     [
@@ -150,6 +152,44 @@ class TestByteIdentity:
         collector.merge_partial(blob)
         assert collector.flush() == reference_flush(SKETCH_SQL, rows)
         assert engine.flush() == reference_flush(SKETCH_SQL, rows)
+
+    def test_records_holding_version_1_summary_buffers(
+        self, tmp_path, monkeypatch
+    ):
+        """Segments written before the packed layout hold JSON summary
+        buffers.  Such a record compacts, splices into a blob equal to
+        the all-RAM engine's, and faults in to the same state."""
+        rows = make_rows(900, groups=60)
+        half = len(rows) // 2
+        store = TieredStore(
+            str(tmp_path / "s"), hot_groups=4, segment_bytes=8 << 10,
+            compact_garbage_ratio=0.1,
+        )
+        engine = build_engine(SKETCH_SQL, store=store)
+        with monkeypatch.context() as old_writer:
+            old_writer.setattr(StreamSummary, "to_bytes", json_buffer)
+            for i in range(0, half, 50):
+                engine.insert_many(rows[i : i + 50])
+
+        def cold_versions() -> set:
+            return {
+                payload[0]
+                for key in store.cold_key_set()
+                for kind, payload in store.encoded_states(key)
+                if kind == "summary"
+            }
+
+        assert cold_versions() == {1}
+        store.compact(force=True)
+        assert cold_versions() == {1}  # copied raw, not re-encoded
+        reference = build_engine(SKETCH_SQL)
+        reference.insert_many(rows[:half])
+        assert engine.partial_state_bytes() == reference.partial_state_bytes()
+        engine.insert_many(rows[half:])
+        reference.insert_many(rows[half:])
+        assert cold_versions() == {1, 2}
+        assert engine.partial_state_bytes() == reference.partial_state_bytes()
+        assert engine.flush() == reference.flush()
 
     def test_merge_partial_faults_cold_groups_in(self, tmp_path):
         # Half the stream arrives as a merged partial *after* eviction

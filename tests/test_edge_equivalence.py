@@ -47,32 +47,26 @@ class Edge:
 
     ``target`` is the object under test; the method names map its
     spelling of each edge (``process`` vs ``append``, ``insert_many`` vs
-    ``insert``) onto one vocabulary.  ``settle`` runs before a read on
-    topologies whose read calls do not themselves ship the edge buffer
-    (the clients: ``flush`` is their documented barrier).
+    ``insert``) onto one vocabulary.  No topology gets a settling call
+    before a read: every read ships the edge buffer itself.
     """
 
     def __init__(self, target, *, process, insert, heartbeat, blobs,
-                 call=lambda result: result, settle=None, ingested=None):
+                 call=lambda result: result, ingested=None):
         self.target = target
         self._names = {
             "process": process, "insert": insert, "heartbeat": heartbeat,
             "blobs": blobs,
         }
         self._call = call
-        self._settle = settle
         self._ingested = ingested
 
     def do(self, op: str, *args):
-        if self._settle and op in ("heartbeat", "query", "checkpoint", "blobs"):
-            self._call(getattr(self.target, self._settle)())
         name = self._names.get(op, op)
         return self._call(getattr(self.target, name)(*args))
 
     def close_count(self) -> int:
         """Close the topology; how many rows its engines ingested."""
-        if self._settle:
-            self._call(getattr(self.target, self._settle)())
         return self._ingested(self._call(self.target.close()))
 
 
@@ -129,7 +123,6 @@ def served(tmp_path, driver):
             yield Edge(
                 client, process="append", insert="insert",
                 heartbeat="heartbeat", blobs="partials", call=call,
-                settle="flush",
                 ingested=lambda goodbye: goodbye["tuples_in"],
             )
         finally:
@@ -223,6 +216,14 @@ def test_every_edge_matches_the_row_fed_reference(edge, mode):
     for blob in edge.do("blobs"):
         collector.merge_partial(blob)
     assert collector.partial_state_bytes() == reference.partial_state_bytes()
+    assert canon(edge.do("query")) == canon(reference.flush())
+
+
+def test_a_buffered_row_is_visible_to_the_next_query(edge):
+    for row in ROWS[:CHUNK]:  # fewer than BATCH: all still in the buffer
+        edge.do("process", row)
+    reference = PLAN.build_engine()
+    reference.insert_many(ROWS[:CHUNK])
     assert canon(edge.do("query")) == canon(reference.flush())
 
 
