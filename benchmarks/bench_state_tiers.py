@@ -118,8 +118,8 @@ def main(argv=None) -> int:
     if bpg["gate"] and bpg["value"] > bpg["limit"]:
         failures.append(
             f"segments cost {bpg['value']:.0f} B/group "
-            f"(ceiling {bpg['limit']:.0f} B — the v1 JSON format "
-            "measured ~324 B)"
+            f"(ceiling {bpg['limit']:.0f} B — version-3 pages "
+            "measured 174 B)"
         )
     elif not bpg["gate"]:
         print("  (bytes/group ceiling report-only at this scale)")

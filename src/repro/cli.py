@@ -59,9 +59,11 @@ Three commands make the library usable without writing Python:
 
 ``store``
     Inspect a tiered group-state store directory (``repro.store``, as
-    written by ``serve --store-dir``)::
+    written by ``serve --store-dir``), or convert one written by an older
+    release to the current segment format, once::
 
         python -m repro store inspect /var/lib/repro/state
+        python -m repro store upgrade /var/lib/repro/state
 """
 
 from __future__ import annotations
@@ -509,8 +511,10 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     import os
 
     from repro.core.errors import ParameterError, StoreError
+    from repro.core.groups import RAGGED_SLOT, SUMMARY_SLOT
     from repro.core.protocol import summary_type_of
     from repro.store import MANIFEST_NAME, SegmentReader
+    from repro.store.segment import UPGRADE_HINT
 
     directory = args.directory
     if not os.path.isdir(directory):
@@ -524,13 +528,7 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     if os.path.exists(manifest_path):
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        if "directory" in manifest:
-            # Manifest v1: the cold directory is embedded JSON.
-            groups = len(manifest["directory"])
-            for seg, _off, _len in manifest["directory"].values():
-                live_by_segment[seg] = live_by_segment.get(seg, 0) + 1
-        elif manifest.get("directory_file"):
-            # Manifest v2: the directory is a KeyDirectory snapshot file.
+        if manifest.get("directory_file"):
             from repro.store.directory import KeyDirectory
             from repro.store.tiered import _segment_number
 
@@ -551,6 +549,10 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
                     live_by_segment[seg] = live_by_segment.get(seg, 0) + 1
             finally:
                 snap.close()
+        else:
+            # Manifest version 1 embeds the directory; `store upgrade`
+            # converts it.
+            groups = len(manifest.get("directory", ()))
         report["manifest"] = {
             "version": manifest.get("version"),
             "query": manifest.get("query"),
@@ -574,24 +576,44 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         else:
             try:
                 reader = SegmentReader(path)
-                # Full scan: CRC-check every record, not just the footer.
-                # An inspect exists to find rot before a query does.
+                # Full scan: CRC-check and decode every page, not just
+                # the footer.  An inspect exists to find rot before a
+                # query does.
                 summaries: dict[str, dict[str, int]] = {}
-                for _offset, record in reader.iter_records():
-                    for kind, payload in record["s"]:
-                        if kind == "summary":
+                layout: list[str] | None = None
+                for page in reader.iter_pages():
+                    states = page.states()
+                    if layout is None:
+                        layout = [
+                            "ragged" if code == RAGGED_SLOT
+                            else f"scalars x{code}" if code != SUMMARY_SLOT
+                            else "summary:" + summary_type_of(states[0][slot])
+                            for slot, code in enumerate(page.slots)
+                        ]
+                    for slot, code in enumerate(page.slots):
+                        if code != SUMMARY_SLOT:
+                            continue
+                        for row in states:
                             tally = summaries.setdefault(
-                                summary_type_of(payload), {"buffers": 0, "bytes": 0}
+                                summary_type_of(row[slot]),
+                                {"buffers": 0, "bytes": 0},
                             )
                             tally["buffers"] += 1
-                            tally["bytes"] += len(payload)
+                            tally["bytes"] += len(row[slot])
+                live = live_by_segment.get(name, 0)
                 entry["status"] = "ok"
                 entry["summaries"] = dict(sorted(summaries.items()))
                 entry["format"] = f"v{reader.version}"
+                entry["pages"] = len(reader.pages)
                 entry["records"] = reader.records
-                entry["live"] = live_by_segment.get(name, 0)
+                entry["live"] = live
+                entry["bytes_per_live_row"] = (
+                    round(entry["bytes"] / live, 2) if live else None
+                )
+                entry["layout"] = layout or []
             except (StoreError, ParameterError) as error:
-                entry["status"] = f"corrupt: {error}"
+                kind = "needs upgrade" if UPGRADE_HINT in str(error) else "corrupt"
+                entry["status"] = f"{kind}: {error}"
         segments.append(entry)
     report["segments"] = segments
     if args.json:
@@ -609,15 +631,49 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         print(f"query: {m['query']}")
     for entry in segments:
         line = f"  {entry['name']:<28} {entry['bytes']:>12,} B  {entry['status']}"
-        if getattr(args, "format", False) and "format" in entry:
-            line += f"  {entry['format']}"
         if "records" in entry:
-            line += f"  ({entry['records']:,} records, {entry['live']:,} live)"
+            per_live = entry["bytes_per_live_row"]
+            line += (
+                f"  {entry['format']}  ({entry['pages']:,} pages, "
+                f"{entry['records']:,} rows, {entry['live']:,} live"
+                + (f", {per_live:,} B/live row)" if per_live else ")")
+            )
         print(line)
+        if entry.get("layout"):
+            print(f"      slots: {' | '.join(entry['layout'])}")
         for name, tally in entry.get("summaries", {}).items():
             print(f"      {name} x {tally['buffers']:,}, {tally['bytes']:,} B")
     if not segments:
         print("  (no segment files)")
+    return 0
+
+
+def _cmd_store_upgrade(args: argparse.Namespace) -> int:
+    import json
+    import os
+
+    from repro.store.upgrade import upgrade_tree
+
+    if not os.path.isdir(args.directory):
+        print(f"error: {args.directory!r} is not a directory", file=sys.stderr)
+        return 2
+    reports = upgrade_tree(args.directory)
+    if args.json:
+        print(json.dumps(reports, indent=2, sort_keys=True))
+        return 0
+    for report in reports:
+        line = f"{report['directory']}: {report['status']}"
+        if report["status"] == "upgraded":
+            groups = max(report["groups"], 1)
+            line += (
+                f" — {report['groups']:,} group(s), "
+                f"{report['segments_before']} -> {report['segments_after']} "
+                f"segment(s), {report['bytes_before'] / groups:.1f} -> "
+                f"{report['bytes_after'] / groups:.1f} B/group"
+            )
+        print(line)
+    if not reports:
+        print(f"{args.directory}: no store directory (no MANIFEST.json) found")
     return 0
 
 
@@ -860,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint_inspect.set_defaults(handler=_cmd_checkpoint_inspect)
 
     store = commands.add_parser(
-        "store", help="inspect tiered group-state store directories"
+        "store", help="inspect or upgrade tiered group-state store directories"
     )
     store_commands = store.add_subparsers(dest="store_command", required=True)
     store_inspect = store_commands.add_parser(
@@ -872,10 +928,18 @@ def build_parser() -> argparse.ArgumentParser:
                                "shard<i> subdirectory)")
     store_inspect.add_argument("--json", action="store_true",
                                help="emit the report as JSON")
-    store_inspect.add_argument("--format", action="store_true",
-                               help="show each segment's detected record "
-                               "format (v1 JSON / v2 binary)")
     store_inspect.set_defaults(handler=_cmd_store_inspect)
+    store_upgrade = store_commands.add_parser(
+        "upgrade", help="convert a store written by an older release to the "
+        "current segment format, once (idempotent)"
+    )
+    store_upgrade.add_argument("directory",
+                               help="store directory, or a directory holding "
+                               "several (a --store-dir with shard<i> "
+                               "subdirectories)")
+    store_upgrade.add_argument("--json", action="store_true",
+                               help="emit the reports as JSON")
+    store_upgrade.set_defaults(handler=_cmd_store_upgrade)
 
     stats = commands.add_parser(
         "stats", help="render the observability snapshot of the last bench run"

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import accumulate
 
 from repro.core.errors import ProtocolError
 from repro.core.protocol import tag_key, untag_key
@@ -58,6 +59,8 @@ __all__ = [
     "unpack_cols",
     "pack_column",
     "read_column",
+    "open_cols",
+    "block_values",
     "describe_cols",
     "tag_value",
     "untag_value",
@@ -84,7 +87,8 @@ _COLS_HEAD = struct.Struct("!BQIH")
 #: kind, payload byte count — one per column.
 _COL_HEAD = struct.Struct("!BI")
 
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+_ONE_I64 = struct.Struct("!q")
+_ONE_F64 = struct.Struct("!d")
 
 
 def row_count(cols, error: type[Exception] = ProtocolError) -> int:
@@ -282,6 +286,68 @@ def pack_cols(cols, *, seq: int | None = None) -> bytes:
     return b"".join(parts)
 
 
+def open_cols(view) -> tuple[int, int | None, list[tuple[int, int, int]]]:
+    """``(row count, seq, [(kind, payload start, payload end) per column])``
+    of a packed batch, with no column decoded: the header is checked and the
+    blocks must tile ``view`` exactly.  Decode the ones you need with
+    :func:`block_values`."""
+    try:
+        version, seq_tag, count, ncols = _COLS_HEAD.unpack_from(view, 0)
+    except struct.error as exc:
+        raise ProtocolError(f"truncated columnar header: {exc}") from exc
+    if version != COLS_CODEC_VERSION:
+        raise ProtocolError(f"unknown columnar codec version {version}")
+    blocks = []
+    offset = _COLS_HEAD.size
+    for _ in range(ncols):
+        kind, start, offset = _block(view, offset)
+        blocks.append((kind, start, offset))
+    if offset != len(view):
+        raise ProtocolError(
+            f"{len(view) - offset} trailing bytes after columnar columns"
+        )
+    return count, (seq_tag - 1 if seq_tag else None), blocks
+
+
+def block_values(view, block: tuple[int, int, int], count: int, rows=None) -> list:
+    """The values of one :func:`open_cols` block: all ``count`` of them, or
+    only those at the row indices ``rows`` (each below ``count``).
+
+    Picking rows out of a fixed-width column is an ``unpack_from`` per
+    row and out of a ``str`` / ``bytes`` column one pass over its length
+    table; a ``tagged`` column decodes whole either way.
+    """
+    kind, start, end = block
+    if rows is None:
+        return _unpack_column(kind, view[start:end], count)
+    if kind == COL_I64 or kind == COL_F64:
+        if end - start != 8 * count:
+            raise ProtocolError(
+                f"fixed-width column: {end - start} bytes for {count} rows"
+            )
+        unpack_from = (_ONE_I64 if kind == COL_I64 else _ONE_F64).unpack_from
+        return [unpack_from(view, start + 8 * row)[0] for row in rows]
+    if kind == COL_STR or kind == COL_BYTES:
+        head = start + 4 * count
+        if head > end:
+            raise ProtocolError("column shorter than its length table")
+        ends = list(accumulate(
+            struct.unpack_from(f"!{count}I", view, start), initial=head
+        ))
+        if ends[-1] != end:
+            raise ProtocolError("column blob does not match its lengths")
+        try:
+            return [
+                bytes(view[ends[row]:ends[row + 1]]) if kind == COL_BYTES
+                else str(view[ends[row]:ends[row + 1]], "utf-8")
+                for row in rows
+            ]
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"undecodable str column: {exc}") from exc
+    values = _unpack_column(kind, view[start:end], count)
+    return [values[row] for row in rows]
+
+
 def unpack_cols(body) -> tuple[list[list], int | None, int]:
     """Parse a packed batch → ``(columns, seq, row_count)``.
 
@@ -289,34 +355,18 @@ def unpack_cols(body) -> tuple[list[list], int | None, int]:
     :class:`ProtocolError`.
     """
     with memoryview(body) as view:
-        try:
-            version, seq_tag, count, ncols = _COLS_HEAD.unpack_from(view, 0)
-        except struct.error as exc:
-            raise ProtocolError(f"truncated columnar header: {exc}") from exc
-        if version != COLS_CODEC_VERSION:
-            raise ProtocolError(
-                f"unknown columnar codec version {version}"
-            )
-        cols: list[list] = []
-        offset = _COLS_HEAD.size
-        for _ in range(ncols):
-            col, offset = read_column(view, offset, count)
-            cols.append(col)
-        if offset != len(view):
-            raise ProtocolError(
-                f"{len(view) - offset} trailing bytes after columnar columns"
-            )
-    return cols, (seq_tag - 1 if seq_tag else None), count
+        count, seq, blocks = open_cols(view)
+        cols = [block_values(view, block, count) for block in blocks]
+    return cols, seq, count
 
 
 def describe_cols(body) -> tuple[int, list[tuple[str, int]]]:
     """``(row count, [(kind name, payload bytes) per column])`` of a packed
     batch that :func:`unpack_cols` accepts — what an inspector prints."""
     with memoryview(body) as view:
-        cols, _seq, count = unpack_cols(view)
-        layout = []
-        offset = _COLS_HEAD.size
-        for _ in cols:
-            kind, start, offset = _block(view, offset)
-            layout.append((_KIND_NAMES[kind], offset - start))
-    return count, layout
+        count, _seq, blocks = open_cols(view)
+        for block in blocks:
+            block_values(view, block, count)
+    return count, [
+        (_KIND_NAMES[kind], end - start) for kind, start, end in blocks
+    ]

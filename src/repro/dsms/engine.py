@@ -39,7 +39,8 @@ from repro.core.cols import (
     unpack_cols,
 )
 from repro.core.errors import MergeError, ProtocolError, QueryError
-from repro.core.protocol import StreamSummary, decode_number, summary_type_of
+from repro.core.groups import SUMMARY_SLOT, group_columns, group_states
+from repro.core.protocol import StreamSummary, summary_type_of
 from repro.dsms.parser import Query, SelectItem
 from repro.dsms.schema import Schema
 
@@ -62,10 +63,6 @@ PARTIAL_STATE_VERSION = 2
 #: open buckets (0 or 1), aggregates — see ``partial_state_bytes``.
 _PARTIAL_HEAD = struct.Struct("!BQQQIHBH")
 _CRC = struct.Struct("!I")
-
-#: Slot codes for aggregates whose state is not a fixed-arity scalar list.
-_SUMMARY_SLOT = -1
-_RAGGED_SLOT = -2
 
 
 class _AggPlan:
@@ -373,6 +370,21 @@ class QueryEngine:
         high_get = high.get
         agg_plans = self._agg_plans
         capacity = self.low_table_size
+        if self._store is not None:
+            # Read-ahead: the batch's keys are all known before the loop
+            # starts, so the cold ones are fetched a page at a time rather
+            # than one fault per miss.  In a two-level engine a key faults
+            # only when it merges up, which this batch forces only once
+            # the keys new to the low table overflow it.
+            fresh = []
+            incoming = 0
+            for key in dict.fromkeys(keys):
+                if key not in low:
+                    incoming += 1
+                    if key not in high:
+                        fresh.append(key)
+            if fresh and (not two_level or len(low) + incoming > capacity):
+                self._store.stage(fresh)
         # key -> (states, row indices, indices.append); states already live
         # in low/high.
         pending: dict[tuple, tuple] = {}
@@ -640,9 +652,16 @@ class QueryEngine:
         """Merge every low-level partial upward (a merge-neutral operation:
         the same states end up in the high table, so finalized results are
         unchanged — associativity of the aggregate merges)."""
-        if self.two_level:
-            for key in list(self._low):
-                self._merge_up(key, self._low.pop(key))
+        low = self._low
+        if self.two_level and low:
+            store = self._store
+            if store is not None:
+                high = self._high
+                store.stage([key for key in low if key not in high])
+            for key in list(low):
+                self._merge_up(key, low.pop(key))
+            if store is not None:
+                store.unstage()
 
     def flush(self) -> list[ResultRow]:
         """Finalize everything still open and return all pending results."""
@@ -655,17 +674,19 @@ class QueryEngine:
                 for key in sorted(high, key=repr)
             ]
         else:
-            # Stream cold groups one at a time instead of faulting the
-            # whole keyspace into RAM; hot and cold key sets are disjoint
-            # so the union sorts exactly like the all-RAM table.
-            keys = set(high)
-            keys.update(store.cold_key_set())
-            rows = []
-            for key in sorted(keys, key=repr):
-                states = high.pop(key, None)
-                if states is None:
-                    states = store.fault_in(key)
-                rows.append(self._finalize_group(key, states))
+            # Cold groups are finalized a page at a time instead of
+            # faulting the whole keyspace into RAM; hot and cold key sets
+            # are disjoint so the union sorts exactly like the all-RAM
+            # table.  Damage on disk has to surface before the first
+            # group is consumed, or it would take finalized rows with it.
+            store.verify_pages()
+            finalized = {
+                key: self._finalize_group(key, high.pop(key))
+                for key in list(high)
+            }
+            for key, states in store.take_cold():
+                finalized[key] = self._finalize_group(key, states)
+            rows = [finalized[key] for key in sorted(finalized, key=repr)]
         self._emitted.extend(self._postprocess(rows))
         self._current_bucket = _NO_BUCKET
         return self.drain()
@@ -767,25 +788,10 @@ class QueryEngine:
         if store is None:
             keys = sorted(high, key=repr)
             return keys, [high[key] for key in keys]
-        union = set(high)
-        union.update(store.cold_key_set())
+        union = dict(high)
+        union.update(store.cold_groups())
         keys = sorted(union, key=repr)
-        rows = []
-        for key in keys:
-            states = dict.get(high, key)
-            if states is None:
-                states = []
-                for kind, payload in store.encoded_states(key):
-                    if kind == "plain":
-                        payload = [decode_number(v) for v in payload]
-                    elif payload[0] != StreamSummary.SERDE_VERSION:
-                        # A record older than the packed layout.  The
-                        # all-RAM engine writes today's only, and this
-                        # blob must equal its blob byte for byte.
-                        payload = StreamSummary.from_bytes(payload).to_bytes()
-                    states.append(payload)
-            rows.append(states)
-        return keys, rows
+        return keys, [union[key] for key in keys]
 
     def partial_state_bytes(self) -> bytes:
         """Every live group's state as one mergeable, checksummed buffer.
@@ -807,24 +813,9 @@ class QueryEngine:
         obs = self._obs
         start = time.perf_counter_ns() if obs is not None else 0
         keys, rows = self._snapshot()
-        cols: list = list(zip(*keys))
-        slots = []
-        summary_bytes = 0
-        for index in range(len(self._agg_plans) if rows else 0):
-            states = [row[index] for row in rows]
-            if isinstance(states[0], (StreamSummary, bytes)):
-                slots.append(_SUMMARY_SLOT)
-                cols.append(
-                    [s if type(s) is bytes else s.to_bytes() for s in states]
-                )
-                summary_bytes += sum(map(len, cols[-1]))
-                continue
-            try:
-                cols.extend(list(zip(*states, strict=True)))
-                slots.append(len(states[0]))
-            except ValueError:  # arity differs between groups
-                slots.append(_RAGGED_SLOT)
-                cols.append([list(state) for state in states])
+        slots, cols, summary_bytes = group_columns(
+            keys, rows, len(self._agg_plans)
+        )
         texts = [self.query.sql(), *self.schema.names()]
         bucket = (
             [] if self._current_bucket is _NO_BUCKET else [self._current_bucket]
@@ -861,46 +852,33 @@ class QueryEngine:
         except ProtocolError as exc:
             raise MergeError(f"malformed partial-state buffer: {exc}") from exc
         self._check_plan(texts[0] if texts else None, texts[1:])
-        nkeys = len(self._group_fns)
-        widths = [
-            code if code >= 0 else 1 for code in slots if type(code) is int
-        ]
         # An empty engine writes no slots and no columns; a batch without
         # columns (no key parts, no state slots) can hold one group at most.
         # Mergeable aggregates keep scalar-list state, the rest a summary:
         # a slot of the other kind would plant wrong-shaped state.
         if (
-            len(widths) != len(slots)
-            or min(slots, default=0) < _RAGGED_SLOT
-            or len(slots) != (len(self._agg_plans) if groups else 0)
+            len(slots) != (len(self._agg_plans) if groups else 0)
             or any(
-                (code == _SUMMARY_SLOT) == plan.udaf.mergeable
+                (code == SUMMARY_SLOT) == plan.udaf.mergeable
                 for code, plan in zip(slots, self._agg_plans)
             )
-            or len(cols) != (nkeys + sum(widths) if groups else 0)
             or groups != (count if cols else min(groups, 1))
         ):
             raise MergeError(
                 "malformed partial-state buffer: its columns do not match "
                 "this query's keys and aggregates"
             )
-        keys = list(zip(*cols[:nkeys])) if nkeys else [()] * groups
-        per_aggregate = []
-        at = nkeys
         try:
+            keys, per_aggregate = group_states(
+                slots, cols, len(self._group_fns), groups
+            )
             if len(set(keys)) != groups:
                 raise ValueError("duplicate group key")
-            for code, width in zip(slots, widths):
-                if code == _SUMMARY_SLOT:
-                    decoded = [StreamSummary.from_bytes(b) for b in cols[at]]
-                elif code == _RAGGED_SLOT:
-                    decoded = [list(state) for state in cols[at]]
-                elif code:
-                    decoded = list(map(list, zip(*cols[at:at + code])))
-                else:
-                    decoded = [[] for _ in keys]
-                per_aggregate.append(decoded)
-                at += width
+            for index, code in enumerate(slots):
+                if code == SUMMARY_SLOT:
+                    per_aggregate[index] = [
+                        StreamSummary.from_bytes(b) for b in per_aggregate[index]
+                    ]
         except Exception as exc:  # hostile key / summary bytes raise anything
             raise MergeError(
                 f"malformed partial-state buffer: undecodable group: {exc}"
@@ -938,6 +916,9 @@ class QueryEngine:
         self._drain_low()
         high = self._high
         plans = self._agg_plans
+        store = self._store
+        if store is not None:
+            store.stage([key for key in keys if key not in high])
         for key, theirs in zip(keys, states):
             mine = high.get(key)
             if mine is None:
@@ -953,6 +934,8 @@ class QueryEngine:
                         f"aggregate {plan.alias!r} has unmergeable state "
                         f"{type(own).__name__}"
                     )
+        if store is not None:
+            store.unstage()
         if bucket and self._current_bucket is _NO_BUCKET:
             self._current_bucket = bucket[0]
         self._tuples_in += counters[0]
@@ -1076,7 +1059,7 @@ def describe_partial_state(data) -> dict:
                 "bytes": sum(map(len, col)),
             }
             for slot, col in zip(
-                (i for i, code in enumerate(slots) if code == _SUMMARY_SLOT),
+                (i for i, code in enumerate(slots) if code == SUMMARY_SLOT),
                 summary_cols, strict=True,
             )
         ]

@@ -181,6 +181,13 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
     def _from_payload(cls, payload: dict) -> "DecayedSamplerWithReplacement":
         from repro.core.serde import load_decay
 
+        # s sizes the slot table: believe it only as far as the payload
+        # carries slots, or a flipped bit allocates gigabytes.
+        if payload["s"] != len(payload["slots"]):
+            raise ParameterError(
+                f"s is {payload['s']!r} but the payload carries "
+                f"{len(payload['slots'])} slots"
+            )
         sampler = cls(
             load_decay(payload["decay"]),
             payload["s"],

@@ -44,10 +44,17 @@ class CountMinSketch(StreamSummary):
         self.epsilon = epsilon
         self.delta = delta
         self.seed = seed
-        self.width = max(1, math.ceil(math.e / epsilon))
-        self.depth = max(1, math.ceil(math.log(1.0 / delta)))
+        self.width, self.depth = self._shape(epsilon, delta)
         self._rows = [[0.0] * self.width for __ in range(self.depth)]
         self._total = 0.0
+
+    @staticmethod
+    def _shape(epsilon: float, delta: float) -> tuple[int, int]:
+        """Counter grid ``(width, depth)`` the error parameters imply."""
+        return (
+            max(1, math.ceil(math.e / epsilon)),
+            max(1, math.ceil(math.log(1.0 / delta))),
+        )
 
     @property
     def total_weight(self) -> float:
@@ -159,6 +166,16 @@ class CountMinSketch(StreamSummary):
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "CountMinSketch":
+        # epsilon and delta size the grid: believe them only as far as
+        # the payload carries that grid, or a flipped bit asks for
+        # gigabytes before anything else is looked at.
+        rows = payload["rows"]
+        width, depth = cls._shape(payload["epsilon"], payload["delta"])
+        if depth != len(rows) or any(len(row) != width for row in rows):
+            raise ParameterError(
+                f"epsilon / delta imply a {depth} x {width} counter grid, "
+                f"the payload carries {len(rows)} rows"
+            )
         sketch = cls(payload["epsilon"], payload["delta"], payload["seed"])
         sketch._total = payload["total"]
         sketch._rows = [list(row) for row in payload["rows"]]

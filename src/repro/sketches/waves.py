@@ -156,6 +156,13 @@ class DeterministicWave(StreamSummary):
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "DeterministicWave":
+        # max_levels sizes the level table: believe it only as far as the
+        # payload carries levels, or a flipped bit allocates for minutes.
+        if payload["max_levels"] != len(payload["levels"]):
+            raise ParameterError(
+                f"max_levels is {payload['max_levels']!r} but the payload "
+                f"carries {len(payload['levels'])} levels"
+            )
         wave = cls(payload["epsilon"], payload["window"], payload["max_levels"])
         wave._count = payload["count"]
         wave._last_time = decode_number(payload["last_time"])

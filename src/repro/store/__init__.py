@@ -13,7 +13,8 @@ the all-RAM engine.
 * :class:`TenantStore` — per-tenant stores with per-tenant decay and a
   scheduled Section VI-A renormalization + compaction sweep.
 * :class:`SegmentWriter` / :class:`SegmentReader` — the append-only,
-  CRC-checked segment format itself.
+  CRC-checked segment format itself: column-packed pages of groups
+  (version 3; ``repro store upgrade DIR`` converts older directories).
 * :class:`StoreError` — structured corruption/inconsistency failures,
   carrying the offending segment and offset.
 """

@@ -4,7 +4,7 @@ At one million groups the store could afford a Python dict mapping every
 canonical key string to its ``(segment, offset, length)`` — roughly 250
 bytes of RAM per cold group.  At ten million that dict *is* the memory
 bottleneck, so the directory moves to disk: an mmap-backed open-addressing
-hash table of fixed 28-byte slots keyed by the 64-bit BLAKE2b key hash
+hash table of fixed 24-byte slots keyed by the 64-bit BLAKE2b key hash
 (:func:`repro.store.segment.key_hash`).  RAM residency is bounded by the
 page cache, not the group count, and the table survives as a file the
 manifest checkpoint can reference instead of embedding millions of JSON
@@ -78,9 +78,6 @@ class KeyDirectory:
         self.path = path
         self._mm: mmap.mmap | None = None
         self._handle = None
-        #: bumped on every rebuild; lets chunked scans detect that slot
-        #: indices from before the rebuild no longer mean anything.
-        self.generation = 0
         if os.path.exists(path):
             self._open_existing()
         else:
@@ -288,26 +285,6 @@ class KeyDirectory:
             if stored_seg not in (_EMPTY, _TOMBSTONE):
                 yield h, stored_seg - 1, offset, length
 
-    def scan_chunk(
-        self, start: int, count: int
-    ) -> tuple[list[tuple[int, int, int, int]], int]:
-        """Live entries in slots ``[start, start+count)`` plus the next index.
-
-        The building block for lock-friendly iteration: callers hold a
-        lock per chunk instead of across the whole table, re-checking
-        :attr:`generation` between chunks (a rebuild invalidates slot
-        indices).  ``next index >= capacity`` means the scan is done.
-        """
-        mm = self._require()
-        end = min(start + count, self.capacity)
-        found: list[tuple[int, int, int, int]] = []
-        for idx in range(start, end):
-            base = _HEADER.size + idx * _SLOT.size
-            h, offset, stored_seg, length = _SLOT.unpack_from(mm, base)
-            if stored_seg not in (_EMPTY, _TOMBSTONE):
-                found.append((h, stored_seg - 1, offset, length))
-        return found, end
-
     def __len__(self) -> int:
         return self.count
 
@@ -357,7 +334,6 @@ class KeyDirectory:
         self.capacity = new_capacity
         self.count = len(entries)
         self.tombstones = 0
-        self.generation += 1
         old_mm.close()
         old_handle.close()
         os.replace(grow_path, self.path)

@@ -1,35 +1,32 @@
-"""Append-only segment files: the cold tier's on-disk record format.
+"""Append-only segment files: the cold tier's on-disk page format.
 
-A segment holds serialized group states — the values a
-:meth:`~repro.dsms.engine.QueryEngine.partial_state_bytes` snapshot
-carries column-wise, here one record per group — in a crash-evident,
-random-access layout:
+A segment holds serialized group states in **pages**.  A page is N groups
+packed column-wise by :func:`repro.core.groups.group_columns` — the very
+packing :meth:`~repro.dsms.engine.QueryEngine.partial_state_bytes` uses for
+its blob, so a cold group on disk and the same group in a shipped partial
+are the same column bytes.  The store writes one page per eviction batch
+and reads a page at most once per fault batch or scan; a page of one row
+is the record-shaped case (:meth:`SegmentWriter.append`,
+:func:`read_record_at`), not a second format.  Layout (format version 3,
+the only one this module writes or reads — ``repro store upgrade``
+converts older directories)::
 
-``header``
-    ``b"RSEG"`` magic plus one format-version byte.
-``records``
-    Each record is ``<u32 body length> <u32 CRC32(body)> <body>``.
-    Version 1 bodies are compact UTF-8 JSON ``{"k": tagged-key,
-    "s": encoded-states, "g": generation}``.  Version 2 bodies are
-    binary: a ``0x02`` marker byte, the generation, then struct-framed
-    key parts and state blocks (int/float scalars packed as little-endian
-    ``q``/``d`` exactly like :mod:`repro.core.cols`; summaries as their
-    :meth:`~repro.core.protocol.StreamSummary.to_bytes` serde buffer).
-    Keys use :func:`repro.core.protocol.tag_key`, states the record's
-    own group encoding (``["plain", [scalars]]`` or ``["summary",
-    to_bytes buffer]``, held raw: nothing here parses a summary); both
-    body versions decode to the identical record dict, which a snapshot
-    splices into its columns without a fault-in.  A version-1 body, being
-    JSON, spells a summary as its ``dump_summary`` envelope instead.
-``footer``
-    A length+CRC framed index.  Version 1: JSON mapping the canonical
-    key string of every record to ``[offset, length]``.  Version 2:
-    a packed array of ``<u64 key hash> <u64 offset> <u32 length>``
-    entries (the 64-bit BLAKE2b hash of the canonical key — the same
-    hash the on-disk key directory uses), preceded by the record count.
-``trailer``
-    ``<u64 footer offset> b"GESR"`` — fixed-size, so a reader finds the
-    footer from the end of the file.
+    header   b"RSEG" <u8 version = 3>
+    pages    <u32 body length> <u32 CRC32(body)> <body>            (each)
+             body := <u16 key parts> <u16 slots> <u32 rows>
+                     slots x <i16 slot code>  (one per aggregate)
+                     core/cols batch          (rows x [key columns, state columns])
+    footer   <u32 length> <u32 CRC32> <u32 version> <u32 pages> <u64 rows>
+             pages x <u32 framed length> <u32 rows>
+    trailer  <u64 footer offset> b"GESR"
+
+Pages tile the file from the header to the footer, so a page's offset is
+the sum of the framed lengths before it.
+
+The footer indexes pages, not groups: which group lives where is the key
+directory's business (:mod:`repro.store.directory`), whose slot points at
+a page; the reader finds the row by matching the key, which it has to
+verify anyway because the directory is keyed by a 64-bit hash.
 
 Writers stage to ``<name>.tmp`` and publish with an atomic
 ``os.replace`` followed by a parent-directory fsync (the rename itself
@@ -49,331 +46,190 @@ import struct
 import zlib
 from typing import Iterator
 
-from repro.core.errors import StoreError
-from repro.core.protocol import StreamSummary
-from repro.core.serde import dump_summary, fsync_dir, load_summary
+from repro.core.cols import (
+    block_values,
+    open_cols,
+    pack_cols,
+)
+from repro.core.errors import ParameterError, ProtocolError, StoreError
+from repro.core.groups import SUMMARY_SLOT, group_columns, group_states
+from repro.core.protocol import decode_number, encode_number, tag_key, untag_key
+from repro.core.serde import fsync_dir
 
 __all__ = [
     "SEGMENT_VERSION",
+    "UPGRADE_HINT",
+    "Page",
     "SegmentWriter",
     "SegmentReader",
     "canonical_key",
     "key_hash",
+    "read_page",
     "read_record_at",
-    "read_record",
     "fsync_dir",
 ]
 
-#: Default write version.  Readers accept every version listed in
-#: :data:`SUPPORTED_VERSIONS`.
-SEGMENT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+SEGMENT_VERSION = 3
+
+#: What every refusal of an older store directory tells the operator.
+UPGRADE_HINT = "run `repro store upgrade DIR` on the store directory once"
 
 _HEADER_MAGIC = b"RSEG"
 _TRAILER_MAGIC = b"GESR"
 _HEADER_LEN = len(_HEADER_MAGIC) + 1
-_REC = struct.Struct("<II")  # body length, CRC32(body)
+_FRAME = struct.Struct("<II")  # body length, CRC32(body)
 _TRAILER = struct.Struct("<Q4s")  # footer offset, magic
-
-# -- version-2 binary body layout ---------------------------------------------------
-
-_V2_BODY_MARKER = 0x02  # first body byte; JSON bodies start with '{' (0x7B)
-_V2_HEAD = struct.Struct("<BQH")  # marker, generation, key part count
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-
-# scalar tags shared by key parts and plain-state values
-_TAG_JSON, _TAG_INT, _TAG_FLOAT, _TAG_STR = 0, 1, 2, 3
-# state-block kinds
-_STATE_PLAIN, _STATE_SUMMARY = 1, 2
-
-_V2_FOOTER_HEAD = struct.Struct("<IQ")  # footer version, record count
-_V2_FOOTER_ENTRY = struct.Struct("<QQI")  # key hash, offset, framed length
+_PAGE_HEAD = struct.Struct("<HHI")  # key parts, slots, rows
+_FOOTER_HEAD = struct.Struct("<IIQ")  # version, pages, rows
+_FOOTER_ENTRY = struct.Struct("<II")  # framed length, rows
 
 
 def canonical_key(tagged_key: list) -> str:
-    """The canonical string form of a tagged group key.
-
-    Used as the footer-index key and as the manifest-directory key, so
-    every layer that names a group on disk names it identically.
-    """
+    """The canonical string form of a tagged group key — what
+    :func:`key_hash` hashes, so every layer that names a group on disk
+    names it identically."""
     return json.dumps(tagged_key, separators=(",", ":"))
 
 
 def key_hash(canonical: str) -> int:
-    """64-bit BLAKE2b hash of a canonical key string.
-
-    This is the single key-hash function of the store: the version-2
-    segment footer and the on-disk key directory both use it, so an
-    entry recovered from either names the same bucket.
-    """
+    """64-bit BLAKE2b hash of a canonical key string: the single key-hash
+    function of the store (the on-disk key directory is keyed by it)."""
     digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "little")
 
 
-# -- record body encoding -----------------------------------------------------------
+# -- the record shape: one row, tagged and JSON-compatible ---------------------------
 
 
-def _encode_scalar(value, out: bytearray) -> None:
-    """Append one tagged scalar (key part value or plain-state value)."""
-    # bool is an int subclass and must round-trip as bool; non-finite
-    # floats were already converted to {"__float__": ...} dicts by
-    # encode_number upstream, so a float here is always packable.
-    if type(value) is int and _I64_MIN <= value <= _I64_MAX:
-        out += _U8.pack(_TAG_INT)
-        out += _I64.pack(value)
-    elif type(value) is float:
-        out += _U8.pack(_TAG_FLOAT)
-        out += _F64.pack(value)
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out += _U8.pack(_TAG_STR)
-        out += _U32.pack(len(raw))
-        out += raw
-    else:
-        raw = json.dumps(value, separators=(",", ":"), allow_nan=False)
-        raw = raw.encode("utf-8")
-        out += _U8.pack(_TAG_JSON)
-        out += _U32.pack(len(raw))
-        out += raw
+def _record(key: tuple, states: list) -> dict:
+    """One page row as the record dict ``{"k": tagged key, "s": states}``,
+    a state being ``["plain", scalars]`` or ``["summary", to_bytes buffer]``."""
+    return {
+        "k": [tag_key(part) for part in key],
+        "s": [
+            ["summary", state] if type(state) is bytes
+            else ["plain", [encode_number(v) for v in state]]
+            for state in states
+        ],
+    }
 
 
-def _decode_scalar(body: bytes, pos: int) -> tuple[object, int]:
-    (tag,) = _U8.unpack_from(body, pos)
-    pos += _U8.size
-    if tag == _TAG_INT:
-        (value,) = _I64.unpack_from(body, pos)
-        return value, pos + _I64.size
-    if tag == _TAG_FLOAT:
-        (value,) = _F64.unpack_from(body, pos)
-        return value, pos + _F64.size
-    (length,) = _U32.unpack_from(body, pos)
-    pos += _U32.size
-    raw = body[pos:pos + length]
-    if len(raw) != length:
-        raise ValueError("scalar runs past end of body")
-    pos += length
-    if tag == _TAG_STR:
-        return raw.decode("utf-8"), pos
-    if tag == _TAG_JSON:
-        return json.loads(raw.decode("utf-8")), pos
-    raise ValueError(f"unknown scalar tag {tag}")
-
-
-def _encode_body_v2(tagged_key: list, encoded_states: list, generation: int) -> bytes:
-    out = bytearray()
-    out += _V2_HEAD.pack(_V2_BODY_MARKER, generation, len(tagged_key))
-    for kind, value in tagged_key:
-        if kind == "int" and _I64_MIN <= value <= _I64_MAX:
-            out += _U8.pack(_TAG_INT)
-            out += _I64.pack(value)
-        elif kind == "float" and type(value) is float:
-            out += _U8.pack(_TAG_FLOAT)
-            out += _F64.pack(value)
-        elif kind == "str":
-            raw = value.encode("utf-8")
-            out += _U8.pack(_TAG_STR)
-            out += _U32.pack(len(raw))
-            out += raw
-        else:
-            # literal / tuple / oversize int / {"__float__": ...} — the
-            # whole tagged pair as canonical JSON.
-            raw = json.dumps([kind, value], separators=(",", ":"))
-            raw = raw.encode("utf-8")
-            out += _U8.pack(_TAG_JSON)
-            out += _U32.pack(len(raw))
-            out += raw
-    out += _U16.pack(len(encoded_states))
+def _row(tagged_key: list, encoded_states: list) -> tuple[tuple, list]:
+    """Inverse of :func:`_record`."""
+    states = []
     for kind, payload in encoded_states:
         if kind == "summary":
-            out += _U8.pack(_STATE_SUMMARY)
-            out += _U32.pack(len(payload))
-            out += payload
+            states.append(bytes(payload))
         elif kind == "plain":
-            out += _U8.pack(_STATE_PLAIN)
-            out += _U32.pack(len(payload))
-            for value in payload:
-                _encode_scalar(value, out)
+            states.append([decode_number(v) for v in payload])
         else:
             raise StoreError(f"unknown state encoding kind {kind!r}")
-    return bytes(out)
+    return tuple(untag_key(tag) for tag in tagged_key), states
 
 
-def _decode_body_v2(
-    body: bytes, segment: str, offset: int, key_only: bool = False
-) -> dict:
-    try:
-        _, generation, nparts = _V2_HEAD.unpack_from(body)
-        pos = _V2_HEAD.size
-        tagged_key: list = []
-        for _ in range(nparts):
-            (tag,) = _U8.unpack_from(body, pos)
-            pos += _U8.size
-            if tag == _TAG_INT:
-                (value,) = _I64.unpack_from(body, pos)
-                pos += _I64.size
-                tagged_key.append(["int", value])
-            elif tag == _TAG_FLOAT:
-                (value,) = _F64.unpack_from(body, pos)
-                pos += _F64.size
-                tagged_key.append(["float", value])
-            else:
-                (length,) = _U32.unpack_from(body, pos)
-                pos += _U32.size
-                raw = body[pos:pos + length]
-                if len(raw) != length:
-                    raise ValueError("key part runs past end of body")
-                pos += length
-                if tag == _TAG_STR:
-                    tagged_key.append(["str", raw.decode("utf-8")])
-                elif tag == _TAG_JSON:
-                    pair = json.loads(raw.decode("utf-8"))
-                    if not isinstance(pair, list) or len(pair) != 2:
-                        raise ValueError("malformed JSON key part")
-                    tagged_key.append(pair)
-                else:
-                    raise ValueError(f"unknown key tag {tag}")
-        if key_only:
-            # Cold-key enumeration at millions of groups: the states block
-            # is the expensive part and the caller only wants the key.
-            # The CRC already vouched for the bytes.
-            return {"k": tagged_key, "g": generation}
-        (nstates,) = _U16.unpack_from(body, pos)
-        pos += _U16.size
-        states: list = []
-        for _ in range(nstates):
-            (skind,) = _U8.unpack_from(body, pos)
-            pos += _U8.size
-            if skind == _STATE_SUMMARY:
-                (length,) = _U32.unpack_from(body, pos)
-                pos += _U32.size
-                raw = body[pos:pos + length]
-                if len(raw) != length:
-                    raise ValueError("summary state runs past end of body")
-                pos += length
-                states.append(["summary", raw])
-            elif skind == _STATE_PLAIN:
-                (count,) = _U32.unpack_from(body, pos)
-                pos += _U32.size
-                values = []
-                for _ in range(count):
-                    value, pos = _decode_scalar(body, pos)
-                    values.append(value)
-                states.append(["plain", values])
-            else:
-                raise ValueError(f"unknown state kind {skind}")
-        if pos != len(body):
-            raise ValueError(
-                f"{len(body) - pos} trailing bytes after last state"
-            )
-    except (struct.error, ValueError, KeyError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
-        raise StoreError(
-            f"segment {segment}: undecodable record at offset {offset}: {exc}",
-            segment=segment, offset=offset,
-        ) from exc
-    return {"k": tagged_key, "s": states, "g": generation}
+# -- pages ---------------------------------------------------------------------------
 
 
-def _json_states(states: list, convert) -> list:
-    """A record's states with every summary put through ``convert``: JSON
-    bodies hold the envelope, the record dict the ``to_bytes`` buffer."""
-    return [
-        [kind, convert(payload) if kind == "summary" else payload]
-        for kind, payload in states
-    ]
+def _encode_page(keys: list[tuple], rows: list[list]) -> bytes:
+    """The framed page holding groups ``keys`` with states ``rows``."""
+    slots, cols, _summary_bytes = group_columns(keys, rows, len(rows[0]))
+    body = b"".join((
+        _PAGE_HEAD.pack(len(keys[0]), len(slots), len(keys)),
+        struct.pack(f"<{len(slots)}h", *slots),
+        pack_cols(cols),
+    ))
+    return _FRAME.pack(len(body), zlib.crc32(body)) + body
 
 
-def _encode_record(
-    tagged_key: list, encoded_states: list, generation: int, version: int
-) -> bytes:
-    if version == 1:
-        states = _json_states(
-            encoded_states,
-            lambda raw: dump_summary(StreamSummary.from_bytes(raw)),
-        )
-        body = json.dumps(
-            {"k": tagged_key, "s": states, "g": generation},
-            separators=(",", ":"),
-            allow_nan=False,
-        ).encode("utf-8")
-    else:
-        body = _encode_body_v2(tagged_key, encoded_states, generation)
-    return _REC.pack(len(body), zlib.crc32(body)) + body
+class Page:
+    """One decoded page: every key, and states for the rows asked for.
 
-
-def _decode_json(body: bytes, segment: str, offset: int) -> dict:
-    try:
-        record = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StoreError(
-            f"segment {segment}: undecodable record at offset {offset}: {exc}",
-            segment=segment, offset=offset,
-        ) from exc
-    if not isinstance(record, dict):
-        raise StoreError(
-            f"segment {segment}: malformed record at offset {offset}",
-            segment=segment, offset=offset,
-        )
-    return record
-
-
-def _decode_body(
-    body: bytes, segment: str, offset: int, key_only: bool = False
-) -> dict:
-    """Decode one record body of either version (bodies self-identify).
-
-    With ``key_only`` a version-2 body skips state decoding and the
-    returned record carries only ``"k"`` and ``"g"`` (version-1 JSON
-    bodies decode whole either way).
+    The key columns are decoded whole (finding a group means matching
+    its key); state columns stay packed until :meth:`states` picks rows
+    out of them, so a fault batch that wants three rows of a 512-row
+    page decodes three.
     """
-    if body[:1] == bytes([_V2_BODY_MARKER]):
-        return _decode_body_v2(body, segment, offset, key_only=key_only)
-    record = _decode_json(body, segment, offset)
-    if "k" not in record or "s" not in record:
-        raise StoreError(
-            f"segment {segment}: malformed record at offset {offset}",
-            segment=segment, offset=offset,
-        )
-    try:
-        record["s"] = _json_states(
-            record["s"], lambda envelope: load_summary(envelope).to_bytes()
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise StoreError(
-            f"segment {segment}: malformed record states at offset {offset}: "
+
+    __slots__ = ("keys", "slots", "path", "offset", "_batch", "_count", "_blocks")
+
+    def __init__(self, body: memoryview, path: str, offset: int):
+        self.path = path
+        self.offset = offset
+        try:
+            key_parts, nslots, rows = _PAGE_HEAD.unpack_from(body)
+            self.slots = list(
+                struct.unpack_from(f"<{nslots}h", body, _PAGE_HEAD.size)
+            )
+            self._batch = batch = body[_PAGE_HEAD.size + 2 * nslots:]
+            count, _seq, blocks = open_cols(batch)
+            if not rows or (blocks and count != rows) or key_parts > len(blocks):
+                raise ValueError(f"page head says {rows} rows, batch {count}")
+            self._count = rows
+            self._blocks = blocks[key_parts:]
+            self.keys: list[tuple] = list(zip(*(
+                block_values(batch, block, rows) for block in blocks[:key_parts]
+            ))) if key_parts else [()] * rows
+        except (struct.error, ProtocolError, ParameterError, ValueError,
+                TypeError) as exc:
+            raise self._undecodable(exc) from exc
+
+    def _undecodable(self, exc: Exception) -> StoreError:
+        return StoreError(
+            f"segment {self.path}: undecodable page at offset {self.offset}: "
             f"{type(exc).__name__}: {exc}",
-            segment=segment, offset=offset,
-        ) from exc
-    return record
+            segment=self.path, offset=self.offset,
+        )
+
+    def __len__(self) -> int:
+        return self._count
+
+    def states(self, rows: list[int] | None = None) -> list[list]:
+        """State lists of the rows at indices ``rows`` (every row when
+        None), one per aggregate: a fresh scalar list, or the summary's
+        ``to_bytes`` buffer — still serialized, so a snapshot splices it
+        into its columns and only a fault-in instantiates it."""
+        count = self._count if rows is None else len(rows)
+        if not count:
+            return []
+        try:
+            cols = [
+                block_values(self._batch, block, self._count, rows)
+                for block in self._blocks
+            ]
+            _keys, per_aggregate = group_states(self.slots, cols, 0, count)
+            for code, states in zip(self.slots, per_aggregate):
+                if code == SUMMARY_SLOT and any(type(s) is not bytes for s in states):
+                    raise ValueError("summary slot holds a non-buffer")
+        except (ProtocolError, ParameterError, ValueError, TypeError,
+                IndexError) as exc:
+            raise self._undecodable(exc) from exc
+        if not per_aggregate:
+            return [[] for _ in range(count)]
+        return list(map(list, zip(*per_aggregate)))
 
 
-def read_record(
-    handle, path: str, offset: int, length: int, key_only: bool = False
-) -> dict:
-    """Read and CRC-check one record from an already-open segment file.
+def read_page(handle, path: str, offset: int, length: int) -> Page:
+    """Read and CRC-check one page from an already-open segment file.
 
-    The fault-in hot path at millions of groups: the store keeps a small
-    cache of open segment handles, so each cold read costs a seek+read
-    instead of an open+seek+read+close.
+    ``length`` is the framed page length (frame header + body) as
+    returned by :meth:`SegmentWriter.write_page`; a page that is shorter,
+    longer, or fails its CRC raises :class:`StoreError` with the exact
+    location.  Works on finalized segments and on a writer's staging
+    file alike (the store reads its own open segment through this).
     """
     handle.seek(offset)
     framed = handle.read(length)
-    if len(framed) < _REC.size:
+    if len(framed) < _FRAME.size:
         raise StoreError(
-            f"segment {path}: truncated record header at offset {offset} "
-            f"({len(framed)} of {_REC.size} bytes)",
+            f"segment {path}: truncated page header at offset {offset} "
+            f"({len(framed)} of {_FRAME.size} bytes)",
             segment=path, offset=offset,
         )
-    body_len, crc = _REC.unpack_from(framed)
-    body = framed[_REC.size:]
+    body_len, crc = _FRAME.unpack_from(framed)
+    body = memoryview(framed)[_FRAME.size:]
     if body_len > len(body):
         raise StoreError(
-            f"segment {path}: truncated record at offset {offset} "
+            f"segment {path}: truncated page at offset {offset} "
             f"(expected {body_len} body bytes, read {len(body)})",
             segment=path, offset=offset,
         )
@@ -382,7 +238,7 @@ def read_record(
         # fewer bytes than the entry's length field delivered.  Name the
         # real failure — this is not truncation.
         raise StoreError(
-            f"segment {path}: record length mismatch at offset {offset} "
+            f"segment {path}: page length mismatch at offset {offset} "
             f"(frame header says {body_len} body bytes, directory entry "
             f"spans {len(body)})",
             segment=path, offset=offset,
@@ -392,65 +248,64 @@ def read_record(
             f"segment {path}: CRC mismatch at offset {offset}",
             segment=path, offset=offset,
         )
-    return _decode_body(body, path, offset, key_only=key_only)
+    return Page(body, path, offset)
 
 
 def read_record_at(path: str, offset: int, length: int) -> dict:
-    """Read and CRC-check one record from ``path`` at ``offset``.
+    """The first row of the page at ``offset``, as a record dict.
 
-    ``length`` is the full framed record length (header + body) as
-    returned by :meth:`SegmentWriter.append`; a record that is shorter,
-    longer, or fails its CRC raises :class:`StoreError` with the exact
-    location.  Works on finalized segments and on a writer's staging
-    file alike (the store reads its own open segment through this).
+    The one-row case of the page path: ``(offset, length)`` is what
+    :meth:`SegmentWriter.append` returned, and the result is ``{"k":
+    tagged key, "s": states}`` with each state ``["plain", scalars]`` or
+    ``["summary", to_bytes buffer]`` (held raw: nothing here parses a
+    summary).  Raises a located :class:`StoreError` like
+    :func:`read_page`.
     """
     with open(path, "rb") as handle:
-        return read_record(handle, path, offset, length)
+        page = read_page(handle, path, offset, length)
+    return _record(page.keys[0], page.states([0])[0])
 
 
 class SegmentWriter:
-    """Append records to a staging file; publish atomically on finalize."""
+    """Append pages to a staging file; publish atomically on finalize."""
 
-    def __init__(self, path: str, version: int = SEGMENT_VERSION):
-        if version not in SUPPORTED_VERSIONS:
-            raise StoreError(
-                f"segment {path}: cannot write version {version!r} "
-                f"(supported: {SUPPORTED_VERSIONS})"
-            )
+    def __init__(self, path: str):
         self.path = path
-        self.version = version
         self.staging_path = path + ".tmp"
-        self._index: dict[str, list[int]] = {}
-        self._entries: list[tuple[int, int, int]] = []  # hash, offset, length
+        #: ``(offset, framed length, rows)`` per page, in file order —
+        #: what the footer will hold, readable while the file is open.
+        self.pages: list[tuple[int, int, int]] = []
         self.records = 0
         self._handle = open(self.staging_path, "wb")
-        self._handle.write(_HEADER_MAGIC + bytes([version]))
+        self._handle.write(_HEADER_MAGIC + bytes([SEGMENT_VERSION]))
         self._offset = _HEADER_LEN
         self.finalized = False
 
     @property
     def bytes_written(self) -> int:
-        """Bytes staged so far (records only, before footer/trailer)."""
+        """Bytes staged so far (pages only, before footer/trailer)."""
         return self._offset - _HEADER_LEN
 
-    def append(
-        self, tagged_key: list, encoded_states: list, generation: int = 0
-    ) -> tuple[int, int]:
-        """Stage one record; returns its ``(offset, framed length)``."""
-        framed = _encode_record(
-            tagged_key, encoded_states, generation, self.version
-        )
+    def write_page(self, keys: list[tuple], rows: list[list]) -> tuple[int, int]:
+        """Stage groups ``keys`` with states ``rows`` (one list per group:
+        per aggregate a scalar list, a live summary or its ``to_bytes``
+        buffer) as one page; returns its ``(offset, framed length)``."""
+        framed = _encode_page(keys, rows)
         offset = self._offset
         self._handle.write(framed)
         self._offset += len(framed)
-        canonical = canonical_key(tagged_key)
-        self._index[canonical] = [offset, len(framed)]
-        self._entries.append((key_hash(canonical), offset, len(framed)))
-        self.records += 1
+        self.pages.append((offset, len(framed), len(keys)))
+        self.records += len(keys)
         return offset, len(framed)
 
+    def append(self, tagged_key: list, encoded_states: list) -> tuple[int, int]:
+        """Stage one group in the record shape :func:`read_record_at`
+        returns, as a page of one; returns its ``(offset, framed length)``."""
+        key, states = _row(tagged_key, encoded_states)
+        return self.write_page([key], [states])
+
     def flush(self) -> None:
-        """Push staged bytes to the OS so :func:`read_record_at` sees them."""
+        """Push staged bytes to the OS so :func:`read_page` sees them."""
         self._handle.flush()
 
     def finalize(self) -> str:
@@ -461,21 +316,16 @@ class SegmentWriter:
         without it a power loss after publish can roll the directory
         entry back and forget a segment the manifest already references.
         """
-        if self.version == 1:
-            index_body = json.dumps(
-                {"version": 1, "records": self.records, "index": self._index},
-                separators=(",", ":"),
-            ).encode("utf-8")
-        else:
-            parts = [_V2_FOOTER_HEAD.pack(self.version, self.records)]
-            parts += [
-                _V2_FOOTER_ENTRY.pack(h, off, length)
-                for h, off, length in self._entries
-            ]
-            index_body = b"".join(parts)
+        index_body = b"".join((
+            _FOOTER_HEAD.pack(SEGMENT_VERSION, len(self.pages), self.records),
+            *(
+                _FOOTER_ENTRY.pack(length, rows)
+                for _offset, length, rows in self.pages
+            ),
+        ))
         footer_offset = self._offset
         self._handle.write(
-            _REC.pack(len(index_body), zlib.crc32(index_body)) + index_body
+            _FRAME.pack(len(index_body), zlib.crc32(index_body)) + index_body
         )
         self._handle.write(_TRAILER.pack(footer_offset, _TRAILER_MAGIC))
         self._handle.flush()
@@ -495,14 +345,14 @@ class SegmentWriter:
 
 
 class SegmentReader:
-    """Random and sequential access to one finalized segment.
+    """Sequential access to one finalized segment.
 
     Opening validates the header, trailer, and footer CRC up front —
-    including that the footer's record count matches its own index — so
-    a truncated or bit-flipped segment fails fast with a located
-    :class:`StoreError` instead of yielding garbage groups later.
-    Reads version-1 (JSON) and version-2 (binary) segments alike;
-    :attr:`version` says which this file is.
+    including that the footer's page and row counts match its own index
+    and that the pages tile the file — so a truncated or bit-flipped
+    segment fails fast with a located :class:`StoreError` instead of
+    yielding garbage groups later.  A segment of an older format version
+    is refused with the upgrade command in the message.
     """
 
     def __init__(self, path: str):
@@ -513,7 +363,7 @@ class SegmentReader:
             raise StoreError(
                 f"segment {path}: unreadable: {exc}", segment=path
             ) from exc
-        if size < _HEADER_LEN + _REC.size + _TRAILER.size:
+        if size < _HEADER_LEN + _FRAME.size + _TRAILER.size:
             raise StoreError(
                 f"segment {path}: too short to be a segment ({size} bytes)",
                 segment=path, offset=0,
@@ -525,9 +375,12 @@ class SegmentReader:
                     f"segment {path}: bad magic {header[:4]!r}",
                     segment=path, offset=0,
                 )
-            if header[4] not in SUPPORTED_VERSIONS:
+            if header[4] != SEGMENT_VERSION:
+                older = 0 < header[4] < SEGMENT_VERSION
                 raise StoreError(
-                    f"segment {path}: unsupported version {header[4]}",
+                    f"segment {path}: unsupported version {header[4]} (this "
+                    f"store reads version {SEGMENT_VERSION}"
+                    + (f"; {UPGRADE_HINT})" if older else ")"),
                     segment=path, offset=4,
                 )
             self.version = header[4]
@@ -538,108 +391,56 @@ class SegmentReader:
                     f"segment {path}: bad trailer magic (truncated "
                     "finalize?)", segment=path, offset=size - _TRAILER.size,
                 )
-            if not _HEADER_LEN <= footer_offset <= size - _TRAILER.size - _REC.size:
+            if not _HEADER_LEN <= footer_offset <= size - _TRAILER.size - _FRAME.size:
                 raise StoreError(
                     f"segment {path}: footer offset {footer_offset} outside "
                     f"file of {size} bytes", segment=path, offset=footer_offset,
                 )
             handle.seek(footer_offset)
-            frame = handle.read(_REC.size)
-            body_len, crc = _REC.unpack(frame)
+            body_len, crc = _FRAME.unpack(handle.read(_FRAME.size))
             body = handle.read(body_len)
-            if len(body) != body_len or zlib.crc32(body) != crc:
-                raise StoreError(
-                    f"segment {path}: corrupt footer at offset "
-                    f"{footer_offset}", segment=path, offset=footer_offset,
-                )
+        corrupt = StoreError(
+            f"segment {path}: corrupt footer at offset {footer_offset}",
+            segment=path, offset=footer_offset,
+        )
+        if (
+            len(body) != body_len
+            or zlib.crc32(body) != crc
+            or footer_offset + _FRAME.size + body_len != size - _TRAILER.size
+            or body_len < _FOOTER_HEAD.size
+            or (body_len - _FOOTER_HEAD.size) % _FOOTER_ENTRY.size
+        ):
+            raise corrupt
         self.footer_offset = footer_offset
-        #: canonical key string -> [offset, framed length] (version 1 only;
-        #: version-2 footers index by key hash — see :attr:`entries`).
-        self.index: dict[str, list[int]] = {}
-        #: (key hash, offset, framed length) per record, in file order.
-        self.entries: list[tuple[int, int, int]] = []
-        self._by_hash: dict[int, list[tuple[int, int]]] = {}
-        if self.version == 1:
-            footer = _decode_json(body, path, footer_offset)
-            if "index" not in footer:
-                raise StoreError(
-                    f"segment {path}: footer carries no index",
-                    segment=path, offset=footer_offset,
-                )
-            self.index = footer["index"]
-            declared = int(footer.get("records", len(self.index)))
-            if declared != len(self.index):
-                raise StoreError(
-                    f"segment {path}: footer records count {declared} "
-                    f"disagrees with index length {len(self.index)}",
-                    segment=path, offset=footer_offset,
-                )
-            self.records = declared
-            for canonical, (offset, length) in self.index.items():
-                entry = (key_hash(canonical), offset, length)
-                self.entries.append(entry)
-            self.entries.sort(key=lambda e: e[1])
-        else:
-            self._load_footer_v2(body, path, footer_offset)
-        for h, offset, length in self.entries:
-            self._by_hash.setdefault(h, []).append((offset, length))
-
-    def _load_footer_v2(self, body: bytes, path: str, footer_offset: int) -> None:
-        head = _V2_FOOTER_HEAD
-        entry = _V2_FOOTER_ENTRY
-        if (len(body) < head.size
-                or (len(body) - head.size) % entry.size != 0):
+        version, declared, self.records = _FOOTER_HEAD.unpack_from(body)
+        #: ``(offset, framed length, rows)`` per page, in file order.
+        self.pages: list[tuple[int, int, int]] = []
+        at = _HEADER_LEN
+        for length, rows in _FOOTER_ENTRY.iter_unpack(body[_FOOTER_HEAD.size:]):
+            self.pages.append((at, length, rows))
+            at += length
+        if version != SEGMENT_VERSION or at != footer_offset:
+            raise corrupt
+        if declared != len(self.pages) or self.records != sum(
+            rows for _o, _l, rows in self.pages
+        ):
             raise StoreError(
-                f"segment {path}: corrupt footer at offset {footer_offset}",
+                f"segment {path}: footer counts ({declared} pages, "
+                f"{self.records} rows) disagree with its index",
                 segment=path, offset=footer_offset,
             )
-        version, declared = head.unpack_from(body)
-        if version != 2:
-            raise StoreError(
-                f"segment {path}: footer claims version {version} in a "
-                "version-2 segment", segment=path, offset=footer_offset,
-            )
-        count = (len(body) - head.size) // entry.size
-        if declared != count:
-            raise StoreError(
-                f"segment {path}: footer records count {declared} "
-                f"disagrees with index length {count}",
-                segment=path, offset=footer_offset,
-            )
-        self.records = declared
-        pos = head.size
-        for _ in range(count):
-            h, offset, length = entry.unpack_from(body, pos)
-            pos += entry.size
-            self.entries.append((h, offset, length))
 
-    def lookup(self, canonical: str) -> list[tuple[int, int]]:
-        """``(offset, length)`` candidates for one canonical key.
-
-        Version 1 indexes by the key itself, so the list has at most one
-        entry.  Version 2 indexes by 64-bit key hash: rare collisions
-        mean a candidate may be some other group's record — callers must
-        verify the decoded record's key, exactly as the store's
-        directory-backed fault-in does.
-        """
-        if self.version == 1:
-            loc = self.index.get(canonical)
-            return [tuple(loc)] if loc else []
-        return list(self._by_hash.get(key_hash(canonical), []))
-
-    def read(self, canonical: str) -> dict:
-        """Read the record for one canonical key (KeyError if absent)."""
-        for offset, length in self.lookup(canonical):
-            record = read_record_at(self.path, offset, length)
-            if canonical_key(record["k"]) == canonical:
-                return record
-        raise KeyError(canonical)
-
-    def iter_records(self) -> Iterator[tuple[int, dict]]:
-        """Yield ``(offset, record)`` for every record, in file order.
-
-        CRC-checks each record; corruption raises :class:`StoreError`
-        at the offending offset.
-        """
-        for _, offset, length in sorted(self.entries, key=lambda e: e[1]):
-            yield offset, read_record_at(self.path, offset, length)
+    def iter_pages(self) -> Iterator[Page]:
+        """Every page in file order, CRC-checked; corruption — a page
+        whose row count is not the footer's included — raises
+        :class:`StoreError` at the offending offset."""
+        with open(self.path, "rb") as handle:
+            for offset, length, rows in self.pages:
+                page = read_page(handle, self.path, offset, length)
+                if len(page) != rows:
+                    raise StoreError(
+                        f"segment {self.path}: page at offset {offset} holds "
+                        f"{len(page)} rows, footer says {rows}",
+                        segment=self.path, offset=offset,
+                    )
+                yield page

@@ -7,8 +7,10 @@ store evicts the groups with the smallest *decayed touch weight* — forward
 decay (Definition 3) over the store's arrival index, so "coldest" is the
 paper's own notion of staleness: the group whose recent activity,
 ``g``-weighted toward the present, is lowest.  Evicted state is serialized
-exactly (plain scalars and summary serde envelopes) and appended to the **cold
-tier**, an append-only :mod:`~repro.store.segment` file.
+exactly and appended to the **cold tier**, an append-only
+:mod:`~repro.store.segment` file, one *page* per eviction batch — the
+column packing of the engine's partial-state blob, so a cold group and a
+shipped partial are the same bytes.
 
 Exactness comes from the *write-back / fault-in* discipline, not from
 merging: a group's state is always a single live object — either hot, or a
@@ -22,13 +24,18 @@ states location-independent in the first place).
 
 Scaling past a few million groups, no per-group Python object survives in
 RAM: cold locations live in an mmap-backed
-:class:`~repro.store.directory.KeyDirectory` keyed by 64-bit key hash.
-Hashes may collide, so every cold read verifies the record's full key and
-tries the next candidate on a mismatch — collisions cost an extra read,
-never a wrong group.  Cold-key enumeration (flush, ``partial_state_bytes``,
-``group_count``) walks the directory and reads each record's key block
-back from its segment; that is the deliberate trade — enumeration pays
-O(cold) reads so steady-state ingest pays O(1) RAM.
+:class:`~repro.store.directory.KeyDirectory` keyed by 64-bit key hash.  A
+slot points at the group's *page*; the reader finds the row by matching
+the full key, which it must verify anyway because hashes may collide —
+a collision costs an extra page read, never a wrong group (no two rows of
+one page share a hash, so a slot and a matching key name exactly one row).
+I/O follows the page: a batch's cold keys are looked up once and each page
+they live in is read once into a per-batch stash (:meth:`TieredStore.stage`
+— a cache, never a state change), and enumeration (flush,
+``partial_state_bytes``, ``group_count``, bucket close, compaction) streams
+every live segment's pages in file order, testing each row's hash against
+the directory — O(cold) sequential reads so steady-state ingest pays O(1)
+RAM.
 
 The rest is mechanics: segments rotate at a byte threshold, compaction
 rewrites segments dominated by dead records (optionally on a background
@@ -53,30 +60,26 @@ import time
 from repro.core.decay import ForwardDecay
 from repro.core.errors import ParameterError, StoreError
 from repro.core.functions import ExponentialG, PolynomialG
-from repro.core.protocol import (
-    StreamSummary,
-    decode_number,
-    encode_number,
-    tag_key,
-    untag_key,
-)
+from repro.core.protocol import StreamSummary, tag_key, untag_key
 from repro.store.directory import KeyDirectory
 from repro.store.segment import (
+    UPGRADE_HINT,
+    Page,
     SegmentReader,
     SegmentWriter,
+    _record,
     canonical_key,
     fsync_dir,
     key_hash,
-    read_record,
-    read_record_at,
+    read_page,
 )
 
 __all__ = ["TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION"]
 
 MANIFEST_NAME = "MANIFEST.json"
-#: Current manifest format.  Version 1 embedded the whole cold directory
-#: as JSON inside the manifest; version 2 references an mmap-ready
-#: :class:`KeyDirectory` snapshot file instead.  Both recover.
+#: The manifest format: a few hundred bytes of JSON referencing an
+#: mmap-ready :class:`KeyDirectory` snapshot file (version 1 embedded the
+#: whole cold directory; ``repro store upgrade`` converts it).
 MANIFEST_VERSION = 2
 
 #: Working key-directory file (a cache; recovery never reads it).
@@ -86,11 +89,77 @@ _DIRECTORY_NAME = "keys.dir"
 #: (the Section VI-A overflow guard, applied to the store's own decay).
 _PRIORITY_CEILING = 1e100
 
-#: Directory slots examined per lock acquisition during enumeration.
-_SCAN_CHUNK = 8192
-
 #: Open segment file handles kept for the fault-in hot path.
 _HANDLE_CACHE = 64
+
+#: Row cap of a page.  An eviction batch is one page up to this many rows;
+#: checkpoints and compaction write full pages.  Larger pages amortize the
+#: ~60 bytes of page framing further (33.8 B/group at 512 on the stack
+#: benchmark's count/sum groups against 34.6 at 64) but cost a lone
+#: fault-in a longer key column to decode.
+_PAGE_ROWS = 512
+
+#: A page also closes once the summary buffers in it reach this many bytes:
+#: sketch-valued groups run to kilobytes each, and a fault-in reads and
+#: CRC-checks the whole page it lands in.
+_PAGE_SUMMARY_BYTES = 64 << 10
+
+_ANY_BUCKET = object()
+_NOT_STAGED = object()
+
+
+def _hash_of(key: tuple) -> int:
+    return key_hash(canonical_key([tag_key(part) for part in key]))
+
+
+class _PageBuilder:
+    """Packs rows into pages for one :class:`SegmentWriter`.
+
+    A page closes at :data:`_PAGE_ROWS` rows or
+    :data:`_PAGE_SUMMARY_BYTES` of summary buffers, and early when the
+    next row's key hash is already in it: a directory slot names its page
+    and the hash, so within a page a hash must name one row.  Rows of
+    another shape (key parts, aggregates) than the page's start their own
+    — one query's groups never differ, an upgraded directory's might.
+    """
+
+    def __init__(self, writer: SegmentWriter):
+        self.writer = writer
+        #: ``(key hash, page offset, framed length)`` per row, in the
+        #: order added (complete after :meth:`flush`).
+        self.placed: list[tuple[int, int, int]] = []
+        self._hashes: dict[int, None] = {}
+        self._keys: list[tuple] = []
+        self._rows: list[list] = []
+        self._summary_bytes = 0
+
+    def add(self, h: int, key: tuple, states: list) -> None:
+        if (
+            len(self._keys) >= _PAGE_ROWS
+            or self._summary_bytes >= _PAGE_SUMMARY_BYTES
+            or h in self._hashes
+            or (self._keys and (len(key), len(states)) != (
+                len(self._keys[0]), len(self._rows[0])
+            ))
+        ):
+            self.flush()
+        row = []
+        for state in states:
+            if isinstance(state, StreamSummary):
+                state = state.to_bytes()
+            if type(state) is bytes:
+                self._summary_bytes += len(state)
+            row.append(state)
+        self._hashes[h] = None
+        self._keys.append(key)
+        self._rows.append(row)
+
+    def flush(self) -> None:
+        if self._keys:
+            offset, length = self.writer.write_page(self._keys, self._rows)
+            self.placed.extend((h, offset, length) for h in self._hashes)
+            self._hashes, self._keys, self._rows = {}, [], []
+            self._summary_bytes = 0
 
 
 class _FaultingTable(dict):
@@ -235,6 +304,9 @@ class TieredStore:
         self._ckpt_names: list[str] = []
         self._dir_snapshots: list[str] = []
         self._handles: dict[int, object] = {}
+        # Read-ahead of one batch (see stage()): key -> (hash, segment id,
+        # page offset, states), or None for a key looked up and not cold.
+        self._stash: dict[tuple, tuple | None] = {}
         self._compactor: threading.Thread | None = None
         self._stop_compactor = threading.Event()
         # Eviction priorities: decayed touch weight per group over the
@@ -248,6 +320,9 @@ class TieredStore:
         self._evictions = 0
         self._fault_ins = 0
         self._spilled_bytes = 0
+        self._spill_pages = 0
+        self._pages_read = 0
+        self._rows_decoded = 0
         self._quarantined = 0
         self._compactions = 0
         self._renormalizations = 0
@@ -261,6 +336,9 @@ class TieredStore:
             self._m_evictions = metrics.counter(f"{name}.evictions")
             self._m_fault_ins = metrics.counter(f"{name}.fault_ins")
             self._m_spilled = metrics.counter(f"{name}.spilled_bytes")
+            self._m_spill_pages = metrics.counter(f"{name}.spill_pages")
+            self._m_pages_read = metrics.counter(f"{name}.pages_read")
+            self._m_rows_decoded = metrics.counter(f"{name}.rows_decoded")
             self._m_quarantined = metrics.counter(f"{name}.quarantined")
             self._m_cold_read = metrics.latency(f"{name}.cold_read_us")
             self._m_hot = metrics.gauge(f"{name}.hot_groups")
@@ -275,6 +353,8 @@ class TieredStore:
 
             self._m_evictions = self._m_fault_ins = NULL_METRIC
             self._m_spilled = self._m_quarantined = NULL_METRIC
+            self._m_spill_pages = self._m_pages_read = NULL_METRIC
+            self._m_rows_decoded = NULL_METRIC
             self._m_cold_read = NULL_METRIC
             self._m_hot = self._m_cold = NULL_METRIC
             self._m_segments = self._m_seg_bytes = NULL_METRIC
@@ -355,9 +435,11 @@ class TieredStore:
                 segment=manifest_path,
             ) from exc
         version = manifest.get("version")
-        if version not in (1, MANIFEST_VERSION):
+        if version != MANIFEST_VERSION:
             raise StoreError(
-                f"unsupported store manifest version {version!r}",
+                f"unsupported store manifest version {version!r} in "
+                f"{manifest_path}"
+                + (f": {UPGRADE_HINT}" if version == 1 else ""),
                 segment=manifest_path,
             )
         if manifest.get("query") != engine.query.sql():
@@ -380,44 +462,25 @@ class TieredStore:
             self._seg_total[seg_id] = reader.records
             self._seg_live[seg_id] = 0
         id_set = set(self._seg_by_id)
-        keep_files = {_DIRECTORY_NAME}
-        if version == 1:
-            # Legacy manifest: the cold directory is embedded JSON.
-            # Import it into a fresh on-disk directory.
-            embedded = manifest["directory"]
-            _unlink_quiet(self._dir_path)
-            self._dir = KeyDirectory(
-                self._dir_path, capacity=max(4096, 4 * len(embedded))
+        snap_name = manifest["directory_file"]
+        snap_path = os.path.join(self.directory, snap_name)
+        self._dir = KeyDirectory.open_snapshot(snap_path, self._dir_path)
+        declared = manifest.get("directory_entries")
+        if declared is not None and declared != len(self._dir):
+            raise StoreError(
+                f"directory snapshot {snap_path} holds "
+                f"{len(self._dir)} entries, manifest says {declared}",
+                segment=snap_path,
             )
-            for canon, (seg_name, offset, length) in embedded.items():
-                seg_id = _segment_number(seg_name)
-                if seg_id not in id_set:
-                    raise StoreError(
-                        "store manifest references unknown segment "
-                        f"{seg_name!r}", segment=manifest_path,
-                    )
-                self._dir.put(key_hash(canon), seg_id, offset, length)
-                self._seg_live[seg_id] += 1
-        else:
-            snap_name = manifest["directory_file"]
-            snap_path = os.path.join(self.directory, snap_name)
-            self._dir = KeyDirectory.open_snapshot(snap_path, self._dir_path)
-            declared = manifest.get("directory_entries")
-            if declared is not None and declared != len(self._dir):
+        for _h, seg_id, _offset, _length in self._dir.items():
+            if seg_id not in id_set:
                 raise StoreError(
-                    f"directory snapshot {snap_path} holds "
-                    f"{len(self._dir)} entries, manifest says {declared}",
-                    segment=snap_path,
+                    "directory snapshot references unknown segment id "
+                    f"{seg_id}", segment=snap_path,
                 )
-            for _h, seg_id, _offset, _length in self._dir.items():
-                if seg_id not in id_set:
-                    raise StoreError(
-                        "directory snapshot references unknown segment id "
-                        f"{seg_id}", segment=snap_path,
-                    )
-                self._seg_live[seg_id] += 1
-            self._dir_snapshots = [snap_name]
-            keep_files.add(snap_name)
+            self._seg_live[seg_id] += 1
+        self._dir_snapshots = [snap_name]
+        keep_files = {_DIRECTORY_NAME, snap_name}
         self._manifest_segments = set(referenced)
         self._ckpt_names = [n for n in referenced if n.startswith("ckpt-")]
         numbers = [_segment_number(n) for n in referenced]
@@ -457,8 +520,11 @@ class TieredStore:
         ``keys`` carries one entry per selected row (repeats included), in
         stream order.  Each unique key's priority grows by ``count *
         g(arrivals - L)`` — decayed touch frequency over the store's
-        arrival index, so long-idle groups sort first for eviction.
+        arrival index, so long-idle groups sort first for eviction.  The
+        batch is over: whatever :meth:`stage` read ahead and nothing
+        consumed is dropped here.
         """
+        self._stash = {}
         if keys:
             counts: dict[tuple, int] = {}
             counts_get = counts.get
@@ -532,6 +598,7 @@ class TieredStore:
         if len(high) > budget:
             prio = self._prio
             requeue = []
+            victims = []
             while len(high) > budget:
                 if not self._heap:
                     self._reseed_heap()
@@ -547,9 +614,15 @@ class TieredStore:
                     requeue.append((value, seq, key))
                     continue
                 del high[key]
-                self._spill(key, states)
+                # Spilled groups restart their touch history on fault-in;
+                # this also bounds the priority map by the hot tier, not
+                # the keyspace.
+                prio.pop(key, None)
+                victims.append((key, states))
             for entry in requeue:
                 heapq.heappush(self._heap, entry)
+            if victims:
+                self._spill_batch(victims)
         if len(self._prio) > 4 * budget + len(engine._low):
             # Priorities for departed groups (flushed buckets, spilled
             # keys) are dead weight; keep only what can still be evicted.
@@ -598,115 +671,173 @@ class TieredStore:
 
     # -- spill / fault-in ---------------------------------------------------------
 
-    def _encode_states(self, states: list) -> list:
-        return [
-            ["summary", state.to_bytes()] if isinstance(state, StreamSummary)
-            else ["plain", [encode_number(v) for v in state]]
-            for state in states
-        ]
-
-    def _decode_states(self, encoded: list) -> list:
-        return [
-            StreamSummary.from_bytes(payload) if kind == "summary"
-            else [decode_number(v) for v in payload]
-            for kind, payload in encoded
-        ]
-
-    def _spill(self, key: tuple, states: list) -> None:
+    def _spill_batch(self, victims: list[tuple[tuple, list]]) -> None:
+        """Write one eviction batch as a page (more only past the row cap
+        or on a hash collision inside the batch) and point every victim's
+        directory slot at its page, in one pass under the lock."""
         writer = self._writer
         if writer is None:
             writer = self._open_writer()
-        tagged = [tag_key(part) for part in key]
-        offset, length = writer.append(
-            tagged, self._encode_states(states), generation=self._evictions
-        )
+        before = writer.bytes_written
+        pages = len(writer.pages)
+        builder = _PageBuilder(writer)
+        for key, states in victims:
+            builder.add(_hash_of(key), key, states)
+        builder.flush()
         self._writer_dirty = True
+        # A spill is the one event that makes a key cold: whatever the
+        # read-ahead knew about "not cold" keys is stale now.
+        self._stash = {}
+        seg_id = self._writer_id
         with self._lock:
-            self._dir.put(
-                key_hash(canonical_key(tagged)), self._writer_id, offset, length
-            )
-            self._seg_live[self._writer_id] += 1
-            self._seg_total[self._writer_id] += 1
-        # Spilled groups restart their touch history on fault-in; this
-        # also bounds the priority map by the hot tier, not the keyspace.
-        self._prio.pop(key, None)
-        self._evictions += 1
-        self._spilled_bytes += length
-        self._m_evictions.add(1)
-        self._m_spilled.add(length)
+            put = self._dir.put
+            for h, offset, length in builder.placed:
+                put(h, seg_id, offset, length)
+            self._seg_live[seg_id] += len(victims)
+            self._seg_total[seg_id] += len(victims)
+        spilled = writer.bytes_written - before
+        pages = len(writer.pages) - pages
+        self._evictions += len(victims)
+        self._spilled_bytes += spilled
+        self._spill_pages += pages
+        self._m_evictions.add(len(victims))
+        self._m_spilled.add(spilled)
+        self._m_spill_pages.add(pages)
+
+    def stage(self, keys) -> None:
+        """Read ahead for one batch: the cold rows among ``keys``.
+
+        ``keys`` are distinct group keys the caller is about to ``get``
+        and that are in neither engine table.  Each is hashed and looked
+        up once; the candidate locations are grouped by page, each page
+        is read once and only the wanted rows are pulled out of it, into
+        a stash that :meth:`fault_in` consumes.  The stash is a cache and
+        never a state change: a staged row is not a fault-in until it is
+        consumed (the directory entry is deleted then, as always), rows
+        nothing consumed are dropped when the batch ends
+        (:meth:`observe_batch` / :meth:`unstage`), and a key that was not
+        staged faults in alone.  Exactness keeps resting on write-back /
+        fault-in only.
+        """
+        stash: dict[tuple, tuple | None] = {}
+        self._stash = stash
+        hashed = [(key, _hash_of(key)) for key in keys]
+        wanted: dict[tuple[int, int, int], list[tuple[tuple, int]]] = {}
+        with self._lock:
+            lookup = self._dir.lookup
+            for entry in hashed:
+                candidates = lookup(entry[1])
+                if not candidates:
+                    stash[entry[0]] = None
+                for location in candidates:
+                    wanted.setdefault(location, []).append(entry)
+        for location in sorted(wanted):
+            seg_id, offset, length = location
+            page = self._read_page(seg_id, offset, length)
+            if page is None:
+                continue
+            row_of = {key: row for row, key in enumerate(page.keys)}
+            found = [
+                entry for entry in wanted[location] if entry[0] in row_of
+            ]
+            states = self._states(page, [row_of[key] for key, _h in found])
+            for (key, h), group in zip(found, states):
+                stash[key] = (h, seg_id, offset, group)
+
+    def unstage(self) -> None:
+        """Drop what :meth:`stage` read ahead and nothing consumed."""
+        self._stash = {}
+
+    def _states(self, page: Page, rows: list[int]) -> list[list]:
+        if rows == list(range(len(page))):
+            rows = None  # every row: one unpack per column, not one per row
+        states = page.states(rows)
+        with self._lock:  # the compactor decodes rows too
+            self._rows_decoded += len(states)
+        self._m_rows_decoded.add(len(states))
+        return states
+
+    @staticmethod
+    def _revive(states: list) -> list:
+        """A page row's states as live aggregate state: summaries
+        instantiated, scalar lists as they are (already fresh)."""
+        return [
+            StreamSummary.from_bytes(state) if type(state) is bytes else state
+            for state in states
+        ]
 
     def fault_in(self, key: tuple) -> list | None:
         """Load a cold group's exact state back, removing its cold entry.
 
-        Returns None when the key is not cold.  The directory indexes by
-        64-bit key hash, so every candidate record is read and its full
-        key verified — a collision is another group's record and just
-        means trying the next candidate.  Corruption quarantines the
-        segment and raises :class:`StoreError` — by then every cold entry
-        into that segment (this key included) is gone, so subsequent
-        queries serve from the remaining state.
+        Returns None when the key is not cold.  A row :meth:`stage` read
+        ahead is consumed from the stash; otherwise the key's candidate
+        pages are read here.  The directory indexes by 64-bit key hash,
+        so a candidate page is searched for the full key — a collision is
+        another group's page and just means trying the next candidate.
+        Corruption quarantines the segment and raises :class:`StoreError`
+        — by then every cold entry into that segment (this key included)
+        is gone, so subsequent queries serve from the remaining state.
         """
-        tagged = [tag_key(part) for part in key]
-        h = key_hash(canonical_key(tagged))
+        found = self._stash.pop(key, _NOT_STAGED)
+        if found is None:
+            return None  # looked up for this batch already: not cold
+        h = _hash_of(key) if found is _NOT_STAGED else found[0]
+        if found is _NOT_STAGED:
+            found = self._find(key, h)
+        while found is not None:
+            _h, seg_id, offset, states = found
+            with self._lock:
+                deleted = self._dir.delete(h, seg_id, offset)
+                if deleted and seg_id in self._seg_live:
+                    self._seg_live[seg_id] -= 1
+            if deleted:
+                self._fault_ins += 1
+                self._m_fault_ins.add(1)
+                return self._revive(states)
+            # Compaction repointed this entry between the read and the
+            # delete (or a bucket close took the staged row); the copy
+            # holds identical bytes — resolve it afresh.
+            found = self._find(key, h)
+        return None
+
+    def _find(self, key: tuple, h: int) -> tuple | None:
+        """``(hash, segment id, page offset, states)`` of a cold key, read
+        from its page without touching the directory; None if not cold."""
         while True:
             with self._lock:
                 candidates = self._dir.lookup(h)
-            if not candidates:
-                return None
             retry = False
             for seg_id, offset, length in candidates:
-                record = self._read_location(seg_id, offset, length)
-                if record is None:
-                    if self._segment_vanished(seg_id):
-                        # Compaction deleted the segment between our
-                        # lookup and the read; the entry was repointed
-                        # first, so a fresh lookup finds the copy.
-                        retry = True
+                page = self._read_page(seg_id, offset, length)
+                if page is None:
+                    # Gone because compaction deleted the segment between
+                    # our lookup and the read?  Its entries were repointed
+                    # first, so a fresh lookup finds the copy.
+                    retry = retry or self._segment_vanished(seg_id)
                     continue
-                if record["k"] != tagged:
+                try:
+                    row = page.keys.index(key)
+                except ValueError:
                     continue
-                with self._lock:
-                    if not self._dir.delete(h, seg_id, offset):
-                        # Compaction repointed this entry between our read
-                        # and the delete; the copy holds identical bytes —
-                        # retry against the fresh location.
-                        retry = True
-                        break
-                    if seg_id in self._seg_live:
-                        self._seg_live[seg_id] -= 1
-                self._fault_ins += 1
-                self._m_fault_ins.add(1)
-                return self._decode_states(record["s"])
+                return h, seg_id, offset, self._states(page, [row])[0]
             if not retry:
                 return None
 
     def encoded_states(self, key: tuple) -> list:
-        """A cold group's stored encodings, read without faulting it in.
-
-        Used by ``partial_state_bytes`` to splice cold groups into the
-        snapshot's columns without instantiating their summaries.  Raises ``KeyError`` when the
-        key is not cold.
+        """A cold group's states in the record shape, read without
+        faulting it in: ``["plain", scalars]`` / ``["summary", to_bytes
+        buffer]`` per aggregate, what :meth:`SegmentWriter.append` takes.
+        Raises ``KeyError`` when the key is not cold.
         """
-        tagged = [tag_key(part) for part in key]
-        h = key_hash(canonical_key(tagged))
-        while True:
-            with self._lock:
-                candidates = self._dir.lookup(h)
-            retry = False
-            for seg_id, offset, length in candidates:
-                record = self._read_location(seg_id, offset, length)
-                if record is None:
-                    retry = retry or self._segment_vanished(seg_id)
-                    continue
-                if record["k"] == tagged:
-                    return record["s"]
-            if not retry:
-                raise KeyError(key)
+        found = self._find(key, _hash_of(key))
+        if found is None:
+            raise KeyError(key)
+        return _record(key, found[3])["s"]
 
     def _segment_vanished(self, seg_id: int) -> bool:
         """True if a segment id no longer maps to a file.
 
-        Distinguishes "compaction deleted it under us — its records were
+        Distinguishes "compaction deleted it under us — its rows were
         repointed first, so re-resolve through the directory" from "the
         read failed on a file that is still mapped" (a racing quarantine:
         those entries are gone from the directory and must NOT be
@@ -718,10 +849,8 @@ class TieredStore:
                 and self._seg_by_id.get(seg_id) is None
             )
 
-    def _read_location(
-        self, seg_id: int, offset: int, length: int, key_only: bool = False
-    ):
-        """Read one record by directory entry; None if the segment is gone.
+    def _read_page(self, seg_id: int, offset: int, length: int) -> Page | None:
+        """Read one page by directory entry; None if the segment is gone.
 
         Corruption quarantines the segment and re-raises the located
         :class:`StoreError`.  A missing segment (quarantined or deleted
@@ -730,10 +859,7 @@ class TieredStore:
         """
         with self._lock:
             if seg_id == self._writer_id and self._writer is not None:
-                if self._writer_dirty:
-                    self._writer.flush()
-                    self._writer_dirty = False
-                path = self._writer.staging_path
+                path = self._flushed_writer_path()
                 handle = None
             else:
                 name = self._seg_by_id.get(seg_id)
@@ -746,39 +872,46 @@ class TieredStore:
         start = time.perf_counter_ns()
         try:
             if handle is not None:
-                record = read_record(handle, path, offset, length, key_only)
+                page = read_page(handle, path, offset, length)
             else:
-                record = read_record_at(path, offset, length)
+                with open(path, "rb") as staging:
+                    page = read_page(staging, path, offset, length)
         except StoreError:
             self._quarantine(seg_id)
             raise
         except (OSError, ValueError):
             # The file (or its cached handle) vanished under us — a
             # concurrent quarantine.  Those entries are already dropped.
-            self._handles.pop(seg_id, None)
+            self._drop_handle(seg_id)
             return None
-        if not key_only:
-            elapsed = (time.perf_counter_ns() - start) / 1e3
-            self._lat_ema += 0.05 * (elapsed - self._lat_ema)
-            self._m_cold_read.observe(elapsed)
-        return record
+        elapsed = (time.perf_counter_ns() - start) / 1e3
+        self._lat_ema += 0.05 * (elapsed - self._lat_ema)
+        self._m_cold_read.observe(elapsed)
+        with self._lock:
+            self._pages_read += 1
+        self._m_pages_read.add(1)
+        return page
+
+    def _flushed_writer_path(self) -> str:
+        """The open writer's staging file, its staged pages readable."""
+        if self._writer_dirty:
+            self._writer.flush()
+            self._writer_dirty = False
+        return self._writer.staging_path
 
     def _handle(self, seg_id: int, path: str):
-        """A cached read handle for a sealed segment (engine thread only)."""
-        handle = self._handles.get(seg_id)
-        if handle is not None:
-            return handle
-        try:
-            handle = open(path, "rb")
-        except OSError:
-            return None
-        while len(self._handles) >= _HANDLE_CACHE:
-            _old_id, old = self._handles.popitem()
+        """A cached read handle for a sealed segment (engine thread only);
+        the cache is LRU, least recently used first."""
+        handles = self._handles
+        handle = handles.pop(seg_id, None)
+        if handle is None:
             try:
-                old.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-        self._handles[seg_id] = handle
+                handle = open(path, "rb")
+            except OSError:
+                return None
+            while len(handles) >= _HANDLE_CACHE:
+                self._drop_handle(next(iter(handles)))
+        handles[seg_id] = handle
         return handle
 
     def _drop_handle(self, seg_id: int) -> None:
@@ -888,14 +1021,15 @@ class TieredStore:
     def compact(self, force: bool = False) -> int:
         """Rewrite garbage-heavy sealed segments; returns segments retired.
 
-        A segment's garbage is its dead records — groups that faulted back
+        A segment's garbage is its dead rows — groups that faulted back
         in (and may have been re-spilled elsewhere) or were dropped at
-        flush.  Liveness comes from the victim's own footer checked
-        against the key directory, so the sweep costs O(victim records),
-        not a directory scan.  Live records are re-appended to a fresh
-        segment and the directory is repointed entry-by-entry; a repoint
-        that loses the race to a concurrent fault-in simply leaves a dead
-        copy.  Old files are only deleted at the next :meth:`checkpoint`,
+        flush; a page whose every row is dead is simply not copied.
+        Liveness comes from the victim's own pages checked row by row
+        against the key directory, so the sweep costs O(victim rows),
+        not a directory scan.  Live rows are re-packed into full pages of
+        a fresh segment and the directory is repointed entry-by-entry; a
+        repoint that loses the race to a concurrent fault-in simply
+        leaves a dead copy.  Old files are only deleted at the next :meth:`checkpoint`,
         because the current manifest may still reference them for crash
         recovery.  Safe to call from the background compactor: shared
         state is only touched under the store lock.
@@ -912,29 +1046,21 @@ class TieredStore:
         if not victims:
             return 0
         writer: SegmentWriter | None = None
+        builder: _PageBuilder | None = None
         new_name = None
-        copies: list[tuple[int, int, int, int, int]] = []
+        sources: list[tuple[int, int]] = []  # (segment id, page offset) per copy
         lost: set[int] = set()
         for seg_id, name in victims.items():
-            path = self._segment_path(name)
             try:
-                reader = SegmentReader(path)
-                for h, offset, length in reader.entries:
-                    with self._lock:
-                        alive = any(
-                            s == seg_id and o == offset
-                            for s, o, _l in self._dir.lookup(h)
-                        )
-                    if not alive:
-                        continue
-                    record = read_record_at(path, offset, length)
-                    if writer is None:
+                for page, live in self._live_rows(seg_id, self._segment_path(name)):
+                    if builder is None:
                         new_name = self._next_name()
                         writer = SegmentWriter(self._segment_path(new_name))
-                    new_off, new_len = writer.append(
-                        record["k"], record["s"], record.get("g", 0)
-                    )
-                    copies.append((h, seg_id, offset, new_off, new_len))
+                        builder = _PageBuilder(writer)
+                    rows = [row for row, _h in live]
+                    for (row, h), states in zip(live, self._states(page, rows)):
+                        builder.add(h, page.keys[row], states)
+                        sources.append((seg_id, page.offset))
             except FileNotFoundError:
                 lost.add(seg_id)
                 continue
@@ -942,6 +1068,8 @@ class TieredStore:
                 self._quarantine(seg_id)
                 lost.add(seg_id)
                 continue
+        if builder is not None:
+            builder.flush()
         new_id = None
         if writer is not None:
             if writer.records:
@@ -955,7 +1083,9 @@ class TieredStore:
                 self._seg_by_id[new_id] = new_name
                 self._seg_total[new_id] = writer.records
                 self._seg_live[new_id] = 0
-                for h, old_seg, old_off, new_off, new_len in copies:
+                for (old_seg, old_off), (h, new_off, new_len) in zip(
+                    sources, builder.placed
+                ):
                     if old_seg in lost:
                         continue
                     if self._dir.delete(h, old_seg, old_off):
@@ -989,55 +1119,146 @@ class TieredStore:
 
     # -- query-side hooks ---------------------------------------------------------
 
-    def _scan_entries(self):
-        """Every live directory entry, in bounded-lock chunks.
+    def _live_rows(self, seg_id: int, path: str, index=None, probe=True):
+        """Yield ``(page, [(row, key hash), ...])`` for each page of one
+        segment that still holds live rows, in file order.
 
-        A rebuild (growth/tombstone purge) mid-scan restarts it: entries
-        may then repeat, which every consumer tolerates (sets, or
-        fault-in that no-ops on the second sight of a key).
+        A row is live while the directory holds its hash pointing at
+        this page.  ``index`` is the page index of an open writer's
+        staging file; a sealed segment's comes from its footer.  Without
+        ``probe`` the pages are only read and CRC-checked.  Errors are
+        the caller's: :class:`StoreError` for corruption,
+        ``FileNotFoundError`` for a segment compaction already deleted.
         """
-        idx = 0
-        with self._lock:
-            generation = self._dir.generation
+        if index is None:
+            index = SegmentReader(path).pages
+        with open(path, "rb") as handle:
+            for offset, length, _rows in index:
+                page = read_page(handle, path, offset, length)
+                if not probe:
+                    continue
+                hashes = list(map(_hash_of, page.keys))
+                with self._lock:
+                    self._pages_read += 1
+                    lookup = self._dir.lookup
+                    live = [
+                        (row, h) for row, h in enumerate(hashes)
+                        if any(
+                            s == seg_id and o == offset
+                            for s, o, _l in lookup(h)
+                        )
+                    ]
+                self._m_pages_read.add(1)
+                if live:
+                    yield page, live
+
+    def _scan(self, probe: bool = True):
+        """Yield ``(segment id, page, live rows)`` over the whole cold tier,
+        every segment's pages streamed once, in file order.
+
+        Segments that appear while the scan runs (a background compaction
+        publishing its output) are swept in a further round, so a row
+        that moved is met at its new home; it may then be met twice, which
+        every consumer tolerates (sets, or a delete that no-ops on the
+        second sight).  A corrupt segment is quarantined and the located
+        :class:`StoreError` re-raised.
+        """
+        seen: set[int] = set()
         while True:
             with self._lock:
-                if self._dir.generation != generation:
-                    generation = self._dir.generation
-                    idx = 0
-                    continue
-                chunk, idx = self._dir.scan_chunk(idx, _SCAN_CHUNK)
-                done = idx >= self._dir.capacity
-            yield from chunk
-            if done:
+                todo = sorted(
+                    seg_id for seg_id, live in self._seg_live.items()
+                    if live > 0 and seg_id not in seen
+                )
+            if not todo:
                 return
+            seen.update(todo)
+            for seg_id in todo:
+                with self._lock:
+                    index = None
+                    if seg_id == self._writer_id and self._writer is not None:
+                        path = self._flushed_writer_path()
+                        index = list(self._writer.pages)
+                    else:
+                        name = self._seg_by_id.get(seg_id)
+                        if name is None:
+                            continue
+                        path = self._segment_path(name)
+                try:
+                    for page, live in self._live_rows(
+                        seg_id, path, index, probe
+                    ):
+                        yield seg_id, page, live
+                except FileNotFoundError:
+                    continue  # compacted away; its rows were repointed first
+                except StoreError:
+                    self._quarantine(seg_id)
+                    raise
 
     def cold_key_set(self):
         """Iterate the cold tier's group keys (a generator).
 
-        Costs one key-only record read per cold group — the price of not
-        holding ten million key tuples in RAM.  May yield a key twice if
-        the directory rebuilds mid-scan, or if a concurrent compaction
-        forces a re-resolve; consumers are set-like.
+        Streams every live page once — the price of not holding ten
+        million key tuples in RAM.  May yield a key twice if a concurrent
+        compaction moves it mid-scan; consumers are set-like.
         """
-        for h, seg_id, offset, length in self._scan_entries():
-            record = self._read_location(seg_id, offset, length, key_only=True)
-            if record is None:
-                if not self._segment_vanished(seg_id):
-                    continue  # quarantined: entries intentionally dropped
-                # Compaction deleted the scanned location mid-iteration.
-                # Its keys are still live in the directory under the same
-                # hash — yield from the fresh entries instead (hash
-                # collisions resolve to other live cold keys: harmless).
-                with self._lock:
-                    fresh = self._dir.lookup(h)
-                for f_seg, f_off, f_len in fresh:
-                    record = self._read_location(
-                        f_seg, f_off, f_len, key_only=True
-                    )
-                    if record is not None:
-                        yield tuple(untag_key(tag) for tag in record["k"])
-                continue
-            yield tuple(untag_key(tag) for tag in record["k"])
+        for _seg_id, page, live in self._scan():
+            keys = page.keys
+            for row, _h in live:
+                yield keys[row]
+
+    def cold_groups(self):
+        """Iterate ``(key, states)`` over the cold tier without faulting
+        anything in: scalar states as lists, summaries as their
+        ``to_bytes`` buffers — what ``partial_state_bytes`` splices into
+        its columns.  Repeats are possible as for :meth:`cold_key_set`."""
+        for _seg_id, page, live in self._scan():
+            keys = page.keys
+            rows = [row for row, _h in live]
+            for row, states in zip(rows, self._states(page, rows)):
+                yield keys[row], states
+
+    def take_cold(self, bucket: object = _ANY_BUCKET):
+        """Fault in every cold group (of one time bucket, when given),
+        page by page: yields ``(key, live states)`` and forgets each.
+
+        The bulk form of :meth:`fault_in` for ``flush`` and a bucket
+        close: a page's rows leave the directory in one pass and are
+        counted as fault-ins, and only one page's states are alive at a
+        time unless the caller keeps them.
+        """
+        for seg_id, page, live in self._scan():
+            keys = page.keys
+            if bucket is not _ANY_BUCKET:
+                live = [
+                    (row, h) for row, h in live
+                    if keys[row] and keys[row][0] == bucket
+                ]
+                if not live:
+                    continue
+            offset = page.offset
+            with self._lock:
+                delete = self._dir.delete
+                # A row compaction repointed since the scan saw it is met
+                # again in the segment it moved to.
+                rows = [row for row, h in live if delete(h, seg_id, offset)]
+                if seg_id in self._seg_live:
+                    self._seg_live[seg_id] -= len(rows)
+            self._fault_ins += len(rows)
+            self._m_fault_ins.add(len(rows))
+            for row, states in zip(rows, self._states(page, rows)):
+                yield keys[row], self._revive(states)
+
+    def verify_pages(self) -> None:
+        """CRC-check every page of every segment holding live rows.
+
+        ``flush`` calls this before it starts consuming groups, so a
+        damaged segment costs exactly its own groups: it is quarantined
+        and the located :class:`StoreError` raised while every other
+        group is still where it was.
+        """
+        for _page in self._scan(probe=False):
+            pass
 
     def load_bucket(self, bucket: object) -> None:
         """Fault every cold group of one time bucket into the hot table.
@@ -1046,23 +1267,18 @@ class TieredStore:
         bucket's groups; the hot budget is re-enforced afterwards by the
         next :meth:`maintain`.
         """
-        matches = [
-            key for key in self.cold_key_set() if key and key[0] == bucket
-        ]
         high = self._engine._high
-        for key in matches:
-            states = self.fault_in(key)
-            if states is not None:
-                dict.__setitem__(high, key, states)
+        for key, states in self.take_cold(bucket):
+            dict.__setitem__(high, key, states)
 
     # -- checkpointing ------------------------------------------------------------
 
     def checkpoint(self) -> str:
         """Write a manifest checkpoint; returns the manifest path.
 
-        Hot groups are serialized once into a fresh ``ckpt-`` segment;
-        cold groups are referenced *in place* — their records are already
-        durable, which is the point of using segments as the checkpoint
+        Hot groups are serialized once, as full pages, into a fresh
+        ``ckpt-`` segment; cold groups are referenced *in place* — their
+        pages are already durable, which is the point of using segments as the checkpoint
         substrate.  The key directory is published as a ``keys-NNNNNN.dir``
         snapshot (a staged copy of the working table plus the hot groups'
         ckpt entries) so the manifest stays a few hundred bytes at any
@@ -1090,14 +1306,11 @@ class TieredStore:
                 ckpt_name = self._next_name("ckpt-")
                 ckpt_id = _segment_number(ckpt_name)
                 writer = SegmentWriter(self._segment_path(ckpt_name))
+                builder = _PageBuilder(writer)
                 for key in sorted(high, key=repr):
-                    tagged = [tag_key(part) for part in key]
-                    offset, length = writer.append(
-                        tagged, self._encode_states(high[key])
-                    )
-                    ckpt_entries.append(
-                        (key_hash(canonical_key(tagged)), offset, length)
-                    )
+                    builder.add(_hash_of(key), key, high[key])
+                builder.flush()
+                ckpt_entries = builder.placed
                 writer.finalize()
             # Directory snapshot: stage a copy of the working table,
             # splice in the hot tier's ckpt entries, publish durably.
@@ -1150,14 +1363,7 @@ class TieredStore:
                     for plan in engine._agg_plans
                 ],
             }
-            manifest_path = os.path.join(self.directory, MANIFEST_NAME)
-            m_staging = manifest_path + ".tmp"
-            with open(m_staging, "w") as handle:
-                json.dump(manifest, handle, separators=(",", ":"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(m_staging, manifest_path)
-            fsync_dir(os.path.dirname(os.path.abspath(manifest_path)))
+            manifest_path = _publish_manifest(self.directory, manifest)
             # The new manifest is durable: previous-generation files are
             # now safe to drop.
             for seg_id, path in self._retired:
@@ -1248,6 +1454,9 @@ class TieredStore:
             "evictions": self._evictions,
             "fault_ins": self._fault_ins,
             "spilled_bytes": self._spilled_bytes,
+            "spill_pages": self._spill_pages,
+            "pages_read": self._pages_read,
+            "rows_decoded": self._rows_decoded,
             "compactions": self._compactions,
             "quarantined": self._quarantined,
             "renormalizations": self._renormalizations,
@@ -1278,6 +1487,20 @@ class TieredStore:
             if self._dir is not None:
                 self._dir.close()
                 self._dir = None
+
+
+def _publish_manifest(directory: str, manifest: dict) -> str:
+    """Write ``manifest`` as the directory's checkpoint, atomically and
+    durably (staged, fsynced, renamed, parent directory fsynced)."""
+    manifest_path = os.path.join(directory, MANIFEST_NAME)
+    staging = manifest_path + ".tmp"
+    with open(staging, "w") as handle:
+        json.dump(manifest, handle, separators=(",", ":"))
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(staging, manifest_path)
+    fsync_dir(os.path.abspath(directory))
+    return manifest_path
 
 
 def _segment_number(seg_name: str) -> int:

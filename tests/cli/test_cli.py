@@ -250,13 +250,18 @@ class TestStoreInspectCommand:
         assert "group(s)" in out
         assert ".seg" in out and "ok" in out
 
-    def test_inspect_format_detects_record_versions(self, tmp_path, capsys):
+    def test_inspect_reports_pages_rows_and_slot_layout(self, tmp_path, capsys):
         directory = self._make_store(tmp_path)
-        assert main(["store", "inspect", directory, "--format"]) == 0
+        assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
-        assert "v2" in out.split("manifest:", 1)[1]
         report_lines = [ln for ln in out.splitlines() if ".seg" in ln]
-        assert report_lines and all("v2" in ln for ln in report_lines)
+        assert report_lines and all("v3" in ln for ln in report_lines)
+        assert all(
+            "pages" in ln and "rows" in ln and "live" in ln
+            for ln in report_lines
+        )
+        assert "B/live row" in out
+        assert "slots: scalars x1" in out  # count(*) keeps one scalar
 
     def test_inspect_json(self, tmp_path, capsys):
         import json
@@ -268,7 +273,17 @@ class TestStoreInspectCommand:
         assert report["manifest"]["groups"] > 0
         assert report["manifest"]["directory_file"].endswith(".dir")
         assert all(s["status"] == "ok" for s in report["segments"])
-        assert all(s["format"] == "v2" for s in report["segments"])
+        assert all(s["format"] == "v3" for s in report["segments"])
+        for segment in report["segments"]:
+            assert 0 < segment["pages"] <= segment["records"]
+            assert segment["layout"] == ["scalars x1"]
+            if segment["live"]:
+                assert segment["bytes_per_live_row"] == round(
+                    segment["bytes"] / segment["live"], 2
+                )
+        assert sum(s["live"] for s in report["segments"]) == (
+            report["manifest"]["groups"]
+        )
 
     def test_inspect_names_summary_types_and_their_bytes(self, tmp_path, capsys):
         import json
@@ -288,8 +303,13 @@ class TestStoreInspectCommand:
                 tally["unary_spacesaving"]["buffers"]
             )
             assert tally["priority_sampler"]["bytes"] > 2_500  # the RNG state
+        assert [s["layout"] for s in report["segments"] if s["summaries"]][0] == [
+            "summary:unary_spacesaving", "summary:priority_sampler",
+        ]
         assert main(["store", "inspect", directory]) == 0
-        assert "priority_sampler x " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "priority_sampler x " in out
+        assert "slots: summary:unary_spacesaving | summary:priority_sampler" in out
 
     def test_inspect_flags_corruption(self, tmp_path, capsys):
         import os

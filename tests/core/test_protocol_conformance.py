@@ -20,9 +20,13 @@ registry enrolls it here with no further work.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import pathlib
 import random
+import struct
+import tracemalloc
 
 import pytest
 
@@ -173,6 +177,33 @@ def json_buffer(summary: StreamSummary) -> bytes:
     ).encode("utf-8")
 
 
+def parameter_flips(payload):
+    """``payload`` once per bit of each int / float that sits in its
+    dicts rather than its arrays, with that one bit flipped."""
+    def scalars(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield from scalars(value, path + (key,))
+        elif type(node) in (int, float):
+            yield path, node
+
+    for path, value in scalars(payload, ()):
+        code = "<q" if type(value) is int else "<d"
+        try:
+            (bits,) = struct.unpack("<Q", struct.pack(code, value))
+        except struct.error:  # an int past i64: not a size
+            continue
+        for bit in range(64):
+            mutated = copy.deepcopy(payload)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            (node[path[-1]],) = struct.unpack(
+                code, struct.pack("<Q", bits ^ (1 << bit))
+            )
+            yield mutated
+
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 #: Committed buffers of ``factory()`` fed ``feed(n=40)``: ``.v2`` as this
 #: writer must keep producing them, ``.v1`` as the last JSON-writing
@@ -223,18 +254,36 @@ class TestPackedBuffers:
                 StreamSummary.from_bytes(blob[:cut])
 
     @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_a_flipped_bit_is_a_tree_or_a_parameter_error(self, name):
-        # Down to the tree only: some constructors size their tables from
-        # a parameter, and a flipped one asks for terabytes.  The golden
-        # types below go through ``_from_payload`` as well.
+    def test_a_flipped_bit_is_a_summary_or_a_parameter_error_everywhere(
+        self, name
+    ):
+        # All the way through ``from_bytes``: fault-in, compaction and the
+        # store upgrade tool run it on bytes from disk.  Some constructors
+        # size their tables from a parameter, and a flipped one used to
+        # ask for gigabytes (or minutes) before anything was checked —
+        # hence the ceiling on what the flips may allocate.  Flipped are
+        # every bit of every scalar outside the payload's arrays (the
+        # parameters) and a stride of bits over the whole buffer (the
+        # golden types below take every one).
         info = registry.get_summary(name)
         summary = info.factory()
         feed(summary, info.input_kind, n=30)
-        for damaged in flips(pack_tree(summary._state_payload())):
-            try:
-                unpack_tree(damaged)
-            except ParameterError:
-                pass
+        blob = summary.to_bytes()
+        head = blob[: 2 + blob[1]]
+        damaged = [head + pack_tree(p) for p in parameter_flips(summary._state_payload())]
+        stride = max(1, len(blob) * 8 // 400) | 1  # odd: every bit position
+        damaged.extend(itertools.islice(flips(blob), 0, None, stride))
+        tracemalloc.start()
+        try:
+            for buffer in damaged:
+                try:
+                    StreamSummary.from_bytes(buffer)
+                except ParameterError:
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, f"a flipped bit allocated {peak >> 20} MiB"
 
     @pytest.mark.parametrize("name", GOLDEN)
     def test_writer_matches_the_committed_bytes(self, name):

@@ -2,15 +2,17 @@
 
 Two guarantees pinned here:
 
-* **Golden bytes.**  The writer's output for a fixed record set is
-  byte-for-byte stable, for version 1 (JSON) and version 2 (binary)
-  alike.  Any codec change that alters bytes on disk — intentional or
-  not — fails these tests and forces a version bump instead of a silent
-  format fork that strands existing segments.
+* **Golden bytes.**  The writer's output for a fixed set of pages is
+  byte-for-byte stable.  Any codec change that alters bytes on disk —
+  intentional or not — fails these tests and forces a version bump plus
+  a ``repro store upgrade`` path instead of a silent format fork that
+  strands existing segments.  (The version-1 and version-2 golden
+  segments this file used to pin are now fixtures of
+  ``tests/store/test_upgrade.py``.)
 
 * **No garbage, ever.**  A segment truncated at *any* byte, or with any
   single corrupted byte, must either read back exactly the original
-  records or raise a located :class:`StoreError` (segment + offset).
+  rows or raise a located :class:`StoreError` (segment + offset).
   No other exception type, and never silently different data.
 """
 
@@ -27,96 +29,107 @@ from repro.store.segment import (
     read_record_at,
 )
 
-#: Fixed records covering every scalar tag: i64, f64, str, and the JSON
-#: fallback (bool state value, non-int/float/str key part).
-RECORDS = [
-    ([["int", 7], ["str", "h-alpha"]],
-     [["plain", [3, 40.5, "x", True]]], 3),
-    ([["float", 2.5], ["literal", None]],
-     [["plain", []], ["plain", [-1]]], 0),
+#: The segment layer never parses a summary: any buffer will do.
+SUMMARY = b"\x02\x03abc-opaque-summary-buffer"
+
+#: One page per shape the group-batch packing has: fixed-arity scalar
+#: slots under a key column of mixed types (None / bool / an int past
+#: i64 fall to the tagged kind), a summary slot, and a ragged slot
+#: (scalar arity differs between the two groups).
+PAGES = [
+    (
+        [(7, "h-alpha"), (None, "h-beta"), (True, "h-gamma"), (1 << 70, "h-δ")],
+        [[[3, 40.5], [1]], [[0, -0.0], [2]], [[1, float("inf")], [3]],
+         [[2, 1e300], [4]]],
+    ),
+    ([(2.5,)], [[[9], SUMMARY]]),
+    ([("a",), ("b",)], [[[1, 2.0]], [[1]]]),
 ]
 
-GOLDEN = {
-    1: (
-        "52534547014b00000076c9f2bd7b226b223a5b5b22696e74222c375d2c5b2273"
-        "7472222c22682d616c706861225d5d2c2273223a5b5b22706c61696e222c5b33"
-        "2c34302e352c2278222c747275655d5d5d2c2267223a337d4e000000d35446eb"
-        "7b226b223a5b5b22666c6f6174222c322e355d2c5b226c69746572616c222c6e"
-        "756c6c5d5d2c2273223a5b5b22706c61696e222c5b5d5d2c5b22706c61696e22"
-        "2c5b2d315d5d5d2c2267223a307d7f00000048223ba17b2276657273696f6e22"
-        "3a312c227265636f726473223a322c22696e646578223a7b225b5b5c22696e74"
-        "5c222c375d2c5b5c227374725c222c5c22682d616c7068615c225d5d223a5b35"
-        "2c38335d2c225b5b5c22666c6f61745c222c322e355d2c5b5c226c6974657261"
-        "6c5c222c6e756c6c5d5d223a5b38382c38365d7d7dae00000000000000474553"
-        "52"
-    ),
-    2: (
-        "525345470248000000d4e69add02030000000000000002000107000000000000"
-        "000307000000682d616c70686101000104000000010300000000000000020000"
-        "0000004044400301000000780004000000747275653e0000006cb9e88f020000"
-        "000000000000020002000000000000044000100000005b226c69746572616c22"
-        "2c6e756c6c5d02000100000000010100000001ffffffffffffffff3400000083"
-        "3b583a0200000002000000000000009ab6c36ccf0dcd0a050000000000000050"
-        "000000f846b76edea2a6f05500000000000000460000009b0000000000000047"
-        "455352"
-    ),
-}
-
-BOTH_VERSIONS = pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+GOLDEN = (
+    "525345470308010000d293100402000200040000000200010001000000000000"
+    "0000000000040005040000004c5b5b22696e74222c375d2c5b226c6974657261"
+    "6c222c6e756c6c5d2c5b226c69746572616c222c747275655d2c5b22696e7422"
+    "2c313138303539313632303731373431313330333432345d5d03000000280000"
+    "0007000000060000000700000004682d616c706861682d62657461682d67616d"
+    "6d61682dceb40100000020000000000000000300000000000000000000000000"
+    "0000010000000000000002020000002040444000000000008000000000000000"
+    "7ff00000000000007e37e43c8800759c01000000200000000000000001000000"
+    "00000000020000000000000003000000000000000459000000fb1a38f0010002"
+    "00010000000100ffff0100000000000000000000000100030200000008400400"
+    "000000000001000000080000000000000009050000001f0000001b0203616263"
+    "2d6f70617175652d73756d6d6172792d62756666657266000000fbee8d150100"
+    "010002000000feff010000000000000000000000020002030000000a00000001"
+    "00000001616204000000395b5b226c697374222c5b5b22696e74222c315d2c5b"
+    "22666c6f6174222c322e305d5d5d2c5b226c697374222c5b5b22696e74222c31"
+    "5d5d5d5d2800000099b034d60300000003000000070000000000000010010000"
+    "0400000061000000010000006e00000002000000e40100000000000047455352"
+)
 
 
-def build_segment(path: str, version: int) -> str:
-    writer = SegmentWriter(path, version=version)
-    for key, states, generation in RECORDS:
-        writer.append(key, states, generation=generation)
+def build_segment(path: str) -> str:
+    writer = SegmentWriter(path)
+    for keys, rows in PAGES:
+        writer.write_page(keys, rows)
     return writer.finalize()
 
 
 def read_everything(path: str) -> list:
     """Open, enumerate, and fully decode a segment (every CRC checked)."""
     reader = SegmentReader(path)
-    out = []
-    for offset, record in reader.iter_records():
-        out.append((offset, record))
-    # The entry table must agree with sequential iteration.
-    for _, offset, length in reader.entries:
+    out = [
+        (page.offset, page.keys, page.states()) for page in reader.iter_pages()
+    ]
+    # The page index must agree with sequential iteration, one-row reads
+    # (the record-shaped view of a page's first row) included.
+    for offset, length, _rows in reader.pages:
         read_record_at(path, offset, length)
     return out
 
 
 class TestGoldenBytes:
-    @BOTH_VERSIONS
-    def test_writer_output_is_byte_stable(self, tmp_path, version):
-        path = build_segment(str(tmp_path / "g.seg"), version)
+    def test_writer_output_is_byte_stable(self, tmp_path):
+        path = build_segment(str(tmp_path / "g.seg"))
         with open(path, "rb") as handle:
             data = handle.read()
-        assert data == binascii.unhexlify(GOLDEN[version])
+        assert data == binascii.unhexlify(GOLDEN), binascii.hexlify(data)
 
-    @BOTH_VERSIONS
-    def test_golden_bytes_decode_to_the_source_records(self, tmp_path, version):
+    def test_golden_bytes_decode_to_the_source_rows(self, tmp_path):
         # The inverse direction: committed bytes (not freshly written
         # ones) must still decode — this is what protects segments
         # already on users' disks.
         path = str(tmp_path / "g.seg")
         with open(path, "wb") as handle:
-            handle.write(binascii.unhexlify(GOLDEN[version]))
+            handle.write(binascii.unhexlify(GOLDEN))
         reader = SegmentReader(path)
-        assert reader.version == version
-        decoded = [record for _, record in reader.iter_records()]
-        expected = [
-            {"k": key, "s": states, "g": generation}
-            for key, states, generation in RECORDS
+        assert reader.version == 3
+        assert reader.records == 7
+        assert [rows for _o, _l, rows in reader.pages] == [4, 1, 2]
+        decoded = [(keys, states) for _o, keys, states in read_everything(path)]
+        assert [
+            [(repr(key), repr(states)) for key, states in zip(keys, rows)]
+            for keys, rows in decoded
+        ] == [
+            [(repr(key), repr(states)) for key, states in zip(keys, rows)]
+            for keys, rows in PAGES
+        ]  # repr: True is not 1, -0.0 is not 0.0
+        assert [page.slots for page in reader.iter_pages()] == [
+            [2, 1], [1, -1], [-2],
         ]
-        assert decoded == expected
+
+    def test_the_record_shape_is_the_first_row_of_a_page(self, tmp_path):
+        path = build_segment(str(tmp_path / "g.seg"))
+        (_, _, _), (offset, length, _), _ = SegmentReader(path).pages
+        assert read_record_at(path, offset, length) == {
+            "k": [["float", 2.5]],
+            "s": [["plain", [9]], ["summary", SUMMARY]],
+        }
 
 
 @pytest.mark.chaos
 class TestByteLevelFuzz:
-    @BOTH_VERSIONS
-    def test_truncation_at_every_byte_is_a_located_error(
-        self, tmp_path, version
-    ):
-        path = build_segment(str(tmp_path / "t.seg"), version)
+    def test_truncation_at_every_byte_is_a_located_error(self, tmp_path):
+        path = build_segment(str(tmp_path / "t.seg"))
         with open(path, "rb") as handle:
             data = handle.read()
         mutant = str(tmp_path / "mutant.seg")
@@ -127,12 +140,11 @@ class TestByteLevelFuzz:
                 read_everything(mutant)
             assert excinfo.value.segment == mutant
 
-    @BOTH_VERSIONS
-    def test_bit_flips_never_yield_garbage(self, tmp_path, version):
-        path = build_segment(str(tmp_path / "f.seg"), version)
+    def test_bit_flips_never_yield_garbage(self, tmp_path):
+        path = build_segment(str(tmp_path / "f.seg"))
         with open(path, "rb") as handle:
             data = handle.read()
-        baseline = read_everything(path)
+        baseline = repr(read_everything(path))
         mutant = str(tmp_path / "mutant.seg")
         flipped = 0
         surfaced = 0
@@ -152,7 +164,7 @@ class TestByteLevelFuzz:
                 else:
                     # The only acceptable alternative: the flip was
                     # semantically invisible and the data is *identical*.
-                    assert result == baseline, (
+                    assert repr(result) == baseline, (
                         f"byte {pos} mask {mask:#x}: decoded garbage"
                     )
         # Every byte of the format is load-bearing: corruption must

@@ -1,9 +1,8 @@
 """Segment file format: framing, atomic publish, and corruption evidence.
 
-Every byte the cold tier trusts is covered here: CRC-framed records, the
-footer index (JSON in version 1, packed key-hash entries in version 2),
-the fixed trailer, and the write-then-rename-then-directory-fsync
-publish.  The corruption tests are the contract the chaos tests build on
+Every byte the cold tier trusts is covered here: CRC-framed pages, the
+footer's page index, the fixed trailer, and the
+write-then-rename-then-directory-fsync publish.  The corruption tests are the contract the chaos tests build on
 — a damaged segment must raise a :class:`StoreError` that *names the
 segment and offset*, never return wrong bytes.
 """
@@ -24,85 +23,77 @@ from repro.store import (
 )
 from repro.core.registry import create_summary
 from repro.store import segment as segment_mod
+from repro.store.segment import read_page
 
 KEY_A = [["int", 1], ["str", "h1"]]
 KEY_B = [["int", 2], ["str", "h2"]]
 STATES = [["plain", [3, 120.0]], ["plain", [7]]]
 
-BOTH_VERSIONS = pytest.mark.parametrize("version", [1, 2])
 
-
-def write_segment(path: str, keys=(KEY_A, KEY_B), version=SEGMENT_VERSION):
-    writer = SegmentWriter(path, version=version)
+def write_segment(path: str, keys=(KEY_A, KEY_B)):
+    """One page of one row per key — the record-shaped writer API."""
+    writer = SegmentWriter(path)
     locations = {}
-    for i, key in enumerate(keys):
-        offset, length = writer.append(key, STATES, generation=i)
+    for key in keys:
+        offset, length = writer.append(key, STATES)
         locations[canonical_key(key)] = [offset, length]
     writer.finalize()
     return locations
 
 
 class TestWriterReader:
-    @BOTH_VERSIONS
-    def test_round_trip(self, tmp_path, version):
+    def test_round_trip(self, tmp_path):
         path = str(tmp_path / "000000.seg")
-        locations = write_segment(path, version=version)
+        locations = write_segment(path)
         reader = SegmentReader(path)
-        assert reader.version == version
+        assert reader.version == SEGMENT_VERSION == 3
         assert reader.records == 2
-        for canon, loc in locations.items():
-            assert reader.lookup(canon) == [tuple(loc)]
-        record = reader.read(canonical_key(KEY_A))
-        assert record["k"] == KEY_A
-        assert record["s"] == STATES
-        assert record["g"] == 0
+        assert [(o, n) for o, n, _rows in reader.pages] == [
+            tuple(loc) for loc in locations.values()
+        ]
+        offset, length = locations[canonical_key(KEY_A)]
+        assert read_record_at(path, offset, length) == {"k": KEY_A, "s": STATES}
 
-    def test_v1_reader_exposes_canonical_index(self, tmp_path):
-        path = str(tmp_path / "000000.seg")
-        locations = write_segment(path, version=1)
-        assert SegmentReader(path).index == locations
-
-    @BOTH_VERSIONS
-    def test_iter_records_in_file_order(self, tmp_path, version):
+    def test_a_page_holds_many_groups_column_wise(self, tmp_path):
         path = str(tmp_path / "s.seg")
-        write_segment(path, version=version)
-        offsets = [offset for offset, _ in SegmentReader(path).iter_records()]
+        writer = SegmentWriter(path)
+        keys = [(i, f"h{i}") for i in range(100)]
+        rows = [[[i, i * 1.5], [7]] for i in range(100)]
+        offset, length = writer.write_page(keys, rows)
+        assert writer.records == 100 and writer.pages == [(offset, length, 100)]
+        writer.finalize()
+        with open(path, "rb") as handle:
+            page = read_page(handle, path, offset, length)
+        assert page.keys == keys and len(page) == 100
+        assert page.states() == rows
+        # Picking rows decodes those rows only, in the order asked for.
+        assert page.states([41, 3]) == [rows[41], rows[3]]
+        assert length < 100 * 40  # ~29 B/group of payload, one page frame
+
+    def test_iter_pages_in_file_order(self, tmp_path):
+        path = str(tmp_path / "s.seg")
+        write_segment(path)
+        pages = list(SegmentReader(path).iter_pages())
+        offsets = [page.offset for page in pages]
         assert offsets == sorted(offsets)
+        assert [page.keys for page in pages] == [[(1, "h1")], [(2, "h2")]]
 
-    def test_versions_decode_identically(self, tmp_path):
-        records = {}
-        for version in (1, 2):
-            path = str(tmp_path / f"v{version}.seg")
-            write_segment(path, version=version)
-            records[version] = [r for _, r in SegmentReader(path).iter_records()]
-        assert records[1] == records[2]
-
-    def test_a_summary_state_is_its_raw_buffer_in_both_versions(self, tmp_path):
-        # Version-1 bodies are JSON and spell a summary as its envelope;
-        # the record dict a reader hands out holds the to_bytes buffer.
+    def test_a_summary_state_is_its_raw_buffer(self, tmp_path):
         summary = create_summary("weighted_spacesaving")
         summary.update("h", 2.5)
         states = [["plain", [1]], ["summary", summary.to_bytes()]]
-        for version in (1, 2):
-            path = str(tmp_path / f"v{version}.seg")
-            writer = SegmentWriter(path, version=version)
-            offset, length = writer.append(KEY_A, states)
-            writer.finalize()
-            assert read_record_at(path, offset, length)["s"] == states
-        with open(str(tmp_path / "v1.seg"), "rb") as handle:
-            assert b'"summary",{"type":"WeightedSpaceSaving"' in handle.read()
+        path = str(tmp_path / "s.seg")
+        writer = SegmentWriter(path)
+        offset, length = writer.append(KEY_A, states)
+        # A live summary is serialized by the page writer itself.
+        live, _ = writer.write_page([(1, "h1")], [[[1], summary]])
+        writer.finalize()
+        assert read_record_at(path, offset, length)["s"] == states
+        assert read_record_at(path, live, length)["s"] == states
 
-    def test_v2_is_smaller_than_v1(self, tmp_path):
-        sizes = {}
-        for version in (1, 2):
-            path = str(tmp_path / f"v{version}.seg")
-            write_segment(path, version=version)
-            sizes[version] = os.path.getsize(path)
-        assert sizes[2] < sizes[1]
-
-    def test_unknown_write_version_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="cannot write version"):
-            SegmentWriter(str(tmp_path / "s.seg"), version=3)
+    def test_writer_takes_no_version(self, tmp_path):
+        with pytest.raises(TypeError):
+            SegmentWriter(str(tmp_path / "s.seg"), version=2)
 
     def test_finalize_is_atomic(self, tmp_path):
         path = str(tmp_path / "s.seg")
@@ -137,12 +128,11 @@ class TestWriterReader:
         assert not os.path.exists(path)
         assert not os.path.exists(writer.staging_path)
 
-    @BOTH_VERSIONS
-    def test_open_writer_readable_after_flush(self, tmp_path, version):
+    def test_open_writer_readable_after_flush(self, tmp_path):
         # The store reads spilled groups back out of its *open* segment;
         # a flushed staging file must serve exact records.
         path = str(tmp_path / "s.seg")
-        writer = SegmentWriter(path, version=version)
+        writer = SegmentWriter(path)
         offset, length = writer.append(KEY_A, STATES)
         writer.flush()
         record = read_record_at(writer.staging_path, offset, length)
@@ -152,7 +142,7 @@ class TestWriterReader:
     def test_bytes_written_counts_records_only(self, tmp_path):
         # The docstring contract: bytes_written excludes the header (and
         # footer/trailer), so the store's rotation threshold compares
-        # record payload against record payload.
+        # page payload against page payload.
         writer = SegmentWriter(str(tmp_path / "s.seg"))
         assert writer.bytes_written == 0
         offset, length = writer.append(KEY_A, STATES)
@@ -168,10 +158,9 @@ class TestCorruptionEvidence:
             handle.seek(offset)
             handle.write(bytes([byte[0] ^ xor]))
 
-    @BOTH_VERSIONS
-    def test_record_bit_flip_names_segment_and_offset(self, tmp_path, version):
+    def test_record_bit_flip_names_segment_and_offset(self, tmp_path):
         path = str(tmp_path / "000003.seg")
-        locations = write_segment(path, version=version)
+        locations = write_segment(path)
         offset, length = locations[canonical_key(KEY_A)]
         self.corrupt(path, offset + 8 + 2)  # inside the record body
         with pytest.raises(StoreError, match="CRC mismatch") as excinfo:
@@ -180,10 +169,9 @@ class TestCorruptionEvidence:
         assert excinfo.value.offset == offset
         assert "000003.seg" in str(excinfo.value)
 
-    @BOTH_VERSIONS
-    def test_truncated_record_read(self, tmp_path, version):
+    def test_truncated_record_read(self, tmp_path):
         path = str(tmp_path / "s.seg")
-        locations = write_segment(path, version=version)
+        locations = write_segment(path)
         canon = sorted(
             locations, key=lambda k: locations[k][0], reverse=True
         )[0]
@@ -193,13 +181,12 @@ class TestCorruptionEvidence:
         with pytest.raises(StoreError, match="truncated"):
             read_record_at(path, offset, length)
 
-    @BOTH_VERSIONS
-    def test_overlong_read_is_not_called_truncated(self, tmp_path, version):
+    def test_overlong_read_is_not_called_truncated(self, tmp_path):
         # A stale directory entry spanning past its record delivers MORE
         # body bytes than the frame header promises; the error must name
         # the length mismatch, not claim truncation.
         path = str(tmp_path / "s.seg")
-        locations = write_segment(path, version=version)
+        locations = write_segment(path)
         canon = min(locations, key=lambda k: locations[k][0])
         offset, length = locations[canon]
         with pytest.raises(StoreError, match="length mismatch") as excinfo:
@@ -220,39 +207,48 @@ class TestCorruptionEvidence:
         with open(path, "r+b") as handle:
             handle.seek(4)
             handle.write(bytes([SEGMENT_VERSION + 9]))
-        with pytest.raises(StoreError, match="unsupported version"):
+        with pytest.raises(StoreError, match="unsupported version") as excinfo:
             SegmentReader(path)
+        assert "upgrade" not in str(excinfo.value)
 
-    @BOTH_VERSIONS
-    def test_truncated_finalize(self, tmp_path, version):
+    @pytest.mark.parametrize("older", [1, 2])
+    def test_an_older_version_names_the_upgrade_command(self, tmp_path, older):
         path = str(tmp_path / "s.seg")
-        write_segment(path, version=version)
+        write_segment(path)
+        with open(path, "r+b") as handle:
+            handle.seek(4)
+            handle.write(bytes([older]))
+        with pytest.raises(StoreError, match="repro store upgrade") as excinfo:
+            SegmentReader(path)
+        assert excinfo.value.segment == path
+
+    def test_truncated_finalize(self, tmp_path):
+        path = str(tmp_path / "s.seg")
+        write_segment(path)
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size - 7)  # rips through the trailer
         with pytest.raises(StoreError):
             SegmentReader(path)
 
-    @BOTH_VERSIONS
-    def test_corrupt_footer(self, tmp_path, version):
+    def test_corrupt_footer(self, tmp_path):
         path = str(tmp_path / "s.seg")
-        write_segment(path, version=version)
+        write_segment(path)
         reader = SegmentReader(path)
         self.corrupt(path, reader.footer_offset + 8 + 3)
         with pytest.raises(StoreError, match="footer"):
             SegmentReader(path)
 
-    @BOTH_VERSIONS
-    def test_footer_count_mismatch_is_rejected(self, tmp_path, version):
-        # A footer whose declared record count disagrees with its own
-        # index length is evidence of corruption, not something to trust.
+    def test_footer_count_mismatch_is_rejected(self, tmp_path):
+        # A footer whose declared row count disagrees with its own page
+        # index is evidence of corruption, not something to trust.
         path = str(tmp_path / "s.seg")
-        writer = SegmentWriter(path, version=version)
+        writer = SegmentWriter(path)
         writer.append(KEY_A, STATES)
         writer.append(KEY_B, STATES)
         writer.records = 3  # lie, then finalize with a consistent CRC
         writer.finalize()
-        with pytest.raises(StoreError, match="disagrees with index length"):
+        with pytest.raises(StoreError, match="disagree with its index"):
             SegmentReader(path)
 
     def test_too_short_file(self, tmp_path):

@@ -20,14 +20,12 @@ import pytest
 from repro.core.decay import ForwardDecay
 from repro.core.errors import ParameterError, QueryError, StoreError
 from repro.core.functions import ExponentialG
-from repro.core.protocol import StreamSummary
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
 from repro.dsms.udaf import default_registry
 from repro.obs.registry import MetricsRegistry
 from repro.store import MANIFEST_NAME, TieredStore
-from tests.core.test_protocol_conformance import json_buffer
 
 SCHEMA = Schema(
     [
@@ -153,44 +151,6 @@ class TestByteIdentity:
         assert collector.flush() == reference_flush(SKETCH_SQL, rows)
         assert engine.flush() == reference_flush(SKETCH_SQL, rows)
 
-    def test_records_holding_version_1_summary_buffers(
-        self, tmp_path, monkeypatch
-    ):
-        """Segments written before the packed layout hold JSON summary
-        buffers.  Such a record compacts, splices into a blob equal to
-        the all-RAM engine's, and faults in to the same state."""
-        rows = make_rows(900, groups=60)
-        half = len(rows) // 2
-        store = TieredStore(
-            str(tmp_path / "s"), hot_groups=4, segment_bytes=8 << 10,
-            compact_garbage_ratio=0.1,
-        )
-        engine = build_engine(SKETCH_SQL, store=store)
-        with monkeypatch.context() as old_writer:
-            old_writer.setattr(StreamSummary, "to_bytes", json_buffer)
-            for i in range(0, half, 50):
-                engine.insert_many(rows[i : i + 50])
-
-        def cold_versions() -> set:
-            return {
-                payload[0]
-                for key in store.cold_key_set()
-                for kind, payload in store.encoded_states(key)
-                if kind == "summary"
-            }
-
-        assert cold_versions() == {1}
-        store.compact(force=True)
-        assert cold_versions() == {1}  # copied raw, not re-encoded
-        reference = build_engine(SKETCH_SQL)
-        reference.insert_many(rows[:half])
-        assert engine.partial_state_bytes() == reference.partial_state_bytes()
-        engine.insert_many(rows[half:])
-        reference.insert_many(rows[half:])
-        assert cold_versions() == {1, 2}
-        assert engine.partial_state_bytes() == reference.partial_state_bytes()
-        assert engine.flush() == reference.flush()
-
     def test_merge_partial_faults_cold_groups_in(self, tmp_path):
         # Half the stream arrives as a merged partial *after* eviction
         # has pushed overlapping groups cold: the faulting table must
@@ -236,8 +196,22 @@ class TestByteIdentity:
 class TestRandomizedSchedules:
     """Property-style: random ingest/eviction schedules never change results."""
 
+    @pytest.mark.parametrize(
+        "sql, two_level, background",
+        [
+            (SKETCH_SQL, False, False),  # summary pages
+            (SKETCH_SQL, False, True),
+            (BUILTIN_SQL, True, False),  # faults at merge-up, read ahead
+            (BUILTIN_SQL, True, True),
+            (BUILTIN_SQL, False, False),  # faults at the high-table miss
+        ],
+        ids=["sketch-fg", "sketch-bg", "two-level-fg", "two-level-bg",
+             "single-level-fg"],
+    )
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_schedule_byte_identity(self, tmp_path, seed):
+    def test_random_schedule_byte_identity(
+        self, tmp_path, seed, sql, two_level, background
+    ):
         rng = random.Random(seed)
         rows = make_rows(
             rng.randrange(400, 1_200), groups=rng.randrange(30, 250), seed=seed
@@ -246,19 +220,216 @@ class TestRandomizedSchedules:
             str(tmp_path / f"s{seed}"),
             hot_groups=rng.choice((1, 3, 17, 64)),
             segment_bytes=rng.choice((2 << 10, 64 << 10, 4 << 20)),
+            background_compaction=background, compact_interval=0.002,
         )
-        engine = build_engine(SKETCH_SQL, store=store)
+        engine = build_engine(sql, store=store, two_level=two_level)
+        reference = build_engine(sql, two_level=two_level)
         i = 0
         while i < len(rows):
             step = rng.randrange(1, 200)
             engine.insert_many(rows[i : i + step])
+            reference.insert_many(rows[i : i + step])
             i += step
             if rng.random() < 0.2:
                 store.compact(force=rng.random() < 0.5)
             if rng.random() < 0.1:
-                # Mid-stream snapshots must not perturb later results.
-                engine.partial_state_bytes()
-        assert engine.flush() == reference_flush(SKETCH_SQL, rows)
+                # Mid-stream snapshots must not perturb later results —
+                # and are the all-RAM engine's bytes.
+                assert (
+                    engine.partial_state_bytes()
+                    == reference.partial_state_bytes()
+                )
+        assert engine.partial_state_bytes() == reference.partial_state_bytes()
+        assert engine.flush() == reference.flush()
+        store.close()
+
+
+class TestPages:
+    """The cold tier's unit is a page; the engine must not be able to tell."""
+
+    def test_an_eviction_batch_is_one_page(self, tmp_path):
+        store = TieredStore(str(tmp_path / "s"), hot_groups=10)
+        engine = build_engine(store=store, two_level=False)
+        engine.insert_many(make_rows(300, groups=150))
+        stats = store.stats()
+        assert stats["evictions"] > 100
+        assert stats["spill_pages"] == 1  # one insert, one maintain(), one page
+        before = stats["pages_read"]
+        assert engine.group_count == stats["hot_groups"] + stats["cold_groups"]
+        assert store.stats()["pages_read"] == before + 1  # a scan reads it once
+
+    def test_unconsumed_read_ahead_changes_nothing(self, tmp_path):
+        rows = make_rows(900, groups=120)
+        store = TieredStore(str(tmp_path / "s"), hot_groups=6)
+        engine = build_engine(SKETCH_SQL, store=store)
+        reference = build_engine(SKETCH_SQL)
+        for i in range(0, len(rows), 90):
+            engine.insert_many(rows[i : i + 90])
+            reference.insert_many(rows[i : i + 90])
+            # Stage every cold key (and some that are not cold): a batch
+            # that then touches none of them must leave no trace.
+            cold = list(store.cold_key_set())
+            before = store.stats()
+            store.stage(cold + [(-1, "nobody")])
+            assert len(store._stash) == len(cold) + 1
+            after = store.stats()
+            assert after["rows_decoded"] == before["rows_decoded"] + len(cold)
+            assert after["fault_ins"] == before["fault_ins"]
+            assert after["cold_groups"] == before["cold_groups"] == len(cold)
+        assert store._stash  # still staged: the next batch drops it
+        assert engine.partial_state_bytes() == reference.partial_state_bytes()
+        assert engine.flush() == reference.flush()
+
+    def test_a_staged_row_is_a_fault_in_only_when_consumed(self, tmp_path):
+        store = TieredStore(str(tmp_path / "s"), hot_groups=4)
+        engine = build_engine(store=store, two_level=False)
+        engine.insert_many(make_rows(200, groups=40))
+        cold = sorted(store.cold_key_set(), key=repr)
+        faults, pages = store.stats()["fault_ins"], store.stats()["pages_read"]
+        store.stage(cold)
+        assert store.stats()["pages_read"] == pages + 1
+        assert store.fault_in(cold[0]) is not None  # consumed from the stash
+        assert store.fault_in(cold[0]) is None  # gone: one live copy
+        assert store.fault_in((-1, "nobody")) is None
+        assert store.stats()["fault_ins"] == faults + 1
+        assert store.stats()["pages_read"] == pages + 1  # no second read
+        store.unstage()
+        assert store.fault_in(cold[1]) is not None  # not staged: faults alone
+        assert store.stats()["pages_read"] == pages + 2
+
+    def test_two_keys_on_one_hash_in_one_eviction_batch(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.tiered as tiered_mod
+
+        rows = make_rows(600, groups=40)
+        twins = {
+            tiered_mod.canonical_key([["int", 0], ["str", f"h{n}"]])
+            for n in (3, 4)
+        }
+        real_hash = tiered_mod.key_hash
+        monkeypatch.setattr(
+            tiered_mod, "key_hash",
+            lambda canonical: 42 if canonical in twins else real_hash(canonical),
+        )
+        store = TieredStore(
+            str(tmp_path / "s"), hot_groups=2, compact_min_segments=10_000
+        )
+        engine = build_engine(store=store, two_level=False)
+        reference = build_engine(two_level=False)
+        # One batch whose eviction holds both twins: they may not share a
+        # page, or one slot would name two rows.
+        first = [
+            next(row for row in rows if row[2] == name) for name in ("h3", "h4")
+        ]
+        assert [row[0] // 60 for row in first] == [0, 0]
+        batch = first + [row for row in rows[:60] if row not in first]
+        engine.insert_many(batch)
+        reference.insert_many(batch)
+        assert {(0, "h3"), (0, "h4")} <= set(store.cold_key_set())
+        assert store.stats()["spill_pages"] == 2
+        assert [s for s, _o, _l in store._dir.lookup(42)] == [0, 0]
+        # Fault one twin in, leave the other cold, spill it again, compact.
+        engine.insert_many(first[:1])
+        reference.insert_many(first[:1])
+        store.compact(force=True)
+        for i in range(60, len(rows), 45):
+            engine.insert_many(rows[i : i + 45])
+            reference.insert_many(rows[i : i + 45])
+            store.compact(force=i % 2 == 0)
+        assert engine.partial_state_bytes() == reference.partial_state_bytes()
+        assert engine.flush() == reference.flush()
+
+    def test_a_page_with_every_row_faulted_in_is_garbage(self, tmp_path):
+        store = TieredStore(
+            str(tmp_path / "s"), hot_groups=4, compact_min_segments=10_000
+        )
+        engine = build_engine(store=store, two_level=False)
+        rows = make_rows(120, groups=30)
+        engine.insert_many(rows)
+        store._seal_writer()
+        assert store.stats()["segment_bytes"] > 0
+        store.hot_groups = 1_000  # nothing spills from here on
+        engine.insert_many(rows)  # touches, and so faults in, every group
+        assert store.cold_count == 0 and store.segment_count == 1
+        assert store.compact() == 1  # all garbage: retired, nothing copied
+        assert store.segment_count == 0 and store.stats()["segment_bytes"] == 0
+        assert engine.flush() == reference_flush(
+            BUILTIN_SQL, rows + rows, two_level=False
+        )
+
+    def test_sketch_pages_close_at_the_byte_cap(self, tmp_path):
+        import repro.store.tiered as tiered_mod
+
+        store = TieredStore(str(tmp_path / "s"), hot_groups=2)
+        engine = build_engine(SKETCH_SQL, store=store)
+        engine.insert_many(make_rows(600, groups=80))
+        engine.store_checkpoint()
+        store.compact(force=True)
+        pages = [
+            length
+            for name in os.listdir(os.path.join(store.directory, "segments"))
+            for _o, length, _rows in tiered_mod.SegmentReader(
+                os.path.join(store.directory, "segments", name)
+            ).pages
+        ]
+        assert len(pages) > 2
+        # A page closes once it holds the cap; one more group may overshoot.
+        assert max(pages) < tiered_mod._PAGE_SUMMARY_BYTES + 32_000
+
+
+class TestHandleCache:
+    def store_fds(self, store: TieredStore) -> list[str]:
+        held = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                continue
+            if target.startswith(os.path.abspath(store.directory)):
+                held.append(target)
+        return held
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_a_hundred_segments_hold_a_bounded_number_of_descriptors(
+        self, tmp_path
+    ):
+        import repro.store.tiered as tiered_mod
+
+        store = TieredStore(
+            str(tmp_path / "s"), hot_groups=1, segment_bytes=1,
+            compact_min_segments=10_000,
+        )
+        engine = build_engine(store=store, two_level=False)
+        rows = make_rows(110, groups=10_000)  # ~every row its own group
+        for row in rows:
+            engine.insert_many([row])  # one eviction, one sealed segment each
+        assert store.segment_count >= 100
+        by_segment = {}
+        for key in store.cold_key_set():  # a scan: opens and closes each file
+            by_segment.setdefault(
+                store._dir.lookup(tiered_mod._hash_of(key))[0][0], key
+            )
+        assert len(by_segment) >= 100
+        for key in by_segment.values():  # a lone read per segment
+            store.encoded_states(key)
+        cap = tiered_mod._HANDLE_CACHE
+        assert len(store._handles) == cap
+        # LRU: the handles kept are the ones used last.
+        assert list(store._handles) == list(by_segment)[-cap:]
+        held = self.store_fds(store)
+        assert cap <= len(held) <= cap + 2  # + the mmapped key directory
+        # A hit moves a handle to the young end instead of reopening it.
+        oldest = next(iter(store._handles))
+        handle = store._handles[oldest]
+        store.encoded_states(by_segment[oldest])
+        assert list(store._handles)[-1] == oldest
+        assert store._handles[oldest] is handle
+        assert len(self.store_fds(store)) == len(held)
+        store.close()
+        assert self.store_fds(store) == []
 
 
 class TestEvictionPolicy:
@@ -517,6 +688,12 @@ class TestObservability:
         assert metrics["store.store.hot_groups"]["value"] <= 8
         assert metrics["store.store.cold_groups"]["value"] > 0
         assert metrics["store.store.evictions"]["raw_total"] > 0
+        assert (
+            0 < metrics["store.store.spill_pages"]["raw_total"]
+            < metrics["store.store.evictions"]["raw_total"]
+        )
+        assert metrics["store.store.pages_read"]["raw_total"] > 0
+        assert metrics["store.store.rows_decoded"]["raw_total"] > 0
 
     def test_stats_shape(self, tmp_path):
         _, _ = self.run(tmp_path, "shape", None)
@@ -527,6 +704,7 @@ class TestObservability:
         for key in (
             "hot_groups", "hot_budget", "cold_groups", "segments",
             "segment_bytes", "evictions", "fault_ins", "spilled_bytes",
+            "spill_pages", "pages_read", "rows_decoded",
             "compactions", "quarantined", "renormalizations",
         ):
             assert key in stats
