@@ -155,6 +155,19 @@ class QueryEngine:
             if not item.is_aggregate and item.expression is not None
         )
         self._select_order = tuple(item.alias for item in query.select)
+        # HAVING / ORDER BY run over output aliases; compiled here so a
+        # clause naming an unknown alias fails when the engine is built.
+        # Each entry: (clause text for error messages, row -> value, ...).
+        self._having = (
+            (f"HAVING {query.having.sql()}",
+             self._compile_output_expression(query.having))
+            if query.having is not None else None
+        )
+        self._order = tuple(
+            (f"ORDER BY {key.expression.sql()}",
+             self._compile_output_expression(key.expression), key.descending)
+            for key in query.order_by
+        )
         self._all_mergeable = all(p.udaf.mergeable for p in self._agg_plans)
         self.two_level = two_level and self._all_mergeable and bool(self._agg_plans)
         self.low_table_size = low_table_size
@@ -526,24 +539,25 @@ class QueryEngine:
 
         These clauses operate on output aliases, per bucket: GS emits
         results bucket by bucket, so "the top 10 by decayed bytes" means
-        the top 10 of each time bucket.
+        the top 10 of each time bucket.  A clause the finalized values
+        cannot be evaluated under (a list-valued sketch report compared
+        with a number, unorderable sort keys) is a :class:`QueryError`
+        naming the clause, not a bare ``TypeError``.
         """
-        query = self.query
-        if query.having is None and not query.order_by and query.limit is None:
-            return rows
-        if query.having is not None:
-            having_fn = self._compile_output_expression(query.having)
-            rows = [row for row in rows if having_fn(row)]
-        if query.order_by:
-            compiled = [
-                (self._compile_output_expression(key.expression), key.descending)
-                for key in query.order_by
-            ]
+        clause = None
+        try:
+            if self._having is not None:
+                clause, having_fn = self._having
+                rows = [row for row in rows if having_fn(row)]
             # Stable multi-key sort: apply keys right-to-left.
-            for key_fn, descending in reversed(compiled):
+            for clause, key_fn, descending in reversed(self._order):
                 rows.sort(key=key_fn, reverse=descending)
-        if query.limit is not None:
-            rows = rows[: query.limit]
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise QueryError(
+                f"{clause} cannot be evaluated over this query's results: {exc}"
+            ) from exc
+        if self.query.limit is not None:
+            rows = rows[: self.query.limit]
         return rows
 
     def _compile_output_expression(self, expression) -> Callable[[ResultRow], object]:
@@ -663,33 +677,60 @@ class QueryEngine:
             if store is not None:
                 store.unstage()
 
-    def flush(self) -> list[ResultRow]:
-        """Finalize everything still open and return all pending results."""
+    def _finalized(self, take: bool) -> list[ResultRow]:
+        """The one finalize walk: every group (low table drained upward
+        first) finalized in ``repr``-sorted key order, then HAVING /
+        ORDER BY / LIMIT.  ``take`` empties the tables as it goes
+        (:meth:`flush`); without it they are read in place
+        (:meth:`snapshot_rows`).
+        """
         self._drain_low()
         high = self._high
         store = self._store
+        finalize = self._finalize_group
+        fetch = high.pop if take else high.__getitem__
         if store is None:
-            rows = [
-                self._finalize_group(key, high.pop(key))
-                for key in sorted(high, key=repr)
-            ]
+            rows = [finalize(key, fetch(key)) for key in sorted(high, key=repr)]
         else:
             # Cold groups are finalized a page at a time instead of
             # faulting the whole keyspace into RAM; hot and cold key sets
             # are disjoint so the union sorts exactly like the all-RAM
-            # table.  Damage on disk has to surface before the first
-            # group is consumed, or it would take finalized rows with it.
-            store.verify_pages()
-            finalized = {
-                key: self._finalize_group(key, high.pop(key))
-                for key in list(high)
-            }
-            for key, states in store.take_cold():
-                finalized[key] = self._finalize_group(key, states)
+            # table.
+            if take:
+                # Damage on disk has to surface before the first group is
+                # consumed, or it would take finalized rows with it.
+                store.verify_pages()
+                cold = store.take_cold()
+            else:
+                # Read, not faulted in: the directory keeps every entry,
+                # and a page's summary slots are revived only to finalize.
+                cold = (
+                    (key, [_clone_state(state) for state in states])
+                    for key, states in store.cold_groups()
+                )
+            finalized = {key: finalize(key, fetch(key)) for key in list(high)}
+            for key, states in cold:
+                finalized[key] = finalize(key, states)
             rows = [finalized[key] for key in sorted(finalized, key=repr)]
-        self._emitted.extend(self._postprocess(rows))
+        return self._postprocess(rows)
+
+    def flush(self) -> list[ResultRow]:
+        """Finalize everything still open and return all pending results."""
+        self._emitted.extend(self._finalized(take=True))
         self._current_bucket = _NO_BUCKET
         return self.drain()
+
+    def snapshot_rows(self) -> list[ResultRow]:
+        """What :meth:`flush` would return now, with the engine left running.
+
+        The read-only view a live query is answered from: buckets already
+        emitted but not yet drained come first (and stay queued), then
+        every open group through the same finalize walk ``flush`` uses.
+        No group leaves its table — a store-backed engine's cold pages
+        are read where they lie — and the returned rows alias no live
+        state, so ingest may continue while a caller still holds them.
+        """
+        return [dict(row) for row in self._emitted] + self._finalized(take=False)
 
     # -- checkpointing ------------------------------------------------------------
 

@@ -1,15 +1,19 @@
 """Engine backends the server drives: one query, single- or sharded-core.
 
 Both backends expose the same small surface — columnar ingest, punctuation,
-non-destructive merge-at-query reads, and partial-state checkpoints — so
+non-destructive reads, and partial-state checkpoints — so
 :class:`~repro.serve.server.StreamServer` never cares which one it holds.
 
 **Query semantics.**  A served query answers over *everything ingested so
-far* and leaves the engine running: the backend snapshots partial states
-(the Section VI-B mergeable form), folds them into one throwaway collector
-engine (:func:`~repro.dsms.engine.fold_partials`), and finalizes that.
-HAVING / ORDER BY / LIMIT apply to the merged whole, exactly like an
-unsharded flush.  Result order is the engine's flush order (group keys
+far* and leaves the engine running.  The single-engine backend finalizes a
+read-only view of its one engine
+(:meth:`~repro.dsms.engine.QueryEngine.snapshot_rows`): no state is
+encoded, copied or moved.  The sharded backend really does hold state in
+several places, so it snapshots partial states (the Section VI-B mergeable
+form), folds them into one throwaway collector engine
+(:func:`~repro.dsms.engine.fold_partials`), and finalizes that.  Either
+way HAVING / ORDER BY / LIMIT apply to the whole, exactly like an
+unsharded flush, and result order is the engine's flush order (group keys
 sorted by ``repr``).
 
 **Checkpoints.**  ``partial_blobs()`` is also the crash-recovery story:
@@ -32,7 +36,7 @@ __all__ = ["SingleEngineBackend", "ShardedBackend", "build_backend"]
 
 
 class _BackendBase:
-    """Shared plumbing: the plan, and the merge-at-query fold."""
+    """Shared plumbing: the plan, checkpoint and pressure defaults."""
 
     kind = "?"
 
@@ -40,10 +44,6 @@ class _BackendBase:
         self._plan = plan
         self.sql = plan.build_engine().query.sql()
         self.schema: Schema = plan.schema
-
-    def query(self) -> list[ResultRow]:
-        """Merged results over everything ingested so far (non-destructive)."""
-        return fold_partials(self._plan.build_engine, self.partial_blobs())
 
     def checkpoint_blobs(self) -> list[bytes]:
         """The blobs a graceful-shutdown checkpoint should persist.
@@ -89,6 +89,10 @@ class SingleEngineBackend(_BackendBase):
     def heartbeat(self, row: tuple) -> None:
         """Advance event time via punctuation (no data)."""
         self._engine.heartbeat(row)
+
+    def query(self) -> list[ResultRow]:
+        """Results over everything ingested so far, from a read-only view."""
+        return self._engine.snapshot_rows()
 
     def partial_blobs(self) -> list[bytes]:
         """The engine's partial state, as a one-element blob list."""
@@ -175,6 +179,10 @@ class ShardedBackend(_BackendBase):
     def heartbeat(self, row: tuple) -> None:
         """Broadcast punctuation to every shard."""
         self._sharded.heartbeat_all(row)
+
+    def query(self) -> list[ResultRow]:
+        """Merged results over everything ingested so far (non-destructive)."""
+        return fold_partials(self._plan.build_engine, self.partial_blobs())
 
     def partial_blobs(self) -> list[bytes]:
         """Restored checkpoint blobs plus live per-shard states."""

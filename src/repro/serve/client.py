@@ -19,10 +19,15 @@ Credit discipline: the WELCOME frame grants an insert window; every
 reading frames until a credit arrives — backpressure, not buffering.
 
 Incoming frames: every received chunk is book-kept *completely* before
-anyone acts on it — CREDITs update the window, subscription RESULTs queue
-for :meth:`~ServeClient.results`, direct replies (ERROR included) queue in
+anyone acts on it — CREDITs update the window, subscription RESULT pages
+collect per subscription and queue for :meth:`~ServeClient.results` once
+the last page of a push is in, direct replies (ERROR included) queue in
 stream order, and a queued ERROR raises
 :class:`~repro.serve.protocol.RemoteError` when it reaches the front.
+A RESULT is a page sequence (:mod:`repro.serve.protocol`):
+:meth:`~ServeClient.query` decodes each page as it arrives and returns
+only a complete answer — an ERROR or a reconnect mid-sequence discards
+the pages so far (the retried query starts over).
 
 Failure handling: any transport error (``socket.timeout``, a reset, EOF)
 marks the client **dead** — the transport is closed and every later call
@@ -130,7 +135,8 @@ class _ClientCore:
         self._decoder = FrameDecoder(max_frame_bytes)
         self._max_frame_bytes = max_frame_bytes
         self._pending: list[Frame] = []  # direct replies, ERRORs included
-        self._pushes: list[Frame] = []
+        self._pushes: list[dict] = []  # completed pushes, rows still tagged
+        self._push_pages: dict = {}  # sub -> tagged rows of a push in flight
         self.credits = 0
         self.window = 0
         self.server_info: dict = {}
@@ -181,17 +187,12 @@ class _ClientCore:
         return sum(count for count, _frame in self._unacked.values())
 
     def drain_pushes(self) -> list[dict]:
-        """Subscription results buffered so far (decoded, arrival order)."""
-        frames, self._pushes = self._pushes, []
-        return [
-            {
-                "sub": frame.payload.get("sub"),
-                "seq": frame.payload.get("seq"),
-                "done": frame.payload.get("done", False),
-                "rows": protocol.decode_result_rows(frame.payload["rows"]),
-            }
-            for frame in frames
-        ]
+        """Subscription results buffered so far (decoded, arrival order);
+        a push still missing pages is not among them."""
+        pushes, self._pushes = self._pushes, []
+        for push in pushes:
+            push["rows"] = protocol.decode_result_rows(push["rows"])
+        return pushes
 
     def has_pushes(self) -> bool:
         return bool(self._pushes)
@@ -245,9 +246,27 @@ class _ClientCore:
             if frame.ftype == protocol.CREDIT:
                 self._absorb_credit(frame.payload)
             elif frame.ftype == protocol.RESULT and "sub" in frame.payload:
-                self._pushes.append(frame)
+                self._absorb_push_page(frame.payload)
             else:
+                if frame.ftype == protocol.ERROR and "sub" in frame.payload:
+                    # In place of a page: that push will never complete.
+                    self._push_pages.pop(frame.payload["sub"], None)
                 self._pending.append(frame)
+
+    def _absorb_push_page(self, page: dict) -> None:
+        sub = page["sub"]
+        rows = self._push_pages.setdefault(sub, [])
+        rows.extend(page["rows"])
+        if not page.get("more"):
+            del self._push_pages[sub]
+            self._pushes.append(
+                {
+                    "sub": sub,
+                    "seq": page.get("seq"),
+                    "done": page.get("done", False),
+                    "rows": rows,
+                }
+            )
 
     def _absorb_credit(self, payload: dict) -> None:
         self.credits += int(payload.get("credits", 1))
@@ -310,6 +329,7 @@ class _ClientCore:
         yield ("dial",)
         self._decoder = FrameDecoder(self._max_frame_bytes)
         self._pending = []
+        self._push_pages = {}
         hello = {"wire_version": protocol.WIRE_VERSION, "client": "repro"}
         if self._schema_names is not None:
             hello["schema"] = list(self._schema_names)
@@ -487,10 +507,24 @@ class _ClientCore:
 
     @_operation
     def query(self) -> list[dict]:
-        """Evaluate the continuous query over everything ingested so far."""
+        """Evaluate the continuous query over everything ingested so far.
+
+        The answer arrives as a page sequence and is returned whole: each
+        page is decoded as it lands, an ERROR in place of a page raises
+        with nothing returned, and a reconnect mid-sequence re-asks.
+        """
         yield from self._ship_buffer()
-        reply = yield from self._ask(protocol.QUERY, protocol.RESULT)
-        return protocol.decode_result_rows(reply.payload["rows"])
+
+        def exchange():
+            yield from self._send(protocol.QUERY)
+            rows: list[dict] = []
+            while True:
+                page = (yield from self._recv_reply(protocol.RESULT)).payload
+                rows.extend(protocol.decode_result_rows(page["rows"]))
+                if not page.get("more"):
+                    return rows
+
+        return (yield from self._retrying(exchange))
 
     @_operation
     def subscribe(self, interval_s: float, count: int | None = None) -> None:

@@ -49,7 +49,9 @@ CREDIT     4     srv → client ``credits`` granted back (backpressure); echoes
                               the batch's ``seq`` so acks key to batches
 HEARTBEAT  5     client → srv ``row`` — punctuation, advances event time only
 QUERY      6     client → srv (empty) request merged results now
-RESULT     7     srv → client ``rows``; pushes carry ``sub``/``seq``/``done``
+RESULT     7     srv → client one *page* of ``rows``; ``more`` when another page
+                              follows; push pages carry ``sub``/``seq``, the
+                              last one ``done``
 SUBSCRIBE  8     client → srv ``interval_s``, ``count`` — periodic RESULT pushes
 CHECKPOINT 9     client → srv (empty) force a state-dir checkpoint
 CHECK_OK   10    srv → client ``path``, ``bytes``
@@ -73,24 +75,43 @@ ADOPT_OK   20    srv → client ``adopted`` — blob count folded in
 coordinator fans ``PARTIALS`` out to every node and folds the returned
 blobs exactly (fixed numerators make decayed partials mergeable), and
 ships checkpoint blobs *between* nodes with ``ADOPT`` when a shard moves.
-They are capability frames within wire version 2 — a server predating
+They are capability frames of the wire version — a server predating
 them answers with a frame-scoped ``unknown-frame`` error and the
 connection keeps going.
+
+**A reply to QUERY (and every subscription push) is a page sequence**:
+one or more RESULT frames, each at most :data:`RESULT_PAGE_ROWS` rows and
+never over ``max_frame_bytes`` (a page that would be is halved and
+re-encoded), every page but the last carrying ``"more": true``.  The
+server takes its read-only snapshot first, then encodes one page, writes
+it and waits for the socket to drain before encoding the next
+(:func:`result_pages`), so it holds the row list plus one encoded page
+however large the answer, and a slow reader back-pressures it page by
+page.  A lone RESULT frame without ``more`` is the one-page case.  Pages
+of a direct reply, CREDITs and pages of pushes may interleave on one
+connection; a push's pages repeat its ``sub`` / ``seq``.  An ERROR in
+place of a page ends that sequence and the pages before it are void.
 
 Version negotiation: HELLO carries the client's highest ``wire_version``;
 the server answers WELCOME with ``wire_version = min(client, server)``
 and both sides speak that, so a future client negotiates *down* to this
-build.  Version 2 is the only one spoken: version 1's row-JSON ``INSERT``
+build.  Version 3 is the only one spoken: version 1's row-JSON ``INSERT``
 frames ran at under half the columnar rate and were removed (DESIGN.md
-§10), and a HELLO below the minimum (or with a junk version) earns a
-connection-scoped ``wire-version`` ERROR naming the supported range.
+§10), version 2 promised a RESULT in one frame, which a version-2 client
+would mistake a first page for, and a HELLO below the minimum (or with a
+junk version) earns a connection-scoped ``wire-version`` ERROR naming the
+supported range.
 
 Framing errors (bad length, oversized frame, undecodable body — columnar
 bodies included) are *connection-scoped*: the server answers with ERROR
-and drops that connection, never the process.  Semantic errors (bad rows,
-unknown frame type, a query failure, an undecodable ADOPT blob batch, a
-reply larger than ``max_frame_bytes`` — code ``reply-too-large``) are
-*frame-scoped*: ERROR is sent and the connection keeps going.
+and drops that connection, never the process; so is a handler failing
+with an unexpected exception (``internal-error``).  Semantic errors (bad
+rows, unknown frame type, a query failure — ``query-failed``, HAVING /
+ORDER BY that cannot be evaluated over the results included — an
+undecodable ADOPT blob batch, a PARTIALS_OK / CHECKPOINT_OK reply or a
+*single result row* larger than ``max_frame_bytes`` — code
+``reply-too-large``) are *frame-scoped*: ERROR is sent and the connection
+keeps going.
 """
 
 from __future__ import annotations
@@ -118,6 +139,7 @@ __all__ = [
     "WIRE_VERSION",
     "MIN_WIRE_VERSION",
     "MAX_FRAME_BYTES",
+    "RESULT_PAGE_ROWS",
     "HEADER",
     "Frame",
     "FrameDecoder",
@@ -137,6 +159,7 @@ __all__ = [
     "COL_BYTES",
     "encode_result_rows",
     "decode_result_rows",
+    "result_pages",
     "encode_blobs",
     "decode_blobs",
     "frame_name",
@@ -144,14 +167,18 @@ __all__ = [
 ]
 
 #: Highest protocol revision this build speaks (carried in HELLO).
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
-#: Oldest revision still accepted (version 1's row frames are gone).
-MIN_WIRE_VERSION = 2
+#: Oldest revision still accepted (version 1's row frames are gone, and a
+#: version-2 client reads a RESULT as the whole answer, not a page).
+MIN_WIRE_VERSION = 3
 
 #: Default ceiling on ``length``; larger frames are rejected before the
 #: body is buffered, so a hostile length prefix cannot balloon memory.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: Most rows one RESULT page carries; a reply is as many pages as it needs.
+RESULT_PAGE_ROWS = 512
 
 #: ``struct`` format of the length prefix.
 HEADER = struct.Struct(">I")
@@ -444,3 +471,38 @@ def decode_result_rows(data: list) -> list:
         ]
     except (TypeError, ValueError, IndexError) as exc:
         raise ProtocolError(f"malformed RESULT rows: {exc}") from exc
+
+
+def result_pages(rows: list, *, max_frame_bytes: int = MAX_FRAME_BYTES, **push):
+    """Yield the RESULT frames of one reply, each encoded when asked for.
+
+    ``rows`` is the complete answer; ``push`` holds a subscription push's
+    ``sub`` / ``seq`` (repeated on every page) and ``done`` (last page
+    only).  A page starts at :data:`RESULT_PAGE_ROWS` rows and is halved
+    until it fits ``max_frame_bytes`` — later pages keep the smaller size
+    — so the one :class:`FrameTooLarge` left is a single row over the
+    limit, raised in place of that page.  An empty answer is one empty
+    page.
+    """
+    done = push.pop("done", None)
+    start, size = 0, RESULT_PAGE_ROWS
+    while True:
+        stop = min(start + size, len(rows))
+        payload = {"rows": encode_result_rows(rows[start:stop]), **push}
+        if stop < len(rows):
+            payload["more"] = True
+        elif done is not None:
+            payload["done"] = done
+        try:
+            frame = encode_frame(
+                RESULT, payload, max_frame_bytes=max_frame_bytes
+            )
+        except FrameTooLarge:
+            if stop - start <= 1:
+                raise
+            size = (stop - start) // 2
+            continue
+        yield frame
+        start = stop
+        if start >= len(rows):
+            return

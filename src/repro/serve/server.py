@@ -24,8 +24,16 @@ Design notes:
 * **Failure scoping.**  Framing violations (bad length, oversized frame,
   undecodable body) poison the byte stream, so the server answers ERROR
   and drops that connection.  Semantic problems (unknown frame type, bad
-  rows, engine errors) answer ERROR and keep the connection.  Nothing a
-  client sends can take the process down.
+  rows, engine errors) answer ERROR and keep the connection.  A handler
+  failing with anything else is logged with its traceback and costs that
+  connection an ``internal-error`` ERROR.  Nothing a client sends can
+  take the process down.
+* **Reads are a snapshot, then pages.**  A QUERY (or a subscription tick)
+  takes the backend's answer in one synchronous step, then sends it as
+  :func:`~repro.serve.protocol.result_pages`, each page encoded only
+  once the previous one drained: ingest interleaves between pages
+  without changing the answer, and a reader that stops reading holds
+  the server at one undrained page.
 * **Checkpoint on shutdown — and on an interval.**  With a ``state_dir``,
   a graceful stop drains connections and persists every backend partial
   state through :func:`repro.core.serde.dump_partials_checkpoint`; a
@@ -40,6 +48,7 @@ Design notes:
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import threading
 import time
@@ -54,6 +63,8 @@ from repro.serve import protocol
 from repro.serve.protocol import HEADER, encode_frame, frame_name
 
 __all__ = ["StreamServer", "ThreadedServer", "CHECKPOINT_FILENAME"]
+
+_log = logging.getLogger(__name__)
 
 #: Name of the checkpoint file inside ``state_dir``
 #: (:func:`repro.core.serde.dump_partials_checkpoint`'s binary image).
@@ -71,10 +82,10 @@ class _CloseConnection(Exception):
 class _Connection:
     """Per-connection state: writer serialization, credits, subscriptions."""
 
-    def __init__(self, reader, writer, max_frame_bytes: int):
+    def __init__(self, reader, writer, server: "StreamServer"):
         self.reader = reader
         self.writer = writer
-        self.max_frame_bytes = max_frame_bytes
+        self.server = server
         self.hello_done = False
         self.tuples_in = 0
         self.window = 0  # credits outstanding client-side (server's view)
@@ -90,9 +101,20 @@ class _Connection:
     async def send(self, ftype: int, payload: dict | bytes | None = None) -> None:
         # Encoded before anything is written: a reply over the limit
         # raises FrameTooLarge with the byte stream still intact.
-        data = encode_frame(ftype, payload, max_frame_bytes=self.max_frame_bytes)
+        await self.write(
+            encode_frame(
+                ftype, payload, max_frame_bytes=self.server.max_frame_bytes
+            )
+        )
+
+    async def write(self, frame: bytes) -> None:
+        """Write one encoded frame and wait until the socket has taken it."""
+        server = self.server
+        server.largest_reply_frame_bytes = max(
+            server.largest_reply_frame_bytes, len(frame) - HEADER.size
+        )
         async with self._write_lock:
-            self.writer.write(data)
+            self.writer.write(frame)
             await self.writer.drain()
 
     async def close(self) -> None:
@@ -121,8 +143,10 @@ class StreamServer:
         bound granted in WELCOME).
     max_frame_bytes:
         Frame size ceiling, both ways: oversized requests are rejected
-        before their body is read (connection-scoped), and a reply that
-        would exceed it becomes a frame-scoped ``reply-too-large`` ERROR.
+        before their body is read (connection-scoped); a RESULT is paged
+        to fit it, and a PARTIALS_OK / CHECKPOINT_OK reply — or a single
+        result row — that would exceed it becomes a frame-scoped
+        ``reply-too-large`` ERROR.
     idle_timeout_s:
         Drop connections silent for this long (None = never).
     state_dir:
@@ -186,6 +210,10 @@ class StreamServer:
         self.frames_total = 0
         self.rows_total = 0
         self.errors_total = 0
+        self.queries_total = 0
+        self.result_pages_total = 0
+        self.result_rows_total = 0
+        self.largest_reply_frame_bytes = 0
         self.connections_total = 0
         self.restored_blobs = 0
         self.checkpoints_written = 0
@@ -319,6 +347,10 @@ class StreamServer:
             "frames_total": self.frames_total,
             "rows_total": self.rows_total,
             "errors_total": self.errors_total,
+            "queries_total": self.queries_total,
+            "result_pages_total": self.result_pages_total,
+            "result_rows_total": self.result_rows_total,
+            "largest_reply_frame_bytes": self.largest_reply_frame_bytes,
             "uptime_s": (
                 time.time() - self.started_at if self.started_at else 0.0
             ),
@@ -339,7 +371,7 @@ class StreamServer:
     # -- connection handling ------------------------------------------------------
 
     async def _on_connection(self, reader, writer) -> None:
-        conn = _Connection(reader, writer, self.max_frame_bytes)
+        conn = _Connection(reader, writer, self)
         self._connections.add(conn)
         self.connections_total += 1
         if self._obs:
@@ -358,18 +390,26 @@ class StreamServer:
                         conn, "idle-timeout",
                         f"no frames for {self.idle_timeout_s:g}s", close=True,
                     )
-                    break
                 except ProtocolError as error:
                     await self._error(
                         conn, "malformed-frame", str(error), close=True
                     )
-                    break
                 try:
                     await self._dispatch(conn, frame)
-                except _CloseConnection:
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
+                except (_CloseConnection, ConnectionError):
+                    raise  # a reply asked for the close / the peer is gone
+                except Exception as error:
+                    # The handlers turn every failure they expect into a
+                    # frame-scoped ERROR; this one they did not, so what
+                    # it left half-done on the stream is unknown.
+                    _log.exception("%s handler failed", frame.name)
+                    await self._error(
+                        conn, "internal-error",
+                        f"{type(error).__name__}: {error}",
+                        close=True, frame=frame.ftype,
+                    )
+        except (_CloseConnection, ConnectionError):
+            pass  # close=True replies end the loop from wherever they are
         finally:
             self._connections.discard(conn)
             await conn.close()
@@ -539,16 +579,36 @@ class StreamServer:
         except DecayError as error:
             await self._error(conn, "bad-heartbeat", str(error))
 
+    def _query(self) -> list:
+        """The backend's answer, taken in one synchronous step and counted."""
+        self.queries_total += 1
+        if not self._obs:
+            return self.backend.query()
+        self.metrics.counter("serve.query.queries").add(1.0)
+        with self.metrics.timer("serve.query.snapshot.us"):
+            return self.backend.query()
+
+    async def _send_result(self, conn: _Connection, rows: list, **push) -> None:
+        """Send ``rows`` as a page sequence, one page in flight at a time:
+        the next page is encoded only once the socket drained the last."""
+        for frame in protocol.result_pages(
+            rows, max_frame_bytes=self.max_frame_bytes, **push
+        ):
+            await conn.write(frame)
+            self.result_pages_total += 1
+            if self._obs:
+                self.metrics.counter("serve.query.pages").add(1.0)
+        self.result_rows_total += len(rows)
+        if self._obs:
+            self.metrics.counter("serve.query.rows").add(float(len(rows)))
+
     async def _handle_query(self, conn: _Connection, payload: dict) -> None:
         try:
-            rows = self.backend.query()
+            rows = self._query()
         except DecayError as error:
             await self._error(conn, "query-failed", str(error))
             return
-        await conn.send(
-            protocol.RESULT,
-            {"rows": protocol.encode_result_rows(rows)},
-        )
+        await self._send_result(conn, rows)
 
     async def _handle_subscribe(self, conn: _Connection, payload: dict) -> None:
         interval = payload.get("interval_s")
@@ -579,31 +639,20 @@ class StreamServer:
         try:
             while count is None or seq < count:
                 seq += 1
-                try:
-                    rows = self.backend.query()
-                except DecayError as error:  # pragma: no cover - defensive
-                    await conn.send(
-                        protocol.ERROR,
-                        {"code": "query-failed", "message": str(error),
-                         "sub": sub},
-                    )
-                    return
                 done = count is not None and seq >= count
                 try:
-                    await conn.send(
-                        protocol.RESULT,
-                        {
-                            "rows": protocol.encode_result_rows(rows),
-                            "sub": sub,
-                            "seq": seq,
-                            "done": done,
-                        },
+                    await self._send_result(
+                        conn, self._query(), sub=sub, seq=seq, done=done
                     )
-                except protocol.FrameTooLarge as error:
+                except DecayError as error:
+                    # In place of the push (or of its next page): the
+                    # subscription ends, the connection does not.
+                    too_large = isinstance(error, protocol.FrameTooLarge)
                     await conn.send(
                         protocol.ERROR,
-                        {"code": "reply-too-large", "message": str(error),
-                         "sub": sub},
+                        {"code": "reply-too-large" if too_large
+                         else "query-failed",
+                         "message": str(error), "sub": sub},
                     )
                     return
                 if not done:

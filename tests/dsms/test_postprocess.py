@@ -68,9 +68,41 @@ class TestHaving:
             "select key, count(*) as c from S group by key having nope > 1",
             registry,
         )
+        # Compiled once, when the engine is built — not at the first flush.
+        with pytest.raises(QueryError, match="nope"):
+            QueryEngine(query, SCHEMA)
+
+    def test_order_by_unknown_alias_rejected_at_construction(self, registry):
+        query = parse_query(
+            "select key, count(*) as c from S group by key order by nosuch",
+            registry,
+        )
+        with pytest.raises(QueryError, match="nosuch"):
+            QueryEngine(query, SCHEMA)
+
+    @pytest.mark.parametrize(
+        "tail, clause",
+        [
+            ("having hh > 3", r"HAVING \(hh > 3\)"),
+            ("order by c, m", "ORDER BY m"),
+        ],
+    )
+    def test_unevaluable_clause_is_a_query_error_naming_it(
+        self, registry, tail, clause
+    ):
+        # hh finalizes to a list, m to None for the group whose values
+        # are all None: neither compares with a number.
+        query = parse_query(
+            "select key, count(*) as c, unary_hh(value) as hh, "
+            f"min(value) as m from S group by key {tail}",
+            registry,
+        )
         engine = QueryEngine(query, SCHEMA)
-        engine.process(ROWS[0])
-        with pytest.raises(QueryError):
+        for row in [*ROWS, (7, "d", None), (8, "a", 3)]:
+            engine.process(row)
+        with pytest.raises(QueryError, match=clause):
+            engine.snapshot_rows()
+        with pytest.raises(QueryError, match=clause):
             engine.flush()
 
     def test_aggregate_in_having_rejected_at_parse(self, registry):

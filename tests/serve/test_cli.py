@@ -113,3 +113,16 @@ class TestClientErrors:
         assert main(["client", "query", "--port", "1"]) == 2
         err = capsys.readouterr().err
         assert "cannot connect" in err
+
+
+class TestServeStartupErrors:
+    def test_unknown_order_by_alias_stops_serve_before_it_listens(self, capsys):
+        # HAVING / ORDER BY compile when the engine is built, so a bad
+        # alias is a start-up error — not the first client's query-failed.
+        assert main([
+            "serve", SERVE_SQL + " order by nosuch", "--port", "0",
+            "--run-seconds", "0.1",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "nosuch" in captured.err
+        assert "serving on" not in captured.out

@@ -193,7 +193,7 @@ def frame(ftype, **payload) -> bytes:
     return protocol.encode_frame(ftype, payload)
 
 
-WELCOME = frame(protocol.WELCOME, credits=2, wire_version=2, query="q")
+WELCOME = frame(protocol.WELCOME, credits=2, wire_version=3, query="q")
 ERROR = frame(protocol.ERROR, code="bad-rows", message="arity")
 CREDIT = frame(protocol.CREDIT, credits=1, seq=1)
 RESULT = frame(protocol.RESULT, rows=[])
@@ -336,3 +336,139 @@ class TestScriptedCore:
         outcome, transport = scripted([WELCOME], scenario)
         assert outcome == (True, {})
         assert transport.closed
+
+
+#: Seven result rows paged three to a frame (the limit forces the halving
+#: from RESULT_PAGE_ROWS down): pages of 3 + 3 + 1.
+PAGED_ROWS = [{"tb": 1, "destIP": f"d{i}", "c": i, "s": 40.5 * i} for i in range(7)]
+PAGE_LIMIT = 300
+
+
+def pages(rows=PAGED_ROWS, **push) -> list[bytes]:
+    return list(
+        protocol.result_pages(rows, max_frame_bytes=PAGE_LIMIT, **push)
+    )
+
+
+def core(client):
+    """The client itself, for its plain (non-I/O) methods: the sync
+    driver comes wrapped in :class:`Awaitable`."""
+    return getattr(client, "_client", client)
+
+
+class TestScriptedPages:
+    """A RESULT is a page sequence: reassembled inside the one core, for
+    both drivers, whatever the chunking and whatever arrives between."""
+
+    @staticmethod
+    async def ask(client):
+        return await client.query()
+
+    def test_the_fixture_really_is_several_pages(self):
+        frames = pages()
+        assert len(frames) == 3
+        decoded = [
+            protocol.decode_frame_body(f[protocol.HEADER.size:]).payload
+            for f in frames
+        ]
+        assert [p.get("more") for p in decoded] == [True, True, None]
+        assert [len(p["rows"]) for p in decoded] == [3, 3, 1]
+        assert all(len(f) - protocol.HEADER.size <= PAGE_LIMIT for f in frames)
+
+    def test_pages_reassemble_at_every_byte_boundary(self, scripted):
+        stream = b"".join(pages())
+        for chunks in every_split(stream):
+            outcome, transport = scripted([WELCOME, *chunks], self.ask)
+            assert outcome == PAGED_ROWS, chunks
+            assert transport.chunks == [], chunks
+
+    def test_credit_and_push_pages_between_direct_pages_are_book_kept(
+        self, scripted
+    ):
+        direct = pages()
+        push = pages(PAGED_ROWS[:4], sub=1, seq=1, done=True)
+        assert len(push) == 2
+
+        async def scenario(client):
+            await client.insert(make_rows(3))
+            rows = await client.query()
+            # The push completed while the direct reply was being read;
+            # no further bytes are needed to hand it over.
+            assert core(client).has_pushes()
+            return rows, client.credits, await client.results(1)
+
+        outcome, transport = scripted(
+            [WELCOME, direct[0] + CREDIT + push[0], direct[1] + push[1],
+             direct[2]],
+            scenario,
+        )
+        rows, credits, pushes = outcome
+        assert rows == PAGED_ROWS
+        assert credits == 2
+        assert pushes == [
+            {"sub": 1, "seq": 1, "done": True, "rows": PAGED_ROWS[:4]}
+        ]
+        assert transport.chunks == []
+
+    def test_only_completed_pushes_surface(self, scripted):
+        first, second = pages(PAGED_ROWS[:4], sub=7, seq=2, done=False)
+
+        async def scenario(client):
+            await client.query()
+            held_back = (core(client).has_pushes(), core(client).drain_pushes())
+            return held_back, await client.results(1)
+
+        outcome, _ = scripted([WELCOME, first + RESULT, second], scenario)
+        held_back, pushes = outcome
+        assert held_back == (False, [])
+        assert pushes == [
+            {"sub": 7, "seq": 2, "done": False, "rows": PAGED_ROWS[:4]}
+        ]
+
+    def test_error_mid_sequence_returns_nothing(self, scripted):
+        too_large = frame(
+            protocol.ERROR, code="reply-too-large", message="RESULT frame is"
+        )
+
+        async def scenario(client):
+            with pytest.raises(RemoteError) as excinfo:
+                await client.query()
+            # The sequence ended with the ERROR: the next reply is the
+            # next request's, not a stray page.
+            return excinfo.value.code, await client.query()
+
+        first_page = pages()[0]
+        outcome, transport = scripted(
+            [WELCOME, first_page + too_large, RESULT], scenario
+        )
+        assert outcome == ("reply-too-large", [])
+        assert transport.chunks == []
+
+    def test_error_in_place_of_a_push_page_voids_that_push(self, scripted):
+        first, _second = pages(PAGED_ROWS[:4], sub=1, seq=1, done=False)
+        failed = frame(
+            protocol.ERROR, code="reply-too-large", message="m", sub=1
+        )
+        whole = pages(PAGED_ROWS[:1], sub=1, seq=2, done=True)[0]
+
+        async def scenario(client):
+            with pytest.raises(RemoteError):
+                await client.results(1)
+            return await client.results(1)
+
+        outcome, _ = scripted([WELCOME, first + failed, whole], scenario)
+        assert outcome == [
+            {"sub": 1, "seq": 2, "done": True, "rows": PAGED_ROWS[:1]}
+        ]
+
+    def test_drop_after_the_first_page_restarts_the_query(self, scripted):
+        frames = pages()
+        outcome, transport = scripted(
+            [WELCOME, frames[0], b"", WELCOME, *frames], self.ask,
+            retries=2, backoff_s=0.001, jitter=False,
+        )
+        # The full answer, once: the first connection's page is gone.
+        assert outcome == PAGED_ROWS
+        hello, query, hello_again, query_again = transport.sent
+        assert (hello, query) == (hello_again, query_again)
+        assert transport.chunks == []

@@ -14,16 +14,12 @@ import struct
 
 import pytest
 
-from repro.dsms.engine import QueryEngine
-from repro.dsms.parser import parse_query
-from repro.dsms.udaf import default_registry
-from repro.serve import AsyncServeClient, RemoteError, ServeClient, protocol
-from repro.workloads.netflow import PACKET_SCHEMA
+from repro.serve import RemoteError, ServeClient, protocol
 from tests.serve.util import (
     SQL,
-    Awaitable,
     RawConnection,
-    canon,
+    connect,
+    flushed_rows,
     make_rows,
     serve,
 )
@@ -194,9 +190,15 @@ class TestSemanticErrors:
                 assert client.stats()["server"]["errors_total"] == 1
 
 
+def reference_rows(sql, batches) -> list[dict]:
+    return flushed_rows(sql, [row for batch in batches for row in batch])
+
+
 class TestReplyTooLarge:
-    """A reply over ``max_frame_bytes`` fails that request only: the
-    connection, its credit window and later requests all survive."""
+    """A RESULT is paged to fit ``max_frame_bytes`` however many rows it
+    has; a reply that cannot be paged (PARTIALS_OK, CHECKPOINT_OK, one
+    result row over the limit) fails that request only: the connection,
+    its credit window and later requests all survive."""
 
     LIMIT = 600
     #: One group survives the HAVING, so RESULT stays small while the
@@ -204,6 +206,15 @@ class TestReplyTooLarge:
     SMALL_RESULT_SQL = SQL + " having c > 4"
     BATCHES = [make_rows(4, start=100 + 60 * j) for j in range(8)] + [
         [row for row in make_rows(25, start=1_200) if row[3] == "d0"]
+    ]
+    #: Bucket 1 finalizes to a short sample, bucket 2 to a ``prisamp``
+    #: list that alone is over LIMIT: one page goes out, then the error.
+    WIDE_ROW_SQL = (
+        "select tb, destPort, prisamp(srcIP, len) as s, count(*) as c "
+        "from TCP group by time/60 as tb, destPort"
+    )
+    WIDE_ROW_BATCHES = [make_rows(4, start=100)] + [
+        make_rows(4, start=120 + 4 * j) for j in range(15)
     ]
 
     @pytest.mark.parametrize("driver", ["sync", "asyncio"])
@@ -224,31 +235,28 @@ class TestReplyTooLarge:
         batches = self.BATCHES
 
         async def scenario(host, port):
-            if driver == "sync":
-                client = Awaitable(ServeClient(host, port))
-            else:
-                client = await AsyncServeClient.connect(host, port)
+            client = await connect(driver, host, port)
             for batch in batches[:-1]:
                 await client.insert(batch)
             await client.flush()
             window = client.window
-            with pytest.raises(RemoteError) as excinfo:
-                await getattr(client, request_name)()
-            assert excinfo.value.code == "reply-too-large"
-            assert f"{reply} frame is" in str(excinfo.value)
-            assert f"limit is {self.LIMIT}" in str(excinfo.value)
+            if reply == "RESULT":
+                # Far more rows than one frame holds: paged, not refused.
+                early = await client.query()
+                assert early == reference_rows(sql, batches[:-1])
+                assert len(early) > 10
+            else:
+                with pytest.raises(RemoteError) as excinfo:
+                    await getattr(client, request_name)()
+                assert excinfo.value.code == "reply-too-large"
+                assert f"{reply} frame is" in str(excinfo.value)
+                assert f"limit is {self.LIMIT}" in str(excinfo.value)
             # Same connection: ingest still flows under the full window...
             await client.insert(batches[-1])
             await client.flush()
             assert (client.credits, client.window) == (window, window)
             # ...and the next request gets a structured answer, not EOF.
-            if reply == "RESULT":
-                with pytest.raises(RemoteError) as excinfo:
-                    await client.query()
-                assert excinfo.value.code == "reply-too-large"
-                rows = None
-            else:
-                rows = await client.query()
+            rows = await client.query()
             await client.close()
             return rows
 
@@ -256,28 +264,73 @@ class TestReplyTooLarge:
             sql, max_frame_bytes=self.LIMIT, state_dir=str(state_dir)
         ) as server:
             rows = asyncio.run(scenario(server.host, server.port))
-            assert server.server.errors_total == (2 if rows is None else 1)
-        if rows is not None:
-            reference = QueryEngine(
-                parse_query(sql, default_registry()), PACKET_SCHEMA
-            )
-            reference.insert_many([row for batch in batches for row in batch])
-            expected = reference.flush()
-            assert expected and canon(rows) == canon(expected)
+            stats = server.server.stats()["server"]
+        assert stats["errors_total"] == (0 if reply == "RESULT" else 1)
+        assert stats["largest_reply_frame_bytes"] <= self.LIMIT
+        assert rows and rows == reference_rows(sql, batches)
 
+    @pytest.mark.parametrize("driver", ["sync", "asyncio"])
+    def test_one_row_over_the_limit_is_the_error_that_remains(self, driver):
+        batches = self.WIDE_ROW_BATCHES
+
+        async def scenario(host, port):
+            client = await connect(driver, host, port)
+            await client.insert(batches[0])
+            await client.flush()
+            narrow = await client.query()
+            window = client.window
+            for batch in batches[1:]:
+                await client.insert(batch)
+            await client.flush()
+            # A page (the narrow row) arrives first, then the ERROR in
+            # place of the wide one: nothing of the answer is returned.
+            with pytest.raises(RemoteError) as excinfo:
+                await client.query()
+            assert excinfo.value.code == "reply-too-large"
+            assert "RESULT frame is" in str(excinfo.value)
+            await client.insert(make_rows(3, start=300))
+            await client.flush()
+            assert (client.credits, client.window) == (window, window)
+            stats = (await client.stats())["server"]
+            await client.close()
+            return narrow, stats
+
+        with serve(self.WIDE_ROW_SQL, max_frame_bytes=self.LIMIT) as server:
+            narrow, stats = asyncio.run(scenario(server.host, server.port))
+        assert narrow == reference_rows(self.WIDE_ROW_SQL, batches[:1])
+        assert stats["errors_total"] == 1
+        # The first query's page, then the one page before the error.
+        assert stats["result_pages_total"] == 2
+        assert stats["result_rows_total"] == 1
 
     def test_oversized_subscription_push_ends_that_subscription(self):
+        # Many rows: every push arrives whole, paged under the limit.
         with serve(max_frame_bytes=self.LIMIT) as server:
             with ServeClient(server.host, server.port) as client:
                 for batch in self.BATCHES:
+                    client.insert(batch)
+                client.flush()
+                client.subscribe(0.01, count=2)
+                pushes = client.results(2)
+                expected = reference_rows(SQL, self.BATCHES)
+                assert [p["rows"] for p in pushes] == [expected, expected]
+                assert [p["done"] for p in pushes] == [False, True]
+            assert server.server.errors_total == 0
+        # One row over the limit: the ERROR takes the push's place and
+        # ends that subscription; the connection itself is fine.
+        with serve(self.WIDE_ROW_SQL, max_frame_bytes=self.LIMIT) as server:
+            with ServeClient(server.host, server.port) as client:
+                for batch in self.WIDE_ROW_BATCHES:
                     client.insert(batch)
                 client.flush()
                 client.subscribe(0.01, count=3)
                 with pytest.raises(RemoteError) as excinfo:
                     client.results(1)
                 assert excinfo.value.code == "reply-too-large"
-                client.insert(self.BATCHES[0])
-                client.flush()  # the connection itself is fine
+                assert not client.has_pushes()
+                client.insert(self.WIDE_ROW_BATCHES[0])
+                client.flush()
+                assert server.server.queries_total == 1  # no second tick
 
 
 class TestDisconnects:

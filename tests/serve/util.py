@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import socket
 
-from repro.dsms.engine import run_query
+from repro.dsms.engine import QueryEngine, run_query
 from repro.dsms.parser import parse_query
 from repro.dsms.udaf import default_registry
-from repro.serve import StreamServer, ThreadedServer, build_backend, protocol
+from repro.serve import (
+    AsyncServeClient,
+    ServeClient,
+    StreamServer,
+    ThreadedServer,
+    build_backend,
+    protocol,
+)
 from repro.workloads.netflow import PACKET_SCHEMA
 
 SQL = (
@@ -42,6 +49,13 @@ def expected_rows(sql: str, rows: list[tuple]) -> list[dict]:
     return [dict(row) for row in run_query(query, PACKET_SCHEMA, rows)]
 
 
+def flushed_rows(sql: str, rows: list[tuple]) -> list[dict]:
+    """The in-process answer in flush order: one engine fed ``rows``."""
+    engine = QueryEngine(parse_query(sql, default_registry()), PACKET_SCHEMA)
+    engine.insert_many(rows)
+    return engine.flush()
+
+
 def serve(sql: str = SQL, **kwargs) -> ThreadedServer:
     shards = kwargs.pop("shards", 0)
     backend = build_backend(sql, PACKET_SCHEMA, shards=shards, processes=0)
@@ -64,6 +78,13 @@ class Awaitable:
             return attr(*args, **kwargs)
 
         return call
+
+
+async def connect(driver: str, host: str, port: int):
+    """A client of either driver behind the awaitable surface."""
+    if driver == "sync":
+        return Awaitable(ServeClient(host, port))
+    return await AsyncServeClient.connect(host, port)
 
 
 class RawConnection:
