@@ -492,7 +492,8 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
     )
     for index, blob in enumerate(described):
         columns = " ".join(
-            f"{kind}:{size:,}" for kind, size in blob["columns"]
+            f"{kind}:{size:,} ({size / max(blob['groups'], 1):.1f}/row)"
+            for kind, size in blob["columns"]
         )
         print(
             f"  blob {index}: v{blob['version']}, {blob['groups']:,} group(s), "
@@ -584,6 +585,10 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
                 for page in reader.iter_pages():
                     states = page.states()
                     if layout is None:
+                        entry["columns"] = [
+                            [kind, round(size / len(page), 2)]
+                            for kind, size in page.columns()
+                        ]
                         layout = [
                             "ragged" if code == RAGGED_SLOT
                             else f"scalars x{code}" if code != SUMMARY_SLOT
@@ -641,6 +646,9 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         print(line)
         if entry.get("layout"):
             print(f"      slots: {' | '.join(entry['layout'])}")
+        if entry.get("columns"):
+            columns = " ".join(f"{kind}:{per}" for kind, per in entry["columns"])
+            print(f"      columns, B/row of the first page: {columns}")
         for name, tally in entry.get("summaries", {}).items():
             print(f"      {name} x {tally['buffers']:,}, {tally['bytes']:,} B")
     if not segments:

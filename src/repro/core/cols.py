@@ -12,18 +12,34 @@ operations.  Layout of a packed batch (all integers network order)::
 
     column block := kind: u8 | nbytes: u32 | payload[nbytes]
 
-    kind 1  i64     payload = rows × int64
-    kind 2  f64     payload = rows × float64
-    kind 3  str     payload = rows × u32 byte-lengths, then UTF-8 blobs
-    kind 4  tagged  payload = JSON list of tag_key-tagged values
-    kind 5  bytes   payload = rows × u32 byte-lengths, then the raw buffers
+The kind byte's low nibble is the kind, its high nibble a **width
+shrink**: how many times the kind's integer width is halved.  Shrink 0
+is the widest case — the only one codec version 1 wrote — so one
+decoder reads a version-1 batch and a version-2 batch alike::
 
-``seq+1`` is zero when the batch carries no sequence number.  The per-
-column ``kind`` is chosen from the *values* (falling back to ``tagged``
-for mixed or out-of-range columns), so int/float/str identity survives
-packing bit-exactly: unpacking a packed batch yields values equal to the
-originals under ``type()`` and ``repr()``, which is what lets the
-columnar data plane promise byte-identical query results.
+    kind byte            name             payload
+    0x01 0x11 0x21 0x31  i64 i32 i16 i8   rows × signed int of 8 >> shrink bytes
+    0x02                 f64              rows × float64
+    0x03 0x13 0x23       str/u32 u16 u8   rows × byte lengths (4 >> shrink bytes
+                                          each), then the UTF-8 blobs
+    0x04                 tagged           JSON list of tag_key-tagged values
+    0x05 0x15 0x25       bytes/u32 u16 u8 rows × byte lengths, then the raw buffers
+    0x06 0x16 0x26       dict[n]/u32 u16 u8
+                                          entries: u32 | a nested str block of the
+                                          entries distinct strings in first-seen
+                                          order | rows × codes (4 >> shrink bytes)
+
+``seq+1`` is zero when the batch carries no sequence number.  The
+encoding is chosen from the *values* and nothing else: the kind from
+their types (falling back to ``tagged`` for mixed, empty or beyond-int64
+columns), an int width from the column's ``min`` / ``max``, a length
+width from its longest entry, a code width from its table size, and the
+dictionary exactly when byte arithmetic says it is smaller than the plain
+``str`` block.  So int/float/str identity survives packing bit-exactly:
+unpacking a packed batch yields values equal to the originals under
+``type()`` and ``repr()``, which is what lets the columnar data plane
+promise byte-identical query results — and equal columns always pack to
+equal bytes.
 
 Three consumers share this module: :mod:`repro.serve.protocol` wraps a
 packed batch in an ``INSERT_COLS`` wire frame (and a one-column ``bytes``
@@ -52,6 +68,7 @@ __all__ = [
     "COL_STR",
     "COL_TAGGED",
     "COL_BYTES",
+    "COL_DICT",
     "row_count",
     "rows_to_cols",
     "cols_to_rows",
@@ -61,25 +78,33 @@ __all__ = [
     "read_column",
     "open_cols",
     "block_values",
+    "block_name",
     "describe_cols",
     "tag_value",
     "untag_value",
 ]
 
-#: Layout version byte leading every packed batch.
-COLS_CODEC_VERSION = 1
+#: Layout version byte leading every packed batch a writer emits.  Version
+#: 1 had only the widest case of each kind — the same decoder reads both.
+COLS_CODEC_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
-#: Column payload kinds (see the module docstring diagram).
+#: Column payload kinds: the low nibble of a block's kind byte (see the
+#: module docstring).  Each name is the kind at width shrink 0.
 COL_I64 = 1
 COL_F64 = 2
 COL_STR = 3
 COL_TAGGED = 4
 COL_BYTES = 5
+COL_DICT = 6
 
-_KIND_NAMES = {
-    COL_I64: "i64", COL_F64: "f64", COL_STR: "str", COL_TAGGED: "tagged",
-    COL_BYTES: "bytes",
-}
+#: ``struct`` codes by width shrink: an int is ``8 >> shrink`` bytes, a
+#: length or dictionary code ``4 >> shrink``.
+_SIGNED = "qihb"
+_UNSIGNED = "IHB"
+#: ``(shrink, limit)``, narrowest first: the ints in ``[-limit, limit)`` fit.
+_INT_LIMITS = tuple((shrink, 1 << ((64 >> shrink) - 1)) for shrink in (3, 2, 1, 0))
+_ONE = {fmt: struct.Struct("!" + fmt) for fmt in _SIGNED + _UNSIGNED + "d"}
 
 #: codec version, seq+1 (0 = none), row count, column count.
 _COLS_HEAD = struct.Struct("!BQIH")
@@ -87,8 +112,8 @@ _COLS_HEAD = struct.Struct("!BQIH")
 #: kind, payload byte count — one per column.
 _COL_HEAD = struct.Struct("!BI")
 
-_ONE_I64 = struct.Struct("!q")
-_ONE_F64 = struct.Struct("!d")
+#: distinct entries — leads a dictionary payload.
+_DICT_HEAD = struct.Struct("!I")
 
 
 def row_count(cols, error: type[Exception] = ProtocolError) -> int:
@@ -131,97 +156,178 @@ def untag_value(tag):
     return untag_key(tag)
 
 
+def _unsigned_shrink(top: int) -> int:
+    """Halvings of a u32 that still hold ``top``: 2 = u8, 1 = u16, 0 = u32."""
+    return 2 if top < 1 << 8 else 1 if top < 1 << 16 else 0
+
+
+def _frame(kind: int, payload: bytes) -> bytes:
+    """One column block: ``kind | nbytes | payload``."""
+    return _COL_HEAD.pack(kind, len(payload)) + payload
+
+
+def _pack_blobs(base: int, shrink: int, lengths, data: bytes) -> tuple[int, bytes]:
+    """A ``str`` / ``bytes`` block: the length table at the width
+    ``shrink`` says holds the longest entry, then the entries back to back."""
+    return base | shrink << 4, struct.pack(
+        f"!{len(lengths)}{_UNSIGNED[shrink]}", *lengths
+    ) + data
+
+
+def _pack_str_column(values) -> tuple[int, bytes]:
+    """A plain ``str`` block or a dictionary block, whichever byte
+    arithmetic says is smaller — settled before either is packed."""
+    count = len(values)
+    table = dict.fromkeys(values)  # the distinct strings, first seen first
+    entries = len(table)
+    text, table_text = "".join(values), "".join(table)
+    if text.isascii():
+        size_of = len  # byte lengths are character lengths
+        total, table_total = len(text), len(table_text)
+    else:
+        sizes = {entry: len(entry.encode("utf-8")) for entry in table}
+        size_of = sizes.__getitem__
+        total, table_total = sum(map(size_of, values)), sum(sizes.values())
+    shrink = _unsigned_shrink(max(map(size_of, table)))
+    code_shrink = _unsigned_shrink(entries - 1)
+    width = 4 >> shrink
+    if (
+        _DICT_HEAD.size + _COL_HEAD.size + width * entries + table_total
+        + (4 >> code_shrink) * count
+    ) >= width * count + total:
+        return _pack_blobs(
+            COL_STR, shrink, list(map(size_of, values)), text.encode("utf-8")
+        )
+    block = _pack_blobs(
+        COL_STR, shrink, list(map(size_of, table)), table_text.encode("utf-8")
+    )
+    table.update(zip(table, range(entries)))  # entry -> code
+    return COL_DICT | code_shrink << 4, b"".join((
+        _DICT_HEAD.pack(entries),
+        _frame(*block),
+        struct.pack(
+            f"!{count}{_UNSIGNED[code_shrink]}",
+            *map(table.__getitem__, values),
+        ),
+    ))
+
+
 def _pack_column(values) -> tuple[int, bytes]:
-    """Choose the densest kind that preserves every value's type exactly."""
+    """Choose the densest encoding that preserves every value's type exactly."""
     kinds = set(map(type, values))
     if kinds == {int}:
-        try:
-            # One C-level pack instead of a Python range scan; out-of-range
-            # ints raise struct.error and fall through to the tagged kind.
-            return COL_I64, struct.pack(f"!{len(values)}q", *values)
-        except struct.error:
-            pass
+        low, high = min(values), max(values)
+        for shrink, limit in _INT_LIMITS:
+            if -limit <= low and high < limit:
+                return COL_I64 | shrink << 4, struct.pack(
+                    f"!{len(values)}{_SIGNED[shrink]}", *values
+                )
+        # Beyond int64: falls through to the tagged kind.
     elif kinds == {float}:
         # IEEE doubles round-trip struct 'd' bit-exactly, NaN/inf included.
         return COL_F64, struct.pack(f"!{len(values)}d", *values)
     elif kinds == {str}:
-        blob = "".join(values)
-        data = blob.encode("utf-8")
-        if len(data) == len(blob):
-            # All-ASCII column: byte lengths equal character lengths, so
-            # one join + one encode replaces a per-string encode loop.
-            return COL_STR, struct.pack(
-                f"!{len(values)}I", *map(len, values)
-            ) + data
-        encoded = [v.encode("utf-8") for v in values]
-        return COL_STR, struct.pack(
-            f"!{len(encoded)}I", *map(len, encoded)
-        ) + b"".join(encoded)
+        return _pack_str_column(values)
     elif kinds == {bytes}:
-        return COL_BYTES, struct.pack(
-            f"!{len(values)}I", *map(len, values)
-        ) + b"".join(values)
+        lengths = list(map(len, values))
+        return _pack_blobs(
+            COL_BYTES, _unsigned_shrink(max(lengths)), lengths, b"".join(values)
+        )
     tagged = json.dumps(
         [tag_value(v) for v in values], separators=(",", ":")
     ).encode("utf-8")
     return COL_TAGGED, tagged
 
 
-def _unpack_column(kind: int, view, count: int) -> list:
-    if kind == COL_I64:
-        if len(view) != 8 * count:
+def _length_table(view, count: int, shrink: int) -> tuple[tuple, memoryview]:
+    """``(entry byte lengths, the blob they cut up)`` of a ``str`` /
+    ``bytes`` payload — the one parse of a length table, whole decode or
+    row pick; a table longer than the payload is refused unread."""
+    head = (4 >> shrink) * count
+    if len(view) < head:
+        raise ProtocolError("column shorter than its length table")
+    lengths = struct.unpack_from(f"!{count}{_UNSIGNED[shrink]}", view)
+    if head + sum(lengths) != len(view):
+        raise ProtocolError("column blob does not match its lengths")
+    return lengths, view[head:]
+
+
+def _split(source, lengths) -> list:
+    """``source`` cut into consecutive slices of ``lengths``."""
+    out = []
+    offset = 0
+    for length in lengths:
+        end = offset + length
+        out.append(source[offset:end])
+        offset = end
+    return out
+
+
+def _fixed_values(fmt: str, view, offset: int, count: int, rows) -> list:
+    """``count`` network-order ``fmt`` items at ``offset``, or only those
+    at the indices ``rows`` (an ``unpack_from`` per row)."""
+    if rows is None:
+        return list(struct.unpack_from(f"!{count}{fmt}", view, offset))
+    one = _ONE[fmt]
+    unpack_from, size = one.unpack_from, one.size
+    return [unpack_from(view, offset + size * row)[0] for row in rows]
+
+
+def _unpack_column(kind: int, view, count: int, rows=None) -> list:
+    """The ``count`` values of one column payload, or those at ``rows``."""
+    base, shrink = kind & 15, kind >> 4
+    if (base == COL_I64 and shrink < 4) or kind == COL_F64:
+        fmt = "d" if kind == COL_F64 else _SIGNED[shrink]
+        if len(view) != (8 >> shrink) * count:
+            name = "f64" if kind == COL_F64 else f"i{64 >> shrink}"
             raise ProtocolError(
-                f"i64 column: {len(view)} bytes for {count} rows"
+                f"{name} column: {len(view)} bytes for {count} rows"
             )
-        return list(struct.unpack(f"!{count}q", view))
-    if kind == COL_F64:
-        if len(view) != 8 * count:
+        return _fixed_values(fmt, view, 0, count, rows)
+    if (base == COL_STR or base == COL_BYTES) and shrink < 3:
+        lengths, blob = _length_table(view, count, shrink)
+        try:
+            if rows is None:
+                if base == COL_STR:
+                    decoded = str(blob, "utf-8")
+                    if len(decoded) == len(blob):
+                        # All-ASCII blob: byte offsets are character offsets,
+                        # so one decode + cheap str slices replaces a decode
+                        # per entry.
+                        return _split(decoded, lengths)
+                pieces = _split(blob, lengths)
+            else:
+                ends = list(accumulate(lengths, initial=0))
+                pieces = [blob[ends[row]:ends[row + 1]] for row in rows]
+            if base == COL_BYTES:
+                return list(map(bytes, pieces))
+            # Decoded per entry, so a length table that splits a multi-byte
+            # character is rejected, not resynthesized.
+            return [str(piece, "utf-8") for piece in pieces]
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"undecodable str column: {exc}") from exc
+    if base == COL_DICT and shrink < 3:
+        try:
+            (entries,) = _DICT_HEAD.unpack_from(view)
+        except struct.error as exc:
+            raise ProtocolError(f"truncated dict column: {exc}") from exc
+        table_kind, start, end = _block(view, _DICT_HEAD.size)
+        if table_kind & 15 != COL_STR:
+            raise ProtocolError(f"dict column table has kind {table_kind}")
+        if len(view) - end != (4 >> shrink) * count:
             raise ProtocolError(
-                f"f64 column: {len(view)} bytes for {count} rows"
+                f"dict column: {len(view) - end} code bytes for {count} rows"
             )
-        return list(struct.unpack(f"!{count}d", view))
-    if kind == COL_STR or kind == COL_BYTES:
-        head = 4 * count
-        if len(view) < head:
-            raise ProtocolError("column shorter than its length table")
-        lengths = struct.unpack(f"!{count}I", view[:head])
-        if head + sum(lengths) != len(view):
-            raise ProtocolError("column blob does not match its lengths")
-        if kind == COL_BYTES:
-            out = []
-            offset = head
-            for length in lengths:
-                end = offset + length
-                out.append(bytes(view[offset:end]))
-                offset = end
-            return out
+        table = _unpack_column(table_kind, view[start:end], entries)
         try:
-            decoded = str(view[head:], "utf-8")
-        except UnicodeDecodeError as exc:
-            # Valid per-string slices concatenate to a valid blob, so a
-            # blob that fails as a whole has at least one bad slice.
-            raise ProtocolError(f"undecodable str column: {exc}") from exc
-        out = []
-        offset = 0
-        if len(decoded) == len(view) - head:
-            # All-ASCII blob: byte offsets are character offsets, so one
-            # decode + cheap str slices replaces a per-string decode loop.
-            for length in lengths:
-                end = offset + length
-                out.append(decoded[offset:end])
-                offset = end
-            return out
-        # Multi-byte characters present: decode per slice so a length
-        # table that splits a character is rejected, not resynthesized.
-        offset = head
-        try:
-            for length in lengths:
-                end = offset + length
-                out.append(str(view[offset:end], "utf-8"))
-                offset = end
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"undecodable str column: {exc}") from exc
-        return out
+            return list(map(
+                table.__getitem__,
+                _fixed_values(_UNSIGNED[shrink], view, end, count, rows),
+            ))
+        except IndexError:
+            raise ProtocolError(
+                f"dict column: code beyond its {entries} entries"
+            ) from None
     if kind == COL_TAGGED:
         try:
             tags = json.loads(bytes(view).decode("utf-8"))
@@ -233,16 +339,30 @@ def _unpack_column(kind: int, view, count: int) -> list:
             raise ProtocolError(
                 f"tagged column has {len(values)} values for {count} rows"
             )
-        return values
+        return values if rows is None else [values[row] for row in rows]
     raise ProtocolError(f"unknown column kind {kind}")
+
+
+def block_name(view, block: tuple[int, int, int]) -> str:
+    """The encoding of one decodable :func:`open_cols` block as an
+    inspector prints it: ``i8`` … ``i64``, ``f64``, ``str/u8``,
+    ``bytes/u32``, ``dict[1000]/u16`` (entries, code width), ``tagged``."""
+    kind, start, _end = block
+    base, shrink = kind & 15, kind >> 4
+    if base == COL_I64:
+        return f"i{64 >> shrink}"
+    if base == COL_DICT:
+        return f"dict[{_DICT_HEAD.unpack_from(view, start)[0]}]/u{32 >> shrink}"
+    if base == COL_STR or base == COL_BYTES:
+        return f"{'str' if base == COL_STR else 'bytes'}/u{32 >> shrink}"
+    return "f64" if kind == COL_F64 else "tagged"
 
 
 def pack_column(values) -> bytes:
     """One self-describing column block, ``kind | nbytes | payload`` —
     the unit :func:`pack_cols` repeats, for a lone typed list in a header
     of the caller's own; read back with :func:`read_column`."""
-    kind, payload = _pack_column(values)
-    return _COL_HEAD.pack(kind, len(payload)) + payload
+    return _frame(*_pack_column(values))
 
 
 def _block(view, offset: int) -> tuple[int, int, int]:
@@ -260,8 +380,8 @@ def _block(view, offset: int) -> tuple[int, int, int]:
 def read_column(view, offset: int, count: int) -> tuple[list, int]:
     """Parse the column block of ``count`` rows at ``offset`` into
     ``(values, end offset)``; malformed input raises :class:`ProtocolError`."""
-    kind, start, end = _block(view, offset)
-    return _unpack_column(kind, view[start:end], count), end
+    block = _block(view, offset)
+    return block_values(view, block, count), block[2]
 
 
 def pack_cols(cols, *, seq: int | None = None) -> bytes:
@@ -295,7 +415,7 @@ def open_cols(view) -> tuple[int, int | None, list[tuple[int, int, int]]]:
         version, seq_tag, count, ncols = _COLS_HEAD.unpack_from(view, 0)
     except struct.error as exc:
         raise ProtocolError(f"truncated columnar header: {exc}") from exc
-    if version != COLS_CODEC_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ProtocolError(f"unknown columnar codec version {version}")
     blocks = []
     offset = _COLS_HEAD.size
@@ -314,38 +434,12 @@ def block_values(view, block: tuple[int, int, int], count: int, rows=None) -> li
     only those at the row indices ``rows`` (each below ``count``).
 
     Picking rows out of a fixed-width column is an ``unpack_from`` per
-    row and out of a ``str`` / ``bytes`` column one pass over its length
-    table; a ``tagged`` column decodes whole either way.
+    row, out of a ``str`` / ``bytes`` column one pass over its length
+    table, and out of a dictionary column its table decoded once plus a
+    code per row; a ``tagged`` column decodes whole either way.
     """
     kind, start, end = block
-    if rows is None:
-        return _unpack_column(kind, view[start:end], count)
-    if kind == COL_I64 or kind == COL_F64:
-        if end - start != 8 * count:
-            raise ProtocolError(
-                f"fixed-width column: {end - start} bytes for {count} rows"
-            )
-        unpack_from = (_ONE_I64 if kind == COL_I64 else _ONE_F64).unpack_from
-        return [unpack_from(view, start + 8 * row)[0] for row in rows]
-    if kind == COL_STR or kind == COL_BYTES:
-        head = start + 4 * count
-        if head > end:
-            raise ProtocolError("column shorter than its length table")
-        ends = list(accumulate(
-            struct.unpack_from(f"!{count}I", view, start), initial=head
-        ))
-        if ends[-1] != end:
-            raise ProtocolError("column blob does not match its lengths")
-        try:
-            return [
-                bytes(view[ends[row]:ends[row + 1]]) if kind == COL_BYTES
-                else str(view[ends[row]:ends[row + 1]], "utf-8")
-                for row in rows
-            ]
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"undecodable str column: {exc}") from exc
-    values = _unpack_column(kind, view[start:end], count)
-    return [values[row] for row in rows]
+    return _unpack_column(kind, view[start:end], count, rows)
 
 
 def unpack_cols(body) -> tuple[list[list], int | None, int]:
@@ -361,12 +455,13 @@ def unpack_cols(body) -> tuple[list[list], int | None, int]:
 
 
 def describe_cols(body) -> tuple[int, list[tuple[str, int]]]:
-    """``(row count, [(kind name, payload bytes) per column])`` of a packed
-    batch that :func:`unpack_cols` accepts — what an inspector prints."""
+    """``(row count, [(encoding name, payload bytes) per column])`` of a
+    packed batch that :func:`unpack_cols` accepts — what an inspector
+    prints, each block named by :func:`block_name`."""
     with memoryview(body) as view:
         count, _seq, blocks = open_cols(view)
         for block in blocks:
             block_values(view, block, count)
-    return count, [
-        (_KIND_NAMES[kind], end - start) for kind, start, end in blocks
-    ]
+        return count, [
+            (block_name(view, block), block[2] - block[1]) for block in blocks
+        ]

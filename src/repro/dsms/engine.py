@@ -31,7 +31,9 @@ import zlib
 from typing import Callable, Iterable, Iterator
 
 from repro.core.cols import (
-    describe_cols,
+    block_name,
+    block_values,
+    open_cols,
     pack_cols,
     pack_column,
     read_column,
@@ -1083,15 +1085,19 @@ def _open_partial(data) -> tuple:
 
 def describe_partial_state(data) -> dict:
     """What ``repro checkpoint inspect`` reports for one buffer, from its
-    framing and column-block headers alone (CRC checked).  Each summary
-    slot is named by the registry type its buffers declare in their first
-    bytes; no summary is unpacked."""
+    framing and column blocks (CRC checked; every column decoded, and so
+    checked, once).  Each column is named by its encoding, each summary
+    slot by the registry type its buffers declare in their first bytes;
+    no summary is unpacked."""
     head, texts, bucket, slots, batch = _open_partial(data)
     try:
-        layout = describe_cols(batch)[1]
-        summary_cols = [
-            col for col in unpack_cols(batch)[0] if col and type(col[0]) is bytes
-        ]
+        count, _seq, blocks = open_cols(batch)
+        layout, summary_cols = [], []
+        for block in blocks:
+            col = block_values(batch, block, count)
+            layout.append((block_name(batch, block), block[2] - block[1]))
+            if col and type(col[0]) is bytes:
+                summary_cols.append(col)
         summaries = [
             {
                 "slot": slot,

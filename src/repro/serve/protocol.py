@@ -95,11 +95,14 @@ place of a page ends that sequence and the pages before it are void.
 Version negotiation: HELLO carries the client's highest ``wire_version``;
 the server answers WELCOME with ``wire_version = min(client, server)``
 and both sides speak that, so a future client negotiates *down* to this
-build.  Version 3 is the only one spoken: version 1's row-JSON ``INSERT``
+build.  Version 4 is the only one spoken: version 1's row-JSON ``INSERT``
 frames ran at under half the columnar rate and were removed (DESIGN.md
 §10), version 2 promised a RESULT in one frame, which a version-2 client
-would mistake a first page for, and a HELLO below the minimum (or with a
-junk version) earns a connection-scoped ``wire-version`` ERROR naming the
+would mistake a first page for, a version-3 peer's column decoder knows
+only the widest case of each :mod:`repro.core.cols` kind (this build
+*reads* such batches; a version-3 reader would refuse the narrow ones
+this build writes), and a HELLO below the minimum (or with a junk
+version) earns a connection-scoped ``wire-version`` ERROR naming the
 supported range.
 
 Framing errors (bad length, oversized frame, undecodable body — columnar
@@ -167,11 +170,12 @@ __all__ = [
 ]
 
 #: Highest protocol revision this build speaks (carried in HELLO).
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
-#: Oldest revision still accepted (version 1's row frames are gone, and a
-#: version-2 client reads a RESULT as the whole answer, not a page).
-MIN_WIRE_VERSION = 3
+#: Oldest revision still accepted (version 1's row frames are gone, a
+#: version-2 client reads a RESULT as the whole answer, not a page, and a
+#: version-3 peer cannot read the typed column encodings of a blob batch).
+MIN_WIRE_VERSION = 4
 
 #: Default ceiling on ``length``; larger frames are rejected before the
 #: body is buffered, so a hostile length prefix cannot balloon memory.

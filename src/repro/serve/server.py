@@ -208,6 +208,7 @@ class StreamServer:
         self._checkpoint_task: asyncio.Task | None = None
         self.started_at: float | None = None
         self.frames_total = 0
+        self.insert_bytes_total = 0
         self.rows_total = 0
         self.errors_total = 0
         self.queries_total = 0
@@ -345,6 +346,7 @@ class StreamServer:
             "connections": len(self._connections),
             "connections_total": self.connections_total,
             "frames_total": self.frames_total,
+            "insert_bytes_total": self.insert_bytes_total,
             "rows_total": self.rows_total,
             "errors_total": self.errors_total,
             "queries_total": self.queries_total,
@@ -432,7 +434,14 @@ class StreamServer:
                 f"oversized frame: {length} bytes (limit {self.max_frame_bytes})"
             )
         body = await reader.readexactly(length)
-        return protocol.decode_frame_body(body)
+        frame = protocol.decode_frame_body(body)
+        if frame.ftype == protocol.INSERT_COLS:
+            # The packed batch as received (type byte excluded): with
+            # rows_total, the wire bytes per row of a live server.
+            self.insert_bytes_total += length - 1
+            if self._obs:
+                self.metrics.counter("serve.ingest.bytes").add(length - 1.0)
+        return frame
 
     async def _error(
         self, conn: _Connection, code: str, message: str,
@@ -644,15 +653,29 @@ class StreamServer:
                     await self._send_result(
                         conn, self._query(), sub=sub, seq=seq, done=done
                     )
-                except DecayError as error:
+                except OSError:
+                    raise  # the subscriber went away: handled below
+                except Exception as error:
                     # In place of the push (or of its next page): the
-                    # subscription ends, the connection does not.
-                    too_large = isinstance(error, protocol.FrameTooLarge)
+                    # subscription ends, the connection does not — nothing
+                    # a push does touches ingest state or the credit window.
+                    message = str(error)
+                    if isinstance(error, protocol.FrameTooLarge):
+                        code = "reply-too-large"
+                    elif isinstance(error, DecayError):
+                        code = "query-failed"
+                    else:
+                        # Not a failure the backend is known to raise: the
+                        # direct-request outcome, minus the close.
+                        _log.exception("subscription %d push failed", sub)
+                        self.errors_total += 1
+                        if self._obs:
+                            self.metrics.counter("serve.errors").add(1.0)
+                        code = "internal-error"
+                        message = f"{type(error).__name__}: {error}"
                     await conn.send(
                         protocol.ERROR,
-                        {"code": "reply-too-large" if too_large
-                         else "query-failed",
-                         "message": str(error), "sub": sub},
+                        {"code": code, "message": message, "sub": sub},
                     )
                     return
                 if not done:

@@ -48,6 +48,7 @@ from typing import Iterator
 
 from repro.core.cols import (
     block_values,
+    describe_cols,
     open_cols,
     pack_cols,
 )
@@ -182,6 +183,14 @@ class Page:
 
     def __len__(self) -> int:
         return self._count
+
+    def columns(self) -> list[tuple[str, int]]:
+        """``(encoding name, payload bytes)`` per column, key columns
+        first — what ``repro store inspect`` prints."""
+        try:
+            return describe_cols(self._batch)[1]
+        except (ProtocolError, ParameterError) as exc:
+            raise self._undecodable(exc) from exc
 
     def states(self, rows: list[int] | None = None) -> list[list]:
         """State lists of the rows at indices ``rows`` (every row when

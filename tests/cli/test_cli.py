@@ -262,6 +262,7 @@ class TestStoreInspectCommand:
         )
         assert "B/live row" in out
         assert "slots: scalars x1" in out  # count(*) keeps one scalar
+        assert "columns, B/row of the first page: i8:1.0 str/u8:" in out
 
     def test_inspect_json(self, tmp_path, capsys):
         import json
@@ -277,6 +278,9 @@ class TestStoreInspectCommand:
         for segment in report["segments"]:
             assert 0 < segment["pages"] <= segment["records"]
             assert segment["layout"] == ["scalars x1"]
+            assert [kind for kind, _per_row in segment["columns"]] == [
+                "i8", "str/u8", "i8",
+            ]
             if segment["live"]:
                 assert segment["bytes_per_live_row"] == round(
                     segment["bytes"] / segment["live"], 2
@@ -372,7 +376,9 @@ class TestCheckpointInspectCommand:
         assert "2 blob(s)" in out and "B/group" in out
         assert "count(*) AS c" in out
         assert "blob 1: v2" in out
-        assert "i64:" in out and "str:" in out and "f64:" in out
+        # Each column is named by its encoding, with its bytes per row.
+        assert "i8:" in out and "str/u8:" in out and "f64:" in out
+        assert "(8.0/row)" in out
 
     def test_inspect_json(self, tmp_path, capsys):
         import json
@@ -387,7 +393,9 @@ class TestCheckpointInspectCommand:
         assert report["groups"] == sum(b["groups"] for b in report["blobs"])
         assert report["bytes_per_group"] == report["bytes"] / report["groups"]
         columns = report["blobs"][0]["columns"]
-        assert [kind for kind, _size in columns] == ["i64", "str", "i64", "f64"]
+        assert [kind for kind, _size in columns] == [
+            "i8", "str/u8", "i8", "f64",
+        ]
         assert sum(size for _kind, size in columns) < report["blobs"][0]["bytes"]
 
     def test_inspect_names_summary_slots_and_their_bytes(self, tmp_path, capsys):

@@ -3,25 +3,33 @@
 The golden-bytes tests pin the on-wire layout literally: any change to
 the header structs, the kind dispatch, or the per-column payloads is a
 wire-format break and must bump :data:`COLS_CODEC_VERSION`, not silently
-reshuffle bytes under existing peers.
+reshuffle bytes under existing peers.  The version-1 fixtures are what
+the commits before typed encodings wrote — the widest case of each kind —
+and stay byte for byte as decode-only input; the ``_V2`` fixtures beside
+them pin what the writer emits now.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cols import (
     COL_BYTES,
+    COL_DICT,
     COL_F64,
     COL_I64,
     COL_STR,
     COL_TAGGED,
     COLS_CODEC_VERSION,
+    block_values,
     cols_to_rows,
     describe_cols,
+    open_cols,
     pack_cols,
     pack_column,
     read_column,
@@ -46,15 +54,29 @@ GOLDEN_BODY = bytes.fromhex(
     "00000001" "00000002"   # byte lengths
     "616263"                # "a" + "bc"
 )
+GOLDEN_BODY_V2 = bytes.fromhex(
+    "02"                    # codec version 2
+    "000000000000002a"      # seq+1 = 42
+    "00000002"              # 2 rows
+    "0003"                  # 3 columns
+    "31" "00000002"         # col 0: i8, 2 bytes
+    "07" "fe"
+    "02" "00000010"         # col 1: f64, 16 bytes
+    "3ff8000000000000" "bfd0000000000000"
+    "23" "00000005"         # col 2: str/u8, 5 bytes
+    "01" "02"               # byte lengths
+    "616263"                # "a" + "bc"
+)
 
 
 class TestGoldenBytes:
     def test_packed_batch_matches_fixture(self):
         cols = rows_to_cols(GOLDEN_ROWS)
-        assert pack_cols(cols, seq=GOLDEN_SEQ) == GOLDEN_BODY
+        assert pack_cols(cols, seq=GOLDEN_SEQ) == GOLDEN_BODY_V2
 
-    def test_fixture_unpacks_to_the_source_rows(self):
-        cols, seq, count = unpack_cols(GOLDEN_BODY)
+    @pytest.mark.parametrize("body", [GOLDEN_BODY, GOLDEN_BODY_V2])
+    def test_fixture_unpacks_to_the_source_rows(self, body):
+        cols, seq, count = unpack_cols(body)
         assert seq == GOLDEN_SEQ
         assert count == 2
         assert cols_to_rows(cols) == GOLDEN_ROWS
@@ -85,30 +107,66 @@ GOLDEN_BYTES_BODY = bytes.fromhex(
     "00000002" "00000000" "00000003"  # byte lengths
     "00ff" "616263"         # the buffers, back to back
 )
+GOLDEN_BYTES_BODY_V2 = bytes.fromhex(
+    "02"                    # codec version 2
+    "0000000000000000"      # no seq
+    "00000003"              # 3 rows
+    "0001"                  # 1 column
+    "25" "00000008"         # col 0: bytes/u8, 8 bytes
+    "02" "00" "03"          # byte lengths
+    "00ff" "616263"         # the buffers, back to back
+)
+
+#: One ``str`` column the dictionary wins: 2 entries, twelve u8 codes.
+GOLDEN_DICT_COLUMN = ["ab", "c"] + ["ab"] * 2 + ["c"] + ["ab"] * 7
+GOLDEN_DICT_BODY = bytes.fromhex(
+    "02"                    # codec version 2
+    "0000000000000000"      # no seq
+    "0000000c"              # 12 rows
+    "0001"                  # 1 column
+    "26" "0000001a"         # col 0: dict/u8, 26 bytes
+    "00000002"              # 2 entries
+    "23" "00000005"         # the table: a nested str/u8 block, 5 bytes
+    "02" "01" "616263"      # "ab" + "c", first seen first
+    "000100000100000000000000"  # a code per row
+)
 
 
 class TestBytesColumn:
     def test_packed_bytes_column_matches_fixture(self):
-        assert pack_cols([GOLDEN_BYTES_COLUMN]) == GOLDEN_BYTES_BODY
+        assert pack_cols([GOLDEN_BYTES_COLUMN]) == GOLDEN_BYTES_BODY_V2
 
-    def test_fixture_unpacks_to_the_source_buffers(self):
-        cols, seq, count = unpack_cols(GOLDEN_BYTES_BODY)
+    @pytest.mark.parametrize("body", [GOLDEN_BYTES_BODY, GOLDEN_BYTES_BODY_V2])
+    def test_fixture_unpacks_to_the_source_buffers(self, body):
+        cols, seq, count = unpack_cols(body)
         assert (cols, seq, count) == ([GOLDEN_BYTES_COLUMN], None, 3)
         assert all(type(value) is bytes for value in cols[0])
 
-    def test_describe_reads_kinds_and_sizes_from_the_headers(self):
-        assert describe_cols(GOLDEN_BYTES_BODY) == (3, [("bytes", 17)])
+    def test_dictionary_column_matches_fixture(self):
+        assert pack_cols([GOLDEN_DICT_COLUMN]) == GOLDEN_DICT_BODY
+        assert unpack_cols(GOLDEN_DICT_BODY) == ([GOLDEN_DICT_COLUMN], None, 12)
+        assert describe_cols(GOLDEN_DICT_BODY) == (12, [("dict[2]/u8", 26)])
+
+    def test_describe_names_each_block_by_its_encoding(self):
+        assert describe_cols(GOLDEN_BYTES_BODY) == (3, [("bytes/u32", 17)])
         assert GOLDEN_BYTES_BODY[15] == COL_BYTES
+        assert describe_cols(GOLDEN_BYTES_BODY_V2) == (3, [("bytes/u8", 8)])
         assert describe_cols(GOLDEN_BODY) == (
-            2, [("i64", 16), ("f64", 16), ("str", 11)]
+            2, [("i64", 16), ("f64", 16), ("str/u32", 11)]
+        )
+        assert describe_cols(GOLDEN_BODY_V2) == (
+            2, [("i8", 2), ("f64", 16), ("str/u8", 5)]
         )
         with pytest.raises(ProtocolError, match="truncated"):
             describe_cols(GOLDEN_BODY[:20])
 
-    def test_every_truncation_raises(self):
-        for cut in range(len(GOLDEN_BYTES_BODY)):
+    @pytest.mark.parametrize(
+        "body", [GOLDEN_BYTES_BODY, GOLDEN_BYTES_BODY_V2, GOLDEN_DICT_BODY]
+    )
+    def test_every_truncation_raises(self, body):
+        for cut in range(len(body)):
             with pytest.raises(ProtocolError):
-                unpack_cols(GOLDEN_BYTES_BODY[:cut])
+                unpack_cols(body[:cut])
 
     def test_length_table_mismatch_rejected(self):
         body = bytearray(GOLDEN_BYTES_BODY)
@@ -123,7 +181,7 @@ class TestBytesColumn:
 
     def test_lone_column_block_round_trips(self):
         block = pack_column(GOLDEN_BYTES_COLUMN)
-        assert block == GOLDEN_BYTES_BODY[15:]
+        assert block == GOLDEN_BYTES_BODY_V2[15:]
         padded = b"\xaa" + block + b"\xbb"
         values, end = read_column(padded, 1, 3)
         assert (values, end) == (GOLDEN_BYTES_COLUMN, len(padded) - 1)
@@ -159,7 +217,8 @@ class TestRoundTrip:
             kind, nbytes = head.unpack_from(body, offset)
             kinds.append(kind)
             offset += head.size + nbytes
-        assert kinds == [COL_I64, COL_F64, COL_STR, COL_TAGGED]
+        # Low nibble the kind, high nibble the width shrink: i8, str/u8.
+        assert kinds == [COL_I64 | 3 << 4, COL_F64, COL_STR | 2 << 4, COL_TAGGED]
 
     def test_out_of_range_int_falls_back_to_tagged(self):
         (col,), _, _ = unpack_cols(pack_cols([[1 << 70, 2]]))
@@ -268,3 +327,257 @@ class TestUnpackValidation:
         )
         with pytest.raises(ProtocolError, match="i64 column"):
             unpack_cols(body)
+
+
+# -- typed encodings: widths from the values, the dictionary iff smaller ------------
+
+_HEAD = struct.calcsize("!BQIH")
+
+
+def lone_kind(values) -> tuple[int, int]:
+    """``(kind byte, payload bytes)`` of the one-column batch of ``values``."""
+    kind, nbytes = struct.unpack_from("!BI", pack_cols([values]), _HEAD)
+    return kind, nbytes
+
+
+def round_trips(values) -> None:
+    (back,), _seq, count = unpack_cols(pack_cols([values]))
+    assert count == len(values)
+    assert list(map(type, back)) == list(map(type, values))
+    assert list(map(repr, back)) == list(map(repr, values))
+
+
+def str_sizes(values) -> tuple[int, int, int]:
+    """``(plain bytes, dictionary bytes, entries)`` by the documented layout."""
+    encoded = [value.encode("utf-8") for value in values]
+    longest = max(map(len, encoded))
+    width = 1 if longest < 256 else 2 if longest < 65536 else 4
+    table = list(dict.fromkeys(encoded))
+    codes = 1 if len(table) <= 256 else 2 if len(table) <= 65536 else 4
+    plain = width * len(values) + sum(map(len, encoded))
+    packed = (
+        4 + 5 + width * len(table) + sum(map(len, table)) + codes * len(values)
+    )
+    return plain, packed, len(table)
+
+
+INT_EDGES = [
+    0, 1, -1, 127, 128, -128, -129, 32767, 32768, -32768, -32769,
+    (1 << 31) - 1, 1 << 31, -(1 << 31), -(1 << 31) - 1,
+    (1 << 63) - 1, -(1 << 63), 1 << 63, -(1 << 63) - 1,
+]
+STR_PARTS = ["", "a", "bc", "é", "日本語", "a" * 255, "a" * 256, "é" * 128,
+             "x" * 65535, "x" * 65536]
+
+
+class TestTypedEncodings:
+    @pytest.mark.parametrize("low, high, kind", [
+        (-128, 127, 0x31), (-129, 0, 0x21), (0, 128, 0x21),
+        (-32768, 32767, 0x21), (-32769, 0, 0x11), (0, 32768, 0x11),
+        (-(1 << 31), (1 << 31) - 1, 0x11), (-(1 << 31) - 1, 0, 0x01),
+        (0, 1 << 31, 0x01), (-(1 << 63), (1 << 63) - 1, 0x01),
+        (0, 1 << 63, COL_TAGGED), (-(1 << 63) - 1, 0, COL_TAGGED),
+    ])
+    def test_int_width_is_the_narrowest_that_holds_min_and_max(
+        self, low, high, kind
+    ):
+        values = [low, 0, high]
+        assert lone_kind(values)[0] == kind
+        if kind != COL_TAGGED:
+            assert lone_kind(values)[1] == 3 * (8 >> (kind >> 4))
+        round_trips(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(INT_EDGES), max_size=12))
+    def test_int_columns_round_trip_at_every_boundary(self, values):
+        round_trips(values)
+        if values and -(1 << 63) <= min(values) and max(values) < 1 << 63:
+            kind, nbytes = lone_kind(values)
+            assert kind & 15 == COL_I64
+            width = nbytes // len(values)
+            top = 1 << (8 * width - 1)
+            assert -top <= min(values) and max(values) < top
+            # ... and the next width down would not have held them.
+            assert width == 1 or not (
+                -(1 << (4 * width - 1)) <= min(values)
+                and max(values) < 1 << (4 * width - 1)
+            )
+
+    def test_bool_float_and_empty_columns_keep_their_kinds(self):
+        assert lone_kind([True, False])[0] == COL_TAGGED
+        assert lone_kind([1, True])[0] == COL_TAGGED
+        assert lone_kind([])[0] == COL_TAGGED
+        assert lone_kind([1.0, 2.0]) == (COL_F64, 16)
+        for values in ([True, False], [1, True], [], [0.0, -0.0]):
+            round_trips(values)
+
+    @pytest.mark.parametrize("longest, shrink", [
+        (0, 2), (255, 2), (256, 1), (65535, 1), (65536, 0),
+    ])
+    def test_length_table_width_follows_the_longest_entry(self, longest, shrink):
+        for base, values in (
+            (COL_STR, ["a" * longest, "b"]),
+            (COL_BYTES, [b"a" * longest, b"b"]),
+        ):
+            kind, nbytes = lone_kind(values)
+            assert kind == base | shrink << 4
+            assert nbytes == 2 * (4 >> shrink) + longest + 1
+            round_trips(values)
+
+    def test_length_width_counts_bytes_not_characters(self):
+        assert lone_kind(["é" * 127])[0] == COL_STR | 2 << 4  # 254 bytes
+        assert lone_kind(["é" * 128])[0] == COL_STR | 1 << 4  # 256 bytes
+        round_trips(["é" * 128, "", "日本語"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(STR_PARTS), min_size=1, max_size=40))
+    def test_dictionary_is_chosen_iff_it_is_smaller(self, values):
+        plain, packed, entries = str_sizes(values)
+        kind, nbytes = lone_kind(values)
+        assert nbytes == min(plain, packed)
+        assert (kind & 15 == COL_DICT) == (packed < plain)
+        if kind & 15 == COL_DICT:
+            assert describe_cols(pack_cols([values]))[1][0][0] == (
+                f"dict[{entries}]/u8"
+            )
+        round_trips(values)
+
+    @pytest.mark.parametrize("entries, shrink", [
+        (2, 2), (256, 2), (257, 1), (65536, 1), (65537, 0),
+    ])
+    def test_code_width_follows_the_table_size(self, entries, shrink):
+        table = [format(i, "012x") for i in range(entries)]
+        values = table * 3 if entries > 2 else table * 12
+        kind, nbytes = lone_kind(values)
+        assert kind == COL_DICT | shrink << 4
+        assert nbytes == str_sizes(values)[1]
+        body = pack_cols([values])
+        assert describe_cols(body)[1][0][0] == f"dict[{entries}]/u{32 >> shrink}"
+        (back,), _seq, _count = unpack_cols(body)
+        assert back == values
+        # Equal entries decode to one shared str object per distinct value.
+        assert back[0] is back[entries]
+
+    def test_a_column_of_distinct_strings_stays_plain(self):
+        values = [format(i, "05x") for i in range(300)]
+        assert lone_kind(values) == (COL_STR | 2 << 4, 300 * 6)
+
+    def test_equal_columns_pack_to_equal_bytes(self):
+        a = ["x" + str(i % 7) for i in range(50)]
+        b = ["x" + str(i % 7) for i in range(50)]  # equal, not identical
+        assert pack_cols([a, list(range(50))]) == pack_cols([b, list(range(50))])
+
+
+#: A batch with every narrow encoding in it, and (too many rows for the
+#: first) a dictionary wide enough for u16 codes.
+EVERY_KIND_COLS = [
+    [1, -2, 3, 4, 5, 6],                          # i8
+    [1, -200, 3, 4, 5, 6],                        # i16
+    [1, -70000, 3, 4, 5, 6],                      # i32
+    [1, -(1 << 40), 3, 4, 5, 6],                  # i64
+    [1.5, -0.0, math.inf, 4.0, 5.0, 6.0],         # f64
+    ["a", "", "é", "bc", "日本", "f"],            # str/u8
+    ["a" * 256, "", "é", "bc", "d", "f"],         # str/u16
+    [b"a", b"", b"\xff\x00", b"bc", b"d", b"f"],  # bytes/u8
+    [b"a" * 256, b"", b"\xff", b"bc", b"d", b"f"],  # bytes/u16
+    ["tcp", "udp", "tcp", "tcp", "udp", "tcp"],   # dict/u8
+    [None, True, 1 << 70, "s", 2.5, (1, "t")],    # tagged
+]
+EVERY_KIND_NAMES = [
+    "i8", "i16", "i32", "i64", "f64", "str/u8", "str/u16", "bytes/u8",
+    "bytes/u16", "dict[2]/u8", "tagged",
+]
+WIDE_DICT_COLS = [[format(i % 257, "03x") for i in range(3 * 257)]]
+
+
+class TestRowPicks:
+    def test_the_fixture_holds_every_encoding(self):
+        names = [name for name, _size in describe_cols(pack_cols(EVERY_KIND_COLS))[1]]
+        assert names == EVERY_KIND_NAMES
+        assert describe_cols(pack_cols(WIDE_DICT_COLS))[1][0][0] == "dict[257]/u16"
+
+    @pytest.mark.parametrize("cols", [EVERY_KIND_COLS, WIDE_DICT_COLS])
+    def test_picked_rows_equal_the_whole_decode_indexed(self, cols):
+        body = pack_cols(cols)
+        whole = unpack_cols(body)[0]
+        count = len(cols[0])
+        with memoryview(body) as view:
+            _count, _seq, blocks = open_cols(view)
+            for rows in ([], [0], [count - 1], [3, 1, 1, 4], list(range(count))):
+                for block, column in zip(blocks, whole):
+                    picked = block_values(view, block, count, rows)
+                    assert list(map(repr, picked)) == [
+                        repr(column[row]) for row in rows
+                    ]
+
+    def test_version_1_blocks_pick_rows_the_same_way(self):
+        with memoryview(GOLDEN_BODY) as view:
+            count, _seq, blocks = open_cols(view)
+            picked = [block_values(view, block, count, [1]) for block in blocks]
+        assert picked == [[-2], [-0.25], ["bc"]]
+
+
+class TestHostileTypedBatches:
+    """Truncate a batch of every encoding at every byte, and overwrite
+    every byte with 0x01 / 0x80 / 0xFF: each decode ends in columns of
+    the declared shape or :class:`ProtocolError` — never another
+    exception, and never an allocation sized by a lying count."""
+
+    @pytest.mark.parametrize("cols", [EVERY_KIND_COLS, WIDE_DICT_COLS])
+    def test_damage_is_refused_or_decoded_never_a_crash(self, cols):
+        body = pack_cols(cols)
+        assert list(map(repr, unpack_cols(body)[0])) == list(map(repr, cols))
+        tracemalloc.start()
+        try:
+            for cut in range(len(body)):
+                with pytest.raises(ProtocolError):
+                    unpack_cols(body[:cut])
+            for index in range(len(body)):
+                for byte in (0x01, 0x80, 0xFF):
+                    damaged = bytearray(body)
+                    damaged[index] = byte
+                    try:
+                        decoded, _seq, count = unpack_cols(bytes(damaged))
+                    except ProtocolError:
+                        continue
+                    assert all(len(col) == count for col in decoded)
+                    if byte == body[index]:
+                        assert list(map(repr, decoded)) == list(map(repr, cols))
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_a_lying_entries_count_is_refused_before_the_table_is_read(self):
+        body = bytearray(GOLDEN_DICT_BODY)
+        at = body.index(bytes.fromhex("00000002"), _HEAD)
+        body[at:at + 4] = b"\xff\xff\xff\xff"
+        with pytest.raises(ProtocolError, match="length table"):
+            unpack_cols(bytes(body))
+
+    def test_a_code_beyond_the_table_is_refused(self):
+        body = bytearray(GOLDEN_DICT_BODY)
+        body[-1] = 2  # two entries: codes 0 and 1
+        with pytest.raises(ProtocolError, match="code beyond its 2 entries"):
+            unpack_cols(bytes(body))
+
+    def test_a_code_width_that_lies_is_refused(self):
+        body = bytearray(GOLDEN_DICT_BODY)
+        body[_HEAD] = COL_DICT | 1 << 4  # u16 codes over twelve u8 bytes
+        with pytest.raises(ProtocolError, match="12 code bytes for 12 rows"):
+            unpack_cols(bytes(body))
+
+    def test_a_dictionary_table_must_be_a_str_block(self):
+        body = bytearray(GOLDEN_DICT_BODY)
+        body[_HEAD + 5 + 4] = COL_BYTES | 2 << 4
+        with pytest.raises(ProtocolError, match="table has kind"):
+            unpack_cols(bytes(body))
+
+    @pytest.mark.parametrize("kind", [
+        0x41, 0x12, 0x33, 0x14, 0x35, 0x36, 0x07, 0x00, 0xF1,
+    ])
+    def test_a_shrink_no_kind_has_is_an_unknown_kind(self, kind):
+        body = bytearray(GOLDEN_BODY_V2)
+        body[_HEAD] = kind
+        with pytest.raises(ProtocolError, match=f"unknown column kind {kind}"):
+            unpack_cols(bytes(body))

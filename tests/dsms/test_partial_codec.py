@@ -122,7 +122,10 @@ GOLDEN_SQL = (
     "from TCP group by time/60 as tb, destIP"
 )
 GOLDEN_ROWS = [(61, "h1", 40), (62, "h2", 1500), (63, "h1", 40)]
-#: Scalar + sketch aggregates over two groups, bucket 1 still open.
+#: Scalar + sketch aggregates over two groups, bucket 1 still open — as
+#: the commits before typed column encodings wrote it (every int 8 bytes,
+#: every length 4).  Such blobs sit in ``checkpoint.bin`` files: pinned
+#: decode-only, byte for byte.
 GOLDEN_BLOB = bytes.fromhex(
     "0200000000000000030000000000000003000000000000000000000002000401"
     "000303000000a70000008a00000004000000060000000353454c454354207462"
@@ -143,6 +146,27 @@ GOLDEN_BLOB = bytes.fromhex(
     "697479746f74616c636f756e7465727300036400000000000000050000000000"
     "00f03f0701000000000703000000000702000000000603000000696e7403dc05"
     "0000000000000301000000000000000300000000000000000542f090"
+)
+#: The same state as the writer lays it out now: same framing, the column
+#: blocks at the widths the values need (i8, str/u8, bytes/u8).
+GOLDEN_BLOB_TYPED = bytes.fromhex(
+    "0200000000000000030000000000000003000000000000000000000002000401"
+    "0003230000009b8a04060353454c4543542074622041532074622c2064657374"
+    "4950204153206465737449502c20636f756e74282a2920415320632c2073756d"
+    "286c656e2920415320732c20756e6172795f6868286c656e2920415320686820"
+    "46524f4d205443502047524f5550204259202874696d65202f20363029204153"
+    "2074622c206465737449502041532064657374495074696d656465737449506c"
+    "656e31000000010131000000030101ff02000000000000000000000002000531"
+    "0000000201012300000006020268316832310000000202010200000010405400"
+    "0000000000409770000000000025000000f67a7a0211756e6172795f73706163"
+    "65736176696e67080300000007020805086361706163697479746f74616c636f"
+    "756e746572730003640000000000000005000000000000004007010000000007"
+    "03000000000702000000000603000000696e7403280000000000000003020000"
+    "00000000000300000000000000000211756e6172795f7370616365736176696e"
+    "67080300000007020805086361706163697479746f74616c636f756e74657273"
+    "0003640000000000000005000000000000f03f07010000000007030000000007"
+    "02000000000603000000696e7403dc0500000000000003010000000000000003"
+    "00000000000000009662f66e"
 )
 #: The same state as the commit before packed summary buffers wrote it:
 #: identical framing, the two ``unary_hh`` buffers in the version-1 (JSON)
@@ -181,11 +205,14 @@ def golden_engine(rows=()) -> QueryEngine:
 
 class TestGoldenBytes:
     def test_writer_matches_fixture(self):
-        assert golden_engine(GOLDEN_ROWS).partial_state_bytes() == GOLDEN_BLOB
+        blob = golden_engine(GOLDEN_ROWS).partial_state_bytes()
+        assert blob == GOLDEN_BLOB_TYPED
+        assert len(GOLDEN_BLOB) - len(blob) == 80
 
-    def test_fixture_decodes_to_the_source_state(self):
+    @pytest.mark.parametrize("blob", [GOLDEN_BLOB, GOLDEN_BLOB_TYPED])
+    def test_fixture_decodes_to_the_source_state(self, blob):
         restored = golden_engine()
-        restored.merge_partial(GOLDEN_BLOB)
+        restored.merge_partial(blob)
         source = golden_engine(GOLDEN_ROWS)
         assert restored.tuples_processed == 3
         # The open bucket was adopted, not emitted; the next bucket's
@@ -200,7 +227,7 @@ class TestGoldenBytes:
         restored = golden_engine()
         restored.merge_partial(GOLDEN_BLOB_V1_SUMMARIES)
         # Read, never written: re-encoded, the buffers are today's layout.
-        assert restored.partial_state_bytes() == GOLDEN_BLOB
+        assert restored.partial_state_bytes() == GOLDEN_BLOB_TYPED
         assert restored.flush() == golden_engine(GOLDEN_ROWS).flush()
 
     def test_describe_reads_the_fixture(self):
@@ -209,9 +236,17 @@ class TestGoldenBytes:
         assert (info["groups"], info["bytes"]) == (2, len(GOLDEN_BLOB))
         assert info["open_bucket"] == [1]
         assert info["slots"] == [1, 1, -1]
-        assert [kind for kind, _size in info["columns"]] == [
-            "i64", "str", "i64", "f64", "bytes"
+        assert info["columns"] == [
+            ("i64", 16), ("str/u32", 12), ("i64", 16), ("f64", 16),
+            ("bytes/u32", 252),
         ]
+        typed = describe_partial_state(GOLDEN_BLOB_TYPED)
+        assert typed["columns"] == [
+            ("i8", 2), ("str/u8", 6), ("i8", 2), ("f64", 16), ("bytes/u8", 246),
+        ]
+        assert {k: v for k, v in typed.items() if k not in ("bytes", "columns")} == {
+            k: v for k, v in info.items() if k not in ("bytes", "columns")
+        }
         # The summary slot, named from its buffers' heads — either layout.
         assert info["summaries"] == [
             {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 244}

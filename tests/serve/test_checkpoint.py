@@ -216,15 +216,29 @@ GOLDEN_IMAGE = bytes.fromhex(
     "0273746174652d61" "0262"
     "80c8e28f"                         # crc32 of everything above
 )
+#: The same checkpoint as the writer lays it out now: both length tables at
+#: u8.  GOLDEN_IMAGE is what files on disk hold, and must keep reading back.
+GOLDEN_IMAGE_NARROW = bytes.fromhex(
+    "4644434b" "02" "0003" "00000003"  # "FDCK", v2, 3 texts, 3 blobs
+    "23" "00000033"                    # texts: str/u8 column, 51 bytes
+    "2b" "04" "01"                     # byte lengths
+    "73656c656374206b2c20636f756e74282a2920617320632066726f6d2054435020"
+    "67726f7570206279206b" "74696d65" "6b"
+    "25" "0000000d"                    # blobs: bytes/u8 column, 13 bytes
+    "08" "00" "02"
+    "0273746174652d61" "0262"
+    "7534135e"                         # crc32 of everything above
+)
 
 
 class TestCheckpointBytes:
     def test_writer_matches_fixture(self):
         image = dump_partials_checkpoint(GOLDEN_SQL, GOLDEN_SCHEMA, GOLDEN_BLOBS)
-        assert image == GOLDEN_IMAGE
+        assert image == GOLDEN_IMAGE_NARROW
 
-    def test_fixture_reads_back(self):
-        assert read_partials_checkpoint(GOLDEN_IMAGE) == (
+    @pytest.mark.parametrize("image", [GOLDEN_IMAGE, GOLDEN_IMAGE_NARROW])
+    def test_fixture_reads_back(self, image):
+        assert read_partials_checkpoint(image) == (
             GOLDEN_SQL, GOLDEN_SCHEMA, GOLDEN_BLOBS
         )
 

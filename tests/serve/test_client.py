@@ -193,7 +193,7 @@ def frame(ftype, **payload) -> bytes:
     return protocol.encode_frame(ftype, payload)
 
 
-WELCOME = frame(protocol.WELCOME, credits=2, wire_version=3, query="q")
+WELCOME = frame(protocol.WELCOME, credits=2, wire_version=4, query="q")
 ERROR = frame(protocol.ERROR, code="bad-rows", message="arity")
 CREDIT = frame(protocol.CREDIT, credits=1, seq=1)
 RESULT = frame(protocol.RESULT, rows=[])

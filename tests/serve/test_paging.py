@@ -300,6 +300,40 @@ class TestQueryFailures:
                 probe.flush()
                 assert probe.query()
 
+    def test_unexpected_exception_in_a_push_ends_only_that_subscription(
+        self, caplog
+    ):
+        with serve() as server:
+            def broken():
+                raise RuntimeError("boom")
+
+            with ServeClient(server.host, server.port) as client:
+                client.insert(make_rows(20))
+                client.flush()
+                window = (client.credits, client.window)
+                server.server.backend.query = broken
+                client.subscribe(0.01, count=3)
+                with pytest.raises(RemoteError) as excinfo:
+                    client.results(1)
+                assert excinfo.value.code == "internal-error"
+                assert "RuntimeError: boom" in str(excinfo.value)
+                assert not client.has_pushes()
+                del server.server.backend.query
+                # Same connection, same credit window: an acked insert
+                # completes and a direct query answers.
+                client.insert(make_rows(20, start=200))
+                report = client.flush()
+                assert list(report["outcomes"].values()) == ["acked"]
+                assert (client.credits, client.window) == window
+                assert len(client.query()) > 0
+                # Counted and logged like a direct request's failure; the
+                # subscription ended at its first tick.
+                block = client.stats()["server"]
+                assert block["errors_total"] == 1
+                assert block["queries_total"] == 2
+            assert "subscription 1 push failed" in caplog.text
+            assert "RuntimeError: boom" in caplog.text
+
 
 class TestReadCounters:
     def test_stats_block_and_registry_count_reads(self):

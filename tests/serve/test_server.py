@@ -10,7 +10,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ParameterError
-from repro.serve import RemoteError, ServeClient, StreamServer, ThreadedServer, build_backend
+from repro.serve import (
+    RemoteError,
+    ServeClient,
+    StreamServer,
+    ThreadedServer,
+    build_backend,
+    protocol,
+)
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows, serve
 
@@ -182,6 +189,33 @@ class TestStats:
         assert "serve.ingest.rows" in metric_names
         assert "serve.frame.INSERT_COLS.us" in metric_names
         assert "serve.frame.QUERY.us" in metric_names
+
+    def test_stats_count_insert_cols_body_bytes(self):
+        from repro.obs.registry import MetricsRegistry, format_snapshot
+
+        batches = [make_rows(64), make_rows(32, start=400)]
+        bodies = [
+            protocol.pack_cols(protocol.rows_to_cols(batch), seq=seq)
+            for seq, batch in enumerate(batches)
+        ]
+        metrics = MetricsRegistry(enabled=True)
+        server = StreamServer(build_backend(SQL, PACKET_SCHEMA), metrics=metrics)
+        with ThreadedServer(server) as threaded:
+            with ServeClient(threaded.host, threaded.port) as client:
+                for batch in batches:
+                    client.insert(batch)
+                client.flush()
+                client.query()  # not an insert: not counted
+                stats = client.stats()
+        block = stats["server"]
+        # The packed batches as received, so bytes / rows is the wire cost
+        # of a row on this server (well under a JSON row's).
+        assert block["insert_bytes_total"] == sum(map(len, bodies))
+        assert block["rows_total"] == 96
+        assert block["insert_bytes_total"] / block["rows_total"] < 40
+        mirrored = stats["metrics"]["metrics"]["serve.ingest.bytes"]
+        assert mirrored["raw_total"] == block["insert_bytes_total"]
+        assert "serve.ingest.bytes" in format_snapshot(metrics.snapshot())
 
     def test_stats_without_metrics_registry(self):
         with serve() as server:

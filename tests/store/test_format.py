@@ -6,7 +6,10 @@ Two guarantees pinned here:
   byte-for-byte stable.  Any codec change that alters bytes on disk —
   intentional or not — fails these tests and forces a version bump plus
   a ``repro store upgrade`` path instead of a silent format fork that
-  strands existing segments.  (The version-1 and version-2 golden
+  strands existing segments.  (Typed column encodings changed the bytes
+  of a page's batch, not the format: the older kinds are the widest case
+  of the new ones, so ``GOLDEN`` stays as a decode-only fixture beside the
+  writer's ``GOLDEN_TYPED``.  The version-1 and version-2 golden
   segments this file used to pin are now fixtures of
   ``tests/store/test_upgrade.py``.)
 
@@ -65,6 +68,27 @@ GOLDEN = (
     "5d5d5d5d2800000099b034d60300000003000000070000000000000010010000"
     "0400000061000000010000006e00000002000000e40100000000000047455352"
 )
+#: The same pages as the writer lays them out now — the page batches use
+#: the typed column encodings (i8 states, str/u8 keys, a bytes/u8 summary
+#: column); the framing and the segment version are unchanged.  GOLDEN is
+#: what sits on users' disks and is pinned decode-only.
+GOLDEN_TYPED = (
+    "5253454703c4000000f7dc5d3002000200040000000200010002000000000000"
+    "0000000000040005040000004c5b5b22696e74222c375d2c5b226c6974657261"
+    "6c222c6e756c6c5d2c5b226c69746572616c222c747275655d2c5b22696e7422"
+    "2c313138303539313632303731373431313330333432345d5d230000001c0706"
+    "0704682d616c706861682d62657461682d67616d6d61682dceb4310000000403"
+    "0001020200000020404440000000000080000000000000007ff0000000000000"
+    "7e37e43c8800759c3100000004010203044f000000ab56086201000200010000"
+    "000100ffff020000000000000000000000010003020000000840040000000000"
+    "00310000000109250000001c1b02036162632d6f70617175652d73756d6d6172"
+    "792d62756666657260000000a22e86f00100010002000000feff020000000000"
+    "00000000000002000223000000040101616204000000395b5b226c697374222c"
+    "5b5b22696e74222c315d2c5b22666c6f6174222c322e305d5d5d2c5b226c6973"
+    "74222c5b5b22696e74222c315d5d5d5d28000000ceada4860300000003000000"
+    "0700000000000000cc0000000400000057000000010000006800000002000000"
+    "900100000000000047455352"
+)
 
 
 def build_segment(path: str) -> str:
@@ -92,15 +116,16 @@ class TestGoldenBytes:
         path = build_segment(str(tmp_path / "g.seg"))
         with open(path, "rb") as handle:
             data = handle.read()
-        assert data == binascii.unhexlify(GOLDEN), binascii.hexlify(data)
+        assert data == binascii.unhexlify(GOLDEN_TYPED), binascii.hexlify(data)
 
-    def test_golden_bytes_decode_to_the_source_rows(self, tmp_path):
+    @pytest.mark.parametrize("golden", [GOLDEN, GOLDEN_TYPED])
+    def test_golden_bytes_decode_to_the_source_rows(self, tmp_path, golden):
         # The inverse direction: committed bytes (not freshly written
         # ones) must still decode — this is what protects segments
         # already on users' disks.
         path = str(tmp_path / "g.seg")
         with open(path, "wb") as handle:
-            handle.write(binascii.unhexlify(GOLDEN))
+            handle.write(binascii.unhexlify(golden))
         reader = SegmentReader(path)
         assert reader.version == 3
         assert reader.records == 7

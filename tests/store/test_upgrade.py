@@ -84,8 +84,8 @@ STORES = {
 }
 
 
-def unpack(name: str, tmp_path) -> str:
-    with tarfile.open(os.path.join(FIXTURES, name + ".tar.gz")) as tar:
+def unpack(name: str, tmp_path, fixtures: str = FIXTURES) -> str:
+    with tarfile.open(os.path.join(fixtures, name + ".tar.gz")) as tar:
         if hasattr(tarfile, "data_filter"):  # 3.12, and the security backports
             tar.extractall(tmp_path, filter="data")
         else:
