@@ -44,21 +44,24 @@ The contract:
     summary's registered type name, then its state payload packed by
     :mod:`repro.core.tree`.  Subclasses implement the payload hooks
     ``_state_payload`` / ``_from_payload`` — a JSON-compatible tree, so
-    no class writes a layout — and randomized summaries capture their RNG
-    state so a restored sampler continues the exact random sequence of
-    the original.  Version-1 buffers (a JSON body, still inside segment
-    records and checkpoints on disk) are read, never written.
+    no class writes a layout — and randomized summaries capture their
+    generator (two ints, see :mod:`repro.core.keyed_random`) so a restored
+    sampler continues the exact random sequence of the original.
+    Version-1 buffers (a JSON body, still inside segment records and
+    checkpoints on disk) are read, never written.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import re
 from abc import ABC
 from typing import Any, ClassVar, Sequence
 
 from repro.core.errors import MergeError, ParameterError
+from repro.core.keyed_random import KeyedRandom
 from repro.core.tree import pack_tree, unpack_tree
 
 __all__ = [
@@ -127,21 +130,30 @@ def untag_key(tag: Sequence) -> Any:
     raise ParameterError(f"unknown key tag {kind!r}")
 
 
-def dump_rng_state(rng) -> list:
-    """``random.Random`` (or its ``getstate()`` tuple) → JSON-encodable list."""
-    state = rng.getstate() if hasattr(rng, "getstate") else rng
-    version, internal, gauss_next = state
-    return [version, list(internal), encode_number(gauss_next) if gauss_next is not None else None]
+def dump_rng_state(rng: KeyedRandom) -> list:
+    """A sampler's generator as its whole state: ``[key, words drawn]``."""
+    return [rng.key, rng.words]
 
 
-def load_rng_state(data: Sequence) -> tuple:
-    """Inverse of :func:`dump_rng_state`, for ``random.Random.setstate``."""
-    version, internal, gauss_next = data
-    return (
-        version,
-        tuple(internal),
-        decode_number(gauss_next) if gauss_next is not None else None,
-    )
+def load_rng_state(data: Sequence) -> KeyedRandom:
+    """Inverse of :func:`dump_rng_state`.
+
+    Buffers written before the keyed generator hold a Mersenne Twister's
+    ``[3, [625 words], gauss_next]`` instead.  Such a state keys a new
+    generator with its next 63 bits: the same old buffer always continues
+    the same way, and what is written back is the two-int form.
+    """
+    if len(data) == 3:
+        version, internal, gauss_next = data
+        twister = random.Random(0)
+        twister.setstate((
+            version,
+            tuple(internal),
+            decode_number(gauss_next) if gauss_next is not None else None,
+        ))
+        return KeyedRandom.from_rng(twister)
+    key, words = data
+    return KeyedRandom(key, words)
 
 
 # -- the protocol ------------------------------------------------------------------

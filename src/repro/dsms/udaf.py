@@ -24,10 +24,10 @@ aggregate.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 
 from repro.core.errors import EmptySummaryError, MergeError, QueryError
+from repro.core.keyed_random import KEY_BITS, KeyedRandom
 from repro.sampling.aggarwal import AggarwalBiasedReservoir
 from repro.sampling.priority import PrioritySampler
 from repro.sampling.reservoir import ReservoirSampler
@@ -581,9 +581,18 @@ class _SeededSamplerUdaf(Udaf):
         self.seed = seed
         self._counter = 0
 
-    def _next_rng(self) -> random.Random:
+    def _next_rng(self) -> KeyedRandom:
         self._counter += 1
-        return random.Random(self.seed * 1_000_003 + self._counter)
+        return KeyedRandom(
+            (self.seed * 1_000_003 + self._counter) % (1 << KEY_BITS)
+        )
+
+    def update_many(self, state, args_batch: list[tuple]) -> None:
+        # Transposed into columns so the sampler's own batch kernel runs.
+        if args_batch:
+            state.update_many(*(
+                [args[i] for args in args_batch] for i in range(self.arity)
+            ))
 
 
 class PrioritySampleUdaf(_SeededSamplerUdaf):

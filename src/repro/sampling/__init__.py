@@ -12,8 +12,14 @@
   art for exponential-decay sampling that Corollary 1 improves on;
 * :mod:`repro.sampling.estimators` — estimating decayed aggregates from
   samples, plus distribution-test helpers.
+
+Every sampler draws from a :class:`~repro.core.keyed_random.KeyedRandom`,
+a generator whose whole serialized state is ``(key, words drawn)``; the
+``rng=`` each constructor takes is used as is when it is one, and asked
+once for a 63-bit key otherwise.
 """
 
+from repro.core.keyed_random import KeyedRandom
 from repro.sampling.aggarwal import AggarwalBiasedReservoir
 from repro.sampling.estimators import (
     chi_square_statistic,
@@ -35,6 +41,7 @@ from repro.sampling.weighted_reservoir import (
 from repro.sampling.with_replacement import DecayedSamplerWithReplacement
 
 __all__ = [
+    "KeyedRandom",
     "ReservoirSampler",
     "SingleItemWithReplacementSampler",
     "DecayedSamplerWithReplacement",

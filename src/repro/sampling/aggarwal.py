@@ -25,14 +25,15 @@ import random
 from typing import Generic, TypeVar
 
 from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.keyed_random import KeyedRandom
 from repro.core.protocol import (
     StreamSummary,
     dump_rng_state,
     load_rng_state,
     tag_key,
-    untag_key,
 )
 from repro.core.registry import register_summary
+from repro.sampling.reservoir import restored_reservoir
 
 __all__ = ["AggarwalBiasedReservoir"]
 
@@ -62,7 +63,7 @@ class AggarwalBiasedReservoir(StreamSummary, Generic[T]):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
         self.k = k
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = KeyedRandom.from_rng(rng)
         self._reservoir: list[T] = []
         self._seen = 0
 
@@ -79,9 +80,12 @@ class AggarwalBiasedReservoir(StreamSummary, Generic[T]):
     def update(self, item: T) -> None:
         """Offer the next stream item (arrival order *is* its timestamp)."""
         self._seen += 1
+        # One draw decides both: u * k < fill happens with probability
+        # fill / k, and given that, int(u * k) is uniform on the slots.
         fill = len(self._reservoir)
-        if fill and self._rng.random() < fill / self.k:
-            self._reservoir[self._rng.randrange(fill)] = item
+        slot = int(self._rng.random() * self.k) if fill else fill
+        if slot < fill:
+            self._reservoir[slot] = item
         else:
             self._reservoir.append(item)
 
@@ -115,8 +119,7 @@ class AggarwalBiasedReservoir(StreamSummary, Generic[T]):
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "AggarwalBiasedReservoir":
-        sampler = cls(payload["k"])
+        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
         sampler._seen = payload["seen"]
-        sampler._reservoir = [untag_key(tag) for tag in payload["reservoir"]]
-        sampler._rng.setstate(load_rng_state(payload["rng"]))
+        sampler._reservoir = restored_reservoir(sampler.k, payload["reservoir"])
         return sampler

@@ -27,6 +27,7 @@ from typing import Callable, Generic, Hashable, NamedTuple, TypeVar
 
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.keyed_random import KeyedRandom
 from repro.core.protocol import (
     StreamSummary,
     decode_number,
@@ -37,6 +38,7 @@ from repro.core.protocol import (
     untag_key,
 )
 from repro.core.registry import register_summary
+from repro.sampling.weighted_reservoir import batch_log_weights, restored_heap
 
 __all__ = ["PrioritySampler", "PrioritySample", "estimate_decayed_sum"]
 
@@ -73,7 +75,7 @@ class PrioritySampler(StreamSummary, Generic[T]):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
         self.k = k
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = KeyedRandom.from_rng(rng)
         # Min-heap of (log_priority, tiebreak, item, log_weight): the root
         # is the lowest-priority retained item.
         self._heap: list[tuple[float, int, T, float]] = []
@@ -102,10 +104,7 @@ class PrioritySampler(StreamSummary, Generic[T]):
         if math.isnan(log_weight):
             raise ParameterError("log_weight must not be NaN")
         self._seen += 1
-        u = self._rng.random()
-        while u <= 0.0:  # pragma: no cover - random() is [0, 1)
-            u = self._rng.random()
-        log_priority = log_weight - math.log(u)
+        log_priority = log_weight - math.log(1.0 - self._rng.random())
         self._tiebreak += 1
         entry = (log_priority, self._tiebreak, item, log_weight)
         if len(self._heap) < self.k:
@@ -117,6 +116,35 @@ class PrioritySampler(StreamSummary, Generic[T]):
                 self._log_tau = evicted[0]
         elif log_priority > self._log_tau:
             self._log_tau = log_priority
+
+    def update_many(self, first, second=None) -> None:
+        """Batch ingest: the :meth:`update` step inlined over the columns,
+        its draws taken a block at a time.  Bit-identical to per-item
+        updates — same draws in row order, same heap."""
+        logs = batch_log_weights(first, second)
+        if logs is None:  # the per-item loop says what is wrong, and where
+            return super().update_many(first, second)
+        log = math.log
+        heap = self._heap
+        k = self.k
+        tiebreak = self._tiebreak
+        log_tau = self._log_tau
+        for item, log_weight, u in zip(first, logs, self._rng.randoms(len(logs))):
+            log_priority = log_weight - log(1.0 - u)
+            tiebreak += 1
+            if len(heap) < k:
+                heapq.heappush(heap, (log_priority, tiebreak, item, log_weight))
+            elif log_priority > heap[0][0]:
+                evicted = heapq.heapreplace(
+                    heap, (log_priority, tiebreak, item, log_weight)
+                )[0]
+                if evicted > log_tau:
+                    log_tau = evicted
+            elif log_priority > log_tau:
+                log_tau = log_priority
+        self._seen += len(logs)
+        self._tiebreak = tiebreak
+        self._log_tau = log_tau
 
     def sample(self) -> PrioritySample:
         """The retained items with their log-weights, plus ``ln tau``."""
@@ -177,16 +205,15 @@ class PrioritySampler(StreamSummary, Generic[T]):
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "PrioritySampler":
-        sampler = cls(payload["k"])
+        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
         sampler._seen = payload["seen"]
         sampler._tiebreak = payload["tiebreak"]
         sampler._log_tau = decode_number(payload["log_tau"])
-        sampler._heap = [
+        sampler._heap = restored_heap(sampler.k, [
             (decode_number(log_priority), tiebreak, untag_key(item),
              decode_number(log_weight))
             for log_priority, tiebreak, item, log_weight in payload["heap"]
-        ]
-        sampler._rng.setstate(load_rng_state(payload["rng"]))
+        ])
         return sampler
 
 

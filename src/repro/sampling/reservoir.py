@@ -16,6 +16,7 @@ import random
 from typing import Generic, Iterable, TypeVar
 
 from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.keyed_random import KeyedRandom
 from repro.core.protocol import (
     StreamSummary,
     dump_rng_state,
@@ -28,6 +29,14 @@ from repro.core.registry import register_summary
 __all__ = ["ReservoirSampler", "SingleItemWithReplacementSampler"]
 
 T = TypeVar("T")
+
+
+def restored_reservoir(k: int, tags: list) -> list:
+    """The items of a serialized reservoir, refused if they outnumber
+    ``k`` (a slot past it is never replaced and never leaves)."""
+    if len(tags) > k:
+        raise ParameterError(f"{len(tags)} items in a reservoir of k = {k!r}")
+    return [untag_key(tag) for tag in tags]
 
 
 @register_summary(
@@ -64,7 +73,7 @@ class ReservoirSampler(StreamSummary, Generic[T]):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
         self.k = k
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = KeyedRandom.from_rng(rng)
         self._use_skipping = use_skipping
         self._reservoir: list[T] = []
         self._seen = 0
@@ -85,10 +94,12 @@ class ReservoirSampler(StreamSummary, Generic[T]):
             if self._skip > 0:
                 self._skip -= 1
                 return
-            self._reservoir[self._rng.randrange(self.k)] = item
+            self._reservoir[int(self._rng.random() * self.k)] = item
             self._draw_skip()
         else:
-            slot = self._rng.randrange(self._seen)
+            # One float draw, not randrange: the keyed generator counts
+            # words in Python, and a slot off by 2**-53 is no bias here.
+            slot = int(self._rng.random() * self._seen)
             if slot < self.k:
                 self._reservoir[slot] = item
 
@@ -140,11 +151,13 @@ class ReservoirSampler(StreamSummary, Generic[T]):
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "ReservoirSampler":
-        sampler = cls(payload["k"], use_skipping=payload["use_skipping"])
+        sampler = cls(
+            payload["k"], rng=load_rng_state(payload["rng"]),
+            use_skipping=payload["use_skipping"],
+        )
         sampler._seen = payload["seen"]
         sampler._skip = payload["skip"]
-        sampler._reservoir = [untag_key(tag) for tag in payload["reservoir"]]
-        sampler._rng.setstate(load_rng_state(payload["rng"]))
+        sampler._reservoir = restored_reservoir(sampler.k, payload["reservoir"])
         return sampler
 
 
@@ -165,7 +178,7 @@ class SingleItemWithReplacementSampler(StreamSummary, Generic[T]):
     """
 
     def __init__(self, rng: random.Random | None = None):
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = KeyedRandom.from_rng(rng)
         self._current: T | None = None
         self._seen = 0
 
@@ -201,8 +214,7 @@ class SingleItemWithReplacementSampler(StreamSummary, Generic[T]):
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "SingleItemWithReplacementSampler":
-        sampler = cls()
+        sampler = cls(rng=load_rng_state(payload["rng"]))
         sampler._seen = payload["seen"]
         sampler._current = untag_key(payload["current"])
-        sampler._rng.setstate(load_rng_state(payload["rng"]))
         return sampler

@@ -37,6 +37,7 @@ from typing import Generic, Hashable, TypeVar
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import ExponentialG
+from repro.core.keyed_random import KeyedRandom
 from repro.core.protocol import (
     StreamSummary,
     decode_number,
@@ -52,6 +53,9 @@ __all__ = ["WeightedReservoirSampler", "ExpJumpsReservoirSampler", "decayed_log_
 
 T = TypeVar("T", bound=Hashable)
 
+#: Stands in for a uniform draw of exactly 0.0, whose logarithm is needed.
+_SMALLEST = 5e-324
+
 
 def decayed_log_weight(decay: ForwardDecay, timestamp: float) -> float:
     """``ln g(t_i - L)``, computed overflow-free for exponential ``g``."""
@@ -63,6 +67,28 @@ def decayed_log_weight(decay: ForwardDecay, timestamp: float) -> float:
             f"sampling weights must be positive; g gave {weight!r} at {timestamp!r}"
         )
     return math.log(weight)
+
+
+def batch_log_weights(items, weights) -> list[float] | None:
+    """``ln`` of a column of raw weights, or None unless it pairs with
+    ``items`` and every weight is one :meth:`update` accepts."""
+    if weights is None or len(items) != len(weights):
+        return None
+    try:
+        logs = list(map(math.log, weights))
+    except (ValueError, TypeError):  # zero, negative, not a number
+        return None
+    return logs if all(map(math.isfinite, logs)) else None  # inf, NaN
+
+
+def restored_heap(k: int, heap: list[tuple]) -> list[tuple]:
+    """``heap`` as a restored sampler may trust it: at most ``k`` entries
+    in heap order, or ``heapreplace`` would evict the wrong one."""
+    if len(heap) > k:
+        raise ParameterError(f"{len(heap)} entries in a sample of k = {k!r}")
+    if any(heap[(i - 1) >> 1] > heap[i] for i in range(1, len(heap))):
+        raise ParameterError("sample entries are not in heap order")
+    return heap
 
 
 @register_summary(
@@ -86,7 +112,7 @@ class WeightedReservoirSampler(StreamSummary, Generic[T]):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
         self.k = k
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = KeyedRandom.from_rng(rng)
         # Max-heap on log-key via negation: the root is the *largest*
         # (worst) retained key, evicted first.
         self._heap: list[tuple[float, int, T]] = []
@@ -109,20 +135,35 @@ class WeightedReservoirSampler(StreamSummary, Generic[T]):
         if math.isnan(log_weight):
             raise ParameterError("log_weight must not be NaN")
         self._seen += 1
-        u = self._rng.random()
-        while u <= 0.0:  # pragma: no cover - random() is [0, 1)
-            u = self._rng.random()
-        log_key = math.log(-math.log(u)) - log_weight
-        self._offer(log_key, item)
-
-    def _offer(self, log_key: float, item: T) -> None:
+        u = self._rng.random() or _SMALLEST
         self._tiebreak += 1
-        entry = (-log_key, self._tiebreak, item)
+        # Smallest log-key first: ln(-ln u) - ln w, negated for the heap.
+        entry = (log_weight - math.log(-math.log(u)), self._tiebreak, item)
         if len(self._heap) < self.k:
             heapq.heappush(self._heap, entry)
         elif entry > self._heap[0]:
-            # Smaller log_key than the current worst: replace it.
             heapq.heapreplace(self._heap, entry)
+
+    def update_many(self, first, second=None) -> None:
+        """Batch ingest: the :meth:`update` step inlined over the columns,
+        its draws taken a block at a time.  Bit-identical to per-item
+        updates — same draws in row order, same heap."""
+        logs = batch_log_weights(first, second)
+        if logs is None:  # the per-item loop says what is wrong, and where
+            return super().update_many(first, second)
+        log = math.log
+        heap = self._heap
+        k = self.k
+        tiebreak = self._tiebreak
+        for item, log_weight, u in zip(first, logs, self._rng.randoms(len(logs))):
+            tiebreak += 1
+            entry = (log_weight - log(-log(u or _SMALLEST)), tiebreak, item)
+            if len(heap) < k:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
+        self._seen += len(logs)
+        self._tiebreak = tiebreak
 
     def sample(self) -> list[T]:
         """The current sample, best key first (at most ``k`` items)."""
@@ -159,15 +200,13 @@ class WeightedReservoirSampler(StreamSummary, Generic[T]):
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "WeightedReservoirSampler":
-        sampler = cls(payload["k"])
+        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
         sampler._seen = payload["seen"]
         sampler._tiebreak = payload["tiebreak"]
-        # Entries are stored in heap order, so the invariant survives as-is.
-        sampler._heap = [
+        sampler._heap = restored_heap(sampler.k, [
             (decode_number(neg_key), tiebreak, untag_key(item))
             for neg_key, tiebreak, item in payload["heap"]
-        ]
-        sampler._rng.setstate(load_rng_state(payload["rng"]))
+        ])
         return sampler
 
 
@@ -193,7 +232,7 @@ class ExpJumpsReservoirSampler(StreamSummary, Generic[T]):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
         self.k = k
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = KeyedRandom.from_rng(rng)
         self._heap: list[tuple[float, int, T]] = []  # min-heap on key
         self._tiebreak = 0
         self._seen = 0
@@ -276,13 +315,12 @@ class ExpJumpsReservoirSampler(StreamSummary, Generic[T]):
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "ExpJumpsReservoirSampler":
-        sampler = cls(payload["k"])
+        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
         sampler._seen = payload["seen"]
         sampler._tiebreak = payload["tiebreak"]
         sampler._skip_weight = decode_number(payload["skip_weight"])
-        sampler._heap = [
+        sampler._heap = restored_heap(sampler.k, [
             (decode_number(key), tiebreak, untag_key(item))
             for key, tiebreak, item in payload["heap"]
-        ]
-        sampler._rng.setstate(load_rng_state(payload["rng"]))
+        ])
         return sampler

@@ -27,6 +27,7 @@ from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import PolynomialG
 from repro.core.landmark import OverflowGuard
+from repro.core.keyed_random import KeyedRandom
 from repro.core.protocol import (
     StreamSummary,
     dump_rng_state,
@@ -79,7 +80,7 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
         if s < 1:
             raise ParameterError(f"s must be >= 1, got {s!r}")
         self.s = s
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = KeyedRandom.from_rng(rng)
         self._engine = ForwardWeightEngine(decay, self._scale_state, guard)
         self._weight_total = 0.0
         self._slots: list[T | None] = [None] * s
@@ -140,8 +141,8 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
                 self._min_threshold = min(thresholds)
         else:
             probability = weight / self._weight_total
-            for index in range(self.s):
-                if rng.random() < probability:
+            for index, u in enumerate(rng.randoms(self.s)):
+                if u < probability:
                     slots[index] = item
         self._items += 1
 
@@ -191,6 +192,7 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
         sampler = cls(
             load_decay(payload["decay"]),
             payload["s"],
+            rng=load_rng_state(payload["rng"]),
             use_skipping=payload["use_skipping"],
         )
         sampler._engine.restore_landmark(payload["internal_landmark"])
@@ -199,5 +201,4 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
         sampler._items = payload["items"]
         sampler._next_replace = list(payload["next_replace"])
         sampler._min_threshold = payload["min_threshold"]
-        sampler._rng.setstate(load_rng_state(payload["rng"]))
         return sampler

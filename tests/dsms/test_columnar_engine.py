@@ -120,6 +120,19 @@ QUERIES = [
         "where time = 0 or len / time > 1 group by destIP",
         id="boolean-or-guarded-division",
     ),
+    # Samplers: the batch kernels must take their draws in row order, or
+    # the samples differ.  The tcp group is past 256 rows, so its
+    # generator is re-seeded inside a batch.
+    pytest.param(
+        "select proto, prisamp(srcIP, len) as p, wrsamp(destIP, len) as w "
+        "from TCP group by proto",
+        id="sampler-weighted",
+    ),
+    pytest.param(
+        "select proto, reservoir(destIP) as r, aggsamp(len) as a "
+        "from TCP group by proto",
+        id="sampler-unweighted",
+    ),
 ]
 
 
@@ -160,6 +173,18 @@ class TestBitIdentity:
         expected = reference.flush()
         assert via_rows.flush() == expected
         assert via_cols.flush() == expected
+
+    @pytest.mark.parametrize("sql", QUERIES[-2:])
+    def test_sampler_state_matches_per_tuple_process_to_the_byte(self, sql):
+        # The flushed sample does not show ``log_tau`` or the generator's
+        # position; the state blob does.
+        rows = make_rows()
+        reference, via_cols = engine(sql), engine(sql)
+        for row in rows:
+            reference.process(row)
+        for start in range(0, len(rows), 150):
+            via_cols.insert_cols(to_cols(rows[start : start + 150]))
+        assert via_cols.partial_state_bytes() == reference.partial_state_bytes()
 
     def test_boolean_where_runs_columnar_and_matches_process(self):
         # BooleanOp evaluates masked — operand k only on the rows still

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.core.errors import EmptySummaryError, ParameterError
+from repro.sampling import KeyedRandom
 from repro.sampling.reservoir import ReservoirSampler, SingleItemWithReplacementSampler
 
 
@@ -63,24 +64,14 @@ class TestReservoirSampler:
             assert observed == pytest.approx(expected_per_decile, rel=0.2)
 
     def test_skipping_touches_fewer_randoms(self):
-        class CountingRandom(random.Random):
-            calls = 0
-
-            def random(self):
-                CountingRandom.calls += 1
-                return super().random()
-
-        CountingRandom.calls = 0
-        plain_rng = CountingRandom(3)
+        # Counted where the sampler draws: the 32-bit words its own keyed
+        # generator has handed out (the rng= passed in only keys it).
+        plain_rng, skip_rng = KeyedRandom(3), KeyedRandom(3)
         plain = ReservoirSampler(10, rng=plain_rng)
         plain.extend(range(10_000))
-        plain_calls = CountingRandom.calls
-
-        CountingRandom.calls = 0
-        skip_rng = CountingRandom(3)
         skipping = ReservoirSampler(10, rng=skip_rng, use_skipping=True)
         skipping.extend(range(10_000))
-        assert CountingRandom.calls < plain_calls / 10
+        assert 0 < skip_rng.words < plain_rng.words / 10
 
     def test_state_size(self):
         sampler = ReservoirSampler(4, rng=random.Random(1))

@@ -12,6 +12,7 @@ from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import ExponentialG, PolynomialG
 from repro.core.landmark import OverflowGuard
+from repro.sampling import KeyedRandom
 from repro.sampling.estimators import (
     chi_square_statistic,
     empirical_frequencies,
@@ -86,31 +87,21 @@ class TestSkippingVariant:
         assert chi < 60.0  # df = 29
 
     def test_skipping_draws_fewer_randoms(self):
-        class CountingRandom(random.Random):
-            calls = 0
-
-            def random(self):
-                CountingRandom.calls += 1
-                return super().random()
-
+        # Counted where the sampler draws: the 32-bit words its own keyed
+        # generator has handed out (the rng= passed in only keys it).
         decay = ForwardDecay(PolynomialG(1.0), landmark=0.0)
         stream = [(float(t), t) for t in range(1, 5_001)]
-
-        CountingRandom.calls = 0
+        plain_rng, skip_rng = KeyedRandom(1), KeyedRandom(1)
         plain = DecayedSamplerWithReplacement(
-            decay, 4, rng=CountingRandom(1), use_skipping=False
+            decay, 4, rng=plain_rng, use_skipping=False
+        )
+        skipping = DecayedSamplerWithReplacement(
+            decay, 4, rng=skip_rng, use_skipping=True
         )
         for t, v in stream:
             plain.update(v, t)
-        plain_calls = CountingRandom.calls
-
-        CountingRandom.calls = 0
-        skipping = DecayedSamplerWithReplacement(
-            decay, 4, rng=CountingRandom(1), use_skipping=True
-        )
-        for t, v in stream:
             skipping.update(v, t)
-        assert CountingRandom.calls < plain_calls / 20
+        assert 0 < skip_rng.words < plain_rng.words / 20
 
     def test_skipping_with_exponential_renormalization(self):
         """Thresholds are weight-scaled state; they must rescale on shifts."""

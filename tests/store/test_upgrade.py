@@ -16,6 +16,7 @@ from __future__ import annotations
 import binascii
 import json
 import os
+import shutil
 import struct
 import tarfile
 
@@ -23,6 +24,8 @@ import pytest
 
 from repro.cli import main
 from repro.core.errors import StoreError
+from repro.core.protocol import StreamSummary
+from repro.core.tree import unpack_tree
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.udaf import default_registry
@@ -98,6 +101,58 @@ def build_engine(query: str, store=None) -> QueryEngine:
         parse_query(QUERIES[query][0], default_registry()), PACKET_SCHEMA,
         store=store, low_table_size=LOW_TABLE_SIZE,
     )
+
+
+#: Where ``prisamp`` sits among the sketch query's aggregates.
+SAMPLER_SLOT = 2
+
+
+def states_of(engine: QueryEngine) -> dict:
+    """``key -> states`` out of the engine's blob, each summary as the
+    payload tree its buffer decodes to."""
+    keys, states, _bucket, _counters = engine._decode_partial(
+        engine.partial_state_bytes()
+    )
+    return {
+        key: [
+            s._state_payload() if isinstance(s, StreamSummary) else s for s in row
+        ]
+        for key, row in zip(keys, states)
+    }
+
+
+def assert_same_but_for_the_draws(mine: dict, theirs: dict) -> None:
+    """Equal group for group and slot for slot, the sampler's slot in
+    what the rows alone decide (the counts, not the draws)."""
+    assert list(mine) == list(theirs)
+    for key in mine:
+        for slot, (ours, other) in enumerate(zip(mine[key], theirs[key])):
+            if slot == SAMPLER_SLOT:
+                ours, other = (
+                    [state[f] for f in ("k", "seen", "tiebreak")]
+                    + [len(state["heap"])]
+                    for state in (ours, other)
+                )
+            assert ours == other, (key, slot)
+
+
+def fixture_sampler_payloads(scratch) -> dict:
+    """``key -> prisamp payload`` exactly as the PR 15 commit packed it:
+    ``store_sketch_pr15``'s version-2 buffers, which the upgrade carries
+    raw (``store_sketch_v1buffers_pr15`` is the same run in JSON)."""
+    directory = unpack("store_sketch_pr15", scratch)
+    upgrade_store(directory)
+    store = TieredStore(directory)
+    build_engine("sketch", store)  # attaches: the directory is recovered
+    try:
+        buffers = {key: row[SAMPLER_SLOT] for key, row in store.cold_groups()}
+    finally:
+        store.close()
+    payloads = {
+        key: unpack_tree(data[2 + data[1]:]) for key, data in buffers.items()
+    }
+    assert all(len(p["rng"][1]) == 625 for p in payloads.values())
+    return payloads
 
 
 def listing(directory: str) -> dict:
@@ -211,6 +266,7 @@ class TestStoreDirectories:
         (report,) = upgrade_tree(str(tmp_path))
         assert report["status"] == "upgraded"
         assert report["bytes_after"] < report["bytes_before"]
+        twin_directory = shutil.copytree(directory, tmp_path / "twin")
 
         reference = build_engine(query)
         reference.insert_many(rows[: n // 2])
@@ -218,11 +274,44 @@ class TestStoreDirectories:
         engine = build_engine(query, store)
         assert engine.tuples_processed == n // 2
         assert store.cold_count == report["groups"] == reference.group_count
+        if query == "sketch":
+            # The one state a fresh engine cannot redraw: these samples
+            # came out of a Mersenne Twister no commit still runs.
+            twin = build_engine(query, TieredStore(twin_directory, hot_groups=hot))
+            self.resumes_with_the_fixtures_own_sample(
+                tmp_path, engine, twin, reference, rows[n // 2:]
+            )
+            return
         assert engine.partial_state_bytes() == reference.partial_state_bytes()
         engine.insert_many(rows[n // 2:])
         reference.insert_many(rows[n // 2:])
         assert engine.partial_state_bytes() == reference.partial_state_bytes()
         assert engine.flush() == reference.flush()
+
+    def resumes_with_the_fixtures_own_sample(
+        self, tmp_path, engine, twin, reference, rest
+    ):
+        """Every column but the ``prisamp`` slot equals the fresh
+        engine's; that slot holds the sample, ``seen``, ``log_tau`` and
+        tiebreak the PR 15 commit wrote, and two loads of the directory
+        continue it identically."""
+        own = fixture_sampler_payloads(tmp_path / "own")
+        restored = states_of(engine)
+        assert_same_but_for_the_draws(restored, states_of(reference))
+        assert restored.keys() == own.keys()
+        for key, states in restored.items():
+            sampler = states[SAMPLER_SLOT]
+            for field in ("k", "seen", "tiebreak", "log_tau", "heap"):
+                assert sampler[field] == own[key][field], (key, field)
+            assert sampler["rng"][1] == 0  # keyed from here on
+        for each in (engine, twin, reference):
+            each.insert_many(rest)
+        assert engine.partial_state_bytes() == twin.partial_state_bytes()
+        assert_same_but_for_the_draws(states_of(engine), states_of(reference))
+        rows, twin_rows, expected = engine.flush(), twin.flush(), reference.flush()
+        assert rows == twin_rows
+        sizes = [[len(row.pop("samp")) for row in out] for out in (rows, expected)]
+        assert sizes[0] == sizes[1] and rows == expected
 
     def test_upgrade_is_idempotent(self, tmp_path, name):
         directory = unpack(name, tmp_path)
