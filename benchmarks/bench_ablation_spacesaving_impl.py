@@ -1,10 +1,11 @@
-"""Ablation — SpaceSaving structure choice (Stream-Summary vs lazy heap).
+"""Ablation — SpaceSaving structure choice (Stream-Summary vs min-heap).
 
 The paper compares the unary-optimized SpaceSaving ("Unary HH") with the
 weighted variant.  This ablation isolates the structural constant factors:
-the bucket-list Stream-Summary (O(1) unary updates) versus the lazy
-min-heap (O(log 1/eps) weighted updates) on the *same* unary workload, and
-checks both produce equivalent heavy hitters.
+the bucket-list Stream-Summary (O(1) unary updates) versus the dict plus
+one-entry-per-counter min-heap (a hit is one dict store, a replacement
+O(log 1/eps) amortized) on the *same* unary workload, and checks both
+produce equivalent heavy hitters.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def test_ablation_spacesaving_impl(tcp_trace, record_figure):
     results = [
         time_consumer("stream-summary (unary)", unary_update, items,
                       state_bytes=unary.state_size_bytes),
-        time_consumer("lazy heap (weighted)", weighted_update, items,
+        time_consumer("dict + min-heap (weighted)", weighted_update, items,
                       state_bytes=weighted.state_size_bytes),
     ]
     table = format_table(

@@ -57,6 +57,7 @@ from __future__ import annotations
 import json
 import struct
 from itertools import accumulate
+from operator import itemgetter
 
 from repro.core.errors import ProtocolError
 from repro.core.protocol import tag_key, untag_key
@@ -70,6 +71,7 @@ __all__ = [
     "COL_BYTES",
     "COL_DICT",
     "row_count",
+    "take_rows",
     "rows_to_cols",
     "cols_to_rows",
     "pack_cols",
@@ -126,6 +128,14 @@ def row_count(cols, error: type[Exception] = ProtocolError) -> int:
                 f"rows, column 0 has {count}"
             )
     return count
+
+
+def take_rows(indices):
+    """``column -> tuple of its values at indices`` (one or more), gathered
+    in one C call per column."""
+    if len(indices) == 1:  # itemgetter(i) would hand back a scalar
+        return lambda column: (column[indices[0]],)
+    return itemgetter(*indices)
 
 
 def rows_to_cols(rows) -> list[list]:

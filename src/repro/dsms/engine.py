@@ -38,11 +38,13 @@ from repro.core.cols import (
     pack_column,
     read_column,
     row_count,
+    take_rows,
     unpack_cols,
 )
 from repro.core.errors import MergeError, ProtocolError, QueryError
 from repro.core.groups import SUMMARY_SLOT, group_columns, group_states
 from repro.core.protocol import StreamSummary, summary_type_of
+from repro.dsms.expressions import compile_shared
 from repro.dsms.parser import Query, SelectItem
 from repro.dsms.schema import Schema
 
@@ -70,14 +72,15 @@ _CRC = struct.Struct("!I")
 class _AggPlan:
     """Compiled form of one aggregate select item."""
 
-    __slots__ = ("udaf", "arg_fns", "alias", "post_fn", "star")
+    __slots__ = ("udaf", "args", "arg_fns", "alias", "post_fn", "star")
 
     def __init__(self, item: SelectItem, schema: Schema):
         aggregate = item.aggregate
         assert aggregate is not None
         self.udaf = aggregate.udaf
         self.star = aggregate.star
-        self.arg_fns = tuple(arg.compile(schema) for arg in aggregate.args)
+        self.args = aggregate.args
+        self.arg_fns = tuple(arg.compile(schema) for arg in self.args)
         self.alias = item.alias
         if item.post is not None:
             from repro.dsms.schema import Field, FieldType
@@ -303,47 +306,54 @@ class QueryEngine:
     # -- columnar path ------------------------------------------------------------
 
     def _columnar_plan(self) -> tuple:
-        """(where, group, args) columnar closures; built on first use.
+        """(where, columns, arg slots) of the batch plan; built on first use.
 
-        Collector engines that only ever fold partial states never pay
-        for the compilation.
+        ``columns`` is one :func:`~repro.dsms.expressions.compile_shared`
+        closure over the GROUP BY expressions then the *distinct*
+        aggregate arguments, so a sub-expression the query names in
+        several places is evaluated once per batch; ``arg slots`` says,
+        per aggregate, which of those arguments it takes.  WHERE stays
+        outside the table: it runs on the unfiltered rows, the rest on
+        the kept ones.  Collector engines that only ever fold partial
+        states never pay for the compilation.
         """
         plan = self._cols_plan
         if plan is None:
-            schema = self.schema
-            query = self.query
-            where = query.where
+            where = self.query.where
+            distinct: dict = {}  # argument expression -> its slot
+            slots = tuple(
+                tuple(distinct.setdefault(arg, len(distinct)) for arg in plan.args)
+                for plan in self._agg_plans
+            )
+            group = (g.expression for g in self.query.group_by)
             plan = self._cols_plan = (
-                where.compile_cols(schema) if where is not None else None,
-                tuple(g.expression.compile_cols(schema) for g in query.group_by),
-                tuple(
-                    tuple(arg.compile_cols(schema) for arg in item.aggregate.args)
-                    for item in query.select
-                    if item.is_aggregate
-                ),
+                where.compile_cols(self.schema) if where is not None else None,
+                compile_shared([*group, *distinct], self.schema),
+                slots,
             )
         return plan
 
-    def _select_and_key(self, cols: list, count: int) -> tuple[list, int, list]:
-        """Apply WHERE to a columnar batch: (kept cols, kept count, keys).
-
-        Group keys are evaluated on the kept rows only, like every other
-        expression downstream of the filter.
+    def _select_and_eval(self, cols: list, count: int) -> tuple[int, list, list]:
+        """Apply WHERE to a columnar batch, then evaluate — on the kept
+        rows, and before the caller touches any state — everything the
+        grouping loop needs: (kept count, keys, distinct argument columns).
         """
-        where_fn, group_fns, _arg_fns = self._columnar_plan()
+        where_fn, columns_fn, _slots = self._columnar_plan()
         if where_fn is not None:
             mask = where_fn(cols, count)
             selected = [i for i, keep in enumerate(mask) if keep]
             if len(selected) != count:
                 cols = [[col[i] for i in selected] for col in cols]
                 count = len(selected)
-        if not group_fns:
+        columns = columns_fn(cols, count)
+        width = len(self._group_fns)
+        if width == 0:
             keys: list[tuple] = [()] * count
-        elif len(group_fns) == 1:
-            keys = [(k,) for k in group_fns[0](cols, count)]
+        elif width == 1:
+            keys = [(k,) for k in columns[0]]
         else:
-            keys = list(zip(*(fn(cols, count) for fn in group_fns)))
-        return cols, count, keys
+            keys = list(zip(*columns[:width]))
+        return count, keys, columns[width:]
 
     def insert_cols(self, cols: list) -> None:
         """Offer a batch as per-field columns; results match per-tuple
@@ -354,7 +364,7 @@ class QueryEngine:
         materializes a row tuple: the WHERE mask, group keys, and every
         aggregate argument are computed column-at-a-time up front, and
         the stateful grouping loop walks row *indices*, collecting each
-        group's rows so its UDAF states take **one** ``update_many`` per
+        group's rows so its UDAF states take **one** ``update_cols`` per
         aggregate instead of one ``update`` per tuple.  Group creation,
         low-table eviction, and bucket-close emission still happen at
         exactly the same stream positions as the per-tuple path (an
@@ -367,16 +377,12 @@ class QueryEngine:
         if count == 0:
             return
         self._tuples_in += count
-        cols, count, keys = self._select_and_key(cols, count)
+        # One columnar evaluation per distinct sub-expression for the
+        # whole batch — this is what the row path pays per tuple per use.
+        count, keys, arg_cols = self._select_and_eval(cols, count)
         self._tuples_selected += count
         if count == 0:
             return
-        # One columnar evaluation per aggregate argument for the whole
-        # batch — this is what the row path pays per tuple per group.
-        _where_fn, _group_fns, agg_arg_fns = self._columnar_plan()
-        arg_cols = tuple(
-            tuple(fn(cols, count) for fn in fns) for fns in agg_arg_fns
-        )
         watch_bucket = self._emit_on_bucket_change
         two_level = self.two_level
         low = self._low
@@ -448,46 +454,43 @@ class QueryEngine:
             # touched keys and enforces the hot-tier budget.
             self._store.observe_batch(keys)
 
-    def _apply_pending_cols(self, pending: dict, arg_cols: tuple) -> None:
-        agg_plans = self._agg_plans
+    def _apply_pending_cols(self, pending: dict, arg_cols: list) -> None:
+        per_plan = [
+            (plan.udaf.update, tuple(arg_cols[slot] for slot in slots))
+            for plan, slots in zip(self._agg_plans, self._cols_plan[2])
+        ]
         for states, indices, _append in pending.values():
             if len(indices) == 1:
                 # Inline the singleton case: on key-diverse streams most
-                # groups see one row per batch and the list machinery (and
+                # groups see one row per batch and the slice machinery (and
                 # even an extra call frame) would dominate.
                 index = indices[0]
-                for plan, state, acols in zip(agg_plans, states, arg_cols):
-                    if plan.star:
-                        plan.udaf.update(state, ())
-                    elif len(acols) == 1:
-                        plan.udaf.update(state, (acols[0][index],))
+                for (update, acols), state in zip(per_plan, states):
+                    if len(acols) == 1:
+                        update(state, (acols[0][index],))
+                    elif acols:
+                        update(state, tuple(col[index] for col in acols))
                     else:
-                        plan.udaf.update(
-                            state, tuple(col[index] for col in acols)
-                        )
+                        update(state, ())
             else:
                 self._apply_batch_cols(states, indices, arg_cols)
 
     def _apply_batch_cols(
-        self, states: list, indices: list[int], arg_cols: tuple
+        self, states: list, indices: list[int], arg_cols: list
     ) -> None:
-        for plan, state, acols in zip(self._agg_plans, states, arg_cols):
-            if plan.star:
-                batch = [()] * len(indices)
-            elif len(acols) == 1:
-                # Tuple literals beat tuple(<generator>) by enough to
-                # matter on this hot path.
-                col = acols[0]
-                batch = [(col[i],) for i in indices]
-            elif len(acols) == 2:
-                first, second = acols
-                batch = [(first[i], second[i]) for i in indices]
+        """Fold one group's rows of the batch into its states: the group's
+        slice of each distinct argument column is gathered once, and every
+        aggregate takes the slices it names in one ``update_cols``."""
+        count = len(indices)
+        take = take_rows(indices)
+        slices = [take(col) for col in arg_cols]
+        for plan, state, slots in zip(self._agg_plans, states, self._cols_plan[2]):
+            if len(slots) == 1:
+                plan.udaf.update_cols(state, (slices[slots[0]],), count)
             else:
-                batch = [tuple(col[i] for col in acols) for i in indices]
-            if len(batch) == 1:
-                plan.udaf.update(state, batch[0])
-            else:
-                plan.udaf.update_many(state, batch)
+                plan.udaf.update_cols(
+                    state, tuple(slices[slot] for slot in slots), count
+                )
 
     def _process_low(self, key: tuple, row: tuple) -> None:
         low = self._low

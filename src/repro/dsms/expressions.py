@@ -26,6 +26,11 @@ same scalar operation as the row path, so results are bit-identical.
 AND/OR, whose row form short-circuits, evaluate *masked*: operand *k*
 runs only on the rows operands *< k* left undecided, so a guard such as
 ``size != 0 and len / size > 1`` never divides on the guarded rows.
+
+A query names the same sub-expression many times (``exp((time % 60) *
+0.1)`` in four aggregates); :func:`compile_shared` compiles several
+expressions through one table keyed by the expression node, so a
+sub-tree that occurs twice is evaluated once per batch.
 """
 
 from __future__ import annotations
@@ -34,12 +39,13 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 from repro.core.errors import QueryError
 from repro.dsms.schema import Schema
 
 __all__ = [
+    "compile_shared",
     "Expression",
     "Column",
     "Literal",
@@ -55,6 +61,10 @@ Evaluator = Callable[[Row], object]
 
 #: Columnar closure: ``(columns, row_count) -> column`` (a list of values).
 ColsEvaluator = Callable[[list, int], list]
+
+#: :func:`compile_shared`'s table, shared sub-tree -> its index in the
+#: batch's working column list; None when an expression compiles alone.
+Slots = Optional[dict["Expression", int]]
 
 _ARITHMETIC = {
     "+": operator.add,
@@ -103,18 +113,26 @@ class Expression(ABC):
         """Compile to a closure ``row -> value`` resolved against ``schema``."""
 
     @abstractmethod
-    def compile_cols(self, schema: Schema) -> ColsEvaluator:
+    def compile_cols(self, schema: Schema, slots: Slots = None) -> ColsEvaluator:
         """Compile to a columnar closure ``(cols, n) -> column``.
 
         The closure applies the very same scalar operation per element as
         :meth:`compile`, to exactly the elements the row form would have
         evaluated, so the two paths produce identical values and raise on
-        the same inputs.
+        the same inputs.  ``slots`` is :func:`compile_shared`'s table of
+        the sub-trees it shares; a stand-alone compile passes none.
         """
 
-    @abstractmethod
+    def children(self) -> tuple[Expression, ...]:
+        """The direct sub-expressions, in evaluation order."""
+        return ()
+
     def columns(self) -> set[str]:
         """Names of all columns referenced."""
+        names: set[str] = set()
+        for operand in self.children():
+            names |= operand.columns()
+        return names
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.sql()
@@ -137,7 +155,7 @@ class Column(Expression):
         index = schema.index_of(self.name)
         return lambda row: row[index]
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator:
+    def compile_cols(self, schema: Schema, slots: Slots = None) -> ColsEvaluator:
         index = schema.index_of(self.name)
         # The input column *is* the result — no per-element work at all.
         return lambda cols, n: cols[index]
@@ -155,6 +173,17 @@ class Literal(Expression):
 
     value: object
 
+    # Nodes key the shared-column table, and ``1``, ``1.0`` and ``True``
+    # (or ``0.0`` and ``-0.0``) are different constants to arithmetic.
+    def _typed(self) -> tuple:
+        return type(self.value), repr(self.value)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Literal and other._typed() == self._typed()
+
+    def __hash__(self) -> int:
+        return hash(self._typed())
+
     def evaluate(self, row: Row, schema: Schema) -> object:
         return self.value
 
@@ -162,12 +191,9 @@ class Literal(Expression):
         value = self.value
         return lambda row: value
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator:
+    def compile_cols(self, schema: Schema, slots: Slots = None) -> ColsEvaluator:
         value = self.value
         return lambda cols, n: [value] * n
-
-    def columns(self) -> set[str]:
-        return set()
 
     def sql(self) -> str:
         if isinstance(self.value, str):
@@ -202,16 +228,12 @@ class BinaryOp(Expression):
         fn = _ARITHMETIC[self.op]
         return lambda row: fn(left(row), right(row))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator:
-        left = self.left.compile_cols(schema)
-        right = self.right.compile_cols(schema)
+    def compile_cols(self, schema: Schema, slots: Slots = None) -> ColsEvaluator:
         fn = _gsql_divide if self.op == "/" else _ARITHMETIC[self.op]
-        return lambda cols, n: [
-            fn(a, b) for a, b in zip(left(cols, n), right(cols, n))
-        ]
+        return _pairwise_cols(fn, self.left, self.right, schema, slots)
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
 
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
@@ -235,12 +257,12 @@ class UnaryOp(Expression):
         operand = self.operand.compile(schema)
         return lambda row: -operand(row)  # type: ignore[operator]
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator:
-        operand = self.operand.compile_cols(schema)
+    def compile_cols(self, schema: Schema, slots: Slots = None) -> ColsEvaluator:
+        operand = _operand_cols(self.operand, schema, slots)
         return lambda cols, n: [-v for v in operand(cols, n)]
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
     def sql(self) -> str:
         return f"(-{self.operand.sql()})"
@@ -269,16 +291,13 @@ class Comparison(Expression):
         fn = _COMPARISONS[self.op]
         return lambda row: fn(left(row), right(row))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator:
-        left = self.left.compile_cols(schema)
-        right = self.right.compile_cols(schema)
-        fn = _COMPARISONS[self.op]
-        return lambda cols, n: [
-            fn(a, b) for a, b in zip(left(cols, n), right(cols, n))
-        ]
+    def compile_cols(self, schema: Schema, slots: Slots = None) -> ColsEvaluator:
+        return _pairwise_cols(
+            _COMPARISONS[self.op], self.left, self.right, schema, slots
+        )
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
 
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
@@ -315,20 +334,19 @@ class BooleanOp(Expression):
             return lambda row: all(fn(row) for fn in compiled)
         return lambda row: any(fn(row) for fn in compiled)
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator:
-        compiled = [e.compile_cols(schema) for e in self.operands]
+    def compile_cols(self, schema: Schema, slots: Slots = None) -> ColsEvaluator:
         if self.op == "not":
-            inner = compiled[0]
+            inner = _operand_cols(self.operands[0], schema, slots)
             return lambda cols, n: [not v for v in inner(cols, n)]
+        # No slots below AND/OR: an operand sees a masked copy of the
+        # batch, so what it computes is no other user's column.
+        compiled = [e.compile_cols(schema) for e in self.operands]
         # Masked evaluation reproduces short-circuit: a row stays live
         # while no operand has settled it (a falsy one settles AND, a
         # truthy one OR), and each operand sees the live rows only — the
         # very rows on which the row form's all()/any() reaches it.
         settles = self.op == "or"
-        needs = [
-            [schema.index_of(name) for name in e.columns()]
-            for e in self.operands
-        ]
+        needs = [[schema.index_of(c) for c in e.columns()] for e in self.operands]
 
         def evaluate(cols: list, n: int) -> list:
             live: list | range = range(n)
@@ -351,11 +369,8 @@ class BooleanOp(Expression):
 
         return evaluate
 
-    def columns(self) -> set[str]:
-        names: set[str] = set()
-        for expr in self.operands:
-            names |= expr.columns()
-        return names
+    def children(self) -> tuple[Expression, ...]:
+        return self.operands
 
     def sql(self) -> str:
         if self.op == "not":
@@ -390,9 +405,9 @@ class FunctionCall(Expression):
             return lambda row: fn(single(row))
         return lambda row: fn(*(c(row) for c in compiled))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator:
+    def compile_cols(self, schema: Schema, slots: Slots = None) -> ColsEvaluator:
         fn = _FUNCTIONS[self.name]
-        compiled = [a.compile_cols(schema) for a in self.args]
+        compiled = [_operand_cols(a, schema, slots) for a in self.args]
         if len(compiled) == 1:
             single = compiled[0]
             return lambda cols, n: [fn(v) for v in single(cols, n)]
@@ -400,11 +415,90 @@ class FunctionCall(Expression):
             fn(*args) for args in zip(*(c(cols, n) for c in compiled))
         ]
 
-    def columns(self) -> set[str]:
-        names: set[str] = set()
-        for arg in self.args:
-            names |= arg.columns()
-        return names
+    def children(self) -> tuple[Expression, ...]:
+        return self.args
 
     def sql(self) -> str:
         return f"{self.name}({', '.join(a.sql() for a in self.args)})"
+
+
+# ---------------------------------------------------------------------------
+# The shared batch plan
+# ---------------------------------------------------------------------------
+
+
+def _operand_cols(node: Expression, schema: Schema, slots: Slots) -> ColsEvaluator:
+    """``node``'s columnar closure.  A sub-tree the plan shares is computed
+    by whichever user reaches it first and read from its slot by the rest."""
+    fn = node.compile_cols(schema, slots)
+    slot = slots.get(node) if slots else None
+    if slot is None:
+        return fn
+
+    def once(cols: list, n: int) -> list:
+        column = cols[slot]
+        if column is None:
+            column = cols[slot] = fn(cols, n)
+        return column
+
+    return once
+
+
+def _pairwise_cols(
+    fn: Callable, left: Expression, right: Expression, schema: Schema, slots: Slots
+) -> ColsEvaluator:
+    """Element-wise ``fn(left, right)``; a literal side is bound, not
+    broadcast to a column and zipped."""
+    if isinstance(right, Literal):
+        value = right.value
+        operand = _operand_cols(left, schema, slots)
+        return lambda cols, n: [fn(a, value) for a in operand(cols, n)]
+    if isinstance(left, Literal):
+        value = left.value
+        operand = _operand_cols(right, schema, slots)
+        return lambda cols, n: [fn(value, b) for b in operand(cols, n)]
+    lhs = _operand_cols(left, schema, slots)
+    rhs = _operand_cols(right, schema, slots)
+    return lambda cols, n: [fn(a, b) for a, b in zip(lhs(cols, n), rhs(cols, n))]
+
+
+def _count_subtrees(node: Expression, counts: dict[Expression, int]) -> None:
+    if isinstance(node, (Column, Literal)):
+        return  # a column is free and a literal is bound into its user
+    counts[node] = counts.get(node, 0) + 1
+    if counts[node] > 1 or (isinstance(node, BooleanOp) and node.op != "not"):
+        return  # reached through the shared node / masked, never shared
+    for child in node.children():
+        _count_subtrees(child, counts)
+
+
+def compile_shared(
+    expressions: Sequence[Expression], schema: Schema
+) -> Callable[[list, int], list[list]]:
+    """Compile ``expressions`` to one closure ``(cols, n) -> [column, ...]``
+    that evaluates each distinct sub-expression once per batch.
+
+    A sub-tree occurring more than once (nodes are frozen and hashable:
+    the node is the table key) gets a slot past the schema's columns in a
+    working list built per call.  The closures are ``compile_cols``'s own
+    and run in the same order, a repeat read from its slot instead of
+    recomputed — it could only have raised what its first evaluation did,
+    so values and the first error are those of compiling each expression
+    alone.  Nothing is kept between calls.
+    """
+    counts: dict[Expression, int] = {}
+    for expression in expressions:
+        _count_subtrees(expression, counts)
+    width = len(schema)
+    shared = (node for node, uses in counts.items() if uses > 1)
+    slots = {node: width + k for k, node in enumerate(shared)}
+    fns = [_operand_cols(e, schema, slots) for e in expressions]
+    spare = [None] * len(slots)
+
+    def evaluate(cols: list, n: int) -> list[list]:
+        if len(cols) != width:
+            raise QueryError(f"batch has {len(cols)} columns, schema has {width}")
+        work = [*cols, *spare]
+        return [fn(work, n) for fn in fns]
+
+    return evaluate

@@ -7,7 +7,8 @@ heavy hitters through the UDAF mechanism...").  This module reproduces the
 mechanism:
 
 * :class:`Udaf` — the interface: ``create`` / ``update`` / ``merge`` /
-  ``finalize`` plus space accounting;
+  ``finalize`` plus space accounting, and ``update_cols``, the one batch
+  hook the engine calls with a group's slice of each argument column;
 * builtin aggregates (``count``, ``sum``, ``min``, ``max``, ``avg``) which
   are *mergeable* and therefore eligible for the engine's two-level split
   (partial aggregation in the low level, super-aggregation above);
@@ -25,6 +26,7 @@ aggregate.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import repeat
 
 from repro.core.errors import EmptySummaryError, MergeError, QueryError
 from repro.core.keyed_random import KEY_BITS, KeyedRandom
@@ -39,7 +41,11 @@ from repro.sketches.exponential_histogram import (
 )
 from repro.core.functions import FFunction
 from repro.sketches.qdigest import QDigest
-from repro.sketches.spacesaving import UnarySpaceSaving, WeightedSpaceSaving
+from repro.sketches.spacesaving import (
+    SpaceSavingBase,
+    UnarySpaceSaving,
+    WeightedSpaceSaving,
+)
 from repro.sketches.swhh import SlidingWindowHeavyHitters
 
 __all__ = [
@@ -89,16 +95,26 @@ class Udaf(ABC):
     def update(self, state: object, args: tuple) -> None:
         """Fold one tuple's evaluated arguments into ``state``."""
 
-    def update_many(self, state: object, args_batch: list[tuple]) -> None:
-        """Fold a batch of evaluated argument tuples into ``state``.
+    def update_cols(self, state: object, arg_cols: tuple, count: int) -> None:
+        """Fold ``count`` rows into ``state``, given as one equal-length
+        sequence per argument (none for a ``count(*)``-style aggregate).
 
-        Semantically identical to calling :meth:`update` per tuple, in
-        order.  The default loops; builtins override with closed forms so
-        the engine's batched path amortizes per-tuple dispatch.
+        The one batch hook the engine calls, and the one a UDAF author
+        overrides to amortize per-tuple dispatch; it must leave ``state``
+        exactly as :meth:`update` per row, in order, would — which is
+        what this default does.
         """
         update = self.update
-        for args in args_batch:
+        for args in zip(*arg_cols) if arg_cols else repeat((), count):
             update(state, args)
+
+    def update_many(self, state: object, args_batch: list[tuple]) -> None:
+        """Fold a batch of evaluated argument tuples into ``state``:
+        :meth:`update_cols` on the batch's transpose."""
+        if args_batch:
+            arity = len(args_batch[0])
+            cols = tuple([args[i] for args in args_batch] for i in range(arity))
+            self.update_cols(state, cols, len(args_batch))
 
     def merge(self, state: object, other: object) -> None:
         """Fold partial state ``other`` into ``state`` (mergeable only)."""
@@ -131,8 +147,8 @@ class CountUdaf(Udaf):
     def update(self, state: list, args: tuple) -> None:
         state[0] += 1
 
-    def update_many(self, state: list, args_batch: list[tuple]) -> None:
-        state[0] += len(args_batch)
+    def update_cols(self, state: list, arg_cols: tuple, count: int) -> None:
+        state[0] += count
 
     def merge(self, state: list, other: list) -> None:
         state[0] += other[0]
@@ -162,12 +178,12 @@ class SumUdaf(Udaf):
     def update(self, state: list, args: tuple) -> None:
         state[0] += args[0]
 
-    def update_many(self, state: list, args_batch: list[tuple]) -> None:
-        # Accumulate locally but in the same left-to-right order as the
-        # per-tuple loop, so the float result is bit-identical.
+    def update_cols(self, state: list, arg_cols: tuple, count: int) -> None:
+        # A plain left-to-right loop, not sum(): the per-tuple order (and
+        # no compensated summation) keeps the float result bit-identical.
         total = state[0]
-        for args in args_batch:
-            total += args[0]
+        for value in arg_cols[0]:
+            total += value
         state[0] = total
 
     def merge(self, state: list, other: list) -> None:
@@ -192,12 +208,8 @@ class MinUdaf(Udaf):
         if state[0] is None or value < state[0]:
             state[0] = value
 
-    def update_many(self, state: list, args_batch: list[tuple]) -> None:
-        if not args_batch:
-            return
-        best = min(args[0] for args in args_batch)
-        if state[0] is None or best < state[0]:
-            state[0] = best
+    def update_cols(self, state: list, arg_cols: tuple, count: int) -> None:
+        self.update(state, (min(arg_cols[0]),))
 
     def merge(self, state: list, other: list) -> None:
         if other[0] is not None and (state[0] is None or other[0] < state[0]):
@@ -222,12 +234,8 @@ class MaxUdaf(Udaf):
         if state[0] is None or value > state[0]:
             state[0] = value
 
-    def update_many(self, state: list, args_batch: list[tuple]) -> None:
-        if not args_batch:
-            return
-        best = max(args[0] for args in args_batch)
-        if state[0] is None or best > state[0]:
-            state[0] = best
+    def update_cols(self, state: list, arg_cols: tuple, count: int) -> None:
+        self.update(state, (max(arg_cols[0]),))
 
     def merge(self, state: list, other: list) -> None:
         if other[0] is not None and (state[0] is None or other[0] > state[0]):
@@ -251,12 +259,12 @@ class AvgUdaf(Udaf):
         state[0] += args[0]
         state[1] += 1
 
-    def update_many(self, state: list, args_batch: list[tuple]) -> None:
+    def update_cols(self, state: list, arg_cols: tuple, count: int) -> None:
         total = state[0]
-        for args in args_batch:
-            total += args[0]
+        for value in arg_cols[0]:
+            total += value
         state[0] = total
-        state[1] += len(args_batch)
+        state[1] += count
 
     def merge(self, state: list, other: list) -> None:
         state[0] += other[0]
@@ -274,7 +282,22 @@ class AvgUdaf(Udaf):
 # ---------------------------------------------------------------------------
 
 
-class WeightedHHUdaf(Udaf):
+class _SummaryUdaf(Udaf):
+    """A UDAF whose state is one of the library's summaries: a tuple's
+    arguments are the summary's ``update`` arguments, and a group's column
+    slices go straight to the summary's own ``update_many``."""
+
+    def update(self, state, args: tuple) -> None:
+        state.update(*args)
+
+    def update_cols(self, state, arg_cols: tuple, count: int) -> None:
+        state.update_many(*arg_cols)
+
+    def state_size_bytes(self, state) -> int:
+        return state.state_size_bytes()
+
+
+class WeightedHHUdaf(_SummaryUdaf):
     """``fwd_hh(item, weight)`` — forward-decayed heavy hitters.
 
     The query supplies the static weight ``g(t_i - L)`` as an ordinary
@@ -285,71 +308,30 @@ class WeightedHHUdaf(Udaf):
 
     name = "fwd_hh"
     arity = 2
+    sketch: type[SpaceSavingBase] = WeightedSpaceSaving
 
     def __init__(self, epsilon: float = 0.01, phi: float = 0.05):
         self.epsilon = epsilon
         self.phi = phi
 
-    def create(self) -> WeightedSpaceSaving:
-        return WeightedSpaceSaving.from_epsilon(self.epsilon)
+    def create(self) -> SpaceSavingBase:
+        return self.sketch.from_epsilon(self.epsilon)
 
-    def update(self, state: WeightedSpaceSaving, args: tuple) -> None:
-        state.update(args[0], args[1])
-
-    def update_many(
-        self, state: WeightedSpaceSaving, args_batch: list[tuple]
-    ) -> None:
-        # Transpose the batch into columns so the summary's own batched
-        # path runs (the engine and shard workers ship whole batches here).
-        if not args_batch:
-            return
-        state.update_many(
-            [args[0] for args in args_batch],
-            [args[1] for args in args_batch],
-        )
-
-    def finalize(self, state: WeightedSpaceSaving) -> list[tuple]:
+    def finalize(self, state: SpaceSavingBase) -> list[tuple]:
         return [
             (c.item, c.count, c.error) for c in state.heavy_hitters(self.phi)
         ]
 
-    def state_size_bytes(self, state: WeightedSpaceSaving) -> int:
-        return state.state_size_bytes()
 
-
-class UnaryHHUdaf(Udaf):
+class UnaryHHUdaf(WeightedHHUdaf):
     """``unary_hh(item)`` — the undecayed heavy-hitter baseline."""
 
     name = "unary_hh"
     arity = 1
-
-    def __init__(self, epsilon: float = 0.01, phi: float = 0.05):
-        self.epsilon = epsilon
-        self.phi = phi
-
-    def create(self) -> UnarySpaceSaving:
-        return UnarySpaceSaving.from_epsilon(self.epsilon)
-
-    def update(self, state: UnarySpaceSaving, args: tuple) -> None:
-        state.update(args[0])
-
-    def update_many(
-        self, state: UnarySpaceSaving, args_batch: list[tuple]
-    ) -> None:
-        if not args_batch:
-            return
-        state.update_many([args[0] for args in args_batch])
-
-    def finalize(self, state: UnarySpaceSaving) -> list[tuple]:
-        return [
-            (c.item, c.count, c.error) for c in state.heavy_hitters(self.phi)
-        ]
-
-    def state_size_bytes(self, state: UnarySpaceSaving) -> int:
-        return state.state_size_bytes()
+    sketch = UnarySpaceSaving
 
 
-class SlidingWindowHHUdaf(Udaf):
+class SlidingWindowHHUdaf(_SummaryUdaf):
     """``sw_hh(item, time)`` — the backward-decay heavy-hitter baseline."""
 
     name = "sw_hh"
@@ -370,20 +352,14 @@ class SlidingWindowHHUdaf(Udaf):
     def create(self) -> SlidingWindowHeavyHitters:
         return SlidingWindowHeavyHitters(self.window, self.pane, self.epsilon)
 
-    def update(self, state: SlidingWindowHeavyHitters, args: tuple) -> None:
-        state.update(args[0], args[1])
-
     def finalize(self, state: SlidingWindowHeavyHitters) -> list[tuple]:
         if state.items_processed == 0:
             return []
         now = state.last_time
         return state.heavy_hitters(self.phi, self.window, now)
 
-    def state_size_bytes(self, state: SlidingWindowHeavyHitters) -> int:
-        return state.state_size_bytes()
 
-
-class EHCountUdaf(Udaf):
+class EHCountUdaf(_SummaryUdaf):
     """``eh_count(time)`` — backward-decay count baseline (Fig. 2).
 
     Maintains one Exponential Histogram per group; ``finalize`` reports the
@@ -401,17 +377,11 @@ class EHCountUdaf(Udaf):
     def create(self) -> ExponentialHistogramCount:
         return ExponentialHistogramCount(self.epsilon, self.window)
 
-    def update(self, state: ExponentialHistogramCount, args: tuple) -> None:
-        state.update(args[0])
-
     def finalize(self, state: ExponentialHistogramCount) -> float:
         return state.count(state.last_time)
 
-    def state_size_bytes(self, state: ExponentialHistogramCount) -> int:
-        return state.state_size_bytes()
 
-
-class EHSumUdaf(Udaf):
+class EHSumUdaf(_SummaryUdaf):
     """``eh_sum(time, value)`` — backward-decay sum baseline (Fig. 2)."""
 
     name = "eh_sum"
@@ -427,14 +397,16 @@ class EHSumUdaf(Udaf):
     def update(self, state: ExponentialHistogramSum, args: tuple) -> None:
         state.update(args[0], int(args[1]))
 
+    def update_cols(
+        self, state: ExponentialHistogramSum, arg_cols: tuple, count: int
+    ) -> None:
+        state.update_many(arg_cols[0], list(map(int, arg_cols[1])))
+
     def finalize(self, state: ExponentialHistogramSum) -> float:
         return state.sum(state.last_time)
 
-    def state_size_bytes(self, state: ExponentialHistogramSum) -> int:
-        return state.state_size_bytes()
 
-
-class EHDecayedUdaf(Udaf):
+class EHDecayedUdaf(_SummaryUdaf):
     """``eh_decayed(time)`` — arbitrary backward decay at *query* time.
 
     The selling point of the Exponential-Histogram baseline (and the reason
@@ -462,20 +434,14 @@ class EHDecayedUdaf(Udaf):
     def create(self) -> ExponentialHistogramCount:
         return ExponentialHistogramCount(self.epsilon, self.window)
 
-    def update(self, state: ExponentialHistogramCount, args: tuple) -> None:
-        state.update(args[0])
-
     def finalize(self, state: ExponentialHistogramCount) -> float:
         if len(state) == 0:
             return 0.0
         combiner = DecayedEHCombiner(state)
         return combiner.decayed_value(self.f, state.last_time)
 
-    def state_size_bytes(self, state: ExponentialHistogramCount) -> int:
-        return state.state_size_bytes()
 
-
-class WeightedQuantilesUdaf(Udaf):
+class WeightedQuantilesUdaf(_SummaryUdaf):
     """``fwd_quantiles(value, weight)`` — forward-decayed quantiles.
 
     The query supplies the static weight ``g(t_i - L)`` like the other
@@ -503,24 +469,16 @@ class WeightedQuantilesUdaf(Udaf):
     def update(self, state: QDigest, args: tuple) -> None:
         state.update(int(args[0]), args[1])
 
-    def update_many(self, state: QDigest, args_batch: list[tuple]) -> None:
-        if not args_batch:
-            return
-        state.update_many(
-            [int(args[0]) for args in args_batch],
-            [args[1] for args in args_batch],
-        )
+    def update_cols(self, state: QDigest, arg_cols: tuple, count: int) -> None:
+        state.update_many(list(map(int, arg_cols[0])), arg_cols[1])
 
     def finalize(self, state: QDigest) -> list[int]:
         if state.total_weight == 0.0:
             return []
         return state.quantiles(self.phis)
 
-    def state_size_bytes(self, state: QDigest) -> int:
-        return state.state_size_bytes()
 
-
-class DecayedDistinctUdaf(Udaf):
+class DecayedDistinctUdaf(_SummaryUdaf):
     """``fwd_distinct(item, time)`` — decayed count-distinct (Theorem 4).
 
     Unlike the weight-expression UDAFs, count-distinct needs the *decay
@@ -560,39 +518,31 @@ class DecayedDistinctUdaf(Udaf):
         return DecayedDistinctCount(self.decay, epsilon=self.epsilon,
                                     seed=self.seed)
 
-    def update(self, state, args: tuple) -> None:
-        state.update(args[0], args[1])
-
     def finalize(self, state) -> float:
         try:
             return state.query()
         except EmptySummaryError:
             return 0.0
 
-    def state_size_bytes(self, state) -> int:
-        return state.state_size_bytes()
 
+class _SeededSamplerUdaf(_SummaryUdaf):
+    """Shared plumbing for sampler UDAFs: a group's state is a size-``k``
+    ``sampler`` on its own seeded RNG stream, reported as its sample."""
 
-class _SeededSamplerUdaf(Udaf):
-    """Shared plumbing for sampler UDAFs: per-group seeded RNG streams."""
+    sampler: type
 
     def __init__(self, k: int = 100, seed: int = 0):
         self.k = k
         self.seed = seed
         self._counter = 0
 
-    def _next_rng(self) -> KeyedRandom:
+    def create(self):
         self._counter += 1
-        return KeyedRandom(
-            (self.seed * 1_000_003 + self._counter) % (1 << KEY_BITS)
-        )
+        key = (self.seed * 1_000_003 + self._counter) % (1 << KEY_BITS)
+        return self.sampler(self.k, rng=KeyedRandom(key))
 
-    def update_many(self, state, args_batch: list[tuple]) -> None:
-        # Transposed into columns so the sampler's own batch kernel runs.
-        if args_batch:
-            state.update_many(*(
-                [args[i] for args in args_batch] for i in range(self.arity)
-            ))
+    def finalize(self, state) -> list:
+        return state.sample() if len(state) else []
 
 
 class PrioritySampleUdaf(_SeededSamplerUdaf):
@@ -606,20 +556,12 @@ class PrioritySampleUdaf(_SeededSamplerUdaf):
 
     name = "prisamp"
     arity = 2
-
-    def create(self) -> PrioritySampler:
-        return PrioritySampler(self.k, rng=self._next_rng())
-
-    def update(self, state: PrioritySampler, args: tuple) -> None:
-        state.update(args[0], args[1])
+    sampler = PrioritySampler
 
     def finalize(self, state: PrioritySampler) -> list:
         if state.items_seen == 0:
             return []
         return [item for item, __ in state.sample().entries]
-
-    def state_size_bytes(self, state: PrioritySampler) -> int:
-        return state.state_size_bytes()
 
 
 class WeightedReservoirUdaf(_SeededSamplerUdaf):
@@ -627,18 +569,7 @@ class WeightedReservoirUdaf(_SeededSamplerUdaf):
 
     name = "wrsamp"
     arity = 2
-
-    def create(self) -> WeightedReservoirSampler:
-        return WeightedReservoirSampler(self.k, rng=self._next_rng())
-
-    def update(self, state: WeightedReservoirSampler, args: tuple) -> None:
-        state.update(args[0], args[1])
-
-    def finalize(self, state: WeightedReservoirSampler) -> list:
-        return state.sample() if len(state) else []
-
-    def state_size_bytes(self, state: WeightedReservoirSampler) -> int:
-        return state.state_size_bytes()
+    sampler = WeightedReservoirSampler
 
 
 class ReservoirUdaf(_SeededSamplerUdaf):
@@ -646,18 +577,7 @@ class ReservoirUdaf(_SeededSamplerUdaf):
 
     name = "reservoir"
     arity = 1
-
-    def create(self) -> ReservoirSampler:
-        return ReservoirSampler(self.k, rng=self._next_rng())
-
-    def update(self, state: ReservoirSampler, args: tuple) -> None:
-        state.update(args[0])
-
-    def finalize(self, state: ReservoirSampler) -> list:
-        return state.sample() if len(state) else []
-
-    def state_size_bytes(self, state: ReservoirSampler) -> int:
-        return state.state_size_bytes()
+    sampler = ReservoirSampler
 
 
 class AggarwalUdaf(_SeededSamplerUdaf):
@@ -665,18 +585,7 @@ class AggarwalUdaf(_SeededSamplerUdaf):
 
     name = "aggsamp"
     arity = 1
-
-    def create(self) -> AggarwalBiasedReservoir:
-        return AggarwalBiasedReservoir(self.k, rng=self._next_rng())
-
-    def update(self, state: AggarwalBiasedReservoir, args: tuple) -> None:
-        state.update(args[0])
-
-    def finalize(self, state: AggarwalBiasedReservoir) -> list:
-        return state.sample() if len(state) else []
-
-    def state_size_bytes(self, state: AggarwalBiasedReservoir) -> int:
-        return state.state_size_bytes()
+    sampler = AggarwalBiasedReservoir
 
 
 # ---------------------------------------------------------------------------

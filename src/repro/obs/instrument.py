@@ -34,49 +34,32 @@ _perf_ns = time.perf_counter_ns
 
 
 class TimedUdaf:
-    """Proxy UDAF that times ``update_many`` and counts batched items.
+    """Proxy UDAF that times the batch hook and counts batched items.
 
-    Per-tuple ``update`` calls are forwarded untouched (timing every single
-    update would dominate what it measures); the batched path is where the
-    engine amortizes dispatch, and is what the metrics capture.
+    Everything else — per-tuple ``update`` above all (timing every single
+    update would dominate what it measures) — is the wrapped UDAF's own
+    attribute, so the proxy cannot fall behind its interface.  The batch
+    hook the engine calls is ``update_cols``; its metrics keep the names
+    they had when that hook was ``update_many``.
     """
 
-    __slots__ = ("_inner", "name", "arity", "mergeable", "_latency", "_items")
+    __slots__ = ("_inner", "_latency", "_items")
 
     def __init__(self, inner, metrics: "MetricsRegistry", prefix: str):
         self._inner = inner
-        self.name = inner.name
-        self.arity = inner.arity
-        self.mergeable = inner.mergeable
         self._latency = metrics.latency(f"{prefix}.udaf.{inner.name}.update_many_us")
         self._items = metrics.counter(f"{prefix}.udaf.{inner.name}.batched_items")
 
-    def create(self):
-        """Create a fresh aggregation state via the wrapped UDAF."""
-        return self._inner.create()
+    def __getattr__(self, name: str):
+        # Not self._inner: on a half-built copy that would recurse.
+        return getattr(object.__getattribute__(self, "_inner"), name)
 
-    def update(self, state, args):
-        """Forward one per-tuple update to the wrapped UDAF, untimed."""
-        self._inner.update(state, args)
-
-    def update_many(self, state, args_batch):
+    def update_cols(self, state, arg_cols, count):
         """Apply a batch through the wrapped UDAF, recording time and size."""
         start = _perf_ns()
-        self._inner.update_many(state, args_batch)
+        self._inner.update_cols(state, arg_cols, count)
         self._latency.observe((_perf_ns() - start) / 1e3)
-        self._items.add(float(len(args_batch)))
-
-    def merge(self, state, other):
-        """Merge ``other`` into ``state`` via the wrapped UDAF."""
-        self._inner.merge(state, other)
-
-    def finalize(self, state):
-        """Produce the wrapped UDAF's final value for ``state``."""
-        return self._inner.finalize(state)
-
-    def state_size_bytes(self, state):
-        """Report the wrapped UDAF's state footprint in bytes."""
-        return self._inner.state_size_bytes(state)
+        self._items.add(float(count))
 
 
 class EngineInstrumentation:
@@ -185,7 +168,7 @@ class EngineInstrumentation:
         if selected:
             self.selected.add(float(selected))
             if engine._group_fns:
-                for key in engine._select_and_key(cols, count)[2]:
+                for key in engine._select_and_eval(cols, count)[1]:
                     self.hot.observe(self._hot_key(key))
         if engine._low_evictions != evictions_before:
             self.evictions.add(float(engine._low_evictions - evictions_before))

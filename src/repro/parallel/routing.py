@@ -26,7 +26,7 @@ material.
 
 from __future__ import annotations
 
-from repro.core.cols import row_count
+from repro.core.cols import row_count, take_rows
 from repro.core.errors import QueryError
 from repro.core.protocol import StreamSummary
 from repro.dsms.engine import QueryEngine
@@ -87,9 +87,6 @@ class GroupKeyRouter:
     """
 
     def __init__(self, query, schema: Schema, shard_key: str | None = None):
-        self._group_fns = tuple(
-            g.expression.compile(schema) for g in query.group_by
-        )
         self._group_col_fns = tuple(
             g.expression.compile_cols(schema) for g in query.group_by
         )
@@ -102,16 +99,7 @@ class GroupKeyRouter:
     @property
     def keyed(self) -> bool:
         """False when every tuple belongs to the single global group."""
-        return self._shard_index is not None or bool(self._group_fns)
-
-    def key(self, row: tuple) -> object:
-        """The routing key of one tuple (call only when :attr:`keyed`)."""
-        if self._shard_index is not None:
-            return row[self._shard_index]
-        fns = self._group_fns
-        if len(fns) == 1:
-            return fns[0](row)
-        return tuple(fn(row) for fn in fns)
+        return self._shard_index is not None or bool(self._group_col_fns)
 
     def keys(self, cols: list, count: int) -> list:
         """Routing key per row of a columnar batch (when :attr:`keyed`)."""
@@ -133,15 +121,19 @@ class GroupKeyRouter:
         raises :class:`QueryError`, empty yields nothing).  Row ``i``
         goes to ``place(keys[i])`` — ``owners`` in turn when not
         :attr:`keyed` — in arrival order; a single-owner batch passes
-        through whole, not copied.
+        through whole, not copied.  ``place`` is asked once per distinct
+        key of the batch and its answers forgotten with the call, so a
+        membership change needs no invalidation.
         """
         count = row_count(cols, QueryError)
         if count == 0:
             return
         picks: dict = {}
         if self.keyed:
-            for i, key in enumerate(self.keys(cols, count)):
-                picks.setdefault(place(key), []).append(i)
+            keys = self.keys(cols, count)
+            owner_of = {key: place(key) for key in dict.fromkeys(keys)}
+            for i, key in enumerate(keys):
+                picks.setdefault(owner_of[key], []).append(i)
         else:
             start = self._round_robin
             self._round_robin = start + count
@@ -152,5 +144,5 @@ class GroupKeyRouter:
             if len(indices) == count:
                 yield owner, cols, count
             else:
-                part = [[column[i] for i in indices] for column in cols]
-                yield owner, part, len(indices)
+                take = take_rows(indices)
+                yield owner, [take(column) for column in cols], len(indices)

@@ -9,7 +9,8 @@ Two variants are provided, mirroring the paper's experimental setup
 * :class:`WeightedSpaceSaving` — accepts arbitrary non-negative real
   weights per update, as required by forward decay (Theorem 2 reduces
   decayed heavy hitters to weighted heavy hitters with static weights
-  ``g(t_i - L)``).  Uses a lazy min-heap; updates cost O(log 1/eps).
+  ``g(t_i - L)``).  An update to a monitored item is one dict store; only
+  a replacement consults the min-heap, O(log 1/eps) amortized.
 
 Guarantees (single-stream): with ``capacity = ceil(1/eps)`` counters, each
 estimate ``est(v)`` satisfies ``true(v) <= est(v) <= true(v) + eps * W``
@@ -93,19 +94,13 @@ class SpaceSavingBase(StreamSummary):
     def __len__(self) -> int:
         """Number of monitored items (``<= capacity``)."""
 
+    @abstractmethod
     def estimate(self, item: Hashable) -> float:
         """Upper-bound estimate of ``item``'s total weight (0 if unmonitored)."""
-        for counter in self.counters():
-            if counter.item == item:
-                return counter.count
-        return 0.0
 
+    @abstractmethod
     def guaranteed_weight(self, item: Hashable) -> float:
         """Lower bound on ``item``'s true weight (``count - error``)."""
-        for counter in self.counters():
-            if counter.item == item:
-                return counter.count - counter.error
-        return 0.0
 
     def heavy_hitters(self, phi: float) -> list[Counter]:
         """All monitored items with estimated weight ``>= phi * W``.
@@ -135,6 +130,25 @@ class SpaceSavingBase(StreamSummary):
         """Approximate footprint: 2 floats + 1 key slot per counter."""
         return len(self) * (8 + 8 + 8)
 
+    @staticmethod
+    def _restored_counters(payload: dict) -> list[tuple]:
+        """The payload's ``(item, count, error)`` counters as a restored
+        summary may trust them: no more than ``capacity``, no item twice,
+        ``0 <= error <= count`` (which a NaN fails on either side)."""
+        counters = [
+            (untag_key(tag), count, error)
+            for tag, count, error in payload["counters"]
+        ]
+        capacity = payload["capacity"]
+        if len(counters) > capacity:
+            raise ParameterError(f"{len(counters)} counters, capacity {capacity!r}")
+        if len({item for item, _count, _error in counters}) != len(counters):
+            raise ParameterError("an item is monitored twice")
+        for item, count, error in counters:
+            if not 0 <= error <= count:
+                raise ParameterError(f"counter {item!r}: {count!r}, error {error!r}")
+        return counters
+
 
 @register_summary(
     "weighted_spacesaving",
@@ -146,9 +160,12 @@ class WeightedSpaceSaving(SpaceSavingBase):
     """SpaceSaving with arbitrary non-negative per-update weights.
 
     The forward-decay engine of :class:`repro.core.heavy_hitters.DecayedHeavyHitters`.
-    Eviction needs the current minimum counter; a lazy min-heap provides it
-    in O(log 1/eps) amortized, with periodic compaction to bound stale
-    entries.
+    The heap holds exactly one ``(recorded count, item)`` entry per
+    counter and an update to a monitored item leaves it alone, so recorded
+    <= actual for every entry.  A replacement refreshes a stale top in
+    place until the top is current: every other entry sorts at or after it
+    and under-records, so that top is the true ``(count, item)`` minimum —
+    the victim a heap pushed to on every update would have chosen.
     """
 
     def __init__(self, capacity: int):
@@ -165,36 +182,27 @@ class WeightedSpaceSaving(SpaceSavingBase):
         self._total += weight
         counts = self._counts
         if item in counts:
-            new_count = counts[item] + weight
-            counts[item] = new_count
-            heapq.heappush(self._heap, (new_count, item))
+            counts[item] += weight
         elif len(counts) < self.capacity:
             counts[item] = weight
             self._errors[item] = 0.0
             heapq.heappush(self._heap, (weight, item))
         else:
-            min_count, victim = self._pop_min()
-            del counts[victim]
-            del self._errors[victim]
-            counts[item] = min_count + weight
-            self._errors[item] = min_count
-            heapq.heappush(self._heap, (min_count + weight, item))
-        if len(self._heap) > 8 * self.capacity:
-            self._compact_heap()
+            self._replace_min(item, weight)
 
     def update_many(self, first, second=None) -> None:
         """Batch ingest: the :meth:`update` loop with dict/heap lookups
         hoisted.  Bit-identical to per-item updates (same eviction order,
-        same heap contents up to compaction points)."""
+        same heap)."""
         if second is not None and len(first) != len(second):
             raise ParameterError(
                 f"column lengths differ: {len(first)} != {len(second)}"
             )
         counts = self._counts
         errors = self._errors
+        heap = self._heap
         push = heapq.heappush
         capacity = self.capacity
-        compact_limit = 8 * capacity
         total = self._total
         pairs = (
             zip(first, second) if second is not None
@@ -208,36 +216,32 @@ class WeightedSpaceSaving(SpaceSavingBase):
                     continue
                 total += weight
                 if item in counts:
-                    new_count = counts[item] + weight
-                    counts[item] = new_count
-                    push(self._heap, (new_count, item))
+                    counts[item] += weight
                 elif len(counts) < capacity:
                     counts[item] = weight
                     errors[item] = 0.0
-                    push(self._heap, (weight, item))
+                    push(heap, (weight, item))
                 else:
-                    min_count, victim = self._pop_min()
-                    del counts[victim]
-                    del errors[victim]
-                    counts[item] = min_count + weight
-                    errors[item] = min_count
-                    push(self._heap, (min_count + weight, item))
-                if len(self._heap) > compact_limit:
-                    self._compact_heap()
+                    self._replace_min(item, weight)
         finally:
             self._total = total
 
-    def _pop_min(self) -> tuple[float, Hashable]:
-        """Pop the true current minimum, discarding stale heap entries."""
-        heap, counts = self._heap, self._counts
-        while True:
-            count, item = heap[0]
-            if counts.get(item) == count:
-                heapq.heappop(heap)
-                return count, item
-            heapq.heappop(heap)
+    def _replace_min(self, item: Hashable, weight: float) -> None:
+        """Hand the counter with the smallest ``(count, item)`` to ``item``."""
+        heap, counts, errors = self._heap, self._counts, self._errors
+        min_count, victim = heap[0]
+        while counts[victim] != min_count:
+            # Stale: the victim was updated since.  Re-file it under its
+            # current count; what surfaces next is again a lower bound.
+            heapq.heapreplace(heap, (counts[victim], victim))
+            min_count, victim = heap[0]
+        del counts[victim]
+        del errors[victim]
+        counts[item] = min_count + weight
+        errors[item] = min_count
+        heapq.heapreplace(heap, (min_count + weight, item))
 
-    def _compact_heap(self) -> None:
+    def _rebuild_heap(self) -> None:
         self._heap = [(count, item) for item, count in self._counts.items()]
         heapq.heapify(self._heap)
 
@@ -270,7 +274,7 @@ class WeightedSpaceSaving(SpaceSavingBase):
         self._counts = {item: count * factor for item, count in self._counts.items()}
         self._errors = {item: error * factor for item, error in self._errors.items()}
         self._total *= factor
-        self._compact_heap()
+        self._rebuild_heap()
 
     def merge(self, other: "WeightedSpaceSaving", factor: float = 1.0) -> None:
         """Fold ``other`` in (mergeable-summaries semantics).
@@ -302,7 +306,7 @@ class WeightedSpaceSaving(SpaceSavingBase):
         survivors = survivors[: self.capacity]
         self._counts = {item: merged_counts[item] for item in survivors}
         self._errors = {item: merged_errors[item] for item in survivors}
-        self._compact_heap()
+        self._rebuild_heap()
         self._total += other._total * factor
 
     # -- serde (StreamSummary protocol) ---------------------------------------
@@ -321,11 +325,10 @@ class WeightedSpaceSaving(SpaceSavingBase):
     def _from_payload(cls, payload: dict) -> "WeightedSpaceSaving":
         sketch = cls(payload["capacity"])
         sketch._total = payload["total"]
-        for tag, count, error in payload["counters"]:
-            item = untag_key(tag)
+        for item, count, error in cls._restored_counters(payload):
             sketch._counts[item] = count
             sketch._errors[item] = error
-        sketch._compact_heap()
+        sketch._rebuild_heap()
         return sketch
 
 
@@ -387,9 +390,8 @@ class UnarySpaceSaving(SpaceSavingBase):
             )
         bucket_of = self._bucket_of
         capacity = self.capacity
-        weights = second if second is not None else None
         for index, item in enumerate(first):
-            if weights is not None and weights[index] != 1.0:
+            if second is not None and second[index] != 1.0:
                 raise ParameterError(
                     "UnarySpaceSaving only accepts unit weights; use "
                     "WeightedSpaceSaving for arbitrary weights"
@@ -539,17 +541,9 @@ class UnarySpaceSaving(SpaceSavingBase):
     def _from_payload(cls, payload: dict) -> "UnarySpaceSaving":
         sketch = cls(payload["capacity"])
         sketch._total = payload["total"]
-        for tag, count, error in payload["counters"]:
-            sketch._insert_new(untag_key(tag), count=count, error=error)
+        for item, count, error in cls._restored_counters(payload):
+            sketch._insert_new(item, count=count, error=error)
         return sketch
-
-
-def build_spacesaving(
-    epsilon: float, weighted: bool
-) -> SpaceSavingBase:
-    """Convenience factory used by the DSMS UDAF layer and benchmarks."""
-    cls = WeightedSpaceSaving if weighted else UnarySpaceSaving
-    return cls.from_epsilon(epsilon)
 
 
 def exact_heavy_hitters(
