@@ -27,65 +27,22 @@ Quickstart::
     print(count.query(query_time=110))   # 1.63, as in Example 2
 """
 
-from repro.core import (
-    BackwardDecay,
-    StreamSummary,
-    create_summary,
-    summary_names,
-    DecayedAlgebraic,
-    DecayedAverage,
-    DecayedCount,
-    DecayedDistinctCount,
-    DecayedHeavyHitters,
-    DecayedKMeans,
-    DecayedMax,
-    DecayedMin,
-    DecayedQuantiles,
-    DecayedSum,
-    DecayedVariance,
-    ExactDecayedDistinct,
-    ExponentialF,
-    ExponentialG,
-    ForwardDecay,
-    LandmarkWindowG,
-    NoDecayF,
-    NoDecayG,
-    PolynomialF,
-    PolynomialG,
-    SlidingWindowF,
-    forward_equals_backward_exp,
-    merge_all,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "ForwardDecay", "BackwardDecay", "forward_equals_backward_exp", "NoDecayG",
+            "PolynomialG", "ExponentialG", "LandmarkWindowG", "NoDecayF",
+            "SlidingWindowF", "ExponentialF", "PolynomialF", "DecayedCount",
+            "DecayedSum", "DecayedAverage", "DecayedVariance", "DecayedMin",
+            "DecayedMax", "DecayedAlgebraic", "DecayedHeavyHitters", "DecayedKMeans",
+            "DecayedQuantiles", "DecayedDistinctCount", "ExactDecayedDistinct",
+            "merge_all", "StreamSummary", "create_summary", "summary_names",
+        ),
+    },
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "ForwardDecay",
-    "BackwardDecay",
-    "forward_equals_backward_exp",
-    "NoDecayG",
-    "PolynomialG",
-    "ExponentialG",
-    "LandmarkWindowG",
-    "NoDecayF",
-    "SlidingWindowF",
-    "ExponentialF",
-    "PolynomialF",
-    "DecayedCount",
-    "DecayedSum",
-    "DecayedAverage",
-    "DecayedVariance",
-    "DecayedMin",
-    "DecayedMax",
-    "DecayedAlgebraic",
-    "DecayedHeavyHitters",
-    "DecayedKMeans",
-    "DecayedQuantiles",
-    "DecayedDistinctCount",
-    "ExactDecayedDistinct",
-    "merge_all",
-    "StreamSummary",
-    "create_summary",
-    "summary_names",
-    "__version__",
-]
+__all__.append("__version__")

@@ -4,62 +4,25 @@ See DESIGN.md's experiment index — each figure of the paper maps to one
 ``run_fig*`` driver here and one ``benchmarks/bench_fig*.py`` target.
 """
 
-from repro.bench.artifacts import (
-    compare_artifacts,
-    environment_stamp,
-    format_comparison,
-    load_artifact,
-    run_bench_suite,
-    write_artifact,
-)
-from repro.bench.harness import (
-    MethodResult,
-    achievable_throughput,
-    loads_at_rates,
-    time_consumer,
-    time_query,
-)
-from repro.bench.runners import (
-    EPSILON_SWEEP,
-    FIG2_RATES,
-    FIG5_RATES,
-    build_trace,
-    run_fig1_relative_decay,
-    run_fig2_count_sum,
-    run_fig2c_epsilon_sweep,
-    run_fig2d_space,
-    run_fig3a_sampling_rates,
-    run_fig3b_sampling_sizes,
-    run_fig4_hh_epsilon,
-    run_fig5_hh_rates,
-)
-from repro.bench.tables import format_bytes, format_table, print_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MethodResult",
-    "run_bench_suite",
-    "write_artifact",
-    "load_artifact",
-    "compare_artifacts",
-    "format_comparison",
-    "environment_stamp",
-    "time_query",
-    "time_consumer",
-    "loads_at_rates",
-    "achievable_throughput",
-    "format_table",
-    "print_table",
-    "format_bytes",
-    "FIG2_RATES",
-    "FIG5_RATES",
-    "EPSILON_SWEEP",
-    "build_trace",
-    "run_fig1_relative_decay",
-    "run_fig2_count_sum",
-    "run_fig2c_epsilon_sweep",
-    "run_fig2d_space",
-    "run_fig3a_sampling_rates",
-    "run_fig3b_sampling_sizes",
-    "run_fig5_hh_rates",
-    "run_fig4_hh_epsilon",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".harness": (
+            "MethodResult", "time_query", "time_consumer", "loads_at_rates",
+            "achievable_throughput",
+        ),
+        ".artifacts": (
+            "run_bench_suite", "write_artifact", "load_artifact", "compare_artifacts",
+            "format_comparison", "environment_stamp",
+        ),
+        ".tables": ("format_table", "print_table", "format_bytes"),
+        ".runners": (
+            "FIG2_RATES", "FIG5_RATES", "EPSILON_SWEEP", "build_trace",
+            "run_fig1_relative_decay", "run_fig2_count_sum", "run_fig2c_epsilon_sweep",
+            "run_fig2d_space", "run_fig3a_sampling_rates", "run_fig3b_sampling_sizes",
+            "run_fig5_hh_rates", "run_fig4_hh_epsilon",
+        ),
+    },
+)

@@ -71,15 +71,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.bench.figures import FIGURE_IDS, figure_table
+# Nothing else of the library at module level: each subcommand imports
+# what it runs, so a `repro serve` child does not pay for `repro.bench`.
 from repro.core.errors import DecayError
-from repro.dsms.engine import run_query
-from repro.dsms.parser import parse_query
-from repro.dsms.schema import Schema
-from repro.dsms.udaf import default_registry
-from repro.workloads.netflow import PACKET_SCHEMA, PacketTraceConfig, PacketTraceGenerator
+
+if TYPE_CHECKING:
+    from repro.dsms.schema import Schema
 
 __all__ = ["main"]
 
@@ -109,6 +108,12 @@ def read_trace_csv(path: str, schema: Schema) -> list[tuple]:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.workloads.netflow import (
+        PACKET_SCHEMA,
+        PacketTraceConfig,
+        PacketTraceGenerator,
+    )
+
     config = PacketTraceConfig(
         duration_sec=args.duration,
         rate_per_sec=args.rate,
@@ -125,6 +130,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.dsms.engine import run_query
+    from repro.dsms.parser import parse_query
+    from repro.dsms.udaf import default_registry
+    from repro.workloads.netflow import PACKET_SCHEMA
+
     registry = default_registry(
         hh_epsilon=args.epsilon,
         eh_epsilon=args.epsilon,
@@ -143,7 +153,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+def _figure_id(text: str) -> str:
+    """argparse ``type=`` for the figure id: the valid ids live with the
+    figure drivers, which only this subcommand loads."""
+    from repro.bench.figures import FIGURE_IDS
+
+    if text not in FIGURE_IDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown figure {text!r} (choose from {', '.join(FIGURE_IDS)})"
+        )
+    return text
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.bench.figures import figure_table
+    from repro.workloads.netflow import PACKET_SCHEMA
+
     trace = read_trace_csv(args.trace, PACKET_SCHEMA) if args.trace else None
     table = figure_table(
         args.figure,
@@ -227,7 +252,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.obs.registry import MetricsRegistry
-    from repro.serve import StreamServer, build_backend
+    from repro.serve.backend import build_backend
+    from repro.serve.server import StreamServer
+    from repro.workloads.netflow import PACKET_SCHEMA
 
     backend = build_backend(
         args.sql,
@@ -298,6 +325,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.cluster import Coordinator, LocalNode, ProcessNode
+    from repro.workloads.netflow import (
+        PACKET_SCHEMA,
+        PacketTraceConfig,
+        PacketTraceGenerator,
+    )
 
     if args.trace:
         rows = read_trace_csv(args.trace, PACKET_SCHEMA)
@@ -337,6 +369,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "state_dir": state_dir,
     }
     if args.verify:
+        from repro.dsms.engine import run_query
+        from repro.dsms.parser import parse_query
+        from repro.dsms.udaf import default_registry
+
         query = parse_query(args.sql, default_registry())
         single = [dict(row) for row in run_query(query, PACKET_SCHEMA, rows)]
 
@@ -352,7 +388,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _client_session(args: argparse.Namespace):
-    from repro.serve import ServeClient
+    from repro.serve.client import ServeClient
+    from repro.workloads.netflow import PACKET_SCHEMA
 
     try:
         return ServeClient(
@@ -369,6 +406,8 @@ def _client_session(args: argparse.Namespace):
 
 
 def _cmd_client_replay(args: argparse.Namespace) -> int:
+    from repro.workloads.netflow import PACKET_SCHEMA
+
     trace = read_trace_csv(args.trace, PACKET_SCHEMA)
     with _client_session(args) as client:
         batches = 0
@@ -722,7 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(handler=_cmd_query)
 
     figure = commands.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument("figure", choices=list(FIGURE_IDS))
+    figure.add_argument("figure", type=_figure_id, metavar="FIGURE",
+                        help="figure id, e.g. fig1, fig2a, fig5")
     figure.add_argument("--trace", default=None,
                         help="optional CSV trace to measure on")
     figure.add_argument("--duration", type=float, default=4.0,

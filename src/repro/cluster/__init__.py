@@ -18,14 +18,13 @@ state (``add_node``) or one node's blobs (``decommission`` + ``ADOPT``).
 Try it from the shell: ``python -m repro cluster "<query>" --nodes 3``.
 """
 
-from repro.cluster.coordinator import Coordinator, NodeFailure
-from repro.cluster.nodes import LocalNode, ProcessNode
-from repro.cluster.ring import HashRing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "HashRing",
-    "LocalNode",
-    "NodeFailure",
-    "ProcessNode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".coordinator": ("Coordinator", "NodeFailure"),
+        ".ring": ("HashRing",),
+        ".nodes": ("LocalNode", "ProcessNode"),
+    },
+)

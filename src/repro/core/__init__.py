@@ -17,149 +17,44 @@ This subpackage implements Sections II-IV and VI of the paper:
   :mod:`repro.core.registry`).
 """
 
-from repro.core.clustering import Cluster, DecayedKMeans
-from repro.core.aggregates import (
-    DecayedAggregate,
-    DecayedAlgebraic,
-    DecayedAverage,
-    DecayedCount,
-    DecayedMax,
-    DecayedMin,
-    DecayedSum,
-    DecayedVariance,
-)
-from repro.core.decay import (
-    BackwardDecay,
-    DecayModel,
-    ForwardDecay,
-    forward_equals_backward_exp,
-    validate_decay_axioms,
-)
-from repro.core.distinct import DecayedDistinctCount, ExactDecayedDistinct
-from repro.core.errors import (
-    DecayError,
-    EmptySummaryError,
-    LandmarkError,
-    MergeError,
-    OverflowGuardError,
-    ParameterError,
-    QueryError,
-    SchemaError,
-    TimestampError,
-)
-from repro.core.functions import (
-    ExponentialF,
-    ExponentialG,
-    GeneralPolynomialG,
-    LandmarkWindowG,
-    LogarithmicG,
-    NoDecayF,
-    NoDecayG,
-    PolynomialF,
-    PolynomialG,
-    SlidingWindowF,
-    SubPolynomialF,
-    SuperExponentialF,
-)
-from repro.core.heavy_hitters import DecayedHeavyHitters, HeavyHitter
-from repro.core.landmark import (
-    EpochLandmark,
-    FixedLandmark,
-    LandmarkPolicy,
-    OverflowGuard,
-    QueryStartLandmark,
-    exponential_shift_factor,
-    shift_exponential_weight,
-)
-from repro.core.merge import Mergeable, merge_all
-from repro.core.protocol import StreamSummary
-from repro.core.quantiles import DecayedQuantiles
-from repro.core.registry import (
-    SummaryInfo,
-    create_summary,
-    get_summary,
-    iter_summaries,
-    register_summary,
-    summary_name_of,
-    summary_names,
-)
-from repro.core.serde import dump_decay, dump_summary, load_decay, load_summary
-from repro.core.window import ClosedWindow, TumblingLandmarkWindows
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # decay model
-    "DecayModel",
-    "ForwardDecay",
-    "BackwardDecay",
-    "forward_equals_backward_exp",
-    "validate_decay_axioms",
-    # g functions
-    "NoDecayG",
-    "PolynomialG",
-    "GeneralPolynomialG",
-    "ExponentialG",
-    "LandmarkWindowG",
-    "LogarithmicG",
-    # f functions
-    "NoDecayF",
-    "SlidingWindowF",
-    "ExponentialF",
-    "PolynomialF",
-    "SuperExponentialF",
-    "SubPolynomialF",
-    # landmarks
-    "LandmarkPolicy",
-    "FixedLandmark",
-    "QueryStartLandmark",
-    "EpochLandmark",
-    "OverflowGuard",
-    "exponential_shift_factor",
-    "shift_exponential_weight",
-    # aggregates
-    "DecayedAggregate",
-    "DecayedCount",
-    "DecayedSum",
-    "DecayedAverage",
-    "DecayedVariance",
-    "DecayedMin",
-    "DecayedMax",
-    "DecayedAlgebraic",
-    # holistic
-    "DecayedHeavyHitters",
-    "DecayedKMeans",
-    "Cluster",
-    "HeavyHitter",
-    "DecayedQuantiles",
-    "DecayedDistinctCount",
-    "ExactDecayedDistinct",
-    # merging
-    "Mergeable",
-    "merge_all",
-    # summary protocol + registry
-    "StreamSummary",
-    "SummaryInfo",
-    "register_summary",
-    "get_summary",
-    "summary_name_of",
-    "summary_names",
-    "iter_summaries",
-    "create_summary",
-    # landmark windows
-    "TumblingLandmarkWindows",
-    "ClosedWindow",
-    # checkpointing
-    "dump_summary",
-    "load_summary",
-    "dump_decay",
-    "load_decay",
-    # errors
-    "DecayError",
-    "ParameterError",
-    "LandmarkError",
-    "TimestampError",
-    "EmptySummaryError",
-    "MergeError",
-    "QueryError",
-    "SchemaError",
-    "OverflowGuardError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".decay": (
+            "DecayModel", "ForwardDecay", "BackwardDecay",
+            "forward_equals_backward_exp", "validate_decay_axioms",
+        ),
+        ".functions": (
+            "NoDecayG", "PolynomialG", "GeneralPolynomialG", "ExponentialG",
+            "LandmarkWindowG", "LogarithmicG", "NoDecayF", "SlidingWindowF",
+            "ExponentialF", "PolynomialF", "SuperExponentialF", "SubPolynomialF",
+        ),
+        ".landmark": (
+            "LandmarkPolicy", "FixedLandmark", "QueryStartLandmark", "EpochLandmark",
+            "OverflowGuard", "exponential_shift_factor", "shift_exponential_weight",
+        ),
+        ".aggregates": (
+            "DecayedAggregate", "DecayedCount", "DecayedSum", "DecayedAverage",
+            "DecayedVariance", "DecayedMin", "DecayedMax", "DecayedAlgebraic",
+        ),
+        ".heavy_hitters": ("DecayedHeavyHitters", "HeavyHitter"),
+        ".clustering": ("DecayedKMeans", "Cluster"),
+        ".quantiles": ("DecayedQuantiles",),
+        ".distinct": ("DecayedDistinctCount", "ExactDecayedDistinct"),
+        ".merge": ("Mergeable", "merge_all"),
+        ".protocol": ("StreamSummary",),
+        ".registry": (
+            "SummaryInfo", "register_summary", "get_summary", "summary_name_of",
+            "summary_names", "iter_summaries", "create_summary",
+        ),
+        ".window": ("TumblingLandmarkWindows", "ClosedWindow"),
+        ".serde": ("dump_summary", "load_summary", "dump_decay", "load_decay"),
+        ".errors": (
+            "DecayError", "ParameterError", "LandmarkError", "TimestampError",
+            "EmptySummaryError", "MergeError", "QueryError", "SchemaError",
+            "OverflowGuardError",
+        ),
+    },
+)

@@ -98,40 +98,6 @@ class DecayedAggregate(StreamSummary):
         if timestamp > self._max_time:
             self._max_time = timestamp
 
-    def update_many(self, timestamps, values=None) -> None:
-        """Vectorized bulk update via numpy (semantics of repeated ``update``).
-
-        ``timestamps`` is any array-like of item times; ``values`` an
-        equal-length array-like (defaults to all ones).  Exactly equivalent
-        to calling :meth:`update` per item — including exponential
-        renormalization — but with the weight computation and the fold done
-        in numpy, which is an order of magnitude faster for batch ingest.
-        """
-        import numpy as np
-
-        ts = np.asarray(timestamps, dtype=np.float64)
-        if values is None:
-            vals = np.ones_like(ts)
-        else:
-            vals = np.asarray(values, dtype=np.float64)
-            if vals.shape != ts.shape:
-                raise ParameterError(
-                    f"values shape {vals.shape} != timestamps shape {ts.shape}"
-                )
-        if ts.size == 0:
-            return
-        weights = self._engine.arrival_weights(ts)
-        self._update_weighted_many(weights, vals)
-        self._items += int(ts.size)
-        batch_max = float(ts.max())
-        if batch_max > self._max_time:
-            self._max_time = batch_max
-
-    def _update_weighted_many(self, weights, values) -> None:
-        """Fold a batch; subclasses override with closed-form reductions."""
-        for weight, value in zip(weights.tolist(), values.tolist()):
-            self._update_weighted(weight, value)
-
     def query(self, query_time: float | None = None):
         """Return the decayed aggregate evaluated at ``query_time``.
 
@@ -251,9 +217,6 @@ class DecayedCount(DecayedAggregate):
     def _update_weighted(self, weight: float, value: float) -> None:
         self._weight_sum += weight
 
-    def _update_weighted_many(self, weights, values) -> None:
-        self._weight_sum += float(weights.sum())
-
     def _query_scaled(self, normalizer: float) -> float:
         return self._weight_sum / normalizer
 
@@ -284,9 +247,6 @@ class DecayedSum(DecayedAggregate):
 
     def _update_weighted(self, weight: float, value: float) -> None:
         self._value_sum += weight * value
-
-    def _update_weighted_many(self, weights, values) -> None:
-        self._value_sum += float(weights.dot(values))
 
     def _query_scaled(self, normalizer: float) -> float:
         return self._value_sum / normalizer
@@ -325,10 +285,6 @@ class DecayedAverage(DecayedAggregate):
     def _update_weighted(self, weight: float, value: float) -> None:
         self._weight_sum += weight
         self._value_sum += weight * value
-
-    def _update_weighted_many(self, weights, values) -> None:
-        self._weight_sum += float(weights.sum())
-        self._value_sum += float(weights.dot(values))
 
     def _query_scaled(self, normalizer: float) -> float:
         return self._value_sum / self._weight_sum
@@ -371,11 +327,6 @@ class DecayedVariance(DecayedAggregate):
         self._weight_sum += weight
         self._value_sum += weight * value
         self._square_sum += weight * value * value
-
-    def _update_weighted_many(self, weights, values) -> None:
-        self._weight_sum += float(weights.sum())
-        self._value_sum += float(weights.dot(values))
-        self._square_sum += float(weights.dot(values * values))
 
     def _query_scaled(self, normalizer: float) -> float:
         mean = self._value_sum / self._weight_sum
@@ -422,11 +373,6 @@ class DecayedMin(DecayedAggregate):
         if candidate < self._best:
             self._best = candidate
 
-    def _update_weighted_many(self, weights, values) -> None:
-        candidate = float((weights * values).min())
-        if candidate < self._best:
-            self._best = candidate
-
     def _query_scaled(self, normalizer: float) -> float:
         return self._best / normalizer
 
@@ -460,11 +406,6 @@ class DecayedMax(DecayedAggregate):
 
     def _update_weighted(self, weight: float, value: float) -> None:
         candidate = weight * value
-        if candidate > self._best:
-            self._best = candidate
-
-    def _update_weighted_many(self, weights, values) -> None:
-        candidate = float((weights * values).max())
         if candidate > self._best:
             self._best = candidate
 

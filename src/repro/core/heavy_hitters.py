@@ -106,29 +106,6 @@ class DecayedHeavyHitters(StreamSummary):
         if timestamp > self._max_time:
             self._max_time = timestamp
 
-    def update_many(self, items: Sequence, timestamps: Sequence | None = None) -> None:
-        """Batch ingest: arrival weights are computed vectorized, then the
-        SpaceSaving folds run per item (they are inherently sequential)."""
-        import numpy as np
-
-        if timestamps is None:
-            raise ParameterError("heavy hitters need (items, timestamps) columns")
-        ts = np.asarray(timestamps, dtype=np.float64)
-        if len(items) != ts.size:
-            raise ParameterError(
-                f"column lengths differ: {len(items)} != {ts.size}"
-            )
-        if ts.size == 0:
-            return
-        weights = self._engine.arrival_weights(ts)
-        sketch_update = self._sketch.update
-        for item, weight in zip(items, weights.tolist()):
-            sketch_update(item, weight)
-        self._items += int(ts.size)
-        batch_max = float(ts.max())
-        if batch_max > self._max_time:
-            self._max_time = batch_max
-
     def decayed_total(self, query_time: float | None = None) -> float:
         """The total decayed count ``C`` at ``query_time`` (Definition 5)."""
         if self._items == 0:

@@ -113,29 +113,6 @@ class DecayedQuantiles(StreamSummary):
         if timestamp > self._max_time:
             self._max_time = timestamp
 
-    def update_many(self, values: Sequence, timestamps: Sequence | None = None) -> None:
-        """Batch ingest: arrival weights are computed vectorized, then the
-        digest folds run per item (they are inherently sequential)."""
-        import numpy as np
-
-        if timestamps is None:
-            raise ParameterError("quantiles need (values, timestamps) columns")
-        ts = np.asarray(timestamps, dtype=np.float64)
-        if len(values) != ts.size:
-            raise ParameterError(
-                f"column lengths differ: {len(values)} != {ts.size}"
-            )
-        if ts.size == 0:
-            return
-        weights = self._engine.arrival_weights(ts)
-        digest_update = self._digest.update
-        for value, weight in zip(values, weights.tolist()):
-            digest_update(value, weight)
-        self._items += int(ts.size)
-        batch_max = float(ts.max())
-        if batch_max > self._max_time:
-            self._max_time = batch_max
-
     def decayed_total(self, query_time: float | None = None) -> float:
         """The total decayed count ``C`` at ``query_time``."""
         if self._items == 0:

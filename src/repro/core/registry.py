@@ -24,8 +24,10 @@ metadata generic drivers need:
   and the ``repro summaries list`` CLI.
 
 Registration happens at class-definition time via the
-:func:`register_summary` decorator in each defining module;
-:func:`load_all` imports every summary module so enumeration is complete.
+:func:`register_summary` decorator in each defining module.  A lookup by
+name (:func:`get_summary`, :func:`create_summary`, ``from_bytes``) imports
+only the module that defines that name; :func:`load_all` imports every
+summary module so enumeration is complete.
 """
 
 from __future__ import annotations
@@ -63,26 +65,37 @@ INPUT_KINDS: dict[str, str] = {
     "item_logweight": "update(item, log_weight)",
 }
 
-_SUMMARY_MODULES = (
-    "repro.core.aggregates",
-    "repro.core.heavy_hitters",
-    "repro.core.quantiles",
-    "repro.core.distinct",
-    "repro.sketches.spacesaving",
-    "repro.sketches.qdigest",
-    "repro.sketches.gk",
-    "repro.sketches.countmin",
-    "repro.sketches.kmv",
-    "repro.sketches.dominance",
-    "repro.sketches.exponential_histogram",
-    "repro.sketches.waves",
-    "repro.sketches.swhh",
-    "repro.sampling.reservoir",
-    "repro.sampling.with_replacement",
-    "repro.sampling.weighted_reservoir",
-    "repro.sampling.priority",
-    "repro.sampling.aggarwal",
-)
+#: Every summary module of the library and the stable names it registers.
+#: A lookup by name imports the one module that defines it; only
+#: enumeration imports them all.
+_SUMMARY_MODULES: dict[str, tuple[str, ...]] = {
+    "repro.core.aggregates": (
+        "decayed_count", "decayed_sum", "decayed_average", "decayed_variance",
+        "decayed_min", "decayed_max", "decayed_algebraic",
+    ),
+    "repro.core.heavy_hitters": ("decayed_heavy_hitters",),
+    "repro.core.quantiles": ("decayed_quantiles",),
+    "repro.core.distinct": ("exact_decayed_distinct", "decayed_distinct_count"),
+    "repro.sketches.spacesaving": ("weighted_spacesaving", "unary_spacesaving"),
+    "repro.sketches.qdigest": ("qdigest",),
+    "repro.sketches.gk": ("gk_summary",),
+    "repro.sketches.countmin": ("countmin", "countmin_heavy_hitters"),
+    "repro.sketches.kmv": ("kmv",),
+    "repro.sketches.dominance": ("dominance_norm",),
+    "repro.sketches.exponential_histogram": ("eh_count", "eh_sum"),
+    "repro.sketches.waves": ("deterministic_wave",),
+    "repro.sketches.swhh": ("sliding_window_heavy_hitters",),
+    "repro.sampling.reservoir": ("reservoir", "single_with_replacement"),
+    "repro.sampling.with_replacement": ("decayed_with_replacement",),
+    "repro.sampling.weighted_reservoir": (
+        "weighted_reservoir", "expjumps_reservoir",
+    ),
+    "repro.sampling.priority": ("priority_sampler",),
+    "repro.sampling.aggarwal": ("aggarwal_reservoir",),
+}
+_MODULE_OF: dict[str, str] = {
+    name: module for module, names in _SUMMARY_MODULES.items() for name in names
+}
 
 
 @dataclass(frozen=True)
@@ -161,9 +174,21 @@ def load_all() -> None:
 
 
 def get_summary(name: str) -> SummaryInfo:
-    """Look up a registry entry by stable name (case-sensitive)."""
-    load_all()
+    """Look up a registry entry by stable name (case-sensitive).
+
+    Imports the one library module that registers ``name``.  A name the
+    library's table does not hold — an out-of-tree :func:`register_summary`
+    — is found if its module was imported; the miss loads every library
+    module so the error can list them.
+    """
     info = _REGISTRY.get(name)
+    if info is None:
+        module = _MODULE_OF.get(name)
+        if module is not None:
+            importlib.import_module(module)
+        else:
+            load_all()
+        info = _REGISTRY.get(name)
     if info is None:
         raise ParameterError(
             f"unknown summary {name!r}; registered: {', '.join(summary_names())}"

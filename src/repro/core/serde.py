@@ -23,18 +23,13 @@ import os
 import struct
 import time
 import zlib
+from typing import TYPE_CHECKING
 
 from repro.core.cols import pack_column, read_column
-from repro.core.decay import ForwardDecay
 from repro.core.errors import ParameterError, ProtocolError
-from repro.core.functions import (
-    ExponentialG,
-    GeneralPolynomialG,
-    LandmarkWindowG,
-    LogarithmicG,
-    NoDecayG,
-    PolynomialG,
-)
+
+if TYPE_CHECKING:
+    from repro.core.decay import ForwardDecay
 
 __all__ = [
     "dump_summary",
@@ -50,17 +45,17 @@ __all__ = [
 
 _VERSION = 1
 
-_G_CLASSES = {
-    cls.__name__: cls
-    for cls in (
-        NoDecayG,
-        PolynomialG,
-        GeneralPolynomialG,
-        ExponentialG,
-        LandmarkWindowG,
-        LogarithmicG,
-    )
-}
+#: The ``g`` classes of :mod:`repro.core.functions` that round-trip.  The
+#: checkpoint file codec below is all a server imports this module for,
+#: so the decay model is imported by the two functions that use it.
+_G_CLASSES = (
+    "NoDecayG",
+    "PolynomialG",
+    "GeneralPolynomialG",
+    "ExponentialG",
+    "LandmarkWindowG",
+    "LogarithmicG",
+)
 
 
 def dump_decay(decay: ForwardDecay) -> dict:
@@ -80,9 +75,12 @@ def dump_decay(decay: ForwardDecay) -> dict:
 
 def load_decay(data: dict) -> ForwardDecay:
     """Inverse of :func:`dump_decay`."""
-    cls = _G_CLASSES.get(data["g"])
-    if cls is None:
+    from repro.core import functions
+    from repro.core.decay import ForwardDecay
+
+    if data["g"] not in _G_CLASSES:
         raise ParameterError(f"unknown decay function class {data['g']!r}")
+    cls = getattr(functions, data["g"])
     params = dict(data["params"])
     if "coefficients" in params:
         params["coefficients"] = tuple(params["coefficients"])
@@ -105,7 +103,6 @@ def dump_summary(summary, metrics=None) -> dict:
     """
     from repro.core import registry
 
-    registry.load_all()
     observing = metrics is not None and getattr(metrics, "enabled", False)
     start = time.perf_counter_ns() if observing else 0
     name = registry.summary_name_of(type(summary))
@@ -135,7 +132,6 @@ def load_summary(data: dict, metrics=None):
     """
     from repro.core import registry
 
-    registry.load_all()
     observing = metrics is not None and getattr(metrics, "enabled", False)
     start = time.perf_counter_ns() if observing else 0
     if data.get("version") != _VERSION:

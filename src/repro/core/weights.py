@@ -96,56 +96,6 @@ class ForwardWeightEngine:
             return math.exp(exponent)
         return self.decay.static_weight(timestamp)
 
-    def arrival_weights(self, timestamps) -> "object":
-        """Vectorized :meth:`arrival_weight` over a numpy timestamp array.
-
-        Returns a float64 array of ``g(t_i - L_internal)``.  For
-        exponential ``g`` the internal landmark is shifted once per batch
-        (to the batch maximum) when any exponent would exceed the guard
-        threshold, so no element overflows.  Non-exponential functions are
-        dispatched to closed-form numpy expressions where the library
-        knows the class, falling back to a scalar loop otherwise.
-        """
-        import numpy as np
-
-        from repro.core.errors import LandmarkError, TimestampError
-        from repro.core.functions import (
-            GeneralPolynomialG,
-            LandmarkWindowG,
-            LogarithmicG,
-            NoDecayG,
-            PolynomialG,
-        )
-
-        ts = np.asarray(timestamps, dtype=np.float64)
-        if ts.size == 0:
-            return np.empty(0, dtype=np.float64)
-        if not np.isfinite(ts).all():
-            raise TimestampError("timestamps must be finite")
-        if self._exp_alpha is not None:
-            max_time = float(ts.max())
-            if self._exp_alpha * (max_time - self._landmark) > self._log_threshold:
-                self._shift_to(max_time)
-            return np.exp(self._exp_alpha * (ts - self._landmark))
-        offsets = ts - self._landmark
-        if (offsets < 0).any():
-            raise LandmarkError(
-                "all timestamps must be at or after the landmark "
-                f"{self._landmark} for forward decay"
-            )
-        g = self._g
-        if isinstance(g, NoDecayG):
-            return np.ones_like(offsets)
-        if isinstance(g, PolynomialG):
-            return offsets**g.beta
-        if isinstance(g, LandmarkWindowG):
-            return (offsets > 0).astype(np.float64)
-        if isinstance(g, LogarithmicG):
-            return np.log1p(g.scale * offsets)
-        if isinstance(g, GeneralPolynomialG):
-            return np.polyval(list(reversed(g.coefficients)), offsets)
-        return np.array([g(float(n)) for n in offsets])
-
     def normalizer(self, query_time: float) -> float:
         """Return ``g(t - L_internal)`` (1.0 when ``g`` evaluates to zero)."""
         if self._exp_alpha is not None:

@@ -9,22 +9,16 @@ outlook (MapReduce-style processing):
   map / combine / shuffle / reduce job.
 """
 
-from repro.distributed.mapreduce import (
-    MapReduceResult,
-    decayed_map_reduce,
-    decayed_map_reduce_by_name,
-)
-from repro.distributed.simulation import (
-    DistributedAggregation,
-    hash_partitioner,
-    round_robin_partitioner,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DistributedAggregation",
-    "hash_partitioner",
-    "round_robin_partitioner",
-    "decayed_map_reduce",
-    "decayed_map_reduce_by_name",
-    "MapReduceResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".simulation": (
+            "DistributedAggregation", "hash_partitioner", "round_robin_partitioner",
+        ),
+        ".mapreduce": (
+            "decayed_map_reduce", "decayed_map_reduce_by_name", "MapReduceResult",
+        ),
+    },
+)

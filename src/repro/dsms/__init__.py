@@ -16,53 +16,23 @@ exercising the same code paths the experiments measure:
   and load shedding.
 """
 
-from repro.dsms.catalog import Catalog
-from repro.dsms.engine import QueryEngine, run_query
-from repro.dsms.expressions import (
-    BinaryOp,
-    BooleanOp,
-    Column,
-    Comparison,
-    Expression,
-    FunctionCall,
-    Literal,
-    UnaryOp,
-)
-from repro.dsms.parser import AggregateCall, GroupItem, Query, SelectItem, parse_query
-from repro.dsms.runtime import (
-    LoadReport,
-    LoadSheddingRuntime,
-    cpu_load_percent,
-    measure_per_tuple_cost,
-)
-from repro.dsms.schema import Field, FieldType, Schema
-from repro.dsms.udaf import Udaf, UdafRegistry, default_registry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Schema",
-    "Field",
-    "FieldType",
-    "Expression",
-    "Column",
-    "Literal",
-    "BinaryOp",
-    "UnaryOp",
-    "Comparison",
-    "BooleanOp",
-    "FunctionCall",
-    "Query",
-    "SelectItem",
-    "GroupItem",
-    "AggregateCall",
-    "parse_query",
-    "Udaf",
-    "UdafRegistry",
-    "default_registry",
-    "Catalog",
-    "QueryEngine",
-    "run_query",
-    "LoadSheddingRuntime",
-    "LoadReport",
-    "measure_per_tuple_cost",
-    "cpu_load_percent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".schema": ("Schema", "Field", "FieldType"),
+        ".expressions": (
+            "Expression", "Column", "Literal", "BinaryOp", "UnaryOp", "Comparison",
+            "BooleanOp", "FunctionCall",
+        ),
+        ".parser": ("Query", "SelectItem", "GroupItem", "AggregateCall", "parse_query"),
+        ".udaf": ("Udaf", "UdafRegistry", "default_registry"),
+        ".catalog": ("Catalog",),
+        ".engine": ("QueryEngine", "run_query"),
+        ".runtime": (
+            "LoadSheddingRuntime", "LoadReport", "measure_per_tuple_cost",
+            "cpu_load_percent",
+        ),
+    },
+)

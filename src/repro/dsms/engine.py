@@ -343,7 +343,10 @@ class QueryEngine:
             mask = where_fn(cols, count)
             selected = [i for i, keep in enumerate(mask) if keep]
             if len(selected) != count:
-                cols = [[col[i] for i in selected] for col in cols]
+                if not selected:
+                    return 0, [], []
+                gather = take_rows(selected)
+                cols = [gather(col) for col in cols]
                 count = len(selected)
         columns = columns_fn(cols, count)
         width = len(self._group_fns)

@@ -17,8 +17,12 @@ mechanism:
   priority/reservoir/weighted-reservoir/Aggarwal samplers).  Like the
   paper's C UDAFs, these run at the high level only (``mergeable =
   False``), which is exactly the configuration Figure 2(b) measures.
+  Each names its summary by registry name and imports that summary's
+  module when it is constructed — which :func:`default_registry` puts
+  off until a query names the aggregate, so a process loads the
+  summaries its query runs and ``create`` / ``update_cols`` never import.
 
-A :class:`UdafRegistry` maps query-text names to factories; the parser
+A :class:`UdafRegistry` maps query-text names to UDAFs; the parser
 treats any registered name used as a function call in the SELECT list as an
 aggregate.
 """
@@ -26,27 +30,25 @@ aggregate.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from itertools import repeat
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.errors import EmptySummaryError, MergeError, QueryError
 from repro.core.keyed_random import KEY_BITS, KeyedRandom
-from repro.sampling.aggarwal import AggarwalBiasedReservoir
-from repro.sampling.priority import PrioritySampler
-from repro.sampling.reservoir import ReservoirSampler
-from repro.sampling.weighted_reservoir import WeightedReservoirSampler
-from repro.sketches.exponential_histogram import (
-    DecayedEHCombiner,
-    ExponentialHistogramCount,
-    ExponentialHistogramSum,
-)
-from repro.core.functions import FFunction
-from repro.sketches.qdigest import QDigest
-from repro.sketches.spacesaving import (
-    SpaceSavingBase,
-    UnarySpaceSaving,
-    WeightedSpaceSaving,
-)
-from repro.sketches.swhh import SlidingWindowHeavyHitters
+from repro.core.registry import get_summary
+
+if TYPE_CHECKING:
+    from repro.core.decay import ForwardDecay
+    from repro.core.functions import FFunction
+    from repro.sampling.priority import PrioritySampler
+    from repro.sketches.exponential_histogram import (
+        ExponentialHistogramCount,
+        ExponentialHistogramSum,
+    )
+    from repro.sketches.qdigest import QDigest
+    from repro.sketches.spacesaving import SpaceSavingBase
+    from repro.sketches.swhh import SlidingWindowHeavyHitters
 
 __all__ = [
     "Udaf",
@@ -285,7 +287,15 @@ class AvgUdaf(Udaf):
 class _SummaryUdaf(Udaf):
     """A UDAF whose state is one of the library's summaries: a tuple's
     arguments are the summary's ``update`` arguments, and a group's column
-    slices go straight to the summary's own ``update_many``."""
+    slices go straight to the summary's own ``update_many``.
+
+    ``summary`` is the state class's registry name; constructing the UDAF
+    imports the one module that defines it."""
+
+    summary: str
+
+    def __init__(self) -> None:
+        self._summary_cls = get_summary(self.summary).cls
 
     def update(self, state, args: tuple) -> None:
         state.update(*args)
@@ -308,14 +318,15 @@ class WeightedHHUdaf(_SummaryUdaf):
 
     name = "fwd_hh"
     arity = 2
-    sketch: type[SpaceSavingBase] = WeightedSpaceSaving
+    summary = "weighted_spacesaving"
 
     def __init__(self, epsilon: float = 0.01, phi: float = 0.05):
+        super().__init__()
         self.epsilon = epsilon
         self.phi = phi
 
     def create(self) -> SpaceSavingBase:
-        return self.sketch.from_epsilon(self.epsilon)
+        return self._summary_cls.from_epsilon(self.epsilon)
 
     def finalize(self, state: SpaceSavingBase) -> list[tuple]:
         return [
@@ -328,7 +339,7 @@ class UnaryHHUdaf(WeightedHHUdaf):
 
     name = "unary_hh"
     arity = 1
-    sketch = UnarySpaceSaving
+    summary = "unary_spacesaving"
 
 
 class SlidingWindowHHUdaf(_SummaryUdaf):
@@ -336,6 +347,7 @@ class SlidingWindowHHUdaf(_SummaryUdaf):
 
     name = "sw_hh"
     arity = 2
+    summary = "sliding_window_heavy_hitters"
 
     def __init__(
         self,
@@ -344,13 +356,14 @@ class SlidingWindowHHUdaf(_SummaryUdaf):
         epsilon: float = 0.01,
         phi: float = 0.05,
     ):
+        super().__init__()
         self.window = window
         self.pane = pane
         self.epsilon = epsilon
         self.phi = phi
 
     def create(self) -> SlidingWindowHeavyHitters:
-        return SlidingWindowHeavyHitters(self.window, self.pane, self.epsilon)
+        return self._summary_cls(self.window, self.pane, self.epsilon)
 
     def finalize(self, state: SlidingWindowHeavyHitters) -> list[tuple]:
         if state.items_processed == 0:
@@ -369,13 +382,15 @@ class EHCountUdaf(_SummaryUdaf):
 
     name = "eh_count"
     arity = 1
+    summary = "eh_count"
 
     def __init__(self, epsilon: float = 0.1, window: float = 60.0):
+        super().__init__()
         self.epsilon = epsilon
         self.window = window
 
     def create(self) -> ExponentialHistogramCount:
-        return ExponentialHistogramCount(self.epsilon, self.window)
+        return self._summary_cls(self.epsilon, self.window)
 
     def finalize(self, state: ExponentialHistogramCount) -> float:
         return state.count(state.last_time)
@@ -386,13 +401,15 @@ class EHSumUdaf(_SummaryUdaf):
 
     name = "eh_sum"
     arity = 2
+    summary = "eh_sum"
 
     def __init__(self, epsilon: float = 0.1, window: float = 60.0):
+        super().__init__()
         self.epsilon = epsilon
         self.window = window
 
     def create(self) -> ExponentialHistogramSum:
-        return ExponentialHistogramSum(self.epsilon, self.window)
+        return self._summary_cls(self.epsilon, self.window)
 
     def update(self, state: ExponentialHistogramSum, args: tuple) -> None:
         state.update(args[0], int(args[1]))
@@ -418,6 +435,7 @@ class EHDecayedUdaf(_SummaryUdaf):
 
     name = "eh_decayed"
     arity = 1
+    summary = "eh_count"
 
     def __init__(
         self,
@@ -426,19 +444,21 @@ class EHDecayedUdaf(_SummaryUdaf):
         window: float = 60.0,
     ):
         from repro.core.functions import PolynomialF
+        from repro.sketches.exponential_histogram import DecayedEHCombiner
 
+        super().__init__()
+        self._combiner = DecayedEHCombiner
         self.f = f if f is not None else PolynomialF(alpha=1.0)
         self.epsilon = epsilon
         self.window = window
 
     def create(self) -> ExponentialHistogramCount:
-        return ExponentialHistogramCount(self.epsilon, self.window)
+        return self._summary_cls(self.epsilon, self.window)
 
     def finalize(self, state: ExponentialHistogramCount) -> float:
         if len(state) == 0:
             return 0.0
-        combiner = DecayedEHCombiner(state)
-        return combiner.decayed_value(self.f, state.last_time)
+        return self._combiner(state).decayed_value(self.f, state.last_time)
 
 
 class WeightedQuantilesUdaf(_SummaryUdaf):
@@ -452,6 +472,7 @@ class WeightedQuantilesUdaf(_SummaryUdaf):
 
     name = "fwd_quantiles"
     arity = 2
+    summary = "qdigest"
 
     def __init__(
         self,
@@ -459,12 +480,13 @@ class WeightedQuantilesUdaf(_SummaryUdaf):
         universe_bits: int = 16,
         phis: tuple[float, ...] = (0.25, 0.5, 0.75),
     ):
+        super().__init__()
         self.epsilon = epsilon
         self.universe_bits = universe_bits
         self.phis = phis
 
     def create(self) -> QDigest:
-        return QDigest.from_epsilon(self.epsilon, self.universe_bits)
+        return self._summary_cls.from_epsilon(self.epsilon, self.universe_bits)
 
     def update(self, state: QDigest, args: tuple) -> None:
         state.update(int(args[0]), args[1])
@@ -500,6 +522,8 @@ class DecayedDistinctUdaf(_SummaryUdaf):
         from repro.core.decay import ForwardDecay
         from repro.core.functions import PolynomialG
 
+        self.summary = "exact_decayed_distinct" if exact else "decayed_distinct_count"
+        super().__init__()
         # Default landmark -1: strictly below non-negative trace timestamps
         # ("a lower bound on the smallest timestamp", Section III-B), so
         # g(t_i - L) is always positive as the max-combine needs.
@@ -511,12 +535,9 @@ class DecayedDistinctUdaf(_SummaryUdaf):
         self.seed = seed
 
     def create(self):
-        from repro.core.distinct import DecayedDistinctCount, ExactDecayedDistinct
-
         if self.exact:
-            return ExactDecayedDistinct(self.decay)
-        return DecayedDistinctCount(self.decay, epsilon=self.epsilon,
-                                    seed=self.seed)
+            return self._summary_cls(self.decay)
+        return self._summary_cls(self.decay, epsilon=self.epsilon, seed=self.seed)
 
     def finalize(self, state) -> float:
         try:
@@ -527,11 +548,10 @@ class DecayedDistinctUdaf(_SummaryUdaf):
 
 class _SeededSamplerUdaf(_SummaryUdaf):
     """Shared plumbing for sampler UDAFs: a group's state is a size-``k``
-    ``sampler`` on its own seeded RNG stream, reported as its sample."""
-
-    sampler: type
+    sampler on its own seeded RNG stream, reported as its sample."""
 
     def __init__(self, k: int = 100, seed: int = 0):
+        super().__init__()
         self.k = k
         self.seed = seed
         self._counter = 0
@@ -539,7 +559,7 @@ class _SeededSamplerUdaf(_SummaryUdaf):
     def create(self):
         self._counter += 1
         key = (self.seed * 1_000_003 + self._counter) % (1 << KEY_BITS)
-        return self.sampler(self.k, rng=KeyedRandom(key))
+        return self._summary_cls(self.k, rng=KeyedRandom(key))
 
     def finalize(self, state) -> list:
         return state.sample() if len(state) else []
@@ -556,7 +576,7 @@ class PrioritySampleUdaf(_SeededSamplerUdaf):
 
     name = "prisamp"
     arity = 2
-    sampler = PrioritySampler
+    summary = "priority_sampler"
 
     def finalize(self, state: PrioritySampler) -> list:
         if state.items_seen == 0:
@@ -569,7 +589,7 @@ class WeightedReservoirUdaf(_SeededSamplerUdaf):
 
     name = "wrsamp"
     arity = 2
-    sampler = WeightedReservoirSampler
+    summary = "weighted_reservoir"
 
 
 class ReservoirUdaf(_SeededSamplerUdaf):
@@ -577,7 +597,7 @@ class ReservoirUdaf(_SeededSamplerUdaf):
 
     name = "reservoir"
     arity = 1
-    sampler = ReservoirSampler
+    summary = "reservoir"
 
 
 class AggarwalUdaf(_SeededSamplerUdaf):
@@ -585,7 +605,7 @@ class AggarwalUdaf(_SeededSamplerUdaf):
 
     name = "aggsamp"
     arity = 1
-    sampler = AggarwalBiasedReservoir
+    summary = "aggarwal_reservoir"
 
 
 # ---------------------------------------------------------------------------
@@ -598,28 +618,41 @@ class UdafRegistry:
 
     def __init__(self) -> None:
         self._udafs: dict[str, Udaf] = {}
+        self._unbuilt: dict[str, Callable[[], Udaf]] = {}
 
     def register(self, udaf: Udaf) -> None:
         """Register (or replace) a UDAF under its ``name``."""
         if not udaf.name:
             raise QueryError("UDAF must define a non-empty name")
+        self._unbuilt.pop(udaf.name.lower(), None)
         self._udafs[udaf.name.lower()] = udaf
+
+    def register_lazy(self, cls: type[Udaf], *args, **kwargs) -> None:
+        """Register ``cls(*args, **kwargs)`` under ``cls.name``, constructed
+        the first time a query names it (and kept from then on)."""
+        self._udafs.pop(cls.name.lower(), None)
+        self._unbuilt[cls.name.lower()] = partial(cls, *args, **kwargs)
 
     def get(self, name: str) -> Udaf:
         """Look up a UDAF; raises :class:`QueryError` if unknown."""
-        try:
-            return self._udafs[name.lower()]
-        except KeyError:
-            raise QueryError(
-                f"unknown aggregate {name!r}; registered: {sorted(self._udafs)}"
-            ) from None
+        key = name.lower()
+        udaf = self._udafs.get(key)
+        if udaf is None:
+            build = self._unbuilt.pop(key, None)
+            if build is None:
+                raise QueryError(
+                    f"unknown aggregate {name!r}; registered: {self.names()}"
+                )
+            udaf = self._udafs[key] = build()
+        return udaf
 
     def __contains__(self, name: str) -> bool:
-        return name.lower() in self._udafs
+        key = name.lower()
+        return key in self._udafs or key in self._unbuilt
 
     def names(self) -> list[str]:
         """All registered aggregate names."""
-        return sorted(self._udafs)
+        return sorted({*self._udafs, *self._unbuilt})
 
 
 def default_registry(
@@ -631,7 +664,9 @@ def default_registry(
     seed: int = 0,
     pane: float | None = None,
 ) -> UdafRegistry:
-    """A registry with the builtins plus every library adapter.
+    """A registry with the builtins plus every library adapter (each
+    adapter constructed, and its summary module imported, when a query
+    first names it).
 
     The parameters configure the adapters the figures sweep (epsilon,
     window, sample size); benchmarks construct registries per data point.
@@ -639,16 +674,16 @@ def default_registry(
     registry = UdafRegistry()
     for builtin in (CountUdaf(), SumUdaf(), MinUdaf(), MaxUdaf(), AvgUdaf()):
         registry.register(builtin)
-    registry.register(WeightedHHUdaf(hh_epsilon, hh_phi))
-    registry.register(UnaryHHUdaf(hh_epsilon, hh_phi))
-    registry.register(SlidingWindowHHUdaf(window, pane, hh_epsilon, hh_phi))
-    registry.register(EHCountUdaf(eh_epsilon, window))
-    registry.register(EHSumUdaf(eh_epsilon, window))
-    registry.register(EHDecayedUdaf(epsilon=eh_epsilon, window=window))
-    registry.register(WeightedQuantilesUdaf(epsilon=max(hh_epsilon, 0.01)))
-    registry.register(DecayedDistinctUdaf(epsilon=0.1, seed=seed))
-    registry.register(PrioritySampleUdaf(sample_size, seed))
-    registry.register(WeightedReservoirUdaf(sample_size, seed))
-    registry.register(ReservoirUdaf(sample_size, seed))
-    registry.register(AggarwalUdaf(sample_size, seed))
+    registry.register_lazy(WeightedHHUdaf, hh_epsilon, hh_phi)
+    registry.register_lazy(UnaryHHUdaf, hh_epsilon, hh_phi)
+    registry.register_lazy(SlidingWindowHHUdaf, window, pane, hh_epsilon, hh_phi)
+    registry.register_lazy(EHCountUdaf, eh_epsilon, window)
+    registry.register_lazy(EHSumUdaf, eh_epsilon, window)
+    registry.register_lazy(EHDecayedUdaf, epsilon=eh_epsilon, window=window)
+    registry.register_lazy(WeightedQuantilesUdaf, epsilon=max(hh_epsilon, 0.01))
+    registry.register_lazy(DecayedDistinctUdaf, epsilon=0.1, seed=seed)
+    registry.register_lazy(PrioritySampleUdaf, sample_size, seed)
+    registry.register_lazy(WeightedReservoirUdaf, sample_size, seed)
+    registry.register_lazy(ReservoirUdaf, sample_size, seed)
+    registry.register_lazy(AggarwalUdaf, sample_size, seed)
     return registry

@@ -7,34 +7,19 @@ forward-decayed metrics built from the repo's own summaries, and the
 ``repro stats`` CLI renders the snapshot.
 """
 
-from repro.obs.metrics import (
-    DecayedCounter,
-    DecayedRateGauge,
-    HotKeyTracker,
-    LastValueGauge,
-    LatencyQuantiles,
-)
-from repro.obs.registry import (
-    NULL_METRIC,
-    MetricsRegistry,
-    NullMetric,
-    format_snapshot,
-    load_snapshot,
-)
-from repro.obs.instrument import EngineInstrumentation, TimedUdaf, instrument_engine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecayedCounter",
-    "DecayedRateGauge",
-    "HotKeyTracker",
-    "LastValueGauge",
-    "LatencyQuantiles",
-    "MetricsRegistry",
-    "NullMetric",
-    "NULL_METRIC",
-    "format_snapshot",
-    "load_snapshot",
-    "EngineInstrumentation",
-    "TimedUdaf",
-    "instrument_engine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "DecayedCounter", "DecayedRateGauge", "HotKeyTracker", "LastValueGauge",
+            "LatencyQuantiles",
+        ),
+        ".registry": (
+            "MetricsRegistry", "NullMetric", "NULL_METRIC", "format_snapshot",
+            "load_snapshot",
+        ),
+        ".instrument": ("EngineInstrumentation", "TimedUdaf", "instrument_engine"),
+    },
+)

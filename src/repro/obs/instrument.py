@@ -91,6 +91,7 @@ class EngineInstrumentation:
         "partial_groups",
         "partial_bytes",
         "partial_summary_bytes",
+        "_batch_keys",
     )
 
     def __init__(self, engine: "QueryEngine", metrics: "MetricsRegistry", name: str):
@@ -117,9 +118,11 @@ class EngineInstrumentation:
         )
         for plan in engine._agg_plans:
             plan.udaf = TimedUdaf(plan.udaf, metrics, prefix)
+        self._batch_keys: list = []
         # Shadow the class methods on this instance only.
         engine.process = self._process
         engine.insert_cols = self._insert_cols
+        engine._select_and_eval = self._select_and_eval
         engine.flush = self._flush
         engine.checkpoint = self._checkpoint
         engine.restore = self._restore
@@ -150,6 +153,13 @@ class EngineInstrumentation:
         if len(engine._emitted) != emitted_before:
             self.emitted.add(float(len(engine._emitted) - emitted_before))
 
+    def _select_and_eval(self, cols: list, count: int) -> tuple:
+        """The batch kernel's one evaluation, its group keys kept for the
+        hot-key tracker."""
+        evaluated = type(self.engine)._select_and_eval(self.engine, cols, count)
+        self._batch_keys = evaluated[1]
+        return evaluated
+
     def _insert_cols(self, cols: list) -> None:
         engine = self.engine
         selected_before = engine._tuples_selected
@@ -165,10 +175,11 @@ class EngineInstrumentation:
         if count:
             self.latency.observe(elapsed_us / count, weight=float(count))
         selected = engine._tuples_selected - selected_before
+        keys, self._batch_keys = self._batch_keys, []
         if selected:
             self.selected.add(float(selected))
             if engine._group_fns:
-                for key in engine._select_and_eval(cols, count)[1]:
+                for key in keys:
                     self.hot.observe(self._hot_key(key))
         if engine._low_evictions != evictions_before:
             self.evictions.add(float(engine._low_evictions - evictions_before))

@@ -10,17 +10,14 @@ state, with the lost delta reported as a
 :class:`~repro.parallel.supervision.ShardFailure`.
 """
 
-from repro.parallel.routing import GroupKeyRouter, stable_route, validate_mergeable
-from repro.parallel.sharded import ShardedEngine
-from repro.parallel.supervision import ShardFailure
-from repro.parallel.worker import ShardPlan, shard_worker_main
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GroupKeyRouter",
-    "ShardedEngine",
-    "ShardFailure",
-    "ShardPlan",
-    "shard_worker_main",
-    "stable_route",
-    "validate_mergeable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".routing": ("GroupKeyRouter", "stable_route", "validate_mergeable"),
+        ".sharded": ("ShardedEngine",),
+        ".supervision": ("ShardFailure",),
+        ".worker": ("ShardPlan", "shard_worker_main"),
+    },
+)

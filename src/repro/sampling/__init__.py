@@ -19,41 +19,23 @@ a generator whose whole serialized state is ``(key, words drawn)``; the
 once for a 63-bit key otherwise.
 """
 
-from repro.core.keyed_random import KeyedRandom
-from repro.sampling.aggarwal import AggarwalBiasedReservoir
-from repro.sampling.estimators import (
-    chi_square_statistic,
-    empirical_frequencies,
-    estimate_decayed_mean,
-    expected_forward_probabilities,
-)
-from repro.sampling.priority import (
-    PrioritySample,
-    PrioritySampler,
-    estimate_decayed_sum,
-)
-from repro.sampling.reservoir import ReservoirSampler, SingleItemWithReplacementSampler
-from repro.sampling.weighted_reservoir import (
-    ExpJumpsReservoirSampler,
-    WeightedReservoirSampler,
-    decayed_log_weight,
-)
-from repro.sampling.with_replacement import DecayedSamplerWithReplacement
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KeyedRandom",
-    "ReservoirSampler",
-    "SingleItemWithReplacementSampler",
-    "DecayedSamplerWithReplacement",
-    "WeightedReservoirSampler",
-    "ExpJumpsReservoirSampler",
-    "decayed_log_weight",
-    "PrioritySampler",
-    "PrioritySample",
-    "estimate_decayed_sum",
-    "AggarwalBiasedReservoir",
-    "estimate_decayed_mean",
-    "empirical_frequencies",
-    "expected_forward_probabilities",
-    "chi_square_statistic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.keyed_random": ("KeyedRandom",),
+        ".reservoir": ("ReservoirSampler", "SingleItemWithReplacementSampler"),
+        ".with_replacement": ("DecayedSamplerWithReplacement",),
+        ".weighted_reservoir": (
+            "WeightedReservoirSampler", "ExpJumpsReservoirSampler",
+            "decayed_log_weight",
+        ),
+        ".priority": ("PrioritySampler", "PrioritySample", "estimate_decayed_sum"),
+        ".aggarwal": ("AggarwalBiasedReservoir",),
+        ".estimators": (
+            "estimate_decayed_mean", "empirical_frequencies",
+            "expected_forward_probabilities", "chi_square_statistic",
+        ),
+    },
+)

@@ -24,38 +24,16 @@ Quick start::
 The CLI fronts the same pieces as ``repro serve`` and ``repro client``.
 """
 
-from repro.serve.backend import (
-    ShardedBackend,
-    SingleEngineBackend,
-    build_backend,
-)
-from repro.serve.client import (
-    AsyncServeClient,
-    ClientConnectionError,
-    ServeClient,
-)
-from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
-    WIRE_VERSION,
-    Frame,
-    FrameDecoder,
-    RemoteError,
-)
-from repro.serve.server import CHECKPOINT_FILENAME, StreamServer, ThreadedServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncServeClient",
-    "CHECKPOINT_FILENAME",
-    "ClientConnectionError",
-    "Frame",
-    "FrameDecoder",
-    "MAX_FRAME_BYTES",
-    "RemoteError",
-    "ServeClient",
-    "ShardedBackend",
-    "SingleEngineBackend",
-    "StreamServer",
-    "ThreadedServer",
-    "WIRE_VERSION",
-    "build_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".client": ("AsyncServeClient", "ClientConnectionError", "ServeClient"),
+        ".server": ("CHECKPOINT_FILENAME", "StreamServer", "ThreadedServer"),
+        ".protocol": (
+            "Frame", "FrameDecoder", "MAX_FRAME_BYTES", "RemoteError", "WIRE_VERSION",
+        ),
+        ".backend": ("ShardedBackend", "SingleEngineBackend", "build_backend"),
+    },
+)

@@ -29,7 +29,6 @@ from __future__ import annotations
 from repro.core.errors import ParameterError
 from repro.dsms.engine import ResultRow, fold_partials
 from repro.dsms.schema import Schema
-from repro.parallel.sharded import ShardedEngine, stable_route
 from repro.parallel.worker import ShardPlan
 
 __all__ = ["SingleEngineBackend", "ShardedBackend", "build_backend"]
@@ -156,6 +155,10 @@ class ShardedBackend(_BackendBase):
     kind = "sharded"
 
     def __init__(self, plan: ShardPlan, shards: int, processes: int | None):
+        # Only a sharded server pays for the shard machinery
+        # (multiprocessing and its queues).
+        from repro.parallel.sharded import ShardedEngine, stable_route
+
         super().__init__(plan)
         self._restored: list[bytes] = []
         self._sharded = ShardedEngine(

@@ -70,6 +70,11 @@ _log = logging.getLogger(__name__)
 #: (:func:`repro.core.serde.dump_partials_checkpoint`'s binary image).
 CHECKPOINT_FILENAME = "checkpoint.bin"
 
+#: How long a closing connection may take to flush the replies it has
+#: buffered.  A peer that stopped reading never takes them, so after this
+#: its transport is aborted: a stop is bounded by the grace, not the peer.
+CLOSE_GRACE_S = 0.5
+
 #: The JSON checkpoint earlier builds wrote; a state dir holding only this
 #: is refused at start-up rather than silently started empty.
 _LEGACY_CHECKPOINT = "checkpoint.json"
@@ -90,6 +95,8 @@ class _Connection:
         self.tuples_in = 0
         self.window = 0  # credits outstanding client-side (server's view)
         self.subscriptions: list[asyncio.Task] = []
+        #: The ``_on_connection`` task serving this connection.
+        self.handler = asyncio.current_task()
         self._next_sub = 1
         self._write_lock = asyncio.Lock()
 
@@ -118,11 +125,15 @@ class _Connection:
             await self.writer.drain()
 
     async def close(self) -> None:
+        """Close the transport: buffered replies get ``CLOSE_GRACE_S`` to
+        drain, then whatever the peer has not taken is dropped."""
         for task in self.subscriptions:
             task.cancel()
         self.writer.close()
         try:
-            await self.writer.wait_closed()
+            await asyncio.wait_for(self.writer.wait_closed(), CLOSE_GRACE_S)
+        except asyncio.TimeoutError:
+            self.writer.transport.abort()
         except (OSError, asyncio.CancelledError):  # pragma: no cover
             pass
 
@@ -300,13 +311,21 @@ class StreamServer:
             except asyncio.CancelledError:
                 pass
             self._checkpoint_task = None
+        # Connections before the listener: Server.wait_closed() (Python
+        # >= 3.12.1) waits for every live connection, so it cannot come
+        # first.  close() only stops the accept loop.
         if self._server is not None:
             self._server.close()
+        connections = list(self._connections)
+        if connections:
+            await asyncio.gather(*(conn.close() for conn in connections))
+            # Each handler ends once its transport is gone (a read or a
+            # drain it was parked on fails), leaving no task behind.
+            await asyncio.wait([conn.handler for conn in connections])
+        self._connections.clear()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for conn in list(self._connections):
-            await conn.close()
-        self._connections.clear()
         path = self.write_checkpoint()
         self.backend.close()
         return path
@@ -829,13 +848,16 @@ class ThreadedServer:
                 server._checkpoint_task = None
             if server._server is not None:
                 server._server.close()
-                await server._server.wait_closed()
-                server._server = None
             for conn in list(server._connections):
                 for task in conn.subscriptions:
                     task.cancel()
                 conn.writer.transport.abort()
             server._connections.clear()
+            # After the connections, as in stop(): wait_closed() waits
+            # for them on Python >= 3.12.1.
+            if server._server is not None:
+                await server._server.wait_closed()
+                server._server = None
             # Let the transports' scheduled connection_lost callbacks run
             # so the sockets actually close (RST) before the loop dies.
             await asyncio.sleep(0)

@@ -18,42 +18,24 @@ or compares against:
   counting and dominance norms for decayed count-distinct.
 """
 
-from repro.sketches.countmin import CountMinHeavyHitters, CountMinSketch
-from repro.sketches.dominance import DominanceNormEstimator
-from repro.sketches.gk import GKSummary
-from repro.sketches.exponential_histogram import (
-    DecayedEHCombiner,
-    ExponentialHistogramCount,
-    ExponentialHistogramSum,
-)
-from repro.sketches.kmv import KMVSketch
-from repro.sketches.qdigest import QDigest
-from repro.sketches.spacesaving import (
-    Counter,
-    SpaceSavingBase,
-    UnarySpaceSaving,
-    WeightedSpaceSaving,
-    exact_heavy_hitters,
-)
-from repro.sketches.swhh import BackwardDecayedHHCombiner, SlidingWindowHeavyHitters
-from repro.sketches.waves import DeterministicWave
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "SpaceSavingBase",
-    "UnarySpaceSaving",
-    "WeightedSpaceSaving",
-    "exact_heavy_hitters",
-    "QDigest",
-    "ExponentialHistogramCount",
-    "ExponentialHistogramSum",
-    "DecayedEHCombiner",
-    "DeterministicWave",
-    "SlidingWindowHeavyHitters",
-    "BackwardDecayedHHCombiner",
-    "KMVSketch",
-    "DominanceNormEstimator",
-    "GKSummary",
-    "CountMinSketch",
-    "CountMinHeavyHitters",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".spacesaving": (
+            "Counter", "SpaceSavingBase", "UnarySpaceSaving", "WeightedSpaceSaving",
+            "exact_heavy_hitters",
+        ),
+        ".qdigest": ("QDigest",),
+        ".exponential_histogram": (
+            "ExponentialHistogramCount", "ExponentialHistogramSum", "DecayedEHCombiner",
+        ),
+        ".waves": ("DeterministicWave",),
+        ".swhh": ("SlidingWindowHeavyHitters", "BackwardDecayedHHCombiner"),
+        ".kmv": ("KMVSketch",),
+        ".dominance": ("DominanceNormEstimator",),
+        ".gk": ("GKSummary",),
+        ".countmin": ("CountMinSketch", "CountMinHeavyHitters"),
+    },
+)

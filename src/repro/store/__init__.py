@@ -19,28 +19,18 @@ the all-RAM engine.
   carrying the offending segment and offset.
 """
 
-from repro.core.errors import StoreError
-from repro.store.directory import KeyDirectory
-from repro.store.segment import (
-    SEGMENT_VERSION,
-    SegmentReader,
-    SegmentWriter,
-    canonical_key,
-    read_record_at,
-)
-from repro.store.tenant import TenantStore
-from repro.store.tiered import MANIFEST_NAME, MANIFEST_VERSION, TieredStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TieredStore",
-    "TenantStore",
-    "KeyDirectory",
-    "SegmentReader",
-    "SegmentWriter",
-    "SEGMENT_VERSION",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
-    "StoreError",
-    "canonical_key",
-    "read_record_at",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".tiered": ("TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION"),
+        ".tenant": ("TenantStore",),
+        ".directory": ("KeyDirectory",),
+        ".segment": (
+            "SegmentReader", "SegmentWriter", "SEGMENT_VERSION", "canonical_key",
+            "read_record_at",
+        ),
+        "repro.core.errors": ("StoreError",),
+    },
+)

@@ -8,6 +8,11 @@ fault-tolerance layer through these helpers, so the crash scenarios stay
 reproducible instead of hand-rolled per test.
 """
 
-from repro.testing.chaos import ServerProcess, kill_worker, wait_until
+from repro._lazy import lazy_exports
 
-__all__ = ["ServerProcess", "kill_worker", "wait_until"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".chaos": ("ServerProcess", "kill_worker", "wait_until"),
+    },
+)

@@ -6,28 +6,18 @@
   for unit/property tests and examples.
 """
 
-from repro.workloads.netflow import (
-    PACKET_SCHEMA,
-    PacketTraceConfig,
-    PacketTraceGenerator,
-    generate_trace,
-)
-from repro.workloads.synthetic import (
-    bursty_stream,
-    interleave_streams,
-    uniform_stream,
-    with_out_of_order,
-    zipf_stream,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PACKET_SCHEMA",
-    "PacketTraceConfig",
-    "PacketTraceGenerator",
-    "generate_trace",
-    "uniform_stream",
-    "zipf_stream",
-    "bursty_stream",
-    "with_out_of_order",
-    "interleave_streams",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".netflow": (
+            "PACKET_SCHEMA", "PacketTraceConfig", "PacketTraceGenerator",
+            "generate_trace",
+        ),
+        ".synthetic": (
+            "uniform_stream", "zipf_stream", "bursty_stream", "with_out_of_order",
+            "interleave_streams",
+        ),
+    },
+)

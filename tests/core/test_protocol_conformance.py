@@ -4,7 +4,8 @@ Every summary registered in :mod:`repro.core.registry` must uphold the
 protocol contract, whatever its family:
 
 * ``update_many`` is equivalent to repeated ``update`` (bit-identical for
-  loop-based summaries, within float tolerance for vectorized ones);
+  loop-based summaries, within float tolerance for a batch kernel that
+  regroups additions);
 * ``from_bytes(to_bytes(s))`` answers queries identically and
   re-serializes to the same bytes; the buffer is the packed version-2
   layout, the version-1 JSON layout still loads, and no damaged buffer
@@ -428,9 +429,9 @@ class TestUpdateManyEquivalence:
             batched.update_many(columns[0])
         else:
             batched.update_many(columns[0], columns[1])
-        # Vectorized overrides (the numpy aggregate path) regroup float
-        # additions, so equality is up to rounding; loop-based summaries
-        # (samplers included: same RNG consumption order) match exactly.
+        # A batch kernel may regroup float additions, so equality is up
+        # to rounding; loop-based summaries (samplers included: same RNG
+        # consumption order) match exactly.
         assert approx_equal(query_of(batched), query_of(one_by_one))
 
     def test_mismatched_column_lengths_rejected(self):

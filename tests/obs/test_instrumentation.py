@@ -206,6 +206,34 @@ class TestRecordedMetrics:
         assert sum(weight for _, weight, _ in top) == pytest.approx(tcp)
         assert all(key.startswith("192.") for key, _, _ in top)
 
+    def test_hot_keys_come_from_the_kernels_one_evaluation(self, monkeypatch):
+        # The tracker is handed the keys insert_cols already made: the
+        # batch plan runs once per batch, and an expression that raises
+        # raises once.
+        evaluations = []
+        evaluate = QueryEngine._select_and_eval
+
+        def counted(engine, cols, count):
+            evaluations.append(count)
+            return evaluate(engine, cols, count)
+
+        monkeypatch.setattr(QueryEngine, "_select_and_eval", counted)
+        rows = make_rows()
+        metrics = MetricsRegistry(enabled=True)
+        engine = QueryEngine(
+            parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
+        )
+        engine.insert_cols([list(col) for col in zip(*rows)])
+        assert evaluations == [len(rows)]
+        tcp = sum(1 for row in rows if row[5] == "tcp")
+        top = metrics.get("engine.query.hot_keys").top(5)
+        assert sum(weight for _, weight, _ in top) == pytest.approx(tcp)
+        bad = [list(col) for col in zip(*rows[:8])]
+        bad[0][3] = None  # time/60 on None raises inside the evaluation
+        with pytest.raises(TypeError):
+            engine.insert_cols(bad)
+        assert evaluations == [len(rows), 8]
+
     @pytest.mark.parametrize("columnar", [False, True])
     def test_batched_path_records_batch_sizes_and_udaf_timings(self, columnar):
         metrics = MetricsRegistry(enabled=True)

@@ -24,6 +24,7 @@ from repro.serve import (
     build_backend,
     protocol,
 )
+from repro.serve.server import CLOSE_GRACE_S
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import (
     SQL,
@@ -235,7 +236,48 @@ class TestSlowReader:
                 assert push == in_process(rows)
                 assert server.server.result_pages_total == total_pages
             finally:
-                raw.close()  # or a failed assert leaves stop() draining
+                raw.close()
+
+    @pytest.mark.parametrize("request_frame", ["query", "subscribe"])
+    def test_stop_does_not_wait_for_a_peer_that_never_reads(
+        self, tmp_path, request_frame
+    ):
+        """A graceful stop is bounded by the close grace, not by a peer
+        holding undrained replies: the checkpoint is still written, loads,
+        and no task outlives the stop."""
+        rows = group_rows(6_000)
+        server = serve(state_dir=str(tmp_path))
+        raw = RawConnection(server.host, server.port)
+        try:
+            raw.hello()
+            throttle(server, raw)
+            (conn,) = server.server._connections
+            transport = conn.writer.transport
+            with ServeClient(server.host, server.port) as writer:
+                ingest(writer, rows)
+            if request_frame == "query":
+                raw.send_frame(protocol.QUERY)
+            else:
+                raw.send_frame(
+                    protocol.SUBSCRIBE, {"interval_s": 0.01, "count": 1}
+                )
+            # The reply is parked on the peer's full socket.
+            deadline = time.monotonic() + 10
+            while on_loop(server, transport.get_write_buffer_size) == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            loop = server._loop
+            started = time.monotonic()
+            path = server.stop()
+            elapsed = time.monotonic() - started
+            assert elapsed < CLOSE_GRACE_S + 1.0
+            assert asyncio.all_tasks(loop) == set()
+        finally:
+            raw.close()
+        with serve(state_dir=str(tmp_path)) as restarted:
+            assert restarted.server.checkpoint_path == path
+            with ServeClient(restarted.host, restarted.port) as client:
+                assert client.query() == in_process(rows)
 
 
 class TestQueryFailures:
