@@ -248,7 +248,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+    # This process has no TLS code path: asyncio is imported with `ssl`
+    # declined (its own `except ImportError` branch), so OpenSSL is never
+    # mapped (~4 of 25 MiB).  Only here: sys.modules is the host's.
+    declined = "ssl" not in sys.modules
+    if declined:
+        sys.modules["ssl"] = None
+    try:
+        import asyncio
+    finally:
+        if declined:
+            del sys.modules["ssl"]  # a later `import ssl` works as usual
     import signal
 
     from repro.obs.registry import MetricsRegistry
@@ -283,9 +293,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         await server.start()
+        names = PACKET_SCHEMA.names()
+        read = [names[index] for index in backend.columns_read]
         print(
             f"serving on {server.host}:{server.port} "
-            f"({server.backend.kind} backend): {server.backend.sql}"
+            f"({backend.kind} backend; reads {len(read)} of {len(names)} "
+            f"columns: {', '.join(read)}): {backend.sql}"
         )
         if server.restored_blobs:
             print(

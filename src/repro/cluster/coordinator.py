@@ -252,9 +252,10 @@ class Coordinator:
         was given — and a piece the client refused outright
         (``FrameTooLarge``) was never sent, replayed or counted.
         """
-        for start in range(0, count, self.batch_size):
-            piece = [column[start : start + self.batch_size] for column in cols]
-            sent = len(piece[0])
+        size = self.batch_size
+        for start in range(0, count, size):
+            piece = [column[start : start + size] for column in cols]
+            sent = min(size, count - start)
             try:
                 self._clients[name].insert_cols(piece)
             except ClientConnectionError:
@@ -275,9 +276,15 @@ class Coordinator:
         ``cols`` is one equal-length list per schema field; an empty
         batch is ignored.  Rows buffered by :meth:`process` ship first,
         so interleaving the two preserves per-node arrival order.
+
+        The batch is checked against the schema here first
+        (:class:`~repro.core.errors.SchemaError`, nothing sent): a node is
+        sent only the columns the query reads and could not reject the rest.
         """
         self._ensure_open()
         self._flush_edge()
+        if cols:
+            self.schema.validate_cols(cols)
         parts = self._routing.partition(
             cols, self._ring.node_for, self._ring.nodes
         )

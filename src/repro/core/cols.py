@@ -49,6 +49,20 @@ packed batches to shard workers instead of pickling per-row tuples, and
 per group.  It deliberately lives in :mod:`repro.core` — below all of
 them — so no layer imports another.
 
+**A reader that names its columns pays for those and nothing else.**
+:func:`unpack_cols` given ``columns`` decodes those blocks; every other
+block is *shape-checked, not content-checked* (:func:`block_zeros`): its
+byte count must match its rows — a fixed width times the row count, a
+length table that sums to its blob, a dictionary with a ``str`` table and
+one code per row — and the blocks must still tile the body, so truncation
+and trailing bytes fail for every column, read or not.  What shape does
+not show is never looked at: invalid UTF-8 or a dictionary code beyond
+the table inside an unread block is accepted and never materialised.  The
+column comes back as ``rows`` references to the kind's zero (``0``,
+``0.0``, ``""``, ``b""``) — a plain list, so everything downstream sees an
+ordinary column.  A ``tagged`` block has no shape apart from its content
+and is always decoded.
+
 All malformed input raises :class:`~repro.core.errors.ProtocolError`.
 """
 
@@ -80,6 +94,8 @@ __all__ = [
     "read_column",
     "open_cols",
     "block_values",
+    "block_zeros",
+    "block_type",
     "block_name",
     "describe_cols",
     "tag_value",
@@ -284,8 +300,11 @@ def _fixed_values(fmt: str, view, offset: int, count: int, rows) -> list:
 
 
 def _unpack_column(kind: int, view, count: int, rows=None) -> list:
-    """The ``count`` values of one column payload, or those at ``rows``."""
+    """The ``count`` values of one column payload, or those at ``rows``.
+    Every shape check runs before a value is built, so picking no rows
+    (``rows=()``) is the shape check alone (``tagged`` excepted)."""
     base, shrink = kind & 15, kind >> 4
+    shape_only = rows is not None and not len(rows)
     if (base == COL_I64 and shrink < 4) or kind == COL_F64:
         fmt = "d" if kind == COL_F64 else _SIGNED[shrink]
         if len(view) != (8 >> shrink) * count:
@@ -296,6 +315,8 @@ def _unpack_column(kind: int, view, count: int, rows=None) -> list:
         return _fixed_values(fmt, view, 0, count, rows)
     if (base == COL_STR or base == COL_BYTES) and shrink < 3:
         lengths, blob = _length_table(view, count, shrink)
+        if shape_only:
+            return []
         try:
             if rows is None:
                 if base == COL_STR:
@@ -328,7 +349,9 @@ def _unpack_column(kind: int, view, count: int, rows=None) -> list:
             raise ProtocolError(
                 f"dict column: {len(view) - end} code bytes for {count} rows"
             )
-        table = _unpack_column(table_kind, view[start:end], entries)
+        table = _unpack_column(
+            table_kind, view[start:end], entries, () if shape_only else None
+        )
         try:
             return list(map(
                 table.__getitem__,
@@ -452,15 +475,44 @@ def block_values(view, block: tuple[int, int, int], count: int, rows=None) -> li
     return _unpack_column(kind, view[start:end], count, rows)
 
 
-def unpack_cols(body) -> tuple[list[list], int | None, int]:
+_BLOCK_TYPES = {
+    COL_I64: int, COL_F64: float, COL_STR: str, COL_BYTES: bytes, COL_DICT: str,
+}
+
+
+def block_type(kind: int) -> type | None:
+    """The one type every value of a block with this kind byte has — a
+    typed block *is* its type by construction — or None for ``tagged``."""
+    return _BLOCK_TYPES.get(kind & 15)
+
+
+def block_zeros(view, block: tuple[int, int, int], count: int) -> list:
+    """One :func:`open_cols` block its reader does not want: shape
+    checked, content not looked at, ``count`` references to its kind's
+    zero returned (module docstring); a ``tagged`` block is decoded."""
+    kind, start, end = block
+    if kind == COL_TAGGED:
+        return block_values(view, block, count)
+    _unpack_column(kind, view[start:end], count, ())
+    return [block_type(kind)()] * count
+
+
+def unpack_cols(body, columns=None) -> tuple[list[list], int | None, int]:
     """Parse a packed batch → ``(columns, seq, row_count)``.
 
-    Any truncation, trailing garbage, or malformed column payload raises
-    :class:`ProtocolError`.
+    ``columns`` — a container of column indices — names the ones the
+    caller reads; the others come back as :func:`block_zeros`.  ``None``
+    decodes every column.  Any truncation, trailing garbage, or malformed
+    payload of a decoded column raises :class:`ProtocolError`.
     """
     with memoryview(body) as view:
         count, seq, blocks = open_cols(view)
-        cols = [block_values(view, block, count) for block in blocks]
+        cols = [
+            block_values(view, block, count)
+            if columns is None or index in columns
+            else block_zeros(view, block, count)
+            for index, block in enumerate(blocks)
+        ]
     return cols, seq, count
 
 

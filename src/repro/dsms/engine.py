@@ -145,6 +145,10 @@ class QueryEngine:
         self.query = query
         self.schema = schema
         self._validate()
+        #: Schema indices WHERE, GROUP BY and aggregate arguments name,
+        #: ascending.  No other column of a batch is ever looked at, so a
+        #: transport may leave the rest undecoded (``core.cols.unpack_cols``).
+        self.columns_read = tuple(sorted(map(schema.index_of, query.columns())))
         self._where_fn = query.where.compile(schema) if query.where else None
         self._group_fns = tuple(g.expression.compile(schema) for g in query.group_by)
         self._cols_plan: tuple | None = None  # built on first insert_cols
@@ -346,7 +350,12 @@ class QueryEngine:
                 if not selected:
                     return 0, [], []
                 gather = take_rows(selected)
-                cols = [gather(col) for col in cols]
+                # The other columns stay behind, as under a masked AND / OR.
+                read = self.columns_read
+                cols = [
+                    gather(col) if index in read else None
+                    for index, col in enumerate(cols)
+                ]
                 count = len(selected)
         columns = columns_fn(cols, count)
         width = len(self._group_fns)

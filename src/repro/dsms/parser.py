@@ -170,6 +170,18 @@ class Query:
     order_by: tuple[OrderKey, ...] = field(default=())
     limit: int | None = None
 
+    def columns(self) -> set[str]:
+        """Stream columns the plan reads from a tuple: those WHERE, GROUP
+        BY and aggregate arguments name.  (A plain select item is
+        evaluated from the group key, HAVING / ORDER BY from output rows.)"""
+        expressions = [g.expression for g in self.group_by]
+        if self.where is not None:
+            expressions.append(self.where)
+        for item in self.select:
+            if item.aggregate is not None:
+                expressions.extend(item.aggregate.args)
+        return set().union(*(e.columns() for e in expressions))
+
     def sql(self) -> str:
         """Render the whole query back to normalized text."""
         parts = ["SELECT "]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from repro.core.cols import block_type
 from repro.core.errors import SchemaError
 
 __all__ = ["FieldType", "Field", "Schema"]
@@ -95,13 +96,19 @@ class Schema:
                     f"field {field.name!r} expects {expected.__name__}, got {value!r}"
                 )
 
-    def validate_cols(self, cols: list) -> int:
+    def validate_cols(self, cols: list, kinds=None) -> int:
         """Check a columnar batch against the schema; returns the row count.
 
         The columnar twin of :meth:`validate`: one arity check for the
         whole batch, one length check and one type sweep per column —
         O(fields + values) with no per-row tuple in sight.  Raises
         :class:`SchemaError` naming the first offending field.
+
+        ``kinds`` — the :mod:`repro.core.cols` kind byte of the block each
+        column was decoded from — replaces the sweep of a typed column by
+        one comparison: every value of such a block has its type by
+        construction.  Only ``tagged`` columns (mixed, empty, beyond-int64,
+        bool) are swept; the verdict is the sweep's.
         """
         if len(cols) != len(self.fields):
             raise SchemaError(
@@ -109,7 +116,7 @@ class Schema:
                 f"batch has {len(cols)} columns"
             )
         count = len(cols[0]) if cols else 0
-        for column, field in zip(cols, self.fields):
+        for index, (column, field) in enumerate(zip(cols, self.fields)):
             if len(column) != count:
                 raise SchemaError(
                     f"ragged batch: column {field.name!r} has {len(column)} "
@@ -121,7 +128,9 @@ class Schema:
             # isinstance-checking every value: C-level map/set makes this
             # O(values) with a constant ~10x smaller, and issubclass keeps
             # the same semantics (bool still passes an int field).
-            if all(issubclass(t, accepted) for t in set(map(type, column))):
+            typed = block_type(kinds[index]) if kinds is not None else None
+            types = {typed} if typed and column else set(map(type, column))
+            if all(issubclass(t, accepted) for t in types):
                 continue
             bad = next(v for v in column if not isinstance(v, accepted))
             if expected is float:

@@ -9,7 +9,7 @@ concern, and both partitioned runtimes want the same machinery:
   designated ``shard_key`` column) to produce one routing key per row of
   a columnar batch, and :meth:`~GroupKeyRouter.partition` splits the
   batch into one column slice per owner — the one partitioner both
-  runtimes ship from;
+  runtimes ship from (the columns an owner's engine reads, no others);
 * :func:`stable_route` maps a key to one of ``n`` integer shards,
   deterministically across processes and hosts (blake2b, not the
   per-interpreter builtin ``hash``);
@@ -90,10 +90,19 @@ class GroupKeyRouter:
         self._group_col_fns = tuple(
             g.expression.compile_cols(schema) for g in query.group_by
         )
+        read = set(map(schema.index_of, query.columns()))
         if shard_key is not None:
             self._shard_index: int | None = schema.index_of(shard_key)
+            read.add(self._shard_index)
         else:
             self._shard_index = None
+        #: Schema indices an owner is sent: its engine's ``columns_read``
+        #: plus the ``shard_key`` column; the rest travel as zeros.
+        self.columns_read = tuple(sorted(read))
+        self._zeros = [
+            None if index in read else field.type.python_type()()
+            for index, field in enumerate(schema.fields)
+        ]
         self._round_robin = 0
 
     @property
@@ -120,14 +129,22 @@ class GroupKeyRouter:
         ``cols`` is one equal-length list per schema field (ragged
         raises :class:`QueryError`, empty yields nothing).  Row ``i``
         goes to ``place(keys[i])`` — ``owners`` in turn when not
-        :attr:`keyed` — in arrival order; a single-owner batch passes
-        through whole, not copied.  ``place`` is asked once per distinct
-        key of the batch and its answers forgotten with the call, so a
-        membership change needs no invalidation.
+        :attr:`keyed` — in arrival order.  A part holds the owner's rows
+        of the :attr:`columns_read` columns (a single-owner batch's own
+        lists, not copied) and ``count`` zeros of its type for every
+        other field: an owner cannot vouch for what it is not sent, so
+        check a batch against the schema first.  ``place`` is asked once
+        per distinct key of the batch and its answers forgotten with
+        the call, so a membership change needs no invalidation.
         """
         count = row_count(cols, QueryError)
         if count == 0:
             return
+        zeros = self._zeros
+        if len(cols) != len(zeros):
+            raise QueryError(
+                f"batch has {len(cols)} columns, schema has {len(zeros)}"
+            )
         picks: dict = {}
         if self.keyed:
             keys = self.keys(cols, count)
@@ -141,8 +158,9 @@ class GroupKeyRouter:
             for offset in range(min(n, count)):
                 picks[owners[(start + offset) % n]] = range(offset, count, n)
         for owner, indices in picks.items():
-            if len(indices) == count:
-                yield owner, cols, count
-            else:
-                take = take_rows(indices)
-                yield owner, [take(column) for column in cols], len(indices)
+            size = len(indices)
+            take = (lambda column: column) if size == count else take_rows(indices)
+            yield owner, [
+                take(column) if zero is None else [zero] * size
+                for column, zero in zip(cols, zeros)
+            ], size

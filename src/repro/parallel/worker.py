@@ -134,7 +134,9 @@ def shard_worker_main(plan: ShardPlan, shard_id: int, in_queue, conn) -> None:
             message = in_queue.get()
             tag = message[0]
             if tag == "colb":
-                engine.insert_cols(unpack_cols(message[1])[0])
+                engine.insert_cols(
+                    unpack_cols(message[1], engine.columns_read)[0]
+                )
             elif tag == "heartbeat":
                 engine.heartbeat(message[1])
             elif tag == "merge":

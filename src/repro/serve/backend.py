@@ -41,8 +41,20 @@ class _BackendBase:
 
     def __init__(self, plan: ShardPlan):
         self._plan = plan
-        self.sql = plan.build_engine().query.sql()
+        template = plan.build_engine()
+        self.sql = template.query.sql()
         self.schema: Schema = plan.schema
+        #: ``QueryEngine.columns_read``: the columns of an INSERT_COLS
+        #: frame the server decodes (the rest are shape-checked).
+        self.columns_read = template.columns_read
+
+    def _plan_stats(self) -> dict:
+        """What every backend's ``stats()`` starts from."""
+        names = self.schema.names()
+        return {
+            "backend": self.kind,
+            "columns_read": [names[index] for index in self.columns_read],
+        }
 
     def checkpoint_blobs(self) -> list[bytes]:
         """The blobs a graceful-shutdown checkpoint should persist.
@@ -127,7 +139,7 @@ class SingleEngineBackend(_BackendBase):
     def stats(self) -> dict:
         """Backend statistics: tuples, groups, state volume."""
         stats = {
-            "backend": self.kind,
+            **self._plan_stats(),
             "tuples_in": self._engine.tuples_processed,
             "tuples_selected": self._engine.tuples_selected,
             "groups": self._engine.group_count,
@@ -213,7 +225,7 @@ class ShardedBackend(_BackendBase):
         """Backend statistics: per-shard routing counts plus totals."""
         stats = self._sharded.stats()
         stats.update(
-            backend=self.kind,
+            self._plan_stats(),
             tuples_in=self._sharded.rows_routed,
             restored_blobs=len(self._restored),
         )

@@ -130,6 +130,7 @@ from repro.core.cols import (
     COL_TAGGED,
     COLS_CODEC_VERSION,
     cols_to_rows,
+    open_cols,
     pack_cols,
     rows_to_cols,
     tag_value as _tag_value,
@@ -312,20 +313,31 @@ def encode_frame(
     return HEADER.pack(length) + bytes([ftype]) + body
 
 
-def decode_frame_body(body) -> Frame:
+def decode_frame_body(body, columns=None) -> Frame:
     """Parse the post-header part of a frame (type byte + body).
 
     Accepts ``bytes``, ``bytearray``, or a ``memoryview`` slice — the
     decoder feeds views straight off its reassembly buffer, so nothing is
-    copied until actual Python values are built.
+    copied until actual Python values are built.  ``columns`` names the
+    INSERT_COLS columns the receiver reads (:func:`decode_cols`); the
+    payload's ``kinds`` is every block's kind byte, ``skipped`` how many
+    blocks were shape-checked and not decoded.
     """
     if not len(body):
         raise ProtocolError("empty frame (zero-length body)")
     ftype = body[0]
     if ftype == INSERT_COLS:
-        with memoryview(body) as view:
-            cols, seq, count = decode_cols(view[1:])
-        payload = {"cols": cols, "count": count}
+        with memoryview(body) as view, view[1:] as batch:
+            cols, seq, count = decode_cols(batch, columns)
+            kinds = [kind for kind, _start, _end in open_cols(batch)[2]]
+        skipped = 0 if columns is None else sum(
+            # A tagged block is decoded whether or not it is read.
+            index not in columns and kind != COL_TAGGED
+            for index, kind in enumerate(kinds)
+        )
+        payload = {
+            "cols": cols, "count": count, "kinds": kinds, "skipped": skipped,
+        }
         if seq is not None:
             payload["seq"] = seq
         return Frame(INSERT_COLS, payload)
@@ -356,6 +368,11 @@ class FrameDecoder:
     are handed to :func:`decode_frame_body` as ``memoryview`` slices with
     no intermediate copy.  The consumed prefix is compacted away once it
     passes ``compact_bytes`` or the buffer is fully drained.
+
+    ``columns`` is the INSERT_COLS column indices the receiver's plan
+    reads (the rest are shape-checked and zero-filled:
+    :func:`repro.core.cols.unpack_cols`); ``None`` — a client, a test, any
+    reader with no plan — decodes every column.
     """
 
     def __init__(
@@ -363,11 +380,17 @@ class FrameDecoder:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         *,
         compact_bytes: int = 1 << 16,
+        columns=None,
     ):
         self.max_frame_bytes = max_frame_bytes
         self.compact_bytes = compact_bytes
+        self.columns = None if columns is None else frozenset(columns)
         self._buffer = bytearray()
         self._pos = 0
+
+    def decode(self, body) -> Frame:
+        """One frame from its post-header bytes (type byte + body)."""
+        return decode_frame_body(body, self.columns)
 
     def feed(self, data: bytes) -> None:
         """Append a received chunk to the internal reassembly buffer."""
@@ -401,7 +424,7 @@ class FrameDecoder:
                 # The view must be released before yielding: an exported
                 # memoryview would make the next feed()'s extend blow up.
                 with memoryview(buffer) as view:
-                    frame = decode_frame_body(view[start:pos])
+                    frame = self.decode(view[start:pos])
                 yield frame
         finally:
             self._pos = pos
@@ -431,9 +454,10 @@ def encode_cols(
     )
 
 
-#: Parse an INSERT_COLS body → ``(columns, seq, row_count)``.  Truncation,
-#: trailing garbage or a malformed column raises :class:`ProtocolError` —
-#: framing errors, connection-scoped like every other undecodable body.
+#: Parse an INSERT_COLS body → ``(columns, seq, row_count)``; given
+#: ``columns``, only those are decoded.  Truncation, trailing garbage or a
+#: malformed column raises :class:`ProtocolError` — framing errors,
+#: connection-scoped like every other undecodable body.
 decode_cols = unpack_cols
 
 

@@ -53,7 +53,12 @@ import os
 import threading
 import time
 
-from repro.core.errors import DecayError, ParameterError, ProtocolError
+from repro.core.errors import (
+    DecayError,
+    ParameterError,
+    ProtocolError,
+    SchemaError,
+)
 from repro.core.serde import (
     dump_partials_checkpoint,
     fsync_dir,
@@ -213,6 +218,10 @@ class StreamServer:
         self.checkpoint_interval_s = checkpoint_interval_s
         self.metrics = metrics
         self._obs = metrics is not None and getattr(metrics, "enabled", False)
+        # Decodes the columns the backend's plan reads and nothing else.
+        self._decoder = protocol.FrameDecoder(
+            max_frame_bytes, columns=backend.columns_read
+        )
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
         self._stopping = False
@@ -221,6 +230,8 @@ class StreamServer:
         self.frames_total = 0
         self.insert_bytes_total = 0
         self.rows_total = 0
+        self.cols_blocks_decoded = 0
+        self.cols_blocks_skipped = 0
         self.errors_total = 0
         self.queries_total = 0
         self.result_pages_total = 0
@@ -367,6 +378,8 @@ class StreamServer:
             "frames_total": self.frames_total,
             "insert_bytes_total": self.insert_bytes_total,
             "rows_total": self.rows_total,
+            "cols_blocks_decoded": self.cols_blocks_decoded,
+            "cols_blocks_skipped": self.cols_blocks_skipped,
             "errors_total": self.errors_total,
             "queries_total": self.queries_total,
             "result_pages_total": self.result_pages_total,
@@ -453,13 +466,23 @@ class StreamServer:
                 f"oversized frame: {length} bytes (limit {self.max_frame_bytes})"
             )
         body = await reader.readexactly(length)
-        frame = protocol.decode_frame_body(body)
+        frame = self._decoder.decode(body)
         if frame.ftype == protocol.INSERT_COLS:
+            payload = frame.payload
+            # Kept for the rejection path, which decodes it whole.
+            payload["body"] = body
             # The packed batch as received (type byte excluded): with
             # rows_total, the wire bytes per row of a live server.
             self.insert_bytes_total += length - 1
+            skipped = payload["skipped"]
+            decoded = len(payload["kinds"]) - skipped
+            self.cols_blocks_decoded += decoded
+            self.cols_blocks_skipped += skipped
             if self._obs:
-                self.metrics.counter("serve.ingest.bytes").add(length - 1.0)
+                counter = self.metrics.counter
+                counter("serve.ingest.bytes").add(length - 1.0)
+                counter("serve.ingest.blocks_decoded").add(float(decoded))
+                counter("serve.ingest.blocks_skipped").add(float(skipped))
         return frame
 
     async def _error(
@@ -576,8 +599,16 @@ class StreamServer:
         # feeds the backend's bulk path — no row tuple is built anywhere
         # between socket and UDAF state.
         cols = payload.get("cols", [])
+        schema = self.backend.schema
         try:
-            count = self.backend.schema.validate_cols(cols)
+            try:
+                count = schema.validate_cols(cols, payload.get("kinds"))
+            except SchemaError:
+                # The offending block may be an unread one, zero-filled
+                # here: decoded whole, the verdict names what was sent.
+                whole = protocol.decode_cols(memoryview(payload["body"])[1:])
+                schema.validate_cols(whole[0])
+                raise
             self.backend.insert_cols(cols)
         except DecayError as error:
             # The batch was rejected wholesale (validation happens before

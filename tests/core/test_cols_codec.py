@@ -581,3 +581,109 @@ class TestHostileTypedBatches:
         body[_HEAD] = kind
         with pytest.raises(ProtocolError, match=f"unknown column kind {kind}"):
             unpack_cols(bytes(body))
+
+
+# -- a reader that names its columns: the rest is shape-checked, not decoded -------
+
+
+class TestUnreadBlocks:
+    """``unpack_cols(body, columns=...)``: a block the reader does not
+    name must still have the *shape* of its rows — so truncation, a length
+    table that does not sum, a wrong dictionary table kind or code-byte
+    count and trailing bytes fail for every column — while its *content*
+    (UTF-8, dictionary codes) is never looked at and never materialised."""
+
+    def test_unread_blocks_come_back_as_their_kinds_zero(self):
+        body = pack_cols(EVERY_KIND_COLS)
+        cols, _seq, count = unpack_cols(body, columns=())
+        zeros = [0, 0, 0, 0, 0.0, "", "", b"", b"", ""]
+        for column, zero in zip(cols, zeros):
+            assert column == [zero] * count
+            assert type(column) is list and type(column[0]) is type(zero)
+        # A tagged block's only shape is its content: always decoded.
+        assert repr(cols[-1]) == repr(EVERY_KIND_COLS[-1])
+
+    def test_named_columns_are_decoded_and_no_others(self):
+        body = pack_cols(EVERY_KIND_COLS)
+        cols = unpack_cols(body, columns={1, 5, 9})[0]
+        for index, (column, sent) in enumerate(zip(cols[:-1], EVERY_KIND_COLS)):
+            assert (column == sent) == (index in {1, 5, 9})
+        assert unpack_cols(body, columns=None)[0][:-1] == EVERY_KIND_COLS[:-1]
+
+    @pytest.mark.parametrize("cols", [EVERY_KIND_COLS, WIDE_DICT_COLS])
+    def test_damage_a_full_decode_accepts_a_projected_one_accepts(self, cols):
+        # Shape checks are a subset of the full decode's: every truncation
+        # still fails with nothing read, and no byte of damage is refused
+        # unread that would have been accepted read.
+        body = pack_cols(cols)
+        for cut in range(len(body)):
+            with pytest.raises(ProtocolError):
+                unpack_cols(body[:cut], columns=())
+        with pytest.raises(ProtocolError, match="trailing bytes"):
+            unpack_cols(body + b"\x00", columns=())
+        for index in range(len(body)):
+            for byte in (0x01, 0x80, 0xFF):
+                damaged = bytearray(body)
+                damaged[index] = byte
+                try:
+                    _full, _seq, count = unpack_cols(bytes(damaged))
+                except ProtocolError:
+                    try:
+                        unpack_cols(bytes(damaged), columns=())
+                    except ProtocolError:
+                        pass
+                    continue
+                unread, _seq, same = unpack_cols(bytes(damaged), columns=())
+                assert same == count
+                assert all(len(column) == count for column in unread)
+
+    def test_a_lying_shape_is_refused_unread(self):
+        def one_block(rows: int, kind: int, payload: bytes) -> bytes:
+            return (
+                struct.pack("!BQIH", COLS_CODEC_VERSION, 0, rows, 1)
+                + struct.pack("!BI", kind, len(payload))
+                + payload
+            )
+
+        with pytest.raises(ProtocolError, match="i64 column"):
+            unpack_cols(one_block(2, COL_I64, struct.pack("!q", 1)), columns=())
+        with pytest.raises(ProtocolError, match="does not match"):
+            unpack_cols(
+                one_block(1, COL_STR, struct.pack("!I", 9) + b"x"), columns=()
+            )
+        dictionary = bytearray(GOLDEN_DICT_BODY)
+        dictionary[_HEAD] = COL_DICT | 1 << 4  # u16 codes over twelve u8 bytes
+        with pytest.raises(ProtocolError, match="12 code bytes for 12 rows"):
+            unpack_cols(bytes(dictionary), columns=())
+        dictionary = bytearray(GOLDEN_DICT_BODY)
+        dictionary[_HEAD + 5 + 4] = COL_BYTES | 2 << 4
+        with pytest.raises(ProtocolError, match="table has kind"):
+            unpack_cols(bytes(dictionary), columns=())
+        with pytest.raises(ProtocolError, match="unknown column kind 7"):
+            unpack_cols(one_block(0, 7, b""), columns=())
+
+    def test_content_of_an_unread_block_is_never_looked_at(self):
+        bad_text = (
+            struct.pack("!BQIH", COLS_CODEC_VERSION, 0, 1, 1)
+            + struct.pack("!BI", COL_STR, 4 + 2)
+            + struct.pack("!I", 2)
+            + b"\xff\xfe"
+        )
+        assert unpack_cols(bad_text, columns=()) == ([[""]], None, 1)
+        with pytest.raises(ProtocolError, match="undecodable str"):
+            unpack_cols(bad_text, columns=(0,))
+        bad_code = bytearray(GOLDEN_DICT_BODY)
+        bad_code[-1] = 2  # two entries: codes 0 and 1
+        assert unpack_cols(bytes(bad_code), columns=()) == ([[""] * 12], None, 12)
+        with pytest.raises(ProtocolError, match="code beyond its 2 entries"):
+            unpack_cols(bytes(bad_code), columns=(0,))
+
+    def test_an_unread_tagged_block_is_still_decoded(self):
+        payload = b"{not json"
+        body = (
+            struct.pack("!BQIH", COLS_CODEC_VERSION, 0, 1, 1)
+            + struct.pack("!BI", COL_TAGGED, len(payload))
+            + payload
+        )
+        with pytest.raises(ProtocolError, match="undecodable tagged"):
+            unpack_cols(body, columns=())

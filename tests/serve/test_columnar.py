@@ -18,9 +18,26 @@ import struct
 
 import pytest
 
-from repro.core.errors import ProtocolError
-from repro.serve import ServeClient, protocol
+from repro.core.cols import (
+    COL_BYTES,
+    COL_DICT,
+    COL_F64,
+    COL_I64,
+    COL_STR,
+    COLS_CODEC_VERSION,
+    pack_column,
+)
+from repro.core.errors import ProtocolError, SchemaError
+from repro.obs.registry import MetricsRegistry
+from repro.serve import (
+    ServeClient,
+    StreamServer,
+    ThreadedServer,
+    build_backend,
+    protocol,
+)
 from repro.serve.protocol import FrameDecoder, encode_frame
+from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.test_fault_tolerance import serve_with_state
 from tests.serve.test_robustness import assert_still_serving
 from tests.serve.util import (
@@ -35,6 +52,40 @@ from tests.serve.util import (
 
 def cols_frame(rows, seq=None) -> bytes:
     return protocol.encode_cols(protocol.rows_to_cols(rows), seq=seq)
+
+
+#: A query that reads one of the schema's eight columns, and one that
+#: reads all eight.
+ONE_COLUMN_SQL = "select count(*) as c, sum(len) as s from TCP"
+ALL_COLUMNS_SQL = (
+    "select tb, srcIP, destIP, proto, sum(len + srcPort + destPort) as s, "
+    "max(ts) as m from TCP group by time/60 as tb, srcIP, destIP, proto"
+)
+
+
+def frame_with_block(rows, index: int, kind: int, payload: bytes) -> bytes:
+    """An INSERT_COLS frame of ``rows`` whose column ``index`` is the
+    hand-made block ``kind | len(payload) | payload``."""
+    blocks = [pack_column(col) for col in protocol.rows_to_cols(rows)]
+    blocks[index] = struct.pack("!BI", kind, len(payload)) + payload
+    head = struct.pack("!BQIH", COLS_CODEC_VERSION, 0, len(rows), len(blocks))
+    return encode_frame(protocol.INSERT_COLS, head + b"".join(blocks))
+
+
+def send_one(server, wire: bytes):
+    """A fresh connection's first reply to ``wire`` and whether the server
+    then closed the connection."""
+    raw = RawConnection(server.host, server.port)
+    try:
+        raw.hello()
+        raw.send_raw(wire)
+        reply = raw.read_frame()
+        closed = reply.ftype == protocol.ERROR and (
+            reply.payload["code"] == "malformed-frame" and raw.closed_by_server()
+        )
+        return reply, closed
+    finally:
+        raw.close()
 
 
 class TestNegotiationMatrix:
@@ -169,13 +220,16 @@ class TestFramingViolations:
             assert raw.closed_by_server()
             assert_still_serving(server)
 
-    def test_mutation_fuzz_never_kills_the_server(self):
+    @pytest.mark.parametrize("sql", [ONE_COLUMN_SQL, ALL_COLUMNS_SQL])
+    def test_mutation_fuzz_never_kills_the_server(self, sql):
         # Random single-byte mutations of a valid INSERT_COLS frame: each
         # is either still decodable (ERROR or CREDIT comes back) or a
-        # framing violation (ERROR + close).  Either way the server lives.
+        # framing violation (ERROR + close).  Either way the server lives —
+        # whether the damage lands in a block its query decodes or in one
+        # it only shape-checks.
         rng = random.Random(0xDECAF)
         wire = bytearray(cols_frame(make_rows(8), seq=3))
-        with serve() as server:
+        with serve(sql) as server:
             for trial in range(30):
                 blob = bytearray(wire)
                 index = rng.randrange(4, len(blob))  # keep the prefix sane
@@ -191,6 +245,98 @@ class TestFramingViolations:
                 finally:
                     raw.close()
             assert_still_serving(server)
+
+    def test_a_misshapen_block_is_a_framing_error_in_every_column(self):
+        # The server's query reads `len` alone, yet a block whose bytes
+        # cannot be its rows poisons the frame whichever column it is.
+        rows = make_rows(6)
+        table = struct.pack("!BI", COL_STR | 2 << 4, 4) + b"\x01\x01" + b"ab"
+        misshapen = [
+            (COL_I64, b"\x00" * 8 * 5),  # five i64 for six rows
+            (COL_F64, b"\x00" * 8 * 7),
+            (COL_STR | 2 << 4, b"\x01" * 6 + b"abcde"),  # lengths sum to 6
+            (COL_BYTES | 2 << 4, b"\x01" * 5),  # table shorter than its rows
+            # a dictionary whose table is a bytes block / with 5 codes for 6 rows
+            (COL_DICT | 2 << 4, struct.pack("!I", 2)
+             + bytes([COL_BYTES | 2 << 4]) + table[1:] + b"\x00" * 6),
+            (COL_DICT | 2 << 4, struct.pack("!I", 2) + table + b"\x00" * 5),
+        ]
+        with serve(ONE_COLUMN_SQL) as server:
+            for index in range(len(PACKET_SCHEMA)):
+                for kind, payload in misshapen:
+                    reply, closed = send_one(
+                        server, frame_with_block(rows, index, kind, payload)
+                    )
+                    assert reply.payload["code"] == "malformed-frame", (index, kind)
+                    assert closed
+            whole = cols_frame(rows)
+            body = whole[4:] + b"\x00"  # trailing byte after the last block
+            reply, closed = send_one(server, struct.pack(">I", len(body)) + body)
+            assert reply.payload["code"] == "malformed-frame" and closed
+            assert_still_serving(server)
+            assert server.server.stats()["server"]["rows_total"] == 40
+
+    def test_content_of_an_unread_block_is_accepted_and_never_materialised(self):
+        rows = make_rows(6)
+        table = struct.pack("!BI", COL_STR | 2 << 4, 4) + b"\x01\x01" + b"ab"
+        hostile = [
+            # srcIP: six one-byte strings that are not UTF-8
+            frame_with_block(rows, 2, COL_STR | 2 << 4, b"\x01" * 6 + b"\xff" * 6),
+            # proto: a two-entry dictionary, every code beyond it
+            frame_with_block(
+                rows, 7, COL_DICT | 2 << 4,
+                struct.pack("!I", 2) + table + b"\x09" * 6,
+            ),
+        ]
+        with serve(ONE_COLUMN_SQL) as server:
+            for wire in hostile:
+                reply, closed = send_one(server, wire)
+                assert reply.ftype == protocol.CREDIT and not closed
+            with ServeClient(server.host, server.port) as client:
+                assert client.query() == expected_rows(ONE_COLUMN_SQL, rows + rows)
+        # A server whose query reads those columns decodes them, and refuses.
+        with serve(ALL_COLUMNS_SQL) as server:
+            for wire in hostile:
+                reply, closed = send_one(server, wire)
+                assert reply.payload["code"] == "malformed-frame" and closed
+            assert_still_serving(server)
+
+    def test_a_wrongly_typed_unread_column_is_bad_rows_with_the_sweeps_message(self):
+        rows = make_rows(6)
+
+        def with_column(index, values):
+            cols = protocol.rows_to_cols(rows)
+            cols[index] = values
+            return cols
+
+        rejected = [
+            with_column(4, ["not-a-port"] * 6),  # str for int
+            with_column(4, [1.5, 2.5, 3.5, 4.5, 5.5, 6.5]),  # float for int
+            with_column(2, [7] * 6),  # int for str
+            with_column(1, ["x"] * 6),  # str for float
+            with_column(7, [b"tcp"] * 6),  # bytes for str
+            with_column(4, [1, 2, "three", 4, 5, 6]),  # mixed: a tagged block
+        ]
+        with serve(ONE_COLUMN_SQL) as server:
+            raw = RawConnection(server.host, server.port)
+            raw.hello()
+            for cols in rejected:
+                with pytest.raises(SchemaError) as swept:
+                    PACKET_SCHEMA.validate_cols(cols)
+                raw.send_raw(protocol.encode_cols(cols))
+                error = raw.read_frame()
+                assert error.payload["code"] == "bad-rows"
+                assert error.payload["message"] == str(swept.value)
+                assert raw.read_frame().ftype == protocol.CREDIT
+            # int for float passes, as under the sweep; so does bool for int
+            # (a tagged block, swept).
+            raw.send_raw(protocol.encode_cols(with_column(1, [1, 2, 3, 4, 5, 6])))
+            assert raw.read_frame().ftype == protocol.CREDIT
+            raw.send_raw(protocol.encode_cols(with_column(4, [True] * 6)))
+            assert raw.read_frame().ftype == protocol.CREDIT
+            raw.send_frame(protocol.STATS)
+            assert raw.read_frame().payload["server"]["rows_total"] == 12
+            raw.close()
 
     def test_oversized_columnar_frame_rejected_at_encode(self):
         rows = make_rows(1000)
@@ -279,6 +425,24 @@ class TestEndToEndEquality:
                 stats = client.stats()
         assert stats["server"]["rows_total"] == len(rows)
         assert stats["backend"]["tuples_in"] == len(rows)
+
+    def test_stats_name_the_columns_read_and_count_the_blocks(self):
+        # SQL reads time, destIP and len: 3 of a frame's 8 blocks.
+        metrics = MetricsRegistry(enabled=True)
+        backend = build_backend(SQL, PACKET_SCHEMA)
+        assert backend.columns_read == (0, 3, 6)
+        with ThreadedServer(StreamServer(backend, metrics=metrics)) as server:
+            with ServeClient(server.host, server.port) as client:
+                client.insert(make_rows(64))
+                client.insert(make_rows(64, start=500))
+                client.flush()
+                stats = client.stats()
+        assert stats["backend"]["columns_read"] == ["time", "destIP", "len"]
+        assert stats["server"]["cols_blocks_decoded"] == 6
+        assert stats["server"]["cols_blocks_skipped"] == 10
+        mirrored = stats["metrics"]["metrics"]
+        assert mirrored["serve.ingest.blocks_decoded"]["raw_total"] == 6
+        assert mirrored["serve.ingest.blocks_skipped"]["raw_total"] == 10
 
     def test_append_batches_client_side(self):
         rows = make_rows(100)

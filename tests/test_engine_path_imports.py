@@ -9,7 +9,9 @@ since imported everything.
 
 numpy is the settled case (DESIGN.md section 10): ``import numpy`` costs
 +16.1 MiB RSS and +242 ms per process, so nothing under ``src/`` imports
-it.
+it.  OpenSSL is the other: ``import asyncio`` pulls ``ssl`` → ``_ssl`` →
+libssl / libcrypto (+4 MiB) into a server with no TLS code path, so
+``repro serve`` — the command, not the library — declines it.
 """
 
 from __future__ import annotations
@@ -121,10 +123,14 @@ def watch():
 threading.Thread(target=watch, daemon=True).start()
 from repro.cli import main
 code = main(["serve", sql, "--port-file", port_file, "--state-dir", state_dir])
+at_exit = sorted(sys.modules)  # a None entry counts: it is still a key
+import ssl
 print(json.dumps({
     "code": code,
     "at_port": at_port[0],
-    "added": sorted(set(sys.modules) - set(at_port[0])),
+    "added": sorted(set(at_exit) - set(at_port[0])),
+    "at_exit": at_exit,
+    "ssl_imports_afterwards": hasattr(ssl, "SSLContext"),
 }))
 """
 
@@ -184,6 +190,24 @@ def test_a_countsum_serve_child_loads_what_its_query_runs(tmp_path):
     # Nothing was deferred onto a request: ingest, QUERY, CHECKPOINT, STATS
     # and the graceful stop ran on what start-up had loaded.
     assert repro_modules(report["added"]) == set()
+    # No OpenSSL in a served child, at its port file or after a full
+    # round; the declined entry is gone again, so the process can still
+    # import ssl should something in it ever want to.
+    assert "asyncio" in at_port
+    for loaded in (at_port, report["at_exit"]):
+        assert {"ssl", "_ssl"} & set(loaded) == set()
+    assert report["ssl_imports_afterwards"] is True
+
+
+def test_importing_the_server_leaves_the_hosts_ssl_alone():
+    # The embedding path (ThreadedServer, LocalNode) lives in someone
+    # else's process: importing the library declines nothing there.
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import repro.serve.server\n"
+        "print(json.dumps(type(sys.modules.get('ssl')).__name__))"
+    )
+    assert loaded == "module"
 
 
 def test_a_sketch_serve_child_loads_exactly_the_summaries_its_sql_names(tmp_path):
