@@ -19,16 +19,23 @@ the checkpoint in ``state_dir`` — a respawned node rejoins the ring at
 the same address holding exactly its last checkpoint, and the
 coordinator's clients reconnect and replay unacknowledged batches on
 top of it.
+
+Only a :class:`LocalNode` runs an event loop in this process, so the
+server (and asyncio with it) is imported by :meth:`LocalNode.start`: a
+coordinator whose nodes are all :class:`ProcessNode` loads neither.
 """
 
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ParameterError
 from repro.serve.backend import build_backend
-from repro.serve.server import StreamServer, ThreadedServer
 from repro.testing.chaos import ServerProcess
+
+if TYPE_CHECKING:
+    from repro.serve.server import ThreadedServer
 
 __all__ = ["LocalNode", "ProcessNode"]
 
@@ -71,6 +78,8 @@ class LocalNode:
 
     def start(self) -> "LocalNode":
         """Build a fresh backend and serve it; restores any checkpoint."""
+        from repro.serve.server import StreamServer, ThreadedServer
+
         if self.alive():
             raise ParameterError(f"node {self.name!r} is already running")
         os.makedirs(self.state_dir, exist_ok=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 
 from repro.core.errors import ParameterError
-from repro.sketches.kmv import hash_to_unit
+from repro.sketches.kmv import check_seed, hash_to_unit
 
 __all__ = ["HashRing"]
 
@@ -43,7 +43,7 @@ class HashRing:
         if vnodes < 1:
             raise ParameterError(f"vnodes must be >= 1, got {vnodes!r}")
         self.vnodes = vnodes
-        self.seed = seed
+        self.seed = check_seed(seed)
         self._points: list[tuple[float, str]] = []
         self._positions: list[float] = []
         self._names: set[str] = set()

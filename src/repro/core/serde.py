@@ -41,6 +41,7 @@ __all__ = [
     "read_partials_checkpoint",
     "load_partials_checkpoint",
     "PARTIALS_CHECKPOINT_VERSION",
+    "CHECKPOINT_FILENAME",
 ]
 
 _VERSION = 1
@@ -168,6 +169,10 @@ def fsync_dir(directory: str) -> None:
 # -- engine partial-state checkpoints ----------------------------------------------
 
 PARTIALS_CHECKPOINT_VERSION = 2
+
+#: Name of the :func:`dump_partials_checkpoint` image inside a server's
+#: ``state_dir`` — what a server restores from and a crash harness reads.
+CHECKPOINT_FILENAME = "checkpoint.bin"
 
 _CKPT_MAGIC = b"FDCK"
 #: magic, version, header texts (query SQL + schema names), blob count.

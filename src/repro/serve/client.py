@@ -11,7 +11,10 @@ socket — what the CLI, the test suite, and the loopback benchmark use —
 :class:`AsyncServeClient` on asyncio streams.  The drivers hold no
 protocol logic: a transport error is thrown back into the generator,
 which decides what it means.  All framing lives in
-:mod:`repro.serve.protocol`.
+:mod:`repro.serve.protocol`.  Only :class:`AsyncServeClient` imports
+asyncio, when it performs I/O — by then its coroutine is running on a
+loop, so the import is a ``sys.modules`` hit — and a process that only uses
+:class:`ServeClient` never loads asyncio, ``ssl`` or OpenSSL.
 
 Credit discipline: the WELCOME frame grants an insert window; every
 :meth:`~ServeClient.insert` spends one credit and the server returns it
@@ -49,7 +52,6 @@ leaves the client as it was; a replay re-sends the stored bytes.
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import random
 import socket
@@ -735,6 +737,8 @@ class AsyncServeClient(_ClientCore):
             return done.value
 
     async def _perform(self, op: str, arg=None):
+        import asyncio
+
         if op == "send":
             self._writer.write(arg)
             await self._writer.drain()

@@ -60,6 +60,7 @@ from repro.core.errors import (
     SchemaError,
 )
 from repro.core.serde import (
+    CHECKPOINT_FILENAME,
     dump_partials_checkpoint,
     fsync_dir,
     load_partials_checkpoint,
@@ -70,10 +71,6 @@ from repro.serve.protocol import HEADER, encode_frame, frame_name
 __all__ = ["StreamServer", "ThreadedServer", "CHECKPOINT_FILENAME"]
 
 _log = logging.getLogger(__name__)
-
-#: Name of the checkpoint file inside ``state_dir``
-#: (:func:`repro.core.serde.dump_partials_checkpoint`'s binary image).
-CHECKPOINT_FILENAME = "checkpoint.bin"
 
 #: How long a closing connection may take to flush the replies it has
 #: buffered.  A peer that stopped reading never takes them, so after this

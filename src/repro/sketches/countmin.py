@@ -22,7 +22,7 @@ from typing import Hashable
 from repro.core.errors import MergeError, ParameterError
 from repro.core.protocol import StreamSummary, tag_key, untag_key
 from repro.core.registry import register_summary
-from repro.sketches.kmv import hash_to_unit
+from repro.sketches.kmv import SEED_LIMIT, check_seed, hash_to_unit
 
 __all__ = ["CountMinSketch", "CountMinHeavyHitters"]
 
@@ -43,8 +43,12 @@ class CountMinSketch(StreamSummary):
             raise ParameterError(f"delta must be in (0, 1), got {delta!r}")
         self.epsilon = epsilon
         self.delta = delta
-        self.seed = seed
         self.width, self.depth = self._shape(epsilon, delta)
+        self.seed = check_seed(
+            seed,
+            (SEED_LIMIT - self.depth) // 1_000_003 + 1,
+            "seed (row r hashes with seed * 1,000,003 + r)",
+        )
         self._rows = [[0.0] * self.width for __ in range(self.depth)]
         self._total = 0.0
 

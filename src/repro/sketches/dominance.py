@@ -33,7 +33,7 @@ from typing import Hashable
 from repro.core.errors import EmptySummaryError, MergeError, ParameterError
 from repro.core.protocol import StreamSummary
 from repro.core.registry import register_summary
-from repro.sketches.kmv import KMVSketch
+from repro.sketches.kmv import KMVSketch, check_seed
 
 __all__ = ["DominanceNormEstimator"]
 
@@ -67,7 +67,7 @@ class DominanceNormEstimator(StreamSummary):
         if not 0.0 < epsilon < 1.0:
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
         self.epsilon = epsilon
-        self.seed = seed
+        self.seed = check_seed(seed)
         self._log_base = math.log1p(epsilon)
         if kmv_size is None:
             # Per-level precision can sit below the overall target: level

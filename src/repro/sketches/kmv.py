@@ -18,17 +18,23 @@ distributable (Section VI-B).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from typing import Hashable, Iterable
+
+# The built-in BLAKE2 that ``hashlib.blake2b`` is; importing it from here
+# keeps ``hashlib`` — and the OpenSSL it maps — out of the process.
+from _blake2 import blake2b
 
 from repro.core.errors import MergeError, ParameterError
 from repro.core.protocol import StreamSummary
 from repro.core.registry import register_summary
 
-__all__ = ["KMVSketch", "hash_to_unit"]
+__all__ = ["KMVSketch", "hash_to_unit", "check_seed"]
 
 _HASH_DENOMINATOR = float(1 << 64)
+
+#: A seed keys BLAKE2 as 8 little-endian bytes: seeds lie in ``[0, 2**64)``.
+SEED_LIMIT = 1 << 64
 
 
 def hash_to_unit(item: Hashable, seed: int = 0) -> float:
@@ -36,12 +42,24 @@ def hash_to_unit(item: Hashable, seed: int = 0) -> float:
 
     Uses blake2b over the item's ``repr`` plus the seed, so results are
     stable across processes and Python versions (unlike built-in ``hash``).
+    ``seed`` must lie in ``[0, 2**64)``; the classes that hash with one
+    check it once, when they are built (:func:`check_seed`), not here.
     """
     payload = repr(item).encode("utf-8", errors="replace")
-    digest = hashlib.blake2b(
+    digest = blake2b(
         payload, digest_size=8, key=seed.to_bytes(8, "little")
     ).digest()
     return int.from_bytes(digest, "big") / _HASH_DENOMINATOR
+
+
+def check_seed(seed, limit: int = SEED_LIMIT, what: str = "seed") -> int:
+    """``seed`` itself when it is an int in ``[0, limit)``, else a
+    :class:`ParameterError` naming that range — so a seed
+    :func:`hash_to_unit` cannot key fails where it is given."""
+    if not isinstance(seed, int) or not 0 <= seed < limit:
+        bound = "2**64" if limit == SEED_LIMIT else f"{limit:,}"
+        raise ParameterError(f"{what} must be an int in [0, {bound}), got {seed!r}")
+    return seed
 
 
 @register_summary(
@@ -59,7 +77,7 @@ class KMVSketch(StreamSummary):
         Number of minimum hash values retained.  Relative standard error of
         the estimate is roughly ``1 / sqrt(k - 2)``.
     seed:
-        Hash seed; sketches only merge when seeds match.
+        Hash seed in ``[0, 2**64)``; sketches only merge when seeds match.
     """
 
     __slots__ = ("k", "seed", "_heap", "_members", "_exact")
@@ -68,7 +86,7 @@ class KMVSketch(StreamSummary):
         if k < 2:
             raise ParameterError(f"k must be >= 2, got {k!r}")
         self.k = k
-        self.seed = seed
+        self.seed = check_seed(seed)
         # Max-heap (negated) of the k smallest hash values, with a set for
         # O(1) duplicate detection.
         self._heap: list[float] = []

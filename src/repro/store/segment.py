@@ -39,12 +39,15 @@ bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
 import zlib
 from typing import Iterator
+
+# ``hashlib.blake2b`` is this built-in; taking it from here keeps
+# ``hashlib`` — and the OpenSSL it maps — out of a store's process.
+from _blake2 import blake2b
 
 from repro.core.cols import (
     block_values,
@@ -95,7 +98,7 @@ def canonical_key(tagged_key: list) -> str:
 def key_hash(canonical: str) -> int:
     """64-bit BLAKE2b hash of a canonical key string: the single key-hash
     function of the store (the on-disk key directory is keyed by it)."""
-    digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8)
+    digest = blake2b(canonical.encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "little")
 
 

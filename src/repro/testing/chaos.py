@@ -25,7 +25,7 @@ import subprocess
 import sys
 import time
 
-from repro.serve.server import CHECKPOINT_FILENAME
+from repro.core.serde import CHECKPOINT_FILENAME
 
 __all__ = ["ServerProcess", "kill_node", "kill_worker", "wait_until"]
 

@@ -104,3 +104,19 @@ class TestMembership:
             HashRing(vnodes=0)
         with pytest.raises(ParameterError):
             HashRing([""])
+
+
+class TestSeedRange:
+    """The ring's seed keys every BLAKE2 position as 8 bytes: outside
+    ``[0, 2**64)`` it is refused when the ring is built."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+    def test_out_of_range_seed_fails_at_construction(self, seed):
+        with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+            HashRing(["a"], seed=seed)
+        with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+            HashRing(seed=seed)  # refused before any node is placed
+
+    def test_the_largest_seed_routes(self):
+        ring = HashRing(["a", "b"], seed=2**64 - 1)
+        assert ring.node_for("k") in ("a", "b")

@@ -7,8 +7,11 @@ import random
 import pytest
 
 from repro.core.errors import MergeError, ParameterError
+from repro.core.protocol import StreamSummary
 from repro.sketches.countmin import CountMinHeavyHitters, CountMinSketch
+from repro.sketches.kmv import hash_to_unit
 from repro.workloads.synthetic import zipf_stream
+from tests.sketches.test_kmv import with_seed
 
 
 class TestCountMin:
@@ -168,3 +171,44 @@ class TestBatchUpdates:
         batched = CountMinHeavyHitters(epsilon=0.02, phi_track=0.01, seed=4)
         batched.update_many(stream)
         assert batched.heavy_hitters(0.05) == looped.heavy_hitters(0.05)
+
+
+class TestSeedRange:
+    """Row ``r`` hashes with the BLAKE2 key ``seed * 1,000,003 + r``, so
+    every such key must lie in ``[0, 2**64)``: a seed that breaks that
+    fails when the sketch is built, not with an ``OverflowError`` on its
+    first update."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**50, 2**64, 0.5])
+    def test_out_of_range_seed_fails_at_construction(self, seed):
+        for build in (CountMinSketch, CountMinHeavyHitters):
+            with pytest.raises(ParameterError, match=r"must be an int in \[0, "):
+                build(seed=seed)
+
+    def test_the_bound_is_the_last_row_key(self):
+        sketch = CountMinSketch(delta=0.01)  # depth 5
+        top = ((1 << 64) - sketch.depth) // 1_000_003
+        assert top * 1_000_003 + sketch.depth - 1 < 1 << 64
+        CountMinSketch(delta=0.01, seed=top).update("x")
+        with pytest.raises(ParameterError, match=f"{top + 1:,}"):
+            CountMinSketch(delta=0.01, seed=top + 1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_in_range_seeds_hash_as_before(self, seed):
+        sketch = CountMinSketch(epsilon=0.05, delta=0.01, seed=seed)
+        for item in ("a", 1, (2, "b")):
+            assert sketch._columns(item) == [
+                int(hash_to_unit(item, seed=seed * 1_000_003 + row) * sketch.width)
+                for row in range(sketch.depth)
+            ]
+
+    @pytest.mark.parametrize("build", [CountMinSketch, CountMinHeavyHitters])
+    def test_a_buffer_carrying_one_is_refused(self, build):
+        summary = build(seed=3)
+        summary.update("a")
+        assert StreamSummary.from_bytes(with_seed(summary, 3)).to_bytes() == (
+            summary.to_bytes()
+        )
+        for seed in (-1, 2**50):
+            with pytest.raises(ParameterError, match=r"must be an int in \[0, "):
+                StreamSummary.from_bytes(with_seed(summary, seed))

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import MergeError, ParameterError
+from repro.core.protocol import StreamSummary
+from repro.core.tree import pack_tree
+from repro.sketches.dominance import DominanceNormEstimator
 from repro.sketches.kmv import KMVSketch, hash_to_unit
 
 
@@ -96,3 +99,45 @@ class TestKMV:
         for item in range(10):
             sketch.update(item)
         assert sketch.state_size_bytes() == 80
+
+
+def with_seed(summary, seed) -> bytes:
+    """``summary``'s buffer with the hash seed in its payload (or in its
+    inner ``sketch``'s) replaced — a hostile but well-framed buffer."""
+    buffer = summary.to_bytes()
+    head = buffer[: 2 + buffer[1]]  # version, name length, registry name
+    payload = summary._state_payload()
+    payload.get("sketch", payload)["seed"] = seed
+    return head + pack_tree(payload)
+
+
+class TestSeedRange:
+    """A seed keys BLAKE2 as 8 bytes: outside ``[0, 2**64)`` the sketch
+    refuses it when built, not with an ``OverflowError`` on first use."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, "7", None])
+    def test_out_of_range_seed_fails_at_construction(self, seed):
+        in_range = r"seed must be an int in \[0, 2\*\*64\)"
+        with pytest.raises(ParameterError, match=in_range):
+            KMVSketch(seed=seed)
+        with pytest.raises(ParameterError, match=in_range):
+            DominanceNormEstimator(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1])
+    def test_every_in_range_seed_hashes_as_before(self, seed):
+        sketch = KMVSketch(k=8, seed=seed)
+        for item in range(100):
+            sketch.update(item)
+        assert sorted(sketch.values()) == sorted(
+            hash_to_unit(item, seed) for item in range(100)
+        )[:8]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_a_buffer_carrying_one_is_refused(self, seed):
+        sketch = KMVSketch(k=8, seed=3)
+        sketch.update("a")
+        assert StreamSummary.from_bytes(with_seed(sketch, 3)).to_bytes() == (
+            sketch.to_bytes()
+        )
+        with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+            StreamSummary.from_bytes(with_seed(sketch, seed))

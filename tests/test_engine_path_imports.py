@@ -9,9 +9,17 @@ since imported everything.
 
 numpy is the settled case (DESIGN.md section 10): ``import numpy`` costs
 +16.1 MiB RSS and +242 ms per process, so nothing under ``src/`` imports
-it.  OpenSSL is the other: ``import asyncio`` pulls ``ssl`` → ``_ssl`` →
-libssl / libcrypto (+4 MiB) into a server with no TLS code path, so
-``repro serve`` — the command, not the library — declines it.
+it.  OpenSSL is the other, with the event loop that drags it in:
+``import asyncio`` pulls ``ssl`` → ``_ssl`` → libssl / libcrypto (+4 MiB)
+and ``import hashlib`` pulls ``_hashlib`` → libcrypto (+3.6 MiB), and no
+code here speaks TLS.  So asyncio is imported only by code that runs a
+loop — the server, and ``AsyncServeClient`` once it connects — the
+BLAKE2 hashes take the built-in ``_blake2`` that ``hashlib`` re-exports,
+and a blocking client, a coordinator, the ring, a sharded engine and a
+store load none of ``asyncio`` / ``ssl`` / ``_ssl`` / ``_hashlib``.
+``repro serve`` — the command, not the library — runs a loop and
+declines ``ssl`` around its own asyncio import; a process that embeds a
+server (``ThreadedServer``, ``LocalNode``) keeps its ``ssl``.
 """
 
 from __future__ import annotations
@@ -111,7 +119,7 @@ def test_import_repro_loads_the_package_and_its_export_helper():
 
 SERVE_CHILD = r"""
 import json, os, sys, threading, time
-port_file, state_dir, sql = sys.argv[1:4]
+port_file, state_dir, sql, *options = sys.argv[1:]
 at_port = []
 
 def watch():
@@ -122,7 +130,9 @@ def watch():
 
 threading.Thread(target=watch, daemon=True).start()
 from repro.cli import main
-code = main(["serve", sql, "--port-file", port_file, "--state-dir", state_dir])
+code = main(
+    ["serve", sql, "--port-file", port_file, "--state-dir", state_dir, *options]
+)
 at_exit = sorted(sys.modules)  # a None entry counts: it is still a key
 import ssl
 print(json.dumps({
@@ -135,13 +145,13 @@ print(json.dumps({
 """
 
 
-def served_round(sql: str, tmp_path) -> dict:
-    """Start the child, drive 2 INSERT_COLS, QUERY, CHECKPOINT, STATS and
-    a graceful stop through it; its module sets at the port file and at
-    exit."""
+def served_round(sql: str, tmp_path, *options: str) -> dict:
+    """Start the child (``repro serve`` given ``options`` too), drive 2
+    INSERT_COLS, QUERY, CHECKPOINT, STATS and a graceful stop through it;
+    its module sets at the port file and at exit."""
     port_file = tmp_path / "port"
     child = fresh_interpreter(
-        SERVE_CHILD, str(port_file), str(tmp_path / "state"), sql
+        SERVE_CHILD, str(port_file), str(tmp_path / "state"), sql, *options
     )
     try:
         deadline = time.monotonic() + 60
@@ -208,6 +218,138 @@ def test_importing_the_server_leaves_the_hosts_ssl_alone():
         "print(json.dumps(type(sys.modules.get('ssl')).__name__))"
     )
     assert loaded == "module"
+
+
+def test_a_store_backed_serve_child_maps_no_libcrypto(tmp_path):
+    # 50 hot groups: the round spills, faults in and checkpoints through
+    # the key directory, so every BLAKE2 key hash runs in the child.
+    report = served_round(
+        COUNTSUM_SQL, tmp_path,
+        "--store-dir", str(tmp_path / "store"), "--store-hot-groups", "50",
+    )
+    assert "repro.store.segment" in report["at_port"]
+    for loaded in (report["at_port"], report["at_exit"]):
+        assert {"_hashlib", "ssl", "_ssl"} & set(loaded) == set()
+
+
+# -- the processes on the other side of the wire: no loop, no OpenSSL ----------
+
+#: What a process that runs no event loop must never load.
+EVENT_LOOP_AND_OPENSSL = ("asyncio", "ssl", "_ssl", "_hashlib")
+
+PROCESS_PROBE = r"""
+import json, sys
+from repro.core.cols import rows_to_cols
+from repro.workloads.netflow import (
+    PACKET_SCHEMA, PacketTraceConfig, PacketTraceGenerator,
+)
+sql, scratch, watched = sys.argv[1], sys.argv[2], sys.argv[3:]
+rows = PacketTraceGenerator(
+    PacketTraceConfig(rate_per_sec=100.0, duration_sec=90.0, seed=3)
+).materialize()
+%s
+print(json.dumps(sorted(name for name in watched if name in sys.modules)))
+"""
+
+PROCESS_CLASSES = {
+    "coordinator": "import repro.cluster.coordinator",
+    "ring": (
+        "from repro.cluster.ring import HashRing\n"
+        "assert HashRing(['a', 'b', 'c']).node_for(rows[0][2]) in 'abc'"
+    ),
+    "sharded": (
+        "from repro.parallel.sharded import ShardedEngine\n"
+        "engine = ShardedEngine(sql, PACKET_SCHEMA, shards=2, processes=0)\n"
+        "engine.insert_cols(rows_to_cols(rows))\n"
+        "assert engine.query()\n"
+        "engine.close()"
+    ),
+    "store": (
+        "from repro.dsms.engine import QueryEngine\n"
+        "from repro.dsms.parser import parse_query\n"
+        "from repro.dsms.udaf import default_registry\n"
+        "from repro.store.tiered import TieredStore\n"
+        "engine = QueryEngine(parse_query(sql, default_registry()), PACKET_SCHEMA,\n"
+        "                     store=TieredStore(scratch, hot_groups=50))\n"
+        "engine.insert_cols(rows_to_cols(rows))\n"
+        "engine.store_checkpoint()\n"
+        "assert engine.snapshot_rows()\n"
+        "assert engine.store.stats()['evictions'] > 0"
+    ),
+    "chaos": "import repro.testing.chaos",
+}
+
+
+@pytest.mark.parametrize("process", list(PROCESS_CLASSES))
+def test_a_process_that_runs_no_loop_loads_neither_asyncio_nor_openssl(
+    process, tmp_path
+):
+    loaded = run_fresh(
+        PROCESS_PROBE % PROCESS_CLASSES[process],
+        COUNTSUM_SQL, str(tmp_path), *EVENT_LOOP_AND_OPENSSL,
+    )
+    assert loaded == []
+
+
+THREADED_SERVER_CHILD = r"""
+import sys
+from repro.serve import StreamServer, ThreadedServer, build_backend
+from repro.workloads.netflow import PACKET_SCHEMA
+server = ThreadedServer(StreamServer(build_backend(sys.argv[1], PACKET_SCHEMA)))
+server.start()
+print(server.host, server.port, flush=True)
+sys.stdin.read()  # until the test closes our stdin
+server.stop()
+"""
+
+CLIENT_PROBE = r"""
+import json, sys
+from repro.serve.client import ServeClient
+from repro.core.cols import rows_to_cols
+from repro.workloads.netflow import PacketTraceConfig, PacketTraceGenerator
+host, port, watched = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+rows = PacketTraceGenerator(
+    PacketTraceConfig(rate_per_sec=100.0, duration_sec=30.0, seed=3)
+).materialize()
+with ServeClient(host, port) as client:
+    client.insert_cols(rows_to_cols(rows))
+    client.flush()
+    assert client.query()
+    assert client.stats()["server"]["rows_total"] == len(rows)
+print(json.dumps(sorted(name for name in watched if name in sys.modules)))
+"""
+
+
+def test_a_blocking_client_process_loads_neither_asyncio_nor_openssl():
+    server = fresh_interpreter(
+        THREADED_SERVER_CHILD, COUNTSUM_SQL, stdin=subprocess.PIPE
+    )
+    try:
+        host, port = server.stdout.readline().split()
+        loaded = run_fresh(CLIENT_PROBE, host, port, *EVENT_LOOP_AND_OPENSSL)
+    finally:
+        _out, err = server.communicate("", timeout=60)  # EOF: stop serving
+    assert server.returncode == 0, err
+    assert loaded == []
+
+
+def test_a_local_cluster_loads_the_server_when_its_nodes_start(tmp_path):
+    # LocalNodes *are* event loops in this process, so the server (and
+    # asyncio) arrive with the first node's start, not with the import.
+    report = run_fresh(
+        "import json, sys\n"
+        "from repro.cluster.coordinator import Coordinator\n"
+        "from repro.workloads.netflow import PACKET_SCHEMA\n"
+        "imported = {m: m in sys.modules for m in ('repro.serve.server', 'asyncio')}\n"
+        "with Coordinator.local(sys.argv[1], PACKET_SCHEMA, sys.argv[2],\n"
+        "                       node_count=2):\n"
+        "    started = {m: m in sys.modules for m in imported}\n"
+        "print(json.dumps([imported, started]))",
+        COUNTSUM_SQL, str(tmp_path),
+    )
+    imported, started = report
+    assert imported == {"repro.serve.server": False, "asyncio": False}
+    assert started == {"repro.serve.server": True, "asyncio": True}
 
 
 def test_a_sketch_serve_child_loads_exactly_the_summaries_its_sql_names(tmp_path):
