@@ -119,7 +119,7 @@ def _time_recovery(trace, nodes: int, batch_size: int, repeats: int):
                 cluster.insert(trace[:half])
                 cluster.checkpoint()
                 victim = cluster.nodes[len(cluster.nodes) // 2]
-                cluster._nodes[victim].kill()
+                cluster._owners[victim].node.kill()
                 start = time.perf_counter_ns()
                 cluster.insert(trace[half:])
                 cluster.flush()  # recovery (respawn + replay) happens here

@@ -1,28 +1,13 @@
-"""Cluster node runtimes: in-process and subprocess ``StreamServer``s.
+"""Cluster nodes: a ``StreamServer`` in this process, or in its own.
 
-A node is one :class:`~repro.serve.server.StreamServer` the coordinator
-routes to.  Both flavours share the same tiny lifecycle surface —
-``start`` / ``stop`` / ``kill`` / ``respawn`` / ``alive`` plus
-``host``/``port`` — so the coordinator never cares which one it drives:
-
-* :class:`LocalNode` runs the server on a background event loop in this
-  process (:class:`~repro.serve.server.ThreadedServer`).  Cheap and
-  deterministic; ``kill()`` uses the threaded server's crash teardown
-  (no goodbye checkpoint), the in-process analogue of SIGKILL.
-* :class:`ProcessNode` runs ``python -m repro serve`` as a real OS
-  process via :class:`~repro.testing.chaos.ServerProcess`, so SIGKILL is
-  a genuine SIGKILL.  It serves the netflow ``PACKET_SCHEMA`` (what the
-  CLI serves).
-
-Both keep their listen port across ``respawn()`` and restore state from
-the checkpoint in ``state_dir`` — a respawned node rejoins the ring at
-the same address holding exactly its last checkpoint, and the
-coordinator's clients reconnect and replay unacknowledged batches on
-top of it.
-
-Only a :class:`LocalNode` runs an event loop in this process, so the
-server (and asyncio with it) is imported by :meth:`LocalNode.start`: a
-coordinator whose nodes are all :class:`ProcessNode` loads neither.
+Both share one lifecycle — ``start`` / ``stop`` / ``kill`` / ``respawn``
+/ ``alive`` plus ``host`` / ``port`` — and keep their port across a
+respawn, restoring the checkpoint in ``state_dir``: a respawned node
+rejoins the ring at the same address holding exactly its last
+checkpoint.  Only a :class:`LocalNode` runs an event loop in this
+process, so the server (and asyncio with it) is imported when one
+starts: a coordinator over :class:`ProcessNode` instances loads
+neither.
 """
 
 from __future__ import annotations
@@ -40,15 +25,61 @@ if TYPE_CHECKING:
 __all__ = ["LocalNode", "ProcessNode"]
 
 
-class LocalNode:
-    """One in-process ``StreamServer`` on a background event loop.
+class _Node:
+    """What both flavours share: a name, a state dir, and a server
+    (``_serve()``) that has ``host`` / ``port`` / ``kill()`` / ``stop()``."""
 
-    ``schema`` is any :class:`~repro.dsms.schema.Schema`; the backend is
-    built fresh on every (re)start and reseeded from the node's
-    checkpoint.  ``state_dir`` is required — without a durable
-    checkpoint a respawned node would silently restart empty, and the
-    coordinator's loss accounting assumes checkpoint-or-replay.
-    """
+    def __init__(self, name: str, sql: str, state_dir: str, shards: int,
+                 credit_window: int):
+        if not name:
+            raise ParameterError("node name must be non-empty")
+        self.name = name
+        self.sql = sql
+        self.state_dir = state_dir
+        self.shards = shards
+        self.credit_window = credit_window
+        self.host: str | None = None
+        self.port: int | None = None
+        self._server = None
+
+    def start(self):
+        """Serve a fresh backend on the node's port; restores any
+        checkpoint in ``state_dir``."""
+        if self.alive():
+            raise ParameterError(f"node {self.name!r} is already running")
+        os.makedirs(self.state_dir, exist_ok=True)
+        self._server = self._serve()
+        self.host = self._server.host
+        self.port = self._server.port
+        return self
+
+    def kill(self) -> None:
+        """Crash the node: no goodbye checkpoint (idempotent)."""
+        if self._server is not None:
+            self._server.kill()
+
+    def respawn(self):
+        """Restart a dead node on its old port, from its checkpoint."""
+        self.kill()
+        return self.start()
+
+    def stop(self) -> None:
+        """Graceful shutdown; writes a final checkpoint."""
+        if self._server is not None:
+            self._server.stop()
+
+    def __enter__(self):
+        return self if self.alive() else self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class LocalNode(_Node):
+    """One in-process ``StreamServer`` on a background event loop, its
+    backend rebuilt on every (re)start from the checkpoint in the
+    required ``state_dir``; ``kill()`` is the threaded server's crash
+    teardown, the in-process analogue of SIGKILL."""
 
     kind = "local"
 
@@ -63,26 +94,13 @@ class LocalNode:
         credit_window: int = 8,
         registry_params: dict | None = None,
     ):
-        if not name:
-            raise ParameterError("node name must be non-empty")
-        self.name = name
-        self.sql = sql
+        super().__init__(name, sql, state_dir, shards, credit_window)
         self.schema = schema
-        self.state_dir = state_dir
-        self.shards = shards
-        self.credit_window = credit_window
         self.registry_params = dict(registry_params or {})
-        self.host: str | None = None
-        self.port: int | None = None
-        self._threaded: ThreadedServer | None = None
 
-    def start(self) -> "LocalNode":
-        """Build a fresh backend and serve it; restores any checkpoint."""
+    def _serve(self) -> "ThreadedServer":
         from repro.serve.server import StreamServer, ThreadedServer
 
-        if self.alive():
-            raise ParameterError(f"node {self.name!r} is already running")
-        os.makedirs(self.state_dir, exist_ok=True)
         backend = build_backend(
             self.sql,
             self.schema,
@@ -96,48 +114,18 @@ class LocalNode:
             credit_window=self.credit_window,
             state_dir=self.state_dir,
         )
-        self._threaded = ThreadedServer(server).start()
-        self.host = self._threaded.host
-        self.port = self._threaded.port
-        return self
+        return ThreadedServer(server).start()
 
     def alive(self) -> bool:
         """Whether the serving thread is up."""
-        thread = self._threaded and self._threaded._thread
+        thread = self._server and self._server._thread
         return bool(thread and thread.is_alive())
 
-    def kill(self) -> None:
-        """Crash the node: no goodbye checkpoint, connections aborted."""
-        if self._threaded is not None:
-            self._threaded.kill()
 
-    def respawn(self) -> "LocalNode":
-        """Restart a dead node on its old port, from its checkpoint."""
-        if self.alive():
-            self.kill()
-        return self.start()
-
-    def stop(self) -> None:
-        """Graceful shutdown; writes a final checkpoint."""
-        if self._threaded is not None:
-            self._threaded.stop()
-
-    def __enter__(self) -> "LocalNode":
-        return self.start() if not self.alive() else self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class ProcessNode:
-    """One ``repro serve`` OS process (netflow schema, CLI code path).
-
-    The subprocess flavour for chaos tests and the ``repro cluster``
-    CLI: SIGKILL really is SIGKILL, and recovery exercises the deployed
-    entry point byte for byte.  ``log_path`` (default
-    ``<state_dir>/node.log``) captures the server's stdout/stderr across
-    respawns — CI uploads it when a cluster test fails.
-    """
+class ProcessNode(_Node):
+    """One ``repro serve`` OS process serving the netflow schema: SIGKILL
+    is real, and ``log_path`` (default ``<state_dir>/node.log``) keeps its
+    output across respawns."""
 
     kind = "process"
 
@@ -152,25 +140,12 @@ class ProcessNode:
         log_path: str | None = None,
         startup_timeout_s: float = 30.0,
     ):
-        if not name:
-            raise ParameterError("node name must be non-empty")
-        self.name = name
-        self.sql = sql
-        self.state_dir = state_dir
-        self.shards = shards
-        self.credit_window = credit_window
+        super().__init__(name, sql, state_dir, shards, credit_window)
         self.log_path = log_path or os.path.join(state_dir, "node.log")
         self.startup_timeout_s = startup_timeout_s
-        self.host: str | None = None
-        self.port: int | None = None
-        self._server: ServerProcess | None = None
 
-    def start(self) -> "ProcessNode":
-        """Spawn the server process; restores any checkpoint."""
-        if self.alive():
-            raise ParameterError(f"node {self.name!r} is already running")
-        os.makedirs(self.state_dir, exist_ok=True)
-        self._server = ServerProcess(
+    def _serve(self) -> ServerProcess:
+        return ServerProcess(
             self.sql,
             state_dir=self.state_dir,
             shards=self.shards,
@@ -179,9 +154,6 @@ class ProcessNode:
             startup_timeout_s=self.startup_timeout_s,
             log_path=self.log_path,
         ).start()
-        self.host = self._server.host
-        self.port = self._server.port
-        return self
 
     def alive(self) -> bool:
         """Whether the server process is up."""
@@ -189,30 +161,5 @@ class ProcessNode:
 
     @property
     def pid(self) -> int | None:
+        """The server process's pid (None before the first start)."""
         return self._server.pid if self._server is not None else None
-
-    def kill(self) -> None:
-        """SIGKILL the server process and reap it."""
-        if self._server is not None:
-            self._server.kill()
-
-    def respawn(self) -> "ProcessNode":
-        """Restart a dead node on its old port, from its checkpoint."""
-        if self._server is not None:
-            self._server.kill()  # idempotent; reaps an externally killed pid
-        self._server = None
-        return self.start()
-
-    def stop(self) -> None:
-        """Graceful SIGTERM shutdown; writes a final checkpoint."""
-        if self._server is not None and self._server.alive():
-            self._server.stop()
-
-    def __enter__(self) -> "ProcessNode":
-        return self.start() if not self.alive() else self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.alive():
-            self.stop()
-        elif self._server is not None:
-            self._server.kill()

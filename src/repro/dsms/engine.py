@@ -44,7 +44,7 @@ from repro.core.cols import (
 from repro.core.errors import MergeError, ProtocolError, QueryError
 from repro.core.groups import SUMMARY_SLOT, group_columns, group_states
 from repro.core.protocol import StreamSummary, summary_type_of
-from repro.dsms.expressions import compile_shared
+from repro.dsms.expressions import compile_shared, named
 from repro.dsms.parser import Query, SelectItem
 from repro.dsms.schema import Schema
 
@@ -329,10 +329,18 @@ class QueryEngine:
                 tuple(distinct.setdefault(arg, len(distinct)) for arg in plan.args)
                 for plan in self._agg_plans
             )
-            group = (g.expression for g in self.query.group_by)
+            group = self.query.group_by
+            # What an arithmetic failure names: the first item using it.
+            items = {a: p.alias for p in self._agg_plans[::-1] for a in p.args}
+            labels = [f"group key {g.alias!r}" for g in group]
+            labels += [f"select item {items[arg]!r}" for arg in distinct]
             plan = self._cols_plan = (
-                where.compile_cols(self.schema) if where is not None else None,
-                compile_shared([*group, *distinct], self.schema),
+                named(where.compile_cols(self.schema), "where clause")
+                if where is not None
+                else None,
+                compile_shared(
+                    [*(g.expression for g in group), *distinct], self.schema, labels
+                ),
                 slots,
             )
         return plan
@@ -388,12 +396,13 @@ class QueryEngine:
         count = row_count(cols, QueryError)
         if count == 0:
             return
-        self._tuples_in += count
         # One columnar evaluation per distinct sub-expression for the
-        # whole batch — this is what the row path pays per tuple per use.
-        count, keys, arg_cols = self._select_and_eval(cols, count)
-        self._tuples_selected += count
-        if count == 0:
+        # whole batch, before anything is counted: a batch that raises
+        # leaves the engine as it was.
+        kept, keys, arg_cols = self._select_and_eval(cols, count)
+        self._tuples_in += count
+        self._tuples_selected += kept
+        if kept == 0:
             return
         watch_bucket = self._emit_on_bucket_change
         two_level = self.two_level

@@ -46,6 +46,7 @@ from repro.dsms.schema import Schema
 
 __all__ = [
     "compile_shared",
+    "named",
     "Expression",
     "Column",
     "Literal",
@@ -472,8 +473,33 @@ def _count_subtrees(node: Expression, counts: dict[Expression, int]) -> None:
         _count_subtrees(child, counts)
 
 
+#: The :class:`QueryError` an arithmetic failure becomes, per its type:
+#: still an instance of that type, so a caller catching it is unaffected.
+_NAMED_ERRORS = {
+    kind: type(f"Query{kind.__name__}", (QueryError, kind), {})
+    for kind in (ArithmeticError, FloatingPointError, OverflowError, ZeroDivisionError)
+}
+
+
+def named(fn: ColsEvaluator, label: str) -> ColsEvaluator:
+    """``fn`` with an arithmetic or math-domain failure (``exp`` out of
+    range, ``log`` / ``sqrt`` of a negative, ``/`` or ``%`` by zero) raised
+    as a :class:`QueryError` that names ``label``."""
+
+    def evaluate(cols: list, n: int) -> list:
+        try:
+            return fn(cols, n)
+        except (ArithmeticError, ValueError) as error:
+            kind = _NAMED_ERRORS.get(type(error), QueryError)
+            raise kind(f"{label}: {error}") from error
+
+    return evaluate
+
+
 def compile_shared(
-    expressions: Sequence[Expression], schema: Schema
+    expressions: Sequence[Expression],
+    schema: Schema,
+    labels: Sequence[str] | None = None,
 ) -> Callable[[list, int], list[list]]:
     """Compile ``expressions`` to one closure ``(cols, n) -> [column, ...]``
     that evaluates each distinct sub-expression once per batch.
@@ -484,7 +510,9 @@ def compile_shared(
     and run in the same order, a repeat read from its slot instead of
     recomputed — it could only have raised what its first evaluation did,
     so values and the first error are those of compiling each expression
-    alone.  Nothing is kept between calls.
+    alone.  Nothing is kept between calls.  With ``labels`` (one per
+    expression) an arithmetic failure names its expression's label
+    (:func:`named`).
     """
     counts: dict[Expression, int] = {}
     for expression in expressions:
@@ -493,6 +521,8 @@ def compile_shared(
     shared = (node for node, uses in counts.items() if uses > 1)
     slots = {node: width + k for k, node in enumerate(shared)}
     fns = [_operand_cols(e, schema, slots) for e in expressions]
+    if labels is not None:
+        fns = [named(fn, label) for fn, label in zip(fns, labels)]
     spare = [None] * len(slots)
 
     def evaluate(cols: list, n: int) -> list[list]:

@@ -1,13 +1,9 @@
-"""Multi-core sharded ingestion (the Section VI-B merge property, for real).
+"""Partitioned ingestion: the one router (Section VI-B merge-at-query).
 
-:class:`~repro.parallel.sharded.ShardedEngine` hash-partitions a stream by
-GROUP BY key across shard worker processes, each running a private
-:class:`~repro.dsms.engine.QueryEngine`, and answers queries by merging
-serde-encoded partial states — the parallel pattern the paper's fixed
-numerators make exact.  The same mergeability powers the supervisor: a
-dead worker is respawned and re-seeded from its last checkpointed partial
-state, with the lost delta reported as a
-:class:`~repro.parallel.supervision.ShardFailure`.
+:class:`~repro.parallel.router.Router` routes columnar batches by GROUP
+BY key to owners and folds their partial states at query time;
+:class:`~repro.parallel.sharded.ShardedEngine` is the router over shard
+engines in this thread or in worker processes (DESIGN.md §7).
 """
 
 from repro._lazy import lazy_exports
@@ -16,8 +12,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".routing": ("GroupKeyRouter", "stable_route", "validate_mergeable"),
+        ".router": ("OwnerFailure", "Router"),
         ".sharded": ("ShardedEngine",),
-        ".supervision": ("ShardFailure",),
-        ".worker": ("ShardPlan", "shard_worker_main"),
+        ".worker": ("ShardPlan",),
+        ".pipe": ("shard_worker_main",),
     },
 )

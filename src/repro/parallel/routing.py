@@ -1,32 +1,18 @@
-"""Group-key routing shared by the sharded engine and the cluster tier.
+"""Group-key routing for the router (:mod:`repro.parallel.router`).
 
-Section VI-B's fixed-numerator decomposition means *where* a tuple lands
-never affects the answer — merge-at-query folds same-key partials from
-any placement.  Routing is therefore purely a performance and balance
-concern, and both partitioned runtimes want the same machinery:
-
-* :class:`GroupKeyRouter` evaluates the GROUP BY expressions (or a
-  designated ``shard_key`` column) to produce one routing key per row of
-  a columnar batch, and :meth:`~GroupKeyRouter.partition` splits the
-  batch into one column slice per owner — the one partitioner both
-  runtimes ship from (the columns an owner's engine reads, no others);
-* :func:`stable_route` maps a key to one of ``n`` integer shards,
-  deterministically across processes and hosts (blake2b, not the
-  per-interpreter builtin ``hash``);
-* :func:`validate_mergeable` rejects queries whose per-group state has
-  no merge rule at plan time — a partitioned run of those could not
-  match any single-stream semantics.
-
-:class:`~repro.parallel.sharded.ShardedEngine` routes keys to worker
-indexes with a modulus; :class:`repro.cluster.HashRing` routes the same
-keys to named nodes with consistent hashing.  Sharing the key
-computation keeps the two tiers' placements built from identical key
-material.
+Section VI-B's fixed numerators mean *where* a tuple lands never affects
+the answer, so routing is a balance concern only.
+:class:`GroupKeyRouter` computes one routing key per row of a columnar
+batch (the GROUP BY expressions, or a ``shard_key`` column) and
+:meth:`~GroupKeyRouter.partition` splits the batch into one column slice
+per owner; :func:`stable_route` maps a key to one of ``n`` shards the
+same way in every process; :func:`validate_mergeable` refuses, at plan
+time, a query whose per-group state has no merge rule.
 """
 
 from __future__ import annotations
 
-from repro.core.cols import row_count, take_rows
+from repro.core.cols import take_rows
 from repro.core.errors import QueryError
 from repro.core.protocol import StreamSummary
 from repro.dsms.engine import QueryEngine
@@ -38,24 +24,15 @@ __all__ = ["GroupKeyRouter", "stable_route", "validate_mergeable"]
 
 
 def stable_route(key: object, shards: int) -> int:
-    """Deterministic shard assignment (blake2b, not builtin ``hash``).
-
-    Stable across processes, runs, and hosts — what the benchmarks use so
-    per-shard numbers are reproducible.  The builtin-``hash`` default is
-    faster but randomized per interpreter for strings.
-    """
+    """Shard assignment stable across processes, runs and hosts (blake2b;
+    builtin ``hash`` is faster but randomized per interpreter)."""
     return int(hash_to_unit(key) * shards) % shards
 
 
 def validate_mergeable(template: QueryEngine) -> None:
-    """Reject queries whose per-group state cannot merge.
-
-    Mergeable builtins merge by definition; sketch adapters merge via
-    their :class:`StreamSummary` state.  Sampler states (reservoir and
-    friends) keep RNG-path-dependent state with no merge rule, so a
-    partitioned run could not match any single-stream semantics — fail
-    at plan time with a clear message rather than at the first query.
-    """
+    """Reject, at plan time, a query whose per-group state has no merge
+    rule (the samplers' RNG-path-dependent state): a partitioned run of
+    it could match no single-stream semantics."""
     for plan in template._agg_plans:
         if plan.udaf.mergeable:
             continue
@@ -72,19 +49,10 @@ def validate_mergeable(template: QueryEngine) -> None:
 
 
 class GroupKeyRouter:
-    """Per-tuple routing keys for one query over one schema.
-
-    Evaluates the compiled GROUP BY expressions — or, when ``shard_key``
-    names a schema column, just indexes that column — to produce the key
-    a placement function maps to a shard or node.  Batches route in
-    columns (:meth:`partition`); :meth:`owner` places one tuple — a
-    heartbeat marker.
-
-    ``keyed`` is False when the query has no GROUP BY and no
-    ``shard_key``: a single global group, where any placement merges
-    correctly, so rows are dealt round-robin over the owners (one
-    counter, continued across calls).
-    """
+    """Routing keys for one query over one schema: the compiled GROUP BY
+    expressions, or the ``shard_key`` column.  Without either (one global
+    group, which any placement merges) rows are dealt round-robin over
+    the owners on one counter."""
 
     def __init__(self, query, schema: Schema, shard_key: str | None = None):
         self._group_col_fns = tuple(
@@ -124,27 +92,18 @@ class GroupKeyRouter:
         return next(self.partition([[value] for value in row], place, owners))[0]
 
     def partition(self, cols: list, place, owners):
-        """Split a columnar batch by owner: ``(owner, part_cols, count)``.
-
-        ``cols`` is one equal-length list per schema field (ragged
-        raises :class:`QueryError`, empty yields nothing).  Row ``i``
-        goes to ``place(keys[i])`` — ``owners`` in turn when not
-        :attr:`keyed` — in arrival order.  A part holds the owner's rows
-        of the :attr:`columns_read` columns (a single-owner batch's own
-        lists, not copied) and ``count`` zeros of its type for every
-        other field: an owner cannot vouch for what it is not sent, so
-        check a batch against the schema first.  ``place`` is asked once
-        per distinct key of the batch and its answers forgotten with
-        the call, so a membership change needs no invalidation.
+        """Split a batch checked against the schema by owner, yielding
+        ``(owner, part_cols, count)``: row ``i`` goes to ``place(keys[i])``
+        (``owners`` in turn when not :attr:`keyed`), in arrival order.  A
+        part holds the owner's rows of the :attr:`columns_read` columns (a
+        single-owner batch's own lists) and zeros of the field's type for
+        every other field.  ``place`` is asked once per distinct key and
+        its answers forgotten, so membership changes need no invalidation.
         """
-        count = row_count(cols, QueryError)
+        count = len(cols[0]) if cols else 0
         if count == 0:
             return
         zeros = self._zeros
-        if len(cols) != len(zeros):
-            raise QueryError(
-                f"batch has {len(cols)} columns, schema has {len(zeros)}"
-            )
         picks: dict = {}
         if self.keyed:
             keys = self.keys(cols, count)

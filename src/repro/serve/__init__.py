@@ -34,6 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".protocol": (
             "Frame", "FrameDecoder", "MAX_FRAME_BYTES", "RemoteError", "WIRE_VERSION",
         ),
-        ".backend": ("ShardedBackend", "SingleEngineBackend", "build_backend"),
+        ".backend": ("SingleEngineBackend", "build_backend"),
+        "repro.parallel.sharded": ("ShardedBackend",),
     },
 )

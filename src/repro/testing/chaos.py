@@ -4,14 +4,15 @@ Three primitives:
 
 - :func:`wait_until` — poll a condition with a hard deadline, the
   backbone of every crash test (no bare ``sleep`` guesses).
-- :func:`kill_worker` — SIGKILL one shard worker of a
-  :class:`~repro.parallel.sharded.ShardedEngine` and wait until the OS
-  has actually reaped it, so the next ingest call deterministically sees
-  a dead process.
+- :func:`kill_worker` — SIGKILL the process of one shard worker of a
+  :class:`~repro.parallel.sharded.ShardedEngine` (its
+  :class:`~repro.parallel.pipe.PipeOwner`'s handle) and wait until the
+  OS has actually reaped it, so the next ingest call deterministically
+  sees a dead process.
 - :class:`ServerProcess` — run ``repro serve`` as a real subprocess that
   can be SIGKILLed between periodic checkpoints and restarted on the
   same ``--state-dir``, exactly the crash-recovery scenario of
-  DESIGN.md §9.
+  DESIGN.md §7.
 
 Everything here is in-tree (not test-only) so the recovery benchmark can
 measure the same scenarios the tests assert on.
@@ -51,44 +52,28 @@ def wait_until(
 
 
 def kill_worker(engine, shard: int, sig: int = signal.SIGKILL) -> int:
-    """Kill one shard worker process and wait for the OS to reap it.
-
-    Returns the dead worker's pid.  The engine is *not* told — the next
-    supervised ingest or state request discovers the corpse, which is the
-    whole point: tests exercise the detection path, not a back door.
-    """
-    if engine.inline:
+    """Kill one shard worker process and wait for the OS to reap it; the
+    pid.  The engine is not told: its next call must detect the death."""
+    process = getattr(engine._owners[shard], "process", None)
+    if process is None:
         raise ValueError("cannot kill a worker of an inline engine")
-    process = engine._workers[shard]
-    pid = process.pid
-    os.kill(pid, sig)
-    # ``is_alive`` flips only once the process has been waited on;
-    # multiprocessing does that internally when polled.
-    wait_until(
-        lambda: not process.is_alive(),
-        timeout_s=10.0,
-        message=f"shard {shard} worker (pid {pid}) to die",
-    )
-    return pid
+    return _kill(process.pid, process.is_alive, sig, f"shard {shard} worker")
 
 
 def kill_node(node, sig: int = signal.SIGKILL) -> int:
-    """Kill a cluster :class:`~repro.cluster.nodes.ProcessNode`'s server
-    process behind the coordinator's back and wait for the OS to reap it.
-
-    Returns the dead server's pid.  Like :func:`kill_worker`, nobody is
-    told — the coordinator discovers the corpse when its next operation
-    on that node escalates past the client's reconnect budget, which is
-    the recovery path cluster chaos tests exist to exercise.
-    """
-    pid = node.pid
-    if pid is None:
+    """Kill a :class:`~repro.cluster.nodes.ProcessNode`'s server behind the
+    coordinator's back and wait for the OS to reap it; the pid."""
+    if node.pid is None:
         raise ValueError(f"node {node.name!r} has no server process")
+    return _kill(node.pid, node.alive, sig, f"node {node.name!r}")
+
+
+def _kill(pid: int, alive, sig: int, what: str) -> int:
     os.kill(pid, sig)
+    # ``alive`` turns False only once the process has been waited on,
+    # which polling it does.
     wait_until(
-        lambda: not node.alive(),
-        timeout_s=10.0,
-        message=f"node {node.name!r} (pid {pid}) to die",
+        lambda: not alive(), timeout_s=10.0, message=f"{what} (pid {pid}) to die"
     )
     return pid
 

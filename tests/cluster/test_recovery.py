@@ -34,7 +34,7 @@ class TestLocalNodeRecovery:
         with local_cluster(tmp_path) as cluster:
             cluster.insert(rows[:300])
             cluster.checkpoint()
-            cluster._nodes[cluster.nodes[1]].kill()
+            cluster._owners[cluster.nodes[1]].node.kill()
             cluster.insert(rows[300:])
             got = cluster.query()
             assert cluster.rows_lost == 0
@@ -53,10 +53,10 @@ class TestLocalNodeRecovery:
             victim = cluster.nodes[2]
             sent = cluster._rows_sent[victim]
             mark = cluster._ckpt_mark[victim]
-            cluster._nodes[victim].kill()
+            cluster._owners[victim].node.kill()
             cluster.query()  # discovers the corpse, recovers
             failure = cluster.failures[0]
-            assert failure.node == victim
+            assert failure.owner == victim
             assert failure.rows_lost == sent - mark > 0
             # exact: the surviving tuple count reflects precisely the loss
             stats = cluster.stats()
@@ -68,7 +68,7 @@ class TestLocalNodeRecovery:
             cluster.insert(rows)
             cluster.checkpoint()
             # the node is dead right now; query must recover it in-line
-            cluster._nodes[cluster.nodes[0]].kill()
+            cluster._owners[cluster.nodes[0]].node.kill()
             got = cluster.query()
             assert cluster.rows_lost == 0
         assert canon(got) == canon(expected_rows(SQL, rows))
@@ -79,7 +79,7 @@ class TestLocalNodeRecovery:
             cluster.insert(rows[:250])
             cluster.checkpoint()
             victim = cluster.nodes[1]
-            cluster._nodes[victim].kill()
+            cluster._owners[victim].node.kill()
             cluster.insert(rows[250:])
             reports = cluster.flush()
             # the recovered node's client replayed its unacked batches
@@ -95,7 +95,7 @@ class TestLocalNodeRecovery:
         with local_cluster(tmp_path, n=2, max_respawns=0) as cluster:
             cluster.insert(rows)
             cluster.flush()
-            cluster._nodes[cluster.nodes[0]].kill()
+            cluster._owners[cluster.nodes[0]].node.kill()
             with pytest.raises(QueryError, match="respawn budget"):
                 cluster.query()
             assert cluster.failures[0].respawned is False
@@ -105,7 +105,7 @@ class TestLocalNodeRecovery:
         with local_cluster(tmp_path, n=2, auto_recover=False) as cluster:
             cluster.insert(rows)
             cluster.flush()
-            cluster._nodes[cluster.nodes[0]].kill()
+            cluster._owners[cluster.nodes[0]].node.kill()
             with pytest.raises(ClientConnectionError):
                 cluster.query()
 
@@ -128,13 +128,13 @@ class TestProcessNodeChaos:
             cluster.insert(rows[:300])
             cluster.checkpoint()
             victim = cluster.nodes[1]
-            kill_node(cluster._nodes[victim])
+            kill_node(cluster._owners[victim].node)
             cluster.insert(rows[300:])
             got = cluster.query()
             assert cluster.rows_lost == 0
             assert cluster.failures[0].respawned
             # the respawned process is a fresh pid on the old port
-            assert cluster._nodes[victim].alive()
+            assert cluster._owners[victim].node.alive()
         assert canon(got) == canon(expected_rows(SQL, rows))
 
     def test_sigkill_loss_accounting_is_exact(self, tmp_path):
@@ -147,7 +147,7 @@ class TestProcessNodeChaos:
             victim = cluster.nodes[0]
             sent = cluster._rows_sent[victim]
             mark = cluster._ckpt_mark[victim]
-            kill_node(cluster._nodes[victim])
+            kill_node(cluster._owners[victim].node)
             cluster.query()
             failure = cluster.failures[0]
             assert failure.rows_lost == sent - mark > 0

@@ -56,7 +56,7 @@ class TestInlineStore:
             engine.insert_many(rows)
             assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
             # Every shard spilled into its own directory.
-            for shard, inner in enumerate(engine._engines):
+            for shard, inner in enumerate(o._engine for o in engine._owners.values()):
                 assert inner.store is not None
                 assert inner.store.cold_count > 0
                 assert inner.store.directory.endswith(f"shard{shard}")
@@ -96,9 +96,9 @@ class TestStoreBackedRecovery:
                 COUNT_SUM_SQL, rows_before + rows_after
             )
             (failure,) = engine.failures
-            assert failure.shard == 1
+            assert failure.owner == 1
             assert failure.respawned is True
-            assert failure.rows_lost_min == failure.rows_lost_max == 0
+            assert failure.rows_lost == 0
 
     def test_unckpointed_tail_lost_exactly(self, tmp_path):
         # Rows after the last manifest die with the worker, exactly like
@@ -121,7 +121,7 @@ class TestStoreBackedRecovery:
             result = engine.query()
 
             (failure,) = engine.failures
-            assert failure.rows_lost_min == failure.rows_lost_max == len(doomed)
+            assert failure.rows_lost == len(doomed)
             assert result == unsharded(
                 COUNT_SUM_SQL, rows_before + rows_after
             )

@@ -5,7 +5,7 @@ The recovery guarantee under test is the paper's merge property worn as
 fault tolerance: a checkpointed partial state re-seeds a fresh worker and
 merges exactly, so after a SIGKILL the query equals the unsharded
 reference over precisely the non-lost tuples — and the lost delta is
-exact (``rows_lost_min == rows_lost_max``), not an estimate.
+exact (``rows_lost``), not an estimate.
 
 Routing uses ``shard_key='destIP'`` + :func:`stable_route` so tests can
 compute *which* rows die with a given shard, making the post-crash
@@ -72,12 +72,12 @@ class TestCrashRecovery:
 
             assert result == unsharded(COUNT_SUM_SQL, rows_before + rows_after)
             (failure,) = engine.failures
-            assert failure.shard == 1
+            assert failure.owner == 1
             assert failure.pid == pid
             assert failure.exitcode == -9
             assert failure.phase == "ship"
             assert failure.respawned is True
-            assert failure.rows_lost_min == failure.rows_lost_max == 0
+            assert failure.rows_lost == 0
             assert failure.rows_recovered == len(routed_to(rows_before, 1))
 
     def test_unckpointed_rows_are_lost_exactly(self):
@@ -97,7 +97,7 @@ class TestCrashRecovery:
             result = engine.query()
 
             (failure,) = engine.failures
-            assert failure.rows_lost_min == failure.rows_lost_max == len(doomed)
+            assert failure.rows_lost == len(doomed)
             assert result == unsharded(
                 COUNT_SUM_SQL, rows_before + rows_after
             )
@@ -113,7 +113,7 @@ class TestCrashRecovery:
             result = engine.query()
             assert result == unsharded(COUNT_SUM_SQL, make_rows(150))
             (failure,) = engine.failures
-            assert failure.shard == 0
+            assert failure.owner == 0
             assert failure.phase == "request"
 
     def test_respawn_budget_exhausted_raises(self):
@@ -153,7 +153,7 @@ class TestCrashRecovery:
             assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
             kill_worker(engine, shard=1)
             assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
-            assert [f.shard for f in engine.failures] == [1, 1]
+            assert [f.owner for f in engine.failures] == [1, 1]
             assert engine.stats()["respawns"][1] == 2
 
 
@@ -169,14 +169,14 @@ class TestCloseAfterDeath:
         victims = routed_to(make_rows(2000), 1)
         engine.insert_many(victims[:50])
         wait_until(
-            lambda: engine._workers[1].is_alive(), timeout_s=10.0,
+            lambda: engine._owners[1].process.is_alive(), timeout_s=10.0,
             message="worker up",
         )
         kill_worker(engine, shard=1)
         # Refill the dead worker's queue without tripping supervision.
         for batch_start in range(0, 4):
             try:
-                engine._queues[1].put(
+                engine._owners[1].queue.put(
                     ("colb", pack_cols(rows_to_cols(victims[:8]))),
                     timeout=0.2,
                 )

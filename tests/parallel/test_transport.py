@@ -71,7 +71,7 @@ class TestColumnarCrashAccounting:
             result = engine.query()
 
             (failure,) = engine.failures
-            assert failure.rows_lost_min == failure.rows_lost_max == len(doomed)
+            assert failure.rows_lost == len(doomed)
             assert failure.respawned is True
             assert result == unsharded(
                 COUNT_SUM_SQL, rows_before + rows_after
@@ -91,5 +91,5 @@ class TestColumnarCrashAccounting:
                 COUNT_SUM_SQL, rows_before + rows_after
             )
             (failure,) = engine.failures
-            assert failure.rows_lost_min == failure.rows_lost_max == 0
+            assert failure.rows_lost == 0
             assert failure.rows_recovered == len(routed_to(rows_before, 1))

@@ -280,6 +280,11 @@ PROCESS_CLASSES = {
 }
 
 
+#: The routers' processes load no pipe transport either: only a sharded
+#: engine with worker processes (``processes=None``) imports multiprocessing.
+ALSO_WATCHED = {"coordinator": ("multiprocessing",), "sharded": ("multiprocessing",)}
+
+
 @pytest.mark.parametrize("process", list(PROCESS_CLASSES))
 def test_a_process_that_runs_no_loop_loads_neither_asyncio_nor_openssl(
     process, tmp_path
@@ -287,8 +292,37 @@ def test_a_process_that_runs_no_loop_loads_neither_asyncio_nor_openssl(
     loaded = run_fresh(
         PROCESS_PROBE % PROCESS_CLASSES[process],
         COUNTSUM_SQL, str(tmp_path), *EVENT_LOOP_AND_OPENSSL,
+        *ALSO_WATCHED.get(process, ()),
     )
     assert loaded == []
+
+
+def test_a_local_cluster_round_loads_no_multiprocessing(tmp_path):
+    # What readmix_cluster runs: Coordinator.local, three LocalNodes,
+    # ingest and a fan-out query.
+    loaded = run_fresh(
+        PROCESS_PROBE % (
+            "from repro.cluster.coordinator import Coordinator\n"
+            "with Coordinator.local(sql, PACKET_SCHEMA, scratch, node_count=3) as c:\n"
+            "    c.insert_cols(rows_to_cols(rows))\n"
+            "    assert c.query()"
+        ),
+        COUNTSUM_SQL, str(tmp_path), "multiprocessing",
+    )
+    assert loaded == []
+
+
+def test_only_shard_worker_processes_load_multiprocessing():
+    loaded = run_fresh(
+        PROCESS_PROBE % (
+            "from repro.parallel.sharded import ShardedEngine\n"
+            "with ShardedEngine(sql, PACKET_SCHEMA, shards=2, processes=None) as e:\n"
+            "    e.insert_cols(rows_to_cols(rows))\n"
+            "    assert e.query()"
+        ),
+        COUNTSUM_SQL, "", "multiprocessing",
+    )
+    assert loaded == ["multiprocessing"]
 
 
 THREADED_SERVER_CHILD = r"""
