@@ -1,10 +1,11 @@
-"""Sensor-fleet monitoring: decayed clustering + distributed MapReduce.
+"""Sensor-fleet monitoring: decayed clustering + a MapReduce-style fold.
 
 Scenario: a fleet of sensors reports (temperature, vibration) readings.
 Operating regimes drift over time; we want the *current* regimes, not an
 all-history average.  Forward-decayed k-means keeps centroids that follow
 the drift at a rate chosen by the decay function, and the Section IX
-MapReduce pattern aggregates per-sensor decayed statistics across shards.
+MapReduce pattern aggregates per-sensor decayed statistics across shards:
+each shard keeps one summary per sensor, and ``merge_all`` folds them.
 
 Run:  python examples/sensor_clustering.py
 """
@@ -13,8 +14,14 @@ from __future__ import annotations
 
 import random
 
-from repro import DecayedAverage, DecayedKMeans, ExponentialG, ForwardDecay, NoDecayG
-from repro.distributed import decayed_map_reduce
+from repro import (
+    DecayedAverage,
+    DecayedKMeans,
+    ExponentialG,
+    ForwardDecay,
+    NoDecayG,
+    merge_all,
+)
 
 
 def sensor_readings(n: int, seed: int = 3):
@@ -75,21 +82,22 @@ def two_regimes_separated(readings) -> None:
 
 
 def per_sensor_map_reduce(readings) -> None:
-    print("Per-sensor decayed average temperature via simulated MapReduce")
-    print("(4 mappers over arbitrary shards, 2 reducers):\n")
+    print("Per-sensor decayed average temperature, MapReduce style")
+    print("(4 arbitrary shards map to per-sensor summaries; merge_all reduces):\n")
     decay = ForwardDecay(ExponentialG(alpha=0.01), landmark=0.0)
     shard = len(readings) // 4
-    splits = [readings[i:i + shard] for i in range(0, len(readings), shard)]
-    result = decayed_map_reduce(
-        splits=splits,
-        key_of=lambda r: r[1],
-        summary_factory=lambda: DecayedAverage(decay),
-        update=lambda s, r: s.update(r[0], r[2][0]),
-        reducers=2,
-    )
-    for key in sorted(result.keys()):
-        print(f"  {key}: decayed mean temperature "
-              f"{result[key].query():.1f} C")
+    partials: dict[str, list[DecayedAverage]] = {}
+    for start in range(0, len(readings), shard):  # map: one dict per shard
+        mapped: dict[str, DecayedAverage] = {}
+        for timestamp, sensor, (temperature, __) in readings[start:start + shard]:
+            if sensor not in mapped:
+                mapped[sensor] = DecayedAverage(decay)
+            mapped[sensor].update(timestamp, temperature)
+        for sensor, summary in mapped.items():  # shuffle by key
+            partials.setdefault(sensor, []).append(summary)
+    for sensor in sorted(partials):  # reduce
+        print(f"  {sensor}: decayed mean temperature "
+              f"{merge_all(partials[sensor]).query():.1f} C")
     print("\nAll sensors report ~80 C — the decayed mean reflects the")
     print("current hot regime, not the all-history average of ~60 C.")
 

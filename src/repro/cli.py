@@ -59,11 +59,9 @@ Three commands make the library usable without writing Python:
 
 ``store``
     Inspect a tiered group-state store directory (``repro.store``, as
-    written by ``serve --store-dir``), or convert one written by an older
-    release to the current segment format, once::
+    written by ``serve --store-dir``)::
 
         python -m repro store inspect /var/lib/repro/state
-        python -m repro store upgrade /var/lib/repro/state
 """
 
 from __future__ import annotations
@@ -567,7 +565,6 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     from repro.core.groups import RAGGED_SLOT, SUMMARY_SLOT
     from repro.core.protocol import summary_type_of
     from repro.store import MANIFEST_NAME, SegmentReader
-    from repro.store.segment import UPGRADE_HINT
 
     directory = args.directory
     if not os.path.isdir(directory):
@@ -602,10 +599,6 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
                     live_by_segment[seg] = live_by_segment.get(seg, 0) + 1
             finally:
                 snap.close()
-        else:
-            # Manifest version 1 embeds the directory; `store upgrade`
-            # converts it.
-            groups = len(manifest.get("directory", ()))
         report["manifest"] = {
             "version": manifest.get("version"),
             "query": manifest.get("query"),
@@ -669,7 +662,8 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
                 )
                 entry["layout"] = layout or []
             except (StoreError, ParameterError) as error:
-                kind = "needs upgrade" if UPGRADE_HINT in str(error) else "corrupt"
+                refused = "unsupported version" in str(error)
+                kind = "unsupported" if refused else "corrupt"
                 entry["status"] = f"{kind}: {error}"
         segments.append(entry)
     report["segments"] = segments
@@ -705,35 +699,6 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
             print(f"      {name} x {tally['buffers']:,}, {tally['bytes']:,} B")
     if not segments:
         print("  (no segment files)")
-    return 0
-
-
-def _cmd_store_upgrade(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.store.upgrade import upgrade_tree
-
-    if not os.path.isdir(args.directory):
-        print(f"error: {args.directory!r} is not a directory", file=sys.stderr)
-        return 2
-    reports = upgrade_tree(args.directory)
-    if args.json:
-        print(json.dumps(reports, indent=2, sort_keys=True))
-        return 0
-    for report in reports:
-        line = f"{report['directory']}: {report['status']}"
-        if report["status"] == "upgraded":
-            groups = max(report["groups"], 1)
-            line += (
-                f" — {report['groups']:,} group(s), "
-                f"{report['segments_before']} -> {report['segments_after']} "
-                f"segment(s), {report['bytes_before'] / groups:.1f} -> "
-                f"{report['bytes_after'] / groups:.1f} B/group"
-            )
-        print(line)
-    if not reports:
-        print(f"{args.directory}: no store directory (no MANIFEST.json) found")
     return 0
 
 
@@ -977,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint_inspect.set_defaults(handler=_cmd_checkpoint_inspect)
 
     store = commands.add_parser(
-        "store", help="inspect or upgrade tiered group-state store directories"
+        "store", help="inspect tiered group-state store directories"
     )
     store_commands = store.add_subparsers(dest="store_command", required=True)
     store_inspect = store_commands.add_parser(
@@ -990,17 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_inspect.add_argument("--json", action="store_true",
                                help="emit the report as JSON")
     store_inspect.set_defaults(handler=_cmd_store_inspect)
-    store_upgrade = store_commands.add_parser(
-        "upgrade", help="convert a store written by an older release to the "
-        "current segment format, once (idempotent)"
-    )
-    store_upgrade.add_argument("directory",
-                               help="store directory, or a directory holding "
-                               "several (a --store-dir with shard<i> "
-                               "subdirectories)")
-    store_upgrade.add_argument("--json", action="store_true",
-                               help="emit the reports as JSON")
-    store_upgrade.set_defaults(handler=_cmd_store_upgrade)
 
     stats = commands.add_parser(
         "stats", help="render the observability snapshot of the last bench run"

@@ -47,16 +47,12 @@ The contract:
     no class writes a layout — and randomized summaries capture their
     generator (two ints, see :mod:`repro.core.keyed_random`) so a restored
     sampler continues the exact random sequence of the original.
-    Version-1 buffers (a JSON body, still inside segment records and
-    checkpoints on disk) are read, never written.
+    A buffer of any other version is refused, never converted.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import random
-import re
 from abc import ABC
 from typing import Any, ClassVar, Sequence
 
@@ -136,32 +132,16 @@ def dump_rng_state(rng: KeyedRandom) -> list:
 
 
 def load_rng_state(data: Sequence) -> KeyedRandom:
-    """Inverse of :func:`dump_rng_state`.
-
-    Buffers written before the keyed generator hold a Mersenne Twister's
-    ``[3, [625 words], gauss_next]`` instead.  Such a state keys a new
-    generator with its next 63 bits: the same old buffer always continues
-    the same way, and what is written back is the two-int form.
-    """
-    if len(data) == 3:
-        version, internal, gauss_next = data
-        twister = random.Random(0)
-        twister.setstate((
-            version,
-            tuple(internal),
-            decode_number(gauss_next) if gauss_next is not None else None,
-        ))
-        return KeyedRandom.from_rng(twister)
-    key, words = data
-    return KeyedRandom(key, words)
+    """Inverse of :func:`dump_rng_state`; any other shape is a
+    :class:`ParameterError`."""
+    if not isinstance(data, list) or len(data) != 2:
+        raise ParameterError(
+            f"a generator state is [key, words], got {str(data)[:40]}"
+        )
+    return KeyedRandom(*data)
 
 
 # -- the protocol ------------------------------------------------------------------
-
-#: The version-1 ``to_bytes`` layout: ``b"\x01"`` + canonical JSON
-#: ``{"type": name, "payload": ...}``.  Read-only since version 2.
-_JSON_VERSION = 1
-_JSON_HEAD = re.compile(rb'\x01\{"type":"([^"\\]+)"')
 
 
 def summary_type_of(data) -> str:
@@ -169,23 +149,21 @@ def summary_type_of(data) -> str:
 
     Read from the buffer's head alone — nothing is unpacked, looked up or
     instantiated — so an inspector can label a summary slot it only holds
-    the bytes of.  Both buffer versions; anything else is a
+    the bytes of.  Anything but a version-2 head is a
     :class:`ParameterError`.
     """
     head = bytes(data[:2 + 255])
-    match = _JSON_HEAD.match(head)
-    if match is not None:
-        name = match[1]
-    elif head[:1] == bytes((StreamSummary.SERDE_VERSION,)) and len(head) >= 2:
-        name = head[2:2 + head[1]]
-        if len(name) != head[1]:
-            raise ParameterError("summary buffer ends inside its type name")
-    else:
+    if not head:
+        raise ParameterError("cannot deserialize an empty buffer")
+    if head[0] != StreamSummary.SERDE_VERSION:
         raise ParameterError(
-            f"not a summary buffer: it starts with {head[:2].hex() or 'nothing'}"
+            f"unsupported summary serde version {head[0]} (this build reads "
+            f"{StreamSummary.SERDE_VERSION})"
         )
+    if len(head) < 2 or len(head) < 2 + head[1]:
+        raise ParameterError("summary buffer ends inside its type name")
     try:
-        return name.decode("utf-8")
+        return head[2:2 + head[1]].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"malformed summary type name: {exc}") from exc
 
@@ -302,34 +280,21 @@ class StreamSummary(ABC):
 
         Callable on the base class (dispatches on the embedded type name)
         or on a concrete class (additionally checks the payload matches).
-        Reads version-1 (JSON) buffers too.  Whatever is wrong with the
-        buffer — its framing, its tree, or a well-formed tree that is not
-        this type's payload — raises :class:`ParameterError`.
+        Whatever is wrong with the buffer — its version, its framing, its
+        tree, or a well-formed tree that is not this type's payload —
+        raises :class:`ParameterError`.
         """
+        data = bytes(data)
+        name = summary_type_of(data)
+        return cls._restore_payload(name, unpack_tree(data[2 + data[1]:]))
+
+    @classmethod
+    def _restore_payload(cls, name: str, payload) -> "StreamSummary":
+        """The registered summary ``name`` rebuilt from ``payload`` (its
+        :meth:`_state_payload` tree), where the name must be ``cls`` or a
+        subclass.  Any defect is a :class:`ParameterError` naming the type."""
         from repro.core.registry import get_summary
 
-        if not data:
-            raise ParameterError("cannot deserialize an empty buffer")
-        data = bytes(data)
-        if data[0] == cls.SERDE_VERSION:
-            name = summary_type_of(data)
-            payload = unpack_tree(data[2 + data[1]:])
-        elif data[0] == _JSON_VERSION:
-            try:
-                body = json.loads(data[1:].decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError,
-                    RecursionError) as exc:
-                raise ParameterError(f"malformed summary buffer: {exc}") from exc
-            if not isinstance(body, dict) or not (
-                isinstance(body.get("type"), str) and "payload" in body
-            ):
-                raise ParameterError("summary buffer missing type/payload")
-            name, payload = body["type"], body["payload"]
-        else:
-            raise ParameterError(
-                f"unsupported summary serde version {data[0]} (expected "
-                f"{cls.SERDE_VERSION}, or {_JSON_VERSION} to read)"
-            )
         target = get_summary(name).cls
         if not issubclass(target, cls):
             raise ParameterError(

@@ -9,10 +9,9 @@ continues the exact random sequence).
 
 ``dump_summary`` produces ``{"type": ..., "name": ..., "version": 1,
 "payload": ...}`` with only JSON-native values; ``load_summary`` inverts
-it, dispatching on the registry name (or the class name for checkpoints
-written before names existed).  The payload itself is produced by each
-class's :meth:`StreamSummary._state_payload` hook — the same representation
-behind :meth:`StreamSummary.to_bytes`.  Decay functions round-trip through
+it, dispatching on the registry name.  The payload itself is produced by
+each class's :meth:`StreamSummary._state_payload` hook — the same
+representation behind :meth:`StreamSummary.to_bytes`.  Decay functions round-trip through
 their dataclass fields, so any ``g`` shipped with the library is supported.
 """
 
@@ -95,8 +94,8 @@ def dump_summary(summary, metrics=None) -> dict:
     """Serialize any registered summary to a JSON-compatible dict.
 
     The envelope carries both the registry ``name`` (the stable identifier)
-    and the class name (for human inspection and pre-registry checkpoints);
-    the payload is the summary's own :meth:`StreamSummary._state_payload`.
+    and the class name (for human inspection); the payload is the
+    summary's own :meth:`StreamSummary._state_payload`.
 
     With an enabled :class:`~repro.obs.registry.MetricsRegistry` passed as
     ``metrics``, checkpoint latency and state volume are recorded under
@@ -126,30 +125,27 @@ def dump_summary(summary, metrics=None) -> dict:
 def load_summary(data: dict, metrics=None):
     """Restore a summary serialized by :func:`dump_summary`.
 
-    Dispatches on the registry ``name`` when present, falling back to the
-    class name for checkpoints written before names existed.  ``metrics``
-    behaves as in :func:`dump_summary`, recording under
-    ``serde.restore.*``.
+    Dispatches on the registry ``name``; an envelope without one, or of
+    any other shape, is a :class:`ParameterError`.  ``metrics`` behaves as
+    in :func:`dump_summary`, recording under ``serde.restore.*``.
     """
-    from repro.core import registry
+    from repro.core.protocol import StreamSummary
 
     observing = metrics is not None and getattr(metrics, "enabled", False)
     start = time.perf_counter_ns() if observing else 0
+    if not isinstance(data, dict):
+        raise ParameterError(
+            f"a checkpoint envelope is a dict, got a {type(data).__name__}"
+        )
     if data.get("version") != _VERSION:
         raise ParameterError(
             f"unsupported checkpoint version {data.get('version')!r}"
         )
-    name = data.get("name")
-    if name is not None:
-        cls = registry.get_summary(name).cls
-    else:
-        by_class = {
-            info.cls.__name__: info.cls for info in registry.iter_summaries()
-        }
-        cls = by_class.get(data.get("type", ""))
-        if cls is None:
-            raise ParameterError(f"unknown checkpoint type {data.get('type')!r}")
-    summary = cls._from_payload(data["payload"])
+    if not isinstance(data.get("name"), str) or "payload" not in data:
+        raise ParameterError(
+            "a checkpoint envelope needs a registry 'name' and a 'payload'"
+        )
+    summary = StreamSummary._restore_payload(data["name"], data["payload"])
     if observing:
         elapsed_us = (time.perf_counter_ns() - start) / 1e3
         metrics.latency("serde.restore.latency_us").observe(elapsed_us)

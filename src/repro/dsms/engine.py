@@ -760,68 +760,6 @@ class QueryEngine:
 
     # -- checkpointing ------------------------------------------------------------
 
-    def checkpoint(self) -> dict:
-        """Serialize all in-flight group state to a JSON-compatible dict.
-
-        Only queries whose aggregates are all *mergeable builtins* support
-        checkpointing — their per-group states are plain scalar lists.
-        Restore into a fresh engine built from the same query and schema
-        via :meth:`restore`; processing then resumes exactly where the
-        checkpoint was taken.
-        """
-        if self._store is not None:
-            raise QueryError(
-                "store-backed engines checkpoint through the store: call "
-                "store_checkpoint() — spilled state is referenced in the "
-                "segment files, never re-serialized"
-            )
-        if not self._all_mergeable:
-            raise QueryError(
-                "checkpoint requires all aggregates to be mergeable builtins; "
-                "snapshot sketch/sampler queries with partial_state_bytes() "
-                "and restore them into a fresh engine via merge_partial() "
-                "(the repro.core.serde payloads cover every UDAF, RNG state "
-                "included)"
-            )
-        def encode_table(table: dict[tuple, list]) -> list:
-            return [[list(key), [list(s) for s in states]]
-                    for key, states in table.items()]
-
-        return {
-            "version": 1,
-            "low": encode_table(self._low),
-            "high": encode_table(self._high),
-            "bucket": (None if self._current_bucket is _NO_BUCKET
-                       else [self._current_bucket]),
-            "tuples_in": self._tuples_in,
-            "tuples_selected": self._tuples_selected,
-            "low_evictions": self._low_evictions,
-        }
-
-    def restore(self, data: dict) -> None:
-        """Load a :meth:`checkpoint` into this (freshly constructed) engine."""
-        if self._store is not None:
-            raise QueryError(
-                "store-backed engines restore from the store's manifest at "
-                "construction time; do not call restore()"
-            )
-        if data.get("version") != 1:
-            raise QueryError(f"unsupported checkpoint version {data.get('version')!r}")
-        if self._tuples_in:
-            raise QueryError("restore target must be a fresh engine")
-
-        def decode_table(entries: list) -> dict[tuple, list]:
-            return {tuple(key): [list(s) for s in states]
-                    for key, states in entries}
-
-        self._low = decode_table(data["low"])
-        self._high = decode_table(data["high"])
-        bucket = data.get("bucket")
-        self._current_bucket = _NO_BUCKET if bucket is None else bucket[0]
-        self._tuples_in = data["tuples_in"]
-        self._tuples_selected = data["tuples_selected"]
-        self._low_evictions = data["low_evictions"]
-
     def store_checkpoint(self) -> str:
         """Persist a store-backed engine via the tiered store's manifest.
 
@@ -832,8 +770,9 @@ class QueryEngine:
         """
         if self._store is None:
             raise QueryError(
-                "store_checkpoint() needs a store-backed engine; "
-                "plain engines use checkpoint()/partial_state_bytes()"
+                "store_checkpoint() needs a store-backed engine; a plain "
+                "engine's state is partial_state_bytes(), resumed by a fresh "
+                "engine's merge_partial()"
             )
         return self._store.checkpoint()
 

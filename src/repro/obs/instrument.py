@@ -1,11 +1,11 @@
-"""Hot-path instrumentation: engine, UDAF, serde and shuffle hooks.
+"""Hot-path instrumentation: engine, UDAF and serde hooks.
 
 Instrumentation is strictly opt-in and rebinding-based: when a
 :class:`~repro.obs.registry.MetricsRegistry` is attached to a
 :class:`~repro.dsms.engine.QueryEngine`, the engine's ``process`` /
-``insert_cols`` / ``flush`` / ``checkpoint`` / ``restore`` methods are
-shadowed by timed wrappers *on that instance only* (``insert_many``
-transposes into ``insert_cols``, so it reaches the same wrapper), each
+``insert_cols`` / ``flush`` methods are shadowed by timed wrappers *on
+that instance only* (``insert_many`` transposes into ``insert_cols``, so
+it reaches the same wrapper), each
 aggregate plan's UDAF is wrapped in a :class:`TimedUdaf`, and the
 once-per-snapshot partial-state codec calls report through
 :meth:`EngineInstrumentation.partial_encoded` / ``partial_decoded``.
@@ -84,8 +84,6 @@ class EngineInstrumentation:
         "hot",
         "state_bytes",
         "flush_us",
-        "checkpoint_us",
-        "restore_us",
         "partial_encode_us",
         "partial_decode_us",
         "partial_groups",
@@ -107,8 +105,6 @@ class EngineInstrumentation:
         self.hot = metrics.hotkeys(f"{prefix}.hot_keys")
         self.state_bytes = metrics.gauge(f"{prefix}.state_bytes")
         self.flush_us = metrics.latency(f"{prefix}.flush_us")
-        self.checkpoint_us = metrics.latency(f"{prefix}.checkpoint_us")
-        self.restore_us = metrics.latency(f"{prefix}.restore_us")
         self.partial_encode_us = metrics.latency(f"{prefix}.partial.encode_us")
         self.partial_decode_us = metrics.latency(f"{prefix}.partial.decode_us")
         self.partial_groups = metrics.gauge(f"{prefix}.partial.groups")
@@ -124,8 +120,6 @@ class EngineInstrumentation:
         engine.insert_cols = self._insert_cols
         engine._select_and_eval = self._select_and_eval
         engine.flush = self._flush
-        engine.checkpoint = self._checkpoint
-        engine.restore = self._restore
 
     def _hot_key(self, key: tuple):
         if len(key) >= 2:
@@ -195,19 +189,6 @@ class EngineInstrumentation:
         self.flush_us.observe((_perf_ns() - start) / 1e3)
         self.emitted.add(float(len(rows) - drained_before))
         return rows
-
-    def _checkpoint(self) -> dict:
-        engine = self.engine
-        start = _perf_ns()
-        data = type(engine).checkpoint(engine)
-        self.checkpoint_us.observe((_perf_ns() - start) / 1e3)
-        return data
-
-    def _restore(self, data: dict) -> None:
-        engine = self.engine
-        start = _perf_ns()
-        type(engine).restore(engine, data)
-        self.restore_us.observe((_perf_ns() - start) / 1e3)
 
     def partial_encoded(
         self, start_ns: int, groups: int, nbytes: int, summary_bytes: int

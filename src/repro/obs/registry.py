@@ -13,10 +13,9 @@ paths:
   injectable clock, so ``snapshot(now=...)`` under a manual clock is a pure
   function of the recorded updates.
 
-Registries merge metric-by-metric (union of names, matching types), which
-is how the distributed simulation combines per-worker registries into one
-cluster view — the same Section VI-B merge story as the data-plane
-summaries.
+Registries merge metric-by-metric (union of names, matching types), so
+per-worker registries combine into one cluster view — the same Section
+VI-B merge story as the data-plane summaries.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ are the same column bytes.  The store writes one page per eviction batch
 and reads a page at most once per fault batch or scan; a page of one row
 is the record-shaped case (:meth:`SegmentWriter.append`,
 :func:`read_record_at`), not a second format.  Layout (format version 3,
-the only one this module writes or reads — ``repro store upgrade``
-converts older directories)::
+the only one this module writes or reads — an older segment is refused
+with its version named)::
 
     header   b"RSEG" <u8 version = 3>
     pages    <u32 body length> <u32 CRC32(body)> <body>            (each)
@@ -62,7 +62,6 @@ from repro.core.serde import fsync_dir
 
 __all__ = [
     "SEGMENT_VERSION",
-    "UPGRADE_HINT",
     "Page",
     "SegmentWriter",
     "SegmentReader",
@@ -74,9 +73,6 @@ __all__ = [
 ]
 
 SEGMENT_VERSION = 3
-
-#: What every refusal of an older store directory tells the operator.
-UPGRADE_HINT = "run `repro store upgrade DIR` on the store directory once"
 
 _HEADER_MAGIC = b"RSEG"
 _TRAILER_MAGIC = b"GESR"
@@ -363,8 +359,8 @@ class SegmentReader:
     including that the footer's page and row counts match its own index
     and that the pages tile the file — so a truncated or bit-flipped
     segment fails fast with a located :class:`StoreError` instead of
-    yielding garbage groups later.  A segment of an older format version
-    is refused with the upgrade command in the message.
+    yielding garbage groups later.  A segment of any other format version
+    is refused with that version in the message.
     """
 
     def __init__(self, path: str):
@@ -388,11 +384,9 @@ class SegmentReader:
                     segment=path, offset=0,
                 )
             if header[4] != SEGMENT_VERSION:
-                older = 0 < header[4] < SEGMENT_VERSION
                 raise StoreError(
                     f"segment {path}: unsupported version {header[4]} (this "
-                    f"store reads version {SEGMENT_VERSION}"
-                    + (f"; {UPGRADE_HINT})" if older else ")"),
+                    f"store reads version {SEGMENT_VERSION})",
                     segment=path, offset=4,
                 )
             self.version = header[4]

@@ -63,7 +63,6 @@ from repro.core.functions import ExponentialG, PolynomialG
 from repro.core.protocol import StreamSummary, tag_key, untag_key
 from repro.store.directory import KeyDirectory
 from repro.store.segment import (
-    UPGRADE_HINT,
     Page,
     SegmentReader,
     SegmentWriter,
@@ -78,9 +77,18 @@ __all__ = ["TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION"]
 
 MANIFEST_NAME = "MANIFEST.json"
 #: The manifest format: a few hundred bytes of JSON referencing an
-#: mmap-ready :class:`KeyDirectory` snapshot file (version 1 embedded the
-#: whole cold directory; ``repro store upgrade`` converts it).
+#: mmap-ready :class:`KeyDirectory` snapshot file.  Any other version is
+#: refused.
 MANIFEST_VERSION = 2
+
+#: Every field of a version-2 manifest, with the JSON types it may hold:
+#: recovery checks them all before it reads a segment or unlinks a file.
+_MANIFEST_FIELDS = {
+    "query": str, "schema": list, "tuples_in": int, "tuples_selected": int,
+    "low_evictions": int, "bucket": (list, type(None)), "segments": list,
+    "directory_file": str, "directory_entries": int, "arrivals": int,
+    "prio_landmark": (int, float), "udaf_counters": list,
+}
 
 #: Working key-directory file (a cache; recovery never reads it).
 _DIRECTORY_NAME = "keys.dir"
@@ -118,9 +126,7 @@ class _PageBuilder:
     A page closes at :data:`_PAGE_ROWS` rows or
     :data:`_PAGE_SUMMARY_BYTES` of summary buffers, and early when the
     next row's key hash is already in it: a directory slot names its page
-    and the hash, so within a page a hash must name one row.  Rows of
-    another shape (key parts, aggregates) than the page's start their own
-    — one query's groups never differ, an upgraded directory's might.
+    and the hash, so within a page a hash must name one row.
     """
 
     def __init__(self, writer: SegmentWriter):
@@ -138,9 +144,6 @@ class _PageBuilder:
             len(self._keys) >= _PAGE_ROWS
             or self._summary_bytes >= _PAGE_SUMMARY_BYTES
             or h in self._hashes
-            or (self._keys and (len(key), len(states)) != (
-                len(self._keys[0]), len(self._rows[0])
-            ))
         ):
             self.flush()
         row = []
@@ -434,24 +437,39 @@ class TieredStore:
                 f"unreadable store manifest {manifest_path}: {exc}",
                 segment=manifest_path,
             ) from exc
+        if not isinstance(manifest, dict):
+            raise StoreError(
+                f"malformed store manifest {manifest_path}: a "
+                f"{type(manifest).__name__}, not an object",
+                segment=manifest_path,
+            )
         version = manifest.get("version")
         if version != MANIFEST_VERSION:
             raise StoreError(
                 f"unsupported store manifest version {version!r} in "
-                f"{manifest_path}"
-                + (f": {UPGRADE_HINT}" if version == 1 else ""),
+                f"{manifest_path} (this store reads version {MANIFEST_VERSION})",
                 segment=manifest_path,
             )
-        if manifest.get("query") != engine.query.sql():
+        for field, kinds in _MANIFEST_FIELDS.items():
+            value = manifest.get(field)
+            if not isinstance(value, kinds) or field == "segments" and not all(
+                isinstance(name, str) for name in value
+            ):
+                raise StoreError(
+                    f"malformed store manifest {manifest_path}: field "
+                    f"{field!r} is {value!r:.60}",
+                    segment=manifest_path,
+                )
+        if manifest["query"] != engine.query.sql():
             raise StoreError(
                 "store manifest is for a different query: "
-                f"{manifest.get('query')!r} vs {engine.query.sql()!r}",
+                f"{manifest['query']!r} vs {engine.query.sql()!r}",
                 segment=manifest_path,
             )
-        if manifest.get("schema") != engine.schema.names():
+        if manifest["schema"] != engine.schema.names():
             raise StoreError(
                 "store manifest is for a different schema: "
-                f"{manifest.get('schema')!r} vs {engine.schema.names()!r}",
+                f"{manifest['schema']!r} vs {engine.schema.names()!r}",
                 segment=manifest_path,
             )
         referenced = set(manifest["segments"])
@@ -465,8 +483,8 @@ class TieredStore:
         snap_name = manifest["directory_file"]
         snap_path = os.path.join(self.directory, snap_name)
         self._dir = KeyDirectory.open_snapshot(snap_path, self._dir_path)
-        declared = manifest.get("directory_entries")
-        if declared is not None and declared != len(self._dir):
+        declared = manifest["directory_entries"]
+        if declared != len(self._dir):
             raise StoreError(
                 f"directory snapshot {snap_path} holds "
                 f"{len(self._dir)} entries, manifest says {declared}",
@@ -502,13 +520,12 @@ class TieredStore:
         engine._tuples_in = manifest["tuples_in"]
         engine._tuples_selected = manifest["tuples_selected"]
         engine._low_evictions = manifest["low_evictions"]
-        bucket = manifest.get("bucket")
+        bucket = manifest["bucket"]
         if bucket is not None:
             engine._current_bucket = untag_key(bucket[0])
-        self._arrivals = manifest.get("arrivals", 0)
-        self._prio_landmark = manifest.get("prio_landmark", 0.0)
-        counters = manifest.get("udaf_counters") or []
-        for plan, counter in zip(engine._agg_plans, counters):
+        self._arrivals = manifest["arrivals"]
+        self._prio_landmark = manifest["prio_landmark"]
+        for plan, counter in zip(engine._agg_plans, manifest["udaf_counters"]):
             if counter is not None:
                 plan.udaf._counter = counter
 

@@ -181,9 +181,28 @@ class TestErrors:
             twin.update(i)
         assert restored.sample() == twin.sample()
 
-    def test_unknown_checkpoint_type_rejected(self):
+    @pytest.mark.parametrize("type_name", ["Bogus", "DecayedCount"])
+    def test_unknown_checkpoint_type_rejected(self, type_name, paper_decay):
+        # Without a registry name even a known class name is refused.
+        payload = dump_summary(DecayedCount(paper_decay))["payload"]
         with pytest.raises(ParameterError):
-            load_summary({"type": "Bogus", "version": 1, "payload": {}})
+            load_summary({"type": type_name, "version": 1, "payload": payload})
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            {"name": "decayed_count", "version": 1},
+            {"name": "weighted_spacesaving", "version": 1, "payload": {}},
+            {"name": "weighted_spacesaving", "version": 1, "payload": [1]},
+            [],
+            ["decayed_count", 1, {}],
+        ],
+        ids=["no-payload", "payload-missing-a-field", "payload-list", "empty-list",
+             "list"],
+    )
+    def test_a_malformed_envelope_is_a_parameter_error(self, envelope):
+        with pytest.raises(ParameterError):
+            load_summary(envelope)
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(ParameterError):

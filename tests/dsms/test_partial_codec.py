@@ -170,7 +170,7 @@ GOLDEN_BLOB_TYPED = bytes.fromhex(
 )
 #: The same state as the commit before packed summary buffers wrote it:
 #: identical framing, the two ``unary_hh`` buffers in the version-1 (JSON)
-#: layout.  Such blobs sit in ``checkpoint.bin`` files; they must merge.
+#: layout.  This build refuses them, naming the summaries' version.
 GOLDEN_BLOB_V1_SUMMARIES = bytes.fromhex(
     "0200000000000000030000000000000003000000000000000000000002000401"
     "000303000000a70000008a00000004000000060000000353454c454354207462"
@@ -223,12 +223,12 @@ class TestGoldenBytes:
         assert restored.drain() == source.drain()
         assert restored.flush() == source.flush()
 
-    def test_blob_with_version_1_summaries_merges_to_the_same_state(self):
+    def test_blob_with_version_1_summaries_is_refused(self):
         restored = golden_engine()
-        restored.merge_partial(GOLDEN_BLOB_V1_SUMMARIES)
-        # Read, never written: re-encoded, the buffers are today's layout.
-        assert restored.partial_state_bytes() == GOLDEN_BLOB_TYPED
-        assert restored.flush() == golden_engine(GOLDEN_ROWS).flush()
+        for read in (restored.merge_partial, describe_partial_state):
+            with pytest.raises(MergeError, match="summary serde version 1 "):
+                read(GOLDEN_BLOB_V1_SUMMARIES)
+        assert untouched(restored)
 
     def test_describe_reads_the_fixture(self):
         info = describe_partial_state(GOLDEN_BLOB)
@@ -247,13 +247,9 @@ class TestGoldenBytes:
         assert {k: v for k, v in typed.items() if k not in ("bytes", "columns")} == {
             k: v for k, v in info.items() if k not in ("bytes", "columns")
         }
-        # The summary slot, named from its buffers' heads — either layout.
+        # The summary slot, named from its buffers' heads.
         assert info["summaries"] == [
             {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 244}
-        ]
-        old = describe_partial_state(GOLDEN_BLOB_V1_SUMMARIES)["summaries"]
-        assert old == [
-            {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 198}
         ]
 
 
@@ -368,17 +364,12 @@ def crafted(groups, slots, cols, texts=None) -> bytes:
     )
 
 
-#: A well-formed summary buffer (what the ``unary_hh`` slot carries) ...
+#: A well-formed summary buffer (what the ``unary_hh`` slot carries).
 HH_BYTES = bytes.fromhex(
     "0211756e6172795f7370616365736176696e6708030000000702080508636170"
     "6163697479746f74616c636f756e746572730003640000000000000005000000"
     "000000f03f0701000000000703000000000702000000000603000000696e7403"
     "2800000000000000030100000000000000030000000000000000"
-)
-#: ... and the same summary as the version-1 (JSON) layout spelt it.
-HH_BYTES_V1 = (
-    b'\x01{"type":"unary_spacesaving","payload":'
-    b'{"capacity":100,"total":1.0,"counters":[[["int",40],1,0]]}}'
 )
 
 
@@ -440,12 +431,11 @@ class TestHostileInput:
             engine.merge_partial(blob)
         assert untouched(engine)
 
-    @pytest.mark.parametrize("hh", [HH_BYTES, HH_BYTES_V1], ids=["v2", "v1"])
-    def test_the_crafting_helper_can_also_build_an_acceptable_buffer(self, hh):
+    def test_the_crafting_helper_can_also_build_an_acceptable_buffer(self):
         # Control for the cases above: same helper, right slot kinds.
         engine = golden_engine()
         engine.merge_partial(
-            crafted(1, [1, 1, -1], [[1], ["h"], [1], [2.0], [hh]])
+            crafted(1, [1, 1, -1], [[1], ["h"], [1], [2.0], [HH_BYTES]])
         )
         assert engine.flush() == [
             {"tb": 1, "destIP": "h", "c": 1, "s": 2.0, "hh": [(40, 1.0, 0.0)]}

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import registry
 from repro.core.protocol import StreamSummary
-from tests.sampling.test_sampler_buffers import buffers, refused
+from tests.sampling.test_sampler_buffers import buffer, refused
 
 NAMES = ["weighted_spacesaving", "unary_spacesaving"]
 NAN = float("nan")
@@ -45,8 +45,8 @@ class TestRestoredCounters:
         restored = StreamSummary.from_bytes(honest)
         assert restored.to_bytes() == honest
         assert restored.query(0.01) == summary.query(0.01)
-        for buffer in buffers(name, summary._state_payload()):
-            assert StreamSummary.from_bytes(buffer).to_bytes() == honest
+        packed = buffer(name, summary._state_payload())
+        assert StreamSummary.from_bytes(packed).to_bytes() == honest
 
     def test_more_counters_than_capacity_are_refused(self, name):
         payload = payload_of(name)

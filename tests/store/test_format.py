@@ -4,14 +4,11 @@ Two guarantees pinned here:
 
 * **Golden bytes.**  The writer's output for a fixed set of pages is
   byte-for-byte stable.  Any codec change that alters bytes on disk —
-  intentional or not — fails these tests and forces a version bump plus
-  a ``repro store upgrade`` path instead of a silent format fork that
-  strands existing segments.  (Typed column encodings changed the bytes
-  of a page's batch, not the format: the older kinds are the widest case
-  of the new ones, so ``GOLDEN`` stays as a decode-only fixture beside the
-  writer's ``GOLDEN_TYPED``.  The version-1 and version-2 golden
-  segments this file used to pin are now fixtures of
-  ``tests/store/test_upgrade.py``.)
+  intentional or not — fails these tests and forces a version bump
+  instead of a silent format fork.  (Typed column encodings changed the
+  bytes of a page's batch, not the format: the older kinds are the
+  widest case of the new ones, so ``GOLDEN`` stays as a decode-only
+  fixture beside the writer's ``GOLDEN_TYPED``.)
 
 * **No garbage, ever.**  A segment truncated at *any* byte, or with any
   single corrupted byte, must either read back exactly the original

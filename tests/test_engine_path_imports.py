@@ -192,7 +192,7 @@ def test_a_countsum_serve_child_loads_what_its_query_runs(tmp_path):
     assert len(repro_modules(at_port)) <= 34, sorted(repro_modules(at_port))
     forbidden = re.compile(
         r"^(numpy|multiprocessing|statistics"
-        r"|repro\.(bench|sampling|cluster|store|distributed)(\..*)?"
+        r"|repro\.(bench|sampling|cluster|store)(\..*)?"
         r"|repro\.core\.clustering)$"
     )
     assert [name for name in at_port if forbidden.match(name)] == []
@@ -400,6 +400,10 @@ def test_a_sketch_serve_child_loads_exactly_the_summaries_its_sql_names(tmp_path
 
 
 # -- lazy package exports ------------------------------------------------------
+
+
+def test_the_library_is_thirteen_packages():
+    assert len(["repro", *PACKAGES]) == 13, PACKAGES
 
 
 @pytest.mark.parametrize("package", ["repro", *PACKAGES])
