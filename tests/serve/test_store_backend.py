@@ -9,10 +9,12 @@ manifest with an *empty* blob checkpoint.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
+from repro.core.errors import StoreError
 from repro.serve import (
     CHECKPOINT_FILENAME,
     ServeClient,
@@ -68,6 +70,41 @@ class TestSingleBackend:
             expected_rows(SQL, wide_rows(200))
         )
         resumed.close()
+
+    @pytest.mark.parametrize(
+        "older, named",
+        [("manifest", "version 1"), ("segment-1", "unsupported version 1 "),
+         ("segment-2", "unsupported version 2 ")],
+    )
+    def test_an_older_store_dir_is_refused_naming_its_version(
+        self, tmp_path, older, named
+    ):
+        # The way forward from older state is a fresh dir or a replay.
+        store_dir = str(tmp_path / "s")
+        backend = build_backend(
+            SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
+            low_table_size=16,
+        )
+        backend.insert_cols(rows_to_cols(wide_rows(200)))
+        backend.checkpoint_blobs()
+        backend.close()
+        if older == "manifest":
+            path = os.path.join(store_dir, MANIFEST_NAME)
+            with open(path) as handle:
+                manifest = json.load(handle)
+            with open(path, "w") as handle:
+                json.dump({**manifest, "version": 1}, handle)
+        else:
+            seg_dir = os.path.join(store_dir, "segments")
+            for name in os.listdir(seg_dir):
+                with open(os.path.join(seg_dir, name), "r+b") as handle:
+                    handle.seek(4)  # the version byte
+                    handle.write(bytes([int(older[-1])]))
+        with pytest.raises(StoreError, match=named):
+            build_backend(
+                SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
+                low_table_size=16,
+            )
 
     def test_storeless_checkpoint_blobs_unchanged(self):
         backend = build_backend(SQL, PACKET_SCHEMA)
