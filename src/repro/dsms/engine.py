@@ -60,8 +60,10 @@ __all__ = [
 ResultRow = dict[str, object]
 
 #: Version byte leading every :meth:`QueryEngine.partial_state_bytes` buffer;
-#: bumped whenever the partial-state layout changes (1 was tagged JSON).
-PARTIAL_STATE_VERSION = 2
+#: bumped whenever the partial-state layout changes (1 was tagged JSON, 2
+#: held no integral ``f64`` column at an int width), so an older build
+#: refuses a newer buffer by its version.
+PARTIAL_STATE_VERSION = 3
 
 #: version, tuples_in, tuples_selected, low_evictions, groups, header texts,
 #: open buckets (0 or 1), aggregates — see ``partial_state_bytes``.

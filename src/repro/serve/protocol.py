@@ -95,15 +95,16 @@ place of a page ends that sequence and the pages before it are void.
 Version negotiation: HELLO carries the client's highest ``wire_version``;
 the server answers WELCOME with ``wire_version = min(client, server)``
 and both sides speak that, so a future client negotiates *down* to this
-build.  Version 4 is the only one spoken: version 1's row-JSON ``INSERT``
+build.  Version 5 is the only one spoken: version 1's row-JSON ``INSERT``
 frames ran at under half the columnar rate and were removed (DESIGN.md
 §10), version 2 promised a RESULT in one frame, which a version-2 client
 would mistake a first page for, a version-3 peer's column decoder knows
-only the widest case of each :mod:`repro.core.cols` kind (this build
-*reads* such batches; a version-3 reader would refuse the narrow ones
-this build writes), and a HELLO below the minimum (or with a junk
-version) earns a connection-scoped ``wire-version`` ERROR naming the
-supported range.
+only the widest case of each :mod:`repro.core.cols` kind, and a
+version-4 peer's has no narrow ``f64`` (``f64/i32`` … ``f64/i8``, an
+integral float column at an int width) — this build *reads* such older
+batches, but an older reader would refuse the narrow ones this build
+writes.  A HELLO below the minimum (or with a junk version) earns a
+connection-scoped ``wire-version`` ERROR naming the supported range.
 
 Framing errors (bad length, oversized frame, undecodable body — columnar
 bodies included) are *connection-scoped*: the server answers with ERROR
@@ -171,12 +172,13 @@ __all__ = [
 ]
 
 #: Highest protocol revision this build speaks (carried in HELLO).
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 #: Oldest revision still accepted (version 1's row frames are gone, a
-#: version-2 client reads a RESULT as the whole answer, not a page, and a
-#: version-3 peer cannot read the typed column encodings of a blob batch).
-MIN_WIRE_VERSION = 4
+#: version-2 client reads a RESULT as the whole answer, not a page, a
+#: version-3 peer cannot read the typed column encodings of a blob batch
+#: and a version-4 peer not a narrowed ``f64`` column).
+MIN_WIRE_VERSION = 5
 
 #: Default ceiling on ``length``; larger frames are rejected before the
 #: body is buffered, so a hostile length prefix cannot balloon memory.

@@ -14,7 +14,7 @@ the all-RAM engine.
   scheduled Section VI-A renormalization + compaction sweep.
 * :class:`SegmentWriter` / :class:`SegmentReader` — the append-only,
   CRC-checked segment format itself: column-packed pages of groups
-  (version 3, the only one read: an older file is refused).
+  (version 4, the only one read: an older file is refused).
 * :class:`StoreError` — structured corruption/inconsistency failures,
   carrying the offending segment and offset.
 """

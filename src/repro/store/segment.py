@@ -7,11 +7,11 @@ its blob, so a cold group on disk and the same group in a shipped partial
 are the same column bytes.  The store writes one page per eviction batch
 and reads a page at most once per fault batch or scan; a page of one row
 is the record-shaped case (:meth:`SegmentWriter.append`,
-:func:`read_record_at`), not a second format.  Layout (format version 3,
+:func:`read_record_at`), not a second format.  Layout (format version 4,
 the only one this module writes or reads — an older segment is refused
 with its version named)::
 
-    header   b"RSEG" <u8 version = 3>
+    header   b"RSEG" <u8 version = 4>
     pages    <u32 body length> <u32 CRC32(body)> <body>            (each)
              body := <u16 key parts> <u16 slots> <u32 rows>
                      slots x <i16 slot code>  (one per aggregate)
@@ -72,7 +72,9 @@ __all__ = [
     "fsync_dir",
 ]
 
-SEGMENT_VERSION = 3
+#: 3's pages held no integral ``f64`` column at an int width; an older
+#: build refuses a version-4 segment at open instead of quarantining it.
+SEGMENT_VERSION = 4
 
 _HEADER_MAGIC = b"RSEG"
 _TRAILER_MAGIC = b"GESR"

@@ -1,4 +1,4 @@
-"""The v2 partial-state blob: golden bytes, exact round trips, hostile input.
+"""The v3 partial-state blob: golden bytes, exact round trips, hostile input.
 
 ``partial_state_bytes()`` is the one encoding every carrier ships raw —
 shard replies, PARTIALS_OK / ADOPT bodies, ``checkpoint.bin`` — so its
@@ -122,11 +122,30 @@ GOLDEN_SQL = (
     "from TCP group by time/60 as tb, destIP"
 )
 GOLDEN_ROWS = [(61, "h1", 40), (62, "h2", 1500), (63, "h1", 40)]
-#: Scalar + sketch aggregates over two groups, bucket 1 still open — as
-#: the commits before typed column encodings wrote it (every int 8 bytes,
-#: every length 4).  Such blobs sit in ``checkpoint.bin`` files: pinned
-#: decode-only, byte for byte.
+#: Scalar + sketch aggregates over two groups, bucket 1 still open, as the
+#: writer lays it out: the column blocks at the widths the values need
+#: (i8, str/u8, the integral sums as f64/i16, bytes/u8).
 GOLDEN_BLOB = bytes.fromhex(
+    "0300000000000000030000000000000003000000000000000000000002000401"
+    "0003230000009b8a04060353454c4543542074622041532074622c2064657374"
+    "4950204153206465737449502c20636f756e74282a2920415320632c2073756d"
+    "286c656e2920415320732c20756e6172795f6868286c656e2920415320686820"
+    "46524f4d205443502047524f5550204259202874696d65202f20363029204153"
+    "2074622c206465737449502041532064657374495074696d656465737449506c"
+    "656e31000000010131000000030101ff03000000000000000000000002000531"
+    "0000000201012300000006020268316832310000000202012200000004005005"
+    "dc25000000f67a7a0211756e6172795f7370616365736176696e670803000000"
+    "07020805086361706163697479746f74616c636f756e74657273000364000000"
+    "0000000005000000000000004007010000000007030000000007020000000006"
+    "03000000696e7403280000000000000003020000000000000003000000000000"
+    "00000211756e6172795f7370616365736176696e670803000000070208050863"
+    "61706163697479746f74616c636f756e74657273000364000000000000000500"
+    "0000000000f03f0701000000000703000000000702000000000603000000696e"
+    "7403dc05000000000000030100000000000000030000000000000000d16af912"
+)
+#: The same state as the commits before typed column encodings wrote it
+#: (version 2; every int 8 bytes, every length 4).
+GOLDEN_BLOB_V2_WIDE = bytes.fromhex(
     "0200000000000000030000000000000003000000000000000000000002000401"
     "000303000000a70000008a00000004000000060000000353454c454354207462"
     "2041532074622c20646573744950204153206465737449502c20636f756e7428"
@@ -147,9 +166,10 @@ GOLDEN_BLOB = bytes.fromhex(
     "00f03f0701000000000703000000000702000000000603000000696e7403dc05"
     "0000000000000301000000000000000300000000000000000542f090"
 )
-#: The same state as the writer lays it out now: same framing, the column
-#: blocks at the widths the values need (i8, str/u8, bytes/u8).
-GOLDEN_BLOB_TYPED = bytes.fromhex(
+#: The same state as the commits before narrow ``f64`` wrote it (version
+#: 2; the sums 8 bytes each).  This build refuses both version-2 blobs,
+#: naming the version.
+GOLDEN_BLOB_V2 = bytes.fromhex(
     "0200000000000000030000000000000003000000000000000000000002000401"
     "0003230000009b8a04060353454c4543542074622041532074622c2064657374"
     "4950204153206465737449502c20636f756e74282a2920415320632c2073756d"
@@ -169,8 +189,9 @@ GOLDEN_BLOB_TYPED = bytes.fromhex(
     "00000000000000009662f66e"
 )
 #: The same state as the commit before packed summary buffers wrote it:
-#: identical framing, the two ``unary_hh`` buffers in the version-1 (JSON)
-#: layout.  This build refuses them, naming the summaries' version.
+#: the wide framing, the two ``unary_hh`` buffers in the version-1 (JSON)
+#: layout.  Restamped at the current version (:func:`restamp`), this
+#: build refuses them, naming the summaries' version.
 GOLDEN_BLOB_V1_SUMMARIES = bytes.fromhex(
     "0200000000000000030000000000000003000000000000000000000002000401"
     "000303000000a70000008a00000004000000060000000353454c454354207462"
@@ -193,6 +214,14 @@ GOLDEN_BLOB_V1_SUMMARIES = bytes.fromhex(
 )
 
 
+def restamp(blob: bytes) -> bytes:
+    """``blob`` with the current container version and its CRC32 resealed;
+    the column batches inside stay as they were (their codec reads every
+    version it ever wrote)."""
+    body = bytes([PARTIAL_STATE_VERSION]) + blob[1:-4]
+    return body + struct.pack("!I", zlib.crc32(body))
+
+
 def golden_engine(rows=()) -> QueryEngine:
     engine = QueryEngine(
         parse_query(GOLDEN_SQL, default_registry()),
@@ -206,10 +235,11 @@ def golden_engine(rows=()) -> QueryEngine:
 class TestGoldenBytes:
     def test_writer_matches_fixture(self):
         blob = golden_engine(GOLDEN_ROWS).partial_state_bytes()
-        assert blob == GOLDEN_BLOB_TYPED
-        assert len(GOLDEN_BLOB) - len(blob) == 80
+        assert blob == GOLDEN_BLOB
+        assert len(GOLDEN_BLOB_V2_WIDE) - len(blob) == 92
+        assert len(GOLDEN_BLOB_V2) - len(blob) == 12  # two sums, 8 -> 2 bytes
 
-    @pytest.mark.parametrize("blob", [GOLDEN_BLOB, GOLDEN_BLOB_TYPED])
+    @pytest.mark.parametrize("blob", [GOLDEN_BLOB, restamp(GOLDEN_BLOB_V2_WIDE)])
     def test_fixture_decodes_to_the_source_state(self, blob):
         restored = golden_engine()
         restored.merge_partial(blob)
@@ -227,22 +257,24 @@ class TestGoldenBytes:
         restored = golden_engine()
         for read in (restored.merge_partial, describe_partial_state):
             with pytest.raises(MergeError, match="summary serde version 1 "):
-                read(GOLDEN_BLOB_V1_SUMMARIES)
+                read(restamp(GOLDEN_BLOB_V1_SUMMARIES))
         assert untouched(restored)
 
     def test_describe_reads_the_fixture(self):
-        info = describe_partial_state(GOLDEN_BLOB)
-        assert info["version"] == PARTIAL_STATE_VERSION == 2
-        assert (info["groups"], info["bytes"]) == (2, len(GOLDEN_BLOB))
+        wide = restamp(GOLDEN_BLOB_V2_WIDE)
+        info = describe_partial_state(wide)
+        assert info["version"] == PARTIAL_STATE_VERSION == 3
+        assert (info["groups"], info["bytes"]) == (2, len(wide))
         assert info["open_bucket"] == [1]
         assert info["slots"] == [1, 1, -1]
         assert info["columns"] == [
             ("i64", 16), ("str/u32", 12), ("i64", 16), ("f64", 16),
             ("bytes/u32", 252),
         ]
-        typed = describe_partial_state(GOLDEN_BLOB_TYPED)
+        typed = describe_partial_state(GOLDEN_BLOB)
         assert typed["columns"] == [
-            ("i8", 2), ("str/u8", 6), ("i8", 2), ("f64", 16), ("bytes/u8", 246),
+            ("i8", 2), ("str/u8", 6), ("i8", 2), ("f64/i16", 4),
+            ("bytes/u8", 246),
         ]
         assert {k: v for k, v in typed.items() if k not in ("bytes", "columns")} == {
             k: v for k, v in info.items() if k not in ("bytes", "columns")
@@ -351,12 +383,13 @@ def reseal(body: bytes) -> bytes:
 
 
 def crafted(groups, slots, cols, texts=None) -> bytes:
-    """A well-sealed v2 buffer with arbitrary structure inside."""
+    """A well-sealed current-version buffer with arbitrary structure inside."""
     engine = golden_engine()
     if texts is None:
         texts = [engine.query.sql(), *engine.schema.names()]
     head = struct.pack(
-        "!BQQQIHBH", 2, 0, 0, 0, groups, len(texts), 0, len(slots)
+        "!BQQQIHBH", PARTIAL_STATE_VERSION, 0, 0, 0, groups, len(texts), 0,
+        len(slots),
     )
     return reseal(
         head + pack_column(texts) + pack_column([]) + pack_column(slots)
@@ -403,6 +436,16 @@ class TestHostileInput:
             MergeError, match="unsupported partial-state version 1"
         ):
             golden_engine().merge_partial(b'\x01{"version":1,"groups":[]}')
+
+    @pytest.mark.parametrize("blob", [GOLDEN_BLOB_V2, GOLDEN_BLOB_V2_WIDE])
+    def test_a_version_2_blob_names_its_version(self, blob):
+        engine = golden_engine()
+        for read in (engine.merge_partial, describe_partial_state):
+            with pytest.raises(
+                MergeError, match="unsupported partial-state version 2 "
+            ):
+                read(blob)
+        assert untouched(engine)
 
     @pytest.mark.parametrize(
         "blob",

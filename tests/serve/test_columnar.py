@@ -107,19 +107,20 @@ class TestNegotiationMatrix:
         assert protocol.negotiate_version(offered) is None
 
     def test_one_wire_version(self):
-        assert protocol.MIN_WIRE_VERSION == protocol.WIRE_VERSION == 4
+        assert protocol.MIN_WIRE_VERSION == protocol.WIRE_VERSION == 5
+        assert protocol.negotiate_version(4) is None
 
     def test_welcome_reports_the_negotiated_version(self):
         with serve() as server:
-            for offered in (4, 999):
+            for offered in (5, 999):
                 raw = RawConnection(server.host, server.port)
                 raw.send_frame(protocol.HELLO, {"wire_version": offered})
                 welcome = raw.read_frame()
                 assert welcome.ftype == protocol.WELCOME
-                assert welcome.payload["wire_version"] == 4
+                assert welcome.payload["wire_version"] == 5
                 raw.close()
 
-    @pytest.mark.parametrize("offered", [3, 2, 1, 0, "junk"])
+    @pytest.mark.parametrize("offered", [4, 3, 2, 1, 0, "junk"])
     def test_old_or_junk_hello_is_refused_naming_the_range(self, offered):
         with serve() as server:
             raw = RawConnection(server.host, server.port)
@@ -127,7 +128,7 @@ class TestNegotiationMatrix:
             error = raw.read_frame()
             assert error.ftype == protocol.ERROR
             assert error.payload["code"] == "wire-version"
-            assert "4..4" in error.payload["message"]
+            assert "5..5" in error.payload["message"]
             assert raw.closed_by_server()
             assert_still_serving(server)
 

@@ -191,8 +191,7 @@ GOLDEN_BLOB_BODY = bytes.fromhex(
 )
 GOLDEN_PARTIALS_OK = bytes.fromhex("0000002b" "12") + GOLDEN_BLOB_BODY
 GOLDEN_ADOPT = bytes.fromhex("0000002b" "13") + GOLDEN_BLOB_BODY
-#: What the writer emits now (cols v2: the length table at u8); the
-#: fixtures above are what older peers and files hold, and still decode.
+#: Cols v2: the length table at u8.
 GOLDEN_BLOB_BODY_V2 = bytes.fromhex(
     "02" "0000000000000000" "00000003" "0001"  # cols v2, no seq, 3 rows, 1 col
     "25" "0000000d"                            # bytes/u8 column, 13 bytes
@@ -201,14 +200,24 @@ GOLDEN_BLOB_BODY_V2 = bytes.fromhex(
 )
 GOLDEN_PARTIALS_OK_V2 = bytes.fromhex("00000022" "12") + GOLDEN_BLOB_BODY_V2
 GOLDEN_ADOPT_V2 = bytes.fromhex("00000022" "13") + GOLDEN_BLOB_BODY_V2
+#: What the writer emits now (cols v3); the fixtures above are what older
+#: peers and files hold, and still decode.
+GOLDEN_BLOB_BODY_V3 = bytes.fromhex(
+    "03" "0000000000000000" "00000003" "0001"  # cols v3, no seq, 3 rows, 1 col
+    "25" "0000000d"                            # bytes/u8 column, 13 bytes
+    "08" "00" "02"                             # byte lengths
+    "0273746174652d61" "0262"                  # the blobs, raw
+)
+GOLDEN_PARTIALS_OK_V3 = bytes.fromhex("00000022" "12") + GOLDEN_BLOB_BODY_V3
+GOLDEN_ADOPT_V3 = bytes.fromhex("00000022" "13") + GOLDEN_BLOB_BODY_V3
 
 
 class TestBlobFrames:
     def test_writer_matches_fixtures(self):
         body = protocol.encode_blobs(GOLDEN_BLOBS)
-        assert body == GOLDEN_BLOB_BODY_V2
-        assert encode_frame(protocol.PARTIALS_OK, body) == GOLDEN_PARTIALS_OK_V2
-        assert encode_frame(protocol.ADOPT, body) == GOLDEN_ADOPT_V2
+        assert body == GOLDEN_BLOB_BODY_V3
+        assert encode_frame(protocol.PARTIALS_OK, body) == GOLDEN_PARTIALS_OK_V3
+        assert encode_frame(protocol.ADOPT, body) == GOLDEN_ADOPT_V3
 
     @pytest.mark.parametrize(
         "data, ftype",
@@ -217,6 +226,8 @@ class TestBlobFrames:
             (GOLDEN_ADOPT, protocol.ADOPT),
             (GOLDEN_PARTIALS_OK_V2, protocol.PARTIALS_OK),
             (GOLDEN_ADOPT_V2, protocol.ADOPT),
+            (GOLDEN_PARTIALS_OK_V3, protocol.PARTIALS_OK),
+            (GOLDEN_ADOPT_V3, protocol.ADOPT),
         ],
     )
     def test_fixtures_decode_to_the_source_blobs(self, data, ftype):

@@ -14,7 +14,11 @@ import struct
 
 import pytest
 
+from repro.dsms.engine import QueryEngine
+from repro.dsms.parser import parse_query
+from repro.dsms.udaf import default_registry
 from repro.serve import RemoteError, ServeClient, protocol
+from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import (
     SQL,
     RawConnection,
@@ -202,10 +206,15 @@ class TestReplyTooLarge:
 
     LIMIT = 600
     #: One group survives the HAVING, so RESULT stays small while the
-    #: partial-state reply does not.
+    #: partial-state reply does not: a one-row group per destIP in each of
+    #: BUCKETS buckets, enough that the reply is over LIMIT with margin
+    #: (checked before each scenario, not assumed: a smaller state codec
+    #: shrinks it).
     SMALL_RESULT_SQL = SQL + " having c > 4"
-    BATCHES = [make_rows(4, start=100 + 60 * j) for j in range(8)] + [
-        [row for row in make_rows(25, start=1_200) if row[3] == "d0"]
+    BUCKETS = 40
+    BATCHES = [make_rows(4, start=100 + 60 * j) for j in range(BUCKETS)] + [
+        # All 25 rows in one bucket, after the others: five in the survivor.
+        [row for row in make_rows(25, start=60 * (BUCKETS + 2)) if row[3] == "d0"]
     ]
     #: Bucket 1 finalizes to a short sample, bucket 2 to a ``prisamp``
     #: list that alone is over LIMIT: one page goes out, then the error.
@@ -233,6 +242,16 @@ class TestReplyTooLarge:
         # the limit.
         state_dir = tmp_path / ("d" * 200) / ("e" * 200) / ("f" * 200)
         batches = self.BATCHES
+        if reply == "PARTIALS_OK":
+            engine = QueryEngine(
+                parse_query(sql, default_registry()), PACKET_SCHEMA
+            )
+            engine.insert_many([row for batch in batches[:-1] for row in batch])
+            partials_ok = protocol.encode_frame(
+                protocol.PARTIALS_OK,
+                protocol.encode_blobs([engine.partial_state_bytes()]),
+            )
+            assert len(partials_ok) > 1.5 * self.LIMIT
 
         async def scenario(host, port):
             client = await connect(driver, host, port)

@@ -74,7 +74,8 @@ class TestSingleBackend:
     @pytest.mark.parametrize(
         "older, named",
         [("manifest", "version 1"), ("segment-1", "unsupported version 1 "),
-         ("segment-2", "unsupported version 2 ")],
+         ("segment-2", "unsupported version 2 "),
+         ("segment-3", "unsupported version 3 ")],
     )
     def test_an_older_store_dir_is_refused_naming_its_version(
         self, tmp_path, older, named
@@ -105,6 +106,11 @@ class TestSingleBackend:
                 SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
                 low_table_size=16,
             )
+        # Refused, not quarantined: the older files stay where they were.
+        assert not [
+            name for _dir, _subdirs, names in os.walk(store_dir)
+            for name in names if name.endswith(".quarantined")
+        ]
 
     def test_storeless_checkpoint_blobs_unchanged(self):
         backend = build_backend(SQL, PACKET_SCHEMA)

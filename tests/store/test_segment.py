@@ -46,7 +46,7 @@ class TestWriterReader:
         path = str(tmp_path / "000000.seg")
         locations = write_segment(path)
         reader = SegmentReader(path)
-        assert reader.version == SEGMENT_VERSION == 3
+        assert reader.version == SEGMENT_VERSION == 4
         assert reader.records == 2
         assert [(o, n) for o, n, _rows in reader.pages] == [
             tuple(loc) for loc in locations.values()
@@ -201,7 +201,7 @@ class TestCorruptionEvidence:
         with pytest.raises(StoreError, match="bad magic"):
             SegmentReader(path)
 
-    @pytest.mark.parametrize("version", [1, 2, SEGMENT_VERSION + 9])
+    @pytest.mark.parametrize("version", [1, 2, 3, SEGMENT_VERSION + 9])
     def test_another_version_is_refused_naming_it(self, tmp_path, version):
         path = str(tmp_path / "s.seg")
         write_segment(path)
