@@ -1,9 +1,9 @@
 """Deterministic Waves: windowed counting (Gibbons & Tirthapura, SPAA 2002).
 
 An alternative to Exponential Histograms for sliding-window counts with
-O(1) *worst-case* update time (EH is O(1) only amortized).  Used by the
-ablation benchmark ``bench_ablation_eh_vs_waves`` to show that the choice
-of backward-decay substrate does not change Figure 2's conclusion: any
+O(1) *worst-case* update time (EH is O(1) only amortized).  The EH vs
+Waves ablation (EXPERIMENTS.md) used it to show that the choice of
+backward-decay substrate does not change Figure 2's conclusion: any
 windowed structure is far more expensive than forward decay's single
 counter.
 

@@ -255,6 +255,22 @@ class TestExponentialRenormalization:
             sum(math.exp(-(100.0 - t)) for t in range(1, 101)), rel=1e-9
         )
 
+    def test_tiny_guard_sum_equals_the_default_guard_sum(self):
+        # alpha * t reaches 10,000 >> log(float max): both guards shift,
+        # the tiny one far more often, and the answers agree (§VI-A).
+        decay = ForwardDecay(ExponentialG(alpha=0.5), landmark=0.0)
+        default_guard, tiny_guard = OverflowGuard(), OverflowGuard(threshold=1e6)
+        default = DecayedSum(decay, guard=default_guard)
+        tiny = DecayedSum(decay, guard=tiny_guard)
+        for t in range(1, 20_001):
+            default.update(float(t), 1.0)
+            tiny.update(float(t), 1.0)
+        assert default_guard.shifts > 0
+        assert tiny_guard.shifts > 10 * default_guard.shifts
+        assert tiny.query(20_000.0) == pytest.approx(
+            default.query(20_000.0), rel=1e-9
+        )
+
     def test_out_of_order_after_shift(self):
         decay = ForwardDecay(ExponentialG(alpha=1.0), landmark=0.0)
         shifted = DecayedSum(decay, guard=OverflowGuard(threshold=100.0))

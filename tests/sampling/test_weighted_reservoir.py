@@ -86,6 +86,23 @@ class TestCommon:
         light = sum(hits[item] for item in range(0, 45))
         assert heavy > 2 * light
 
+    def test_ares_and_aexpj_favour_heavy_items_alike(self):
+        """On weights 1..200 the heaviest decile is sampled far more than
+        the lightest, and the two algorithms sample it equally often."""
+        heavy, light = {}, {}
+        for cls, seeds in zip(SAMPLERS, (range(300), range(10_000, 10_300))):
+            hits: Counter = Counter()
+            for seed in seeds:
+                sampler = cls(10, rng=random.Random(seed))
+                for value in range(1, 201):
+                    sampler.update(value, float(value))
+                hits.update(sampler.sample())
+            heavy[cls] = sum(hits[v] for v in range(181, 201))
+            light[cls] = sum(hits[v] for v in range(1, 21))
+            assert heavy[cls] > 5 * max(1, light[cls])
+        ratio = heavy[WeightedReservoirSampler] / heavy[ExpJumpsReservoirSampler]
+        assert 0.7 < ratio < 1.4
+
 
 class TestARes:
     def test_k1_matches_weighted_distribution(self):

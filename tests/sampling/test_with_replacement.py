@@ -86,6 +86,24 @@ class TestSkippingVariant:
         chi = chi_square_statistic(observed, expected, len(draws))
         assert chi < 60.0  # df = 29
 
+    def test_skipping_and_coins_put_equal_mass_on_recent_items(self):
+        decay = ForwardDecay(PolynomialG(1.0), landmark=0.0)
+        stream = [(float(t), t) for t in range(1, 41)]
+        heavy = []
+        for use_skipping, seeds in (
+            (False, range(1_500)), (True, range(50_000, 51_500))
+        ):
+            hits: Counter = Counter()
+            for seed in seeds:
+                sampler = DecayedSamplerWithReplacement(
+                    decay, 1, rng=random.Random(seed), use_skipping=use_skipping
+                )
+                for t, v in stream:
+                    sampler.update(v, t)
+                hits[sampler.sample()[0]] += 1
+            heavy.append(sum(hits[v] for v in range(30, 41)))
+        assert 0.85 < heavy[0] / heavy[1] < 1.18
+
     def test_skipping_draws_fewer_randoms(self):
         # Counted where the sampler draws: the 32-bit words its own keyed
         # generator has handed out (the rng= passed in only keys it).

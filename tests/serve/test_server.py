@@ -23,10 +23,17 @@ from tests.serve.util import SQL, canon, expected_rows, make_rows, serve
 
 
 class TestEndToEndEquivalence:
-    @pytest.mark.parametrize("shards", [0, 4])
-    def test_served_query_matches_in_process_run(self, shards):
+    @pytest.mark.parametrize(
+        "shards, processes",
+        [
+            pytest.param(0, 0, id="0"),
+            pytest.param(4, 0, id="4"),
+            pytest.param(4, None, id="4-processes", marks=pytest.mark.slow),
+        ],
+    )
+    def test_served_query_matches_in_process_run(self, shards, processes):
         rows = make_rows(300)
-        with serve(shards=shards) as server:
+        with serve(shards=shards, processes=processes) as server:
             with ServeClient(server.host, server.port) as client:
                 for start in range(0, len(rows), 41):
                     client.insert(rows[start : start + 41])

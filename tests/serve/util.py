@@ -56,9 +56,12 @@ def flushed_rows(sql: str, rows: list[tuple]) -> list[dict]:
     return engine.flush()
 
 
-def serve(sql: str = SQL, **kwargs) -> ThreadedServer:
-    shards = kwargs.pop("shards", 0)
-    backend = build_backend(sql, PACKET_SCHEMA, shards=shards, processes=0)
+def serve(
+    sql: str = SQL, *, shards: int = 0, processes: int | None = 0, **kwargs
+) -> ThreadedServer:
+    backend = build_backend(
+        sql, PACKET_SCHEMA, shards=shards, processes=processes
+    )
     return ThreadedServer(StreamServer(backend, **kwargs)).start()
 
 

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+from repro.bench.runners import build_trace
 from repro.core.errors import MergeError, ParameterError
 from repro.core.protocol import StreamSummary
 from repro.sketches.countmin import CountMinHeavyHitters, CountMinSketch
 from repro.sketches.kmv import hash_to_unit
+from repro.sketches.spacesaving import WeightedSpaceSaving
 from repro.workloads.synthetic import zipf_stream
 from tests.sketches.test_kmv import with_seed
 
@@ -120,6 +122,25 @@ class TestCountMinHeavyHitters:
         summary = CountMinHeavyHitters(epsilon=0.01)
         summary.update("a")
         assert summary.state_size_bytes() >= summary.sketch.state_size_bytes()
+
+    def test_agrees_with_spacesaving_on_a_decayed_packet_trace(self):
+        """Theorem 2 takes any weighted HH substrate: on forward-decayed
+        destinations both find the same top three, and SpaceSaving's
+        counters are a fraction of the Count-Min grid (Fig. 4(c)'s axis)."""
+        trace = build_trace(duration_sec=2.0, rate_per_sec=2_000, proto="tcp")
+        spacesaving = WeightedSpaceSaving.from_epsilon(0.005)
+        countmin = CountMinHeavyHitters(
+            epsilon=0.005, delta=0.01, phi_track=0.01, seed=5
+        )
+        for row in trace:
+            weight = (row[1] % 60.0) ** 2 + 1.0
+            spacesaving.update(row[3], weight)
+            countmin.update(row[3], weight)
+        ss_top = [c.item for c in spacesaving.heavy_hitters(0.02)[:3]]
+        cm_top = [item for item, __ in countmin.heavy_hitters(0.02)[:3]]
+        assert ss_top[0] == cm_top[0]
+        assert set(ss_top) == set(cm_top)
+        assert spacesaving.state_size_bytes() < countmin.state_size_bytes() / 4
 
 
 class TestBatchUpdates:

@@ -142,6 +142,28 @@ class TestDecayedQuantilesGKBackend:
         assert 95.0 < summary.median() < 105.0
         assert summary.universe_bits is None
 
+    def test_gk_and_qdigest_medians_agree_on_a_packet_trace(self):
+        """Theorem 3 takes any weighted quantile summary: on decayed
+        packet lengths (catalogue 40 / 120 / 576 / 1500) the two backends
+        report medians at most one catalogue step apart, and neither
+        keeps anything near the input's size."""
+        from repro.bench.runners import build_trace
+        from repro.core.decay import ForwardDecay
+        from repro.core.functions import PolynomialG
+        from repro.core.quantiles import DecayedQuantiles
+
+        decay = ForwardDecay(PolynomialG(2.0), landmark=-1.0)
+        qdigest = DecayedQuantiles(decay, epsilon=0.02, universe_bits=11)
+        gk = DecayedQuantiles(decay, epsilon=0.02, backend="gk")
+        trace = build_trace(duration_sec=2.0, rate_per_sec=2_000, proto="tcp")
+        for row in trace:
+            qdigest.update(row[6], row[1])
+            gk.update(row[6], row[1])
+        position = {length: i for i, length in enumerate([40, 120, 576, 1500])}
+        assert abs(position[qdigest.median()] - position[gk.median()]) <= 1
+        for summary in (qdigest, gk):
+            assert summary.state_size_bytes() < len(trace) * 2
+
     def test_backend_mismatch_rejected_on_merge(self):
         from repro.core.decay import ForwardDecay
         from repro.core.functions import PolynomialG
