@@ -2,6 +2,10 @@
 
 See DESIGN.md's experiment index — each figure of the paper maps to one
 ``run_fig*`` driver here and one ``benchmarks/bench_fig*.py`` target.
+Two suites write gated ``BENCH_<name>.json`` artifacts: the smoke suite
+(``run_bench_suite``, ``repro bench smoke``) and the state-tier suite
+(``repro.bench.state``).  The serving stack's topologies are measured by
+``benchmarks/stack/`` against one shared baseline, not here.
 """
 
 from repro._lazy import lazy_exports

@@ -218,26 +218,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.suite == "scaling":
-        from repro.bench.scaling import run_scaling_suite
-
-        artifact = run_scaling_suite(
-            name=args.suite, scale=args.scale, repeats=args.repeats,
-            inline=args.inline_shards,
-        )
-    else:
-        artifact = run_bench_suite(
-            name=args.suite, scale=args.scale, repeats=args.repeats
-        )
+    artifact = run_bench_suite(
+        name=args.suite, scale=args.scale, repeats=args.repeats
+    )
     artifact_path = os.path.join(args.out_dir, f"BENCH_{args.suite}.json")
     write_artifact(artifact, artifact_path)
     print(f"wrote {artifact_path} ({len(artifact['entries'])} entries)")
-    if args.suite == "scaling":
-        for shards, speedup in sorted(
-            artifact["speedups"].items(), key=lambda kv: int(kv[0])
-        ):
-            print(f"  {shards} shard(s): {speedup:.2f}x vs single-process")
-        return 0
     if not args.no_stats:
         metrics = collect_stats(scale=args.scale)
         metrics.write_snapshot(args.stats_out)
@@ -772,10 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the benchmark suite, writing a BENCH artifact"
     )
     bench.add_argument(
-        "suite", choices=["smoke", "fig2a", "fig4a", "scaling"],
-        help="which suite to run (smoke/fig2a/fig4a run the same "
-        "downscaled queries, the name labels the artifact; scaling "
-        "measures sharded multiprocess ingest vs shard count)",
+        "suite", choices=["smoke"],
+        help="the downscaled fig2a + fig4a queries (the paper's figures "
+        "themselves are `repro figure`)",
     )
     bench.add_argument("--out-dir", default=".",
                        help="directory for BENCH_<suite>.json")
@@ -787,9 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path for the instrumented stats snapshot")
     bench.add_argument("--no-stats", action="store_true",
                        help="skip the instrumented stats pass")
-    bench.add_argument("--inline-shards", action="store_true",
-                       help="scaling suite only: run shards in-process "
-                       "(isolates routing/merge overhead from IPC)")
     bench.set_defaults(handler=_cmd_bench)
 
     serve = commands.add_parser(
