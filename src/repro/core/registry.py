@@ -16,7 +16,8 @@ metadata generic drivers need:
   summary exactly (within float arithmetic) or only approximately (e.g.
   GK's lossy merge);
 * ``ordered`` — whether ``update`` requires non-decreasing timestamps
-  (the backward-decay baselines: exponential histograms, waves);
+  (the backward-decay baselines: exponential histograms, sliding-window
+  heavy hitters);
 * ``factory`` — a zero-argument constructor producing a ready-to-use
   instance with representative default parameters, used by the CLI, the
   conformance tests, and generic benchmarks;
@@ -79,17 +80,14 @@ _SUMMARY_MODULES: dict[str, tuple[str, ...]] = {
     "repro.sketches.spacesaving": ("weighted_spacesaving", "unary_spacesaving"),
     "repro.sketches.qdigest": ("qdigest",),
     "repro.sketches.gk": ("gk_summary",),
-    "repro.sketches.countmin": ("countmin", "countmin_heavy_hitters"),
+    "repro.sketches.countmin": ("countmin",),
     "repro.sketches.kmv": ("kmv",),
     "repro.sketches.dominance": ("dominance_norm",),
     "repro.sketches.exponential_histogram": ("eh_count", "eh_sum"),
-    "repro.sketches.waves": ("deterministic_wave",),
     "repro.sketches.swhh": ("sliding_window_heavy_hitters",),
-    "repro.sampling.reservoir": ("reservoir", "single_with_replacement"),
+    "repro.sampling.reservoir": ("reservoir",),
     "repro.sampling.with_replacement": ("decayed_with_replacement",),
-    "repro.sampling.weighted_reservoir": (
-        "weighted_reservoir", "expjumps_reservoir",
-    ),
+    "repro.sampling.weighted_reservoir": ("weighted_reservoir",),
     "repro.sampling.priority": ("priority_sampler",),
     "repro.sampling.aggarwal": ("aggarwal_reservoir",),
 }

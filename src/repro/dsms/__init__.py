@@ -28,7 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".parser": ("Query", "SelectItem", "GroupItem", "AggregateCall", "parse_query"),
         ".udaf": ("Udaf", "UdafRegistry", "default_registry"),
-        ".catalog": ("Catalog",),
         ".engine": ("QueryEngine", "run_query"),
         ".runtime": (
             "LoadSheddingRuntime", "LoadReport", "measure_per_tuple_cost",

@@ -5,7 +5,7 @@
 * :mod:`repro.sampling.with_replacement` — Theorem 5's constant-space
   with-replacement sampler for any forward decay function;
 * :mod:`repro.sampling.weighted_reservoir` — Efraimidis-Spirakis weighted
-  reservoir (A-Res and the A-ExpJ acceleration);
+  reservoir (A-Res);
 * :mod:`repro.sampling.priority` — priority sampling with unbiased
   subset-sum estimation;
 * :mod:`repro.sampling.aggarwal` — Aggarwal's biased reservoir, the prior
@@ -25,12 +25,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.core.keyed_random": ("KeyedRandom",),
-        ".reservoir": ("ReservoirSampler", "SingleItemWithReplacementSampler"),
+        ".reservoir": ("ReservoirSampler",),
         ".with_replacement": ("DecayedSamplerWithReplacement",),
-        ".weighted_reservoir": (
-            "WeightedReservoirSampler", "ExpJumpsReservoirSampler",
-            "decayed_log_weight",
-        ),
+        ".weighted_reservoir": ("WeightedReservoirSampler", "decayed_log_weight"),
         ".priority": ("PrioritySampler", "PrioritySample", "estimate_decayed_sum"),
         ".aggarwal": ("AggarwalBiasedReservoir",),
         ".estimators": (

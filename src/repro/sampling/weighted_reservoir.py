@@ -16,15 +16,10 @@ log-domain key, so exponentially-decayed weights (whose raw values overflow
 doubles long before a minute of stream passes) are handled exactly with no
 landmark renormalization.
 
-Two update strategies:
-
-* :class:`WeightedReservoirSampler` (A-Res): draw a key per item, keep the
-  ``k`` smallest in a max-heap; O(log k) per item.
-* :class:`ExpJumpsReservoirSampler` (A-ExpJ): draw an *exponential jump* —
-  the total weight to skip before the next reservoir insertion — reducing
-  the number of random draws from O(n) to O(k log(n/k)) in expectation.
-  Requires non-log weights (plain floats), so it suits polynomial decay;
-  the ablation benchmark compares the two.
+:class:`WeightedReservoirSampler` is A-Res: draw a key per item, keep the
+``k`` smallest in a max-heap; O(log k) per item.  Their A-ExpJ, which
+draws one key per *insertion*, is not offered: it ranks raw float
+weights, which exponential decay overflows (EXPERIMENTS.md, Ablations).
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ from repro.core.protocol import (
 )
 from repro.core.registry import register_summary
 
-__all__ = ["WeightedReservoirSampler", "ExpJumpsReservoirSampler", "decayed_log_weight"]
+__all__ = ["WeightedReservoirSampler", "decayed_log_weight"]
 
 T = TypeVar("T", bound=Hashable)
 
@@ -206,121 +201,5 @@ class WeightedReservoirSampler(StreamSummary, Generic[T]):
         sampler._heap = restored_heap(sampler.k, [
             (decode_number(neg_key), tiebreak, untag_key(item))
             for neg_key, tiebreak, item in payload["heap"]
-        ])
-        return sampler
-
-
-@register_summary(
-    "expjumps_reservoir",
-    kind="sampler",
-    input_kind="item_weight",
-    factory=lambda: ExpJumpsReservoirSampler(k=16, rng=random.Random(7)),
-    mergeable=False,
-    exact_merge=False,
-)
-class ExpJumpsReservoirSampler(StreamSummary, Generic[T]):
-    """A-ExpJ: A-Res accelerated with exponential jumps.
-
-    Statistically identical to :class:`WeightedReservoirSampler`, but once
-    the reservoir is full it draws the cumulative weight to *skip* before
-    the next insertion — one random number per insertion instead of per
-    item.  Operates on raw float weights, so it is suited to polynomial
-    forward decay (for exponential decay use the log-domain A-Res).
-    """
-
-    def __init__(self, k: int, rng: random.Random | None = None):
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k!r}")
-        self.k = k
-        self._rng = KeyedRandom.from_rng(rng)
-        self._heap: list[tuple[float, int, T]] = []  # min-heap on key
-        self._tiebreak = 0
-        self._seen = 0
-        self._skip_weight = 0.0  # remaining weight to pass before insert
-
-    @property
-    def items_seen(self) -> int:
-        """Number of stream items offered."""
-        return self._seen
-
-    def update(self, item: T, weight: float) -> None:
-        """Offer ``item`` with a raw positive weight."""
-        if not weight > 0 or math.isinf(weight) or math.isnan(weight):
-            raise ParameterError(f"weight must be positive finite, got {weight!r}")
-        self._seen += 1
-        rng = self._rng
-        if len(self._heap) < self.k:
-            u = rng.random() or 1e-300
-            key = u ** (1.0 / weight)
-            self._tiebreak += 1
-            heapq.heappush(self._heap, (key, self._tiebreak, item))
-            if len(self._heap) == self.k:
-                self._draw_jump()
-            return
-        self._skip_weight -= weight
-        if self._skip_weight > 0.0:
-            return
-        # This item enters: its key is drawn uniformly in (T_w, 1) via
-        # key = exp(ln(t) * r / w) with r uniform — the A-ExpJ rule.
-        threshold_key = self._heap[0][0]
-        t_pow_w = threshold_key ** weight
-        u2 = rng.uniform(t_pow_w, 1.0)
-        key = u2 ** (1.0 / weight) if weight != 0 else 0.0
-        self._tiebreak += 1
-        heapq.heapreplace(self._heap, (key, self._tiebreak, item))
-        self._draw_jump()
-
-    def _draw_jump(self) -> None:
-        threshold_key = self._heap[0][0]
-        r = self._rng.random() or 1e-300
-        log_threshold = math.log(threshold_key) if threshold_key > 0 else -745.0
-        if log_threshold == 0.0:  # pragma: no cover - key exactly 1.0
-            self._skip_weight = math.inf
-        else:
-            self._skip_weight = math.log(r) / log_threshold
-
-    def sample(self) -> list[T]:
-        """The current sample, best key first (at most ``k`` items)."""
-        if not self._heap:
-            raise EmptySummaryError("weighted reservoir has seen no items")
-        ordered = sorted(self._heap, reverse=True)
-        return [item for __, __, item in ordered]
-
-    def __len__(self) -> int:
-        """Current number of retained items."""
-        return len(self._heap)
-
-    def query(self) -> list[T]:
-        """Primary answer (StreamSummary protocol): the current sample."""
-        return self.sample()
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: key + slot per retained item."""
-        return len(self._heap) * 16
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "seen": self._seen,
-            "tiebreak": self._tiebreak,
-            "skip_weight": encode_number(self._skip_weight),
-            "heap": [
-                [encode_number(key), tiebreak, tag_key(item)]
-                for key, tiebreak, item in self._heap
-            ],
-            "rng": dump_rng_state(self._rng),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "ExpJumpsReservoirSampler":
-        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
-        sampler._seen = payload["seen"]
-        sampler._tiebreak = payload["tiebreak"]
-        sampler._skip_weight = decode_number(payload["skip_weight"])
-        sampler._heap = restored_heap(sampler.k, [
-            (decode_number(key), tiebreak, untag_key(item))
-            for key, tiebreak, item in payload["heap"]
         ])
         return sampler

@@ -11,7 +11,12 @@ the classic single-item sampler: keep the running weight total
 the final retention probability is exactly ``g(t_i - L) / W_n``
 (Theorem 5: constant space and constant time per tuple, per drawing).
 
-A sample of size ``s`` runs ``s`` independent single-item samplers.  For
+A sample of size ``s`` runs ``s`` independent single-item samplers, each
+with the acceleration the paper sketches after Theorem 5: the chance that
+a slot last replaced at running total ``W0`` survives to total ``W``
+telescopes to ``W0 / W``, so the total at its next replacement is
+``W0 / u`` for uniform ``u``.  That is one draw per *replacement*, not
+per item, with exactly the coin-per-item distribution.  For
 exponential ``g`` the running totals renormalize against newer landmarks
 exactly like the aggregates of :mod:`repro.core.aggregates` (Section VI-A);
 retention probabilities are ratios of ``g`` values, so answers are
@@ -65,8 +70,9 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
     rng:
         Source of randomness (seed it for reproducibility).
 
-    Space is ``O(s)`` and each update costs ``O(s)`` coin flips — constant
-    per drawing, as Theorem 5 states.
+    Space is ``O(s)``.  An update that replaces no slot costs one
+    comparison; one that replaces costs ``O(s)`` and one draw per slot it
+    replaces.
     """
 
     def __init__(
@@ -75,7 +81,6 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
         s: int,
         rng: random.Random | None = None,
         guard: OverflowGuard | None = None,
-        use_skipping: bool = False,
     ):
         if s < 1:
             raise ParameterError(f"s must be >= 1, got {s!r}")
@@ -85,11 +90,10 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
         self._weight_total = 0.0
         self._slots: list[T | None] = [None] * s
         self._items = 0
-        self._use_skipping = use_skipping
-        # Per-slot weight thresholds for the skip acceleration: slot j next
-        # replaces when the running total exceeds _next_replace[j].  The
-        # cached minimum gives an O(1) "no slot fires" fast path.
-        self._next_replace: list[float] = [0.0] * s if use_skipping else []
+        # Slot j next replaces when the running total reaches
+        # _next_replace[j].  The cached minimum gives an O(1) "no slot
+        # fires" fast path.
+        self._next_replace: list[float] = [0.0] * s
         self._min_threshold = 0.0
 
     @property
@@ -109,41 +113,27 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
 
     def _scale_state(self, factor: float) -> None:
         self._weight_total *= factor
-        if self._use_skipping:
-            self._next_replace = [t * factor for t in self._next_replace]
-            self._min_threshold *= factor
+        self._next_replace = [t * factor for t in self._next_replace]
+        self._min_threshold *= factor
 
     def update(self, item: T, timestamp: float) -> None:
-        """Offer one stream item; each slot replaces independently.
-
-        With ``use_skipping`` the per-item coin flips are replaced by the
-        acceleration the paper sketches after Theorem 5: the survival
-        probability of a slot past cumulative weight ``W`` telescopes to
-        ``W0 / W``, so the cumulative weight at the next replacement is
-        distributed as ``W0 / u`` for uniform ``u`` — one random draw per
-        *replacement* instead of per item, with an identical distribution.
-        """
-        weight = self._engine.arrival_weight(timestamp)
+        """Offer one stream item; each slot whose threshold the running
+        total reaches takes it and draws its next threshold."""
+        weight = self._engine.arrival_weight(timestamp)  # may rescale first
         self._weight_total += weight
-        rng = self._rng
-        slots = self._slots
-        if self._use_skipping:
-            total = self._weight_total
-            if total >= self._min_threshold:
-                thresholds = self._next_replace
-                for index in range(self.s):
-                    if total >= thresholds[index]:
-                        slots[index] = item
-                        u = rng.random()
-                        while u <= 0.0:  # pragma: no cover
-                            u = rng.random()
-                        thresholds[index] = total / u
-                self._min_threshold = min(thresholds)
-        else:
-            probability = weight / self._weight_total
-            for index, u in enumerate(rng.randoms(self.s)):
-                if u < probability:
+        total = self._weight_total
+        if total >= self._min_threshold:
+            rng = self._rng
+            slots = self._slots
+            thresholds = self._next_replace
+            for index in range(self.s):
+                if total >= thresholds[index]:
                     slots[index] = item
+                    u = rng.random()
+                    while u <= 0.0:  # pragma: no cover
+                        u = rng.random()
+                    thresholds[index] = total / u
+            self._min_threshold = min(thresholds)
         self._items += 1
 
     def sample(self) -> list[T]:
@@ -169,12 +159,10 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
             "decay": dump_decay(self._engine.decay),
             "internal_landmark": self._engine.internal_landmark,
             "s": self.s,
-            "use_skipping": self._use_skipping,
             "weight_total": self._weight_total,
             "slots": [tag_key(slot) for slot in self._slots],
             "items": self._items,
             "next_replace": list(self._next_replace),
-            "min_threshold": self._min_threshold,
             "rng": dump_rng_state(self._rng),
         }
 
@@ -183,22 +171,23 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
         from repro.core.serde import load_decay
 
         # s sizes the slot table: believe it only as far as the payload
-        # carries slots, or a flipped bit allocates gigabytes.
-        if payload["s"] != len(payload["slots"]):
-            raise ParameterError(
-                f"s is {payload['s']!r} but the payload carries "
-                f"{len(payload['slots'])} slots"
-            )
+        # carries slots, or a flipped bit allocates gigabytes.  And every
+        # slot needs its threshold, or update indexes past the list.
+        for field in ("slots", "next_replace"):
+            if payload["s"] != len(payload[field]):
+                raise ParameterError(
+                    f"s is {payload['s']!r} but the payload carries "
+                    f"{len(payload[field])} {field}"
+                )
         sampler = cls(
             load_decay(payload["decay"]),
             payload["s"],
             rng=load_rng_state(payload["rng"]),
-            use_skipping=payload["use_skipping"],
         )
         sampler._engine.restore_landmark(payload["internal_landmark"])
         sampler._weight_total = payload["weight_total"]
         sampler._slots = [untag_key(tag) for tag in payload["slots"]]
         sampler._items = payload["items"]
         sampler._next_replace = list(payload["next_replace"])
-        sampler._min_threshold = payload["min_threshold"]
+        sampler._min_threshold = min(sampler._next_replace)
         return sampler

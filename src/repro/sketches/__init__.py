@@ -7,11 +7,11 @@ or compares against:
   weighted), the engine of forward-decayed heavy hitters and the undecayed
   baseline;
 * :mod:`repro.sketches.qdigest` — weighted q-digest quantiles, the engine
-  of forward-decayed quantiles;
+  of forward-decayed quantiles; :mod:`repro.sketches.gk` — GK quantiles;
+* :mod:`repro.sketches.countmin` — the weighted Count-Min point-query
+  sketch;
 * :mod:`repro.sketches.exponential_histogram` — Exponential Histograms for
   sliding-window count/sum, the paper's backward-decay baseline for Fig. 2;
-* :mod:`repro.sketches.waves` — Deterministic Waves, an alternative
-  windowed-count baseline (ablation);
 * :mod:`repro.sketches.swhh` — sliding-window heavy hitters, the backward
   baseline for Figs. 4-5;
 * :mod:`repro.sketches.kmv` / :mod:`repro.sketches.dominance` — distinct
@@ -31,11 +31,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".exponential_histogram": (
             "ExponentialHistogramCount", "ExponentialHistogramSum", "DecayedEHCombiner",
         ),
-        ".waves": ("DeterministicWave",),
         ".swhh": ("SlidingWindowHeavyHitters", "BackwardDecayedHHCombiner"),
         ".kmv": ("KMVSketch",),
         ".dominance": ("DominanceNormEstimator",),
         ".gk": ("GKSummary",),
-        ".countmin": ("CountMinSketch", "CountMinHeavyHitters"),
+        ".countmin": ("CountMinSketch",),
     },
 )

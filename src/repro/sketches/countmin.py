@@ -4,9 +4,7 @@ An alternative substrate for forward-decayed frequency estimation: where
 SpaceSaving tracks the top items explicitly, the Count-Min sketch answers
 *point queries* for any item with additive error ``eps * W`` (with
 probability ``1 - delta``) and is trivially mergeable and scalable — the
-two operations the forward-decay layer needs.  Paired with a small heap of
-candidate heavy items it yields another heavy-hitters engine; the ablation
-benchmark compares it against SpaceSaving.
+two operations the forward-decay layer needs.
 
 Layout: ``depth`` rows of ``width`` float counters, row hashes seeded
 independently.  ``width = ceil(e / eps)`` and ``depth = ceil(ln(1/delta))``
@@ -15,16 +13,15 @@ give the classic guarantees.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Hashable
 
 from repro.core.errors import MergeError, ParameterError
-from repro.core.protocol import StreamSummary, tag_key, untag_key
+from repro.core.protocol import StreamSummary
 from repro.core.registry import register_summary
 from repro.sketches.kmv import SEED_LIMIT, check_seed, hash_to_unit
 
-__all__ = ["CountMinSketch", "CountMinHeavyHitters"]
+__all__ = ["CountMinSketch"]
 
 
 @register_summary(
@@ -184,130 +181,3 @@ class CountMinSketch(StreamSummary):
         sketch._total = payload["total"]
         sketch._rows = [list(row) for row in payload["rows"]]
         return sketch
-
-
-@register_summary(
-    "countmin_heavy_hitters",
-    kind="sketch",
-    input_kind="item_weight",
-    factory=lambda: CountMinHeavyHitters(epsilon=0.02, delta=0.01, phi_track=0.001, seed=7),
-    exact_merge=False,
-)
-class CountMinHeavyHitters(StreamSummary):
-    """Heavy hitters via Count-Min point queries plus a candidate heap.
-
-    Tracks the items whose estimates exceed ``phi_track`` of the running
-    total; :meth:`heavy_hitters` filters the candidates at query time.
-    Compared with SpaceSaving this spends more memory (the full counter
-    grid) but answers point queries for *any* item, not just survivors.
-    """
-
-    def __init__(
-        self,
-        epsilon: float = 0.01,
-        delta: float = 0.01,
-        phi_track: float = 0.001,
-        seed: int = 0,
-    ):
-        if not 0.0 < phi_track < 1.0:
-            raise ParameterError(f"phi_track must be in (0, 1), got {phi_track!r}")
-        self.sketch = CountMinSketch(epsilon, delta, seed)
-        self.phi_track = phi_track
-        self._heap: list[tuple[float, Hashable]] = []  # (estimate, item)
-        self._members: set[Hashable] = set()
-
-    @property
-    def total_weight(self) -> float:
-        """Total weight folded in."""
-        return self.sketch.total_weight
-
-    def update(self, item: Hashable, weight: float = 1.0) -> None:
-        """Fold one weighted occurrence and refresh the candidate heap."""
-        self.sketch.update(item, weight)
-        estimate = self.sketch.estimate(item)
-        threshold = self.phi_track * self.sketch.total_weight
-        if estimate >= threshold:
-            if item not in self._members:
-                heapq.heappush(self._heap, (estimate, item))
-                self._members.add(item)
-        # Evict candidates that fell below the tracking threshold.
-        while self._heap and self._heap[0][0] < threshold:
-            __, evicted = heapq.heappop(self._heap)
-            current = self.sketch.estimate(evicted)
-            if current >= threshold:
-                heapq.heappush(self._heap, (current, evicted))
-                break
-            self._members.discard(evicted)
-
-    def heavy_hitters(self, phi: float) -> list[tuple[Hashable, float]]:
-        """Candidates with estimate ``>= phi * W``, heaviest first."""
-        if not self.phi_track <= phi <= 1.0:
-            raise ParameterError(
-                f"phi must be in [{self.phi_track}, 1], got {phi!r}"
-            )
-        threshold = phi * self.sketch.total_weight
-        found = [
-            (item, self.sketch.estimate(item))
-            for item in self._members
-        ]
-        ranked = [(item, est) for item, est in found if est >= threshold]
-        ranked.sort(key=lambda pair: -pair[1])
-        return ranked
-
-    def query(self, phi: float = 0.01) -> list[tuple[Hashable, float]]:
-        """Primary answer (StreamSummary protocol): the ``phi``-heavy hitters."""
-        return self.heavy_hitters(phi)
-
-    def merge(self, other: "CountMinHeavyHitters") -> None:
-        """Merge the underlying sketches and re-derive the candidate set.
-
-        The merged candidate set is the union of both candidate sets,
-        re-filtered against the merged tracking threshold; estimates come
-        from the merged grid, so the result can differ slightly from a
-        single-stream run (candidate eviction is path-dependent).
-        """
-        if not isinstance(other, CountMinHeavyHitters):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if other.phi_track != self.phi_track:
-            raise MergeError(
-                f"phi_track mismatch: {self.phi_track} vs {other.phi_track}"
-            )
-        self.sketch.merge(other.sketch)
-        threshold = self.phi_track * self.sketch.total_weight
-        self._members = {
-            item
-            for item in self._members | other._members
-            if self.sketch.estimate(item) >= threshold
-        }
-        self._heap = [(self.sketch.estimate(item), item) for item in self._members]
-        heapq.heapify(self._heap)
-
-    def state_size_bytes(self) -> int:
-        """Sketch grid plus candidate heap."""
-        return self.sketch.state_size_bytes() + 16 * len(self._heap)
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "sketch": self.sketch._state_payload(),
-            "phi_track": self.phi_track,
-            "members": sorted((tag_key(item) for item in self._members), key=repr),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "CountMinHeavyHitters":
-        sketch = CountMinSketch._from_payload(payload["sketch"])
-        summary = cls(
-            epsilon=sketch.epsilon,
-            delta=sketch.delta,
-            phi_track=payload["phi_track"],
-            seed=sketch.seed,
-        )
-        summary.sketch = sketch
-        summary._members = {untag_key(tag) for tag in payload["members"]}
-        summary._heap = [
-            (sketch.estimate(item), item) for item in summary._members
-        ]
-        heapq.heapify(summary._heap)
-        return summary

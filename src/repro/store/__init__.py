@@ -10,8 +10,6 @@ the all-RAM engine.
   :class:`~repro.dsms.engine.QueryEngine` via its ``store=`` argument;
   bounds hot groups, spills by decayed touch weight, checkpoints via
   segment references.
-* :class:`TenantStore` — per-tenant stores with per-tenant decay and a
-  scheduled Section VI-A renormalization + compaction sweep.
 * :class:`SegmentWriter` / :class:`SegmentReader` — the append-only,
   CRC-checked segment format itself: column-packed pages of groups
   (version 4, the only one read: an older file is refused).
@@ -25,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".tiered": ("TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION"),
-        ".tenant": ("TenantStore",),
         ".directory": ("KeyDirectory",),
         ".segment": (
             "SegmentReader", "SegmentWriter", "SEGMENT_VERSION", "canonical_key",

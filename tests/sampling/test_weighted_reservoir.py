@@ -1,4 +1,4 @@
-"""Unit tests for weighted reservoir sampling (A-Res and A-ExpJ)."""
+"""Unit tests for weighted reservoir sampling (A-Res)."""
 
 from __future__ import annotations
 
@@ -12,12 +12,11 @@ from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import ExponentialG, PolynomialG
 from repro.sampling.weighted_reservoir import (
-    ExpJumpsReservoirSampler,
     WeightedReservoirSampler,
     decayed_log_weight,
 )
 
-SAMPLERS = [WeightedReservoirSampler, ExpJumpsReservoirSampler]
+SAMPLERS = [WeightedReservoirSampler]
 
 
 class TestDecayedLogWeight:
@@ -86,23 +85,6 @@ class TestCommon:
         light = sum(hits[item] for item in range(0, 45))
         assert heavy > 2 * light
 
-    def test_ares_and_aexpj_favour_heavy_items_alike(self):
-        """On weights 1..200 the heaviest decile is sampled far more than
-        the lightest, and the two algorithms sample it equally often."""
-        heavy, light = {}, {}
-        for cls, seeds in zip(SAMPLERS, (range(300), range(10_000, 10_300))):
-            hits: Counter = Counter()
-            for seed in seeds:
-                sampler = cls(10, rng=random.Random(seed))
-                for value in range(1, 201):
-                    sampler.update(value, float(value))
-                hits.update(sampler.sample())
-            heavy[cls] = sum(hits[v] for v in range(181, 201))
-            light[cls] = sum(hits[v] for v in range(1, 21))
-            assert heavy[cls] > 5 * max(1, light[cls])
-        ratio = heavy[WeightedReservoirSampler] / heavy[ExpJumpsReservoirSampler]
-        assert 0.7 < ratio < 1.4
-
 
 class TestARes:
     def test_k1_matches_weighted_distribution(self):
@@ -145,26 +127,3 @@ class TestARes:
             sampler.update(item, 1.0)
         assert len(sampler.sample()) == 3
         assert len(sampler) == 3
-
-
-class TestExpJumps:
-    def test_k1_matches_weighted_distribution(self):
-        weights = {0: 1.0, 1: 3.0, 2: 6.0}
-        total = sum(weights.values())
-        hits: Counter = Counter()
-        repetitions = 30_000
-        for seed in range(repetitions):
-            sampler = ExpJumpsReservoirSampler(1, rng=random.Random(seed))
-            for item, weight in weights.items():
-                sampler.update(item, weight)
-            hits[sampler.sample()[0]] += 1
-        for item, weight in weights.items():
-            assert hits[item] / repetitions == pytest.approx(
-                weight / total, rel=0.1
-            )
-
-    def test_items_seen_counted_through_skips(self):
-        sampler = ExpJumpsReservoirSampler(2, rng=random.Random(5))
-        for item in range(1_000):
-            sampler.update(item, 1.0)
-        assert sampler.items_seen == 1_000

@@ -1,4 +1,4 @@
-"""Unit tests for the weighted Count-Min sketch and its HH wrapper."""
+"""Unit tests for the weighted Count-Min sketch."""
 
 from __future__ import annotations
 
@@ -6,12 +6,10 @@ import random
 
 import pytest
 
-from repro.bench.runners import build_trace
 from repro.core.errors import MergeError, ParameterError
 from repro.core.protocol import StreamSummary
-from repro.sketches.countmin import CountMinHeavyHitters, CountMinSketch
+from repro.sketches.countmin import CountMinSketch
 from repro.sketches.kmv import hash_to_unit
-from repro.sketches.spacesaving import WeightedSpaceSaving
 from repro.workloads.synthetic import zipf_stream
 from tests.sketches.test_kmv import with_seed
 
@@ -89,60 +87,6 @@ class TestCountMin:
         assert sketch.state_size_bytes() == 8 * sketch.width * sketch.depth
 
 
-class TestCountMinHeavyHitters:
-    def test_finds_true_heavy_hitters(self):
-        summary = CountMinHeavyHitters(epsilon=0.005, delta=0.01,
-                                       phi_track=0.01, seed=6)
-        stream = [v for __, v in zipf_stream(20_000, num_values=1_000,
-                                             exponent=1.4, seed=7)]
-        truth: dict[int, int] = {}
-        for item in stream:
-            summary.update(item)
-            truth[item] = truth.get(item, 0) + 1
-        phi = 0.05
-        expected = {v for v, c in truth.items() if c >= phi * len(stream)}
-        reported = {item for item, __ in summary.heavy_hitters(phi)}
-        assert expected <= reported
-
-    def test_phi_below_tracking_threshold_rejected(self):
-        summary = CountMinHeavyHitters(phi_track=0.01)
-        summary.update("a")
-        with pytest.raises(ParameterError):
-            summary.heavy_hitters(0.001)
-
-    def test_weighted_updates(self):
-        summary = CountMinHeavyHitters(epsilon=0.01, phi_track=0.05, seed=8)
-        summary.update("whale", 1_000.0)
-        for item in range(50):
-            summary.update(item, 1.0)
-        ranked = summary.heavy_hitters(0.5)
-        assert ranked[0][0] == "whale"
-
-    def test_state_includes_grid(self):
-        summary = CountMinHeavyHitters(epsilon=0.01)
-        summary.update("a")
-        assert summary.state_size_bytes() >= summary.sketch.state_size_bytes()
-
-    def test_agrees_with_spacesaving_on_a_decayed_packet_trace(self):
-        """Theorem 2 takes any weighted HH substrate: on forward-decayed
-        destinations both find the same top three, and SpaceSaving's
-        counters are a fraction of the Count-Min grid (Fig. 4(c)'s axis)."""
-        trace = build_trace(duration_sec=2.0, rate_per_sec=2_000, proto="tcp")
-        spacesaving = WeightedSpaceSaving.from_epsilon(0.005)
-        countmin = CountMinHeavyHitters(
-            epsilon=0.005, delta=0.01, phi_track=0.01, seed=5
-        )
-        for row in trace:
-            weight = (row[1] % 60.0) ** 2 + 1.0
-            spacesaving.update(row[3], weight)
-            countmin.update(row[3], weight)
-        ss_top = [c.item for c in spacesaving.heavy_hitters(0.02)[:3]]
-        cm_top = [item for item, __ in countmin.heavy_hitters(0.02)[:3]]
-        assert ss_top[0] == cm_top[0]
-        assert set(ss_top) == set(cm_top)
-        assert spacesaving.state_size_bytes() < countmin.state_size_bytes() / 4
-
-
 class TestBatchUpdates:
     def test_update_many_matches_loop_bit_for_bit(self):
         rng = random.Random(11)
@@ -183,16 +127,6 @@ class TestBatchUpdates:
         sketch.update_many(["a", "b"], [0.0, 2.0])
         assert sketch.total_weight == 2.0
 
-    def test_heavy_hitters_batch_matches_loop(self):
-        stream = [v for __, v in zipf_stream(3_000, num_values=200,
-                                             exponent=1.4, seed=9)]
-        looped = CountMinHeavyHitters(epsilon=0.02, phi_track=0.01, seed=4)
-        for item in stream:
-            looped.update(item)
-        batched = CountMinHeavyHitters(epsilon=0.02, phi_track=0.01, seed=4)
-        batched.update_many(stream)
-        assert batched.heavy_hitters(0.05) == looped.heavy_hitters(0.05)
-
 
 class TestSeedRange:
     """Row ``r`` hashes with the BLAKE2 key ``seed * 1,000,003 + r``, so
@@ -202,9 +136,8 @@ class TestSeedRange:
 
     @pytest.mark.parametrize("seed", [-1, 2**50, 2**64, 0.5])
     def test_out_of_range_seed_fails_at_construction(self, seed):
-        for build in (CountMinSketch, CountMinHeavyHitters):
-            with pytest.raises(ParameterError, match=r"must be an int in \[0, "):
-                build(seed=seed)
+        with pytest.raises(ParameterError, match=r"must be an int in \[0, "):
+            CountMinSketch(seed=seed)
 
     def test_the_bound_is_the_last_row_key(self):
         sketch = CountMinSketch(delta=0.01)  # depth 5
@@ -223,9 +156,8 @@ class TestSeedRange:
                 for row in range(sketch.depth)
             ]
 
-    @pytest.mark.parametrize("build", [CountMinSketch, CountMinHeavyHitters])
-    def test_a_buffer_carrying_one_is_refused(self, build):
-        summary = build(seed=3)
+    def test_a_buffer_carrying_one_is_refused(self):
+        summary = CountMinSketch(seed=3)
         summary.update("a")
         assert StreamSummary.from_bytes(with_seed(summary, 3)).to_bytes() == (
             summary.to_bytes()
