@@ -63,6 +63,26 @@ class TestCount:
         for size, count in per_size.items():
             assert count <= limit + 1
 
+    def test_empty_count_is_zero(self):
+        histogram = ExponentialHistogramCount(epsilon=0.1, window=10.0)
+        assert histogram.count(100.0) == 0.0
+
+    def test_window_larger_than_history(self):
+        histogram = ExponentialHistogramCount(epsilon=0.1, window=1e6)
+        for t in range(100):
+            histogram.update(float(t))
+        assert histogram.count(99.0) == pytest.approx(100.0, rel=0.1)
+
+    def test_state_is_logarithmic_in_the_window_count(self):
+        # At most ceil(1/eps)/2 + 2 buckets of each power-of-two size, and
+        # sizes up to the window's 10,000 arrivals.
+        histogram = ExponentialHistogramCount(epsilon=0.1, window=100.0)
+        for t in range(50_000):
+            histogram.update(t * 0.01)
+        sizes = 10_000 .bit_length() + 1
+        assert len(histogram) <= (10 // 2 + 2) * sizes
+        assert histogram.state_size_bytes() == 16 * len(histogram)
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             ExponentialHistogramCount(epsilon=0.0, window=10.0)

@@ -123,6 +123,23 @@ class TestScaleAndMerge:
             exact = exact_weighted_quantile(pairs, phi)
             assert abs(answer - exact) < 15.0  # 2*eps rank slack in value terms
 
+    def test_merge_into_an_empty_summary_keeps_the_rank_bound(self):
+        # The merge re-inserts the other's tuples, so the answer may move,
+        # but only within eps_self + eps_other of the weighted rank.
+        other = GKSummary(epsilon=0.05)
+        rng = random.Random(29)
+        pairs = [(rng.uniform(0, 1000), rng.uniform(0.5, 2.0))
+                 for __ in range(4_000)]
+        for value, weight in pairs:
+            other.update(value, weight)
+        summary = GKSummary(epsilon=0.05)
+        summary.merge(other)
+        total = sum(w for __, w in pairs)
+        assert summary.total_weight == pytest.approx(total)
+        for phi in (0.1, 0.25, 0.5, 0.75, 0.9):
+            rank = sum(w for v, w in pairs if v <= summary.quantile(phi))
+            assert abs(rank - phi * total) <= 2 * 0.05 * total
+
     def test_merge_type_mismatch(self):
         with pytest.raises(MergeError):
             GKSummary(epsilon=0.1).merge(object())  # type: ignore[arg-type]
