@@ -4,8 +4,8 @@ This subpackage implements Sections II-IV and VI of the paper:
 
 * decay functions and weight models (:mod:`repro.core.functions`,
   :mod:`repro.core.decay`);
-* landmark policies and exponential renormalization
-  (:mod:`repro.core.landmark`);
+* the shared forward-weight engine and its one exponential
+  renormalization rule (:mod:`repro.core.weights`);
 * constant-space decayed aggregates — count, sum, average, variance,
   min/max, arbitrary algebraic summations (:mod:`repro.core.aggregates`);
 * holistic decayed aggregates — heavy hitters, quantiles, count-distinct
@@ -31,10 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "LandmarkWindowG", "LogarithmicG", "NoDecayF", "SlidingWindowF",
             "ExponentialF", "PolynomialF", "SuperExponentialF", "SubPolynomialF",
         ),
-        ".landmark": (
-            "LandmarkPolicy", "FixedLandmark", "QueryStartLandmark", "EpochLandmark",
-            "OverflowGuard", "exponential_shift_factor", "shift_exponential_weight",
-        ),
         ".aggregates": (
             "DecayedAggregate", "DecayedCount", "DecayedSum", "DecayedAverage",
             "DecayedVariance", "DecayedMin", "DecayedMax", "DecayedAlgebraic",
@@ -54,7 +50,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".errors": (
             "DecayError", "ParameterError", "LandmarkError", "TimestampError",
             "EmptySummaryError", "MergeError", "QueryError", "SchemaError",
-            "OverflowGuardError",
         ),
     },
 )

@@ -11,9 +11,10 @@ function — and that is exactly what these classes do.
 Numerical robustness (Section VI-A): for exponential ``g`` the stored values
 ``exp(alpha * (t_i - L))`` grow without bound.  All aggregates in this
 module hold *linear combinations* of ``g`` values, so they transparently
-renormalize against a newer internal landmark whenever an
-:class:`~repro.core.landmark.OverflowGuard` trips; query answers are
-unaffected.
+renormalize against a newer internal landmark whenever an arrival exponent
+passes :data:`~repro.core.weights.SHIFT_EXPONENT` (the shared
+:class:`~repro.core.weights.ForwardWeightEngine` decides); query answers
+are unaffected.
 
 All aggregates are mergeable (Section VI-B): summaries built over disjoint
 substreams with the same decay function and landmark combine into the
@@ -28,7 +29,6 @@ from typing import Callable, ClassVar
 
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.landmark import OverflowGuard
 from repro.core.protocol import StreamSummary, decode_number, encode_number
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeightEngine
@@ -62,9 +62,9 @@ class DecayedAggregate(StreamSummary):
     ``g(t - L)``).
     """
 
-    def __init__(self, decay: ForwardDecay, guard: OverflowGuard | None = None):
+    def __init__(self, decay: ForwardDecay):
         self._decay = decay
-        self._engine = ForwardWeightEngine(decay, self._scale_state, guard)
+        self._engine = ForwardWeightEngine(decay, self._scale_state)
         self._items = 0
         self._max_time = -math.inf
 
@@ -210,8 +210,8 @@ class DecayedCount(DecayedAggregate):
 
     _SERDE_FIELDS = ("_weight_sum",)
 
-    def __init__(self, decay: ForwardDecay, guard: OverflowGuard | None = None):
-        super().__init__(decay, guard)
+    def __init__(self, decay: ForwardDecay):
+        super().__init__(decay)
         self._weight_sum = 0.0
 
     def _update_weighted(self, weight: float, value: float) -> None:
@@ -241,8 +241,8 @@ class DecayedSum(DecayedAggregate):
 
     _SERDE_FIELDS = ("_value_sum",)
 
-    def __init__(self, decay: ForwardDecay, guard: OverflowGuard | None = None):
-        super().__init__(decay, guard)
+    def __init__(self, decay: ForwardDecay):
+        super().__init__(decay)
         self._value_sum = 0.0
 
     def _update_weighted(self, weight: float, value: float) -> None:
@@ -277,8 +277,8 @@ class DecayedAverage(DecayedAggregate):
 
     _SERDE_FIELDS = ("_weight_sum", "_value_sum")
 
-    def __init__(self, decay: ForwardDecay, guard: OverflowGuard | None = None):
-        super().__init__(decay, guard)
+    def __init__(self, decay: ForwardDecay):
+        super().__init__(decay)
         self._weight_sum = 0.0
         self._value_sum = 0.0
 
@@ -317,8 +317,8 @@ class DecayedVariance(DecayedAggregate):
 
     _SERDE_FIELDS = ("_weight_sum", "_value_sum", "_square_sum")
 
-    def __init__(self, decay: ForwardDecay, guard: OverflowGuard | None = None):
-        super().__init__(decay, guard)
+    def __init__(self, decay: ForwardDecay):
+        super().__init__(decay)
         self._weight_sum = 0.0
         self._value_sum = 0.0
         self._square_sum = 0.0
@@ -364,8 +364,8 @@ class DecayedMin(DecayedAggregate):
 
     _SERDE_FIELDS = ("_best",)
 
-    def __init__(self, decay: ForwardDecay, guard: OverflowGuard | None = None):
-        super().__init__(decay, guard)
+    def __init__(self, decay: ForwardDecay):
+        super().__init__(decay)
         self._best = math.inf
 
     def _update_weighted(self, weight: float, value: float) -> None:
@@ -400,8 +400,8 @@ class DecayedMax(DecayedAggregate):
 
     _SERDE_FIELDS = ("_best",)
 
-    def __init__(self, decay: ForwardDecay, guard: OverflowGuard | None = None):
-        super().__init__(decay, guard)
+    def __init__(self, decay: ForwardDecay):
+        super().__init__(decay)
         self._best = -math.inf
 
     def _update_weighted(self, weight: float, value: float) -> None:
@@ -465,12 +465,9 @@ class DecayedAlgebraic(DecayedAggregate):
     _SERDE_FIELDS = ("_term_sum",)
 
     def __init__(
-        self,
-        decay: ForwardDecay,
-        expression: Callable[[float], float] | str,
-        guard: OverflowGuard | None = None,
+        self, decay: ForwardDecay, expression: Callable[[float], float] | str
     ):
-        super().__init__(decay, guard)
+        super().__init__(decay)
         if isinstance(expression, str):
             if expression not in NAMED_EXPRESSIONS:
                 raise ParameterError(

@@ -24,7 +24,6 @@ from typing import NamedTuple, Sequence
 
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.landmark import OverflowGuard
 from repro.core.weights import ForwardWeightEngine
 
 __all__ = ["DecayedKMeans", "Cluster"]
@@ -66,20 +65,14 @@ class DecayedKMeans:
     the streaming analogue of decayed averages, per cluster.
     """
 
-    def __init__(
-        self,
-        decay: ForwardDecay,
-        k: int,
-        dimensions: int,
-        guard: OverflowGuard | None = None,
-    ):
+    def __init__(self, decay: ForwardDecay, k: int, dimensions: int):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
         if dimensions < 1:
             raise ParameterError(f"dimensions must be >= 1, got {dimensions!r}")
         self.k = k
         self.dimensions = dimensions
-        self._engine = ForwardWeightEngine(decay, self._scale_state, guard)
+        self._engine = ForwardWeightEngine(decay, self._scale_state)
         # Parallel lists: weighted centroid sums and total weights.  The
         # centroid itself is sums[i] / weights[i]; keeping sums (linear in
         # the arrival weights) makes renormalization a plain rescale.

@@ -78,13 +78,3 @@ class StoreError(DecayError, ValueError):
         super().__init__(message)
         self.segment = segment
         self.offset = offset
-
-
-class OverflowGuardError(DecayError, OverflowError):
-    """An internal ``g(t_i - L)`` weight exceeded the representable range.
-
-    Section VI-A of the paper: exponential forward decay accumulates values
-    ``exp(alpha * (t_i - L))`` that can overflow floats; the fix is to
-    renormalize against a newer landmark.  This error signals that the guard
-    threshold was exceeded and no automatic renormalization was enabled.
-    """

@@ -169,7 +169,7 @@ class ExponentialG:
     Section III-A of the paper proves this coincides *exactly* with backward
     exponential decay at rate ``alpha``: the landmark cancels in the weight
     ratio.  Its raw values grow without bound, so long-running computations
-    should renormalize via :func:`repro.core.landmark.shift_exponential_weight`
+    renormalize through :class:`repro.core.weights.ForwardWeightEngine`
     (Section VI-A).
     """
 

@@ -16,7 +16,6 @@ from typing import Hashable, NamedTuple, Sequence
 
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.landmark import OverflowGuard
 from repro.core.protocol import StreamSummary, decode_number, encode_number
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeightEngine
@@ -64,20 +63,14 @@ class DecayedHeavyHitters(StreamSummary):
     summaries over disjoint substreams merge (Section VI-B).
     """
 
-    def __init__(
-        self,
-        decay: ForwardDecay,
-        epsilon: float = 0.01,
-        guard: OverflowGuard | None = None,
-    ):
+    def __init__(self, decay: ForwardDecay, epsilon: float = 0.01):
         if not 0.0 < epsilon < 1.0:
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
         self.epsilon = epsilon
         self._sketch = WeightedSpaceSaving.from_epsilon(epsilon)
         # Late-bound so a serde restore may swap in a rebuilt sketch.
         self._engine = ForwardWeightEngine(
-            decay, lambda factor: self._sketch.scale(factor), guard
-        )
+            decay, lambda factor: self._sketch.scale(factor))
         self._items = 0
         self._max_time = float("-inf")
 

@@ -54,11 +54,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC
-from typing import Any, ClassVar, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Sequence
 
 from repro.core.errors import MergeError, ParameterError
-from repro.core.keyed_random import KeyedRandom
 from repro.core.tree import pack_tree, unpack_tree
+
+if TYPE_CHECKING:
+    from repro.core.keyed_random import KeyedRandom
 
 __all__ = [
     "StreamSummary",
@@ -134,6 +136,8 @@ def dump_rng_state(rng: KeyedRandom) -> list:
 def load_rng_state(data: Sequence) -> KeyedRandom:
     """Inverse of :func:`dump_rng_state`; any other shape is a
     :class:`ParameterError`."""
+    from repro.core.keyed_random import KeyedRandom  # samplers load it first
+
     if not isinstance(data, list) or len(data) != 2:
         raise ParameterError(
             f"a generator state is [key, words], got {str(data)[:40]}"

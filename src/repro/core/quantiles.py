@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.landmark import OverflowGuard
 from repro.core.protocol import StreamSummary, decode_number, encode_number
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeightEngine
@@ -64,7 +63,6 @@ class DecayedQuantiles(StreamSummary):
         decay: ForwardDecay,
         epsilon: float = 0.01,
         universe_bits: int = 16,
-        guard: OverflowGuard | None = None,
         backend: str = "qdigest",
     ):
         if not 0.0 < epsilon < 1.0:
@@ -81,8 +79,7 @@ class DecayedQuantiles(StreamSummary):
             self._digest = GKSummary(min(epsilon, 0.49))
         # Late-bound so a serde restore may swap in a rebuilt digest.
         self._engine = ForwardWeightEngine(
-            decay, lambda factor: self._digest.scale(factor), guard
-        )
+            decay, lambda factor: self._digest.scale(factor))
         self._items = 0
         self._max_time = float("-inf")
 

@@ -35,7 +35,6 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.errors import EmptySummaryError, MergeError, QueryError
-from repro.core.keyed_random import KEY_BITS, KeyedRandom
 from repro.core.registry import get_summary
 
 if TYPE_CHECKING:
@@ -557,6 +556,9 @@ class _SeededSamplerUdaf(_SummaryUdaf):
         self._counter = 0
 
     def create(self):
+        # Imported here: only a sampler query runs the keyed generator.
+        from repro.core.keyed_random import KEY_BITS, KeyedRandom
+
         self._counter += 1
         key = (self.seed * 1_000_003 + self._counter) % (1 << KEY_BITS)
         return self._summary_cls(self.k, rng=KeyedRandom(key))

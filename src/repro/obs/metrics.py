@@ -6,8 +6,11 @@ weighted up and history fades smoothly — with the Section III-A fixed-
 numerator trick intact.  A :class:`DecayedCounter` stores only the numerator
 ``sum_i g(t_i - L) * amount_i`` for ``g(n) = exp(alpha * n)``; reads never
 rescale stored state, they apply the single division by ``g(now - L)``.
-Renormalization (Section VI-A) happens on the *write* path alone, when the
-exponent would otherwise overflow.
+Each decayed primitive holds a
+:class:`~repro.core.weights.ForwardWeightEngine` over ``ExponentialG(alpha)``
+with nominal landmark 0: it computes the arrival weight, renormalizes
+(Section VI-A) on the *write* path alone, and aligns landmarks for a merge.
+A write into empty state anchors the internal landmark at its own time.
 
 Primitives:
 
@@ -31,7 +34,10 @@ import math
 import time
 from typing import Callable, Hashable
 
+from repro.core.decay import ForwardDecay
 from repro.core.errors import MergeError, ParameterError
+from repro.core.functions import ExponentialG
+from repro.core.weights import ForwardWeightEngine, ScaleState
 from repro.sketches.gk import GKSummary
 from repro.sketches.spacesaving import WeightedSpaceSaving
 
@@ -43,11 +49,6 @@ __all__ = [
     "LastValueGauge",
 ]
 
-#: Renormalize once the forward exponent ``alpha * (now - L)`` passes this;
-#: exp(50) ~ 5e21 leaves ample headroom below float overflow even when
-#: multiplied by large amounts.
-_MAX_EXPONENT = 50.0
-
 Clock = Callable[[], float]
 
 
@@ -57,6 +58,23 @@ def _alpha_for_half_life(half_life_s: float) -> float:
             f"half_life_s must be positive finite, got {half_life_s!r}"
         )
     return math.log(2.0) / half_life_s
+
+
+def _decay_engine(half_life_s: float, scale_state: ScaleState) -> ForwardWeightEngine:
+    """Exponential forward decay at the half-life's rate, nominal landmark 0."""
+    alpha = _alpha_for_half_life(half_life_s)
+    return ForwardWeightEngine(ForwardDecay(ExponentialG(alpha)), scale_state)
+
+
+def _write_weight(engine: ForwardWeightEngine, now: float, empty: bool) -> float:
+    """The static weight ``g(now - L)`` of a write at ``now``.
+
+    Any landmark is exact for empty state, so a write into it first
+    anchors the engine's landmark at ``now``.
+    """
+    if empty:
+        engine.restore_landmark(now)
+    return engine.arrival_weight(now)
 
 
 class DecayedCounter:
@@ -70,25 +88,20 @@ class DecayedCounter:
     never mutate state.
     """
 
-    __slots__ = ("half_life_s", "alpha", "_clock", "_landmark", "_num", "_raw")
+    __slots__ = ("half_life_s", "alpha", "_clock", "_engine", "_num", "_raw")
 
-    def __init__(
-        self,
-        half_life_s: float = 60.0,
-        clock: Clock | None = None,
-        landmark: float | None = None,
-    ):
+    def __init__(self, half_life_s: float = 60.0, clock: Clock | None = None):
         self.half_life_s = float(half_life_s)
-        self.alpha = _alpha_for_half_life(half_life_s)
+        self._engine = _decay_engine(half_life_s, self._scale)
+        self.alpha = self._engine.decay.g.alpha
         self._clock = clock if clock is not None else time.time
-        self._landmark = self._clock() if landmark is None else float(landmark)
         self._num = 0.0
         self._raw = 0.0
 
     @property
     def landmark(self) -> float:
-        """The current internal landmark ``L`` (moves only on renormalize)."""
-        return self._landmark
+        """The current internal landmark ``L`` (moves only on writes)."""
+        return self._engine.internal_landmark
 
     @property
     def static_numerator(self) -> float:
@@ -100,24 +113,20 @@ class DecayedCounter:
         """Undecayed sum of all amounts ever added."""
         return self._raw
 
-    def _renormalize_to(self, landmark: float) -> None:
-        self._num *= math.exp(-self.alpha * (landmark - self._landmark))
-        self._landmark = landmark
+    def _scale(self, factor: float) -> None:
+        self._num *= factor
 
     def add(self, amount: float = 1.0, now: float | None = None) -> None:
         """Fold ``amount`` in with the static weight ``g(now - L)``."""
         now = self._clock() if now is None else now
-        exponent = self.alpha * (now - self._landmark)
-        if exponent > _MAX_EXPONENT:
-            self._renormalize_to(now)
-            exponent = 0.0
-        self._num += math.exp(exponent) * amount
+        weight = _write_weight(self._engine, now, not self._num)  # may rescale _num
+        self._num += weight * amount
         self._raw += amount
 
     def value(self, now: float | None = None) -> float:
         """Decayed count at ``now``: one division by ``g(now - L)``."""
         now = self._clock() if now is None else now
-        return self._num * math.exp(-self.alpha * (now - self._landmark))
+        return self._num / self._engine.normalizer(now)
 
     def merge(self, other: "DecayedCounter") -> None:
         """Fold ``other`` in, aligning landmarks by a single rescale."""
@@ -125,15 +134,8 @@ class DecayedCounter:
             raise MergeError(
                 f"cannot merge {type(other).__name__} into DecayedCounter"
             )
-        if not math.isclose(self.alpha, other.alpha, rel_tol=1e-12):
-            raise MergeError(
-                f"half-life mismatch: {self.half_life_s} vs {other.half_life_s}"
-            )
-        if other._landmark > self._landmark:
-            self._renormalize_to(other._landmark)
-        self._num += other._num * math.exp(
-            other.alpha * (other._landmark - self._landmark)
-        )
+        factor = self._engine.align_for_merge(other._engine)  # may rescale _num
+        self._num += other._num * factor
         self._raw += other._raw
 
     def snapshot(self, now: float | None = None) -> dict:
@@ -218,20 +220,13 @@ class LatencyQuantiles:
 
     With ``half_life_s`` set, observations carry forward-decayed static
     weights ``g(now - L)`` so the quantiles track *recent* latency; the GK
-    sketch stores the fixed numerators and the whole structure is rescaled
-    (a pure landmark shift, Section VI-A) only when the exponent grows too
-    large.  With the default ``half_life_s=None`` the sketch is unweighted.
+    sketch stores the fixed numerators and the engine rescales the whole
+    structure (a pure landmark shift, Section VI-A) only when the exponent
+    grows too large.  With the default ``half_life_s=None`` the sketch is
+    unweighted.
     """
 
-    __slots__ = (
-        "epsilon",
-        "alpha",
-        "half_life_s",
-        "_clock",
-        "_landmark",
-        "_gk",
-        "_count",
-    )
+    __slots__ = ("epsilon", "half_life_s", "_clock", "_engine", "_gk", "_count")
 
     def __init__(
         self,
@@ -241,10 +236,12 @@ class LatencyQuantiles:
     ):
         self.epsilon = epsilon
         self.half_life_s = half_life_s
-        self.alpha = 0.0 if half_life_s is None else _alpha_for_half_life(half_life_s)
         self._clock = clock if clock is not None else time.time
-        self._landmark = self._clock()
         self._gk = GKSummary(epsilon)
+        self._engine = (
+            None if half_life_s is None
+            else _decay_engine(half_life_s, self._gk.scale)
+        )
         self._count = 0
 
     @property
@@ -256,14 +253,9 @@ class LatencyQuantiles:
         self, value: float, weight: float = 1.0, now: float | None = None
     ) -> None:
         """Record one timing (any unit; callers here use microseconds)."""
-        if self.alpha:
+        if self._engine is not None:
             now = self._clock() if now is None else now
-            exponent = self.alpha * (now - self._landmark)
-            if exponent > _MAX_EXPONENT:
-                self._gk.scale(math.exp(-exponent))
-                self._landmark = now
-                exponent = 0.0
-            weight = weight * math.exp(exponent)
+            weight *= _write_weight(self._engine, now, not self._count)
         self._gk.update(value, weight)
         self._count += 1
 
@@ -279,22 +271,7 @@ class LatencyQuantiles:
             raise MergeError(
                 f"cannot merge {type(other).__name__} into LatencyQuantiles"
             )
-        if (self.half_life_s is None) != (other.half_life_s is None) or (
-            self.half_life_s is not None
-            and not math.isclose(self.alpha, other.alpha, rel_tol=1e-12)
-        ):
-            raise MergeError(
-                f"half-life mismatch: {self.half_life_s} vs {other.half_life_s}"
-            )
-        factor = 1.0
-        if self.alpha:
-            if other._landmark > self._landmark:
-                self._gk.scale(
-                    math.exp(-self.alpha * (other._landmark - self._landmark))
-                )
-                self._landmark = other._landmark
-            factor = math.exp(self.alpha * (other._landmark - self._landmark))
-        self._gk.merge(other._gk, factor)
+        self._gk.merge(other._gk, _merge_factor(self, other))
         self._count += other._count
 
     def snapshot(self, now: float | None = None) -> dict:
@@ -318,7 +295,7 @@ class HotKeyTracker:
     the single normalizer ``g(now - L)`` so reported weights are decayed.
     """
 
-    __slots__ = ("capacity", "alpha", "half_life_s", "_clock", "_landmark", "_ss")
+    __slots__ = ("capacity", "half_life_s", "_clock", "_engine", "_ss")
 
     def __init__(
         self,
@@ -328,10 +305,12 @@ class HotKeyTracker:
     ):
         self.capacity = capacity
         self.half_life_s = half_life_s
-        self.alpha = 0.0 if half_life_s is None else _alpha_for_half_life(half_life_s)
         self._clock = clock if clock is not None else time.time
-        self._landmark = self._clock()
         self._ss = WeightedSpaceSaving(capacity)
+        self._engine = (
+            None if half_life_s is None
+            else _decay_engine(half_life_s, self._ss.scale)
+        )
 
     @property
     def total_weight(self) -> float:
@@ -342,14 +321,9 @@ class HotKeyTracker:
         self, key: Hashable, weight: float = 1.0, now: float | None = None
     ) -> None:
         """Add ``weight`` to ``key``."""
-        if self.alpha:
+        if self._engine is not None:
             now = self._clock() if now is None else now
-            exponent = self.alpha * (now - self._landmark)
-            if exponent > _MAX_EXPONENT:
-                self._ss.scale(math.exp(-exponent))
-                self._landmark = now
-                exponent = 0.0
-            weight = weight * math.exp(exponent)
+            weight *= _write_weight(self._engine, now, not len(self._ss))
         self._ss.update(key, weight)
 
     def top(
@@ -360,9 +334,9 @@ class HotKeyTracker:
         Sorted heaviest-first; ties broken by key repr for determinism.
         """
         normalizer = 1.0
-        if self.alpha:
+        if self._engine is not None:
             now = self._clock() if now is None else now
-            normalizer = math.exp(self.alpha * (now - self._landmark))
+            normalizer = self._engine.normalizer(now)
         counters = sorted(
             self._ss.counters(),
             key=lambda c: (-c.count, repr(c.item)),
@@ -378,22 +352,7 @@ class HotKeyTracker:
             raise MergeError(
                 f"cannot merge {type(other).__name__} into HotKeyTracker"
             )
-        if (self.half_life_s is None) != (other.half_life_s is None) or (
-            self.half_life_s is not None
-            and not math.isclose(self.alpha, other.alpha, rel_tol=1e-12)
-        ):
-            raise MergeError(
-                f"half-life mismatch: {self.half_life_s} vs {other.half_life_s}"
-            )
-        factor = 1.0
-        if self.alpha:
-            if other._landmark > self._landmark:
-                self._ss.scale(
-                    math.exp(-self.alpha * (other._landmark - self._landmark))
-                )
-                self._landmark = other._landmark
-            factor = math.exp(self.alpha * (other._landmark - self._landmark))
-        self._ss.merge(other._ss, factor)
+        self._ss.merge(other._ss, _merge_factor(self, other))
 
     def snapshot(self, now: float | None = None, k: int = 5) -> dict:
         """Serializable view: the top ``k`` keys with weights and errors."""
@@ -405,6 +364,17 @@ class HotKeyTracker:
                 for key, weight, error in self.top(k, now=now)
             ],
         }
+
+
+def _merge_factor(into, other) -> float:
+    """Align two optionally-decayed primitives; return ``other``'s factor."""
+    if (into._engine is None) != (other._engine is None):
+        raise MergeError(
+            f"half-life mismatch: {into.half_life_s} vs {other.half_life_s}"
+        )
+    if into._engine is None:
+        return 1.0
+    return into._engine.align_for_merge(other._engine)
 
 
 class LastValueGauge:

@@ -31,7 +31,6 @@ from typing import Generic, Hashable, TypeVar
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import PolynomialG
-from repro.core.landmark import OverflowGuard
 from repro.core.keyed_random import KeyedRandom
 from repro.core.protocol import (
     StreamSummary,
@@ -76,17 +75,13 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
     """
 
     def __init__(
-        self,
-        decay: ForwardDecay,
-        s: int,
-        rng: random.Random | None = None,
-        guard: OverflowGuard | None = None,
+        self, decay: ForwardDecay, s: int, rng: random.Random | None = None
     ):
         if s < 1:
             raise ParameterError(f"s must be >= 1, got {s!r}")
         self.s = s
         self._rng = KeyedRandom.from_rng(rng)
-        self._engine = ForwardWeightEngine(decay, self._scale_state, guard)
+        self._engine = ForwardWeightEngine(decay, self._scale_state)
         self._weight_total = 0.0
         self._slots: list[T | None] = [None] * s
         self._items = 0

@@ -52,14 +52,11 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 import os
 import threading
 import time
 
-from repro.core.decay import ForwardDecay
 from repro.core.errors import ParameterError, StoreError
-from repro.core.functions import ExponentialG, PolynomialG
 from repro.core.protocol import StreamSummary, tag_key, untag_key
 from repro.store.directory import KeyDirectory
 from repro.store.segment import (
@@ -79,23 +76,19 @@ MANIFEST_NAME = "MANIFEST.json"
 #: The manifest format: a few hundred bytes of JSON referencing an
 #: mmap-ready :class:`KeyDirectory` snapshot file.  Any other version is
 #: refused.
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
-#: Every field of a version-2 manifest, with the JSON types it may hold:
+#: Every field of a version-3 manifest, with the JSON types it may hold:
 #: recovery checks them all before it reads a segment or unlinks a file.
 _MANIFEST_FIELDS = {
     "query": str, "schema": list, "tuples_in": int, "tuples_selected": int,
     "low_evictions": int, "bucket": (list, type(None)), "segments": list,
     "directory_file": str, "directory_entries": int, "arrivals": int,
-    "prio_landmark": (int, float), "udaf_counters": list,
+    "udaf_counters": list,
 }
 
 #: Working key-directory file (a cache; recovery never reads it).
 _DIRECTORY_NAME = "keys.dir"
-
-#: Renormalize eviction priorities before ``g(arrivals - L)`` reaches this
-#: (the Section VI-A overflow guard, applied to the store's own decay).
-_PRIORITY_CEILING = 1e100
 
 #: Open segment file handles kept for the fault-in hot path.
 _HANDLE_CACHE = 64
@@ -209,11 +202,6 @@ class TieredStore:
         engine's ``low_table_size``.
     segment_bytes:
         Rotate the open spill segment once it exceeds this many bytes.
-    decay:
-        :class:`~repro.core.decay.ForwardDecay` used for eviction
-        priorities (over the store's arrival index, not event time).
-        Defaults to quadratic forward decay.  Exactness of query results
-        never depends on this — it only ranks eviction victims.
     compact_min_segments:
         Opportunistic compaction considers rewriting once at least this
         many sealed segments exist.
@@ -243,7 +231,6 @@ class TieredStore:
         directory: str,
         hot_groups: int = 4096,
         segment_bytes: int = 4 << 20,
-        decay: ForwardDecay | None = None,
         compact_min_segments: int = 4,
         compact_garbage_ratio: float = 0.5,
         background_compaction: bool = False,
@@ -279,7 +266,6 @@ class TieredStore:
         self.compact_interval = compact_interval
         self.pressure_churn_limit = pressure_churn_limit
         self.pressure_latency_limit_us = pressure_latency_limit_us
-        self._decay = decay if decay is not None else ForwardDecay(PolynomialG(2.0))
         self._segments_dir = os.path.join(directory, "segments")
         self._dir_path = os.path.join(directory, _DIRECTORY_NAME)
         self._engine = None
@@ -318,7 +304,6 @@ class TieredStore:
         self._heap: list[tuple[float, int, tuple]] = []
         self._seq = 0
         self._arrivals = 0
-        self._prio_landmark = 0.0
         # Lifetime counters (exact, independent of the decayed metrics).
         self._evictions = 0
         self._fault_ins = 0
@@ -328,7 +313,6 @@ class TieredStore:
         self._rows_decoded = 0
         self._quarantined = 0
         self._compactions = 0
-        self._renormalizations = 0
         # Pressure EWMAs: churn per selected row, cold-read latency.
         self._churn_ema = 0.0
         self._lat_ema = 0.0
@@ -524,7 +508,6 @@ class TieredStore:
         if bucket is not None:
             engine._current_bucket = untag_key(bucket[0])
         self._arrivals = manifest["arrivals"]
-        self._prio_landmark = manifest["prio_landmark"]
         for plan, counter in zip(engine._agg_plans, manifest["udaf_counters"]):
             if counter is not None:
                 plan.udaf._counter = counter
@@ -536,9 +519,11 @@ class TieredStore:
 
         ``keys`` carries one entry per selected row (repeats included), in
         stream order.  Each unique key's priority grows by ``count *
-        g(arrivals - L)`` — decayed touch frequency over the store's
-        arrival index, so long-idle groups sort first for eviction.  The
-        batch is over: whatever :meth:`stage` read ahead and nothing
+        g(arrivals)`` with the quadratic ``g(n) = n**2`` and landmark 0 —
+        decayed touch frequency over the store's arrival index, so
+        long-idle groups sort first for eviction.  ``g`` passes 1e100 only
+        after 10^50 arrivals, so priorities never need a landmark shift.
+        The batch is over: whatever :meth:`stage` read ahead and nothing
         consumed is dropped here.
         """
         self._stash = {}
@@ -548,7 +533,7 @@ class TieredStore:
             for key in keys:
                 counts[key] = counts_get(key, 0) + 1
             self._arrivals += len(keys)
-            weight = self._touch_weight()
+            weight = float(self._arrivals) ** 2
             prio = self._prio
             heap = self._heap
             push = heapq.heappush
@@ -560,41 +545,6 @@ class TieredStore:
                 push(heap, (value, seq, key))
             self._seq = seq
         self.maintain()
-
-    def _touch_weight(self) -> float:
-        offset = self._arrivals - self._prio_landmark
-        try:
-            weight = self._decay.g(offset)
-        except OverflowError:
-            weight = math.inf
-        if weight > _PRIORITY_CEILING:
-            self.renormalize()
-            weight = self._decay.g(self._arrivals - self._prio_landmark)
-        return weight
-
-    def renormalize(self) -> None:
-        """Re-anchor eviction priorities at the current arrival index.
-
-        The Section VI-A sweep applied to the store's own forward decay:
-        exponential priorities rescale by the closed form
-        ``exp(-alpha * (L' - L))`` (exact); other ``g`` divide by
-        ``g(L' - L)`` — a ranking-preserving rescale, which is all an
-        eviction policy needs.
-        """
-        new_landmark = float(self._arrivals)
-        delta = new_landmark - self._prio_landmark
-        if delta <= 0:
-            return
-        g = self._decay.g
-        if isinstance(g, ExponentialG):
-            scale = math.exp(-g.alpha * delta)
-        else:
-            denom = g(delta)
-            scale = 1.0 / denom if denom > 0 else 1.0
-        self._prio = {key: value * scale for key, value in self._prio.items()}
-        self._prio_landmark = new_landmark
-        self._renormalizations += 1
-        self._reseed_heap()
 
     def _reseed_heap(self) -> None:
         prio = self._prio
@@ -1369,7 +1319,6 @@ class TieredStore:
                 "directory_file": snap_name,
                 "directory_entries": directory_entries,
                 "arrivals": self._arrivals,
-                "prio_landmark": self._prio_landmark,
                 # Sampler UDAFs assign each *new* group an RNG stream from
                 # a per-UDAF creation counter; a resumed engine must
                 # continue that sequence or groups first seen after the
@@ -1476,7 +1425,6 @@ class TieredStore:
             "rows_decoded": self._rows_decoded,
             "compactions": self._compactions,
             "quarantined": self._quarantined,
-            "renormalizations": self._renormalizations,
         }
 
     def close(self) -> None:

@@ -229,7 +229,7 @@ class TestStoreInspectCommand:
         directory = self._make_store(tmp_path)
         assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
-        assert "manifest: v2" in out
+        assert "manifest: v3" in out
         assert "group(s)" in out
         assert ".seg" in out and "ok" in out
 
@@ -253,7 +253,7 @@ class TestStoreInspectCommand:
         directory = self._make_store(tmp_path)
         assert main(["store", "inspect", directory, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["manifest"]["version"] == 2
+        assert report["manifest"]["version"] == 3
         assert report["manifest"]["groups"] > 0
         assert report["manifest"]["directory_file"].endswith(".dir")
         assert all(s["status"] == "ok" for s in report["segments"])

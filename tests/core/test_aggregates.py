@@ -18,7 +18,6 @@ from repro.core.aggregates import (
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, MergeError
 from repro.core.functions import ExponentialG, PolynomialG
-from repro.core.landmark import OverflowGuard
 from tests.conftest import PAPER_QUERY_TIME, PAPER_STREAM
 
 
@@ -244,65 +243,74 @@ class TestExponentialRenormalization:
         # Geometric series: sum exp(-(t_max - t)) ~ 1/(1 - e^-1).
         assert result == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), rel=1e-6)
 
-    def test_shift_count_grows_with_tiny_guard(self):
+    def test_shifts_keep_the_closed_form_sum(self):
+        # alpha * t reaches 2,000 > SHIFT_EXPONENT (~355): several shifts.
         decay = ForwardDecay(ExponentialG(alpha=1.0), landmark=0.0)
-        guard = OverflowGuard(threshold=100.0)
-        total = DecayedSum(decay, guard=guard)
-        for t in range(1, 101):
+        total = DecayedSum(decay)
+        for t in range(1, 2_001):
             total.update(float(t), 1.0)
-        assert guard.shifts > 5
-        assert total.query(100.0) == pytest.approx(
-            sum(math.exp(-(100.0 - t)) for t in range(1, 101)), rel=1e-9
+        assert total._engine.shifts > 0
+        assert total.query(2_000.0) == pytest.approx(
+            math.fsum(math.exp(t - 2_000.0) for t in range(1, 2_001)), rel=1e-12
         )
 
-    def test_tiny_guard_sum_equals_the_default_guard_sum(self):
-        # alpha * t reaches 10,000 >> log(float max): both guards shift,
-        # the tiny one far more often, and the answers agree (§VI-A).
-        decay = ForwardDecay(ExponentialG(alpha=0.5), landmark=0.0)
-        default_guard, tiny_guard = OverflowGuard(), OverflowGuard(threshold=1e6)
-        default = DecayedSum(decay, guard=default_guard)
-        tiny = DecayedSum(decay, guard=tiny_guard)
+    def test_many_shifts_keep_the_closed_form_weighted_sum(self):
+        # alpha * t reaches 10,000: one shift every ~710 items, and the
+        # answer is still the closed form (§VI-A).
+        alpha = 0.5
+        decay = ForwardDecay(ExponentialG(alpha=alpha), landmark=0.0)
+        total = DecayedSum(decay)
         for t in range(1, 20_001):
-            default.update(float(t), 1.0)
-            tiny.update(float(t), 1.0)
-        assert default_guard.shifts > 0
-        assert tiny_guard.shifts > 10 * default_guard.shifts
-        assert tiny.query(20_000.0) == pytest.approx(
-            default.query(20_000.0), rel=1e-9
+            total.update(float(t), float(t % 7 + 1))
+        assert total._engine.shifts > 10
+        exact = math.fsum(
+            (t % 7 + 1) * math.exp(alpha * (t - 20_000.0)) for t in range(1, 20_001)
         )
+        assert total.query(20_000.0) == pytest.approx(exact, rel=1e-12)
 
     def test_out_of_order_after_shift(self):
         decay = ForwardDecay(ExponentialG(alpha=1.0), landmark=0.0)
-        shifted = DecayedSum(decay, guard=OverflowGuard(threshold=100.0))
-        for t in [1.0, 50.0, 2.0, 100.0, 3.0]:  # old items after shifts
+        shifted = DecayedSum(decay)
+        times = [1.0, 400.0, 2.0, 800.0, 399.0, 799.5]  # old items after shifts
+        for t in times:
             shifted.update(t, 1.0)
-        expected = sum(math.exp(-(100.0 - t)) for t in [1, 50, 2, 100, 3])
-        assert shifted.query(100.0) == pytest.approx(expected, rel=1e-9)
+        assert shifted._engine.shifts == 2
+        expected = math.fsum(math.exp(t - 800.0) for t in times)
+        assert shifted.query(800.0) == pytest.approx(expected, rel=1e-12)
 
     def test_merge_with_different_internal_landmarks(self):
         decay = ForwardDecay(ExponentialG(alpha=1.0), landmark=0.0)
-        left = DecayedSum(decay, guard=OverflowGuard(threshold=100.0))
-        right = DecayedSum(decay, guard=OverflowGuard(threshold=100.0))
-        whole = DecayedSum(decay)
-        for t in range(1, 51):
+        left = DecayedSum(decay)
+        right = DecayedSum(decay)
+        for t in range(1, 1_001):
             left.update(float(t), 2.0)
-            whole.update(float(t), 2.0)
-        for t in range(51, 101):
+        for t in range(1_001, 2_001):
             right.update(float(t), 2.0)
-            whole.update(float(t), 2.0)
+        assert left._engine.shifts > 0 and right._engine.shifts > 0
+        assert left._engine.internal_landmark != right._engine.internal_landmark
         left.merge(right)
-        assert left.query(100.0) == pytest.approx(whole.query(100.0), rel=1e-9)
+        expected = math.fsum(2.0 * math.exp(t - 2_000.0) for t in range(1, 2_001))
+        assert left.query(2_000.0) == pytest.approx(expected, rel=1e-12)
 
     def test_merge_peer_ahead_of_self(self):
         decay = ForwardDecay(ExponentialG(alpha=1.0), landmark=0.0)
-        behind = DecayedSum(decay, guard=OverflowGuard(threshold=1e9))
-        ahead = DecayedSum(decay, guard=OverflowGuard(threshold=100.0))
-        whole = DecayedSum(decay)
-        for t in range(1, 11):
+        behind = DecayedSum(decay)
+        ahead = DecayedSum(decay)
+        times = list(range(1, 11)) + list(range(1_990, 2_001))
+        for t in times[:10]:
             behind.update(float(t), 1.0)
-            whole.update(float(t), 1.0)
-        for t in range(90, 101):
+        for t in times[10:]:
             ahead.update(float(t), 1.0)
-            whole.update(float(t), 1.0)
+        assert behind._engine.shifts == 0 and ahead._engine.shifts > 0
         behind.merge(ahead)
-        assert behind.query(100.0) == pytest.approx(whole.query(100.0), rel=1e-9)
+        assert behind._engine.internal_landmark == ahead._engine.internal_landmark
+        expected = math.fsum(math.exp(t - 2_000.0) for t in times)
+        assert behind.query(2_000.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_a_query_past_the_float_range_reads_zero(self):
+        # alpha * (t - L) = 800 at the query: the normalizer is past the
+        # float range, and the answer (~e^-799) underflows to 0.0.
+        total = DecayedSum(ForwardDecay(ExponentialG(alpha=0.01), landmark=0.0))
+        for t in range(1, 101):
+            total.update(float(t), 1.0)
+        assert total.query(80_000.0) == 0.0

@@ -164,6 +164,17 @@ class TestExponentialDecayHH:
             whole.decayed_total(2_000.0), rel=1e-6
         )
 
+    def test_a_query_past_the_float_range_reads_zero(self):
+        # alpha * (t - L) = 800 at the query: the normalizer is past the
+        # float range, and every decayed count underflows to 0.0.
+        decay = ForwardDecay(ExponentialG(alpha=0.01), landmark=0.0)
+        summary = DecayedHeavyHitters(decay, epsilon=0.1)
+        for t in range(1, 101):
+            summary.update(t % 3, float(t))
+        assert summary.decayed_total(80_000.0) == 0.0
+        assert summary.decayed_count(0, 80_000.0) == 0.0
+        assert [h.decayed_count for h in summary.top_k(3, 80_000.0)] == [0.0] * 3
+
     def test_state_size_scales_with_epsilon(self, paper_decay):
         small = DecayedHeavyHitters(paper_decay, epsilon=0.1)
         large = DecayedHeavyHitters(paper_decay, epsilon=0.01)

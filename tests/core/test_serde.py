@@ -25,7 +25,6 @@ from repro.core.functions import (
     PolynomialG,
 )
 from repro.core.heavy_hitters import DecayedHeavyHitters
-from repro.core.landmark import OverflowGuard
 from repro.core.quantiles import DecayedQuantiles
 from repro.core.serde import dump_decay, dump_summary, load_decay, load_summary
 from tests.conftest import PAPER_STREAM
@@ -91,14 +90,19 @@ class TestAggregateCheckpoints:
 
     def test_exponential_with_shifted_landmark(self):
         decay = ForwardDecay(ExponentialG(alpha=1.0), landmark=0.0)
-        summary = DecayedSum(decay, guard=OverflowGuard(threshold=100.0))
-        for t in range(1, 201):
+        summary = DecayedSum(decay)
+        for t in range(1, 1_001):
             summary.update(float(t), 1.0)
+        assert summary._engine.shifts > 0
         restored = roundtrip(summary)
-        assert restored.query(200.0) == pytest.approx(summary.query(200.0))
+        assert restored._engine.internal_landmark == summary._engine.internal_landmark
+        exact = math.fsum(math.exp(t - 1_000.0) for t in range(1, 1_001))
+        assert restored.query(1_000.0) == pytest.approx(exact, rel=1e-12)
         # And it keeps renormalizing correctly after restore.
-        restored.update(500.0, 1.0)
-        assert math.isfinite(restored.query(500.0))
+        restored.update(2_000.0, 1.0)
+        assert restored._engine.shifts > 0
+        exact = math.fsum(math.exp(t - 2_000.0) for t in [*range(1, 1_001), 2_000])
+        assert restored.query(2_000.0) == pytest.approx(exact, rel=1e-12)
 
     def test_empty_summary_round_trip(self, paper_decay):
         restored = roundtrip(DecayedCount(paper_decay))

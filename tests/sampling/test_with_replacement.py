@@ -11,7 +11,6 @@ import pytest
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import ExponentialG, PolynomialG
-from repro.core.landmark import OverflowGuard
 from repro.sampling import KeyedRandom
 from repro.sampling.estimators import (
     chi_square_statistic,
@@ -119,13 +118,14 @@ class TestSkippingVariant:
     def test_skipping_with_exponential_renormalization(self):
         """Thresholds are weight-scaled state; they must rescale on shifts."""
         decay = ForwardDecay(ExponentialG(alpha=1.0), landmark=0.0)
-        sampler = DecayedSamplerWithReplacement(
-            decay, 10, rng=random.Random(6),
-            guard=OverflowGuard(threshold=1e20),
-        )
+        sampler = DecayedSamplerWithReplacement(decay, 10, rng=random.Random(6))
         for t in range(1, 5_001):
             sampler.update(t, float(t))
-        assert math.isfinite(sampler.total_weight)
+        assert sampler._engine.shifts > 0
+        exact = math.fsum(math.exp(t - 5_000.0) for t in range(1, 5_001))
+        assert sampler.total_weight / sampler._engine.normalizer(
+            5_000.0
+        ) == pytest.approx(exact, rel=1e-12)
         assert min(sampler.sample()) > 4_980  # recency bias preserved
 
 
@@ -154,13 +154,14 @@ class TestMechanics:
     def test_exponential_decay_long_stream(self):
         """Renormalization keeps W finite; recent items dominate."""
         decay = ForwardDecay(ExponentialG(alpha=1.0), landmark=0.0)
-        sampler = DecayedSamplerWithReplacement(
-            decay, 50, rng=random.Random(2),
-            guard=OverflowGuard(threshold=1e30),
-        )
+        sampler = DecayedSamplerWithReplacement(decay, 50, rng=random.Random(2))
         for t in range(1, 10_001):
             sampler.update(t, float(t))
-        assert math.isfinite(sampler.total_weight)
+        assert sampler._engine.shifts > 0
+        exact = math.fsum(math.exp(t - 10_000.0) for t in range(1, 10_001))
+        assert sampler.total_weight / sampler._engine.normalizer(
+            10_000.0
+        ) == pytest.approx(exact, rel=1e-12)
         sample = sampler.sample()
         # Under exp(1) decay virtually all mass is in the last few items.
         assert min(sample) > 9_980
