@@ -196,16 +196,16 @@ class GKSummary(StreamSummary):
         self._total *= factor
 
     def merge(self, other: "GKSummary", factor: float = 1.0) -> None:
-        """Fold ``other`` in by re-inserting its tuples.
-
-        GK summaries do not merge losslessly; the error of the result can
-        reach ``eps_self + eps_other``.  Exposed for completeness — callers
-        needing tight distributed bounds should use the q-digest backend.
+        """Fold ``other`` in by re-inserting its tuples, scaled by ``factor``
+        (one that scales to 0.0, a peer far behind in decay, is dropped).  GK
+        does not merge losslessly: the error can reach ``eps_self + eps_other``;
+        tight distributed bounds need the q-digest backend.
         """
         if not isinstance(other, GKSummary):
             raise MergeError(f"cannot merge {type(other).__name__} into GKSummary")
         for entry in other._tuples:
-            self.update(entry.value, entry.g * factor)
+            if weight := entry.g * factor:
+                self.update(entry.value, weight)
         self.compress()
 
     def query(self, phi: float = 0.5) -> float:

@@ -140,6 +140,21 @@ class TestScaleAndMerge:
             rank = sum(w for v, w in pairs if v <= summary.quantile(phi))
             assert abs(rank - phi * total) <= 2 * 0.05 * total
 
+    def test_a_merge_drops_tuples_that_scale_to_zero(self):
+        """A peer far behind in exponential decay merges with a factor that
+        underflows; its tuples then carry no weight and are not inserted."""
+        summary = GKSummary(epsilon=0.05)
+        peer = GKSummary(epsilon=0.05)
+        for value in range(1, 101):
+            summary.update(float(value), 2.0)
+            peer.update(float(value) + 0.5, 0.25)
+        before = summary.quantiles([0.1, 0.5, 0.9])
+        tuples = len(summary._tuples)
+        summary.merge(peer, 1e-323)  # 2.0 * 1e-323 > 0, 0.25 * 1e-323 == 0
+        assert len(summary._tuples) == tuples
+        assert summary.total_weight == 200.0
+        assert summary.quantiles([0.1, 0.5, 0.9]) == before
+
     def test_merge_type_mismatch(self):
         with pytest.raises(MergeError):
             GKSummary(epsilon=0.1).merge(object())  # type: ignore[arg-type]
@@ -180,6 +195,22 @@ class TestDecayedQuantilesGKBackend:
         assert abs(position[qdigest.median()] - position[gk.median()]) <= 1
         for summary in (qdigest, gk):
             assert summary.state_size_bytes() < len(trace) * 2
+
+    def test_merging_a_peer_far_behind_in_decay_keeps_the_newer_answer(self):
+        from repro.core.decay import ForwardDecay
+        from repro.core.functions import ExponentialG
+        from repro.core.quantiles import DecayedQuantiles
+
+        decay = ForwardDecay(ExponentialG(1.0))
+        recent = DecayedQuantiles(decay, epsilon=0.05, backend="gk")
+        stale = DecayedQuantiles(decay, epsilon=0.05, backend="gk")
+        for value in range(1, 41):
+            recent.update(value, 3_000.0)
+            stale.update(value + 500, 10.0)
+        before = recent.quantiles([0.1, 0.5, 0.9])
+        recent.merge(stale)  # factor exp(10 - 3,000) underflows to 0.0
+        assert recent.quantiles([0.1, 0.5, 0.9]) == before
+        assert recent.items_processed == 80
 
     def test_backend_mismatch_rejected_on_merge(self):
         from repro.core.decay import ForwardDecay
