@@ -44,7 +44,7 @@ from repro.core.cols import (
 from repro.core.errors import MergeError, ProtocolError, QueryError
 from repro.core.groups import SUMMARY_SLOT, group_columns, group_states
 from repro.core.protocol import StreamSummary, summary_type_of
-from repro.dsms.expressions import compile_shared, named
+from repro.dsms.expressions import compile_shared, labelled, named
 from repro.dsms.parser import Query, SelectItem
 from repro.dsms.schema import Schema
 
@@ -74,15 +74,13 @@ _CRC = struct.Struct("!I")
 class _AggPlan:
     """Compiled form of one aggregate select item."""
 
-    __slots__ = ("udaf", "args", "arg_fns", "alias", "post_fn", "star")
+    __slots__ = ("udaf", "args", "alias", "post_fn")
 
     def __init__(self, item: SelectItem, schema: Schema):
         aggregate = item.aggregate
         assert aggregate is not None
         self.udaf = aggregate.udaf
-        self.star = aggregate.star
         self.args = aggregate.args
-        self.arg_fns = tuple(arg.compile(schema) for arg in self.args)
         self.alias = item.alias
         if item.post is not None:
             from repro.dsms.schema import Field, FieldType
@@ -157,6 +155,28 @@ class QueryEngine:
         self._group_aliases = tuple(g.alias for g in query.group_by)
         self._agg_plans = tuple(
             _AggPlan(item, schema) for item in query.select if item.is_aggregate
+        )
+        # The aggregate arguments, each distinct expression once, and per
+        # aggregate the slots of those it takes.  Both ingest paths
+        # evaluate the group keys, then these, before touching any state;
+        # a failure names its expression by ``_eval_labels``: the group
+        # key, or the first select item using the argument.
+        distinct: dict = {}
+        self._arg_slots = tuple(
+            tuple(distinct.setdefault(arg, len(distinct)) for arg in plan.args)
+            for plan in self._agg_plans
+        )
+        self._args = tuple(distinct)
+        items = {a: p.alias for p in self._agg_plans[::-1] for a in p.args}
+        self._eval_labels = (
+            *(f"group key {g.alias!r}" for g in query.group_by),
+            *(f"select item {items[arg]!r}" for arg in distinct),
+        )
+        self._row_fns = tuple(
+            zip(
+                self._eval_labels,
+                (*self._group_fns, *(arg.compile(schema) for arg in distinct)),
+            )
         )
         # Non-aggregate select items are evaluated from the group key at
         # finalize time (they must reference GROUP BY aliases only).
@@ -274,12 +294,24 @@ class QueryEngine:
     # -- per-tuple path -------------------------------------------------------------
 
     def process(self, row: tuple) -> None:
-        """Offer one stream tuple to the query."""
+        """Offer one stream tuple to the query.
+
+        WHERE, the group key and every aggregate argument are evaluated
+        before the row is counted or a table touched, and a failure names
+        its expression as the batch kernel's does: a row that raises
+        leaves the engine as it was, on either path.
+        """
+        values = self._eval_row(row)
         self._tuples_in += 1
-        if self._where_fn is not None and not self._where_fn(row):
+        if values is None:
             return
         self._tuples_selected += 1
-        key = tuple(fn(row) for fn in self._group_fns)
+        width = len(self._group_fns)
+        key = tuple(values[:width])
+        args = [
+            tuple(values[width + slot] for slot in slots)
+            for slots in self._arg_slots
+        ]
         if self._emit_on_bucket_change:
             bucket = key[0]
             if self._current_bucket is _NO_BUCKET:
@@ -288,13 +320,27 @@ class QueryEngine:
                 self._flush_bucket(self._current_bucket)
                 self._current_bucket = bucket
         if self.two_level:
-            self._process_low(key, row)
+            self._process_low(key, args)
         else:
             states = self._high.get(key)
             if states is None:
                 states = [plan.udaf.create() for plan in self._agg_plans]
                 self._high[key] = states
-            self._update_states(states, row)
+            self._update_states(states, args)
+
+    def _eval_row(self, row: tuple) -> list | None:
+        """The group key parts then the distinct aggregate arguments of
+        one row, or None when WHERE drops it."""
+        label = "where clause"
+        try:
+            if self._where_fn is not None and not self._where_fn(row):
+                return None
+            values = []
+            for label, fn in self._row_fns:
+                values.append(fn(row))
+        except (ArithmeticError, ValueError) as error:
+            raise labelled(error, label) from error
+        return values
 
     def insert_many(self, rows: Iterable[tuple]) -> None:
         """Offer a batch of stream tuples; identical results to per-tuple
@@ -326,24 +372,13 @@ class QueryEngine:
         plan = self._cols_plan
         if plan is None:
             where = self.query.where
-            distinct: dict = {}  # argument expression -> its slot
-            slots = tuple(
-                tuple(distinct.setdefault(arg, len(distinct)) for arg in plan.args)
-                for plan in self._agg_plans
-            )
-            group = self.query.group_by
-            # What an arithmetic failure names: the first item using it.
-            items = {a: p.alias for p in self._agg_plans[::-1] for a in p.args}
-            labels = [f"group key {g.alias!r}" for g in group]
-            labels += [f"select item {items[arg]!r}" for arg in distinct]
+            expressions = [*(g.expression for g in self.query.group_by), *self._args]
             plan = self._cols_plan = (
                 named(where.compile_cols(self.schema), "where clause")
                 if where is not None
                 else None,
-                compile_shared(
-                    [*(g.expression for g in group), *distinct], self.schema, labels
-                ),
-                slots,
+                compile_shared(expressions, self.schema, self._eval_labels),
+                self._arg_slots,
             )
         return plan
 
@@ -480,7 +515,7 @@ class QueryEngine:
     def _apply_pending_cols(self, pending: dict, arg_cols: list) -> None:
         per_plan = [
             (plan.udaf.update, tuple(arg_cols[slot] for slot in slots))
-            for plan, slots in zip(self._agg_plans, self._cols_plan[2])
+            for plan, slots in zip(self._agg_plans, self._arg_slots)
         ]
         for states, indices, _append in pending.values():
             if len(indices) == 1:
@@ -507,7 +542,7 @@ class QueryEngine:
         count = len(indices)
         take = take_rows(indices)
         slices = [take(col) for col in arg_cols]
-        for plan, state, slots in zip(self._agg_plans, states, self._cols_plan[2]):
+        for plan, state, slots in zip(self._agg_plans, states, self._arg_slots):
             if len(slots) == 1:
                 plan.udaf.update_cols(state, (slices[slots[0]],), count)
             else:
@@ -515,7 +550,7 @@ class QueryEngine:
                     state, tuple(slices[slot] for slot in slots), count
                 )
 
-    def _process_low(self, key: tuple, row: tuple) -> None:
+    def _process_low(self, key: tuple, args: list) -> None:
         low = self._low
         states = low.get(key)
         if states is None:
@@ -527,14 +562,11 @@ class QueryEngine:
                 self._low_evictions += 1
             states = [plan.udaf.create() for plan in self._agg_plans]
             low[key] = states
-        self._update_states(states, row)
+        self._update_states(states, args)
 
-    def _update_states(self, states: list, row: tuple) -> None:
-        for plan, state in zip(self._agg_plans, states):
-            if plan.star:
-                plan.udaf.update(state, ())
-            else:
-                plan.udaf.update(state, tuple(fn(row) for fn in plan.arg_fns))
+    def _update_states(self, states: list, args: list) -> None:
+        for plan, state, values in zip(self._agg_plans, states, args):
+            plan.udaf.update(state, values)
 
     def _merge_up(self, key: tuple, states: list) -> None:
         high_states = self._high.get(key)

@@ -481,17 +481,21 @@ _NAMED_ERRORS = {
 }
 
 
+def labelled(error: Exception, label: str) -> QueryError:
+    """An arithmetic or math-domain failure (``exp`` out of range, ``log``
+    / ``sqrt`` of a negative, ``/`` or ``%`` by zero) as a
+    :class:`QueryError` that names ``label``."""
+    return _NAMED_ERRORS.get(type(error), QueryError)(f"{label}: {error}")
+
+
 def named(fn: ColsEvaluator, label: str) -> ColsEvaluator:
-    """``fn`` with an arithmetic or math-domain failure (``exp`` out of
-    range, ``log`` / ``sqrt`` of a negative, ``/`` or ``%`` by zero) raised
-    as a :class:`QueryError` that names ``label``."""
+    """``fn`` with its failures raised :func:`labelled` by ``label``."""
 
     def evaluate(cols: list, n: int) -> list:
         try:
             return fn(cols, n)
         except (ArithmeticError, ValueError) as error:
-            kind = _NAMED_ERRORS.get(type(error), QueryError)
-            raise kind(f"{label}: {error}") from error
+            raise labelled(error, label) from error
 
     return evaluate
 

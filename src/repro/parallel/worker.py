@@ -34,7 +34,6 @@ class ShardPlan:
     emit_on_bucket_change: bool = False
     store_dir: str | None = None
     store_hot_groups: int = 4096
-    store_segment_bytes: int = 4 << 20
 
     def for_shard(self, shard_id: int) -> "ShardPlan":
         """The plan of one shard: its store, if any, is the subdirectory
@@ -55,11 +54,7 @@ class ShardPlan:
         if store_dir is not None:
             from repro.store import TieredStore
 
-            store = TieredStore(
-                store_dir,
-                hot_groups=self.store_hot_groups,
-                segment_bytes=self.store_segment_bytes,
-            )
+            store = TieredStore(store_dir, hot_groups=self.store_hot_groups)
         return QueryEngine(
             query,
             self.schema,

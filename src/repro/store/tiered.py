@@ -38,8 +38,9 @@ the directory — O(cold) sequential reads so steady-state ingest pays O(1)
 RAM.
 
 The rest is mechanics: segments rotate at a byte threshold, compaction
-rewrites segments dominated by dead records (optionally on a background
-thread so the sweep never stalls ingest), corruption quarantines the
+rewrites segments dominated by dead records, inline from
+:meth:`TieredStore.maintain` on the engine's own thread (every store call
+runs there, so the store holds no lock), corruption quarantines the
 offending segment and keeps serving from the rest, and :meth:`checkpoint`
 publishes a manifest plus a directory snapshot that reference cold records
 *in place* — only hot state is re-serialized.  The store also exposes
@@ -53,7 +54,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import threading
 import time
 
 from repro.core.errors import ParameterError, StoreError
@@ -104,6 +104,22 @@ _PAGE_ROWS = 512
 #: sketch-valued groups run to kilobytes each, and a fault-in reads and
 #: CRC-checks the whole page it lands in.
 _PAGE_SUMMARY_BYTES = 64 << 10
+
+#: Rotate the open spill segment once it holds this many bytes.
+_SEGMENT_BYTES = 4 << 20
+
+#: Compaction considers a rewrite once this many sealed segments exist.
+_COMPACT_MIN_SEGMENTS = 4
+
+#: A sealed segment is rewritten once more than this fraction of its rows
+#: are dead (faulted back in, re-spilled elsewhere or flushed).
+_COMPACT_GARBAGE_RATIO = 0.5
+
+#: Normalization points of :meth:`TieredStore.pressure`: churn (evictions
+#: plus fault-ins per selected row) or smoothed cold-read latency at or
+#: above these reads as pressure 1.0.
+_PRESSURE_CHURN_LIMIT = 1.0
+_PRESSURE_LATENCY_LIMIT_US = 5000.0
 
 _ANY_BUCKET = object()
 _NOT_STAGED = object()
@@ -200,80 +216,27 @@ class TieredStore:
         Hot-tier budget: the maximum number of groups kept in the engine's
         high-level table.  The low-level table is already bounded by the
         engine's ``low_table_size``.
-    segment_bytes:
-        Rotate the open spill segment once it exceeds this many bytes.
-    compact_min_segments:
-        Opportunistic compaction considers rewriting once at least this
-        many sealed segments exist.
-    compact_garbage_ratio:
-        A sealed segment is rewritten when more than this fraction of its
-        records are dead (superseded by fault-in or later spills).
-    background_compaction / compact_interval:
-        With ``background_compaction`` the sweep runs on a daemon thread
-        every ``compact_interval`` seconds instead of inline from
-        :meth:`maintain`, so ingest never stalls behind a rewrite.  The
-        thread only mutates shared state under the store lock; segment
-        files themselves are immutable once sealed.
-    pressure_churn_limit / pressure_latency_limit_us:
-        Normalization points for :meth:`pressure`: churn (evictions +
-        fault-ins per selected row) at or above ``pressure_churn_limit``,
-        or smoothed cold-read latency at or above
-        ``pressure_latency_limit_us``, reads as pressure 1.0.
-    metrics / metrics_name:
+    metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        enabled, the store records under ``store.<metrics_name>.``.
-        Disabled or absent registries cost nothing on the ingest path —
-        the store only acts per batch, never per tuple.
+        enabled, the store records under ``store.store.``.  Disabled or
+        absent registries cost nothing on the ingest path — the store
+        only acts per batch, never per tuple.
+
+    Segment rotation, compaction and the :meth:`pressure` scale are the
+    module constants ``_SEGMENT_BYTES``, ``_COMPACT_MIN_SEGMENTS``,
+    ``_COMPACT_GARBAGE_RATIO``, ``_PRESSURE_CHURN_LIMIT`` and
+    ``_PRESSURE_LATENCY_LIMIT_US``.  Every call runs on the thread that
+    drives the engine, compaction included, so the store holds no lock.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        hot_groups: int = 4096,
-        segment_bytes: int = 4 << 20,
-        compact_min_segments: int = 4,
-        compact_garbage_ratio: float = 0.5,
-        background_compaction: bool = False,
-        compact_interval: float = 0.25,
-        pressure_churn_limit: float = 1.0,
-        pressure_latency_limit_us: float = 5000.0,
-        metrics=None,
-        metrics_name: str = "store",
-    ):
+    def __init__(self, directory: str, hot_groups: int = 4096, metrics=None):
         if hot_groups < 1:
             raise ParameterError(f"hot_groups must be >= 1, got {hot_groups!r}")
-        if segment_bytes < 1:
-            raise ParameterError(
-                f"segment_bytes must be >= 1, got {segment_bytes!r}"
-            )
-        if not 0.0 < compact_garbage_ratio <= 1.0:
-            raise ParameterError(
-                "compact_garbage_ratio must be in (0, 1], got "
-                f"{compact_garbage_ratio!r}"
-            )
-        if compact_interval <= 0:
-            raise ParameterError(
-                f"compact_interval must be > 0, got {compact_interval!r}"
-            )
-        if pressure_churn_limit <= 0 or pressure_latency_limit_us <= 0:
-            raise ParameterError("pressure limits must be > 0")
         self.directory = directory
         self.hot_groups = hot_groups
-        self.segment_bytes = segment_bytes
-        self.compact_min_segments = compact_min_segments
-        self.compact_garbage_ratio = compact_garbage_ratio
-        self.background_compaction = background_compaction
-        self.compact_interval = compact_interval
-        self.pressure_churn_limit = pressure_churn_limit
-        self.pressure_latency_limit_us = pressure_latency_limit_us
         self._segments_dir = os.path.join(directory, "segments")
         self._dir_path = os.path.join(directory, _DIRECTORY_NAME)
         self._engine = None
-        # One lock serializes every mutation of the shared cold-tier
-        # state (key directory, segment maps, retired list) between the
-        # engine thread and the background compactor.  Record *reads*
-        # happen outside it — sealed segment files are immutable.
-        self._lock = threading.RLock()
         self._dir: KeyDirectory | None = None
         # segment id <-> name; ids are the number embedded in the name,
         # so they survive recovery and fit the directory's u32 field.
@@ -284,7 +247,8 @@ class TieredStore:
         self._writer_id: int | None = None
         self._writer_dirty = False
         self._next_seg = 0
-        self._retired: list[tuple[int, str]] = []
+        #: Paths of compacted segments the manifest still references.
+        self._retired: list[str] = []
         #: Segment names the on-disk manifest references.  Compacted
         #: victims in this set must survive until the next checkpoint
         #: (crash recovery may need them); victims outside it are
@@ -296,8 +260,6 @@ class TieredStore:
         # Read-ahead of one batch (see stage()): key -> (hash, segment id,
         # page offset, states), or None for a key looked up and not cold.
         self._stash: dict[tuple, tuple | None] = {}
-        self._compactor: threading.Thread | None = None
-        self._stop_compactor = threading.Event()
         # Eviction priorities: decayed touch weight per group over the
         # arrival index (lazy-deletion min-heap; priorities only grow).
         self._prio: dict[tuple, float] = {}
@@ -318,7 +280,7 @@ class TieredStore:
         self._lat_ema = 0.0
         self._p_events_mark = 0
         self._p_arrivals_mark = 0
-        name = f"store.{metrics_name}"
+        name = "store.store"
         if metrics is not None and getattr(metrics, "enabled", False):
             self._m_evictions = metrics.counter(f"{name}.evictions")
             self._m_fault_ins = metrics.counter(f"{name}.fault_ins")
@@ -358,7 +320,7 @@ class TieredStore:
         explicitly).  With a manifest present, the engine resumes from the
         checkpoint with every group cold; without one, leftover segment
         and directory files are wiped — no manifest means no durable
-        state.  Starts the background compactor, if configured.
+        state.
         """
         if self._engine is not None:
             raise ParameterError("store is already attached to an engine")
@@ -377,14 +339,6 @@ class TieredStore:
         else:
             self._wipe_segments()
             self._dir = KeyDirectory(self._dir_path)
-        if self.background_compaction:
-            self._stop_compactor.clear()
-            self._compactor = threading.Thread(
-                target=self._compaction_loop,
-                name="tiered-store-compactor",
-                daemon=True,
-            )
-            self._compactor.start()
 
     def _shadow_process(self, engine) -> None:
         # Instance-level shadow, same trick as repro.obs.instrument: the
@@ -600,13 +554,14 @@ class TieredStore:
             }
         if (
             self._writer is not None
-            and self._writer.bytes_written >= self.segment_bytes
+            and self._writer.bytes_written >= _SEGMENT_BYTES
         ):
             self._seal_writer()
-        if self._compactor is None:
-            self._maybe_compact()
+        sealed = len(self._seg_total) - (self._writer is not None)  # not open
+        if sealed >= _COMPACT_MIN_SEGMENTS:
+            self.compact()
         # Churn EWMA: evictions + fault-ins per selected row since the
-        # last maintain — sustained > pressure_churn_limit means the hot
+        # last maintain — sustained > _PRESSURE_CHURN_LIMIT means the hot
         # tier is thrashing (every arrival displaces a group).
         events = self._evictions + self._fault_ins
         darrivals = self._arrivals - self._p_arrivals_mark
@@ -627,13 +582,13 @@ class TieredStore:
         """Store overload signal in ``[0, 1]`` for ingest backpressure.
 
         The max of two normalized EWMAs: hot-tier churn (evictions plus
-        fault-ins per selected row) against ``pressure_churn_limit``, and
-        cold-read latency against ``pressure_latency_limit_us``.  The
+        fault-ins per selected row) against ``_PRESSURE_CHURN_LIMIT``, and
+        cold-read latency against ``_PRESSURE_LATENCY_LIMIT_US``.  The
         serve layer shrinks granted credit windows proportionally, so an
         overloaded store sheds load instead of thrashing segments.
         """
-        churn = self._churn_ema / self.pressure_churn_limit
-        latency = self._lat_ema / self.pressure_latency_limit_us
+        churn = self._churn_ema / _PRESSURE_CHURN_LIMIT
+        latency = self._lat_ema / _PRESSURE_LATENCY_LIMIT_US
         return min(1.0, max(0.0, churn, latency))
 
     # -- spill / fault-in ---------------------------------------------------------
@@ -641,7 +596,7 @@ class TieredStore:
     def _spill_batch(self, victims: list[tuple[tuple, list]]) -> None:
         """Write one eviction batch as a page (more only past the row cap
         or on a hash collision inside the batch) and point every victim's
-        directory slot at its page, in one pass under the lock."""
+        directory slot at its page, in one pass."""
         writer = self._writer
         if writer is None:
             writer = self._open_writer()
@@ -656,12 +611,11 @@ class TieredStore:
         # read-ahead knew about "not cold" keys is stale now.
         self._stash = {}
         seg_id = self._writer_id
-        with self._lock:
-            put = self._dir.put
-            for h, offset, length in builder.placed:
-                put(h, seg_id, offset, length)
-            self._seg_live[seg_id] += len(victims)
-            self._seg_total[seg_id] += len(victims)
+        put = self._dir.put
+        for h, offset, length in builder.placed:
+            put(h, seg_id, offset, length)
+        self._seg_live[seg_id] += len(victims)
+        self._seg_total[seg_id] += len(victims)
         spilled = writer.bytes_written - before
         pages = len(writer.pages) - pages
         self._evictions += len(victims)
@@ -690,14 +644,13 @@ class TieredStore:
         self._stash = stash
         hashed = [(key, _hash_of(key)) for key in keys]
         wanted: dict[tuple[int, int, int], list[tuple[tuple, int]]] = {}
-        with self._lock:
-            lookup = self._dir.lookup
-            for entry in hashed:
-                candidates = lookup(entry[1])
-                if not candidates:
-                    stash[entry[0]] = None
-                for location in candidates:
-                    wanted.setdefault(location, []).append(entry)
+        lookup = self._dir.lookup
+        for entry in hashed:
+            candidates = lookup(entry[1])
+            if not candidates:
+                stash[entry[0]] = None
+            for location in candidates:
+                wanted.setdefault(location, []).append(entry)
         for location in sorted(wanted):
             seg_id, offset, length = location
             page = self._read_page(seg_id, offset, length)
@@ -719,8 +672,7 @@ class TieredStore:
         if rows == list(range(len(page))):
             rows = None  # every row: one unpack per column, not one per row
         states = page.states(rows)
-        with self._lock:  # the compactor decodes rows too
-            self._rows_decoded += len(states)
+        self._rows_decoded += len(states)
         self._m_rows_decoded.add(len(states))
         return states
 
@@ -746,49 +698,33 @@ class TieredStore:
         is gone, so subsequent queries serve from the remaining state.
         """
         found = self._stash.pop(key, _NOT_STAGED)
-        if found is None:
-            return None  # looked up for this batch already: not cold
-        h = _hash_of(key) if found is _NOT_STAGED else found[0]
         if found is _NOT_STAGED:
-            found = self._find(key, h)
-        while found is not None:
-            _h, seg_id, offset, states = found
-            with self._lock:
-                deleted = self._dir.delete(h, seg_id, offset)
-                if deleted and seg_id in self._seg_live:
-                    self._seg_live[seg_id] -= 1
-            if deleted:
-                self._fault_ins += 1
-                self._m_fault_ins.add(1)
-                return self._revive(states)
-            # Compaction repointed this entry between the read and the
-            # delete (or a bucket close took the staged row); the copy
-            # holds identical bytes — resolve it afresh.
-            found = self._find(key, h)
-        return None
+            found = self._find(key, _hash_of(key))
+        if found is None:
+            return None  # not cold (a staged None: looked up for this batch)
+        h, seg_id, offset, states = found
+        if not self._dir.delete(h, seg_id, offset):
+            # Since stage() read the row, a bucket close took it
+            # (take_cold) or a quarantine dropped it: not cold any more.
+            return None
+        self._seg_live[seg_id] -= 1
+        self._fault_ins += 1
+        self._m_fault_ins.add(1)
+        return self._revive(states)
 
     def _find(self, key: tuple, h: int) -> tuple | None:
         """``(hash, segment id, page offset, states)`` of a cold key, read
         from its page without touching the directory; None if not cold."""
-        while True:
-            with self._lock:
-                candidates = self._dir.lookup(h)
-            retry = False
-            for seg_id, offset, length in candidates:
-                page = self._read_page(seg_id, offset, length)
-                if page is None:
-                    # Gone because compaction deleted the segment between
-                    # our lookup and the read?  Its entries were repointed
-                    # first, so a fresh lookup finds the copy.
-                    retry = retry or self._segment_vanished(seg_id)
-                    continue
-                try:
-                    row = page.keys.index(key)
-                except ValueError:
-                    continue
-                return h, seg_id, offset, self._states(page, [row])[0]
-            if not retry:
-                return None
+        for seg_id, offset, length in self._dir.lookup(h):
+            page = self._read_page(seg_id, offset, length)
+            if page is None:
+                continue
+            try:
+                row = page.keys.index(key)
+            except ValueError:
+                continue
+            return h, seg_id, offset, self._states(page, [row])[0]
+        return None
 
     def encoded_states(self, key: tuple) -> list:
         """A cold group's states in the record shape, read without
@@ -801,41 +737,21 @@ class TieredStore:
             raise KeyError(key)
         return _record(key, found[3])["s"]
 
-    def _segment_vanished(self, seg_id: int) -> bool:
-        """True if a segment id no longer maps to a file.
-
-        Distinguishes "compaction deleted it under us — its rows were
-        repointed first, so re-resolve through the directory" from "the
-        read failed on a file that is still mapped" (a racing quarantine:
-        those entries are gone from the directory and must NOT be
-        retried, or readers would spin).
-        """
-        with self._lock:
-            return (
-                seg_id != self._writer_id
-                and self._seg_by_id.get(seg_id) is None
-            )
-
     def _read_page(self, seg_id: int, offset: int, length: int) -> Page | None:
-        """Read one page by directory entry; None if the segment is gone.
+        """Read one page by directory entry.
 
         Corruption quarantines the segment and re-raises the located
-        :class:`StoreError`.  A missing segment (quarantined or deleted
-        concurrently) is not corruption — its entries were intentionally
-        dropped — so it reads as None.
+        :class:`StoreError`.  A file the operating system will not open
+        or read (removed or failing outside the program) reads as None.
         """
-        with self._lock:
-            if seg_id == self._writer_id and self._writer is not None:
-                path = self._flushed_writer_path()
-                handle = None
-            else:
-                name = self._seg_by_id.get(seg_id)
-                if name is None:
-                    return None
-                path = self._segment_path(name)
-                handle = self._handle(seg_id, path)
-                if handle is None:
-                    return None
+        if seg_id == self._writer_id and self._writer is not None:
+            path = self._flushed_writer_path()
+            handle = None
+        else:
+            path = self._segment_path(self._seg_by_id[seg_id])
+            handle = self._handle(seg_id, path)
+            if handle is None:
+                return None
         start = time.perf_counter_ns()
         try:
             if handle is not None:
@@ -846,16 +762,13 @@ class TieredStore:
         except StoreError:
             self._quarantine(seg_id)
             raise
-        except (OSError, ValueError):
-            # The file (or its cached handle) vanished under us — a
-            # concurrent quarantine.  Those entries are already dropped.
+        except OSError:
             self._drop_handle(seg_id)
             return None
         elapsed = (time.perf_counter_ns() - start) / 1e3
         self._lat_ema += 0.05 * (elapsed - self._lat_ema)
         self._m_cold_read.observe(elapsed)
-        with self._lock:
-            self._pages_read += 1
+        self._pages_read += 1
         self._m_pages_read.add(1)
         return page
 
@@ -867,8 +780,8 @@ class TieredStore:
         return self._writer.staging_path
 
     def _handle(self, seg_id: int, path: str):
-        """A cached read handle for a sealed segment (engine thread only);
-        the cache is LRU, least recently used first."""
+        """A cached read handle for a sealed segment; the cache is LRU,
+        least recently used first."""
         handles = self._handles
         handle = handles.pop(seg_id, None)
         if handle is None:
@@ -891,27 +804,26 @@ class TieredStore:
 
     def _quarantine(self, seg_id: int) -> None:
         """Retire a bad segment and every cold entry pointing into it."""
-        with self._lock:
-            name = self._seg_by_id.get(seg_id)
-            if seg_id == self._writer_id and self._writer is not None:
-                self._writer.abort()
-                self._writer = None
-                self._writer_id = None
-                self._writer_dirty = False
-            elif name is not None:
-                path = self._segment_path(name)
-                try:
-                    os.rename(path, path + ".quarantined")
-                except OSError:
-                    _unlink_quiet(path)
-            if name is not None:
-                self._dir.drop_segment(seg_id)
-                self._seg_by_id.pop(seg_id, None)
-                self._seg_total.pop(seg_id, None)
-                self._seg_live.pop(seg_id, None)
-            self._drop_handle(seg_id)
-            self._quarantined += 1
-            self._m_quarantined.add(1)
+        name = self._seg_by_id.get(seg_id)
+        if seg_id == self._writer_id and self._writer is not None:
+            self._writer.abort()
+            self._writer = None
+            self._writer_id = None
+            self._writer_dirty = False
+        elif name is not None:
+            path = self._segment_path(name)
+            try:
+                os.rename(path, path + ".quarantined")
+            except OSError:
+                _unlink_quiet(path)
+        if name is not None:
+            self._dir.drop_segment(seg_id)
+            self._seg_by_id.pop(seg_id, None)
+            self._seg_total.pop(seg_id, None)
+            self._seg_live.pop(seg_id, None)
+        self._drop_handle(seg_id)
+        self._quarantined += 1
+        self._m_quarantined.add(1)
 
     # -- segment lifecycle --------------------------------------------------------
 
@@ -919,71 +831,38 @@ class TieredStore:
         return os.path.join(self._segments_dir, seg_name)
 
     def _next_name(self, prefix: str = "", suffix: str = ".seg") -> str:
-        with self._lock:
-            name = f"{prefix}{self._next_seg:06d}{suffix}"
-            self._next_seg += 1
-            return name
+        name = f"{prefix}{self._next_seg:06d}{suffix}"
+        self._next_seg += 1
+        return name
 
     def _open_writer(self) -> SegmentWriter:
         name = self._next_name()
         seg_id = _segment_number(name)
         writer = SegmentWriter(self._segment_path(name))
-        with self._lock:
-            self._writer = writer
-            self._writer_id = seg_id
-            self._writer_dirty = False
-            self._seg_by_id[seg_id] = name
-            self._seg_total[seg_id] = 0
-            self._seg_live[seg_id] = 0
+        self._writer = writer
+        self._writer_id = seg_id
+        self._writer_dirty = False
+        self._seg_by_id[seg_id] = name
+        self._seg_total[seg_id] = 0
+        self._seg_live[seg_id] = 0
         return writer
 
     def _seal_writer(self) -> None:
         writer = self._writer
         if writer is None:
             return
-        with self._lock:
-            seg_id = self._writer_id
-            self._writer = None
-            self._writer_id = None
-            self._writer_dirty = False
-            if writer.records == 0:
-                self._seg_by_id.pop(seg_id, None)
-                self._seg_total.pop(seg_id, None)
-                self._seg_live.pop(seg_id, None)
+        seg_id = self._writer_id
+        self._writer = None
+        self._writer_id = None
+        self._writer_dirty = False
         if writer.records == 0:
+            self._seg_by_id.pop(seg_id, None)
+            self._seg_total.pop(seg_id, None)
+            self._seg_live.pop(seg_id, None)
             writer.abort()
             return
         writer.finalize()
 
-    def _sealed_ids(self) -> list[int]:
-        with self._lock:
-            return sorted(
-                seg_id for seg_id in self._seg_total
-                if seg_id != self._writer_id
-            )
-
-    def _sealed_names(self) -> list[str]:
-        with self._lock:
-            return sorted(
-                self._seg_by_id[seg_id] for seg_id in self._seg_total
-                if seg_id != self._writer_id
-            )
-
-    def _maybe_compact(self) -> None:
-        if len(self._sealed_ids()) < self.compact_min_segments:
-            return
-        self.compact()
-
-    def _compaction_loop(self) -> None:
-        while not self._stop_compactor.wait(self.compact_interval):
-            if len(self._sealed_ids()) < self.compact_min_segments:
-                continue
-            try:
-                self.compact()
-            except StoreError:
-                # The offending segment is already quarantined; the next
-                # sweep works with what survives.
-                continue
 
     def compact(self, force: bool = False) -> int:
         """Rewrite garbage-heavy sealed segments; returns segments retired.
@@ -994,22 +873,19 @@ class TieredStore:
         Liveness comes from the victim's own pages checked row by row
         against the key directory, so the sweep costs O(victim rows),
         not a directory scan.  Live rows are re-packed into full pages of
-        a fresh segment and the directory is repointed entry-by-entry; a
-        repoint that loses the race to a concurrent fault-in simply
-        leaves a dead copy.  Old files are only deleted at the next :meth:`checkpoint`,
-        because the current manifest may still reference them for crash
-        recovery.  Safe to call from the background compactor: shared
-        state is only touched under the store lock.
+        a fresh segment and the directory is repointed entry by entry.
+        A victim the current manifest references is deleted only at the
+        next :meth:`checkpoint`, because crash recovery may still need
+        it; any other victim is deleted at once.
         """
-        threshold = 1.0 - self.compact_garbage_ratio
-        with self._lock:
-            victims: dict[int, str] = {}
-            for seg_id, total in self._seg_total.items():
-                if seg_id == self._writer_id:
-                    continue
-                live = self._seg_live.get(seg_id, 0)
-                if force or live == 0 or (total and live / total < threshold):
-                    victims[seg_id] = self._seg_by_id[seg_id]
+        threshold = 1.0 - _COMPACT_GARBAGE_RATIO
+        victims: dict[int, str] = {}
+        for seg_id, total in self._seg_total.items():
+            if seg_id == self._writer_id:
+                continue
+            live = self._seg_live[seg_id]
+            if force or live == 0 or (total and live / total < threshold):
+                victims[seg_id] = self._seg_by_id[seg_id]
         if not victims:
             return 0
         writer: SegmentWriter | None = None
@@ -1028,60 +904,41 @@ class TieredStore:
                     for (row, h), states in zip(live, self._states(page, rows)):
                         builder.add(h, page.keys[row], states)
                         sources.append((seg_id, page.offset))
-            except FileNotFoundError:
-                lost.add(seg_id)
-                continue
             except StoreError:
                 self._quarantine(seg_id)
                 lost.add(seg_id)
-                continue
         if builder is not None:
             builder.flush()
-        new_id = None
-        if writer is not None:
-            if writer.records:
-                writer.finalize()
-                new_id = _segment_number(new_name)
-            else:  # pragma: no cover - every copy raced away
-                writer.abort()
+            writer.finalize()
+            new_id = _segment_number(new_name)
+            self._seg_by_id[new_id] = new_name
+            self._seg_total[new_id] = writer.records
+            self._seg_live[new_id] = 0
+            for (old_seg, old_off), (h, new_off, new_len) in zip(
+                sources, builder.placed
+            ):
+                if old_seg not in lost:
+                    self._dir.delete(h, old_seg, old_off)
+                    self._dir.put(h, new_id, new_off, new_len)
+                    self._seg_live[new_id] += 1
         retired = 0
-        with self._lock:
-            if new_id is not None:
-                self._seg_by_id[new_id] = new_name
-                self._seg_total[new_id] = writer.records
-                self._seg_live[new_id] = 0
-                for (old_seg, old_off), (h, new_off, new_len) in zip(
-                    sources, builder.placed
-                ):
-                    if old_seg in lost:
-                        continue
-                    if self._dir.delete(h, old_seg, old_off):
-                        self._dir.put(h, new_id, new_off, new_len)
-                        self._seg_live[new_id] += 1
-                        if old_seg in self._seg_live:
-                            self._seg_live[old_seg] -= 1
-            for seg_id, name in victims.items():
-                if seg_id in lost or seg_id not in self._seg_total:
-                    continue  # quarantined mid-compaction
-                self._seg_total.pop(seg_id)
-                self._seg_live.pop(seg_id)
-                if name in self._manifest_segments:
-                    # The current manifest references this file for crash
-                    # recovery: keep the id -> name mapping (stale
-                    # enumeration snapshots still resolve reads against
-                    # it) and delete only after the next checkpoint.
-                    self._retired.append((seg_id, self._segment_path(name)))
-                else:
-                    # No checkpoint ever referenced it: delete now, or a
-                    # churning store that never checkpoints hoards every
-                    # dead copy it ever wrote.  Readers holding stale
-                    # entries get None and re-resolve via the directory
-                    # (cached handles keep serving until evicted).
-                    _unlink_quiet(self._segment_path(name))
-                    self._seg_by_id.pop(seg_id, None)
-                retired += 1
-            if retired:
-                self._compactions += 1
+        for seg_id, name in victims.items():
+            if seg_id in lost:
+                continue  # quarantined: its rows are gone, not copied
+            self._seg_total.pop(seg_id)
+            self._seg_live.pop(seg_id)
+            self._seg_by_id.pop(seg_id)
+            self._drop_handle(seg_id)
+            path = self._segment_path(name)
+            if name in self._manifest_segments:
+                self._retired.append(path)
+            else:
+                # No checkpoint references it: delete now, or a churning
+                # store that never checkpoints hoards every dead copy.
+                _unlink_quiet(path)
+            retired += 1
+        if retired:
+            self._compactions += 1
         return retired
 
     # -- query-side hooks ---------------------------------------------------------
@@ -1093,9 +950,8 @@ class TieredStore:
         A row is live while the directory holds its hash pointing at
         this page.  ``index`` is the page index of an open writer's
         staging file; a sealed segment's comes from its footer.  Without
-        ``probe`` the pages are only read and CRC-checked.  Errors are
-        the caller's: :class:`StoreError` for corruption,
-        ``FileNotFoundError`` for a segment compaction already deleted.
+        ``probe`` the pages are only read and CRC-checked.  A
+        :class:`StoreError` (corruption) is the caller's to handle.
         """
         if index is None:
             index = SegmentReader(path).pages
@@ -1104,70 +960,48 @@ class TieredStore:
                 page = read_page(handle, path, offset, length)
                 if not probe:
                     continue
-                hashes = list(map(_hash_of, page.keys))
-                with self._lock:
-                    self._pages_read += 1
-                    lookup = self._dir.lookup
-                    live = [
-                        (row, h) for row, h in enumerate(hashes)
-                        if any(
-                            s == seg_id and o == offset
-                            for s, o, _l in lookup(h)
-                        )
-                    ]
+                self._pages_read += 1
                 self._m_pages_read.add(1)
+                lookup = self._dir.lookup
+                live = [
+                    (row, h)
+                    for row, h in enumerate(map(_hash_of, page.keys))
+                    if any(
+                        s == seg_id and o == offset for s, o, _l in lookup(h)
+                    )
+                ]
                 if live:
                     yield page, live
 
     def _scan(self, probe: bool = True):
         """Yield ``(segment id, page, live rows)`` over the whole cold tier,
-        every segment's pages streamed once, in file order.
+        every segment holding live rows streamed once, in file order.
 
-        Segments that appear while the scan runs (a background compaction
-        publishing its output) are swept in a further round, so a row
-        that moved is met at its new home; it may then be met twice, which
-        every consumer tolerates (sets, or a delete that no-ops on the
-        second sight).  A corrupt segment is quarantined and the located
-        :class:`StoreError` re-raised.
+        The segments are those live when the scan starts: no consumer
+        spills or compacts while a scan is suspended (they only collect,
+        finalize or move groups into the hot table).  A corrupt segment is
+        quarantined and the located :class:`StoreError` re-raised.
         """
-        seen: set[int] = set()
-        while True:
-            with self._lock:
-                todo = sorted(
-                    seg_id for seg_id, live in self._seg_live.items()
-                    if live > 0 and seg_id not in seen
-                )
-            if not todo:
-                return
-            seen.update(todo)
-            for seg_id in todo:
-                with self._lock:
-                    index = None
-                    if seg_id == self._writer_id and self._writer is not None:
-                        path = self._flushed_writer_path()
-                        index = list(self._writer.pages)
-                    else:
-                        name = self._seg_by_id.get(seg_id)
-                        if name is None:
-                            continue
-                        path = self._segment_path(name)
-                try:
-                    for page, live in self._live_rows(
-                        seg_id, path, index, probe
-                    ):
-                        yield seg_id, page, live
-                except FileNotFoundError:
-                    continue  # compacted away; its rows were repointed first
-                except StoreError:
-                    self._quarantine(seg_id)
-                    raise
+        todo = sorted(seg_id for seg_id, live in self._seg_live.items() if live)
+        for seg_id in todo:
+            index = None
+            if seg_id == self._writer_id and self._writer is not None:
+                path = self._flushed_writer_path()
+                index = list(self._writer.pages)
+            else:
+                path = self._segment_path(self._seg_by_id[seg_id])
+            try:
+                for page, live in self._live_rows(seg_id, path, index, probe):
+                    yield seg_id, page, live
+            except StoreError:
+                self._quarantine(seg_id)
+                raise
 
     def cold_key_set(self):
         """Iterate the cold tier's group keys (a generator).
 
         Streams every live page once — the price of not holding ten
-        million key tuples in RAM.  May yield a key twice if a concurrent
-        compaction moves it mid-scan; consumers are set-like.
+        million key tuples in RAM.
         """
         for _seg_id, page, live in self._scan():
             keys = page.keys
@@ -1178,7 +1012,7 @@ class TieredStore:
         """Iterate ``(key, states)`` over the cold tier without faulting
         anything in: scalar states as lists, summaries as their
         ``to_bytes`` buffers — what ``partial_state_bytes`` splices into
-        its columns.  Repeats are possible as for :meth:`cold_key_set`."""
+        its columns."""
         for _seg_id, page, live in self._scan():
             keys = page.keys
             rows = [row for row, _h in live]
@@ -1204,13 +1038,11 @@ class TieredStore:
                 if not live:
                     continue
             offset = page.offset
-            with self._lock:
-                delete = self._dir.delete
-                # A row compaction repointed since the scan saw it is met
-                # again in the segment it moved to.
-                rows = [row for row, h in live if delete(h, seg_id, offset)]
-                if seg_id in self._seg_live:
-                    self._seg_live[seg_id] -= len(rows)
+            delete = self._dir.delete
+            for _row, h in live:
+                delete(h, seg_id, offset)
+            rows = [row for row, _h in live]
+            self._seg_live[seg_id] -= len(rows)
             self._fault_ins += len(rows)
             self._m_fault_ins.add(len(rows))
             for row, states in zip(rows, self._states(page, rows)):
@@ -1263,103 +1095,100 @@ class TieredStore:
         if engine is None:
             raise ParameterError("store is not attached to an engine")
         engine._drain_low()
-        with self._lock:
-            self._seal_writer()
-            high = engine._high
-            ckpt_name = None
-            ckpt_id = None
-            ckpt_entries: list[tuple[int, int, int]] = []
-            if high:
-                ckpt_name = self._next_name("ckpt-")
-                ckpt_id = _segment_number(ckpt_name)
-                writer = SegmentWriter(self._segment_path(ckpt_name))
-                builder = _PageBuilder(writer)
-                for key in sorted(high, key=repr):
-                    builder.add(_hash_of(key), key, high[key])
-                builder.flush()
-                ckpt_entries = builder.placed
-                writer.finalize()
-            # Directory snapshot: stage a copy of the working table,
-            # splice in the hot tier's ckpt entries, publish durably.
-            snap_name = self._next_name("keys-", ".dir")
-            snap_path = os.path.join(self.directory, snap_name)
-            staging = snap_path + ".tmp"
-            self._dir.write_copy(staging)
-            snap = KeyDirectory(staging)
-            for h, offset, length in ckpt_entries:
-                snap.put(h, ckpt_id, offset, length)
-            directory_entries = len(snap)
-            snap.close()
-            fd = os.open(staging, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            os.replace(staging, snap_path)
-            fsync_dir(self.directory)
-            referenced_ids = {
-                seg_id for seg_id, live in self._seg_live.items() if live > 0
-            }
-            referenced = sorted(
-                {self._seg_by_id[seg_id] for seg_id in referenced_ids}
-                | ({ckpt_name} if ckpt_name else set())
-            )
-            manifest = {
-                "version": MANIFEST_VERSION,
-                "query": engine.query.sql(),
-                "schema": engine.schema.names(),
-                "tuples_in": engine.tuples_processed,
-                "tuples_selected": engine.tuples_selected,
-                "low_evictions": engine.low_evictions,
-                "bucket": (
-                    None if engine._current_bucket is _NO_BUCKET
-                    else [tag_key(engine._current_bucket)]
-                ),
-                "segments": referenced,
-                "directory_file": snap_name,
-                "directory_entries": directory_entries,
-                "arrivals": self._arrivals,
-                # Sampler UDAFs assign each *new* group an RNG stream from
-                # a per-UDAF creation counter; a resumed engine must
-                # continue that sequence or groups first seen after the
-                # restart would draw different streams than an
-                # uninterrupted run.
-                "udaf_counters": [
-                    getattr(plan.udaf, "_counter", None)
-                    for plan in engine._agg_plans
-                ],
-            }
-            manifest_path = _publish_manifest(self.directory, manifest)
-            # The new manifest is durable: previous-generation files are
-            # now safe to drop.
-            for seg_id, path in self._retired:
-                _unlink_quiet(path)
-                self._seg_by_id.pop(seg_id, None)
-                self._drop_handle(seg_id)
-            self._retired = []
-            referenced_set = set(referenced)
-            self._manifest_segments = referenced_set
-            for old in self._ckpt_names:
-                if old not in referenced_set:
-                    old_id = _segment_number(old)
-                    _unlink_quiet(self._segment_path(old))
-                    self._seg_by_id.pop(old_id, None)
-                    self._seg_total.pop(old_id, None)
-                    self._seg_live.pop(old_id, None)
-                    self._drop_handle(old_id)
-            self._ckpt_names = [ckpt_name] if ckpt_name else []
-            for old in self._dir_snapshots:
-                if old != snap_name:
-                    _unlink_quiet(os.path.join(self.directory, old))
-            self._dir_snapshots = [snap_name]
-            if ckpt_name:
-                # The ckpt segment is sealed but holds no cold entries;
-                # track totals so inspect/compaction accounting stays
-                # consistent.
-                self._seg_by_id[ckpt_id] = ckpt_name
-                self._seg_total[ckpt_id] = len(high)
-                self._seg_live[ckpt_id] = 0
-            return manifest_path
+        self._seal_writer()
+        high = engine._high
+        ckpt_name = None
+        ckpt_id = None
+        ckpt_entries: list[tuple[int, int, int]] = []
+        if high:
+            ckpt_name = self._next_name("ckpt-")
+            ckpt_id = _segment_number(ckpt_name)
+            writer = SegmentWriter(self._segment_path(ckpt_name))
+            builder = _PageBuilder(writer)
+            for key in sorted(high, key=repr):
+                builder.add(_hash_of(key), key, high[key])
+            builder.flush()
+            ckpt_entries = builder.placed
+            writer.finalize()
+        # Directory snapshot: stage a copy of the working table,
+        # splice in the hot tier's ckpt entries, publish durably.
+        snap_name = self._next_name("keys-", ".dir")
+        snap_path = os.path.join(self.directory, snap_name)
+        staging = snap_path + ".tmp"
+        self._dir.write_copy(staging)
+        snap = KeyDirectory(staging)
+        for h, offset, length in ckpt_entries:
+            snap.put(h, ckpt_id, offset, length)
+        directory_entries = len(snap)
+        snap.close()
+        fd = os.open(staging, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(staging, snap_path)
+        fsync_dir(self.directory)
+        referenced_ids = {
+            seg_id for seg_id, live in self._seg_live.items() if live > 0
+        }
+        referenced = sorted(
+            {self._seg_by_id[seg_id] for seg_id in referenced_ids}
+            | ({ckpt_name} if ckpt_name else set())
+        )
+        manifest = {
+            "version": MANIFEST_VERSION,
+            "query": engine.query.sql(),
+            "schema": engine.schema.names(),
+            "tuples_in": engine.tuples_processed,
+            "tuples_selected": engine.tuples_selected,
+            "low_evictions": engine.low_evictions,
+            "bucket": (
+                None if engine._current_bucket is _NO_BUCKET
+                else [tag_key(engine._current_bucket)]
+            ),
+            "segments": referenced,
+            "directory_file": snap_name,
+            "directory_entries": directory_entries,
+            "arrivals": self._arrivals,
+            # Sampler UDAFs assign each *new* group an RNG stream from
+            # a per-UDAF creation counter; a resumed engine must
+            # continue that sequence or groups first seen after the
+            # restart would draw different streams than an
+            # uninterrupted run.
+            "udaf_counters": [
+                getattr(plan.udaf, "_counter", None)
+                for plan in engine._agg_plans
+            ],
+        }
+        manifest_path = _publish_manifest(self.directory, manifest)
+        # The new manifest is durable: previous-generation files are
+        # now safe to drop.
+        for path in self._retired:
+            _unlink_quiet(path)
+        self._retired = []
+        referenced_set = set(referenced)
+        self._manifest_segments = referenced_set
+        for old in self._ckpt_names:
+            if old not in referenced_set:
+                old_id = _segment_number(old)
+                _unlink_quiet(self._segment_path(old))
+                self._seg_by_id.pop(old_id, None)
+                self._seg_total.pop(old_id, None)
+                self._seg_live.pop(old_id, None)
+                self._drop_handle(old_id)
+        self._ckpt_names = [ckpt_name] if ckpt_name else []
+        for old in self._dir_snapshots:
+            if old != snap_name:
+                _unlink_quiet(os.path.join(self.directory, old))
+        self._dir_snapshots = [snap_name]
+        if ckpt_name:
+            # The ckpt segment is sealed but holds no cold entries;
+            # track totals so inspect/compaction accounting stays
+            # consistent.
+            self._seg_by_id[ckpt_id] = ckpt_name
+            self._seg_total[ckpt_id] = len(high)
+            self._seg_live[ckpt_id] = 0
+        return manifest_path
 
     # -- statistics ---------------------------------------------------------------
 
@@ -1371,38 +1200,27 @@ class TieredStore:
     @property
     def cold_count(self) -> int:
         """Groups currently resident only on disk."""
-        with self._lock:
-            return len(self._dir) if self._dir is not None else 0
+        return len(self._dir) if self._dir is not None else 0
 
     @property
     def segment_count(self) -> int:
         """Sealed segments plus the open spill segment, if any."""
-        with self._lock:
-            return len(self._seg_total)
+        return len(self._seg_total)
 
     @property
     def directory_bytes(self) -> int:
         """On-disk footprint of the key directory's working table."""
-        with self._lock:
-            return self._dir.size_bytes if self._dir is not None else 0
+        return self._dir.size_bytes if self._dir is not None else 0
 
     def segment_bytes_on_disk(self) -> int:
         """Total bytes across live segment files (open writer included)."""
-        with self._lock:
-            names = [
-                (seg_id, self._seg_by_id[seg_id]) for seg_id in self._seg_total
-            ]
-            writer_id = self._writer_id
-            writer_bytes = (
-                self._writer.bytes_written if self._writer is not None else 0
-            )
         total = 0
-        for seg_id, name in names:
-            if seg_id == writer_id:
-                total += writer_bytes
+        for seg_id in self._seg_total:
+            if seg_id == self._writer_id:
+                total += self._writer.bytes_written
                 continue
             try:
-                total += os.path.getsize(self._segment_path(name))
+                total += os.path.getsize(self._segment_path(self._seg_by_id[seg_id]))
             except OSError:
                 pass
         return total
@@ -1428,30 +1246,25 @@ class TieredStore:
         }
 
     def close(self) -> None:
-        """Stop the compactor, discard the open spill segment, detach.
+        """Discard the open spill segment, close every file, detach.
 
         Sealed segments and any manifest stay on disk; state not covered
         by a :meth:`checkpoint` is gone, exactly like an engine that was
         never persisted.
         """
-        if self._compactor is not None:
-            self._stop_compactor.set()
-            self._compactor.join(timeout=10.0)
-            self._compactor = None
-        with self._lock:
-            if self._writer is not None:
-                seg_id = self._writer_id
-                self._writer.abort()
-                self._writer = None
-                self._writer_id = None
-                self._seg_by_id.pop(seg_id, None)
-                self._seg_total.pop(seg_id, None)
-                self._seg_live.pop(seg_id, None)
-            for seg_id in list(self._handles):
-                self._drop_handle(seg_id)
-            if self._dir is not None:
-                self._dir.close()
-                self._dir = None
+        if self._writer is not None:
+            seg_id = self._writer_id
+            self._writer.abort()
+            self._writer = None
+            self._writer_id = None
+            self._seg_by_id.pop(seg_id, None)
+            self._seg_total.pop(seg_id, None)
+            self._seg_live.pop(seg_id, None)
+        for seg_id in list(self._handles):
+            self._drop_handle(seg_id)
+        if self._dir is not None:
+            self._dir.close()
+            self._dir = None
 
 
 def _publish_manifest(directory: str, manifest: dict) -> str:

@@ -6,7 +6,9 @@ raises.  :meth:`QueryEngine.insert_cols` evaluates every expression of a
 batch before it counts or touches anything, and such a failure is a
 :class:`QueryError` naming the select item (or group key, or WHERE) —
 still an instance of the arithmetic error it was — so a serve backend
-rejects the batch wholesale instead of dropping the connection.
+rejects the batch wholesale instead of dropping the connection.  The
+per-tuple :meth:`QueryEngine.process` does the same for its one row, so a
+poison row has one outcome on both paths.
 """
 
 from __future__ import annotations
@@ -81,3 +83,49 @@ def test_a_batch_that_cannot_evaluate_raises_a_named_query_error(
         fed.partial_state_bytes(),
     )
     assert after == before
+
+
+@pytest.mark.parametrize(
+    "sql, poison, kind, message",
+    [
+        (
+            "select destIP, sum(exp(0.01*time)) as s from TCP group by destIP",
+            rows([80000]),
+            "QueryOverflowError",
+            "select item 's': math range error",
+        ),
+        (
+            "select destIP, sum(len / (time - 5)) as s from TCP group by destIP",
+            rows([5]),
+            "QueryZeroDivisionError",
+            "select item 's': integer division or modulo by zero",
+        ),
+        (
+            "select destIP, sum(log(len - 20)) as s from TCP group by destIP",
+            rows([5]),
+            "QueryError",
+            "select item 's': math domain error",
+        ),
+    ],
+    ids=["exp-overflow", "divide-by-zero", "log-negative"],
+)
+@pytest.mark.parametrize("path", ["process", "insert_cols"])
+def test_a_poison_row_has_one_outcome_on_both_paths(
+    path, sql, poison, kind, message
+):
+    fed = engine(sql)
+
+    def offer(batch):
+        if path == "process":
+            for row in batch:
+                fed.process(row)
+        else:
+            fed.insert_cols(rows_to_cols(batch))
+
+    offer(rows(range(10, 20), length=30))
+    before = (fed.tuples_processed, fed.tuples_selected, fed.group_count)
+    with pytest.raises(QueryError) as raised:
+        offer(poison)
+    assert type(raised.value).__name__ == kind
+    assert str(raised.value) == message
+    assert (fed.tuples_processed, fed.tuples_selected, fed.group_count) == before

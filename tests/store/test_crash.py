@@ -1,12 +1,14 @@
 """Crash chaos: SIGKILL a store mid-flight, recovery answers exactly.
 
-The child process runs a store-backed engine with the background
-compactor on an aggressive interval, checkpoints once, then churns
-groups forever so compaction, spilling, and segment writes are all
-in-flight when the parent kills it.  Whatever instant the KILL lands,
-reopening the directory must recover exactly the checkpointed prefix —
-no partial segment, half-renamed snapshot, or mid-compaction repoint
-may leak into results.
+The child process runs a store-backed engine with small segments and an
+eager compaction threshold, checkpoints once, then churns groups forever
+so spilling, segment writes and the inline compaction inside each
+``maintain()`` are all in flight when the parent kills it.  The child
+reports the first compaction, and the parent kills only after that
+report, so every run covers a store that has compacted since its
+checkpoint.  Whatever instant the KILL lands, reopening the directory
+must recover exactly the checkpointed prefix — no partial segment,
+half-renamed snapshot, or mid-compaction repoint may leak into results.
 """
 
 from __future__ import annotations
@@ -33,23 +35,36 @@ import sys
 sys.path.insert(0, {root!r})
 sys.path.insert(0, {src!r})
 from tests.store.test_tiered import SKETCH_SQL, build_engine, make_rows
+import repro.store.tiered as tiered
 from repro.store import TieredStore
 
+tiered._SEGMENT_BYTES = 4 << 10
+tiered._COMPACT_GARBAGE_RATIO = 0.1
 directory = sys.argv[1]
 rows = make_rows(1_500, groups=250)
-store = TieredStore(
-    directory, hot_groups=8, segment_bytes=4 << 10,
-    compact_garbage_ratio=0.1,
-    background_compaction=True, compact_interval=0.002,
-)
+store = TieredStore(directory, hot_groups=8)
 engine = build_engine(SKETCH_SQL, store=store)
 engine.insert_many(rows[:600])
 engine.store_checkpoint()
 print("CKPT", flush=True)
 i = 0
-while True:  # churn until killed: evictions, fault-ins, compactions
+
+
+def churn():  # evictions, fault-ins and inline compactions
+    global i
     engine.insert_many(rows[600 + i : 600 + i + 30])
     i = (i + 30) % (len(rows) - 630)
+
+
+for _ in range(5_000):
+    churn()
+    if store.stats()["compactions"] > 0:
+        break
+else:
+    sys.exit("no compaction ran")
+print("COMPACTED", flush=True)
+while True:  # until killed
+    churn()
 """
 
 
@@ -67,8 +82,9 @@ class TestKillMidCompaction:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
-            line = proc.stdout.readline()
-            assert line.strip() == "CKPT", proc.stderr.read()
+            for expected in ("CKPT", "COMPACTED"):
+                line = proc.stdout.readline()
+                assert line.strip() == expected, proc.stderr.read()
             time.sleep(delay)  # let post-checkpoint churn + compaction run
         finally:
             proc.kill()

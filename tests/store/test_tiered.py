@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
 
 import pytest
 
+import repro.store.tiered as tiered_mod
 from repro.core.errors import ParameterError, QueryError, StoreError
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
@@ -176,12 +176,12 @@ class TestByteIdentity:
         reference.merge_partial(donor.partial_state_bytes())
         assert engine.flush() == reference.flush()
 
-    def test_compaction_preserves_results(self, tmp_path):
+    def test_compaction_preserves_results(self, tmp_path, monkeypatch):
         rows = make_rows(2_000, groups=300)
-        store = TieredStore(
-            str(tmp_path / "s"), hot_groups=4, segment_bytes=4 << 10,
-            compact_garbage_ratio=0.1,  # modest churn must still qualify
-        )
+        monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", 4 << 10)
+        # Modest churn must still qualify.
+        monkeypatch.setattr(tiered_mod, "_COMPACT_GARBAGE_RATIO", 0.1)
+        store = TieredStore(str(tmp_path / "s"), hot_groups=4)
         engine = build_engine(store=store)
         # Small batches churn groups hot<->cold, leaving dead records in
         # sealed segments — the garbage compaction exists to reclaim.
@@ -196,7 +196,7 @@ class TestRandomizedSchedules:
     """Property-style: random ingest/eviction schedules never change results."""
 
     @pytest.mark.parametrize(
-        "sql, two_level, background",
+        "sql, two_level, churn",
         [
             (SKETCH_SQL, False, False),  # summary pages
             (SKETCH_SQL, False, True),
@@ -204,23 +204,27 @@ class TestRandomizedSchedules:
             (BUILTIN_SQL, True, True),
             (BUILTIN_SQL, False, False),  # faults at the high-table miss
         ],
-        ids=["sketch-fg", "sketch-bg", "two-level-fg", "two-level-bg",
+        ids=["sketch-fg", "sketch-churn", "two-level-fg", "two-level-churn",
              "single-level-fg"],
     )
     @pytest.mark.parametrize("seed", range(5))
     def test_random_schedule_byte_identity(
-        self, tmp_path, seed, sql, two_level, background
+        self, tmp_path, monkeypatch, seed, sql, two_level, churn
     ):
         rng = random.Random(seed)
         rows = make_rows(
             rng.randrange(400, 1_200), groups=rng.randrange(30, 250), seed=seed
         )
-        store = TieredStore(
-            str(tmp_path / f"s{seed}"),
-            hot_groups=rng.choice((1, 3, 17, 64)),
-            segment_bytes=rng.choice((2 << 10, 64 << 10, 4 << 20)),
-            background_compaction=background, compact_interval=0.002,
-        )
+        hot_groups = rng.choice((1, 3, 17, 64))
+        # With churn, small segments seal often and inline compaction
+        # rewrites one as soon as a tenth of it is dead: compaction runs
+        # inside most maintain() calls, interleaved with ingest.
+        sizes = (256, 512, 1 << 10) if churn else (2 << 10, 64 << 10, 4 << 20)
+        monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", rng.choice(sizes))
+        if churn:
+            monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 1)
+            monkeypatch.setattr(tiered_mod, "_COMPACT_GARBAGE_RATIO", 0.1)
+        store = TieredStore(str(tmp_path / f"s{seed}"), hot_groups=hot_groups)
         engine = build_engine(sql, store=store, two_level=two_level)
         reference = build_engine(sql, two_level=two_level)
         i = 0
@@ -240,6 +244,8 @@ class TestRandomizedSchedules:
                 )
         assert engine.partial_state_bytes() == reference.partial_state_bytes()
         assert engine.flush() == reference.flush()
+        if churn:
+            assert store.stats()["compactions"] > 0
         store.close()
 
 
@@ -299,8 +305,6 @@ class TestPages:
     def test_two_keys_on_one_hash_in_one_eviction_batch(
         self, tmp_path, monkeypatch
     ):
-        import repro.store.tiered as tiered_mod
-
         rows = make_rows(600, groups=40)
         twins = {
             tiered_mod.canonical_key([["int", 0], ["str", f"h{n}"]])
@@ -311,9 +315,8 @@ class TestPages:
             tiered_mod, "key_hash",
             lambda canonical: 42 if canonical in twins else real_hash(canonical),
         )
-        store = TieredStore(
-            str(tmp_path / "s"), hot_groups=2, compact_min_segments=10_000
-        )
+        monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
+        store = TieredStore(str(tmp_path / "s"), hot_groups=2)
         engine = build_engine(store=store, two_level=False)
         reference = build_engine(two_level=False)
         # One batch whose eviction holds both twins: they may not share a
@@ -339,10 +342,11 @@ class TestPages:
         assert engine.partial_state_bytes() == reference.partial_state_bytes()
         assert engine.flush() == reference.flush()
 
-    def test_a_page_with_every_row_faulted_in_is_garbage(self, tmp_path):
-        store = TieredStore(
-            str(tmp_path / "s"), hot_groups=4, compact_min_segments=10_000
-        )
+    def test_a_page_with_every_row_faulted_in_is_garbage(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
+        store = TieredStore(str(tmp_path / "s"), hot_groups=4)
         engine = build_engine(store=store, two_level=False)
         rows = make_rows(120, groups=30)
         engine.insert_many(rows)
@@ -358,8 +362,6 @@ class TestPages:
         )
 
     def test_sketch_pages_close_at_the_byte_cap(self, tmp_path):
-        import repro.store.tiered as tiered_mod
-
         store = TieredStore(str(tmp_path / "s"), hot_groups=2)
         engine = build_engine(SKETCH_SQL, store=store)
         engine.insert_many(make_rows(600, groups=80))
@@ -393,14 +395,11 @@ class TestHandleCache:
         not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
     )
     def test_a_hundred_segments_hold_a_bounded_number_of_descriptors(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        import repro.store.tiered as tiered_mod
-
-        store = TieredStore(
-            str(tmp_path / "s"), hot_groups=1, segment_bytes=1,
-            compact_min_segments=10_000,
-        )
+        monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", 1)
+        monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
+        store = TieredStore(str(tmp_path / "s"), hot_groups=1)
         engine = build_engine(store=store, two_level=False)
         rows = make_rows(110, groups=10_000)  # ~every row its own group
         for row in rows:
@@ -489,8 +488,6 @@ class TestCheckpointRestore:
         # durable — without a parent-directory fsync a power loss can
         # roll the rename back and resurrect the previous checkpoint
         # while its segments are already deleted.
-        import repro.store.tiered as tiered_mod
-
         directory = str(tmp_path / "s")
         store = TieredStore(directory, hot_groups=8)
         engine = build_engine(store=store)
@@ -580,36 +577,6 @@ class TestCheckpointRestore:
         assert fresh.flush() == []
 
 
-class TestBackgroundCompaction:
-    def test_concurrent_with_ingest_preserves_results(self, tmp_path):
-        rows = make_rows(2_000, groups=300)
-        store = TieredStore(
-            str(tmp_path / "s"), hot_groups=4, segment_bytes=4 << 10,
-            compact_garbage_ratio=0.1,
-            background_compaction=True, compact_interval=0.002,
-        )
-        engine = build_engine(SKETCH_SQL, store=store)
-        for i in range(0, len(rows), 40):
-            engine.insert_many(rows[i : i + 40])
-        deadline = time.time() + 5.0
-        while store.stats()["compactions"] == 0 and time.time() < deadline:
-            time.sleep(0.01)
-        assert store.stats()["compactions"] > 0
-        # Flush faults every cold group in *while the compactor may be
-        # repointing them* — the retry on a lost directory entry makes
-        # this race invisible.
-        assert engine.flush() == reference_flush(SKETCH_SQL, rows)
-        compactor = store._compactor
-        store.close()
-        assert compactor is not None and not compactor.is_alive()
-
-    def test_background_compactor_off_by_default(self, tmp_path):
-        store = TieredStore(str(tmp_path / "s"), hot_groups=4)
-        build_engine(store=store)
-        assert store._compactor is None
-        store.close()
-
-
 class TestEngineContract:
     def test_attach_requires_fresh_engine(self, tmp_path):
         engine = build_engine()
@@ -643,12 +610,12 @@ class TestCorruptionContainment:
             handle.write(bytes([byte[0] ^ 0xFF]))
         return victim
 
-    def test_bit_flip_quarantines_and_keeps_serving(self, tmp_path):
+    def test_bit_flip_quarantines_and_keeps_serving(self, tmp_path, monkeypatch):
         rows = make_rows(1_500, groups=250)
-        store = TieredStore(
-            str(tmp_path / "s"), hot_groups=8, segment_bytes=8 << 10,
-            compact_min_segments=10_000,  # keep sealed segments around
-        )
+        monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", 8 << 10)
+        # Keep sealed segments around.
+        monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
+        store = TieredStore(str(tmp_path / "s"), hot_groups=8)
         engine = build_engine(store=store)
         engine.insert_many(rows)
         victim = self.corrupt_one_sealed_segment(store)
