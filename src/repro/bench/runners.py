@@ -30,7 +30,6 @@ from repro.bench.harness import (
 )
 from repro.core.decay import ForwardDecay
 from repro.core.functions import PolynomialG
-from repro.dsms.schema import Schema
 from repro.dsms.udaf import default_registry
 from repro.workloads.netflow import PACKET_SCHEMA, PacketTraceConfig, PacketTraceGenerator
 
@@ -83,11 +82,6 @@ def build_trace(
         seed=seed,
     )
     return PacketTraceGenerator(config).materialize()
-
-
-def packet_schema() -> Schema:
-    """The packet-trace schema used by every figure."""
-    return PACKET_SCHEMA
 
 
 # ---------------------------------------------------------------------------

@@ -232,12 +232,6 @@ class StreamSummary(ABC):
             f"{type(self).__name__} does not support merging"
         )
 
-    def _require_same_type(self, other: "StreamSummary") -> None:
-        if type(other) is not type(self):
-            raise MergeError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
-
     # -- accounting --------------------------------------------------------------
 
     def state_size_bytes(self) -> int:
