@@ -23,6 +23,10 @@ from repro.cluster.ring import HashRing
 
 __all__ = ["Coordinator", "NodeOwner"]
 
+#: Each node client's reconnect budget for *transient* failures, before
+#: the router respawns the node.
+_RETRIES = 3
+
 
 class NodeOwner:
     """One serving node behind a :class:`ServeClient`: the router's TCP
@@ -102,38 +106,15 @@ class Coordinator(Router):
     nodes:
         :class:`~repro.cluster.nodes.LocalNode` / ``ProcessNode``
         instances, started if down and stopped by :meth:`close`.
-    vnodes / ring_seed:
-        The :class:`~repro.cluster.ring.HashRing`'s configuration.
     batch_size:
         Rows per ``INSERT_COLS`` frame, and rows :meth:`process` buffers.
-    retries:
-        Each client's reconnect budget for *transient* failures.
-    shard_key:
-        A schema column to route on instead of the GROUP BY key.
-    auto_recover / max_respawns:
-        A dead node is respawned from its last checkpoint and the
-        operation asked again, at most ``max_respawns`` times per node
-        (then :class:`~repro.core.errors.QueryError`); with
-        ``auto_recover=False`` the ``ClientConnectionError`` is raised.
+
+    A dead node is respawned from its last checkpoint and the operation
+    asked again (the router's respawn budget per node, then
+    :class:`~repro.core.errors.QueryError`).
     """
 
-    def __init__(
-        self,
-        sql: str,
-        schema,
-        nodes,
-        *,
-        vnodes: int = 64,
-        ring_seed: int = 0,
-        batch_size: int = 512,
-        retries: int = 3,
-        shard_key: str | None = None,
-        registry_params: dict | None = None,
-        auto_recover: bool = True,
-        max_respawns: int = 3,
-    ):
-        if retries < 1:
-            raise ParameterError(f"retries must be >= 1, got {retries!r}")
+    def __init__(self, sql: str, schema, nodes, *, batch_size: int = 512):
         nodes = list(nodes)
         if not nodes:
             raise ParameterError("a cluster needs at least one node")
@@ -142,30 +123,21 @@ class Coordinator(Router):
             raise ParameterError(f"duplicate node names: {names!r}")
         by_name = dict(zip(names, nodes))
         self.sql = sql
-        self.retries = retries
-        self._ring = HashRing(names, vnodes=vnodes, seed=ring_seed)
+        self._ring = HashRing(names)
         super().__init__(
-            ShardPlan(sql, schema, registry_params=dict(registry_params or {})),
+            ShardPlan(sql, schema),
             self._ring,
             lambda name: NodeOwner(by_name[name], self._dial),
-            shard_key=shard_key,
             batch_size=batch_size,
             frame_rows=batch_size,
-            supervise=auto_recover,
-            max_respawns=max_respawns,
         )
-
-    @property
-    def auto_recover(self) -> bool:
-        """Whether a dead node is respawned: the router's ``supervise``."""
-        return self.supervise
 
     def _dial(self, node) -> ServeClient:
         return ServeClient(
             node.host,
             node.port,
             schema_names=self.schema.names(),
-            retries=self.retries,
+            retries=_RETRIES,
         )
 
     def insert(self, rows) -> None:

@@ -92,21 +92,15 @@ class LocalNode(_Node):
         *,
         shards: int = 0,
         credit_window: int = 8,
-        registry_params: dict | None = None,
     ):
         super().__init__(name, sql, state_dir, shards, credit_window)
         self.schema = schema
-        self.registry_params = dict(registry_params or {})
 
     def _serve(self) -> "ThreadedServer":
         from repro.serve.server import StreamServer, ThreadedServer
 
         backend = build_backend(
-            self.sql,
-            self.schema,
-            shards=self.shards,
-            processes=0,
-            registry_params=self.registry_params,
+            self.sql, self.schema, shards=self.shards, processes=0
         )
         server = StreamServer(
             backend,

@@ -36,10 +36,13 @@ _PUT_POLL_S = 0.05
 #: How long ``close()`` waits on a worker at each step before giving up.
 _CLOSE_WAIT_S = 5.0
 
+#: Batches a worker's input queue holds; a full queue blocks the router.
+_QUEUE_DEPTH = 8
+
 
 class WorkerLost(QueryError, ConnectionError):
-    """A shard worker process died: a :class:`ConnectionError` to the
-    router, a :class:`QueryError` to a caller without supervision."""
+    """A shard worker process died: the :class:`ConnectionError` the
+    router respawns the worker on."""
 
 
 def shard_worker_main(plan, shard_id: int, in_queue, conn) -> None:
@@ -79,19 +82,17 @@ class PipeOwner:
     """The parent's end of one shard worker process: a batch the worker
     was found dead before taking is replayed to its replacement."""
 
-    def __init__(self, plan, shard: int, start_method, queue_depth: int):
+    def __init__(self, plan, shard: int):
         self._plan = plan
         self._shard = shard
-        self._context = multiprocessing.get_context(start_method)
-        self._queue_depth = queue_depth
         self._unacked: list[tuple[int, tuple]] = []
         self._kept: list[bytes] = []  # what the last checkpoint re-seeds
         self._start()
 
     def _start(self) -> None:
-        self.queue = self._context.Queue(maxsize=self._queue_depth)
-        self._conn, child_conn = self._context.Pipe(duplex=False)
-        self.process = self._context.Process(
+        self.queue = multiprocessing.Queue(maxsize=_QUEUE_DEPTH)
+        self._conn, child_conn = multiprocessing.Pipe(duplex=False)
+        self.process = multiprocessing.Process(
             target=shard_worker_main,
             args=(self._plan, self._shard, self.queue, child_conn),
             daemon=True,

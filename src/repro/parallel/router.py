@@ -29,6 +29,9 @@ from repro.parallel.routing import GroupKeyRouter, validate_mergeable
 
 __all__ = ["OwnerFailure", "Router"]
 
+#: Respawns one owner gets before its next loss is a :class:`QueryError`.
+_MAX_RESPAWNS = 3
+
 
 @dataclass(frozen=True)
 class OwnerFailure:
@@ -61,9 +64,10 @@ class Router:
     ``node_for(key)``; ``make_owner(name)`` builds each owner once the
     query is checked.  ``frame_rows`` caps the rows one delivery carries
     (a serving node's frame; None hands each owner its slice whole), and
-    ``checkpoint_reads`` makes every read a checkpoint too.  An enabled
-    ``metrics`` registry counts rows and batches per owner, fold time and
-    bytes, failures, respawns and lost rows.
+    ``checkpoint_reads`` makes every read a checkpoint too.  A lost owner
+    is respawned from its last checkpoint, at most ``_MAX_RESPAWNS`` times
+    each.  An enabled ``metrics`` registry counts rows and batches per
+    owner, fold time and bytes, failures, respawns and lost rows.
     """
 
     def __init__(
@@ -72,27 +76,20 @@ class Router:
         placement,
         make_owner,
         *,
-        shard_key: str | None = None,
         batch_size: int = 512,
-        supervise: bool = True,
-        max_respawns: int = 3,
         frame_rows: int | None = None,
         checkpoint_reads: bool = False,
         metrics=None,
     ):
         if batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {batch_size!r}")
-        if max_respawns < 0:
-            raise ParameterError(f"max_respawns must be >= 0, got {max_respawns!r}")
         self.batch_size = batch_size
-        self.supervise = supervise
-        self.max_respawns = max_respawns
         self._plan = plan
         template = plan.build_engine()
         validate_mergeable(template)
         self.parsed_query = template.query
         self.schema = plan.schema
-        self._routing = GroupKeyRouter(template.query, plan.schema, shard_key)
+        self._routing = GroupKeyRouter(template.query, plan.schema)
         self._placement = placement
         self._frame_rows = frame_rows
         self._checkpoint_reads = checkpoint_reads
@@ -125,16 +122,13 @@ class Router:
     # -- supervision --------------------------------------------------------------
 
     def _recover(self, name, phase: str) -> None:
-        """Respawn a lost owner from its checkpoint, recording the cost.
-        Called while its :class:`ConnectionError` is handled, re-raised
-        unsupervised; :class:`QueryError` once the budget is spent."""
-        if not self.supervise:
-            raise
+        """Respawn a lost owner from its checkpoint, recording the cost;
+        :class:`QueryError` once its respawn budget is spent."""
         owner = self._owners[name]
         replayed = owner.unacked_rows
         acked = self._rows_sent[name] - replayed
         recovered = min(self._ckpt_mark[name], acked)
-        respawned = self._respawns[name] < self.max_respawns
+        respawned = self._respawns[name] < _MAX_RESPAWNS
         failure = OwnerFailure(
             owner=name,
             phase=phase,
@@ -153,7 +147,7 @@ class Router:
             raise QueryError(
                 f"owner {name!r} died {self._respawns[name] + 1} time(s) "
                 f"(exitcode {failure.exitcode}); respawn budget of "
-                f"{self.max_respawns} exhausted"
+                f"{_MAX_RESPAWNS} exhausted"
             )
         self._respawns[name] += 1
         owner.respawn()
@@ -312,7 +306,6 @@ class Router:
             "rows_routed": self.rows_routed,
             "buffered": len(self._edge),
             "batch_size": self.batch_size,
-            "supervised": self.supervise,
             "rows_lost": sum(failure.rows_lost for failure in self._failures),
             "failures": [failure.to_dict() for failure in self._failures],
             "owners": {

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Schema
-from repro.dsms.udaf import UdafRegistry, default_registry
+from repro.dsms.udaf import default_registry
 
 __all__ = ["ShardPlan"]
 
@@ -18,10 +17,9 @@ __all__ = ["ShardPlan"]
 class ShardPlan:
     """Everything an owner needs to rebuild the shared query plan.
 
-    Query *text*, schema and registry configuration — never compiled
-    closures — so it pickles under any start method (``registry_factory``
-    must be a module-level callable under spawn).  The plan only
-    *carries* the store configuration: an engine gets a store when
+    Query *text*, schema and the default registry's parameters — never
+    compiled closures — so it pickles under any start method.  The plan
+    only *carries* the store configuration: an engine gets a store when
     :meth:`build_engine` is asked for one, so collectors stay all-RAM.
     """
 
@@ -29,7 +27,6 @@ class ShardPlan:
     schema: Schema
     two_level: bool = True
     low_table_size: int = 4096
-    registry_factory: Callable[..., UdafRegistry] = default_registry
     registry_params: dict = field(default_factory=dict)
     emit_on_bucket_change: bool = False
     store_dir: str | None = None
@@ -48,7 +45,7 @@ class ShardPlan:
         """A fresh engine with private UDAF instances; ``store_dir``
         attaches a :class:`~repro.store.tiered.TieredStore` over it
         (recovering its manifest), else the engine is all-RAM."""
-        registry = self.registry_factory(**self.registry_params)
+        registry = default_registry(**self.registry_params)
         query = parse_query(self.sql, registry)
         store = None
         if store_dir is not None:

@@ -67,6 +67,9 @@ __all__ = ["ServeClient", "AsyncServeClient", "ClientConnectionError"]
 #: How many bytes one ``recv`` asks the transport for.
 _RECV_BYTES = 64 * 1024
 
+#: The cap a reconnect's doubling backoff stops growing at, in seconds.
+_BACKOFF_MAX_S = 2.0
+
 
 class ClientConnectionError(DecayError, ConnectionError):
     """The client's transport is gone (timeout, reset, or EOF).
@@ -114,7 +117,6 @@ class _ClientCore:
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         retries: int = 0,
         backoff_s: float = 0.05,
-        backoff_max_s: float = 2.0,
         jitter: bool = True,
         batch_rows: int = 1024,
     ):
@@ -122,10 +124,9 @@ class _ClientCore:
             raise protocol.ProtocolError(
                 f"retries must be >= 0, got {retries!r}"
             )
-        if backoff_s <= 0 or backoff_max_s <= 0:
+        if backoff_s <= 0:
             raise protocol.ProtocolError(
-                "backoff_s and backoff_max_s must be positive, got "
-                f"{backoff_s!r}/{backoff_max_s!r}"
+                f"backoff_s must be positive, got {backoff_s!r}"
             )
         if batch_rows < 1:
             raise protocol.ProtocolError(
@@ -144,7 +145,6 @@ class _ClientCore:
         self.server_info: dict = {}
         self.retries = retries
         self.backoff_s = backoff_s
-        self.backoff_max_s = backoff_max_s
         self.jitter = jitter
         self.reconnects = 0
         self._dead: ClientConnectionError | None = None
@@ -347,7 +347,7 @@ class _ClientCore:
         optional jitter); replay unacked batches."""
         last: BaseException | None = self._dead
         for attempt in range(self.retries):
-            delay = min(self.backoff_max_s, self.backoff_s * (2.0 ** attempt))
+            delay = min(_BACKOFF_MAX_S, self.backoff_s * (2.0 ** attempt))
             if self.jitter:
                 delay *= 0.5 + 0.5 * random.random()
             yield ("sleep", delay)
@@ -636,12 +636,12 @@ class ServeClient(_ClientCore):
 
     With ``retries=N`` (opt-in) the client survives transport failures and
     server restarts: failed calls reconnect with exponential backoff
-    (``backoff_s`` doubling per attempt up to ``backoff_max_s``, jittered),
+    (``backoff_s`` doubling per attempt up to 2 s, jittered),
     and unacknowledged batches are replayed by ``seq`` — see the
     module docstring for the exact semantics.  ``timeout_s`` bounds every
     socket operation; ``options`` are :class:`_ClientCore`'s keywords
     (``schema_names``, ``max_frame_bytes``, ``retries``, ``backoff_s``,
-    ``backoff_max_s``, ``jitter``, ``batch_rows``).
+    ``jitter``, ``batch_rows``).
     """
 
     def __init__(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Coordinator, LocalNode
+from repro.cluster import Coordinator, LocalNode, coordinator
 from repro.core.errors import ParameterError
 from repro.serve import ServeClient
 from repro.serve.protocol import MAX_FRAME_BYTES, FrameTooLarge, rows_to_cols
@@ -65,7 +65,7 @@ class TestExactFanOut:
         def small_frames(self, node):
             return ServeClient(
                 node.host, node.port, schema_names=self.schema.names(),
-                retries=self.retries, max_frame_bytes=2048, timeout_s=5.0,
+                retries=coordinator._RETRIES, max_frame_bytes=2048, timeout_s=5.0,
             )
 
         monkeypatch.setattr(Coordinator, "_dial", small_frames)

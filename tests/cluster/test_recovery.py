@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Coordinator, ProcessNode
+from repro.cluster import Coordinator, ProcessNode, coordinator
 from repro.core.errors import QueryError
-from repro.serve.client import ClientConnectionError
+from repro.parallel import router
 from repro.testing.chaos import kill_node
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows
@@ -22,13 +22,16 @@ from tests.serve.util import SQL, canon, expected_rows, make_rows
 
 def local_cluster(tmp_path, n=3, **kwargs):
     kwargs.setdefault("batch_size", 50)
-    kwargs.setdefault("retries", 2)
     return Coordinator.local(
         SQL, PACKET_SCHEMA, str(tmp_path), node_count=n, **kwargs
     )
 
 
 class TestLocalNodeRecovery:
+    @pytest.fixture(autouse=True)
+    def two_reconnects(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "_RETRIES", 2)
+
     def test_kill_after_checkpoint_loses_nothing(self, tmp_path):
         rows = make_rows(600)
         with local_cluster(tmp_path) as cluster:
@@ -90,9 +93,10 @@ class TestLocalNodeRecovery:
             assert canon(cluster.query()) == canon(expected_rows(SQL, rows))
             assert cluster.rows_lost == 0
 
-    def test_respawn_budget_exhaustion_raises(self, tmp_path):
+    def test_respawn_budget_exhaustion_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(router, "_MAX_RESPAWNS", 0)
         rows = make_rows(100)
-        with local_cluster(tmp_path, n=2, max_respawns=0) as cluster:
+        with local_cluster(tmp_path, n=2) as cluster:
             cluster.insert(rows)
             cluster.flush()
             cluster._owners[cluster.nodes[0]].node.kill()
@@ -100,14 +104,6 @@ class TestLocalNodeRecovery:
                 cluster.query()
             assert cluster.failures[0].respawned is False
 
-    def test_auto_recover_off_fails_fast(self, tmp_path):
-        rows = make_rows(100)
-        with local_cluster(tmp_path, n=2, auto_recover=False) as cluster:
-            cluster.insert(rows)
-            cluster.flush()
-            cluster._owners[cluster.nodes[0]].node.kill()
-            with pytest.raises(ClientConnectionError):
-                cluster.query()
 
 
 @pytest.mark.slow
@@ -119,7 +115,7 @@ class TestProcessNodeChaos:
             for i in range(n)
         ]
         return Coordinator(
-            SQL, PACKET_SCHEMA, nodes, batch_size=50, retries=3
+            SQL, PACKET_SCHEMA, nodes, batch_size=50
         )
 
     def test_sigkill_and_respawn_stays_byte_identical(self, tmp_path):

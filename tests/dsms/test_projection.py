@@ -186,17 +186,15 @@ ROUTED_SQL = (
 
 def test_partition_gathers_the_read_columns_and_zero_fills_the_rest():
     router = GroupKeyRouter(
-        parse_query(ROUTED_SQL, default_registry()), PACKET_SCHEMA,
-        shard_key="srcIP",  # outside the plan: routed on, so still shipped
+        parse_query(ROUTED_SQL, default_registry()), PACKET_SCHEMA
     )
-    assert [NAMES[i] for i in router.columns_read] == [
-        "time", "srcIP", "destIP", "len",
-    ]
+    assert [NAMES[i] for i in router.columns_read] == ["time", "destIP", "len"]
     batch = rows_to_cols(ROWS_40)
-    parts = list(router.partition(batch, lambda key: int(key[1:]), range(3)))
+    # Placed by the destIP part of the (tb, destIP) key.
+    parts = list(router.partition(batch, lambda key: int(key[1][1:]) % 3, range(3)))
     assert sorted(owner for owner, _part, _count in parts) == [0, 1, 2]
     for owner, part, count in parts:
-        rows = [row for row in ROWS_40 if row[2] == f"s{owner}"]
+        rows = [row for row in ROWS_40 if int(row[3][1:]) % 3 == owner]
         assert count == len(rows)
         for index, column in enumerate(part):
             if index in router.columns_read:
@@ -214,16 +212,13 @@ def test_partition_gathers_the_read_columns_and_zero_fills_the_rest():
             assert is_zero_fill(column, ROWS_40[0][index], 40)
 
 
-@pytest.mark.parametrize("shard_key", [None, "srcIP"])
-def test_sharded_and_cluster_fed_full_batches_equal_the_single_engine(
-    tmp_path, shard_key
-):
+def test_sharded_and_cluster_fed_full_batches_equal_the_single_engine(tmp_path):
     single = engine(ROUTED_SQL)
     single.insert_cols(rows_to_cols(ROWS_40))
     expected = canon(single.flush())
     sharded = ShardedEngine(
         ROUTED_SQL, PACKET_SCHEMA, shards=3, processes=0,
-        router=stable_route, shard_key=shard_key,
+        router=stable_route,
     )
     try:
         sharded.insert_cols(rows_to_cols(ROWS_40))
@@ -233,7 +228,7 @@ def test_sharded_and_cluster_fed_full_batches_equal_the_single_engine(
     for node_count in (1, 3):
         with Coordinator.local(
             ROUTED_SQL, PACKET_SCHEMA, str(tmp_path / f"c{node_count}"),
-            node_count=node_count, shard_key=shard_key,
+            node_count=node_count,
         ) as cluster:
             cluster.insert_cols(rows_to_cols(ROWS_40))
             assert canon(cluster.query()) == expected

@@ -39,8 +39,7 @@ def store_engine(tmp_path, **kwargs) -> ShardedEngine:
     defaults = dict(
         shards=SHARDS,
         processes=0,
-        shard_key="destIP",
-        router=stable_route,
+        router=lambda key, n: stable_route(key[1], n),
         store_dir=str(tmp_path / "store"),
         store_hot_groups=4,
         low_table_size=16,
@@ -81,7 +80,7 @@ class TestStoreBackedRecovery:
         rows_before = make_rows(300)
         rows_after = make_rows(300)
         with store_engine(
-            tmp_path, processes=None, batch_size=1, supervise=True
+            tmp_path, processes=None, batch_size=1
         ) as engine:
             engine.insert_many(rows_before)
             engine.checkpoint()
@@ -111,7 +110,7 @@ class TestStoreBackedRecovery:
         rows_after = make_rows(200)
         assert doomed
         with store_engine(
-            tmp_path, processes=None, batch_size=1, supervise=True
+            tmp_path, processes=None, batch_size=1
         ) as engine:
             engine.insert_many(rows_before)
             engine.checkpoint()

@@ -7,9 +7,9 @@ merges exactly, so after a SIGKILL the query equals the unsharded
 reference over precisely the non-lost tuples — and the lost delta is
 exact (``rows_lost``), not an estimate.
 
-Routing uses ``shard_key='destIP'`` + :func:`stable_route` so tests can
-compute *which* rows die with a given shard, making the post-crash
-reference deterministic.
+Routing uses :func:`stable_route` on the destIP part of the group key so
+tests can compute *which* rows die with a given shard, making the
+post-crash reference deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from repro.core.cols import pack_cols, rows_to_cols
 from repro.core.errors import QueryError
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import ShardedEngine, stable_route
+from repro.parallel import ShardedEngine, pipe, router, stable_route
 from repro.testing import kill_worker, wait_until
 
 from tests.parallel.test_sharded import (
@@ -36,7 +36,7 @@ SHARDS = 3
 
 def routed_to(rows, shard: int) -> list[tuple]:
     """The subset of ``rows`` that stable_route sends to ``shard``
-    (destIP is column 2 and the shard key in every engine here)."""
+    (destIP is column 2 and what every engine here routes on)."""
     return [r for r in rows if stable_route(r[2], SHARDS) == shard]
 
 
@@ -45,9 +45,7 @@ def supervised_engine(**kwargs) -> ShardedEngine:
         shards=SHARDS,
         processes=None,
         batch_size=1,  # ship every row immediately: exact loss accounting
-        shard_key="destIP",
-        router=stable_route,
-        supervise=True,
+        router=lambda key, n: stable_route(key[1], n),
     )
     defaults.update(kwargs)
     return ShardedEngine(COUNT_SUM_SQL, SCHEMA, **defaults)
@@ -116,8 +114,9 @@ class TestCrashRecovery:
             assert failure.owner == 0
             assert failure.phase == "request"
 
-    def test_respawn_budget_exhausted_raises(self):
-        with supervised_engine(max_respawns=0) as engine:
+    def test_respawn_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(router, "_MAX_RESPAWNS", 0)
+        with supervised_engine() as engine:
             engine.insert_many(make_rows(60))
             kill_worker(engine, shard=1)
             with pytest.raises(QueryError, match="respawn budget"):
@@ -144,9 +143,10 @@ class TestCrashRecovery:
         assert respawns == pytest.approx(1.0, rel=0.1)
         assert lost == pytest.approx(10.0, rel=0.1)
 
-    def test_two_deaths_same_shard_recover_twice(self):
+    def test_two_deaths_same_shard_recover_twice(self, monkeypatch):
+        monkeypatch.setattr(router, "_MAX_RESPAWNS", 3)
         rows = make_rows(180)
-        with supervised_engine(max_respawns=3) as engine:
+        with supervised_engine() as engine:
             engine.insert_many(rows)
             engine.checkpoint()
             kill_worker(engine, shard=1)
@@ -183,18 +183,9 @@ class TestCloseAfterDeath:
             except Exception:
                 break
 
-    def test_close_returns_with_dead_worker_unsupervised(self):
-        engine = ShardedEngine(
-            COUNT_SUM_SQL,
-            SCHEMA,
-            shards=SHARDS,
-            processes=None,
-            batch_size=8,
-            queue_depth=2,
-            shard_key="destIP",
-            router=stable_route,
-            supervise=False,
-        )
+    def test_close_returns_with_dead_worker_supervised(self, monkeypatch):
+        monkeypatch.setattr(pipe, "_QUEUE_DEPTH", 2)
+        engine = supervised_engine(batch_size=8)
         try:
             self._fill_and_kill(engine)
         finally:
@@ -205,16 +196,6 @@ class TestCloseAfterDeath:
         assert stats["tuples_per_shard"][1] == -1  # dead shard reports -1
         assert all(c >= 0 for i, c in enumerate(stats["tuples_per_shard"])
                    if i != 1)
-
-    def test_close_returns_with_dead_worker_supervised(self):
-        engine = supervised_engine(batch_size=8, queue_depth=2)
-        try:
-            self._fill_and_kill(engine)
-        finally:
-            start = time.monotonic()
-            engine.close()
-            elapsed = time.monotonic() - start
-        assert elapsed < 30.0
 
     def test_close_idempotent_after_death(self):
         engine = supervised_engine()
@@ -233,7 +214,6 @@ class TestSupervisionSurface:
         ) as engine:
             engine.insert_many(make_rows(50))
             stats = engine.stats()
-            assert stats["supervised"] is True
             assert stats["respawns"] == [0, 0]
             assert stats["failures"] == []
             assert stats["rows_lost"] == 0
@@ -248,14 +228,6 @@ class TestSupervisionSurface:
             assert info["shards"] == 2
             assert sum(info["rows_captured"]) == 80
             assert all(size > 0 for size in info["blob_bytes"])
-
-    def test_max_respawns_validation(self):
-        from repro.core.errors import ParameterError
-
-        with pytest.raises(ParameterError, match="max_respawns"):
-            ShardedEngine(
-                COUNT_SUM_SQL, SCHEMA, shards=2, processes=0, max_respawns=-1
-            )
 
     def test_kill_worker_rejects_inline(self):
         with ShardedEngine(
