@@ -13,6 +13,9 @@ the all-RAM engine.
 * :class:`SegmentWriter` / :class:`SegmentReader` — the append-only,
   CRC-checked segment format itself: column-packed pages of groups
   (version 4, the only one read: an older file is refused).
+* :func:`describe_store` — the ``repro store inspect`` report of one
+  store directory: its manifest, read as recovery reads it, and every
+  segment's pages, rows and column encodings.
 * :class:`StoreError` — structured corruption/inconsistency failures,
   carrying the offending segment and offset.
 """
@@ -22,7 +25,9 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".tiered": ("TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION"),
+        ".tiered": (
+            "TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION", "describe_store",
+        ),
         ".directory": ("KeyDirectory",),
         ".segment": (
             "SegmentReader", "SegmentWriter", "SEGMENT_VERSION", "canonical_key",

@@ -57,7 +57,8 @@ import os
 import time
 
 from repro.core.errors import ParameterError, StoreError
-from repro.core.protocol import StreamSummary, tag_key, untag_key
+from repro.core.groups import RAGGED_SLOT, SUMMARY_SLOT
+from repro.core.protocol import StreamSummary, summary_type_of, tag_key, untag_key
 from repro.store.directory import KeyDirectory
 from repro.store.segment import (
     Page,
@@ -70,7 +71,7 @@ from repro.store.segment import (
     read_page,
 )
 
-__all__ = ["TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION"]
+__all__ = ["TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION", "describe_store"]
 
 MANIFEST_NAME = "MANIFEST.json"
 #: The manifest format: a few hundred bytes of JSON referencing an
@@ -367,37 +368,7 @@ class TieredStore:
                 _unlink_quiet(os.path.join(self.directory, entry))
 
     def _recover(self, engine, manifest_path: str) -> None:
-        try:
-            with open(manifest_path) as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(
-                f"unreadable store manifest {manifest_path}: {exc}",
-                segment=manifest_path,
-            ) from exc
-        if not isinstance(manifest, dict):
-            raise StoreError(
-                f"malformed store manifest {manifest_path}: a "
-                f"{type(manifest).__name__}, not an object",
-                segment=manifest_path,
-            )
-        version = manifest.get("version")
-        if version != MANIFEST_VERSION:
-            raise StoreError(
-                f"unsupported store manifest version {version!r} in "
-                f"{manifest_path} (this store reads version {MANIFEST_VERSION})",
-                segment=manifest_path,
-            )
-        for field, kinds in _MANIFEST_FIELDS.items():
-            value = manifest.get(field)
-            if not isinstance(value, kinds) or field == "segments" and not all(
-                isinstance(name, str) for name in value
-            ):
-                raise StoreError(
-                    f"malformed store manifest {manifest_path}: field "
-                    f"{field!r} is {value!r:.60}",
-                    segment=manifest_path,
-                )
+        manifest = _read_manifest(manifest_path)
         if manifest["query"] != engine.query.sql():
             raise StoreError(
                 "store manifest is for a different query: "
@@ -1279,6 +1250,133 @@ def _publish_manifest(directory: str, manifest: dict) -> str:
     os.replace(staging, manifest_path)
     fsync_dir(os.path.abspath(directory))
     return manifest_path
+
+
+def _read_manifest(manifest_path: str) -> dict:
+    """The manifest at ``manifest_path``, parsed and checked — its version
+    and every field's JSON type — or a :class:`StoreError` naming it."""
+    try:
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise StoreError(
+            f"unreadable store manifest {manifest_path}: {exc}",
+            segment=manifest_path,
+        ) from exc
+    if not isinstance(manifest, dict):
+        raise StoreError(
+            f"malformed store manifest {manifest_path}: a "
+            f"{type(manifest).__name__}, not an object",
+            segment=manifest_path,
+        )
+    version = manifest.get("version")
+    if version != MANIFEST_VERSION:
+        raise StoreError(
+            f"unsupported store manifest version {version!r} in "
+            f"{manifest_path} (this store reads version {MANIFEST_VERSION})",
+            segment=manifest_path,
+        )
+    for field, kinds in _MANIFEST_FIELDS.items():
+        value = manifest.get(field)
+        if not isinstance(value, kinds) or field == "segments" and not all(
+            isinstance(name, str) for name in value
+        ):
+            raise StoreError(
+                f"malformed store manifest {manifest_path}: field "
+                f"{field!r} is {value!r:.60}",
+                segment=manifest_path,
+            )
+    return manifest
+
+
+def describe_store(directory: str) -> dict:
+    """What ``repro store inspect`` reports for one store directory: the
+    checkpoint manifest (read as recovery reads it) and, per segment file,
+    its format, pages, rows, live rows and first page's slot layout and
+    column encodings.  Every page is CRC-checked and decoded: a bad
+    segment is listed as ``corrupt`` or ``unsupported``, while a bad
+    manifest or directory snapshot is a :class:`StoreError`."""
+    if not os.path.isdir(directory):
+        raise StoreError(f"{directory!r} is not a directory")
+    report: dict = {"directory": directory, "manifest": None}
+    live_by_segment: dict[str, int] = {}
+    manifest_path = os.path.join(directory, MANIFEST_NAME)
+    if os.path.exists(manifest_path):
+        manifest = _read_manifest(manifest_path)
+        name_by_id = {_segment_number(name): name for name in manifest["segments"]}
+        snap = KeyDirectory(os.path.join(directory, manifest["directory_file"]))
+        try:
+            groups = len(snap)
+            for _h, seg_id, _off, _len in snap.items():
+                seg = name_by_id.get(seg_id, f"#{seg_id}")
+                live_by_segment[seg] = live_by_segment.get(seg, 0) + 1
+        finally:
+            snap.close()
+        report["manifest"] = {
+            "version": manifest["version"],
+            "query": manifest["query"],
+            "tuples_in": manifest["tuples_in"],
+            "groups": groups,
+            "segments": manifest["segments"],
+            "directory_file": manifest["directory_file"],
+        }
+    seg_dir = os.path.join(directory, "segments")
+    names = sorted(os.listdir(seg_dir)) if os.path.isdir(seg_dir) else []
+    report["segments"] = [
+        _describe_segment(os.path.join(seg_dir, name), live_by_segment.get(name, 0))
+        for name in names
+    ]
+    return report
+
+
+def _describe_segment(path: str, live: int) -> dict:
+    name = os.path.basename(path)
+    entry: dict = {"name": name, "bytes": os.path.getsize(path)}
+    if name.endswith(".quarantined"):
+        entry["status"] = "quarantined"
+        return entry
+    if name.endswith(".tmp"):
+        entry["status"] = "staging (open writer or crash leftover)"
+        return entry
+    try:
+        reader = SegmentReader(path)
+        summaries: dict[str, dict[str, int]] = {}
+        layout: list[str] | None = None
+        for page in reader.iter_pages():
+            states = page.states()
+            if layout is None:
+                entry["columns"] = [
+                    [kind, round(size / len(page), 2)]
+                    for kind, size in page.columns()
+                ]
+                layout = [
+                    "ragged" if code == RAGGED_SLOT
+                    else f"scalars x{code}" if code != SUMMARY_SLOT
+                    else "summary:" + summary_type_of(states[0][slot])
+                    for slot, code in enumerate(page.slots)
+                ]
+            for slot, code in enumerate(page.slots):
+                if code != SUMMARY_SLOT:
+                    continue
+                for row in states:
+                    tally = summaries.setdefault(
+                        summary_type_of(row[slot]), {"buffers": 0, "bytes": 0}
+                    )
+                    tally["buffers"] += 1
+                    tally["bytes"] += len(row[slot])
+    except (StoreError, ParameterError) as error:
+        refused = "unsupported version" in str(error)
+        entry["status"] = f"{'unsupported' if refused else 'corrupt'}: {error}"
+        return entry
+    entry["status"] = "ok"
+    entry["summaries"] = dict(sorted(summaries.items()))
+    entry["format"] = f"v{reader.version}"
+    entry["pages"] = len(reader.pages)
+    entry["records"] = reader.records
+    entry["live"] = live
+    entry["bytes_per_live_row"] = round(entry["bytes"] / live, 2) if live else None
+    entry["layout"] = layout or []
+    return entry
 
 
 def _segment_number(seg_name: str) -> int:

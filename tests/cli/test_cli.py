@@ -348,6 +348,46 @@ class TestStoreInspectCommand:
         assert status in out
         assert detail in out
 
+    @pytest.mark.parametrize(
+        "damage, detail",
+        [
+            (lambda manifest: [], "a list, not an object"),
+            (
+                lambda manifest: {"version": 3, "segments": 5, "directory_file": 7},
+                "field 'query' is None",
+            ),
+            (
+                lambda manifest: {**manifest, "version": 99},
+                "unsupported store manifest version 99",
+            ),
+        ],
+        ids=["list", "wrong-field-types", "future-version"],
+    )
+    def test_inspect_refuses_a_manifest_recovery_refuses(
+        self, tmp_path, capsys, damage, detail
+    ):
+        import json
+        import os
+
+        directory = self._make_store(tmp_path)
+        assert main(["store", "inspect", directory]) == 0
+        valid = capsys.readouterr()
+        path = os.path.join(directory, "MANIFEST.json")
+        with open(path) as handle:
+            manifest = json.load(handle)
+        with open(path, "w") as handle:
+            json.dump(damage(manifest), handle)
+        assert main(["store", "inspect", directory]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and detail in line
+        # The reader changed nothing: the store reads as it did before.
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        assert main(["store", "inspect", directory]) == 0
+        assert capsys.readouterr() == valid
+
     def test_store_has_no_upgrade_command(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["store", "upgrade", str(tmp_path)])
