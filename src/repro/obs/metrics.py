@@ -39,7 +39,6 @@ from repro.core.errors import MergeError, ParameterError
 from repro.core.functions import ExponentialG
 from repro.core.weights import ForwardWeightEngine, ScaleState
 from repro.sketches.gk import GKSummary
-from repro.sketches.spacesaving import WeightedSpaceSaving
 
 __all__ = [
     "DecayedCounter",
@@ -306,6 +305,10 @@ class HotKeyTracker:
         self.capacity = capacity
         self.half_life_s = half_life_s
         self._clock = clock if clock is not None else time.time
+        # Here, not at module level: only engine instrumentation builds a
+        # tracker, so a server's metrics registry never loads SpaceSaving.
+        from repro.sketches.spacesaving import WeightedSpaceSaving
+
         self._ss = WeightedSpaceSaving(capacity)
         self._engine = (
             None if half_life_s is None

@@ -67,9 +67,10 @@ SKETCH_SQL = (
     "sum(exp((time % 60) * 0.1)) as w "
     "from TCP group by time/60 as tb, destPort"
 )
-#: The serve.* metrics registry keeps latency quantiles in a GK summary
-#: and hot keys in a SpaceSaving: every server loads these two.
-METRICS_SUMMARIES = {"repro.sketches.gk", "repro.sketches.spacesaving"}
+#: The serve.* metrics registry keeps latency quantiles in a GK summary:
+#: every server loads it.  Hot-key tracking (SpaceSaving) is engine
+#: instrumentation, which a server never turns on.
+METRICS_SUMMARIES = {"repro.sketches.gk"}
 
 PACKAGES = [
     name
