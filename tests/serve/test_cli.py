@@ -51,9 +51,13 @@ def served_port(tmp_path):
     thread = threading.Thread(target=run_server, daemon=True)
     thread.start()
     deadline = time.monotonic() + 15
-    while not port_file.exists() and time.monotonic() < deadline:
+    # The file is created before its line is written: wait for the line.
+    def written() -> bool:
+        return port_file.exists() and port_file.read_text().endswith("\n")
+
+    while not written() and time.monotonic() < deadline:
         time.sleep(0.02)
-    assert port_file.exists(), "server never wrote its port file"
+    assert written(), "server never wrote its port file"
     host, port = port_file.read_text().split()
     yield port
     # the --run-seconds timer ends the server eventually; don't wait for it

@@ -15,6 +15,7 @@ from repro.serve import (
     ServeClient,
     protocol,
 )
+from repro.serve.client import _ClientCore
 from tests.serve.util import (
     SQL,
     Awaitable,
@@ -301,6 +302,23 @@ class TestScriptedCore:
         frame = protocol.decode_frame_body(batch[protocol.HEADER.size :])
         assert frame.ftype == protocol.INSERT_COLS
         assert (frame.payload["seq"], frame.payload["count"]) == (1, 5)
+
+    def test_reconnect_backoff_doubles_up_to_its_cap(self):
+        # Every dial is refused: the core sleeps before each attempt,
+        # doubling from backoff_s until the cap, then gives up.
+        steps = _ClientCore(
+            "scripted", 0, retries=6, backoff_s=0.25, jitter=False
+        )._reconnect()
+        sleeps = []
+        request = next(steps)
+        with pytest.raises(ClientConnectionError, match="after 6 attempt"):
+            while True:
+                if request[0] == "sleep":
+                    sleeps.append(request[1])
+                    request = steps.send(None)
+                else:
+                    request = steps.throw(ConnectionRefusedError("refused"))
+        assert sleeps == [0.25, 0.5, 1.0, 2.0, 2.0, 2.0]
 
     def test_handshake_uses_the_same_decode_loop(self, scripted):
         # WELCOME trickling in byte by byte, and frames sharing the

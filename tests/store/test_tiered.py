@@ -24,7 +24,7 @@ from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
 from repro.dsms.udaf import default_registry
 from repro.obs.registry import MetricsRegistry
-from repro.store import MANIFEST_NAME, TieredStore
+from repro.store import MANIFEST_NAME, MANIFEST_VERSION, TieredStore, describe_store
 
 SCHEMA = Schema(
     [
@@ -566,6 +566,43 @@ class TestCheckpointRestore:
         assert manifest_path in str(excinfo.value)
         assert named in str(excinfo.value)
         assert sorted(os.walk(directory)) == files
+
+    def test_describe_store_reports_the_manifest_recovery_reads(self, tmp_path):
+        directory = str(tmp_path / "s")
+        engine = build_engine(store=TieredStore(directory, hot_groups=4))
+        engine.insert_many(make_rows(400, groups=60))
+        manifest_path = engine.store_checkpoint()
+        engine.store.close()
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        report = describe_store(directory)
+        described = report["manifest"]
+        assert described["version"] == MANIFEST_VERSION
+        for field in ("query", "tuples_in", "segments", "directory_file"):
+            assert described[field] == manifest[field]
+        listed = {
+            entry["name"]: entry for entry in report["segments"]
+            if entry["name"] in manifest["segments"]
+        }
+        assert sorted(listed) == sorted(manifest["segments"])
+        assert all(entry["status"] == "ok" for entry in listed.values())
+        live = sum(entry["live"] for entry in listed.values())
+        assert live == described["groups"] > 0
+
+    def test_describe_store_refuses_what_recovery_refuses(self, tmp_path):
+        directory = str(tmp_path / "s")
+        engine = build_engine(store=TieredStore(directory, hot_groups=4))
+        engine.insert_many(make_rows(400, groups=60))
+        manifest_path = engine.store_checkpoint()
+        engine.store.close()
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        with open(manifest_path, "w") as handle:
+            json.dump({**manifest, "version": MANIFEST_VERSION + 1}, handle)
+        with pytest.raises(StoreError, match=f"version {MANIFEST_VERSION + 1} "):
+            describe_store(directory)
+        with pytest.raises(StoreError, match="not a directory"):
+            describe_store(str(tmp_path / "missing"))
 
     def test_unckpointed_dir_starts_fresh(self, tmp_path):
         directory = str(tmp_path / "s")
