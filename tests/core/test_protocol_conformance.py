@@ -41,6 +41,7 @@ from repro.core.errors import MergeError, ParameterError
 from repro.core.merge import merge_all
 from repro.core.protocol import StreamSummary, summary_type_of
 from repro.core.tree import pack_tree, unpack_tree
+from tests.core import test_weights
 from tests.core.test_tree_codec import flips, identical
 
 registry.load_all()
@@ -220,14 +221,25 @@ def parameter_flips(payload):
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 #: Committed buffers of ``factory()`` fed ``feed(n=40)``, ``<name>.v2``
-#: as this writer must keep producing them.
+#: as this writer must keep producing them, whose every bit is flipped.
 GOLDEN = ["weighted_spacesaving", "qdigest", "priority_sampler"]
+#: Every buffer the writer is held to: each registered summary's, and
+#: ``shifted_<owner>.v2`` for each engine owner of ``tests/core/test_weights.py``
+#: with a buffer, after the two landmark shifts of its shifting stream.
+WRITER_GOLDEN = ALL_NAMES + [
+    f"shifted_{owner}" for owner in test_weights.OWNERS if owner != "kmeans"
+]
 #: The golden's file where it is not ``<name>.v2``: the sampler's since
 #: its generator state became two ints.
 WRITTEN = {"priority_sampler": "priority_sampler.keyed.v2"}
 
 
 def golden_summary(name: str) -> StreamSummary:
+    if name.startswith("shifted_"):
+        return test_weights._fed(
+            name[len("shifted_"):], test_weights._stream(),
+            test_weights.SHIFTING_LANDMARK,
+        )
     info = registry.get_summary(name)
     summary = info.factory()
     feed(summary, info.input_kind, n=40)
@@ -299,7 +311,7 @@ class TestPackedBuffers:
             tracemalloc.stop()
         assert peak < 32 << 20, f"a flipped bit allocated {peak >> 20} MiB"
 
-    @pytest.mark.parametrize("name", GOLDEN)
+    @pytest.mark.parametrize("name", WRITER_GOLDEN)
     def test_writer_matches_the_committed_bytes(self, name):
         golden = (GOLDEN_DIR / WRITTEN.get(name, f"{name}.v2")).read_bytes()
         assert golden_summary(name).to_bytes() == golden
@@ -390,6 +402,51 @@ class TestBufferSizes:
         summary = info.factory()
         feed(summary, info.input_kind)
         assert len(summary.to_bytes()) == BUFFER_BYTES[name]
+
+
+#: ``state_size_bytes()`` of every registered summary's ``factory()`` after
+#: :func:`feed`: the accounting Figs. 2(d) and 4(c)/(d) plot and the smoke
+#: gates ``fig2a.*.state_bytes`` / ``fig4a.*.state_bytes`` read.
+STATE_SIZE_BYTES = {
+    "decayed_algebraic": 8,
+    "decayed_average": 16,
+    "decayed_count": 8,
+    "decayed_distinct_count": 1248,
+    "decayed_heavy_hitters": 288,
+    "decayed_max": 8,
+    "decayed_min": 8,
+    "decayed_quantiles": 2944,
+    "decayed_sum": 8,
+    "decayed_variance": 24,
+    "exact_decayed_distinct": 192,
+    "aggarwal_reservoir": 128,
+    "decayed_with_replacement": 72,
+    "priority_sampler": 384,
+    "reservoir": 128,
+    "weighted_reservoir": 256,
+    "countmin": 5440,
+    "dominance_norm": 1288,
+    "eh_count": 560,
+    "eh_sum": 1216,
+    "gk_summary": 456,
+    "kmv": 96,
+    "qdigest": 2944,
+    "sliding_window_heavy_hitters": 12936,
+    "unary_spacesaving": 288,
+    "weighted_spacesaving": 288,
+}
+
+
+class TestStateSizes:
+    def test_every_registered_summary_is_in_the_table(self):
+        assert sorted(STATE_SIZE_BYTES) == sorted(ALL_NAMES)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_state_size_is_the_pinned_one(self, name):
+        info = registry.get_summary(name)
+        summary = info.factory()
+        feed(summary, info.input_kind)
+        assert summary.state_size_bytes() == STATE_SIZE_BYTES[name]
 
 
 class TestUpdateManyEquivalence:
