@@ -24,12 +24,14 @@ summary of the union.
 from __future__ import annotations
 
 import math
+import operator
 from abc import abstractmethod
-from typing import Callable, ClassVar
+from typing import Callable
 
-from repro.core.decay import ForwardDecay
+from repro.core.decay import ForwardDecay, quadratic_decay
 from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.protocol import StreamSummary, decode_number, encode_number
+from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, NUMBER_CODEC, WEIGHT
+from repro.core.protocol import Field, StreamSummary, Value
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeightEngine
 
@@ -46,27 +48,38 @@ __all__ = [
 ]
 
 
-def _default_decay() -> ForwardDecay:
-    from repro.core.functions import PolynomialG
+#: A float of the state, linear in the arrival weights.
+_WEIGHT = Value(WEIGHT, NUMBER_CODEC)
+#: ``g`` values, never negative: refused on restore when they are.
+_WEIGHT_SUM = Value(WEIGHT, NUMBER_CODEC, nonneg=True)
 
-    return ForwardDecay(PolynomialG(2.0))
+
+def _fields(initial: float = 0.0, fold=operator.add, **state: Value):
+    """An aggregate's payload: the fields every aggregate shares, then its
+    linear state as one dict keyed by attribute name, each float starting
+    at ``initial`` and merged by ``fold``.  Figure 2(d) counts 8 bytes per
+    state float, the forward-decay cost per group."""
+    return (DECAY, LANDMARK, ITEMS, MAX_TIME, *(
+        Field(f"state.{name}", value, attr=name, initial=initial, fold=fold,
+              entry_bytes=8)
+        for name, value in state.items()
+    ))
 
 
 class DecayedAggregate(StreamSummary):
     """Base class handling weights, renormalization and merge checks.
 
     Subclasses hold state that is a linear combination of arrival weights
-    ``g(t_i - L)`` and implement :meth:`_scale_state` (multiply all linear
-    state by a factor), :meth:`_update_weighted` (fold in one item), and
-    :meth:`_query_scaled` (produce the answer given the normalizer
-    ``g(t - L)``).
+    ``g(t_i - L)``, declared as the ``state`` group of their ``_FIELDS``
+    (which derives its scale, merge, size and payload), and implement
+    :meth:`_update_weighted` (fold in one item) and :meth:`_query_scaled`
+    (produce the answer given the normalizer ``g(t - L)``).
     """
 
     def __init__(self, decay: ForwardDecay):
+        super().__init__()
         self._decay = decay
-        self._engine = ForwardWeightEngine(decay, self._scale_state)
-        self._items = 0
-        self._max_time = -math.inf
+        self._engine = ForwardWeightEngine(decay, self.scale)
 
     # -- public API ----------------------------------------------------------
 
@@ -119,62 +132,8 @@ class DecayedAggregate(StreamSummary):
         After merging, this summary answers queries as if it had processed
         the concatenation of both substreams.  ``other`` is not modified.
         """
-        self._check_mergeable(other)
-        factor = self._engine.align_for_merge(other._engine)
-        self._merge_scaled(other, factor)
-        self._items += other._items
-        if other._max_time > self._max_time:
-            self._max_time = other._max_time
-
-    def state_size_bytes(self) -> int:
-        """Approximate state footprint: 8 bytes per stored float.
-
-        Matches the accounting of Figure 2(d) in the paper, where forward
-        decay stores 8-byte floating point values per group.
-        """
-        return 8 * self._num_state_floats()
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    #: Names of the linear-state attributes captured by serialization.
-    _SERDE_FIELDS: ClassVar[tuple[str, ...]] = ()
-
-    def _state_payload(self) -> dict:
-        from repro.core.serde import dump_decay
-
-        return {
-            "decay": dump_decay(self._decay),
-            "internal_landmark": self._engine.internal_landmark,
-            "items": self._items,
-            "max_time": encode_number(self._max_time),
-            "state": {
-                name: encode_number(getattr(self, name))
-                for name in type(self)._SERDE_FIELDS
-            },
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "DecayedAggregate":
-        from repro.core.serde import load_decay
-
-        summary = cls(load_decay(payload["decay"]))
-        summary._restore_common(payload)
-        return summary
-
-    def _restore_common(self, payload: dict) -> None:
-        self._engine.restore_landmark(payload["internal_landmark"])
-        self._items = payload["items"]
-        self._max_time = decode_number(payload["max_time"])
-        for name, value in payload["state"].items():
-            setattr(self, name, decode_number(value))
-
-    # -- weight machinery ------------------------------------------------------
-
-    def _check_mergeable(self, other: "DecayedAggregate") -> None:
-        if type(other) is not type(self):
-            raise MergeError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
+        self._check_merge(other)
+        self._merge_scaled(other, self._engine.align_for_merge(other._engine))
 
     # -- subclass contract -----------------------------------------------------
 
@@ -186,33 +145,17 @@ class DecayedAggregate(StreamSummary):
     def _query_scaled(self, normalizer: float):
         """Produce the decayed answer given ``g(t - L_internal)``."""
 
-    @abstractmethod
-    def _scale_state(self, factor: float) -> None:
-        """Multiply all stored linear state by ``factor`` (renormalization)."""
-
-    @abstractmethod
-    def _merge_scaled(self, other: "DecayedAggregate", factor: float) -> None:
-        """Fold other's state, pre-multiplied by ``factor``, into self."""
-
-    @abstractmethod
-    def _num_state_floats(self) -> int:
-        """Number of floats in the stored state (for space accounting)."""
-
 
 @register_summary(
     "decayed_count",
     kind="aggregate",
     input_kind="time_value",
-    factory=lambda: DecayedCount(_default_decay()),
+    factory=lambda: DecayedCount(quadratic_decay()),
 )
 class DecayedCount(DecayedAggregate):
     """Decayed count ``C = sum_i g(t_i - L) / g(t - L)`` (Definition 5)."""
 
-    _SERDE_FIELDS = ("_weight_sum",)
-
-    def __init__(self, decay: ForwardDecay):
-        super().__init__(decay)
-        self._weight_sum = 0.0
+    _FIELDS = _fields(_weight_sum=_WEIGHT_SUM)
 
     def _update_weighted(self, weight: float, value: float) -> None:
         self._weight_sum += weight
@@ -220,30 +163,17 @@ class DecayedCount(DecayedAggregate):
     def _query_scaled(self, normalizer: float) -> float:
         return self._weight_sum / normalizer
 
-    def _scale_state(self, factor: float) -> None:
-        self._weight_sum *= factor
-
-    def _merge_scaled(self, other: "DecayedCount", factor: float) -> None:
-        self._weight_sum += other._weight_sum * factor
-
-    def _num_state_floats(self) -> int:
-        return 1
-
 
 @register_summary(
     "decayed_sum",
     kind="aggregate",
     input_kind="time_value",
-    factory=lambda: DecayedSum(_default_decay()),
+    factory=lambda: DecayedSum(quadratic_decay()),
 )
 class DecayedSum(DecayedAggregate):
     """Decayed sum ``S = sum_i g(t_i - L) v_i / g(t - L)`` (Definition 5)."""
 
-    _SERDE_FIELDS = ("_value_sum",)
-
-    def __init__(self, decay: ForwardDecay):
-        super().__init__(decay)
-        self._value_sum = 0.0
+    _FIELDS = _fields(_value_sum=_WEIGHT)
 
     def _update_weighted(self, weight: float, value: float) -> None:
         self._value_sum += weight * value
@@ -251,21 +181,12 @@ class DecayedSum(DecayedAggregate):
     def _query_scaled(self, normalizer: float) -> float:
         return self._value_sum / normalizer
 
-    def _scale_state(self, factor: float) -> None:
-        self._value_sum *= factor
-
-    def _merge_scaled(self, other: "DecayedSum", factor: float) -> None:
-        self._value_sum += other._value_sum * factor
-
-    def _num_state_floats(self) -> int:
-        return 1
-
 
 @register_summary(
     "decayed_average",
     kind="aggregate",
     input_kind="time_value",
-    factory=lambda: DecayedAverage(_default_decay()),
+    factory=lambda: DecayedAverage(quadratic_decay()),
 )
 class DecayedAverage(DecayedAggregate):
     """Decayed average ``A = S / C`` (Definition 5).
@@ -275,12 +196,7 @@ class DecayedAverage(DecayedAggregate):
     input values tilted toward recent ones.
     """
 
-    _SERDE_FIELDS = ("_weight_sum", "_value_sum")
-
-    def __init__(self, decay: ForwardDecay):
-        super().__init__(decay)
-        self._weight_sum = 0.0
-        self._value_sum = 0.0
+    _FIELDS = _fields(_weight_sum=_WEIGHT_SUM, _value_sum=_WEIGHT)
 
     def _update_weighted(self, weight: float, value: float) -> None:
         self._weight_sum += weight
@@ -289,23 +205,12 @@ class DecayedAverage(DecayedAggregate):
     def _query_scaled(self, normalizer: float) -> float:
         return self._value_sum / self._weight_sum
 
-    def _scale_state(self, factor: float) -> None:
-        self._weight_sum *= factor
-        self._value_sum *= factor
-
-    def _merge_scaled(self, other: "DecayedAverage", factor: float) -> None:
-        self._weight_sum += other._weight_sum * factor
-        self._value_sum += other._value_sum * factor
-
-    def _num_state_floats(self) -> int:
-        return 2
-
 
 @register_summary(
     "decayed_variance",
     kind="aggregate",
     input_kind="time_value",
-    factory=lambda: DecayedVariance(_default_decay()),
+    factory=lambda: DecayedVariance(quadratic_decay()),
 )
 class DecayedVariance(DecayedAggregate):
     """Decayed variance ``V = (sum_i g_i v_i^2)/C' - A^2`` (Section IV-A).
@@ -315,13 +220,9 @@ class DecayedVariance(DecayedAggregate):
     average, it is invariant to the query time.
     """
 
-    _SERDE_FIELDS = ("_weight_sum", "_value_sum", "_square_sum")
-
-    def __init__(self, decay: ForwardDecay):
-        super().__init__(decay)
-        self._weight_sum = 0.0
-        self._value_sum = 0.0
-        self._square_sum = 0.0
+    _FIELDS = _fields(
+        _weight_sum=_WEIGHT_SUM, _value_sum=_WEIGHT, _square_sum=_WEIGHT
+    )
 
     def _update_weighted(self, weight: float, value: float) -> None:
         self._weight_sum += weight
@@ -334,25 +235,12 @@ class DecayedVariance(DecayedAggregate):
         # Guard tiny negative values from float cancellation.
         return variance if variance > 0.0 else 0.0
 
-    def _scale_state(self, factor: float) -> None:
-        self._weight_sum *= factor
-        self._value_sum *= factor
-        self._square_sum *= factor
-
-    def _merge_scaled(self, other: "DecayedVariance", factor: float) -> None:
-        self._weight_sum += other._weight_sum * factor
-        self._value_sum += other._value_sum * factor
-        self._square_sum += other._square_sum * factor
-
-    def _num_state_floats(self) -> int:
-        return 3
-
 
 @register_summary(
     "decayed_min",
     kind="aggregate",
     input_kind="time_value",
-    factory=lambda: DecayedMin(_default_decay()),
+    factory=lambda: DecayedMin(quadratic_decay()),
 )
 class DecayedMin(DecayedAggregate):
     """Decayed minimum ``MIN = min_i g(t_i - L) v_i / g(t - L)`` (Definition 6).
@@ -362,11 +250,7 @@ class DecayedMin(DecayedAggregate):
     where the sliding-window case forces remembering the window contents.
     """
 
-    _SERDE_FIELDS = ("_best",)
-
-    def __init__(self, decay: ForwardDecay):
-        super().__init__(decay)
-        self._best = math.inf
+    _FIELDS = _fields(math.inf, min, _best=_WEIGHT)
 
     def _update_weighted(self, weight: float, value: float) -> None:
         candidate = weight * value
@@ -375,34 +259,18 @@ class DecayedMin(DecayedAggregate):
 
     def _query_scaled(self, normalizer: float) -> float:
         return self._best / normalizer
-
-    def _scale_state(self, factor: float) -> None:
-        if math.isfinite(self._best):
-            self._best *= factor
-
-    def _merge_scaled(self, other: "DecayedMin", factor: float) -> None:
-        candidate = other._best * factor
-        if candidate < self._best:
-            self._best = candidate
-
-    def _num_state_floats(self) -> int:
-        return 1
 
 
 @register_summary(
     "decayed_max",
     kind="aggregate",
     input_kind="time_value",
-    factory=lambda: DecayedMax(_default_decay()),
+    factory=lambda: DecayedMax(quadratic_decay()),
 )
 class DecayedMax(DecayedAggregate):
     """Decayed maximum ``MAX = max_i g(t_i - L) v_i / g(t - L)`` (Definition 6)."""
 
-    _SERDE_FIELDS = ("_best",)
-
-    def __init__(self, decay: ForwardDecay):
-        super().__init__(decay)
-        self._best = -math.inf
+    _FIELDS = _fields(-math.inf, max, _best=_WEIGHT)
 
     def _update_weighted(self, weight: float, value: float) -> None:
         candidate = weight * value
@@ -411,18 +279,6 @@ class DecayedMax(DecayedAggregate):
 
     def _query_scaled(self, normalizer: float) -> float:
         return self._best / normalizer
-
-    def _scale_state(self, factor: float) -> None:
-        if math.isfinite(self._best):
-            self._best *= factor
-
-    def _merge_scaled(self, other: "DecayedMax", factor: float) -> None:
-        candidate = other._best * factor
-        if candidate > self._best:
-            self._best = candidate
-
-    def _num_state_floats(self) -> int:
-        return 1
 
 
 #: Serializable expressions for :class:`DecayedAlgebraic`.  Constructing the
@@ -436,11 +292,24 @@ NAMED_EXPRESSIONS: dict[str, Callable[[float], float]] = {
 }
 
 
+def _expression_name(name: str | None) -> str:
+    if name is None:
+        raise ParameterError(
+            "DecayedAlgebraic with a raw callable cannot be serialized; "
+            "construct it with a NAMED_EXPRESSIONS name instead"
+        )
+    return name
+
+
+#: The expression travels by its name; a raw callable has none.
+_EXPRESSION = Value(codec=(_expression_name, lambda name: name))
+
+
 @register_summary(
     "decayed_algebraic",
     kind="aggregate",
     input_kind="time_value",
-    factory=lambda: DecayedAlgebraic(_default_decay(), "square"),
+    factory=lambda: DecayedAlgebraic(quadratic_decay(), "square"),
 )
 class DecayedAlgebraic(DecayedAggregate):
     """Decayed summation of an arbitrary arithmetic expression (Theorem 1).
@@ -462,7 +331,10 @@ class DecayedAlgebraic(DecayedAggregate):
         agg = DecayedAlgebraic(decay, "square")
     """
 
-    _SERDE_FIELDS = ("_term_sum",)
+    _FIELDS = (
+        *_fields(_term_sum=_WEIGHT),
+        Field("expression", _EXPRESSION, attr="_expression_name", init=True),
+    )
 
     def __init__(
         self, decay: ForwardDecay, expression: Callable[[float], float] | str
@@ -481,7 +353,6 @@ class DecayedAlgebraic(DecayedAggregate):
         else:
             raise ParameterError("expression must be callable or a known name")
         self._expression = expression
-        self._term_sum = 0.0
 
     def _update_weighted(self, weight: float, value: float) -> None:
         self._term_sum += weight * self._expression(value)
@@ -489,36 +360,9 @@ class DecayedAlgebraic(DecayedAggregate):
     def _query_scaled(self, normalizer: float) -> float:
         return self._term_sum / normalizer
 
-    def _scale_state(self, factor: float) -> None:
-        self._term_sum *= factor
-
-    def _merge_scaled(self, other: "DecayedAlgebraic", factor: float) -> None:
-        self._term_sum += other._term_sum * factor
-
-    def _check_mergeable(self, other: "DecayedAggregate") -> None:
-        super()._check_mergeable(other)
-        if other._expression is not self._expression:  # type: ignore[attr-defined]
+    def _check_merge(self, other, *names: str) -> None:
+        super()._check_merge(other, *names)
+        if other._expression is not self._expression:
             raise MergeError(
                 "DecayedAlgebraic summaries must share the same expression object"
             )
-
-    def _num_state_floats(self) -> int:
-        return 1
-
-    def _state_payload(self) -> dict:
-        if self._expression_name is None:
-            raise ParameterError(
-                "DecayedAlgebraic with a raw callable cannot be serialized; "
-                "construct it with a NAMED_EXPRESSIONS name instead"
-            )
-        payload = super()._state_payload()
-        payload["expression"] = self._expression_name
-        return payload
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "DecayedAlgebraic":
-        from repro.core.serde import load_decay
-
-        summary = cls(load_decay(payload["decay"]), payload["expression"])
-        summary._restore_common(payload)
-        return summary

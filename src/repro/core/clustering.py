@@ -23,7 +23,9 @@ import math
 from typing import NamedTuple, Sequence
 
 from repro.core.decay import ForwardDecay
-from repro.core.errors import EmptySummaryError, MergeError, ParameterError
+from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, WEIGHT, DeclaredState
+from repro.core.protocol import Field, ListOf, Value
 from repro.core.weights import ForwardWeightEngine
 
 __all__ = ["DecayedKMeans", "Cluster"]
@@ -47,7 +49,7 @@ def _squared_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return total
 
 
-class DecayedKMeans:
+class DecayedKMeans(DeclaredState):
     """Streaming k-means under any forward decay function.
 
     Parameters
@@ -65,6 +67,21 @@ class DecayedKMeans:
     the streaming analogue of decayed averages, per cluster.
     """
 
+    # Parallel lists: weighted centroid sums and total weights.  The
+    # centroid itself is sums[i] / weights[i]; keeping sums (linear in
+    # the arrival weights) makes renormalization a plain rescale.
+    _FIELDS = (
+        DECAY,
+        LANDMARK,
+        Field("k", init=True),
+        Field("dimensions", init=True),
+        Field("sums", ListOf(ListOf(Value(WEIGHT))), initial=list, entry_bytes=8),
+        Field("weights", ListOf(Value(WEIGHT, nonneg=True)), initial=list,
+              entry_bytes=8),
+        ITEMS,
+        MAX_TIME,
+    )
+
     def __init__(self, decay: ForwardDecay, k: int, dimensions: int):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
@@ -72,14 +89,8 @@ class DecayedKMeans:
             raise ParameterError(f"dimensions must be >= 1, got {dimensions!r}")
         self.k = k
         self.dimensions = dimensions
-        self._engine = ForwardWeightEngine(decay, self._scale_state)
-        # Parallel lists: weighted centroid sums and total weights.  The
-        # centroid itself is sums[i] / weights[i]; keeping sums (linear in
-        # the arrival weights) makes renormalization a plain rescale.
-        self._sums: list[list[float]] = []
-        self._weights: list[float] = []
-        self._items = 0
-        self._max_time = -math.inf
+        super().__init__()
+        self._engine = ForwardWeightEngine(decay, self.scale)
 
     @property
     def decay(self) -> ForwardDecay:
@@ -90,12 +101,6 @@ class DecayedKMeans:
     def items_processed(self) -> int:
         """Number of points folded in (including via merges)."""
         return self._items
-
-    def _scale_state(self, factor: float) -> None:
-        for sums in self._sums:
-            for axis in range(self.dimensions):
-                sums[axis] *= factor
-        self._weights = [w * factor for w in self._weights]
 
     def _centroid(self, index: int) -> Point:
         weight = self._weights[index]
@@ -158,22 +163,14 @@ class DecayedKMeans:
         means) until ``k`` clusters remain — the standard coreset-style
         reduction for mergeable clustering.
         """
-        if not isinstance(other, DecayedKMeans):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if other.k != self.k or other.dimensions != self.dimensions:
-            raise MergeError(
-                f"shape mismatch: (k={self.k}, d={self.dimensions}) vs "
-                f"(k={other.k}, d={other.dimensions})"
-            )
+        self._check_merge(other, "k", "dimensions")
         factor = self._engine.align_for_merge(other._engine)
         for sums, weight in zip(other._sums, other._weights):
             self._sums.append([value * factor for value in sums])
             self._weights.append(weight * factor)
         while len(self._sums) > self.k:
             self._merge_closest_pair()
-        self._items += other._items
-        if other._max_time > self._max_time:
-            self._max_time = other._max_time
+        self._merge_scaled(other, factor)
 
     def _merge_closest_pair(self) -> None:
         best = (0, 1)
@@ -192,7 +189,3 @@ class DecayedKMeans:
         self._weights[i] += self._weights[j]
         del self._sums[j]
         del self._weights[j]
-
-    def state_size_bytes(self) -> int:
-        """O(k * d) floats."""
-        return 8 * (len(self._sums) * self.dimensions + len(self._weights))

@@ -35,6 +35,7 @@ __all__ = [
     "ForwardDecay",
     "BackwardDecay",
     "forward_equals_backward_exp",
+    "quadratic_decay",
     "validate_decay_axioms",
 ]
 
@@ -205,6 +206,11 @@ def forward_equals_backward_exp(alpha: float) -> tuple[ForwardDecay, BackwardDec
         ForwardDecay(g=ExponentialG(alpha=alpha)),
         BackwardDecay(f=ExponentialF(lam=alpha)),
     )
+
+
+def quadratic_decay() -> ForwardDecay:
+    """``g(n) = n**2`` from landmark 0: the registered summaries' default."""
+    return ForwardDecay(PolynomialG(2.0))
 
 
 def validate_decay_axioms(

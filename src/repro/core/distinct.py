@@ -29,26 +29,15 @@ from __future__ import annotations
 import math
 from typing import Hashable
 
-from repro.core.decay import ForwardDecay
-from repro.core.errors import EmptySummaryError, MergeError, ParameterError
+from repro.core.decay import ForwardDecay, quadratic_decay
+from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import ExponentialG
-from repro.core.protocol import (
-    StreamSummary,
-    decode_number,
-    encode_number,
-    tag_key,
-    untag_key,
-)
+from repro.core.protocol import DECAY, ITEMS, KEY, LOG_WEIGHT, MAX_TIME, Field, Nested
+from repro.core.protocol import StreamSummary, Table, Value
 from repro.core.registry import register_summary
 from repro.sketches.dominance import DominanceNormEstimator
 
 __all__ = ["ExactDecayedDistinct", "DecayedDistinctCount"]
-
-
-def _default_decay() -> ForwardDecay:
-    from repro.core.functions import PolynomialG
-
-    return ForwardDecay(PolynomialG(2.0))
 
 
 def _log_static_weight(decay: ForwardDecay, timestamp: float) -> float:
@@ -74,7 +63,7 @@ def _log_normalizer(decay: ForwardDecay, query_time: float) -> float:
     "exact_decayed_distinct",
     kind="aggregate",
     input_kind="item_time",
-    factory=lambda: ExactDecayedDistinct(_default_decay()),
+    factory=lambda: ExactDecayedDistinct(quadratic_decay()),
 )
 class ExactDecayedDistinct(StreamSummary):
     """Exact decayed distinct count: per-item maximum static weight.
@@ -83,11 +72,18 @@ class ExactDecayedDistinct(StreamSummary):
     against which the sketched estimator is validated.
     """
 
+    _FIELDS = (
+        DECAY,
+        ITEMS,
+        MAX_TIME,
+        # One float (plus key slot) per distinct item.
+        Field("log_max", Table(KEY, Value(LOG_WEIGHT)), initial=dict,
+              entry_bytes=16),
+    )
+
     def __init__(self, decay: ForwardDecay):
+        super().__init__()
         self._decay = decay
-        self._log_max: dict[Hashable, float] = {}
-        self._items = 0
-        self._max_time = -math.inf
 
     @property
     def decay(self) -> ForwardDecay:
@@ -122,52 +118,19 @@ class ExactDecayedDistinct(StreamSummary):
 
     def merge(self, other: "ExactDecayedDistinct") -> None:
         """Fold in a summary over a disjoint substream."""
-        if not isinstance(other, ExactDecayedDistinct):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if other._decay != self._decay:
-            raise MergeError("decay models must match to merge")
+        self._check_merge(other, "decay")
         for item, log_weight in other._log_max.items():
             current = self._log_max.get(item)
             if current is None or log_weight > current:
                 self._log_max[item] = log_weight
-        self._items += other._items
-        if other._max_time > self._max_time:
-            self._max_time = other._max_time
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: one float (plus key slot) per distinct item."""
-        return len(self._log_max) * 16
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        from repro.core.serde import dump_decay
-
-        return {
-            "decay": dump_decay(self._decay),
-            "items": self._items,
-            "max_time": encode_number(self._max_time),
-            "log_max": [[tag_key(k), v] for k, v in self._log_max.items()],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "ExactDecayedDistinct":
-        from repro.core.serde import load_decay
-
-        summary = cls(load_decay(payload["decay"]))
-        summary._items = payload["items"]
-        summary._max_time = decode_number(payload["max_time"])
-        summary._log_max = {
-            untag_key(tag): value for tag, value in payload["log_max"]
-        }
-        return summary
+        self._merge_scaled(other, 1.0)
 
 
 @register_summary(
     "decayed_distinct_count",
     kind="aggregate",
     input_kind="item_time",
-    factory=lambda: DecayedDistinctCount(_default_decay(), epsilon=0.2, seed=7),
+    factory=lambda: DecayedDistinctCount(quadratic_decay(), epsilon=0.2, seed=7),
 )
 class DecayedDistinctCount(StreamSummary):
     """Sketched decayed count-distinct (Theorem 4).
@@ -177,12 +140,20 @@ class DecayedDistinctCount(StreamSummary):
     ``~O(1/eps^2)`` independent of the number of distinct items.
     """
 
+    _FIELDS = (
+        DECAY,
+        Field("epsilon", init=True),
+        Field("seed", attr="_seed", init=True),
+        ITEMS,
+        MAX_TIME,
+        Field("estimator", Nested(DominanceNormEstimator)),
+    )
+
     def __init__(self, decay: ForwardDecay, epsilon: float = 0.1, seed: int = 0):
+        super().__init__()
         self._decay = decay
         self._seed = seed
         self._estimator = DominanceNormEstimator(epsilon=epsilon, seed=seed)
-        self._items = 0
-        self._max_time = -math.inf
 
     @property
     def decay(self) -> ForwardDecay:
@@ -217,45 +188,6 @@ class DecayedDistinctCount(StreamSummary):
 
     def merge(self, other: "DecayedDistinctCount") -> None:
         """Fold in a summary over a disjoint substream (Section VI-B)."""
-        if not isinstance(other, DecayedDistinctCount):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if other._decay != self._decay:
-            raise MergeError("decay models must match to merge")
+        self._check_merge(other, "decay")
         self._estimator.merge(other._estimator)
-        self._items += other._items
-        if other._max_time > self._max_time:
-            self._max_time = other._max_time
-
-    def state_size_bytes(self) -> int:
-        """Approximate summary footprint."""
-        return self._estimator.state_size_bytes()
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        from repro.core.serde import dump_decay
-
-        return {
-            "decay": dump_decay(self._decay),
-            "epsilon": self.epsilon,
-            "seed": self._seed,
-            "items": self._items,
-            "max_time": encode_number(self._max_time),
-            "estimator": self._estimator._state_payload(),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "DecayedDistinctCount":
-        from repro.core.serde import load_decay
-
-        summary = cls(
-            load_decay(payload["decay"]),
-            epsilon=payload["epsilon"],
-            seed=payload["seed"],
-        )
-        summary._items = payload["items"]
-        summary._max_time = decode_number(payload["max_time"])
-        summary._estimator = DominanceNormEstimator._from_payload(
-            payload["estimator"]
-        )
-        return summary
+        self._merge_scaled(other, 1.0)

@@ -12,22 +12,17 @@ bounds of Theorem 2.
 
 from __future__ import annotations
 
-from typing import Hashable, NamedTuple, Sequence
+from typing import Hashable, NamedTuple
 
-from repro.core.decay import ForwardDecay
-from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.protocol import StreamSummary, decode_number, encode_number
+from repro.core.decay import ForwardDecay, quadratic_decay
+from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, WEIGHT, Field, Nested
+from repro.core.protocol import StreamSummary
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeightEngine
 from repro.sketches.spacesaving import WeightedSpaceSaving
 
 __all__ = ["DecayedHeavyHitters", "HeavyHitter"]
-
-
-def _default_decay() -> ForwardDecay:
-    from repro.core.functions import PolynomialG
-
-    return ForwardDecay(PolynomialG(2.0))
 
 
 class HeavyHitter(NamedTuple):
@@ -44,7 +39,7 @@ class HeavyHitter(NamedTuple):
     "decayed_heavy_hitters",
     kind="aggregate",
     input_kind="item_time",
-    factory=lambda: DecayedHeavyHitters(_default_decay(), epsilon=0.05),
+    factory=lambda: DecayedHeavyHitters(quadratic_decay(), epsilon=0.05),
 )
 class DecayedHeavyHitters(StreamSummary):
     """Streaming ``phi``-heavy hitters under any forward decay function.
@@ -63,16 +58,22 @@ class DecayedHeavyHitters(StreamSummary):
     summaries over disjoint substreams merge (Section VI-B).
     """
 
+    _FIELDS = (
+        DECAY,
+        LANDMARK,
+        Field("epsilon", init=True),
+        ITEMS,
+        MAX_TIME,
+        Field("sketch", Nested(WeightedSpaceSaving, WEIGHT)),
+    )
+
     def __init__(self, decay: ForwardDecay, epsilon: float = 0.01):
         if not 0.0 < epsilon < 1.0:
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
+        super().__init__()
         self.epsilon = epsilon
         self._sketch = WeightedSpaceSaving.from_epsilon(epsilon)
-        # Late-bound so a serde restore may swap in a rebuilt sketch.
-        self._engine = ForwardWeightEngine(
-            decay, lambda factor: self._sketch.scale(factor))
-        self._items = 0
-        self._max_time = float("-inf")
+        self._engine = ForwardWeightEngine(decay, self.scale)
 
     @property
     def decay(self) -> ForwardDecay:
@@ -99,21 +100,20 @@ class DecayedHeavyHitters(StreamSummary):
         if timestamp > self._max_time:
             self._max_time = timestamp
 
-    def decayed_total(self, query_time: float | None = None) -> float:
-        """The total decayed count ``C`` at ``query_time`` (Definition 5)."""
+    def _normalizer(self, query_time: float | None) -> float:
+        """``g(t - L)`` at ``query_time``, the last item's time by default."""
         if self._items == 0:
             raise EmptySummaryError("heavy-hitter summary has seen no items")
-        if query_time is None:
-            query_time = self._max_time
-        return self._sketch.total_weight / self._engine.normalizer(query_time)
+        return self._engine.normalizer(
+            self._max_time if query_time is None else query_time)
+
+    def decayed_total(self, query_time: float | None = None) -> float:
+        """The total decayed count ``C`` at ``query_time`` (Definition 5)."""
+        return self._sketch.total_weight / self._normalizer(query_time)
 
     def decayed_count(self, item: Hashable, query_time: float | None = None) -> float:
         """Estimated decayed count ``d_v`` of one item (0 if unmonitored)."""
-        if self._items == 0:
-            raise EmptySummaryError("heavy-hitter summary has seen no items")
-        if query_time is None:
-            query_time = self._max_time
-        return self._sketch.estimate(item) / self._engine.normalizer(query_time)
+        return self._sketch.estimate(item) / self._normalizer(query_time)
 
     def heavy_hitters(
         self, phi: float, query_time: float | None = None
@@ -124,73 +124,26 @@ class DecayedHeavyHitters(StreamSummary):
         items with ``d_v >= (phi - epsilon) * C`` (Theorem 2's guarantee).
         Results are sorted by descending decayed count.
         """
-        if self._items == 0:
-            raise EmptySummaryError("heavy-hitter summary has seen no items")
-        if query_time is None:
-            query_time = self._max_time
-        normalizer = self._engine.normalizer(query_time)
-        return [
-            HeavyHitter(c.item, c.count / normalizer, c.error / normalizer)
-            for c in self._sketch.heavy_hitters(phi)
-        ]
+        return self._reported(self._sketch.heavy_hitters(phi), query_time)
 
     def top_k(self, k: int, query_time: float | None = None) -> list[HeavyHitter]:
         """The ``k`` items with the largest estimated decayed counts."""
-        if self._items == 0:
-            raise EmptySummaryError("heavy-hitter summary has seen no items")
-        if query_time is None:
-            query_time = self._max_time
-        normalizer = self._engine.normalizer(query_time)
-        return [
-            HeavyHitter(c.item, c.count / normalizer, c.error / normalizer)
-            for c in self._sketch.top_k(k)
-        ]
+        return self._reported(self._sketch.top_k(k), query_time)
+
+    def _reported(self, counters, query_time: float | None) -> list[HeavyHitter]:
+        normalizer = self._normalizer(query_time)
+        return [HeavyHitter(c.item, c.count / normalizer, c.error / normalizer)
+                for c in counters]
 
     def merge(self, other: "DecayedHeavyHitters") -> None:
         """Fold in a summary of a disjoint substream (Section VI-B)."""
-        if not isinstance(other, DecayedHeavyHitters):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if other.epsilon != self.epsilon:
-            raise MergeError(
-                f"epsilon mismatch: {self.epsilon} vs {other.epsilon}"
-            )
+        self._check_merge(other, "epsilon")
         factor = self._engine.align_for_merge(other._engine)
         self._sketch.merge(other._sketch, factor)
-        self._items += other._items
-        if other._max_time > self._max_time:
-            self._max_time = other._max_time
+        self._merge_scaled(other, factor)
 
     def query(
         self, phi: float = 0.05, query_time: float | None = None
     ) -> list[HeavyHitter]:
         """Primary answer (StreamSummary protocol): the ``phi``-heavy hitters."""
         return self.heavy_hitters(phi, query_time)
-
-    def state_size_bytes(self) -> int:
-        """Approximate summary footprint (Figure 4(c)/(d) accounting)."""
-        return self._sketch.state_size_bytes()
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        from repro.core.serde import dump_decay
-
-        return {
-            "decay": dump_decay(self.decay),
-            "internal_landmark": self._engine.internal_landmark,
-            "epsilon": self.epsilon,
-            "items": self._items,
-            "max_time": encode_number(self._max_time),
-            "sketch": self._sketch._state_payload(),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "DecayedHeavyHitters":
-        from repro.core.serde import load_decay
-
-        summary = cls(load_decay(payload["decay"]), epsilon=payload["epsilon"])
-        summary._engine.restore_landmark(payload["internal_landmark"])
-        summary._items = payload["items"]
-        summary._max_time = decode_number(payload["max_time"])
-        summary._sketch = WeightedSpaceSaving._from_payload(payload["sketch"])
-        return summary

@@ -14,11 +14,12 @@ integer domain of size ``U``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.core.decay import ForwardDecay
-from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.protocol import StreamSummary, decode_number, encode_number
+from repro.core.decay import ForwardDecay, quadratic_decay
+from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, WEIGHT, Field, Nested
+from repro.core.protocol import StreamSummary
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeightEngine
 from repro.sketches.gk import GKSummary
@@ -27,17 +28,11 @@ from repro.sketches.qdigest import QDigest
 __all__ = ["DecayedQuantiles"]
 
 
-def _default_decay() -> ForwardDecay:
-    from repro.core.functions import PolynomialG
-
-    return ForwardDecay(PolynomialG(2.0))
-
-
 @register_summary(
     "decayed_quantiles",
     kind="aggregate",
     input_kind="value_time",
-    factory=lambda: DecayedQuantiles(_default_decay(), epsilon=0.01, universe_bits=10),
+    factory=lambda: DecayedQuantiles(quadratic_decay(), epsilon=0.01, universe_bits=10),
 )
 class DecayedQuantiles(StreamSummary):
     """Streaming ``phi``-quantiles under any forward decay function.
@@ -58,6 +53,20 @@ class DecayedQuantiles(StreamSummary):
         ordered values (no universe bound), approximately mergeable.
     """
 
+    _FIELDS = (
+        DECAY,
+        LANDMARK,
+        Field("epsilon", init=True),
+        Field("backend", init=True),
+        Field("universe_bits", init=True),
+        ITEMS,
+        MAX_TIME,
+        Field("digest", Nested(
+            lambda payload: QDigest if payload["backend"] == "qdigest" else GKSummary,
+            WEIGHT,
+        )),
+    )
+
     def __init__(
         self,
         decay: ForwardDecay,
@@ -71,17 +80,14 @@ class DecayedQuantiles(StreamSummary):
             raise ParameterError(
                 f"backend must be 'qdigest' or 'gk', got {backend!r}"
             )
+        super().__init__()
         self.epsilon = epsilon
         self.backend = backend
         if backend == "qdigest":
             self._digest = QDigest.from_epsilon(epsilon, universe_bits)
         else:
             self._digest = GKSummary(min(epsilon, 0.49))
-        # Late-bound so a serde restore may swap in a rebuilt digest.
-        self._engine = ForwardWeightEngine(
-            decay, lambda factor: self._digest.scale(factor))
-        self._items = 0
-        self._max_time = float("-inf")
+        self._engine = ForwardWeightEngine(decay, self.scale)
 
     @property
     def decay(self) -> ForwardDecay:
@@ -110,26 +116,26 @@ class DecayedQuantiles(StreamSummary):
         if timestamp > self._max_time:
             self._max_time = timestamp
 
-    def decayed_total(self, query_time: float | None = None) -> float:
-        """The total decayed count ``C`` at ``query_time``."""
+    def _normalizer(self, query_time: float | None) -> float:
+        """``g(t - L)`` at ``query_time``, the last item's time by default."""
         if self._items == 0:
             raise EmptySummaryError("quantile summary has seen no items")
-        if query_time is None:
-            query_time = self._max_time
-        return self._digest.total_weight / self._engine.normalizer(query_time)
+        return self._engine.normalizer(
+            self._max_time if query_time is None else query_time)
+
+    def decayed_total(self, query_time: float | None = None) -> float:
+        """The total decayed count ``C`` at ``query_time``."""
+        return self._digest.total_weight / self._normalizer(query_time)
 
     def decayed_rank(self, value: int, query_time: float | None = None) -> float:
         """Approximate decayed rank ``r_v`` of ``value`` (Definition 8)."""
-        if self._items == 0:
-            raise EmptySummaryError("quantile summary has seen no items")
-        if query_time is None:
-            query_time = self._max_time
+        normalizer = self._normalizer(query_time)
         if isinstance(self._digest, QDigest):
             raw = self._digest.rank(value)
         else:
             low, high = self._digest.rank_bounds(value)
             raw = (low + high) / 2.0
-        return raw / self._engine.normalizer(query_time)
+        return raw / normalizer
 
     def quantile(self, phi: float) -> int:
         """The smallest value whose decayed rank is ``>= phi * C``.
@@ -149,61 +155,13 @@ class DecayedQuantiles(StreamSummary):
 
     def merge(self, other: "DecayedQuantiles") -> None:
         """Fold in a summary of a disjoint substream (Section VI-B)."""
-        if not isinstance(other, DecayedQuantiles):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if other.backend != self.backend:
-            raise MergeError(
-                f"backend mismatch: {self.backend} vs {other.backend}"
-            )
-        if other.universe_bits != self.universe_bits:
-            raise MergeError(
-                f"universe mismatch: {self.universe_bits} vs {other.universe_bits}"
-            )
+        self._check_merge(other, "backend", "universe_bits")
         factor = self._engine.align_for_merge(other._engine)
         self._digest.merge(other._digest, factor)
-        self._items += other._items
-        if other._max_time > self._max_time:
-            self._max_time = other._max_time
+        self._merge_scaled(other, factor)
 
     def query(self, phi: float = 0.5) -> int:
         """Primary answer (StreamSummary protocol): the ``phi``-quantile."""
         if self._items == 0:
             raise EmptySummaryError("quantile summary has seen no items")
         return self.quantile(phi)
-
-    def state_size_bytes(self) -> int:
-        """Approximate summary footprint."""
-        return self._digest.state_size_bytes()
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        from repro.core.serde import dump_decay
-
-        return {
-            "decay": dump_decay(self.decay),
-            "internal_landmark": self._engine.internal_landmark,
-            "epsilon": self.epsilon,
-            "backend": self.backend,
-            "universe_bits": self.universe_bits,
-            "items": self._items,
-            "max_time": encode_number(self._max_time),
-            "digest": self._digest._state_payload(),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "DecayedQuantiles":
-        from repro.core.serde import load_decay
-
-        summary = cls(
-            load_decay(payload["decay"]),
-            epsilon=payload["epsilon"],
-            universe_bits=payload["universe_bits"] or 16,
-            backend=payload["backend"],
-        )
-        summary._engine.restore_landmark(payload["internal_landmark"])
-        summary._items = payload["items"]
-        summary._max_time = decode_number(payload["max_time"])
-        backend_cls = QDigest if payload["backend"] == "qdigest" else GKSummary
-        summary._digest = backend_cls._from_payload(payload["digest"])
-        return summary

@@ -17,18 +17,14 @@ their dataclass fields, so any ``g`` shipped with the library is supported.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import struct
 import time
 import zlib
-from typing import TYPE_CHECKING
 
 from repro.core.cols import pack_column, read_column
 from repro.core.errors import ParameterError, ProtocolError
-
-if TYPE_CHECKING:
-    from repro.core.decay import ForwardDecay
+from repro.core.protocol import dump_decay, load_decay
 
 __all__ = [
     "dump_summary",
@@ -44,48 +40,6 @@ __all__ = [
 ]
 
 _VERSION = 1
-
-#: The ``g`` classes of :mod:`repro.core.functions` that round-trip.  The
-#: checkpoint file codec below is all a server imports this module for,
-#: so the decay model is imported by the two functions that use it.
-_G_CLASSES = (
-    "NoDecayG",
-    "PolynomialG",
-    "GeneralPolynomialG",
-    "ExponentialG",
-    "LandmarkWindowG",
-    "LogarithmicG",
-)
-
-
-def dump_decay(decay: ForwardDecay) -> dict:
-    """Serialize a :class:`ForwardDecay` (function class + parameters)."""
-    g = decay.g
-    name = type(g).__name__
-    if name not in _G_CLASSES:
-        raise ParameterError(
-            f"cannot serialize custom decay function {name!r}; "
-            "register it with the library's function classes"
-        )
-    fields = dataclasses.asdict(g)
-    # Tuples (GeneralPolynomialG coefficients) become JSON lists; the
-    # loader converts back.
-    return {"g": name, "params": fields, "landmark": decay.landmark}
-
-
-def load_decay(data: dict) -> ForwardDecay:
-    """Inverse of :func:`dump_decay`."""
-    from repro.core import functions
-    from repro.core.decay import ForwardDecay
-
-    if data["g"] not in _G_CLASSES:
-        raise ParameterError(f"unknown decay function class {data['g']!r}")
-    cls = getattr(functions, data["g"])
-    params = dict(data["params"])
-    if "coefficients" in params:
-        params["coefficients"] = tuple(params["coefficients"])
-    return ForwardDecay(cls(**params), landmark=data["landmark"])
-
 
 # -- summary envelopes -------------------------------------------------------------
 

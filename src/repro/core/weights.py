@@ -65,16 +65,17 @@ class ForwardWeightEngine:
 
     @property
     def internal_landmark(self) -> float:
-        """The engine's current (possibly advanced) landmark."""
+        """The engine's current (possibly advanced) landmark.
+
+        Set directly, it moves without rescaling: for checkpoint
+        restoration, where the owner restores state saved against exactly
+        this landmark, and for anchoring an engine whose owner holds no
+        state yet.
+        """
         return self._landmark
 
-    def restore_landmark(self, landmark: float) -> None:
-        """Set the internal landmark directly, without rescaling.
-
-        For checkpoint restoration, where the caller restores state saved
-        against exactly this landmark, and for anchoring an engine whose
-        owner holds no state yet.
-        """
+    @internal_landmark.setter
+    def internal_landmark(self, landmark: float) -> None:
         self._landmark = landmark
 
     def arrival_weight(self, timestamp: float) -> float:

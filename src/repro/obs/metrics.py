@@ -72,7 +72,7 @@ def _write_weight(engine: ForwardWeightEngine, now: float, empty: bool) -> float
     anchors the engine's landmark at ``now``.
     """
     if empty:
-        engine.restore_landmark(now)
+        engine.internal_landmark = now
     return engine.arrival_weight(now)
 
 

@@ -22,18 +22,11 @@ Limitations faithfully reproduced (they are the point of the comparison):
 from __future__ import annotations
 
 import random
-from typing import Generic, TypeVar
+from typing import TypeVar
 
-from repro.core.errors import EmptySummaryError, ParameterError
-from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import (
-    StreamSummary,
-    dump_rng_state,
-    load_rng_state,
-    tag_key,
-)
+from repro.core.errors import EmptySummaryError
 from repro.core.registry import register_summary
-from repro.sampling.reservoir import restored_reservoir
+from repro.sampling.reservoir import ReservoirSampler
 
 __all__ = ["AggarwalBiasedReservoir"]
 
@@ -48,8 +41,13 @@ T = TypeVar("T")
     mergeable=False,
     exact_merge=False,
 )
-class AggarwalBiasedReservoir(StreamSummary, Generic[T]):
+class AggarwalBiasedReservoir(ReservoirSampler[T]):
     """Biased reservoir realizing backward-exponential inclusion bias.
+
+    A reservoir of ``k`` slots, its state that of
+    :class:`~repro.sampling.reservoir.ReservoirSampler`; only the
+    replacement rule differs.  The number of items offered is the
+    sequential 'timestamp'.
 
     Parameters
     ----------
@@ -59,23 +57,10 @@ class AggarwalBiasedReservoir(StreamSummary, Generic[T]):
         Source of randomness (seed it for reproducibility).
     """
 
-    def __init__(self, k: int, rng: random.Random | None = None):
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k!r}")
-        self.k = k
-        self._rng = KeyedRandom.from_rng(rng)
-        self._reservoir: list[T] = []
-        self._seen = 0
-
     @property
     def decay_rate(self) -> float:
         """The backward-exponential rate this reservoir realizes."""
         return 1.0 / self.k
-
-    @property
-    def items_seen(self) -> int:
-        """Number of stream items offered (the sequential 'timestamp')."""
-        return self._seen
 
     def update(self, item: T) -> None:
         """Offer the next stream item (arrival order *is* its timestamp)."""
@@ -94,32 +79,3 @@ class AggarwalBiasedReservoir(StreamSummary, Generic[T]):
         if not self._reservoir:
             raise EmptySummaryError("biased reservoir has seen no items")
         return list(self._reservoir)
-
-    def __len__(self) -> int:
-        """Current number of retained items."""
-        return len(self._reservoir)
-
-    def query(self) -> list[T]:
-        """Primary answer (StreamSummary protocol): the current sample."""
-        return self.sample()
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: one slot per retained item."""
-        return len(self._reservoir) * 8
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "seen": self._seen,
-            "reservoir": [tag_key(item) for item in self._reservoir],
-            "rng": dump_rng_state(self._rng),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "AggarwalBiasedReservoir":
-        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
-        sampler._seen = payload["seen"]
-        sampler._reservoir = restored_reservoir(sampler.k, payload["reservoir"])
-        return sampler

@@ -28,17 +28,9 @@ from typing import Callable, Generic, Hashable, NamedTuple, TypeVar
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import (
-    StreamSummary,
-    decode_number,
-    dump_rng_state,
-    encode_number,
-    load_rng_state,
-    tag_key,
-    untag_key,
-)
+from repro.core.protocol import KEY, RAW, Field, StreamSummary
 from repro.core.registry import register_summary
-from repro.sampling.weighted_reservoir import batch_log_weights, restored_heap
+from repro.sampling.weighted_reservoir import LOG_KEY, batch_log_weights, heap_fields
 
 __all__ = ["PrioritySampler", "PrioritySample", "estimate_decayed_sum"]
 
@@ -71,17 +63,20 @@ class PrioritySampler(StreamSummary, Generic[T]):
     the estimand is a decayed sum of values rather than a decayed count.
     """
 
+    # Min-heap of (log_priority, tiebreak, item, log_weight): the root is
+    # the lowest-priority retained item.  Priority, weight and a slot per
+    # item; ``ln tau`` is the highest evicted log-priority.
+    _FIELDS = heap_fields(
+        LOG_KEY, RAW, KEY, LOG_KEY, entry_bytes=24,
+        extra=(Field("log_tau", LOG_KEY, initial=-math.inf),),
+    )
+
     def __init__(self, k: int, rng: random.Random | None = None):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
+        super().__init__()
         self.k = k
         self._rng = KeyedRandom.from_rng(rng)
-        # Min-heap of (log_priority, tiebreak, item, log_weight): the root
-        # is the lowest-priority retained item.
-        self._heap: list[tuple[float, int, T, float]] = []
-        self._tiebreak = 0
-        self._seen = 0
-        self._log_tau = -math.inf  # highest evicted log-priority
 
     @property
     def items_seen(self) -> int:
@@ -182,39 +177,6 @@ class PrioritySampler(StreamSummary, Generic[T]):
     def query(self) -> PrioritySample:
         """Primary answer (StreamSummary protocol): the current sample."""
         return self.sample()
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: priority + weight + slot per item."""
-        return len(self._heap) * 24
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "seen": self._seen,
-            "tiebreak": self._tiebreak,
-            "log_tau": encode_number(self._log_tau),
-            "heap": [
-                [encode_number(log_priority), tiebreak, tag_key(item),
-                 encode_number(log_weight)]
-                for log_priority, tiebreak, item, log_weight in self._heap
-            ],
-            "rng": dump_rng_state(self._rng),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "PrioritySampler":
-        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
-        sampler._seen = payload["seen"]
-        sampler._tiebreak = payload["tiebreak"]
-        sampler._log_tau = decode_number(payload["log_tau"])
-        sampler._heap = restored_heap(sampler.k, [
-            (decode_number(log_priority), tiebreak, untag_key(item),
-             decode_number(log_weight))
-            for log_priority, tiebreak, item, log_weight in payload["heap"]
-        ])
-        return sampler
 
 
 def estimate_decayed_sum(

@@ -14,26 +14,12 @@ from typing import Generic, Iterable, TypeVar
 
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import (
-    StreamSummary,
-    dump_rng_state,
-    load_rng_state,
-    tag_key,
-    untag_key,
-)
+from repro.core.protocol import GENERATOR, KEY, Field, ListOf, StreamSummary
 from repro.core.registry import register_summary
 
 __all__ = ["ReservoirSampler"]
 
 T = TypeVar("T")
-
-
-def restored_reservoir(k: int, tags: list) -> list:
-    """The items of a serialized reservoir, refused if they outnumber
-    ``k`` (a slot past it is never replaced and never leaves)."""
-    if len(tags) > k:
-        raise ParameterError(f"{len(tags)} items in a reservoir of k = {k!r}")
-    return [untag_key(tag) for tag in tags]
 
 
 @register_summary(
@@ -56,13 +42,28 @@ class ReservoirSampler(StreamSummary, Generic[T]):
         reproducible samples.
     """
 
+    # The items may not outnumber ``k``: a slot past it is never replaced
+    # and never leaves.  Each holds one slot.
+    _FIELDS = (
+        Field("k", init=True),
+        Field("seen", initial=0),
+        Field("reservoir", ListOf(KEY, most="k"), initial=list, entry_bytes=8),
+        Field("rng", GENERATOR, attr="_rng", init=True),
+    )
+    # Buffers that carry a skip count predate the one update path, and
+    # may have been mid-skip: continuing them as Algorithm R would
+    # coin-flip items the old run had already passed over.
+    _RETIRED = {
+        "skip": "reservoir buffer carries a skip count: written with a skip "
+                "path this build does not have",
+    }
+
     def __init__(self, k: int, rng: random.Random | None = None):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
+        super().__init__()
         self.k = k
         self._rng = KeyedRandom.from_rng(rng)
-        self._reservoir: list[T] = []
-        self._seen = 0
 
     @property
     def items_seen(self) -> int:
@@ -99,32 +100,3 @@ class ReservoirSampler(StreamSummary, Generic[T]):
     def query(self) -> list[T]:
         """Primary answer (StreamSummary protocol): the current sample."""
         return self.sample()
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: one slot per reservoir entry."""
-        return len(self._reservoir) * 8
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "seen": self._seen,
-            "reservoir": [tag_key(item) for item in self._reservoir],
-            "rng": dump_rng_state(self._rng),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "ReservoirSampler":
-        # Buffers that carry a skip count predate the one update path, and
-        # may have been mid-skip: continuing them as Algorithm R would
-        # coin-flip items the old run had already passed over.
-        if "skip" in payload:
-            raise ParameterError(
-                "reservoir buffer carries a skip count: written with a skip "
-                "path this build does not have"
-            )
-        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
-        sampler._seen = payload["seen"]
-        sampler._reservoir = restored_reservoir(sampler.k, payload["reservoir"])
-        return sampler

@@ -33,15 +33,8 @@ from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import ExponentialG
 from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import (
-    StreamSummary,
-    decode_number,
-    dump_rng_state,
-    encode_number,
-    load_rng_state,
-    tag_key,
-    untag_key,
-)
+from repro.core.protocol import GENERATOR, KEY, LOG_WEIGHT, NUMBER_CODEC, RAW, Field
+from repro.core.protocol import Records, StreamSummary, Value
 from repro.core.registry import register_summary
 
 __all__ = ["WeightedReservoirSampler", "decayed_log_weight"]
@@ -76,14 +69,23 @@ def batch_log_weights(items, weights) -> list[float] | None:
     return logs if all(map(math.isfinite, logs)) else None  # inf, NaN
 
 
-def restored_heap(k: int, heap: list[tuple]) -> list[tuple]:
-    """``heap`` as a restored sampler may trust it: at most ``k`` entries
-    in heap order, or ``heapreplace`` would evict the wrong one."""
-    if len(heap) > k:
-        raise ParameterError(f"{len(heap)} entries in a sample of k = {k!r}")
-    if any(heap[(i - 1) >> 1] > heap[i] for i in range(1, len(heap))):
-        raise ParameterError("sample entries are not in heap order")
-    return heap
+#: A log-domain key, ``-inf`` / NaN tagged.
+LOG_KEY = Value(LOG_WEIGHT, NUMBER_CODEC)
+
+
+def heap_fields(*entry: Value, entry_bytes: int,
+                extra: tuple[Field, ...] = ()) -> tuple[Field, ...]:
+    """A heap sampler's payload, ``extra`` before its heap: at most ``k``
+    entries in heap order, or ``heapreplace`` would evict the wrong one."""
+    return (
+        Field("k", init=True),
+        Field("seen", initial=0),
+        Field("tiebreak", initial=0),
+        *extra,
+        Field("heap", Records(*entry, heap=True, most="k"), initial=list,
+              entry_bytes=entry_bytes),
+        Field("rng", GENERATOR, attr="_rng", init=True),
+    )
 
 
 @register_summary(
@@ -103,16 +105,17 @@ class WeightedReservoirSampler(StreamSummary, Generic[T]):
     ``decayed_log_weight(decay, t_i)``.
     """
 
+    # Max-heap on log-key via negation of (log-key, tiebreak, item): the
+    # root is the *largest* (worst) retained key, evicted first.  A key
+    # and a slot per item.
+    _FIELDS = heap_fields(LOG_KEY, RAW, KEY, entry_bytes=16)
+
     def __init__(self, k: int, rng: random.Random | None = None):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
+        super().__init__()
         self.k = k
         self._rng = KeyedRandom.from_rng(rng)
-        # Max-heap on log-key via negation: the root is the *largest*
-        # (worst) retained key, evicted first.
-        self._heap: list[tuple[float, int, T]] = []
-        self._tiebreak = 0
-        self._seen = 0
 
     @property
     def items_seen(self) -> int:
@@ -174,32 +177,3 @@ class WeightedReservoirSampler(StreamSummary, Generic[T]):
     def query(self) -> list[T]:
         """Primary answer (StreamSummary protocol): the current sample."""
         return self.sample()
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: key + slot per retained item."""
-        return len(self._heap) * 16
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "seen": self._seen,
-            "tiebreak": self._tiebreak,
-            "heap": [
-                [encode_number(neg_key), tiebreak, tag_key(item)]
-                for neg_key, tiebreak, item in self._heap
-            ],
-            "rng": dump_rng_state(self._rng),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "WeightedReservoirSampler":
-        sampler = cls(payload["k"], rng=load_rng_state(payload["rng"]))
-        sampler._seen = payload["seen"]
-        sampler._tiebreak = payload["tiebreak"]
-        sampler._heap = restored_heap(sampler.k, [
-            (decode_number(neg_key), tiebreak, untag_key(item))
-            for neg_key, tiebreak, item in payload["heap"]
-        ])
-        return sampler

@@ -28,17 +28,11 @@ from __future__ import annotations
 import random
 from typing import Generic, Hashable, TypeVar
 
-from repro.core.decay import ForwardDecay
+from repro.core.decay import ForwardDecay, quadratic_decay
 from repro.core.errors import EmptySummaryError, ParameterError
-from repro.core.functions import PolynomialG
 from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import (
-    StreamSummary,
-    dump_rng_state,
-    load_rng_state,
-    tag_key,
-    untag_key,
-)
+from repro.core.protocol import DECAY, GENERATOR, KEY, LANDMARK, WEIGHT, Field, ListOf
+from repro.core.protocol import StreamSummary, Value
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeightEngine
 
@@ -52,7 +46,7 @@ T = TypeVar("T", bound=Hashable)
     kind="sampler",
     input_kind="item_time",
     factory=lambda: DecayedSamplerWithReplacement(
-        ForwardDecay(PolynomialG(2.0)), s=8, rng=random.Random(7)
+        quadratic_decay(), s=8, rng=random.Random(7)
     ),
     mergeable=False,
     exact_merge=False,
@@ -74,17 +68,32 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
     replaces.
     """
 
+    # s sizes the slot table: believe it only as far as the payload
+    # carries slots, or a flipped bit allocates gigabytes.  And every
+    # slot needs its threshold, or update indexes past the list.  The
+    # footprint is one slot per drawing plus the total.
+    _FIELDS = (
+        DECAY,
+        LANDMARK,
+        Field("s", init=True),
+        Field("weight_total", Value(WEIGHT, nonneg=True), initial=0.0,
+              entry_bytes=8),
+        Field("slots", ListOf(KEY, length="s"), entry_bytes=8),
+        Field("items", initial=0),
+        Field("next_replace", ListOf(Value(WEIGHT, nonneg=True), length="s")),
+        Field("rng", GENERATOR, attr="_rng", init=True),
+    )
+
     def __init__(
         self, decay: ForwardDecay, s: int, rng: random.Random | None = None
     ):
         if s < 1:
             raise ParameterError(f"s must be >= 1, got {s!r}")
+        super().__init__()
         self.s = s
         self._rng = KeyedRandom.from_rng(rng)
-        self._engine = ForwardWeightEngine(decay, self._scale_state)
-        self._weight_total = 0.0
+        self._engine = ForwardWeightEngine(decay, self.scale)
         self._slots: list[T | None] = [None] * s
-        self._items = 0
         # Slot j next replaces when the running total reaches
         # _next_replace[j].  The cached minimum gives an O(1) "no slot
         # fires" fast path.
@@ -105,11 +114,6 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
     def total_weight(self) -> float:
         """Running total of arrival weights (internal-landmark scale)."""
         return self._weight_total
-
-    def _scale_state(self, factor: float) -> None:
-        self._weight_total *= factor
-        self._next_replace = [t * factor for t in self._next_replace]
-        self._min_threshold *= factor
 
     def update(self, item: T, timestamp: float) -> None:
         """Offer one stream item; each slot whose threshold the running
@@ -141,48 +145,5 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
         """Primary answer (StreamSummary protocol): the current sample."""
         return self.sample()
 
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: one slot per drawing plus the total."""
-        return 8 * (self.s + 1)
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        from repro.core.serde import dump_decay
-
-        return {
-            "decay": dump_decay(self._engine.decay),
-            "internal_landmark": self._engine.internal_landmark,
-            "s": self.s,
-            "weight_total": self._weight_total,
-            "slots": [tag_key(slot) for slot in self._slots],
-            "items": self._items,
-            "next_replace": list(self._next_replace),
-            "rng": dump_rng_state(self._rng),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "DecayedSamplerWithReplacement":
-        from repro.core.serde import load_decay
-
-        # s sizes the slot table: believe it only as far as the payload
-        # carries slots, or a flipped bit allocates gigabytes.  And every
-        # slot needs its threshold, or update indexes past the list.
-        for field in ("slots", "next_replace"):
-            if payload["s"] != len(payload[field]):
-                raise ParameterError(
-                    f"s is {payload['s']!r} but the payload carries "
-                    f"{len(payload[field])} {field}"
-                )
-        sampler = cls(
-            load_decay(payload["decay"]),
-            payload["s"],
-            rng=load_rng_state(payload["rng"]),
-        )
-        sampler._engine.restore_landmark(payload["internal_landmark"])
-        sampler._weight_total = payload["weight_total"]
-        sampler._slots = [untag_key(tag) for tag in payload["slots"]]
-        sampler._items = payload["items"]
-        sampler._next_replace = list(payload["next_replace"])
-        sampler._min_threshold = min(sampler._next_replace)
-        return sampler
+    def _reindex(self) -> None:
+        self._min_threshold = min(self._next_replace)

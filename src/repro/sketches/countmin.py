@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import Hashable
 
-from repro.core.errors import MergeError, ParameterError
-from repro.core.protocol import StreamSummary
+from repro.core.errors import ParameterError
+from repro.core.protocol import WEIGHT, Field, ListOf, StreamSummary, Value
 from repro.core.registry import register_summary
 from repro.sketches.kmv import SEED_LIMIT, check_seed, hash_to_unit
 
@@ -33,6 +33,22 @@ __all__ = ["CountMinSketch"]
 class CountMinSketch(StreamSummary):
     """Weighted Count-Min frequency sketch."""
 
+    # epsilon and delta size the grid: believe them only as far as the
+    # payload carries that grid, or a flipped bit asks for gigabytes
+    # before anything else is looked at.
+    _FIELDS = (
+        Field("epsilon", init=True),
+        Field("delta", init=True),
+        Field("seed", init=True),
+        Field("total", Value(WEIGHT, nonneg=True), initial=0.0),
+        # ``width x depth`` float counters.
+        Field("rows", ListOf(
+            ListOf(Value(WEIGHT, nonneg=True),
+                   length=lambda p: CountMinSketch._shape(p["epsilon"], p["delta"])[0]),
+            length=lambda p: CountMinSketch._shape(p["epsilon"], p["delta"])[1],
+        ), entry_bytes=8),
+    )
+
     def __init__(self, epsilon: float = 0.01, delta: float = 0.01, seed: int = 0):
         if not 0.0 < epsilon < 1.0:
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
@@ -46,8 +62,8 @@ class CountMinSketch(StreamSummary):
             (SEED_LIMIT - self.depth) // 1_000_003 + 1,
             "seed (row r hashes with seed * 1,000,003 + r)",
         )
+        super().__init__()
         self._rows = [[0.0] * self.width for __ in range(self.depth)]
-        self._total = 0.0
 
     @staticmethod
     def _shape(epsilon: float, delta: float) -> tuple[int, int]:
@@ -118,26 +134,9 @@ class CountMinSketch(StreamSummary):
             for row, column in enumerate(self._columns(item))
         )
 
-    def scale(self, factor: float) -> None:
-        """Rescale all counters (forward-decay landmark renormalization)."""
-        if not factor > 0:
-            raise ParameterError(f"scale factor must be > 0, got {factor!r}")
-        for row in self._rows:
-            for column in range(self.width):
-                row[column] *= factor
-        self._total *= factor
-
     def merge(self, other: "CountMinSketch", factor: float = 1.0) -> None:
         """Cell-wise addition; exact union semantics."""
-        if not isinstance(other, CountMinSketch):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if (other.width, other.depth, other.seed) != (self.width, self.depth,
-                                                      self.seed):
-            raise MergeError(
-                "CountMin parameter mismatch: "
-                f"({self.width}x{self.depth}, seed={self.seed}) vs "
-                f"({other.width}x{other.depth}, seed={other.seed})"
-            )
+        self._check_merge(other, "width", "depth", "seed")
         for mine, theirs in zip(self._rows, other._rows):
             for column in range(self.width):
                 mine[column] += theirs[column] * factor
@@ -149,35 +148,3 @@ class CountMinSketch(StreamSummary):
         if item is None:
             return self._total
         return self.estimate(item)
-
-    def state_size_bytes(self) -> int:
-        """``width x depth`` float counters."""
-        return 8 * self.width * self.depth
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "seed": self.seed,
-            "total": self._total,
-            "rows": [list(row) for row in self._rows],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "CountMinSketch":
-        # epsilon and delta size the grid: believe them only as far as
-        # the payload carries that grid, or a flipped bit asks for
-        # gigabytes before anything else is looked at.
-        rows = payload["rows"]
-        width, depth = cls._shape(payload["epsilon"], payload["delta"])
-        if depth != len(rows) or any(len(row) != width for row in rows):
-            raise ParameterError(
-                f"epsilon / delta imply a {depth} x {width} counter grid, "
-                f"the payload carries {len(rows)} rows"
-            )
-        sketch = cls(payload["epsilon"], payload["delta"], payload["seed"])
-        sketch._total = payload["total"]
-        sketch._rows = [list(row) for row in payload["rows"]]
-        return sketch

@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 from typing import Hashable
 
-from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.protocol import StreamSummary
+from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.protocol import DECIMAL, ITEMS, Field, Nested, StreamSummary, Table
 from repro.core.registry import register_summary
 from repro.sketches.kmv import KMVSketch, check_seed
 
@@ -63,6 +63,14 @@ class DominanceNormEstimator(StreamSummary):
     exactly once per level it reaches).
     """
 
+    _FIELDS = (
+        Field("epsilon", init=True),
+        Field("seed", init=True),
+        Field("kmv_size", attr="_kmv_size", init=True),
+        ITEMS,
+        Field("levels", Table(DECIMAL, Nested(KMVSketch), sort=True), initial=dict),
+    )
+
     def __init__(self, epsilon: float = 0.1, seed: int = 0, kmv_size: int | None = None):
         if not 0.0 < epsilon < 1.0:
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
@@ -74,8 +82,7 @@ class DominanceNormEstimator(StreamSummary):
             # errors are independent and average out in the telescoped sum.
             kmv_size = min(1024, max(16, math.ceil(0.5 / (epsilon * epsilon))))
         self._kmv_size = kmv_size
-        self._levels: dict[int, KMVSketch] = {}
-        self._items = 0
+        super().__init__()
 
     @property
     def items_processed(self) -> int:
@@ -142,18 +149,7 @@ class DominanceNormEstimator(StreamSummary):
 
     def merge(self, other: "DominanceNormEstimator") -> None:
         """Fold in an estimator built over a disjoint substream."""
-        if not isinstance(other, DominanceNormEstimator):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if (
-            other.epsilon != self.epsilon
-            or other.seed != self.seed
-            or other._kmv_size != self._kmv_size
-        ):
-            raise MergeError(
-                "DominanceNormEstimator parameter mismatch: "
-                f"(eps={self.epsilon}, seed={self.seed}, kmv={self._kmv_size}) vs "
-                f"(eps={other.epsilon}, seed={other.seed}, kmv={other._kmv_size})"
-            )
+        self._check_merge(other, "epsilon", "seed", "_kmv_size")
         for level, sketch in other._levels.items():
             mine = self._levels.get(level)
             if mine is None:
@@ -165,35 +161,3 @@ class DominanceNormEstimator(StreamSummary):
     def query(self, log_normalizer: float = 0.0) -> float:
         """Primary answer (StreamSummary protocol): the dominance norm."""
         return self.estimate(log_normalizer)
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint across all level sketches."""
-        return sum(s.state_size_bytes() for s in self._levels.values())
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "kmv_size": self._kmv_size,
-            "items": self._items,
-            "levels": [
-                [str(level), self._levels[level]._state_payload()]
-                for level in sorted(self._levels)
-            ],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "DominanceNormEstimator":
-        estimator = cls(
-            epsilon=payload["epsilon"],
-            seed=payload["seed"],
-            kmv_size=payload["kmv_size"],
-        )
-        estimator._items = payload["items"]
-        estimator._levels = {
-            int(level): KMVSketch._from_payload(sketch)
-            for level, sketch in payload["levels"]
-        }
-        return estimator

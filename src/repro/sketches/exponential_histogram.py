@@ -26,11 +26,11 @@ most an ``epsilon`` fraction of the mass newer than it.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 from repro.core.errors import ParameterError
 from repro.core.functions import FFunction
-from repro.core.protocol import StreamSummary, decode_number, encode_number
+from repro.core.protocol import NUMBER, RAW, Field, Records, StreamSummary
 from repro.core.registry import register_summary
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 
 
 class _Bucket:
-    __slots__ = ("timestamp", "size")
+    __slots__ = ("timestamp", "size")  # the payload's columns, in order
 
     def __init__(self, timestamp: float, size: int):
         self.timestamp = timestamp  # newest element in the bucket
@@ -57,6 +57,16 @@ class _ExponentialHistogramBase(StreamSummary):
     (one of the backward-decay limitations forward decay removes).
     """
 
+    _FIELDS = (
+        Field("epsilon", init=True),
+        Field("window", init=True),
+        Field("last_time", NUMBER, initial=-math.inf),
+        # A timestamp and a size per bucket, oldest first: the per-group
+        # state of Figure 2(d), kilobytes against 8 bytes for forward decay.
+        Field("buckets", Records(RAW, RAW, row=_Bucket), initial=deque,
+              entry_bytes=16),
+    )
+
     def __init__(self, epsilon: float, window: float):
         if not 0.0 < epsilon < 1.0:
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
@@ -66,10 +76,8 @@ class _ExponentialHistogramBase(StreamSummary):
         self.window = window
         # Datar et al.: at most k/2 + 1 buckets of each size, k = ceil(1/eps).
         self._max_per_size = math.ceil(1.0 / epsilon) // 2 + 1
-        self._buckets: deque[_Bucket] = deque()  # oldest at left
-        self._per_size: dict[int, int] = {}
-        self._total_size = 0
-        self._last_time = -math.inf
+        super().__init__()
+        self._reindex()  # buckets per size, and their total size
 
     def __len__(self) -> int:
         """Number of live buckets."""
@@ -133,34 +141,10 @@ class _ExponentialHistogramBase(StreamSummary):
         """``(newest_timestamp, size)`` per bucket, oldest first."""
         return [(b.timestamp, b.size) for b in self._buckets]
 
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: timestamp + size per bucket.
-
-        This is the quantity plotted (per group) in Figure 2(d) of the
-        paper, where EH state runs to kilobytes against 8 bytes for
-        forward decay.
-        """
-        return len(self._buckets) * 16
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "window": self.window,
-            "last_time": encode_number(self._last_time),
-            "buckets": [[b.timestamp, b.size] for b in self._buckets],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "_ExponentialHistogramBase":
-        histogram = cls(payload["epsilon"], payload["window"])
-        for timestamp, size in payload["buckets"]:
-            histogram._buckets.append(_Bucket(timestamp, size))
-            histogram._per_size[size] = histogram._per_size.get(size, 0) + 1
-            histogram._total_size += size
-        histogram._last_time = decode_number(payload["last_time"])
-        return histogram
+    def _reindex(self) -> None:
+        self._buckets = deque(self._buckets)
+        self._per_size = dict(Counter(bucket.size for bucket in self._buckets))
+        self._total_size = sum(bucket.size for bucket in self._buckets)
 
 
 @register_summary(

@@ -21,15 +21,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.protocol import StreamSummary
+from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.protocol import RAW, WEIGHT, Field, Records, StreamSummary, Value
 from repro.core.registry import register_summary
 
 __all__ = ["GKSummary"]
 
 
 class _Tuple:
-    __slots__ = ("value", "g", "delta")
+    __slots__ = ("value", "g", "delta")  # the payload's columns, in order
 
     def __init__(self, value: float, g: float, delta: float):
         self.value = value
@@ -54,14 +54,22 @@ class GKSummary(StreamSummary):
         true weighted rank is within ``epsilon * W`` of ``phi * W``.
     """
 
+    _FIELDS = (
+        Field("epsilon", init=True),
+        Field("total", Value(WEIGHT, nonneg=True), initial=0.0),
+        Field("since_compress", initial=0),
+        # Three floats per stored tuple.
+        Field("tuples", Records(RAW, Value(WEIGHT, nonneg=True),
+                                Value(WEIGHT, nonneg=True), row=_Tuple),
+              initial=list, entry_bytes=24),
+    )
+
     def __init__(self, epsilon: float):
         if not 0.0 < epsilon < 0.5:
             raise ParameterError(f"epsilon must be in (0, 0.5), got {epsilon!r}")
+        super().__init__()
         self.epsilon = epsilon
-        self._tuples: list[_Tuple] = []
         self._values: list[float] = []  # parallel sorted keys for bisect
-        self._total = 0.0
-        self._since_compress = 0
 
     @property
     def total_weight(self) -> float:
@@ -186,23 +194,13 @@ class GKSummary(StreamSummary):
         """Batch quantile queries."""
         return [self.quantile(phi) for phi in phis]
 
-    def scale(self, factor: float) -> None:
-        """Rescale all weights (forward-decay landmark renormalization)."""
-        if not factor > 0:
-            raise ParameterError(f"scale factor must be > 0, got {factor!r}")
-        for entry in self._tuples:
-            entry.g *= factor
-            entry.delta *= factor
-        self._total *= factor
-
     def merge(self, other: "GKSummary", factor: float = 1.0) -> None:
         """Fold ``other`` in by re-inserting its tuples, scaled by ``factor``
         (one that scales to 0.0, a peer far behind in decay, is dropped).  GK
         does not merge losslessly: the error can reach ``eps_self + eps_other``;
         tight distributed bounds need the q-digest backend.
         """
-        if not isinstance(other, GKSummary):
-            raise MergeError(f"cannot merge {type(other).__name__} into GKSummary")
+        self._check_merge(other)
         for entry in other._tuples:
             if weight := entry.g * factor:
                 self.update(entry.value, weight)
@@ -212,25 +210,5 @@ class GKSummary(StreamSummary):
         """Primary answer (StreamSummary protocol): the ``phi``-quantile."""
         return self.quantile(phi)
 
-    def state_size_bytes(self) -> int:
-        """Three floats per stored tuple."""
-        return len(self._tuples) * 24
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "total": self._total,
-            "since_compress": self._since_compress,
-            "tuples": [[t.value, t.g, t.delta] for t in self._tuples],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "GKSummary":
-        summary = cls(payload["epsilon"])
-        summary._total = payload["total"]
-        summary._since_compress = payload["since_compress"]
-        summary._tuples = [_Tuple(value, g, delta) for value, g, delta in payload["tuples"]]
-        summary._values = [t.value for t in summary._tuples]
-        return summary
+    def _reindex(self) -> None:
+        self._values = [t.value for t in self._tuples]

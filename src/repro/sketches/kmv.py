@@ -25,8 +25,8 @@ from typing import Hashable, Iterable
 # keeps ``hashlib`` — and the OpenSSL it maps — out of the process.
 from _blake2 import blake2b
 
-from repro.core.errors import MergeError, ParameterError
-from repro.core.protocol import StreamSummary
+from repro.core.errors import ParameterError
+from repro.core.protocol import RAW, Field, ListOf, StreamSummary
 from repro.core.registry import register_summary
 
 __all__ = ["KMVSketch", "hash_to_unit", "check_seed"]
@@ -82,16 +82,22 @@ class KMVSketch(StreamSummary):
 
     __slots__ = ("k", "seed", "_heap", "_members", "_exact")
 
+    _FIELDS = (
+        Field("k", init=True),
+        Field("seed", init=True),
+        Field("exact", initial=True),  # still below k distinct values?
+        # 8 bytes per retained hash value.
+        Field("values", ListOf(RAW, kind=set), attr="_members", initial=set,
+              entry_bytes=8),
+    )
+
     def __init__(self, k: int = 256, seed: int = 0):
         if k < 2:
             raise ParameterError(f"k must be >= 2, got {k!r}")
         self.k = k
         self.seed = check_seed(seed)
-        # Max-heap (negated) of the k smallest hash values, with a set for
-        # O(1) duplicate detection.
-        self._heap: list[float] = []
-        self._members: set[float] = set()
-        self._exact = True  # still below k distinct values?
+        super().__init__()
+        self._reindex()
 
     def update(self, item: Hashable) -> None:
         """Record one occurrence of ``item`` (duplicates are free)."""
@@ -132,13 +138,7 @@ class KMVSketch(StreamSummary):
 
     def merge(self, other: "KMVSketch") -> None:
         """Fold ``other`` in; equivalent to having sketched the union."""
-        if not isinstance(other, KMVSketch):
-            raise MergeError(f"cannot merge {type(other).__name__} into KMVSketch")
-        if other.k != self.k or other.seed != self.seed:
-            raise MergeError(
-                f"KMV parameter mismatch: (k={self.k}, seed={self.seed}) vs "
-                f"(k={other.k}, seed={other.seed})"
-            )
+        self._check_merge(other, "k", "seed")
         if not other._exact:
             self._exact = False
         for value in other._members:
@@ -156,25 +156,8 @@ class KMVSketch(StreamSummary):
         """Primary answer (StreamSummary protocol): the distinct count."""
         return self.estimate()
 
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: 8 bytes per retained hash value."""
-        return 8 * len(self._members)
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "exact": self._exact,
-            "values": sorted(self._members),
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "KMVSketch":
-        sketch = cls(payload["k"], payload["seed"])
-        sketch._members = set(payload["values"])
-        sketch._heap = [-value for value in payload["values"]]
-        heapq.heapify(sketch._heap)
-        sketch._exact = payload["exact"]
-        return sketch
+    def _reindex(self) -> None:
+        # Max-heap (negated) of the k smallest hash values; the set of them
+        # detects duplicates in O(1).
+        self._heap = [-value for value in sorted(self._members)]
+        heapq.heapify(self._heap)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.protocol import StreamSummary
+from repro.core.errors import EmptySummaryError, ParameterError
+from repro.core.protocol import RAW, WEIGHT, Field, StreamSummary, Table, Value
 from repro.core.registry import register_summary
 
 __all__ = ["QDigest"]
@@ -54,6 +54,16 @@ class QDigest(StreamSummary):
     ``U + x``.  Only nodes with non-zero count are stored.
     """
 
+    _FIELDS = (
+        Field("universe_bits", init=True),
+        Field("k", init=True),
+        Field("total", Value(WEIGHT, nonneg=True), initial=0.0),
+        Field("updates_since_compress", initial=0),
+        # One (id, count) pair per stored node.
+        Field("nodes", Table(RAW, Value(WEIGHT, nonneg=True), sort=True),
+              attr="_counts", initial=dict, entry_bytes=16),
+    )
+
     def __init__(self, universe_bits: int, k: int):
         if universe_bits < 1 or universe_bits > 62:
             raise ParameterError(
@@ -61,12 +71,10 @@ class QDigest(StreamSummary):
             )
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k!r}")
+        super().__init__()
         self.universe_bits = universe_bits
         self.universe = 1 << universe_bits
         self.k = k
-        self._counts: dict[int, float] = {}
-        self._total = 0.0
-        self._updates_since_compress = 0
 
     @classmethod
     def from_epsilon(cls, epsilon: float, universe_bits: int) -> "QDigest":
@@ -282,20 +290,6 @@ class QDigest(StreamSummary):
             position += 1
         return answers
 
-    def scale(self, factor: float) -> None:
-        """Multiply every node count and the total by ``factor``.
-
-        Supports the forward-decay landmark renormalization of Section VI-A:
-        all stored counts are linear in the ``g`` weights, so a global
-        rescale re-anchors the digest at a newer landmark without changing
-        any quantile answer.
-        """
-        if not factor > 0:
-            raise ParameterError(f"scale factor must be > 0, got {factor!r}")
-        for node in self._counts:
-            self._counts[node] *= factor
-        self._total *= factor
-
     # -- merging -----------------------------------------------------------------
 
     def merge(self, other: "QDigest", factor: float = 1.0) -> None:
@@ -310,12 +304,7 @@ class QDigest(StreamSummary):
         the forward-decay layer to align summaries renormalized against
         different internal landmarks without mutating ``other``.
         """
-        if not isinstance(other, QDigest):
-            raise MergeError(f"cannot merge {type(other).__name__} into QDigest")
-        if other.universe_bits != self.universe_bits:
-            raise MergeError(
-                f"domain mismatch: 2**{self.universe_bits} vs 2**{other.universe_bits}"
-            )
+        self._check_merge(other, "universe_bits")
         for node, count in other._counts.items():
             self._counts[node] = self._counts.get(node, 0.0) + count * factor
         self._total += other._total * factor
@@ -324,29 +313,6 @@ class QDigest(StreamSummary):
     def query(self, phi: float = 0.5) -> int:
         """Primary answer (StreamSummary protocol): the ``phi``-quantile."""
         return self.quantile(phi)
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: one (id, count) pair per stored node."""
-        return len(self._counts) * (8 + 8)
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "universe_bits": self.universe_bits,
-            "k": self.k,
-            "total": self._total,
-            "updates_since_compress": self._updates_since_compress,
-            "nodes": [[node, count] for node, count in sorted(self._counts.items())],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "QDigest":
-        digest = cls(payload["universe_bits"], payload["k"])
-        digest._total = payload["total"]
-        digest._updates_since_compress = payload["updates_since_compress"]
-        digest._counts = {node: count for node, count in payload["nodes"]}
-        return digest
 
     def nodes(self) -> Iterator[tuple[int, int, float]]:
         """Yield ``(lo, hi, count)`` for each stored node (for debugging)."""

@@ -30,8 +30,8 @@ import math
 from abc import abstractmethod
 from typing import Hashable, Iterable, Iterator
 
-from repro.core.errors import MergeError, ParameterError
-from repro.core.protocol import StreamSummary, tag_key, untag_key
+from repro.core.errors import ParameterError
+from repro.core.protocol import EXACT, KEY, WEIGHT, Field, StreamSummary, Table, Value
 from repro.core.registry import register_summary
 
 __all__ = ["SpaceSavingBase", "UnarySpaceSaving", "WeightedSpaceSaving", "Counter"]
@@ -64,8 +64,8 @@ class SpaceSavingBase(StreamSummary):
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ParameterError(f"capacity must be >= 1, got {capacity!r}")
+        super().__init__()
         self.capacity = capacity
-        self._total = 0.0
 
     @classmethod
     def from_epsilon(cls, epsilon: float) -> "SpaceSavingBase":
@@ -126,28 +126,26 @@ class SpaceSavingBase(StreamSummary):
         as plain ``(item, count, error)`` tuples."""
         return [(c.item, c.count, c.error) for c in self.heavy_hitters(phi)]
 
-    def state_size_bytes(self) -> int:
-        """Approximate footprint: 2 floats + 1 key slot per counter."""
-        return len(self) * (8 + 8 + 8)
+    def _reindex(self) -> None:
+        errors = self._errors
+        for item, count in self._counts.items():
+            if not errors[item] <= count:
+                raise ParameterError(
+                    f"counter {item!r}: {count!r}, error {errors[item]!r}"
+                )
 
-    @staticmethod
-    def _restored_counters(payload: dict) -> list[tuple]:
-        """The payload's ``(item, count, error)`` counters as a restored
-        summary may trust them: no more than ``capacity``, no item twice,
-        ``0 <= error <= count`` (which a NaN fails on either side)."""
-        counters = [
-            (untag_key(tag), count, error)
-            for tag, count, error in payload["counters"]
-        ]
-        capacity = payload["capacity"]
-        if len(counters) > capacity:
-            raise ParameterError(f"{len(counters)} counters, capacity {capacity!r}")
-        if len({item for item, _count, _error in counters}) != len(counters):
-            raise ParameterError("an item is monitored twice")
-        for item, count, error in counters:
-            if not 0 <= error <= count:
-                raise ParameterError(f"counter {item!r}: {count!r}, error {error!r}")
-        return counters
+
+def _counter_fields(role: str) -> tuple[Field, ...]:
+    """A SpaceSaving payload: no more than ``capacity`` counters, each
+    ``[item, count, error]`` with ``0 <= error <= count`` and a footprint
+    of 2 floats + 1 key slot."""
+    weight = Value(role, nonneg=True)
+    return (
+        Field("capacity", init=True),
+        Field("total", weight, initial=0.0),
+        Field("counters", Table(KEY, weight, weight, most="capacity"),
+              attr=("_counts", "_errors"), initial=(dict, dict), entry_bytes=24),
+    )
 
 
 @register_summary(
@@ -168,10 +166,10 @@ class WeightedSpaceSaving(SpaceSavingBase):
     the victim a heap pushed to on every update would have chosen.
     """
 
+    _FIELDS = _counter_fields(WEIGHT)
+
     def __init__(self, capacity: int):
         super().__init__(capacity)
-        self._counts: dict[Hashable, float] = {}
-        self._errors: dict[Hashable, float] = {}
         self._heap: list[tuple[float, Hashable]] = []
 
     def update(self, item: Hashable, weight: float = 1.0) -> None:
@@ -241,10 +239,6 @@ class WeightedSpaceSaving(SpaceSavingBase):
         errors[item] = min_count
         heapq.heapreplace(heap, (min_count + weight, item))
 
-    def _rebuild_heap(self) -> None:
-        self._heap = [(count, item) for item, count in self._counts.items()]
-        heapq.heapify(self._heap)
-
     def counters(self) -> Iterator[Counter]:
         errors = self._errors
         for item, count in self._counts.items():
@@ -261,21 +255,6 @@ class WeightedSpaceSaving(SpaceSavingBase):
     def __len__(self) -> int:
         return len(self._counts)
 
-    def scale(self, factor: float) -> None:
-        """Multiply every count, error and the total by ``factor``.
-
-        Used by the forward-decay layer to renormalize exponentially-growing
-        weights against a newer landmark (Section VI-A of the paper): the
-        stored quantities are linear combinations of ``g`` values, so a
-        global rescale is exactly a landmark shift.
-        """
-        if not factor > 0:
-            raise ParameterError(f"scale factor must be > 0, got {factor!r}")
-        self._counts = {item: count * factor for item, count in self._counts.items()}
-        self._errors = {item: error * factor for item, error in self._errors.items()}
-        self._total *= factor
-        self._rebuild_heap()
-
     def merge(self, other: "WeightedSpaceSaving", factor: float = 1.0) -> None:
         """Fold ``other`` in (mergeable-summaries semantics).
 
@@ -287,12 +266,7 @@ class WeightedSpaceSaving(SpaceSavingBase):
         the forward-decay layer to align summaries renormalized against
         different internal landmarks without mutating ``other``.
         """
-        if not isinstance(other, WeightedSpaceSaving):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if other.capacity != self.capacity:
-            raise MergeError(
-                f"capacity mismatch: {self.capacity} vs {other.capacity}"
-            )
+        self._check_merge(other, "capacity")
         merged_counts = dict(self._counts)
         merged_errors = dict(self._errors)
         for item, count in other._counts.items():
@@ -306,30 +280,13 @@ class WeightedSpaceSaving(SpaceSavingBase):
         survivors = survivors[: self.capacity]
         self._counts = {item: merged_counts[item] for item in survivors}
         self._errors = {item: merged_errors[item] for item in survivors}
-        self._rebuild_heap()
         self._total += other._total * factor
+        self._reindex()
 
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "total": self._total,
-            "counters": [
-                [tag_key(item), count, self._errors[item]]
-                for item, count in self._counts.items()
-            ],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "WeightedSpaceSaving":
-        sketch = cls(payload["capacity"])
-        sketch._total = payload["total"]
-        for item, count, error in cls._restored_counters(payload):
-            sketch._counts[item] = count
-            sketch._errors[item] = error
-        sketch._rebuild_heap()
-        return sketch
+    def _reindex(self) -> None:
+        super()._reindex()
+        self._heap = [(count, item) for item, count in self._counts.items()]
+        heapq.heapify(self._heap)
 
 
 class _Bucket:
@@ -360,11 +317,10 @@ class UnarySpaceSaving(SpaceSavingBase):
     the paper benchmarks as *Unary HH*.
     """
 
+    _FIELDS = _counter_fields(EXACT)
+
     def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self._bucket_of: dict[Hashable, _Bucket] = {}
-        self._errors: dict[Hashable, int] = {}
-        self._head: _Bucket | None = None  # minimum-count bucket
+        super().__init__(capacity)  # sets _counts: _bucket_of and _head
 
     def update(self, item: Hashable, weight: float = 1.0) -> None:
         if weight != 1.0:
@@ -503,47 +459,30 @@ class UnarySpaceSaving(SpaceSavingBase):
 
     def merge(self, other: "UnarySpaceSaving") -> None:
         """Fold ``other`` in (same semantics as the weighted variant)."""
-        if not isinstance(other, UnarySpaceSaving):
-            raise MergeError(f"cannot merge {type(other).__name__}")
-        if other.capacity != self.capacity:
-            raise MergeError(
-                f"capacity mismatch: {self.capacity} vs {other.capacity}"
-            )
-        merged: dict[Hashable, int] = {}
-        errors: dict[Hashable, int] = {}
-        for summary in (self, other):
-            for counter in summary.counters():
-                merged[counter.item] = merged.get(counter.item, 0) + int(counter.count)
-                errors[counter.item] = errors.get(counter.item, 0) + int(counter.error)
-        survivors = sorted(merged, key=merged.__getitem__, reverse=True)
+        self._check_merge(other, "capacity")
+        counts, errors = self._counts, dict(self._errors)
+        for item, count in other._counts.items():
+            counts[item] = counts.get(item, 0) + count
+            errors[item] = errors.get(item, 0) + other._errors[item]
+        survivors = sorted(counts, key=counts.__getitem__, reverse=True)
         survivors = survivors[: self.capacity]
-        total = self._total + other._total
+        self._total += other._total
+        self._counts = {item: counts[item] for item in survivors}
+        self._errors = {item: errors[item] for item in survivors}
+
+    @property
+    def _counts(self) -> dict[Hashable, int]:
+        """Each monitored item's count; setting it rebuilds the buckets."""
+        return {item: bucket.count for item, bucket in self._bucket_of.items()}
+
+    @_counts.setter
+    def _counts(self, counts: dict[Hashable, int]) -> None:
         self._bucket_of = {}
-        self._errors = {}
         self._head = None
-        self._total = total
-        for item in survivors:
-            self._insert_new(item, count=merged[item], error=errors[item])
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "total": self._total,
-            "counters": [
-                [tag_key(item), bucket.count, self._errors[item]]
-                for item, bucket in self._bucket_of.items()
-            ],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "UnarySpaceSaving":
-        sketch = cls(payload["capacity"])
-        sketch._total = payload["total"]
-        for item, count, error in cls._restored_counters(payload):
-            sketch._insert_new(item, count=count, error=error)
-        return sketch
+        for item, count in counts.items():
+            bucket = self._find_or_make_bucket(count)
+            bucket.items.add(item)
+            self._bucket_of[item] = bucket
 
 
 def exact_heavy_hitters(

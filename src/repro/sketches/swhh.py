@@ -39,7 +39,8 @@ from typing import Hashable
 
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import FFunction
-from repro.core.protocol import StreamSummary, decode_number, encode_number
+from repro.core.protocol import DECIMAL, ITEMS, MAX_TIME, Field, ListOf, Nested
+from repro.core.protocol import StreamSummary, Table
 from repro.core.registry import register_summary
 from repro.sketches.spacesaving import UnarySpaceSaving
 
@@ -71,6 +72,17 @@ class SlidingWindowHeavyHitters(StreamSummary):
         ``ceil(1/epsilon)`` counters and (by default) the pane width.
     """
 
+    _FIELDS = (
+        Field("window", init=True),
+        Field("pane", init=True),
+        Field("epsilon", init=True),
+        ITEMS,
+        MAX_TIME,
+        # Sized as the node summaries' sum: (levels) x (distinct items per
+        # pane period) at workload scales, flat in ``epsilon`` (Fig. 4(c)/(d)).
+        Field("nodes", ListOf(Table(DECIMAL, Nested(UnarySpaceSaving), sort=True))),
+    )
+
     def __init__(
         self,
         window: float,
@@ -87,6 +99,7 @@ class SlidingWindowHeavyHitters(StreamSummary):
             raise ParameterError(
                 f"need 0 < pane <= window, got pane={pane!r}, window={window!r}"
             )
+        super().__init__()
         self.window = window
         self.pane = pane
         self.epsilon = epsilon
@@ -96,8 +109,6 @@ class SlidingWindowHeavyHitters(StreamSummary):
         self._nodes: list[dict[int, UnarySpaceSaving]] = [
             {} for __ in range(self.levels)
         ]
-        self._items = 0
-        self._max_time = -math.inf
 
     @property
     def items_processed(self) -> int:
@@ -208,52 +219,6 @@ class SlidingWindowHeavyHitters(StreamSummary):
             self.window if window is None else window,
             self._max_time if now is None else now,
         )
-
-    def state_size_bytes(self) -> int:
-        """Approximate footprint summed over all node summaries.
-
-        At workload scales where per-node distinct counts stay below the
-        summary capacity, this is (number of levels) x (distinct items per
-        pane period) — large and essentially independent of ``epsilon``,
-        the flat space line of Figure 4(c)/(d).
-        """
-        return sum(
-            summary.state_size_bytes()
-            for level_nodes in self._nodes
-            for summary in level_nodes.values()
-        )
-
-    # -- serde (StreamSummary protocol) ---------------------------------------
-
-    def _state_payload(self) -> dict:
-        return {
-            "window": self.window,
-            "pane": self.pane,
-            "epsilon": self.epsilon,
-            "items": self._items,
-            "max_time": encode_number(self._max_time),
-            "nodes": [
-                [
-                    [str(index), level_nodes[index]._state_payload()]
-                    for index in sorted(level_nodes)
-                ]
-                for level_nodes in self._nodes
-            ],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "SlidingWindowHeavyHitters":
-        structure = cls(payload["window"], payload["pane"], payload["epsilon"])
-        structure._items = payload["items"]
-        structure._max_time = decode_number(payload["max_time"])
-        structure._nodes = [
-            {
-                int(index): UnarySpaceSaving._from_payload(summary)
-                for index, summary in level_entries
-            }
-            for level_entries in payload["nodes"]
-        ]
-        return structure
 
 
 class BackwardDecayedHHCombiner:
