@@ -64,7 +64,6 @@ def time_query(
     registry: UdafRegistry,
     trace: Sequence[tuple],
     two_level: bool = True,
-    low_table_size: int = 4096,
     warmup_fraction: float = 0.1,
     batch_size: int | None = None,
     metrics=None,
@@ -92,7 +91,6 @@ def time_query(
         query,
         schema,
         two_level=two_level,
-        low_table_size=low_table_size,
         metrics=metrics,
         metrics_name=metrics_name if metrics_name is not None else name,
     )

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three commands make the library usable without writing Python:
+These subcommands make the library usable without writing Python:
 
 ``trace``
     Generate a synthetic packet trace as CSV::
@@ -56,6 +56,11 @@ Three commands make the library usable without writing Python:
 
         python -m repro cluster "select tb, destIP, count(*) as c from TCP
             group by time/60 as tb, destIP" --nodes 3 --verify
+
+``checkpoint``
+    Inspect a server checkpoint file (``serve --state-dir``)::
+
+        python -m repro checkpoint inspect /var/lib/repro/checkpoint.bin
 
 ``store``
     Inspect a tiered group-state store directory (``repro.store``, as

@@ -29,15 +29,12 @@ class _Node:
     """What both flavours share: a name, a state dir, and a server
     (``_serve()``) that has ``host`` / ``port`` / ``kill()`` / ``stop()``."""
 
-    def __init__(self, name: str, sql: str, state_dir: str, shards: int,
-                 credit_window: int):
+    def __init__(self, name: str, sql: str, state_dir: str):
         if not name:
             raise ParameterError("node name must be non-empty")
         self.name = name
         self.sql = sql
         self.state_dir = state_dir
-        self.shards = shards
-        self.credit_window = credit_window
         self.host: str | None = None
         self.port: int | None = None
         self._server = None
@@ -76,36 +73,24 @@ class _Node:
 
 
 class LocalNode(_Node):
-    """One in-process ``StreamServer`` on a background event loop, its
-    backend rebuilt on every (re)start from the checkpoint in the
-    required ``state_dir``; ``kill()`` is the threaded server's crash
-    teardown, the in-process analogue of SIGKILL."""
+    """One in-process ``StreamServer`` over a single engine, on a
+    background event loop, its backend rebuilt on every (re)start from
+    the checkpoint in the required ``state_dir``; ``kill()`` is the
+    threaded server's crash teardown, the in-process analogue of
+    SIGKILL."""
 
     kind = "local"
 
-    def __init__(
-        self,
-        name: str,
-        sql: str,
-        schema,
-        state_dir: str,
-        *,
-        shards: int = 0,
-        credit_window: int = 8,
-    ):
-        super().__init__(name, sql, state_dir, shards, credit_window)
+    def __init__(self, name: str, sql: str, schema, state_dir: str):
+        super().__init__(name, sql, state_dir)
         self.schema = schema
 
     def _serve(self) -> "ThreadedServer":
         from repro.serve.server import StreamServer, ThreadedServer
 
-        backend = build_backend(
-            self.sql, self.schema, shards=self.shards, processes=0
-        )
         server = StreamServer(
-            backend,
+            build_backend(self.sql, self.schema),
             port=self.port or 0,
-            credit_window=self.credit_window,
             state_dir=self.state_dir,
         )
         return ThreadedServer(server).start()
@@ -117,36 +102,18 @@ class LocalNode(_Node):
 
 
 class ProcessNode(_Node):
-    """One ``repro serve`` OS process serving the netflow schema: SIGKILL
-    is real, and ``log_path`` (default ``<state_dir>/node.log``) keeps its
-    output across respawns."""
+    """One ``repro serve`` OS process over a single engine, serving the
+    netflow schema: SIGKILL is real, and ``<state_dir>/node.log`` keeps
+    its output across respawns."""
 
     kind = "process"
-
-    def __init__(
-        self,
-        name: str,
-        sql: str,
-        state_dir: str,
-        *,
-        shards: int = 0,
-        credit_window: int = 8,
-        log_path: str | None = None,
-        startup_timeout_s: float = 30.0,
-    ):
-        super().__init__(name, sql, state_dir, shards, credit_window)
-        self.log_path = log_path or os.path.join(state_dir, "node.log")
-        self.startup_timeout_s = startup_timeout_s
 
     def _serve(self) -> ServerProcess:
         return ServerProcess(
             self.sql,
             state_dir=self.state_dir,
-            shards=self.shards,
-            credit_window=self.credit_window,
             port=self.port or 0,
-            startup_timeout_s=self.startup_timeout_s,
-            log_path=self.log_path,
+            log_path=os.path.join(self.state_dir, "node.log"),
         ).start()
 
     def alive(self) -> bool:

@@ -137,7 +137,7 @@ def dump_partials_checkpoint(sql: str, schema_names: list, blobs: list) -> bytes
     buffers (one per engine/shard), stored raw.  The header records the
     query text and schema so a restore into a different plan fails fast
     with a clear error instead of a deep merge failure; the blobs
-    themselves re-check both on merge.  Layout (DESIGN.md §8 has the
+    themselves re-check both on merge.  Layout (DESIGN.md §6.4 has the
     diagram): ``"FDCK"``, version, the two counts, a ``str`` column block
     (the SQL, then the schema names), a ``bytes`` column block (the
     blobs), and the CRC32 of everything before it.

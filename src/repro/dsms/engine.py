@@ -70,6 +70,10 @@ PARTIAL_STATE_VERSION = 3
 _PARTIAL_HEAD = struct.Struct("!BQQQIHBH")
 _CRC = struct.Struct("!I")
 
+#: Capacity of the fixed-size low-level table of a two-level engine: a new
+#: group arriving at a full table evicts one partial up to the high level.
+LOW_TABLE_SIZE = 4096
+
 
 class _AggPlan:
     """Compiled form of one aggregate select item."""
@@ -102,10 +106,9 @@ class QueryEngine:
     schema:
         Schema of the source stream.
     two_level:
-        Enable the low-level partial-aggregation table (only effective when
-        every aggregate in the query is mergeable).
-    low_table_size:
-        Capacity of the fixed-size low-level hash table.
+        Enable the low-level partial-aggregation table of
+        :data:`LOW_TABLE_SIZE` groups (only effective when every aggregate
+        in the query is mergeable).
     emit_on_bucket_change:
         When True and the query has GROUP BY keys, the engine watches the
         first key ("the time bucket"); whenever its value changes, all
@@ -134,14 +137,11 @@ class QueryEngine:
         query: Query,
         schema: Schema,
         two_level: bool = True,
-        low_table_size: int = 4096,
         emit_on_bucket_change: bool = False,
         metrics=None,
         metrics_name: str = "query",
         store=None,
     ):
-        if low_table_size < 1:
-            raise QueryError(f"low_table_size must be >= 1, got {low_table_size!r}")
         self.query = query
         self.schema = schema
         self._validate()
@@ -201,7 +201,6 @@ class QueryEngine:
         )
         self._all_mergeable = all(p.udaf.mergeable for p in self._agg_plans)
         self.two_level = two_level and self._all_mergeable and bool(self._agg_plans)
-        self.low_table_size = low_table_size
         self._emit_on_bucket_change = emit_on_bucket_change and bool(self._group_fns)
         # group key -> list of aggregate states (parallel to _agg_plans)
         self._high: dict[tuple, list] = {}
@@ -448,7 +447,7 @@ class QueryEngine:
         low_get = low.get
         high_get = high.get
         agg_plans = self._agg_plans
-        capacity = self.low_table_size
+        capacity = LOW_TABLE_SIZE
         if self._store is not None:
             # Read-ahead: the batch's keys are all known before the loop
             # starts, so the cold ones are fetched a page at a time rather
@@ -554,7 +553,7 @@ class QueryEngine:
         low = self._low
         states = low.get(key)
         if states is None:
-            if len(low) >= self.low_table_size:
+            if len(low) >= LOW_TABLE_SIZE:
                 # Fixed-size table is full: evict one partial upward, as
                 # GS's low-level hash table does on collision.
                 evicted_key, evicted_states = low.popitem()
@@ -841,7 +840,7 @@ class QueryEngine:
         a parallel engine ships *state*, not tuples, at query time.  The
         same bytes are a shard's reply, a PARTIALS_OK / ADOPT blob and a
         ``checkpoint.bin`` entry; a fresh engine resumes from them via
-        :meth:`merge_partial`.  Layout (DESIGN.md §7 has the diagram): a
+        :meth:`merge_partial`.  Layout (DESIGN.md §3.5 has the diagram): a
         fixed header, three column blocks — the query SQL and schema
         names, the open time bucket if any, one slot code per aggregate
         (its state arity, or ``-1`` summary / ``-2`` ragged) — then one
@@ -1154,7 +1153,6 @@ def run_query(
     schema: Schema,
     rows: Iterable[tuple],
     two_level: bool = True,
-    low_table_size: int = 4096,
 ) -> Iterator[ResultRow]:
     """Convenience: run ``query`` over ``rows`` and yield all result rows.
 
@@ -1165,7 +1163,6 @@ def run_query(
         query,
         schema,
         two_level=two_level,
-        low_table_size=low_table_size,
         emit_on_bucket_change=True,
     )
     for row in rows:

@@ -3,7 +3,7 @@
 :class:`~repro.parallel.router.Router` routes columnar batches by GROUP
 BY key to owners and folds their partial states at query time;
 :class:`~repro.parallel.sharded.ShardedEngine` is the router over shard
-engines in this thread or in worker processes (DESIGN.md §7).
+engines in this thread or in worker processes (DESIGN.md §5).
 """
 
 from repro._lazy import lazy_exports

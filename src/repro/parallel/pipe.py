@@ -10,7 +10,6 @@ its bounded input queue per backend method:
 ``("merge", blob)``            ``restore_blobs``
 ``("state",)``                 ``partial_blobs``: replies ``("state", blob)``
 ``("checkpoint",)``            ``checkpoint_blobs``: ``("checkpoint", blobs)``
-``("drain",)``                 ``drain``: replies ``("drained", rows)``
 ``("stop",)``                  ``close``: replies ``("stopped", tuples_in)``
 
 An exception is sent as ``("error", message)`` before the worker exits.
@@ -62,8 +61,6 @@ def shard_worker_main(plan, shard_id: int, in_queue, conn) -> None:
                 conn.send(("state", backend.partial_blobs()[0]))
             elif tag == "checkpoint":
                 conn.send(("checkpoint", backend.checkpoint_blobs()))
-            elif tag == "drain":
-                conn.send(("drained", backend.drain()))
             elif tag == "stop":
                 conn.send(("stopped", backend.close()))
                 break
@@ -158,10 +155,6 @@ class PipeOwner:
         its manifest."""
         self._kept = self._ask("checkpoint")
         return self._kept
-
-    def drain(self) -> list:
-        """The rows of the time buckets the worker has closed."""
-        return self._ask("drain")
 
     def pressure(self) -> float:
         """0.0: the worker's store is not worth a round trip per grant."""

@@ -3,18 +3,17 @@
 Section VI-B's fixed numerators make a partial state independent of
 where it was built, so "route each batch to the owners of its group
 keys, fold their partials at query time" is the whole of a partitioned
-runtime; :class:`Router` is its one implementation (DESIGN.md §7), under
+runtime; :class:`Router` is its one implementation (DESIGN.md §5), under
 ``ShardedEngine``, ``ShardedBackend`` and the cluster ``Coordinator``.
 
 An owner has the surface a serve backend gives the server
 (:class:`~repro.serve.backend.SingleEngineBackend`): ``insert_cols``,
 ``heartbeat``, ``partial_blobs``, ``checkpoint_blobs`` (make the state
 durable), ``restore_blobs`` (adopt), ``close`` (rows ingested, ``-1``
-if unknown), and ``pressure`` / ``drain`` where the sharded engine asks
-for them.  One that can be lost raises
-:class:`ConnectionError` when gone and adds ``respawn()`` (a replacement
-holding its last checkpoint), ``unacked_rows`` (replayed to the
-replacement), ``pid`` and ``exitcode``.
+if unknown), and ``pressure`` where the sharded engine asks for it.
+One that can be lost raises :class:`ConnectionError` when gone and adds
+``respawn()`` (a replacement holding its last checkpoint),
+``unacked_rows`` (replayed to the replacement), ``pid`` and ``exitcode``.
 """
 
 from __future__ import annotations

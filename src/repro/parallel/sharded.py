@@ -15,7 +15,6 @@ from typing import Callable, Iterable
 
 from repro.core.cols import rows_to_cols
 from repro.core.errors import ParameterError
-from repro.dsms.engine import ResultRow
 from repro.dsms.schema import Schema
 from repro.parallel.router import Router
 from repro.parallel.routing import stable_route
@@ -37,8 +36,6 @@ class ShardedEngine(Router):
         (``processes=None``) or all in this thread (``0``).
     batch_size:
         Rows :meth:`process` buffers before routing them as one batch.
-    two_level / low_table_size:
-        How each shard builds its :class:`QueryEngine`.
     router:
         ``(group key, shards) -> shard`` (builtin ``hash`` by default,
         :func:`stable_route` for placement stable across processes).
@@ -46,10 +43,6 @@ class ShardedEngine(Router):
         An enabled :class:`~repro.obs.registry.MetricsRegistry` records
         ``parallel.*``: rows per shard, batches, merge time and bytes,
         failures, respawns and lost rows.
-    emit_on_bucket_change:
-        Each shard finalizes the time buckets its substream has passed
-        (collect with :meth:`drain`; punctuation via :meth:`heartbeat` /
-        :meth:`heartbeat_all`).
     store_dir / store_hot_groups:
         Each shard keeps at most ``store_hot_groups`` groups in RAM and
         spills the rest to a :class:`~repro.store.tiered.TieredStore` in
@@ -69,20 +62,14 @@ class ShardedEngine(Router):
         processes: int | None = None,
         *,
         batch_size: int = 512,
-        two_level: bool = True,
-        low_table_size: int = 4096,
         router: Callable[[object, int], int] | None = None,
         metrics=None,
-        emit_on_bucket_change: bool = False,
         store_dir: str | None = None,
         store_hot_groups: int = 4096,
     ):
         plan = ShardPlan(
             sql=sql,
             schema=schema,
-            two_level=two_level,
-            low_table_size=low_table_size,
-            emit_on_bucket_change=emit_on_bucket_change,
             store_dir=store_dir,
             store_hot_groups=store_hot_groups,
         )
@@ -124,17 +111,6 @@ class ShardedEngine(Router):
         """Route a batch of tuples: transposed here, once, and handed to
         :meth:`insert_cols`."""
         self.insert_cols(rows_to_cols(rows))
-
-    def drain(self) -> list[ResultRow]:
-        """Rows of the time buckets the shards have closed, shard after
-        shard (each closes at its own pace), cleared on read; always empty
-        without ``emit_on_bucket_change``.  Buffered rows ship first and
-        may close buckets themselves, and emitted rows never reach query
-        results, so drain *after* querying too."""
-        self._ensure_open()
-        self._flush_edge()
-        shards = self._placement.nodes
-        return [row for shard in shards for row in self._call(shard, "drain")]
 
     def partial_states(self) -> list[bytes]:
         """One partial-state blob per shard, buffered rows shipped first;

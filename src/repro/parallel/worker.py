@@ -25,10 +25,7 @@ class ShardPlan:
 
     sql: str
     schema: Schema
-    two_level: bool = True
-    low_table_size: int = 4096
     registry_params: dict = field(default_factory=dict)
-    emit_on_bucket_change: bool = False
     store_dir: str | None = None
     store_hot_groups: int = 4096
 
@@ -52,12 +49,5 @@ class ShardPlan:
             from repro.store import TieredStore
 
             store = TieredStore(store_dir, hot_groups=self.store_hot_groups)
-        return QueryEngine(
-            query,
-            self.schema,
-            two_level=self.two_level,
-            low_table_size=self.low_table_size,
-            emit_on_bucket_change=self.emit_on_bucket_change,
-            store=store,
-        )
+        return QueryEngine(query, self.schema, store=store)
 

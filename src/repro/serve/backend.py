@@ -46,10 +46,6 @@ class SingleEngineBackend:
         """Results over everything ingested so far, from a read-only view."""
         return self._engine.snapshot_rows()
 
-    def drain(self) -> list[ResultRow]:
-        """Rows of the time buckets the engine has closed (cleared on read)."""
-        return self._engine.drain()
-
     def partial_blobs(self) -> list[bytes]:
         """The engine's partial state, as a one-element blob list."""
         return [self._engine.partial_state_bytes()]
@@ -104,8 +100,6 @@ def build_backend(
     *,
     shards: int = 0,
     processes: int | None = 0,
-    two_level: bool = True,
-    low_table_size: int = 4096,
     registry_params: dict | None = None,
     store_dir: str | None = None,
     store_hot_groups: int = 4096,
@@ -121,8 +115,6 @@ def build_backend(
     plan = ShardPlan(
         sql=sql,
         schema=schema,
-        two_level=two_level,
-        low_table_size=low_table_size,
         registry_params=dict(registry_params or {}),
         store_dir=store_dir,
         store_hot_groups=store_hot_groups,

@@ -96,8 +96,8 @@ Version negotiation: HELLO carries the client's highest ``wire_version``;
 the server answers WELCOME with ``wire_version = min(client, server)``
 and both sides speak that, so a future client negotiates *down* to this
 build.  Version 5 is the only one spoken: version 1's row-JSON ``INSERT``
-frames ran at under half the columnar rate and were removed (DESIGN.md
-§10), version 2 promised a RESULT in one frame, which a version-2 client
+frames ran at under half the columnar rate and were removed
+(EXPERIMENTS.md), version 2 promised a RESULT in one frame, which a version-2 client
 would mistake a first page for, a version-3 peer's column decoder knows
 only the widest case of each :mod:`repro.core.cols` kind, and a
 version-4 peer's has no narrow ``f64`` (``f64/i32`` … ``f64/i8``, an

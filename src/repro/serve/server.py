@@ -42,7 +42,7 @@ Design notes:
   ``checkpoint_interval_s`` additionally writes the same atomic
   (write-then-rename) checkpoint from a background task: restart after a
   ``kill -9`` resumes from the last completed interval instead of from
-  empty, bounding the lost delta to one interval of ingest (DESIGN.md §9).
+  empty, bounding the lost delta to one interval of ingest (DESIGN.md §6.4).
 """
 
 from __future__ import annotations

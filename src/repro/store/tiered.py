@@ -216,7 +216,7 @@ class TieredStore:
     hot_groups:
         Hot-tier budget: the maximum number of groups kept in the engine's
         high-level table.  The low-level table is already bounded by the
-        engine's ``low_table_size``.
+        engine's ``LOW_TABLE_SIZE``.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         enabled, the store records under ``store.store.``.  Disabled or

@@ -12,10 +12,11 @@ Three primitives:
 - :class:`ServerProcess` — run ``repro serve`` as a real subprocess that
   can be SIGKILLed between periodic checkpoints and restarted on the
   same ``--state-dir``, exactly the crash-recovery scenario of
-  DESIGN.md §7.
+  DESIGN.md §6.4.
 
-Everything here is in-tree (not test-only) so the recovery benchmark can
-measure the same scenarios the tests assert on.
+Everything here is in-tree (not test-only) because the cluster's
+:class:`~repro.cluster.nodes.ProcessNode` runs its server through
+:class:`ServerProcess`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ import time
 from repro.core.serde import CHECKPOINT_FILENAME
 
 __all__ = ["ServerProcess", "kill_node", "kill_worker", "wait_until"]
+
+#: How long :meth:`ServerProcess.start` waits for the port file.
+_STARTUP_TIMEOUT_S = 30.0
 
 
 def wait_until(
@@ -95,33 +99,18 @@ class ServerProcess:
         *,
         state_dir: str | None = None,
         checkpoint_interval_s: float | None = None,
-        shards: int = 0,
-        multiprocess: bool = False,
-        credit_window: int = 8,
         port: int = 0,
-        extra_args: tuple = (),
-        startup_timeout_s: float = 30.0,
         log_path: str | None = None,
     ):
         self.sql = sql
         self.state_dir = state_dir
-        self.checkpoint_interval_s = checkpoint_interval_s
-        self.startup_timeout_s = startup_timeout_s
         self.log_path = log_path
-        self._argv = [
-            sys.executable, "-m", "repro", "serve", sql,
-            "--port", str(port),
-            "--credit-window", str(credit_window),
-        ]
-        if shards:
-            self._argv += ["--shards", str(shards)]
-        if multiprocess:
-            self._argv += ["--multiprocess"]
+        self._argv = [sys.executable, "-m", "repro", "serve", sql,
+                      "--port", str(port)]
         if state_dir is not None:
             self._argv += ["--state-dir", state_dir]
         if checkpoint_interval_s is not None:
             self._argv += ["--checkpoint-interval", str(checkpoint_interval_s)]
-        self._argv += list(extra_args)
         self._process: subprocess.Popen | None = None
         self._log_handle = None
         self._port_file: str | None = None
@@ -158,7 +147,7 @@ class ServerProcess:
         try:
             wait_until(
                 self._try_read_port,
-                timeout_s=self.startup_timeout_s,
+                timeout_s=_STARTUP_TIMEOUT_S,
                 message="server port file",
             )
         except TimeoutError:
@@ -269,21 +258,3 @@ class ServerProcess:
             return None
         with open(path, "rb") as handle:
             return handle.read()
-
-    def wait_for_checkpoint(
-        self, *, different_from: bytes | None = None, timeout_s: float = 30.0
-    ) -> bytes:
-        """Block until a checkpoint exists (and differs from
-        ``different_from`` when given); returns its bytes."""
-
-        def ready():
-            data = self.checkpoint_bytes()
-            if data is None:
-                return None
-            if different_from is not None and data == different_from:
-                return None
-            return data
-
-        return wait_until(
-            ready, timeout_s=timeout_s, message="a periodic checkpoint"
-        )

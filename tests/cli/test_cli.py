@@ -203,6 +203,10 @@ class TestCompareScript:
 
 
 class TestStoreInspectCommand:
+    @pytest.fixture(autouse=True)
+    def _small_low_table(self, low_table):
+        low_table(8)
+
     def _make_store(
         self, tmp_path,
         sql="select tb, destIP, count(*) as c from TCP "
@@ -216,8 +220,7 @@ class TestStoreInspectCommand:
         directory = str(tmp_path / "store")
         query = parse_query(sql, default_registry())
         store = TieredStore(directory, hot_groups=4)
-        engine = QueryEngine(query, PACKET_SCHEMA, store=store,
-                             low_table_size=8)
+        engine = QueryEngine(query, PACKET_SCHEMA, store=store)
         engine.insert_many(generate_trace(
             duration_sec=2.0, rate_per_sec=400, seed=5
         ))

@@ -23,6 +23,17 @@ def paper_decay() -> ForwardDecay:
 
 
 @pytest.fixture
+def low_table(monkeypatch):
+    """``low_table(n)`` shrinks every engine's low-level table to ``n``
+    groups for the rest of the test: ``LOW_TABLE_SIZE`` is a module
+    constant the engine reads on every insert (a forked shard worker
+    inherits the patched value)."""
+    return lambda size: monkeypatch.setattr(
+        "repro.dsms.engine.LOW_TABLE_SIZE", size
+    )
+
+
+@pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xDECAF)
 

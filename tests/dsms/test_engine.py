@@ -105,21 +105,23 @@ class TestGroupingAndAggregation:
 
 
 class TestTwoLevel:
-    def test_two_level_equals_single_level(self, registry):
+    def test_two_level_equals_single_level(self, registry, low_table):
+        low_table(2)
         text = (
             "select tb, destIP, count(*) as c, sum(len) as s from TCP "
             "group by time/60 as tb, destIP"
         )
-        split = results_by_key(text, two_level=True, low_table_size=2)
+        split = results_by_key(text, two_level=True)
         flat = results_by_key(text, two_level=False)
         key = lambda r: (r["tb"], r["destIP"])
         assert sorted(split, key=key) == sorted(flat, key=key)
 
-    def test_eviction_counter_increments_on_tiny_table(self, registry):
+    def test_eviction_counter_increments_on_tiny_table(self, registry, low_table):
+        low_table(1)
         query = parse_query(
             "select destIP, count(*) as c from TCP group by destIP", registry
         )
-        engine = QueryEngine(query, SCHEMA, two_level=True, low_table_size=1)
+        engine = QueryEngine(query, SCHEMA, two_level=True)
         for row in ROWS:
             engine.process(row)
         assert engine.low_evictions > 0
@@ -141,11 +143,6 @@ class TestTwoLevel:
         )
         engine = QueryEngine(query, SCHEMA, two_level=True)
         assert engine.two_level
-
-    def test_bad_low_table_size(self, registry):
-        query = parse_query("select count(*) from TCP", registry)
-        with pytest.raises(QueryError):
-            QueryEngine(query, SCHEMA, low_table_size=0)
 
 
 class TestBucketEmission:
@@ -398,11 +395,12 @@ class TestInsertMany:
         assert batched.tuples_selected == per_tuple.tuples_selected
         assert batched.flush() == per_tuple.flush()
 
-    def test_identical_under_eviction_pressure(self, registry):
+    def test_identical_under_eviction_pressure(self, registry, low_table):
         # A tiny low-level table forces constant evictions; results (and
         # every float in them) must still match bit for bit.
+        low_table(8)
         rows = self.make_rows()
-        per_tuple, batched = self.engines(registry, low_table_size=8)
+        per_tuple, batched = self.engines(registry)
         for row in rows:
             per_tuple.process(row)
         for begin in range(0, len(rows), 64):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.cols import pack_cols, pack_column
 from repro.core.errors import MergeError
 from repro.core.merge import merge_all
+from repro.dsms import engine as engine_module
 from repro.dsms.engine import (
     PARTIAL_STATE_VERSION,
     QueryEngine,
@@ -320,13 +322,14 @@ class TestRoundTrip:
     ):
         assume(calls or group_by)
         stream = [(i + 1, *row) for i, row in enumerate(rows)]
-        options = dict(group_by=group_by, two_level=two_level, low_table_size=2)
-        source = build(calls, **options)
-        source.insert_many(stream)
-        blob = source.partial_state_bytes()
+        options = dict(group_by=group_by, two_level=two_level)
+        with mock.patch.object(engine_module, "LOW_TABLE_SIZE", 2):
+            source = build(calls, **options)
+            source.insert_many(stream)
+            blob = source.partial_state_bytes()
 
-        restored = build(calls, **options)
-        restored.merge_partial(blob)
+            restored = build(calls, **options)
+            restored.merge_partial(blob)
         # Deterministic bytes: the restored state re-encodes identically.
         assert restored.partial_state_bytes() == blob
         assert restored.tuples_processed == len(stream)

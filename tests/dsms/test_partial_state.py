@@ -108,13 +108,14 @@ class TestRoundTrip:
 
 
 class TestTwoLevelAndBuckets:
-    def test_two_level_with_forced_evictions(self):
+    def test_two_level_with_forced_evictions(self, low_table):
+        low_table(2)
         rows = make_rows(300)
-        direct = ingest_all(build_engine(low_table_size=2), rows)
+        direct = ingest_all(build_engine(), rows)
 
-        donor = ingest_all(build_engine(low_table_size=2), rows)
+        donor = ingest_all(build_engine(), rows)
         assert donor.low_evictions > 0  # the snapshot drains a hot low table
-        restored = build_engine(low_table_size=2)
+        restored = build_engine()
         restored.merge_partial(donor.partial_state_bytes())
 
         assert restored.flush() == direct.flush()
@@ -184,24 +185,26 @@ class TestSketchStates:
         assert restored.flush() == direct.flush()
 
     @pytest.mark.parametrize(
-        "sql, options",
+        "sql, table_size",
         [
             ("select proto, prisamp(destIP, 1 + time) as samp from TCP "
-             "group by proto", {}),
-            (COUNT_SUM_SQL, {}),
-            (COUNT_SUM_SQL, {"low_table_size": 2}),
+             "group by proto", None),
+            (COUNT_SUM_SQL, None),
+            (COUNT_SUM_SQL, 2),
             ("select destPort, fwd_hh(destIP, len) as hh from TCP "
-             "group by destPort", {}),
+             "group by destPort", None),
         ],
         ids=["sampler", "count-sum", "count-sum-two-level", "sketch"],
     )
-    def test_sampler_query_resumes_exactly(self, sql, options):
+    def test_sampler_query_resumes_exactly(self, sql, table_size, low_table):
         # RNG state rides in the summary payload: a fresh engine resumed
         # from a mid-stream snapshot draws the same sample.
+        if table_size is not None:
+            low_table(table_size)
         rows = make_rows(300)
-        uninterrupted = ingest_all(build_engine(sql, **options), rows)
-        first_half = ingest_all(build_engine(sql, **options), rows[:150])
-        resumed = build_engine(sql, **options)
+        uninterrupted = ingest_all(build_engine(sql), rows)
+        first_half = ingest_all(build_engine(sql), rows[:150])
+        resumed = build_engine(sql)
         resumed.merge_partial(first_half.partial_state_bytes())
         assert ingest_all(resumed, rows[150:]).flush() == uninterrupted.flush()
 

@@ -43,8 +43,9 @@ def twins(calls, **options) -> tuple[QueryEngine, QueryEngine]:
 class TestEqualsFlushAndFold:
     @pytest.mark.parametrize("two_level", [True, False])
     @pytest.mark.parametrize("call", REGISTRY_CALLS)
-    def test_every_udaf_same_rows_same_order(self, call, two_level):
-        options = dict(group_by="k, k2", two_level=two_level, low_table_size=4)
+    def test_every_udaf_same_rows_same_order(self, call, two_level, low_table):
+        low_table(4)
+        options = dict(group_by="k, k2", two_level=two_level)
         live, twin = twins([call, "count(*)"], **options)
         before = live.partial_state_bytes()
         rows = live.snapshot_rows()
@@ -152,9 +153,10 @@ class TestStoreBacked:
         ],
     )
     def test_hot_and_cold_groups_are_read_in_place(
-        self, tmp_path, calls, two_level
+        self, tmp_path, calls, two_level, low_table
     ):
-        options = dict(group_by="k, k2", two_level=two_level, low_table_size=4)
+        low_table(4)
+        options = dict(group_by="k, k2", two_level=two_level)
         store = TieredStore(str(tmp_path / "store"), hot_groups=5)
         live = build(calls, store=store, **options)
         plain = build(calls, **options)

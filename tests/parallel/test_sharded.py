@@ -392,54 +392,34 @@ def hb(time: int, dest: str = "") -> tuple:
 
 
 class TestShardedHeartbeat:
-    """Punctuation routing mirrors the engine-level heartbeat semantics:
-    markers close only buckets they have *passed*, per shard."""
+    """Punctuation reaches the shards behind the rows routed before it
+    and never counts as data."""
 
     def make(self, **kwargs) -> ShardedEngine:
-        return ShardedEngine(
-            BUCKET_SQL, SCHEMA, shards=2, processes=0,
-            emit_on_bucket_change=True, **kwargs,
-        )
+        return ShardedEngine(BUCKET_SQL, SCHEMA, shards=2, processes=0, **kwargs)
 
-    def test_broadcast_closes_quiet_buckets(self):
+    def test_broadcast_adds_no_data(self):
+        rows = [(i, "s", f"h{i % 3}", 80, 100, "tcp") for i in range(4)]
         with self.make() as engine:
-            engine.insert_many(
-                [(i, "s", f"h{i % 3}", 80, 100, "tcp") for i in range(4)]
-            )
-            assert engine.drain() == []
-            engine.heartbeat_all(hb(65))  # minute 1: minute 0 closes everywhere
-            drained = engine.drain()
-            assert sorted(map(repr, drained)) == sorted(
-                map(repr, unsharded(BUCKET_SQL,
-                                    [(i, "s", f"h{i % 3}", 80, 100, "tcp")
-                                     for i in range(4)]))
-            )
-            # Punctuation contributed no data.
+            engine.insert_many(rows)
+            engine.heartbeat_all(hb(65))
+            engine.heartbeat(hb(65, dest="h1"))
             assert engine.rows_routed == 4
-            assert engine.query() == []
+            assert engine.query() == unsharded(BUCKET_SQL, rows)
 
     def test_routed_heartbeat_reaches_owning_shard_only(self):
         # Deterministic placement: destIP h1 -> shard 0, everything else
-        # -> shard 1.  A marker keyed h2 must not close h1's bucket.
+        # -> shard 1.  A routed marker goes to its key's shard alone, a
+        # broadcast to every shard.
         router = lambda key, n: 0 if key[1] == "h1" else 1  # noqa: E731
         with self.make(router=router) as engine:
-            engine.insert_many([(1, "s", "h1", 80, 100, "tcp")])
-            engine.heartbeat(hb(65, dest="h2"))  # owning shard: 1 (not h1's)
-            assert engine.drain() == []
-            engine.heartbeat(hb(65, dest="h1"))  # now shard 0 advances
-            assert engine.drain() == [{"tb": 0, "destIP": "h1", "c": 1}]
-
-    def test_late_and_equal_heartbeats_are_noops(self):
-        # Mirrors tests/dsms late/equal-heartbeat regressions at shard level.
-        with self.make() as engine:
-            engine.insert_many([(65, "s", "h1", 80, 100, "tcp")])  # minute 1
-            engine.heartbeat_all(hb(30))   # late marker in closed minute 0
-            assert engine.drain() == []    # minute 1 stays open, not split
-            engine.heartbeat_all(hb(70))   # equal bucket: still a no-op
-            assert engine.drain() == []
-            engine.insert_many([(70, "s", "h1", 80, 100, "tcp")])
-            engine.heartbeat_all(hb(130))
-            assert engine.drain() == [{"tb": 1, "destIP": "h1", "c": 2}]
+            seen = []
+            for name, owner in engine._owners.items():
+                owner.heartbeat = lambda row, name=name: seen.append((name, row[2]))
+            engine.heartbeat(hb(65, dest="h2"))
+            engine.heartbeat(hb(65, dest="h1"))
+            engine.heartbeat_all(hb(70))
+            assert seen == [(1, "h2"), (0, "h1"), (0, ""), (1, "")]
 
     def test_heartbeats_match_heartbeat_free_run(self):
         data = [(t, "s", f"h{t % 2}", 80, 100, "tcp")
@@ -451,19 +431,17 @@ class TestShardedHeartbeat:
                 noisy.process(row)
                 noisy.heartbeat_all(hb(row[0]))               # equal
                 noisy.heartbeat_all(hb(max(0, row[0] - 120)))  # late
-            # drain → query → drain: querying ships buffered rows, which
-            # can itself close buckets, so a final drain picks those up.
-            plain_rows = plain.drain() + plain.query() + plain.drain()
-            noisy_rows = noisy.drain() + noisy.query() + noisy.drain()
-            assert sorted(map(repr, plain_rows)) == sorted(map(repr, noisy_rows))
+            assert noisy.query() == plain.query()
 
     def test_heartbeat_flushes_buffered_rows_first(self):
         # A marker must never overtake data routed before it: buffered
         # rows ship before the heartbeat is delivered.
         with self.make(batch_size=512) as engine:
             engine.process((0, "s", "h1", 80, 100, "tcp"))  # still buffered
+            assert engine.stats()["buffered"] == 1
             engine.heartbeat_all(hb(65))
-            assert engine.drain() == [{"tb": 0, "destIP": "h1", "c": 1}]
+            assert engine.stats()["buffered"] == 0
+            assert engine.rows_routed == 1
 
     def test_heartbeat_after_close_raises(self):
         engine = self.make()
@@ -472,18 +450,9 @@ class TestShardedHeartbeat:
             engine.heartbeat(hb(65))
 
     @pytest.mark.slow
-    def test_process_mode_heartbeat_and_drain(self):
-        with ShardedEngine(
-            BUCKET_SQL, SCHEMA, shards=2, emit_on_bucket_change=True,
-            batch_size=8,
-        ) as engine:
-            engine.insert_many(
-                [(i, "s", f"h{i % 3}", 80, 100, "tcp") for i in range(6)]
-            )
+    def test_process_mode_heartbeat(self):
+        rows = [(i, "s", f"h{i % 3}", 80, 100, "tcp") for i in range(6)]
+        with ShardedEngine(BUCKET_SQL, SCHEMA, shards=2, batch_size=8) as engine:
+            engine.insert_many(rows)
             engine.heartbeat_all(hb(65))
-            drained = engine.drain()
-            assert sorted(map(repr, drained)) == sorted(
-                map(repr, unsharded(BUCKET_SQL,
-                                    [(i, "s", f"h{i % 3}", 80, 100, "tcp")
-                                     for i in range(6)]))
-            )
+            assert engine.query() == unsharded(BUCKET_SQL, rows)

@@ -35,6 +35,12 @@ def wide_rows(n: int) -> list[tuple]:
     ]
 
 
+@pytest.fixture(autouse=True)
+def _small_low_table(low_table):
+    # A 16-group low table sends groups up to each shard's store soon.
+    low_table(16)
+
+
 def store_engine(tmp_path, **kwargs) -> ShardedEngine:
     defaults = dict(
         shards=SHARDS,
@@ -42,7 +48,6 @@ def store_engine(tmp_path, **kwargs) -> ShardedEngine:
         router=lambda key, n: stable_route(key[1], n),
         store_dir=str(tmp_path / "store"),
         store_hot_groups=4,
-        low_table_size=16,
     )
     defaults.update(kwargs)
     return ShardedEngine(COUNT_SUM_SQL, SCHEMA, **defaults)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dsms import engine as engine_module
 from repro.dsms.engine import QueryEngine
 from repro.dsms.expressions import (
     BinaryOp,
@@ -102,11 +104,12 @@ def test_two_level_equals_single_level(items, table_size):
         "max(value) as hi, avg(value) as mean from S group by key"
     )
     query = parse_query(sql, _REGISTRY)
-    split = QueryEngine(query, SCHEMA, two_level=True, low_table_size=table_size)
+    split = QueryEngine(query, SCHEMA, two_level=True)
     flat = QueryEngine(query, SCHEMA, two_level=False)
-    for row in items:
-        split.process(row)
-        flat.process(row)
+    with mock.patch.object(engine_module, "LOW_TABLE_SIZE", table_size):
+        for row in items:
+            split.process(row)
+            flat.process(row)
     split_rows = {r["key"]: r for r in split.flush()}
     flat_rows = {r["key"]: r for r in flat.flush()}
     assert split_rows.keys() == flat_rows.keys()

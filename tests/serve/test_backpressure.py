@@ -73,10 +73,11 @@ class TestCreditGrant:
 
 
 class TestStorePressureEndToEnd:
-    def test_window_shrinks_under_churn_and_recovers(self, tmp_path):
+    def test_window_shrinks_under_churn_and_recovers(self, tmp_path, low_table):
+        low_table(16)
         backend = build_backend(
             SQL, PACKET_SCHEMA, store_dir=str(tmp_path / "store"),
-            store_hot_groups=8, low_table_size=16,
+            store_hot_groups=8,
         )
         server = ThreadedServer(
             StreamServer(backend, credit_window=8)

@@ -1,9 +1,9 @@
 """The columnar data plane over the wire: negotiation, framing scope,
 client batching, and end-to-end equality with an in-process engine.
 
-Contract under test (DESIGN.md §10): INSERT_COLS is the one ingest frame
+Contract under test (DESIGN.md §6.1): INSERT_COLS is the one ingest frame
 and a pure transport — serving a stream never changes a query answer.
-Version 2 is the only wire spoken: older HELLOs are refused, newer ones
+Version 5 is the only wire spoken: older HELLOs are refused, newer ones
 negotiate down, and the retired row INSERT's type code answers
 ``unknown-frame``.  Errors keep their scopes: an undecodable columnar
 body is a framing violation (connection-scoped, like any garbage body),

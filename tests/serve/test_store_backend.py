@@ -28,6 +28,12 @@ from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows
 
 
+@pytest.fixture(autouse=True)
+def _small_low_table(low_table):
+    # A 16-group low table sends groups up to the store's high tier soon.
+    low_table(16)
+
+
 def wide_rows(n: int) -> list[tuple]:
     """Rows spread over enough destIPs that a tiny hot budget must spill."""
     rows = []
@@ -41,7 +47,7 @@ class TestSingleBackend:
         rows = wide_rows(400)
         backend = build_backend(
             SQL, PACKET_SCHEMA, store_dir=str(tmp_path / "s"),
-            store_hot_groups=8, low_table_size=16,
+            store_hot_groups=8,
         )
         for i in range(0, len(rows), 64):
             backend.insert_cols(rows_to_cols(rows[i : i + 64]))
@@ -55,7 +61,6 @@ class TestSingleBackend:
         store_dir = str(tmp_path / "s")
         backend = build_backend(
             SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
-            low_table_size=16,
         )
         backend.insert_cols(rows_to_cols(wide_rows(200)))
         assert backend.checkpoint_blobs() == []
@@ -64,7 +69,6 @@ class TestSingleBackend:
 
         resumed = build_backend(
             SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
-            low_table_size=16,
         )
         assert canon(resumed.query()) == canon(
             expected_rows(SQL, wide_rows(200))
@@ -84,7 +88,6 @@ class TestSingleBackend:
         store_dir = str(tmp_path / "s")
         backend = build_backend(
             SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
-            low_table_size=16,
         )
         backend.insert_cols(rows_to_cols(wide_rows(200)))
         backend.checkpoint_blobs()
@@ -104,7 +107,6 @@ class TestSingleBackend:
         with pytest.raises(StoreError, match=named):
             build_backend(
                 SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
-                low_table_size=16,
             )
         # Refused, not quarantined: the older files stay where they were.
         assert not [
@@ -125,7 +127,6 @@ class TestShardedBackend:
         backend = build_backend(
             SQL, PACKET_SCHEMA, shards=3, processes=0,
             store_dir=str(tmp_path / "s"), store_hot_groups=8,
-            low_table_size=16,
         )
         for i in range(0, len(rows), 64):
             backend.insert_cols(rows_to_cols(rows[i : i + 64]))
@@ -140,7 +141,7 @@ class TestServerIntegration:
         backend = build_backend(
             SQL, PACKET_SCHEMA,
             store_dir=str(tmp_path / "store"), store_hot_groups=8,
-            low_table_size=16, **kwargs
+            **kwargs
         )
         return ThreadedServer(
             StreamServer(backend, state_dir=str(tmp_path / "state"))

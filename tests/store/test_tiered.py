@@ -69,14 +69,18 @@ def make_rows(n: int = 1_500, groups: int = 200, seed: int = 11) -> list[tuple]:
     return rows
 
 
-def build_engine(
-    sql: str = BUILTIN_SQL, store: TieredStore | None = None, **kwargs
-) -> QueryEngine:
+@pytest.fixture(autouse=True)
+def _small_low_table(low_table):
     # A small low table forces groups up into the (tiered) high table
     # quickly — the store only manages the high tier, so tests want the
     # traffic there.  Byte-identity claims hold for any size; reference
     # engines use the same value so flush order internals line up.
-    kwargs.setdefault("low_table_size", 32)
+    low_table(32)
+
+
+def build_engine(
+    sql: str = BUILTIN_SQL, store: TieredStore | None = None, **kwargs
+) -> QueryEngine:
     query = parse_query(sql, default_registry())
     return QueryEngine(query, SCHEMA, store=store, **kwargs)
 

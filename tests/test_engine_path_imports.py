@@ -7,7 +7,7 @@ respawned worker pays this graph before its first row, so the counts below
 are pinned — in fresh interpreters, because this test process has long
 since imported everything.
 
-numpy is the settled case (DESIGN.md section 10): ``import numpy`` costs
+numpy is the settled case (DESIGN.md §6.7): ``import numpy`` costs
 +16.1 MiB RSS and +242 ms per process, so nothing under ``src/`` imports
 it.  OpenSSL is the other, with the event loop that drags it in:
 ``import asyncio`` pulls ``ssl`` → ``_ssl`` → libssl / libcrypto (+4 MiB)
@@ -190,7 +190,7 @@ def loaded_summary_modules(names) -> set[str]:
 def test_a_countsum_serve_child_loads_what_its_query_runs(tmp_path):
     report = served_round(COUNTSUM_SQL, tmp_path)
     at_port = report["at_port"]
-    assert len(repro_modules(at_port)) <= 34, sorted(repro_modules(at_port))
+    assert len(repro_modules(at_port)) <= 33, sorted(repro_modules(at_port))
     forbidden = re.compile(
         r"^(numpy|multiprocessing|statistics"
         r"|repro\.(bench|sampling|cluster|store)(\..*)?"
