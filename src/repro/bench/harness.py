@@ -36,6 +36,10 @@ __all__ = [
     "achievable_throughput",
 ]
 
+#: The share of a trace both timers run untimed first, to prime
+#: dictionaries and code paths.
+_WARMUP_FRACTION = 0.1
+
 
 @dataclass
 class MethodResult:
@@ -64,16 +68,16 @@ def time_query(
     registry: UdafRegistry,
     trace: Sequence[tuple],
     two_level: bool = True,
-    warmup_fraction: float = 0.1,
     batch_size: int | None = None,
     metrics=None,
     metrics_name: str | None = None,
 ) -> MethodResult:
     """Run ``sql`` over ``trace`` and measure per-tuple cost and state.
 
-    A warmup prefix primes dictionaries and code paths before timing
-    starts; state is accounted *before* flushing so it reflects steady
-    per-group footprints.  With ``batch_size`` set the engine ingests via
+    A warmup prefix (``_WARMUP_FRACTION`` of the trace) primes
+    dictionaries and code paths before timing starts; state is accounted
+    *before* flushing so it reflects steady per-group footprints.  With
+    ``batch_size`` set the engine ingests via
     :meth:`~repro.dsms.engine.QueryEngine.insert_many` in chunks of that
     size instead of tuple-at-a-time :meth:`process` — the results are
     identical, the measured cost reflects the batched path.  An enabled
@@ -94,7 +98,7 @@ def time_query(
         metrics=metrics,
         metrics_name=metrics_name if metrics_name is not None else name,
     )
-    warmup = int(len(trace) * warmup_fraction)
+    warmup = int(len(trace) * _WARMUP_FRACTION)
     timed_rows = trace[warmup:]
     if batch_size is None:
         process = engine.process
@@ -126,13 +130,13 @@ def time_consumer(
     name: str,
     consumer: Callable[[tuple], None],
     trace: Sequence[tuple],
-    warmup_fraction: float = 0.1,
     state_bytes: Callable[[], int] | None = None,
 ) -> MethodResult:
-    """Measure a bare per-tuple callable (non-DSMS paths, ablations)."""
+    """Measure a bare per-tuple callable (non-DSMS paths, ablations),
+    after the same untimed warmup as :func:`time_query`."""
     if not trace:
         raise ParameterError("trace must be non-empty")
-    warmup = int(len(trace) * warmup_fraction)
+    warmup = int(len(trace) * _WARMUP_FRACTION)
     for row in trace[:warmup]:
         consumer(row)
     timed_rows = trace[warmup:]

@@ -754,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, default=42,
                          help="synthetic trace RNG seed")
     cluster.add_argument("--batch", type=int, default=512,
-                         help="rows buffered per node before a batch ships")
+                         help="most rows one INSERT_COLS frame to a node carries")
     cluster.add_argument("--state-dir", default=None,
                          help="base directory for per-node checkpoints "
                          "(default: a fresh temp dir)")

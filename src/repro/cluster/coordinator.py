@@ -42,10 +42,6 @@ class NodeOwner:
         """One INSERT_COLS frame, tracked for replay until its CREDIT."""
         self.client.insert_cols(cols)
 
-    def heartbeat(self, row: tuple) -> None:
-        """A HEARTBEAT frame."""
-        self.client.heartbeat(tuple(row))
-
     def flush(self) -> dict:
         """Wait for every in-flight batch's ack; the client's report."""
         return self.client.flush()
@@ -107,7 +103,7 @@ class Coordinator(Router):
         :class:`~repro.cluster.nodes.LocalNode` / ``ProcessNode``
         instances, started if down and stopped by :meth:`close`.
     batch_size:
-        Rows per ``INSERT_COLS`` frame, and rows :meth:`process` buffers.
+        The most rows one ``INSERT_COLS`` frame carries (at least 1).
 
     A dead node is respawned from its last checkpoint and the operation
     asked again (the router's respawn budget per node, then
@@ -115,6 +111,8 @@ class Coordinator(Router):
     """
 
     def __init__(self, sql: str, schema, nodes, *, batch_size: int = 512):
+        if batch_size < 1:
+            raise ParameterError(f"batch_size must be >= 1, got {batch_size!r}")
         nodes = list(nodes)
         if not nodes:
             raise ParameterError("a cluster needs at least one node")
@@ -128,7 +126,6 @@ class Coordinator(Router):
             ShardPlan(sql, schema),
             self._ring,
             lambda name: NodeOwner(by_name[name], self._dial),
-            batch_size=batch_size,
             frame_rows=batch_size,
         )
 
@@ -146,13 +143,12 @@ class Coordinator(Router):
         self.insert_cols(rows_to_cols(rows))
 
     def flush(self) -> dict:
-        """Ship buffered rows and wait for every in-flight batch's ack."""
+        """Wait for every in-flight batch's ack."""
         self._ensure_open()
-        self._flush_edge()
         return {name: self._call(name, "flush") for name in self.nodes}
 
     def partial_blobs(self) -> list[bytes]:
-        """Every node's partial-state blobs (pending rows shipped first)."""
+        """Every node's partial-state blobs."""
         return self._partials()
 
     def checkpoint(self) -> dict:
@@ -188,7 +184,6 @@ class Coordinator(Router):
             raise ParameterError("cannot decommission the last node")
         if heir is not None and (heir == name or heir not in self._owners):
             raise ParameterError(f"invalid heir {heir!r}")
-        self._flush_edge()
         blobs = self._call(name, "partial_blobs")
         moved = self._rows_sent[name]
         self._ring.remove(name)

@@ -2,7 +2,7 @@
 
 Generalizes :func:`repro.parallel.routing.stable_route` from "key modulo
 ``n`` shards" to a hash ring with virtual nodes: every node owns
-``vnodes`` points on the unit circle, and a key belongs to the first
+``_VNODES`` points on the unit circle, and a key belongs to the first
 point at or after its own hash position (wrapping).  Two properties make
 this the right placement for a fleet:
 
@@ -16,7 +16,7 @@ this the right placement for a fleet:
   exactly, the keys that *do* move need no state migration at all —
   merge-at-query combines the old and new owners' contributions.
 
-``vnodes`` trades balance for ring size: more points smooth the
+``_VNODES`` trades balance for ring size: more points smooth the
 per-node load spread (64 keeps the worst node within a few percent of
 fair for small fleets).
 """
@@ -26,9 +26,15 @@ from __future__ import annotations
 import bisect
 
 from repro.core.errors import ParameterError
-from repro.sketches.kmv import check_seed, hash_to_unit
+from repro.sketches.kmv import hash_to_unit
 
 __all__ = ["HashRing"]
+
+#: Points each node places on the ring.
+_VNODES = 64
+
+#: The BLAKE2 key every position is hashed under.
+_SEED = 0
 
 
 class HashRing:
@@ -36,14 +42,12 @@ class HashRing:
 
     Nodes are identified by string name; positions are derived from
     ``(name, replica)`` so a node's arcs are a pure function of its name
-    and the ring's ``vnodes``/``seed`` configuration.
+    (and of ``_VNODES`` / ``_SEED``, read once when the ring is built).
     """
 
-    def __init__(self, nodes=(), *, vnodes: int = 64, seed: int = 0):
-        if vnodes < 1:
-            raise ParameterError(f"vnodes must be >= 1, got {vnodes!r}")
-        self.vnodes = vnodes
-        self.seed = check_seed(seed)
+    def __init__(self, nodes=()):
+        self.vnodes = _VNODES
+        self.seed = _SEED
         self._points: list[tuple[float, str]] = []
         self._positions: list[float] = []
         self._names: set[str] = set()

@@ -9,17 +9,18 @@ continues the exact random sequence).
 
 ``dump_summary`` produces ``{"type": ..., "name": ..., "version": 1,
 "payload": ...}`` with only JSON-native values; ``load_summary`` inverts
-it, dispatching on the registry name.  The payload itself is produced by
-each class's :meth:`StreamSummary._state_payload` hook — the same
-representation behind :meth:`StreamSummary.to_bytes`.  Decay functions round-trip through
-their dataclass fields, so any ``g`` shipped with the library is supported.
+it, dispatching on the registry name.  The payload is
+:meth:`StreamSummary._state_payload`, which :mod:`repro.core.protocol`
+derives from each class's declared ``_FIELDS`` — the same representation
+behind :meth:`StreamSummary.to_bytes`.  Decay functions round-trip
+through their dataclass fields, so any ``g`` shipped with the library is
+supported.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import time
 import zlib
 
 from repro.core.cols import pack_column, read_column
@@ -44,49 +45,31 @@ _VERSION = 1
 # -- summary envelopes -------------------------------------------------------------
 
 
-def dump_summary(summary, metrics=None) -> dict:
+def dump_summary(summary) -> dict:
     """Serialize any registered summary to a JSON-compatible dict.
 
     The envelope carries both the registry ``name`` (the stable identifier)
     and the class name (for human inspection); the payload is the
     summary's own :meth:`StreamSummary._state_payload`.
-
-    With an enabled :class:`~repro.obs.registry.MetricsRegistry` passed as
-    ``metrics``, checkpoint latency and state volume are recorded under
-    ``serde.checkpoint.*``.
     """
     from repro.core import registry
 
-    observing = metrics is not None and getattr(metrics, "enabled", False)
-    start = time.perf_counter_ns() if observing else 0
-    name = registry.summary_name_of(type(summary))
-    envelope = {
+    return {
         "type": type(summary).__name__,
-        "name": name,
+        "name": registry.summary_name_of(type(summary)),
         "version": _VERSION,
         "payload": summary._state_payload(),
     }
-    if observing:
-        elapsed_us = (time.perf_counter_ns() - start) / 1e3
-        metrics.latency("serde.checkpoint.latency_us").observe(elapsed_us)
-        metrics.counter("serde.checkpoint.summaries").add(1.0)
-        size = getattr(summary, "state_size_bytes", None)
-        if callable(size):
-            metrics.counter("serde.checkpoint.state_bytes").add(float(size()))
-    return envelope
 
 
-def load_summary(data: dict, metrics=None):
+def load_summary(data: dict):
     """Restore a summary serialized by :func:`dump_summary`.
 
     Dispatches on the registry ``name``; an envelope without one, or of
-    any other shape, is a :class:`ParameterError`.  ``metrics`` behaves as
-    in :func:`dump_summary`, recording under ``serde.restore.*``.
+    any other shape, is a :class:`ParameterError`.
     """
     from repro.core.protocol import StreamSummary
 
-    observing = metrics is not None and getattr(metrics, "enabled", False)
-    start = time.perf_counter_ns() if observing else 0
     if not isinstance(data, dict):
         raise ParameterError(
             f"a checkpoint envelope is a dict, got a {type(data).__name__}"
@@ -99,12 +82,7 @@ def load_summary(data: dict, metrics=None):
         raise ParameterError(
             "a checkpoint envelope needs a registry 'name' and a 'payload'"
         )
-    summary = StreamSummary._restore_payload(data["name"], data["payload"])
-    if observing:
-        elapsed_us = (time.perf_counter_ns() - start) / 1e3
-        metrics.latency("serde.restore.latency_us").observe(elapsed_us)
-        metrics.counter("serde.restore.summaries").add(1.0)
-    return summary
+    return StreamSummary._restore_payload(data["name"], data["payload"])
 
 
 def fsync_dir(directory: str) -> None:

@@ -657,35 +657,47 @@ class UdafRegistry:
         return sorted({*self._udafs, *self._unbuilt})
 
 
+#: The sliding window (seconds) of the windowed adapters, ``sw_hh`` and
+#: the exponential histograms, in :func:`default_registry`.
+_WINDOW_S = 60.0
+
+#: ``sw_hh``'s pane width in seconds; None lets the sketch choose.
+_PANE_S = None
+
+#: The seed of the sampling and distinct-count adapters.
+_SEED = 0
+
+
 def default_registry(
     hh_epsilon: float = 0.01,
     hh_phi: float = 0.05,
     eh_epsilon: float = 0.1,
-    window: float = 60.0,
     sample_size: int = 100,
-    seed: int = 0,
-    pane: float | None = None,
 ) -> UdafRegistry:
     """A registry with the builtins plus every library adapter (each
     adapter constructed, and its summary module imported, when a query
     first names it).
 
     The parameters configure the adapters the figures sweep (epsilon,
-    window, sample size); benchmarks construct registries per data point.
+    sample size); benchmarks construct registries per data point.  The
+    window, pane and seed are the module constants ``_WINDOW_S``,
+    ``_PANE_S`` and ``_SEED``.
     """
     registry = UdafRegistry()
     for builtin in (CountUdaf(), SumUdaf(), MinUdaf(), MaxUdaf(), AvgUdaf()):
         registry.register(builtin)
     registry.register_lazy(WeightedHHUdaf, hh_epsilon, hh_phi)
     registry.register_lazy(UnaryHHUdaf, hh_epsilon, hh_phi)
-    registry.register_lazy(SlidingWindowHHUdaf, window, pane, hh_epsilon, hh_phi)
-    registry.register_lazy(EHCountUdaf, eh_epsilon, window)
-    registry.register_lazy(EHSumUdaf, eh_epsilon, window)
-    registry.register_lazy(EHDecayedUdaf, epsilon=eh_epsilon, window=window)
+    registry.register_lazy(
+        SlidingWindowHHUdaf, _WINDOW_S, _PANE_S, hh_epsilon, hh_phi
+    )
+    registry.register_lazy(EHCountUdaf, eh_epsilon, _WINDOW_S)
+    registry.register_lazy(EHSumUdaf, eh_epsilon, _WINDOW_S)
+    registry.register_lazy(EHDecayedUdaf, epsilon=eh_epsilon, window=_WINDOW_S)
     registry.register_lazy(WeightedQuantilesUdaf, epsilon=max(hh_epsilon, 0.01))
-    registry.register_lazy(DecayedDistinctUdaf, epsilon=0.1, seed=seed)
-    registry.register_lazy(PrioritySampleUdaf, sample_size, seed)
-    registry.register_lazy(WeightedReservoirUdaf, sample_size, seed)
-    registry.register_lazy(ReservoirUdaf, sample_size, seed)
-    registry.register_lazy(AggarwalUdaf, sample_size, seed)
+    registry.register_lazy(DecayedDistinctUdaf, epsilon=0.1, seed=_SEED)
+    registry.register_lazy(PrioritySampleUdaf, sample_size, _SEED)
+    registry.register_lazy(WeightedReservoirUdaf, sample_size, _SEED)
+    registry.register_lazy(ReservoirUdaf, sample_size, _SEED)
+    registry.register_lazy(AggarwalUdaf, sample_size, _SEED)
     return registry

@@ -6,7 +6,6 @@ pickle-safe :class:`~repro.parallel.worker.ShardPlan`, and one message on
 its bounded input queue per backend method:
 
 ``("colb", pack_cols bytes)``  ``insert_cols`` (the columns read decoded)
-``("heartbeat", row)``         ``heartbeat``
 ``("merge", blob)``            ``restore_blobs``
 ``("state",)``                 ``partial_blobs``: replies ``("state", blob)``
 ``("checkpoint",)``            ``checkpoint_blobs``: ``("checkpoint", blobs)``
@@ -53,8 +52,6 @@ def shard_worker_main(plan, shard_id: int, in_queue, conn) -> None:
             tag, *args = in_queue.get()
             if tag == "colb":
                 backend.insert_cols(unpack_cols(args[0], backend.columns_read)[0])
-            elif tag == "heartbeat":
-                backend.heartbeat(args[0])
             elif tag == "merge":
                 backend.restore_blobs(args)
             elif tag == "state":
@@ -135,10 +132,6 @@ class PipeOwner:
         except WorkerLost:
             self._unacked.append((row_count(cols), message))
             raise
-
-    def heartbeat(self, row: tuple) -> None:
-        """Queue punctuation behind the batches before it."""
-        self._put(("heartbeat", row))
 
     def restore_blobs(self, blobs: list[bytes]) -> None:
         """Queue ``blobs`` for the worker to fold in."""

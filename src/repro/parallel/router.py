@@ -1,4 +1,4 @@
-"""One router over many owners: place, buffer, check, supervise, fold.
+"""One router over many owners: place, check, supervise, fold.
 
 Section VI-B's fixed numerators make a partial state independent of
 where it was built, so "route each batch to the owners of its group
@@ -8,9 +8,9 @@ runtime; :class:`Router` is its one implementation (DESIGN.md §5), under
 
 An owner has the surface a serve backend gives the server
 (:class:`~repro.serve.backend.SingleEngineBackend`): ``insert_cols``,
-``heartbeat``, ``partial_blobs``, ``checkpoint_blobs`` (make the state
-durable), ``restore_blobs`` (adopt), ``close`` (rows ingested, ``-1``
-if unknown), and ``pressure`` where the sharded engine asks for it.
+``partial_blobs``, ``checkpoint_blobs`` (make the state durable),
+``restore_blobs`` (adopt), ``close`` (rows ingested, ``-1`` if
+unknown), and ``pressure`` where the sharded engine asks for it.
 One that can be lost raises :class:`ConnectionError` when gone and adds
 ``respawn()`` (a replacement holding its last checkpoint),
 ``unacked_rows`` (replayed to the replacement), ``pid`` and ``exitcode``.
@@ -21,8 +21,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-from repro.core.cols import row_count, rows_to_cols
-from repro.core.errors import ParameterError, QueryError
+from repro.core.cols import row_count
+from repro.core.errors import QueryError
 from repro.dsms.engine import ResultRow, fold_partials
 from repro.parallel.routing import GroupKeyRouter, validate_mergeable
 
@@ -65,8 +65,7 @@ class Router:
     (a serving node's frame; None hands each owner its slice whole), and
     ``checkpoint_reads`` makes every read a checkpoint too.  A lost owner
     is respawned from its last checkpoint, at most ``_MAX_RESPAWNS`` times
-    each.  An enabled ``metrics`` registry counts rows and batches per
-    owner, fold time and bytes, failures, respawns and lost rows.
+    each.
     """
 
     def __init__(
@@ -75,14 +74,9 @@ class Router:
         placement,
         make_owner,
         *,
-        batch_size: int = 512,
         frame_rows: int | None = None,
         checkpoint_reads: bool = False,
-        metrics=None,
     ):
-        if batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {batch_size!r}")
-        self.batch_size = batch_size
         self._plan = plan
         template = plan.build_engine()
         validate_mergeable(template)
@@ -92,12 +86,9 @@ class Router:
         self._placement = placement
         self._frame_rows = frame_rows
         self._checkpoint_reads = checkpoint_reads
-        self._edge: list[tuple] = []  # rows from process(), not yet routed
         self._rows_routed = 0
         self._failures: list[OwnerFailure] = []
         self._close_stats: dict | None = None
-        self._metrics = metrics
-        self._obs = metrics is not None and getattr(metrics, "enabled", False)
         self._owners: dict = {}
         self._rows_sent: dict = {}
         self._ckpt_mark: dict = {}
@@ -108,10 +99,6 @@ class Router:
     def _add_owner(self, name, owner) -> None:
         self._owners[name] = owner
         self._rows_sent[name] = self._ckpt_mark[name] = self._respawns[name] = 0
-
-    def _count(self, metric: str, amount: float = 1.0) -> None:
-        if self._obs:
-            self._metrics.counter(f"parallel.{metric}").add(float(amount))
 
     def _remove_owner(self, name):
         for table in self._rows_sent, self._ckpt_mark, self._respawns:
@@ -140,8 +127,6 @@ class Router:
             respawned=respawned,
         )
         self._failures.append(failure)
-        self._count("failures")
-        self._count("rows_lost", failure.rows_lost)
         if not respawned:
             raise QueryError(
                 f"owner {name!r} died {self._respawns[name] + 1} time(s) "
@@ -153,7 +138,6 @@ class Router:
         # The replacement holds the checkpoint; the replay follows it.
         self._rows_sent[name] = recovered + replayed
         self._ckpt_mark[name] = recovered
-        self._count("respawns")
 
     def _call(self, name, method: str, *args, phase: str = "request"):
         """One owner call, asked again of the replacement of a lost owner."""
@@ -165,32 +149,14 @@ class Router:
 
     # -- routing / ingestion ------------------------------------------------------
 
-    def process(self, row: tuple) -> None:
-        """Offer one tuple: buffered at the edge and routed with its batch
-        at ``batch_size`` rows, or before any heartbeat, read or close."""
-        self._ensure_open()
-        self._edge.append(row)
-        if len(self._edge) >= self.batch_size:
-            self._flush_edge()
-
     def insert_cols(self, cols: list) -> None:
         """Route one columnar batch (one list per schema field), one slice
-        per owner, after the rows :meth:`process` buffered.  An empty batch
-        is ignored, a ragged one is a :class:`QueryError`, and one the
-        schema refuses a :class:`~repro.core.errors.SchemaError` before any
-        owner — sent only the columns its query reads — is sent anything.
+        per owner.  An empty batch is ignored, a ragged one is a
+        :class:`QueryError`, and one the schema refuses a
+        :class:`~repro.core.errors.SchemaError` before any owner — sent
+        only the columns its query reads — is sent anything.
         """
         self._ensure_open()
-        self._flush_edge()
-        self._route(cols)
-
-    def _flush_edge(self) -> None:
-        """Route and ship the rows :meth:`process` buffered."""
-        if self._edge:
-            rows, self._edge = self._edge, []
-            self._route(rows_to_cols(rows))
-
-    def _route(self, cols: list) -> None:
         if row_count(cols, QueryError) == 0:
             return
         self.schema.validate_cols(cols)
@@ -215,32 +181,6 @@ class Router:
             self._recover(name, "ship")
         else:
             self._rows_sent[name] += count
-        if self._obs:
-            self._count(f"shard{name}.rows", count)
-            self._count("batches")
-
-    # -- punctuation --------------------------------------------------------------
-
-    def _heartbeat(self, row: tuple, routed: bool) -> None:
-        self._ensure_open()
-        self.schema.validate(row)
-        # Buffered rows first: a marker never overtakes data offered before it.
-        self._flush_edge()
-        placement = self._placement
-        names = placement.nodes
-        if routed:
-            names = [self._routing.owner(row, placement.node_for, names)]
-        for name in names:
-            self._call(name, "heartbeat", row, phase="ship")
-
-    def heartbeat(self, row: tuple) -> None:
-        """Advance event time on the owner of ``row``'s group key only
-        (:meth:`QueryEngine.heartbeat` rules; never counted)."""
-        self._heartbeat(row, routed=True)
-
-    def heartbeat_all(self, row: tuple) -> None:
-        """Broadcast punctuation to every owner (global event time)."""
-        self._heartbeat(row, routed=False)
 
     # -- reads --------------------------------------------------------------------
 
@@ -248,7 +188,6 @@ class Router:
         """Make every owner durable: ``{owner: its checkpoint_blobs}``; the
         rows sent so far become each owner's checkpoint mark."""
         self._ensure_open()
-        self._flush_edge()
         kept = {}
         for name in self._placement.nodes:
             kept[name] = self._call(name, "checkpoint_blobs")
@@ -256,9 +195,8 @@ class Router:
         return kept
 
     def _partials(self) -> list[bytes]:
-        """Every owner's blobs, buffered rows shipped first; with
-        ``checkpoint_reads`` each owner is checkpointed, and one that kept
-        no blob is read beside it."""
+        """Every owner's blobs; with ``checkpoint_reads`` each owner is
+        checkpointed, and one that kept no blob is read beside it."""
         self._ensure_open()
         if self._checkpoint_reads:
             kept = self._checkpoint()
@@ -267,7 +205,6 @@ class Router:
                 for name, blobs in kept.items()
                 for blob in blobs or self._call(name, "partial_blobs")
             ]
-        self._flush_edge()
         return [
             blob
             for name in self._placement.nodes
@@ -278,21 +215,14 @@ class Router:
         """Results over everything ingested so far: every owner's partial
         states folded into one collector, so HAVING / ORDER BY / LIMIT see
         the merged groups.  Ingestion may continue."""
-        blobs = self._partials()
-        start = time.perf_counter_ns() if self._obs else 0
-        rows = fold_partials(self._plan.build_engine, blobs)
-        if self._obs:
-            merge_us = (time.perf_counter_ns() - start) / 1e3
-            self._metrics.latency("parallel.query.merge_us").observe(merge_us)
-        self._count("query.state_bytes", sum(map(len, blobs)))
-        return rows
+        return fold_partials(self._plan.build_engine, self._partials())
 
     # -- statistics ---------------------------------------------------------------
 
     @property
     def rows_routed(self) -> int:
-        """Tuples accepted by the router so far (shipped or buffered)."""
-        return self._rows_routed + len(self._edge)
+        """Tuples the router has accepted and placed so far."""
+        return self._rows_routed
 
     @property
     def failures(self) -> list[OwnerFailure]:
@@ -300,11 +230,9 @@ class Router:
         return list(self._failures)
 
     def stats(self) -> dict:
-        """Router accounting: the edge, failures, and per-owner marks."""
+        """Router accounting: rows routed, failures, and per-owner marks."""
         return {
-            "rows_routed": self.rows_routed,
-            "buffered": len(self._edge),
-            "batch_size": self.batch_size,
+            "rows_routed": self._rows_routed,
             "rows_lost": sum(failure.rows_lost for failure in self._failures),
             "failures": [failure.to_dict() for failure in self._failures],
             "owners": {
@@ -328,19 +256,11 @@ class Router:
         return {"tuples_per_owner": counts}
 
     def close(self) -> dict:
-        """Ship what can be shipped, then close every owner (a dead one
-        reports ``-1`` rows).  Idempotent: later calls return the first
-        call's report."""
+        """Close every owner (a dead one reports ``-1`` rows).  Idempotent:
+        later calls return the first call's report."""
         if self._close_stats is None:
-            try:
-                self._flush_edge()
-            except (OSError, QueryError):
-                pass  # an unreachable owner: those rows are part of its loss
-            finally:
-                counts = {
-                    name: owner.close() for name, owner in self._owners.items()
-                }
-                self._close_stats = self._close_report(counts)
+            counts = {name: owner.close() for name, owner in self._owners.items()}
+            self._close_stats = self._close_report(counts)
         return self._close_stats
 
     def __enter__(self):

@@ -79,10 +79,6 @@ class GroupKeyRouter:
             return fns[0](cols, count)
         return list(zip(*(fn(cols, count) for fn in fns)))
 
-    def owner(self, row: tuple, place, owners):
-        """The owner of one tuple: that of the one-row batch it makes."""
-        return next(self.partition([[value] for value in row], place, owners))[0]
-
     def partition(self, cols: list, place, owners):
         """Split a batch checked against the schema by owner, yielding
         ``(owner, part_cols, count)``: row ``i`` goes to ``place(keys[i])``

@@ -34,15 +34,9 @@ class ShardedEngine(Router):
     shards / processes:
         The number of shard engines, one OS process each
         (``processes=None``) or all in this thread (``0``).
-    batch_size:
-        Rows :meth:`process` buffers before routing them as one batch.
     router:
         ``(group key, shards) -> shard`` (builtin ``hash`` by default,
         :func:`stable_route` for placement stable across processes).
-    metrics:
-        An enabled :class:`~repro.obs.registry.MetricsRegistry` records
-        ``parallel.*``: rows per shard, batches, merge time and bytes,
-        failures, respawns and lost rows.
     store_dir / store_hot_groups:
         Each shard keeps at most ``store_hot_groups`` groups in RAM and
         spills the rest to a :class:`~repro.store.tiered.TieredStore` in
@@ -61,9 +55,7 @@ class ShardedEngine(Router):
         shards: int = 4,
         processes: int | None = None,
         *,
-        batch_size: int = 512,
         router: Callable[[object, int], int] | None = None,
-        metrics=None,
         store_dir: str | None = None,
         store_hot_groups: int = 4096,
     ):
@@ -73,14 +65,11 @@ class ShardedEngine(Router):
             store_dir=store_dir,
             store_hot_groups=store_hot_groups,
         )
-        self._open_shards(
-            plan, shards, processes, router, batch_size=batch_size, metrics=metrics
-        )
+        self._open_shards(plan, shards, processes, router)
 
-    def _open_shards(self, plan: ShardPlan, shards: int, processes, router,
-                     **options) -> None:
-        """Start the router (``options``: its keywords) over ``shards``
-        owners of ``plan``, placed by ``router`` or builtin ``hash``."""
+    def _open_shards(self, plan: ShardPlan, shards: int, processes, router) -> None:
+        """Start the router over ``shards`` owners of ``plan``, placed by
+        ``router`` or builtin ``hash``."""
         if shards < 1:
             raise ParameterError(f"shards must be >= 1, got {shards!r}")
         if processes not in (None, 0, shards):
@@ -103,9 +92,7 @@ class ShardedEngine(Router):
         )
         self.shards = shards
         self._processes = processes
-        super().__init__(
-            plan, placement, make_owner, checkpoint_reads=True, **options
-        )
+        super().__init__(plan, placement, make_owner, checkpoint_reads=True)
 
     def insert_many(self, rows: Iterable[tuple]) -> None:
         """Route a batch of tuples: transposed here, once, and handed to
@@ -113,8 +100,8 @@ class ShardedEngine(Router):
         self.insert_cols(rows_to_cols(rows))
 
     def partial_states(self) -> list[bytes]:
-        """One partial-state blob per shard, buffered rows shipped first;
-        every read is each shard's checkpoint too."""
+        """One partial-state blob per shard; every read is each shard's
+        checkpoint too."""
         return self._partials()
 
     def store_pressure(self) -> float:
@@ -149,8 +136,7 @@ class ShardedEngine(Router):
 
 class ShardedBackend(ShardedEngine):
     """A :class:`ShardedEngine` (``stable_route``) with the surface of
-    :class:`~repro.serve.backend.SingleEngineBackend`; its heartbeats are
-    stream-wide."""
+    :class:`~repro.serve.backend.SingleEngineBackend`."""
 
     kind = "sharded"
 
@@ -160,7 +146,6 @@ class ShardedBackend(ShardedEngine):
         #: What the router reads is what the engines read.
         self.columns_read = self._routing.columns_read
 
-    heartbeat = Router.heartbeat_all
     partial_blobs = ShardedEngine.partial_states
     pressure = ShardedEngine.store_pressure
     tuples_in = Router.rows_routed

@@ -1,6 +1,6 @@
 """Engine backends the server drives: one query, single- or sharded-core.
 
-Both expose one surface (ingest, punctuation, a non-destructive
+Both expose one surface (ingest, a non-destructive
 ``query()``, partial-state blobs, checkpoints, adoption, pressure), so
 :class:`~repro.serve.server.StreamServer` never cares which it holds.
 :class:`SingleEngineBackend` reads its one engine in place and is also
@@ -37,10 +37,6 @@ class SingleEngineBackend:
     def insert_cols(self, cols: list) -> None:
         """Ingest one columnar batch through the engine's bulk path."""
         self._engine.insert_cols(cols)
-
-    def heartbeat(self, row: tuple) -> None:
-        """Advance event time via punctuation (no data)."""
-        self._engine.heartbeat(row)
 
     def query(self) -> list[ResultRow]:
         """Results over everything ingested so far, from a read-only view."""

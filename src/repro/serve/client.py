@@ -36,7 +36,7 @@ Failure handling: any transport error (``socket.timeout``, a reset, EOF)
 marks the client **dead** — the transport is closed and every later call
 fails fast with the same structured :class:`ClientConnectionError` instead
 of confusing errors off a half-broken stream.  With ``retries > 0`` the
-client instead reconnects with exponential backoff + jitter and replays
+client instead reconnects with jittered exponential backoff and replays
 exactly the unacknowledged batches: each batch carries a ``seq`` the
 server echoes on its CREDIT, so an acked batch is never re-sent and an
 unacked one is sent at most once per connection epoch.
@@ -114,11 +114,8 @@ class _ClientCore:
         port: int,
         *,
         schema_names: list | None = None,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         retries: int = 0,
         backoff_s: float = 0.05,
-        jitter: bool = True,
-        batch_rows: int = 1024,
     ):
         if retries < 0:
             raise protocol.ProtocolError(
@@ -128,15 +125,10 @@ class _ClientCore:
             raise protocol.ProtocolError(
                 f"backoff_s must be positive, got {backoff_s!r}"
             )
-        if batch_rows < 1:
-            raise protocol.ProtocolError(
-                f"batch_rows must be >= 1, got {batch_rows!r}"
-            )
         self._host = host
         self._port = port
         self._schema_names = schema_names
-        self._decoder = FrameDecoder(max_frame_bytes)
-        self._max_frame_bytes = max_frame_bytes
+        self._decoder = FrameDecoder(protocol.MAX_FRAME_BYTES)
         self._pending: list[Frame] = []  # direct replies, ERRORs included
         self._pushes: list[dict] = []  # completed pushes, rows still tagged
         self._push_pages: dict = {}  # sub -> tagged rows of a push in flight
@@ -145,15 +137,10 @@ class _ClientCore:
         self.server_info: dict = {}
         self.retries = retries
         self.backoff_s = backoff_s
-        self.jitter = jitter
         self.reconnects = 0
         self._dead: ClientConnectionError | None = None
         self._closed = False
         self._close_info: dict = {}
-        # Client-side accumulation (the append() knob): rows buffer here
-        # until batch_rows are ready, then ship as one batch.
-        self.batch_rows = batch_rows
-        self._row_buffer: list[tuple] = []
         # Batch-replay accounting: every batch gets a client-unique seq;
         # the server echoes it on the CREDIT that acknowledges the batch.
         self._next_seq = 1
@@ -228,12 +215,10 @@ class _ClientCore:
         return reply
 
     def _send(self, ftype: int, payload: dict | bytes | None = None):
-        yield from self._io(
-            "send",
-            protocol.encode_frame(
-                ftype, payload, max_frame_bytes=self._max_frame_bytes
-            ),
+        frame = protocol.encode_frame(
+            ftype, payload, max_frame_bytes=protocol.MAX_FRAME_BYTES
         )
+        yield from self._io("send", frame)
 
     def _pump(self):
         """Receive one chunk and book-keep every frame it completes.
@@ -329,7 +314,7 @@ class _ClientCore:
         """Dial, handshake, and adopt the fresh connection (new decoder,
         full credit window); a handshake ERROR propagates."""
         yield ("dial",)
-        self._decoder = FrameDecoder(self._max_frame_bytes)
+        self._decoder = FrameDecoder(protocol.MAX_FRAME_BYTES)
         self._pending = []
         self._push_pages = {}
         hello = {"wire_version": protocol.WIRE_VERSION, "client": "repro"}
@@ -343,14 +328,12 @@ class _ClientCore:
         self._sent_on_conn = set()
 
     def _reconnect(self):
-        """Rebuild the connection with capped exponential backoff (and
-        optional jitter); replay unacked batches."""
+        """Rebuild the connection with capped exponential backoff, each
+        delay jittered down by up to half; replay unacked batches."""
         last: BaseException | None = self._dead
         for attempt in range(self.retries):
             delay = min(_BACKOFF_MAX_S, self.backoff_s * (2.0 ** attempt))
-            if self.jitter:
-                delay *= 0.5 + 0.5 * random.random()
-            yield ("sleep", delay)
+            yield ("sleep", delay * (0.5 + 0.5 * random.random()))
             try:
                 yield from self._connect()
                 self._dead = None
@@ -416,7 +399,7 @@ class _ClientCore:
         seq until its CREDIT, and deliver it under the credit window.
 
         An empty batch sends nothing and returns ``None``; one that
-        cannot be framed (ragged, over ``max_frame_bytes``) raises before
+        cannot be framed (ragged, over ``MAX_FRAME_BYTES``) raises before
         any state changes.
         """
         count = row_count(cols)
@@ -424,7 +407,7 @@ class _ClientCore:
             return None
         seq = self._next_seq
         frame = protocol.encode_cols(
-            cols, seq=seq, max_frame_bytes=self._max_frame_bytes
+            cols, seq=seq, max_frame_bytes=protocol.MAX_FRAME_BYTES
         )
         self._next_seq += 1
         self._unacked[seq] = (count, frame)
@@ -456,25 +439,6 @@ class _ClientCore:
     insert_cols = _operation(_ship)
 
     @_operation
-    def append(self, row: tuple) -> int | None:
-        """Buffer one row client-side; ship when ``batch_rows`` accumulate.
-
-        Returns the shipped batch's seq when this append triggered a
-        send, else ``None``.  Every later request — :meth:`flush`,
-        :meth:`heartbeat`, a read, a checkpoint, :meth:`close` — ships
-        the partial buffer first, so an appended row is never invisible
-        to it and never stranded.
-        """
-        self._row_buffer.append(tuple(row))
-        if len(self._row_buffer) >= self.batch_rows:
-            return (yield from self._ship_buffer())
-        return None
-
-    def _ship_buffer(self):
-        batch, self._row_buffer = self._row_buffer, []
-        return (yield from self._ship(protocol.rows_to_cols(batch)))
-
-    @_operation
     def flush(self) -> dict:
         """Block until every in-flight batch has been acknowledged.
 
@@ -488,7 +452,6 @@ class _ClientCore:
         (``replayed`` batches were re-sent after a reconnect, everything
         else was acknowledged first try).
         """
-        yield from self._ship_buffer()
 
         def drained() -> bool:
             return self.credits >= self.window and not self._unacked
@@ -496,14 +459,6 @@ class _ClientCore:
         yield from self._retrying(lambda: self._wait(drained, "CREDIT"))
         outcomes, self._outcomes = self._outcomes, {}
         return {"outcomes": outcomes, "reconnects": self.reconnects}
-
-    @_operation
-    def heartbeat(self, row: tuple) -> None:
-        """Send punctuation: advances event time without contributing data."""
-        yield from self._ship_buffer()
-        yield from self._retrying(
-            lambda: self._send(protocol.HEARTBEAT, {"row": list(row)})
-        )
 
     # -- reads ---------------------------------------------------------------------
 
@@ -515,7 +470,6 @@ class _ClientCore:
         page is decoded as it lands, an ERROR in place of a page raises
         with nothing returned, and a reconnect mid-sequence re-asks.
         """
-        yield from self._ship_buffer()
 
         def exchange():
             yield from self._send(protocol.QUERY)
@@ -535,7 +489,6 @@ class _ClientCore:
         Subscriptions are per-connection state: a reconnect does not
         re-subscribe (re-issue :meth:`subscribe` after a retry if needed).
         """
-        yield from self._ship_buffer()
         yield from self._retrying(
             lambda: self._send(
                 protocol.SUBSCRIBE, {"interval_s": interval_s, "count": count}
@@ -555,7 +508,6 @@ class _ClientCore:
     @_operation
     def checkpoint(self) -> dict:
         """Force a server-side checkpoint; returns ``{"path", "bytes"}``."""
-        yield from self._ship_buffer()
         reply = yield from self._ask(protocol.CHECKPOINT, protocol.CHECKPOINT_OK)
         return reply.payload
 
@@ -572,7 +524,6 @@ class _ClientCore:
         :func:`repro.dsms.engine.fold_partials`; the node keeps its state
         and keeps ingesting.
         """
-        yield from self._ship_buffer()
         reply = yield from self._ask(protocol.PARTIALS, protocol.PARTIALS_OK)
         return protocol.decode_blobs(reply.payload["body"])
 
@@ -584,7 +535,6 @@ class _ClientCore:
         (via :meth:`partials` or its on-disk checkpoint) merge exactly
         into another.  Returns the number of blobs adopted.
         """
-        yield from self._ship_buffer()
         reply = yield from self._ask(
             protocol.ADOPT,
             protocol.ADOPT_OK,
@@ -608,7 +558,6 @@ class _ClientCore:
             return self._close_info
         if self._dead is None:
             try:
-                yield from self._ship_buffer()
                 yield from self._send(protocol.BYE)
                 goodbye = yield from self._recv_reply(protocol.GOODBYE)
                 self._close_info = goodbye.payload
@@ -640,8 +589,7 @@ class ServeClient(_ClientCore):
     and unacknowledged batches are replayed by ``seq`` — see the
     module docstring for the exact semantics.  ``timeout_s`` bounds every
     socket operation; ``options`` are :class:`_ClientCore`'s keywords
-    (``schema_names``, ``max_frame_bytes``, ``retries``, ``backoff_s``,
-    ``jitter``, ``batch_rows``).
+    (``schema_names``, ``retries``, ``backoff_s``).
     """
 
     def __init__(

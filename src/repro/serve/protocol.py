@@ -47,7 +47,7 @@ WELCOME    2     srv → client negotiated ``credits``, server ``query``/``schem
 (reserved) 3     —            the retired row INSERT; answered ``unknown-frame``
 CREDIT     4     srv → client ``credits`` granted back (backpressure); echoes
                               the batch's ``seq`` so acks key to batches
-HEARTBEAT  5     client → srv ``row`` — punctuation, advances event time only
+(reserved) 5     —            the retired HEARTBEAT; answered ``unknown-frame``
 QUERY      6     client → srv (empty) request merged results now
 RESULT     7     srv → client one *page* of ``rows``; ``more`` when another page
                               follows; push pages carry ``sub``/``seq``, the
@@ -95,7 +95,7 @@ place of a page ends that sequence and the pages before it are void.
 Version negotiation: HELLO carries the client's highest ``wire_version``;
 the server answers WELCOME with ``wire_version = min(client, server)``
 and both sides speak that, so a future client negotiates *down* to this
-build.  Version 5 is the only one spoken: version 1's row-JSON ``INSERT``
+build.  Version 6 is the only one spoken: version 1's row-JSON ``INSERT``
 frames ran at under half the columnar rate and were removed
 (EXPERIMENTS.md), version 2 promised a RESULT in one frame, which a version-2 client
 would mistake a first page for, a version-3 peer's column decoder knows
@@ -103,8 +103,11 @@ only the widest case of each :mod:`repro.core.cols` kind, and a
 version-4 peer's has no narrow ``f64`` (``f64/i32`` … ``f64/i8``, an
 integral float column at an int width) — this build *reads* such older
 batches, but an older reader would refuse the narrow ones this build
-writes.  A HELLO below the minimum (or with a junk version) earns a
-connection-scoped ``wire-version`` ERROR naming the supported range.
+writes — and a version-5 client may send HEARTBEAT punctuation, which
+no engine a server builds ever acted on (forward decay fixes a weight's
+numerator on arrival, so event time needs no marker).  A HELLO below
+the minimum (or with a junk version) earns a connection-scoped
+``wire-version`` ERROR naming the supported range.
 
 Framing errors (bad length, oversized frame, undecodable body — columnar
 bodies included) are *connection-scoped*: the server answers with ERROR
@@ -172,13 +175,14 @@ __all__ = [
 ]
 
 #: Highest protocol revision this build speaks (carried in HELLO).
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 #: Oldest revision still accepted (version 1's row frames are gone, a
 #: version-2 client reads a RESULT as the whole answer, not a page, a
-#: version-3 peer cannot read the typed column encodings of a blob batch
-#: and a version-4 peer not a narrowed ``f64`` column).
-MIN_WIRE_VERSION = 5
+#: version-3 peer cannot read the typed column encodings of a blob batch,
+#: a version-4 peer not a narrowed ``f64`` column, and a version-5 client
+#: may send the retired HEARTBEAT).
+MIN_WIRE_VERSION = 6
 
 #: Default ceiling on ``length``; larger frames are rejected before the
 #: body is buffered, so a hostile length prefix cannot balloon memory.
@@ -190,12 +194,12 @@ RESULT_PAGE_ROWS = 512
 #: ``struct`` format of the length prefix.
 HEADER = struct.Struct(">I")
 
-# Frame type codes (see the module docstring table).  3 is reserved: it
-# was the row INSERT and must never be reassigned to a different body.
+# Frame type codes (see the module docstring table).  3 and 5 are
+# reserved: they were the row INSERT and HEARTBEAT and must never be
+# reassigned to a different body.
 HELLO = 1
 WELCOME = 2
 CREDIT = 4
-HEARTBEAT = 5
 QUERY = 6
 RESULT = 7
 SUBSCRIBE = 8
@@ -216,7 +220,6 @@ _FRAME_NAMES = {
     HELLO: "HELLO",
     WELCOME: "WELCOME",
     CREDIT: "CREDIT",
-    HEARTBEAT: "HEARTBEAT",
     QUERY: "QUERY",
     RESULT: "RESULT",
     SUBSCRIBE: "SUBSCRIBE",

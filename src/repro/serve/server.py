@@ -624,17 +624,6 @@ class StreamServer:
             credit["seq"] = payload["seq"]
         await conn.send(protocol.CREDIT, credit)
 
-    async def _handle_heartbeat(self, conn: _Connection, payload: dict) -> None:
-        row = payload.get("row")
-        try:
-            if not isinstance(row, list):
-                raise ProtocolError("HEARTBEAT needs a tuple-shaped 'row'")
-            marker = tuple(row)
-            self.backend.schema.validate(marker)
-            self.backend.heartbeat(marker)
-        except DecayError as error:
-            await self._error(conn, "bad-heartbeat", str(error))
-
     def _query(self) -> list:
         """The backend's answer, taken in one synchronous step and counted."""
         self.queries_total += 1
@@ -778,7 +767,6 @@ class StreamServer:
     _HANDLERS = {
         protocol.HELLO: _handle_hello,
         protocol.INSERT_COLS: _handle_insert_cols,
-        protocol.HEARTBEAT: _handle_heartbeat,
         protocol.QUERY: _handle_query,
         protocol.SUBSCRIBE: _handle_subscribe,
         protocol.CHECKPOINT: _handle_checkpoint,

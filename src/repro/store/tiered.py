@@ -217,11 +217,6 @@ class TieredStore:
         Hot-tier budget: the maximum number of groups kept in the engine's
         high-level table.  The low-level table is already bounded by the
         engine's ``LOW_TABLE_SIZE``.
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        enabled, the store records under ``store.store.``.  Disabled or
-        absent registries cost nothing on the ingest path — the store
-        only acts per batch, never per tuple.
 
     Segment rotation, compaction and the :meth:`pressure` scale are the
     module constants ``_SEGMENT_BYTES``, ``_COMPACT_MIN_SEGMENTS``,
@@ -230,7 +225,7 @@ class TieredStore:
     drives the engine, compaction included, so the store holds no lock.
     """
 
-    def __init__(self, directory: str, hot_groups: int = 4096, metrics=None):
+    def __init__(self, directory: str, hot_groups: int = 4096):
         if hot_groups < 1:
             raise ParameterError(f"hot_groups must be >= 1, got {hot_groups!r}")
         self.directory = directory
@@ -267,7 +262,7 @@ class TieredStore:
         self._heap: list[tuple[float, int, tuple]] = []
         self._seq = 0
         self._arrivals = 0
-        # Lifetime counters (exact, independent of the decayed metrics).
+        # Lifetime counters, as stats() reports them.
         self._evictions = 0
         self._fault_ins = 0
         self._spilled_bytes = 0
@@ -281,35 +276,6 @@ class TieredStore:
         self._lat_ema = 0.0
         self._p_events_mark = 0
         self._p_arrivals_mark = 0
-        name = "store.store"
-        if metrics is not None and getattr(metrics, "enabled", False):
-            self._m_evictions = metrics.counter(f"{name}.evictions")
-            self._m_fault_ins = metrics.counter(f"{name}.fault_ins")
-            self._m_spilled = metrics.counter(f"{name}.spilled_bytes")
-            self._m_spill_pages = metrics.counter(f"{name}.spill_pages")
-            self._m_pages_read = metrics.counter(f"{name}.pages_read")
-            self._m_rows_decoded = metrics.counter(f"{name}.rows_decoded")
-            self._m_quarantined = metrics.counter(f"{name}.quarantined")
-            self._m_cold_read = metrics.latency(f"{name}.cold_read_us")
-            self._m_hot = metrics.gauge(f"{name}.hot_groups")
-            self._m_cold = metrics.gauge(f"{name}.cold_groups")
-            self._m_segments = metrics.gauge(f"{name}.segments")
-            self._m_seg_bytes = metrics.gauge(f"{name}.segment_bytes")
-            self._m_dir_bytes = metrics.gauge(f"{name}.directory_bytes")
-            self._m_pressure = metrics.gauge(f"{name}.pressure")
-            self._metrics_on = True
-        else:
-            from repro.obs.registry import NULL_METRIC
-
-            self._m_evictions = self._m_fault_ins = NULL_METRIC
-            self._m_spilled = self._m_quarantined = NULL_METRIC
-            self._m_spill_pages = self._m_pages_read = NULL_METRIC
-            self._m_rows_decoded = NULL_METRIC
-            self._m_cold_read = NULL_METRIC
-            self._m_hot = self._m_cold = NULL_METRIC
-            self._m_segments = self._m_seg_bytes = NULL_METRIC
-            self._m_dir_bytes = self._m_pressure = NULL_METRIC
-            self._metrics_on = False
 
     # -- attachment and recovery --------------------------------------------------
 
@@ -541,13 +507,6 @@ class TieredStore:
             self._churn_ema += 0.2 * (churn - self._churn_ema)
             self._p_arrivals_mark = self._arrivals
             self._p_events_mark = events
-        if self._metrics_on:
-            self._m_hot.set(len(high))
-            self._m_cold.set(self.cold_count)
-            self._m_segments.set(self.segment_count)
-            self._m_seg_bytes.set(self.segment_bytes_on_disk())
-            self._m_dir_bytes.set(self.directory_bytes)
-            self._m_pressure.set(self.pressure())
 
     def pressure(self) -> float:
         """Store overload signal in ``[0, 1]`` for ingest backpressure.
@@ -592,9 +551,6 @@ class TieredStore:
         self._evictions += len(victims)
         self._spilled_bytes += spilled
         self._spill_pages += pages
-        self._m_evictions.add(len(victims))
-        self._m_spilled.add(spilled)
-        self._m_spill_pages.add(pages)
 
     def stage(self, keys) -> None:
         """Read ahead for one batch: the cold rows among ``keys``.
@@ -644,7 +600,6 @@ class TieredStore:
             rows = None  # every row: one unpack per column, not one per row
         states = page.states(rows)
         self._rows_decoded += len(states)
-        self._m_rows_decoded.add(len(states))
         return states
 
     @staticmethod
@@ -680,7 +635,6 @@ class TieredStore:
             return None
         self._seg_live[seg_id] -= 1
         self._fault_ins += 1
-        self._m_fault_ins.add(1)
         return self._revive(states)
 
     def _find(self, key: tuple, h: int) -> tuple | None:
@@ -738,9 +692,7 @@ class TieredStore:
             return None
         elapsed = (time.perf_counter_ns() - start) / 1e3
         self._lat_ema += 0.05 * (elapsed - self._lat_ema)
-        self._m_cold_read.observe(elapsed)
         self._pages_read += 1
-        self._m_pages_read.add(1)
         return page
 
     def _flushed_writer_path(self) -> str:
@@ -794,7 +746,6 @@ class TieredStore:
             self._seg_live.pop(seg_id, None)
         self._drop_handle(seg_id)
         self._quarantined += 1
-        self._m_quarantined.add(1)
 
     # -- segment lifecycle --------------------------------------------------------
 
@@ -932,7 +883,6 @@ class TieredStore:
                 if not probe:
                     continue
                 self._pages_read += 1
-                self._m_pages_read.add(1)
                 lookup = self._dir.lookup
                 live = [
                     (row, h)
@@ -1015,7 +965,6 @@ class TieredStore:
             rows = [row for row, _h in live]
             self._seg_live[seg_id] -= len(rows)
             self._fault_ins += len(rows)
-            self._m_fault_ins.add(len(rows))
             for row, states in zip(rows, self._states(page, rows)):
                 yield keys[row], self._revive(states)
 

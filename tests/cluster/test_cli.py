@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from tests.serve.util import SQL
 
@@ -48,3 +50,16 @@ class TestClusterCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["exact_match"] is True
         assert report["nodes"] == 2
+
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_a_frame_size_below_one_fails(self, tmp_path, capsys, batch):
+        code = main([
+            "cluster", SQL,
+            "--nodes", "1",
+            "--duration", "1",
+            "--rate", "10",
+            "--batch", batch,
+            "--state-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "batch_size must be >= 1" in capsys.readouterr().err

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Coordinator, LocalNode, coordinator
+from repro.cluster import Coordinator, LocalNode
 from repro.core.errors import ParameterError
-from repro.serve import ServeClient
+from repro.serve import ServeClient, protocol
 from repro.serve.protocol import MAX_FRAME_BYTES, FrameTooLarge, rows_to_cols
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows
@@ -55,20 +55,16 @@ class TestExactFanOut:
             per_node = cluster.stats()["per_node"]
             assert sum(n["rows_sent"] for n in per_node.values()) == len(rows)
         assert max(sent) < MAX_FRAME_BYTES // 2
-        assert len(sent) >= len(rows) // cluster.batch_size
+        assert len(sent) >= len(rows) // cluster._frame_rows
         assert canon(got) == canon(expected_rows(SQL, rows))
 
     def test_refused_slice_is_never_counted_as_sent(self, tmp_path, monkeypatch):
         # Regression: a slice the client refused outright (FrameTooLarge)
         # was already added to the node's rows_sent, skewing the loss
         # accounting, and had wedged the client's credit window.
-        def small_frames(self, node):
-            return ServeClient(
-                node.host, node.port, schema_names=self.schema.names(),
-                retries=coordinator._RETRIES, max_frame_bytes=2048, timeout_s=5.0,
-            )
-
-        monkeypatch.setattr(Coordinator, "_dial", small_frames)
+        # The node's server was built with the default limit; the client
+        # reads the constant on every frame it packs.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2048)
         rows = make_rows(20)
         with local_cluster(tmp_path, n=1, batch_size=4096) as cluster:
             with pytest.raises(FrameTooLarge):
@@ -110,17 +106,6 @@ class TestExactFanOut:
             cluster.insert(rows)
             got = cluster.query()
         assert canon(got) == canon(expected_rows(SQL, rows))
-
-    def test_heartbeat_advances_without_contributing(self, tmp_path):
-        rows = make_rows(80)
-        with local_cluster(tmp_path, n=2) as cluster:
-            cluster.insert(rows)
-            before = cluster.query()
-            cluster.heartbeat_all((10_000, 10_000.0, "", "", 0, 0, 0, ""))
-            after = cluster.query()
-            stats = cluster.stats()
-        assert canon(before) == canon(after)
-        assert stats["tuples_in"] == len(rows)
 
 
 class TestStatsAggregation:
@@ -225,6 +210,15 @@ class TestConstruction:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ParameterError):
             Coordinator(SQL, PACKET_SCHEMA, [])
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_frame_size_below_one_rejected(self, tmp_path, batch_size):
+        # 0 would ship whole slices (no frame limit) and -1 none at all,
+        # counting them as sent: refused before any node starts.
+        node = LocalNode("n0", SQL, PACKET_SCHEMA, str(tmp_path / "n0"))
+        with pytest.raises(ParameterError, match="batch_size must be >= 1"):
+            Coordinator(SQL, PACKET_SCHEMA, [node], batch_size=batch_size)
+        assert not node.alive()
 
     def test_unmergeable_query_rejected_at_plan_time(self, tmp_path):
         from repro.core.errors import QueryError

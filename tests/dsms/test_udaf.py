@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import MergeError, QueryError
+from repro.dsms import udaf as udaf_module
 from repro.dsms.udaf import (
     AggarwalUdaf,
     AvgUdaf,
@@ -262,6 +263,24 @@ class TestRegistry:
         registry = default_registry(hh_epsilon=0.5, sample_size=7)
         assert registry.get("fwd_hh").epsilon == 0.5
         assert registry.get("prisamp").k == 7
+
+    @pytest.mark.parametrize(
+        "constant, value, name, attr",
+        [
+            ("_WINDOW_S", 30.0, "sw_hh", "window"),
+            ("_WINDOW_S", 30.0, "eh_count", "window"),
+            ("_PANE_S", 5.0, "sw_hh", "pane"),
+            ("_SEED", 9, "fwd_distinct", "seed"),
+            ("_SEED", 9, "prisamp", "seed"),
+        ],
+    )
+    def test_registry_constants_reach_the_adapters(
+        self, monkeypatch, constant, value, name, attr
+    ):
+        # No caller sets the window, pane or seed: they are constants a
+        # registry reads when it is built, and a test patches them.
+        monkeypatch.setattr(udaf_module, constant, value)
+        assert getattr(default_registry().get(name), attr) == value
 
 
 class TestSketchAdapterBatchPaths:

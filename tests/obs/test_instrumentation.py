@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import registry as summary_registry
-from repro.core.serde import dump_summary, load_summary
 from repro.dsms.engine import QueryEngine, describe_partial_state
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
@@ -253,22 +251,3 @@ class TestRecordedMetrics:
         assert instrument_engine(engine, MetricsRegistry(enabled=False)) is None
         inst = instrument_engine(engine, MetricsRegistry(enabled=True))
         assert inst is not None and engine.__dict__["process"] == inst._process
-
-
-class TestSerdeMetrics:
-    def test_checkpoint_and_restore_recorded(self):
-        summary = summary_registry.create_summary("decayed_sum")
-        summary.update(1.0, 10.0)
-        metrics = MetricsRegistry(enabled=True)
-        envelope = dump_summary(summary, metrics=metrics)
-        restored = load_summary(envelope, metrics=metrics)
-        assert dump_summary(restored) == envelope
-        snap = metrics.snapshot()["metrics"]
-        assert snap["serde.checkpoint.summaries"]["raw_total"] == 1
-        assert snap["serde.restore.summaries"]["raw_total"] == 1
-        assert snap["serde.checkpoint.state_bytes"]["raw_total"] > 0
-
-    def test_serde_without_metrics_unchanged(self):
-        summary = summary_registry.create_summary("decayed_sum")
-        summary.update(1.0, 10.0)
-        assert dump_summary(summary) == dump_summary(summary, metrics=None)

@@ -21,7 +21,6 @@ from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
 from repro.dsms.udaf import default_registry
-from repro.obs.registry import MetricsRegistry
 from repro.parallel import (
     ShardedEngine,
     ShardPlan,
@@ -73,9 +72,10 @@ class TestInlineEquivalence:
     def test_count_sum_exact_match(self):
         rows = make_rows()
         with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=4, processes=0, batch_size=64
+            COUNT_SUM_SQL, SCHEMA, shards=4, processes=0
         ) as engine:
-            engine.insert_many(rows)
+            for start in range(0, len(rows), 64):
+                engine.insert_many(rows[start:start + 64])
             assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
 
     def test_single_shard_matches(self):
@@ -182,10 +182,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="processes"):
             ShardedEngine(COUNT_SUM_SQL, SCHEMA, shards=4, processes=2)
 
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ParameterError, match="batch_size"):
-            ShardedEngine(COUNT_SUM_SQL, SCHEMA, processes=0, batch_size=0)
-
     def test_rejects_sampler_queries(self):
         with pytest.raises(QueryError, match="unmergeable"):
             ShardedEngine(
@@ -207,9 +203,7 @@ class TestValidation:
 class TestLifecycle:
     def test_close_accounts_every_routed_tuple(self):
         rows = make_rows(250)
-        engine = ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=3, processes=0, batch_size=64
-        )
+        engine = ShardedEngine(COUNT_SUM_SQL, SCHEMA, shards=3, processes=0)
         engine.insert_many(rows)
         assert engine.rows_routed == len(rows)
         counts = engine.close()["tuples_per_shard"]
@@ -238,58 +232,24 @@ class TestLifecycle:
         engine = ShardedEngine(COUNT_SUM_SQL, SCHEMA, shards=2, processes=0)
         engine.close()
         with pytest.raises(QueryError, match="closed"):
-            engine.process(make_rows(1)[0])
+            engine.insert_many(make_rows(1))
         with pytest.raises(QueryError, match="closed"):
             engine.query()
 
-    def test_stats_reports_buffered_rows(self):
+    def test_stats_count_the_rows_routed(self):
         with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=2, processes=0, batch_size=1000
+            COUNT_SUM_SQL, SCHEMA, shards=2, processes=0
         ) as engine:
-            for row in make_rows(10):
-                engine.process(row)
+            engine.insert_many(make_rows(10))
             stats = engine.stats()
             assert stats["rows_routed"] == 10
-            assert stats["buffered"] == 10
             assert stats["inline"] is True
-            engine.insert_many(make_rows(5))  # ships the edge buffer first
+            engine.insert_many(make_rows(5))
             stats = engine.stats()
             assert stats["rows_routed"] == 15
-            assert stats["buffered"] == 0
-
-
-class TestMetrics:
-    def test_inline_metrics_recorded(self):
-        metrics = MetricsRegistry(enabled=True)
-        rows = make_rows(200)
-        with ShardedEngine(
-            COUNT_SUM_SQL,
-            SCHEMA,
-            shards=2,
-            processes=0,
-            batch_size=32,
-            metrics=metrics,
-        ) as engine:
-            engine.insert_many(rows)
-            engine.query()
-        snap = metrics.snapshot()["metrics"]
-        shard_rows = (
-            snap["parallel.shard0.rows"]["raw_total"]
-            + snap["parallel.shard1.rows"]["raw_total"]
-        )
-        assert shard_rows == len(rows)
-        assert snap["parallel.batches"]["raw_total"] >= 2
-        assert snap["parallel.query.merge_us"]["count"] == 1
-        assert snap["parallel.query.state_bytes"]["raw_total"] > 0
-
-    def test_disabled_metrics_do_not_record(self):
-        metrics = MetricsRegistry(enabled=False)
-        with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=2, processes=0, metrics=metrics
-        ) as engine:
-            engine.insert_many(make_rows(50))
-            engine.query()
-        assert "parallel.batches" not in metrics
+            assert sum(
+                owner["rows_sent"] for owner in stats["owners"].values()
+            ) == 15
 
 
 class _RecordingConn:
@@ -357,9 +317,7 @@ class TestWorkerProtocol:
 class TestRealProcesses:
     def test_process_mode_matches_unsharded(self):
         rows = make_rows(400)
-        with ShardedEngine(
-            COUNT_SUM_SQL, SCHEMA, shards=2, batch_size=64
-        ) as engine:
+        with ShardedEngine(COUNT_SUM_SQL, SCHEMA, shards=2) as engine:
             engine.insert_many(rows)
             mid = engine.query()
             assert mid == unsharded(COUNT_SUM_SQL, rows)
@@ -373,86 +331,7 @@ class TestRealProcesses:
         # on full worker queues; the run must still drain and merge exactly.
         monkeypatch.setattr(pipe, "_QUEUE_DEPTH", 1)
         rows = make_rows(300)
-        with ShardedEngine(
-            COUNT_SUM_SQL,
-            SCHEMA,
-            shards=2,
-            batch_size=8,
-        ) as engine:
-            engine.insert_many(rows)
+        with ShardedEngine(COUNT_SUM_SQL, SCHEMA, shards=2) as engine:
+            for start in range(0, len(rows), 8):
+                engine.insert_many(rows[start:start + 8])
             assert engine.query() == unsharded(COUNT_SUM_SQL, rows)
-
-
-BUCKET_SQL = "select tb, destIP, count(*) as c from TCP group by time/60 as tb, destIP"
-
-
-def hb(time: int, dest: str = "") -> tuple:
-    """A tuple-shaped punctuation marker carrying only a timestamp."""
-    return (time, "", dest, 0, 0, "")
-
-
-class TestShardedHeartbeat:
-    """Punctuation reaches the shards behind the rows routed before it
-    and never counts as data."""
-
-    def make(self, **kwargs) -> ShardedEngine:
-        return ShardedEngine(BUCKET_SQL, SCHEMA, shards=2, processes=0, **kwargs)
-
-    def test_broadcast_adds_no_data(self):
-        rows = [(i, "s", f"h{i % 3}", 80, 100, "tcp") for i in range(4)]
-        with self.make() as engine:
-            engine.insert_many(rows)
-            engine.heartbeat_all(hb(65))
-            engine.heartbeat(hb(65, dest="h1"))
-            assert engine.rows_routed == 4
-            assert engine.query() == unsharded(BUCKET_SQL, rows)
-
-    def test_routed_heartbeat_reaches_owning_shard_only(self):
-        # Deterministic placement: destIP h1 -> shard 0, everything else
-        # -> shard 1.  A routed marker goes to its key's shard alone, a
-        # broadcast to every shard.
-        router = lambda key, n: 0 if key[1] == "h1" else 1  # noqa: E731
-        with self.make(router=router) as engine:
-            seen = []
-            for name, owner in engine._owners.items():
-                owner.heartbeat = lambda row, name=name: seen.append((name, row[2]))
-            engine.heartbeat(hb(65, dest="h2"))
-            engine.heartbeat(hb(65, dest="h1"))
-            engine.heartbeat_all(hb(70))
-            assert seen == [(1, "h2"), (0, "h1"), (0, ""), (1, "")]
-
-    def test_heartbeats_match_heartbeat_free_run(self):
-        data = [(t, "s", f"h{t % 2}", 80, 100, "tcp")
-                for t in (0, 65, 70, 130)]
-        with self.make(router=stable_route) as noisy, \
-                self.make(router=stable_route) as plain:
-            for row in data:
-                plain.process(row)
-                noisy.process(row)
-                noisy.heartbeat_all(hb(row[0]))               # equal
-                noisy.heartbeat_all(hb(max(0, row[0] - 120)))  # late
-            assert noisy.query() == plain.query()
-
-    def test_heartbeat_flushes_buffered_rows_first(self):
-        # A marker must never overtake data routed before it: buffered
-        # rows ship before the heartbeat is delivered.
-        with self.make(batch_size=512) as engine:
-            engine.process((0, "s", "h1", 80, 100, "tcp"))  # still buffered
-            assert engine.stats()["buffered"] == 1
-            engine.heartbeat_all(hb(65))
-            assert engine.stats()["buffered"] == 0
-            assert engine.rows_routed == 1
-
-    def test_heartbeat_after_close_raises(self):
-        engine = self.make()
-        engine.close()
-        with pytest.raises(QueryError, match="closed"):
-            engine.heartbeat(hb(65))
-
-    @pytest.mark.slow
-    def test_process_mode_heartbeat(self):
-        rows = [(i, "s", f"h{i % 3}", 80, 100, "tcp") for i in range(6)]
-        with ShardedEngine(BUCKET_SQL, SCHEMA, shards=2, batch_size=8) as engine:
-            engine.insert_many(rows)
-            engine.heartbeat_all(hb(65))
-            assert engine.query() == unsharded(BUCKET_SQL, rows)

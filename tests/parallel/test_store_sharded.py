@@ -84,9 +84,7 @@ class TestStoreBackedRecovery:
         # manifest — zero loss, exact equality, and no blob re-seed.
         rows_before = make_rows(300)
         rows_after = make_rows(300)
-        with store_engine(
-            tmp_path, processes=None, batch_size=1
-        ) as engine:
+        with store_engine(tmp_path, processes=None) as engine:
             engine.insert_many(rows_before)
             engine.checkpoint()
             assert os.path.exists(
@@ -114,9 +112,7 @@ class TestStoreBackedRecovery:
         ][:40]
         rows_after = make_rows(200)
         assert doomed
-        with store_engine(
-            tmp_path, processes=None, batch_size=1
-        ) as engine:
+        with store_engine(tmp_path, processes=None) as engine:
             engine.insert_many(rows_before)
             engine.checkpoint()
             engine.insert_many(doomed)

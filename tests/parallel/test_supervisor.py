@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.cols import pack_cols, rows_to_cols
 from repro.core.errors import QueryError
-from repro.obs.registry import MetricsRegistry
 from repro.parallel import ShardedEngine, pipe, router, stable_route
 from repro.testing import kill_worker, wait_until
 
@@ -44,7 +43,6 @@ def supervised_engine(**kwargs) -> ShardedEngine:
     defaults = dict(
         shards=SHARDS,
         processes=None,
-        batch_size=1,  # ship every row immediately: exact loss accounting
         router=lambda key, n: stable_route(key[1], n),
     )
     defaults.update(kwargs)
@@ -124,24 +122,19 @@ class TestCrashRecovery:
             (failure,) = engine.failures
             assert failure.respawned is False
 
-    def test_failure_metrics_recorded(self):
-        metrics = MetricsRegistry(enabled=True)
+    def test_failure_recorded_in_stats(self):
         rows = make_rows(120)
-        with supervised_engine(metrics=metrics) as engine:
+        with supervised_engine() as engine:
             engine.insert_many(rows)
             engine.checkpoint()
             engine.insert_many(routed_to(make_rows(400), 2)[:10])
             kill_worker(engine, shard=2)
             engine.query()
-            # Counters are forward-decayed (the repo eats its own dog
-            # food), so seconds-old increments sit just under their
-            # nominal weight — compare approximately.
-            failures = metrics.counter("parallel.failures").value()
-            respawns = metrics.counter("parallel.respawns").value()
-            lost = metrics.counter("parallel.rows_lost").value()
-        assert failures == pytest.approx(1.0, rel=0.1)
-        assert respawns == pytest.approx(1.0, rel=0.1)
-        assert lost == pytest.approx(10.0, rel=0.1)
+            stats = engine.stats()
+        (failure,) = stats["failures"]
+        assert (failure["owner"], failure["rows_lost"]) == (2, 10)
+        assert stats["respawns"] == [0, 0, 1]
+        assert stats["rows_lost"] == 10
 
     def test_two_deaths_same_shard_recover_twice(self, monkeypatch):
         monkeypatch.setattr(router, "_MAX_RESPAWNS", 3)
@@ -185,7 +178,7 @@ class TestCloseAfterDeath:
 
     def test_close_returns_with_dead_worker_supervised(self, monkeypatch):
         monkeypatch.setattr(pipe, "_QUEUE_DEPTH", 2)
-        engine = supervised_engine(batch_size=8)
+        engine = supervised_engine()
         try:
             self._fill_and_kill(engine)
         finally:

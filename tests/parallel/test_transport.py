@@ -3,8 +3,8 @@
 Per-shard partitions cross the process boundary as packed ``colb`` bytes
 on the queue, and the supervisor's exact loss accounting covers batches
 offered in columns the same as batches offered in rows.  (That every
-edge — rows, columns, row-at-a-time, interleaved — equals the unsharded
-engine is ``tests/test_edge_equivalence.py``.)
+edge — rows, columns, interleaved — equals the unsharded engine is
+``tests/test_edge_equivalence.py``.)
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ class TestTransportEquivalence:
         # of its fair share.
         sql = "select count(*) as c, sum(len) as s from TCP"
         rows = make_rows(200)
-        engine = ShardedEngine(sql, SCHEMA, shards=3, processes=0, batch_size=16)
+        engine = ShardedEngine(sql, SCHEMA, shards=3, processes=0)
         engine.insert_many(rows[:70])
         engine.insert_cols(to_cols(rows[70:130]))
-        for row in rows[130:]:
-            engine.process(row)
+        for start in range(130, len(rows), 16):
+            engine.insert_many(rows[start:start + 16])
         assert engine.query() == unsharded(sql, rows)
         assert sorted(engine.close()["tuples_per_shard"]) == [66, 67, 67]
 

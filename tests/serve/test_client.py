@@ -15,6 +15,7 @@ from repro.serve import (
     ServeClient,
     protocol,
 )
+from repro.serve import client as client_module
 from repro.serve.client import _ClientCore
 from tests.serve.util import (
     SQL,
@@ -73,7 +74,6 @@ class TestAsyncClient:
             for start in range(0, len(rows), 30):
                 await client.insert(rows[start : start + 30])
             await client.flush()
-            await client.heartbeat((9_000, 9_000.0, "", "", 0, 0, 0, ""))
             results = await client.query()
             await client.subscribe(0.01, count=2)
             pushes = await client.results(2)
@@ -239,10 +239,12 @@ class TestScriptedCore:
             assert outcome == expected, chunks
             assert transport.chunks == [], chunks
 
-    def test_oversized_batch_leaves_the_client_usable(self, scripted):
+    def test_oversized_batch_leaves_the_client_usable(self, scripted, monkeypatch):
         # Regression: the batch used to be given a seq, stored as unacked
         # and charged a credit *before* framing failed, so the next flush
         # waited for a CREDIT that could never come.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2048)
+
         async def scenario(client):
             with pytest.raises(protocol.FrameTooLarge):
                 await client.insert(make_rows(2000))
@@ -256,9 +258,7 @@ class TestScriptedCore:
             report = await client.flush()
             return untouched, seq, report, await client.query()
 
-        outcome, transport = scripted(
-            [WELCOME, CREDIT, RESULT], scenario, max_frame_bytes=2048
-        )
+        outcome, transport = scripted([WELCOME, CREDIT, RESULT], scenario)
         report = {"outcomes": {1: "acked"}, "reconnects": 0}
         assert outcome == (([], 0, 2, 2), 1, report, [])
         assert transport.chunks == []
@@ -292,7 +292,7 @@ class TestScriptedCore:
 
         outcome, transport = scripted(
             [WELCOME, b"", WELCOME, CREDIT], scenario,
-            retries=2, backoff_s=0.001, jitter=False,
+            retries=2, backoff_s=0.001,
         )
         report = {"outcomes": {1: "replayed"}, "reconnects": 1}
         assert outcome == (1, report, [])
@@ -303,12 +303,15 @@ class TestScriptedCore:
         assert frame.ftype == protocol.INSERT_COLS
         assert (frame.payload["seq"], frame.payload["count"]) == (1, 5)
 
-    def test_reconnect_backoff_doubles_up_to_its_cap(self):
+    @pytest.mark.parametrize("draw, scale", [(1.0, 1.0), (0.0, 0.5)])
+    def test_reconnect_backoff_doubles_up_to_its_cap(
+        self, monkeypatch, draw, scale
+    ):
         # Every dial is refused: the core sleeps before each attempt,
-        # doubling from backoff_s until the cap, then gives up.
-        steps = _ClientCore(
-            "scripted", 0, retries=6, backoff_s=0.25, jitter=False
-        )._reconnect()
+        # doubling from backoff_s until the cap, then gives up.  The
+        # jitter draw only ever shortens a delay, by at most half.
+        monkeypatch.setattr(client_module.random, "random", lambda: draw)
+        steps = _ClientCore("scripted", 0, retries=6, backoff_s=0.25)._reconnect()
         sleeps = []
         request = next(steps)
         with pytest.raises(ClientConnectionError, match="after 6 attempt"):
@@ -318,7 +321,7 @@ class TestScriptedCore:
                     request = steps.send(None)
                 else:
                     request = steps.throw(ConnectionRefusedError("refused"))
-        assert sleeps == [0.25, 0.5, 1.0, 2.0, 2.0, 2.0]
+        assert sleeps == [scale * s for s in (0.25, 0.5, 1.0, 2.0, 2.0, 2.0)]
 
     def test_handshake_uses_the_same_decode_loop(self, scripted):
         # WELCOME trickling in byte by byte, and frames sharing the
@@ -483,7 +486,7 @@ class TestScriptedPages:
         frames = pages()
         outcome, transport = scripted(
             [WELCOME, frames[0], b"", WELCOME, *frames], self.ask,
-            retries=2, backoff_s=0.001, jitter=False,
+            retries=2, backoff_s=0.001,
         )
         # The full answer, once: the first connection's page is gone.
         assert outcome == PAGED_ROWS

@@ -1,14 +1,14 @@
 """The columnar data plane over the wire: negotiation, framing scope,
-client batching, and end-to-end equality with an in-process engine.
+and end-to-end equality with an in-process engine.
 
 Contract under test (DESIGN.md §6.1): INSERT_COLS is the one ingest frame
 and a pure transport — serving a stream never changes a query answer.
-Version 5 is the only wire spoken: older HELLOs are refused, newer ones
-negotiate down, and the retired row INSERT's type code answers
-``unknown-frame``.  Errors keep their scopes: an undecodable columnar
-body is a framing violation (connection-scoped, like any garbage body),
-while a well-formed batch that fails schema validation costs one ERROR
-frame and nothing else.
+Version 6 is the only wire spoken: older HELLOs are refused, newer ones
+negotiate down, and the type codes of the retired row INSERT and
+HEARTBEAT answer ``unknown-frame``.  Errors keep their scopes: an
+undecodable columnar body is a framing violation (connection-scoped, like
+any garbage body), while a well-formed batch that fails schema validation
+costs one ERROR frame and nothing else.
 """
 
 from __future__ import annotations
@@ -101,26 +101,26 @@ class TestNegotiationMatrix:
         assert protocol.negotiate_version(offered) == negotiated
 
     @pytest.mark.parametrize(
-        "offered", [3, 2, 1, 0, -1, True, False, "4", 4.0, None, [4], {}]
+        "offered", [3, 2, 1, 0, -1, True, False, "4", 4.0, None, [4], {}, 5]
     )
     def test_rejected_versions(self, offered):
         assert protocol.negotiate_version(offered) is None
 
     def test_one_wire_version(self):
-        assert protocol.MIN_WIRE_VERSION == protocol.WIRE_VERSION == 5
-        assert protocol.negotiate_version(4) is None
+        assert protocol.MIN_WIRE_VERSION == protocol.WIRE_VERSION == 6
+        assert protocol.negotiate_version(5) is None
 
     def test_welcome_reports_the_negotiated_version(self):
         with serve() as server:
-            for offered in (5, 999):
+            for offered in (6, 999):
                 raw = RawConnection(server.host, server.port)
                 raw.send_frame(protocol.HELLO, {"wire_version": offered})
                 welcome = raw.read_frame()
                 assert welcome.ftype == protocol.WELCOME
-                assert welcome.payload["wire_version"] == 5
+                assert welcome.payload["wire_version"] == 6
                 raw.close()
 
-    @pytest.mark.parametrize("offered", [4, 3, 2, 1, 0, "junk"])
+    @pytest.mark.parametrize("offered", [5, 4, 3, 2, 1, 0, "junk"])
     def test_old_or_junk_hello_is_refused_naming_the_range(self, offered):
         with serve() as server:
             raw = RawConnection(server.host, server.port)
@@ -128,25 +128,28 @@ class TestNegotiationMatrix:
             error = raw.read_frame()
             assert error.ftype == protocol.ERROR
             assert error.payload["code"] == "wire-version"
-            assert "5..5" in error.payload["message"]
+            assert "6..6" in error.payload["message"]
             assert raw.closed_by_server()
             assert_still_serving(server)
 
 
 class TestFrameScopedErrors:
-    def test_retired_row_insert_code_is_an_unknown_frame(self):
-        # Type 3 was the row INSERT.  A foreign client still sending it
-        # gets a frame-scoped error (no credit was spent, none returns)
-        # and the connection keeps ingesting columnar batches.
+    @pytest.mark.parametrize("ftype", [3, 5])
+    def test_retired_row_insert_code_is_an_unknown_frame(self, ftype):
+        # Type 3 was the row INSERT and type 5 the HEARTBEAT.  A foreign
+        # client still sending one gets a frame-scoped error (no credit
+        # was spent, none returns) and the connection keeps ingesting
+        # columnar batches.
         rows = make_rows(20)
+        retired = {3: {"rows": [list(r) for r in rows]}, 5: {"row": list(rows[0])}}
         with serve() as server:
             raw = RawConnection(server.host, server.port)
             raw.hello()
-            raw.send_raw(encode_frame(3, {"rows": [list(r) for r in rows]}))
+            raw.send_raw(encode_frame(ftype, retired[ftype]))
             error = raw.read_frame()
             assert error.ftype == protocol.ERROR
             assert error.payload["code"] == "unknown-frame"
-            assert error.payload["frame"] == "type-3"
+            assert error.payload["frame"] == f"type-{ftype}"
             raw.send_raw(cols_frame(rows, seq=5))
             credit = raw.read_frame()
             assert credit.ftype == protocol.CREDIT
@@ -445,25 +448,6 @@ class TestEndToEndEquality:
         assert mirrored["serve.ingest.blocks_decoded"]["raw_total"] == 6
         assert mirrored["serve.ingest.blocks_skipped"]["raw_total"] == 10
 
-    def test_append_batches_client_side(self):
-        rows = make_rows(100)
-        with serve() as server:
-            with ServeClient(
-                server.host, server.port, batch_rows=32
-            ) as client:
-                shipped = [seq for row in rows if (seq := client.append(row)) is not None]
-                assert len(shipped) == 3  # 96 rows in three full batches
-                report = client.flush()  # ships the 4-row remainder
-                assert len(report["outcomes"]) == 4
-                assert canon(client.query()) == canon(
-                    expected_rows(SQL, rows)
-                )
-
-    def test_batch_rows_must_be_positive(self):
-        with serve() as server:
-            with pytest.raises(ProtocolError, match="batch_rows"):
-                ServeClient(server.host, server.port, batch_rows=0)
-
 
 class TestColumnarReplay:
     def test_unacked_columnar_batches_replay_across_restart(self, tmp_path):
@@ -473,7 +457,7 @@ class TestColumnarReplay:
         first = serve_with_state(tmp_path)
         port = first.port
         client = ServeClient(
-            first.host, port, retries=10, backoff_s=0.01, jitter=False
+            first.host, port, retries=10, backoff_s=0.01
         )
         try:
             seq1 = client.insert(rows[:100])

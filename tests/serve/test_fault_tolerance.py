@@ -163,7 +163,7 @@ class TestClientReconnect:
         first = serve_with_state(tmp_path)
         port = first.port
         client = ServeClient(
-            first.host, port, retries=10, backoff_s=0.01, jitter=False
+            first.host, port, retries=10, backoff_s=0.01
         )
         try:
             seq1 = client.insert(rows[:100])
@@ -208,7 +208,7 @@ class TestClientReconnect:
 
         async def scenario():
             client = await AsyncServeClient.connect(
-                host, port, retries=10, backoff_s=0.01, jitter=False
+                host, port, retries=10, backoff_s=0.01
             )
             seq1 = await client.insert(rows[:80])
             report = await client.flush()

@@ -24,12 +24,12 @@ from repro.serve.protocol import (
 
 class TestFrameEncoding:
     def test_roundtrip(self):
-        wire = encode_frame(protocol.HEARTBEAT, {"row": [1, "a"]})
+        wire = encode_frame(protocol.SUBSCRIBE, {"row": [1, "a"]})
         (length,) = protocol.HEADER.unpack(wire[:4])
         assert length == len(wire) - 4
         frame = decode_frame_body(wire[4:])
-        assert frame.ftype == protocol.HEARTBEAT
-        assert frame.name == "HEARTBEAT"
+        assert frame.ftype == protocol.SUBSCRIBE
+        assert frame.name == "SUBSCRIBE"
         assert frame.payload == {"row": [1, "a"]}
 
     def test_empty_payload_is_empty_object(self):
@@ -40,7 +40,7 @@ class TestFrameEncoding:
     def test_oversized_frame_rejected_at_encode(self):
         with pytest.raises(ProtocolError, match="wire limit"):
             encode_frame(
-                protocol.HEARTBEAT,
+                protocol.SUBSCRIBE,
                 {"row": ["x" * 100]},
                 max_frame_bytes=64,
             )
@@ -96,7 +96,7 @@ class TestFrameDecoder:
         assert [f.ftype for f in frames] == [protocol.QUERY]
 
     def test_byte_at_a_time(self):
-        wire = encode_frame(protocol.HEARTBEAT, {"rows": [[1, 2, 3]]})
+        wire = encode_frame(protocol.SUBSCRIBE, {"rows": [[1, 2, 3]]})
         decoder = FrameDecoder()
         collected = []
         for i in range(len(wire)):

@@ -113,7 +113,7 @@ class TestMalformedFrames:
         with serve() as server:
             raw = RawConnection(server.host, server.port)
             raw.hello()
-            body = bytes([protocol.HEARTBEAT]) + b"\xff\xfe not json"
+            body = bytes([protocol.SUBSCRIBE]) + b"\xff\xfe not json"
             raw.send_raw(struct.pack(">I", len(body)) + body)
             assert raw.read_frame().payload["code"] == "malformed-frame"
             assert raw.closed_by_server()

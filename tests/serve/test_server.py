@@ -77,42 +77,6 @@ class TestEndToEndEquivalence:
                 assert client.server_info["backend"] == "single"
 
 
-class TestHeartbeatOverTheWire:
-    def test_heartbeat_advances_without_contributing(self):
-        rows = make_rows(50)
-        with serve(shards=2) as server:
-            with ServeClient(server.host, server.port) as client:
-                client.insert(rows)
-                client.flush()
-                before = client.query()
-                client.heartbeat((10_000, 10_000.0, "", "", 0, 0, 0, ""))
-                after = client.query()
-                assert canon(before) == canon(after)
-                stats = client.stats()
-                assert stats["backend"]["tuples_in"] == len(rows)
-
-    def test_late_heartbeat_is_a_noop(self):
-        rows = make_rows(50)
-        with serve() as server:
-            with ServeClient(server.host, server.port) as client:
-                client.insert(rows)
-                client.flush()
-                client.heartbeat((1, 1.0, "", "", 0, 0, 0, ""))
-                assert canon(client.query()) == canon(
-                    expected_rows(SQL, rows)
-                )
-
-    def test_malformed_heartbeat_is_frame_scoped(self):
-        with serve() as server:
-            with ServeClient(server.host, server.port) as client:
-                client.heartbeat((1, 2))  # wrong arity
-                with pytest.raises(RemoteError) as excinfo:
-                    client.query()
-                assert excinfo.value.code == "bad-heartbeat"
-                # connection survives: the query can be retried
-                assert client.query() == []
-
-
 class TestBackpressure:
     def test_welcome_grants_the_credit_window(self):
         with serve(credit_window=3) as server:

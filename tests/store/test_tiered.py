@@ -23,7 +23,6 @@ from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
 from repro.dsms.udaf import default_registry
-from repro.obs.registry import MetricsRegistry
 from repro.store import MANIFEST_NAME, MANIFEST_VERSION, TieredStore, describe_store
 
 SCHEMA = Schema(
@@ -682,39 +681,22 @@ class TestCorruptionContainment:
 
 
 class TestObservability:
-    def run(self, tmp_path, tag: str, metrics) -> tuple[list, MetricsRegistry]:
-        store = TieredStore(
-            str(tmp_path / tag), hot_groups=8, metrics=metrics
-        )
+    def test_stats_count_the_spill_and_read_path(self, tmp_path):
+        # The store's own counters are its one record: no registry copy.
+        store = TieredStore(str(tmp_path / "counts"), hot_groups=8)
         engine = build_engine(SKETCH_SQL, store=store)
-        engine.insert_many(make_rows(600, groups=80))
-        return engine.flush(), metrics
-
-    def test_metrics_are_observers_not_participants(self, tmp_path):
-        # PR 2 convention: enabled, disabled, and absent registries must
-        # be bit-identical in results — metrics observe, never steer.
-        baseline, _ = self.run(tmp_path, "none", None)
-        enabled, registry = self.run(
-            tmp_path, "on", MetricsRegistry(enabled=True)
-        )
-        disabled, _ = self.run(
-            tmp_path, "off", MetricsRegistry(enabled=False)
-        )
-        assert enabled == baseline
-        assert disabled == baseline
-        metrics = registry.snapshot()["metrics"]
-        assert metrics["store.store.hot_groups"]["value"] <= 8
-        assert metrics["store.store.cold_groups"]["value"] > 0
-        assert metrics["store.store.evictions"]["raw_total"] > 0
-        assert (
-            0 < metrics["store.store.spill_pages"]["raw_total"]
-            < metrics["store.store.evictions"]["raw_total"]
-        )
-        assert metrics["store.store.pages_read"]["raw_total"] > 0
-        assert metrics["store.store.rows_decoded"]["raw_total"] > 0
+        rows = make_rows(600, groups=80)
+        engine.insert_many(rows)
+        stats = store.stats()
+        assert stats["hot_groups"] <= 8
+        assert stats["cold_groups"] > 0
+        assert 0 < stats["spill_pages"] < stats["evictions"]
+        assert engine.flush() == reference_flush(SKETCH_SQL, rows)
+        stats = store.stats()  # the flush read every cold group back
+        assert stats["pages_read"] > 0
+        assert stats["rows_decoded"] > 0
 
     def test_stats_shape(self, tmp_path):
-        _, _ = self.run(tmp_path, "shape", None)
         store = TieredStore(str(tmp_path / "shape2"), hot_groups=4)
         engine = build_engine(store=store)
         engine.insert_many(make_rows(300, groups=50))

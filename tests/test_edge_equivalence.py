@@ -1,14 +1,12 @@
 """Rows stop at the edge: every public ingest edge equals the reference.
 
-A row is a public-API convenience — ``process`` / ``append`` buffer it,
-``insert_many`` / ``insert`` transpose it — and below the edge everything
-is one columnar plane.  So for every topology that fronts an engine, every
-way of offering the same stream must leave results *and* partial-state
-bytes identical to one in-process :class:`QueryEngine` fed row by row
-with ``process``: row-at-a-time, row batches, column batches, and the
-three interleaved with heartbeats, with an edge-buffer size that does
-not divide the trace so the buffer is flushed by a query, a heartbeat, a
-checkpoint and close rather than by filling up.
+A row batch is a public-API convenience — ``insert_many`` / ``insert``
+transpose it once — and below the edge everything is one columnar plane.
+So for every topology that fronts an engine, every way of offering the
+same stream must leave results *and* partial-state bytes identical to one
+in-process :class:`QueryEngine` fed row by row with ``process``: row
+batches, column batches, and the two interleaved with queries and
+checkpoints, in batches whose size does not divide the trace.
 """
 
 from __future__ import annotations
@@ -34,30 +32,22 @@ from tests.serve.util import SQL, canon, make_rows
 
 PLAN = ShardPlan(sql=SQL, schema=PACKET_SCHEMA)
 ROWS = make_rows(500)
-BATCH = 64  # edge buffer: 500 = 7 * 64 + 52
 CHUNK = 37  # caller's batches: 500 = 13 * 37 + 19
-
-
-def marker(time: int) -> tuple:
-    return (time, float(time), "", "", 0, 0, 0, "")
+FRAME = 8  # a node's frame: a chunk's ~12-row slice ships in pieces
 
 
 class Edge:
     """One topology behind the surface the scripts below drive.
 
     ``target`` is the object under test; the method names map its
-    spelling of each edge (``process`` vs ``append``, ``insert_many`` vs
-    ``insert``) onto one vocabulary.  No topology gets a settling call
-    before a read: every read ships the edge buffer itself.
+    spelling of each edge (``insert_many`` vs ``insert``) onto one
+    vocabulary.  No topology gets a settling call before a read.
     """
 
-    def __init__(self, target, *, process, insert, heartbeat, blobs,
+    def __init__(self, target, *, insert, blobs,
                  call=lambda result: result, ingested=None):
         self.target = target
-        self._names = {
-            "process": process, "insert": insert, "heartbeat": heartbeat,
-            "blobs": blobs,
-        }
+        self._names = {"insert": insert, "blobs": blobs}
         self._call = call
         self._ingested = ingested
 
@@ -73,13 +63,11 @@ class Edge:
 @contextlib.contextmanager
 def sharded(tmp_path, processes):
     engine = ShardedEngine(
-        SQL, PACKET_SCHEMA, shards=3, processes=processes,
-        batch_size=BATCH, router=stable_route,
+        SQL, PACKET_SCHEMA, shards=3, processes=processes, router=stable_route,
     )
     try:
         yield Edge(
-            engine, process="process", insert="insert_many",
-            heartbeat="heartbeat_all", blobs="partial_states",
+            engine, insert="insert_many", blobs="partial_states",
             ingested=lambda stats: sum(stats["tuples_per_shard"]),
         )
     finally:
@@ -90,12 +78,11 @@ def sharded(tmp_path, processes):
 def cluster(tmp_path):
     coordinator = Coordinator.local(
         SQL, PACKET_SCHEMA, str(tmp_path / "cluster"), node_count=3,
-        batch_size=BATCH,
+        batch_size=FRAME,
     )
     try:
         yield Edge(
-            coordinator, process="process", insert="insert",
-            heartbeat="heartbeat_all", blobs="partial_blobs",
+            coordinator, insert="insert", blobs="partial_blobs",
             ingested=lambda stats: sum(stats["tuples_per_node"].values()),
         )
     finally:
@@ -108,21 +95,17 @@ def served(tmp_path, driver):
     server = ThreadedServer(
         StreamServer(backend, state_dir=str(tmp_path / "state"))
     ).start()
-    options = dict(batch_rows=BATCH)
     try:
         if driver == "sync":
-            client = ServeClient(server.host, server.port, **options)
+            client = ServeClient(server.host, server.port)
             call = lambda result: result
         else:
             loop = asyncio.new_event_loop()
             call = loop.run_until_complete
-            client = call(
-                AsyncServeClient.connect(server.host, server.port, **options)
-            )
+            client = call(AsyncServeClient.connect(server.host, server.port))
         try:
             yield Edge(
-                client, process="append", insert="insert",
-                heartbeat="heartbeat", blobs="partials", call=call,
+                client, insert="insert", blobs="partials", call=call,
                 ingested=lambda goodbye: goodbye["tuples_in"],
             )
         finally:
@@ -160,29 +143,22 @@ def chunks():
 
 def script(mode: str) -> list[tuple]:
     """The stream as a list of edge operations."""
-    if mode == "process":
-        return [("process", row) for row in ROWS]
     if mode == "rows":
         return [("insert", chunk) for chunk in chunks()]
     if mode == "cols":
         return [("insert_cols", rows_to_cols(chunk)) for chunk in chunks()]
-    # Interleaved: the three forms in rotation, and after every
-    # row-at-a-time chunk — when 37 rows sit in the edge buffer — a
-    # heartbeat, a query or a checkpoint that must ship them first.
+    # Interleaved: the two forms in rotation, and after every third
+    # chunk a query or a checkpoint that must see every batch before it.
     ops: list[tuple] = []
-    barriers = [("heartbeat",), ("query",), ("checkpoint",)]
+    barriers = [("query",), ("checkpoint",)]
     for index, chunk in enumerate(chunks()):
         form = index % 3
-        if form == 0:
-            ops.extend(("process", row) for row in chunk)
-            barrier = barriers[(index // 3) % 3]
-            if barrier == ("heartbeat",):
-                barrier = ("heartbeat", marker(chunk[-1][0]))
-            ops.append(barrier)
-        elif form == 1:
-            ops.append(("insert", chunk))
-        else:
+        if form == 2:
             ops.append(("insert_cols", rows_to_cols(chunk)))
+        else:
+            ops.append(("insert", chunk))
+        if form == 0:
+            ops.append(barriers[(index // 3) % 2])
     return ops
 
 
@@ -193,20 +169,16 @@ def reference_results(reference) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("mode", ["process", "rows", "cols", "interleaved"])
+@pytest.mark.parametrize("mode", ["rows", "cols", "interleaved"])
 def test_every_edge_matches_the_row_fed_reference(edge, mode):
     reference = PLAN.build_engine()
     for op, *args in script(mode):
-        if op == "process":
-            reference.process(*args)
-        elif op == "insert":
+        if op == "insert":
             for row in args[0]:
                 reference.process(row)
         elif op == "insert_cols":
             for row in zip(*args[0]):
                 reference.process(row)
-        elif op == "heartbeat":
-            reference.heartbeat(*args)
         result = edge.do(op, *args)
         if op == "query":
             assert canon(result) == reference_results(reference)
@@ -217,20 +189,6 @@ def test_every_edge_matches_the_row_fed_reference(edge, mode):
         collector.merge_partial(blob)
     assert collector.partial_state_bytes() == reference.partial_state_bytes()
     assert canon(edge.do("query")) == canon(reference.flush())
-
-
-def test_a_buffered_row_is_visible_to_the_next_query(edge):
-    for row in ROWS[:CHUNK]:  # fewer than BATCH: all still in the buffer
-        edge.do("process", row)
-    reference = PLAN.build_engine()
-    reference.insert_many(ROWS[:CHUNK])
-    assert canon(edge.do("query")) == canon(reference.flush())
-
-
-def test_close_ships_the_edge_buffer(edge):
-    for row in ROWS[:CHUNK]:  # fewer than BATCH: nothing has shipped yet
-        edge.do("process", row)
-    assert edge.close_count() == CHUNK
 
 
 def test_an_empty_batch_is_ignored_at_every_edge(edge):

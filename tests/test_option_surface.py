@@ -1,11 +1,14 @@
-"""The engine, plan and node signatures hold only options with a caller.
+"""The library's signatures hold only options with a caller.
 
 An option that only tests set is a module constant instead (the engine's
 ``LOW_TABLE_SIZE``; ``low_table`` in ``tests/conftest.py`` patches it) or
 is gone.  ``two_level`` and ``emit_on_bucket_change`` stay on
 ``QueryEngine`` (Fig. 2(b), ``repro query --single-level``, ``run_query``),
-so a grep alone cannot keep them off the plan, the backends and the
-sharded engine: these signatures are pinned name for name.
+and ``metrics`` on ``QueryEngine`` and ``time_query`` (the instrumented
+pass of ``repro bench``), so a grep alone cannot keep them off the plan,
+the backends, the router, the store and the sharded engine: these
+signatures are pinned name for name, and the methods a retired
+capability needed stay deleted.
 """
 
 from __future__ import annotations
@@ -29,12 +32,28 @@ SIGNATURES = {
         "store_dir", "store_hot_groups",
     ),
     "repro.parallel.sharded.ShardedEngine": (
-        "sql", "schema", "shards", "processes", "batch_size", "router",
-        "metrics", "store_dir", "store_hot_groups",
+        "sql", "schema", "shards", "processes", "router", "store_dir",
+        "store_hot_groups",
     ),
+    "repro.parallel.router.Router": (
+        "plan", "placement", "make_owner", "frame_rows", "checkpoint_reads",
+    ),
+    "repro.store.tiered.TieredStore": ("directory", "hot_groups"),
+    "repro.serve.client._ClientCore": (
+        "host", "port", "schema_names", "retries", "backoff_s",
+    ),
+    "repro.cluster.ring.HashRing": ("nodes",),
+    "repro.dsms.udaf.default_registry": (
+        "hh_epsilon", "hh_phi", "eh_epsilon", "sample_size",
+    ),
+    "repro.core.serde.dump_summary": ("summary",),
+    "repro.core.serde.load_summary": ("data",),
     "repro.bench.harness.time_query": (
         "name", "sql", "schema", "registry", "trace", "two_level",
-        "warmup_fraction", "batch_size", "metrics", "metrics_name",
+        "batch_size", "metrics", "metrics_name",
+    ),
+    "repro.bench.harness.time_consumer": (
+        "name", "consumer", "trace", "state_bytes",
     ),
     "repro.cluster.nodes.LocalNode": ("name", "sql", "schema", "state_dir"),
     "repro.cluster.nodes.ProcessNode": ("name", "sql", "state_dir"),
@@ -57,6 +76,24 @@ def test_parameter_names_are_pinned(path):
         ("repro.parallel.sharded.ShardedEngine", "drain"),
         ("repro.serve.backend.SingleEngineBackend", "drain"),
         ("repro.parallel.pipe.PipeOwner", "drain"),
+        # The served punctuation chain: forward decay needs no marker to
+        # move event time, and no engine a plan builds acted on one.
+        ("repro.serve.protocol", "HEARTBEAT"),
+        ("repro.serve.server.StreamServer", "_handle_heartbeat"),
+        ("repro.serve.client._ClientCore", "heartbeat"),
+        ("repro.cluster.coordinator.NodeOwner", "heartbeat"),
+        ("repro.parallel.router.Router", "heartbeat"),
+        ("repro.parallel.router.Router", "heartbeat_all"),
+        ("repro.parallel.router.Router", "_heartbeat"),
+        ("repro.parallel.routing.GroupKeyRouter", "owner"),
+        ("repro.parallel.pipe.PipeOwner", "heartbeat"),
+        ("repro.serve.backend.SingleEngineBackend", "heartbeat"),
+        ("repro.parallel.sharded.ShardedBackend", "heartbeat"),
+        # The row buffers under the API edge.
+        ("repro.parallel.router.Router", "process"),
+        ("repro.parallel.router.Router", "_flush_edge"),
+        ("repro.serve.client._ClientCore", "append"),
+        ("repro.serve.client._ClientCore", "_ship_buffer"),
     ],
 )
 def test_stranded_methods_stay_deleted(path, method):
