@@ -1,35 +1,17 @@
-"""Shared driver for the four Figure 4 panels (CPU/space x TCP/UDP)."""
+"""Shape checks shared by the four Figure 4 panels (CPU/space x TCP/UDP).
+
+The panels' data and tables come from ``repro.bench.figures``; these
+functions only assert the paper's claims on that data.
+"""
 
 from __future__ import annotations
-
-from repro.bench.runners import run_fig4_hh_epsilon
-from repro.bench.tables import format_bytes, format_table
-from repro.dsms.runtime import cpu_load_percent
 
 BACKWARD = "bwd sliding-window HH"
 FORWARD_METHODS = ("fwd poly HH", "fwd exp HH")
 
 
-def fig4_cpu_panel(trace, proto: str, rate: float, record_figure, name: str):
+def check_cpu_panel(data: dict) -> None:
     """CPU-vs-epsilon panel (Figures 4(a) TCP / 4(b) UDP)."""
-    data = run_fig4_hh_epsilon(proto=proto, rate=rate, trace=trace)
-    rows = []
-    for method, results in data["series"].items():
-        rows.append(
-            [method]
-            + [
-                f"{r.ns_per_tuple:,.0f} ({cpu_load_percent(r.ns_per_tuple, rate):.0f}%)"
-                for r in results
-            ]
-        )
-    table = format_table(
-        f"Figure 4 CPU panel ({proto.upper()} @ {int(rate/1000)}k pkt/s): "
-        "ns/tuple (CPU load) vs epsilon",
-        ["method"] + [f"eps={e:g}" for e in data["epsilons"]],
-        rows,
-    )
-    record_figure(name, table)
-
     series = data["series"]
     # Forward methods are robust to epsilon: max/min cost ratio stays small.
     # (Bound leaves headroom for scheduler noise during full-suite runs.)
@@ -41,25 +23,10 @@ def fig4_cpu_panel(trace, proto: str, rate: float, record_figure, name: str):
     assert backward_costs[-1] > backward_costs[0]
     finest_forward = max(series[m][-1].ns_per_tuple for m in FORWARD_METHODS)
     assert backward_costs[-1] > 2.0 * finest_forward
-    return data
 
 
-def fig4_space_panel(trace, proto: str, rate: float, record_figure, name: str):
+def check_space_panel(data: dict) -> None:
     """Space-vs-epsilon panel (Figures 4(c) TCP / 4(d) UDP)."""
-    data = run_fig4_hh_epsilon(proto=proto, rate=rate, trace=trace)
-    rows = []
-    for method, results in data["series"].items():
-        rows.append(
-            [method]
-            + [format_bytes(r.state_bytes_per_group) for r in results]
-        )
-    table = format_table(
-        f"Figure 4 space panel ({proto.upper()}): state per group vs epsilon",
-        ["method"] + [f"eps={e:g}" for e in data["epsilons"]],
-        rows,
-    )
-    record_figure(name, table)
-
     series = data["series"]
     epsilons = data["epsilons"]
     # Forward space scales with 1/epsilon (within a factor accounting for
@@ -74,4 +41,3 @@ def fig4_space_panel(trace, proto: str, rate: float, record_figure, name: str):
         forward_size = max(series[m][index].state_bytes_per_group
                            for m in FORWARD_METHODS)
         assert backward_size > 3.0 * forward_size
-    return data

@@ -9,31 +9,17 @@ columns coincide; the benchmark times bulk weight evaluation.
 
 from __future__ import annotations
 
-from repro.bench.runners import run_fig1_relative_decay
-from repro.bench.tables import format_table
+from repro.bench.figures import FIGURE_BUILDERS
 from repro.core.decay import ForwardDecay
 from repro.core.functions import PolynomialG
 
-GAMMAS = [i / 10 for i in range(11)]
-HORIZONS = (60.0, 120.0, 3600.0)
 
-
-def test_fig1_relative_decay_series(record_figure):
-    data = run_fig1_relative_decay(beta=2.0, horizons=HORIZONS, gammas=GAMMAS)
-    rows = []
-    for index, gamma in enumerate(GAMMAS):
-        rows.append(
-            [gamma] + [data["series"][h][index] for h in HORIZONS]
-        )
-    table = format_table(
-        "Figure 1: weight vs relative age, g(n) = n^2 (columns must match)",
-        ["gamma"] + [f"t = {h:g}s" for h in HORIZONS],
-        rows,
-    )
+def test_fig1_relative_decay_series(tcp_trace, record_figure):
+    data, table = FIGURE_BUILDERS["fig1"](tcp_trace)
     record_figure("fig1_relative_decay", table)
     # Lemma 1: weight at relative age gamma is gamma**2 at every horizon.
-    for horizon in HORIZONS:
-        for gamma, weight in zip(GAMMAS, data["series"][horizon]):
+    for weights in data["series"].values():
+        for gamma, weight in zip(data["gammas"], weights):
             assert abs(weight - gamma**2) < 1e-9
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runners import FIG2_RATES, _count_sum_queries, run_fig2_count_sum
-from repro.bench.tables import format_table
-from repro.dsms.engine import QueryEngine
-from repro.dsms.parser import parse_query
+from repro.bench.figures import FIGURE_BUILDERS
+from repro.bench.harness import time_query
+from repro.bench.runners import _count_sum_queries
 from repro.dsms.udaf import default_registry
 from repro.workloads.netflow import PACKET_SCHEMA
 
@@ -21,19 +20,7 @@ METHOD_QUERIES = dict(_count_sum_queries(eh_epsilon=0.1))
 
 
 def test_fig2b_cpu_load_no_split(tcp_trace, record_figure):
-    data = run_fig2_count_sum(trace=tcp_trace, rates=FIG2_RATES, two_level=False)
-    rows = []
-    for method in data["methods"]:
-        loads = data["loads"][method.name]
-        rows.append(
-            [method.name, f"{method.ns_per_tuple:,.0f}"]
-            + [f"{point['load_percent']:.1f}%" for point in loads]
-        )
-    table = format_table(
-        "Figure 2(b): count/sum CPU load vs rate (aggregate splitting disabled)",
-        ["method", "ns/tuple"] + [f"{int(r/1000)}k pkt/s" for r in FIG2_RATES],
-        rows,
-    )
+    data, table = FIGURE_BUILDERS["fig2b"](tcp_trace)
     record_figure("fig2b_count_no_split", table)
 
     by_name = {m.name: m for m in data["methods"]}
@@ -47,13 +34,6 @@ def test_fig2b_cpu_load_no_split(tcp_trace, record_figure):
 def test_fig2b_split_vs_no_split_cost(benchmark, tcp_trace, method):
     """Benchmark the single-level path for the mergeable queries."""
     registry = default_registry(eh_epsilon=0.1)
-    query = parse_query(METHOD_QUERIES[method], registry)
-
-    def run_once():
-        engine = QueryEngine(query, PACKET_SCHEMA, two_level=False)
-        for row in tcp_trace:
-            engine.process(row)
-        return engine.group_count
-
-    groups = benchmark(run_once)
-    assert groups > 0
+    result = benchmark(time_query, method, METHOD_QUERIES[method], PACKET_SCHEMA,
+                       registry, tcp_trace, two_level=False)
+    assert result.groups > 0

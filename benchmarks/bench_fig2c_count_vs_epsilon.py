@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runners import EPSILON_SWEEP, run_fig2c_epsilon_sweep
-from repro.bench.tables import format_table
-from repro.dsms.engine import QueryEngine
-from repro.dsms.parser import parse_query
+from repro.bench.figures import FIGURE_BUILDERS
+from repro.bench.harness import time_query
+from repro.bench.runners import EPSILON_SWEEP
 from repro.dsms.udaf import default_registry
 from repro.workloads.netflow import PACKET_SCHEMA
 
@@ -24,24 +23,7 @@ EH_SQL = (
 
 
 def test_fig2c_throughput_vs_epsilon(tcp_trace, record_figure):
-    data = run_fig2c_epsilon_sweep(trace=tcp_trace, epsilons=EPSILON_SWEEP)
-    rows = []
-    for method in data["flat_methods"] + data["eh_methods"]:
-        load = data["loads"][method.name][0]
-        rows.append(
-            [
-                method.name,
-                f"{method.ns_per_tuple:,.0f}",
-                f"{data['throughputs'][method.name]:,.0f}",
-                f"{load['load_percent']:.1f}%",
-                f"{load['drop_fraction'] * 100:.1f}%",
-            ]
-        )
-    table = format_table(
-        "Figure 2(c): throughput vs epsilon at 100k pkt/s offered",
-        ["method", "ns/tuple", "tuples/s sustainable", "CPU load", "drops"],
-        rows,
-    )
+    data, table = FIGURE_BUILDERS["fig2c"](tcp_trace)
     record_figure("fig2c_count_vs_epsilon", table)
 
     # Forward/undecayed methods do not depend on epsilon (single methods,
@@ -56,13 +38,6 @@ def test_fig2c_throughput_vs_epsilon(tcp_trace, record_figure):
 @pytest.mark.parametrize("epsilon", EPSILON_SWEEP)
 def test_fig2c_eh_cost_per_epsilon(benchmark, tcp_trace, epsilon):
     registry = default_registry(eh_epsilon=epsilon)
-    query = parse_query(EH_SQL, registry)
-
-    def run_once():
-        engine = QueryEngine(query, PACKET_SCHEMA)
-        for row in tcp_trace:
-            engine.process(row)
-        return engine.group_count
-
-    groups = benchmark(run_once)
-    assert groups > 0
+    result = benchmark(time_query, f"bwd EH eps={epsilon:g}", EH_SQL, PACKET_SCHEMA,
+                       registry, tcp_trace)
+    assert result.groups > 0

@@ -10,27 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runners import EPSILON_SWEEP, run_fig2d_space
-from repro.bench.tables import format_bytes, format_table
+from repro.bench.figures import FIGURE_BUILDERS
 from repro.sketches.exponential_histogram import ExponentialHistogramCount
 
 
-@pytest.fixture(scope="module")
-def fig2d_data():
-    return run_fig2d_space(epsilons=EPSILON_SWEEP)
-
-
-def test_fig2d_space_per_group(fig2d_data, record_figure):
-    rows = []
-    for method in fig2d_data["methods"] + fig2d_data["eh_methods"]:
-        rows.append(
-            [method.name, method.groups, format_bytes(method.state_bytes_per_group)]
-        )
-    table = format_table(
-        "Figure 2(d): aggregate state per group",
-        ["method", "groups", "state / group"],
-        rows,
-    )
+def test_fig2d_space_per_group(tcp_trace, record_figure):
+    fig2d_data, table = FIGURE_BUILDERS["fig2d"](tcp_trace)
     record_figure("fig2d_count_space", table)
 
     by_name = {

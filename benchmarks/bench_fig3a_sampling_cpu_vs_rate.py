@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runners import FIG2_RATES, _sampling_queries, run_fig3a_sampling_rates
-from repro.bench.tables import format_table
-from repro.dsms.engine import QueryEngine
-from repro.dsms.parser import parse_query
+from repro.bench.figures import FIGURE_BUILDERS
+from repro.bench.harness import time_query
+from repro.bench.runners import _sampling_queries
 from repro.dsms.udaf import default_registry
 from repro.workloads.netflow import PACKET_SCHEMA
 
@@ -22,19 +21,7 @@ METHOD_QUERIES = dict(_sampling_queries())
 
 
 def test_fig3a_sampling_cpu_vs_rate(tcp_trace, record_figure):
-    data = run_fig3a_sampling_rates(trace=tcp_trace, rates=FIG2_RATES)
-    rows = []
-    for method in data["methods"]:
-        loads = data["loads"][method.name]
-        rows.append(
-            [method.name, f"{method.ns_per_tuple:,.0f}"]
-            + [f"{point['load_percent']:.1f}%" for point in loads]
-        )
-    table = format_table(
-        "Figure 3(a): sampling CPU load vs stream rate (k = 100)",
-        ["method", "ns/tuple"] + [f"{int(r/1000)}k pkt/s" for r in FIG2_RATES],
-        rows,
-    )
+    data, table = FIGURE_BUILDERS["fig3a"](tcp_trace)
     record_figure("fig3a_sampling_cpu_vs_rate", table)
 
     costs = [m.ns_per_tuple for m in data["methods"]]
@@ -46,13 +33,6 @@ def test_fig3a_sampling_cpu_vs_rate(tcp_trace, record_figure):
 @pytest.mark.parametrize("method", list(METHOD_QUERIES))
 def test_fig3a_per_method_cost(benchmark, tcp_trace, method):
     registry = default_registry(sample_size=100)
-    query = parse_query(METHOD_QUERIES[method], registry)
-
-    def run_once():
-        engine = QueryEngine(query, PACKET_SCHEMA)
-        for row in tcp_trace:
-            engine.process(row)
-        return engine.tuples_processed
-
-    processed = benchmark(run_once)
-    assert processed == len(tcp_trace)
+    result = benchmark(time_query, method, METHOD_QUERIES[method], PACKET_SCHEMA,
+                       registry, tcp_trace)
+    assert result.groups > 0

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runners import run_fig3b_sampling_sizes
-from repro.bench.tables import format_table
-from repro.dsms.engine import QueryEngine
-from repro.dsms.parser import parse_query
+from repro.bench.figures import FIGURE_BUILDERS
+from repro.bench.harness import time_query
 from repro.dsms.udaf import default_registry
 from repro.workloads.netflow import PACKET_SCHEMA
 
@@ -24,15 +22,7 @@ PRIORITY_SQL = (
 
 
 def test_fig3b_cost_vs_sample_size(tcp_trace, record_figure):
-    data = run_fig3b_sampling_sizes(trace=tcp_trace, sizes=SIZES)
-    rows = []
-    for name, results in data["series"].items():
-        rows.append([name] + [f"{r.ns_per_tuple:,.0f}" for r in results])
-    table = format_table(
-        "Figure 3(b): sampling cost (ns/tuple) vs sample size",
-        ["method"] + [f"k={k}" for k in SIZES],
-        rows,
-    )
+    data, table = FIGURE_BUILDERS["fig3b"](tcp_trace)
     record_figure("fig3b_sampling_vs_size", table)
 
     # Flatness: for every method, the largest k costs at most 2x the
@@ -45,13 +35,6 @@ def test_fig3b_cost_vs_sample_size(tcp_trace, record_figure):
 @pytest.mark.parametrize("k", SIZES)
 def test_fig3b_priority_cost_per_size(benchmark, tcp_trace, k):
     registry = default_registry(sample_size=k)
-    query = parse_query(PRIORITY_SQL, registry)
-
-    def run_once():
-        engine = QueryEngine(query, PACKET_SCHEMA)
-        for row in tcp_trace:
-            engine.process(row)
-        return engine.tuples_processed
-
-    processed = benchmark(run_once)
-    assert processed == len(tcp_trace)
+    result = benchmark(time_query, f"priority k={k}", PRIORITY_SQL, PACKET_SCHEMA,
+                       registry, tcp_trace)
+    assert result.groups > 0

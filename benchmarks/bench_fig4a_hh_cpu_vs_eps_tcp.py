@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from _fig4_common import fig4_cpu_panel
+from _fig4_common import check_cpu_panel
+from repro.bench.figures import FIGURE_BUILDERS
+from repro.bench.harness import time_query
 from repro.bench.runners import EPSILON_SWEEP
-from repro.dsms.engine import QueryEngine
-from repro.dsms.parser import parse_query
 from repro.dsms.udaf import default_registry
 from repro.workloads.netflow import PACKET_SCHEMA
 
@@ -20,20 +20,14 @@ BACKWARD_SQL = "select tb, sw_hh(destIP, ts) as hh from TCP group by time/60 as 
 
 
 def test_fig4a_cpu_vs_epsilon_tcp(tcp_trace, record_figure):
-    fig4_cpu_panel(tcp_trace, "tcp", 200_000.0, record_figure,
-                   "fig4a_hh_cpu_vs_eps_tcp")
+    data, table = FIGURE_BUILDERS["fig4a"](tcp_trace)
+    record_figure("fig4a_hh_cpu_vs_eps_tcp", table)
+    check_cpu_panel(data)
 
 
 @pytest.mark.parametrize("epsilon", EPSILON_SWEEP)
 def test_fig4a_backward_cost_per_epsilon(benchmark, tcp_trace, epsilon):
     registry = default_registry(hh_epsilon=epsilon)
-    query = parse_query(BACKWARD_SQL, registry)
-
-    def run_once():
-        engine = QueryEngine(query, PACKET_SCHEMA)
-        for row in tcp_trace:
-            engine.process(row)
-        return engine.tuples_processed
-
-    processed = benchmark(run_once)
-    assert processed == len(tcp_trace)
+    result = benchmark(time_query, f"bwd HH eps={epsilon:g}", BACKWARD_SQL,
+                       PACKET_SCHEMA, registry, tcp_trace)
+    assert result.groups > 0

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from _fig4_common import fig4_cpu_panel
-from repro.dsms.engine import QueryEngine
-from repro.dsms.parser import parse_query
+from _fig4_common import check_cpu_panel
+from repro.bench.figures import FIGURE_BUILDERS
+from repro.bench.harness import time_query
 from repro.dsms.udaf import default_registry
 from repro.workloads.netflow import PACKET_SCHEMA
 
@@ -22,20 +22,14 @@ FWD_SQL = (
 
 
 def test_fig4b_cpu_vs_epsilon_udp(udp_trace, record_figure):
-    fig4_cpu_panel(udp_trace, "udp", 170_000.0, record_figure,
-                   "fig4b_hh_cpu_vs_eps_udp")
+    data, table = FIGURE_BUILDERS["fig4b"](udp_trace)
+    record_figure("fig4b_hh_cpu_vs_eps_udp", table)
+    check_cpu_panel(data)
 
 
 @pytest.mark.parametrize("epsilon", (0.1, 0.01))
 def test_fig4b_forward_cost_per_epsilon(benchmark, udp_trace, epsilon):
     registry = default_registry(hh_epsilon=epsilon)
-    query = parse_query(FWD_SQL, registry)
-
-    def run_once():
-        engine = QueryEngine(query, PACKET_SCHEMA)
-        for row in udp_trace:
-            engine.process(row)
-        return engine.tuples_processed
-
-    processed = benchmark(run_once)
-    assert processed == len(udp_trace)
+    result = benchmark(time_query, f"fwd exp HH eps={epsilon:g}", FWD_SQL,
+                       PACKET_SCHEMA, registry, udp_trace)
+    assert result.groups > 0

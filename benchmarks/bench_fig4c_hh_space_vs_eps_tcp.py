@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from _fig4_common import fig4_space_panel
+from _fig4_common import check_space_panel
+from repro.bench.figures import FIGURE_BUILDERS
 from repro.sketches.spacesaving import WeightedSpaceSaving
 from repro.sketches.swhh import SlidingWindowHeavyHitters
 
 
 def test_fig4c_space_vs_epsilon_tcp(tcp_trace, record_figure):
-    fig4_space_panel(tcp_trace, "tcp", 200_000.0, record_figure,
-                     "fig4c_hh_space_vs_eps_tcp")
+    data, table = FIGURE_BUILDERS["fig4c"](tcp_trace)
+    record_figure("fig4c_hh_space_vs_eps_tcp", table)
+    check_space_panel(data)
 
 
 @pytest.mark.parametrize("structure", ["forward", "backward"])

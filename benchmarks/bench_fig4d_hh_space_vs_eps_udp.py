@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from _fig4_common import fig4_space_panel
+from _fig4_common import check_space_panel
+from repro.bench.figures import FIGURE_BUILDERS
 from repro.sketches.swhh import SlidingWindowHeavyHitters
 
 
 def test_fig4d_space_vs_epsilon_udp(udp_trace, record_figure):
-    fig4_space_panel(udp_trace, "udp", 170_000.0, record_figure,
-                     "fig4d_hh_space_vs_eps_udp")
+    data, table = FIGURE_BUILDERS["fig4d"](udp_trace)
+    record_figure("fig4d_hh_space_vs_eps_udp", table)
+    check_space_panel(data)
 
 
 @pytest.mark.parametrize("epsilon", (0.1, 0.01))

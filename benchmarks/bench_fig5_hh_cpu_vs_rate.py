@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runners import FIG5_RATES, _hh_queries, run_fig5_hh_rates
-from repro.bench.tables import format_table
-from repro.dsms.engine import QueryEngine
-from repro.dsms.parser import parse_query
+from repro.bench.figures import FIGURE_BUILDERS
+from repro.bench.harness import time_query
+from repro.bench.runners import _hh_queries
 from repro.dsms.udaf import default_registry
 from repro.workloads.netflow import PACKET_SCHEMA
 
@@ -21,19 +20,7 @@ METHOD_QUERIES = dict(_hh_queries())
 
 
 def test_fig5_hh_cpu_vs_rate(tcp_trace, record_figure):
-    data = run_fig5_hh_rates(trace=tcp_trace, rates=FIG5_RATES, epsilon=0.01)
-    rows = []
-    for method in data["methods"]:
-        loads = data["loads"][method.name]
-        rows.append(
-            [method.name, f"{method.ns_per_tuple:,.0f}"]
-            + [f"{point['load_percent']:.1f}%" for point in loads]
-        )
-    table = format_table(
-        "Figure 5: heavy-hitter CPU load vs stream rate (eps = 0.01)",
-        ["method", "ns/tuple"] + [f"{int(r/1000)}k pkt/s" for r in FIG5_RATES],
-        rows,
-    )
+    data, table = FIGURE_BUILDERS["fig5"](tcp_trace)
     record_figure("fig5_hh_cpu_vs_rate", table)
 
     by_name = {m.name: m for m in data["methods"]}
@@ -55,13 +42,6 @@ def test_fig5_hh_cpu_vs_rate(tcp_trace, record_figure):
 @pytest.mark.parametrize("method", list(METHOD_QUERIES))
 def test_fig5_per_method_cost(benchmark, tcp_trace, method):
     registry = default_registry(hh_epsilon=0.01)
-    query = parse_query(METHOD_QUERIES[method], registry)
-
-    def run_once():
-        engine = QueryEngine(query, PACKET_SCHEMA)
-        for row in tcp_trace:
-            engine.process(row)
-        return engine.tuples_processed
-
-    processed = benchmark(run_once)
-    assert processed == len(tcp_trace)
+    result = benchmark(time_query, method, METHOD_QUERIES[method], PACKET_SCHEMA,
+                       registry, tcp_trace)
+    assert result.groups > 0

@@ -1,9 +1,12 @@
 """Shared fixtures for the figure benchmarks.
 
-Each ``bench_fig*.py`` regenerates one figure of the paper: it times the
-competing methods with pytest-benchmark, prints the paper-style series
-table, asserts the shape criteria from DESIGN.md, and records the table
-under ``benchmarks/_results/`` for EXPERIMENTS.md.
+Each ``bench_fig*.py`` regenerates one figure of the paper: it takes the
+figure's data and table from its builder in ``repro.bench.figures`` (the
+table ``python -m repro figure <id>`` prints), records and prints the
+table under ``benchmarks/_results/`` for EXPERIMENTS.md, and asserts the
+shape criteria from DESIGN.md on the data.  Its pytest-benchmark tests
+time single methods through ``repro.bench.harness.time_query``, or a bare
+summary where the figure is about the structure, not the engine.
 
 Traces are deliberately small (tens of thousands of packets): per-tuple
 cost stabilizes quickly, and CPU load at the paper's rates is derived

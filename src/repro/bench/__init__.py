@@ -1,7 +1,9 @@
 """Benchmark harness: measurement, table rendering, per-figure drivers.
 
 See DESIGN.md's experiment index — each figure of the paper maps to one
-``run_fig*`` driver here and one ``benchmarks/bench_fig*.py`` target.
+``run_fig*`` function here, one table builder in ``figures.FIGURE_BUILDERS``
+(what ``repro figure`` prints) and one ``benchmarks/bench_fig*.py`` target
+that records that table and checks the paper's shape claims.
 Two suites write gated ``BENCH_<name>.json`` artifacts: the smoke suite
 (``run_bench_suite``, ``repro bench smoke``) and the state-tier suite
 (``repro.bench.state``).  The serving stack's topologies are measured by
@@ -21,7 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "run_bench_suite", "write_artifact", "load_artifact", "compare_artifacts",
             "format_comparison", "environment_stamp",
         ),
-        ".tables": ("format_table", "print_table", "format_bytes"),
+        ".tables": ("format_table", "format_bytes"),
         ".runners": (
             "FIG2_RATES", "FIG5_RATES", "EPSILON_SWEEP", "build_trace",
             "run_fig1_relative_decay", "run_fig2_count_sum", "run_fig2c_epsilon_sweep",

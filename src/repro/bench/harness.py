@@ -6,6 +6,9 @@ equivalents:
 
 * :func:`time_query` — run a GSQL query over a trace, returning per-tuple
   cost (ns) and per-group state (bytes);
+* :func:`time_consumer` — the same measurement for a bare per-tuple
+  callable.  Both time one loop, so every figure's ns/tuple comes from
+  identical code;
 * :func:`loads_at_rates` — convert measured costs into the CPU-load-%
   series the figures plot (saturating at 100%, with drop fractions from
   the load-shedding runtime);
@@ -61,79 +64,13 @@ class MethodResult:
         return cpu_load_percent(self.ns_per_tuple, rate_per_sec)
 
 
-def time_query(
-    name: str,
-    sql: str,
-    schema: Schema,
-    registry: UdafRegistry,
-    trace: Sequence[tuple],
-    two_level: bool = True,
-    batch_size: int | None = None,
-    metrics=None,
-    metrics_name: str | None = None,
-) -> MethodResult:
-    """Run ``sql`` over ``trace`` and measure per-tuple cost and state.
+def _timed_pass(consumer: Callable[[tuple], None], trace: Sequence[tuple]) -> float:
+    """Feed ``trace`` to ``consumer`` one tuple at a time; ns per timed tuple.
 
-    A warmup prefix (``_WARMUP_FRACTION`` of the trace) primes
-    dictionaries and code paths before timing starts; state is accounted
-    *before* flushing so it reflects steady per-group footprints.  With
-    ``batch_size`` set the engine ingests via
-    :meth:`~repro.dsms.engine.QueryEngine.insert_many` in chunks of that
-    size instead of tuple-at-a-time :meth:`process` — the results are
-    identical, the measured cost reflects the batched path.  An enabled
-    :class:`~repro.obs.registry.MetricsRegistry` passed as ``metrics``
-    instruments the engine (under ``metrics_name``, default the query
-    name); timing runs meant for BENCH artifacts pass none, so measured
-    costs never include instrumentation overhead.
+    The first ``_WARMUP_FRACTION`` of the trace runs untimed to prime
+    dictionaries and code paths; the rest is the one timed loop both
+    :func:`time_query` and :func:`time_consumer` report.
     """
-    if not trace:
-        raise ParameterError("trace must be non-empty")
-    if batch_size is not None and batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size!r}")
-    query = parse_query(sql, registry)
-    engine = QueryEngine(
-        query,
-        schema,
-        two_level=two_level,
-        metrics=metrics,
-        metrics_name=metrics_name if metrics_name is not None else name,
-    )
-    warmup = int(len(trace) * _WARMUP_FRACTION)
-    timed_rows = trace[warmup:]
-    if batch_size is None:
-        process = engine.process
-        for row in trace[:warmup]:
-            process(row)
-        start = time.perf_counter_ns()
-        for row in timed_rows:
-            process(row)
-        elapsed = time.perf_counter_ns() - start
-    else:
-        engine.insert_many(trace[:warmup])
-        start = time.perf_counter_ns()
-        for begin in range(0, len(timed_rows), batch_size):
-            engine.insert_many(timed_rows[begin:begin + batch_size])
-        elapsed = time.perf_counter_ns() - start
-    state_bytes = engine.state_size_bytes()
-    groups = engine.group_count
-    results = engine.flush()
-    return MethodResult(
-        name=name,
-        ns_per_tuple=elapsed / max(1, len(timed_rows)),
-        groups=groups,
-        state_bytes_total=state_bytes,
-        results=results,
-    )
-
-
-def time_consumer(
-    name: str,
-    consumer: Callable[[tuple], None],
-    trace: Sequence[tuple],
-    state_bytes: Callable[[], int] | None = None,
-) -> MethodResult:
-    """Measure a bare per-tuple callable (non-DSMS paths, ablations),
-    after the same untimed warmup as :func:`time_query`."""
     if not trace:
         raise ParameterError("trace must be non-empty")
     warmup = int(len(trace) * _WARMUP_FRACTION)
@@ -143,11 +80,63 @@ def time_consumer(
     start = time.perf_counter_ns()
     for row in timed_rows:
         consumer(row)
-    elapsed = time.perf_counter_ns() - start
+    return (time.perf_counter_ns() - start) / max(1, len(timed_rows))
+
+
+def time_query(
+    name: str,
+    sql: str,
+    schema: Schema,
+    registry: UdafRegistry,
+    trace: Sequence[tuple],
+    two_level: bool = True,
+    metrics=None,
+    metrics_name: str | None = None,
+) -> MethodResult:
+    """Run ``sql`` over ``trace`` and measure per-tuple cost and state.
+
+    The engine ingests tuple at a time through
+    :meth:`~repro.dsms.engine.QueryEngine.process`, timed by the same
+    warmed-up loop as :func:`time_consumer`; state is accounted *before*
+    flushing so it reflects steady per-group footprints.  An enabled
+    :class:`~repro.obs.registry.MetricsRegistry` passed as ``metrics``
+    instruments the engine (under ``metrics_name``, default the query
+    name); timing runs meant for BENCH artifacts pass none, so measured
+    costs never include instrumentation overhead.
+    """
+    query = parse_query(sql, registry)
+    engine = QueryEngine(
+        query,
+        schema,
+        two_level=two_level,
+        metrics=metrics,
+        metrics_name=metrics_name if metrics_name is not None else name,
+    )
+    ns_per_tuple = _timed_pass(engine.process, trace)
+    state_bytes = engine.state_size_bytes()
+    groups = engine.group_count
+    return MethodResult(
+        name=name,
+        ns_per_tuple=ns_per_tuple,
+        groups=groups,
+        state_bytes_total=state_bytes,
+        results=engine.flush(),
+    )
+
+
+def time_consumer(
+    name: str,
+    consumer: Callable[[tuple], None],
+    trace: Sequence[tuple],
+    state_bytes: Callable[[], int] | None = None,
+) -> MethodResult:
+    """Measure a bare per-tuple callable (non-DSMS paths) with the same
+    timed loop as :func:`time_query`."""
+    ns_per_tuple = _timed_pass(consumer, trace)
     total_state = state_bytes() if state_bytes is not None else 0
     return MethodResult(
         name=name,
-        ns_per_tuple=elapsed / max(1, len(timed_rows)),
+        ns_per_tuple=ns_per_tuple,
         groups=1 if total_state else 0,
         state_bytes_total=total_state,
     )

@@ -2,9 +2,9 @@
 
 Each ``run_fig*`` function builds the workload, the competing methods, and
 the measurements behind the corresponding figure, returning a plain dict of
-series.  The ``benchmarks/bench_fig*.py`` files call these, print the
-paper-style tables, and assert the shape criteria listed in DESIGN.md;
-EXPERIMENTS.md records paper-vs-measured.
+series.  ``repro.bench.figures`` wraps each in the figure's one table
+builder, which ``repro figure`` and the ``benchmarks/bench_fig*.py`` shape
+checks share; EXPERIMENTS.md records paper-vs-measured.
 
 Method line-up per figure (mirroring Section VIII):
 
@@ -39,7 +39,6 @@ __all__ = [
     "EPSILON_SWEEP",
     "build_trace",
     "run_fig1_relative_decay",
-    "run_batched_vs_tuple",
     "run_fig2_count_sum",
     "run_fig2c_epsilon_sweep",
     "run_fig2d_space",
@@ -165,54 +164,6 @@ def run_fig2_count_sum(
         "rates": list(rates),
         "methods": methods,
         "loads": loads,
-    }
-
-
-def run_batched_vs_tuple(
-    trace: Sequence[tuple] | None = None,
-    eh_epsilon: float = 0.1,
-    batch_size: int = 256,
-    repeats: int = 3,
-) -> dict:
-    """Batched ingestion (``insert_many``) vs tuple-at-a-time on Figure 2(a).
-
-    For every Figure 2(a) query the two paths must produce identical result
-    rows; the returned ``speedups`` map records per-tuple-cost ratios
-    (> 1 means the batched path is faster).  Each path is timed ``repeats``
-    times and the fastest pass is kept — single passes are too noisy to
-    compare paths that differ by a few percent.
-    """
-    if trace is None:
-        trace = build_trace()
-    registry = default_registry(eh_epsilon=eh_epsilon)
-
-    def best_of(name: str, sql: str, size: int | None) -> MethodResult:
-        runs = [
-            time_query(name, sql, PACKET_SCHEMA, registry, trace,
-                       batch_size=size)
-            for _ in range(max(1, repeats))
-        ]
-        return min(runs, key=lambda result: result.ns_per_tuple)
-
-    per_tuple: list[MethodResult] = []
-    batched: list[MethodResult] = []
-    for name, sql in _count_sum_queries(eh_epsilon):
-        per_tuple.append(best_of(name, sql, None))
-        batched.append(best_of(name, sql, batch_size))
-    mismatched = [
-        tuple_result.name
-        for tuple_result, batch_result in zip(per_tuple, batched)
-        if tuple_result.results != batch_result.results
-    ]
-    return {
-        "batch_size": batch_size,
-        "per_tuple": per_tuple,
-        "batched": batched,
-        "mismatched": mismatched,
-        "speedups": {
-            tuple_result.name: tuple_result.ns_per_tuple / batch_result.ns_per_tuple
-            for tuple_result, batch_result in zip(per_tuple, batched)
-        },
     }
 
 

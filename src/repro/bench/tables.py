@@ -1,15 +1,15 @@
 """Paper-style table rendering for the benchmark harness.
 
-Every figure benchmark prints its data as an aligned text table (the rows
-and series the paper plots) so EXPERIMENTS.md can record paper-vs-measured
-side by side.
+Every figure's table builder (``repro.bench.figures``) renders its data
+as an aligned text table (the rows and series the paper plots) so
+EXPERIMENTS.md can record paper-vs-measured side by side.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "print_table", "format_bytes"]
+__all__ = ["format_table", "format_bytes"]
 
 
 def format_bytes(value: float) -> str:
@@ -38,17 +38,6 @@ def format_table(
     for row in rendered_rows:
         lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
     return "\n".join(lines)
-
-
-def print_table(
-    title: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-) -> None:
-    """Print :func:`format_table` output with surrounding blank lines."""
-    print()
-    print(format_table(title, headers, rows))
-    print()
 
 
 def _cell(value: object) -> str:

@@ -30,8 +30,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".udaf": ("Udaf", "UdafRegistry", "default_registry"),
         ".engine": ("QueryEngine", "run_query"),
         ".runtime": (
-            "LoadSheddingRuntime", "LoadReport", "measure_per_tuple_cost",
-            "cpu_load_percent",
+            "LoadSheddingRuntime", "LoadReport", "cpu_load_percent",
         ),
     },
 )

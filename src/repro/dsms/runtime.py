@@ -3,13 +3,11 @@
 The paper's experiments report *CPU load* as the stream rate is varied and
 observe that backward-decay methods "reached 100% CPU utilization and
 dropped tuples".  On a single core, CPU load is per-tuple processing cost
-times arrival rate; this module measures the former and simulates the
-latter:
+times arrival rate; ``repro.bench.harness`` measures the former and
+this module turns it into load and simulates the latter:
 
-* :func:`measure_per_tuple_cost` times a query engine (or any per-tuple
-  callable) over a trace and reports nanoseconds per tuple;
-* :func:`cpu_load_percent` converts cost + target rate into the load
-  percentage the figures plot;
+* :func:`cpu_load_percent` converts the measured cost (nanoseconds per
+  tuple) and a target rate into the load percentage the figures plot;
 * :class:`LoadSheddingRuntime` replays a trace against a *processing
   budget* derived from the target rate: tuples arriving while the
   (bounded) input buffer is saturated are dropped, reproducing the
@@ -22,43 +20,16 @@ methods — which are what Figures 2-5 compare — carry over.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.core.errors import ParameterError
 
 __all__ = [
-    "measure_per_tuple_cost",
     "cpu_load_percent",
     "LoadReport",
     "LoadSheddingRuntime",
 ]
-
-
-def measure_per_tuple_cost(
-    process: Callable[[tuple], None],
-    rows: Sequence[tuple],
-    repeat: int = 1,
-) -> float:
-    """Average per-tuple processing time of ``process`` in nanoseconds.
-
-    Feeds every row of the trace ``repeat`` times (fresh iteration each
-    round) and divides total wall time by tuples processed.  Callers pass a
-    bound :meth:`QueryEngine.process` or any tuple consumer.
-    """
-    if not rows:
-        raise ParameterError("cannot measure on an empty trace")
-    if repeat < 1:
-        raise ParameterError(f"repeat must be >= 1, got {repeat!r}")
-    total = 0
-    start = time.perf_counter_ns()
-    for __ in range(repeat):
-        for row in rows:
-            process(row)
-        total += len(rows)
-    elapsed = time.perf_counter_ns() - start
-    return elapsed / total
 
 
 def cpu_load_percent(ns_per_tuple: float, rate_per_sec: float) -> float:
@@ -120,7 +91,7 @@ class LoadSheddingRuntime:
     ----------
     ns_per_tuple:
         Measured average processing cost (see
-        :func:`measure_per_tuple_cost`).
+        :func:`repro.bench.harness.time_query`).
     rate_per_sec:
         Offered stream rate.
     buffer_tuples:

@@ -77,30 +77,22 @@ class Schema:
         """Check a tuple's arity and types against the schema.
 
         Meant for ingest boundaries and tests; the hot engine path skips
-        validation, as a production DSMS would after parse time.
+        validation, as a production DSMS would after parse time.  Types
+        are checked by :meth:`validate_cols` on the row's one-value
+        columns, so a row and a batch obey one rule.
         """
         if len(row) != len(self.fields):
             raise SchemaError(
                 f"arity mismatch: schema has {len(self.fields)} fields, "
                 f"row has {len(row)}"
             )
-        for value, field in zip(row, self.fields):
-            expected = field.type.python_type()
-            if expected is float:
-                if not isinstance(value, (int, float)):
-                    raise SchemaError(
-                        f"field {field.name!r} expects a number, got {value!r}"
-                    )
-            elif not isinstance(value, expected):
-                raise SchemaError(
-                    f"field {field.name!r} expects {expected.__name__}, got {value!r}"
-                )
+        self.validate_cols([[value] for value in row])
 
     def validate_cols(self, cols: list, kinds=None) -> int:
         """Check a columnar batch against the schema; returns the row count.
 
-        The columnar twin of :meth:`validate`: one arity check for the
-        whole batch, one length check and one type sweep per column —
+        The one type rule (:meth:`validate` runs it on a single row): one
+        arity check for the whole batch, one length check and one type sweep per column —
         O(fields + values) with no per-row tuple in sight.  Raises
         :class:`SchemaError` naming the first offending field.
 

@@ -20,6 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "MetricsRegistry", "NullMetric", "NULL_METRIC", "format_snapshot",
             "load_snapshot",
         ),
-        ".instrument": ("EngineInstrumentation", "TimedUdaf", "instrument_engine"),
+        ".instrument": ("EngineInstrumentation", "TimedUdaf"),
     },
 )

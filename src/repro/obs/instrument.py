@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.dsms.engine import QueryEngine
     from repro.obs.registry import MetricsRegistry
 
-__all__ = ["EngineInstrumentation", "TimedUdaf", "instrument_engine"]
+__all__ = ["EngineInstrumentation", "TimedUdaf"]
 
 _perf_ns = time.perf_counter_ns
 
@@ -204,11 +204,3 @@ class EngineInstrumentation:
         """One ``merge_partial`` decode (validation included)."""
         self.partial_decode_us.observe((_perf_ns() - start_ns) / 1e3)
 
-
-def instrument_engine(
-    engine: "QueryEngine", metrics: "MetricsRegistry", name: str = "query"
-) -> EngineInstrumentation | None:
-    """Attach metrics to ``engine`` unless ``metrics`` is absent/disabled."""
-    if metrics is None or not getattr(metrics, "enabled", False):
-        return None
-    return EngineInstrumentation(engine, metrics, name)

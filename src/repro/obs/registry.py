@@ -305,42 +305,9 @@ def format_snapshot(snap: dict) -> str:
                 )
             else:
                 lines.append(f"{name:<44} (empty)")
-    # Store tier gauges render as one occupancy line per store instead of
-    # four scattered gauge rows; everything else stays in the gauge table.
-    _TIER_SUFFIXES = (
-        "hot_groups",
-        "cold_groups",
-        "segments",
-        "segment_bytes",
-        "directory_bytes",
-        "pressure",
-    )
-    tiers: dict[str, dict[str, float]] = {}
-    plain_gauges = []
-    for name, entry in by_type.get("gauge", []):
-        prefix, _, suffix = name.rpartition(".")
-        if prefix.startswith("store.") and suffix in _TIER_SUFFIXES:
-            tiers.setdefault(prefix, {})[suffix] = entry["value"] or 0
-        else:
-            plain_gauges.append((name, entry))
-    if tiers:
-        section("store tiers")
-        for prefix in sorted(tiers):
-            t = tiers[prefix]
-            hot = t.get("hot_groups", 0)
-            cold = t.get("cold_groups", 0)
-            total = hot + cold
-            hot_pct = 100.0 * hot / total if total else 100.0
-            lines.append(
-                f"{prefix:<44} hot={hot:,.0f} cold={cold:,.0f} "
-                f"({hot_pct:.1f}% hot, {t.get('segments', 0):,.0f} segments, "
-                f"{t.get('segment_bytes', 0):,.0f} bytes on disk, "
-                f"{t.get('directory_bytes', 0):,.0f} directory bytes, "
-                f"pressure={t.get('pressure', 0):.2f})"
-            )
-    if plain_gauges:
+    if "gauge" in by_type:
         section("gauges")
-        for name, entry in plain_gauges:
+        for name, entry in by_type["gauge"]:
             value = entry["value"]
             rendered = "n/a" if value is None else f"{value:,.0f}"
             lines.append(f"{name:<44} {rendered:>14}")

@@ -193,8 +193,19 @@ class TestSketchStates:
             (COUNT_SUM_SQL, 2),
             ("select destPort, fwd_hh(destIP, len) as hh from TCP "
              "group by destPort", None),
+            pytest.param(
+                "select tb, prisamp(destIP, 1 + time) as samp from TCP "
+                "group by time/100 as tb", None,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="a group first seen after the split keys its "
+                    "generator from a per-UDAF creation counter the "
+                    "partial-state blob does not carry",
+                ),
+            ),
         ],
-        ids=["sampler", "count-sum", "count-sum-two-level", "sketch"],
+        ids=["sampler", "count-sum", "count-sum-two-level", "sketch",
+             "sampler-group-after-split"],
     )
     def test_sampler_query_resumes_exactly(self, sql, table_size, low_table):
         # RNG state rides in the summary payload: a fresh engine resumed

@@ -8,7 +8,6 @@ from repro.core.errors import ParameterError
 from repro.dsms.runtime import (
     LoadSheddingRuntime,
     cpu_load_percent,
-    measure_per_tuple_cost,
     offered_load_percent,
 )
 
@@ -29,22 +28,6 @@ class TestLoadMath:
             cpu_load_percent(-1, 100)
         with pytest.raises(ParameterError):
             offered_load_percent(1, -100)
-
-
-class TestMeasurement:
-    def test_measures_positive_cost(self):
-        sink = []
-        cost = measure_per_tuple_cost(sink.append, [(1,), (2,), (3,)], repeat=5)
-        assert cost > 0
-        assert len(sink) == 15
-
-    def test_rejects_empty_trace(self):
-        with pytest.raises(ParameterError):
-            measure_per_tuple_cost(lambda row: None, [])
-
-    def test_rejects_bad_repeat(self):
-        with pytest.raises(ParameterError):
-            measure_per_tuple_cost(lambda row: None, [(1,)], repeat=0)
 
 
 class TestLoadShedding:

@@ -13,7 +13,7 @@ from repro.dsms.engine import QueryEngine, describe_partial_state
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
 from repro.dsms.udaf import default_registry
-from repro.obs.instrument import TimedUdaf, instrument_engine
+from repro.obs.instrument import TimedUdaf
 from repro.obs.registry import MetricsRegistry
 
 SCHEMA = Schema(
@@ -244,10 +244,3 @@ class TestRecordedMetrics:
         )
         assert snap["engine.query.udaf.sum.update_many_us"]["count"] > 0
         assert snap["engine.query.udaf.sum.batched_items"]["raw_total"] > 0
-
-    def test_instrument_engine_helper(self):
-        engine = QueryEngine(parse_query(SQL, default_registry()), SCHEMA)
-        assert instrument_engine(engine, None) is None
-        assert instrument_engine(engine, MetricsRegistry(enabled=False)) is None
-        inst = instrument_engine(engine, MetricsRegistry(enabled=True))
-        assert inst is not None and engine.__dict__["process"] == inst._process

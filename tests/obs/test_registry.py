@@ -108,28 +108,6 @@ class TestSnapshot:
     def test_format_snapshot_empty(self):
         assert "(no metrics recorded)" in format_snapshot({"metrics": {}})
 
-    def test_format_snapshot_store_tiers_section(self, clock):
-        # Store occupancy gauges collapse into one line per store under a
-        # dedicated section — and leave the generic gauge table.
-        registry = MetricsRegistry(clock=clock)
-        registry.gauge("store.store.hot_groups").set(100.0)
-        registry.gauge("store.store.cold_groups").set(900.0)
-        registry.gauge("store.store.segments").set(4.0)
-        registry.gauge("store.store.segment_bytes").set(65536.0)
-        registry.gauge("unrelated.g").set(7.0)
-        text = format_snapshot(registry.snapshot(now=clock.now))
-        assert "store tiers" in text
-        tier_line = next(
-            line for line in text.splitlines() if "store.store" in line
-        )
-        assert "hot=100" in tier_line
-        assert "cold=900" in tier_line
-        assert "10.0% hot" in tier_line
-        assert "4 segments" in tier_line
-        # The occupancy gauges are not repeated as plain gauges.
-        assert "store.store.hot_groups " not in text
-        assert "unrelated.g" in text and "gauges" in text
-
 
 class TestTimer:
     def test_timer_records_into_a_latency_sketch(self, clock):

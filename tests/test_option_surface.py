@@ -50,7 +50,7 @@ SIGNATURES = {
     "repro.core.serde.load_summary": ("data",),
     "repro.bench.harness.time_query": (
         "name", "sql", "schema", "registry", "trace", "two_level",
-        "batch_size", "metrics", "metrics_name",
+        "metrics", "metrics_name",
     ),
     "repro.bench.harness.time_consumer": (
         "name", "consumer", "trace", "state_bytes",
@@ -94,6 +94,12 @@ def test_parameter_names_are_pinned(path):
         ("repro.parallel.router.Router", "_flush_edge"),
         ("repro.serve.client._ClientCore", "append"),
         ("repro.serve.client._ClientCore", "_ship_buffer"),
+        # The second and third timing loops, the recorded batched-ingest
+        # ablation and the caller-less table and instrumentation helpers.
+        ("repro.bench.runners", "run_batched_vs_tuple"),
+        ("repro.dsms.runtime", "measure_per_tuple_cost"),
+        ("repro.bench.tables", "print_table"),
+        ("repro.obs.instrument", "instrument_engine"),
     ],
 )
 def test_stranded_methods_stay_deleted(path, method):
