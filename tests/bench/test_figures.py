@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.figures import FIGURE_IDS, figure_table
+from repro.bench.figures import FIGURE_BUILDERS, FIGURE_IDS, figure_table
 from repro.bench.runners import build_trace
 from repro.core.errors import ParameterError
 
@@ -26,6 +26,12 @@ def test_fig1_table_is_exact():
     table = figure_table("fig1")
     assert "Figure 1" in table
     assert "0.25" in table  # gamma = 0.5 row
+
+
+def test_builder_returns_data_and_the_cli_table():
+    data, table = FIGURE_BUILDERS["fig1"](())
+    assert table == figure_table("fig1")
+    assert data["series"][60.0][5] == pytest.approx(0.25)  # gamma = 0.5
 
 
 @pytest.mark.parametrize("figure_id", ["fig2a", "fig3a", "fig5"])

@@ -54,6 +54,10 @@ class TestTimeConsumer:
         assert result.state_bytes_total == 123
         assert len(seen) == len(tiny_trace)
 
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ParameterError):
+            time_consumer("sink", lambda row: None, [])
+
 
 class TestLoadsAndThroughput:
     def test_loads_at_rates_monotone(self):
