@@ -368,12 +368,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "state_dir": state_dir,
     }
     if args.verify:
-        from repro.dsms.engine import run_query
+        from repro.dsms.engine import QueryEngine
         from repro.dsms.parser import parse_query
         from repro.dsms.udaf import default_registry
 
-        query = parse_query(args.sql, default_registry())
-        single = [dict(row) for row in run_query(query, PACKET_SCHEMA, rows)]
+        # One engine fed every row and flushed once: the cluster answers
+        # each group once, whatever its first GROUP BY key.
+        engine = QueryEngine(parse_query(args.sql, default_registry()),
+                             PACKET_SCHEMA)
+        engine.insert_many(rows)
+        single = engine.flush()
 
         def canon(result_rows):
             return sorted(repr(sorted(row.items())) for row in result_rows)

@@ -14,8 +14,10 @@ Reproduces the execution architecture the paper's experiments exercise
   (the sketch/sampler adapters, like the paper's C UDAFs) bypass the
   low level automatically.
 * **Tumbling time buckets** — when the first GROUP BY key is a time bucket
-  (``time/60 AS tb``), results for a bucket are emitted when a tuple from
-  a later bucket arrives, matching GS's time-bucket semantics.
+  (``time/60 AS tb``), :func:`run_query` emits a bucket's results when a
+  tuple from a later bucket arrives, matching GS's time-bucket semantics.
+  The engine itself keeps no clock: its groups carry fixed-numerator
+  state, so it only ever finalizes everything at once (:meth:`flush`).
 
 The engine compiles every expression to a closure once at plan time; the
 per-tuple path is dictionary lookups and closure calls only, which is what
@@ -61,13 +63,13 @@ ResultRow = dict[str, object]
 
 #: Version byte leading every :meth:`QueryEngine.partial_state_bytes` buffer;
 #: bumped whenever the partial-state layout changes (1 was tagged JSON, 2
-#: held no integral ``f64`` column at an int width), so an older build
-#: refuses a newer buffer by its version.
-PARTIAL_STATE_VERSION = 3
+#: held no integral ``f64`` column at an int width, 3 carried an open time
+#: bucket), so an older build refuses a newer buffer by its version.
+PARTIAL_STATE_VERSION = 4
 
 #: version, tuples_in, tuples_selected, low_evictions, groups, header texts,
-#: open buckets (0 or 1), aggregates — see ``partial_state_bytes``.
-_PARTIAL_HEAD = struct.Struct("!BQQQIHBH")
+#: aggregates — see ``partial_state_bytes``.
+_PARTIAL_HEAD = struct.Struct("!BQQQIHH")
 _CRC = struct.Struct("!I")
 
 #: Capacity of the fixed-size low-level table of a two-level engine: a new
@@ -109,11 +111,6 @@ class QueryEngine:
         Enable the low-level partial-aggregation table of
         :data:`LOW_TABLE_SIZE` groups (only effective when every aggregate
         in the query is mergeable).
-    emit_on_bucket_change:
-        When True and the query has GROUP BY keys, the engine watches the
-        first key ("the time bucket"); whenever its value changes, all
-        groups of earlier buckets are finalized and queued for
-        :meth:`drain`.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  When given
         and enabled, this engine's ingest/flush/partial-state paths record
@@ -137,7 +134,6 @@ class QueryEngine:
         query: Query,
         schema: Schema,
         two_level: bool = True,
-        emit_on_bucket_change: bool = False,
         metrics=None,
         metrics_name: str = "query",
         store=None,
@@ -201,12 +197,9 @@ class QueryEngine:
         )
         self._all_mergeable = all(p.udaf.mergeable for p in self._agg_plans)
         self.two_level = two_level and self._all_mergeable and bool(self._agg_plans)
-        self._emit_on_bucket_change = emit_on_bucket_change and bool(self._group_fns)
         # group key -> list of aggregate states (parallel to _agg_plans)
         self._high: dict[tuple, list] = {}
         self._low: dict[tuple, list] = {}
-        self._current_bucket: object = _NO_BUCKET
-        self._emitted: list[ResultRow] = []
         self._tuples_in = 0
         self._tuples_selected = 0
         self._low_evictions = 0
@@ -300,7 +293,11 @@ class QueryEngine:
         its expression as the batch kernel's does: a row that raises
         leaves the engine as it was, on either path.
         """
-        values = self._eval_row(row)
+        self._apply_row(self._eval_row(row))
+
+    def _apply_row(self, values: list | None) -> None:
+        """The stateful half of :meth:`process`: count one row
+        :meth:`_eval_row` evaluated and fold it into its group."""
         self._tuples_in += 1
         if values is None:
             return
@@ -311,13 +308,6 @@ class QueryEngine:
             tuple(values[width + slot] for slot in slots)
             for slots in self._arg_slots
         ]
-        if self._emit_on_bucket_change:
-            bucket = key[0]
-            if self._current_bucket is _NO_BUCKET:
-                self._current_bucket = bucket
-            elif bucket != self._current_bucket:
-                self._flush_bucket(self._current_bucket)
-                self._current_bucket = bucket
         if self.two_level:
             self._process_low(key, args)
         else:
@@ -421,13 +411,13 @@ class QueryEngine:
         aggregate argument are computed column-at-a-time up front, and
         the stateful grouping loop walks row *indices*, collecting each
         group's rows so its UDAF states take **one** ``update_cols`` per
-        aggregate instead of one ``update`` per tuple.  Group creation,
-        low-table eviction, and bucket-close emission still happen at
-        exactly the same stream positions as the per-tuple path (an
-        eviction victim's deferred updates are applied before its partial
-        state merges upward), so every accumulator sees the identical
-        operation sequence.  Compiled expressions are pure, so hoisting
-        them out of the stateful loop cannot change results.
+        aggregate instead of one ``update`` per tuple.  Group creation and
+        low-table eviction still happen at exactly the same stream
+        positions as the per-tuple path (an eviction victim's deferred
+        updates are applied before its partial state merges upward), so
+        every accumulator sees the identical operation sequence.  Compiled
+        expressions are pure, so hoisting them out of the stateful loop
+        cannot change results.
         """
         count = row_count(cols, QueryError)
         if count == 0:
@@ -440,7 +430,6 @@ class QueryEngine:
         self._tuples_selected += kept
         if kept == 0:
             return
-        watch_bucket = self._emit_on_bucket_change
         two_level = self.two_level
         low = self._low
         high = self._high
@@ -468,18 +457,6 @@ class QueryEngine:
         pending: dict[tuple, tuple] = {}
         pending_get = pending.get
         for index, key in enumerate(keys):
-            if watch_bucket:
-                bucket = key[0]
-                if self._current_bucket is _NO_BUCKET:
-                    self._current_bucket = bucket
-                elif bucket != self._current_bucket:
-                    # Close the run: apply its updates before emitting the
-                    # finished bucket, exactly as process() would have.
-                    self._apply_pending_cols(pending, arg_cols)
-                    pending = {}
-                    pending_get = pending.get
-                    self._flush_bucket(self._current_bucket)
-                    self._current_bucket = bucket
             entry = pending_get(key)
             if entry is not None:
                 entry[2](index)
@@ -577,31 +554,16 @@ class QueryEngine:
 
     # -- output ------------------------------------------------------------------
 
-    def _flush_bucket(self, bucket: object) -> None:
-        if self._store is not None:
-            # A closing bucket's groups may have been evicted; fault them
-            # all in so the emission covers the full bucket.
-            self._store.load_bucket(bucket)
-        if self.two_level:
-            stale = [key for key in self._low if key[0] == bucket]
-            for key in stale:
-                self._merge_up(key, self._low.pop(key))
-        finished = [key for key in self._high if key[0] == bucket]
-        rows = [
-            self._finalize_group(key, self._high.pop(key))
-            for key in sorted(finished, key=repr)
-        ]
-        self._emitted.extend(self._postprocess(rows))
-
     def _postprocess(self, rows: list[ResultRow]) -> list[ResultRow]:
-        """Apply HAVING / ORDER BY / LIMIT to one batch of result rows.
+        """Apply HAVING / ORDER BY / LIMIT to one flush's result rows.
 
-        These clauses operate on output aliases, per bucket: GS emits
-        results bucket by bucket, so "the top 10 by decayed bytes" means
-        the top 10 of each time bucket.  A clause the finalized values
-        cannot be evaluated under (a list-valued sketch report compared
-        with a number, unorderable sort keys) is a :class:`QueryError`
-        naming the clause, not a bare ``TypeError``.
+        These clauses operate on output aliases, per flush: GS emits
+        results bucket by bucket, and :func:`run_query` flushes once per
+        bucket, so there "the top 10 by decayed bytes" means the top 10 of
+        each time bucket.  A clause the finalized values cannot be
+        evaluated under (a list-valued sketch report compared with a
+        number, unorderable sort keys) is a :class:`QueryError` naming
+        the clause, not a bare ``TypeError``.
         """
         clause = None
         try:
@@ -679,48 +641,6 @@ class QueryEngine:
                 return item.expression.evaluate(row, pseudo)
         raise QueryError(f"unknown select alias {alias!r}")  # pragma: no cover
 
-    def heartbeat(self, row: tuple) -> None:
-        """Advance event time without contributing data.
-
-        GS uses heartbeats/punctuations so that queries do not block when a
-        stream (or a filtered substream) goes quiet: a tuple-shaped marker
-        carrying only the timestamp flows through the plan and closes any
-        time buckets it has passed.  ``row`` must be shaped like a stream
-        tuple (so the bucket expression can be evaluated) but is not
-        counted, filtered, or aggregated.
-
-        Unlike a data tuple, a heartbeat only ever closes buckets it has
-        *passed*: a marker whose bucket does not sort after the current one
-        (a lagging upstream clock, a duplicate punctuation) is a no-op.  A
-        late data tuple must reopen its bucket because it carries content;
-        a late heartbeat carries nothing, so flushing the live bucket for
-        it would split that bucket's emission — results would then differ
-        from the same stream processed without heartbeats.
-        """
-        if not self._emit_on_bucket_change:
-            return
-        bucket = self._group_fns[0](row)
-        if self._current_bucket is _NO_BUCKET:
-            self._current_bucket = bucket
-            return
-        if bucket == self._current_bucket:
-            return
-        try:
-            passed = bucket > self._current_bucket
-        except TypeError:
-            # Unorderable bucket labels: treat any change as progress, as
-            # the data path does.
-            passed = True
-        if passed:
-            self._flush_bucket(self._current_bucket)
-            self._current_bucket = bucket
-
-    def drain(self) -> list[ResultRow]:
-        """Results of buckets completed so far (cleared on read)."""
-        emitted = self._emitted
-        self._emitted = []
-        return emitted
-
     def _drain_low(self) -> None:
         """Merge every low-level partial upward (a merge-neutral operation:
         the same states end up in the high table, so finalized results are
@@ -774,22 +694,19 @@ class QueryEngine:
         return self._postprocess(rows)
 
     def flush(self) -> list[ResultRow]:
-        """Finalize everything still open and return all pending results."""
-        self._emitted.extend(self._finalized(take=True))
-        self._current_bucket = _NO_BUCKET
-        return self.drain()
+        """Finalize every group, emptying the engine, and return the rows."""
+        return self._finalized(take=True)
 
     def snapshot_rows(self) -> list[ResultRow]:
         """What :meth:`flush` would return now, with the engine left running.
 
-        The read-only view a live query is answered from: buckets already
-        emitted but not yet drained come first (and stay queued), then
-        every open group through the same finalize walk ``flush`` uses.
-        No group leaves its table — a store-backed engine's cold pages
-        are read where they lie — and the returned rows alias no live
-        state, so ingest may continue while a caller still holds them.
+        The read-only view a live query is answered from: every group
+        through the same finalize walk ``flush`` uses.  No group leaves
+        its table — a store-backed engine's cold pages are read where they
+        lie — and the returned rows alias no live state, so ingest may
+        continue while a caller still holds them.
         """
-        return [dict(row) for row in self._emitted] + self._finalized(take=False)
+        return self._finalized(take=False)
 
     # -- checkpointing ------------------------------------------------------------
 
@@ -841,13 +758,11 @@ class QueryEngine:
         same bytes are a shard's reply, a PARTIALS_OK / ADOPT blob and a
         ``checkpoint.bin`` entry; a fresh engine resumes from them via
         :meth:`merge_partial`.  Layout (DESIGN.md §3.5 has the diagram): a
-        fixed header, three column blocks — the query SQL and schema
-        names, the open time bucket if any, one slot code per aggregate
-        (its state arity, or ``-1`` summary / ``-2`` ragged) — then one
-        :mod:`repro.core.cols` batch with a row per group (key-part
-        columns, then each aggregate's state columns) and a CRC32.  The
-        open bucket is recorded, not emitted: merging partials must not
-        split a bucket's emission, exactly like the heartbeat rule.
+        fixed header, two column blocks — the query SQL and schema names,
+        one slot code per aggregate (its state arity, or ``-1`` summary /
+        ``-2`` ragged) — then one :mod:`repro.core.cols` batch with a row
+        per group (key-part columns, then each aggregate's state columns)
+        and a CRC32.
         """
         obs = self._obs
         start = time.perf_counter_ns() if obs is not None else 0
@@ -856,17 +771,12 @@ class QueryEngine:
             keys, rows, len(self._agg_plans)
         )
         texts = [self.query.sql(), *self.schema.names()]
-        bucket = (
-            [] if self._current_bucket is _NO_BUCKET else [self._current_bucket]
-        )
         body = b"".join((
             _PARTIAL_HEAD.pack(
                 PARTIAL_STATE_VERSION, self._tuples_in, self._tuples_selected,
-                self._low_evictions, len(keys), len(texts), len(bucket),
-                len(slots),
+                self._low_evictions, len(keys), len(texts), len(slots),
             ),
             pack_column(texts),
-            pack_column(bucket),
             pack_column(slots),
             pack_cols(cols),
         ))
@@ -876,7 +786,7 @@ class QueryEngine:
         return blob
 
     def _decode_partial(self, data) -> tuple:
-        """``(keys, states, bucket, counters)`` of a validated buffer.
+        """``(keys, states, counters)`` of a validated buffer.
 
         Touches nothing: every truncation, flipped bit, foreign plan,
         slot of the wrong kind for its aggregate (summary vs scalars) or
@@ -884,7 +794,7 @@ class QueryEngine:
         first group is merged.  What it cannot see is a checksummed
         buffer crafted with a wrong *scalar arity*: UDAFs declare none.
         """
-        head, texts, bucket, slots, batch = _open_partial(data)
+        head, texts, slots, batch = _open_partial(data)
         groups = head[4]
         try:
             cols, _seq, count = unpack_cols(batch)
@@ -926,7 +836,7 @@ class QueryEngine:
             list(map(list, zip(*per_aggregate))) if per_aggregate
             else [[] for _ in keys]
         )
-        return keys, states, bucket, head[1:4]
+        return keys, states, head[1:4]
 
     def _check_plan(self, sql, schema_names: list) -> None:
         if sql != self.query.sql():
@@ -940,16 +850,14 @@ class QueryEngine:
                 f"{schema_names!r} vs {self.schema.names()!r}"
             )
 
-    def _absorb(self, keys, states, bucket: list, counters: tuple) -> None:
+    def _absorb(self, keys, states, counters: tuple) -> None:
         """Merge decoded (or cloned) group states into the high table.
 
         Builtin states merge via their UDAF's ``merge``, summary states
         via :meth:`StreamSummary.merge` — which is where decay-function
         and landmark compatibility is enforced, as the paper requires
         (any mismatch raises :class:`MergeError`); absent groups are
-        inserted directly.  The open bucket is adopted only when this
-        engine has none (the fresh-restore case): merging shards never
-        closes a bucket.  Tuple counters accumulate, so statistics
+        inserted directly.  Tuple counters accumulate, so statistics
         reflect the union of the merged substreams.
         """
         self._drain_low()
@@ -975,8 +883,6 @@ class QueryEngine:
                     )
         if store is not None:
             store.unstage()
-        if bucket and self._current_bucket is _NO_BUCKET:
-            self._current_bucket = bucket[0]
         self._tuples_in += counters[0]
         self._tuples_selected += counters[1]
         self._low_evictions += counters[2]
@@ -1017,11 +923,9 @@ class QueryEngine:
             )
         self._check_plan(other.query.sql(), other.schema.names())
         keys, rows = other._snapshot()
-        bucket = other._current_bucket
         self._absorb(
             keys,
             [[_clone_state(state) for state in row] for row in rows],
-            [] if bucket is _NO_BUCKET else [bucket],
             (other._tuples_in, other._tuples_selected, other._low_evictions),
         )
 
@@ -1040,19 +944,9 @@ class QueryEngine:
         return self.state_size_bytes() / groups if groups else 0.0
 
 
-class _NoBucket:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<no bucket>"
-
-
-_NO_BUCKET = _NoBucket()
-
-
 def _open_partial(data) -> tuple:
     """A buffer's framing, checked (version, size, CRC32): ``(header
-    fields, texts, open bucket, slot codes, packed group batch)``."""
+    fields, texts, slot codes, packed group batch)``."""
     if not data:
         raise MergeError("cannot merge an empty partial-state buffer")
     if data[0] != PARTIAL_STATE_VERSION:
@@ -1072,11 +966,10 @@ def _open_partial(data) -> tuple:
         )
     try:
         texts, offset = read_column(view, _PARTIAL_HEAD.size, head[5])
-        bucket, offset = read_column(view, offset, head[6])
-        slots, offset = read_column(view, offset, head[7])
+        slots, offset = read_column(view, offset, head[6])
     except ProtocolError as exc:
         raise MergeError(f"malformed partial-state buffer: {exc}") from exc
-    return head, texts, bucket, slots, view[offset:tail]
+    return head, texts, slots, view[offset:tail]
 
 
 def describe_partial_state(data) -> dict:
@@ -1085,7 +978,7 @@ def describe_partial_state(data) -> dict:
     checked, once).  Each column is named by its encoding, each summary
     slot by the registry type its buffers declare in their first bytes;
     no summary is unpacked."""
-    head, texts, bucket, slots, batch = _open_partial(data)
+    head, texts, slots, batch = _open_partial(data)
     try:
         count, _seq, blocks = open_cols(batch)
         layout, summary_cols = [], []
@@ -1113,7 +1006,6 @@ def describe_partial_state(data) -> dict:
         "tuples_in": head[1],
         "groups": head[4],
         "bytes": len(data),
-        "open_bucket": bucket,
         "slots": slots,
         "columns": layout,
         "summaries": summaries,
@@ -1156,17 +1048,27 @@ def run_query(
 ) -> Iterator[ResultRow]:
     """Convenience: run ``query`` over ``rows`` and yield all result rows.
 
-    Buckets are emitted as they complete (when the first GROUP BY key
-    changes) and the remainder on exhaustion.
+    The first GROUP BY key is read as a time bucket, GS-style: each time
+    a row that passes WHERE carries a first key other than the open one
+    (judged as dict keys are: neither ``is`` nor ``==``), the engine is
+    flushed — which finalizes exactly that bucket's groups, as every
+    live group belongs to it — and the rows are yielded before the new
+    row is ingested; the last flush comes on exhaustion.  So the output
+    equals one engine fed every row and flushed once only when each
+    bucket's rows arrive in one run: a key that is not an in-order time
+    bucket (``group by destIP``, late rows, NaN) splits a group's
+    emission into several rows.
     """
-    engine = QueryEngine(
-        query,
-        schema,
-        two_level=two_level,
-        emit_on_bucket_change=True,
-    )
+    engine = QueryEngine(query, schema, two_level=two_level)
+    evaluate, apply = engine._eval_row, engine._apply_row
+    bucketed = bool(query.group_by)
+    previous = object()  # the first key of the last row WHERE passed
     for row in rows:
-        engine.process(row)
-        if engine._emitted:
-            yield from engine.drain()
+        values = evaluate(row)
+        if bucketed and values is not None:
+            bucket = values[0]
+            if bucket is not previous and bucket != previous:
+                yield from engine.flush()
+                previous = bucket
+        apply(values)
     yield from engine.flush()

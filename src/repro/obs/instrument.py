@@ -130,7 +130,6 @@ class EngineInstrumentation:
         engine = self.engine
         selected_before = engine._tuples_selected
         evictions_before = engine._low_evictions
-        emitted_before = len(engine._emitted)
         start = _perf_ns()
         type(engine).process(engine, row)
         elapsed_us = (_perf_ns() - start) / 1e3
@@ -144,8 +143,6 @@ class EngineInstrumentation:
                 self.hot.observe(self._hot_key(key))
         if engine._low_evictions != evictions_before:
             self.evictions.add(float(engine._low_evictions - evictions_before))
-        if len(engine._emitted) != emitted_before:
-            self.emitted.add(float(len(engine._emitted) - emitted_before))
 
     def _select_and_eval(self, cols: list, count: int) -> tuple:
         """The batch kernel's one evaluation, its group keys kept for the
@@ -158,7 +155,6 @@ class EngineInstrumentation:
         engine = self.engine
         selected_before = engine._tuples_selected
         evictions_before = engine._low_evictions
-        emitted_before = len(engine._emitted)
         start = _perf_ns()
         type(engine).insert_cols(engine, cols)
         elapsed_us = (_perf_ns() - start) / 1e3
@@ -177,17 +173,14 @@ class EngineInstrumentation:
                     self.hot.observe(self._hot_key(key))
         if engine._low_evictions != evictions_before:
             self.evictions.add(float(engine._low_evictions - evictions_before))
-        if len(engine._emitted) != emitted_before:
-            self.emitted.add(float(len(engine._emitted) - emitted_before))
 
     def _flush(self) -> list:
         engine = self.engine
         self.state_bytes.set(float(engine.state_size_bytes()))
-        drained_before = len(engine._emitted)
         start = _perf_ns()
         rows = type(engine).flush(engine)
         self.flush_us.observe((_perf_ns() - start) / 1e3)
-        self.emitted.add(float(len(rows) - drained_before))
+        self.emitted.add(float(len(rows)))
         return rows
 
     def partial_encoded(

@@ -15,9 +15,9 @@ shipped partial are the same bytes.
 Exactness comes from the *write-back / fault-in* discipline, not from
 merging: a group's state is always a single live object — either hot, or a
 serialized blob on disk.  Any code path that would touch a cold group
-(high-table miss, low-table merge-up, partial-state merge, bucket close,
-flush) loads the exact serialized state back first, so every accumulator
-sees the identical update sequence as the all-RAM engine and results are
+(high-table miss, low-table merge-up, partial-state merge, flush) loads
+the exact serialized state back first, so every accumulator sees the
+identical update sequence as the all-RAM engine and results are
 byte-identical — sketches, samplers and their RNG streams included (the
 Section VI-B fixed-numerator property is what makes the serialized partial
 states location-independent in the first place).
@@ -32,7 +32,7 @@ one page share a hash, so a slot and a matching key name exactly one row).
 I/O follows the page: a batch's cold keys are looked up once and each page
 they live in is read once into a per-batch stash (:meth:`TieredStore.stage`
 — a cache, never a state change), and enumeration (flush,
-``partial_state_bytes``, ``group_count``, bucket close, compaction) streams
+``partial_state_bytes``, ``group_count``, compaction) streams
 every live segment's pages in file order, testing each row's hash against
 the directory — O(cold) sequential reads so steady-state ingest pays O(1)
 RAM.
@@ -58,7 +58,7 @@ import time
 
 from repro.core.errors import ParameterError, StoreError
 from repro.core.groups import RAGGED_SLOT, SUMMARY_SLOT
-from repro.core.protocol import StreamSummary, summary_type_of, tag_key, untag_key
+from repro.core.protocol import StreamSummary, summary_type_of, tag_key
 from repro.store.directory import KeyDirectory
 from repro.store.segment import (
     Page,
@@ -76,16 +76,15 @@ __all__ = ["TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION", "describe_store"]
 MANIFEST_NAME = "MANIFEST.json"
 #: The manifest format: a few hundred bytes of JSON referencing an
 #: mmap-ready :class:`KeyDirectory` snapshot file.  Any other version is
-#: refused.
-MANIFEST_VERSION = 3
+#: refused (3 carried the engine's open time bucket).
+MANIFEST_VERSION = 4
 
-#: Every field of a version-3 manifest, with the JSON types it may hold:
+#: Every field of a version-4 manifest, with the JSON types it may hold:
 #: recovery checks them all before it reads a segment or unlinks a file.
 _MANIFEST_FIELDS = {
     "query": str, "schema": list, "tuples_in": int, "tuples_selected": int,
-    "low_evictions": int, "bucket": (list, type(None)), "segments": list,
-    "directory_file": str, "directory_entries": int, "arrivals": int,
-    "udaf_counters": list,
+    "low_evictions": int, "segments": list, "directory_file": str,
+    "directory_entries": int, "arrivals": int, "udaf_counters": list,
 }
 
 #: Working key-directory file (a cache; recovery never reads it).
@@ -122,7 +121,6 @@ _COMPACT_GARBAGE_RATIO = 0.5
 _PRESSURE_CHURN_LIMIT = 1.0
 _PRESSURE_LATENCY_LIMIT_US = 5000.0
 
-_ANY_BUCKET = object()
 _NOT_STAGED = object()
 
 
@@ -395,9 +393,6 @@ class TieredStore:
         engine._tuples_in = manifest["tuples_in"]
         engine._tuples_selected = manifest["tuples_selected"]
         engine._low_evictions = manifest["low_evictions"]
-        bucket = manifest["bucket"]
-        if bucket is not None:
-            engine._current_bucket = untag_key(bucket[0])
         self._arrivals = manifest["arrivals"]
         for plan, counter in zip(engine._agg_plans, manifest["udaf_counters"]):
             if counter is not None:
@@ -482,8 +477,7 @@ class TieredStore:
             if victims:
                 self._spill_batch(victims)
         if len(self._prio) > 4 * budget + len(engine._low):
-            # Priorities for departed groups (flushed buckets, spilled
-            # keys) are dead weight; keep only what can still be evicted.
+            # Priorities for departed groups (flushed or spilled keys) are dead weight; keep only what can still be evicted.
             live = set(high)
             live.update(engine._low)
             self._prio = {
@@ -630,8 +624,8 @@ class TieredStore:
             return None  # not cold (a staged None: looked up for this batch)
         h, seg_id, offset, states = found
         if not self._dir.delete(h, seg_id, offset):
-            # Since stage() read the row, a bucket close took it
-            # (take_cold) or a quarantine dropped it: not cold any more.
+            # Since stage() read the row, a quarantine dropped it: not
+            # cold any more.
             return None
         self._seg_live[seg_id] -= 1
         self._fault_ins += 1
@@ -940,24 +934,17 @@ class TieredStore:
             for row, states in zip(rows, self._states(page, rows)):
                 yield keys[row], states
 
-    def take_cold(self, bucket: object = _ANY_BUCKET):
-        """Fault in every cold group (of one time bucket, when given),
-        page by page: yields ``(key, live states)`` and forgets each.
+    def take_cold(self):
+        """Fault in every cold group, page by page: yields ``(key, live
+        states)`` and forgets each.
 
-        The bulk form of :meth:`fault_in` for ``flush`` and a bucket
-        close: a page's rows leave the directory in one pass and are
-        counted as fault-ins, and only one page's states are alive at a
-        time unless the caller keeps them.
+        The bulk form of :meth:`fault_in` for ``flush``: a page's rows
+        leave the directory in one pass and are counted as fault-ins, and
+        only one page's states are alive at a time unless the caller
+        keeps them.
         """
         for seg_id, page, live in self._scan():
             keys = page.keys
-            if bucket is not _ANY_BUCKET:
-                live = [
-                    (row, h) for row, h in live
-                    if keys[row] and keys[row][0] == bucket
-                ]
-                if not live:
-                    continue
             offset = page.offset
             delete = self._dir.delete
             for _row, h in live:
@@ -979,17 +966,6 @@ class TieredStore:
         for _page in self._scan(probe=False):
             pass
 
-    def load_bucket(self, bucket: object) -> None:
-        """Fault every cold group of one time bucket into the hot table.
-
-        Called before a bucket close so the flush sees all of the
-        bucket's groups; the hot budget is re-enforced afterwards by the
-        next :meth:`maintain`.
-        """
-        high = self._engine._high
-        for key, states in self.take_cold(bucket):
-            dict.__setitem__(high, key, states)
-
     # -- checkpointing ------------------------------------------------------------
 
     def checkpoint(self) -> str:
@@ -1009,8 +985,6 @@ class TieredStore:
         ``ckpt-`` segment and snapshot) actually deleted, so a crash at
         any point leaves a recoverable store.
         """
-        from repro.dsms.engine import _NO_BUCKET
-
         engine = self._engine
         if engine is None:
             raise ParameterError("store is not attached to an engine")
@@ -1062,10 +1036,6 @@ class TieredStore:
             "tuples_in": engine.tuples_processed,
             "tuples_selected": engine.tuples_selected,
             "low_evictions": engine.low_evictions,
-            "bucket": (
-                None if engine._current_bucket is _NO_BUCKET
-                else [tag_key(engine._current_bucket)]
-            ),
             "segments": referenced,
             "directory_file": snap_name,
             "directory_entries": directory_entries,

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main, read_trace_csv, write_trace_csv
 from repro.core.errors import DecayError
+from repro.dsms.engine import PARTIAL_STATE_VERSION
+from repro.store import MANIFEST_VERSION
 from repro.workloads.netflow import PACKET_SCHEMA, generate_trace
 
 
@@ -80,6 +82,35 @@ class TestQueryCommand:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestClusterVerify:
+    """``--verify`` checks the cluster against one engine fed every row and
+    flushed once, so a group is one row whatever its first GROUP BY key."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select destIP, count(*) as c, sum(len) as s from TCP "
+            "group by destIP",
+            "select tb, destIP, count(*) as c, sum(len) as s from TCP "
+            "group by time/60 as tb, destIP",
+            "select destPort, tb, count(*) as c from TCP "
+            "group by destPort, time/60 as tb",
+        ],
+        ids=["key-first", "bucket-first", "bucket-second"],
+    )
+    def test_a_right_answer_verifies(self, tmp_path, capsys, sql):
+        import json
+
+        code = main([
+            "cluster", sql, "--nodes", "2", "--duration", "5",
+            "--rate", "200", "--state-dir", str(tmp_path), "--verify",
+        ])
+        captured = capsys.readouterr()
+        assert "DIFFER" not in captured.err
+        assert code == 0
+        assert json.loads(captured.out)["exact_match"] is True
 
 
 class TestFigureCommand:
@@ -232,7 +263,7 @@ class TestStoreInspectCommand:
         directory = self._make_store(tmp_path)
         assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
-        assert "manifest: v3" in out
+        assert f"manifest: v{MANIFEST_VERSION}" in out
         assert "group(s)" in out
         assert ".seg" in out and "ok" in out
 
@@ -256,7 +287,7 @@ class TestStoreInspectCommand:
         directory = self._make_store(tmp_path)
         assert main(["store", "inspect", directory, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["manifest"]["version"] == 3
+        assert report["manifest"]["version"] == MANIFEST_VERSION
         assert report["manifest"]["groups"] > 0
         assert report["manifest"]["directory_file"].endswith(".dir")
         assert all(s["status"] == "ok" for s in report["segments"])
@@ -356,7 +387,10 @@ class TestStoreInspectCommand:
         [
             (lambda manifest: [], "a list, not an object"),
             (
-                lambda manifest: {"version": 3, "segments": 5, "directory_file": 7},
+                lambda manifest: {
+                    "version": MANIFEST_VERSION, "segments": 5,
+                    "directory_file": 7,
+                },
                 "field 'query' is None",
             ),
             (
@@ -439,7 +473,7 @@ class TestCheckpointInspectCommand:
         assert "v2, CRC ok" in out
         assert "2 blob(s)" in out and "B/group" in out
         assert "count(*) AS c" in out
-        assert "blob 1: v3" in out
+        assert f"blob 1: v{PARTIAL_STATE_VERSION}" in out
         # Each column is named by its encoding, with its bytes per row: the
         # integral sums as i16s, and blob 1's one sum beyond i16 as a
         # 12-byte patch (165 rows: 330 + 12 bytes, not 660 as i32s).

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.errors import QueryError
 from repro.dsms.engine import QueryEngine, run_query
@@ -146,109 +149,81 @@ class TestTwoLevel:
 
 
 class TestBucketEmission:
+    """``run_query`` closes a bucket whenever the first GROUP BY key of a
+    row that passes WHERE differs from the last one's."""
+
+    BUCKET_SQL = "select tb, count(*) as c from TCP group by time/60 as tb"
+
     def test_buckets_emit_on_change(self, registry):
-        query = parse_query(
-            "select tb, count(*) as c from TCP group by time/60 as tb", registry
-        )
-        engine = QueryEngine(query, SCHEMA, emit_on_bucket_change=True)
-        for row in ROWS[:4]:  # all in minute 0
-            engine.process(row)
-        assert engine.drain() == []
-        engine.process(ROWS[4])  # minute 1 arrives -> minute 0 closes
-        emitted = engine.drain()
-        assert emitted == [{"tb": 0, "c": 4}]
-        assert engine.flush() == [{"tb": 1, "c": 1}]
+        query = parse_query(self.BUCKET_SQL, registry)
+        fed = []
 
-    def test_heartbeat_closes_quiet_buckets(self, registry):
-        """A heartbeat advances event time without contributing data."""
-        query = parse_query(
-            "select tb, count(*) as c from TCP group by time/60 as tb", registry
-        )
-        engine = QueryEngine(query, SCHEMA, emit_on_bucket_change=True)
-        for row in ROWS[:4]:  # minute 0 data, then the stream goes quiet
-            engine.process(row)
-        assert engine.drain() == []
-        heartbeat_row = (65, "", "", 0, 0, "")  # minute 1, no payload
-        engine.heartbeat(heartbeat_row)
-        assert engine.drain() == [{"tb": 0, "c": 4}]
-        # The heartbeat itself contributed nothing.
-        assert engine.tuples_processed == 4
-        assert engine.flush() == []
+        def stream():
+            for row in ROWS:
+                fed.append(row)
+                yield row
 
-    def test_heartbeat_noop_without_bucket_emission(self, registry):
-        query = parse_query(
-            "select tb, count(*) as c from TCP group by time/60 as tb", registry
-        )
-        engine = QueryEngine(query, SCHEMA, emit_on_bucket_change=False)
-        engine.process(ROWS[0])
-        engine.heartbeat((999, "", "", 0, 0, ""))
-        assert engine.drain() == []
-
-    def test_late_heartbeat_is_noop(self, registry):
-        """A heartbeat lagging the current bucket must not split emission.
-
-        Regression test: ``heartbeat`` used to flush on *any* bucket
-        change, so a late heartbeat stamped in an already-closed bucket
-        prematurely flushed the live bucket and its rows came out split.
-        """
-        query = parse_query(
-            "select tb, count(*) as c from TCP group by time/60 as tb", registry
-        )
-        engine = QueryEngine(query, SCHEMA, emit_on_bucket_change=True)
-        engine.process((65, "s1", "h1", 80, 100, "tcp"))  # minute 1 opens
-        engine.heartbeat((30, "", "", 0, 0, ""))  # late marker in minute 0
-        assert engine.drain() == []  # minute 1 stays open
-        engine.process((70, "s2", "h1", 80, 100, "tcp"))  # more minute-1 data
-        assert engine.flush() == [{"tb": 1, "c": 2}]  # one row, not split
-
-    def test_heartbeat_matches_heartbeat_free_run(self, registry):
-        """Interleaving heartbeats never changes the emitted rows."""
-        sql = "select tb, count(*) as c from TCP group by time/60 as tb"
-        data = [
-            (0, "s1", "h1", 80, 100, "tcp"),
-            (65, "s2", "h1", 80, 100, "tcp"),
-            (70, "s1", "h2", 443, 100, "tcp"),
-            (130, "s3", "h1", 80, 100, "tcp"),
-        ]
-        plain = QueryEngine(
-            parse_query(sql, registry), SCHEMA, emit_on_bucket_change=True
-        )
-        noisy = QueryEngine(
-            parse_query(sql, registry), SCHEMA, emit_on_bucket_change=True
-        )
-        for row in data:
-            plain.process(row)
-            noisy.process(row)
-            # Duplicate, equal, and *late* heartbeats after every tuple.
-            noisy.heartbeat((row[0], "", "", 0, 0, ""))
-            noisy.heartbeat((max(0, row[0] - 120), "", "", 0, 0, ""))
-        assert plain.drain() + plain.flush() == noisy.drain() + noisy.flush()
-
-    def test_heartbeat_same_bucket_is_noop(self, registry):
-        query = parse_query(
-            "select tb, count(*) as c from TCP group by time/60 as tb", registry
-        )
-        engine = QueryEngine(query, SCHEMA, emit_on_bucket_change=True)
-        engine.process(ROWS[0])
-        engine.heartbeat((ROWS[0][0] + 1, "", "", 0, 0, ""))  # same minute
-        assert engine.drain() == []
-
-    def test_heartbeat_before_any_data(self, registry):
-        query = parse_query(
-            "select tb, count(*) as c from TCP group by time/60 as tb", registry
-        )
-        engine = QueryEngine(query, SCHEMA, emit_on_bucket_change=True)
-        engine.heartbeat((5, "", "", 0, 0, ""))
-        engine.process(ROWS[0])
-        engine.process(ROWS[4])
-        assert engine.drain() == [{"tb": 0, "c": 1}]
+        output = run_query(query, SCHEMA, stream())
+        # Minute 0 closes when minute 1's tuple arrives, not before.
+        assert next(output) == {"tb": 0, "c": 4}
+        assert fed == ROWS
+        assert list(output) == [{"tb": 1, "c": 1}]
 
     def test_run_query_streams_buckets(self, registry):
-        query = parse_query(
-            "select tb, count(*) as c from TCP group by time/60 as tb", registry
-        )
+        query = parse_query(self.BUCKET_SQL, registry)
         output = list(run_query(query, SCHEMA, ROWS))
         assert output == [{"tb": 0, "c": 4}, {"tb": 1, "c": 1}]
+
+    def test_nan_buckets_close_in_stream_order(self, registry):
+        """A first key that is not equal to itself is its own bucket
+        unless it is the very same object, as a dict key is."""
+        schema = Schema([Field("ts", FieldType.FLOAT), Field("v", FieldType.INT)])
+        query = parse_query(
+            "select tb, count(*) as c from S group by ts as tb", registry
+        )
+        nan = float("nan")
+        rows = [(1.0, 1), (nan, 2), (nan, 3), (2.0, 4), (float("nan"), 5)]
+        output = [(row["tb"], row["c"]) for row in run_query(query, schema, rows)]
+        assert repr(output) == repr([(1.0, 1), (nan, 2), (2.0, 1), (nan, 1)])
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.sampled_from("abc"), st.integers(0, 9)
+            ),
+            max_size=40,
+        ),
+        where=st.sampled_from([None, 3]),
+        tail=st.sampled_from(["", " having c > 1", " limit 2",
+                              " having s > 4 order by s desc limit 1"]),
+        two_level=st.booleans(),
+    )
+    def test_equals_one_flush_per_run_of_a_first_key(
+        self, registry, low_table, rows, where, tail, two_level
+    ):
+        low_table(3)
+        schema = Schema([
+            Field("tb", FieldType.INT), Field("k", FieldType.STR),
+            Field("v", FieldType.INT),
+        ])
+        query = parse_query(
+            "select tb, k, count(*) as c, sum(v) as s from S"
+            + (f" where v > {where}" if where is not None else "")
+            + " group by tb, k" + tail,
+            registry,
+        )
+        passing = [row for row in rows if where is None or row[2] > where]
+        expected = []
+        for _tb, run in itertools.groupby(passing, key=lambda row: row[0]):
+            engine = QueryEngine(query, schema, two_level=two_level)
+            for row in run:
+                engine.process(row)
+            expected.extend(engine.flush())
+        assert list(run_query(query, schema, rows, two_level)) == expected
 
 
 class TestStatistics:
@@ -407,21 +382,6 @@ class TestInsertMany:
             batched.insert_many(rows[begin : begin + 64])
         assert batched.low_evictions == per_tuple.low_evictions
         assert batched.flush() == per_tuple.flush()
-
-    def test_identical_with_bucket_emission(self, registry):
-        rows = self.make_rows()
-        per_tuple, batched = self.engines(registry, emit_on_bucket_change=True)
-        drained_tuple, drained_batch = [], []
-        for row in rows:
-            per_tuple.process(row)
-            drained_tuple.extend(per_tuple.drain())
-        # Batch boundaries deliberately misaligned with bucket boundaries.
-        for begin in range(0, len(rows), 97):
-            batched.insert_many(rows[begin : begin + 97])
-            drained_batch.extend(batched.drain())
-        drained_tuple.extend(per_tuple.flush())
-        drained_batch.extend(batched.flush())
-        assert drained_batch == drained_tuple
 
     def test_identical_single_level(self, registry):
         rows = self.make_rows(n=800)

@@ -1,4 +1,4 @@
-"""The v3 partial-state blob: golden bytes, exact round trips, hostile input.
+"""The v4 partial-state blob: golden bytes, exact round trips, hostile input.
 
 ``partial_state_bytes()`` is the one encoding every carrier ships raw —
 shard replies, PARTIALS_OK / ADOPT bodies, ``checkpoint.bin`` — so its
@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.cols import pack_cols, pack_column
+from repro.core.cols import pack_cols, pack_column, read_column
 from repro.core.errors import MergeError
 from repro.core.merge import merge_all
 from repro.dsms import engine as engine_module
@@ -124,10 +124,31 @@ GOLDEN_SQL = (
     "from TCP group by time/60 as tb, destIP"
 )
 GOLDEN_ROWS = [(61, "h1", 40), (62, "h2", 1500), (63, "h1", 40)]
-#: Scalar + sketch aggregates over two groups, bucket 1 still open, as the
-#: writer lays it out: the column blocks at the widths the values need
-#: (i8, str/u8, the integral sums as f64/i16, bytes/u8).
+#: Scalar + sketch aggregates over two groups, as the writer lays it out:
+#: the column blocks at the widths the values need (i8, str/u8, the
+#: integral sums as f64/i16, bytes/u8).
 GOLDEN_BLOB = bytes.fromhex(
+    "0400000000000000030000000000000003000000000000000000000002000400"
+    "03230000009b8a04060353454c4543542074622041532074622c206465737449"
+    "50204153206465737449502c20636f756e74282a2920415320632c2073756d28"
+    "6c656e2920415320732c20756e6172795f6868286c656e292041532068682046"
+    "524f4d205443502047524f5550204259202874696d65202f2036302920415320"
+    "74622c206465737449502041532064657374495074696d656465737449506c65"
+    "6e31000000030101ff0300000000000000000000000200053100000002010123"
+    "00000006020268316832310000000202012200000004005005dc25000000f67a"
+    "7a0211756e6172795f7370616365736176696e67080300000007020805086361"
+    "706163697479746f74616c636f756e7465727300036400000000000000050000"
+    "0000000000400701000000000703000000000702000000000603000000696e74"
+    "0328000000000000000302000000000000000300000000000000000211756e61"
+    "72795f7370616365736176696e67080300000007020805086361706163697479"
+    "746f74616c636f756e746572730003640000000000000005000000000000f03f"
+    "0701000000000703000000000702000000000603000000696e7403dc05000000"
+    "000000030100000000000000030000000000000000f6e9b1c0"
+)
+#: The same state as the commits before the engine dropped its open time
+#: bucket wrote it (version 3: a bucket count in the header and a column
+#: holding bucket 1).  This build refuses it, naming the version.
+GOLDEN_BLOB_V3 = bytes.fromhex(
     "0300000000000000030000000000000003000000000000000000000002000401"
     "0003230000009b8a04060353454c4543542074622041532074622c2064657374"
     "4950204153206465737449502c20636f756e74282a2920415320632c2073756d"
@@ -192,7 +213,7 @@ GOLDEN_BLOB_V2 = bytes.fromhex(
 )
 #: The same state as the commit before packed summary buffers wrote it:
 #: the wide framing, the two ``unary_hh`` buffers in the version-1 (JSON)
-#: layout.  Restamped at the current version (:func:`restamp`), this
+#: layout.  Re-framed at the current version (:func:`restamp`), this
 #: build refuses them, naming the summaries' version.
 GOLDEN_BLOB_V1_SUMMARIES = bytes.fromhex(
     "0200000000000000030000000000000003000000000000000000000002000401"
@@ -216,19 +237,31 @@ GOLDEN_BLOB_V1_SUMMARIES = bytes.fromhex(
 )
 
 
+#: The header of versions 2 and 3: the current one plus an open-bucket
+#: count between the text and slot counts.
+_BUCKETED_HEAD = struct.Struct("!BQQQIHBH")
+
+
 def restamp(blob: bytes) -> bytes:
-    """``blob`` with the current container version and its CRC32 resealed;
-    the column batches inside stay as they were (their codec reads every
-    version it ever wrote)."""
-    body = bytes([PARTIAL_STATE_VERSION]) + blob[1:-4]
+    """A version-2 or -3 ``blob`` re-framed at the current version: the
+    header's bucket count and the bucket column dropped, the rest kept
+    byte for byte (the column codec reads every version it ever wrote)
+    and the CRC32 resealed."""
+    _v, *counters, texts, buckets, slots = _BUCKETED_HEAD.unpack_from(blob)
+    view = memoryview(blob)
+    text_end = read_column(view, _BUCKETED_HEAD.size, texts)[1]
+    bucket_end = read_column(view, text_end, buckets)[1]
+    body = b"".join((
+        struct.pack("!BQQQIHH", PARTIAL_STATE_VERSION, *counters, texts, slots),
+        view[_BUCKETED_HEAD.size:text_end],
+        view[bucket_end:-4],
+    ))
     return body + struct.pack("!I", zlib.crc32(body))
 
 
 def golden_engine(rows=()) -> QueryEngine:
     engine = QueryEngine(
-        parse_query(GOLDEN_SQL, default_registry()),
-        GOLDEN_SCHEMA,
-        emit_on_bucket_change=True,
+        parse_query(GOLDEN_SQL, default_registry()), GOLDEN_SCHEMA
     )
     engine.insert_many(list(rows))
     return engine
@@ -238,8 +271,10 @@ class TestGoldenBytes:
     def test_writer_matches_fixture(self):
         blob = golden_engine(GOLDEN_ROWS).partial_state_bytes()
         assert blob == GOLDEN_BLOB
-        assert len(GOLDEN_BLOB_V2_WIDE) - len(blob) == 92
-        assert len(GOLDEN_BLOB_V2) - len(blob) == 12  # two sums, 8 -> 2 bytes
+        # Version 4 is version 3 less its bucket count and column.
+        assert restamp(GOLDEN_BLOB_V3) == blob
+        assert len(restamp(GOLDEN_BLOB_V2_WIDE)) - len(blob) == 85
+        assert len(restamp(GOLDEN_BLOB_V2)) - len(blob) == 12  # sums 8 -> 2 B
 
     @pytest.mark.parametrize("blob", [GOLDEN_BLOB, restamp(GOLDEN_BLOB_V2_WIDE)])
     def test_fixture_decodes_to_the_source_state(self, blob):
@@ -247,12 +282,8 @@ class TestGoldenBytes:
         restored.merge_partial(blob)
         source = golden_engine(GOLDEN_ROWS)
         assert restored.tuples_processed == 3
-        # The open bucket was adopted, not emitted; the next bucket's
-        # first tuple closes it exactly as in the source.
-        assert restored.drain() == []
         for engine in (restored, source):
             engine.process((120, "h1", 1))
-        assert restored.drain() == source.drain()
         assert restored.flush() == source.flush()
 
     def test_blob_with_version_1_summaries_is_refused(self):
@@ -265,9 +296,8 @@ class TestGoldenBytes:
     def test_describe_reads_the_fixture(self):
         wide = restamp(GOLDEN_BLOB_V2_WIDE)
         info = describe_partial_state(wide)
-        assert info["version"] == PARTIAL_STATE_VERSION == 3
+        assert info["version"] == PARTIAL_STATE_VERSION == 4
         assert (info["groups"], info["bytes"]) == (2, len(wide))
-        assert info["open_bucket"] == [1]
         assert info["slots"] == [1, 1, -1]
         assert info["columns"] == [
             ("i64", 16), ("str/u32", 12), ("i64", 16), ("f64", 16),
@@ -391,12 +421,11 @@ def crafted(groups, slots, cols, texts=None) -> bytes:
     if texts is None:
         texts = [engine.query.sql(), *engine.schema.names()]
     head = struct.pack(
-        "!BQQQIHBH", PARTIAL_STATE_VERSION, 0, 0, 0, groups, len(texts), 0,
+        "!BQQQIHH", PARTIAL_STATE_VERSION, 0, 0, 0, groups, len(texts),
         len(slots),
     )
     return reseal(
-        head + pack_column(texts) + pack_column([]) + pack_column(slots)
-        + pack_cols(cols)
+        head + pack_column(texts) + pack_column(slots) + pack_cols(cols)
     )
 
 
@@ -439,6 +468,15 @@ class TestHostileInput:
             MergeError, match="unsupported partial-state version 1"
         ):
             golden_engine().merge_partial(b'\x01{"version":1,"groups":[]}')
+
+    def test_a_version_3_blob_names_its_version(self):
+        engine = golden_engine()
+        for read in (engine.merge_partial, describe_partial_state):
+            with pytest.raises(
+                MergeError, match="unsupported partial-state version 3 "
+            ):
+                read(GOLDEN_BLOB_V3)
+        assert untouched(engine)
 
     @pytest.mark.parametrize("blob", [GOLDEN_BLOB_V2, GOLDEN_BLOB_V2_WIDE])
     def test_a_version_2_blob_names_its_version(self, blob):

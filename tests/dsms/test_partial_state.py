@@ -107,7 +107,7 @@ class TestRoundTrip:
         assert engine.flush() == ingest_all(build_engine(), rows).flush()
 
 
-class TestTwoLevelAndBuckets:
+class TestTwoLevel:
     def test_two_level_with_forced_evictions(self, low_table):
         low_table(2)
         rows = make_rows(300)
@@ -126,47 +126,6 @@ class TestTwoLevelAndBuckets:
         one = ingest_all(build_engine(two_level=False), rows)
         two = ingest_all(build_engine(two_level=True), rows)
         assert one.partial_state_bytes() == two.partial_state_bytes()
-
-    @pytest.mark.parametrize(
-        "sql",
-        [
-            "select tb, count(*) as c from TCP group by time/60 as tb",
-            "select tb, destIP, count(*) as c, sum(len) as s from TCP "
-            "group by time/60 as tb, destIP",
-        ],
-        ids=["bucket", "bucket-and-key"],
-    )
-    def test_open_bucket_survives_round_trip(self, sql):
-        rows = make_rows(90)  # spans bucket 0 and an open bucket 1
-        direct = build_engine(sql, emit_on_bucket_change=True)
-        direct.insert_many(rows)
-        direct.drain()  # bucket 0 emitted pre-snapshot on both sides
-
-        donor = build_engine(sql, emit_on_bucket_change=True)
-        donor.insert_many(rows)
-        donor.drain()  # bucket 0 already emitted by the donor
-        restored = build_engine(sql, emit_on_bucket_change=True)
-        restored.merge_partial(donor.partial_state_bytes())
-
-        # The open bucket was adopted, not emitted: feeding the next
-        # bucket's first tuple closes it exactly as in the donor.
-        assert restored.drain() == []
-        closer = (120, "s0", "h0", 80, 10, "tcp")
-        direct.process(closer)
-        restored.process(closer)
-        assert restored.drain() == direct.drain()
-
-    def test_merge_keeps_own_open_bucket(self):
-        sql = "select tb, count(*) as c from TCP group by time/60 as tb"
-        left = build_engine(sql, emit_on_bucket_change=True)
-        left.process((130, "s0", "h0", 80, 10, "tcp"))  # bucket 2 open
-        right = build_engine(sql, emit_on_bucket_change=True)
-        right.process((70, "s0", "h0", 80, 10, "tcp"))  # bucket 1 open
-        left.merge_partial(right.partial_state_bytes())
-        # left already had a bucket: the snapshot's must not replace it.
-        assert left.drain() == []
-        rows = left.flush()
-        assert {r["tb"]: r["c"] for r in rows} == {1: 1, 2: 1}
 
 
 class TestSketchStates:

@@ -114,31 +114,6 @@ class TestEqualsFlushAndFold:
         assert build(["count(*)"]).snapshot_rows() == []
 
 
-class TestEmittingEngine:
-    SQL = "select tb, k, count(*) as c from TCP group by time/10 as tb, k"
-
-    def make(self):
-        return QueryEngine(
-            parse_query(self.SQL, registry()), SCHEMA,
-            emit_on_bucket_change=True,
-        )
-
-    def test_undrained_buckets_come_first_and_stay_queued(self):
-        live, twin = self.make(), self.make()
-        for engine in (live, twin):
-            engine.insert_many(stream(35))  # buckets 0..2 closed, 3 open
-        expected = twin.flush()
-        emitted = [row for row in expected if row["tb"] < 3]
-        assert 0 < len(emitted) < len(expected)
-        assert expected[: len(emitted)] == emitted
-        rows = live.snapshot_rows()
-        assert rows == expected
-        # A reader scribbling on its rows does not reach the queue.
-        rows[0]["c"] = -1
-        assert live.drain() == emitted
-        assert live.flush() == expected[len(emitted):]
-
-
 class TestStoreBacked:
     #: Read-amplification counters: a read is allowed — required — to
     #: count the pages it reads.  Everything else must not move.

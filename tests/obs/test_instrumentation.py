@@ -181,6 +181,20 @@ class TestRecordedMetrics:
         assert snap["engine.query.ingest.selected"]["raw_total"] == tcp
         assert snap["engine.query.ingest.latency_us"]["count"] == len(rows)
 
+    def test_emitted_counts_the_rows_each_flush_returns(self):
+        metrics = MetricsRegistry(enabled=True)
+        engine = QueryEngine(
+            parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
+        )
+        rows = make_rows()
+        engine.insert_many(rows[:200])
+        first = engine.flush()
+        engine.insert_many(rows[200:])
+        second = engine.flush()
+        assert engine.flush() == []
+        emitted = metrics.snapshot()["metrics"]["engine.query.rows.emitted"]
+        assert emitted["raw_total"] == len(first) + len(second) > 0
+
     def test_hot_keys_track_group_keys_not_time_buckets(self):
         metrics = MetricsRegistry(enabled=True)
         run_engine(metrics=metrics)

@@ -123,23 +123,6 @@ class TestByteIdentity:
         assert store.cold_count > 0
         assert engine.flush() == reference_flush(SKETCH_SQL, rows)
 
-    def test_open_time_buckets_emit_identically(self, tmp_path):
-        rows = sorted(make_rows(900, groups=50), key=lambda r: r[0])
-        store = TieredStore(str(tmp_path / "s"), hot_groups=6)
-        engine = build_engine(
-            SKETCH_SQL, store=store, emit_on_bucket_change=True
-        )
-        reference = build_engine(SKETCH_SQL, emit_on_bucket_change=True)
-        emitted, ref_emitted = [], []
-        for i in range(0, len(rows), 128):
-            batch = rows[i : i + 128]
-            engine.insert_many(batch)
-            reference.insert_many(batch)
-            emitted.extend(engine.drain())
-            ref_emitted.extend(reference.drain())
-        assert emitted == ref_emitted
-        assert engine.flush() == reference.flush()
-
     def test_partial_state_splices_cold_groups(self, tmp_path):
         rows = make_rows()
         store = TieredStore(str(tmp_path / "s"), hot_groups=10)
@@ -540,15 +523,17 @@ class TestCheckpointRestore:
             (lambda m: "x", "a str"),
             (lambda m: {**m, "version": 1}, "version 1 "),
             (lambda m: {**m, "version": 2}, "version 2 "),
+            # What the last build to record an open time bucket wrote.
+            (lambda m: {**m, "version": 3, "bucket": None}, "version 3 "),
             (lambda m: {k: v for k, v in m.items() if k != "segments"},
              "'segments' is None"),
             (lambda m: {**m, "segments": 5}, "'segments' is 5"),
             (lambda m: {**m, "segments": [5]}, "'segments' is [5]"),
             (lambda m: {**m, "directory_file": None}, "'directory_file' is None"),
         ],
-        ids=["list", "null", "str", "version-1", "version-2", "no-segments",
-             "segments-int",
-             "segment-name-int", "directory-file-null"],
+        ids=["list", "null", "str", "version-1", "version-2", "version-3",
+             "no-segments", "segments-int", "segment-name-int",
+             "directory-file-null"],
     )
     def test_a_malformed_manifest_is_refused_before_any_file_moves(
         self, tmp_path, edit, named

@@ -2,9 +2,10 @@
 
 An option that only tests set is a module constant instead (the engine's
 ``LOW_TABLE_SIZE``; ``low_table`` in ``tests/conftest.py`` patches it) or
-is gone.  ``two_level`` and ``emit_on_bucket_change`` stay on
-``QueryEngine`` (Fig. 2(b), ``repro query --single-level``, ``run_query``),
-and ``metrics`` on ``QueryEngine`` and ``time_query`` (the instrumented
+is gone.  ``two_level`` stays on ``QueryEngine`` (Fig. 2(b), ``repro
+query --single-level``, ``run_query``) — time buckets are ``run_query``'s
+alone, so the engine, its blob and the store carry none — and
+``metrics`` on ``QueryEngine`` and ``time_query`` (the instrumented
 pass of ``repro bench``), so a grep alone cannot keep them off the plan,
 the backends, the router, the store and the sharded engine: these
 signatures are pinned name for name, and the methods a retired
@@ -15,13 +16,13 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
 SIGNATURES = {
     "repro.dsms.engine.QueryEngine": (
-        "query", "schema", "two_level", "emit_on_bucket_change", "metrics",
-        "metrics_name", "store",
+        "query", "schema", "two_level", "metrics", "metrics_name", "store",
     ),
     "repro.dsms.engine.run_query": ("query", "schema", "rows", "two_level"),
     "repro.parallel.worker.ShardPlan": (
@@ -39,6 +40,7 @@ SIGNATURES = {
         "plan", "placement", "make_owner", "frame_rows", "checkpoint_reads",
     ),
     "repro.store.tiered.TieredStore": ("directory", "hot_groups"),
+    "repro.store.tiered.TieredStore.take_cold": ("self",),
     "repro.serve.client._ClientCore": (
         "host", "port", "schema_names", "retries", "backoff_s",
     ),
@@ -65,8 +67,7 @@ SIGNATURES = {
 
 @pytest.mark.parametrize("path", sorted(SIGNATURES))
 def test_parameter_names_are_pinned(path):
-    module, _, name = path.rpartition(".")
-    target = getattr(importlib.import_module(module), name)
+    target = pkgutil.resolve_name(path)
     assert tuple(inspect.signature(target).parameters) == SIGNATURES[path]
 
 
@@ -100,6 +101,10 @@ def test_parameter_names_are_pinned(path):
         ("repro.dsms.runtime", "measure_per_tuple_cost"),
         ("repro.bench.tables", "print_table"),
         ("repro.obs.instrument", "instrument_engine"),
+        # Bucket-close emission, now run_query's alone.
+        ("repro.dsms.engine.QueryEngine", "heartbeat"),
+        ("repro.dsms.engine.QueryEngine", "drain"),
+        ("repro.store.tiered.TieredStore", "load_bucket"),
     ],
 )
 def test_stranded_methods_stay_deleted(path, method):
