@@ -8,8 +8,8 @@ A full reproduction of Cormode, Shkapenyuk, Srivastava & Xu (ICDE 2009):
 * :mod:`repro.sampling` — decayed sampling with/without replacement,
   weighted reservoirs, priority sampling, and the Aggarwal baseline;
 * :mod:`repro.sketches` — the summary substrate (SpaceSaving, q-digest,
-  Greenwald-Khanna, Count-Min, Exponential Histograms, sliding-window
-  heavy hitters, KMV, dominance norms);
+  Greenwald-Khanna, Exponential Histograms, sliding-window heavy
+  hitters, KMV, dominance norms);
 * :mod:`repro.dsms` — a GS-style stream database: GSQL-like queries,
   two-level aggregation, UDAFs, and a load-shedding runtime;
 * :mod:`repro.workloads` — synthetic network-traffic and value-stream

@@ -40,13 +40,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".quantiles": ("DecayedQuantiles",),
         ".distinct": ("DecayedDistinctCount", "ExactDecayedDistinct"),
         ".merge": ("Mergeable", "merge_all"),
-        ".protocol": ("StreamSummary",),
+        ".protocol": ("StreamSummary", "dump_decay", "load_decay"),
         ".registry": (
             "SummaryInfo", "register_summary", "get_summary", "summary_name_of",
             "summary_names", "iter_summaries", "create_summary",
         ),
         ".window": ("TumblingLandmarkWindows", "ClosedWindow"),
-        ".serde": ("dump_summary", "load_summary", "dump_decay", "load_decay"),
         ".errors": (
             "DecayError", "ParameterError", "LandmarkError", "TimestampError",
             "EmptySummaryError", "MergeError", "QueryError", "SchemaError",

@@ -80,7 +80,6 @@ _SUMMARY_MODULES: dict[str, tuple[str, ...]] = {
     "repro.sketches.spacesaving": ("weighted_spacesaving", "unary_spacesaving"),
     "repro.sketches.qdigest": ("qdigest",),
     "repro.sketches.gk": ("gk_summary",),
-    "repro.sketches.countmin": ("countmin",),
     "repro.sketches.kmv": ("kmv",),
     "repro.sketches.dominance": ("dominance_norm",),
     "repro.sketches.exponential_histogram": ("eh_count", "eh_sum"),

@@ -1,20 +1,11 @@
-"""Checkpoint / restore serialization for decayed summaries.
+"""Engine checkpoint files: the partial-state checkpoint image.
 
-Streaming deployments need crash recovery and state migration: a summary
-checkpointed to a JSON-compatible dict must restore to an object that
-answers every query identically and keeps accepting updates.  This module
-provides that for **every summary in the registry** — aggregates, sketches,
-and samplers alike (samplers capture their RNG state, so a restored sampler
-continues the exact random sequence).
-
-``dump_summary`` produces ``{"type": ..., "name": ..., "version": 1,
-"payload": ...}`` with only JSON-native values; ``load_summary`` inverts
-it, dispatching on the registry name.  The payload is
-:meth:`StreamSummary._state_payload`, which :mod:`repro.core.protocol`
-derives from each class's declared ``_FIELDS`` — the same representation
-behind :meth:`StreamSummary.to_bytes`.  Decay functions round-trip
-through their dataclass fields, so any ``g`` shipped with the library is
-supported.
+A server persists its engines' :meth:`~repro.dsms.engine.QueryEngine.
+partial_state_bytes` buffers as one CRC-checked file
+(:func:`dump_partials_checkpoint`) and restores from it
+(:func:`load_partials_checkpoint`).  A single summary's one codec is
+:meth:`~repro.core.protocol.StreamSummary.to_bytes` /
+:meth:`~repro.core.protocol.StreamSummary.from_bytes`.
 """
 
 from __future__ import annotations
@@ -25,13 +16,8 @@ import zlib
 
 from repro.core.cols import pack_column, read_column
 from repro.core.errors import ParameterError, ProtocolError
-from repro.core.protocol import dump_decay, load_decay
 
 __all__ = [
-    "dump_summary",
-    "load_summary",
-    "dump_decay",
-    "load_decay",
     "fsync_dir",
     "dump_partials_checkpoint",
     "read_partials_checkpoint",
@@ -39,50 +25,6 @@ __all__ = [
     "PARTIALS_CHECKPOINT_VERSION",
     "CHECKPOINT_FILENAME",
 ]
-
-_VERSION = 1
-
-# -- summary envelopes -------------------------------------------------------------
-
-
-def dump_summary(summary) -> dict:
-    """Serialize any registered summary to a JSON-compatible dict.
-
-    The envelope carries both the registry ``name`` (the stable identifier)
-    and the class name (for human inspection); the payload is the
-    summary's own :meth:`StreamSummary._state_payload`.
-    """
-    from repro.core import registry
-
-    return {
-        "type": type(summary).__name__,
-        "name": registry.summary_name_of(type(summary)),
-        "version": _VERSION,
-        "payload": summary._state_payload(),
-    }
-
-
-def load_summary(data: dict):
-    """Restore a summary serialized by :func:`dump_summary`.
-
-    Dispatches on the registry ``name``; an envelope without one, or of
-    any other shape, is a :class:`ParameterError`.
-    """
-    from repro.core.protocol import StreamSummary
-
-    if not isinstance(data, dict):
-        raise ParameterError(
-            f"a checkpoint envelope is a dict, got a {type(data).__name__}"
-        )
-    if data.get("version") != _VERSION:
-        raise ParameterError(
-            f"unsupported checkpoint version {data.get('version')!r}"
-        )
-    if not isinstance(data.get("name"), str) or "payload" not in data:
-        raise ParameterError(
-            "a checkpoint envelope needs a registry 'name' and a 'payload'"
-        )
-    return StreamSummary._restore_payload(data["name"], data["payload"])
 
 
 def fsync_dir(directory: str) -> None:

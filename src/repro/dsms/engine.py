@@ -174,14 +174,18 @@ class QueryEngine:
                 (*self._group_fns, *(arg.compile(schema) for arg in distinct)),
             )
         )
-        # Non-aggregate select items are evaluated from the group key at
-        # finalize time (they must reference GROUP BY aliases only).
-        self._plain_items = tuple(
-            item.alias
-            for item in query.select
-            if not item.is_aggregate and item.expression is not None
-        )
         self._select_order = tuple(item.alias for item in query.select)
+        # Non-aggregate select items other than the GROUP BY aliases are
+        # functions of the group key, compiled over its aliases here so a
+        # non-grouped column fails when the engine is built.
+        self._plain_items = tuple(
+            (item.alias, self._compile_over(
+                item.expression, self._group_aliases,
+                f"select item {item.alias!r} references non-grouped columns ",
+            ))
+            for item in query.select
+            if not item.is_aggregate and item.alias not in self._group_aliases
+        )
         # HAVING / ORDER BY run over output aliases; compiled here so a
         # clause naming an unknown alias fails when the engine is built.
         # Each entry: (clause text for error messages, row -> value, ...).
@@ -583,16 +587,25 @@ class QueryEngine:
 
     def _compile_output_expression(self, expression) -> Callable[[ResultRow], object]:
         """Compile an expression over output aliases into a row-dict callable."""
+        return self._compile_over(
+            expression, (*self._select_order, *self._group_aliases),
+            "HAVING/ORDER BY may only reference output aliases; unknown: ",
+        )
+
+    def _compile_over(
+        self, expression, names, refusal: str
+    ) -> Callable[[ResultRow], object]:
+        """Compile ``expression`` over the row-dict entries ``names``.
+
+        A column outside ``names`` is a :class:`QueryError` reading
+        ``refusal`` followed by the missing columns.
+        """
         from repro.dsms.schema import Field, FieldType, Schema
 
         columns = sorted(expression.columns())
-        aliases = set(self._select_order) | set(self._group_aliases)
-        missing = [c for c in columns if c not in aliases]
+        missing = [c for c in columns if c not in names]
         if missing:
-            raise QueryError(
-                f"HAVING/ORDER BY may only reference output aliases; "
-                f"unknown: {missing}"
-            )
+            raise QueryError(f"{refusal}{missing}")
         if not columns:
             value = None
 
@@ -614,32 +627,9 @@ class QueryEngine:
             if plan.post_fn is not None:
                 value = plan.post_fn(value)
             row[plan.alias] = value
-        for alias in self._plain_items:
-            if alias not in row:
-                # Non-aggregate select items must be GROUP BY aliases or
-                # functions thereof; evaluate against the key bindings.
-                row[alias] = self._evaluate_against_key(alias, key)
+        for alias, evaluate in self._plain_items:
+            row[alias] = evaluate(row)
         return row
-
-    def _evaluate_against_key(self, alias: str, key: tuple) -> object:
-        bindings = dict(zip(self._group_aliases, key))
-        for item in self.query.select:
-            if item.alias == alias and item.expression is not None:
-                from repro.dsms.schema import Field, FieldType
-
-                columns = sorted(item.expression.columns())
-                if not columns:
-                    return item.expression.evaluate((), self.schema)
-                missing = [c for c in columns if c not in bindings]
-                if missing:
-                    raise QueryError(
-                        f"select item {alias!r} references non-grouped "
-                        f"columns {missing}"
-                    )
-                pseudo = Schema([Field(c, FieldType.FLOAT) for c in columns])
-                row = tuple(bindings[c] for c in columns)
-                return item.expression.evaluate(row, pseudo)
-        raise QueryError(f"unknown select alias {alias!r}")  # pragma: no cover
 
     def _drain_low(self) -> None:
         """Merge every low-level partial upward (a merge-neutral operation:

@@ -73,27 +73,13 @@ class Schema:
         """Field names in schema order."""
         return [f.name for f in self.fields]
 
-    def validate(self, row: tuple) -> None:
-        """Check a tuple's arity and types against the schema.
-
-        Meant for ingest boundaries and tests; the hot engine path skips
-        validation, as a production DSMS would after parse time.  Types
-        are checked by :meth:`validate_cols` on the row's one-value
-        columns, so a row and a batch obey one rule.
-        """
-        if len(row) != len(self.fields):
-            raise SchemaError(
-                f"arity mismatch: schema has {len(self.fields)} fields, "
-                f"row has {len(row)}"
-            )
-        self.validate_cols([[value] for value in row])
-
     def validate_cols(self, cols: list, kinds=None) -> int:
         """Check a columnar batch against the schema; returns the row count.
 
-        The one type rule (:meth:`validate` runs it on a single row): one
-        arity check for the whole batch, one length check and one type sweep per column —
-        O(fields + values) with no per-row tuple in sight.  Raises
+        The one type rule (a single row is checked as one-value columns):
+        one arity check for the whole batch, one length check and one type
+        sweep per column — O(fields + values) with no per-row tuple in
+        sight.  Raises
         :class:`SchemaError` naming the first offending field.
 
         ``kinds`` — the :mod:`repro.core.cols` kind byte of the block each

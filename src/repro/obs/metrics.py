@@ -8,9 +8,9 @@ numerator trick intact.  A :class:`DecayedCounter` stores only the numerator
 rescale stored state, they apply the single division by ``g(now - L)``.
 Each decayed primitive holds a
 :class:`~repro.core.weights.ForwardWeightEngine` over ``ExponentialG(alpha)``
-with nominal landmark 0: it computes the arrival weight, renormalizes
-(Section VI-A) on the *write* path alone, and aligns landmarks for a merge.
-A write into empty state anchors the internal landmark at its own time.
+with nominal landmark 0: it computes the arrival weight and renormalizes
+(Section VI-A) on the *write* path alone.  A write into empty state
+anchors the internal landmark at its own time.
 
 Primitives:
 
@@ -20,12 +20,9 @@ Primitives:
 * :class:`HotKeyTracker` — SpaceSaving over group keys, optionally decayed;
 * :class:`LastValueGauge` — most recent sample of a sampled quantity.
 
-All primitives take an injectable ``clock`` (default ``time.time``) and an
-explicit ``now=`` override on every operation, so tests drive them with a
-manual clock and snapshots are deterministic.  All of them merge, with
-landmark alignment, so registries from distributed workers can be combined
-(Section VI-B: merging only requires agreement on ``g``; landmarks are
-reconciled by a single rescale).
+The time-sensitive primitives take an injectable ``clock`` (default
+``time.time``) and an explicit ``now=`` override on every operation, so
+tests drive them with a manual clock and snapshots are deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import time
 from typing import Callable, Hashable
 
 from repro.core.decay import ForwardDecay
-from repro.core.errors import MergeError, ParameterError
+from repro.core.errors import ParameterError
 from repro.core.functions import ExponentialG
 from repro.core.weights import ForwardWeightEngine, ScaleState
 from repro.sketches.gk import GKSummary
@@ -127,16 +124,6 @@ class DecayedCounter:
         now = self._clock() if now is None else now
         return self._num / self._engine.normalizer(now)
 
-    def merge(self, other: "DecayedCounter") -> None:
-        """Fold ``other`` in, aligning landmarks by a single rescale."""
-        if not isinstance(other, DecayedCounter):
-            raise MergeError(
-                f"cannot merge {type(other).__name__} into DecayedCounter"
-            )
-        factor = self._engine.align_for_merge(other._engine)  # may rescale _num
-        self._num += other._num * factor
-        self._raw += other._raw
-
     def snapshot(self, now: float | None = None) -> dict:
         """JSON-compatible state summary."""
         return {
@@ -164,14 +151,6 @@ class DecayedRateGauge:
         self._counter = DecayedCounter(half_life_s, clock=self._clock)
         self._start: float | None = None
 
-    @property
-    def half_life_s(self) -> float:
-        return self._counter.half_life_s
-
-    @property
-    def raw_total(self) -> float:
-        return self._counter.raw_total
-
     def observe(self, amount: float = 1.0, now: float | None = None) -> None:
         """Record ``amount`` worth of events at ``now``."""
         now = self._clock() if now is None else now
@@ -192,17 +171,6 @@ class DecayedRateGauge:
         if mass <= 0.0:
             return 0.0
         return self._counter.value(now) / mass
-
-    def merge(self, other: "DecayedRateGauge") -> None:
-        """Combine another gauge, keeping the earliest observation start."""
-        if not isinstance(other, DecayedRateGauge):
-            raise MergeError(
-                f"cannot merge {type(other).__name__} into DecayedRateGauge"
-            )
-        self._counter.merge(other._counter)
-        if other._start is not None:
-            if self._start is None or other._start < self._start:
-                self._start = other._start
 
     def snapshot(self, now: float | None = None) -> dict:
         """Serializable view: current rate plus raw totals."""
@@ -225,7 +193,7 @@ class LatencyQuantiles:
     unweighted.
     """
 
-    __slots__ = ("epsilon", "half_life_s", "_clock", "_engine", "_gk", "_count")
+    __slots__ = ("epsilon", "_clock", "_engine", "_gk", "_count")
 
     def __init__(
         self,
@@ -234,7 +202,6 @@ class LatencyQuantiles:
         clock: Clock | None = None,
     ):
         self.epsilon = epsilon
-        self.half_life_s = half_life_s
         self._clock = clock if clock is not None else time.time
         self._gk = GKSummary(epsilon)
         self._engine = (
@@ -264,15 +231,6 @@ class LatencyQuantiles:
             return None
         return self._gk.quantile(phi)
 
-    def merge(self, other: "LatencyQuantiles") -> None:
-        """Combine another sketch, aligning landmarks first (Section VI-B)."""
-        if not isinstance(other, LatencyQuantiles):
-            raise MergeError(
-                f"cannot merge {type(other).__name__} into LatencyQuantiles"
-            )
-        self._gk.merge(other._gk, _merge_factor(self, other))
-        self._count += other._count
-
     def snapshot(self, now: float | None = None) -> dict:
         """Serializable view: count plus p50/p90/p99."""
         return {
@@ -294,7 +252,7 @@ class HotKeyTracker:
     the single normalizer ``g(now - L)`` so reported weights are decayed.
     """
 
-    __slots__ = ("capacity", "half_life_s", "_clock", "_engine", "_ss")
+    __slots__ = ("capacity", "_clock", "_engine", "_ss")
 
     def __init__(
         self,
@@ -303,7 +261,6 @@ class HotKeyTracker:
         clock: Clock | None = None,
     ):
         self.capacity = capacity
-        self.half_life_s = half_life_s
         self._clock = clock if clock is not None else time.time
         # Here, not at module level: only engine instrumentation builds a
         # tracker, so a server's metrics registry never loads SpaceSaving.
@@ -349,14 +306,6 @@ class HotKeyTracker:
             for c in counters[:k]
         ]
 
-    def merge(self, other: "HotKeyTracker") -> None:
-        """Combine another tracker, aligning landmarks first (Section VI-B)."""
-        if not isinstance(other, HotKeyTracker):
-            raise MergeError(
-                f"cannot merge {type(other).__name__} into HotKeyTracker"
-            )
-        self._ss.merge(other._ss, _merge_factor(self, other))
-
     def snapshot(self, now: float | None = None, k: int = 5) -> dict:
         """Serializable view: the top ``k`` keys with weights and errors."""
         return {
@@ -369,51 +318,21 @@ class HotKeyTracker:
         }
 
 
-def _merge_factor(into, other) -> float:
-    """Align two optionally-decayed primitives; return ``other``'s factor."""
-    if (into._engine is None) != (other._engine is None):
-        raise MergeError(
-            f"half-life mismatch: {into.half_life_s} vs {other.half_life_s}"
-        )
-    if into._engine is None:
-        return 1.0
-    return into._engine.align_for_merge(other._engine)
-
-
 class LastValueGauge:
-    """Most recent sample of a sampled quantity (e.g. state bytes).
+    """Most recent sample of a sampled quantity (e.g. state bytes)."""
 
-    Merging keeps the later-stamped sample, so merged registries report the
-    freshest observation across workers.
-    """
+    __slots__ = ("_value",)
 
-    __slots__ = ("_clock", "_value", "_stamp")
-
-    def __init__(self, clock: Clock | None = None):
-        self._clock = clock if clock is not None else time.time
+    def __init__(self):
         self._value: float | None = None
-        self._stamp: float | None = None
 
-    def set(self, value: float, now: float | None = None) -> None:
+    def set(self, value: float) -> None:
         """Record the latest sample."""
         self._value = value
-        self._stamp = self._clock() if now is None else now
 
     def value(self) -> float | None:
         """The latest sample, or None before any ``set``."""
         return self._value
-
-    def merge(self, other: "LastValueGauge") -> None:
-        """Keep whichever sample was recorded later."""
-        if not isinstance(other, LastValueGauge):
-            raise MergeError(
-                f"cannot merge {type(other).__name__} into LastValueGauge"
-            )
-        if other._stamp is not None and (
-            self._stamp is None or other._stamp >= self._stamp
-        ):
-            self._value = other._value
-            self._stamp = other._stamp
 
     def snapshot(self, now: float | None = None) -> dict:
         """Serializable view: the latest sample."""

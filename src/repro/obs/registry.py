@@ -1,4 +1,4 @@
-"""The metrics registry: named metrics, no-op mode, snapshots, merging.
+"""The metrics registry: named metrics, no-op mode, snapshots.
 
 A :class:`MetricsRegistry` is the composition root of the observability
 layer: library code asks it for named metrics (created on first use) and
@@ -12,10 +12,6 @@ paths:
 * **deterministic snapshots** — every metric takes the registry's
   injectable clock, so ``snapshot(now=...)`` under a manual clock is a pure
   function of the recorded updates.
-
-Registries merge metric-by-metric (union of names, matching types), so
-per-worker registries combine into one cluster view — the same Section
-VI-B merge story as the data-plane summaries.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable
 
-from repro.core.errors import MergeError, ParameterError
+from repro.core.errors import ParameterError
 from repro.obs.metrics import (
     DecayedCounter,
     DecayedRateGauge,
@@ -74,9 +70,6 @@ class NullMetric:
     def top(self, *args, **kwargs) -> list:
         """Always empty."""
         return []
-
-    def merge(self, *args, **kwargs) -> None:
-        """Do nothing."""
 
     def snapshot(self, *args, **kwargs) -> dict:
         """A typed empty snapshot."""
@@ -169,9 +162,7 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> LastValueGauge:
         """A last-sample gauge."""
-        return self._get_or_create(
-            name, LastValueGauge, lambda: LastValueGauge(clock=self.clock)
-        )
+        return self._get_or_create(name, LastValueGauge, LastValueGauge)
 
     @contextmanager
     def timer(self, name: str, epsilon: float = 0.01):
@@ -191,31 +182,7 @@ class MetricsRegistry:
         finally:
             metric.observe((time.perf_counter_ns() - start) / 1e3)
 
-    # -- aggregation -----------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s metrics in, name by name.
-
-        Names present in both registries must hold the same metric type
-        (MergeError otherwise); names only in ``other`` are adopted by
-        merging into a fresh empty peer, so the two registries never share
-        mutable state afterwards.
-        """
-        if not isinstance(other, MetricsRegistry):
-            raise MergeError(
-                f"cannot merge {type(other).__name__} into MetricsRegistry"
-            )
-        for name, theirs in other._metrics.items():
-            mine = self._metrics.get(name)
-            if mine is None:
-                mine = _empty_clone(theirs, self.clock)
-                self._metrics[name] = mine
-            elif type(mine) is not type(theirs):
-                raise MergeError(
-                    f"metric {name!r} type mismatch: "
-                    f"{type(mine).__name__} vs {type(theirs).__name__}"
-                )
-            mine.merge(theirs)
+    # -- snapshots -------------------------------------------------------------
 
     def snapshot(self, now: float | None = None) -> dict:
         """JSON-compatible snapshot of every metric (sorted by name)."""
@@ -237,21 +204,6 @@ class MetricsRegistry:
             json.dump(snap, handle, indent=2, sort_keys=True)
             handle.write("\n")
         return snap
-
-
-def _empty_clone(metric, clock):
-    """A fresh metric with the same configuration as ``metric``."""
-    if isinstance(metric, DecayedCounter):
-        return DecayedCounter(metric.half_life_s, clock=clock)
-    if isinstance(metric, DecayedRateGauge):
-        return DecayedRateGauge(metric.half_life_s, clock=clock)
-    if isinstance(metric, LatencyQuantiles):
-        return LatencyQuantiles(metric.epsilon, metric.half_life_s, clock=clock)
-    if isinstance(metric, HotKeyTracker):
-        return HotKeyTracker(metric.capacity, metric.half_life_s, clock=clock)
-    if isinstance(metric, LastValueGauge):
-        return LastValueGauge(clock=clock)
-    raise MergeError(f"unknown metric type {type(metric).__name__}")
 
 
 def load_snapshot(path: str) -> dict:

@@ -10,7 +10,7 @@ The textbook single-draw sampler (retain item ``i`` with probability
 from __future__ import annotations
 
 import random
-from typing import Generic, Iterable, TypeVar
+from typing import Generic, TypeVar
 
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.keyed_random import KeyedRandom
@@ -81,11 +81,6 @@ class ReservoirSampler(StreamSummary, Generic[T]):
         slot = int(self._rng.random() * self._seen)
         if slot < self.k:
             self._reservoir[slot] = item
-
-    def extend(self, items: Iterable[T]) -> None:
-        """Offer every item of an iterable."""
-        for item in items:
-            self.update(item)
 
     def sample(self) -> list[T]:
         """The current sample (a copy; at most ``k`` items)."""

@@ -8,8 +8,6 @@ or compares against:
   baseline;
 * :mod:`repro.sketches.qdigest` — weighted q-digest quantiles, the engine
   of forward-decayed quantiles; :mod:`repro.sketches.gk` — GK quantiles;
-* :mod:`repro.sketches.countmin` — the weighted Count-Min point-query
-  sketch;
 * :mod:`repro.sketches.exponential_histogram` — Exponential Histograms for
   sliding-window count/sum, the paper's backward-decay baseline for Fig. 2;
 * :mod:`repro.sketches.swhh` — sliding-window heavy hitters, the backward
@@ -35,6 +33,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".kmv": ("KMVSketch",),
         ".dominance": ("DominanceNormEstimator",),
         ".gk": ("GKSummary",),
-        ".countmin": ("CountMinSketch",),
     },
 )

@@ -101,50 +101,6 @@ class GKSummary(StreamSummary):
         if self._since_compress * self.epsilon >= 1.0:
             self.compress()
 
-    def update_many(self, first, second=None) -> None:
-        """Batch ingest: the :meth:`update` loop inlined.
-
-        One bound-method dispatch per batch instead of per item; insert
-        positions, delta caps, and compression points are exactly those
-        of per-item updates (``compress`` rebinds the tuple lists, so
-        they are re-read each iteration).  A mid-batch validation error
-        leaves the prefix before it applied — same as the loop.
-        """
-        if second is not None and len(first) != len(second):
-            raise ParameterError(
-                f"column lengths differ: {len(first)} != {len(second)}"
-            )
-        isnan = math.isnan
-        isinf = math.isinf
-        epsilon = self.epsilon
-        pairs = (
-            zip(first, second) if second is not None
-            else ((value, 1.0) for value in first)
-        )
-        for value, weight in pairs:
-            if isnan(value) or isinf(value):
-                raise ParameterError(f"value must be finite, got {value!r}")
-            if not weight > 0 or isnan(weight) or isinf(weight):
-                raise ParameterError(
-                    f"weight must be positive finite, got {weight!r}"
-                )
-            tuples = self._tuples
-            values = self._values
-            index = bisect_right(values, value)
-            if index == 0 or index == len(tuples):
-                entry = _Tuple(value, weight, 0.0)
-            else:
-                cap = 2.0 * epsilon * self._total
-                successor = tuples[index]
-                delta = max(0.0, successor.g + successor.delta - 1e-12)
-                entry = _Tuple(value, weight, min(delta, cap))
-            tuples.insert(index, entry)
-            values.insert(index, value)
-            self._total += weight
-            self._since_compress += 1
-            if self._since_compress * epsilon >= 1.0:
-                self.compress()
-
     def compress(self) -> None:
         """Merge adjacent tuples while the GK invariant allows."""
         self._since_compress = 0

@@ -52,13 +52,12 @@ def hash_to_unit(item: Hashable, seed: int = 0) -> float:
     return int.from_bytes(digest, "big") / _HASH_DENOMINATOR
 
 
-def check_seed(seed, limit: int = SEED_LIMIT, what: str = "seed") -> int:
-    """``seed`` itself when it is an int in ``[0, limit)``, else a
+def check_seed(seed) -> int:
+    """``seed`` itself when it is an int in ``[0, 2**64)``, else a
     :class:`ParameterError` naming that range — so a seed
     :func:`hash_to_unit` cannot key fails where it is given."""
-    if not isinstance(seed, int) or not 0 <= seed < limit:
-        bound = "2**64" if limit == SEED_LIMIT else f"{limit:,}"
-        raise ParameterError(f"{what} must be an int in [0, {bound}), got {seed!r}")
+    if not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+        raise ParameterError(f"seed must be an int in [0, 2**64), got {seed!r}")
     return seed
 
 

@@ -27,7 +27,7 @@ class TestTraceCommand:
         rows = read_trace_csv(str(trace_file), PACKET_SCHEMA)
         assert len(rows) == 500
         for row in rows[:20]:
-            PACKET_SCHEMA.validate(row)
+            PACKET_SCHEMA.validate_cols([[value] for value in row])
 
     def test_roundtrip_preserves_rows(self, tmp_path):
         trace = generate_trace(duration_sec=0.5, rate_per_sec=200, seed=9)
@@ -82,6 +82,34 @@ class TestQueryCommand:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_a_non_grouped_select_item_is_refused(self, trace_file, capsys):
+        code = main([
+            "query",
+            "select destIP, len*2 as x, count(*) as c from TCP group by destIP",
+            "--trace", str(trace_file),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "error: select item 'x' references non-grouped columns ['len']"
+        )
+        assert captured.out == ""
+
+
+class TestServeCommand:
+    def test_a_non_grouped_select_item_fails_before_binding(self, capsys):
+        code = main([
+            "serve",
+            "select destIP, len*2 as x, count(*) as c from TCP group by destIP",
+            "--port", "0", "--run-seconds", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "error: select item 'x' references non-grouped columns ['len']"
+        )
+        assert "serving on" not in captured.out
 
 
 class TestClusterVerify:

@@ -128,7 +128,7 @@ def approx_equal(a, b, rel: float = 1e-9) -> bool:
 
 class TestRegistry:
     def test_every_entry_well_formed(self):
-        assert len(ALL) >= 26
+        assert len(ALL) >= 25
         for info in ALL:
             assert issubclass(info.cls, StreamSummary), info.name
             assert info.kind in ("aggregate", "sketch", "sampler"), info.name
@@ -379,7 +379,6 @@ BUFFER_BYTES = {
     "priority_sampler": 532,
     "reservoir": 215,
     "weighted_reservoir": 388,
-    "countmin": 5560,
     "dominance_norm": 3298,
     "eh_count": 405,
     "eh_sum": 772,
@@ -424,7 +423,6 @@ STATE_SIZE_BYTES = {
     "priority_sampler": 384,
     "reservoir": 128,
     "weighted_reservoir": 256,
-    "countmin": 5440,
     "dominance_norm": 1288,
     "eh_count": 560,
     "eh_sum": 1216,

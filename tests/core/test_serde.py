@@ -1,4 +1,5 @@
-"""Unit tests for checkpoint/restore serialization."""
+"""Unit tests for checkpoint/restore through the one summary codec,
+``to_bytes`` / ``from_bytes``."""
 
 from __future__ import annotations
 
@@ -25,14 +26,15 @@ from repro.core.functions import (
     PolynomialG,
 )
 from repro.core.heavy_hitters import DecayedHeavyHitters
+from repro.core.protocol import StreamSummary, dump_decay, load_decay
 from repro.core.quantiles import DecayedQuantiles
-from repro.core.serde import dump_decay, dump_summary, load_decay, load_summary
 from tests.conftest import PAPER_STREAM
+from tests.sampling.test_sampler_buffers import buffer
 
 
 def roundtrip(summary):
-    """dump -> JSON text -> load (exercising real serialization)."""
-    return load_summary(json.loads(json.dumps(dump_summary(summary))))
+    """to_bytes -> from_bytes, dispatching on the buffer's registry name."""
+    return StreamSummary.from_bytes(summary.to_bytes())
 
 
 class TestDecayRoundTrip:
@@ -165,9 +167,12 @@ class TestHolisticCheckpoints:
 
 
 class TestErrors:
-    def test_unregistered_type_rejected(self):
-        with pytest.raises(ParameterError):
-            dump_summary(object())
+    def test_unregistered_type_rejected(self, paper_decay):
+        class Unregistered(DecayedCount):
+            pass
+
+        with pytest.raises(ParameterError, match="not a registered summary"):
+            Unregistered(paper_decay).to_bytes()
 
     def test_sampler_round_trip_continues_rng_sequence(self):
         import random
@@ -188,26 +193,13 @@ class TestErrors:
     @pytest.mark.parametrize("type_name", ["Bogus", "DecayedCount"])
     def test_unknown_checkpoint_type_rejected(self, type_name, paper_decay):
         # Without a registry name even a known class name is refused.
-        payload = dump_summary(DecayedCount(paper_decay))["payload"]
+        payload = DecayedCount(paper_decay)._state_payload()
         with pytest.raises(ParameterError):
-            load_summary({"type": type_name, "version": 1, "payload": payload})
+            StreamSummary.from_bytes(buffer(type_name, payload))
 
     @pytest.mark.parametrize(
-        "envelope",
-        [
-            {"name": "decayed_count", "version": 1},
-            {"name": "weighted_spacesaving", "version": 1, "payload": {}},
-            {"name": "weighted_spacesaving", "version": 1, "payload": [1]},
-            [],
-            ["decayed_count", 1, {}],
-        ],
-        ids=["no-payload", "payload-missing-a-field", "payload-list", "empty-list",
-             "list"],
+        "payload", [{}, [1]], ids=["payload-missing-a-field", "payload-list"]
     )
-    def test_a_malformed_envelope_is_a_parameter_error(self, envelope):
+    def test_a_malformed_payload_is_a_parameter_error(self, payload):
         with pytest.raises(ParameterError):
-            load_summary(envelope)
-
-    def test_version_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            load_summary({"type": "DecayedCount", "version": 99, "payload": {}})
+            StreamSummary.from_bytes(buffer("weighted_spacesaving", payload))

@@ -9,7 +9,8 @@ an ``exact`` value left alone.  These tests hold the declarations to it:
   the engine owners ``tests/core/test_weights.py`` shifts and merges;
 * a summary fed weights ``2**20`` times too heavy and then scaled by
   ``2**-20`` is the one fed plain weights — every weight was scaled, and
-  nothing else;
+  nothing else; ``DecayedKMeans.sums``, a list of lists of weights,
+  holds the nested shape to the same rule;
 * a restored buffer whose non-negative weights are negative or NaN is a
   :class:`ParameterError` naming the type, wherever ``update`` refuses
   negative weights;
@@ -24,6 +25,7 @@ import math
 import pytest
 
 from repro.core import registry
+from repro.core.clustering import DecayedKMeans
 from repro.core.decay import ForwardDecay
 from repro.core.errors import ParameterError
 from repro.core.functions import ExponentialG
@@ -65,6 +67,15 @@ def _heavier(name: str, times: float) -> StreamSummary:
     return summary
 
 
+def _kmeans() -> DecayedKMeans:
+    """A fed two-cluster k-means: its ``sums`` is a list of lists of
+    weights, the nested weight shape."""
+    model = DecayedKMeans(ForwardDecay(ExponentialG(0.1)), k=2, dimensions=2)
+    for index in range(40):
+        model.update((index % 7 - 3.0, index % 5 * 1.5), float(index + 1))
+    return model
+
+
 class TestOwners:
     def test_every_registered_engine_owner_is_shifted_by_test_weights(self):
         owned = {
@@ -82,9 +93,9 @@ class TestOwners:
 
 
 class TestScale:
-    def test_the_weighted_sketches_are_the_four_that_store_raw_weights(self):
+    def test_the_weighted_sketches_are_the_three_that_store_raw_weights(self):
         assert sorted(WEIGHTED) == [
-            "countmin", "gk_summary", "qdigest", "weighted_spacesaving"
+            "gk_summary", "qdigest", "weighted_spacesaving"
         ]
 
     @pytest.mark.parametrize("name", WEIGHTED)
@@ -102,6 +113,16 @@ class TestScale:
                                 rel_tol=1e-9)
         else:
             assert heavy.to_bytes() == plain.to_bytes()
+
+    def test_scaling_back_a_heavier_nested_weight_list_gives_the_plain_one(self):
+        plain = _kmeans()
+        payload = plain._state_payload()
+        payload["sums"] = [[value * 2.0 ** 20 for value in row]
+                           for row in payload["sums"]]
+        payload["weights"] = [weight * 2.0 ** 20 for weight in payload["weights"]]
+        heavy = DecayedKMeans._from_payload(payload)
+        heavy.scale(2.0 ** -20)
+        assert heavy._state_payload() == plain._state_payload()
 
     @pytest.mark.parametrize("name", ["weighted_reservoir", "priority_sampler"])
     def test_a_log_weight_shifts_by_the_log_of_the_factor(self, name):
@@ -132,7 +153,7 @@ class TestScale:
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
     def test_a_factor_that_is_not_positive_is_refused(self, factor):
         with pytest.raises(ParameterError, match="scale factor must be > 0"):
-            _heavier("countmin", 1.0).scale(factor)
+            _kmeans().scale(factor)
 
     @pytest.mark.parametrize("cls", [DecayedHeavyHitters, DecayedQuantiles])
     def test_a_deep_copy_shifts_its_own_state(self, cls):
@@ -161,10 +182,11 @@ class TestImpossibleWeights:
         payload["total"] = math.nan
         refused("gk_summary", payload)
 
-    def test_a_negative_count_min_counter_is_refused(self):
-        payload = fed("countmin")._state_payload()
-        payload["rows"][1][3] = -1e9
-        refused("countmin", payload)
+    def test_a_nested_weight_row_that_is_not_a_list_is_refused(self):
+        payload = _kmeans()._state_payload()
+        payload["sums"][1] = -1e9
+        with pytest.raises(ParameterError, match="sums is a float, not a list"):
+            DecayedKMeans._from_payload(payload)
 
     def test_a_negative_with_replacement_weight_total_is_refused(self):
         payload = fed("decayed_with_replacement")._state_payload()

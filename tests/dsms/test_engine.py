@@ -101,10 +101,141 @@ class TestGroupingAndAggregation:
             "select len, count(*) from TCP group by time/60 as tb",
             registry,
         )
+        with pytest.raises(QueryError, match="non-grouped columns"):
+            QueryEngine(query, SCHEMA)
+
+    def test_a_non_grouped_select_item_fails_before_any_row(self, registry):
+        query = parse_query(
+            "select destIP, len*2 as x, count(*) as c from TCP "
+            "group by destIP",
+            registry,
+        )
+        with pytest.raises(
+            QueryError, match=r"select item 'x' references non-grouped columns \['len'\]"
+        ):
+            list(run_query(query, SCHEMA, []))
+
+
+class TestPlainSelectItems:
+    """A select item that is neither an aggregate nor a GROUP BY alias is
+    a function of the group key: compiled over the aliases when the engine
+    is built, evaluated once per finished group."""
+
+    @pytest.mark.parametrize(
+        "sql, refusal",
+        [
+            pytest.param(
+                "select destIP, len as l, count(*) as c from TCP group by destIP",
+                r"select item 'l' references non-grouped columns \['len'\]",
+                id="bare-column",
+            ),
+            pytest.param(
+                "select tb, time % 60 as sec, count(*) as c from TCP "
+                "group by time/60 as tb",
+                r"select item 'sec' references non-grouped columns \['time'\]",
+                id="input-of-a-group-expression",
+            ),
+            pytest.param(
+                "select destIP, len + destPort as x, count(*) as c from TCP "
+                "group by destIP",
+                r"select item 'x' references non-grouped columns "
+                r"\['destPort', 'len'\]",
+                id="two-columns-sorted",
+            ),
+            pytest.param(
+                "select tb, tb + len as x, count(*) as c from TCP "
+                "group by time/60 as tb",
+                r"select item 'x' references non-grouped columns \['len'\]",
+                id="alias-and-column",
+            ),
+        ],
+    )
+    def test_a_non_grouped_column_is_refused_when_built(
+        self, registry, sql, refusal
+    ):
+        query = parse_query(sql, registry)
+        with pytest.raises(QueryError, match=refusal):
+            QueryEngine(query, SCHEMA)
+
+    def test_an_aggregate_alias_is_not_a_group_alias(self, registry):
+        query = parse_query(
+            "select destIP, count(*) as c, c * 2 as d from TCP group by destIP",
+            registry,
+        )
+        with pytest.raises(
+            QueryError, match="'c' is neither a stream field nor a GROUP BY alias"
+        ):
+            QueryEngine(query, SCHEMA)
+
+    def test_the_first_offending_item_is_named(self, registry):
+        query = parse_query(
+            "select destIP, srcIP as a, len as b, count(*) as c from TCP "
+            "group by destIP",
+            registry,
+        )
+        with pytest.raises(QueryError, match=r"select item 'a' .*\['srcIP'\]"):
+            QueryEngine(query, SCHEMA)
+
+    def test_a_constant_item_is_the_same_in_every_group(self, registry):
+        rows = results_by_key(
+            "select destIP, 3 + 4 as seven, count(*) as c from TCP "
+            "group by destIP"
+        )
+        assert len(rows) == 3  # h1 / h2 / h1 runs of the first key
+        assert {r["seven"] for r in rows} == {7}
+
+    def test_an_item_over_two_group_aliases(self, registry):
+        rows = results_by_key(
+            "select tb, destPort, tb * 1000 + destPort as k, count(*) as c "
+            "from TCP group by time/60 as tb, destPort"
+        )
+        assert sorted(r["k"] for r in rows) == [80, 443, 1080]
+        for r in rows:
+            assert r["k"] == r["tb"] * 1000 + r["destPort"]
+
+    def test_having_filters_on_a_plain_item(self, registry):
+        rows = results_by_key(
+            "select tb * 60 as start, count(*) as c from TCP "
+            "group by time/60 as tb having start > 0"
+        )
+        assert [(r["start"], r["c"]) for r in rows] == [(60, 1)]
+
+    def test_order_by_sorts_on_a_plain_item(self, registry):
+        query = parse_query(
+            "select tb * 60 as start, count(*) as c from TCP "
+            "group by time/60 as tb order by start desc",
+            registry,
+        )
         engine = QueryEngine(query, SCHEMA)
-        engine.process(ROWS[0])
-        with pytest.raises(QueryError):
-            engine.flush()
+        engine.insert_many(ROWS)
+        assert [r["start"] for r in engine.flush()] == [60, 0]
+
+    def test_a_sharded_engine_refuses_it_when_built(self):
+        from repro.parallel.sharded import ShardedEngine
+
+        with pytest.raises(
+            QueryError, match=r"select item 'x' references non-grouped"
+        ):
+            ShardedEngine(
+                "select destIP, len*2 as x, count(*) as c from TCP "
+                "group by destIP",
+                SCHEMA, shards=2, processes=0,
+            )
+
+    def test_plain_items_are_evaluated_after_a_partial_merge(self, registry):
+        query = parse_query(
+            "select tb, destIP, tb * 60 as start, sum(len) as s from TCP "
+            "group by time/60 as tb, destIP",
+            registry,
+        )
+        donor = QueryEngine(query, SCHEMA)
+        donor.insert_many(ROWS)
+        collector = QueryEngine(query, SCHEMA)
+        collector.merge_partial(donor.partial_state_bytes())
+        rows = sorted(collector.flush(), key=lambda r: (r["tb"], r["destIP"]))
+        assert [(r["start"], r["destIP"], r["s"]) for r in rows] == [
+            (0, "h1", 300), (0, "h2", 200), (60, "h1", 300),
+        ]
 
 
 class TestTwoLevel:

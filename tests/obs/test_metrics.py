@@ -1,9 +1,8 @@
 """Conformance tests for the decayed metric primitives.
 
 The metrics are the paper applied to the library's own telemetry, so they
-are held to the paper's invariants: fixed numerators (Section III-A),
-renormalization only on writes (Section VI-A), and merge with landmark
-alignment (Section VI-B).
+are held to the paper's invariants: fixed numerators (Section III-A) and
+renormalization only on writes (Section VI-A).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import math
 
 import pytest
 
-from repro.core.errors import MergeError, ParameterError
+from repro.core.errors import ParameterError
 from repro.obs.metrics import (
     DecayedCounter,
     DecayedRateGauge,
@@ -86,69 +85,42 @@ class TestDecayedCounter:
         # OverflowError.
         assert counter.value() == 0.0
 
-    def test_merge_commutes(self, clock):
-        a1, b1, a2, b2 = (DecayedCounter(10.0, clock=clock) for _ in range(4))
-        for c in (a1, a2):
-            c.add(3.0, now=clock.now)
-        clock.advance(6.0)
-        for c in (b1, b2):
-            c.add(5.0, now=clock.now)
-        a1.merge(b1)
-        b2.merge(a2)
-        clock.advance(3.0)
-        assert a1.value() == pytest.approx(b2.value())
-
-    def test_merge_associates(self, clock):
-        def build(amounts_at):
-            counters = []
-            for offset, amount in amounts_at:
-                c = DecayedCounter(10.0, clock=clock)
-                c.add(amount, now=clock.now + offset)
-                counters.append(c)
-            return counters
-
-        x1, y1, z1 = build([(0.0, 2.0), (4.0, 3.0), (9.0, 5.0)])
-        x2, y2, z2 = build([(0.0, 2.0), (4.0, 3.0), (9.0, 5.0)])
-        # (x + y) + z  vs  x + (y + z)
-        x1.merge(y1)
-        x1.merge(z1)
-        y2.merge(z2)
-        x2.merge(y2)
-        clock.advance(12.0)
-        assert x1.value() == pytest.approx(x2.value())
-        assert x1.raw_total == pytest.approx(x2.raw_total)
-
-    def test_merge_aligns_a_peer_that_shifted(self, clock):
-        start = clock.now
-        shifted = DecayedCounter(half_life_s=1.0, clock=clock)
-        behind = DecayedCounter(half_life_s=1.0, clock=clock)
-        shifted.add(2.0, now=start)
-        behind.add(3.0, now=start + 100.0)
-        shifted.add(5.0, now=start + 600.0)  # 600 * ln2 ~ 416 > 355
-        assert shifted._engine.shifts == 1
-        assert behind._engine.shifts == 0
-        now = start + 601.0
-        expected = math.fsum([2.0 * 2.0**-601, 3.0 * 2.0**-501, 5.0 * 2.0**-1])
-        ahead_into_behind = DecayedCounter(half_life_s=1.0, clock=clock)
-        ahead_into_behind.merge(behind)
-        ahead_into_behind.merge(shifted)  # advances to the peer's landmark
-        shifted.merge(behind)  # scales the peer down
-        for merged in (shifted, ahead_into_behind):
-            assert merged.landmark == start + 600.0
-            assert merged.value(now=now) == pytest.approx(expected, rel=1e-12)
-
-    def test_merge_rejects_mismatched_half_life(self, clock):
-        a = DecayedCounter(10.0, clock=clock)
-        b = DecayedCounter(20.0, clock=clock)
-        with pytest.raises(MergeError):
-            a.merge(b)
-        with pytest.raises(MergeError):
-            a.merge(object())
-
     def test_rejects_bad_half_life(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
                 DecayedCounter(half_life_s=bad)
+
+    def test_value_is_the_backward_decayed_sum_of_every_write(self, clock):
+        """Section III-A: the fixed numerator over one normalizer equals
+        the backward-exponentially-decayed sum, write by write."""
+        counter = DecayedCounter(half_life_s=4.0, clock=clock)
+        writes = [(0.0, 3.0), (1.5, 2.0), (6.0, 5.0), (6.0, 1.0), (13.25, 0.5)]
+        start = clock.now
+        for offset, amount in writes:
+            counter.add(amount, now=start + offset)
+        expected = math.fsum(
+            amount * 2.0 ** (-(20.0 - offset) / 4.0) for offset, amount in writes
+        )
+        assert counter.value(now=start + 20.0) == pytest.approx(expected, rel=1e-12)
+        assert counter.raw_total == 11.5
+
+    def test_an_explicit_now_overrides_the_clock(self, clock):
+        counter = DecayedCounter(half_life_s=10.0, clock=clock)
+        counter.add(8.0, now=clock.now + 10.0)
+        assert counter.landmark == clock.now + 10.0
+        assert counter.value(now=clock.now + 20.0) == pytest.approx(4.0)
+
+    def test_alpha_is_ln2_over_the_half_life(self):
+        assert DecayedCounter(half_life_s=5.0).alpha == pytest.approx(
+            math.log(2.0) / 5.0
+        )
+
+    def test_an_empty_counter_reads_zero(self, clock):
+        counter = DecayedCounter(clock=clock)
+        clock.advance(3_600.0)
+        assert counter.value() == 0.0
+        assert counter.static_numerator == 0.0
+        assert counter.raw_total == 0.0
 
 
 class TestDecayedRateGauge:
@@ -172,16 +144,35 @@ class TestDecayedRateGauge:
         gauge = DecayedRateGauge(clock=clock)
         assert gauge.rate() == 0.0
 
-    def test_merge_combines_worker_rates(self, clock):
-        a = DecayedRateGauge(half_life_s=5.0, clock=clock)
-        b = DecayedRateGauge(half_life_s=5.0, clock=clock)
-        for _ in range(1_000):
-            a.observe(1.0)
-            b.observe(2.0)
+    def test_a_read_at_the_first_observation_is_zero(self, clock):
+        gauge = DecayedRateGauge(clock=clock)
+        gauge.observe(5.0)
+        assert gauge.rate() == 0.0  # no observation window yet
+        clock.advance(1.0)
+        assert gauge.rate() > 0.0
+
+    def test_early_reads_are_not_biased_low(self, clock):
+        """The finite-horizon mass corrects the startup bias: one second
+        into a 100/s stream under a 60 s half-life the gauge reads ~100/s,
+        where ``alpha * count`` alone would read ~1.2/s."""
+        gauge = DecayedRateGauge(half_life_s=60.0, clock=clock)
+        for _ in range(10):
+            gauge.observe(10.0)
             clock.advance(0.1)
-        solo = a.rate()
-        a.merge(b)
-        assert a.rate() == pytest.approx(solo * 3.0, rel=0.05)
+        assert gauge.rate() == pytest.approx(100.0, rel=0.01)
+
+    def test_snapshot_reports_rate_and_undecayed_total(self, clock):
+        gauge = DecayedRateGauge(half_life_s=5.0, clock=clock)
+        gauge.observe(3.0)
+        clock.advance(2.0)
+        gauge.observe(4.0)
+        later = clock.now + 1.0
+        assert gauge.snapshot(now=later) == {
+            "type": "rate",
+            "per_sec": gauge.rate(now=later),
+            "raw_total": 7.0,
+            "half_life_s": 5.0,
+        }
 
 
 class TestLatencyQuantiles:
@@ -196,6 +187,33 @@ class TestLatencyQuantiles:
     def test_empty_quantile_is_none(self, clock):
         assert LatencyQuantiles(clock=clock).quantile(0.5) is None
 
+    def test_a_weight_counts_as_that_many_observations(self, clock):
+        sketch = LatencyQuantiles(epsilon=0.01, clock=clock)
+        sketch.observe(5.0, weight=9.0)
+        sketch.observe(100.0)
+        assert sketch.quantile(0.5) == 5.0
+        assert sketch.quantile(1.0) == 100.0
+        assert sketch.count == 2  # observations, not weight
+
+    def test_count_is_undecayed_under_a_half_life(self, clock):
+        sketch = LatencyQuantiles(half_life_s=1.0, clock=clock)
+        for _ in range(3):
+            sketch.observe(1.0)
+            clock.advance(10.0)
+        assert sketch.count == 3
+        assert sketch.quantile(0.5) == 1.0
+
+    def test_snapshot_reports_the_three_quantiles(self, clock):
+        sketch = LatencyQuantiles(epsilon=0.01, clock=clock)
+        for value in range(1, 101):
+            sketch.observe(float(value))
+        snap = sketch.snapshot()
+        assert snap["count"] == 100
+        assert [snap["p50"], snap["p90"], snap["p99"]] == [
+            sketch.quantile(0.50), sketch.quantile(0.90), sketch.quantile(0.99)
+        ]
+        assert snap["p50"] <= snap["p90"] <= snap["p99"]
+
     def test_decayed_quantiles_track_recent_regime(self, clock):
         sketch = LatencyQuantiles(epsilon=0.01, half_life_s=1.0, clock=clock)
         for _ in range(500):
@@ -204,23 +222,6 @@ class TestLatencyQuantiles:
         for _ in range(500):
             sketch.observe(1_000.0)  # new regime: slow
         assert sketch.quantile(0.5) == pytest.approx(1_000.0)
-
-    def test_merge_matches_single_sketch(self, clock):
-        merged = LatencyQuantiles(epsilon=0.01, clock=clock)
-        single = LatencyQuantiles(epsilon=0.01, clock=clock)
-        other = LatencyQuantiles(epsilon=0.01, clock=clock)
-        for value in range(1, 501):
-            merged.observe(float(value))
-            single.observe(float(value))
-        for value in range(501, 1_001):
-            other.observe(float(value))
-            single.observe(float(value))
-        merged.merge(other)
-        assert merged.count == single.count
-        for phi in (0.1, 0.5, 0.9):
-            assert merged.quantile(phi) == pytest.approx(
-                single.quantile(phi), rel=0.05
-            )
 
     def test_a_write_after_a_long_idle_spell_shifts(self, clock):
         sketch = LatencyQuantiles(epsilon=0.01, half_life_s=1.0, clock=clock)
@@ -234,12 +235,6 @@ class TestLatencyQuantiles:
         assert sketch._engine.shifts == 1
         assert sketch.count == 200
         assert sketch.quantile(0.5) == 1_000.0
-
-    def test_merge_rejects_mixed_decay_modes(self, clock):
-        plain = LatencyQuantiles(clock=clock)
-        decayed = LatencyQuantiles(half_life_s=5.0, clock=clock)
-        with pytest.raises(MergeError):
-            plain.merge(decayed)
 
 
 class TestHotKeyTracker:
@@ -265,18 +260,6 @@ class TestHotKeyTracker:
         old = dict((k, w) for k, w, _ in top)["old"]
         assert old < 1e-5
 
-    def test_merge_sums_weights(self, clock):
-        a = HotKeyTracker(capacity=16, clock=clock)
-        b = HotKeyTracker(capacity=16, clock=clock)
-        for _ in range(10):
-            a.observe("x")
-            b.observe("x")
-            b.observe("y")
-        a.merge(b)
-        weights = {key: w for key, w, _ in a.top(5)}
-        assert weights["x"] == pytest.approx(20.0)
-        assert weights["y"] == pytest.approx(10.0)
-
     def test_renormalization_on_write(self, clock):
         tracker = HotKeyTracker(capacity=8, half_life_s=1.0, clock=clock)
         tracker.observe("k")
@@ -298,41 +281,70 @@ class TestHotKeyTracker:
         assert weight == 1.0
         assert old_weight < 1e-300
 
-    def test_merge_aligns_a_peer_that_shifted(self, clock):
-        start = clock.now
-        shifted = HotKeyTracker(capacity=8, half_life_s=1.0, clock=clock)
-        behind = HotKeyTracker(capacity=8, half_life_s=1.0, clock=clock)
-        shifted.observe("a", 4.0, now=start)
-        shifted.observe("b", 2.0, now=start + 600.0)  # a shift
-        behind.observe("b", 6.0, now=start + 599.0)
-        assert (shifted._engine.shifts, behind._engine.shifts) == (1, 0)
-        behind.merge(shifted)  # advances to the peer's landmark first
-        assert behind._engine.shifts == 1
-        weights = {key: w for key, w, _ in behind.top(2, now=start + 601.0)}
-        expected_b = 2.0 * 2.0**-1 + 6.0 * 2.0**-2
-        assert weights["b"] == pytest.approx(expected_b, rel=1e-12)
-        assert weights["a"] == pytest.approx(4.0 * 2.0**-601, rel=1e-12)
+    def test_top_breaks_ties_by_key_repr(self, clock):
+        tracker = HotKeyTracker(capacity=8, clock=clock)
+        for key in ("b", "c", "a"):
+            tracker.observe(key, 2.0)
+        assert [key for key, _, _ in tracker.top(3)] == ["a", "b", "c"]
+
+    def test_top_returns_at_most_k_keys(self, clock):
+        tracker = HotKeyTracker(capacity=8, clock=clock)
+        for key in range(6):
+            tracker.observe(key, float(key + 1))
+        assert [key for key, _, _ in tracker.top(2)] == [5, 4]
+        assert len(tracker.top(10)) == 6
+
+    def test_a_key_past_capacity_reports_its_overcount_as_error(self, clock):
+        """SpaceSaving: a new key takes the lightest counter's slot and
+        inherits its weight as error, so ``[weight - error, weight]``
+        brackets the key's true weight."""
+        tracker = HotKeyTracker(capacity=2, clock=clock)
+        tracker.observe("a", 5.0)
+        tracker.observe("b", 3.0)
+        tracker.observe("c", 1.0)
+        assert tracker.top(3) == [("a", 5.0, 0.0), ("c", 4.0, 3.0)]
+        assert tracker.total_weight == 9.0
+
+    def test_undecayed_weights_are_raw_sums(self, clock):
+        tracker = HotKeyTracker(capacity=4, clock=clock)
+        tracker.observe("k", 2.5)
+        clock.advance(1_000.0)
+        tracker.observe("k", 0.5)
+        assert tracker.top(1) == [("k", 3.0, 0.0)]
+
+    def test_decayed_weights_halve_every_half_life(self, clock):
+        tracker = HotKeyTracker(capacity=4, half_life_s=2.0, clock=clock)
+        tracker.observe("k", 8.0)
+        assert tracker.top(1, now=clock.now + 4.0)[0][1] == pytest.approx(2.0)
+        assert tracker.top(1)[0][1] == pytest.approx(8.0)
+
+    def test_snapshot_lists_the_top_k(self, clock):
+        tracker = HotKeyTracker(capacity=8, clock=clock)
+        for key in range(7):
+            tracker.observe(key, float(key + 1))
+        assert tracker.snapshot(k=2) == {
+            "type": "hotkeys",
+            "capacity": 8,
+            "top": [
+                {"key": "6", "weight": 7.0, "error": 0.0},
+                {"key": "5", "weight": 6.0, "error": 0.0},
+            ],
+        }
 
 
 class TestLastValueGauge:
-    def test_keeps_latest_sample(self, clock):
-        gauge = LastValueGauge(clock=clock)
+    def test_keeps_latest_sample(self):
+        gauge = LastValueGauge()
         assert gauge.value() is None
         gauge.set(10.0)
-        clock.advance(1.0)
         gauge.set(20.0)
         assert gauge.value() == 20.0
 
-    def test_merge_prefers_later_stamp(self, clock):
-        older = LastValueGauge(clock=clock)
-        older.set(1.0)
-        clock.advance(5.0)
-        newer = LastValueGauge(clock=clock)
-        newer.set(2.0)
-        older.merge(newer)
-        assert older.value() == 2.0
-        newer.merge(older)  # merging the older sample back changes nothing
-        assert newer.value() == 2.0
+    def test_snapshot_reports_the_latest_sample(self):
+        gauge = LastValueGauge()
+        assert gauge.snapshot() == {"type": "gauge", "value": None}
+        gauge.set(3.0)
+        assert gauge.snapshot(now=123.0) == {"type": "gauge", "value": 3.0}
 
 
 class TestSnapshots:

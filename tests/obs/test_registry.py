@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: no-op mode, snapshots, merging."""
+"""Tests for the metrics registry: no-op mode and snapshots."""
 
 from __future__ import annotations
 
@@ -6,16 +6,21 @@ import json
 
 import pytest
 
-from repro.core.errors import MergeError, ParameterError
-from repro.obs.metrics import DecayedCounter
+from repro.core.errors import ParameterError
+from repro.obs.metrics import (
+    DecayedCounter,
+    DecayedRateGauge,
+    HotKeyTracker,
+    LastValueGauge,
+    LatencyQuantiles,
+)
 from repro.obs.registry import (
     NULL_METRIC,
+    SNAPSHOT_VERSION,
     MetricsRegistry,
     format_snapshot,
     load_snapshot,
 )
-
-from tests.obs.conftest import ManualClock
 
 
 class TestGetOrCreate:
@@ -38,6 +43,37 @@ class TestGetOrCreate:
         assert "a" in registry
         assert isinstance(registry.get("a"), DecayedCounter)
 
+    def test_each_kind_builds_its_metric_class(self, clock):
+        registry = MetricsRegistry(clock=clock)
+        assert isinstance(registry.counter("c"), DecayedCounter)
+        assert isinstance(registry.rate("r"), DecayedRateGauge)
+        assert isinstance(registry.latency("l"), LatencyQuantiles)
+        assert isinstance(registry.hotkeys("h"), HotKeyTracker)
+        assert isinstance(registry.gauge("g"), LastValueGauge)
+        assert registry.names() == ["c", "g", "h", "l", "r"]
+
+    def test_the_first_call_fixes_the_parameters(self, clock):
+        registry = MetricsRegistry(clock=clock)
+        counter = registry.counter("x", half_life_s=5.0)
+        assert registry.counter("x", half_life_s=50.0) is counter
+        assert counter.half_life_s == 5.0
+        hot = registry.hotkeys("h", capacity=4)
+        assert registry.hotkeys("h", capacity=400).capacity == 4
+        assert hot.capacity == 4
+
+    def test_metrics_read_the_registry_clock(self, clock):
+        registry = MetricsRegistry(clock=clock)
+        counter = registry.counter("x", half_life_s=10.0)
+        counter.add(8.0)
+        clock.advance(10.0)
+        assert counter.value() == pytest.approx(4.0)
+
+    def test_get_of_an_unknown_name_is_a_key_error(self, clock):
+        registry = MetricsRegistry(clock=clock)
+        registry.counter("x")
+        with pytest.raises(KeyError):
+            registry.get("y")
+
 
 class TestNoOpMode:
     def test_disabled_registry_hands_out_null_metric(self, clock):
@@ -47,6 +83,13 @@ class TestNoOpMode:
         assert registry.latency("y") is NULL_METRIC
         assert registry.hotkeys("z") is NULL_METRIC
         assert len(registry) == 0  # nothing is ever registered
+
+    def test_disabled_registry_rate_and_gauge_are_null(self, clock):
+        registry = MetricsRegistry(enabled=False, clock=clock)
+        assert registry.rate("r") is NULL_METRIC
+        assert registry.gauge("g") is NULL_METRIC
+        registry.gauge("g").set(5.0)
+        assert "g" not in registry
 
     def test_null_metric_absorbs_everything(self):
         NULL_METRIC.add(5.0)
@@ -108,6 +151,25 @@ class TestSnapshot:
     def test_format_snapshot_empty(self):
         assert "(no metrics recorded)" in format_snapshot({"metrics": {}})
 
+    def test_format_snapshot_marks_an_empty_sketch_and_an_unset_gauge(self, clock):
+        registry = MetricsRegistry(clock=clock)
+        registry.latency("idle.us")
+        registry.gauge("unset")
+        lines = format_snapshot(registry.snapshot(now=clock.now)).splitlines()
+        assert any(
+            line.startswith("idle.us") and line.endswith("(empty)") for line in lines
+        )
+        assert any(line.startswith("unset") and line.endswith("n/a") for line in lines)
+
+    def test_snapshot_time_defaults_to_the_registry_clock(self, clock):
+        registry = MetricsRegistry(clock=clock)
+        registry.counter("c").add(2.0)
+        clock.advance(60.0)
+        snap = registry.snapshot()
+        assert snap["version"] == SNAPSHOT_VERSION
+        assert snap["now"] == clock.now
+        assert snap["metrics"]["c"]["decayed"] == pytest.approx(1.0)
+
 
 class TestTimer:
     def test_timer_records_into_a_latency_sketch(self, clock):
@@ -137,62 +199,3 @@ class TestTimer:
             with registry.timer("op.us"):
                 pass
         assert registry.latency("op.us").count == 3
-
-
-class TestMerge:
-    def test_merge_unions_names_and_sums_counters(self, clock):
-        a = MetricsRegistry(clock=clock)
-        b = MetricsRegistry(clock=clock)
-        a.counter("shared").add(1.0)
-        b.counter("shared").add(2.0)
-        b.counter("only_b").add(5.0)
-        a.merge(b)
-        assert a.counter("shared").value(now=clock.now) == pytest.approx(3.0)
-        assert a.counter("only_b").value(now=clock.now) == pytest.approx(5.0)
-
-    def test_merge_does_not_alias_adopted_metrics(self, clock):
-        a = MetricsRegistry(clock=clock)
-        b = MetricsRegistry(clock=clock)
-        b.counter("x").add(1.0)
-        a.merge(b)
-        b.counter("x").add(10.0)  # mutating b afterwards must not leak into a
-        assert a.counter("x").value(now=clock.now) == pytest.approx(1.0)
-
-    def test_merge_type_mismatch_raises(self, clock):
-        a = MetricsRegistry(clock=clock)
-        b = MetricsRegistry(clock=clock)
-        a.counter("x")
-        b.gauge("x")
-        with pytest.raises(MergeError):
-            a.merge(b)
-        with pytest.raises(MergeError):
-            a.merge({"not": "a registry"})
-
-    def test_merge_every_metric_kind(self, clock):
-        a = MetricsRegistry(clock=clock)
-        b = MetricsRegistry(clock=clock)
-        b.counter("c").add(1.0)
-        b.rate("r").observe(1.0)
-        b.latency("l").observe(5.0)
-        b.hotkeys("h").observe("k")
-        b.gauge("g").set(2.0)
-        a.merge(b)
-        assert a.names() == ["c", "g", "h", "l", "r"]
-        assert a.latency("l").quantile(0.5) == pytest.approx(5.0)
-
-    def test_distributed_workers_merge_to_cluster_view(self):
-        clock = ManualClock()
-        workers = []
-        for worker_id in range(3):
-            registry = MetricsRegistry(clock=clock)
-            for _ in range(100):
-                registry.counter("ingest").add(1.0)
-                registry.hotkeys("hot").observe(f"key{worker_id}")
-                clock.advance(0.001)
-            workers.append(registry)
-        cluster = MetricsRegistry(clock=clock)
-        for worker in workers:
-            cluster.merge(worker)
-        total = cluster.counter("ingest").value(now=clock.now)
-        assert total == pytest.approx(300.0, rel=0.01)
-        assert len(cluster.hotkeys("hot").top(5)) == 3

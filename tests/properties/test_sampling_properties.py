@@ -25,7 +25,7 @@ offsets = st.lists(st.floats(0.1, 500.0), min_size=1, max_size=60, unique=True)
 @settings(max_examples=100)
 def test_reservoir_size_invariant(items, k, seed):
     sampler = ReservoirSampler(k, rng=random.Random(seed))
-    sampler.extend(items)
+    sampler.update_many(items)
     assert len(sampler) == min(k, len(items))
     assert set(sampler.sample()) <= set(items)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 from hypothesis import given, settings
@@ -19,7 +18,7 @@ from repro.core.aggregates import (
 from repro.core.decay import ForwardDecay
 from repro.core.functions import ExponentialG, PolynomialG
 from repro.core.heavy_hitters import DecayedHeavyHitters
-from repro.core.serde import dump_summary, load_summary
+from repro.core.protocol import StreamSummary
 
 AGGREGATES = [
     DecayedCount,
@@ -42,8 +41,8 @@ g_functions = st.one_of(
 )
 
 
-def json_roundtrip(summary):
-    return load_summary(json.loads(json.dumps(dump_summary(summary))))
+def roundtrip(summary):
+    return StreamSummary.from_bytes(summary.to_bytes())
 
 
 @given(g=g_functions, items=streams)
@@ -55,7 +54,7 @@ def test_aggregate_roundtrip_preserves_queries(g, items):
         summary = cls(decay)
         for offset, value in items:
             summary.update(offset, value)
-        restored = json_roundtrip(summary)
+        restored = roundtrip(summary)
         assert math.isclose(
             restored.query(query_time), summary.query(query_time),
             rel_tol=1e-12, abs_tol=1e-12,
@@ -75,7 +74,7 @@ def test_checkpoint_mid_stream_then_resume(g, items, split):
         for offset, value in items[:split]:
             first_half.update(offset, value)
             uninterrupted.update(offset, value)
-        resumed = json_roundtrip(first_half)
+        resumed = roundtrip(first_half)
         for offset, value in items[split:]:
             resumed.update(offset, value)
             uninterrupted.update(offset, value)
@@ -97,7 +96,7 @@ def test_heavy_hitters_roundtrip(items):
     summary = DecayedHeavyHitters(decay, epsilon=0.05)
     for offset, value in items:
         summary.update(value, offset)
-    restored = json_roundtrip(summary)
+    restored = roundtrip(summary)
     query_time = max(offset for offset, __ in items)
     assert math.isclose(
         restored.decayed_total(query_time), summary.decayed_total(query_time),

@@ -174,22 +174,6 @@ def test_gk_invariant_holds_after_compression(stream, epsilon):
     assert math.isclose(total_g, summary.total_weight, rel_tol=1e-9)
 
 
-@given(stream=weighted_streams, epsilon=st.floats(0.02, 0.3),
-       seed=st.integers(0, 100))
-@settings(max_examples=75)
-def test_countmin_never_underestimates(stream, epsilon, seed):
-    """Count-Min point estimates are one-sided: estimate >= true, always."""
-    from repro.sketches.countmin import CountMinSketch
-
-    sketch = CountMinSketch(epsilon=epsilon, delta=0.05, seed=seed)
-    truth: dict[int, float] = {}
-    for item, weight in stream:
-        sketch.update(item, weight)
-        truth[item] = truth.get(item, 0.0) + weight
-    for item, true_weight in truth.items():
-        assert sketch.estimate(item) >= true_weight - 1e-9
-
-
 @given(
     stream=st.lists(
         st.tuples(st.floats(0.0, 100.0), st.floats(0.1, 2.0)),

@@ -463,7 +463,7 @@ def test_the_name_table_is_what_load_all_registers():
         module: set(names) for module, names in registry._SUMMARY_MODULES.items()
     }
     assert by_module == table
-    assert sum(map(len, table.values())) == 26
+    assert sum(map(len, table.values())) == 25
 
 
 def own_summary_imports(module: str) -> set[str]:

@@ -68,7 +68,7 @@ class TestGeneration:
     def test_rows_match_schema(self):
         trace = generate_trace(duration_sec=0.2, rate_per_sec=1_000)
         for row in trace[:100]:
-            PACKET_SCHEMA.validate(row)
+            PACKET_SCHEMA.validate_cols([[value] for value in row])
 
     def test_timestamps_at_configured_rate(self):
         trace = generate_trace(duration_sec=1.0, rate_per_sec=100)
