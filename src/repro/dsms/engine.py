@@ -29,7 +29,6 @@ from __future__ import annotations
 import copy
 import struct
 import time
-import zlib
 from typing import Callable, Iterable, Iterator
 
 from repro.core.cols import (
@@ -46,6 +45,7 @@ from repro.core.cols import (
 from repro.core.errors import MergeError, ProtocolError, QueryError
 from repro.core.groups import SUMMARY_SLOT, group_columns, group_states
 from repro.core.protocol import StreamSummary, summary_type_of
+from repro.core.serde import PARTIAL_STATE, seal, unseal
 from repro.dsms.expressions import compile_shared, labelled, named
 from repro.dsms.parser import Query, SelectItem
 from repro.dsms.schema import Schema
@@ -61,16 +61,15 @@ __all__ = [
 
 ResultRow = dict[str, object]
 
-#: Version byte leading every :meth:`QueryEngine.partial_state_bytes` buffer;
-#: bumped whenever the partial-state layout changes (1 was tagged JSON, 2
-#: held no integral ``f64`` column at an int width, 3 carried an open time
-#: bucket), so an older build refuses a newer buffer by its version.
-PARTIAL_STATE_VERSION = 4
+#: The version sealed into every :meth:`QueryEngine.partial_state_bytes`
+#: buffer; bumped whenever the partial-state layout changes (1 was tagged
+#: JSON, 2 held no integral ``f64`` column at an int width, 3 carried an
+#: open time bucket, 4 framed itself), so a build refuses any other.
+PARTIAL_STATE_VERSION = PARTIAL_STATE.version
 
-#: version, tuples_in, tuples_selected, low_evictions, groups, header texts,
+#: tuples_in, tuples_selected, low_evictions, groups, header texts,
 #: aggregates — see ``partial_state_bytes``.
-_PARTIAL_HEAD = struct.Struct("!BQQQIHH")
-_CRC = struct.Struct("!I")
+_PARTIAL_HEAD = struct.Struct("!QQQIHH")
 
 #: Capacity of the fixed-size low-level table of a two-level engine: a new
 #: group arriving at a full table evicts one partial up to the high level.
@@ -751,8 +750,8 @@ class QueryEngine:
         fixed header, two column blocks — the query SQL and schema names,
         one slot code per aggregate (its state arity, or ``-1`` summary /
         ``-2`` ragged) — then one :mod:`repro.core.cols` batch with a row
-        per group (key-part columns, then each aggregate's state columns)
-        and a CRC32.
+        per group (key-part columns, then each aggregate's state columns),
+        sealed (:func:`repro.core.serde.seal`).
         """
         obs = self._obs
         start = time.perf_counter_ns() if obs is not None else 0
@@ -761,16 +760,15 @@ class QueryEngine:
             keys, rows, len(self._agg_plans)
         )
         texts = [self.query.sql(), *self.schema.names()]
-        body = b"".join((
+        blob = seal(PARTIAL_STATE, b"".join((
             _PARTIAL_HEAD.pack(
-                PARTIAL_STATE_VERSION, self._tuples_in, self._tuples_selected,
-                self._low_evictions, len(keys), len(texts), len(slots),
+                self._tuples_in, self._tuples_selected, self._low_evictions,
+                len(keys), len(texts), len(slots),
             ),
             pack_column(texts),
             pack_column(slots),
             pack_cols(cols),
-        ))
-        blob = body + _CRC.pack(zlib.crc32(body))
+        )))
         if obs is not None:
             obs.partial_encoded(start, len(keys), len(blob), summary_bytes)
         return blob
@@ -785,7 +783,7 @@ class QueryEngine:
         buffer crafted with a wrong *scalar arity*: UDAFs declare none.
         """
         head, texts, slots, batch = _open_partial(data)
-        groups = head[4]
+        groups = head[3]
         try:
             cols, _seq, count = unpack_cols(batch)
         except ProtocolError as exc:
@@ -826,7 +824,7 @@ class QueryEngine:
             list(map(list, zip(*per_aggregate))) if per_aggregate
             else [[] for _ in keys]
         )
-        return keys, states, head[1:4]
+        return keys, states, head[:3]
 
     def _check_plan(self, sql, schema_names: list) -> None:
         if sql != self.query.sql():
@@ -935,31 +933,16 @@ class QueryEngine:
 
 
 def _open_partial(data) -> tuple:
-    """A buffer's framing, checked (version, size, CRC32): ``(header
-    fields, texts, slot codes, packed group batch)``."""
-    if not data:
-        raise MergeError("cannot merge an empty partial-state buffer")
-    if data[0] != PARTIAL_STATE_VERSION:
-        raise MergeError(
-            f"unsupported partial-state version {data[0]} "
-            f"(expected {PARTIAL_STATE_VERSION})"
-        )
-    view = memoryview(data)
-    tail = len(view) - _CRC.size
-    if tail < _PARTIAL_HEAD.size:
-        raise MergeError(f"truncated partial-state buffer: {len(view)} bytes")
-    head = _PARTIAL_HEAD.unpack_from(view)
-    if zlib.crc32(view[:tail]) != _CRC.unpack_from(view, tail)[0]:
-        raise MergeError(
-            f"partial-state buffer of {len(view)} bytes fails its CRC32 "
-            "(truncated or corrupt)"
-        )
+    """A buffer, unsealed, and its head and two column blocks read:
+    ``(header fields, texts, slot codes, packed group batch)``."""
+    body = unseal(PARTIAL_STATE, data)
     try:
-        texts, offset = read_column(view, _PARTIAL_HEAD.size, head[5])
-        slots, offset = read_column(view, offset, head[6])
-    except ProtocolError as exc:
+        head = _PARTIAL_HEAD.unpack_from(body)
+        texts, offset = read_column(body, _PARTIAL_HEAD.size, head[4])
+        slots, offset = read_column(body, offset, head[5])
+    except (struct.error, ProtocolError) as exc:
         raise MergeError(f"malformed partial-state buffer: {exc}") from exc
-    return head, texts, slots, view[offset:tail]
+    return head, texts, slots, body[offset:]
 
 
 def describe_partial_state(data) -> dict:
@@ -992,9 +975,9 @@ def describe_partial_state(data) -> dict:
     except ValueError as exc:  # ProtocolError, ParameterError, the strict zip
         raise MergeError(f"malformed partial-state buffer: {exc}") from exc
     return {
-        "version": head[0],
-        "tuples_in": head[1],
-        "groups": head[4],
+        "version": PARTIAL_STATE_VERSION,
+        "tuples_in": head[0],
+        "groups": head[3],
         "bytes": len(data),
         "slots": slots,
         "columns": layout,

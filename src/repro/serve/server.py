@@ -62,8 +62,8 @@ from repro.core.errors import (
 from repro.core.serde import (
     CHECKPOINT_FILENAME,
     dump_partials_checkpoint,
-    fsync_dir,
     load_partials_checkpoint,
+    publish,
 )
 from repro.serve import protocol
 from repro.serve.protocol import HEADER, encode_frame, frame_name
@@ -354,13 +354,7 @@ class StreamServer:
             self.backend.checkpoint_blobs(),
         )
         os.makedirs(self.state_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(image)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        fsync_dir(self.state_dir)
+        publish(path, image)
         if self._obs:
             self.metrics.gauge("serve.checkpoint.bytes").set(float(len(image)))
         return path

@@ -6,9 +6,11 @@ import pytest
 
 from repro.cli import main, read_trace_csv, write_trace_csv
 from repro.core.errors import DecayError
+from repro.core.serde import PARTIALS_CHECKPOINT_VERSION
 from repro.dsms.engine import PARTIAL_STATE_VERSION
 from repro.store import MANIFEST_VERSION
 from repro.workloads.netflow import PACKET_SCHEMA, generate_trace
+from tests.store.test_tiered import manifest_json, sealed_manifest
 
 
 @pytest.fixture
@@ -300,7 +302,7 @@ class TestStoreInspectCommand:
         assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
         report_lines = [ln for ln in out.splitlines() if ".seg" in ln]
-        assert report_lines and all("v4" in ln for ln in report_lines)
+        assert report_lines and all("v5" in ln for ln in report_lines)
         assert all(
             "pages" in ln and "rows" in ln and "live" in ln
             for ln in report_lines
@@ -319,7 +321,7 @@ class TestStoreInspectCommand:
         assert report["manifest"]["groups"] > 0
         assert report["manifest"]["directory_file"].endswith(".dir")
         assert all(s["status"] == "ok" for s in report["segments"])
-        assert all(s["format"] == "v4" for s in report["segments"])
+        assert all(s["format"] == "v5" for s in report["segments"])
         for segment in report["segments"]:
             assert 0 < segment["pages"] <= segment["records"]
             assert segment["layout"] == ["scalars x1"]
@@ -381,14 +383,13 @@ class TestStoreInspectCommand:
     @pytest.mark.parametrize(
         "offset, mask, status, detail",
         [
-            (30, 0xFF, "corrupt:", "CRC mismatch"),
-            # The version byte 4 -> 1, 2 or 3: an older segment, refused by
+            (30, 0xFF, "corrupt:", "fails its CRC32"),
+            # The version byte 5 -> 1 or 4: an older segment, refused by
             # name.
-            (4, 0x05, "unsupported:", "unsupported version 1 "),
-            (4, 0x06, "unsupported:", "unsupported version 2 "),
-            (4, 0x07, "unsupported:", "unsupported version 3 "),
+            (4, 0x04, "unsupported:", "unsupported version 1 "),
+            (4, 0x01, "unsupported:", "unsupported version 4 "),
         ],
-        ids=["crc", "older-version", "older-version-2", "older-version-3"],
+        ids=["crc", "older-version", "older-version-4"],
     )
     def test_inspect_flags_corruption(
         self, tmp_path, capsys, offset, mask, status, detail
@@ -413,17 +414,16 @@ class TestStoreInspectCommand:
     @pytest.mark.parametrize(
         "damage, detail",
         [
-            (lambda manifest: [], "a list, not an object"),
+            (lambda manifest: sealed_manifest([]), "a list, not an object"),
             (
-                lambda manifest: {
-                    "version": MANIFEST_VERSION, "segments": 5,
-                    "directory_file": 7,
-                },
+                lambda manifest: sealed_manifest(
+                    {"segments": 5, "directory_file": 7}
+                ),
                 "field 'query' is None",
             ),
             (
-                lambda manifest: {**manifest, "version": 99},
-                "unsupported store manifest version 99",
+                lambda manifest: sealed_manifest(manifest, version=99),
+                "unsupported version 99 at offset 4 ",
             ),
         ],
         ids=["list", "wrong-field-types", "future-version"],
@@ -431,25 +431,24 @@ class TestStoreInspectCommand:
     def test_inspect_refuses_a_manifest_recovery_refuses(
         self, tmp_path, capsys, damage, detail
     ):
-        import json
         import os
 
         directory = self._make_store(tmp_path)
         assert main(["store", "inspect", directory]) == 0
         valid = capsys.readouterr()
         path = os.path.join(directory, "MANIFEST.json")
-        with open(path) as handle:
-            manifest = json.load(handle)
-        with open(path, "w") as handle:
-            json.dump(damage(manifest), handle)
+        with open(path, "rb") as handle:
+            image = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(damage(manifest_json(image)))
         assert main(["store", "inspect", directory]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith("error: ") and detail in line
         # The reader changed nothing: the store reads as it did before.
-        with open(path, "w") as handle:
-            json.dump(manifest, handle)
+        with open(path, "wb") as handle:
+            handle.write(image)
         assert main(["store", "inspect", directory]) == 0
         assert capsys.readouterr() == valid
 
@@ -498,7 +497,7 @@ class TestCheckpointInspectCommand:
         path = self._make_checkpoint(tmp_path)
         assert main(["checkpoint", "inspect", path]) == 0
         out = capsys.readouterr().out
-        assert "v2, CRC ok" in out
+        assert f"v{PARTIALS_CHECKPOINT_VERSION}, CRC ok" in out
         assert "2 blob(s)" in out and "B/group" in out
         assert "count(*) AS c" in out
         assert f"blob 1: v{PARTIAL_STATE_VERSION}" in out
@@ -515,7 +514,7 @@ class TestCheckpointInspectCommand:
         path = self._make_checkpoint(tmp_path)
         assert main(["checkpoint", "inspect", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["version"] == 2
+        assert report["version"] == PARTIALS_CHECKPOINT_VERSION == 3
         assert report["bytes"] == os.path.getsize(path)
         assert report["schema"] == PACKET_SCHEMA.names()
         assert report["groups"] == sum(b["groups"] for b in report["blobs"])
@@ -557,7 +556,7 @@ class TestCheckpointInspectCommand:
             handle.write(bytes([byte[0] ^ 0xFF]))
         assert main(["checkpoint", "inspect", path]) == 2
         err = capsys.readouterr().err
-        assert path in err and "CRC32 at offset" in err
+        assert path in err and "fails its CRC32 at offset" in err
 
     def test_inspect_missing_file_errors(self, tmp_path, capsys):
         assert main(["checkpoint", "inspect", str(tmp_path / "nope")]) == 2

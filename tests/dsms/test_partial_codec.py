@@ -1,4 +1,4 @@
-"""The v4 partial-state blob: golden bytes, exact round trips, hostile input.
+"""The v5 partial-state blob: golden bytes, exact round trips, hostile input.
 
 ``partial_state_bytes()`` is the one encoding every carrier ships raw —
 shard replies, PARTIALS_OK / ADOPT bodies, ``checkpoint.bin`` — so its
@@ -10,7 +10,6 @@ end in :class:`MergeError` with the engine untouched.
 from __future__ import annotations
 
 import struct
-import zlib
 from unittest import mock
 
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.cols import pack_cols, pack_column, read_column
 from repro.core.errors import MergeError
 from repro.core.merge import merge_all
+from repro.core.serde import PARTIAL_STATE, seal
 from repro.dsms import engine as engine_module
 from repro.dsms.engine import (
     PARTIAL_STATE_VERSION,
@@ -128,22 +128,23 @@ GOLDEN_ROWS = [(61, "h1", 40), (62, "h2", 1500), (63, "h1", 40)]
 #: the column blocks at the widths the values need (i8, str/u8, the
 #: integral sums as f64/i16, bytes/u8).
 GOLDEN_BLOB = bytes.fromhex(
-    "0400000000000000030000000000000003000000000000000000000002000400"
-    "03230000009b8a04060353454c4543542074622041532074622c206465737449"
-    "50204153206465737449502c20636f756e74282a2920415320632c2073756d28"
-    "6c656e2920415320732c20756e6172795f6868286c656e292041532068682046"
-    "524f4d205443502047524f5550204259202874696d65202f2036302920415320"
-    "74622c206465737449502041532064657374495074696d656465737449506c65"
-    "6e31000000030101ff0300000000000000000000000200053100000002010123"
-    "00000006020268316832310000000202012200000004005005dc25000000f67a"
-    "7a0211756e6172795f7370616365736176696e67080300000007020805086361"
-    "706163697479746f74616c636f756e7465727300036400000000000000050000"
-    "0000000000400701000000000703000000000702000000000603000000696e74"
-    "0328000000000000000302000000000000000300000000000000000211756e61"
-    "72795f7370616365736176696e67080300000007020805086361706163697479"
-    "746f74616c636f756e746572730003640000000000000005000000000000f03f"
-    "0701000000000703000000000702000000000603000000696e7403dc05000000"
-    "000000030100000000000000030000000000000000f6e9b1c0"
+    "4644505305f401000038e1922800000000000000030000000000000003000000"
+    "00000000000000000200040003230000009b8a04060353454c45435420746220"
+    "41532074622c20646573744950204153206465737449502c20636f756e74282a"
+    "2920415320632c2073756d286c656e2920415320732c20756e6172795f686828"
+    "6c656e292041532068682046524f4d205443502047524f555020425920287469"
+    "6d65202f203630292041532074622c2064657374495020415320646573744950"
+    "74696d656465737449506c656e31000000030101ff0300000000000000000000"
+    "0002000531000000020101230000000602026831683231000000020201220000"
+    "0004005005dc25000000f67a7a0211756e6172795f7370616365736176696e67"
+    "080300000007020805086361706163697479746f74616c636f756e7465727300"
+    "0364000000000000000500000000000000400701000000000703000000000702"
+    "000000000603000000696e740328000000000000000302000000000000000300"
+    "000000000000000211756e6172795f7370616365736176696e67080300000007"
+    "020805086361706163697479746f74616c636f756e7465727300036400000000"
+    "00000005000000000000f03f0701000000000703000000000702000000000603"
+    "000000696e7403dc050000000000000301000000000000000300000000000000"
+    "00"
 )
 #: The same state as the commits before the engine dropped its open time
 #: bucket wrote it (version 3: a bucket count in the header and a column
@@ -189,28 +190,6 @@ GOLDEN_BLOB_V2_WIDE = bytes.fromhex(
     "00f03f0701000000000703000000000702000000000603000000696e7403dc05"
     "0000000000000301000000000000000300000000000000000542f090"
 )
-#: The same state as the commits before narrow ``f64`` wrote it (version
-#: 2; the sums 8 bytes each).  This build refuses both version-2 blobs,
-#: naming the version.
-GOLDEN_BLOB_V2 = bytes.fromhex(
-    "0200000000000000030000000000000003000000000000000000000002000401"
-    "0003230000009b8a04060353454c4543542074622041532074622c2064657374"
-    "4950204153206465737449502c20636f756e74282a2920415320632c2073756d"
-    "286c656e2920415320732c20756e6172795f6868286c656e2920415320686820"
-    "46524f4d205443502047524f5550204259202874696d65202f20363029204153"
-    "2074622c206465737449502041532064657374495074696d656465737449506c"
-    "656e31000000010131000000030101ff02000000000000000000000002000531"
-    "0000000201012300000006020268316832310000000202010200000010405400"
-    "0000000000409770000000000025000000f67a7a0211756e6172795f73706163"
-    "65736176696e67080300000007020805086361706163697479746f74616c636f"
-    "756e746572730003640000000000000005000000000000004007010000000007"
-    "03000000000702000000000603000000696e7403280000000000000003020000"
-    "00000000000300000000000000000211756e6172795f7370616365736176696e"
-    "67080300000007020805086361706163697479746f74616c636f756e74657273"
-    "0003640000000000000005000000000000f03f07010000000007030000000007"
-    "02000000000603000000696e7403dc0500000000000003010000000000000003"
-    "00000000000000009662f66e"
-)
 #: The same state as the commit before packed summary buffers wrote it:
 #: the wide framing, the two ``unary_hh`` buffers in the version-1 (JSON)
 #: layout.  Re-framed at the current version (:func:`restamp`), this
@@ -243,20 +222,18 @@ _BUCKETED_HEAD = struct.Struct("!BQQQIHBH")
 
 
 def restamp(blob: bytes) -> bytes:
-    """A version-2 or -3 ``blob`` re-framed at the current version: the
-    header's bucket count and the bucket column dropped, the rest kept
-    byte for byte (the column codec reads every version it ever wrote)
-    and the CRC32 resealed."""
+    """A version-2 or -3 ``blob`` sealed at the current version, less its
+    version byte, bucket count, bucket column and CRC32 (the column codec
+    reads every version it ever wrote)."""
     _v, *counters, texts, buckets, slots = _BUCKETED_HEAD.unpack_from(blob)
     view = memoryview(blob)
     text_end = read_column(view, _BUCKETED_HEAD.size, texts)[1]
     bucket_end = read_column(view, text_end, buckets)[1]
-    body = b"".join((
-        struct.pack("!BQQQIHH", PARTIAL_STATE_VERSION, *counters, texts, slots),
+    return seal(PARTIAL_STATE, b"".join((
+        struct.pack("!QQQIHH", *counters, texts, slots),
         view[_BUCKETED_HEAD.size:text_end],
         view[bucket_end:-4],
-    ))
-    return body + struct.pack("!I", zlib.crc32(body))
+    )))
 
 
 def golden_engine(rows=()) -> QueryEngine:
@@ -271,10 +248,9 @@ class TestGoldenBytes:
     def test_writer_matches_fixture(self):
         blob = golden_engine(GOLDEN_ROWS).partial_state_bytes()
         assert blob == GOLDEN_BLOB
-        # Version 4 is version 3 less its bucket count and column.
+        # Version 5 is version 3 less its bucket count and column, sealed.
         assert restamp(GOLDEN_BLOB_V3) == blob
         assert len(restamp(GOLDEN_BLOB_V2_WIDE)) - len(blob) == 85
-        assert len(restamp(GOLDEN_BLOB_V2)) - len(blob) == 12  # sums 8 -> 2 B
 
     @pytest.mark.parametrize("blob", [GOLDEN_BLOB, restamp(GOLDEN_BLOB_V2_WIDE)])
     def test_fixture_decodes_to_the_source_state(self, blob):
@@ -296,7 +272,7 @@ class TestGoldenBytes:
     def test_describe_reads_the_fixture(self):
         wide = restamp(GOLDEN_BLOB_V2_WIDE)
         info = describe_partial_state(wide)
-        assert info["version"] == PARTIAL_STATE_VERSION == 4
+        assert info["version"] == PARTIAL_STATE_VERSION == 5
         assert (info["groups"], info["bytes"]) == (2, len(wide))
         assert info["slots"] == [1, 1, -1]
         assert info["columns"] == [
@@ -411,21 +387,15 @@ class TestFoldOrder:
 # -- hostile / stale input ---------------------------------------------------------
 
 
-def reseal(body: bytes) -> bytes:
-    return body + struct.pack("!I", zlib.crc32(body))
-
-
 def crafted(groups, slots, cols, texts=None) -> bytes:
     """A well-sealed current-version buffer with arbitrary structure inside."""
     engine = golden_engine()
     if texts is None:
         texts = [engine.query.sql(), *engine.schema.names()]
-    head = struct.pack(
-        "!BQQQIHH", PARTIAL_STATE_VERSION, 0, 0, 0, groups, len(texts),
-        len(slots),
-    )
-    return reseal(
-        head + pack_column(texts) + pack_column(slots) + pack_cols(cols)
+    head = struct.pack("!QQQIHH", 0, 0, 0, groups, len(texts), len(slots))
+    return seal(
+        PARTIAL_STATE,
+        head + pack_column(texts) + pack_column(slots) + pack_cols(cols),
     )
 
 
@@ -439,52 +409,14 @@ HH_BYTES = bytes.fromhex(
 
 
 class TestHostileInput:
-    def test_every_truncation_is_a_merge_error(self):
-        for cut in range(len(GOLDEN_BLOB)):
-            engine = golden_engine()
-            with pytest.raises(MergeError):
-                engine.merge_partial(GOLDEN_BLOB[:cut])
-            assert untouched(engine)
+    # Every truncation and flipped bit of GOLDEN_BLOB: tests/test_hostile.py.
 
-    def test_bit_flips_surface_or_decode_identically(self):
-        surfaced = total = 0
-        for index in range(len(GOLDEN_BLOB)):
-            for mask in (0x01, 0x80, 0xFF):
-                damaged = bytearray(GOLDEN_BLOB)
-                damaged[index] ^= mask
-                engine = golden_engine()
-                total += 1
-                try:
-                    engine.merge_partial(bytes(damaged))
-                except MergeError:
-                    surfaced += 1
-                    assert untouched(engine)
-                else:
-                    assert engine.partial_state_bytes() == GOLDEN_BLOB
-        assert surfaced >= 0.99 * total
-
-    def test_v1_json_blob_names_its_version(self):
-        with pytest.raises(
-            MergeError, match="unsupported partial-state version 1"
-        ):
-            golden_engine().merge_partial(b'\x01{"version":1,"groups":[]}')
-
-    def test_a_version_3_blob_names_its_version(self):
+    @pytest.mark.parametrize("blob", [b'\x01{"version":1}', GOLDEN_BLOB_V2_WIDE,
+                                      GOLDEN_BLOB_V3], ids=["v1-json", "v2", "v3"])
+    def test_a_blob_from_before_the_envelope_is_refused_by_its_magic(self, blob):
         engine = golden_engine()
         for read in (engine.merge_partial, describe_partial_state):
-            with pytest.raises(
-                MergeError, match="unsupported partial-state version 3 "
-            ):
-                read(GOLDEN_BLOB_V3)
-        assert untouched(engine)
-
-    @pytest.mark.parametrize("blob", [GOLDEN_BLOB_V2, GOLDEN_BLOB_V2_WIDE])
-    def test_a_version_2_blob_names_its_version(self, blob):
-        engine = golden_engine()
-        for read in (engine.merge_partial, describe_partial_state):
-            with pytest.raises(
-                MergeError, match="unsupported partial-state version 2 "
-            ):
+            with pytest.raises(MergeError, match="bad magic .* at offset 0"):
                 read(blob)
         assert untouched(engine)
 

@@ -170,20 +170,7 @@ class TestCheckpointEnvelope:
         with pytest.raises(ParameterError, match="different schema"):
             load_partials_checkpoint(image, SQL, ["a", "b"])
 
-    def test_wrong_version_rejected(self):
-        image = bytearray(
-            dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
-        )
-        image[4] = 99
-        with pytest.raises(ParameterError, match="version 99 at offset 4"):
-            load_partials_checkpoint(image, SQL, PACKET_SCHEMA.names())
-
-    def test_wrong_magic_rejected(self):
-        image = dump_partials_checkpoint(SQL, PACKET_SCHEMA.names(), [])
-        with pytest.raises(ParameterError, match="magic .* at offset 0"):
-            load_partials_checkpoint(
-                b"JSON" + image[4:], SQL, PACKET_SCHEMA.names()
-            )
+    # Another magic or version: tests/test_hostile.py.
 
     def test_restore_for_other_query_fails_at_startup(self, tmp_path):
         server = serve_with_state(tmp_path)
@@ -206,7 +193,9 @@ GOLDEN_SQL = "select k, count(*) as c from TCP group by k"
 GOLDEN_SCHEMA = ["time", "k"]
 GOLDEN_BLOBS = [b"\x02state-a", b"", b"\x02b"]
 GOLDEN_IMAGE = bytes.fromhex(
-    "4644434b" "02" "0003" "00000003"  # "FDCK", v2, 3 texts, 3 blobs
+    "4644434b" "03"                    # "FDCK", v3
+    "62000000" "6d65def0"              # body: 98 bytes, its crc32
+    "0003" "00000003"                  # 3 texts, 3 blobs
     "03" "0000003c"                    # texts: str column, 60 bytes
     "0000002b" "00000004" "00000001"   # byte lengths
     "73656c656374206b2c20636f756e74282a2920617320632066726f6d2054435020"
@@ -214,12 +203,13 @@ GOLDEN_IMAGE = bytes.fromhex(
     "05" "00000016"                    # blobs: bytes column, 22 bytes
     "00000008" "00000000" "00000002"
     "0273746174652d61" "0262"
-    "80c8e28f"                         # crc32 of everything above
 )
 #: The same checkpoint as the writer lays it out now: both length tables at
-#: u8.  GOLDEN_IMAGE is what files on disk hold, and must keep reading back.
+#: u8.  GOLDEN_IMAGE holds the widest column kinds, and must keep reading back.
 GOLDEN_IMAGE_NARROW = bytes.fromhex(
-    "4644434b" "02" "0003" "00000003"  # "FDCK", v2, 3 texts, 3 blobs
+    "4644434b" "03"                    # "FDCK", v3
+    "50000000" "9bae4513"              # body: 80 bytes, its crc32
+    "0003" "00000003"                  # 3 texts, 3 blobs
     "23" "00000033"                    # texts: str/u8 column, 51 bytes
     "2b" "04" "01"                     # byte lengths
     "73656c656374206b2c20636f756e74282a2920617320632066726f6d2054435020"
@@ -227,7 +217,6 @@ GOLDEN_IMAGE_NARROW = bytes.fromhex(
     "25" "0000000d"                    # blobs: bytes/u8 column, 13 bytes
     "08" "00" "02"
     "0273746174652d61" "0262"
-    "7534135e"                         # crc32 of everything above
 )
 
 
@@ -242,25 +231,7 @@ class TestCheckpointBytes:
             GOLDEN_SQL, GOLDEN_SCHEMA, GOLDEN_BLOBS
         )
 
-    def test_every_truncation_and_flip_names_an_offset(self):
-        """Byte-level fuzz: every cut and every flipped bit must end in
-        a located ParameterError or read back the original exactly."""
-        damaged = [GOLDEN_IMAGE[:cut] for cut in range(len(GOLDEN_IMAGE))]
-        for index in range(len(GOLDEN_IMAGE)):
-            for mask in (0x01, 0x80, 0xFF):
-                image = bytearray(GOLDEN_IMAGE)
-                image[index] ^= mask
-                damaged.append(bytes(image))
-        surfaced = 0
-        for image in damaged:
-            try:
-                parsed = read_partials_checkpoint(image)
-            except ParameterError as error:
-                surfaced += 1
-                assert "offset" in str(error)
-            else:
-                assert parsed == (GOLDEN_SQL, GOLDEN_SCHEMA, GOLDEN_BLOBS)
-        assert surfaced >= 0.99 * len(damaged)
+    # Every truncation and flip of GOLDEN_IMAGE: tests/test_hostile.py.
 
 
 class TestUnreadableStateDir:
@@ -283,11 +254,11 @@ class TestUnreadableStateDir:
         "damage, offset",
         [
             (lambda image: b"XXXX" + image[4:], "offset 0"),  # magic
-            (lambda image: image[:-9], "CRC32 at offset"),  # length
+            (lambda image: image[:-9], "truncated at offset 5"),  # length
             (  # one flipped bit mid-file
                 lambda image: image[:200]
                 + bytes([image[200] ^ 0x10]) + image[201:],
-                "CRC32 at offset",
+                "fails its CRC32 at offset 5",
             ),
         ],
     )

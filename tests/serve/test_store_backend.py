@@ -9,7 +9,6 @@ manifest with an *empty* blob checkpoint.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -76,13 +75,12 @@ class TestSingleBackend:
         resumed.close()
 
     @pytest.mark.parametrize(
-        "older, named",
-        [("manifest", "version 1"), ("segment-1", "unsupported version 1 "),
-         ("segment-2", "unsupported version 2 "),
-         ("segment-3", "unsupported version 3 ")],
+        "older, version",
+        [("manifest", 1), ("manifest", 4), ("segment", 1), ("segment", 2),
+         ("segment", 3), ("segment", 4)],
     )
     def test_an_older_store_dir_is_refused_naming_its_version(
-        self, tmp_path, older, named
+        self, tmp_path, older, version
     ):
         # The way forward from older state is a fresh dir or a replay.
         store_dir = str(tmp_path / "s")
@@ -92,19 +90,18 @@ class TestSingleBackend:
         backend.insert_cols(rows_to_cols(wide_rows(200)))
         backend.checkpoint_blobs()
         backend.close()
-        if older == "manifest":
-            path = os.path.join(store_dir, MANIFEST_NAME)
-            with open(path) as handle:
-                manifest = json.load(handle)
-            with open(path, "w") as handle:
-                json.dump({**manifest, "version": 1}, handle)
-        else:
-            seg_dir = os.path.join(store_dir, "segments")
-            for name in os.listdir(seg_dir):
-                with open(os.path.join(seg_dir, name), "r+b") as handle:
-                    handle.seek(4)  # the version byte
-                    handle.write(bytes([int(older[-1])]))
-        with pytest.raises(StoreError, match=named):
+        seg_dir = os.path.join(store_dir, "segments")
+        paths = (
+            [os.path.join(store_dir, MANIFEST_NAME)] if older == "manifest"
+            else [os.path.join(seg_dir, name) for name in os.listdir(seg_dir)]
+        )
+        for path in paths:
+            with open(path, "r+b") as handle:
+                handle.seek(4)  # the version byte of the envelope's head
+                handle.write(bytes([version]))
+        with pytest.raises(
+            StoreError, match=f"unsupported version {version} at offset 4 "
+        ):
             build_backend(
                 SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
             )
