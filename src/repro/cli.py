@@ -147,8 +147,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     query = parse_query(args.sql, default_registry(**_registry_params(args)))
     trace = read_trace_csv(args.trace, PACKET_SCHEMA)
     count = 0
-    for row in run_query(query, PACKET_SCHEMA, trace,
-                         two_level=not args.single_level):
+    for row in run_query(query, PACKET_SCHEMA, trace):
         print(row)
         count += 1
         if args.limit and count >= args.limit:
@@ -638,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("sql", help="the query text")
     query.add_argument("--trace", required=True, help="CSV trace path")
-    query.add_argument("--single-level", action="store_true",
-                       help="disable two-level aggregate splitting")
     query.add_argument("--limit", type=int, default=0,
                        help="print at most this many rows (0 = all)")
     query.set_defaults(handler=_cmd_query)

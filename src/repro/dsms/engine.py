@@ -5,11 +5,14 @@ Reproduces the execution architecture the paper's experiments exercise
 
 * **Two-level aggregation** — GS "splits the query into a low-level part
   performing partial aggregation using a fixed-size hash table and a
-  super-aggregation query combining partial results".
-  :class:`QueryEngine` does the same: mergeable aggregates accumulate in a
-  bounded low-level table; on collision/overflow the evicted partial state
-  is merged upward into the unbounded high-level table.  Figure 2(b)
-  disables this split (``two_level=False``).
+  super-aggregation query combining partial results".  Figure 2(a)
+  measures that split and Figure 2(b) runs without it; both time the
+  per-tuple path (``bench.harness.time_query``).  ``two_level=True``
+  keeps mergeable aggregates in a bounded low-level table whose evicted
+  partials merge upward into the unbounded high-level table.  An engine
+  is one-level by default, and one behind a store always is: the low
+  table's evictions reassociate float sums, so only the one-level engine
+  answers byte-identically to any partition of its stream.
 * **High-level-only UDAFs** — queries whose aggregates are not mergeable
   (the sketch/sampler adapters, like the paper's C UDAFs) bypass the
   low level automatically.
@@ -109,7 +112,8 @@ class QueryEngine:
     two_level:
         Enable the low-level partial-aggregation table of
         :data:`LOW_TABLE_SIZE` groups (only effective when every aggregate
-        in the query is mergeable).
+        in the query is mergeable): the Fig. 2(a) engine.  Off by default;
+        refused together with ``store``.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  When given
         and enabled, this engine's ingest/flush/partial-state paths record
@@ -124,19 +128,25 @@ class QueryEngine:
         the store bounds how many groups stay in RAM: cold groups spill
         to on-disk segments and fault back in exactly on first touch, so
         results stay byte-identical to the all-RAM engine (see
-        :mod:`repro.store`).  When None (the default), nothing changes —
-        the dict-backed path is untouched.
+        :mod:`repro.store`).  A store-backed engine is one-level.  When
+        None (the default), nothing changes — the dict-backed path is
+        untouched.
     """
 
     def __init__(
         self,
         query: Query,
         schema: Schema,
-        two_level: bool = True,
+        two_level: bool = False,
         metrics=None,
         metrics_name: str = "query",
         store=None,
     ):
+        if two_level and store is not None:
+            raise QueryError(
+                "a store-backed engine is one-level: two_level=True keeps "
+                "the Fig. 2(a) low table, which has no tiered storage"
+            )
         self.query = query
         self.schema = schema
         self._validate()
@@ -414,13 +424,13 @@ class QueryEngine:
         aggregate argument are computed column-at-a-time up front, and
         the stateful grouping loop walks row *indices*, collecting each
         group's rows so its UDAF states take **one** ``update_cols`` per
-        aggregate instead of one ``update`` per tuple.  Group creation and
-        low-table eviction still happen at exactly the same stream
-        positions as the per-tuple path (an eviction victim's deferred
-        updates are applied before its partial state merges upward), so
-        every accumulator sees the identical operation sequence.  Compiled
-        expressions are pure, so hoisting them out of the stateful loop
-        cannot change results.
+        aggregate instead of one ``update`` per tuple.  Group creation
+        happens at exactly the same stream positions as on the per-tuple
+        path, so every accumulator sees the identical operation sequence.
+        A two-level engine hands each kept row to the per-tuple path's
+        low-table routine instead, so its evictions are ``process``'s own.
+        Compiled expressions are pure, so hoisting them out of the
+        stateful loop cannot change results.
         """
         count = row_count(cols, QueryError)
         if count == 0:
@@ -433,30 +443,28 @@ class QueryEngine:
         self._tuples_selected += kept
         if kept == 0:
             return
-        two_level = self.two_level
-        low = self._low
+        if self.two_level:
+            process_low = self._process_low
+            arg_slots = self._arg_slots
+            for index, key in enumerate(keys):
+                process_low(key, [
+                    tuple(arg_cols[slot][index] for slot in slots)
+                    for slots in arg_slots
+                ])
+            return
         high = self._high
-        low_get = low.get
         high_get = high.get
         agg_plans = self._agg_plans
-        capacity = LOW_TABLE_SIZE
-        if self._store is not None:
+        store = self._store
+        if store is not None:
             # Read-ahead: the batch's keys are all known before the loop
             # starts, so the cold ones are fetched a page at a time rather
-            # than one fault per miss.  In a two-level engine a key faults
-            # only when it merges up, which this batch forces only once
-            # the keys new to the low table overflow it.
-            fresh = []
-            incoming = 0
-            for key in dict.fromkeys(keys):
-                if key not in low:
-                    incoming += 1
-                    if key not in high:
-                        fresh.append(key)
-            if fresh and (not two_level or len(low) + incoming > capacity):
-                self._store.stage(fresh)
+            # than one fault per miss.
+            fresh = [key for key in dict.fromkeys(keys) if key not in high]
+            if fresh:
+                store.stage(fresh)
         # key -> (states, row indices, indices.append); states already live
-        # in low/high.
+        # in high.
         pending: dict[tuple, tuple] = {}
         pending_get = pending.get
         for index, key in enumerate(keys):
@@ -464,32 +472,17 @@ class QueryEngine:
             if entry is not None:
                 entry[2](index)
                 continue
-            if two_level:
-                states = low_get(key)
-                if states is None:
-                    if len(low) >= capacity:
-                        evicted_key, evicted_states = low.popitem()
-                        evicted = pending.pop(evicted_key, None)
-                        if evicted is not None:
-                            self._apply_batch_cols(
-                                evicted_states, evicted[1], arg_cols
-                            )
-                        self._merge_up(evicted_key, evicted_states)
-                        self._low_evictions += 1
-                    states = [plan.udaf.create() for plan in agg_plans]
-                    low[key] = states
-            else:
-                states = high_get(key)
-                if states is None:
-                    states = [plan.udaf.create() for plan in agg_plans]
-                    high[key] = states
+            states = high_get(key)
+            if states is None:
+                states = [plan.udaf.create() for plan in agg_plans]
+                high[key] = states
             indices = [index]
             pending[key] = (states, indices, indices.append)
         self._apply_pending_cols(pending, arg_cols)
-        if self._store is not None:
+        if store is not None:
             # One call per batch, never per tuple: the store accounts the
             # touched keys and enforces the hot-tier budget.
-            self._store.observe_batch(keys)
+            store.observe_batch(keys)
 
     def _apply_pending_cols(self, pending: dict, arg_cols: list) -> None:
         per_plan = [
@@ -509,25 +502,20 @@ class QueryEngine:
                         update(state, tuple(col[index] for col in acols))
                     else:
                         update(state, ())
-            else:
-                self._apply_batch_cols(states, indices, arg_cols)
-
-    def _apply_batch_cols(
-        self, states: list, indices: list[int], arg_cols: list
-    ) -> None:
-        """Fold one group's rows of the batch into its states: the group's
-        slice of each distinct argument column is gathered once, and every
-        aggregate takes the slices it names in one ``update_cols``."""
-        count = len(indices)
-        take = take_rows(indices)
-        slices = [take(col) for col in arg_cols]
-        for plan, state, slots in zip(self._agg_plans, states, self._arg_slots):
-            if len(slots) == 1:
-                plan.udaf.update_cols(state, (slices[slots[0]],), count)
-            else:
-                plan.udaf.update_cols(
-                    state, tuple(slices[slot] for slot in slots), count
-                )
+                continue
+            # The group's slice of each distinct argument column is
+            # gathered once, and every aggregate takes the slices it names
+            # in one ``update_cols``.
+            count = len(indices)
+            take = take_rows(indices)
+            slices = [take(col) for col in arg_cols]
+            for plan, state, slots in zip(self._agg_plans, states, self._arg_slots):
+                if len(slots) == 1:
+                    plan.udaf.update_cols(state, (slices[slots[0]],), count)
+                else:
+                    plan.udaf.update_cols(
+                        state, tuple(slices[slot] for slot in slots), count
+                    )
 
     def _process_low(self, key: tuple, args: list) -> None:
         low = self._low
@@ -631,19 +619,12 @@ class QueryEngine:
         return row
 
     def _drain_low(self) -> None:
-        """Merge every low-level partial upward (a merge-neutral operation:
-        the same states end up in the high table, so finalized results are
-        unchanged — associativity of the aggregate merges)."""
+        """Merge every low-level partial upward, as a full table's
+        eviction would (a float sum reassociated here is the two-level
+        engine's own answer, which Fig. 2(a) times)."""
         low = self._low
-        if self.two_level and low:
-            store = self._store
-            if store is not None:
-                high = self._high
-                store.stage([key for key in low if key not in high])
-            for key in list(low):
-                self._merge_up(key, low.pop(key))
-            if store is not None:
-                store.unstage()
+        for key in list(low):
+            self._merge_up(key, low.pop(key))
 
     def _finalized(self, take: bool) -> list[ResultRow]:
         """The one finalize walk: every group (low table drained upward
@@ -720,12 +701,12 @@ class QueryEngine:
     def _snapshot(self) -> tuple[list[tuple], list[list]]:
         """Flush-consistent ``(keys, states)`` of every live group.
 
-        The low-level table is drained upward first, so the view is the
-        same whether the engine ran single- or two-level, and ingest
-        continues afterwards with unchanged results.  Keys are sorted by
-        ``repr``, which makes the encoded bytes deterministic.  Cold
-        groups of a store-backed engine are read, not faulted in; their
-        summary slots stay ``to_bytes`` buffers.
+        The low-level table is drained upward first, so the view is
+        :meth:`flush`'s, and ingest continues afterwards with unchanged
+        results.  Keys are sorted by ``repr``, which makes the encoded
+        bytes deterministic.  Cold groups of a store-backed engine are
+        read, not faulted in; their summary slots stay ``to_bytes``
+        buffers.
         """
         self._drain_low()
         high = self._high
@@ -1014,10 +995,7 @@ def fold_partials(
 
 
 def run_query(
-    query: Query,
-    schema: Schema,
-    rows: Iterable[tuple],
-    two_level: bool = True,
+    query: Query, schema: Schema, rows: Iterable[tuple]
 ) -> Iterator[ResultRow]:
     """Convenience: run ``query`` over ``rows`` and yield all result rows.
 
@@ -1032,7 +1010,7 @@ def run_query(
     bucket (``group by destIP``, late rows, NaN) splits a group's
     emission into several rows.
     """
-    engine = QueryEngine(query, schema, two_level=two_level)
+    engine = QueryEngine(query, schema)
     evaluate, apply = engine._eval_row, engine._apply_row
     bucketed = bool(query.group_by)
     previous = object()  # the first key of the last row WHERE passed

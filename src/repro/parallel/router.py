@@ -160,9 +160,8 @@ class Router:
         if row_count(cols, QueryError) == 0:
             return
         self.schema.validate_cols(cols)
-        placement = self._placement
         for name, part, count in self._routing.partition(
-            cols, placement.node_for, placement.nodes
+            cols, self._placement.node_for
         ):
             self._rows_routed += count
             size = self._frame_rows or count

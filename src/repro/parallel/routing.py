@@ -1,13 +1,14 @@
 """Group-key routing for the router (:mod:`repro.parallel.router`).
 
-Section VI-B's fixed numerators mean *where* a tuple lands never affects
-the answer, so routing is a balance concern only.
-:class:`GroupKeyRouter` computes one routing key per row of a columnar
-batch (its GROUP BY expressions) and :meth:`~GroupKeyRouter.partition`
-splits the batch into one column slice per owner; :func:`stable_route`
-maps a key to one of ``n`` shards the same way in every process;
-:func:`validate_mergeable` refuses, at plan time, a query whose
-per-group state has no merge rule.
+Section VI-B's fixed numerators mean *which* owner holds a group never
+affects the answer, so placement is a balance concern only; every row of
+a group goes to that one owner in stream order, so not even a float sum
+is reassociated.  :class:`GroupKeyRouter` computes one routing key per
+row of a columnar batch (its GROUP BY expressions, or ``()``) and
+:meth:`~GroupKeyRouter.partition` splits the batch into one column slice
+per owner; :func:`stable_route` maps a key to one of ``n`` shards the
+same way in every process; :func:`validate_mergeable` refuses, at plan
+time, a query whose per-group state has no merge rule.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def validate_mergeable(template: QueryEngine) -> None:
 
 class GroupKeyRouter:
     """Routing keys for one query over one schema: the compiled GROUP BY
-    expressions.  Without them (one global group, which any placement
-    merges) rows are dealt round-robin over the owners on one counter."""
+    expressions.  A query without them has one group, so every row has
+    the one key ``()`` and is placed like any other key: all of a
+    group's rows meet on one owner, in stream order."""
 
     def __init__(self, query, schema: Schema):
         self._group_col_fns = tuple(
@@ -65,45 +67,34 @@ class GroupKeyRouter:
             None if index in read else field.type.python_type()()
             for index, field in enumerate(schema.fields)
         ]
-        self._round_robin = 0
-
-    @property
-    def keyed(self) -> bool:
-        """False when every tuple belongs to the single global group."""
-        return bool(self._group_col_fns)
 
     def keys(self, cols: list, count: int) -> list:
-        """Routing key per row of a columnar batch (when :attr:`keyed`)."""
+        """Routing key per row of a columnar batch."""
         fns = self._group_col_fns
         if len(fns) == 1:
             return fns[0](cols, count)
+        if not fns:
+            return [()] * count
         return list(zip(*(fn(cols, count) for fn in fns)))
 
-    def partition(self, cols: list, place, owners):
+    def partition(self, cols: list, place):
         """Split a batch checked against the schema by owner, yielding
-        ``(owner, part_cols, count)``: row ``i`` goes to ``place(keys[i])``
-        (``owners`` in turn when not :attr:`keyed`), in arrival order.  A
-        part holds the owner's rows of the :attr:`columns_read` columns (a
-        single-owner batch's own lists) and zeros of the field's type for
-        every other field.  ``place`` is asked once per distinct key and
-        its answers forgotten, so membership changes need no invalidation.
+        ``(owner, part_cols, count)``: row ``i`` goes to ``place(keys[i])``,
+        in arrival order.  A part holds the owner's rows of the
+        :attr:`columns_read` columns (a single-owner batch's own lists)
+        and zeros of the field's type for every other field.  ``place`` is
+        asked once per distinct key and its answers forgotten, so
+        membership changes need no invalidation.
         """
         count = len(cols[0]) if cols else 0
         if count == 0:
             return
         zeros = self._zeros
+        keys = self.keys(cols, count)
+        owner_of = {key: place(key) for key in dict.fromkeys(keys)}
         picks: dict = {}
-        if self.keyed:
-            keys = self.keys(cols, count)
-            owner_of = {key: place(key) for key in dict.fromkeys(keys)}
-            for i, key in enumerate(keys):
-                picks.setdefault(owner_of[key], []).append(i)
-        else:
-            start = self._round_robin
-            self._round_robin = start + count
-            n = len(owners)
-            for offset in range(min(n, count)):
-                picks[owners[(start + offset) % n]] = range(offset, count, n)
+        for i, key in enumerate(keys):
+            picks.setdefault(owner_of[key], []).append(i)
         for owner, indices in picks.items():
             size = len(indices)
             take = (lambda column: column) if size == count else take_rows(indices)

@@ -177,10 +177,10 @@ class _FaultingTable(dict):
     """The engine's high table, with cold groups faulted in on ``get``.
 
     Every hot-path miss check in the engine goes through ``high.get``;
-    overriding it is the single hook that covers group creation, low-table
-    merge-up, and partial-state merges.  Iteration, ``pop`` and
-    ``popitem`` stay plain ``dict`` operations — eviction and flushing
-    must *not* fault (the store reads through ``dict.get`` directly).
+    overriding it is the single hook that covers group creation and
+    partial-state merges.  Iteration, ``pop`` and ``popitem`` stay plain
+    ``dict`` operations — eviction and flushing must *not* fault (the
+    store reads through ``dict.get`` directly).
     """
 
     __slots__ = ("store",)
@@ -213,8 +213,7 @@ class TieredStore:
         directory snapshot.
     hot_groups:
         Hot-tier budget: the maximum number of groups kept in the engine's
-        high-level table.  The low-level table is already bounded by the
-        engine's ``LOW_TABLE_SIZE``.
+        table (a store-backed engine is one-level).
 
     Segment rotation, compaction and the :meth:`pressure` scale are the
     module constants ``_SEGMENT_BYTES``, ``_COMPACT_MIN_SEGMENTS``,
@@ -450,7 +449,6 @@ class TieredStore:
         budget = self.hot_groups
         if len(high) > budget:
             prio = self._prio
-            requeue = []
             victims = []
             while len(high) > budget:
                 if not self._heap:
@@ -462,26 +460,19 @@ class TieredStore:
                     continue  # stale entry; a newer one is still queued
                 states = dict.get(high, key)
                 if states is None:
-                    # Touched but currently only in the low table; keep
-                    # the entry for when its partial merges upward.
-                    requeue.append((value, seq, key))
-                    continue
+                    continue  # flushed since it was touched
                 del high[key]
                 # Spilled groups restart their touch history on fault-in;
                 # this also bounds the priority map by the hot tier, not
                 # the keyspace.
                 prio.pop(key, None)
                 victims.append((key, states))
-            for entry in requeue:
-                heapq.heappush(self._heap, entry)
             if victims:
                 self._spill_batch(victims)
-        if len(self._prio) > 4 * budget + len(engine._low):
+        if len(self._prio) > 4 * budget:
             # Priorities for departed groups (flushed or spilled keys) are dead weight; keep only what can still be evicted.
-            live = set(high)
-            live.update(engine._low)
             self._prio = {
-                key: value for key, value in self._prio.items() if key in live
+                key: value for key, value in self._prio.items() if key in high
             }
         if (
             self._writer is not None
@@ -988,7 +979,6 @@ class TieredStore:
         engine = self._engine
         if engine is None:
             raise ParameterError("store is not attached to an engine")
-        engine._drain_low()
         self._seal_writer()
         high = engine._high
         ckpt_name = None

@@ -68,7 +68,6 @@ EXPECTED = {
     "query": {
         **_ACCURACY,
         "limit": (("--limit",), 0, "int", False),
-        "single_level": (("--single-level",), False, None, False),
         "sql": ((), None, None, True),
         "trace": (("--trace",), None, None, True),
     },

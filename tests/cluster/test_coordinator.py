@@ -15,7 +15,9 @@ from repro.serve.protocol import MAX_FRAME_BYTES, FrameTooLarge, rows_to_cols
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows
 
-UNKEYED_SQL = "select count(*) as c, sum(len) as s from TCP"
+UNKEYED_SQL = (
+    "select count(*) as c, sum(len * 0.1) as s, avg(len * 0.1) as a from TCP"
+)
 
 
 def local_cluster(tmp_path, n=3, sql=SQL, **kwargs):
@@ -88,17 +90,17 @@ class TestExactFanOut:
         assert canon(first) == canon(expected_rows(SQL, rows[:100]))
         assert canon(final) == canon(expected_rows(SQL, rows))
 
-    def test_unkeyed_query_round_robins_exactly(self, tmp_path):
+    def test_unkeyed_query_reaches_one_node_exactly(self, tmp_path):
+        # The one group of an un-keyed query has the key (): one node
+        # owns it, so the answer is one engine's, float sums included.
         rows = make_rows(150)
         with local_cluster(tmp_path, sql=UNKEYED_SQL) as cluster:
             cluster.insert(rows)
             got = cluster.query()
             stats = cluster.stats()
         assert canon(got) == canon(expected_rows(UNKEYED_SQL, rows))
-        # round-robin: every node saw some of the stream
-        assert all(
-            info["rows_sent"] > 0 for info in stats["per_node"].values()
-        )
+        sent = sorted(info["rows_sent"] for info in stats["per_node"].values())
+        assert sent == [0, 0, len(rows)]
 
     def test_single_node_cluster_degenerates_cleanly(self, tmp_path):
         rows = make_rows(120)

@@ -38,10 +38,10 @@ def registry():
     return default_registry()
 
 
-def results_by_key(query_text, rows=ROWS, registry=None, **engine_kwargs):
+def results_by_key(query_text, rows=ROWS, registry=None):
     registry = registry or default_registry()
     query = parse_query(query_text, registry)
-    output = list(run_query(query, SCHEMA, rows, **engine_kwargs))
+    output = list(run_query(query, SCHEMA, rows))
     return output
 
 
@@ -239,16 +239,26 @@ class TestPlainSelectItems:
 
 
 class TestTwoLevel:
-    def test_two_level_equals_single_level(self, registry, low_table):
+    def test_two_level_equals_one_level(self, registry, low_table):
         low_table(2)
-        text = (
+        query = parse_query(
             "select tb, destIP, count(*) as c, sum(len) as s from TCP "
-            "group by time/60 as tb, destIP"
+            "group by time/60 as tb, destIP",
+            registry,
         )
-        split = results_by_key(text, two_level=True)
-        flat = results_by_key(text, two_level=False)
-        key = lambda r: (r["tb"], r["destIP"])
-        assert sorted(split, key=key) == sorted(flat, key=key)
+        split = QueryEngine(query, SCHEMA, two_level=True)
+        flat = QueryEngine(query, SCHEMA)
+        for row in ROWS:
+            split.process(row)
+            flat.process(row)
+        assert split.low_evictions > 0 and flat.low_evictions == 0
+        assert split.flush() == flat.flush()
+
+    def test_one_level_is_the_default(self, registry):
+        query = parse_query(
+            "select tb, count(*) as c from TCP group by time/60 as tb", registry
+        )
+        assert not QueryEngine(query, SCHEMA).two_level
 
     def test_eviction_counter_increments_on_tiny_table(self, registry, low_table):
         low_table(1)
@@ -331,12 +341,10 @@ class TestBucketEmission:
         where=st.sampled_from([None, 3]),
         tail=st.sampled_from(["", " having c > 1", " limit 2",
                               " having s > 4 order by s desc limit 1"]),
-        two_level=st.booleans(),
     )
     def test_equals_one_flush_per_run_of_a_first_key(
-        self, registry, low_table, rows, where, tail, two_level
+        self, registry, rows, where, tail
     ):
-        low_table(3)
         schema = Schema([
             Field("tb", FieldType.INT), Field("k", FieldType.STR),
             Field("v", FieldType.INT),
@@ -350,11 +358,11 @@ class TestBucketEmission:
         passing = [row for row in rows if where is None or row[2] > where]
         expected = []
         for _tb, run in itertools.groupby(passing, key=lambda row: row[0]):
-            engine = QueryEngine(query, schema, two_level=two_level)
+            engine = QueryEngine(query, schema)
             for row in run:
                 engine.process(row)
             expected.extend(engine.flush())
-        assert list(run_query(query, schema, rows, two_level)) == expected
+        assert list(run_query(query, schema, rows)) == expected
 
 
 class TestStatistics:
@@ -506,20 +514,13 @@ class TestInsertMany:
         # every float in them) must still match bit for bit.
         low_table(8)
         rows = self.make_rows()
-        per_tuple, batched = self.engines(registry)
+        per_tuple, batched = self.engines(registry, two_level=True)
         for row in rows:
             per_tuple.process(row)
         for begin in range(0, len(rows), 64):
             batched.insert_many(rows[begin : begin + 64])
+        assert per_tuple.low_evictions > 0
         assert batched.low_evictions == per_tuple.low_evictions
-        assert batched.flush() == per_tuple.flush()
-
-    def test_identical_single_level(self, registry):
-        rows = self.make_rows(n=800)
-        per_tuple, batched = self.engines(registry, two_level=False)
-        for row in rows:
-            per_tuple.process(row)
-        batched.insert_many(rows)
         assert batched.flush() == per_tuple.flush()
 
     def test_accepts_generators(self, registry):

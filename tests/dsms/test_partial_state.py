@@ -115,7 +115,7 @@ class TestTwoLevel:
         rows = make_rows(300)
         direct = ingest_all(build_engine(), rows)
 
-        donor = ingest_all(build_engine(), rows)
+        donor = ingest_all(build_engine(two_level=True), rows)
         assert donor.low_evictions > 0  # the snapshot drains a hot low table
         restored = build_engine()
         restored.merge_partial(donor.partial_state_bytes())
@@ -123,10 +123,11 @@ class TestTwoLevel:
         assert restored.flush() == direct.flush()
         assert restored.low_evictions == donor.low_evictions
 
-    def test_single_level_snapshot_matches_two_level(self):
+    def test_one_level_snapshot_matches_two_level(self):
         rows = make_rows()
-        one = ingest_all(build_engine(two_level=False), rows)
+        one = ingest_all(build_engine(), rows)
         two = ingest_all(build_engine(two_level=True), rows)
+        assert two.two_level and two.low_evictions == 0
         assert one.partial_state_bytes() == two.partial_state_bytes()
 
 
@@ -171,14 +172,18 @@ class TestSketchStates:
     def test_sampler_query_resumes_exactly(self, sql, table_size, low_table):
         # RNG state rides in the summary payload: a fresh engine resumed
         # from a mid-stream snapshot draws the same sample.
+        options = {}
         if table_size is not None:
             low_table(table_size)
+            options["two_level"] = True
         rows = make_rows(300)
-        uninterrupted = ingest_all(build_engine(sql), rows)
-        first_half = ingest_all(build_engine(sql), rows[:150])
-        resumed = build_engine(sql)
+        uninterrupted = ingest_all(build_engine(sql, **options), rows)
+        first_half = ingest_all(build_engine(sql, **options), rows[:150])
+        resumed = build_engine(sql, **options)
         resumed.merge_partial(first_half.partial_state_bytes())
         assert ingest_all(resumed, rows[150:]).flush() == uninterrupted.flush()
+        if table_size is not None:
+            assert uninterrupted.low_evictions > 0
 
     def test_sketch_shard_merge_within_error(self):
         # SpaceSaving merge is approximate in general; on a stream small

@@ -191,7 +191,7 @@ def test_partition_gathers_the_read_columns_and_zero_fills_the_rest():
     assert [NAMES[i] for i in router.columns_read] == ["time", "destIP", "len"]
     batch = rows_to_cols(ROWS_40)
     # Placed by the destIP part of the (tb, destIP) key.
-    parts = list(router.partition(batch, lambda key: int(key[1][1:]) % 3, range(3)))
+    parts = list(router.partition(batch, lambda key: int(key[1][1:]) % 3))
     assert sorted(owner for owner, _part, _count in parts) == [0, 1, 2]
     for owner, part, count in parts:
         rows = [row for row in ROWS_40 if int(row[3][1:]) % 3 == owner]
@@ -203,7 +203,7 @@ def test_partition_gathers_the_read_columns_and_zero_fills_the_rest():
                 assert is_zero_fill(column, ROWS_40[0][index], count)
     # One owner: the read columns pass through as they are, the others
     # are still not shipped — a one-node cluster sends what three do.
-    ((_owner, whole, count),) = router.partition(batch, lambda key: 0, [0])
+    ((_owner, whole, count),) = router.partition(batch, lambda key: 0)
     assert count == 40
     for index, column in enumerate(whole):
         if index in router.columns_read:

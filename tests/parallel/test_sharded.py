@@ -139,15 +139,24 @@ class TestInlineEquivalence:
 
 
 class TestRouting:
-    def test_no_group_by_round_robins(self):
-        sql = "select count(*) as c, sum(len) as s from TCP"
+    def test_an_unkeyed_query_is_one_group_on_one_shard(self):
+        # No GROUP BY: every row carries the one key (), placed like any
+        # other, so the group is never split and its float sums are the
+        # single engine's to the bit.
+        sql = "select count(*) as c, sum(len * 0.1) as s, avg(len * 0.1) as a from TCP"
         rows = make_rows(101)
         with ShardedEngine(sql, SCHEMA, shards=4, processes=0) as engine:
             engine.insert_many(rows)
             assert engine.query() == unsharded(sql, rows)
+            blobs = engine.partial_states()
             counts = engine.close()["tuples_per_shard"]
-        # Round-robin placement: shard loads differ by at most one tuple.
-        assert max(counts) - min(counts) <= 1
+        assert sorted(counts) == [0, 0, 0, len(rows)]
+        build = ShardPlan(sql=sql, schema=SCHEMA).build_engine
+        whole, collector = build(), build()
+        whole.insert_many(rows)
+        for blob in blobs:
+            collector.merge_partial(blob)
+        assert collector.partial_state_bytes() == whole.partial_state_bytes()
 
     def test_a_router_on_one_key_part_places_each_value_on_one_shard(self):
         # Routing on the destIP part of the (tb, destIP) key sends every

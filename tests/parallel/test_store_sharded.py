@@ -35,10 +35,10 @@ def wide_rows(n: int) -> list[tuple]:
     ]
 
 
-@pytest.fixture(autouse=True)
-def _small_low_table(low_table):
-    # A 16-group low table sends groups up to each shard's store soon.
-    low_table(16)
+def spilled(tmp_path, shard: int) -> bool:
+    """Whether the shard's store wrote a spill segment (not a ``ckpt-``)."""
+    segments = tmp_path / "store" / f"shard{shard}" / "segments"
+    return any(not name.startswith("ckpt-") for name in os.listdir(segments))
 
 
 def store_engine(tmp_path, **kwargs) -> ShardedEngine:
@@ -73,6 +73,7 @@ class TestInlineStore:
             for shard in range(SHARDS):
                 manifest = tmp_path / "store" / f"shard{shard}" / MANIFEST_NAME
                 assert manifest.exists()
+                assert spilled(tmp_path, shard)
 
 
 @pytest.mark.slow
@@ -90,6 +91,7 @@ class TestStoreBackedRecovery:
             assert os.path.exists(
                 tmp_path / "store" / "shard1" / MANIFEST_NAME
             )
+            assert spilled(tmp_path, 1)  # the manifest references spill
             kill_worker(engine, shard=1)
             engine.insert_many(rows_after)
             result = engine.query()
@@ -115,6 +117,7 @@ class TestStoreBackedRecovery:
         with store_engine(tmp_path, processes=None) as engine:
             engine.insert_many(rows_before)
             engine.checkpoint()
+            assert spilled(tmp_path, 1)
             engine.insert_many(doomed)
             kill_worker(engine, shard=1)
             engine.insert_many(rows_after)

@@ -73,8 +73,7 @@ class TestCreditGrant:
 
 
 class TestStorePressureEndToEnd:
-    def test_window_shrinks_under_churn_and_recovers(self, tmp_path, low_table):
-        low_table(16)
+    def test_window_shrinks_under_churn_and_recovers(self, tmp_path):
         backend = build_backend(
             SQL, PACKET_SCHEMA, store_dir=str(tmp_path / "store"),
             store_hot_groups=8,
@@ -98,6 +97,7 @@ class TestStorePressureEndToEnd:
                 stats = client.stats()
                 assert stats["server"]["pressure"] > 0.5
                 assert stats["backend"]["store"]["pressure"] > 0.5
+                assert stats["backend"]["store"]["evictions"] > 0
 
                 for batch in calm:
                     client.insert(batch)

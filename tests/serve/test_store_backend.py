@@ -27,12 +27,6 @@ from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import SQL, canon, expected_rows, make_rows
 
 
-@pytest.fixture(autouse=True)
-def _small_low_table(low_table):
-    # A 16-group low table sends groups up to the store's high tier soon.
-    low_table(16)
-
-
 def wide_rows(n: int) -> list[tuple]:
     """Rows spread over enough destIPs that a tiny hot budget must spill."""
     rows = []
@@ -62,6 +56,7 @@ class TestSingleBackend:
             SQL, PACKET_SCHEMA, store_dir=store_dir, store_hot_groups=8,
         )
         backend.insert_cols(rows_to_cols(wide_rows(200)))
+        assert backend.stats()["store"]["cold_groups"] > 0
         assert backend.checkpoint_blobs() == []
         assert os.path.exists(os.path.join(store_dir, MANIFEST_NAME))
         backend.close()
@@ -131,6 +126,9 @@ class TestShardedBackend:
         backend.close()
         shard_dirs = sorted(os.listdir(tmp_path / "s"))
         assert shard_dirs == ["shard0", "shard1", "shard2"]
+        for shard in shard_dirs:  # each shard spilled, beyond its checkpoint
+            names = os.listdir(tmp_path / "s" / shard / "segments")
+            assert any(not name.startswith("ckpt-") for name in names)
 
 
 class TestServerIntegration:

@@ -70,15 +70,6 @@ def make_rows(n: int = 1_500, groups: int = 200, seed: int = 11) -> list[tuple]:
     return rows
 
 
-@pytest.fixture(autouse=True)
-def _small_low_table(low_table):
-    # A small low table forces groups up into the (tiered) high table
-    # quickly — the store only manages the high tier, so tests want the
-    # traffic there.  Byte-identity claims hold for any size; reference
-    # engines use the same value so flush order internals line up.
-    low_table(32)
-
-
 def build_engine(
     sql: str = BUILTIN_SQL, store: TieredStore | None = None, **kwargs
 ) -> QueryEngine:
@@ -109,6 +100,7 @@ def checkpointed_store(directory: str) -> str:
     returns the manifest path."""
     engine = build_engine(store=TieredStore(directory, hot_groups=4))
     engine.insert_many(make_rows(400, groups=60))
+    assert engine.store.cold_count > 0
     manifest_path = engine.store_checkpoint()
     engine.insert_many(make_rows(100, groups=60))  # leave unreferenced spill
     engine.store.close()
@@ -133,8 +125,8 @@ class TestByteIdentity:
         engine = build_engine(store=store)
         engine.insert_many(rows)
         assert store.hot_count <= 16
-        # Hot and cold key sets are disjoint; together with the low tier
-        # they cover every group the reference engine knows.
+        # Hot and cold key sets are disjoint; together they cover every
+        # group the reference engine knows.
         high_keys = set(dict.keys(engine._high))
         assert not high_keys & set(store.cold_key_set())
         assert engine.group_count == len(reference_flush(BUILTIN_SQL, rows))
@@ -207,20 +199,18 @@ class TestRandomizedSchedules:
     """Property-style: random ingest/eviction schedules never change results."""
 
     @pytest.mark.parametrize(
-        "sql, two_level, churn",
+        "sql, churn",
         [
-            (SKETCH_SQL, False, False),  # summary pages
-            (SKETCH_SQL, False, True),
-            (BUILTIN_SQL, True, False),  # faults at merge-up, read ahead
-            (BUILTIN_SQL, True, True),
-            (BUILTIN_SQL, False, False),  # faults at the high-table miss
+            (SKETCH_SQL, False),  # summary pages
+            (SKETCH_SQL, True),
+            (BUILTIN_SQL, False),  # faults at the table miss, read ahead
+            (BUILTIN_SQL, True),
         ],
-        ids=["sketch-fg", "sketch-churn", "two-level-fg", "two-level-churn",
-             "single-level-fg"],
+        ids=["sketch-fg", "sketch-churn", "builtins-fg", "builtins-churn"],
     )
     @pytest.mark.parametrize("seed", range(5))
     def test_random_schedule_byte_identity(
-        self, tmp_path, monkeypatch, seed, sql, two_level, churn
+        self, tmp_path, monkeypatch, seed, sql, churn
     ):
         rng = random.Random(seed)
         rows = make_rows(
@@ -236,8 +226,8 @@ class TestRandomizedSchedules:
             monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 1)
             monkeypatch.setattr(tiered_mod, "_COMPACT_GARBAGE_RATIO", 0.1)
         store = TieredStore(str(tmp_path / f"s{seed}"), hot_groups=hot_groups)
-        engine = build_engine(sql, store=store, two_level=two_level)
-        reference = build_engine(sql, two_level=two_level)
+        engine = build_engine(sql, store=store)
+        reference = build_engine(sql)
         i = 0
         while i < len(rows):
             step = rng.randrange(1, 200)
@@ -254,6 +244,7 @@ class TestRandomizedSchedules:
                     == reference.partial_state_bytes()
                 )
         assert engine.partial_state_bytes() == reference.partial_state_bytes()
+        assert store.stats()["evictions"] > 0
         assert engine.flush() == reference.flush()
         if churn:
             assert store.stats()["compactions"] > 0
@@ -265,7 +256,7 @@ class TestPages:
 
     def test_an_eviction_batch_is_one_page(self, tmp_path):
         store = TieredStore(str(tmp_path / "s"), hot_groups=10)
-        engine = build_engine(store=store, two_level=False)
+        engine = build_engine(store=store)
         engine.insert_many(make_rows(300, groups=150))
         stats = store.stats()
         assert stats["evictions"] > 100
@@ -298,7 +289,7 @@ class TestPages:
 
     def test_a_staged_row_is_a_fault_in_only_when_consumed(self, tmp_path):
         store = TieredStore(str(tmp_path / "s"), hot_groups=4)
-        engine = build_engine(store=store, two_level=False)
+        engine = build_engine(store=store)
         engine.insert_many(make_rows(200, groups=40))
         cold = sorted(store.cold_key_set(), key=repr)
         faults, pages = store.stats()["fault_ins"], store.stats()["pages_read"]
@@ -328,8 +319,8 @@ class TestPages:
         )
         monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
         store = TieredStore(str(tmp_path / "s"), hot_groups=2)
-        engine = build_engine(store=store, two_level=False)
-        reference = build_engine(two_level=False)
+        engine = build_engine(store=store)
+        reference = build_engine()
         # One batch whose eviction holds both twins: they may not share a
         # page, or one slot would name two rows.
         first = [
@@ -358,7 +349,7 @@ class TestPages:
     ):
         monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
         store = TieredStore(str(tmp_path / "s"), hot_groups=4)
-        engine = build_engine(store=store, two_level=False)
+        engine = build_engine(store=store)
         rows = make_rows(120, groups=30)
         engine.insert_many(rows)
         store._seal_writer()
@@ -368,9 +359,7 @@ class TestPages:
         assert store.cold_count == 0 and store.segment_count == 1
         assert store.compact() == 1  # all garbage: retired, nothing copied
         assert store.segment_count == 0 and store.stats()["segment_bytes"] == 0
-        assert engine.flush() == reference_flush(
-            BUILTIN_SQL, rows + rows, two_level=False
-        )
+        assert engine.flush() == reference_flush(BUILTIN_SQL, rows + rows)
 
     def test_sketch_pages_close_at_the_byte_cap(self, tmp_path):
         store = TieredStore(str(tmp_path / "s"), hot_groups=2)
@@ -411,7 +400,7 @@ class TestHandleCache:
         monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", 1)
         monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
         store = TieredStore(str(tmp_path / "s"), hot_groups=1)
-        engine = build_engine(store=store, two_level=False)
+        engine = build_engine(store=store)
         rows = make_rows(110, groups=10_000)  # ~every row its own group
         for row in rows:
             engine.insert_many([row])  # one eviction, one sealed segment each
@@ -447,7 +436,7 @@ class TestEvictionPolicy:
         # decayed-touch priority must keep the regular at the bottom of
         # no eviction order — it stays hot while one-shots spill.
         store = TieredStore(str(tmp_path / "s"), hot_groups=32)
-        engine = build_engine(store=store, two_level=False)
+        engine = build_engine(store=store)
         hot_key = (0, "h-regular")
         for i in range(300):
             batch = [(1, "s0", "h-regular", 80, 100, "tcp")]
@@ -469,6 +458,7 @@ class TestCheckpointRestore:
         store = TieredStore(directory, hot_groups=12)
         engine = build_engine(SKETCH_SQL, store=store)
         engine.insert_many(rows[:half])
+        assert store.cold_count > 0  # the checkpoint references spill
         manifest_path = engine.store_checkpoint()
         assert os.path.basename(manifest_path) == MANIFEST_NAME
         store.close()
@@ -485,6 +475,7 @@ class TestCheckpointRestore:
         store = TieredStore(directory, hot_groups=8)
         engine = build_engine(store=store)
         engine.insert_many(rows[:600])
+        assert store.cold_count > 0
         engine.store_checkpoint()
         engine.insert_many(rows[600:])  # never checkpointed
         del engine  # crash: no close, no second checkpoint
@@ -646,6 +637,18 @@ class TestEngineContract:
         engine.insert_many(make_rows(50))
         with pytest.raises(ParameterError, match="fresh"):
             TieredStore(str(tmp_path / "s")).attach(engine)
+
+    def test_a_two_level_engine_is_refused_a_store(self, tmp_path):
+        # The Fig. 2(a) low table is the per-tuple model the figure
+        # times; a store-backed engine is one-level.
+        store = TieredStore(str(tmp_path / "s"), hot_groups=4)
+        with pytest.raises(QueryError, match="store-backed engine is one-level"):
+            build_engine(store=store, two_level=True)
+        rows = make_rows(300, groups=60)
+        engine = build_engine(store=store)  # the store was left unattached
+        engine.insert_many(rows)
+        assert store.stats()["evictions"] > 0
+        assert engine.flush() == reference_flush(BUILTIN_SQL, rows)
 
     def test_store_checkpoint_requires_store(self):
         with pytest.raises(QueryError, match="store") as excinfo:

@@ -6,13 +6,16 @@ So for every topology that fronts an engine, every way of offering the
 same stream must leave results *and* partial-state bytes identical to one
 in-process :class:`QueryEngine` fed row by row with ``process``: row
 batches, column batches, and the two interleaved with queries and
-checkpoints, in batches whose size does not divide the trace.
+checkpoints, in batches whose size does not divide the trace.  Every
+group's rows meet on one owner in stream order, so this holds for float
+sums too: no topology reassociates one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 
 import pytest
 
@@ -61,9 +64,9 @@ class Edge:
 
 
 @contextlib.contextmanager
-def sharded(tmp_path, processes):
+def sharded(tmp_path, sql, processes):
     engine = ShardedEngine(
-        SQL, PACKET_SCHEMA, shards=3, processes=processes, router=stable_route,
+        sql, PACKET_SCHEMA, shards=3, processes=processes, router=stable_route,
     )
     try:
         yield Edge(
@@ -75,9 +78,9 @@ def sharded(tmp_path, processes):
 
 
 @contextlib.contextmanager
-def cluster(tmp_path):
+def cluster(tmp_path, sql):
     coordinator = Coordinator.local(
-        SQL, PACKET_SCHEMA, str(tmp_path / "cluster"), node_count=3,
+        sql, PACKET_SCHEMA, str(tmp_path / "cluster"), node_count=3,
         batch_size=FRAME,
     )
     try:
@@ -90,13 +93,13 @@ def cluster(tmp_path):
 
 
 @contextlib.contextmanager
-def served(tmp_path, driver):
-    backend = build_backend(SQL, PACKET_SCHEMA, processes=0)
+def served(tmp_path, sql, client_mode):
+    backend = build_backend(sql, PACKET_SCHEMA, processes=0)
     server = ThreadedServer(
         StreamServer(backend, state_dir=str(tmp_path / "state"))
     ).start()
     try:
-        if driver == "sync":
+        if client_mode == "sync":
             client = ServeClient(server.host, server.port)
             call = lambda result: result
         else:
@@ -110,18 +113,18 @@ def served(tmp_path, driver):
             )
         finally:
             call(client.close())
-            if driver != "sync":
+            if client_mode != "sync":
                 loop.close()
     finally:
         server.stop()
 
 
 TOPOLOGIES = {
-    "sharded-inline": lambda tmp: sharded(tmp, 0),
-    "sharded-mp": lambda tmp: sharded(tmp, None),
+    "sharded-inline": lambda tmp, sql: sharded(tmp, sql, 0),
+    "sharded-mp": lambda tmp, sql: sharded(tmp, sql, None),
     "cluster-local": cluster,
-    "client-sync": lambda tmp: served(tmp, "sync"),
-    "client-asyncio": lambda tmp: served(tmp, "asyncio"),
+    "client-sync": lambda tmp, sql: served(tmp, sql, "sync"),
+    "client-asyncio": lambda tmp, sql: served(tmp, sql, "asyncio"),
 }
 
 
@@ -132,9 +135,15 @@ TOPOLOGIES = {
         for name in TOPOLOGIES
     ]
 )
-def edge(request, tmp_path):
-    with TOPOLOGIES[request.param](tmp_path) as topology:
-        yield topology
+def topology(request, tmp_path):
+    """Opens the topology over a query: ``with topology(sql) as edge``."""
+    return functools.partial(TOPOLOGIES[request.param], tmp_path)
+
+
+@pytest.fixture
+def edge(topology):
+    with topology(SQL) as opened:
+        yield opened
 
 
 def chunks():
@@ -201,3 +210,49 @@ def test_an_empty_batch_is_ignored_at_every_edge(edge):
     reference.insert_many(ROWS[:CHUNK])
     assert canon(edge.do("query")) == canon(reference.flush())
     assert edge.close_count() == CHUNK
+
+
+def wide_rows() -> list[tuple]:
+    """More groups than a low table's ``LOW_TABLE_SIZE`` (4,096): 4,200
+    keys, each in runs of two rows, over two passes — a table that held
+    them would evict two-row partials and merge them into each other."""
+    keys = [key for _pass in range(2) for key in range(4200) for _run in range(2)]
+    return [
+        (t, float(t), "10.0.0.1", f"d{key}", 80, 443, 40 + t % 1453, "TCP")
+        for t, key in enumerate(keys, start=1)
+    ]
+
+
+FLOAT_CASES = {
+    # (sql, rows, batch size)
+    "wide-decayed-sum": (
+        "select destIP, sum(len*exp(0.01*(time % 60))) as s from TCP "
+        "group by destIP",
+        wide_rows(), 5000,
+    ),
+    "unkeyed-sum-avg": (
+        "select sum(len*exp(0.01*(time % 60))) as s, avg(len*0.1) as a "
+        "from TCP",
+        ROWS, CHUNK,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_float_sums_match_the_row_fed_reference(topology, case):
+    sql, rows, size = FLOAT_CASES[case]
+    plan = ShardPlan(sql=sql, schema=PACKET_SCHEMA)
+    reference = plan.build_engine()
+    for row in rows:
+        reference.process(row)
+    with topology(sql) as edge:
+        for start in range(0, len(rows), size):
+            edge.do("insert_cols", rows_to_cols(rows[start : start + size]))
+        answer = edge.do("query")
+        blobs = edge.do("blobs")
+    collector = plan.build_engine()
+    for blob in blobs:
+        collector.merge_partial(blob)
+    reference_blob = reference.partial_state_bytes()
+    assert canon(answer) == canon(reference.flush())
+    assert collector.partial_state_bytes() == reference_blob

@@ -222,8 +222,7 @@ SEALED = {"partial-blob": serde.PARTIAL_STATE, "checkpoint": serde.PARTIALS_CHEC
     pytest.param(name, marks=pytest.mark.chaos) if name == "segment-file"
     else name for name in ROWS
 ])
-def test_every_mutant_is_refused_or_decoded_alike(name, tmp_path, low_table):
-    low_table(32)  # the manifest row's store spills
+def test_every_mutant_is_refused_or_decoded_alike(name, tmp_path):
     sweep(ROWS[name](tmp_path))
 
 
@@ -231,8 +230,7 @@ def test_every_mutant_is_refused_or_decoded_alike(name, tmp_path, low_table):
     (name, version) for name, fmt in SEALED.items()
     for version in (*range(fmt.version), fmt.version + 1, 255)
 ])
-def test_every_other_version_is_refused_by_number(name, version, tmp_path, low_table):
-    low_table(32)
+def test_every_other_version_is_refused_by_number(name, version, tmp_path):
     row = ROWS[name](tmp_path)
     assert row.data[:5] == serde.head(SEALED[name])
     sweep(dataclasses.replace(

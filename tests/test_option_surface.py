@@ -2,14 +2,15 @@
 
 An option that only tests set is a module constant instead (the engine's
 ``LOW_TABLE_SIZE``; ``low_table`` in ``tests/conftest.py`` patches it) or
-is gone.  ``two_level`` stays on ``QueryEngine`` (Fig. 2(b), ``repro
-query --single-level``, ``run_query``) — time buckets are ``run_query``'s
-alone, so the engine, its blob and the store carry none — and
-``metrics`` on ``QueryEngine`` and ``time_query`` (the instrumented
-pass of ``repro bench``), so a grep alone cannot keep them off the plan,
-the backends, the router, the store and the sharded engine: these
-signatures are pinned name for name, and the methods a retired
-capability needed stay deleted.
+is gone.  ``two_level`` stays on ``QueryEngine`` and ``time_query``
+alone: the Fig. 2(a) / 2(b) runners set it, and no other caller runs a
+two-level engine (``run_query`` and ``repro query`` are one-level) —
+time buckets are ``run_query``'s alone, so the engine, its blob and the
+store carry none — and ``metrics`` on ``QueryEngine`` and ``time_query``
+(the instrumented pass of ``repro bench``), so a grep alone cannot keep
+them off the plan, the backends, the router, the store and the sharded
+engine: these signatures are pinned name for name, and the methods a
+retired capability needed stay deleted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ SIGNATURES = {
     "repro.dsms.engine.QueryEngine": (
         "query", "schema", "two_level", "metrics", "metrics_name", "store",
     ),
-    "repro.dsms.engine.run_query": ("query", "schema", "rows", "two_level"),
+    "repro.dsms.engine.run_query": ("query", "schema", "rows"),
     "repro.parallel.worker.ShardPlan": (
         "sql", "schema", "registry_params", "store_dir", "store_hot_groups",
     ),
@@ -86,6 +87,8 @@ def test_parameter_names_are_pinned(path):
         ("repro.parallel.router.Router", "heartbeat_all"),
         ("repro.parallel.router.Router", "_heartbeat"),
         ("repro.parallel.routing.GroupKeyRouter", "owner"),
+        # Round-robin dealing of un-keyed rows: the one key () is placed.
+        ("repro.parallel.routing.GroupKeyRouter", "keyed"),
         ("repro.parallel.pipe.PipeOwner", "heartbeat"),
         ("repro.serve.backend.SingleEngineBackend", "heartbeat"),
         ("repro.parallel.sharded.ShardedBackend", "heartbeat"),
