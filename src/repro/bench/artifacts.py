@@ -240,25 +240,11 @@ def collect_stats(
     )
     registry = default_registry(eh_epsilon=eh_epsilon)
     for name, sql in _count_sum_queries(eh_epsilon):
-        time_query(
-            name,
-            sql,
-            PACKET_SCHEMA,
-            registry,
-            trace,
-            metrics=metrics,
-            metrics_name=_slug(name),
-        )
+        time_query(_slug(name), sql, PACKET_SCHEMA, registry, trace, metrics=metrics)
     hh_registry = default_registry(hh_epsilon=hh_epsilon)
     for name, sql in _hh_queries():
         time_query(
-            name,
-            sql,
-            PACKET_SCHEMA,
-            hh_registry,
-            trace,
-            metrics=metrics,
-            metrics_name=_slug(name),
+            _slug(name), sql, PACKET_SCHEMA, hh_registry, trace, metrics=metrics
         )
     return metrics
 

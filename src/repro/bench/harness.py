@@ -91,7 +91,6 @@ def time_query(
     trace: Sequence[tuple],
     two_level: bool = True,
     metrics=None,
-    metrics_name: str | None = None,
 ) -> MethodResult:
     """Run ``sql`` over ``trace`` and measure per-tuple cost and state.
 
@@ -100,18 +99,15 @@ def time_query(
     warmed-up loop as :func:`time_consumer`; state is accounted *before*
     flushing so it reflects steady per-group footprints.  An enabled
     :class:`~repro.obs.registry.MetricsRegistry` passed as ``metrics``
-    instruments the engine (under ``metrics_name``, default the query
-    name); timing runs meant for BENCH artifacts pass none, so measured
-    costs never include instrumentation overhead.
+    instruments the engine's ``process`` and ``flush`` under the prefix
+    ``engine.<name>.``; timing runs meant for BENCH artifacts pass none, so
+    measured costs never include instrumentation overhead.
     """
-    query = parse_query(sql, registry)
-    engine = QueryEngine(
-        query,
-        schema,
-        two_level=two_level,
-        metrics=metrics,
-        metrics_name=metrics_name if metrics_name is not None else name,
-    )
+    engine = QueryEngine(parse_query(sql, registry), schema, two_level=two_level)
+    if metrics is not None and metrics.enabled:
+        from repro.obs.instrument import EngineInstrumentation
+
+        EngineInstrumentation(engine, metrics, name)
     ns_per_tuple = _timed_pass(engine.process, trace)
     state_bytes = engine.state_size_bytes()
     groups = engine.group_count

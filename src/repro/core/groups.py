@@ -32,8 +32,8 @@ RAGGED_SLOT = -2
 
 def group_columns(
     keys: list[tuple], rows: list[list], aggregates: int
-) -> tuple[list[int], list, int]:
-    """``(slot codes, columns, summary bytes)`` of a batch of groups.
+) -> tuple[list[int], list]:
+    """``(slot codes, columns)`` of a batch of groups.
 
     ``rows[i]`` holds group ``keys[i]``'s states, one per aggregate: a
     scalar list, a live :class:`StreamSummary`, or a summary already
@@ -42,7 +42,6 @@ def group_columns(
     """
     cols: list = list(zip(*keys))
     slots: list[int] = []
-    summary_bytes = 0
     for index in range(aggregates if rows else 0):
         states = [row[index] for row in rows]
         if isinstance(states[0], (StreamSummary, bytes)):
@@ -50,7 +49,6 @@ def group_columns(
             cols.append(
                 [s if type(s) is bytes else s.to_bytes() for s in states]
             )
-            summary_bytes += sum(map(len, cols[-1]))
             continue
         try:
             cols.extend(list(zip(*states, strict=True)))
@@ -58,7 +56,7 @@ def group_columns(
         except ValueError:  # arity differs between groups
             slots.append(RAGGED_SLOT)
             cols.append([list(state) for state in states])
-    return slots, cols, summary_bytes
+    return slots, cols
 
 
 def group_states(

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import copy
 import struct
-import time
 from typing import Callable, Iterable, Iterator
 
 from repro.core.cols import (
@@ -114,15 +113,6 @@ class QueryEngine:
         :data:`LOW_TABLE_SIZE` groups (only effective when every aggregate
         in the query is mergeable): the Fig. 2(a) engine.  Off by default;
         refused together with ``store``.
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`.  When given
-        and enabled, this engine's ingest/flush/partial-state paths record
-        forward-decayed metrics under the ``engine.<metrics_name>.``
-        prefix.  When None or disabled, the engine is byte-for-byte the
-        uninstrumented fast path — instrumentation works by shadowing
-        methods on the instance, not by per-tuple flag checks.
-    metrics_name:
-        Label used in metric names (defaults to ``"query"``).
     store:
         Optional :class:`~repro.store.tiered.TieredStore`.  When given,
         the store bounds how many groups stay in RAM: cold groups spill
@@ -138,8 +128,6 @@ class QueryEngine:
         query: Query,
         schema: Schema,
         two_level: bool = False,
-        metrics=None,
-        metrics_name: str = "query",
         store=None,
     ):
         if two_level and store is not None:
@@ -216,16 +204,10 @@ class QueryEngine:
         self._tuples_in = 0
         self._tuples_selected = 0
         self._low_evictions = 0
-        self._obs = None
-        if metrics is not None and getattr(metrics, "enabled", False):
-            from repro.obs.instrument import EngineInstrumentation
-
-            self._obs = EngineInstrumentation(self, metrics, metrics_name)
         self._store = None
         if store is not None:
             # Sets self._store, swaps _high for a fault-in view, and
-            # shadows process() — after instrumentation, so store
-            # accounting wraps the instrumented methods.
+            # shadows process().
             store.attach(self)
 
     # -- statistics ---------------------------------------------------------------
@@ -734,12 +716,8 @@ class QueryEngine:
         per group (key-part columns, then each aggregate's state columns),
         sealed (:func:`repro.core.serde.seal`).
         """
-        obs = self._obs
-        start = time.perf_counter_ns() if obs is not None else 0
         keys, rows = self._snapshot()
-        slots, cols, summary_bytes = group_columns(
-            keys, rows, len(self._agg_plans)
-        )
+        slots, cols = group_columns(keys, rows, len(self._agg_plans))
         texts = [self.query.sql(), *self.schema.names()]
         blob = seal(PARTIAL_STATE, b"".join((
             _PARTIAL_HEAD.pack(
@@ -750,8 +728,6 @@ class QueryEngine:
             pack_column(slots),
             pack_cols(cols),
         )))
-        if obs is not None:
-            obs.partial_encoded(start, len(keys), len(blob), summary_bytes)
         return blob
 
     def _decode_partial(self, data) -> tuple:
@@ -868,12 +844,7 @@ class QueryEngine:
         landmark or capacity mismatch between engines of the same query),
         after earlier groups have merged.
         """
-        obs = self._obs
-        start = time.perf_counter_ns() if obs is not None else 0
-        decoded = self._decode_partial(data)
-        if obs is not None:
-            obs.partial_decoded(start)
-        self._absorb(*decoded)
+        self._absorb(*self._decode_partial(data))
 
     def merge(self, other: "QueryEngine") -> None:
         """Absorb another engine's live state (same query and schema).

@@ -1,7 +1,7 @@
 """Self-instrumentation primitives built from the repo's own summaries.
 
-The observability layer dogfoods the paper: every time-sensitive metric is a
-*forward-decayed* summary over wall-clock time, so recent behaviour is
+The decayed metrics dogfood the paper: a counter or a rate is a
+*forward-decayed* sum over wall-clock time, so recent behaviour is
 weighted up and history fades smoothly — with the Section III-A fixed-
 numerator trick intact.  A :class:`DecayedCounter` stores only the numerator
 ``sum_i g(t_i - L) * amount_i`` for ``g(n) = exp(alpha * n)``; reads never
@@ -17,27 +17,31 @@ Primitives:
 * :class:`DecayedCounter` — decayed event/amount count, O(1) read;
 * :class:`DecayedRateGauge` — events per second, exponentially faded;
 * :class:`LatencyQuantiles` — GK sketch over microsecond timings;
-* :class:`HotKeyTracker` — SpaceSaving over group keys, optionally decayed;
+* :class:`HotKeyTracker` — SpaceSaving over group keys;
 * :class:`LastValueGauge` — most recent sample of a sampled quantity.
 
-The time-sensitive primitives take an injectable ``clock`` (default
-``time.time``) and an explicit ``now=`` override on every operation, so
-tests drive them with a manual clock and snapshots are deterministic.
+Every metric of a kind has one shape: the decayed two fade with
+:data:`HALF_LIFE_S`, a latency sketch keeps rank error
+:data:`LATENCY_EPSILON` and a tracker :data:`HOT_KEY_CAPACITY` keys.  The
+decayed two read an injectable ``clock`` and take an explicit ``now=`` on
+every operation, so tests drive them with a manual clock and snapshots
+are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable, Hashable
 
 from repro.core.decay import ForwardDecay
-from repro.core.errors import ParameterError
 from repro.core.functions import ExponentialG
-from repro.core.weights import ForwardWeightEngine, ScaleState
+from repro.core.weights import ForwardWeightEngine
 from repro.sketches.gk import GKSummary
 
 __all__ = [
+    "HALF_LIFE_S",
+    "LATENCY_EPSILON",
+    "HOT_KEY_CAPACITY",
     "DecayedCounter",
     "DecayedRateGauge",
     "LatencyQuantiles",
@@ -45,32 +49,16 @@ __all__ = [
     "LastValueGauge",
 ]
 
+#: Half-life of every decayed counter and rate, in seconds.
+HALF_LIFE_S = 60.0
+#: Rank error of every latency sketch.
+LATENCY_EPSILON = 0.01
+#: Keys a hot-key tracker keeps counters for.
+HOT_KEY_CAPACITY = 64
+
+_ALPHA = math.log(2.0) / HALF_LIFE_S
+
 Clock = Callable[[], float]
-
-
-def _alpha_for_half_life(half_life_s: float) -> float:
-    if not half_life_s > 0 or math.isnan(half_life_s) or math.isinf(half_life_s):
-        raise ParameterError(
-            f"half_life_s must be positive finite, got {half_life_s!r}"
-        )
-    return math.log(2.0) / half_life_s
-
-
-def _decay_engine(half_life_s: float, scale_state: ScaleState) -> ForwardWeightEngine:
-    """Exponential forward decay at the half-life's rate, nominal landmark 0."""
-    alpha = _alpha_for_half_life(half_life_s)
-    return ForwardWeightEngine(ForwardDecay(ExponentialG(alpha)), scale_state)
-
-
-def _write_weight(engine: ForwardWeightEngine, now: float, empty: bool) -> float:
-    """The static weight ``g(now - L)`` of a write at ``now``.
-
-    Any landmark is exact for empty state, so a write into it first
-    anchors the engine's landmark at ``now``.
-    """
-    if empty:
-        engine.internal_landmark = now
-    return engine.arrival_weight(now)
 
 
 class DecayedCounter:
@@ -84,25 +72,15 @@ class DecayedCounter:
     never mutate state.
     """
 
-    __slots__ = ("half_life_s", "alpha", "_clock", "_engine", "_num", "_raw")
+    __slots__ = ("_clock", "_engine", "_num", "_raw")
 
-    def __init__(self, half_life_s: float = 60.0, clock: Clock | None = None):
-        self.half_life_s = float(half_life_s)
-        self._engine = _decay_engine(half_life_s, self._scale)
-        self.alpha = self._engine.decay.g.alpha
-        self._clock = clock if clock is not None else time.time
+    def __init__(self, clock: Clock):
+        self._clock = clock
+        self._engine = ForwardWeightEngine(
+            ForwardDecay(ExponentialG(_ALPHA)), self._scale
+        )
         self._num = 0.0
         self._raw = 0.0
-
-    @property
-    def landmark(self) -> float:
-        """The current internal landmark ``L`` (moves only on writes)."""
-        return self._engine.internal_landmark
-
-    @property
-    def static_numerator(self) -> float:
-        """The stored fixed numerator ``sum_i g(t_i - L) * amount_i``."""
-        return self._num
 
     @property
     def raw_total(self) -> float:
@@ -115,7 +93,10 @@ class DecayedCounter:
     def add(self, amount: float = 1.0, now: float | None = None) -> None:
         """Fold ``amount`` in with the static weight ``g(now - L)``."""
         now = self._clock() if now is None else now
-        weight = _write_weight(self._engine, now, not self._num)  # may rescale _num
+        if not self._num:
+            # Any landmark is exact for empty state: anchor it here.
+            self._engine.internal_landmark = now
+        weight = self._engine.arrival_weight(now)  # may rescale _num
         self._num += weight * amount
         self._raw += amount
 
@@ -130,7 +111,7 @@ class DecayedCounter:
             "type": "counter",
             "decayed": self.value(now),
             "raw_total": self._raw,
-            "half_life_s": self.half_life_s,
+            "half_life_s": HALF_LIFE_S,
         }
 
 
@@ -138,17 +119,17 @@ class DecayedRateGauge:
     """Events (or amounts) per second, exponentially time-decayed.
 
     A steady stream at rate ``r`` observed for long enough converges to
-    ``rate() == r``; after the stream stops the estimate fades with the
-    configured half-life.  The startup bias of plain ``alpha * count`` is
+    ``rate() == r``; after the stream stops the estimate fades with
+    :data:`HALF_LIFE_S`.  The startup bias of plain ``alpha * count`` is
     corrected with the finite-horizon mass ``(1 - exp(-alpha * E)) / alpha``
     over the elapsed observation window ``E``.
     """
 
     __slots__ = ("_counter", "_clock", "_start")
 
-    def __init__(self, half_life_s: float = 60.0, clock: Clock | None = None):
-        self._clock = clock if clock is not None else time.time
-        self._counter = DecayedCounter(half_life_s, clock=self._clock)
+    def __init__(self, clock: Clock):
+        self._clock = clock
+        self._counter = DecayedCounter(clock)
         self._start: float | None = None
 
     def observe(self, amount: float = 1.0, now: float | None = None) -> None:
@@ -164,10 +145,9 @@ class DecayedRateGauge:
             return 0.0
         now = self._clock() if now is None else now
         elapsed = now - self._start
-        alpha = self._counter.alpha
         if elapsed <= 0.0:
             return 0.0
-        mass = (1.0 - math.exp(-alpha * elapsed)) / alpha
+        mass = (1.0 - math.exp(-_ALPHA * elapsed)) / _ALPHA
         if mass <= 0.0:
             return 0.0
         return self._counter.value(now) / mass
@@ -178,52 +158,26 @@ class DecayedRateGauge:
             "type": "rate",
             "per_sec": self.rate(now),
             "raw_total": self._counter.raw_total,
-            "half_life_s": self._counter.half_life_s,
+            "half_life_s": HALF_LIFE_S,
         }
 
 
 class LatencyQuantiles:
-    """Approximate quantiles of microsecond timings via the GK sketch.
+    """Approximate quantiles of microsecond timings via the GK sketch."""
 
-    With ``half_life_s`` set, observations carry forward-decayed static
-    weights ``g(now - L)`` so the quantiles track *recent* latency; the GK
-    sketch stores the fixed numerators and the engine rescales the whole
-    structure (a pure landmark shift, Section VI-A) only when the exponent
-    grows too large.  With the default ``half_life_s=None`` the sketch is
-    unweighted.
-    """
+    __slots__ = ("_gk",)
 
-    __slots__ = ("epsilon", "_clock", "_engine", "_gk", "_count")
-
-    def __init__(
-        self,
-        epsilon: float = 0.01,
-        half_life_s: float | None = None,
-        clock: Clock | None = None,
-    ):
-        self.epsilon = epsilon
-        self._clock = clock if clock is not None else time.time
-        self._gk = GKSummary(epsilon)
-        self._engine = (
-            None if half_life_s is None
-            else _decay_engine(half_life_s, self._gk.scale)
-        )
-        self._count = 0
+    def __init__(self):
+        self._gk = GKSummary(LATENCY_EPSILON)
 
     @property
     def count(self) -> int:
-        """Number of observations folded in (undecayed)."""
-        return self._count
+        """Number of observations folded in."""
+        return int(self._gk.total_weight)
 
-    def observe(
-        self, value: float, weight: float = 1.0, now: float | None = None
-    ) -> None:
+    def observe(self, value: float) -> None:
         """Record one timing (any unit; callers here use microseconds)."""
-        if self._engine is not None:
-            now = self._clock() if now is None else now
-            weight *= _write_weight(self._engine, now, not self._count)
-        self._gk.update(value, weight)
-        self._count += 1
+        self._gk.update(value)
 
     def quantile(self, phi: float) -> float | None:
         """The ``phi``-quantile, or None when nothing was observed."""
@@ -235,85 +189,49 @@ class LatencyQuantiles:
         """Serializable view: count plus p50/p90/p99."""
         return {
             "type": "latency",
-            "count": self._count,
+            "count": self.count,
             "p50": self.quantile(0.50),
             "p90": self.quantile(0.90),
             "p99": self.quantile(0.99),
-            "epsilon": self.epsilon,
+            "epsilon": LATENCY_EPSILON,
         }
 
 
 class HotKeyTracker:
-    """Top-k keys by (optionally forward-decayed) weight, via SpaceSaving.
+    """Top-k keys by observation count, via SpaceSaving."""
 
-    Theorem 2 of the paper: decayed heavy hitters reduce to *weighted*
-    heavy hitters over static weights ``g(t_i - L)``.  That is exactly what
-    this tracker feeds into :class:`WeightedSpaceSaving`; queries divide by
-    the single normalizer ``g(now - L)`` so reported weights are decayed.
-    """
+    __slots__ = ("_ss",)
 
-    __slots__ = ("capacity", "_clock", "_engine", "_ss")
-
-    def __init__(
-        self,
-        capacity: int = 64,
-        half_life_s: float | None = None,
-        clock: Clock | None = None,
-    ):
-        self.capacity = capacity
-        self._clock = clock if clock is not None else time.time
+    def __init__(self):
         # Here, not at module level: only engine instrumentation builds a
         # tracker, so a server's metrics registry never loads SpaceSaving.
         from repro.sketches.spacesaving import WeightedSpaceSaving
 
-        self._ss = WeightedSpaceSaving(capacity)
-        self._engine = (
-            None if half_life_s is None
-            else _decay_engine(half_life_s, self._ss.scale)
-        )
+        self._ss = WeightedSpaceSaving(HOT_KEY_CAPACITY)
 
-    @property
-    def total_weight(self) -> float:
-        """Total static weight folded in (numerator scale)."""
-        return self._ss.total_weight
+    def observe(self, key: Hashable) -> None:
+        """Count one observation of ``key``."""
+        self._ss.update(key, 1.0)
 
-    def observe(
-        self, key: Hashable, weight: float = 1.0, now: float | None = None
-    ) -> None:
-        """Add ``weight`` to ``key``."""
-        if self._engine is not None:
-            now = self._clock() if now is None else now
-            weight *= _write_weight(self._engine, now, not len(self._ss))
-        self._ss.update(key, weight)
-
-    def top(
-        self, k: int = 5, now: float | None = None
-    ) -> list[tuple[Hashable, float, float]]:
-        """The ``k`` heaviest keys as ``(key, decayed_weight, decayed_error)``.
+    def top(self, k: int = 5) -> list[tuple[Hashable, float, float]]:
+        """The ``k`` heaviest keys as ``(key, weight, error)``.
 
         Sorted heaviest-first; ties broken by key repr for determinism.
         """
-        normalizer = 1.0
-        if self._engine is not None:
-            now = self._clock() if now is None else now
-            normalizer = self._engine.normalizer(now)
         counters = sorted(
             self._ss.counters(),
             key=lambda c: (-c.count, repr(c.item)),
         )
-        return [
-            (c.item, c.count / normalizer, c.error / normalizer)
-            for c in counters[:k]
-        ]
+        return [(c.item, c.count, c.error) for c in counters[:k]]
 
-    def snapshot(self, now: float | None = None, k: int = 5) -> dict:
-        """Serializable view: the top ``k`` keys with weights and errors."""
+    def snapshot(self, now: float | None = None) -> dict:
+        """Serializable view: the top five keys with weights and errors."""
         return {
             "type": "hotkeys",
-            "capacity": self.capacity,
+            "capacity": HOT_KEY_CAPACITY,
             "top": [
                 {"key": repr(key), "weight": weight, "error": error}
-                for key, weight, error in self.top(k, now=now)
+                for key, weight, error in self.top()
             ],
         }
 

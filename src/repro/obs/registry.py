@@ -5,13 +5,14 @@ layer: library code asks it for named metrics (created on first use) and
 records into them.  Two properties make it safe to thread through hot
 paths:
 
-* **near-zero-cost no-op mode** — a registry built with ``enabled=False``
-  hands out a shared :class:`NullMetric` whose methods do nothing; code
-  that checks ``registry.enabled`` (as the engine does) can skip
-  instrumentation entirely, leaving the uninstrumented fast path untouched.
-* **deterministic snapshots** — every metric takes the registry's
-  injectable clock, so ``snapshot(now=...)`` under a manual clock is a pure
-  function of the recorded updates.
+* **the one off-switch** — a registry built with ``enabled=False`` hands
+  out the shared :data:`NULL_METRIC`, whose methods do nothing, and its
+  :meth:`~MetricsRegistry.timer` runs the block untimed.  Code records
+  unconditionally; a disabled registry never even imports the metric
+  classes (nor the summaries behind them).
+* **deterministic snapshots** — every decayed metric reads the registry's
+  injectable clock, so ``snapshot(now=...)`` under a manual clock is a
+  pure function of the recorded updates.
 """
 
 from __future__ import annotations
@@ -22,13 +23,6 @@ from contextlib import contextmanager
 from typing import Callable
 
 from repro.core.errors import ParameterError
-from repro.obs.metrics import (
-    DecayedCounter,
-    DecayedRateGauge,
-    HotKeyTracker,
-    LastValueGauge,
-    LatencyQuantiles,
-)
 
 __all__ = [
     "MetricsRegistry",
@@ -89,6 +83,12 @@ class MetricsRegistry:
         self.enabled = enabled
         self.clock = clock if clock is not None else time.time
         self._metrics: dict[str, object] = {}
+        if enabled:
+            # Here, not at module level: a disabled registry (a server
+            # built without one) loads no metric class and no summary.
+            from repro.obs import metrics
+
+            self._kinds = metrics
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -104,78 +104,52 @@ class MetricsRegistry:
         """The metric registered under ``name`` (KeyError if absent)."""
         return self._metrics[name]
 
-    def _get_or_create(self, name: str, kind: type, factory):
+    def _get_or_create(self, name: str, kind: str, *args):
         if not self.enabled:
             return NULL_METRIC
+        cls = getattr(self._kinds, kind)
         metric = self._metrics.get(name)
         if metric is None:
-            metric = factory()
-            self._metrics[name] = metric
-        elif not isinstance(metric, kind):
+            metric = self._metrics[name] = cls(*args)
+        elif type(metric) is not cls:
             raise ParameterError(
                 f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {kind.__name__}"
+                f"{type(metric).__name__}, not {kind}"
             )
         return metric
 
-    def counter(self, name: str, half_life_s: float = 60.0) -> DecayedCounter:
-        """A forward-decayed counter."""
-        return self._get_or_create(
-            name,
-            DecayedCounter,
-            lambda: DecayedCounter(half_life_s, clock=self.clock),
-        )
+    def counter(self, name: str):
+        """A forward-decayed counter (:class:`~repro.obs.metrics.DecayedCounter`)."""
+        return self._get_or_create(name, "DecayedCounter", self.clock)
 
-    def rate(self, name: str, half_life_s: float = 60.0) -> DecayedRateGauge:
-        """A decayed events-per-second gauge."""
-        return self._get_or_create(
-            name,
-            DecayedRateGauge,
-            lambda: DecayedRateGauge(half_life_s, clock=self.clock),
-        )
+    def rate(self, name: str):
+        """A decayed events-per-second gauge (``DecayedRateGauge``)."""
+        return self._get_or_create(name, "DecayedRateGauge", self.clock)
 
-    def latency(
-        self,
-        name: str,
-        epsilon: float = 0.01,
-        half_life_s: float | None = None,
-    ) -> LatencyQuantiles:
-        """A GK-backed timing-quantile sketch."""
-        return self._get_or_create(
-            name,
-            LatencyQuantiles,
-            lambda: LatencyQuantiles(epsilon, half_life_s, clock=self.clock),
-        )
+    def latency(self, name: str):
+        """A GK-backed timing-quantile sketch (``LatencyQuantiles``)."""
+        return self._get_or_create(name, "LatencyQuantiles")
 
-    def hotkeys(
-        self,
-        name: str,
-        capacity: int = 64,
-        half_life_s: float | None = None,
-    ) -> HotKeyTracker:
-        """A SpaceSaving-backed top-k key tracker."""
-        return self._get_or_create(
-            name,
-            HotKeyTracker,
-            lambda: HotKeyTracker(capacity, half_life_s, clock=self.clock),
-        )
+    def hotkeys(self, name: str):
+        """A SpaceSaving-backed top-k key tracker (``HotKeyTracker``)."""
+        return self._get_or_create(name, "HotKeyTracker")
 
-    def gauge(self, name: str) -> LastValueGauge:
-        """A last-sample gauge."""
-        return self._get_or_create(name, LastValueGauge, LastValueGauge)
+    def gauge(self, name: str):
+        """A last-sample gauge (``LastValueGauge``)."""
+        return self._get_or_create(name, "LastValueGauge")
 
     @contextmanager
-    def timer(self, name: str, epsilon: float = 0.01):
+    def timer(self, name: str):
         """Context manager recording the block's wall time, in µs, into
         the :meth:`latency` sketch registered under ``name``.
 
         On a disabled registry the block runs untimed — no clock reads,
-        no metric lookup — preserving the no-op guarantee.
+        no metric lookup.
         """
         if not self.enabled:
             yield
             return
-        metric = self.latency(name, epsilon=epsilon)
+        metric = self.latency(name)
         start = time.perf_counter_ns()
         try:
             yield

@@ -65,6 +65,7 @@ from repro.core.serde import (
     load_partials_checkpoint,
     publish,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.serve import protocol
 from repro.serve.protocol import HEADER, encode_frame, frame_name
 
@@ -172,9 +173,11 @@ class StreamServer:
         (temp-file + rename), so a crash mid-write never corrupts the
         previous checkpoint.
     metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        enabled, records connection/frame/row counters, ingest rate, and
-        per-frame-type latency quantiles under ``serve.*``.
+        :class:`~repro.obs.registry.MetricsRegistry` the server records
+        connection/frame/row counters, ingest rate, and per-frame-type
+        latency quantiles into, under ``serve.*``.  None (the default)
+        means a disabled registry: every site still records, into the
+        no-op metric.
     """
 
     def __init__(
@@ -213,8 +216,9 @@ class StreamServer:
         self.idle_timeout_s = idle_timeout_s
         self.state_dir = state_dir
         self.checkpoint_interval_s = checkpoint_interval_s
-        self.metrics = metrics
-        self._obs = metrics is not None and getattr(metrics, "enabled", False)
+        self.metrics = (
+            metrics if metrics is not None else MetricsRegistry(enabled=False)
+        )
         # Decodes the columns the backend's plan reads and nothing else.
         self._decoder = protocol.FrameDecoder(
             max_frame_bytes, columns=backend.columns_read
@@ -296,14 +300,12 @@ class StreamServer:
                 self.write_checkpoint()
                 self.checkpoints_written += 1
                 self.last_checkpoint_at = time.time()
-                if self._obs:
-                    self.metrics.counter("serve.checkpoints").add(1.0)
+                self.metrics.counter("serve.checkpoints").add(1.0)
             except asyncio.CancelledError:  # pragma: no cover - shutdown
                 raise
             except Exception:  # pragma: no cover - disk full and friends
                 self.checkpoint_errors += 1
-                if self._obs:
-                    self.metrics.counter("serve.checkpoint_errors").add(1.0)
+                self.metrics.counter("serve.checkpoint_errors").add(1.0)
 
     async def stop(self) -> str | None:
         """Graceful shutdown: drain connections, checkpoint, close.
@@ -355,8 +357,7 @@ class StreamServer:
         )
         os.makedirs(self.state_dir, exist_ok=True)
         publish(path, image)
-        if self._obs:
-            self.metrics.gauge("serve.checkpoint.bytes").set(float(len(image)))
+        self.metrics.gauge("serve.checkpoint.bytes").set(float(len(image)))
         return path
 
     # -- statistics ---------------------------------------------------------------
@@ -389,7 +390,7 @@ class StreamServer:
             "last_checkpoint_at": self.last_checkpoint_at,
         }
         stats = {"server": server, "backend": self.backend.stats()}
-        if self._obs:
+        if self.metrics.enabled:
             stats["metrics"] = self.metrics.snapshot()
         return stats
 
@@ -399,11 +400,10 @@ class StreamServer:
         conn = _Connection(reader, writer, self)
         self._connections.add(conn)
         self.connections_total += 1
-        if self._obs:
-            self.metrics.counter("serve.connections").add(1.0)
-            self.metrics.gauge("serve.connections.open").set(
-                float(len(self._connections))
-            )
+        self.metrics.counter("serve.connections").add(1.0)
+        self.metrics.gauge("serve.connections.open").set(
+            float(len(self._connections))
+        )
         try:
             while not self._stopping:
                 try:
@@ -438,10 +438,9 @@ class StreamServer:
         finally:
             self._connections.discard(conn)
             await conn.close()
-            if self._obs:
-                self.metrics.gauge("serve.connections.open").set(
-                    float(len(self._connections))
-                )
+            self.metrics.gauge("serve.connections.open").set(
+                float(len(self._connections))
+            )
 
     async def _read_frame(self, reader) -> protocol.Frame:
         read = reader.readexactly(HEADER.size)
@@ -469,11 +468,10 @@ class StreamServer:
             decoded = len(payload["kinds"]) - skipped
             self.cols_blocks_decoded += decoded
             self.cols_blocks_skipped += skipped
-            if self._obs:
-                counter = self.metrics.counter
-                counter("serve.ingest.bytes").add(length - 1.0)
-                counter("serve.ingest.blocks_decoded").add(float(decoded))
-                counter("serve.ingest.blocks_skipped").add(float(skipped))
+            counter = self.metrics.counter
+            counter("serve.ingest.bytes").add(length - 1.0)
+            counter("serve.ingest.blocks_decoded").add(float(decoded))
+            counter("serve.ingest.blocks_skipped").add(float(skipped))
         return frame
 
     async def _error(
@@ -481,8 +479,7 @@ class StreamServer:
         *, close: bool = False, frame: int | None = None,
     ) -> None:
         self.errors_total += 1
-        if self._obs:
-            self.metrics.counter("serve.errors").add(1.0)
+        self.metrics.counter("serve.errors").add(1.0)
         payload = {"code": code, "message": message}
         if frame is not None:
             payload["frame"] = frame_name(frame)
@@ -495,8 +492,7 @@ class StreamServer:
 
     async def _dispatch(self, conn: _Connection, frame: protocol.Frame) -> None:
         self.frames_total += 1
-        if self._obs:
-            self.metrics.counter("serve.frames").add(1.0)
+        self.metrics.counter("serve.frames").add(1.0)
         handler = self._HANDLERS.get(frame.ftype)
         if handler is None:
             await self._error(
@@ -511,10 +507,7 @@ class StreamServer:
             )
             return
         try:
-            if self._obs:
-                with self.metrics.timer(f"serve.frame.{frame.name}.us"):
-                    await handler(self, conn, frame.payload)
-            else:
+            with self.metrics.timer(f"serve.frame.{frame.name}.us"):
                 await handler(self, conn, frame.payload)
         except protocol.FrameTooLarge as error:
             # Nothing of the reply was written, so the stream, the credit
@@ -608,8 +601,7 @@ class StreamServer:
         else:
             conn.tuples_in += count
             self.rows_total += count
-            if self._obs:
-                self.metrics.rate("serve.ingest.rows").observe(float(count))
+            self.metrics.rate("serve.ingest.rows").observe(float(count))
         # The echoed batch seq lets a retrying client match each CREDIT to
         # the exact batch it acknowledges (idempotent replay keying);
         # clients that send no seq get the bare frame.
@@ -621,8 +613,6 @@ class StreamServer:
     def _query(self) -> list:
         """The backend's answer, taken in one synchronous step and counted."""
         self.queries_total += 1
-        if not self._obs:
-            return self.backend.query()
         self.metrics.counter("serve.query.queries").add(1.0)
         with self.metrics.timer("serve.query.snapshot.us"):
             return self.backend.query()
@@ -635,11 +625,9 @@ class StreamServer:
         ):
             await conn.write(frame)
             self.result_pages_total += 1
-            if self._obs:
-                self.metrics.counter("serve.query.pages").add(1.0)
+            self.metrics.counter("serve.query.pages").add(1.0)
         self.result_rows_total += len(rows)
-        if self._obs:
-            self.metrics.counter("serve.query.rows").add(float(len(rows)))
+        self.metrics.counter("serve.query.rows").add(float(len(rows)))
 
     async def _handle_query(self, conn: _Connection, payload: dict) -> None:
         try:
@@ -699,8 +687,7 @@ class StreamServer:
                         # direct-request outcome, minus the close.
                         _log.exception("subscription %d push failed", sub)
                         self.errors_total += 1
-                        if self._obs:
-                            self.metrics.counter("serve.errors").add(1.0)
+                        self.metrics.counter("serve.errors").add(1.0)
                         code = "internal-error"
                         message = f"{type(error).__name__}: {error}"
                     await conn.send(

@@ -133,7 +133,7 @@ def _row(tagged_key: list, encoded_states: list) -> tuple[tuple, list]:
 
 def _encode_page(keys: list[tuple], rows: list[list]) -> bytes:
     """The framed page holding groups ``keys`` with states ``rows``."""
-    slots, cols, _summary_bytes = group_columns(keys, rows, len(rows[0]))
+    slots, cols = group_columns(keys, rows, len(rows[0]))
     body = b"".join((
         _PAGE_HEAD.pack(len(keys[0]), len(slots), len(keys)),
         struct.pack(f"<{len(slots)}h", *slots),

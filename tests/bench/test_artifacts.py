@@ -165,6 +165,25 @@ class TestCollectStats:
         snap = metrics.snapshot()
         assert snap["metrics"]["engine.no_decay.ingest.rate"]["per_sec"] > 0
 
+    def test_the_pass_records_nine_metrics_per_query(self):
+        # process and flush are all the pass runs, so nothing else is
+        # registered: a name no pass fills would render as an empty line.
+        names = collect_stats(scale=0.05).names()
+        queries = {name.split(".")[1] for name in names}
+        assert len(queries) == 8
+        assert {name.split(".", 2)[2] for name in names} == {
+            "ingest.tuples",
+            "ingest.selected",
+            "ingest.rate",
+            "ingest.latency_us",
+            "low_table.evictions",
+            "rows.emitted",
+            "hot_keys",
+            "state_bytes",
+            "flush_us",
+        }
+        assert len(names) == 9 * len(queries)
+
 
 class TestExactEntries:
     def _exact(self, value: float) -> dict:

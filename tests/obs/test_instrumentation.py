@@ -1,20 +1,21 @@
-"""Conformance tests for hot-path instrumentation.
+"""Conformance tests for engine instrumentation.
 
 The non-negotiable property: attaching metrics NEVER changes results.
-Instrumented, disabled-registry, and uninstrumented engines must emit
-bit-identical rows over the same stream.
+Instrumented and uninstrumented engines must emit bit-identical rows over
+the same stream, and ``time_query`` — the one place that instruments an
+engine — attaches nothing for a disabled registry.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.dsms.engine import QueryEngine, describe_partial_state
+from repro.bench.harness import time_query
+from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
 from repro.dsms.udaf import default_registry
-from repro.obs.instrument import TimedUdaf
+from repro.obs.instrument import EngineInstrumentation
 from repro.obs.registry import MetricsRegistry
+from repro.store.tiered import TieredStore
 
 SCHEMA = Schema(
     [
@@ -49,109 +50,77 @@ def make_rows(n: int = 500) -> list[tuple]:
     return rows
 
 
-def run_engine(
-    metrics=None, rows=None, batch: int | None = None, columnar: bool = False
-):
-    rows = make_rows() if rows is None else rows
-    engine = QueryEngine(
-        parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
-    )
-    if batch is None:
-        for row in rows:
-            engine.process(row)
-    else:
-        for begin in range(0, len(rows), batch):
-            chunk = rows[begin:begin + batch]
-            if columnar:
-                engine.insert_cols([list(col) for col in zip(*chunk)])
-            else:
-                engine.insert_many(chunk)
+def build_engine(metrics=None, **options) -> QueryEngine:
+    engine = QueryEngine(parse_query(SQL, default_registry()), SCHEMA, **options)
+    if metrics is not None:
+        EngineInstrumentation(engine, metrics, "query")
+    return engine
+
+
+def run_engine(metrics=None, rows=None):
+    engine = build_engine(metrics)
+    for row in make_rows() if rows is None else rows:
+        engine.process(row)
     return engine.flush()
+
+
+def run_time_query(metrics=None, rows=None):
+    rows = make_rows() if rows is None else rows
+    result = time_query("query", SQL, SCHEMA, default_registry(), rows, metrics=metrics)
+    return result.results
 
 
 class TestResultsUnchanged:
     def test_instrumented_results_bit_identical(self):
         metrics = MetricsRegistry(enabled=True)
-        assert run_engine(metrics=metrics) == run_engine(metrics=None)
+        assert run_time_query(metrics=metrics) == run_time_query()
+        assert "engine.query.ingest.tuples" in metrics
 
     def test_disabled_registry_results_bit_identical(self):
         disabled = MetricsRegistry(enabled=False)
-        assert run_engine(metrics=disabled) == run_engine(metrics=None)
+        assert run_time_query(metrics=disabled) == run_time_query()
+        assert len(disabled) == 0
 
-    def test_disabled_registry_leaves_engine_untouched(self):
-        engine = QueryEngine(
-            parse_query(SQL, default_registry()),
-            SCHEMA,
-            metrics=MetricsRegistry(enabled=False),
-        )
-        # No instance-level method shadowing, no UDAF wrapping.
-        assert "process" not in engine.__dict__
-        assert engine._obs is None
-        plans = engine._agg_plans
-        assert not any(isinstance(plan.udaf, TimedUdaf) for plan in plans)
+    def test_disabled_registry_leaves_engine_untouched(self, monkeypatch):
+        # time_query is the one place an engine is instrumented, and a
+        # disabled registry does not reach it.
+        def refuse(*_args):
+            raise AssertionError("a disabled registry instrumented an engine")
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_batched_instrumented_results_bit_identical(self, columnar):
-        metrics = MetricsRegistry(enabled=True)
-        observed = run_engine(metrics=metrics, batch=64, columnar=columnar)
-        assert observed == run_engine(batch=64)
-
-    def test_partial_state_codec_is_recorded_per_snapshot(self):
-        metrics = MetricsRegistry(enabled=True)
-        engine = QueryEngine(
-            parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
-        )
-        engine.insert_many(make_rows())
-        blob = engine.partial_state_bytes()
-        engine.merge_partial(blob)
-        snap = metrics.snapshot()["metrics"]
-        assert snap["engine.query.partial.encode_us"]["count"] == 1
-        assert snap["engine.query.partial.decode_us"]["count"] == 1
-        assert snap["engine.query.partial.bytes"]["value"] == len(blob)
-        assert snap["engine.query.partial.groups"]["value"] == engine.group_count
-        assert snap["engine.query.partial.summary_bytes"]["value"] == 0
-        # Disabled registry: the snapshot path never looks at a clock.
-        plain = QueryEngine(parse_query(SQL, default_registry()), SCHEMA)
-        plain.insert_many(make_rows())
-        assert plain.partial_state_bytes() == blob
+        monkeypatch.setattr("repro.obs.instrument.EngineInstrumentation", refuse)
+        run_time_query(metrics=MetricsRegistry(enabled=False))
+        # No instance-level method shadowing on an engine nobody instruments.
+        assert "process" not in build_engine().__dict__
 
     def test_partial_state_resume_instrumented(self):
         # An instrumented engine's snapshot resumes in an instrumented
         # fresh engine exactly like an uninterrupted plain run.
         rows = make_rows()
-        donor = QueryEngine(
-            parse_query(SQL, default_registry()), SCHEMA,
-            metrics=MetricsRegistry(enabled=True),
-        )
+        donor = build_engine(MetricsRegistry(enabled=True))
         for row in rows[:250]:
             donor.process(row)
-        metrics = MetricsRegistry(enabled=True)
-        resumed = QueryEngine(
-            parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
-        )
+        resumed = build_engine(MetricsRegistry(enabled=True))
         resumed.merge_partial(donor.partial_state_bytes())
         for row in rows[250:]:
             resumed.process(row)
         assert resumed.flush() == run_engine(rows=rows)
-        snap = metrics.snapshot()["metrics"]
-        assert snap["engine.query.partial.decode_us"]["count"] == 1
 
-    def test_partial_state_reports_how_much_of_it_is_summary_buffers(self):
-        metrics = MetricsRegistry(enabled=True)
-        sql = (
-            "select destIP, count(*) as c, unary_hh(len) as hh from TCP "
-            "group by destIP"
-        )
-        engine = QueryEngine(
-            parse_query(sql, default_registry()), SCHEMA, metrics=metrics
-        )
-        engine.insert_many(make_rows())
-        blob = engine.partial_state_bytes()
-        buffers = describe_partial_state(blob)["summaries"]
-        snap = metrics.snapshot()["metrics"]
-        sketch_bytes = snap["engine.query.partial.summary_bytes"]["value"]
-        assert sketch_bytes == sum(slot["bytes"] for slot in buffers)
-        assert 0.5 * len(blob) < sketch_bytes < len(blob)
+    def test_the_wrappers_call_a_stores_shadow_process(self, tmp_path):
+        # Instrumentation attaches after store.attach, so its process
+        # wrapper must call the store's shadow, not the class method: a
+        # store that never saw a row's group key would not spill it.
+        rows = make_rows(2_000)
+        expected = run_engine(rows=rows)
+        counts = []
+        for index, metrics in enumerate((None, MetricsRegistry(enabled=True))):
+            store = TieredStore(str(tmp_path / str(index)), hot_groups=4)
+            engine = build_engine(metrics, store=store)
+            for row in rows:
+                engine.process(row)
+            counts.append(store.stats()["evictions"])
+            assert engine.flush() == expected
+            store.close()
+        assert counts[0] > 0 and counts[1] == counts[0]
 
 
 class TestRecordedMetrics:
@@ -183,9 +152,7 @@ class TestRecordedMetrics:
 
     def test_emitted_counts_the_rows_each_flush_returns(self):
         metrics = MetricsRegistry(enabled=True)
-        engine = QueryEngine(
-            parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
-        )
+        engine = build_engine(metrics)
         rows = make_rows()
         engine.insert_many(rows[:200])
         first = engine.flush()
@@ -203,58 +170,20 @@ class TestRecordedMetrics:
         # Group is (tb, destIP); the tracker should surface destIPs.
         assert all(isinstance(key, str) and key.startswith("192.") for key in keys)
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_batch_entry_points_count_every_tuple_once(self, columnar):
-        # insert_many reaches the insert_cols wrapper through the
-        # transpose: both entry points are visible, neither counts twice.
-        rows = make_rows()
+    def test_every_metric_the_instrumented_pass_holds_is_recorded(self, low_table):
+        # A metric no pass records is a name in `repro stats` that reads
+        # nothing; the evictions counter needs a low table that fills.
+        low_table(2)
         metrics = MetricsRegistry(enabled=True)
-        run_engine(metrics=metrics, rows=rows, batch=64, columnar=columnar)
+        run_time_query(metrics=metrics, rows=make_rows(2_000))
         snap = metrics.snapshot()["metrics"]
-        assert snap["engine.query.ingest.tuples"]["raw_total"] == len(rows)
-        tcp = sum(1 for row in rows if row[5] == "tcp")
-        assert snap["engine.query.ingest.selected"]["raw_total"] == tcp
-        batches = -(-len(rows) // 64)
-        assert snap["engine.query.ingest.latency_us"]["count"] == batches
-        top = metrics.get("engine.query.hot_keys").top(5)
-        assert sum(weight for _, weight, _ in top) == pytest.approx(tcp)
-        assert all(key.startswith("192.") for key, _, _ in top)
-
-    def test_hot_keys_come_from_the_kernels_one_evaluation(self, monkeypatch):
-        # The tracker is handed the keys insert_cols already made: the
-        # batch plan runs once per batch, and an expression that raises
-        # raises once.
-        evaluations = []
-        evaluate = QueryEngine._select_and_eval
-
-        def counted(engine, cols, count):
-            evaluations.append(count)
-            return evaluate(engine, cols, count)
-
-        monkeypatch.setattr(QueryEngine, "_select_and_eval", counted)
-        rows = make_rows()
-        metrics = MetricsRegistry(enabled=True)
-        engine = QueryEngine(
-            parse_query(SQL, default_registry()), SCHEMA, metrics=metrics
-        )
-        engine.insert_cols([list(col) for col in zip(*rows)])
-        assert evaluations == [len(rows)]
-        tcp = sum(1 for row in rows if row[5] == "tcp")
-        top = metrics.get("engine.query.hot_keys").top(5)
-        assert sum(weight for _, weight, _ in top) == pytest.approx(tcp)
-        bad = [list(col) for col in zip(*rows[:8])]
-        bad[0][3] = None  # time/60 on None raises inside the evaluation
-        with pytest.raises(TypeError):
-            engine.insert_cols(bad)
-        assert evaluations == [len(rows), 8]
-
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_batched_path_records_batch_sizes_and_udaf_timings(self, columnar):
-        metrics = MetricsRegistry(enabled=True)
-        run_engine(metrics=metrics, batch=64, columnar=columnar)
-        snap = metrics.snapshot()["metrics"]
-        assert snap["engine.query.ingest.batch_size"]["p50"] == pytest.approx(
-            64.0, rel=0.1
-        )
-        assert snap["engine.query.udaf.sum.update_many_us"]["count"] > 0
-        assert snap["engine.query.udaf.sum.batched_items"]["raw_total"] > 0
+        empty = [
+            name
+            for name, entry in snap.items()
+            if entry.get("count") == 0
+            or entry.get("raw_total") == 0
+            or ("value" in entry and entry["value"] is None)
+            or entry.get("top") == []
+        ]
+        assert empty == []
+        assert len(snap) == 9

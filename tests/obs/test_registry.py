@@ -52,20 +52,11 @@ class TestGetOrCreate:
         assert isinstance(registry.gauge("g"), LastValueGauge)
         assert registry.names() == ["c", "g", "h", "l", "r"]
 
-    def test_the_first_call_fixes_the_parameters(self, clock):
-        registry = MetricsRegistry(clock=clock)
-        counter = registry.counter("x", half_life_s=5.0)
-        assert registry.counter("x", half_life_s=50.0) is counter
-        assert counter.half_life_s == 5.0
-        hot = registry.hotkeys("h", capacity=4)
-        assert registry.hotkeys("h", capacity=400).capacity == 4
-        assert hot.capacity == 4
-
     def test_metrics_read_the_registry_clock(self, clock):
         registry = MetricsRegistry(clock=clock)
-        counter = registry.counter("x", half_life_s=10.0)
+        counter = registry.counter("x")
         counter.add(8.0)
-        clock.advance(10.0)
+        clock.advance(60.0)
         assert counter.value() == pytest.approx(4.0)
 
     def test_get_of_an_unknown_name_is_a_key_error(self, clock):

@@ -6,11 +6,15 @@ is gone.  ``two_level`` stays on ``QueryEngine`` and ``time_query``
 alone: the Fig. 2(a) / 2(b) runners set it, and no other caller runs a
 two-level engine (``run_query`` and ``repro query`` are one-level) —
 time buckets are ``run_query``'s alone, so the engine, its blob and the
-store carry none — and ``metrics`` on ``QueryEngine`` and ``time_query``
-(the instrumented pass of ``repro bench``), so a grep alone cannot keep
-them off the plan, the backends, the router, the store and the sharded
-engine: these signatures are pinned name for name, and the methods a
-retired capability needed stay deleted.
+store carry none — and ``metrics`` on ``time_query`` alone (the
+instrumented pass of ``repro bench``, which attaches the instrumentation
+itself; the engine takes no registry).  So a grep alone cannot keep them
+off the engine, the plan, the backends, the router, the store and the
+sharded engine: these signatures are pinned name for name, and the
+methods a retired capability needed stay deleted.  Every metric of a kind
+has one shape (``repro.obs.metrics``' ``HALF_LIFE_S``,
+``LATENCY_EPSILON``, ``HOT_KEY_CAPACITY``), so the registry takes a name
+and nothing else.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ import pkgutil
 import pytest
 
 SIGNATURES = {
-    "repro.dsms.engine.QueryEngine": (
-        "query", "schema", "two_level", "metrics", "metrics_name", "store",
-    ),
+    "repro.dsms.engine.QueryEngine": ("query", "schema", "two_level", "store"),
     "repro.dsms.engine.run_query": ("query", "schema", "rows"),
     "repro.parallel.worker.ShardPlan": (
         "sql", "schema", "registry_params", "store_dir", "store_hot_groups",
@@ -51,8 +53,7 @@ SIGNATURES = {
         "hh_epsilon", "hh_phi", "eh_epsilon", "sample_size",
     ),
     "repro.bench.harness.time_query": (
-        "name", "sql", "schema", "registry", "trace", "two_level",
-        "metrics", "metrics_name",
+        "name", "sql", "schema", "registry", "trace", "two_level", "metrics",
     ),
     "repro.bench.harness.time_consumer": (
         "name", "consumer", "trace", "state_bytes",
@@ -62,6 +63,15 @@ SIGNATURES = {
     "repro.testing.chaos.ServerProcess": (
         "sql", "state_dir", "checkpoint_interval_s", "port", "log_path",
     ),
+    "repro.obs.registry.MetricsRegistry.counter": ("self", "name"),
+    "repro.obs.registry.MetricsRegistry.rate": ("self", "name"),
+    "repro.obs.registry.MetricsRegistry.latency": ("self", "name"),
+    "repro.obs.registry.MetricsRegistry.hotkeys": ("self", "name"),
+    "repro.obs.registry.MetricsRegistry.timer": ("self", "name"),
+    "repro.obs.metrics.DecayedCounter": ("clock",),
+    "repro.obs.metrics.DecayedRateGauge": ("clock",),
+    "repro.obs.metrics.LatencyQuantiles": (),
+    "repro.obs.metrics.HotKeyTracker": (),
 }
 
 
@@ -130,6 +140,16 @@ def test_parameter_names_are_pinned(path):
         ("repro.obs.registry.NullMetric", "merge"),
         ("repro.obs.registry.MetricsRegistry", "merge"),
         ("repro.obs.registry", "_empty_clone"),
+        # Engine hooks no instrumented pass fires (it runs process and
+        # flush only), and metric readings no system caller takes.
+        ("repro.obs.instrument", "TimedUdaf"),
+        ("repro.obs.instrument.EngineInstrumentation", "_insert_cols"),
+        ("repro.obs.instrument.EngineInstrumentation", "_select_and_eval"),
+        ("repro.obs.instrument.EngineInstrumentation", "partial_encoded"),
+        ("repro.obs.instrument.EngineInstrumentation", "partial_decoded"),
+        ("repro.obs.metrics.DecayedCounter", "landmark"),
+        ("repro.obs.metrics.DecayedCounter", "static_numerator"),
+        ("repro.obs.metrics.HotKeyTracker", "total_weight"),
     ],
 )
 def test_stranded_methods_stay_deleted(path, method):
