@@ -114,13 +114,13 @@ class QueryEngine:
         in the query is mergeable): the Fig. 2(a) engine.  Off by default;
         refused together with ``store``.
     store:
-        Optional :class:`~repro.store.tiered.TieredStore`.  When given,
-        the store bounds how many groups stay in RAM: cold groups spill
-        to on-disk segments and fault back in exactly on first touch, so
+        Optional :class:`~repro.store.tiered.TieredStore`, handed the
+        engine's group table when it is built.  It bounds how many groups
+        stay in RAM: cold groups spill to on-disk segments, and every
+        table miss asks ``store.fault_in`` before it creates a group, so
         results stay byte-identical to the all-RAM engine (see
-        :mod:`repro.store`).  A store-backed engine is one-level.  When
-        None (the default), nothing changes — the dict-backed path is
-        untouched.
+        :mod:`repro.store`).  A store-backed engine is one-level.  None
+        (the default) keeps every group in RAM.
     """
 
     def __init__(
@@ -204,11 +204,16 @@ class QueryEngine:
         self._tuples_in = 0
         self._tuples_selected = 0
         self._low_evictions = 0
-        self._store = None
+        self._store = store
         if store is not None:
-            # Sets self._store, swaps _high for a fault-in view, and
-            # shadows process().
-            store.attach(self)
+            manifest = store.attach(self._high, self._store_fields())
+            if manifest is not None:
+                self._tuples_in = manifest["tuples_in"]
+                self._tuples_selected = manifest["tuples_selected"]
+                self._low_evictions = manifest["low_evictions"]
+                for plan, counter in zip(self._agg_plans, manifest["udaf_counters"]):
+                    if counter is not None:
+                        plan.udaf._counter = counter
 
     # -- statistics ---------------------------------------------------------------
 
@@ -305,12 +310,17 @@ class QueryEngine:
         ]
         if self.two_level:
             self._process_low(key, args)
-        else:
-            states = self._high.get(key)
-            if states is None:
+            return
+        high = self._high
+        store = self._store
+        states = high.get(key)
+        if states is None:
+            if store is None or (states := store.fault_in(key)) is None:
                 states = [plan.udaf.create() for plan in self._agg_plans]
-                self._high[key] = states
-            self._update_states(states, args)
+            high[key] = states
+        self._update_states(states, args)
+        if store is not None:
+            store.observe_batch([key])
 
     def _eval_row(self, row: tuple) -> list | None:
         """The group key parts then the distinct aggregate arguments of
@@ -456,7 +466,8 @@ class QueryEngine:
                 continue
             states = high_get(key)
             if states is None:
-                states = [plan.udaf.create() for plan in agg_plans]
+                if store is None or (states := store.fault_in(key)) is None:
+                    states = [plan.udaf.create() for plan in agg_plans]
                 high[key] = states
             indices = [index]
             pending[key] = (states, indices, indices.append)
@@ -676,7 +687,25 @@ class QueryEngine:
                 "engine's state is partial_state_bytes(), resumed by a fresh "
                 "engine's merge_partial()"
             )
-        return self._store.checkpoint()
+        return self._store.checkpoint(self._store_fields())
+
+    def _store_fields(self) -> dict:
+        """What a store's manifest records of this engine: the plan a
+        resumed engine must match and the counters it restores.  Sampler
+        UDAFs assign each *new* group an RNG stream from a creation
+        counter, which a resumed engine must continue, or groups first
+        seen after the restart would draw other streams than an
+        uninterrupted run's."""
+        return {
+            "query": self.query.sql(),
+            "schema": self.schema.names(),
+            "tuples_in": self._tuples_in,
+            "tuples_selected": self._tuples_selected,
+            "low_evictions": self._low_evictions,
+            "udaf_counters": [
+                getattr(plan.udaf, "_counter", None) for plan in self._agg_plans
+            ],
+        }
 
     # -- partial state (Section VI-B at engine granularity) -----------------------
 
@@ -814,8 +843,10 @@ class QueryEngine:
         for key, theirs in zip(keys, states):
             mine = high.get(key)
             if mine is None:
-                high[key] = theirs
-                continue
+                if store is None or (mine := store.fault_in(key)) is None:
+                    high[key] = theirs
+                    continue
+                high[key] = mine
             for plan, own, other in zip(plans, mine, theirs):
                 if plan.udaf.mergeable:
                     plan.udaf.merge(own, other)

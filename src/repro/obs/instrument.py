@@ -7,9 +7,9 @@ the untouched class methods, so an uninstrumented engine pays nothing — no
 per-tuple flag checks on the fast path.
 
 The wrappers never change behaviour: they delegate to the bound methods
-they replace (a store's shadow included) and record deltas of the
-engine's own statistics counters, so an instrumented run produces
-bit-identical results to an uninstrumented one.
+they replace and record deltas of the engine's own statistics counters,
+so an instrumented run produces bit-identical results to an
+uninstrumented one.
 """
 
 from __future__ import annotations

@@ -248,10 +248,6 @@ class LastValueGauge:
         """Record the latest sample."""
         self._value = value
 
-    def value(self) -> float | None:
-        """The latest sample, or None before any ``set``."""
-        return self._value
-
     def snapshot(self, now: float | None = None) -> dict:
         """Serializable view: the latest sample."""
         return {"type": "gauge", "value": self._value}

@@ -7,9 +7,10 @@ paths:
 
 * **the one off-switch** — a registry built with ``enabled=False`` hands
   out the shared :data:`NULL_METRIC`, whose methods do nothing, and its
-  :meth:`~MetricsRegistry.timer` runs the block untimed.  Code records
-  unconditionally; a disabled registry never even imports the metric
-  classes (nor the summaries behind them).
+  :meth:`~MetricsRegistry.timer` the shared :data:`NULL_TIMER`, which
+  runs the block untimed.  Code records unconditionally; a disabled
+  registry never even imports the metric classes (nor the summaries
+  behind them).
 * **deterministic snapshots** — every decayed metric reads the registry's
   injectable clock, so ``snapshot(now=...)`` under a manual clock is a
   pure function of the recorded updates.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable
 
 from repro.core.errors import ParameterError
@@ -49,29 +50,21 @@ class NullMetric:
     def set(self, *args, **kwargs) -> None:
         """Discard the sample."""
 
-    def value(self, *args, **kwargs) -> float:
-        """Always 0.0."""
-        return 0.0
-
-    def rate(self, *args, **kwargs) -> float:
-        """Always 0.0."""
-        return 0.0
-
-    def quantile(self, *args, **kwargs) -> None:
-        """Always None."""
-        return None
-
-    def top(self, *args, **kwargs) -> list:
-        """Always empty."""
-        return []
-
-    def snapshot(self, *args, **kwargs) -> dict:
-        """A typed empty snapshot."""
-        return {"type": "null"}
-
 
 #: The singleton every disabled registry returns.
 NULL_METRIC = NullMetric()
+
+#: The context manager every disabled registry's ``timer`` returns.
+NULL_TIMER = nullcontext()
+
+
+@contextmanager
+def _timed(metric):
+    start = time.perf_counter_ns()
+    try:
+        yield
+    finally:
+        metric.observe((time.perf_counter_ns() - start) / 1e3)
 
 
 class MetricsRegistry:
@@ -138,23 +131,17 @@ class MetricsRegistry:
         """A last-sample gauge (``LastValueGauge``)."""
         return self._get_or_create(name, "LastValueGauge")
 
-    @contextmanager
     def timer(self, name: str):
         """Context manager recording the block's wall time, in µs, into
         the :meth:`latency` sketch registered under ``name``.
 
-        On a disabled registry the block runs untimed — no clock reads,
-        no metric lookup.
+        A disabled registry returns the one shared :data:`NULL_TIMER`: the
+        block runs untimed — no clock reads, no metric lookup, no
+        generator built.
         """
         if not self.enabled:
-            yield
-            return
-        metric = self.latency(name)
-        start = time.perf_counter_ns()
-        try:
-            yield
-        finally:
-            metric.observe((time.perf_counter_ns() - start) / 1e3)
+            return NULL_TIMER
+        return _timed(self.latency(name))
 
     # -- snapshots -------------------------------------------------------------
 

@@ -507,7 +507,7 @@ class StreamServer:
             )
             return
         try:
-            with self.metrics.timer(f"serve.frame.{frame.name}.us"):
+            with self.metrics.timer(self._TIMERS[frame.ftype]):
                 await handler(self, conn, frame.payload)
         except protocol.FrameTooLarge as error:
             # Nothing of the reply was written, so the stream, the credit
@@ -755,6 +755,10 @@ class StreamServer:
         protocol.ADOPT: _handle_adopt,
         protocol.STATS: _handle_stats,
         protocol.BYE: _handle_bye,
+    }
+    #: Each handled frame type's latency metric, named once.
+    _TIMERS = {
+        ftype: f"serve.frame.{protocol.frame_name(ftype)}.us" for ftype in _HANDLERS
     }
 
 

@@ -1,26 +1,28 @@
 """The two-tier group-state manager: hot RAM map + cold on-disk segments.
 
-:class:`TieredStore` attaches to one :class:`~repro.dsms.engine.QueryEngine`
-and bounds how many groups live in RAM.  The **hot tier** is the engine's
-own high-level table; when it exceeds the configured group budget, the
-store evicts the groups with the smallest *decayed touch weight* — forward
-decay (Definition 3) over the store's arrival index, so "coldest" is the
-paper's own notion of staleness: the group whose recent activity,
-``g``-weighted toward the present, is lowest.  Evicted state is serialized
-exactly and appended to the **cold tier**, an append-only
+:class:`TieredStore` is a collaborator one
+:class:`~repro.dsms.engine.QueryEngine` calls, and bounds how many groups
+live in RAM.  The **hot tier** is the engine's own group table, which the
+engine hands over when it attaches; when it exceeds the configured group
+budget, the store evicts the groups with the smallest *decayed touch
+weight* — forward decay (Definition 3) over the store's arrival index, so
+"coldest" is the paper's own notion of staleness: the group whose recent
+activity, ``g``-weighted toward the present, is lowest.  Evicted state is
+serialized exactly and appended to the **cold tier**, an append-only
 :mod:`~repro.store.segment` file, one *page* per eviction batch — the
 column packing of the engine's partial-state blob, so a cold group and a
 shipped partial are the same bytes.
 
 Exactness comes from the *write-back / fault-in* discipline, not from
 merging: a group's state is always a single live object — either hot, or a
-serialized blob on disk.  Any code path that would touch a cold group
-(high-table miss, low-table merge-up, partial-state merge, flush) loads
-the exact serialized state back first, so every accumulator sees the
-identical update sequence as the all-RAM engine and results are
-byte-identical — sketches, samplers and their RNG streams included (the
-Section VI-B fixed-numerator property is what makes the serialized partial
-states location-independent in the first place).
+serialized blob on disk.  The paths that touch a cold group are the
+engine's explicit calls — :meth:`TieredStore.fault_in` on a table miss
+(a row, a batch, a partial-state merge), :meth:`TieredStore.take_cold` at
+flush — and each loads the exact serialized state back first, so every
+accumulator sees the identical update sequence as the all-RAM engine and
+results are byte-identical — sketches, samplers and their RNG streams
+included (the Section VI-B fixed-numerator property is what makes the
+serialized partial states location-independent in the first place).
 
 Scaling past a few million groups, no per-group Python object survives in
 RAM: cold locations live in an mmap-backed
@@ -173,33 +175,6 @@ class _PageBuilder:
             self._summary_bytes = 0
 
 
-class _FaultingTable(dict):
-    """The engine's high table, with cold groups faulted in on ``get``.
-
-    Every hot-path miss check in the engine goes through ``high.get``;
-    overriding it is the single hook that covers group creation and
-    partial-state merges.  Iteration, ``pop`` and ``popitem`` stay plain
-    ``dict`` operations — eviction and flushing must *not* fault (the
-    store reads through ``dict.get`` directly).
-    """
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: "TieredStore", items=()):
-        super().__init__(items)
-        self.store = store
-
-    def get(self, key, default=None):
-        states = dict.get(self, key)
-        if states is not None:
-            return states
-        states = self.store.fault_in(key)
-        if states is None:
-            return default
-        self[key] = states
-        return states
-
-
 class TieredStore:
     """Tiered storage for one engine's group state.
 
@@ -229,7 +204,7 @@ class TieredStore:
         self.hot_groups = hot_groups
         self._segments_dir = os.path.join(directory, "segments")
         self._dir_path = os.path.join(directory, _DIRECTORY_NAME)
-        self._engine = None
+        self._table: dict | None = None
         self._dir: KeyDirectory | None = None
         # segment id <-> name; ids are the number embedded in the name,
         # so they survive recovery and fit the directory's u32 field.
@@ -276,51 +251,28 @@ class TieredStore:
 
     # -- attachment and recovery --------------------------------------------------
 
-    def attach(self, engine) -> None:
-        """Bind this store to a fresh engine and recover any checkpoint.
+    def attach(self, table: dict, fields: dict) -> dict | None:
+        """Take one engine's group table as the hot tier and recover any
+        checkpoint.
 
-        Replaces the engine's high table with a fault-in view and shadows
-        its per-tuple ``process`` (the batched paths notify the store
-        explicitly).  With a manifest present, the engine resumes from the
-        checkpoint with every group cold; without one, leftover segment
-        and directory files are wiped — no manifest means no durable
-        state.
+        The engine calls this when it is built, with its empty table and
+        its :meth:`checkpoint` fields, whose query and schema a manifest
+        must match.  With a manifest present, every checkpointed group is
+        cold and the manifest is returned for the engine to restore its
+        counters from; without one, leftover segment and directory files
+        are wiped — no manifest means no durable state — and the result
+        is None.
         """
-        if self._engine is not None:
+        if self._table is not None:
             raise ParameterError("store is already attached to an engine")
-        if getattr(engine, "_store", None) is not None:
-            raise ParameterError("engine already has a store attached")
-        if engine.tuples_processed:
-            raise ParameterError("a store must attach to a fresh engine")
         os.makedirs(self._segments_dir, exist_ok=True)
-        self._engine = engine
-        engine._store = self
-        engine._high = _FaultingTable(self, engine._high)
-        self._shadow_process(engine)
+        self._table = table
         manifest_path = os.path.join(self.directory, MANIFEST_NAME)
         if os.path.exists(manifest_path):
-            self._recover(engine, manifest_path)
-        else:
-            self._wipe_segments()
-            self._dir = KeyDirectory(self._dir_path)
-
-    def _shadow_process(self, engine) -> None:
-        # Instance-level shadow, same trick as repro.obs.instrument: the
-        # default engine never pays a per-tuple store check.  The wrapper
-        # re-derives the group key; per-tuple ingest on a store-backed
-        # engine trades that for bounded memory (the batched paths hand
-        # the store their key lists instead).
-        original = engine.process
-        where_fn = engine._where_fn
-        group_fns = engine._group_fns
-        store = self
-
-        def process(row: tuple) -> None:
-            original(row)
-            if where_fn is None or where_fn(row):
-                store.observe_batch([tuple(fn(row) for fn in group_fns)])
-
-        engine.process = process
+            return self._recover(fields, manifest_path)
+        self._wipe_segments()
+        self._dir = KeyDirectory(self._dir_path)
+        return None
 
     def _wipe_segments(self) -> None:
         for entry in os.listdir(self._segments_dir):
@@ -330,20 +282,15 @@ class TieredStore:
             if entry.startswith("keys") and ".dir" in entry:
                 _unlink_quiet(os.path.join(self.directory, entry))
 
-    def _recover(self, engine, manifest_path: str) -> None:
+    def _recover(self, fields: dict, manifest_path: str) -> dict:
         manifest = _read_manifest(manifest_path)
-        if manifest["query"] != engine.query.sql():
-            raise StoreError(
-                "store manifest is for a different query: "
-                f"{manifest['query']!r} vs {engine.query.sql()!r}",
-                segment=manifest_path,
-            )
-        if manifest["schema"] != engine.schema.names():
-            raise StoreError(
-                "store manifest is for a different schema: "
-                f"{manifest['schema']!r} vs {engine.schema.names()!r}",
-                segment=manifest_path,
-            )
+        for field in ("query", "schema"):
+            if manifest[field] != fields[field]:
+                raise StoreError(
+                    f"store manifest is for a different {field}: "
+                    f"{manifest[field]!r} vs {fields[field]!r}",
+                    segment=manifest_path,
+                )
         referenced = set(manifest["segments"])
         for seg_name in sorted(referenced):
             reader = SegmentReader(self._segment_path(seg_name))
@@ -389,13 +336,8 @@ class TieredStore:
             if (entry.startswith("keys") and ".dir" in entry
                     and entry not in keep_files):
                 _unlink_quiet(os.path.join(self.directory, entry))
-        engine._tuples_in = manifest["tuples_in"]
-        engine._tuples_selected = manifest["tuples_selected"]
-        engine._low_evictions = manifest["low_evictions"]
         self._arrivals = manifest["arrivals"]
-        for plan, counter in zip(engine._agg_plans, manifest["udaf_counters"]):
-            if counter is not None:
-                plan.udaf._counter = counter
+        return manifest
 
     # -- ingest-side hooks --------------------------------------------------------
 
@@ -435,7 +377,7 @@ class TieredStore:
         prio = self._prio
         heap = []
         seq = self._seq
-        for key in self._engine._high:
+        for key in self._table:
             seq += 1
             heap.append((prio.get(key, 0.0), seq, key))
         self._seq = seq
@@ -444,8 +386,7 @@ class TieredStore:
 
     def maintain(self) -> None:
         """Enforce the hot budget: evict, rotate, opportunistically compact."""
-        engine = self._engine
-        high = engine._high
+        high = self._table
         budget = self.hot_groups
         if len(high) > budget:
             prio = self._prio
@@ -458,7 +399,7 @@ class TieredStore:
                 value, seq, key = heapq.heappop(self._heap)
                 if prio.get(key, 0.0) != value:
                     continue  # stale entry; a newer one is still queued
-                states = dict.get(high, key)
+                states = high.get(key)
                 if states is None:
                     continue  # flushed since it was touched
                 del high[key]
@@ -541,7 +482,7 @@ class TieredStore:
         """Read ahead for one batch: the cold rows among ``keys``.
 
         ``keys`` are distinct group keys the caller is about to ``get``
-        and that are in neither engine table.  Each is hashed and looked
+        and that are not in the engine's table.  Each is hashed and looked
         up once; the candidate locations are grouped by page, each page
         is read once and only the wanted rows are pulled out of it, into
         a stash that :meth:`fault_in` consumes.  The stash is a cache and
@@ -959,9 +900,12 @@ class TieredStore:
 
     # -- checkpointing ------------------------------------------------------------
 
-    def checkpoint(self) -> str:
+    def checkpoint(self, fields: dict) -> str:
         """Write a manifest checkpoint; returns the manifest path.
 
+        ``fields`` are the engine's own manifest fields, which
+        ``QueryEngine.store_checkpoint`` hands over: its query and schema,
+        its tuple and eviction counters, and its UDAFs' creation counters.
         Hot groups are serialized once, as full pages, into a fresh
         ``ckpt-`` segment; cold groups are referenced *in place* — their
         pages are already durable, which is the point of using segments as the checkpoint
@@ -976,11 +920,10 @@ class TieredStore:
         ``ckpt-`` segment and snapshot) actually deleted, so a crash at
         any point leaves a recoverable store.
         """
-        engine = self._engine
-        if engine is None:
+        high = self._table
+        if high is None:
             raise ParameterError("store is not attached to an engine")
         self._seal_writer()
-        high = engine._high
         ckpt_name = None
         ckpt_id = None
         ckpt_entries: list[tuple[int, int, int]] = []
@@ -1010,24 +953,11 @@ class TieredStore:
             | ({ckpt_name} if ckpt_name else set())
         )
         manifest = {
-            "query": engine.query.sql(),
-            "schema": engine.schema.names(),
-            "tuples_in": engine.tuples_processed,
-            "tuples_selected": engine.tuples_selected,
-            "low_evictions": engine.low_evictions,
+            **fields,
             "segments": referenced,
             "directory_file": snap_name,
             "directory_entries": directory_entries,
             "arrivals": self._arrivals,
-            # Sampler UDAFs assign each *new* group an RNG stream from
-            # a per-UDAF creation counter; a resumed engine must
-            # continue that sequence or groups first seen after the
-            # restart would draw different streams than an
-            # uninterrupted run.
-            "udaf_counters": [
-                getattr(plan.udaf, "_counter", None)
-                for plan in engine._agg_plans
-            ],
         }
         manifest_path = os.path.join(self.directory, MANIFEST_NAME)
         publish(manifest_path, seal(
@@ -1068,7 +998,7 @@ class TieredStore:
     @property
     def hot_count(self) -> int:
         """Groups currently resident in the engine's high table."""
-        return len(self._engine._high) if self._engine is not None else 0
+        return len(self._table) if self._table is not None else 0
 
     @property
     def cold_count(self) -> int:

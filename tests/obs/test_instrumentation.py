@@ -105,22 +105,25 @@ class TestResultsUnchanged:
             resumed.process(row)
         assert resumed.flush() == run_engine(rows=rows)
 
-    def test_the_wrappers_call_a_stores_shadow_process(self, tmp_path):
-        # Instrumentation attaches after store.attach, so its process
-        # wrapper must call the store's shadow, not the class method: a
-        # store that never saw a row's group key would not spill it.
+    def test_a_store_backed_engine_is_wrapped_like_a_plain_one(self, tmp_path):
+        # The store is a collaborator the engine calls: it replaces
+        # neither the table nor process, so the wrappers wrap the class
+        # method and count each selected tuple once.
         rows = make_rows(2_000)
-        expected = run_engine(rows=rows)
-        counts = []
-        for index, metrics in enumerate((None, MetricsRegistry(enabled=True))):
-            store = TieredStore(str(tmp_path / str(index)), hot_groups=4)
-            engine = build_engine(metrics, store=store)
-            for row in rows:
-                engine.process(row)
-            counts.append(store.stats()["evictions"])
-            assert engine.flush() == expected
-            store.close()
-        assert counts[0] > 0 and counts[1] == counts[0]
+        store = TieredStore(str(tmp_path / "s"), hot_groups=4)
+        engine = build_engine(store=store)
+        assert type(engine._high) is dict
+        assert "process" not in vars(engine)
+        metrics = MetricsRegistry(enabled=True)
+        EngineInstrumentation(engine, metrics, "query")
+        for row in rows:
+            engine.process(row)
+        stats = store.stats()
+        assert stats["evictions"] > 0 and stats["fault_ins"] > 0
+        assert engine.flush() == run_engine(rows=rows)
+        selected = metrics.snapshot()["metrics"]["engine.query.ingest.selected"]
+        assert selected["raw_total"] == sum(1 for row in rows if row[5] == "tcp")
+        store.close()
 
 
 class TestRecordedMetrics:

@@ -244,10 +244,9 @@ class TestHotKeyTracker:
 class TestLastValueGauge:
     def test_keeps_latest_sample(self):
         gauge = LastValueGauge()
-        assert gauge.value() is None
         gauge.set(10.0)
         gauge.set(20.0)
-        assert gauge.value() == 20.0
+        assert gauge.snapshot()["value"] == 20.0
 
     def test_snapshot_reports_the_latest_sample(self):
         gauge = LastValueGauge()

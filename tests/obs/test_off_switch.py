@@ -16,8 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.obs.registry import NULL_METRIC
-from repro.serve import StreamServer, build_backend
+from repro.obs.registry import NULL_METRIC, NULL_TIMER
+from repro.serve import StreamServer, build_backend, protocol
 from repro.workloads.netflow import PACKET_SCHEMA
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -46,6 +46,17 @@ def test_a_server_without_a_registry_holds_a_disabled_one():
     assert server.metrics.enabled is False
     assert server.metrics.counter("serve.frames") is NULL_METRIC
     assert "metrics" not in server.stats()
+
+
+def test_frame_timers_are_named_once_and_null_without_a_registry():
+    server = StreamServer(build_backend(SQL, PACKET_SCHEMA))
+    assert StreamServer._TIMERS[protocol.INSERT_COLS] == "serve.frame.INSERT_COLS.us"
+    assert set(StreamServer._TIMERS) == set(StreamServer._HANDLERS)
+    assert all(
+        server.metrics.timer(name) is NULL_TIMER
+        for name in StreamServer._TIMERS.values()
+    )
+    assert len(server.metrics) == 0
 
 
 def test_a_server_without_a_registry_loads_no_metric_class():

@@ -140,6 +140,31 @@ class TestByteIdentity:
         assert store.cold_count > 0
         assert engine.flush() == reference_flush(SKETCH_SQL, rows)
 
+    def test_process_and_insert_cols_agree_behind_a_store(self, tmp_path):
+        # Both ingest paths ask the store for a missed key before they
+        # create its group, and report the keys WHERE let through.
+        sql = (
+            "select tb, destIP, count(*) as c, sum(len) as s, "
+            "prisamp(srcIP, len) as samp from TCP where proto = 'tcp' "
+            "group by time/60 as tb, destIP"
+        )
+        rows = make_rows(900, groups=60)
+        flushed = []
+        for path in ("process", "insert_cols"):
+            store = TieredStore(str(tmp_path / path), hot_groups=8)
+            engine = build_engine(sql, store=store)
+            if path == "process":
+                for row in rows:
+                    engine.process(row)
+            else:
+                for start in range(0, len(rows), 50):
+                    engine.insert_cols(list(zip(*rows[start:start + 50])))
+            stats = store.stats()
+            assert stats["evictions"] > 0 and stats["fault_ins"] > 0
+            flushed.append(engine.flush())
+            store.close()
+        assert flushed[0] == flushed[1] == reference_flush(sql, rows)
+
     def test_partial_state_splices_cold_groups(self, tmp_path):
         rows = make_rows()
         store = TieredStore(str(tmp_path / "s"), hot_groups=10)
@@ -632,11 +657,13 @@ class TestCheckpointRestore:
 
 
 class TestEngineContract:
-    def test_attach_requires_fresh_engine(self, tmp_path):
-        engine = build_engine()
-        engine.insert_many(make_rows(50))
-        with pytest.raises(ParameterError, match="fresh"):
-            TieredStore(str(tmp_path / "s")).attach(engine)
+    def test_a_store_attaches_to_one_engine(self, tmp_path):
+        # An engine attaches its store when it is built, so it is fresh;
+        # a second engine over the same store would share its hot table.
+        store = TieredStore(str(tmp_path / "s"), hot_groups=4)
+        build_engine(store=store)
+        with pytest.raises(ParameterError, match="already attached"):
+            build_engine(store=store)
 
     def test_a_two_level_engine_is_refused_a_store(self, tmp_path):
         # The Fig. 2(a) low table is the per-tuple model the figure
