@@ -12,11 +12,10 @@ operations.  Layout of a packed batch (all integers network order)::
 
     column block := kind: u8 | nbytes: u32 | payload[nbytes]
 
-The kind byte's low nibble is the kind, its high nibble a **width
-shrink**: how many times the kind's integer width is halved.  Shrink 0
-is the widest case — the only one codec version 1 wrote; version 2
-narrowed ints, lengths and codes, version 3 integral floats — so one
-decoder reads a batch of any of the three versions alike::
+The kind byte's low nibble is the kind, bits 4-5 a **width shrink** (how
+many times the kind's integer width is halved) and bit 7 a string block's
+**head**.  Version 1 wrote shrink 0 alone, 2 narrowed ints, lengths and
+codes, 3 integral floats, 4 heads — one decoder reads all four::
 
     kind byte            name             payload
     0x01 0x11 0x21 0x31  i64 i32 i16 i8   rows × signed int of 8 >> shrink bytes
@@ -26,9 +25,12 @@ decoder reads a batch of any of the three versions alike::
                                           patched row), then patches × (row:
                                           u32 | float64), rows ascending
     0x03 0x13 0x23       str/u32 u16 u8   rows × byte lengths (4 >> shrink bytes
-                                          each), then the UTF-8 blobs
+                                          each), then the UTF-8 entries
+    0x83 0x93 0xA3       str/…+head8      one entry more, first: the head all
+                                          rows share; each row's entry its rest
     0x04                 tagged           JSON list of tag_key-tagged values
-    0x05 0x15 0x25       bytes/u32 u16 u8 rows × byte lengths, then the raw buffers
+    0x05 0x15 0x25 (+80) bytes/u32 u16 u8 the same over raw buffers (both are
+                                          :mod:`repro.core.tree` string blocks)
     0x06 0x16 0x26       dict[n]/u32 u16 u8
                                           entries: u32 | a nested str block of the
                                           entries distinct strings in first-seen
@@ -41,22 +43,20 @@ columns), an int width from the column's ``min`` / ``max``, a float
 column's int width — when every value is finite, integral and not
 ``-0.0`` — as the i8 / i16 / i32 whose ints plus patches for the values
 it does not hold are fewest bytes (any other float column, or one no
-width makes smaller, stays ``f64``), a length
-width from its longest entry, a code width from its table size, and the
-dictionary exactly when byte arithmetic says it is smaller than the plain
-``str`` block.  So int/float/str identity survives packing bit-exactly:
-unpacking a packed batch yields values equal to the originals under
-``type()`` and ``repr()``, which is what lets the columnar data plane
-promise byte-identical query results — and equal columns always pack to
-equal bytes.
+width makes smaller, stays ``f64``), a length width from its longest
+entry, a code width from its table size, a head (the common prefix of
+the column's ``min`` and ``max``) where it makes the block smaller, and
+the dictionary exactly when byte arithmetic says it is smaller than the
+plain ``str`` block, each sized after its head.  So int/float/str
+identity survives packing bit-exactly: unpacking a packed batch yields
+values equal to the originals under ``type()`` and ``repr()`` (a lone
+surrogate too), which is what lets the columnar data plane promise
+byte-identical query results — and equal columns pack to equal bytes.
 
-Three consumers share this module: :mod:`repro.serve.protocol` wraps a
-packed batch in an ``INSERT_COLS`` wire frame (and a one-column ``bytes``
-batch in ``PARTIALS_OK`` / ``ADOPT``), :mod:`repro.parallel.sharded` ships
-packed batches to shard workers instead of pickling per-row tuples, and
-:mod:`repro.dsms.engine` packs its partial state as one batch with a row
-per group.  It deliberately lives in :mod:`repro.core` — below all of
-them — so no layer imports another.
+Its consumers: :mod:`repro.serve.protocol` (``INSERT_COLS`` frames, and
+a one-column ``bytes`` batch in ``PARTIALS_OK`` / ``ADOPT``), the shard
+transport, and :mod:`repro.dsms.engine`'s partial state (a row per group,
+as in a segment page); it lives in :mod:`repro.core`, below all of them.
 
 **A reader that names its columns pays for those and nothing else.**
 :func:`unpack_cols` given ``columns`` decodes those blocks; every other
@@ -79,12 +79,13 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import accumulate, compress
+from itertools import compress
 from math import trunc
 from operator import itemgetter
 
 from repro.core.errors import ProtocolError
 from repro.core.protocol import tag_key, untag_key
+from repro.core.tree import HEADED, read_strings, string_block, string_head, shrink_of
 
 __all__ = [
     "COLS_CODEC_VERSION",
@@ -112,11 +113,9 @@ __all__ = [
     "untag_value",
 ]
 
-#: Layout version byte leading every packed batch a writer emits.  Version
-#: 1 had only the widest case of each kind, version 2 no narrow ``f64`` —
-#: the same decoder reads all three.
-COLS_CODEC_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
+#: Layout version byte leading every packed batch a writer emits; the one
+#: decoder reads every version (module docstring).
+COLS_CODEC_VERSION = 4
 
 #: Column payload kinds: the low nibble of a block's kind byte (see the
 #: module docstring).  Each name is the kind at width shrink 0.
@@ -197,55 +196,29 @@ def untag_value(tag):
     return untag_key(tag)
 
 
-def _unsigned_shrink(top: int) -> int:
-    """Halvings of a u32 that still hold ``top``: 2 = u8, 1 = u16, 0 = u32."""
-    return 2 if top < 1 << 8 else 1 if top < 1 << 16 else 0
-
-
 def _frame(kind: int, payload: bytes) -> bytes:
     """One column block: ``kind | nbytes | payload``."""
     return _COL_HEAD.pack(kind, len(payload)) + payload
 
 
-def _pack_blobs(base: int, shrink: int, lengths, data: bytes) -> tuple[int, bytes]:
-    """A ``str`` / ``bytes`` block: the length table at the width
-    ``shrink`` says holds the longest entry, then the entries back to back."""
-    return base | shrink << 4, struct.pack(
-        f"!{len(lengths)}{_UNSIGNED[shrink]}", *lengths
-    ) + data
-
-
 def _pack_str_column(values) -> tuple[int, bytes]:
-    """A plain ``str`` block or a dictionary block, whichever byte
-    arithmetic says is smaller — settled before either is packed."""
+    """A plain ``str`` block or a dictionary block, whichever is smaller
+    once each has taken its head — settled before either is packed."""
     count = len(values)
     table = dict.fromkeys(values)  # the distinct strings, first seen first
     entries = len(table)
-    text, table_text = "".join(values), "".join(table)
-    if text.isascii():
-        size_of = len  # byte lengths are character lengths
-        total, table_total = len(text), len(table_text)
-    else:
-        sizes = {entry: len(entry.encode("utf-8")) for entry in table}
-        size_of = sizes.__getitem__
-        total, table_total = sum(map(size_of, values)), sum(sizes.values())
-    shrink = _unsigned_shrink(max(map(size_of, table)))
-    code_shrink = _unsigned_shrink(entries - 1)
-    width = 4 >> shrink
+    head = string_head(table)  # the distinct strings' min and max: the column's
+    table_size, table_layout, pack_table, top = string_block(table, head)
+    size, layout, pack, _top = string_block(values, head, top)
+    code_shrink = shrink_of(entries - 1)
     if (
-        _DICT_HEAD.size + _COL_HEAD.size + width * entries + table_total
-        + (4 >> code_shrink) * count
-    ) >= width * count + total:
-        return _pack_blobs(
-            COL_STR, shrink, list(map(size_of, values)), text.encode("utf-8")
-        )
-    block = _pack_blobs(
-        COL_STR, shrink, list(map(size_of, table)), table_text.encode("utf-8")
-    )
+        _DICT_HEAD.size + _COL_HEAD.size + table_size + (4 >> code_shrink) * count
+    ) >= size:
+        return COL_STR | layout, pack()
     table.update(zip(table, range(entries)))  # entry -> code
     return COL_DICT | code_shrink << 4, b"".join((
         _DICT_HEAD.pack(entries),
-        _frame(*block),
+        _frame(COL_STR | table_layout, pack_table()),
         struct.pack(
             f"!{count}{_UNSIGNED[code_shrink]}",
             *map(table.__getitem__, values),
@@ -337,38 +310,12 @@ def _pack_column(values) -> tuple[int, bytes]:
     elif kinds == {str}:
         return _pack_str_column(values)
     elif kinds == {bytes}:
-        lengths = list(map(len, values))
-        return _pack_blobs(
-            COL_BYTES, _unsigned_shrink(max(lengths)), lengths, b"".join(values)
-        )
+        _size, layout, pack, _top = string_block(values, string_head(values))
+        return COL_BYTES | layout, pack()
     tagged = json.dumps(
         [tag_value(v) for v in values], separators=(",", ":")
-    ).encode("utf-8")
+    ).encode("ascii")  # json.dumps escapes every non-ASCII character
     return COL_TAGGED, tagged
-
-
-def _length_table(view, count: int, shrink: int) -> tuple[tuple, memoryview]:
-    """``(entry byte lengths, the blob they cut up)`` of a ``str`` /
-    ``bytes`` payload — the one parse of a length table, whole decode or
-    row pick; a table longer than the payload is refused unread."""
-    head = (4 >> shrink) * count
-    if len(view) < head:
-        raise ProtocolError("column shorter than its length table")
-    lengths = struct.unpack_from(f"!{count}{_UNSIGNED[shrink]}", view)
-    if head + sum(lengths) != len(view):
-        raise ProtocolError("column blob does not match its lengths")
-    return lengths, view[head:]
-
-
-def _split(source, lengths) -> list:
-    """``source`` cut into consecutive slices of ``lengths``."""
-    out = []
-    offset = 0
-    for length in lengths:
-        end = offset + length
-        out.append(source[offset:end])
-        offset = end
-    return out
 
 
 def _fixed_values(fmt: str, view, offset: int, count: int, rows) -> list:
@@ -396,30 +343,11 @@ def _unpack_column(kind: int, view, count: int, rows=None) -> list:
         return _fixed_values(fmt, view, 0, count, rows)
     if base == COL_F64 and shrink < 4:
         return _narrow_floats(kind, view, count, rows)
-    if (base == COL_STR or base == COL_BYTES) and shrink < 3:
-        lengths, blob = _length_table(view, count, shrink)
-        if shape_only:
-            return []
-        try:
-            if rows is None:
-                if base == COL_STR:
-                    decoded = str(blob, "utf-8")
-                    if len(decoded) == len(blob):
-                        # All-ASCII blob: byte offsets are character offsets,
-                        # so one decode + cheap str slices replaces a decode
-                        # per entry.
-                        return _split(decoded, lengths)
-                pieces = _split(blob, lengths)
-            else:
-                ends = list(accumulate(lengths, initial=0))
-                pieces = [blob[ends[row]:ends[row + 1]] for row in rows]
-            if base == COL_BYTES:
-                return list(map(bytes, pieces))
-            # Decoded per entry, so a length table that splits a multi-byte
-            # character is rejected, not resynthesized.
-            return [str(piece, "utf-8") for piece in pieces]
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"undecodable str column: {exc}") from exc
+    if base == COL_STR or base == COL_BYTES:
+        values, end = read_strings(view, 0, count, kind, base == COL_STR, rows)
+        if end != len(view):
+            raise ProtocolError("column blob does not match its lengths")
+        return values
     if base == COL_DICT and shrink < 3:
         try:
             (entries,) = _DICT_HEAD.unpack_from(view)
@@ -446,7 +374,7 @@ def _unpack_column(kind: int, view, count: int, rows=None) -> list:
             ) from None
     if kind == COL_TAGGED:
         try:
-            tags = json.loads(bytes(view).decode("utf-8"))
+            tags = json.loads(bytes(view).decode("ascii"))
             values = [untag_value(tag) for tag in tags]
         except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
                 ValueError, IndexError, KeyError) as exc:
@@ -498,16 +426,23 @@ def block_name(view, block: tuple[int, int, int]) -> str:
     """The encoding of one decodable :func:`open_cols` block as an
     inspector prints it: ``i8`` … ``i64``, ``f64``, ``f64/i16``,
     ``str/u8``, ``bytes/u32``, ``dict[1000]/u16`` (entries, code width),
-    ``tagged``."""
+    ``tagged``; ``+head8`` when a string block, or a dictionary's table,
+    stores an 8-byte head once."""
     kind, start, _end = block
-    base, shrink = kind & 15, kind >> 4
+    base, shrink = kind & 15, kind >> 4 & 3
     if base == COL_I64 or base == COL_F64:
         return _fixed_name(kind)
     if base == COL_DICT:
-        return f"dict[{_DICT_HEAD.unpack_from(view, start)[0]}]/u{32 >> shrink}"
-    if base == COL_STR or base == COL_BYTES:
-        return f"{'str' if base == COL_STR else 'bytes'}/u{32 >> shrink}"
-    return "tagged"
+        name = f"dict[{_DICT_HEAD.unpack_from(view, start)[0]}]"
+        kind, start, _end = _block(view, start + _DICT_HEAD.size)  # its table
+    elif base == COL_STR or base == COL_BYTES:
+        name = "str" if base == COL_STR else "bytes"
+    else:
+        return "tagged"
+    name = f"{name}/u{32 >> shrink}"
+    if kind & HEADED:  # the head's length leads the length table
+        name += f"+head{_ONE[_UNSIGNED[kind >> 4 & 3]].unpack_from(view, start)[0]}"
+    return name
 
 
 def pack_column(values) -> bytes:
@@ -567,7 +502,7 @@ def open_cols(view) -> tuple[int, int | None, list[tuple[int, int, int]]]:
         version, seq_tag, count, ncols = _COLS_HEAD.unpack_from(view, 0)
     except struct.error as exc:
         raise ProtocolError(f"truncated columnar header: {exc}") from exc
-    if version not in _READABLE_VERSIONS:
+    if not 1 <= version <= COLS_CODEC_VERSION:
         raise ProtocolError(f"unknown columnar codec version {version}")
     blocks = []
     offset = _COLS_HEAD.size

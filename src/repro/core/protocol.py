@@ -612,7 +612,7 @@ def summary_type_of(data) -> str:
 
     Read from the buffer's head alone — nothing is unpacked, looked up or
     instantiated — so an inspector can label a summary slot it only holds
-    the bytes of.  Anything but a version-2 head is a
+    the bytes of.  Anything but a version-3 head is a
     :class:`ParameterError`.
     """
     head = bytes(data[:2 + 255])
@@ -641,7 +641,7 @@ class StreamSummary(DeclaredState, ABC):
 
     #: Layout version of :meth:`to_bytes` buffers, their first byte.  One
     #: for every summary: the payload codec is generic.
-    SERDE_VERSION: ClassVar[int] = 2
+    SERDE_VERSION: ClassVar[int] = 3
 
     # -- ingestion ---------------------------------------------------------------
 

@@ -62,10 +62,10 @@ class Format(NamedTuple):
 
 
 #: Version 4 had no envelope: a version byte, the head, and a trailing CRC32.
-PARTIAL_STATE = Format(b"FDPS", 5, "partial-state buffer", MergeError)
+PARTIAL_STATE = Format(b"FDPS", 6, "partial-state buffer", MergeError)
 PARTIALS_CHECKPOINT = Format(b"FDCK", 3, "partials checkpoint", ParameterError)
 #: A segment's header; its pages and footer are bare frames.
-SEGMENT = Format(b"RSEG", 5, "segment", StoreError)
+SEGMENT = Format(b"RSEG", 6, "segment", StoreError)
 DIRECTORY_SNAPSHOT = Format(b"RDIR", 2, "key directory snapshot", StoreError)
 #: Version 4 was bare JSON carrying its own ``version`` field.
 STORE_MANIFEST = Format(b"FDMF", 5, "store manifest", StoreError)

@@ -7,7 +7,7 @@ per-class layout — and promises ``unpack_tree(pack_tree(p))`` equals
 ``json.loads(json.dumps(p))`` under ``type()`` and ``repr()``: tuples
 read back as lists, everything else as itself, floats bit-exactly (NaN,
 ±inf and -0.0 included).  The one thing JSON does that this codec
-refuses is coercing non-``str`` dict keys.  Little-endian throughout::
+refuses is coercing non-``str`` dict keys.  Little-endian but the string block::
 
     value  := tag: u8, then
         0 None | 1 False | 2 True                 nothing
@@ -20,9 +20,14 @@ refuses is coercing non-``str`` dict keys.  Little-endian throughout::
         0 generic  n values
         1 run      one value — the column is that scalar n times (n >= 2)
         2 u8 | 3 u16 | 4 u32 | 5 i64 | 6 f64      n packed numbers
-        7 str      column(n) of byte lengths, then the UTF-8 blobs joined
+        7 str      layout: u8, then a string block of n entries
         8 records  k: u32, then k column(n)s — n equal-length lists,
                    transposed (1 <= k <= n, so a wide matrix keeps its rows)
+
+    string block := lengths (u32 >> shrink, network order) | the bytes
+        layout bits 4-5: shrink (2 = u8, 1 = u16, 0 = u32); bit 7: headed,
+        entry 0 the prefix all values share, each other entry its value's
+        rest (UTF-8 with surrogatepass; repro.core.cols' str / bytes too)
 
 The column kind is chosen from the values, like :mod:`repro.core.cols`
 chooses its block kinds: one dense block for a list of one scalar type
@@ -43,10 +48,13 @@ All malformed input raises :class:`~repro.core.errors.ParameterError`.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
+from operator import itemgetter
+from os.path import commonprefix
 
-from repro.core.errors import ParameterError
+from repro.core.errors import ParameterError, ProtocolError
 
-__all__ = ["RUN_BUDGET", "pack_tree", "unpack_tree"]
+__all__ = ["RUN_BUDGET", "pack_tree", "unpack_tree", "string_block", "read_strings"]
 
 #: Elements that all the runs of one buffer may expand to.
 RUN_BUDGET = 1 << 20
@@ -82,7 +90,7 @@ class _Writer:
         if kind is float:
             add(_TAG_F64.pack(_FLOAT, value))
         elif kind is str:
-            raw = value.encode("utf-8")
+            raw = value.encode("utf-8", "surrogatepass")
             add(_TAG_U32.pack(_STR, len(raw)))
             add(raw)
         elif kind is bool or value is None:
@@ -143,10 +151,8 @@ class _Writer:
                     add(struct.pack(f"<{count}{code}", *values))
                     return
         elif kind is str:
-            raws = [value.encode("utf-8") for value in values]
-            add(bytes((_STRS,)))
-            self.column(list(map(len, raws)))
-            add(b"".join(raws))
+            _size, layout, pack, _top = string_block(values, string_head(values))
+            add(bytes((_STRS, layout)) + pack())
             return
         elif kinds <= {list, tuple}:
             width = len(values[0])
@@ -212,7 +218,7 @@ class _Reader:
         count = self.count()
         if tag == _STR:
             start = self.take(count)
-            return data[start:self.at].decode("utf-8")
+            return data[start:self.at].decode("utf-8", "surrogatepass")
         if tag == _BIGINT:
             start = self.take(count)
             return int.from_bytes(data[start:self.at], "big", signed=True)
@@ -245,16 +251,9 @@ class _Reader:
             if type(value) not in _SCALARS:
                 raise ValueError("run of a non-scalar")
             return [value] * count
-        if kind == _STRS:
-            lengths = self.column(count)
-            if set(map(type, lengths)) != {int} or min(lengths) < 0:
-                raise ValueError("str column lengths are not sizes")
-            start = self.take(sum(lengths))
-            out = []
-            for length in lengths:  # per slice: a split character must fail
-                out.append(data[start:start + length].decode("utf-8"))
-                start += length
-            return out
+        if kind == _STRS and not data[self.take(1)] & 15:  # the layout byte
+            values, self.at = read_strings(data, self.at, count, data[self.at - 1])
+            return values
         if kind == _RECORDS:
             width = self.count()
             # Every column spends its kind byte at least.
@@ -282,3 +281,83 @@ def unpack_tree(data):
         # ValueError: the reader's own checks, and UnicodeDecodeError.
         raise ParameterError(f"malformed payload tree: {exc}") from exc
     return tree
+
+
+# -- the string block (module docstring): also repro.core.cols' str / bytes payload
+
+HEADED = 0x80  # a string block's layout bit: its head leads
+_WIDTHS = "IHB"  # a length by shrink: u32, u16, u8
+
+
+def shrink_of(top: int) -> int:
+    """Halvings of a u32 that still hold ``top``: 2 = u8, 1 = u16, 0 = u32."""
+    return 2 if top < 1 << 8 else 1 if top < 1 << 16 else 0
+
+
+def string_head(values):
+    """The prefix all ``values`` share, from their min and max: two C passes."""
+    return commonprefix((min(values), max(values)))
+
+
+def string_block(values, head, top: int = 0) -> tuple:
+    """``(bytes, layout, pack(), top)`` of the smaller string block over
+    ``values`` (longest: ``top`` bytes): headless, or led by ``head``."""
+    joined = head[:0].join(values)
+    size_of = len
+    if type(head) is str and not joined.isascii():  # one encode per distinct value
+        sizes = {v: len(v.encode("utf-8", "surrogatepass")) for v in (head, *values)}
+        size_of = sizes.__getitem__
+    total = len(joined) if size_of is len else sum(map(size_of, values))
+    count, cut, top = len(values), size_of(head), top or max(map(size_of, values))
+    shrink = shrink_of(top)
+    size, layout = (4 >> shrink) * count + total, shrink << 4
+    shrink = shrink_of(max(top - cut, cut))
+    headed = (4 >> shrink) * (count + 1) + total - (count - 1) * cut
+    if cut and headed < size:
+        size, layout = headed, shrink << 4 | HEADED
+
+    def pack() -> bytes:
+        sizes, data = list(map(size_of, values)), joined
+        if layout & HEADED:  # one C-level slice map
+            sizes = [cut, *map(cut.__rsub__, sizes)]
+            data = head + head[:0].join(map(itemgetter(slice(len(head), None)), values))
+        data = data.encode("utf-8", "surrogatepass") if type(data) is str else data
+        return struct.pack(f"!{len(sizes)}{_WIDTHS[layout >> 4 & 3]}", *sizes) + data
+
+    return size, layout, pack, top
+
+
+def read_strings(view, at: int, count: int, layout: int, text: bool = True,
+                 rows=None) -> tuple[list, int]:
+    """``(values, end)`` of the block of ``count`` str (``text``) or bytes at
+    ``at``: all, those at ``rows``, or none (the shape alone) for ``()``."""
+    shrink, headed = layout >> 4 & 7, layout >> 7
+    if shrink > 2:
+        raise ProtocolError(f"unknown column kind {layout}")
+    start = at + (4 >> shrink) * (count + headed)
+    if start > len(view):
+        raise ProtocolError("column shorter than its length table")
+    ends = list(accumulate(
+        struct.unpack_from(f"!{count + headed}{_WIDTHS[shrink]}", view, at), initial=0
+    ))
+    end = start + ends[-1]
+    if end > len(view):
+        raise ProtocolError("column blob does not match its lengths")
+    if rows is not None and not len(rows):
+        return [], end
+    blob, starts = view[start:end], ends[headed:]  # value i: starts[i]:starts[i + 1]
+    spans = zip(starts, starts[1:])
+    if rows is not None:
+        spans = [(starts[row], starts[row + 1]) for row in rows]
+    decode = (lambda piece: str(piece, "utf-8", "surrogatepass")) if text else bytes
+    try:
+        # Per entry, so a length (or a head) that splits a character is
+        # refused — but at once where byte offsets are character offsets.
+        head = decode(blob[:ends[headed]])
+        if text and rows is None and len(whole := decode(blob)) == len(blob):
+            values = [head + whole[a:b] for a, b in spans]
+        else:
+            values = [head + decode(blob[a:b]) for a, b in spans]
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"undecodable str column: {exc}") from exc
+    return values, end

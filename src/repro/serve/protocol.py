@@ -95,18 +95,15 @@ place of a page ends that sequence and the pages before it are void.
 Version negotiation: HELLO carries the client's highest ``wire_version``;
 the server answers WELCOME with ``wire_version = min(client, server)``
 and both sides speak that, so a future client negotiates *down* to this
-build.  Version 6 is the only one spoken: version 1's row-JSON ``INSERT``
-frames ran at under half the columnar rate and were removed
-(EXPERIMENTS.md), version 2 promised a RESULT in one frame, which a version-2 client
-would mistake a first page for, a version-3 peer's column decoder knows
-only the widest case of each :mod:`repro.core.cols` kind, and a
-version-4 peer's has no narrow ``f64`` (``f64/i32`` … ``f64/i8``, an
-integral float column at an int width) — this build *reads* such older
-batches, but an older reader would refuse the narrow ones this build
-writes — and a version-5 client may send HEARTBEAT punctuation, which
-no engine a server builds ever acted on (forward decay fixes a weight's
-numerator on arrival, so event time needs no marker).  A HELLO below
-the minimum (or with a junk version) earns a connection-scoped
+build.  Version 7 is the only one spoken; each older one differs in
+something this build reads or writes: version 1's row-JSON ``INSERT``
+frames (under half the columnar rate, EXPERIMENTS.md), version 2's
+one-frame RESULT (its client would take a first page for the answer), the
+:mod:`repro.core.cols` decoders of versions 3–6 (no typed, no narrow
+``f64``, no string head; this build *reads* their batches, they would
+refuse its own) and version 5's HEARTBEAT punctuation, which no engine
+ever acted on (forward decay fixes a weight's numerator on arrival).  A
+HELLO below the minimum (or with a junk version) earns a connection-scoped
 ``wire-version`` ERROR naming the supported range.
 
 Framing errors (bad length, oversized frame, undecodable body — columnar
@@ -175,14 +172,10 @@ __all__ = [
 ]
 
 #: Highest protocol revision this build speaks (carried in HELLO).
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
-#: Oldest revision still accepted (version 1's row frames are gone, a
-#: version-2 client reads a RESULT as the whole answer, not a page, a
-#: version-3 peer cannot read the typed column encodings of a blob batch,
-#: a version-4 peer not a narrowed ``f64`` column, and a version-5 client
-#: may send the retired HEARTBEAT).
-MIN_WIRE_VERSION = 6
+#: Oldest revision still accepted (the module docstring says why).
+MIN_WIRE_VERSION = 7
 
 #: Default ceiling on ``length``; larger frames are rejected before the
 #: body is buffered, so a hostile length prefix cannot balloon memory.

@@ -7,11 +7,11 @@ its blob, so a cold group on disk and the same group in a shipped partial
 are the same column bytes.  The store writes one page per eviction batch
 and reads a page at most once per fault batch or scan; a page of one row
 is the record-shaped case (:meth:`SegmentWriter.append`,
-:func:`read_record_at`), not a second format.  Layout (format version 5,
+:func:`read_record_at`), not a second format.  Layout (format version 6,
 the only one this module writes or reads — an older segment is refused
 with its version named; DESIGN.md §2.9 has the envelope)::
 
-    header   "RSEG" <u8 version = 5>                  (serde.head)
+    header   "RSEG" <u8 version = 6>                  (serde.head)
     pages    <u32 body length> <u32 CRC32(body)> <body>            (each)
              body := <u16 key parts> <u16 slots> <u32 rows>
                      slots x <i16 slot code>  (one per aggregate)
@@ -72,9 +72,8 @@ __all__ = [
     "fsync_dir",
 ]
 
-#: 3's pages held no integral ``f64`` column at an int width and 4 ended
-#: in a footer with its own magic; an older build refuses a version-5
-#: segment at open instead of quarantining it.
+#: 3 had no int-width ``f64``, 4 its own footer magic, 5 no string heads;
+#: an older build refuses a version-6 segment at open, not quarantining it.
 SEGMENT_VERSION = SEGMENT.version
 
 _HEADER = head(SEGMENT)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main, read_trace_csv, write_trace_csv
@@ -289,14 +291,15 @@ class TestStoreInspectCommand:
         assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
         report_lines = [ln for ln in out.splitlines() if ".seg" in ln]
-        assert report_lines and all("v5" in ln for ln in report_lines)
+        assert report_lines and all("v6" in ln for ln in report_lines)
         assert all(
             "pages" in ln and "rows" in ln and "live" in ln
             for ln in report_lines
         )
         assert "B/live row" in out
         assert "slots: scalars x1" in out  # count(*) keeps one scalar
-        assert "columns, B/row of the first page: i8:1.0 str/u8:" in out
+        # The destIP keys of a page share "192.168.<n>.": stored once.
+        assert "columns, B/row of the first page: i8:1.0 str/u8+head10:" in out
 
     def test_inspect_json(self, tmp_path, capsys):
         import json
@@ -308,13 +311,13 @@ class TestStoreInspectCommand:
         assert report["manifest"]["groups"] > 0
         assert report["manifest"]["directory_file"].endswith(".dir")
         assert all(s["status"] == "ok" for s in report["segments"])
-        assert all(s["format"] == "v5" for s in report["segments"])
+        assert all(s["format"] == "v6" for s in report["segments"])
         for segment in report["segments"]:
             assert 0 < segment["pages"] <= segment["records"]
             assert segment["layout"] == ["scalars x1"]
-            assert [kind for kind, _per_row in segment["columns"]] == [
-                "i8", "str/u8", "i8",
-            ]
+            kinds = [kind for kind, _per_row in segment["columns"]]
+            assert kinds[0] == kinds[2] == "i8"
+            assert re.fullmatch(r"str/u8\+head(8|9|10)", kinds[1]), kinds
             if segment["live"]:
                 assert segment["bytes_per_live_row"] == round(
                     segment["bytes"] / segment["live"], 2
@@ -336,7 +339,7 @@ class TestStoreInspectCommand:
         )
         assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
-        assert "columns, B/row of the first page: i8:1.0 str/u8:" in out
+        assert "columns, B/row of the first page: i8:1.0 str/u8+head10:" in out
         assert " f64/i16:2.0" in out
         assert main(["store", "inspect", directory, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -383,12 +386,12 @@ class TestStoreInspectCommand:
         "offset, mask, status, detail",
         [
             (30, 0xFF, "corrupt:", "fails its CRC32"),
-            # The version byte 5 -> 1 or 4: an older segment, refused by
+            # The version byte 6 -> 1 or 5: an older segment, refused by
             # name.
-            (4, 0x04, "unsupported:", "unsupported version 1 "),
-            (4, 0x01, "unsupported:", "unsupported version 4 "),
+            (4, 0x07, "unsupported:", "unsupported version 1 "),
+            (4, 0x03, "unsupported:", "unsupported version 5 "),
         ],
-        ids=["crc", "older-version", "older-version-4"],
+        ids=["crc", "older-version", "older-version-5"],
     )
     def test_inspect_flags_corruption(
         self, tmp_path, capsys, offset, mask, status, detail
@@ -502,8 +505,9 @@ class TestCheckpointInspectCommand:
         assert f"blob 1: v{PARTIAL_STATE_VERSION}" in out
         # Each column is named by its encoding, with its bytes per row: the
         # integral sums as i16s, and blob 1's one sum beyond i16 as a
-        # 12-byte patch (165 rows: 330 + 12 bytes, not 660 as i32s).
-        assert "i8:" in out and "str/u8:" in out
+        # 12-byte patch (165 rows: 330 + 12 bytes, not 660 as i32s); the
+        # destIP keys' shared "192.168." once.
+        assert "i8:" in out and "str/u8+head8:" in out
         assert "f64/i16:316 (2.0/row)" in out and "f64/i16:342 (2.1/row)" in out
 
     def test_inspect_json(self, tmp_path, capsys):
@@ -520,7 +524,7 @@ class TestCheckpointInspectCommand:
         assert report["bytes_per_group"] == report["bytes"] / report["groups"]
         columns = report["blobs"][0]["columns"]
         assert [kind for kind, _size in columns] == [
-            "i8", "str/u8", "i8", "f64/i16",
+            "i8", "str/u8+head8", "i8", "f64/i16",
         ]
         assert report["blobs"][1]["columns"][-1] == ["f64/i16", 342]
         assert sum(size for _kind, size in columns) < report["blobs"][0]["bytes"]
@@ -540,7 +544,14 @@ class TestCheckpointInspectCommand:
         assert (slot["slot"], slot["type"]) == (1, "unary_spacesaving")
         assert slot["buffers"] == blob["groups"]
         assert report["summary_bytes"] == slot["bytes"]
-        assert 0.5 * report["bytes"] < slot["bytes"] < report["bytes"]
+        assert 0.5 * report["bytes"] < slot["bytes"]
+        # The buffers' shared head is stored once: their bytes are the
+        # block's payload less its length table, plus the head per buffer
+        # after the first.
+        name, size = blob["columns"][-1]
+        bits, head = map(int, re.fullmatch(r"bytes/u(\d+)\+head(\d+)", name).groups())
+        buffers = slot["buffers"]
+        assert slot["bytes"] == size - bits // 8 * (buffers + 1) + (buffers - 1) * head
         assert main(["checkpoint", "inspect", path]) == 0
         out = capsys.readouterr().out
         assert f"{slot['bytes']:,} in summary buffers" in out

@@ -5,15 +5,17 @@ the header structs, the kind dispatch, or the per-column payloads is a
 wire-format break and must bump :data:`COLS_CODEC_VERSION`, not silently
 reshuffle bytes under existing peers.  The version-1 fixtures are what
 the commits before typed encodings wrote — the widest case of each kind —
-and the ``_V2`` fixtures what the commits before narrow ``f64`` wrote;
-both stay byte for byte as decode-only input, and the ``_V3`` fixtures
-beside them pin what the writer emits now.
+the ``_V2`` fixtures what the commits before narrow ``f64`` wrote and the
+``_V3`` ones what the commits before string heads wrote; all stay byte
+for byte as decode-only input, and the ``_V4`` fixtures beside them pin
+what the writer emits now.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,11 +83,26 @@ GOLDEN_BODY_V3 = bytes.fromhex(
     "01" "02"               # byte lengths
     "616263"                # "a" + "bc"
 )
+#: No shared head in "a" / "bc": the version-3 blocks under a version-4 byte.
+GOLDEN_BODY_V4 = b"\x04" + GOLDEN_BODY_V3[1:]
+
+#: A str column whose values share "192.168.": the head stored once.
+GOLDEN_HEAD_COLUMN = ["192.168.0.1", "192.168.0.22", "192.168.3.4"]
+GOLDEN_HEAD_BODY = bytes.fromhex(
+    "04"                    # codec version 4
+    "0000000000000000"      # no seq
+    "00000003"              # 3 rows
+    "0001"                  # 1 column
+    "a3" "00000016"         # col 0: str/u8+head8, 22 bytes
+    "08" "03" "04" "03"     # byte lengths: the head, then each value's rest
+    "3139322e3136382e"      # "192.168."
+    "302e31" "302e3232" "332e34"  # "0.1" + "0.22" + "3.4"
+)
 
 #: One float column of integral values: read back as floats from i16s.
 GOLDEN_NARROW_F64_COLUMN = [3.0, -2.0, 300.0]
 GOLDEN_NARROW_F64_BODY = bytes.fromhex(
-    "03"                    # codec version 3
+    "04"                    # codec version 4
     "0000000000000000"      # no seq
     "00000003"              # 3 rows
     "0001"                  # 1 column
@@ -96,7 +113,7 @@ GOLDEN_NARROW_F64_BODY = bytes.fromhex(
 #: One outlier in an otherwise small integral column: i8s plus one patch.
 GOLDEN_PATCHED_F64_COLUMN = [1.0, 2.0, 3.0, 4.0, 5.0, 100000.0]
 GOLDEN_PATCHED_F64_BODY = bytes.fromhex(
-    "03"                    # codec version 3
+    "04"                    # codec version 4
     "0000000000000000"      # no seq
     "00000006"              # 6 rows
     "0001"                  # 1 column
@@ -109,14 +126,27 @@ GOLDEN_PATCHED_F64_BODY = bytes.fromhex(
 class TestGoldenBytes:
     def test_packed_batch_matches_fixture(self):
         cols = rows_to_cols(GOLDEN_ROWS)
-        assert pack_cols(cols, seq=GOLDEN_SEQ) == GOLDEN_BODY_V3
+        assert pack_cols(cols, seq=GOLDEN_SEQ) == GOLDEN_BODY_V4
 
-    @pytest.mark.parametrize("body", [GOLDEN_BODY, GOLDEN_BODY_V2, GOLDEN_BODY_V3])
+    @pytest.mark.parametrize(
+        "body", [GOLDEN_BODY, GOLDEN_BODY_V2, GOLDEN_BODY_V3, GOLDEN_BODY_V4]
+    )
     def test_fixture_unpacks_to_the_source_rows(self, body):
         cols, seq, count = unpack_cols(body)
         assert seq == GOLDEN_SEQ
         assert count == 2
         assert cols_to_rows(cols) == GOLDEN_ROWS
+
+    def test_a_shared_head_is_stored_once(self):
+        assert pack_cols([GOLDEN_HEAD_COLUMN]) == GOLDEN_HEAD_BODY
+        (back,), _seq, count = unpack_cols(GOLDEN_HEAD_BODY)
+        assert (back, count) == (GOLDEN_HEAD_COLUMN, 3)
+        assert describe_cols(GOLDEN_HEAD_BODY) == (3, [("str/u8+head8", 22)])
+        with memoryview(GOLDEN_HEAD_BODY) as view:
+            _count, _seq, (block,) = open_cols(view)
+            assert block_values(view, block, 3, [2, 0]) == [
+                "192.168.3.4", "192.168.0.1",
+            ]
 
     def test_integral_float_column_matches_fixture(self):
         assert pack_cols([GOLDEN_NARROW_F64_COLUMN]) == GOLDEN_NARROW_F64_BODY
@@ -176,11 +206,12 @@ GOLDEN_BYTES_BODY_V3 = bytes.fromhex(
     "02" "00" "03"          # byte lengths
     "00ff" "616263"         # the buffers, back to back
 )
+GOLDEN_BYTES_BODY_V4 = b"\x04" + GOLDEN_BYTES_BODY_V3[1:]
 
 #: One ``str`` column the dictionary wins: 2 entries, twelve u8 codes.
 GOLDEN_DICT_COLUMN = ["ab", "c"] + ["ab"] * 2 + ["c"] + ["ab"] * 7
 GOLDEN_DICT_BODY = bytes.fromhex(
-    "03"                    # codec version 3
+    "04"                    # codec version 4
     "0000000000000000"      # no seq
     "0000000c"              # 12 rows
     "0001"                  # 1 column
@@ -191,14 +222,30 @@ GOLDEN_DICT_BODY = bytes.fromhex(
     "000100000100000000000000"  # a code per row
 )
 
+#: A dictionary whose table shares "proto-": its nested str block is headed.
+GOLDEN_HEAD_DICT_COLUMN = ["proto-tcp", "proto-udp", "proto-tcp"] * 2
+GOLDEN_HEAD_DICT_BODY = bytes.fromhex(
+    "04"                    # codec version 4
+    "0000000000000000"      # no seq
+    "00000006"              # 6 rows
+    "0001"                  # 1 column
+    "26" "0000001e"         # col 0: dict/u8, 30 bytes
+    "00000002"              # 2 entries
+    "a3" "0000000f"         # the table: a nested str/u8+head6 block, 15 bytes
+    "06" "03" "03"          # the head's length, then each entry's rest
+    "70726f746f2d" "746370" "756470"  # "proto-" + "tcp" + "udp"
+    "000100000100"          # a code per row
+)
+
 
 class TestBytesColumn:
     def test_packed_bytes_column_matches_fixture(self):
-        assert pack_cols([GOLDEN_BYTES_COLUMN]) == GOLDEN_BYTES_BODY_V3
+        assert pack_cols([GOLDEN_BYTES_COLUMN]) == GOLDEN_BYTES_BODY_V4
 
-    @pytest.mark.parametrize(
-        "body", [GOLDEN_BYTES_BODY, GOLDEN_BYTES_BODY_V2, GOLDEN_BYTES_BODY_V3]
-    )
+    @pytest.mark.parametrize("body", [
+        GOLDEN_BYTES_BODY, GOLDEN_BYTES_BODY_V2, GOLDEN_BYTES_BODY_V3,
+        GOLDEN_BYTES_BODY_V4,
+    ])
     def test_fixture_unpacks_to_the_source_buffers(self, body):
         cols, seq, count = unpack_cols(body)
         assert (cols, seq, count) == ([GOLDEN_BYTES_COLUMN], None, 3)
@@ -208,6 +255,11 @@ class TestBytesColumn:
         assert pack_cols([GOLDEN_DICT_COLUMN]) == GOLDEN_DICT_BODY
         assert unpack_cols(GOLDEN_DICT_BODY) == ([GOLDEN_DICT_COLUMN], None, 12)
         assert describe_cols(GOLDEN_DICT_BODY) == (12, [("dict[2]/u8", 26)])
+
+    def test_a_dictionary_table_stores_its_head_once(self):
+        assert pack_cols([GOLDEN_HEAD_DICT_COLUMN]) == GOLDEN_HEAD_DICT_BODY
+        assert unpack_cols(GOLDEN_HEAD_DICT_BODY)[0] == [GOLDEN_HEAD_DICT_COLUMN]
+        assert describe_cols(GOLDEN_HEAD_DICT_BODY) == (6, [("dict[2]/u8+head6", 30)])
 
     def test_describe_names_each_block_by_its_encoding(self):
         assert describe_cols(GOLDEN_BYTES_BODY) == (3, [("bytes/u32", 17)])
@@ -399,18 +451,37 @@ def round_trips(values) -> None:
     assert list(map(repr, back)) == list(map(repr, values))
 
 
-def str_sizes(values) -> tuple[int, int, int]:
+def width_of(top: int) -> int:
+    return 1 if top < 256 else 2 if top < 65536 else 4
+
+
+def shared_head(values: list) -> str:
+    """The longest prefix of every value, one character at a time."""
+    size = 0
+    while all(len(value) > size and value[size] == values[0][size] for value in values):
+        size += 1
+    return values[0][:size]
+
+
+def string_bytes(values: list, heads: bool = True) -> int:
+    """A string block's payload bytes by the documented layout: headless,
+    or — with ``heads`` and when smaller — the shared head once, leading."""
+    encoded = [value.encode("utf-8", "surrogatepass") for value in values]
+    size = width_of(max(map(len, encoded))) * len(encoded) + sum(map(len, encoded))
+    head = shared_head(values).encode("utf-8", "surrogatepass") if heads else b""
+    if head:
+        rests = [len(raw) - len(head) for raw in encoded]
+        size = min(size, width_of(max(len(head), *rests)) * (len(rests) + 1)
+                   + len(head) + sum(rests))
+    return size
+
+
+def str_sizes(values, heads: bool = True) -> tuple[int, int, int]:
     """``(plain bytes, dictionary bytes, entries)`` by the documented layout."""
-    encoded = [value.encode("utf-8") for value in values]
-    longest = max(map(len, encoded))
-    width = 1 if longest < 256 else 2 if longest < 65536 else 4
-    table = list(dict.fromkeys(encoded))
+    table = list(dict.fromkeys(values))
     codes = 1 if len(table) <= 256 else 2 if len(table) <= 65536 else 4
-    plain = width * len(values) + sum(map(len, encoded))
-    packed = (
-        4 + 5 + width * len(table) + sum(map(len, table)) + codes * len(values)
-    )
-    return plain, packed, len(table)
+    packed = 4 + 5 + string_bytes(table, heads) + codes * len(values)
+    return string_bytes(values, heads), packed, len(table)
 
 
 INT_EDGES = [
@@ -419,7 +490,7 @@ INT_EDGES = [
     (1 << 63) - 1, -(1 << 63), 1 << 63, -(1 << 63) - 1,
 ]
 STR_PARTS = ["", "a", "bc", "é", "日本語", "a" * 255, "a" * 256, "é" * 128,
-             "x" * 65535, "x" * 65536]
+             "x" * 65535, "x" * 65536, "日本", "éa", "\ud800", "a\x00b"]
 FLOAT_EDGES = [
     0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308,
     0.5, -1.5, 1e300, 2.0 ** 53 + 2, -(2.0 ** 53), 127.0, 128.0, -128.0,
@@ -598,8 +669,11 @@ class TestTypedEncodings:
         assert nbytes == min(plain, packed)
         assert (kind & 15 == COL_DICT) == (packed < plain)
         if kind & 15 == COL_DICT:
+            table = list(dict.fromkeys(values))
+            head = shared_head(table).encode("utf-8", "surrogatepass")
+            headed = string_bytes(table) < string_bytes(table, heads=False)
             assert describe_cols(pack_cols([values]))[1][0][0] == (
-                f"dict[{entries}]/u8"
+                f"dict[{entries}]/u8" + (f"+head{len(head)}" if headed else "")
             )
         round_trips(values)
 
@@ -607,7 +681,7 @@ class TestTypedEncodings:
         (2, 2), (256, 2), (257, 1), (65536, 1), (65537, 0),
     ])
     def test_code_width_follows_the_table_size(self, entries, shrink):
-        table = [format(i, "012x") for i in range(entries)]
+        table = [format(i, "012x")[::-1] for i in range(entries)]  # no head
         values = table * 3 if entries > 2 else table * 12
         kind, nbytes = lone_kind(values)
         assert kind == COL_DICT | shrink << 4
@@ -618,10 +692,27 @@ class TestTypedEncodings:
         assert back == values
         # Equal entries decode to one shared str object per distinct value.
         assert back[0] is back[entries]
+        # Zero-padded, the entries share their leading zeros: the table and
+        # the plain block both store them once, and the smaller one wins.
+        table = [format(i, "012x") for i in range(entries)]
+        values = table * 3 if entries > 2 else table * 12
+        plain, packed, _entries = str_sizes(values)
+        kind, nbytes = lone_kind(values)
+        assert nbytes == min(plain, packed)
+        headed_plain = COL_STR | 2 << 4 | 0x80
+        assert kind == (COL_DICT | shrink << 4 if packed < plain else headed_plain)
+        assert describe_cols(pack_cols([values]))[1][0][0].endswith(
+            f"+head{len(shared_head(table))}"
+        )
+        round_trips(values)
 
     def test_a_column_of_distinct_strings_stays_plain(self):
-        values = [format(i, "05x") for i in range(300)]
+        values = [format(i, "05x")[::-1] for i in range(300)]  # no shared head
         assert lone_kind(values) == (COL_STR | 2 << 4, 300 * 6)
+        # Zero-padded, they share "00": stored once, 3-byte rests.
+        values = [format(i, "05x") for i in range(300)]
+        assert lone_kind(values) == (COL_STR | 2 << 4 | 0x80, 301 + 2 + 300 * 3)
+        round_trips(values)
 
     def test_equal_columns_pack_to_equal_bytes(self):
         a = ["x" + str(i % 7) for i in range(50)]
@@ -646,12 +737,15 @@ EVERY_KIND_COLS = [
     [1.0, -200.0, 3.0, 4.0, 5.0, 6.0],            # f64/i16
     [1.0, -70000.0, 70000.0, 1e5, 5.0, 6.0],      # f64/i32
     [2.0 ** 40, 2.0, 3.0, 4.0, 5.0, -(2.0 ** 53)],  # f64/i8, rows 0 and 5 patched
+    ["10.0.0.1", "10.0.0.22", "10.0.0.3", "10.0.1.4", "10.0.0.5", "10.0.0.6"],
+    GOLDEN_HEAD_DICT_COLUMN,                      # dict, its table headed
+    [b"\x03\x07summary" + bytes([n]) for n in range(6)],  # bytes, headed
     [None, True, 1 << 70, "s", 2.5, (1, "t")],    # tagged
 ]
 EVERY_KIND_NAMES = [
     "i8", "i16", "i32", "i64", "f64", "str/u8", "str/u16", "bytes/u8",
     "bytes/u16", "dict[2]/u8", "f64/i8", "f64/i16", "f64/i32", "f64/i8",
-    "tagged",
+    "str/u8+head5", "dict[2]/u8+head6", "bytes/u8+head9", "tagged",
 ]
 WIDE_DICT_COLS = [[format(i % 257, "03x") for i in range(3 * 257)]]
 
@@ -713,8 +807,44 @@ class TestHostileTypedBatches:
         with pytest.raises(ProtocolError, match="table has kind"):
             unpack_cols(bytes(body))
 
+    @pytest.mark.parametrize("head_bytes", [9, 0xFF])
+    def test_a_head_past_the_payload_is_refused_before_any_allocation(
+        self, head_bytes
+    ):
+        body = bytearray(GOLDEN_HEAD_BODY)
+        body[_HEAD + 5] = head_bytes  # the head's length: 8
+        wide = (  # the same lie at u32 lengths: a head of 4 GiB
+            struct.pack("!BQIH", COLS_CODEC_VERSION, 0, 1, 1)
+            + struct.pack("!BI", COL_STR | 0x80, 8 + 1)
+            + struct.pack("!II", 0xFFFFFFFF, 0) + b"x"
+        )
+        tracemalloc.start()
+        try:
+            for forged in (bytes(body), wide):
+                for columns in (None, ()):
+                    with pytest.raises(ProtocolError, match="does not match"):
+                        unpack_cols(forged, columns=columns)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 16
+        finally:
+            tracemalloc.stop()
+
+    def test_a_head_that_splits_a_character_is_refused(self):
+        body = pack_cols([["éa", "éb"]])  # head "é" (2 bytes), rests of 1
+        at = body.index(bytes((2, 1, 1)))
+        forged = body[:at] + bytes((1, 2, 1)) + body[at + 3:]  # head "\xc3"
+        with pytest.raises(ProtocolError, match="undecodable str"):
+            unpack_cols(forged)
+        # Its shape is right: a reader that skips the column accepts it.
+        assert unpack_cols(forged, columns=()) == ([["", ""]], None, 2)
+
+    def test_a_headed_dictionary_code_is_not_a_headed_kind(self):
+        body = bytearray(GOLDEN_HEAD_DICT_BODY)
+        body[_HEAD] |= 0x80  # the head bit belongs to a string block only
+        with pytest.raises(ProtocolError, match="unknown column kind 166"):
+            unpack_cols(bytes(body))
+
     @pytest.mark.parametrize("kind", [
-        0x41, 0x42, 0x33, 0x14, 0x35, 0x36, 0x07, 0x00, 0xF1,
+        0x41, 0x42, 0x33, 0x14, 0x35, 0x36, 0x07, 0x00, 0xF1, 0xB3, 0xC5, 0xE3,
     ])
     def test_a_shrink_no_kind_has_is_an_unknown_kind(self, kind):
         body = bytearray(GOLDEN_BODY_V2)
@@ -772,7 +902,8 @@ class TestUnreadBlocks:
     def test_unread_blocks_come_back_as_their_kinds_zero(self):
         body = pack_cols(EVERY_KIND_COLS)
         cols, _seq, count = unpack_cols(body, columns=())
-        zeros = [0, 0, 0, 0, 0.0, "", "", b"", b"", "", 0.0, 0.0, 0.0, 0.0]
+        zeros = [0, 0, 0, 0, 0.0, "", "", b"", b"", "", 0.0, 0.0, 0.0, 0.0,
+                 "", "", b""]
         for column, zero in zip(cols, zeros):
             assert column == [zero] * count
             assert type(column) is list and type(column[0]) is type(zero)

@@ -52,13 +52,15 @@ TREES = [
     # every int width, both signs, and past i64 on both sides
     [0, 255], [0, 256], [0, 65535, 65536], [0, 1 << 32], [-1, 1], [1 << 63],
     [(1 << 63) - 1, -(1 << 63)], [-(1 << 63) - 1], 1 << 70, -(1 << 70), [1 << 200, 5],
-    # strings: runs, empty, multi-byte
+    # strings: runs, empty, multi-byte, lone surrogates, a shared head
     ["str"] * 100, ["a", "", "bc"], ["é", "日本", "x"], ["", ""],
+    "\ud800", ["\ud800", "a\udfff", "\x00"], ["日本a", "日本b", "日本"],
     # records: transposed, nested, ragged, wider than long, empty rows
     [[["str", "10.0.0.1"], 1.5, 0.0], [["str", "10.0.0.22"], 2.5, 0.0]],
     [[1, 2.0], [3, 4.0], [5, "x"]],
     [[1, 2], [3]], [[1, 2, 3]], [[1.0] * 8, [2.0] * 8], [[], [], []],
     [(1, "a"), [2, "b"]], ((1, 2), (3, 4)),
+    ["192.168.0.1", "192.168.0.22", "192.168.3.4", "192.168.10.3"],
     {"k": 100, "seen": 7, "heap": [[7.3, 1516, ["str", "h"], 4.1]] * 3,
      "rng": [3, list(range(0, 4_000_000_000, 7_000_000)), None]},
     {"a": {"b": {"c": [{"d": 1}, {"d": 2}]}}, "é": [None, {"x": []}]},
@@ -112,7 +114,7 @@ class TestRoundTrip:
 
 
 class TestHostileInput:
-    BUFFERS = [pack_tree(tree) for tree in TREES[-8:-2]]
+    BUFFERS = [pack_tree(tree) for tree in TREES[-9:-2]]
 
     # Every truncation and flipped bit of BUFFERS: tests/test_hostile.py.
 
@@ -123,7 +125,7 @@ class TestHostileInput:
             # dict / str / bigint, each claiming 2**32 - 1 of something
             struct.pack("<BIB", 7, 0xFFFFFFFF, 0),
             struct.pack("<BIB", 7, 0xFFFFFFFF, 6),
-            struct.pack("<BIBB", 7, 0xFFFFFFFF, 7, 4),
+            struct.pack("<BIBB", 7, 0xFFFFFFFF, 7, 0xA0),
             struct.pack("<BIBI", 7, 2, 8, 0xFFFFFFFF),
             struct.pack("<BIB", 8, 0xFFFFFFFF, 0),
             struct.pack("<BI", 6, 0xFFFFFFFF),
@@ -139,6 +141,18 @@ class TestHostileInput:
             assert tracemalloc.get_traced_memory()[1] < 1 << 16
         finally:
             tracemalloc.stop()
+
+    def test_a_head_past_the_bytes_or_inside_a_character_is_refused(self):
+        packed = pack_tree(["éa", "éb", "éc"])  # u8 lengths: head 2, rests 1
+        at = packed.index(bytes((7, 0xA0))) + 2
+        assert packed[at:at + 4] == bytes((2, 1, 1, 1))
+        for lengths, problem in (
+            ((0xFF, 1, 1, 1), "does not match its lengths"),
+            ((1, 2, 1, 1), "undecodable str"),  # the head ends inside "é"
+        ):
+            forged = packed[:at] + bytes(lengths) + packed[at + 4:]
+            with pytest.raises(ParameterError, match=problem):
+                unpack_tree(forged)
 
     def test_runs_share_one_budget_on_both_sides(self):
         zeros = [0.0] * (RUN_BUDGET // 2 + 1)

@@ -1,4 +1,4 @@
-"""The v5 partial-state blob: golden bytes, exact round trips, hostile input.
+"""The v6 partial-state blob: golden bytes, exact round trips, hostile input.
 
 ``partial_state_bytes()`` is the one encoding every carrier ships raw —
 shard replies, PARTIALS_OK / ADOPT bodies, ``checkpoint.bin`` — so its
@@ -126,8 +126,27 @@ GOLDEN_SQL = (
 GOLDEN_ROWS = [(61, "h1", 40), (62, "h2", 1500), (63, "h1", 40)]
 #: Scalar + sketch aggregates over two groups, as the writer lays it out:
 #: the column blocks at the widths the values need (i8, str/u8, the
-#: integral sums as f64/i16, bytes/u8).
+#: integral sums as f64/i16, bytes/u8 with the summaries' shared head once).
 GOLDEN_BLOB = bytes.fromhex(
+    "4644505306b20100006c771abc00000000000000030000000000000003000000"
+    "00000000000000000200040003230000009b8a04060353454c45435420746220"
+    "41532074622c20646573744950204153206465737449502c20636f756e74282a"
+    "2920415320632c2073756d286c656e2920415320732c20756e6172795f686828"
+    "6c656e292041532068682046524f4d205443502047524f555020425920287469"
+    "6d65202f203630292041532074622c2064657374495020415320646573744950"
+    "74696d656465737449506c656e31000000030101ff0400000000000000000000"
+    "0002000531000000020101230000000602026831683231000000020201220000"
+    "0004005005dca5000000b44337370311756e6172795f7370616365736176696e"
+    "67080300000007200805086361706163697479746f74616c636f756e74657273"
+    "0003640000000000000005000000000000004007010000000007030000000007"
+    "02000000000603000000696e7403280000000000000003020000000000000003"
+    "0000000000000000f03f07010000000007030000000007020000000006030000"
+    "00696e7403dc05000000000000030100000000000000030000000000000000"
+)
+#: The same state as the commits before string heads wrote it (version 5:
+#: version-2 summary buffers, each repeating the 67 bytes the two share).
+#: This build refuses it, naming the version.
+GOLDEN_BLOB_V5 = bytes.fromhex(
     "4644505305f401000038e1922800000000000000030000000000000003000000"
     "00000000000000000200040003230000009b8a04060353454c45435420746220"
     "41532074622c20646573744950204153206465737449502c20636f756e74282a"
@@ -148,7 +167,7 @@ GOLDEN_BLOB = bytes.fromhex(
 )
 #: The same state as the commits before the engine dropped its open time
 #: bucket wrote it (version 3: a bucket count in the header and a column
-#: holding bucket 1).  This build refuses it, naming the version.
+#: holding bucket 1).  This build refuses it by its missing magic.
 GOLDEN_BLOB_V3 = bytes.fromhex(
     "0300000000000000030000000000000003000000000000000000000002000401"
     "0003230000009b8a04060353454c4543542074622041532074622c2064657374"
@@ -193,7 +212,8 @@ GOLDEN_BLOB_V2_WIDE = bytes.fromhex(
 #: The same state as the commit before packed summary buffers wrote it:
 #: the wide framing, the two ``unary_hh`` buffers in the version-1 (JSON)
 #: layout.  Re-framed at the current version (:func:`restamp`), this
-#: build refuses them, naming the summaries' version.
+#: build refuses them, naming the summaries' version — as it refuses the
+#: version-2 buffers of every other fixture above.
 GOLDEN_BLOB_V1_SUMMARIES = bytes.fromhex(
     "0200000000000000030000000000000003000000000000000000000002000401"
     "000303000000a70000008a00000004000000060000000353454c454354207462"
@@ -248,45 +268,49 @@ class TestGoldenBytes:
     def test_writer_matches_fixture(self):
         blob = golden_engine(GOLDEN_ROWS).partial_state_bytes()
         assert blob == GOLDEN_BLOB
-        # Version 5 is version 3 less its bucket count and column, sealed.
-        assert restamp(GOLDEN_BLOB_V3) == blob
-        assert len(restamp(GOLDEN_BLOB_V2_WIDE)) - len(blob) == 85
+        # Version 5 was version 3 less its bucket count and column, sealed
+        # (the CRC32 covers the body alone), and 85 bytes under version 2.
+        assert restamp(GOLDEN_BLOB_V3)[5:] == GOLDEN_BLOB_V5[5:]
+        assert len(restamp(GOLDEN_BLOB_V2_WIDE)) - len(GOLDEN_BLOB_V5) == 85
+        # Version 6 stores the summary buffers' shared head once.
+        assert len(GOLDEN_BLOB_V5) - len(blob) == 66
 
-    @pytest.mark.parametrize("blob", [GOLDEN_BLOB, restamp(GOLDEN_BLOB_V2_WIDE)])
-    def test_fixture_decodes_to_the_source_state(self, blob):
+    def test_fixture_decodes_to_the_source_state(self):
         restored = golden_engine()
-        restored.merge_partial(blob)
+        restored.merge_partial(GOLDEN_BLOB)
         source = golden_engine(GOLDEN_ROWS)
         assert restored.tuples_processed == 3
         for engine in (restored, source):
             engine.process((120, "h1", 1))
         assert restored.flush() == source.flush()
 
-    def test_blob_with_version_1_summaries_is_refused(self):
+    def test_the_version_5_blob_is_refused_naming_its_version(self):
         restored = golden_engine()
         for read in (restored.merge_partial, describe_partial_state):
-            with pytest.raises(MergeError, match="summary serde version 1 "):
-                read(restamp(GOLDEN_BLOB_V1_SUMMARIES))
+            with pytest.raises(MergeError, match="unsupported version 5 at offset 4 "):
+                read(GOLDEN_BLOB_V5)
+        assert untouched(restored)
+
+    @pytest.mark.parametrize("blob, version", [
+        (GOLDEN_BLOB_V1_SUMMARIES, 1), (GOLDEN_BLOB_V2_WIDE, 2), (GOLDEN_BLOB_V3, 2),
+    ], ids=["v1", "v2-wide", "v3"])
+    def test_blob_with_older_summaries_is_refused(self, blob, version):
+        restored = golden_engine()
+        for read in (restored.merge_partial, describe_partial_state):
+            with pytest.raises(MergeError, match=f"summary serde version {version} "):
+                read(restamp(blob))
         assert untouched(restored)
 
     def test_describe_reads_the_fixture(self):
-        wide = restamp(GOLDEN_BLOB_V2_WIDE)
-        info = describe_partial_state(wide)
-        assert info["version"] == PARTIAL_STATE_VERSION == 5
-        assert (info["groups"], info["bytes"]) == (2, len(wide))
+        info = describe_partial_state(GOLDEN_BLOB)
+        assert info["version"] == PARTIAL_STATE_VERSION == 6
+        assert (info["groups"], info["bytes"]) == (2, len(GOLDEN_BLOB))
         assert info["slots"] == [1, 1, -1]
+        # "h1" / "h2" share a byte, but a head of one byte saves nothing.
         assert info["columns"] == [
-            ("i64", 16), ("str/u32", 12), ("i64", 16), ("f64", 16),
-            ("bytes/u32", 252),
-        ]
-        typed = describe_partial_state(GOLDEN_BLOB)
-        assert typed["columns"] == [
             ("i8", 2), ("str/u8", 6), ("i8", 2), ("f64/i16", 4),
-            ("bytes/u8", 246),
+            ("bytes/u8+head67", 180),
         ]
-        assert {k: v for k, v in typed.items() if k not in ("bytes", "columns")} == {
-            k: v for k, v in info.items() if k not in ("bytes", "columns")
-        }
         # The summary slot, named from its buffers' heads.
         assert info["summaries"] == [
             {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 244}
@@ -401,7 +425,7 @@ def crafted(groups, slots, cols, texts=None) -> bytes:
 
 #: A well-formed summary buffer (what the ``unary_hh`` slot carries).
 HH_BYTES = bytes.fromhex(
-    "0211756e6172795f7370616365736176696e6708030000000702080508636170"
+    "0311756e6172795f7370616365736176696e6708030000000720080508636170"
     "6163697479746f74616c636f756e746572730003640000000000000005000000"
     "000000f03f0701000000000703000000000702000000000603000000696e7403"
     "2800000000000000030100000000000000030000000000000000"

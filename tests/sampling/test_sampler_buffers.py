@@ -42,7 +42,8 @@ def fed(name: str, n: int = 60) -> StreamSummary:
 
 def buffer(name: str, payload) -> bytes:
     """The ``to_bytes`` buffer holding ``payload``."""
-    return bytes((2, len(name))) + name.encode("utf-8") + pack_tree(payload)
+    head = bytes((StreamSummary.SERDE_VERSION, len(name))) + name.encode("utf-8")
+    return head + pack_tree(payload)
 
 
 def refused(name: str, payload) -> None:
@@ -166,39 +167,39 @@ class TestSlotThresholds:
 #: ``DecayedSamplerWithReplacement(ForwardDecay(PolynomialG(2.0)), 3,
 #: rng=random.Random(7))`` on the coin path and on the threshold path, and
 #: ``ReservoirSampler(4, rng=random.Random(7))`` on Algorithm R, each fed
-#: ``feed(sampler, kind, n=10)``.  Their payloads name the retired flag.
+#: ``feed(sampler, kind, n=10)``.  Their payloads name the retired flag;
+#: each is re-packed at the current buffer layout, its payload unchanged.
 COIN_PATH_BUFFER = bytes.fromhex(
-    "0218646563617965645f776974685f7265706c6163656d656e74080a00000007"
-    "020511010c0c05050c0d036465636179696e7465726e616c5f6c616e646d6172"
+    "0318646563617965645f776974685f7265706c6163656d656e74080a00000007"
+    "200511010c0c05050c0d036465636179696e7465726e616c5f6c616e646d6172"
     "6b737573655f736b697070696e677765696768745f746f74616c736c6f747369"
     "74656d736e6578745f7265706c6163656d696e5f7468726573686f6c64726e67"
-    "000803000000070201060867706172616d736c616e646d61726b00060b000000"
-    "506f6c796e6f6d69616c47080100000007020462657461060000000000000040"
+    "000803000000072001060867706172616d736c616e646d61726b00060b000000"
+    "506f6c796e6f6d69616c47080100000007200462657461060000000000000040"
     "0500000000000000000500000000000000000303000000000000000105000000"
-    "0000107840070300000008020000000106030000007374720702070606697465"
-    "6d2d31316974656d2d336974656d2d33030a0000000000000007000000000500"
-    "0000000000000007020000000538b4e652f2a653793c00000000000000"
+    "00001078400703000000080200000001060300000073747207a0050201016974"
+    "656d2d31313333030a0000000000000007000000000500000000000000000702"
+    "0000000538b4e652f2a653793c00000000000000"
 )
 THRESHOLD_PATH_BUFFER = bytes.fromhex(
-    "0218646563617965645f776974685f7265706c6163656d656e74080a00000007"
-    "020511010c0c05050c0d036465636179696e7465726e616c5f6c616e646d6172"
+    "0318646563617965645f776974685f7265706c6163656d656e74080a00000007"
+    "200511010c0c05050c0d036465636179696e7465726e616c5f6c616e646d6172"
     "6b737573655f736b697070696e677765696768745f746f74616c736c6f747369"
     "74656d736e6578745f7265706c6163656d696e5f7468726573686f6c64726e67"
-    "000803000000070201060867706172616d736c616e646d61726b00060b000000"
-    "506f6c796e6f6d69616c47080100000007020462657461060000000000000040"
+    "000803000000072001060867706172616d736c616e646d61726b00060b000000"
+    "506f6c796e6f6d69616c47080100000007200462657461060000000000000040"
     "0500000000000000000500000000000000000303000000000000000205000000"
-    "0000107840070300000008020000000106030000007374720702060707697465"
-    "6d2d306974656d2d31316974656d2d3131030a00000000000000070300000006"
-    "d32a25c8e21182407e4166d281bb82409d28a80ef6c37e40059d28a80ef6c37e"
-    "4007020000000538b4e652f2a653791800000000000000"
+    "00001078400703000000080200000001060300000073747207a0050102026974"
+    "656d2d3031313131030a00000000000000070300000006d32a25c8e21182407e"
+    "4166d281bb82409d28a80ef6c37e40059d28a80ef6c37e4007020000000538b4"
+    "e652f2a653791800000000000000"
 )
 ALGORITHM_R_BUFFER = bytes.fromhex(
-    "02097265736572766f697208060000000702010c040409036b7573655f736b69"
+    "03097265736572766f697208060000000720010c040409036b7573655f736b69"
     "7070696e677365656e736b69707265736572766f6972726e6700030400000000"
     "00000001030a0000000000000003000000000000000007040000000802000000"
-    "01060300000073747207010306000000000000006974656d2d316974656d2d39"
-    "6974656d2d306974656d2d3307020000000538b4e652f2a653790c0000000000"
-    "0000"
+    "01060300000073747207a005010101016974656d2d3139303307020000000538"
+    "b4e652f2a653790c00000000000000"
 )
 
 

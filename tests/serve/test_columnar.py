@@ -101,26 +101,26 @@ class TestNegotiationMatrix:
         assert protocol.negotiate_version(offered) == negotiated
 
     @pytest.mark.parametrize(
-        "offered", [3, 2, 1, 0, -1, True, False, "4", 4.0, None, [4], {}, 5]
+        "offered", [3, 2, 1, 0, -1, True, False, "4", 4.0, None, [4], {}, 5, 6]
     )
     def test_rejected_versions(self, offered):
         assert protocol.negotiate_version(offered) is None
 
     def test_one_wire_version(self):
-        assert protocol.MIN_WIRE_VERSION == protocol.WIRE_VERSION == 6
-        assert protocol.negotiate_version(5) is None
+        assert protocol.MIN_WIRE_VERSION == protocol.WIRE_VERSION == 7
+        assert protocol.negotiate_version(6) is None
 
     def test_welcome_reports_the_negotiated_version(self):
         with serve() as server:
-            for offered in (6, 999):
+            for offered in (7, 999):
                 raw = RawConnection(server.host, server.port)
                 raw.send_frame(protocol.HELLO, {"wire_version": offered})
                 welcome = raw.read_frame()
                 assert welcome.ftype == protocol.WELCOME
-                assert welcome.payload["wire_version"] == 6
+                assert welcome.payload["wire_version"] == 7
                 raw.close()
 
-    @pytest.mark.parametrize("offered", [5, 4, 3, 2, 1, 0, "junk"])
+    @pytest.mark.parametrize("offered", [6, 5, 4, 3, 2, 1, 0, "junk"])
     def test_old_or_junk_hello_is_refused_naming_the_range(self, offered):
         with serve() as server:
             raw = RawConnection(server.host, server.port)
@@ -128,7 +128,7 @@ class TestNegotiationMatrix:
             error = raw.read_frame()
             assert error.ftype == protocol.ERROR
             assert error.payload["code"] == "wire-version"
-            assert "6..6" in error.payload["message"]
+            assert "7..7" in error.payload["message"]
             assert raw.closed_by_server()
             assert_still_serving(server)
 

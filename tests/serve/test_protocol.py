@@ -200,8 +200,7 @@ GOLDEN_BLOB_BODY_V2 = bytes.fromhex(
 )
 GOLDEN_PARTIALS_OK_V2 = bytes.fromhex("00000022" "12") + GOLDEN_BLOB_BODY_V2
 GOLDEN_ADOPT_V2 = bytes.fromhex("00000022" "13") + GOLDEN_BLOB_BODY_V2
-#: What the writer emits now (cols v3); the fixtures above are what older
-#: peers and files hold, and still decode.
+#: Cols v3: what the writer emitted before string heads.
 GOLDEN_BLOB_BODY_V3 = bytes.fromhex(
     "03" "0000000000000000" "00000003" "0001"  # cols v3, no seq, 3 rows, 1 col
     "25" "0000000d"                            # bytes/u8 column, 13 bytes
@@ -210,14 +209,29 @@ GOLDEN_BLOB_BODY_V3 = bytes.fromhex(
 )
 GOLDEN_PARTIALS_OK_V3 = bytes.fromhex("00000022" "12") + GOLDEN_BLOB_BODY_V3
 GOLDEN_ADOPT_V3 = bytes.fromhex("00000022" "13") + GOLDEN_BLOB_BODY_V3
+#: What the writer emits now (cols v4; no head, as one blob is empty); the
+#: fixtures above are what older peers and files hold, and still decode.
+GOLDEN_BLOB_BODY_V4 = b"\x04" + GOLDEN_BLOB_BODY_V3[1:]
+GOLDEN_PARTIALS_OK_V4 = bytes.fromhex("00000022" "12") + GOLDEN_BLOB_BODY_V4
+GOLDEN_ADOPT_V4 = bytes.fromhex("00000022" "13") + GOLDEN_BLOB_BODY_V4
+#: Two partial-state blobs share their magic and version: stored once.
+GOLDEN_HEAD_BLOBS = [b"FDPS\x06ab", b"FDPS\x06cde"]
+GOLDEN_HEAD_BLOB_BODY = bytes.fromhex(
+    "04" "0000000000000000" "00000002" "0001"  # cols v4, no seq, 2 rows, 1 col
+    "a5" "0000000d"                            # bytes/u8+head5 column, 13 bytes
+    "05" "02" "03"                             # the head's length, the rests'
+    "4644505306" "6162" "636465"               # b"FDPS\x06", then the rests
+)
 
 
 class TestBlobFrames:
     def test_writer_matches_fixtures(self):
         body = protocol.encode_blobs(GOLDEN_BLOBS)
-        assert body == GOLDEN_BLOB_BODY_V3
-        assert encode_frame(protocol.PARTIALS_OK, body) == GOLDEN_PARTIALS_OK_V3
-        assert encode_frame(protocol.ADOPT, body) == GOLDEN_ADOPT_V3
+        assert body == GOLDEN_BLOB_BODY_V4
+        assert encode_frame(protocol.PARTIALS_OK, body) == GOLDEN_PARTIALS_OK_V4
+        assert encode_frame(protocol.ADOPT, body) == GOLDEN_ADOPT_V4
+        assert protocol.encode_blobs(GOLDEN_HEAD_BLOBS) == GOLDEN_HEAD_BLOB_BODY
+        assert protocol.decode_blobs(GOLDEN_HEAD_BLOB_BODY) == GOLDEN_HEAD_BLOBS
 
     @pytest.mark.parametrize(
         "data, ftype",
@@ -228,6 +242,8 @@ class TestBlobFrames:
             (GOLDEN_ADOPT_V2, protocol.ADOPT),
             (GOLDEN_PARTIALS_OK_V3, protocol.PARTIALS_OK),
             (GOLDEN_ADOPT_V3, protocol.ADOPT),
+            (GOLDEN_PARTIALS_OK_V4, protocol.PARTIALS_OK),
+            (GOLDEN_ADOPT_V4, protocol.ADOPT),
         ],
     )
     def test_fixtures_decode_to_the_source_blobs(self, data, ftype):

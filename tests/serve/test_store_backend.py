@@ -72,7 +72,7 @@ class TestSingleBackend:
     @pytest.mark.parametrize(
         "older, version",
         [("manifest", 1), ("manifest", 4), ("segment", 1), ("segment", 2),
-         ("segment", 3), ("segment", 4)],
+         ("segment", 3), ("segment", 4), ("segment", 5)],
     )
     def test_an_older_store_dir_is_refused_naming_its_version(
         self, tmp_path, older, version

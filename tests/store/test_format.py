@@ -5,9 +5,9 @@ Two guarantees pinned here:
 * **Golden bytes.**  The writer's output for a fixed set of pages is
   byte-for-byte stable.  Any codec change that alters bytes on disk —
   intentional or not — fails these tests and forces a version bump
-  instead of a silent format fork.  The segment an older build wrote
-  (``GOLDEN_V3_WIDE``) is refused by its version; the widest column kinds
-  inside a current-version file still decode.
+  instead of a silent format fork.  The segments older builds wrote
+  (``GOLDEN_V3_WIDE``, ``GOLDEN_V5``) are refused by their version; the
+  older column kinds inside a current-version file still decode.
 
 * **No garbage, ever.**  A segment truncated at *any* byte, or with any
   single corrupted byte, must either read back exactly the original
@@ -50,8 +50,27 @@ PAGES = [
 ]
 
 #: The writer's output: the page batches at the typed column encodings
-#: (i8 states, str/u8 keys, a bytes/u8 summary column).
+#: (i8 states, str/u8 keys with their shared "h-" once, a bytes/u8
+#: summary column).
 GOLDEN = (
+    "5253454706bf0000009d13ef4e02000200040000000200010004000000000000"
+    "0000000000040005040000004c5b5b22696e74222c375d2c5b226c6974657261"
+    "6c222c6e756c6c5d2c5b226c69746572616c222c747275655d2c5b22696e7422"
+    "2c313138303539313632303731373431313330333432345d5da3000000170205"
+    "040502682d616c7068616265746167616d6d61ceb43100000004030001020200"
+    "000020404440000000000080000000000000007ff00000000000007e37e43c88"
+    "00759c3100000004010203044f000000f9036efb01000200010000000100ffff"
+    "0400000000000000000000000100030200000008400400000000000031000000"
+    "0109250000001c1b02036162632d6f70617175652d73756d6d6172792d627566"
+    "666572600000005c8fdc190100010002000000feff0400000000000000000000"
+    "0002000223000000040101616204000000395b5b226c697374222c5b5b22696e"
+    "74222c315d2c5b22666c6f6174222c322e305d5d5d2c5b226c697374222c5b5b"
+    "22696e74222c315d5d5d5d24000000b40751a5030000000700000000000000c7"
+    "00000004000000570000000100000068000000020000008b01000000000000"
+)
+#: The same pages as a version-5 segment of the commits before string
+#: heads (each key spelled out whole).
+GOLDEN_V5 = (
     "5253454705c40000007250b9c502000200040000000200010003000000000000"
     "0000000000040005040000004c5b5b22696e74222c375d2c5b226c6974657261"
     "6c222c6e756c6c5d2c5b226c69746572616c222c747275655d2c5b22696e7422"
@@ -92,10 +111,12 @@ GOLDEN_V3_WIDE = (
 
 
 def restamp(golden: str) -> bytes:
-    """A version-3 segment as a current one: its page index (less its
-    version word) framed behind a bare offset, every page untouched (the
-    column codec reads every version it ever wrote)."""
+    """A version-3 or -5 segment as a current one: its page index (less a
+    version 3 version word) framed behind a bare offset, every page
+    untouched (the column codec reads every version it ever wrote)."""
     data = binascii.unhexlify(golden)
+    if data[4] == 5:  # only the version byte moved since
+        return head(SEGMENT) + data[len(head(SEGMENT)):]
     (footer,) = struct.unpack_from("<Q", data, len(data) - 12)
     (length,) = struct.unpack_from("<I", data, footer)
     index = data[footer + 12:footer + 8 + length]
@@ -133,7 +154,8 @@ class TestGoldenBytes:
         assert data == binascii.unhexlify(GOLDEN), binascii.hexlify(data)
 
     @pytest.mark.parametrize(
-        "golden", [binascii.unhexlify(GOLDEN), restamp(GOLDEN_V3_WIDE)]
+        "golden", [binascii.unhexlify(GOLDEN), restamp(GOLDEN_V3_WIDE),
+                   restamp(GOLDEN_V5)], ids=["v6", "v3-wide", "v5"],
     )
     def test_golden_bytes_decode_to_the_source_rows(self, tmp_path, golden):
         # The inverse direction: committed bytes (not freshly written
@@ -143,7 +165,7 @@ class TestGoldenBytes:
         with open(path, "wb") as handle:
             handle.write(golden)
         reader = SegmentReader(path)
-        assert SEGMENT_VERSION == 5
+        assert SEGMENT_VERSION == 6
         assert reader.records == 7
         assert [rows for _o, _l, rows in reader.pages] == [4, 1, 2]
         decoded = [(keys, states) for _o, keys, states in read_everything(path)]
@@ -158,10 +180,15 @@ class TestGoldenBytes:
             [2, 1], [1, -1], [-2],
         ]
 
-    def test_an_older_segment_is_refused_naming_its_version(self, tmp_path):
+    @pytest.mark.parametrize("golden, version", [(GOLDEN_V3_WIDE, 3), (GOLDEN_V5, 5)])
+    def test_an_older_segment_is_refused_naming_its_version(
+        self, tmp_path, golden, version
+    ):
         path = tmp_path / "g.seg"
-        path.write_bytes(binascii.unhexlify(GOLDEN_V3_WIDE))
-        with pytest.raises(StoreError, match="unsupported version 3 at offset 4 ") as excinfo:
+        path.write_bytes(binascii.unhexlify(golden))
+        with pytest.raises(
+            StoreError, match=f"unsupported version {version} at offset 4 "
+        ) as excinfo:
             SegmentReader(str(path))
         assert excinfo.value.segment == str(path)
 

@@ -256,3 +256,29 @@ def test_float_sums_match_the_row_fed_reference(topology, case):
     reference_blob = reference.partial_state_bytes()
     assert canon(answer) == canon(reference.flush())
     assert collector.partial_state_bytes() == reference_blob
+
+
+def test_a_lone_surrogate_key_matches_the_row_fed_reference(topology):
+    # A str UTF-8 cannot encode strictly still packs (``surrogatepass``):
+    # every topology ships it as column and state bytes and answers it.
+    sql = "select destIP, count(*) as c, sum(len) as s from TCP group by destIP"
+    keys = ["\ud800", "a\udfff", "𐀀", "10.0.0.1", "\ud800"]
+    rows = [
+        (t, float(t), "10.0.0.9", keys[t % len(keys)], 80, 443, 40 + t, "TCP")
+        for t in range(1, 60)
+    ]
+    plan = ShardPlan(sql=sql, schema=PACKET_SCHEMA)
+    reference = plan.build_engine()
+    for row in rows:
+        reference.process(row)
+    with topology(sql) as edge:
+        edge.do("insert", rows[:30])
+        edge.do("insert_cols", rows_to_cols(rows[30:]))
+        answer = edge.do("query")
+        blobs = edge.do("blobs")
+    collector = plan.build_engine()
+    for blob in blobs:
+        collector.merge_partial(blob)
+    assert collector.partial_state_bytes() == reference.partial_state_bytes()
+    assert canon(answer) == canon(reference.flush())
+    assert {row["destIP"] for row in answer} == set(keys)

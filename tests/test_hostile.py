@@ -30,7 +30,6 @@ from tests.core.test_protocol_conformance import (
     ALL_NAMES,
     GOLDEN,
     GOLDEN_DIR,
-    WRITTEN,
     feed,
     parameter_flips,
 )
@@ -191,7 +190,7 @@ ROWS = {
         masks=()) for name in ALL_NAMES},
     **{f"summary-flips-{name}": p(summary_flips_row, name) for name in ALL_NAMES},
     **{f"summary-golden-{name}": lambda _, name=name: Row(
-        (GOLDEN_DIR / WRITTEN.get(name, f"{name}.v2")).read_bytes(),
+        (GOLDEN_DIR / f"{name}.v3").read_bytes(),
         StreamSummary.from_bytes, ParameterError, accept=any_value)
        for name in GOLDEN},
     **{f"tree-{len(data)}": lambda _, data=data: Row(
@@ -203,7 +202,7 @@ ROWS = {
     **{f"cols-cuts-{label}": lambda _, label=label: Row(
         getattr(cols_fixtures, label), unpack_cols, ProtocolError, masks=())
        for label in ("GOLDEN_BODY", "GOLDEN_BYTES_BODY", "GOLDEN_BYTES_BODY_V2",
-                     "GOLDEN_DICT_BODY")},
+                     "GOLDEN_DICT_BODY", "GOLDEN_HEAD_BODY", "GOLDEN_HEAD_DICT_BODY")},
     "partial-blob": partial_blob_row,
     "checkpoint": lambda _: Row(
         GOLDEN_IMAGE, serde.read_partials_checkpoint, ParameterError,
