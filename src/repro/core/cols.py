@@ -37,40 +37,34 @@ codes, 3 integral floats, 4 heads — one decoder reads all four::
                                           order | rows × codes (4 >> shrink bytes)
 
 ``seq+1`` is zero when the batch carries no sequence number.  The
-encoding is chosen from the *values* and nothing else: the kind from
-their types (falling back to ``tagged`` for mixed, empty or beyond-int64
-columns), an int width from the column's ``min`` / ``max``, a float
-column's int width — when every value is finite, integral and not
-``-0.0`` — as the i8 / i16 / i32 whose ints plus patches for the values
-it does not hold are fewest bytes (any other float column, or one no
-width makes smaller, stays ``f64``), a length width from its longest
-entry, a code width from its table size, a head (the common prefix of
-the column's ``min`` and ``max``) where it makes the block smaller, and
-the dictionary exactly when byte arithmetic says it is smaller than the
-plain ``str`` block, each sized after its head.  So int/float/str
-identity survives packing bit-exactly: unpacking a packed batch yields
-values equal to the originals under ``type()`` and ``repr()`` (a lone
-surrogate too), which is what lets the columnar data plane promise
-byte-identical query results — and equal columns pack to equal bytes.
+encoding is chosen from the *values* alone: the kind from their types
+(``tagged`` for mixed, empty or beyond-int64 columns), an int width from
+the ``min`` / ``max``, a float column's int width — every value finite,
+integral and not ``-0.0`` — as the i8 / i16 / i32 whose ints plus patches
+for the values it does not hold are fewest bytes (else ``f64``), a length
+width from the longest entry, a code width from the table size, a head
+(the common prefix of ``min`` and ``max``) where it makes the block
+smaller, and the dictionary exactly when it is smaller than the plain
+``str`` block, each sized after its head.  So unpacking yields values
+equal to the originals under ``type()`` and ``repr()`` (a lone surrogate
+too), which lets the columnar data plane promise byte-identical query
+results — and equal columns pack to equal bytes.
 
-Its consumers: :mod:`repro.serve.protocol` (``INSERT_COLS`` frames, and
-a one-column ``bytes`` batch in ``PARTIALS_OK`` / ``ADOPT``), the shard
-transport, and :mod:`repro.dsms.engine`'s partial state (a row per group,
-as in a segment page); it lives in :mod:`repro.core`, below all of them.
+Its consumers: :mod:`repro.serve.protocol` (``INSERT_COLS``; a ``bytes``
+batch in ``PARTIALS_OK`` / ``ADOPT``), the shard transport and
+:mod:`repro.dsms.engine`'s partial state (as in a segment page).
 
 **A reader that names its columns pays for those and nothing else.**
 :func:`unpack_cols` given ``columns`` decodes those blocks; every other
 block is *shape-checked, not content-checked* (:func:`block_zeros`): its
-byte count must match its rows — a fixed width times the row count, a
-length table that sums to its blob, a dictionary with a ``str`` table and
-one code per row — and the blocks must still tile the body, so truncation
-and trailing bytes fail for every column, read or not.  What shape does
-not show is never looked at: invalid UTF-8 or a dictionary code beyond
-the table inside an unread block is accepted and never materialised.  The
-column comes back as ``rows`` references to the kind's zero (``0``,
-``0.0``, ``""``, ``b""``) — a plain list, so everything downstream sees an
-ordinary column.  A ``tagged`` block has no shape apart from its content
-and is always decoded.
+byte count must match its rows — a fixed width times the rows, a length
+table that sums to its blob (a head within its growth bound), a ``str``
+table and one code per row — and the blocks must tile the body, so
+truncation and trailing bytes fail for every column, read or not.
+Invalid UTF-8 or a code beyond the table inside an unread block is never
+looked at: the column comes back as ``rows`` references to the kind's
+zero (``0``, ``0.0``, ``""``, ``b""``), a plain list.  A ``tagged`` block
+has no shape apart from its content and is always decoded.
 
 All malformed input raises :class:`~repro.core.errors.ProtocolError`.
 """
@@ -207,13 +201,12 @@ def _pack_str_column(values) -> tuple[int, bytes]:
     count = len(values)
     table = dict.fromkeys(values)  # the distinct strings, first seen first
     entries = len(table)
-    head = string_head(table)  # the distinct strings' min and max: the column's
+    head = string_head(table)  # the column's, from its distinct strings
     table_size, table_layout, pack_table, top = string_block(table, head)
     size, layout, pack, _top = string_block(values, head, top)
     code_shrink = shrink_of(entries - 1)
-    if (
-        _DICT_HEAD.size + _COL_HEAD.size + table_size + (4 >> code_shrink) * count
-    ) >= size:
+    codes = (4 >> code_shrink) * count
+    if _DICT_HEAD.size + _COL_HEAD.size + table_size + codes >= size:
         return COL_STR | layout, pack()
     table.update(zip(table, range(entries)))  # entry -> code
     return COL_DICT | code_shrink << 4, b"".join((

@@ -29,19 +29,19 @@ refuses is coercing non-``str`` dict keys.  Little-endian but the string block::
         entry 0 the prefix all values share, each other entry its value's
         rest (UTF-8 with surrogatepass; repro.core.cols' str / bytes too)
 
-The column kind is chosen from the values, like :mod:`repro.core.cols`
-chooses its block kinds: one dense block for a list of one scalar type
-(ints at the narrowest width that holds them), a transposed table for a
-list of equal-length records (each column packed by the same rule, so a
+The column kind is chosen from the values, as :mod:`repro.core.cols`
+chooses its kinds: a dense block for one scalar type (ints at the
+narrowest width), a transposed table for equal-length records (so a
 column of ``["str", item]`` tags becomes a run and a ``str`` block), and
 tagged values otherwise.  Lives below :mod:`repro.core.protocol`, which
 :mod:`repro.core.cols` imports, hence the stand-alone struct code.
 
 A reader never allocates past the bytes that remain: every count is
-checked against them before anything is built.  Runs are the exception
-— ten bytes may say "a million zeros" — so writer and reader spend one
-budget of ``RUN_BUDGET`` run elements per buffer, in encoding order; the
-writer falls back to a dense block when it is spent, the reader refuses.
+checked against them before anything is built.  Two things expand.  Runs
+— ten bytes may say "a million zeros" — spend one budget of
+``RUN_BUDGET`` elements per buffer on both sides, in encoding order (the
+writer then falls back to a dense block, the reader refuses); a head,
+repeated on every entry, may not outgrow ``HEAD_GROWTH`` times its block.
 All malformed input raises :class:`~repro.core.errors.ParameterError`.
 """
 
@@ -58,6 +58,8 @@ __all__ = ["RUN_BUDGET", "pack_tree", "unpack_tree", "string_block", "read_strin
 
 #: Elements that all the runs of one buffer may expand to.
 RUN_BUDGET = 1 << 20
+#: Times its own bytes that a string block's repeated head may expand to.
+HEAD_GROWTH = 16
 
 _NONE, _FALSE, _TRUE, _INT, _BIGINT, _FLOAT, _STR, _LIST, _DICT = range(9)
 _GENERIC, _RUN, _U8, _U16, _U32, _I64, _F64, _STRS, _RECORDS = range(9)
@@ -216,9 +218,8 @@ class _Reader:
         if tag <= _TRUE:
             return (None, False, True)[tag]
         count = self.count()
-        if tag == _STR:
-            start = self.take(count)
-            return data[start:self.at].decode("utf-8", "surrogatepass")
+        if tag == _STR:  # take() moves self.at past the bytes it claims
+            return data[self.take(count):self.at].decode("utf-8", "surrogatepass")
         if tag == _BIGINT:
             start = self.take(count)
             return int.from_bytes(data[start:self.at], "big", signed=True)
@@ -295,8 +296,10 @@ def shrink_of(top: int) -> int:
 
 
 def string_head(values):
-    """The prefix all ``values`` share, from their min and max: two C passes."""
-    return commonprefix((min(values), max(values)))
+    """The prefix all ``values`` share: none when the first and last share
+    none, else that of the min and max (two C passes)."""
+    ends = (next(iter(values)), next(reversed(values)))
+    return commonprefix(ends) and commonprefix((min(values), max(values)))
 
 
 def string_block(values, head, top: int = 0) -> tuple:
@@ -305,15 +308,15 @@ def string_block(values, head, top: int = 0) -> tuple:
     joined = head[:0].join(values)
     size_of = len
     if type(head) is str and not joined.isascii():  # one encode per distinct value
-        sizes = {v: len(v.encode("utf-8", "surrogatepass")) for v in (head, *values)}
-        size_of = sizes.__getitem__
+        seen = {head: None, **dict.fromkeys(values)}
+        size_of = {v: len(v.encode("utf-8", "surrogatepass")) for v in seen}.__getitem__
     total = len(joined) if size_of is len else sum(map(size_of, values))
     count, cut, top = len(values), size_of(head), top or max(map(size_of, values))
     shrink = shrink_of(top)
     size, layout = (4 >> shrink) * count + total, shrink << 4
     shrink = shrink_of(max(top - cut, cut))
     headed = (4 >> shrink) * (count + 1) + total - (count - 1) * cut
-    if cut and headed < size:
+    if cut and headed < size and count * cut <= HEAD_GROWTH * headed:
         size, layout = headed, shrink << 4 | HEADED
 
     def pack() -> bytes:
@@ -343,6 +346,8 @@ def read_strings(view, at: int, count: int, layout: int, text: bool = True,
     end = start + ends[-1]
     if end > len(view):
         raise ProtocolError("column blob does not match its lengths")
+    if headed and count * ends[1] > HEAD_GROWTH * (end - at):
+        raise ProtocolError(f"a {ends[1]}-byte head on {count} rows outgrows its block")
     if rows is not None and not len(rows):
         return [], end
     blob, starts = view[start:end], ends[headed:]  # value i: starts[i]:starts[i + 1]

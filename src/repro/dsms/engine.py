@@ -942,15 +942,15 @@ def describe_partial_state(data) -> dict:
             col = block_values(batch, block, count)
             layout.append((block_name(batch, block), block[2] - block[1]))
             if col and type(col[0]) is bytes:
-                summary_cols.append(col)
+                summary_cols.append((col, block[2] - block[1]))
         summaries = [
             {
                 "slot": slot,
                 "type": "/".join(sorted(set(map(summary_type_of, col)))),
                 "buffers": len(col),
-                "bytes": sum(map(len, col)),
+                "bytes": size,  # as stored: a shared head once
             }
-            for slot, col in zip(
+            for slot, (col, size) in zip(
                 (i for i, code in enumerate(slots) if code == SUMMARY_SLOT),
                 summary_cols, strict=True,
             )

@@ -191,6 +191,10 @@ class Page:
         except (ProtocolError, ParameterError) as exc:
             raise self._undecodable(exc) from exc
 
+    def state_bytes(self) -> list[int]:
+        """Payload bytes of each state column as stored; nothing decoded."""
+        return [end - start for _kind, start, end in self._blocks]
+
     def states(self, rows: list[int] | None = None) -> list[list]:
         """State lists of the rows at indices ``rows`` (every row when
         None), one per aggregate: a fresh scalar list, or the summary's

@@ -1172,15 +1172,14 @@ def _describe_segment(path: str, live: int) -> dict:
                     else "summary:" + summary_type_of(states[0][slot])
                     for slot, code in enumerate(page.slots)
                 ]
+            sizes, at = page.state_bytes(), 0
             for slot, code in enumerate(page.slots):
-                if code != SUMMARY_SLOT:
-                    continue
-                for row in states:
-                    tally = summaries.setdefault(
-                        summary_type_of(row[slot]), {"buffers": 0, "bytes": 0}
-                    )
-                    tally["buffers"] += 1
-                    tally["bytes"] += len(row[slot])
+                if code == SUMMARY_SLOT:  # one aggregate's: one registry type
+                    kind = summary_type_of(states[0][slot])
+                    tally = summaries.setdefault(kind, {"buffers": 0, "bytes": 0})
+                    tally["buffers"] += len(states)
+                    tally["bytes"] += sizes[at]  # as stored: a shared head once
+                at += code if code >= 0 else 1
     except (StoreError, ParameterError) as error:
         refused = "unsupported version" in str(error)
         entry["status"] = f"{'unsupported' if refused else 'corrupt'}: {error}"

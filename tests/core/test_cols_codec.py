@@ -40,6 +40,7 @@ from repro.core.cols import (
     unpack_cols,
 )
 from repro.core.errors import ParameterError, ProtocolError
+from repro.core.tree import HEAD_GROWTH
 
 #: Two rows over (int, float, str) with seq=41 — every dense kind at once.
 GOLDEN_ROWS = [(7, 1.5, "a"), (-2, -0.25, "bc")]
@@ -465,14 +466,17 @@ def shared_head(values: list) -> str:
 
 def string_bytes(values: list, heads: bool = True) -> int:
     """A string block's payload bytes by the documented layout: headless,
-    or — with ``heads`` and when smaller — the shared head once, leading."""
+    or — with ``heads`` and when smaller — the shared head once, leading,
+    if its rows × head bytes stay within ``HEAD_GROWTH`` times the block."""
     encoded = [value.encode("utf-8", "surrogatepass") for value in values]
     size = width_of(max(map(len, encoded))) * len(encoded) + sum(map(len, encoded))
     head = shared_head(values).encode("utf-8", "surrogatepass") if heads else b""
     if head:
         rests = [len(raw) - len(head) for raw in encoded]
-        size = min(size, width_of(max(len(head), *rests)) * (len(rests) + 1)
-                   + len(head) + sum(rests))
+        headed = (width_of(max(len(head), *rests)) * (len(rests) + 1)
+                  + len(head) + sum(rests))
+        if len(rests) * len(head) <= HEAD_GROWTH * headed:
+            size = min(size, headed)
     return size
 
 

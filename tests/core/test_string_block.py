@@ -5,17 +5,27 @@ A column whose values share a head stores it once, when byte arithmetic
 says that is smaller; either way every value decodes equal under
 ``type()`` and ``repr()`` (a lone surrogate and a NUL included), equal
 columns pack to equal bytes, and no block is larger than the headless
-plain or dictionary block the same values would take.
+plain or dictionary block the same values would take.  A head repeats on
+every row it decodes to, so rows × head bytes stay within
+``HEAD_GROWTH`` times the block's bytes: the writer drops a head past
+that, and the reader refuses one before it builds a value.
 """
 
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cols import COL_DICT, pack_cols, unpack_cols
-from repro.core.tree import pack_tree, string_block, string_head, unpack_tree
+from repro.core.cols import (
+    COL_DICT, COL_STR, COLS_CODEC_VERSION, pack_cols, unpack_cols,
+)
+from repro.core.errors import ParameterError, ProtocolError
+from repro.core.tree import (
+    HEAD_GROWTH, HEADED, pack_tree, string_block, string_head, unpack_tree,
+)
 from tests.core.test_cols_codec import lone_kind, str_sizes, width_of
 
 #: Heads a column may share: none, one byte, multi-byte, a NUL, a lone
@@ -95,3 +105,39 @@ def test_a_column_with_no_shared_head_is_the_headless_block():
     assert size == 2048 + sum(map(len, values)) and layout == 2 << 4
     assert top == max(map(len, values))
     assert list(struct.unpack_from("!2048B", pack())) == list(map(len, values))
+
+
+@pytest.mark.parametrize("cut", [65, 66])
+def test_a_head_is_taken_only_within_its_growth_bound(cut):
+    values = ["x" * cut + format(i, "03x") for i in range(1024)]
+    headed_size = 1025 + cut + 3 * 1024  # u8 lengths: the head's, each rest's
+    size, layout, _pack, _top = string_block(values, string_head(values))
+    within = 1024 * cut <= HEAD_GROWTH * headed_size
+    assert within == (cut == 65)
+    assert bool(layout & HEADED) == within
+    assert size == (headed_size if within else 1024 + sum(map(len, values)))
+    (back,), _seq, _count = unpack_cols(pack_cols([values]))
+    assert back == values and unpack_tree(pack_tree(values)) == values
+
+
+def test_a_head_that_outgrows_its_block_is_refused_before_any_allocation():
+    # Well-formed but for its growth: 1,024 rows of a 4 KiB head and one
+    # byte each would decode to 4 MiB from 7 KiB.
+    rows, cut = 1024, 4096
+    block = struct.pack(f"!{rows + 1}H", cut, *[1] * rows) + b"x" * cut + b"a" * rows
+    assert rows * cut > HEAD_GROWTH * len(block)
+    batch = (
+        struct.pack("!BQIH", COLS_CODEC_VERSION, 0, rows, 1)
+        + struct.pack("!BI", COL_STR | 1 << 4 | HEADED, len(block)) + block
+    )
+    tree = struct.pack("<BIBB", 7, rows, 7, 1 << 4 | HEADED) + block
+    tracemalloc.start()
+    try:
+        for columns in (None, ()):
+            with pytest.raises(ProtocolError, match="outgrows its block"):
+                unpack_cols(batch, columns=columns)
+        with pytest.raises(ParameterError, match="outgrows its block"):
+            unpack_tree(tree)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()

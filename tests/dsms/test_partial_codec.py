@@ -311,9 +311,10 @@ class TestGoldenBytes:
             ("i8", 2), ("str/u8", 6), ("i8", 2), ("f64/i16", 4),
             ("bytes/u8+head67", 180),
         ]
-        # The summary slot, named from its buffers' heads.
+        # The summary slot, named from its buffers' heads, with the bytes
+        # its column stores (the head once), not the 244 its buffers decode to.
         assert info["summaries"] == [
-            {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 244}
+            {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 180}
         ]
 
 
