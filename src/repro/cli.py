@@ -419,21 +419,20 @@ def _cmd_client_replay(args: argparse.Namespace) -> int:
         client.flush()
         print(f"replayed {len(trace):,} rows in {batches} batch(es)")
         if args.query:
-            count = 0
-            for row in client.query():
-                print(row)
-                count += 1
-            print(f"-- {count} row(s)", file=sys.stderr)
+            _print_query(client)
     return 0
+
+
+def _print_query(client) -> None:
+    count = 0
+    for count, row in enumerate(client.query(), 1):
+        print(row)
+    print(f"-- {count} row(s)", file=sys.stderr)
 
 
 def _cmd_client_query(args: argparse.Namespace) -> int:
     with _client_session(args) as client:
-        count = 0
-        for row in client.query():
-            print(row)
-            count += 1
-    print(f"-- {count} row(s)", file=sys.stderr)
+        _print_query(client)
     return 0
 
 
@@ -538,7 +537,8 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
         )
         print(
             f"  blob {index}: v{blob['version']}, {blob['groups']:,} group(s), "
-            f"{blob['bytes']:,} B, tuples_in {blob['tuples_in']:,} | {columns}"
+            f"{blob['bytes']:,} B ({blob['column_bytes']:,} B of columns "
+            f"inflated), tuples_in {blob['tuples_in']:,} | {columns}"
         )
         for slot in blob["summaries"]:
             print(
@@ -581,6 +581,8 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         if entry.get("layout"):
             print(f"      slots: {' | '.join(entry['layout'])}")
         if entry.get("columns"):
+            print(f"      pages: {entry['page_bytes']:,} B stored, "
+                  f"{entry['column_bytes']:,} B of columns inflated")
             columns = " ".join(f"{kind}:{per}" for kind, per in entry["columns"])
             print(f"      columns, B/row of the first page: {columns}")
         for name, tally in entry.get("summaries", {}).items():

@@ -26,7 +26,7 @@ from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, WEIGHT, DeclaredState
 from repro.core.protocol import Field, ListOf, Value
-from repro.core.weights import ForwardWeightEngine
+from repro.core.weights import ForwardWeighted, ForwardWeightEngine
 
 __all__ = ["DecayedKMeans", "Cluster"]
 
@@ -49,7 +49,7 @@ def _squared_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return total
 
 
-class DecayedKMeans(DeclaredState):
+class DecayedKMeans(ForwardWeighted, DeclaredState):
     """Streaming k-means under any forward decay function.
 
     Parameters
@@ -91,16 +91,6 @@ class DecayedKMeans(DeclaredState):
         self.dimensions = dimensions
         super().__init__()
         self._engine = ForwardWeightEngine(decay, self.scale)
-
-    @property
-    def decay(self) -> ForwardDecay:
-        """The decay model this summary was built with."""
-        return self._engine.decay
-
-    @property
-    def items_processed(self) -> int:
-        """Number of points folded in (including via merges)."""
-        return self._items
 
     def _centroid(self, index: int) -> Point:
         weight = self._weights[index]

@@ -19,7 +19,7 @@ from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, WEIGHT, Field, Nested
 from repro.core.protocol import StreamSummary
 from repro.core.registry import register_summary
-from repro.core.weights import ForwardWeightEngine
+from repro.core.weights import ForwardWeighted, ForwardWeightEngine
 from repro.sketches.spacesaving import WeightedSpaceSaving
 
 __all__ = ["DecayedHeavyHitters", "HeavyHitter"]
@@ -41,7 +41,7 @@ class HeavyHitter(NamedTuple):
     input_kind="item_time",
     factory=lambda: DecayedHeavyHitters(quadratic_decay(), epsilon=0.05),
 )
-class DecayedHeavyHitters(StreamSummary):
+class DecayedHeavyHitters(ForwardWeighted, StreamSummary):
     """Streaming ``phi``-heavy hitters under any forward decay function.
 
     Parameters
@@ -74,16 +74,6 @@ class DecayedHeavyHitters(StreamSummary):
         self.epsilon = epsilon
         self._sketch = WeightedSpaceSaving.from_epsilon(epsilon)
         self._engine = ForwardWeightEngine(decay, self.scale)
-
-    @property
-    def decay(self) -> ForwardDecay:
-        """The decay model this summary was built with."""
-        return self._engine.decay
-
-    @property
-    def items_processed(self) -> int:
-        """Number of updates folded in (including via merges)."""
-        return self._items
 
     def update(self, item: Hashable, timestamp: float, count: float = 1.0) -> None:
         """Record an occurrence of ``item`` at ``timestamp``.

@@ -21,7 +21,7 @@ from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, WEIGHT, Field, Nested
 from repro.core.protocol import StreamSummary
 from repro.core.registry import register_summary
-from repro.core.weights import ForwardWeightEngine
+from repro.core.weights import ForwardWeighted, ForwardWeightEngine
 from repro.sketches.gk import GKSummary
 from repro.sketches.qdigest import QDigest
 
@@ -34,7 +34,7 @@ __all__ = ["DecayedQuantiles"]
     input_kind="value_time",
     factory=lambda: DecayedQuantiles(quadratic_decay(), epsilon=0.01, universe_bits=10),
 )
-class DecayedQuantiles(StreamSummary):
+class DecayedQuantiles(ForwardWeighted, StreamSummary):
     """Streaming ``phi``-quantiles under any forward decay function.
 
     Parameters
@@ -88,16 +88,6 @@ class DecayedQuantiles(StreamSummary):
         else:
             self._digest = GKSummary(min(epsilon, 0.49))
         self._engine = ForwardWeightEngine(decay, self.scale)
-
-    @property
-    def decay(self) -> ForwardDecay:
-        """The decay model this summary was built with."""
-        return self._engine.decay
-
-    @property
-    def items_processed(self) -> int:
-        """Number of updates folded in (including via merges)."""
-        return self._items
 
     @property
     def universe_bits(self) -> int | None:

@@ -7,14 +7,18 @@ snapshot, a store manifest — is framed here and nowhere else (DESIGN.md
 
     envelope  <4s magic> <u8 version> frame
     frame     <u32 body length> <u32 CRC32(body)> body
+    body      <u8 0> body | <u8 1> <u32 length> deflate stream   (if deflated)
 
 :func:`seal` / :func:`unseal` write and open an envelope; opening refuses
 another magic, any version but the one this build writes (by number), a
 short or overlong body and a CRC mismatch, with the format's own error
 naming the file and byte offset.  A segment's pages and footer are bare
-frames (:func:`frame`) under the file's one :func:`head`.  :func:`publish`
-writes a whole file atomically and durably.  The engine checkpoint file is
-:func:`dump_partials_checkpoint` / :func:`load_partials_checkpoint`.
+frames (:func:`frame`) under the file's one :func:`head`.  Group state —
+the partial-state blob and a segment's pages — is stored through the one
+:func:`deflate` / :func:`inflate` pair, CRC-checked before it is inflated.
+:func:`publish` writes a whole file atomically and durably.  The engine
+checkpoint file is :func:`dump_partials_checkpoint` /
+:func:`load_partials_checkpoint`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ __all__ = [
     "DIRECTORY_SNAPSHOT",
     "STORE_MANIFEST",
     "envelope",
+    "deflate",
+    "inflate",
     "seal",
     "unseal",
     "head",
@@ -53,25 +59,31 @@ __all__ = [
 
 class Format(NamedTuple):
     """A sealed format: magic, the one version this build writes and
-    reads, its name in errors, and the error type it raises."""
+    reads, its name in errors, the error type it raises, and whether its
+    frames hold :func:`deflate` bodies."""
 
     magic: bytes
     version: int
     name: str
     error: type
+    deflated: bool = False
 
 
 #: Version 4 had no envelope: a version byte, the head, and a trailing CRC32.
-PARTIAL_STATE = Format(b"FDPS", 6, "partial-state buffer", MergeError)
+PARTIAL_STATE = Format(b"FDPS", 7, "partial-state buffer", MergeError, True)
 PARTIALS_CHECKPOINT = Format(b"FDCK", 3, "partials checkpoint", ParameterError)
-#: A segment's header; its pages and footer are bare frames.
-SEGMENT = Format(b"RSEG", 6, "segment", StoreError)
+#: A segment's header; its pages (deflated) and footer are bare frames.
+SEGMENT = Format(b"RSEG", 7, "segment", StoreError, True)
 DIRECTORY_SNAPSHOT = Format(b"RDIR", 2, "key directory snapshot", StoreError)
 #: Version 4 was bare JSON carrying its own ``version`` field.
 STORE_MANIFEST = Format(b"FDMF", 5, "store manifest", StoreError)
 
 _HEAD = struct.Struct("<4sB")  # magic, version
 _FRAME = struct.Struct("<II")  # body length, CRC32(body)
+_DEFLATED = struct.Struct("<BI")  # body kind 1, inflated length
+#: The zlib level of a deflated body, and the times its stored bytes that
+#: it may inflate to (group state deflates about 2x).
+DEFLATE_LEVEL, INFLATE_GROWTH = 1, 16
 
 
 def _refused(fmt: Format, source, offset: int, problem: str) -> Exception:
@@ -102,14 +114,52 @@ def check_head(fmt: Format, data, source=None, offset: int = 0) -> None:
         )
 
 
-def frame(body) -> bytes:
-    """``body`` behind its length and CRC32."""
+def deflate(body) -> bytes:
+    """``body`` as a deflated format stores it: kind 1, its length and its
+    raw deflate stream when that is strictly smaller and inflates within
+    ``INFLATE_GROWTH``; kind 0 and ``body`` otherwise."""
+    packer = zlib.compressobj(DEFLATE_LEVEL, zlib.DEFLATED, -15)
+    stored = _DEFLATED.pack(1, len(body)) + packer.compress(body) + packer.flush()
+    if len(stored) <= len(body) <= INFLATE_GROWTH * len(stored):  # < 1 + len(body)
+        return stored
+    return b"\x00" + body
+
+
+def inflate(fmt: Format, stored, source=None, offset: int = 0) -> memoryview:
+    """The body :func:`deflate` stored as ``stored`` (at byte ``offset`` of
+    ``source``), or ``fmt.error`` naming both.  An unknown kind and a
+    length past ``INFLATE_GROWTH`` times ``stored`` are refused before
+    any allocation; so is a stream that fails, is cut short, inflates to
+    another length or has bytes after its end."""
+    view = memoryview(stored)
+    if view[:1] == b"\x00":
+        return view[1:]
+    if view[:1] != b"\x01" or len(view) < _DEFLATED.size:
+        raise _refused(fmt, source, offset, f"unknown body kind at offset {offset}")
+    length, at = _DEFLATED.unpack_from(view)[1], offset + _DEFLATED.size
+    if length > INFLATE_GROWTH * len(view):
+        raise _refused(fmt, source, offset + 1, f"inflated length {length} at "
+                       f"offset {offset + 1} outgrows its {len(view)} stored bytes")
+    unpacker = zlib.decompressobj(-15)
+    try:  # one byte past the length tells a longer stream apart
+        body = unpacker.decompress(view[_DEFLATED.size:], length + 1)
+    except zlib.error as exc:
+        raise _refused(fmt, source, at, f"bad deflate at offset {at}: {exc}") from exc
+    if len(body) != length or not unpacker.eof or unpacker.unused_data:
+        raise _refused(fmt, source, at, f"deflate stream at offset {at} does "
+                       f"not end at its {length} inflated bytes")
+    return memoryview(body)
+
+
+def frame(fmt: Format, body) -> bytes:
+    """``body``, deflated if ``fmt`` is, behind its length and CRC32."""
+    body = deflate(body) if fmt.deflated else body
     return _FRAME.pack(len(body), zlib.crc32(body)) + body
 
 
 def unframe(fmt: Format, framed, source=None, offset: int = 0) -> memoryview:
     """The body of the frame ``framed`` (at byte ``offset`` of ``source``),
-    which it must fill exactly, CRC checked."""
+    which it must fill exactly, CRC checked (then inflated)."""
     view = memoryview(framed)
     if len(view) < _FRAME.size:
         raise _refused(fmt, source, offset, f"truncated at offset {offset}")
@@ -125,7 +175,7 @@ def unframe(fmt: Format, framed, source=None, offset: int = 0) -> memoryview:
         )
     if zlib.crc32(body) != crc:
         raise _refused(fmt, source, offset, f"fails its CRC32 at offset {offset}")
-    return body
+    return inflate(fmt, body, source, offset + _FRAME.size) if fmt.deflated else body
 
 
 def envelope(fmt: Format, *chunks) -> bytes:
@@ -139,7 +189,7 @@ def envelope(fmt: Format, *chunks) -> bytes:
 
 def seal(fmt: Format, body) -> bytes:
     """``body`` in ``fmt``'s envelope."""
-    return envelope(fmt, body) + body
+    return head(fmt) + frame(fmt, body)
 
 
 def unseal(fmt: Format, data, source=None, offset: int = 0) -> memoryview:

@@ -29,7 +29,7 @@ from repro.core.decay import ForwardDecay
 from repro.core.errors import MergeError
 from repro.core.functions import ExponentialG
 
-__all__ = ["ForwardWeightEngine", "SHIFT_EXPONENT"]
+__all__ = ["ForwardWeightEngine", "ForwardWeighted", "SHIFT_EXPONENT"]
 
 ScaleState = Callable[[float], None]
 
@@ -136,3 +136,18 @@ class ForwardWeightEngine:
         if other._landmark > self._landmark:
             self._shift_to(other._landmark)
         return math.exp(self._exp_alpha * (other._landmark - self._landmark))
+
+
+class ForwardWeighted:
+    """The ``decay`` and ``items_processed`` of a summary that weighs its
+    arrivals through a :class:`ForwardWeightEngine` held as ``_engine``."""
+
+    @property
+    def decay(self) -> ForwardDecay:
+        """The decay model this summary was built with."""
+        return self._engine.decay
+
+    @property
+    def items_processed(self) -> int:
+        """Number of updates folded in (including via merges)."""
+        return self._items

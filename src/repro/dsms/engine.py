@@ -743,7 +743,7 @@ class QueryEngine:
         one slot code per aggregate (its state arity, or ``-1`` summary /
         ``-2`` ragged) — then one :mod:`repro.core.cols` batch with a row
         per group (key-part columns, then each aggregate's state columns),
-        sealed (:func:`repro.core.serde.seal`).
+        deflated and sealed (:func:`repro.core.serde.seal`).
         """
         keys, rows = self._snapshot()
         slots, cols = group_columns(keys, rows, len(self._agg_plans))
@@ -931,7 +931,8 @@ def _open_partial(data) -> tuple:
 def describe_partial_state(data) -> dict:
     """What ``repro checkpoint inspect`` reports for one buffer, from its
     framing and column blocks (CRC checked; every column decoded, and so
-    checked, once).  Each column is named by its encoding, each summary
+    checked, once): its bytes as stored (deflated) beside its columns'
+    inflated bytes.  Each column is named by its encoding, each summary
     slot by the registry type its buffers declare in their first bytes;
     no summary is unpacked."""
     head, texts, slots, batch = _open_partial(data)
@@ -962,6 +963,7 @@ def describe_partial_state(data) -> dict:
         "tuples_in": head[0],
         "groups": head[3],
         "bytes": len(data),
+        "column_bytes": sum(size for _kind, size in layout),
         "slots": slots,
         "columns": layout,
         "summaries": summaries,

@@ -23,14 +23,18 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Callable, Generic, Hashable, NamedTuple, TypeVar
+from typing import Callable, Hashable, NamedTuple, TypeVar
 
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
-from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import KEY, RAW, Field, StreamSummary
+from repro.core.protocol import KEY, RAW, Field
 from repro.core.registry import register_summary
-from repro.sampling.weighted_reservoir import LOG_KEY, batch_log_weights, heap_fields
+from repro.sampling.weighted_reservoir import (
+    LOG_KEY,
+    HeapSampler,
+    batch_log_weights,
+    heap_fields,
+)
 
 __all__ = ["PrioritySampler", "PrioritySample", "estimate_decayed_sum"]
 
@@ -54,7 +58,7 @@ class PrioritySample(NamedTuple):
     mergeable=False,
     exact_merge=False,
 )
-class PrioritySampler(StreamSummary, Generic[T]):
+class PrioritySampler(HeapSampler[T]):
     """Size-``k`` priority sample with unbiased subset-sum estimation.
 
     Items are offered with raw weights (:meth:`update`) or log-weights
@@ -71,28 +75,10 @@ class PrioritySampler(StreamSummary, Generic[T]):
         extra=(Field("log_tau", LOG_KEY, initial=-math.inf),),
     )
 
-    def __init__(self, k: int, rng: random.Random | None = None):
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k!r}")
-        super().__init__()
-        self.k = k
-        self._rng = KeyedRandom.from_rng(rng)
-
-    @property
-    def items_seen(self) -> int:
-        """Number of stream items offered."""
-        return self._seen
-
     @property
     def log_tau(self) -> float:
         """``ln tau``: the (k+1)-th highest log-priority seen so far."""
         return self._log_tau
-
-    def update(self, item: T, weight: float) -> None:
-        """Offer ``item`` with a raw positive weight."""
-        if not weight > 0 or math.isinf(weight) or math.isnan(weight):
-            raise ParameterError(f"weight must be positive finite, got {weight!r}")
-        self.update_log(item, math.log(weight))
 
     def update_log(self, item: T, log_weight: float) -> None:
         """Offer ``item`` with ``ln(weight)`` (overflow-free path)."""
@@ -169,14 +155,6 @@ class PrioritySampler(StreamSummary, Generic[T]):
                 contribution = max(log_weight, log_tau)
                 total += math.exp(contribution - log_normalizer)
         return total
-
-    def __len__(self) -> int:
-        """Current number of retained items."""
-        return len(self._heap)
-
-    def query(self) -> PrioritySample:
-        """Primary answer (StreamSummary protocol): the current sample."""
-        return self.sample()
 
 
 def estimate_decayed_sum(

@@ -88,27 +88,10 @@ def heap_fields(*entry: Value, entry_bytes: int,
     )
 
 
-@register_summary(
-    "weighted_reservoir",
-    kind="sampler",
-    input_kind="item_weight",
-    factory=lambda: WeightedReservoirSampler(k=16, rng=random.Random(7)),
-    mergeable=False,
-    exact_merge=False,
-)
-class WeightedReservoirSampler(StreamSummary, Generic[T]):
-    """A-Res: size-``k`` weighted sample without replacement.
-
-    Items are offered with either a raw weight (:meth:`update`) or a
-    log-weight (:meth:`update_log`); mixing the two is fine, they rank on
-    the same scale.  For forward decay, pass
-    ``decayed_log_weight(decay, t_i)``.
-    """
-
-    # Max-heap on log-key via negation of (log-key, tiebreak, item): the
-    # root is the *largest* (worst) retained key, evicted first.  A key
-    # and a slot per item.
-    _FIELDS = heap_fields(LOG_KEY, RAW, KEY, entry_bytes=16)
+class HeapSampler(StreamSummary, Generic[T]):
+    """What the two log-domain heap samplers share: ``k`` and a keyed
+    generator, items offered by raw weight or by ``update_log``, and the
+    sample as the answer."""
 
     def __init__(self, k: int, rng: random.Random | None = None):
         if k < 1:
@@ -127,6 +110,37 @@ class WeightedReservoirSampler(StreamSummary, Generic[T]):
         if not weight > 0 or math.isinf(weight) or math.isnan(weight):
             raise ParameterError(f"weight must be positive finite, got {weight!r}")
         self.update_log(item, math.log(weight))
+
+    def __len__(self) -> int:
+        """Current number of retained items."""
+        return len(self._heap)
+
+    def query(self):
+        """Primary answer (StreamSummary protocol): the current sample."""
+        return self.sample()
+
+
+@register_summary(
+    "weighted_reservoir",
+    kind="sampler",
+    input_kind="item_weight",
+    factory=lambda: WeightedReservoirSampler(k=16, rng=random.Random(7)),
+    mergeable=False,
+    exact_merge=False,
+)
+class WeightedReservoirSampler(HeapSampler[T]):
+    """A-Res: size-``k`` weighted sample without replacement.
+
+    Items are offered with either a raw weight (:meth:`update`) or a
+    log-weight (:meth:`update_log`); mixing the two is fine, they rank on
+    the same scale.  For forward decay, pass
+    ``decayed_log_weight(decay, t_i)``.
+    """
+
+    # Max-heap on log-key via negation of (log-key, tiebreak, item): the
+    # root is the *largest* (worst) retained key, evicted first.  A key
+    # and a slot per item.
+    _FIELDS = heap_fields(LOG_KEY, RAW, KEY, entry_bytes=16)
 
     def update_log(self, item: T, log_weight: float) -> None:
         """Offer ``item`` with ``ln(weight)`` (overflow-free path)."""
@@ -169,11 +183,3 @@ class WeightedReservoirSampler(StreamSummary, Generic[T]):
             raise EmptySummaryError("weighted reservoir has seen no items")
         ordered = sorted(self._heap, reverse=True)
         return [item for __, __, item in ordered]
-
-    def __len__(self) -> int:
-        """Current number of retained items."""
-        return len(self._heap)
-
-    def query(self) -> list[T]:
-        """Primary answer (StreamSummary protocol): the current sample."""
-        return self.sample()

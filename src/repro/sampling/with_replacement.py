@@ -34,7 +34,7 @@ from repro.core.keyed_random import KeyedRandom
 from repro.core.protocol import DECAY, GENERATOR, KEY, LANDMARK, WEIGHT, Field, ListOf
 from repro.core.protocol import StreamSummary, Value
 from repro.core.registry import register_summary
-from repro.core.weights import ForwardWeightEngine
+from repro.core.weights import ForwardWeighted, ForwardWeightEngine
 
 __all__ = ["DecayedSamplerWithReplacement"]
 
@@ -51,7 +51,7 @@ T = TypeVar("T", bound=Hashable)
     mergeable=False,
     exact_merge=False,
 )
-class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
+class DecayedSamplerWithReplacement(ForwardWeighted, StreamSummary, Generic[T]):
     """Size-``s`` sample with replacement under any forward decay function.
 
     Parameters
@@ -99,16 +99,6 @@ class DecayedSamplerWithReplacement(StreamSummary, Generic[T]):
         # fires" fast path.
         self._next_replace: list[float] = [0.0] * s
         self._min_threshold = 0.0
-
-    @property
-    def decay(self) -> ForwardDecay:
-        """The decay model this sampler was built with."""
-        return self._engine.decay
-
-    @property
-    def items_processed(self) -> int:
-        """Number of stream items offered."""
-        return self._items
 
     @property
     def total_weight(self) -> float:

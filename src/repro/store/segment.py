@@ -7,13 +7,14 @@ its blob, so a cold group on disk and the same group in a shipped partial
 are the same column bytes.  The store writes one page per eviction batch
 and reads a page at most once per fault batch or scan; a page of one row
 is the record-shaped case (:meth:`SegmentWriter.append`,
-:func:`read_record_at`), not a second format.  Layout (format version 6,
+:func:`read_record_at`), not a second format.  Layout (format version 7,
 the only one this module writes or reads — an older segment is refused
 with its version named; DESIGN.md §2.9 has the envelope)::
 
-    header   "RSEG" <u8 version = 6>                  (serde.head)
+    header   "RSEG" <u8 version = 7>                  (serde.head)
     pages    <u32 body length> <u32 CRC32(body)> <body>            (each)
-             body := <u16 key parts> <u16 slots> <u32 rows>
+             body := serde.deflate(page)
+             page := <u16 key parts> <u16 slots> <u32 rows>
                      slots x <i16 slot code>  (one per aggregate)
                      core/cols batch          (rows x [key columns, state columns])
     footer   <u32 body length> <u32 CRC32(body)> <body>           (a frame)
@@ -72,12 +73,13 @@ __all__ = [
     "fsync_dir",
 ]
 
-#: 3 had no int-width ``f64``, 4 its own footer magic, 5 no string heads;
-#: an older build refuses a version-6 segment at open, not quarantining it.
+#: 3 had no int-width ``f64``, 4 its own footer magic, 5 no string heads,
+#: 6 plain pages; an older build refuses a version-7 segment at open, not
+#: quarantining it.
 SEGMENT_VERSION = SEGMENT.version
 
 _HEADER = head(SEGMENT)
-_FOOTER = SEGMENT._replace(name="segment footer")  # how its errors name it
+_FOOTER = SEGMENT._replace(name="segment footer", deflated=False)  # plain
 _TRAILER = struct.Struct("<Q")  # footer offset
 _PAGE_HEAD = struct.Struct("<HHI")  # key parts, slots, rows
 _FOOTER_HEAD = struct.Struct("<IQ")  # pages, rows
@@ -138,7 +140,7 @@ def _encode_page(keys: list[tuple], rows: list[list]) -> bytes:
         struct.pack(f"<{len(slots)}h", *slots),
         pack_cols(cols),
     ))
-    return frame(body)
+    return frame(SEGMENT, body)
 
 
 class Page:
@@ -306,7 +308,7 @@ class SegmentWriter:
                 for _offset, length, rows in self.pages
             ),
         ))
-        self._handle.write(frame(index_body))
+        self._handle.write(frame(_FOOTER, index_body))
         self._handle.write(_TRAILER.pack(self._offset))
         self._handle.flush()
         os.fsync(self._handle.fileno())

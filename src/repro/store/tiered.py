@@ -274,12 +274,14 @@ class TieredStore:
         self._dir = KeyDirectory(self._dir_path)
         return None
 
-    def _wipe_segments(self) -> None:
+    def _wipe_segments(self, keep=frozenset()) -> None:
+        """Unlink every segment, staging, quarantine and directory file
+        whose name is not in ``keep``."""
         for entry in os.listdir(self._segments_dir):
-            if entry.endswith((".seg", ".tmp", ".quarantined")):
+            if entry not in keep and entry.endswith((".seg", ".tmp", ".quarantined")):
                 _unlink_quiet(os.path.join(self._segments_dir, entry))
         for entry in os.listdir(self.directory):
-            if entry.startswith("keys") and ".dir" in entry:
+            if entry not in keep and entry.startswith("keys") and ".dir" in entry:
                 _unlink_quiet(os.path.join(self.directory, entry))
 
     def _recover(self, fields: dict, manifest_path: str) -> dict:
@@ -294,10 +296,7 @@ class TieredStore:
         referenced = set(manifest["segments"])
         for seg_name in sorted(referenced):
             reader = SegmentReader(self._segment_path(seg_name))
-            seg_id = _segment_number(seg_name)
-            self._seg_by_id[seg_id] = seg_name
-            self._seg_total[seg_id] = reader.records
-            self._seg_live[seg_id] = 0
+            self._track(_segment_number(seg_name), seg_name, reader.records)
         id_set = set(self._seg_by_id)
         snap_name = manifest["directory_file"]
         snap_path = os.path.join(self.directory, snap_name)
@@ -317,7 +316,6 @@ class TieredStore:
                 )
             self._seg_live[seg_id] += 1
         self._dir_snapshots = [snap_name]
-        keep_files = {_DIRECTORY_NAME, snap_name}
         self._manifest_segments = set(referenced)
         self._ckpt_names = [n for n in referenced if n.startswith("ckpt-")]
         numbers = [_segment_number(n) for n in referenced]
@@ -327,15 +325,7 @@ class TieredStore:
         # segments, aborted staging files, old quarantines, superseded
         # directory snapshots — is garbage from after the checkpoint;
         # recovery means the manifest's world.
-        for entry in os.listdir(self._segments_dir):
-            if entry in referenced:
-                continue
-            if entry.endswith((".seg", ".tmp", ".quarantined")):
-                _unlink_quiet(os.path.join(self._segments_dir, entry))
-        for entry in os.listdir(self.directory):
-            if (entry.startswith("keys") and ".dir" in entry
-                    and entry not in keep_files):
-                _unlink_quiet(os.path.join(self.directory, entry))
+        self._wipe_segments(referenced | {_DIRECTORY_NAME, snap_name})
         self._arrivals = manifest["arrivals"]
         return manifest
 
@@ -667,16 +657,24 @@ class TieredStore:
                 _unlink_quiet(path)
         if name is not None:
             self._dir.drop_segment(seg_id)
-            self._seg_by_id.pop(seg_id, None)
-            self._seg_total.pop(seg_id, None)
-            self._seg_live.pop(seg_id, None)
-        self._drop_handle(seg_id)
+        self._forget(seg_id)
         self._quarantined += 1
 
     # -- segment lifecycle --------------------------------------------------------
 
     def _segment_path(self, seg_name: str) -> str:
         return os.path.join(self._segments_dir, seg_name)
+
+    def _track(self, seg_id: int, name: str, total: int = 0) -> None:
+        """Count a segment of ``total`` rows, none of them live yet."""
+        self._seg_by_id[seg_id], self._seg_total[seg_id] = name, total
+        self._seg_live[seg_id] = 0
+
+    def _forget(self, seg_id: int) -> None:
+        """Drop a segment's counts and its cached read handle."""
+        for table in (self._seg_by_id, self._seg_total, self._seg_live):
+            table.pop(seg_id, None)
+        self._drop_handle(seg_id)
 
     def _next_name(self, prefix: str = "", suffix: str = ".seg") -> str:
         name = f"{prefix}{self._next_seg:06d}{suffix}"
@@ -690,9 +688,7 @@ class TieredStore:
         self._writer = writer
         self._writer_id = seg_id
         self._writer_dirty = False
-        self._seg_by_id[seg_id] = name
-        self._seg_total[seg_id] = 0
-        self._seg_live[seg_id] = 0
+        self._track(seg_id, name)
         return writer
 
     def _seal_writer(self) -> None:
@@ -704,9 +700,7 @@ class TieredStore:
         self._writer_id = None
         self._writer_dirty = False
         if writer.records == 0:
-            self._seg_by_id.pop(seg_id, None)
-            self._seg_total.pop(seg_id, None)
-            self._seg_live.pop(seg_id, None)
+            self._forget(seg_id)
             writer.abort()
             return
         writer.finalize()
@@ -759,9 +753,7 @@ class TieredStore:
             builder.flush()
             writer.finalize()
             new_id = _segment_number(new_name)
-            self._seg_by_id[new_id] = new_name
-            self._seg_total[new_id] = writer.records
-            self._seg_live[new_id] = 0
+            self._track(new_id, new_name, writer.records)
             for (old_seg, old_off), (h, new_off, new_len) in zip(
                 sources, builder.placed
             ):
@@ -773,10 +765,7 @@ class TieredStore:
         for seg_id, name in victims.items():
             if seg_id in lost:
                 continue  # quarantined: its rows are gone, not copied
-            self._seg_total.pop(seg_id)
-            self._seg_live.pop(seg_id)
-            self._seg_by_id.pop(seg_id)
-            self._drop_handle(seg_id)
+            self._forget(seg_id)
             path = self._segment_path(name)
             if name in self._manifest_segments:
                 self._retired.append(path)
@@ -973,12 +962,8 @@ class TieredStore:
         self._manifest_segments = referenced_set
         for old in self._ckpt_names:
             if old not in referenced_set:
-                old_id = _segment_number(old)
                 _unlink_quiet(self._segment_path(old))
-                self._seg_by_id.pop(old_id, None)
-                self._seg_total.pop(old_id, None)
-                self._seg_live.pop(old_id, None)
-                self._drop_handle(old_id)
+                self._forget(_segment_number(old))
         self._ckpt_names = [ckpt_name] if ckpt_name else []
         for old in self._dir_snapshots:
             if old != snap_name:
@@ -988,9 +973,7 @@ class TieredStore:
             # The ckpt segment is sealed but holds no cold entries;
             # track totals so inspect/compaction accounting stays
             # consistent.
-            self._seg_by_id[ckpt_id] = ckpt_name
-            self._seg_total[ckpt_id] = len(high)
-            self._seg_live[ckpt_id] = 0
+            self._track(ckpt_id, ckpt_name, len(high))
         return manifest_path
 
     # -- statistics ---------------------------------------------------------------
@@ -1060,9 +1043,7 @@ class TieredStore:
             self._writer.abort()
             self._writer = None
             self._writer_id = None
-            self._seg_by_id.pop(seg_id, None)
-            self._seg_total.pop(seg_id, None)
-            self._seg_live.pop(seg_id, None)
+            self._forget(seg_id)
         for seg_id in list(self._handles):
             self._drop_handle(seg_id)
         if self._dir is not None:
@@ -1111,8 +1092,9 @@ def _read_manifest(manifest_path: str) -> dict:
 def describe_store(directory: str) -> dict:
     """What ``repro store inspect`` reports for one store directory: the
     checkpoint manifest (read as recovery reads it) and, per segment file,
-    its format, pages, rows, live rows and first page's slot layout and
-    column encodings.  Every page is CRC-checked and decoded: a bad
+    its format, pages, rows, live rows, pages' stored bytes beside their
+    columns' inflated bytes, and first page's slot layout and column
+    encodings.  Every page is CRC-checked and decoded: a bad
     segment is listed as ``corrupt`` or ``unsupported``, while a bad
     manifest or directory snapshot is a :class:`StoreError`."""
     if not os.path.isdir(directory):
@@ -1159,12 +1141,13 @@ def _describe_segment(path: str, live: int) -> dict:
         reader = SegmentReader(path)
         summaries: dict[str, dict[str, int]] = {}
         layout: list[str] | None = None
+        entry["column_bytes"] = 0  # inflated, beside the pages' stored bytes
         for page in reader.iter_pages():
-            states = page.states()
+            states, columns = page.states(), page.columns()
+            entry["column_bytes"] += sum(size for _kind, size in columns)
             if layout is None:
                 entry["columns"] = [
-                    [kind, round(size / len(page), 2)]
-                    for kind, size in page.columns()
+                    [kind, round(size / len(page), 2)] for kind, size in columns
                 ]
                 layout = [
                     "ragged" if code == RAGGED_SLOT
@@ -1188,6 +1171,7 @@ def _describe_segment(path: str, live: int) -> dict:
     entry["summaries"] = dict(sorted(summaries.items()))
     entry["format"] = f"v{SEGMENT.version}"
     entry["pages"] = len(reader.pages)
+    entry["page_bytes"] = sum(length for _offset, length, _rows in reader.pages)
     entry["records"] = reader.records
     entry["live"] = live
     entry["bytes_per_live_row"] = round(entry["bytes"] / live, 2) if live else None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import zlib
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.core.serde import PARTIALS_CHECKPOINT_VERSION
 from repro.dsms.engine import PARTIAL_STATE_VERSION
 from repro.store import MANIFEST_VERSION
 from repro.workloads.netflow import PACKET_SCHEMA, generate_trace
+from tests.dsms.test_partial_codec import GOLDEN_ZLIB
 from tests.store.test_tiered import manifest_json, sealed_manifest
 
 
@@ -291,12 +293,13 @@ class TestStoreInspectCommand:
         assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
         report_lines = [ln for ln in out.splitlines() if ".seg" in ln]
-        assert report_lines and all("v6" in ln for ln in report_lines)
+        assert report_lines and all("v7" in ln for ln in report_lines)
         assert all(
             "pages" in ln and "rows" in ln and "live" in ln
             for ln in report_lines
         )
         assert "B/live row" in out
+        assert "B stored," in out and "B of columns inflated" in out
         assert "slots: scalars x1" in out  # count(*) keeps one scalar
         # The destIP keys of a page share "192.168.<n>.": stored once.
         assert "columns, B/row of the first page: i8:1.0 str/u8+head10:" in out
@@ -311,7 +314,7 @@ class TestStoreInspectCommand:
         assert report["manifest"]["groups"] > 0
         assert report["manifest"]["directory_file"].endswith(".dir")
         assert all(s["status"] == "ok" for s in report["segments"])
-        assert all(s["format"] == "v6" for s in report["segments"])
+        assert all(s["format"] == "v7" for s in report["segments"])
         for segment in report["segments"]:
             assert 0 < segment["pages"] <= segment["records"]
             assert segment["layout"] == ["scalars x1"]
@@ -374,11 +377,15 @@ class TestStoreInspectCommand:
                 tally["unary_spacesaving"]["buffers"]
             )
             assert tally["priority_sampler"]["bytes"] > 2_500  # the RNG state
-        # Each tally counts the bytes its columns take in the file.
+        # Each segment's pages as stored (deflated) beside its columns'
+        # inflated bytes, of which each tally counts its own.
+        assert [s["column_bytes"] for s in report["segments"]] == [25_069, 7_686]
+        if zlib.ZLIB_RUNTIME_VERSION == GOLDEN_ZLIB:  # another picks other streams
+            assert [s["page_bytes"] for s in report["segments"]] == [8_677, 4_614]
         for segment in report["segments"]:
-            if segment["summaries"]:
-                stored = sum(t["bytes"] for t in segment["summaries"].values())
-                assert stored < segment["bytes"]
+            inflated = sum(t["bytes"] for t in segment["summaries"].values())
+            assert inflated < segment["column_bytes"]
+            assert segment["page_bytes"] < segment["bytes"]
         assert [s["layout"] for s in report["segments"] if s["summaries"]][0] == [
             "summary:unary_spacesaving", "summary:priority_sampler",
         ]
@@ -391,12 +398,13 @@ class TestStoreInspectCommand:
         "offset, mask, status, detail",
         [
             (30, 0xFF, "corrupt:", "fails its CRC32"),
-            # The version byte 6 -> 1 or 5: an older segment, refused by
+            # The version byte 7 -> 1, 5 or 6: an older segment, refused by
             # name.
-            (4, 0x07, "unsupported:", "unsupported version 1 "),
-            (4, 0x03, "unsupported:", "unsupported version 5 "),
+            (4, 0x06, "unsupported:", "unsupported version 1 "),
+            (4, 0x02, "unsupported:", "unsupported version 5 "),
+            (4, 0x01, "unsupported:", "unsupported version 6 "),
         ],
-        ids=["crc", "older-version", "older-version-5"],
+        ids=["crc", "older-version", "older-version-5", "older-version-6"],
     )
     def test_inspect_flags_corruption(
         self, tmp_path, capsys, offset, mask, status, detail
@@ -514,6 +522,7 @@ class TestCheckpointInspectCommand:
         # destIP keys' shared "192.168." once.
         assert "i8:" in out and "str/u8+head8:" in out
         assert "f64/i16:316 (2.0/row)" in out and "f64/i16:342 (2.1/row)" in out
+        assert "(1,523 B of columns inflated)" in out
 
     def test_inspect_json(self, tmp_path, capsys):
         import json
@@ -532,7 +541,9 @@ class TestCheckpointInspectCommand:
             "i8", "str/u8+head8", "i8", "f64/i16",
         ]
         assert report["blobs"][1]["columns"][-1] == ["f64/i16", 342]
-        assert sum(size for _kind, size in columns) < report["blobs"][0]["bytes"]
+        # Each blob deflated, beside its columns' inflated bytes.
+        assert report["blobs"][0]["column_bytes"] == sum(size for _k, size in columns)
+        assert all(b["bytes"] < b["column_bytes"] for b in report["blobs"])
 
     def test_inspect_names_summary_slots_and_their_bytes(self, tmp_path, capsys):
         import json
@@ -549,7 +560,13 @@ class TestCheckpointInspectCommand:
         assert (slot["slot"], slot["type"]) == (1, "unary_spacesaving")
         assert slot["buffers"] == blob["groups"]
         assert report["summary_bytes"] == slot["bytes"]
-        assert 0.5 * report["bytes"] < slot["bytes"] < report["bytes"]
+        # The blob as stored (deflated) beside its columns' inflated bytes,
+        # most of them the slot's.
+        assert blob["column_bytes"] == 6_555
+        if zlib.ZLIB_RUNTIME_VERSION == GOLDEN_ZLIB:  # another picks other streams
+            assert blob["bytes"] == 1_380
+        assert blob["bytes"] < report["bytes"]
+        assert 0.5 * blob["column_bytes"] < slot["bytes"] < blob["column_bytes"]
         # The bytes the slot's column takes in the file: its buffers'
         # shared head is counted once.
         name, size = blob["columns"][-1]

@@ -9,11 +9,17 @@ one ``error``, pass ``refusal`` and leave a ``fresh`` target
 a codec without a checksum satisfy ``accept``.  ``refused_share`` bounds
 the refusals from below, ``ceiling`` what mutants allocate under
 tracemalloc (which slows a decoder tenfold: a traced row sets ``cuts``
-false and leaves its truncations to a sibling row).
+false and leaves its truncations to a sibling row).  ``headroom`` is the
+cheap, coarser ceiling: the address space the mutants may add to the
+process, an ``RLIMIT_AS`` the kernel enforces at no cost per allocation
+(a mutant past it raises ``MemoryError``; tracemalloc where there is no
+``/proc``).
 """
 
 from __future__ import annotations
 
+import os
+import resource
 import tracemalloc
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -51,6 +57,7 @@ class Row:
     untouched: Callable | None = None
     refused_share: float = 0.0
     ceiling: int | None = None
+    headroom: int | None = None
     cuts: bool = True
     positions: list | None = None
 
@@ -72,12 +79,28 @@ def _mutants(row: Row):
         yield False, mutant, ("extra", number)
 
 
+def _cap_address_space(headroom: int):
+    """Cap this process's address space ``headroom`` bytes above its size;
+    the limits to restore, or None where there is no ``/proc``."""
+    if not os.path.exists("/proc/self/statm"):
+        return None
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as handle:
+        size = int(handle.read().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (size + headroom, limits[1]))
+    return limits
+
+
 def sweep(row: Row) -> None:
     """Judge every mutant of ``row``; see the module docstring."""
     decode, fresh = row.decode, row.fresh
     reference = decode(row.data) if fresh is None else decode(fresh(), row.data)
     refused = total = 0
-    if row.ceiling is not None:
+    ceiling, limits = row.ceiling, None
+    if row.headroom is not None:
+        limits = _cap_address_space(row.headroom)
+        ceiling = row.headroom if limits is None else ceiling
+    if ceiling is not None:
         tracemalloc.start()
     try:
         for must_refuse, mutant, label in _mutants(row):
@@ -90,15 +113,19 @@ def sweep(row: Row) -> None:
                 assert row.refusal is None or row.refusal(error), (label, error)
                 assert row.untouched is None or row.untouched(target), label
                 continue
+            except MemoryError:
+                raise AssertionError(f"{label} allocated past the headroom") from None
             assert not must_refuse, f"{label} was not refused"
             assert (
                 value == reference if row.accept is None
                 else row.accept(value, reference)
             ), f"{label} decoded to a different value"
-        if row.ceiling is not None:
+        if ceiling is not None:
             peak = tracemalloc.get_traced_memory()[1]
-            assert peak < row.ceiling, f"a mutant allocated {peak >> 20} MiB"
+            assert peak < ceiling, f"a mutant allocated {peak >> 20} MiB"
     finally:
-        if row.ceiling is not None:
+        if ceiling is not None:
             tracemalloc.stop()
+        if limits is not None:
+            resource.setrlimit(resource.RLIMIT_AS, limits)
     assert refused >= row.refused_share * total, (refused, total)

@@ -209,9 +209,9 @@ class TestReplyTooLarge:
     #: partial-state reply does not: a one-row group per destIP in each of
     #: BUCKETS buckets, enough that the reply is over LIMIT with margin
     #: (checked before each scenario, not assumed: a smaller state codec
-    #: shrinks it).
+    #: shrinks it — these regular rows deflate about 3x).
     SMALL_RESULT_SQL = SQL + " having c > 4"
-    BUCKETS = 40
+    BUCKETS = 400
     BATCHES = [make_rows(4, start=100 + 60 * j) for j in range(BUCKETS)] + [
         # All 25 rows in one bucket, after the others: five in the survivor.
         [row for row in make_rows(25, start=60 * (BUCKETS + 2)) if row[3] == "d0"]

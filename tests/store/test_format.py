@@ -6,8 +6,9 @@ Two guarantees pinned here:
   byte-for-byte stable.  Any codec change that alters bytes on disk —
   intentional or not — fails these tests and forces a version bump
   instead of a silent format fork.  The segments older builds wrote
-  (``GOLDEN_V3_WIDE``, ``GOLDEN_V5``) are refused by their version; the
-  older column kinds inside a current-version file still decode.
+  (``GOLDEN_V3_WIDE``, ``GOLDEN_V5``, ``GOLDEN_V6``) are refused by their
+  version; the older column kinds inside a current-version file still
+  decode.
 
 * **No garbage, ever.**  A segment truncated at *any* byte, or with any
   single corrupted byte, must either read back exactly the original
@@ -20,18 +21,22 @@ from __future__ import annotations
 
 import binascii
 import struct
+import zlib
 
 import pytest
 
 from repro.core.errors import StoreError
-from repro.core.serde import SEGMENT, frame, head
+from repro.core.serde import SEGMENT, frame, head, inflate
 from repro.store.segment import (
     SEGMENT_VERSION,
     SegmentReader,
     SegmentWriter,
     read_record_at,
 )
+from tests.dsms.test_partial_codec import GOLDEN_ZLIB
 
+#: How a segment frames its footer: plain.
+PLAIN = SEGMENT._replace(deflated=False)
 #: The segment layer never parses a summary: any buffer will do.
 SUMMARY = b"\x02\x03abc-opaque-summary-buffer"
 
@@ -51,8 +56,24 @@ PAGES = [
 
 #: The writer's output: the page batches at the typed column encodings
 #: (i8 states, str/u8 keys with their shared "h-" once, a bytes/u8
-#: summary column).
+#: summary column), each page deflated (by zlib 1.2.13: ``GOLDEN_ZLIB``).
 GOLDEN = (
+    "52534547079b000000f4eb718201bf0000006362606260616000928c601ac804"
+    "0316065690b04f74b452665e89928e79ac4eb4524e66496a51628e924e5e694e"
+    "0e8a404951692a4800acd6d0d0c2c0d4d2d0ccc8c0dcd0dcc4d0d0d8c0d8c4c8"
+    "24367631d0407126561656a60cddc49c828cc4a4d492c4f4c4dcdcc4735b0c81"
+    "722ccc0c8c4c4c408682838b039062606800930c0cf51f208c3af327361d0ca5"
+    "73c0aa199998590044000000ee45b54a014f0000006364606260646000e2ffff"
+    "5980340c3032303301d91c0e504143208791531548ca483331272625ebe61724"
+    "1696a6ea1697e6e6261655ea2695a6a5a516010047000000b15d118401600000"
+    "006364606460626060f8f79f0548c2001303933290cdc2c898980412b78c8e56"
+    "cac92c2e51d2013232f380b461ac4eb4525a4e7e22906da467101b0be2a32b01"
+    "8a02002400000048e3125b030000000700000000000000a3000000040000004c"
+    "000000010000004f000000020000004301000000000000"
+)
+#: The same pages as a version-6 segment of the commits before deflated
+#: pages: each page body is what ``GOLDEN``'s pages inflate to.
+GOLDEN_V6 = (
     "5253454706bf0000009d13ef4e02000200040000000200010004000000000000"
     "0000000000040005040000004c5b5b22696e74222c375d2c5b226c6974657261"
     "6c222c6e756c6c5d2c5b226c69746572616c222c747275655d2c5b22696e7422"
@@ -110,20 +131,34 @@ GOLDEN_V3_WIDE = (
 )
 
 
-def restamp(golden: str) -> bytes:
-    """A version-3 or -5 segment as a current one: its page index (less a
-    version 3 version word) framed behind a bare offset, every page
-    untouched (the column codec reads every version it ever wrote)."""
-    data = binascii.unhexlify(golden)
-    if data[4] == 5:  # only the version byte moved since
-        return head(SEGMENT) + data[len(head(SEGMENT)):]
-    (footer,) = struct.unpack_from("<Q", data, len(data) - 12)
+def pages_of(data: bytes) -> tuple[bytes, list[tuple[bytes, int]]]:
+    """A segment's page index head and ``(stored body, rows)`` per page."""
+    trailer = 12 if data[4] == 3 else 8  # version 3 ended in a footer magic
+    (footer,) = struct.unpack_from("<Q", data, len(data) - trailer)
     (length,) = struct.unpack_from("<I", data, footer)
-    index = data[footer + 12:footer + 8 + length]
+    index = data[footer + trailer:footer + 8 + length]  # less 3's version word
+    pages, at = [], len(head(SEGMENT))
+    for framed, rows in struct.iter_unpack("<II", index[12:]):
+        pages.append((data[at + 8:at + framed], rows))
+        at += framed
+    return index[:12], pages
+
+
+def segment_of(index_head: bytes, pages: list[tuple[bytes, int]]) -> bytes:
+    """A current-version segment of ``(framed page, rows)`` pages."""
+    index = index_head + b"".join(struct.pack("<II", len(p), n) for p, n in pages)
     return b"".join((
-        head(SEGMENT), data[len(head(SEGMENT)):footer],
-        frame(index), struct.pack("<Q", footer),
+        head(SEGMENT), *(page for page, _rows in pages), frame(PLAIN, index),
+        struct.pack("<Q", len(head(SEGMENT)) + sum(len(p) for p, _n in pages)),
     ))
+
+
+def restamp(golden: str) -> bytes:
+    """A version-3, -5 or -6 segment as a current one: each page body
+    framed (and so deflated) afresh behind a rebuilt index, every body
+    untouched (the column codec reads every version it ever wrote)."""
+    index_head, pages = pages_of(binascii.unhexlify(golden))
+    return segment_of(index_head, [(frame(SEGMENT, body), n) for body, n in pages])
 
 
 def build_segment(path: str) -> str:
@@ -151,11 +186,18 @@ class TestGoldenBytes:
         path = build_segment(str(tmp_path / "g.seg"))
         with open(path, "rb") as handle:
             data = handle.read()
-        assert data == binascii.unhexlify(GOLDEN), binascii.hexlify(data)
+        # Version 7 deflates version 6's page bodies, byte for byte.
+        assert [bytes(inflate(SEGMENT, body)) for body, _ in pages_of(data)[1]] == [
+            body for body, _rows in pages_of(binascii.unhexlify(GOLDEN_V6))[1]
+        ]
+        if zlib.ZLIB_RUNTIME_VERSION == GOLDEN_ZLIB:  # another picks other streams
+            assert data == binascii.unhexlify(GOLDEN), binascii.hexlify(data)
+            assert restamp(GOLDEN_V6) == data
 
     @pytest.mark.parametrize(
         "golden", [binascii.unhexlify(GOLDEN), restamp(GOLDEN_V3_WIDE),
-                   restamp(GOLDEN_V5)], ids=["v6", "v3-wide", "v5"],
+                   restamp(GOLDEN_V5), restamp(GOLDEN_V6)],
+        ids=["v7", "v3-wide", "v5", "v6"],
     )
     def test_golden_bytes_decode_to_the_source_rows(self, tmp_path, golden):
         # The inverse direction: committed bytes (not freshly written
@@ -165,7 +207,7 @@ class TestGoldenBytes:
         with open(path, "wb") as handle:
             handle.write(golden)
         reader = SegmentReader(path)
-        assert SEGMENT_VERSION == 6
+        assert SEGMENT_VERSION == 7
         assert reader.records == 7
         assert [rows for _o, _l, rows in reader.pages] == [4, 1, 2]
         decoded = [(keys, states) for _o, keys, states in read_everything(path)]
@@ -180,7 +222,9 @@ class TestGoldenBytes:
             [2, 1], [1, -1], [-2],
         ]
 
-    @pytest.mark.parametrize("golden, version", [(GOLDEN_V3_WIDE, 3), (GOLDEN_V5, 5)])
+    @pytest.mark.parametrize("golden, version", [
+        (GOLDEN_V3_WIDE, 3), (GOLDEN_V5, 5), (GOLDEN_V6, 6),
+    ])
     def test_an_older_segment_is_refused_naming_its_version(
         self, tmp_path, golden, version
     ):

@@ -206,7 +206,8 @@ class TestByteIdentity:
 
     def test_compaction_preserves_results(self, tmp_path, monkeypatch):
         rows = make_rows(2_000, groups=300)
-        monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", 4 << 10)
+        # Deflated pages are ~3x smaller here: 1 KiB seals what 4 KiB did.
+        monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", 1 << 10)
         # Modest churn must still qualify.
         monkeypatch.setattr(tiered_mod, "_COMPACT_GARBAGE_RATIO", 0.1)
         store = TieredStore(str(tmp_path / "s"), hot_groups=4)
@@ -705,7 +706,8 @@ class TestCorruptionContainment:
 
     def test_bit_flip_quarantines_and_keeps_serving(self, tmp_path, monkeypatch):
         rows = make_rows(1_500, groups=250)
-        monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", 8 << 10)
+        # Small enough that a segment seals despite deflated pages.
+        monkeypatch.setattr(tiered_mod, "_SEGMENT_BYTES", 2 << 10)
         # Keep sealed segments around.
         monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
         store = TieredStore(str(tmp_path / "s"), hot_groups=8)

@@ -3,7 +3,8 @@
 Rows: the summary buffer, the payload tree, the column batch (full and
 projected decode), the partial-state blob, ``checkpoint.bin``, a segment
 file, a key-directory snapshot and a store manifest.  Each sealed format
-also refuses every other version by number.
+also refuses every other version by number, and each deflated one every
+lie a well-checksummed body can tell its inflater, within 1 MiB.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import dataclasses
 import functools
 import itertools
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.core import registry, serde
 from repro.core.cols import pack_cols, unpack_cols
 from repro.core.errors import MergeError, ParameterError, ProtocolError, StoreError
 from repro.core.protocol import StreamSummary
+from repro.core.serde import frame
 from repro.core.tree import pack_tree, unpack_tree
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
@@ -37,7 +41,13 @@ from tests.core.test_tree_codec import TestHostileInput as TreeFixtures
 from tests.dsms.test_partial_codec import GOLDEN_BLOB, golden_engine, untouched
 from tests.hostile import BYTE_MASKS, Row, any_value, bit_flips, sweep
 from tests.serve.test_checkpoint import GOLDEN_IMAGE
-from tests.store.test_format import build_segment, read_everything
+from tests.store.test_format import (
+    PLAIN,
+    build_segment,
+    pages_of,
+    read_everything,
+    segment_of,
+)
 from tests.store.test_tiered import BUILTIN_SQL, SCHEMA, checkpointed_store
 
 
@@ -60,7 +70,7 @@ def summary_flips_row(name: str, tmp_path) -> Row:
     damaged.extend(itertools.islice(bit_flips(blob), 0, None, stride))
     return Row(
         blob, StreamSummary.from_bytes, ParameterError, masks=(), cuts=False,
-        extra=damaged, accept=any_value, ceiling=32 << 20,
+        extra=damaged, accept=any_value, headroom=32 << 20,
     )
 
 
@@ -98,13 +108,34 @@ def projected_cols_row(cols: list, tmp_path) -> Row:
                refuse=[body + b"\x00"], accept=_shaped)
 
 
+def lies(stored: bytes) -> list[bytes]:
+    """Damaged versions of a deflated body, each to be framed with its
+    CRC recomputed so that the inflater, not the CRC, must refuse it."""
+    (length,) = struct.unpack_from("<I", stored, 1)
+    zeros = zlib.compressobj(1, zlib.DEFLATED, -15)
+    return [
+        *(stored[:1] + struct.pack("<I", n) + stored[5:]
+          for n in (length - 1, length + 1, (1 << 32) - 1)),  # lengths that lie
+        stored[:len(stored) // 2], stored[:-1],  # streams cut short
+        stored + b"\x00",  # a byte after the stream's end
+        b"\x02" + stored[1:],  # an unknown kind
+        stored[:5] + b"\xff" + stored[6:],  # not a deflate stream
+        # An honest stream that inflates past the growth bound.
+        b"\x01" + struct.pack("<I", 1 << 20) + zeros.compress(bytes(1 << 20))
+        + zeros.flush(),
+    ]
+
+
 def partial_blob_row(tmp_path) -> Row:
     def merged(engine, data):
         engine.merge_partial(data)
         return engine.partial_state_bytes()
 
     assert merged(golden_engine(), GOLDEN_BLOB) == GOLDEN_BLOB
+    stored = GOLDEN_BLOB[13:]
     return Row(GOLDEN_BLOB, merged, MergeError, masks=BYTE_MASKS,
+               refuse=[serde.envelope(serde.PARTIAL_STATE, lie) + lie
+                       for lie in lies(stored)],
                fresh=golden_engine, untouched=untouched, refused_share=0.99)
 
 
@@ -118,7 +149,11 @@ def segment_row(tmp_path) -> Row:
             handle.write(data)
         return repr(read_everything(mutant))
 
+    index_head, ((stored, rows), *others) = pages_of(data)
+    rest = [(frame(PLAIN, body), n) for body, n in others]
     return Row(data, decode, StoreError, masks=BYTE_MASKS, refused_share=0.99,
+               refuse=[segment_of(index_head, [(frame(PLAIN, lie), rows), *rest])
+                       for lie in lies(stored)],
                refusal=lambda error: error.segment == mutant
                and error.offset is not None and mutant in str(error))
 
@@ -223,6 +258,14 @@ SEALED = {"partial-blob": serde.PARTIAL_STATE, "checkpoint": serde.PARTIALS_CHEC
 ])
 def test_every_mutant_is_refused_or_decoded_alike(name, tmp_path):
     sweep(ROWS[name](tmp_path))
+
+
+@pytest.mark.parametrize("name", ["partial-blob", "segment-file"])
+def test_a_lying_deflated_body_is_refused_before_it_allocates(name, tmp_path):
+    row = ROWS[name](tmp_path)
+    assert len(row.refuse) == 9
+    sweep(dataclasses.replace(row, cuts=False, masks=(), refused_share=1.0,
+                              ceiling=1 << 20))
 
 
 @pytest.mark.parametrize("name, version", [
