@@ -2,14 +2,14 @@
 
 Generalizes :func:`repro.parallel.routing.stable_route` from "key modulo
 ``n`` shards" to a hash ring with virtual nodes: every node owns
-``_VNODES`` points on the unit circle, and a key belongs to the first
-point at or after its own hash position (wrapping).  Two properties make
-this the right placement for a fleet:
+``_VNODES`` points on a circle of ``2**64`` positions, and a group key
+belongs to the first point at or after its own position (wrapping).  Two
+properties make this the right placement for a fleet:
 
-* **Determinism.**  Positions come from :func:`~repro.sketches.kmv.
-  hash_to_unit` (blake2b over ``repr``), so the same membership routes
-  the same keys identically across processes, runs, and hosts — the
-  coordinator can be restarted without remapping anything.
+* **Determinism.**  A position is a :func:`~repro.core.groups.group_hash`
+  (a key's, or ``("ring", name, replica)``'s for a node point), so one
+  membership routes every spelling of a group to one node in every
+  process, run and host: a coordinator restarts without remapping.
 * **Minimal movement.**  Adding or removing one node reassigns only the
   keys in that node's arcs (an expected ``1/n`` fraction); everything
   else keeps its owner.  Since Section VI-B partial states merge
@@ -26,15 +26,12 @@ from __future__ import annotations
 import bisect
 
 from repro.core.errors import ParameterError
-from repro.sketches.kmv import hash_to_unit
+from repro.core.groups import group_hash
 
 __all__ = ["HashRing"]
 
 #: Points each node places on the ring.
 _VNODES = 64
-
-#: The BLAKE2 key every position is hashed under.
-_SEED = 0
 
 
 class HashRing:
@@ -42,21 +39,20 @@ class HashRing:
 
     Nodes are identified by string name; positions are derived from
     ``(name, replica)`` so a node's arcs are a pure function of its name
-    (and of ``_VNODES`` / ``_SEED``, read once when the ring is built).
+    (and of ``_VNODES``, read when a node is added).
     """
 
     def __init__(self, nodes=()):
-        self.vnodes = _VNODES
-        self.seed = _SEED
-        self._points: list[tuple[float, str]] = []
-        self._positions: list[float] = []
+        #: ``(position, name)`` of every node point, in ring order.
+        self._points: list[tuple[int, str]] = []
+        self._positions: list[int] = []
         self._names: set[str] = set()
         for name in nodes:
             self.add(name)
 
-    def _rebuild(self) -> None:
-        self._points.sort()
-        self._positions = [position for position, __ in self._points]
+    def _place(self, points) -> None:
+        self._points = sorted(points)
+        self._positions = [position for position, _name in self._points]
 
     def add(self, name: str) -> None:
         """Place ``name``'s virtual nodes on the ring."""
@@ -65,28 +61,25 @@ class HashRing:
         if name in self._names:
             raise ParameterError(f"node {name!r} is already on the ring")
         self._names.add(name)
-        for replica in range(self.vnodes):
-            position = hash_to_unit(("ring", name, replica), seed=self.seed)
-            self._points.append((position, name))
-        self._rebuild()
+        self._place(self._points + [
+            (group_hash(("ring", name, replica)), name)
+            for replica in range(_VNODES)
+        ])
 
     def remove(self, name: str) -> None:
         """Take ``name`` off the ring; its arcs fall to their successors."""
         if name not in self._names:
             raise ParameterError(f"node {name!r} is not on the ring")
         self._names.remove(name)
-        self._points = [p for p in self._points if p[1] != name]
-        self._rebuild()
+        self._place(p for p in self._points if p[1] != name)
 
-    def node_for(self, key: object) -> str:
-        """The node owning ``key``: first ring point at or after its hash."""
+    def node_for(self, key: tuple) -> str:
+        """The node owning group ``key``: first ring point at or after its
+        group hash."""
         if not self._points:
             raise ParameterError("ring has no nodes")
-        position = hash_to_unit(key, seed=self.seed)
-        index = bisect.bisect_left(self._positions, position)
-        if index == len(self._points):
-            index = 0
-        return self._points[index][1]
+        index = bisect.bisect_left(self._positions, group_hash(key))
+        return self._points[index % len(self._points)][1]
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -98,10 +91,3 @@ class HashRing:
 
     def __len__(self) -> int:
         return len(self._names)
-
-    def spread(self, keys) -> dict[str, int]:
-        """How many of ``keys`` each node owns (diagnostic, not hot path)."""
-        counts = {name: 0 for name in self._names}
-        for key in keys:
-            counts[self.node_for(key)] += 1
-        return counts

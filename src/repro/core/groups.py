@@ -1,18 +1,19 @@
-"""The group batch: N groups' keys and aggregate states as columns.
+"""What a group is: its one identity, and N groups' state as columns.
 
-One packing of "the state of some groups", shared by the two places that
-hold it as bytes: :meth:`repro.dsms.engine.QueryEngine.partial_state_bytes`
-(one batch with every live group) and a :mod:`repro.store.segment` page
-(one batch per eviction batch).  Because both go through
-:func:`group_columns` / :func:`group_states`, a cold group on disk and the
-same group in a shipped blob are the same column bytes — the Section VI-B
-point that fixed numerators make partial state location-independent.
+:func:`group_id` names a group on the engine table's equality classes;
+:func:`group_hash`, its 64-bit BLAKE2b, is the one input of every
+placement (:func:`~repro.parallel.routing.stable_route`, the cluster's
+:class:`~repro.cluster.ring.HashRing`) and of the store's key directory.
 
-A batch is a list of **slot codes**, one per aggregate, and the columns of
-one :mod:`repro.core.cols` batch with a row per group: the key-part
-columns first, then each aggregate's state columns.  A slot code is the
-aggregate's state arity (that many scalar columns), or
-:data:`SUMMARY_SLOT` (one ``bytes`` column of
+The group batch packs "the state of some groups" for the two places that
+hold it as bytes, :meth:`repro.dsms.engine.QueryEngine.partial_state_bytes`
+(every live group) and a :mod:`repro.store.segment` page (an eviction
+batch), so a cold group on disk and the same group in a shipped blob are
+the same column bytes.  A batch is a list of **slot codes**, one per
+aggregate, and the columns of one :mod:`repro.core.cols` batch with a row
+per group: the key-part columns first, then each aggregate's state
+columns.  A slot code is the aggregate's state arity (that many scalar
+columns), :data:`SUMMARY_SLOT` (one ``bytes`` column of
 :meth:`~repro.core.protocol.StreamSummary.to_bytes` buffers) or
 :data:`RAGGED_SLOT` (one column of scalar lists, when arity differs
 between groups).  Callers pack the two with ``pack_column(slots)`` and
@@ -21,13 +22,71 @@ between groups).  Callers pack the two with ``pack_column(slots)`` and
 
 from __future__ import annotations
 
+import struct
+
+# The built-in BLAKE2 that ``hashlib.blake2b`` is; importing it from here
+# keeps ``hashlib`` — and the OpenSSL it maps — out of the process.
+from _blake2 import blake2b
+
+from repro.core.errors import ParameterError
 from repro.core.protocol import StreamSummary
 
-__all__ = ["SUMMARY_SLOT", "RAGGED_SLOT", "group_columns", "group_states"]
+__all__ = [
+    "SUMMARY_SLOT", "RAGGED_SLOT", "group_columns", "group_states", "group_id",
+    "group_hash",
+]
 
 #: Slot codes for aggregates whose state is not a fixed-arity scalar list.
 SUMMARY_SLOT = -1
 RAGGED_SLOT = -2
+
+_INT = struct.Struct("<cq").pack  # b"i", an int in [-2**63, 2**63)
+_FLOAT = struct.Struct("<cd").pack  # b"f", a float no int equals
+_SIZED = struct.Struct("<cI").pack  # b"s" / b"I", then that many bytes
+_NAN = b"f" + struct.pack("<Q", 0x7FF8_0000_0000_0000)  # one NaN for all
+_INT_LIMIT = 1 << 63
+
+
+def group_id(key: tuple) -> bytes:
+    """The bytes naming the group of key tuple ``key``, equal exactly for
+    keys the engine's table holds as one group (DESIGN.md §5.1): ``1``,
+    ``1.0`` and ``True`` pack as one int, every NaN as one float, a
+    ``str`` as UTF-8 (``surrogatepass``), never its Unicode-table ``repr``."""
+    if type(key) is not tuple:
+        raise ParameterError(f"a group key is a tuple, got {type(key).__name__!r}")
+    out = []
+    add = out.append
+    for part in key:
+        kind = type(part)
+        if kind is str:
+            data = part.encode("utf-8", "surrogatepass")
+            add(_SIZED(b"s", len(data)) + data)
+        elif kind is float and not part.is_integer():
+            add(_FLOAT(b"f", part) if part == part else _NAN)
+        elif kind is int or kind is bool or kind is float:
+            if kind is float:
+                part = int(part)
+            if -_INT_LIMIT <= part < _INT_LIMIT:
+                add(_INT(b"i", part))
+            else:
+                data = part.to_bytes(part.bit_length() // 8 + 1, "little", signed=True)
+                add(_SIZED(b"I", len(data)) + data)
+        else:
+            raise ParameterError(
+                f"a group key part is int, float, str or bool, not {kind.__name__!r}"
+            )
+    return b"".join(out)
+
+
+#: BLAKE2b keyed by eight zero bytes: a copy costs less than keying anew.
+_HASHER = blake2b(digest_size=8, key=bytes(8))
+
+
+def group_hash(key: tuple) -> int:
+    """Where a group lives: the 64-bit BLAKE2b of its :func:`group_id`."""
+    digest = _HASHER.copy()
+    digest.update(group_id(key))
+    return int.from_bytes(digest.digest(), "big")
 
 
 def group_columns(

@@ -74,7 +74,8 @@ PARTIAL_STATE = Format(b"FDPS", 7, "partial-state buffer", MergeError, True)
 PARTIALS_CHECKPOINT = Format(b"FDCK", 3, "partials checkpoint", ParameterError)
 #: A segment's header; its pages (deflated) and footer are bare frames.
 SEGMENT = Format(b"RSEG", 7, "segment", StoreError, True)
-DIRECTORY_SNAPSHOT = Format(b"RDIR", 2, "key directory snapshot", StoreError)
+#: Version 2 hashed the JSON of a tagged key, not its ``group_id``.
+DIRECTORY_SNAPSHOT = Format(b"RDIR", 3, "key directory snapshot", StoreError)
 #: Version 4 was bare JSON carrying its own ``version`` field.
 STORE_MANIFEST = Format(b"FDMF", 5, "store manifest", StoreError)
 

@@ -117,8 +117,9 @@ class QueryEngine:
         Optional :class:`~repro.store.tiered.TieredStore`, handed the
         engine's group table when it is built.  It bounds how many groups
         stay in RAM: cold groups spill to on-disk segments, and every
-        table miss asks ``store.fault_in`` before it creates a group, so
-        results stay byte-identical to the all-RAM engine (see
+        table miss asks ``store.fault_in`` before it creates a group and
+        files a cold one under the key it was stored under, so results
+        stay byte-identical to the all-RAM engine (see
         :mod:`repro.store`).  A store-backed engine is one-level.  None
         (the default) keeps every group in RAM.
     """
@@ -315,9 +316,10 @@ class QueryEngine:
         store = self._store
         states = high.get(key)
         if states is None:
-            if store is None or (states := store.fault_in(key)) is None:
-                states = [plan.udaf.create() for plan in self._agg_plans]
-            high[key] = states
+            if store is None or (cold := store.fault_in(key)) is None:
+                high[key] = states = [plan.udaf.create() for plan in self._agg_plans]
+            else:
+                high[cold[0]] = states = cold[1]
         self._update_states(states, args)
         if store is not None:
             store.observe_batch([key])
@@ -398,12 +400,7 @@ class QueryEngine:
                 count = len(selected)
         columns = columns_fn(cols, count)
         width = len(self._group_fns)
-        if width == 0:
-            keys: list[tuple] = [()] * count
-        elif width == 1:
-            keys = [(k,) for k in columns[0]]
-        else:
-            keys = list(zip(*columns[:width]))
+        keys = list(zip(*columns[:width])) if width else [()] * count
         return count, keys, columns[width:]
 
     def insert_cols(self, cols: list) -> None:
@@ -466,9 +463,10 @@ class QueryEngine:
                 continue
             states = high_get(key)
             if states is None:
-                if store is None or (states := store.fault_in(key)) is None:
-                    states = [plan.udaf.create() for plan in agg_plans]
-                high[key] = states
+                if store is None or (cold := store.fault_in(key)) is None:
+                    high[key] = states = [plan.udaf.create() for plan in agg_plans]
+                else:
+                    high[cold[0]] = states = cold[1]
             indices = [index]
             pending[key] = (states, indices, indices.append)
         self._apply_pending_cols(pending, arg_cols)
@@ -843,10 +841,10 @@ class QueryEngine:
         for key, theirs in zip(keys, states):
             mine = high.get(key)
             if mine is None:
-                if store is None or (mine := store.fault_in(key)) is None:
+                if store is None or (cold := store.fault_in(key)) is None:
                     high[key] = theirs
                     continue
-                high[key] = mine
+                high[cold[0]] = mine = cold[1]
             for plan, own, other in zip(plans, mine, theirs):
                 if plan.udaf.mergeable:
                     plan.udaf.merge(own, other)

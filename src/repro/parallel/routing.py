@@ -3,31 +3,31 @@
 Section VI-B's fixed numerators mean *which* owner holds a group never
 affects the answer, so placement is a balance concern only; every row of
 a group goes to that one owner in stream order, so not even a float sum
-is reassociated.  :class:`GroupKeyRouter` computes one routing key per
-row of a columnar batch (its GROUP BY expressions, or ``()``) and
-:meth:`~GroupKeyRouter.partition` splits the batch into one column slice
-per owner; :func:`stable_route` maps a key to one of ``n`` shards the
-same way in every process; :func:`validate_mergeable` refuses, at plan
-time, a query whose per-group state has no merge rule.
+is reassociated.  :class:`GroupKeyRouter` computes each row's group key
+(its GROUP BY values, or ``()``) and :meth:`~GroupKeyRouter.partition`
+splits a batch into one column slice per owner; :func:`stable_route`
+places a key by its :func:`~repro.core.groups.group_hash`;
+:func:`validate_mergeable` refuses, at plan time, a query whose
+per-group state has no merge rule.
 """
 
 from __future__ import annotations
 
 from repro.core.cols import take_rows
 from repro.core.errors import QueryError
+from repro.core.groups import group_hash
 from repro.core.protocol import StreamSummary
 from repro.dsms.engine import QueryEngine
 from repro.dsms.schema import Schema
 
-from repro.sketches.kmv import hash_to_unit
-
 __all__ = ["GroupKeyRouter", "stable_route", "validate_mergeable"]
 
 
-def stable_route(key: object, shards: int) -> int:
-    """Shard assignment stable across processes, runs and hosts (blake2b;
-    builtin ``hash`` is faster but randomized per interpreter)."""
-    return int(hash_to_unit(key) * shards) % shards
+def stable_route(key: tuple, shards: int) -> int:
+    """The shard of group ``key``: the high bits of its group hash, so
+    stable across processes, runs and hosts (the store's key directory
+    indexes by the low bits)."""
+    return (group_hash(key) * shards) >> 64
 
 
 def validate_mergeable(template: QueryEngine) -> None:
@@ -51,9 +51,10 @@ def validate_mergeable(template: QueryEngine) -> None:
 
 class GroupKeyRouter:
     """Routing keys for one query over one schema: the compiled GROUP BY
-    expressions.  A query without them has one group, so every row has
-    the one key ``()`` and is placed like any other key: all of a
-    group's rows meet on one owner, in stream order."""
+    expressions, as the engine's own key tuples.  A query without them
+    has one group, so every row has the one key ``()`` and is placed like
+    any other key: all of a group's rows meet on one owner, in stream
+    order."""
 
     def __init__(self, query, schema: Schema):
         self._group_col_fns = tuple(
@@ -69,10 +70,8 @@ class GroupKeyRouter:
         ]
 
     def keys(self, cols: list, count: int) -> list:
-        """Routing key per row of a columnar batch."""
+        """Group key tuple per row of a columnar batch."""
         fns = self._group_col_fns
-        if len(fns) == 1:
-            return fns[0](cols, count)
         if not fns:
             return [()] * count
         return list(zip(*(fn(cols, count) for fn in fns)))

@@ -1,7 +1,7 @@
 """Key-partitioned multi-core ingestion with merge-at-query (Section VI-B).
 
 :class:`ShardedEngine` is the :class:`~repro.parallel.router.Router` over
-``shards`` private engines placed by a modulus of the routing key, in
+``shards`` private engines placed by :func:`stable_route` of the group key, in
 this thread (``processes=0``) or one worker process each
 (``processes=None``: :mod:`repro.parallel.pipe`, the only case that
 imports :mod:`multiprocessing`).  :class:`ShardedBackend` is that engine
@@ -11,7 +11,7 @@ behind a server.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.core.cols import rows_to_cols
 from repro.core.errors import ParameterError
@@ -33,10 +33,8 @@ class ShardedEngine(Router):
         Query text (every shard parses its own) and stream schema.
     shards / processes:
         The number of shard engines, one OS process each
-        (``processes=None``) or all in this thread (``0``).
-    router:
-        ``(group key, shards) -> shard`` (builtin ``hash`` by default,
-        :func:`stable_route` for placement stable across processes).
+        (``processes=None``) or all in this thread (``0``); a group's
+        shard is :func:`stable_route` of its key.
     store_dir / store_hot_groups:
         Each shard keeps at most ``store_hot_groups`` groups in RAM and
         spills the rest to a :class:`~repro.store.tiered.TieredStore` in
@@ -55,21 +53,17 @@ class ShardedEngine(Router):
         shards: int = 4,
         processes: int | None = None,
         *,
-        router: Callable[[object, int], int] | None = None,
         store_dir: str | None = None,
         store_hot_groups: int = 4096,
     ):
         plan = ShardPlan(
-            sql=sql,
-            schema=schema,
-            store_dir=store_dir,
-            store_hot_groups=store_hot_groups,
+            sql, schema, store_dir=store_dir, store_hot_groups=store_hot_groups
         )
-        self._open_shards(plan, shards, processes, router)
+        self._open_shards(plan, shards, processes)
 
-    def _open_shards(self, plan: ShardPlan, shards: int, processes, router) -> None:
+    def _open_shards(self, plan: ShardPlan, shards: int, processes) -> None:
         """Start the router over ``shards`` owners of ``plan``, placed by
-        ``router`` or builtin ``hash``."""
+        :func:`stable_route`."""
         if shards < 1:
             raise ParameterError(f"shards must be >= 1, got {shards!r}")
         if processes not in (None, 0, shards):
@@ -84,11 +78,9 @@ class ShardedEngine(Router):
 
             make_owner = lambda i: PipeOwner(plan, i)
 
-        # Builtin hash is randomized per interpreter for strings: harmless,
-        # routing happens in this process and any placement merges exactly.
-        route = router or (lambda key, n: hash(key) % n)
         placement = SimpleNamespace(
-            nodes=tuple(range(shards)), node_for=lambda key: route(key, shards)
+            nodes=tuple(range(shards)),
+            node_for=lambda key: stable_route(key, shards),
         )
         self.shards = shards
         self._processes = processes
@@ -135,13 +127,13 @@ class ShardedEngine(Router):
 
 
 class ShardedBackend(ShardedEngine):
-    """A :class:`ShardedEngine` (``stable_route``) with the surface of
+    """A :class:`ShardedEngine` with the surface of
     :class:`~repro.serve.backend.SingleEngineBackend`."""
 
     kind = "sharded"
 
     def __init__(self, plan: ShardPlan, shards: int, processes: int | None):
-        self._open_shards(plan, shards, processes, stable_route)
+        self._open_shards(plan, shards, processes)
         self.sql = self.parsed_query.sql()
         #: What the router reads is what the engines read.
         self.columns_read = self._routing.columns_read

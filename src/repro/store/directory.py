@@ -1,14 +1,11 @@
 """The on-disk key directory: where a spilled group's record lives.
 
-At one million groups the store could afford a Python dict mapping every
-canonical key string to its ``(segment, offset, length)`` — roughly 250
-bytes of RAM per cold group.  At ten million that dict *is* the memory
-bottleneck, so the directory moves to disk: an mmap-backed open-addressing
-hash table of fixed 24-byte slots keyed by the 64-bit BLAKE2b key hash
-(:func:`repro.store.segment.key_hash`).  RAM residency is bounded by the
-page cache, not the group count, and the table survives as a file the
-manifest checkpoint can reference instead of embedding millions of JSON
-entries.
+A dict from every cold key to its location costs ~250 bytes of RAM a
+group, the memory bottleneck at ten million groups, so the directory is
+on disk: an mmap-backed open-addressing hash table of fixed 24-byte slots
+keyed by the 64-bit :func:`repro.core.groups.group_hash`.  RAM residency
+is bounded by the page cache, not the group count, and the table
+survives as a file the manifest checkpoint references.
 
 Hashes are not keys: two groups may share a 64-bit hash.  The directory
 therefore never pretends uniqueness — :meth:`KeyDirectory.put` always

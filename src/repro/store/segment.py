@@ -41,14 +41,9 @@ bytes.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from typing import Iterator
-
-# ``hashlib.blake2b`` is this built-in; taking it from here keeps
-# ``hashlib`` — and the OpenSSL it maps — out of a store's process.
-from _blake2 import blake2b
 
 from repro.core.cols import (
     block_values,
@@ -57,7 +52,12 @@ from repro.core.cols import (
     pack_cols,
 )
 from repro.core.errors import ParameterError, ProtocolError, StoreError
-from repro.core.groups import SUMMARY_SLOT, group_columns, group_states
+from repro.core.groups import (
+    SUMMARY_SLOT,
+    group_columns,
+    group_hash as key_hash,
+    group_states,
+)
 from repro.core.protocol import decode_number, encode_number, tag_key, untag_key
 from repro.core.serde import SEGMENT, check_head, frame, fsync_dir, head, unframe
 
@@ -86,18 +86,10 @@ _FOOTER_HEAD = struct.Struct("<IQ")  # pages, rows
 _FOOTER_ENTRY = struct.Struct("<II")  # framed length, rows
 
 
-def canonical_key(tagged_key: list) -> str:
-    """The canonical string form of a tagged group key — what
-    :func:`key_hash` hashes, so every layer that names a group on disk
-    names it identically."""
-    return json.dumps(tagged_key, separators=(",", ":"))
-
-
-def key_hash(canonical: str) -> int:
-    """64-bit BLAKE2b hash of a canonical key string: the single key-hash
-    function of the store (the on-disk key directory is keyed by it)."""
-    digest = blake2b(canonical.encode("utf-8"), digest_size=8)
-    return int.from_bytes(digest.digest(), "little")
+def canonical_key(tagged_key: list) -> tuple:
+    """The group key a record's tagged key names, which :func:`key_hash`
+    (:func:`~repro.core.groups.group_hash`) names in the key directory."""
+    return tuple(untag_key(tag) for tag in tagged_key)
 
 
 # -- the record shape: one row, tagged and JSON-compatible ---------------------------

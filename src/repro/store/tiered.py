@@ -24,20 +24,18 @@ results are byte-identical — sketches, samplers and their RNG streams
 included (the Section VI-B fixed-numerator property is what makes the
 serialized partial states location-independent in the first place).
 
-Scaling past a few million groups, no per-group Python object survives in
-RAM: cold locations live in an mmap-backed
-:class:`~repro.store.directory.KeyDirectory` keyed by 64-bit key hash.  A
-slot points at the group's *page*; the reader finds the row by matching
-the full key, which it must verify anyway because hashes may collide —
-a collision costs an extra page read, never a wrong group (no two rows of
-one page share a hash, so a slot and a matching key name exactly one row).
-I/O follows the page: a batch's cold keys are looked up once and each page
-they live in is read once into a per-batch stash (:meth:`TieredStore.stage`
-— a cache, never a state change), and enumeration (flush,
-``partial_state_bytes``, ``group_count``, compaction) streams
-every live segment's pages in file order, testing each row's hash against
-the directory — O(cold) sequential reads so steady-state ingest pays O(1)
-RAM.
+Past a few million groups no per-group Python object stays in RAM: cold
+locations live in an mmap-backed :class:`~repro.store.directory.KeyDirectory`
+keyed by the 64-bit :func:`~repro.core.groups.group_hash`, one name for
+every spelling of a group.  A slot points at the group's *page*; the reader
+matches the full key, which it must verify anyway because hashes may
+collide (no two rows of one page share a hash, so a slot and a matching
+key name exactly one row).  A batch's cold keys are looked up once and
+each page they live in is read once into a per-batch stash
+(:meth:`TieredStore.stage`), and enumeration (flush,
+``partial_state_bytes``, ``group_count``, compaction) streams every live
+segment's pages in file order, testing each row's hash against the
+directory — O(cold) sequential reads, so steady-state ingest pays O(1) RAM.
 
 The rest is mechanics: segments rotate at a byte threshold, compaction
 rewrites segments dominated by dead records, inline from
@@ -53,14 +51,15 @@ instead of letting an overloaded store thrash segments.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import json
 import os
 import time
 
 from repro.core.errors import ParameterError, StoreError
-from repro.core.groups import RAGGED_SLOT, SUMMARY_SLOT
-from repro.core.protocol import StreamSummary, summary_type_of, tag_key
+from repro.core.groups import RAGGED_SLOT, SUMMARY_SLOT, group_hash
+from repro.core.protocol import StreamSummary, summary_type_of
 from repro.core.serde import SEGMENT, STORE_MANIFEST, publish, seal, unseal
 from repro.store.directory import KeyDirectory, live_slots, read_snapshot
 from repro.store.segment import (
@@ -68,8 +67,6 @@ from repro.store.segment import (
     SegmentReader,
     SegmentWriter,
     _record,
-    canonical_key,
-    key_hash,
     read_page,
 )
 
@@ -122,12 +119,6 @@ _COMPACT_GARBAGE_RATIO = 0.5
 #: above these reads as pressure 1.0.
 _PRESSURE_CHURN_LIMIT = 1.0
 _PRESSURE_LATENCY_LIMIT_US = 5000.0
-
-_NOT_STAGED = object()
-
-
-def _hash_of(key: tuple) -> int:
-    return key_hash(canonical_key([tag_key(part) for part in key]))
 
 
 class _PageBuilder:
@@ -225,13 +216,13 @@ class TieredStore:
         self._ckpt_names: list[str] = []
         self._dir_snapshots: list[str] = []
         self._handles: dict[int, object] = {}
-        # Read-ahead of one batch (see stage()): key -> (hash, segment id,
-        # page offset, states), or None for a key looked up and not cold.
+        # Read-ahead of one batch: what stage()'s _lookup() found.
         self._stash: dict[tuple, tuple | None] = {}
-        # Eviction priorities: decayed touch weight per group over the
-        # arrival index (lazy-deletion min-heap; priorities only grow).
-        self._prio: dict[tuple, float] = {}
-        self._heap: list[tuple[float, int, tuple]] = []
+        # Eviction priorities: key -> [decayed touch weight over the
+        # arrival index, the key the engine's table files the group
+        # under] (lazy-deletion min-heap; priorities only grow).
+        self._prio: dict[tuple, list] = {}
+        self._heap: list[tuple[float, int, list]] = []
         self._seq = 0
         self._arrivals = 0
         # Lifetime counters, as stats() reports them.
@@ -345,21 +336,18 @@ class TieredStore:
         """
         self._stash = {}
         if keys:
-            counts: dict[tuple, int] = {}
-            counts_get = counts.get
-            for key in keys:
-                counts[key] = counts_get(key, 0) + 1
+            counts = collections.Counter(keys)
             self._arrivals += len(keys)
             weight = float(self._arrivals) ** 2
-            prio = self._prio
+            entries = self._prio.setdefault
             heap = self._heap
             push = heapq.heappush
             seq = self._seq
             for key, count in counts.items():
-                value = prio.get(key, 0.0) + count * weight
-                prio[key] = value
+                entry = entries(key, [0.0, key])
+                entry[0] += count * weight
                 seq += 1
-                push(heap, (value, seq, key))
+                push(heap, (entry[0], seq, entry))
             self._seq = seq
         self.maintain()
 
@@ -368,8 +356,9 @@ class TieredStore:
         heap = []
         seq = self._seq
         for key in self._table:
+            entry = prio.setdefault(key, [0.0, key])
             seq += 1
-            heap.append((prio.get(key, 0.0), seq, key))
+            heap.append((entry[0], seq, entry))
         self._seq = seq
         heapq.heapify(heap)
         self._heap = heap
@@ -386,8 +375,9 @@ class TieredStore:
                     self._reseed_heap()
                     if not self._heap:
                         break
-                value, seq, key = heapq.heappop(self._heap)
-                if prio.get(key, 0.0) != value:
+                value, _seq, entry = heapq.heappop(self._heap)
+                key = entry[1]
+                if entry[0] != value or prio.get(key) is not entry:
                     continue  # stale entry; a newer one is still queued
                 states = high.get(key)
                 if states is None:
@@ -403,7 +393,7 @@ class TieredStore:
         if len(self._prio) > 4 * budget:
             # Priorities for departed groups (flushed or spilled keys) are dead weight; keep only what can still be evicted.
             self._prio = {
-                key: value for key, value in self._prio.items() if key in high
+                key: entry for key, entry in self._prio.items() if key in high
             }
         if (
             self._writer is not None
@@ -450,7 +440,7 @@ class TieredStore:
         pages = len(writer.pages)
         builder = _PageBuilder(writer)
         for key, states in victims:
-            builder.add(_hash_of(key), key, states)
+            builder.add(group_hash(key), key, states)
         builder.flush()
         self._writer_dirty = True
         # A spill is the one event that makes a key cold: whatever the
@@ -469,43 +459,43 @@ class TieredStore:
         self._spill_pages += pages
 
     def stage(self, keys) -> None:
-        """Read ahead for one batch: the cold rows among ``keys``.
+        """Read ahead for one batch: :meth:`_lookup` of ``keys``, distinct
+        keys the caller is about to ``get`` that are not in the engine's
+        table, kept in a stash that :meth:`fault_in` consumes.
 
-        ``keys`` are distinct group keys the caller is about to ``get``
-        and that are not in the engine's table.  Each is hashed and looked
-        up once; the candidate locations are grouped by page, each page
-        is read once and only the wanted rows are pulled out of it, into
-        a stash that :meth:`fault_in` consumes.  The stash is a cache and
-        never a state change: a staged row is not a fault-in until it is
-        consumed (the directory entry is deleted then, as always), rows
-        nothing consumed are dropped when the batch ends
-        (:meth:`observe_batch` / :meth:`unstage`), and a key that was not
-        staged faults in alone.  Exactness keeps resting on write-back /
-        fault-in only.
+        The stash is a cache and never a state change: a staged row is
+        not a fault-in until it is consumed (the directory entry is
+        deleted then, as always), rows nothing consumed are dropped when
+        the batch ends (:meth:`observe_batch` / :meth:`unstage`), and a
+        key that was not staged faults in alone.
         """
-        stash: dict[tuple, tuple | None] = {}
-        self._stash = stash
-        hashed = [(key, _hash_of(key)) for key in keys]
+        self._stash = self._lookup(keys)
+
+    def _lookup(self, keys) -> dict:
+        """``key -> (hash, segment id, page offset, stored key, states)``
+        for the cold keys among distinct ``keys``, None for the rest: each
+        key is looked up once, each candidate page read once and only its
+        wanted rows decoded.  The directory is keyed by a 64-bit hash, so
+        a page is searched for the full key (a collision is another
+        group's page); nothing in the directory changes."""
+        found: dict[tuple, tuple | None] = dict.fromkeys(keys)
         wanted: dict[tuple[int, int, int], list[tuple[tuple, int]]] = {}
         lookup = self._dir.lookup
-        for entry in hashed:
-            candidates = lookup(entry[1])
-            if not candidates:
-                stash[entry[0]] = None
-            for location in candidates:
-                wanted.setdefault(location, []).append(entry)
+        for key in found:
+            h = group_hash(key)
+            for location in lookup(h):
+                wanted.setdefault(location, []).append((key, h))
         for location in sorted(wanted):
             seg_id, offset, length = location
             page = self._read_page(seg_id, offset, length)
             if page is None:
                 continue
             row_of = {key: row for row, key in enumerate(page.keys)}
-            found = [
-                entry for entry in wanted[location] if entry[0] in row_of
-            ]
-            states = self._states(page, [row_of[key] for key, _h in found])
-            for (key, h), group in zip(found, states):
-                stash[key] = (h, seg_id, offset, group)
+            hits = [entry for entry in wanted[location] if entry[0] in row_of]
+            rows = [row_of[key] for key, _h in hits]
+            for (key, h), row, states in zip(hits, rows, self._states(page, rows)):
+                found[key] = (h, seg_id, offset, page.keys[row], states)
+        return found
 
     def unstage(self) -> None:
         """Drop what :meth:`stage` read ahead and nothing consumed."""
@@ -527,45 +517,29 @@ class TieredStore:
             for state in states
         ]
 
-    def fault_in(self, key: tuple) -> list | None:
-        """Load a cold group's exact state back, removing its cold entry.
+    def fault_in(self, key: tuple) -> tuple[tuple, list] | None:
+        """Load a cold group's exact state back, removing its cold entry:
+        ``(stored key, live states)``, or None when ``key`` is not cold.
 
-        Returns None when the key is not cold.  A row :meth:`stage` read
-        ahead is consumed from the stash; otherwise the key's candidate
-        pages are read here.  The directory indexes by 64-bit key hash,
-        so a candidate page is searched for the full key — a collision is
-        another group's page and just means trying the next candidate.
-        Corruption quarantines the segment and raises :class:`StoreError`
-        — by then every cold entry into that segment (this key included)
-        is gone, so subsequent queries serve from the remaining state.
+        The engine files the group under the stored key (``(0.0,)`` for
+        ``(-0.0,)``), so the first spelling seen stays the one reported;
+        asked at every table miss, the store learns here the key an
+        eviction writes.  A staged row is consumed from the stash, any
+        other key looked up alone.  Corruption quarantines the segment and
+        raises :class:`StoreError` — by then every cold entry into that
+        segment (this key included) is gone.
         """
-        found = self._stash.pop(key, _NOT_STAGED)
-        if found is _NOT_STAGED:
-            found = self._find(key, _hash_of(key))
-        if found is None:
-            return None  # not cold (a staged None: looked up for this batch)
-        h, seg_id, offset, states = found
-        if not self._dir.delete(h, seg_id, offset):
-            # Since stage() read the row, a quarantine dropped it: not
-            # cold any more.
+        stash = self._stash
+        found = stash.pop(key) if key in stash else self._lookup([key])[key]
+        # Not cold, or since stage() read the row a quarantine dropped it.
+        cold = found is not None and self._dir.delete(*found[:3])
+        filed = found[3] if cold else key
+        self._prio.setdefault(filed, [0.0, filed])[1] = filed
+        if not cold:
             return None
-        self._seg_live[seg_id] -= 1
+        self._seg_live[found[1]] -= 1
         self._fault_ins += 1
-        return self._revive(states)
-
-    def _find(self, key: tuple, h: int) -> tuple | None:
-        """``(hash, segment id, page offset, states)`` of a cold key, read
-        from its page without touching the directory; None if not cold."""
-        for seg_id, offset, length in self._dir.lookup(h):
-            page = self._read_page(seg_id, offset, length)
-            if page is None:
-                continue
-            try:
-                row = page.keys.index(key)
-            except ValueError:
-                continue
-            return h, seg_id, offset, self._states(page, [row])[0]
-        return None
+        return filed, self._revive(found[4])
 
     def encoded_states(self, key: tuple) -> list:
         """A cold group's states in the record shape, read without
@@ -573,10 +547,10 @@ class TieredStore:
         buffer]`` per aggregate, what :meth:`SegmentWriter.append` takes.
         Raises ``KeyError`` when the key is not cold.
         """
-        found = self._find(key, _hash_of(key))
+        found = self._lookup([key])[key]
         if found is None:
             raise KeyError(key)
-        return _record(key, found[3])["s"]
+        return _record(key, found[4])["s"]
 
     def _read_page(self, seg_id: int, offset: int, length: int) -> Page | None:
         """Read one page by directory entry.
@@ -801,7 +775,7 @@ class TieredStore:
                 lookup = self._dir.lookup
                 live = [
                     (row, h)
-                    for row, h in enumerate(map(_hash_of, page.keys))
+                    for row, h in enumerate(map(group_hash, page.keys))
                     if any(
                         s == seg_id and o == offset for s, o, _l in lookup(h)
                     )
@@ -922,7 +896,7 @@ class TieredStore:
             writer = SegmentWriter(self._segment_path(ckpt_name))
             builder = _PageBuilder(writer)
             for key in sorted(high, key=repr):
-                builder.add(_hash_of(key), key, high[key])
+                builder.add(group_hash(key), key, high[key])
             builder.flush()
             ckpt_entries = builder.placed
             writer.finalize()

@@ -517,12 +517,12 @@ class TestCheckpointInspectCommand:
         assert "count(*) AS c" in out
         assert f"blob 1: v{PARTIAL_STATE_VERSION}" in out
         # Each column is named by its encoding, with its bytes per row: the
-        # integral sums as i16s, and blob 1's one sum beyond i16 as a
-        # 12-byte patch (165 rows: 330 + 12 bytes, not 660 as i32s); the
+        # integral sums as i16s, and blob 0's one sum beyond i16 as a
+        # 12-byte patch (155 rows: 310 + 12 bytes, not 620 as i32s); the
         # destIP keys' shared "192.168." once.
         assert "i8:" in out and "str/u8+head8:" in out
-        assert "f64/i16:316 (2.0/row)" in out and "f64/i16:342 (2.1/row)" in out
-        assert "(1,523 B of columns inflated)" in out
+        assert "f64/i16:322 (2.1/row)" in out and "f64/i16:336 (2.0/row)" in out
+        assert "(1,513 B of columns inflated)" in out
 
     def test_inspect_json(self, tmp_path, capsys):
         import json
@@ -540,7 +540,7 @@ class TestCheckpointInspectCommand:
         assert [kind for kind, _size in columns] == [
             "i8", "str/u8+head8", "i8", "f64/i16",
         ]
-        assert report["blobs"][1]["columns"][-1] == ["f64/i16", 342]
+        assert report["blobs"][0]["columns"][-1] == ["f64/i16", 322]
         # Each blob deflated, beside its columns' inflated bytes.
         assert report["blobs"][0]["column_bytes"] == sum(size for _k, size in columns)
         assert all(b["bytes"] < b["column_bytes"] for b in report["blobs"])

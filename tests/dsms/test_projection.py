@@ -21,7 +21,7 @@ from repro.core.errors import SchemaError
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.udaf import default_registry
-from repro.parallel import ShardedEngine, stable_route
+from repro.parallel import ShardedEngine
 from repro.parallel.routing import GroupKeyRouter
 from repro.workloads.netflow import PACKET_SCHEMA
 from tests.serve.util import canon
@@ -216,10 +216,7 @@ def test_sharded_and_cluster_fed_full_batches_equal_the_single_engine(tmp_path):
     single = engine(ROUTED_SQL)
     single.insert_cols(rows_to_cols(ROWS_40))
     expected = canon(single.flush())
-    sharded = ShardedEngine(
-        ROUTED_SQL, PACKET_SCHEMA, shards=3, processes=0,
-        router=stable_route,
-    )
+    sharded = ShardedEngine(ROUTED_SQL, PACKET_SCHEMA, shards=3, processes=0)
     try:
         sharded.insert_cols(rows_to_cols(ROWS_40))
         assert canon(sharded.query()) == expected

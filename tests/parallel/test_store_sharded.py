@@ -45,7 +45,6 @@ def store_engine(tmp_path, **kwargs) -> ShardedEngine:
     defaults = dict(
         shards=SHARDS,
         processes=0,
-        router=lambda key, n: stable_route(key[1], n),
         store_dir=str(tmp_path / "store"),
         store_hot_groups=4,
     )
@@ -110,7 +109,8 @@ class TestStoreBackedRecovery:
         # un-checkpointed state across a crash.
         rows_before = make_rows(200)
         doomed = [
-            r for r in make_rows(500) if stable_route(r[2], SHARDS) == 1
+            r for r in make_rows(500)
+            if stable_route((r[0] // 60, r[2]), SHARDS) == 1
         ][:40]
         rows_after = make_rows(200)
         assert doomed

@@ -7,7 +7,7 @@ merges exactly, so after a SIGKILL the query equals the unsharded
 reference over precisely the non-lost tuples — and the lost delta is
 exact (``rows_lost``), not an estimate.
 
-Routing uses :func:`stable_route` on the destIP part of the group key so
+A shard is :func:`stable_route` of the ``(tb, destIP)`` group key, so
 tests can compute *which* rows die with a given shard, making the
 post-crash reference deterministic.
 """
@@ -34,17 +34,13 @@ SHARDS = 3
 
 
 def routed_to(rows, shard: int) -> list[tuple]:
-    """The subset of ``rows`` that stable_route sends to ``shard``
-    (destIP is column 2 and what every engine here routes on)."""
-    return [r for r in rows if stable_route(r[2], SHARDS) == shard]
+    """The subset of ``rows`` that stable_route sends to ``shard``: their
+    group key is ``(time // 60, destIP)``."""
+    return [r for r in rows if stable_route((r[0] // 60, r[2]), SHARDS) == shard]
 
 
 def supervised_engine(**kwargs) -> ShardedEngine:
-    defaults = dict(
-        shards=SHARDS,
-        processes=None,
-        router=lambda key, n: stable_route(key[1], n),
-    )
+    defaults = dict(shards=SHARDS, processes=None)
     defaults.update(kwargs)
     return ShardedEngine(COUNT_SUM_SQL, SCHEMA, **defaults)
 

@@ -334,14 +334,11 @@ class TestPages:
         self, tmp_path, monkeypatch
     ):
         rows = make_rows(600, groups=40)
-        twins = {
-            tiered_mod.canonical_key([["int", 0], ["str", f"h{n}"]])
-            for n in (3, 4)
-        }
-        real_hash = tiered_mod.key_hash
+        twins = {(0, "h3"), (0, "h4")}
+        real_hash = tiered_mod.group_hash
         monkeypatch.setattr(
-            tiered_mod, "key_hash",
-            lambda canonical: 42 if canonical in twins else real_hash(canonical),
+            tiered_mod, "group_hash",
+            lambda key: 42 if key in twins else real_hash(key),
         )
         monkeypatch.setattr(tiered_mod, "_COMPACT_MIN_SEGMENTS", 10_000)
         store = TieredStore(str(tmp_path / "s"), hot_groups=2)
@@ -434,7 +431,7 @@ class TestHandleCache:
         by_segment = {}
         for key in store.cold_key_set():  # a scan: opens and closes each file
             by_segment.setdefault(
-                store._dir.lookup(tiered_mod._hash_of(key))[0][0], key
+                store._dir.lookup(tiered_mod.group_hash(key))[0][0], key
             )
         assert len(by_segment) >= 100
         for key in by_segment.values():  # a lone read per segment

@@ -1,5 +1,5 @@
-"""Every hashed byte, pinned: the store's key hash, the unit hash behind
-KMV / count-min / routing, and the cluster ring's placement.
+"""Every hashed byte, pinned: the group id and its hash behind routing,
+the cluster ring and the store's key directory, and KMV's unit hash.
 
 Both hashes call ``blake2b`` from the built-in ``_blake2`` module, which
 is the very object ``hashlib`` re-exports — taking it from there keeps
@@ -17,27 +17,40 @@ import _blake2
 import pytest
 
 from repro.cluster.ring import HashRing
+from repro.core.groups import group_hash, group_id
 from repro.core.protocol import tag_key
 from repro.sketches.kmv import hash_to_unit
 from repro.store.segment import canonical_key, key_hash
 
-#: key tuple -> (canonical key string, its 64-bit key hash)
+_ZERO = b"i" + bytes(8)
+_ONE = b"i\x01" + bytes(7)
+
+#: key tuple -> (its group id, the id's 64-bit BLAKE2b)
 KEY_HASHES = {
-    (0,): ('[["int",0]]', 0xA9AE9C993D34502E),
-    (1,): ('[["int",1]]', 0x3A7C69A5657E3051),
-    (-1,): ('[["int",-1]]', 0xE6E03ACBA9F140FC),
-    (2**63,): ('[["int",9223372036854775808]]', 0xD024D1422FFACCD4),
-    (1.5,): ('[["float",1.5]]', 0x16FEC89D9D57DDDE),
-    ("10.0.0.1",): ('[["str","10.0.0.1"]]', 0x076FDE6810A96578),
+    (0,): (_ZERO, 0xD9231905D3E987F2),
+    (0.0,): (_ZERO, 0xD9231905D3E987F2),
+    (-0.0,): (_ZERO, 0xD9231905D3E987F2),
+    (1,): (_ONE, 0xC05C0C4EE869F697),
+    (1.0,): (_ONE, 0xC05C0C4EE869F697),
+    (True,): (_ONE, 0xC05C0C4EE869F697),
+    (-1,): (b"i" + b"\xff" * 8, 0x002CB1D1DAB1D711),
+    (2**63,): (b"I\x09\x00\x00\x00" + bytes(7) + b"\x80\x00", 0x45F5A040ADA99791),
+    (1.5,): (b"f\x00\x00\x00\x00\x00\x00\xf8?", 0x86CD5672BA3D858C),
+    (float("nan"),): (b"f\x00\x00\x00\x00\x00\x00\xf8\x7f", 0x39346D34D32BF162),
+    (float("-nan"),): (b"f\x00\x00\x00\x00\x00\x00\xf8\x7f", 0x39346D34D32BF162),
+    ("10.0.0.1",): (b"s\x08\x00\x00\x0010.0.0.1", 0xD18F1B583B100F88),
     (17, "10.0.0.1", 443): (
-        '[["int",17],["str","10.0.0.1"],["int",443]]',
-        0xD5E500426A24B7E6,
+        b"i\x11" + bytes(7) + b"s\x08\x00\x00\x0010.0.0.1i\xbb\x01" + bytes(6),
+        0xFB739C35AF370EA9,
     ),
-    (None, True, ("nested", -0.0)): (
-        '[["literal",null],["literal",true],'
-        '["tuple",[["str","nested"],["float",-0.0]]]]',
-        0x195DE71486CF485C,
+    # UTF-8, never repr: repr of a non-ASCII str follows the
+    # interpreter's Unicode tables.
+    ("café ∑ 𐀀",): (
+        b"s\x0e\x00\x00\x00caf\xc3\xa9 \xe2\x88\x91 \xf0\x90\x80\x80",
+        0xE478315ABB27B18B,
     ),
+    ("\ud800",): (b"s\x03\x00\x00\x00\xed\xa0\x80", 0x66F39401C315F1E6),
+    (): (b"", 0xC3AFFFD8BF4F1B3C),
 }
 
 ITEMS = [0, 1, -1, 2**64, 1.5, "", "10.0.0.1", ("ring", "a", 0)]
@@ -75,8 +88,8 @@ UNIT_HASHES = {
     ],
 }
 
-#: HashRing(["a", "b", "c"]).node_for(key) for key in range(32)
-RING_OWNERS = "cabbcaabbcaccbccccccbcacbbcbabbb"
+#: HashRing(["a", "b", "c"]).node_for((key,)) for key in range(32)
+RING_OWNERS = "accaacabbccbccbcaacbbabcacacccac"
 
 
 def test_the_builtin_blake2_is_hashlibs():
@@ -85,9 +98,15 @@ def test_the_builtin_blake2_is_hashlibs():
 
 @pytest.mark.parametrize("key", list(KEY_HASHES), ids=repr)
 def test_key_hash_goldens(key):
-    canonical, digest = KEY_HASHES[key]
-    assert canonical_key([tag_key(part) for part in key]) == canonical
-    assert key_hash(canonical) == digest
+    gid, digest = KEY_HASHES[key]
+    assert group_id(key) == gid
+    assert group_hash(key) == digest
+    assert digest == int.from_bytes(
+        hashlib.blake2b(gid, digest_size=8, key=bytes(8)).digest(), "big"
+    )
+    # The record shape's tagged key names the same group.
+    named = canonical_key([tag_key(part) for part in key])
+    assert repr(named) == repr(key) and key_hash(named) == digest
 
 
 @pytest.mark.parametrize("seed", list(UNIT_HASHES))
@@ -97,4 +116,4 @@ def test_hash_to_unit_goldens(seed):
 
 def test_ring_placement_goldens():
     ring = HashRing(["a", "b", "c"])
-    assert "".join(ring.node_for(key) for key in range(32)) == RING_OWNERS
+    assert "".join(ring.node_for((key,)) for key in range(32)) == RING_OWNERS

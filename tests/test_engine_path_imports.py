@@ -256,7 +256,7 @@ PROCESS_CLASSES = {
     "coordinator": "import repro.cluster.coordinator",
     "ring": (
         "from repro.cluster.ring import HashRing\n"
-        "assert HashRing(['a', 'b', 'c']).node_for(rows[0][2]) in 'abc'"
+        "assert HashRing(['a', 'b', 'c']).node_for((rows[0][2],)) in 'abc'"
     ),
     "sharded": (
         "from repro.parallel.sharded import ShardedEngine\n"

@@ -36,8 +36,7 @@ SIGNATURES = {
         "store_dir", "store_hot_groups",
     ),
     "repro.parallel.sharded.ShardedEngine": (
-        "sql", "schema", "shards", "processes", "router", "store_dir",
-        "store_hot_groups",
+        "sql", "schema", "shards", "processes", "store_dir", "store_hot_groups",
     ),
     "repro.parallel.router.Router": (
         "plan", "placement", "make_owner", "frame_rows", "checkpoint_reads",
@@ -150,6 +149,10 @@ def test_parameter_names_are_pinned(path):
         ("repro.obs.metrics.DecayedCounter", "landmark"),
         ("repro.obs.metrics.DecayedCounter", "static_numerator"),
         ("repro.obs.metrics.HotKeyTracker", "total_weight"),
+        # A group's location is group_hash of its key alone: no ring
+        # diagnostic only tests read, no second store key hash.
+        ("repro.cluster.ring.HashRing", "spread"),
+        ("repro.store.tiered", "_hash_of"),
     ],
 )
 def test_stranded_methods_stay_deleted(path, method):
