@@ -30,7 +30,7 @@ from typing import Callable
 
 from repro.core.decay import ForwardDecay, quadratic_decay
 from repro.core.errors import EmptySummaryError, MergeError, ParameterError
-from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, NUMBER_CODEC, WEIGHT
+from repro.core.protocol import DECAY, ITEMS, LANDMARK, MAX_TIME, WEIGHT
 from repro.core.protocol import Field, StreamSummary, Value
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeightEngine
@@ -49,9 +49,9 @@ __all__ = [
 
 
 #: A float of the state, linear in the arrival weights.
-_WEIGHT = Value(WEIGHT, NUMBER_CODEC)
+_WEIGHT = Value(WEIGHT)
 #: ``g`` values, never negative: refused on restore when they are.
-_WEIGHT_SUM = Value(WEIGHT, NUMBER_CODEC, nonneg=True)
+_WEIGHT_SUM = Value(WEIGHT, nonneg=True)
 
 
 def _fields(initial: float = 0.0, fold=operator.add, **state: Value):

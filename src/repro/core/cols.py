@@ -15,7 +15,10 @@ operations.  Layout of a packed batch (all integers network order)::
 The kind byte's low nibble is the kind, bits 4-5 a **width shrink** (how
 many times the kind's integer width is halved) and bit 7 a string block's
 **head**.  Version 1 wrote shrink 0 alone, 2 narrowed ints, lengths and
-codes, 3 integral floats, 4 heads — one decoder reads all four::
+codes, 3 integral floats, 4 heads, 5 a :mod:`repro.core.tree` list for
+the ``tagged`` kind's JSON — one decoder reads all five, but for the JSON
+``tagged`` block (``0x04``), which it refuses by name in a batch of any
+version::
 
     kind byte            name             payload
     0x01 0x11 0x21 0x31  i64 i32 i16 i8   rows × signed int of 8 >> shrink bytes
@@ -28,13 +31,15 @@ codes, 3 integral floats, 4 heads — one decoder reads all four::
                                           each), then the UTF-8 entries
     0x83 0x93 0xA3       str/…+head8      one entry more, first: the head all
                                           rows share; each row's entry its rest
-    0x04                 tagged           JSON list of tag_key-tagged values
+    0x04                 (retired)        JSON ``tagged``: refused
     0x05 0x15 0x25 (+80) bytes/u32 u16 u8 the same over raw buffers (both are
                                           :mod:`repro.core.tree` string blocks)
     0x06 0x16 0x26       dict[n]/u32 u16 u8
                                           entries: u32 | a nested str block of the
                                           entries distinct strings in first-seen
                                           order | rows × codes (4 >> shrink bytes)
+    0x07                 tagged           one :mod:`repro.core.tree` list of
+                                          the rows' values
 
 ``seq+1`` is zero when the batch carries no sequence number.  The
 encoding is chosen from the *values* alone: the kind from their types
@@ -71,15 +76,14 @@ All malformed input raises :class:`~repro.core.errors.ProtocolError`.
 
 from __future__ import annotations
 
-import json
 import struct
 from itertools import compress
 from math import trunc
 from operator import itemgetter
 
-from repro.core.errors import ProtocolError
-from repro.core.protocol import tag_key, untag_key
-from repro.core.tree import HEADED, read_strings, string_block, string_head, shrink_of
+from repro.core.errors import ParameterError, ProtocolError
+from repro.core.tree import HEADED, pack_tree, read_strings, shrink_of, string_block
+from repro.core.tree import string_head, unpack_tree
 
 __all__ = [
     "COLS_CODEC_VERSION",
@@ -103,22 +107,20 @@ __all__ = [
     "block_type",
     "block_name",
     "describe_cols",
-    "tag_value",
-    "untag_value",
 ]
 
 #: Layout version byte leading every packed batch a writer emits; the one
 #: decoder reads every version (module docstring).
-COLS_CODEC_VERSION = 4
+COLS_CODEC_VERSION = 5
 
 #: Column payload kinds: the low nibble of a block's kind byte (see the
 #: module docstring).  Each name is the kind at width shrink 0.
 COL_I64 = 1
 COL_F64 = 2
 COL_STR = 3
-COL_TAGGED = 4
 COL_BYTES = 5
 COL_DICT = 6
+COL_TAGGED = 7
 
 #: ``struct`` codes by width shrink: an int is ``8 >> shrink`` bytes, a
 #: length or dictionary code ``4 >> shrink``.
@@ -173,21 +175,6 @@ def rows_to_cols(rows) -> list[list]:
 def cols_to_rows(cols) -> list[tuple]:
     """Inverse of :func:`rows_to_cols`."""
     return list(zip(*cols, strict=True))
-
-
-def tag_value(value):
-    """Tag one value for JSON transport (engine key tags + a list tag)."""
-    if isinstance(value, list):
-        return ["list", [tag_value(part) for part in value]]
-    return tag_key(value)
-
-
-def untag_value(tag):
-    """Inverse of :func:`tag_value`."""
-    kind = tag[0]
-    if kind == "list":
-        return [untag_value(part) for part in tag[1]]
-    return untag_key(tag)
 
 
 def _frame(kind: int, payload: bytes) -> bytes:
@@ -305,10 +292,7 @@ def _pack_column(values) -> tuple[int, bytes]:
     elif kinds == {bytes}:
         _size, layout, pack, _top = string_block(values, string_head(values))
         return COL_BYTES | layout, pack()
-    tagged = json.dumps(
-        [tag_value(v) for v in values], separators=(",", ":")
-    ).encode("ascii")  # json.dumps escapes every non-ASCII character
-    return COL_TAGGED, tagged
+    return COL_TAGGED, pack_tree(list(values))
 
 
 def _fixed_values(fmt: str, view, offset: int, count: int, rows) -> list:
@@ -327,6 +311,8 @@ def _unpack_column(kind: int, view, count: int, rows=None) -> list:
     (``rows=()``) is the shape check alone (``tagged`` excepted)."""
     base, shrink = kind & 15, kind >> 4
     shape_only = rows is not None and not len(rows)
+    if kind == 4:  # versions 1-4 wrote tagged blocks as JSON: never a tree
+        raise ProtocolError("retired column kind 4 (a JSON tagged block)")
     if (base == COL_I64 and shrink < 4) or kind == COL_F64:
         if len(view) != (8 >> shrink) * count:
             raise ProtocolError(
@@ -367,11 +353,13 @@ def _unpack_column(kind: int, view, count: int, rows=None) -> list:
             ) from None
     if kind == COL_TAGGED:
         try:
-            tags = json.loads(bytes(view).decode("ascii"))
-            values = [untag_value(tag) for tag in tags]
-        except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
-                ValueError, IndexError, KeyError) as exc:
+            values = unpack_tree(view)
+        except ParameterError as exc:
             raise ProtocolError(f"undecodable tagged column: {exc}") from exc
+        if type(values) is not list:
+            raise ProtocolError(
+                f"tagged column holds a {type(values).__name__}, not a list"
+            )
         if len(values) != count:
             raise ProtocolError(
                 f"tagged column has {len(values)} values for {count} rows"

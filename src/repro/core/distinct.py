@@ -32,7 +32,7 @@ from typing import Hashable
 from repro.core.decay import ForwardDecay, quadratic_decay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import ExponentialG
-from repro.core.protocol import DECAY, ITEMS, KEY, LOG_WEIGHT, MAX_TIME, Field, Nested
+from repro.core.protocol import DECAY, ITEMS, LOG_WEIGHT, MAX_TIME, RAW, Field, Nested
 from repro.core.protocol import StreamSummary, Table, Value
 from repro.core.registry import register_summary
 from repro.sketches.dominance import DominanceNormEstimator
@@ -77,7 +77,7 @@ class ExactDecayedDistinct(StreamSummary):
         ITEMS,
         MAX_TIME,
         # One float (plus key slot) per distinct item.
-        Field("log_max", Table(KEY, Value(LOG_WEIGHT)), initial=dict,
+        Field("log_max", Table(RAW, Value(LOG_WEIGHT)), initial=dict,
               entry_bytes=16),
     )
 

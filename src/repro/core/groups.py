@@ -5,6 +5,9 @@
 placement (:func:`~repro.parallel.routing.stable_route`, the cluster's
 :class:`~repro.cluster.ring.HashRing`) and of the store's key directory.
 
+A dict finds a NaN key only by identity, so wherever keys are built or
+read back every NaN part is filed as one object (:func:`shared_nans`).
+
 The group batch packs "the state of some groups" for the two places that
 hold it as bytes, :meth:`repro.dsms.engine.QueryEngine.partial_state_bytes`
 (every live group) and a :mod:`repro.store.segment` page (an eviction
@@ -23,6 +26,7 @@ between groups).  Callers pack the two with ``pack_column(slots)`` and
 from __future__ import annotations
 
 import struct
+from operator import ne
 
 # The built-in BLAKE2 that ``hashlib.blake2b`` is; importing it from here
 # keeps ``hashlib`` — and the OpenSSL it maps — out of the process.
@@ -33,7 +37,7 @@ from repro.core.protocol import StreamSummary
 
 __all__ = [
     "SUMMARY_SLOT", "RAGGED_SLOT", "group_columns", "group_states", "group_id",
-    "group_hash",
+    "group_hash", "shared_nans",
 ]
 
 #: Slot codes for aggregates whose state is not a fixed-arity scalar list.
@@ -45,6 +49,17 @@ _FLOAT = struct.Struct("<cd").pack  # b"f", a float no int equals
 _SIZED = struct.Struct("<cI").pack  # b"s" / b"I", then that many bytes
 _NAN = b"f" + struct.pack("<Q", 0x7FF8_0000_0000_0000)  # one NaN for all
 _INT_LIMIT = 1 << 63
+
+#: The NaN every NaN key part is filed as.
+NAN = float("nan")
+
+
+def shared_nans(column):
+    """``column`` (key parts) with every NaN the shared :data:`NAN`; the
+    column itself when it holds no NaN (one C pass: only NaN != itself)."""
+    if not any(map(ne, column, column)):
+        return column
+    return [NAN if part != part else part for part in column]
 
 
 def group_id(key: tuple) -> bytes:
@@ -137,7 +152,8 @@ def group_states(
         or len(cols) != (key_parts + sum(widths) if groups else 0)
     ):
         raise ValueError("slot codes do not match the batch's columns")
-    keys = list(zip(*cols[:key_parts])) if key_parts else [()] * groups
+    key_cols = map(shared_nans, cols[:key_parts])
+    keys = list(zip(*key_cols)) if key_parts else [()] * groups
     states = []
     at = key_parts
     for code, width in zip(slots, widths):

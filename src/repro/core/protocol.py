@@ -86,7 +86,7 @@ __all__ = [
 ]
 
 
-# -- JSON helpers shared by every summary's payload --------------------------------
+# -- tagged values: the RESULT body and the segment record shape --------------------
 
 
 def encode_number(value: float) -> object:
@@ -181,10 +181,7 @@ def dump_decay(decay: ForwardDecay) -> dict:
             f"cannot serialize custom decay function {name!r}; "
             "register it with the library's function classes"
         )
-    fields = dataclasses.asdict(g)
-    # Tuples (GeneralPolynomialG coefficients) become JSON lists; the
-    # loader converts back.
-    return {"g": name, "params": fields, "landmark": decay.landmark}
+    return {"g": name, "params": dataclasses.asdict(g), "landmark": decay.landmark}
 
 
 def load_decay(data: dict) -> ForwardDecay:
@@ -195,10 +192,7 @@ def load_decay(data: dict) -> ForwardDecay:
     if data["g"] not in _G_CLASSES:
         raise ParameterError(f"unknown decay function class {data['g']!r}")
     cls = getattr(functions, data["g"])
-    params = dict(data["params"])
-    if "coefficients" in params:
-        params["coefficients"] = tuple(params["coefficients"])
-    return ForwardDecay(cls(**params), landmark=data["landmark"])
+    return ForwardDecay(cls(**data["params"]), landmark=data["landmark"])
 
 
 # -- declared state ----------------------------------------------------------------
@@ -261,9 +255,10 @@ class Shape:
 
 
 class Value(Shape):
-    """One stored value: its role, its ``(dump, load)`` codec (``None``
-    for as-is) and its domain — ``nonneg`` refuses a negative or NaN value
-    on restore, for a weight ``update`` never stores negative."""
+    """One stored value: its role, its ``(dump, load)`` codec for an object
+    (``None``: the value as itself, :mod:`repro.core.tree` keeps its type)
+    and its domain — ``nonneg`` refuses a negative or NaN value on restore,
+    for a weight ``update`` never stores negative."""
 
     def __init__(self, role: str = EXACT, codec: tuple = (None, None), *,
                  nonneg: bool = False):
@@ -291,13 +286,6 @@ class Value(Shape):
 
 
 RAW = Value()
-NUMBER_CODEC = (encode_number, decode_number)
-#: A float, non-finite ones tagged (:func:`encode_number`).
-NUMBER = Value(codec=NUMBER_CODEC)
-#: A stream item, its Python type kept (:func:`tag_key`).
-KEY = Value(codec=(tag_key, untag_key))
-#: An int, written as its decimal string.
-DECIMAL = Value(codec=(str, int))
 GENERATOR = Value(codec=(dump_rng_state, load_rng_state))
 
 
@@ -509,7 +497,7 @@ class Field:
 DECAY = Field("decay", Value(codec=(dump_decay, load_decay)), init=True)
 LANDMARK = Field("internal_landmark", attr="_engine.internal_landmark")
 ITEMS = Field("items", initial=0, fold=operator.add)
-MAX_TIME = Field("max_time", NUMBER, initial=-math.inf, fold=max)
+MAX_TIME = Field("max_time", initial=-math.inf, fold=max)
 
 
 class DeclaredState:
@@ -522,8 +510,6 @@ class DeclaredState:
 
     #: The state, in payload order.
     _FIELDS: ClassVar[tuple[Field, ...]] = ()
-    #: Payload keys of retired layouts, each refused with its reason.
-    _RETIRED: ClassVar[dict[str, str]] = {}
 
     def __init__(self) -> None:
         """Start each field that declares an ``initial`` value at it."""
@@ -532,7 +518,7 @@ class DeclaredState:
                 field.assign(self, _fresh(field.initial))
 
     def _state_payload(self) -> dict:
-        """The JSON-compatible tree of the declared fields."""
+        """The :mod:`repro.core.tree` tree of the declared fields."""
         payload: dict = {}
         for field in self._FIELDS:
             node = payload
@@ -546,9 +532,6 @@ class DeclaredState:
         """Rebuild from :meth:`_state_payload` output.  Every field is
         read and checked before the constructor runs, so a field that
         breaks a bound is refused before it sizes anything."""
-        for key, refusal in cls._RETIRED.items():
-            if key in payload:
-                raise ParameterError(refusal)
         values = [field.shape.load(reduce(operator.getitem, field.path, payload),
                                    payload, field.key)
                   for field in cls._FIELDS]
@@ -612,7 +595,7 @@ def summary_type_of(data) -> str:
 
     Read from the buffer's head alone — nothing is unpacked, looked up or
     instantiated — so an inspector can label a summary slot it only holds
-    the bytes of.  Anything but a version-3 head is a
+    the bytes of.  Anything but a version-4 head is a
     :class:`ParameterError`.
     """
     head = bytes(data[:2 + 255])
@@ -641,7 +624,7 @@ class StreamSummary(DeclaredState, ABC):
 
     #: Layout version of :meth:`to_bytes` buffers, their first byte.  One
     #: for every summary: the payload codec is generic.
-    SERDE_VERSION: ClassVar[int] = 3
+    SERDE_VERSION: ClassVar[int] = 4
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -698,7 +681,7 @@ class StreamSummary(DeclaredState, ABC):
 
         ::
 
-            | 2: u8 | n: u8 | registry name: n bytes | tree: to the end |
+            | 4: u8 | n: u8 | registry name: n bytes | tree: to the end |
 
         The tree is :func:`repro.core.tree.pack_tree` of
         :meth:`_state_payload`.

@@ -69,15 +69,17 @@ class Format(NamedTuple):
     deflated: bool = False
 
 
-#: Version 4 had no envelope: a version byte, the head, and a trailing CRC32.
-PARTIAL_STATE = Format(b"FDPS", 7, "partial-state buffer", MergeError, True)
+#: Version 4 had no envelope: a version byte, the head, and a trailing CRC32;
+#: 7 could hold a JSON ``tagged`` column.
+PARTIAL_STATE = Format(b"FDPS", 8, "partial-state buffer", MergeError, True)
 PARTIALS_CHECKPOINT = Format(b"FDCK", 3, "partials checkpoint", ParameterError)
 #: A segment's header; its pages (deflated) and footer are bare frames.
-SEGMENT = Format(b"RSEG", 7, "segment", StoreError, True)
+#: Version 7 pages could hold a JSON ``tagged`` column.
+SEGMENT = Format(b"RSEG", 8, "segment", StoreError, True)
 #: Version 2 hashed the JSON of a tagged key, not its ``group_id``.
 DIRECTORY_SNAPSHOT = Format(b"RDIR", 3, "key directory snapshot", StoreError)
-#: Version 4 was bare JSON carrying its own ``version`` field.
-STORE_MANIFEST = Format(b"FDMF", 5, "store manifest", StoreError)
+#: Version 4 was bare JSON carrying its own ``version`` field, 5 sealed JSON.
+STORE_MANIFEST = Format(b"FDMF", 6, "store manifest", StoreError)
 
 _HEAD = struct.Struct("<4sB")  # magic, version
 _FRAME = struct.Struct("<II")  # body length, CRC32(body)

@@ -1,13 +1,15 @@
-"""Packed payload trees: the struct codec under ``StreamSummary.to_bytes``.
+"""Packed payload trees: how the library stores a Python value.
 
-Every summary describes its state as a JSON-compatible tree (``dict`` /
-``list`` / ``str`` / ``int`` / ``float`` / ``bool`` / ``None``) through
-its ``_state_payload`` hook.  This module packs *any* such tree — no
-per-class layout — and promises ``unpack_tree(pack_tree(p))`` equals
-``json.loads(json.dumps(p))`` under ``type()`` and ``repr()``: tuples
-read back as lists, everything else as itself, floats bit-exactly (NaN,
-±inf and -0.0 included).  The one thing JSON does that this codec
-refuses is coercing non-``str`` dict keys.  Little-endian but the string block::
+Every summary describes its state as a tree (``dict`` / ``list`` /
+``tuple`` / ``str`` / ``int`` / ``float`` / ``bool`` / ``None``) through
+its ``_state_payload`` hook; a :mod:`repro.core.cols` ``tagged`` column and
+the store manifest are such trees too.  This module packs *any* such tree
+— no per-class layout — and promises ``unpack_tree(pack_tree(v))`` equals
+``v`` under ``type()`` and ``repr()``: a tuple reads back as a tuple, a
+bool apart from an int, an int past 64 bits whole, and a float bit for bit
+(NaN, ±inf and -0.0 included).  A subclass of one of these types (an
+``IntEnum``, a named tuple) is stored as its base.  A dict key must be a
+``str``.  Little-endian but the string block::
 
     value  := tag: u8, then
         0 None | 1 False | 2 True                 nothing
@@ -15,6 +17,7 @@ refuses is coercing non-``str`` dict keys.  Little-endian but the string block::
         5 float   f64          6 str     n: u32, n bytes of UTF-8
         7 list    n: u32, column(n) if n
         8 dict    n: u32, column(n) of keys, column(n) of values, if n
+        9 tuple   n: u32, column(n) if n
 
     column(n) := kind: u8, then
         0 generic  n values
@@ -23,6 +26,7 @@ refuses is coercing non-``str`` dict keys.  Little-endian but the string block::
         7 str      layout: u8, then a string block of n entries
         8 records  k: u32, then k column(n)s — n equal-length lists,
                    transposed (1 <= k <= n, so a wide matrix keeps its rows)
+        9 tuples   as records, each row read back as a tuple
 
     string block := lengths (u32 >> shrink, network order) | the bytes
         layout bits 4-5: shrink (2 = u8, 1 = u16, 0 = u32); bit 7: headed,
@@ -31,10 +35,11 @@ refuses is coercing non-``str`` dict keys.  Little-endian but the string block::
 
 The column kind is chosen from the values, as :mod:`repro.core.cols`
 chooses its kinds: a dense block for one scalar type (ints at the
-narrowest width), a transposed table for equal-length records (so a
-column of ``["str", item]`` tags becomes a run and a ``str`` block), and
-tagged values otherwise.  Lives below :mod:`repro.core.protocol`, which
-:mod:`repro.core.cols` imports, hence the stand-alone struct code.
+narrowest width), a transposed table for equal-length lists or tuples (so
+a column of ``(str, int)`` items becomes a ``str`` block and an int
+block), and tagged values otherwise.  Lives below
+:mod:`repro.core.protocol`, which :mod:`repro.core.cols` imports, hence
+the stand-alone struct code.
 
 A reader never allocates past the bytes that remain: every count is
 checked against them before anything is built.  Two things expand.  Runs
@@ -61,8 +66,10 @@ RUN_BUDGET = 1 << 20
 #: Times its own bytes that a string block's repeated head may expand to.
 HEAD_GROWTH = 16
 
-_NONE, _FALSE, _TRUE, _INT, _BIGINT, _FLOAT, _STR, _LIST, _DICT = range(9)
-_GENERIC, _RUN, _U8, _U16, _U32, _I64, _F64, _STRS, _RECORDS = range(9)
+_NONE, _FALSE, _TRUE, _INT, _BIGINT, _FLOAT, _STR, _LIST, _DICT, _TUPLE = range(10)
+_GENERIC, _RUN, _U8, _U16, _U32, _I64, _F64, _STRS, _RECORDS, _TUPLES = range(10)
+#: The tag of a sequence, and the column kind of equal-length ones.
+_SEQUENCES = {list: (_LIST, _RECORDS), tuple: (_TUPLE, _TUPLES)}
 
 _TAG_I64 = struct.Struct("<Bq")
 _TAG_F64 = struct.Struct("<Bd")
@@ -104,11 +111,11 @@ class _Writer:
                 raw = value.to_bytes(value.bit_length() // 8 + 1, "big", signed=True)
                 add(_TAG_U32.pack(_BIGINT, len(raw)))
                 add(raw)
-        elif isinstance(value, (list, tuple)):
-            add(_TAG_U32.pack(_LIST, len(value)))
+        elif kind in _SEQUENCES:
+            add(_TAG_U32.pack(_SEQUENCES[kind][0], len(value)))
             if value:
                 self.column(value)
-        elif isinstance(value, dict):
+        elif kind is dict:
             add(_TAG_U32.pack(_DICT, len(value)))
             if value:
                 keys = list(value)
@@ -120,12 +127,12 @@ class _Writer:
                 self.column(keys)
                 self.column(list(value.values()))
         else:
-            for base in (float, int, str):
-                if isinstance(value, base):  # numpy.float64, an IntEnum:
-                    return self.value(base(value))  # what JSON would write
+            for base in (float, int, str, tuple, list, dict):
+                if isinstance(value, base):  # numpy.float64, an IntEnum,
+                    return self.value(base(value))  # a named tuple: the base
             raise ParameterError(
                 f"cannot pack a value of type {kind.__name__!r}; payload "
-                "trees hold dict, list, str, int, float, bool and None"
+                "trees hold dict, list, tuple, str, int, float, bool and None"
             )
 
     def column(self, values) -> None:
@@ -156,10 +163,10 @@ class _Writer:
             _size, layout, pack, _top = string_block(values, string_head(values))
             add(bytes((_STRS, layout)) + pack())
             return
-        elif kinds <= {list, tuple}:
+        elif kind in _SEQUENCES:
             width = len(values[0])
             if 1 <= width <= count and all(len(v) == width for v in values):
-                add(_TAG_U32.pack(_RECORDS, width))
+                add(_TAG_U32.pack(_SEQUENCES[kind][1], width))
                 for column in zip(*values):
                     self.column(column)
                 return
@@ -179,7 +186,7 @@ class _Writer:
 
 
 def pack_tree(tree) -> bytes:
-    """One JSON-compatible tree as a packed buffer (module docstring)."""
+    """One tree as a packed buffer (module docstring)."""
     writer = _Writer()
     try:
         writer.value(tree)
@@ -225,6 +232,8 @@ class _Reader:
             return int.from_bytes(data[start:self.at], "big", signed=True)
         if tag == _LIST:
             return self.column(count) if count else []
+        if tag == _TUPLE:
+            return tuple(self.column(count)) if count else ()
         if tag == _DICT:
             if not count:
                 return {}
@@ -255,13 +264,13 @@ class _Reader:
         if kind == _STRS and not data[self.take(1)] & 15:  # the layout byte
             values, self.at = read_strings(data, self.at, count, data[self.at - 1])
             return values
-        if kind == _RECORDS:
+        if kind == _RECORDS or kind == _TUPLES:
             width = self.count()
             # Every column spends its kind byte at least.
             if not 1 <= width <= len(data) - self.at:
                 raise ValueError(f"records of width {width}")
-            columns = [self.column(count) for _ in range(width)]
-            return list(map(list, zip(*columns)))
+            rows = zip(*[self.column(count) for _ in range(width)])
+            return list(rows) if kind == _TUPLES else list(map(list, rows))
         if kind == _GENERIC:
             if count > len(data) - self.at:
                 raise ValueError(f"{count} values in {len(data) - self.at} bytes")

@@ -33,19 +33,10 @@ import copy
 import struct
 from typing import Callable, Iterable, Iterator
 
-from repro.core.cols import (
-    block_name,
-    block_values,
-    open_cols,
-    pack_cols,
-    pack_column,
-    read_column,
-    row_count,
-    take_rows,
-    unpack_cols,
-)
+from repro.core.cols import block_name, block_values, open_cols, pack_cols, pack_column
+from repro.core.cols import read_column, row_count, take_rows, unpack_cols
 from repro.core.errors import MergeError, ProtocolError, QueryError
-from repro.core.groups import SUMMARY_SLOT, group_columns, group_states
+from repro.core.groups import SUMMARY_SLOT, group_columns, group_states, shared_nans
 from repro.core.protocol import StreamSummary, summary_type_of
 from repro.core.serde import PARTIAL_STATE, seal, unseal
 from repro.dsms.expressions import compile_shared, labelled, named
@@ -66,7 +57,8 @@ ResultRow = dict[str, object]
 #: The version sealed into every :meth:`QueryEngine.partial_state_bytes`
 #: buffer; bumped whenever the partial-state layout changes (1 was tagged
 #: JSON, 2 held no integral ``f64`` column at an int width, 3 carried an
-#: open time bucket, 4 framed itself), so a build refuses any other.
+#: open time bucket, 4 framed itself, 7 could hold a JSON ``tagged``
+#: column), so a build refuses any other.
 PARTIAL_STATE_VERSION = PARTIAL_STATE.version
 
 #: tuples_in, tuples_selected, low_evictions, groups, header texts,
@@ -235,12 +227,12 @@ class QueryEngine:
 
     @property
     def group_count(self) -> int:
-        """Number of live groups (low + high level, plus spilled groups)."""
-        keys = set(self._high)
-        keys.update(self._low)
+        """Number of live groups (low + high level, plus spilled groups).
+        A store-backed engine is one-level and its hot and cold groups are
+        disjoint: its count reads no page."""
         if self._store is not None:
-            keys.update(self._store.cold_key_set())
-        return len(keys)
+            return len(self._high) + self._store.cold_count
+        return len(self._high.keys() | self._low.keys())
 
     @property
     def store(self):
@@ -304,7 +296,8 @@ class QueryEngine:
             return
         self._tuples_selected += 1
         width = len(self._group_fns)
-        key = tuple(values[:width])
+        # Every NaN part is the one shared NaN before it keys a table.
+        key = tuple(shared_nans(values[:width]))
         args = [
             tuple(values[width + slot] for slot in slots)
             for slots in self._arg_slots
@@ -400,7 +393,8 @@ class QueryEngine:
                 count = len(selected)
         columns = columns_fn(cols, count)
         width = len(self._group_fns)
-        keys = list(zip(*columns[:width])) if width else [()] * count
+        key_cols = map(shared_nans, columns[:width])
+        keys = list(zip(*key_cols)) if width else [()] * count
         return count, keys, columns[width:]
 
     def insert_cols(self, cols: list) -> None:

@@ -27,7 +27,7 @@ from typing import Callable, Hashable, NamedTuple, TypeVar
 
 from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
-from repro.core.protocol import KEY, RAW, Field
+from repro.core.protocol import RAW, Field
 from repro.core.registry import register_summary
 from repro.sampling.weighted_reservoir import (
     LOG_KEY,
@@ -71,7 +71,7 @@ class PrioritySampler(HeapSampler[T]):
     # the lowest-priority retained item.  Priority, weight and a slot per
     # item; ``ln tau`` is the highest evicted log-priority.
     _FIELDS = heap_fields(
-        LOG_KEY, RAW, KEY, LOG_KEY, entry_bytes=24,
+        LOG_KEY, RAW, RAW, LOG_KEY, entry_bytes=24,
         extra=(Field("log_tau", LOG_KEY, initial=-math.inf),),
     )
 

@@ -14,7 +14,7 @@ from typing import Generic, TypeVar
 
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import GENERATOR, KEY, Field, ListOf, StreamSummary
+from repro.core.protocol import GENERATOR, RAW, Field, ListOf, StreamSummary
 from repro.core.registry import register_summary
 
 __all__ = ["ReservoirSampler"]
@@ -47,16 +47,9 @@ class ReservoirSampler(StreamSummary, Generic[T]):
     _FIELDS = (
         Field("k", init=True),
         Field("seen", initial=0),
-        Field("reservoir", ListOf(KEY, most="k"), initial=list, entry_bytes=8),
+        Field("reservoir", ListOf(RAW, most="k"), initial=list, entry_bytes=8),
         Field("rng", GENERATOR, attr="_rng", init=True),
     )
-    # Buffers that carry a skip count predate the one update path, and
-    # may have been mid-skip: continuing them as Algorithm R would
-    # coin-flip items the old run had already passed over.
-    _RETIRED = {
-        "skip": "reservoir buffer carries a skip count: written with a skip "
-                "path this build does not have",
-    }
 
     def __init__(self, k: int, rng: random.Random | None = None):
         if k < 1:

@@ -33,7 +33,7 @@ from repro.core.decay import ForwardDecay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import ExponentialG
 from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import GENERATOR, KEY, LOG_WEIGHT, NUMBER_CODEC, RAW, Field
+from repro.core.protocol import GENERATOR, LOG_WEIGHT, RAW, Field
 from repro.core.protocol import Records, StreamSummary, Value
 from repro.core.registry import register_summary
 
@@ -69,8 +69,8 @@ def batch_log_weights(items, weights) -> list[float] | None:
     return logs if all(map(math.isfinite, logs)) else None  # inf, NaN
 
 
-#: A log-domain key, ``-inf`` / NaN tagged.
-LOG_KEY = Value(LOG_WEIGHT, NUMBER_CODEC)
+#: A log-domain key.
+LOG_KEY = Value(LOG_WEIGHT)
 
 
 def heap_fields(*entry: Value, entry_bytes: int,
@@ -140,7 +140,7 @@ class WeightedReservoirSampler(HeapSampler[T]):
     # Max-heap on log-key via negation of (log-key, tiebreak, item): the
     # root is the *largest* (worst) retained key, evicted first.  A key
     # and a slot per item.
-    _FIELDS = heap_fields(LOG_KEY, RAW, KEY, entry_bytes=16)
+    _FIELDS = heap_fields(LOG_KEY, RAW, RAW, entry_bytes=16)
 
     def update_log(self, item: T, log_weight: float) -> None:
         """Offer ``item`` with ``ln(weight)`` (overflow-free path)."""

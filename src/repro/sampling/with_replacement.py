@@ -31,7 +31,7 @@ from typing import Generic, Hashable, TypeVar
 from repro.core.decay import ForwardDecay, quadratic_decay
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.keyed_random import KeyedRandom
-from repro.core.protocol import DECAY, GENERATOR, KEY, LANDMARK, WEIGHT, Field, ListOf
+from repro.core.protocol import DECAY, GENERATOR, LANDMARK, RAW, WEIGHT, Field, ListOf
 from repro.core.protocol import StreamSummary, Value
 from repro.core.registry import register_summary
 from repro.core.weights import ForwardWeighted, ForwardWeightEngine
@@ -78,7 +78,7 @@ class DecayedSamplerWithReplacement(ForwardWeighted, StreamSummary, Generic[T]):
         Field("s", init=True),
         Field("weight_total", Value(WEIGHT, nonneg=True), initial=0.0,
               entry_bytes=8),
-        Field("slots", ListOf(KEY, length="s"), entry_bytes=8),
+        Field("slots", ListOf(RAW, length="s"), entry_bytes=8),
         Field("items", initial=0),
         Field("next_replace", ListOf(Value(WEIGHT, nonneg=True), length="s")),
         Field("rng", GENERATOR, attr="_rng", init=True),

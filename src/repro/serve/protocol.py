@@ -95,16 +95,17 @@ place of a page ends that sequence and the pages before it are void.
 Version negotiation: HELLO carries the client's highest ``wire_version``;
 the server answers WELCOME with ``wire_version = min(client, server)``
 and both sides speak that, so a future client negotiates *down* to this
-build.  Version 7 is the only one spoken; each older one differs in
+build.  Version 8 is the only one spoken; each older one differs in
 something this build reads or writes: version 1's row-JSON ``INSERT``
 frames (under half the columnar rate, EXPERIMENTS.md), version 2's
 one-frame RESULT (its client would take a first page for the answer), the
-:mod:`repro.core.cols` decoders of versions 3–6 (no typed, no narrow
-``f64``, no string head; this build *reads* their batches, they would
-refuse its own) and version 5's HEARTBEAT punctuation, which no engine
-ever acted on (forward decay fixes a weight's numerator on arrival).  A
-HELLO below the minimum (or with a junk version) earns a connection-scoped
-``wire-version`` ERROR naming the supported range.
+:mod:`repro.core.cols` decoders of versions 3–7 (no typed, no narrow
+``f64``, no string head, JSON ``tagged`` columns; this build *reads*
+their batches but for such a column, they would refuse its own) and
+version 5's HEARTBEAT punctuation, which no engine ever acted on (forward
+decay fixes a weight's numerator on arrival).  A HELLO below the minimum
+(or with a junk version) earns a connection-scoped ``wire-version`` ERROR
+naming the supported range.
 
 Framing errors (bad length, oversized frame, undecodable body — columnar
 bodies included) are *connection-scoped*: the server answers with ERROR
@@ -123,22 +124,10 @@ from __future__ import annotations
 import json
 import struct
 
-from repro.core.cols import (
-    COL_BYTES,
-    COL_F64,
-    COL_I64,
-    COL_STR,
-    COL_TAGGED,
-    COLS_CODEC_VERSION,
-    cols_to_rows,
-    open_cols,
-    pack_cols,
-    rows_to_cols,
-    tag_value as _tag_value,
-    unpack_cols,
-    untag_value as _untag_value,
-)
+from repro.core.cols import COL_TAGGED, cols_to_rows, open_cols, pack_cols
+from repro.core.cols import rows_to_cols, unpack_cols
 from repro.core.errors import ProtocolError
+from repro.core.protocol import tag_key, untag_key
 
 __all__ = [
     "WIRE_VERSION",
@@ -156,12 +145,6 @@ __all__ = [
     "decode_cols",
     "rows_to_cols",
     "cols_to_rows",
-    "COLS_CODEC_VERSION",
-    "COL_I64",
-    "COL_F64",
-    "COL_STR",
-    "COL_TAGGED",
-    "COL_BYTES",
     "encode_result_rows",
     "decode_result_rows",
     "result_pages",
@@ -172,10 +155,10 @@ __all__ = [
 ]
 
 #: Highest protocol revision this build speaks (carried in HELLO).
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 
 #: Oldest revision still accepted (the module docstring says why).
-MIN_WIRE_VERSION = 7
+MIN_WIRE_VERSION = 8
 
 #: Default ceiling on ``length``; larger frames are rejected before the
 #: body is buffered, so a hostile length prefix cannot balloon memory.
@@ -474,6 +457,21 @@ def decode_blobs(body) -> list[bytes]:
     if len(cols) != 1 or set(map(type, cols[0])) - {bytes}:
         raise ProtocolError("blob batch must be one column of bytes")
     return cols[0]
+
+
+def _tag_value(value):
+    """Tag one result value for JSON: :func:`~repro.core.protocol.tag_key`'s
+    tags plus a ``list`` tag for list-valued finalizers."""
+    if isinstance(value, list):
+        return ["list", [_tag_value(part) for part in value]]
+    return tag_key(value)
+
+
+def _untag_value(tag):
+    """Inverse of :func:`_tag_value`."""
+    if tag[0] == "list":
+        return [_untag_value(part) for part in tag[1]]
+    return untag_key(tag)
 
 
 def encode_result_rows(rows) -> list:

@@ -31,7 +31,7 @@ import math
 from typing import Hashable
 
 from repro.core.errors import EmptySummaryError, ParameterError
-from repro.core.protocol import DECIMAL, ITEMS, Field, Nested, StreamSummary, Table
+from repro.core.protocol import ITEMS, RAW, Field, Nested, StreamSummary, Table
 from repro.core.registry import register_summary
 from repro.sketches.kmv import KMVSketch, check_seed
 
@@ -68,7 +68,7 @@ class DominanceNormEstimator(StreamSummary):
         Field("seed", init=True),
         Field("kmv_size", attr="_kmv_size", init=True),
         ITEMS,
-        Field("levels", Table(DECIMAL, Nested(KMVSketch), sort=True), initial=dict),
+        Field("levels", Table(RAW, Nested(KMVSketch), sort=True), initial=dict),
     )
 
     def __init__(self, epsilon: float = 0.1, seed: int = 0, kmv_size: int | None = None):

@@ -30,7 +30,7 @@ from collections import Counter, deque
 
 from repro.core.errors import ParameterError
 from repro.core.functions import FFunction
-from repro.core.protocol import NUMBER, RAW, Field, Records, StreamSummary
+from repro.core.protocol import RAW, Field, Records, StreamSummary
 from repro.core.registry import register_summary
 
 __all__ = [
@@ -60,7 +60,7 @@ class _ExponentialHistogramBase(StreamSummary):
     _FIELDS = (
         Field("epsilon", init=True),
         Field("window", init=True),
-        Field("last_time", NUMBER, initial=-math.inf),
+        Field("last_time", initial=-math.inf),
         # A timestamp and a size per bucket, oldest first: the per-group
         # state of Figure 2(d), kilobytes against 8 bytes for forward decay.
         Field("buckets", Records(RAW, RAW, row=_Bucket), initial=deque,

@@ -26,6 +26,7 @@ from typing import Hashable, Iterable
 from _blake2 import blake2b
 
 from repro.core.errors import ParameterError
+from repro.core.groups import group_id
 from repro.core.protocol import RAW, Field, ListOf, StreamSummary
 from repro.core.registry import register_summary
 
@@ -40,15 +41,17 @@ SEED_LIMIT = 1 << 64
 def hash_to_unit(item: Hashable, seed: int = 0) -> float:
     """Deterministically hash ``item`` to a float in ``[0, 1)``.
 
-    Uses blake2b over the item's ``repr`` plus the seed, so results are
-    stable across processes and Python versions (unlike built-in ``hash``).
-    ``seed`` must lie in ``[0, 2**64)``; the classes that hash with one
-    check it once, when they are built (:func:`check_seed`), not here.
+    Uses blake2b keyed by the seed over the item's
+    :func:`~repro.core.groups.group_id` — a tuple's marked, so ``"a"`` is
+    not ``("a",)`` — so results are stable across processes and Python
+    versions (unlike built-in ``hash``), and items a dict holds as one
+    (``1``, ``1.0``, ``True``) hash alike.  So does every NaN, which a dict
+    keeps apart by object.  ``seed`` must lie in
+    ``[0, 2**64)``; the classes that hash with one check it once, when they
+    are built (:func:`check_seed`), not here.
     """
-    payload = repr(item).encode("utf-8", errors="replace")
-    digest = blake2b(
-        payload, digest_size=8, key=seed.to_bytes(8, "little")
-    ).digest()
+    named = b"(" + group_id(item) if type(item) is tuple else group_id((item,))
+    digest = blake2b(named, digest_size=8, key=seed.to_bytes(8, "little")).digest()
     return int.from_bytes(digest, "big") / _HASH_DENOMINATOR
 
 

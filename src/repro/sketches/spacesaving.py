@@ -31,7 +31,7 @@ from abc import abstractmethod
 from typing import Hashable, Iterable, Iterator
 
 from repro.core.errors import ParameterError
-from repro.core.protocol import EXACT, KEY, WEIGHT, Field, StreamSummary, Table, Value
+from repro.core.protocol import EXACT, RAW, WEIGHT, Field, StreamSummary, Table, Value
 from repro.core.registry import register_summary
 
 __all__ = ["SpaceSavingBase", "UnarySpaceSaving", "WeightedSpaceSaving", "Counter"]
@@ -143,7 +143,7 @@ def _counter_fields(role: str) -> tuple[Field, ...]:
     return (
         Field("capacity", init=True),
         Field("total", weight, initial=0.0),
-        Field("counters", Table(KEY, weight, weight, most="capacity"),
+        Field("counters", Table(RAW, weight, weight, most="capacity"),
               attr=("_counts", "_errors"), initial=(dict, dict), entry_bytes=24),
     )
 

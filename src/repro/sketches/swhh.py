@@ -39,7 +39,7 @@ from typing import Hashable
 
 from repro.core.errors import EmptySummaryError, ParameterError
 from repro.core.functions import FFunction
-from repro.core.protocol import DECIMAL, ITEMS, MAX_TIME, Field, ListOf, Nested
+from repro.core.protocol import ITEMS, MAX_TIME, RAW, Field, ListOf, Nested
 from repro.core.protocol import StreamSummary, Table
 from repro.core.registry import register_summary
 from repro.sketches.spacesaving import UnarySpaceSaving
@@ -80,7 +80,7 @@ class SlidingWindowHeavyHitters(StreamSummary):
         MAX_TIME,
         # Sized as the node summaries' sum: (levels) x (distinct items per
         # pane period) at workload scales, flat in ``epsilon`` (Fig. 4(c)/(d)).
-        Field("nodes", ListOf(Table(DECIMAL, Nested(UnarySpaceSaving), sort=True))),
+        Field("nodes", ListOf(Table(RAW, Nested(UnarySpaceSaving), sort=True))),
     )
 
     def __init__(

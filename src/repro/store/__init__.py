@@ -12,7 +12,7 @@ the all-RAM engine.
   segment references.
 * :class:`SegmentWriter` / :class:`SegmentReader` — the append-only,
   CRC-checked segment format itself: column-packed pages of groups
-  (version 6, the only one read: an older file is refused).
+  (version 8, the only one read: an older file is refused).
 * :func:`describe_store` — the ``repro store inspect`` report of one
   store directory: its manifest, read as recovery reads it, and every
   segment's pages, rows and column encodings.

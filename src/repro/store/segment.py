@@ -7,11 +7,11 @@ its blob, so a cold group on disk and the same group in a shipped partial
 are the same column bytes.  The store writes one page per eviction batch
 and reads a page at most once per fault batch or scan; a page of one row
 is the record-shaped case (:meth:`SegmentWriter.append`,
-:func:`read_record_at`), not a second format.  Layout (format version 7,
+:func:`read_record_at`), not a second format.  Layout (format version 8,
 the only one this module writes or reads — an older segment is refused
 with its version named; DESIGN.md §2.9 has the envelope)::
 
-    header   "RSEG" <u8 version = 7>                  (serde.head)
+    header   "RSEG" <u8 version = 8>                  (serde.head)
     pages    <u32 body length> <u32 CRC32(body)> <body>            (each)
              body := serde.deflate(page)
              page := <u16 key parts> <u16 slots> <u32 rows>
@@ -45,19 +45,10 @@ import os
 import struct
 from typing import Iterator
 
-from repro.core.cols import (
-    block_values,
-    describe_cols,
-    open_cols,
-    pack_cols,
-)
+from repro.core.cols import block_values, describe_cols, open_cols, pack_cols
 from repro.core.errors import ParameterError, ProtocolError, StoreError
-from repro.core.groups import (
-    SUMMARY_SLOT,
-    group_columns,
-    group_hash as key_hash,
-    group_states,
-)
+from repro.core.groups import SUMMARY_SLOT, group_columns, group_states, shared_nans
+from repro.core.groups import group_hash as key_hash
 from repro.core.protocol import decode_number, encode_number, tag_key, untag_key
 from repro.core.serde import SEGMENT, check_head, frame, fsync_dir, head, unframe
 
@@ -74,8 +65,8 @@ __all__ = [
 ]
 
 #: 3 had no int-width ``f64``, 4 its own footer magic, 5 no string heads,
-#: 6 plain pages; an older build refuses a version-7 segment at open, not
-#: quarantining it.
+#: 6 plain pages, 7 a JSON ``tagged`` column; an older build refuses a
+#: version-8 segment at open, not quarantining it.
 SEGMENT_VERSION = SEGMENT.version
 
 _HEADER = head(SEGMENT)
@@ -161,7 +152,8 @@ class Page:
             self._count = rows
             self._blocks = blocks[key_parts:]
             self.keys: list[tuple] = list(zip(*(
-                block_values(batch, block, rows) for block in blocks[:key_parts]
+                shared_nans(block_values(batch, block, rows))
+                for block in blocks[:key_parts]
             ))) if key_parts else [()] * rows
         except (struct.error, ProtocolError, ParameterError, ValueError,
                 TypeError) as exc:

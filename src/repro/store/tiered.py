@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import collections
 import heapq
-import json
 import os
 import time
 
@@ -61,25 +60,24 @@ from repro.core.errors import ParameterError, StoreError
 from repro.core.groups import RAGGED_SLOT, SUMMARY_SLOT, group_hash
 from repro.core.protocol import StreamSummary, summary_type_of
 from repro.core.serde import SEGMENT, STORE_MANIFEST, publish, seal, unseal
+from repro.core.tree import pack_tree, unpack_tree
 from repro.store.directory import KeyDirectory, live_slots, read_snapshot
-from repro.store.segment import (
-    Page,
-    SegmentReader,
-    SegmentWriter,
-    _record,
-    read_page,
-)
+from repro.store.segment import Page, SegmentReader, SegmentWriter, _record, read_page
 
 __all__ = ["TieredStore", "MANIFEST_NAME", "MANIFEST_VERSION", "describe_store"]
 
+#: The name a store has always used for its manifest.  Recovery wipes
+#: the segments of a directory that has none, so a new name would erase an
+#: older store where keeping it refuses that store by version.
 MANIFEST_NAME = "MANIFEST.json"
-#: The manifest format: a few hundred bytes of sealed JSON referencing a
-#: sealed :class:`KeyDirectory` snapshot file.  Any other version is
-#: refused (3 carried the engine's open time bucket, 4 was bare JSON).
+#: The manifest format: a few hundred bytes of a sealed
+#: :mod:`repro.core.tree` dict referencing a sealed :class:`KeyDirectory`
+#: snapshot file.  Any other version is refused (3 carried the engine's
+#: open time bucket, 4 was bare JSON, 5 sealed JSON).
 MANIFEST_VERSION = STORE_MANIFEST.version
 
-#: Every field of the manifest's JSON, with the JSON types it may hold:
-#: recovery checks them all before it reads a segment or unlinks a file.
+#: Every field of the manifest, with the types it may hold: recovery
+#: checks them all before it reads a segment or unlinks a file.
 _MANIFEST_FIELDS = {
     "query": str, "schema": list, "tuples_in": int, "tuples_selected": int,
     "low_evictions": int, "segments": list, "directory_file": str,
@@ -923,10 +921,7 @@ class TieredStore:
             "arrivals": self._arrivals,
         }
         manifest_path = os.path.join(self.directory, MANIFEST_NAME)
-        publish(manifest_path, seal(
-            STORE_MANIFEST,
-            json.dumps(manifest, separators=(",", ":")).encode("utf-8"),
-        ))
+        publish(manifest_path, seal(STORE_MANIFEST, pack_tree(manifest)))
         # The new manifest is durable: previous-generation files are
         # now safe to drop.
         for path in self._retired:
@@ -1026,8 +1021,8 @@ class TieredStore:
 
 
 def _read_manifest(manifest_path: str) -> dict:
-    """The manifest at ``manifest_path``, unsealed, parsed and checked —
-    every field's JSON type — or a :class:`StoreError` naming it."""
+    """The manifest at ``manifest_path``, unsealed, unpacked and checked —
+    every field's type — or a :class:`StoreError` naming it."""
     try:
         with open(manifest_path, "rb") as handle:
             data = handle.read()
@@ -1038,8 +1033,8 @@ def _read_manifest(manifest_path: str) -> dict:
         ) from exc
     body = unseal(STORE_MANIFEST, data, manifest_path)
     try:
-        manifest = json.loads(bytes(body))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        manifest = unpack_tree(body)
+    except ParameterError as exc:
         raise StoreError(
             f"malformed store manifest {manifest_path}: {exc}",
             segment=manifest_path,
@@ -1047,7 +1042,7 @@ def _read_manifest(manifest_path: str) -> dict:
     if not isinstance(manifest, dict):
         raise StoreError(
             f"malformed store manifest {manifest_path}: a "
-            f"{type(manifest).__name__}, not an object",
+            f"{type(manifest).__name__}, not a dict",
             segment=manifest_path,
         )
     for field, kinds in _MANIFEST_FIELDS.items():

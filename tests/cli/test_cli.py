@@ -14,7 +14,7 @@ from repro.dsms.engine import PARTIAL_STATE_VERSION
 from repro.store import MANIFEST_VERSION
 from repro.workloads.netflow import PACKET_SCHEMA, generate_trace
 from tests.dsms.test_partial_codec import GOLDEN_ZLIB
-from tests.store.test_tiered import manifest_json, sealed_manifest
+from tests.store.test_tiered import manifest_tree, sealed_manifest
 
 
 @pytest.fixture
@@ -293,7 +293,7 @@ class TestStoreInspectCommand:
         assert main(["store", "inspect", directory]) == 0
         out = capsys.readouterr().out
         report_lines = [ln for ln in out.splitlines() if ".seg" in ln]
-        assert report_lines and all("v7" in ln for ln in report_lines)
+        assert report_lines and all("v8" in ln for ln in report_lines)
         assert all(
             "pages" in ln and "rows" in ln and "live" in ln
             for ln in report_lines
@@ -314,7 +314,7 @@ class TestStoreInspectCommand:
         assert report["manifest"]["groups"] > 0
         assert report["manifest"]["directory_file"].endswith(".dir")
         assert all(s["status"] == "ok" for s in report["segments"])
-        assert all(s["format"] == "v7" for s in report["segments"])
+        assert all(s["format"] == "v8" for s in report["segments"])
         for segment in report["segments"]:
             assert 0 < segment["pages"] <= segment["records"]
             assert segment["layout"] == ["scalars x1"]
@@ -379,9 +379,9 @@ class TestStoreInspectCommand:
             assert tally["priority_sampler"]["bytes"] > 2_500  # the RNG state
         # Each segment's pages as stored (deflated) beside its columns'
         # inflated bytes, of which each tally counts its own.
-        assert [s["column_bytes"] for s in report["segments"]] == [25_069, 7_686]
+        assert [s["column_bytes"] for s in report["segments"]] == [19_320, 7_529]
         if zlib.ZLIB_RUNTIME_VERSION == GOLDEN_ZLIB:  # another picks other streams
-            assert [s["page_bytes"] for s in report["segments"]] == [8_677, 4_614]
+            assert [s["page_bytes"] for s in report["segments"]] == [8_433, 4_573]
         for segment in report["segments"]:
             inflated = sum(t["bytes"] for t in segment["summaries"].values())
             assert inflated < segment["column_bytes"]
@@ -398,13 +398,15 @@ class TestStoreInspectCommand:
         "offset, mask, status, detail",
         [
             (30, 0xFF, "corrupt:", "fails its CRC32"),
-            # The version byte 7 -> 1, 5 or 6: an older segment, refused by
-            # name.
-            (4, 0x06, "unsupported:", "unsupported version 1 "),
-            (4, 0x02, "unsupported:", "unsupported version 5 "),
-            (4, 0x01, "unsupported:", "unsupported version 6 "),
+            # The version byte 8 -> 1, 5, 6 or 7: an older segment, refused
+            # by name.
+            (4, 0x09, "unsupported:", "unsupported version 1 "),
+            (4, 0x0D, "unsupported:", "unsupported version 5 "),
+            (4, 0x0E, "unsupported:", "unsupported version 6 "),
+            (4, 0x0F, "unsupported:", "unsupported version 7 "),
         ],
-        ids=["crc", "older-version", "older-version-5", "older-version-6"],
+        ids=["crc", "older-version", "older-version-5", "older-version-6",
+             "older-version-7"],
     )
     def test_inspect_flags_corruption(
         self, tmp_path, capsys, offset, mask, status, detail
@@ -429,7 +431,7 @@ class TestStoreInspectCommand:
     @pytest.mark.parametrize(
         "damage, detail",
         [
-            (lambda manifest: sealed_manifest([]), "a list, not an object"),
+            (lambda manifest: sealed_manifest([]), "a list, not a dict"),
             (
                 lambda manifest: sealed_manifest(
                     {"segments": 5, "directory_file": 7}
@@ -455,7 +457,7 @@ class TestStoreInspectCommand:
         with open(path, "rb") as handle:
             image = handle.read()
         with open(path, "wb") as handle:
-            handle.write(damage(manifest_json(image)))
+            handle.write(damage(manifest_tree(image)))
         assert main(["store", "inspect", directory]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -562,9 +564,9 @@ class TestCheckpointInspectCommand:
         assert report["summary_bytes"] == slot["bytes"]
         # The blob as stored (deflated) beside its columns' inflated bytes,
         # most of them the slot's.
-        assert blob["column_bytes"] == 6_555
+        assert blob["column_bytes"] == 3_194
         if zlib.ZLIB_RUNTIME_VERSION == GOLDEN_ZLIB:  # another picks other streams
-            assert blob["bytes"] == 1_380
+            assert blob["bytes"] == 1_213
         assert blob["bytes"] < report["bytes"]
         assert 0.5 * blob["column_bytes"] < slot["bytes"] < blob["column_bytes"]
         # The bytes the slot's column takes in the file: its buffers'

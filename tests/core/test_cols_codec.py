@@ -6,9 +6,12 @@ wire-format break and must bump :data:`COLS_CODEC_VERSION`, not silently
 reshuffle bytes under existing peers.  The version-1 fixtures are what
 the commits before typed encodings wrote — the widest case of each kind —
 the ``_V2`` fixtures what the commits before narrow ``f64`` wrote and the
-``_V3`` ones what the commits before string heads wrote; all stay byte
-for byte as decode-only input, and the ``_V4`` fixtures beside them pin
-what the writer emits now.
+``_V3`` ones what the commits before string heads wrote, and the ``_V4``
+ones (and the unsuffixed fixtures that open with a version-4 byte) what
+the commits before tree-packed ``tagged`` columns wrote; all stay byte for
+byte as decode-only input, and the writer emits their blocks under a
+version-5 byte (:func:`at_v5`).  A version-4 JSON ``tagged`` block is
+refused in a batch of any version.
 """
 
 from __future__ import annotations
@@ -40,7 +43,15 @@ from repro.core.cols import (
     unpack_cols,
 )
 from repro.core.errors import ParameterError, ProtocolError
-from repro.core.tree import HEAD_GROWTH
+from repro.core.tree import HEAD_GROWTH, pack_tree
+
+
+def at_v5(body: bytes) -> bytes:
+    """A version-4 fixture's blocks under a version-5 byte: version 5
+    changed the ``tagged`` kind alone, which the fixture does not hold."""
+    assert body[0] == 4
+    return b"\x05" + body[1:]
+
 
 #: Two rows over (int, float, str) with seq=41 — every dense kind at once.
 GOLDEN_ROWS = [(7, 1.5, "a"), (-2, -0.25, "bc")]
@@ -123,14 +134,30 @@ GOLDEN_PATCHED_F64_BODY = bytes.fromhex(
     "00000005" "40f86a0000000000"  # patch: row 5 is 100000.0
 )
 
+#: A column no typed kind holds: one repro.core.tree list of its values.
+GOLDEN_TAGGED_COLUMN = [None, True, 1 << 70, (1, "t")]
+GOLDEN_TAGGED_BODY = bytes.fromhex(
+    "05"                    # codec version 5
+    "0000000000000000"      # no seq
+    "00000004"              # 4 rows
+    "0001"                  # 1 column
+    "07" "0000002b"         # col 0: tagged, 43 bytes
+    "07" "04000000" "00"    # a tree list of 4, a generic column:
+    "00" "02"               # None, True
+    "04" "09000000" "400000000000000000"  # 1 << 70, nine bytes big-endian
+    "09" "02000000" "00"    # the tuple (1, "t"), a generic column:
+    "03" "0100000000000000" "06" "01000000" "74"
+)
+
 
 class TestGoldenBytes:
     def test_packed_batch_matches_fixture(self):
         cols = rows_to_cols(GOLDEN_ROWS)
-        assert pack_cols(cols, seq=GOLDEN_SEQ) == GOLDEN_BODY_V4
+        assert pack_cols(cols, seq=GOLDEN_SEQ) == at_v5(GOLDEN_BODY_V4)
 
     @pytest.mark.parametrize(
-        "body", [GOLDEN_BODY, GOLDEN_BODY_V2, GOLDEN_BODY_V3, GOLDEN_BODY_V4]
+        "body", [GOLDEN_BODY, GOLDEN_BODY_V2, GOLDEN_BODY_V3, GOLDEN_BODY_V4,
+                 at_v5(GOLDEN_BODY_V4)]
     )
     def test_fixture_unpacks_to_the_source_rows(self, body):
         cols, seq, count = unpack_cols(body)
@@ -139,7 +166,7 @@ class TestGoldenBytes:
         assert cols_to_rows(cols) == GOLDEN_ROWS
 
     def test_a_shared_head_is_stored_once(self):
-        assert pack_cols([GOLDEN_HEAD_COLUMN]) == GOLDEN_HEAD_BODY
+        assert pack_cols([GOLDEN_HEAD_COLUMN]) == at_v5(GOLDEN_HEAD_BODY)
         (back,), _seq, count = unpack_cols(GOLDEN_HEAD_BODY)
         assert (back, count) == (GOLDEN_HEAD_COLUMN, 3)
         assert describe_cols(GOLDEN_HEAD_BODY) == (3, [("str/u8+head8", 22)])
@@ -150,18 +177,25 @@ class TestGoldenBytes:
             ]
 
     def test_integral_float_column_matches_fixture(self):
-        assert pack_cols([GOLDEN_NARROW_F64_COLUMN]) == GOLDEN_NARROW_F64_BODY
+        assert pack_cols([GOLDEN_NARROW_F64_COLUMN]) == at_v5(GOLDEN_NARROW_F64_BODY)
         (back,), seq, count = unpack_cols(GOLDEN_NARROW_F64_BODY)
         assert (back, seq, count) == (GOLDEN_NARROW_F64_COLUMN, None, 3)
         assert all(type(value) is float for value in back)
         assert describe_cols(GOLDEN_NARROW_F64_BODY) == (3, [("f64/i16", 6)])
 
     def test_patched_float_column_matches_fixture(self):
-        assert pack_cols([GOLDEN_PATCHED_F64_COLUMN]) == GOLDEN_PATCHED_F64_BODY
+        assert pack_cols([GOLDEN_PATCHED_F64_COLUMN]) == at_v5(GOLDEN_PATCHED_F64_BODY)
         (back,), _seq, count = unpack_cols(GOLDEN_PATCHED_F64_BODY)
         assert (back, count) == (GOLDEN_PATCHED_F64_COLUMN, 6)
         assert all(type(value) is float for value in back)
         assert describe_cols(GOLDEN_PATCHED_F64_BODY) == (6, [("f64/i8", 18)])
+
+    def test_a_tagged_column_matches_fixture(self):
+        assert pack_cols([GOLDEN_TAGGED_COLUMN]) == GOLDEN_TAGGED_BODY
+        (back,), _seq, count = unpack_cols(GOLDEN_TAGGED_BODY)
+        assert (back, count) == (GOLDEN_TAGGED_COLUMN, 4)
+        assert [type(value) for value in back] == [type(None), bool, int, tuple]
+        assert describe_cols(GOLDEN_TAGGED_BODY) == (4, [("tagged", 43)])
 
     def test_seqless_batch_zeroes_the_seq_field(self):
         body = pack_cols(rows_to_cols(GOLDEN_ROWS))
@@ -241,7 +275,7 @@ GOLDEN_HEAD_DICT_BODY = bytes.fromhex(
 
 class TestBytesColumn:
     def test_packed_bytes_column_matches_fixture(self):
-        assert pack_cols([GOLDEN_BYTES_COLUMN]) == GOLDEN_BYTES_BODY_V4
+        assert pack_cols([GOLDEN_BYTES_COLUMN]) == at_v5(GOLDEN_BYTES_BODY_V4)
 
     @pytest.mark.parametrize("body", [
         GOLDEN_BYTES_BODY, GOLDEN_BYTES_BODY_V2, GOLDEN_BYTES_BODY_V3,
@@ -253,12 +287,12 @@ class TestBytesColumn:
         assert all(type(value) is bytes for value in cols[0])
 
     def test_dictionary_column_matches_fixture(self):
-        assert pack_cols([GOLDEN_DICT_COLUMN]) == GOLDEN_DICT_BODY
+        assert pack_cols([GOLDEN_DICT_COLUMN]) == at_v5(GOLDEN_DICT_BODY)
         assert unpack_cols(GOLDEN_DICT_BODY) == ([GOLDEN_DICT_COLUMN], None, 12)
         assert describe_cols(GOLDEN_DICT_BODY) == (12, [("dict[2]/u8", 26)])
 
     def test_a_dictionary_table_stores_its_head_once(self):
-        assert pack_cols([GOLDEN_HEAD_DICT_COLUMN]) == GOLDEN_HEAD_DICT_BODY
+        assert pack_cols([GOLDEN_HEAD_DICT_COLUMN]) == at_v5(GOLDEN_HEAD_DICT_BODY)
         assert unpack_cols(GOLDEN_HEAD_DICT_BODY)[0] == [GOLDEN_HEAD_DICT_COLUMN]
         assert describe_cols(GOLDEN_HEAD_DICT_BODY) == (6, [("dict[2]/u8+head6", 30)])
 
@@ -405,7 +439,7 @@ class TestUnpackValidation:
             unpack_cols(body)
 
     def test_tagged_count_mismatch_rejected(self):
-        payload = b'[["int",1]]'
+        payload = pack_tree([1])
         body = (
             struct.pack("!BQIH", COLS_CODEC_VERSION, 0, 2, 1)
             + struct.pack("!BI", COL_TAGGED, len(payload))
@@ -414,15 +448,38 @@ class TestUnpackValidation:
         with pytest.raises(ProtocolError, match="1 values for 2 rows"):
             unpack_cols(body)
 
-    def test_undecodable_tagged_json_rejected(self):
-        payload = b"{not json"
+    @pytest.mark.parametrize("payload, refusal", [
+        (pack_tree([1])[:-1], "undecodable tagged"),
+        (pack_tree([1]) + b"\x00", "undecodable tagged"),
+        (b"\x63", "undecodable tagged"),
+        (pack_tree((1,)), "holds a tuple, not a list"),
+        (pack_tree(1), "holds a int, not a list"),
+    ], ids=["truncated", "trailing", "unknown-tag", "tuple", "scalar"])
+    def test_undecodable_tagged_tree_rejected(self, payload, refusal):
         body = (
             struct.pack("!BQIH", COLS_CODEC_VERSION, 0, 1, 1)
             + struct.pack("!BI", COL_TAGGED, len(payload))
             + payload
         )
-        with pytest.raises(ProtocolError, match="undecodable tagged"):
+        with pytest.raises(ProtocolError, match=refusal):
             unpack_cols(body)
+
+    @pytest.mark.parametrize("version", range(1, COLS_CODEC_VERSION + 1))
+    def test_a_json_tagged_block_is_refused_in_a_batch_of_every_version(
+        self, version
+    ):
+        # Kind 4's body was JSON: never read as a tree, read or unread.
+        payload = b'[["int",1]]'
+        body = (
+            struct.pack("!BQIH", version, 0, 1, 1)
+            + struct.pack("!BI", 4, len(payload))
+            + payload
+        )
+        for columns in (None, ()):
+            with pytest.raises(ProtocolError, match="retired column kind 4"):
+                unpack_cols(body, columns=columns)
+        with pytest.raises(ProtocolError, match="retired column kind 4"):
+            describe_cols(body)
 
     def test_fixed_width_column_size_mismatch_rejected(self):
         body = (
@@ -760,6 +817,13 @@ class TestRowPicks:
         assert names == EVERY_KIND_NAMES
         assert describe_cols(pack_cols(WIDE_DICT_COLS))[1][0][0] == "dict[257]/u16"
 
+    def test_every_kind_reads_back_type_exactly(self):
+        back = unpack_cols(pack_cols(EVERY_KIND_COLS))[0]
+        assert [list(map(repr, col)) for col in back] == [
+            list(map(repr, col)) for col in EVERY_KIND_COLS
+        ]
+        assert type(back[-1][-1]) is tuple  # the tagged column's (1, "t")
+
     @pytest.mark.parametrize("cols", [EVERY_KIND_COLS, WIDE_DICT_COLS])
     def test_picked_rows_equal_the_whole_decode_indexed(self, cols):
         body = pack_cols(cols)
@@ -848,7 +912,8 @@ class TestHostileTypedBatches:
             unpack_cols(bytes(body))
 
     @pytest.mark.parametrize("kind", [
-        0x41, 0x42, 0x33, 0x14, 0x35, 0x36, 0x07, 0x00, 0xF1, 0xB3, 0xC5, 0xE3,
+        0x41, 0x42, 0x33, 0x14, 0x35, 0x36, 0x17, 0x08, 0x00, 0xF1, 0xB3, 0xC5,
+        0xE3,
     ])
     def test_a_shrink_no_kind_has_is_an_unknown_kind(self, kind):
         body = bytearray(GOLDEN_BODY_V2)
@@ -954,8 +1019,8 @@ class TestUnreadBlocks:
         dictionary[_HEAD + 5 + 4] = COL_BYTES | 2 << 4
         with pytest.raises(ProtocolError, match="table has kind"):
             unpack_cols(bytes(dictionary), columns=())
-        with pytest.raises(ProtocolError, match="unknown column kind 7"):
-            unpack_cols(one_block(0, 7, b""), columns=())
+        with pytest.raises(ProtocolError, match="unknown column kind 8"):
+            unpack_cols(one_block(0, 8, b""), columns=())
 
     def test_content_of_an_unread_block_is_never_looked_at(self):
         bad_text = (
@@ -974,7 +1039,7 @@ class TestUnreadBlocks:
             unpack_cols(bytes(bad_code), columns=(0,))
 
     def test_an_unread_tagged_block_is_still_decoded(self):
-        payload = b"{not json"
+        payload = pack_tree([1])[:-1]
         body = (
             struct.pack("!BQIH", COLS_CODEC_VERSION, 0, 1, 1)
             + struct.pack("!BI", COL_TAGGED, len(payload))

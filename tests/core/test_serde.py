@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -28,6 +27,7 @@ from repro.core.functions import (
 from repro.core.heavy_hitters import DecayedHeavyHitters
 from repro.core.protocol import StreamSummary, dump_decay, load_decay
 from repro.core.quantiles import DecayedQuantiles
+from repro.core.tree import pack_tree, unpack_tree
 from tests.conftest import PAPER_STREAM
 from tests.sampling.test_sampler_buffers import buffer
 
@@ -50,7 +50,7 @@ class TestDecayRoundTrip:
     )
     def test_functions_round_trip(self, g):
         decay = ForwardDecay(g, landmark=42.0)
-        restored = load_decay(json.loads(json.dumps(dump_decay(decay))))
+        restored = load_decay(unpack_tree(pack_tree(dump_decay(decay))))
         assert restored == decay
         assert restored.weight(50.0, 60.0) == decay.weight(50.0, 60.0)
 

@@ -1,4 +1,4 @@
-"""The v6 partial-state blob: golden bytes, exact round trips, hostile input.
+"""The v8 partial-state blob: golden bytes, exact round trips, hostile input.
 
 ``partial_state_bytes()`` is the one encoding every carrier ships raw —
 shard replies, PARTIALS_OK / ADOPT bodies, ``checkpoint.bin`` — so its
@@ -134,6 +134,21 @@ GOLDEN_ZLIB = "1.2.13"
 #: integral sums as f64/i16, bytes/u8 with the summaries' shared head once),
 #: the body deflated.
 GOLDEN_BLOB = bytes.fromhex(
+    "4644505308fb00000088606c1c0169010000636000036608c500a3415c260616"
+    "066665206376170b1b73b0ab8fab738842499282633090d45148492d2ef10c00"
+    "f1202c1d85e4fcd2bc120d2d4d9058b28e427169ae464e6a1e985baca3509a97"
+    "5854199f910117cbc850700bf2f75508710e50700ff20f0d50708a54d028c9cc"
+    "4d55d057303300ebc366114805c44aa0e98640f7313332fe6705b9180a981858"
+    "41c24c8c8c20d7b3313165186618814598189580222c0c01ac77960219d9ce82"
+    "222c82108715172426a716279665e6a5738042815d818395233911289a595259"
+    "925f929803f65e6a513103730a501e0460963ab03382b8ec207d4c1a4c0c1fec"
+    "910498efb0826401"
+)
+#: The same state as the commits before summaries stored their values as
+#: themselves wrote it (version 7: the ``unary_hh`` buffers of summary
+#: version 3, each counter's item a ``["int", 40]`` pair).  This build
+#: refuses it, naming the version.
+GOLDEN_BLOB_V7 = bytes.fromhex(
     "4644505307110100008151c36901b20100007d503b4e033110f5677f2d371841"
     "b3a0952014a4e4b30a281228ab241454c86c2cbc52b241b1172957e00ad4dc80"
     "e3e410dc0066ec80281053ccbcf7ec997936633e6428ecbb12152c62720fc1eb"
@@ -289,10 +304,14 @@ class TestGoldenBytes:
         blob = golden_engine(GOLDEN_ROWS).partial_state_bytes()
         if zlib.ZLIB_RUNTIME_VERSION == GOLDEN_ZLIB:  # another picks other streams
             assert blob == GOLDEN_BLOB
-        # Version 7 deflates version 6's body, byte for byte.
-        body = GOLDEN_BLOB_V6[13:]
-        assert unseal(PARTIAL_STATE, blob) == unseal(PARTIAL_STATE, GOLDEN_BLOB) == body
-        assert len(GOLDEN_BLOB) < 0.65 * len(GOLDEN_BLOB_V6)
+        assert unseal(PARTIAL_STATE, blob) == unseal(PARTIAL_STATE, GOLDEN_BLOB)
+        # Version 8 stores each counter's item as itself, not as a tagged
+        # pair: the summary column inflates to 107 bytes, not 180.
+        v7 = unseal(PARTIAL_STATE._replace(version=7), GOLDEN_BLOB_V7)
+        assert len(v7) - len(unseal(PARTIAL_STATE, GOLDEN_BLOB)) == 180 - 107
+        # Version 7 deflated version 6's body, byte for byte.
+        assert v7 == GOLDEN_BLOB_V6[13:]
+        assert len(GOLDEN_BLOB_V7) < 0.65 * len(GOLDEN_BLOB_V6)
         # Version 5 was version 3 less its bucket count and column, sealed
         # (the CRC32 covers the body alone), and 85 bytes under version 2.
         assert unseal(PARTIAL_STATE, restamp(GOLDEN_BLOB_V3)) == GOLDEN_BLOB_V5[13:]
@@ -310,8 +329,9 @@ class TestGoldenBytes:
             engine.process((120, "h1", 1))
         assert restored.flush() == source.flush()
 
-    @pytest.mark.parametrize("blob, version", [(GOLDEN_BLOB_V5, 5), (GOLDEN_BLOB_V6, 6)],
-                             ids=["v5", "v6"])
+    @pytest.mark.parametrize("blob, version", [
+        (GOLDEN_BLOB_V5, 5), (GOLDEN_BLOB_V6, 6), (GOLDEN_BLOB_V7, 7),
+    ], ids=["v5", "v6", "v7"])
     def test_an_older_sealed_blob_is_refused_naming_its_version(self, blob, version):
         restored = golden_engine()
         for read in (restored.merge_partial, describe_partial_state):
@@ -333,19 +353,19 @@ class TestGoldenBytes:
 
     def test_describe_reads_the_fixture(self):
         info = describe_partial_state(GOLDEN_BLOB)
-        assert info["version"] == PARTIAL_STATE_VERSION == 7
+        assert info["version"] == PARTIAL_STATE_VERSION == 8
         assert (info["groups"], info["bytes"]) == (2, len(GOLDEN_BLOB))
-        assert info["column_bytes"] == 2 + 6 + 2 + 4 + 180  # inflated
+        assert info["column_bytes"] == 2 + 6 + 2 + 4 + 107  # inflated
         assert info["slots"] == [1, 1, -1]
         # "h1" / "h2" share a byte, but a head of one byte saves nothing.
         assert info["columns"] == [
             ("i8", 2), ("str/u8", 6), ("i8", 2), ("f64/i16", 4),
-            ("bytes/u8+head67", 180),
+            ("bytes/u8+head67", 107),
         ]
         # The summary slot, named from its buffers' heads, with the bytes
-        # its column stores (the head once), not the 244 its buffers decode to.
+        # its column stores (the head once), not the 171 its buffers decode to.
         assert info["summaries"] == [
-            {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 180}
+            {"slot": 2, "type": "unary_spacesaving", "buffers": 2, "bytes": 107}
         ]
 
 
@@ -457,10 +477,9 @@ def crafted(groups, slots, cols, texts=None) -> bytes:
 
 #: A well-formed summary buffer (what the ``unary_hh`` slot carries).
 HH_BYTES = bytes.fromhex(
-    "0311756e6172795f7370616365736176696e6708030000000720080508636170"
+    "0411756e6172795f7370616365736176696e6708030000000720080508636170"
     "6163697479746f74616c636f756e746572730003640000000000000005000000"
-    "000000f03f0701000000000703000000000702000000000603000000696e7403"
-    "2800000000000000030100000000000000030000000000000000"
+    "000000f03f070100000000070300000002280100"
 )
 
 

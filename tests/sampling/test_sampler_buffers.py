@@ -18,13 +18,10 @@ import tracemalloc
 import pytest
 
 from repro.core import registry
-from repro.core.decay import ForwardDecay
 from repro.core.errors import ParameterError
-from repro.core.functions import PolynomialG
 from repro.core.keyed_random import KEY_BITS
 from repro.core.protocol import StreamSummary
 from repro.core.tree import pack_tree
-from repro.sampling.with_replacement import DecayedSamplerWithReplacement
 from tests.core.test_protocol_conformance import feed
 
 registry.load_all()
@@ -140,7 +137,7 @@ class TestRestoredSample:
     def test_more_items_than_k_are_refused(self, name):
         payload = fed(name)._state_payload()
         assert len(payload["reservoir"]) == payload["k"] == 16
-        payload["reservoir"].append(["str", "one-too-many"])
+        payload["reservoir"].append("one-too-many")
         refused(name, payload)
 
 
@@ -167,8 +164,7 @@ class TestSlotThresholds:
 #: ``DecayedSamplerWithReplacement(ForwardDecay(PolynomialG(2.0)), 3,
 #: rng=random.Random(7))`` on the coin path and on the threshold path, and
 #: ``ReservoirSampler(4, rng=random.Random(7))`` on Algorithm R, each fed
-#: ``feed(sampler, kind, n=10)``.  Their payloads name the retired flag;
-#: each is re-packed at the current buffer layout, its payload unchanged.
+#: ``feed(sampler, kind, n=10)``, at summary version 3.
 COIN_PATH_BUFFER = bytes.fromhex(
     "0318646563617965645f776974685f7265706c6163656d656e74080a00000007"
     "200511010c0c05050c0d036465636179696e7465726e616c5f6c616e646d6172"
@@ -203,36 +199,18 @@ ALGORITHM_R_BUFFER = bytes.fromhex(
 )
 
 
-def continued(summary: StreamSummary, input_kind: str) -> bytes:
-    """``summary``'s buffer after 20 more items."""
-    feed(summary, input_kind, n=20, offset=1)
-    return summary.to_bytes()
-
-
 class TestRetiredUpdatePaths:
-    """A buffer from a retired update path either continues its run
-    exactly or is refused; it never restores into a sampler that would
-    run on differently."""
+    """A buffer from a retired update path is of summary version 3, which
+    this build refuses by number: it never restores into a sampler that
+    would run on differently."""
 
-    def test_a_coin_path_with_replacement_buffer_is_refused(self):
-        # The coin path kept no per-slot thresholds: a restored one failed
-        # its first update with a bare IndexError.
+    @pytest.mark.parametrize(
+        "buffer", [COIN_PATH_BUFFER, THRESHOLD_PATH_BUFFER, ALGORITHM_R_BUFFER],
+        ids=["coin-path", "threshold-path", "algorithm-r"],
+    )
+    def test_is_refused_naming_its_version(self, buffer):
         with pytest.raises(
-            ParameterError, match="s is 3 but the payload carries 0 next_replace"
+            ParameterError,
+            match=r"unsupported summary serde version 3 \(this build reads 4\)",
         ):
-            StreamSummary.from_bytes(COIN_PATH_BUFFER)
-
-    def test_a_threshold_path_with_replacement_buffer_continues_its_run(self):
-        restored = StreamSummary.from_bytes(THRESHOLD_PATH_BUFFER)
-        fresh = DecayedSamplerWithReplacement(
-            ForwardDecay(PolynomialG(2.0)), 3, rng=random.Random(7)
-        )
-        feed(fresh, "item_time", n=10)
-        assert restored.sample() == fresh.sample()
-        assert continued(restored, "item_time") == continued(fresh, "item_time")
-
-    def test_a_reservoir_buffer_with_a_skip_count_is_refused(self):
-        # Even one written on Algorithm R: its payload cannot say whether
-        # the run was mid-skip.
-        with pytest.raises(ParameterError, match="carries a skip count"):
-            StreamSummary.from_bytes(ALGORITHM_R_BUFFER)
+            StreamSummary.from_bytes(buffer)

@@ -50,6 +50,28 @@ class TestSingleBackend:
         assert canon(backend.query()) == canon(expected_rows(SQL, rows))
         backend.close()
 
+    def test_counting_groups_reads_no_page(self, tmp_path):
+        # STATS asks for the group count on every frame: a store-backed
+        # engine's hot and cold groups are disjoint, so it is a sum.
+        rows = wide_rows(2_000)
+        backend = build_backend(
+            SQL, PACKET_SCHEMA, store_dir=str(tmp_path / "s"),
+            store_hot_groups=8,
+        )
+        reference = build_backend(SQL, PACKET_SCHEMA)
+        for i in range(0, len(rows), 64):
+            backend.insert_cols(rows_to_cols(rows[i : i + 64]))
+            reference.insert_cols(rows_to_cols(rows[i : i + 64]))
+        store = backend._engine.store
+        before = store.stats()["pages_read"]
+        stats = backend.stats()
+        assert stats["store"]["cold_groups"] > 0
+        assert backend._engine.group_count == stats["groups"] == (
+            reference.stats()["groups"]
+        )
+        assert store.stats()["pages_read"] == before
+        backend.close()
+
     def test_checkpoint_goes_through_manifest(self, tmp_path):
         store_dir = str(tmp_path / "s")
         backend = build_backend(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.errors import MergeError, ParameterError
 from repro.core.protocol import StreamSummary
+from repro.core.registry import get_summary
 from repro.core.tree import pack_tree
 from repro.sketches.dominance import DominanceNormEstimator
 from repro.sketches.kmv import KMVSketch, hash_to_unit
@@ -22,6 +23,50 @@ class TestHashing:
         for item in range(1_000):
             value = hash_to_unit(item)
             assert 0.0 <= value < 1.0
+
+
+class TestEqualSpellings:
+    """Items a dict holds as one are one item: a KMV hashes an item's
+    identity bytes, not its ``repr``."""
+
+    SPELLINGS = [1, 1.0, True, 0.0, -0.0]
+
+    def test_equal_items_are_counted_once(self):
+        sketch = KMVSketch(k=64, seed=7)
+        for item in self.SPELLINGS:
+            sketch.update(item)
+        assert sketch.estimate() == 2.0
+
+    def test_the_decayed_distinct_count_agrees_with_the_exact_one(self):
+        approx = get_summary("decayed_distinct_count").factory()
+        exact = get_summary("exact_decayed_distinct").factory()
+        for item in self.SPELLINGS:
+            approx.update(item, 1.0)
+            exact.update(item, 1.0)
+        assert exact.query() == 2.0
+        assert 2.0 <= approx.query() <= 2.0 * (1 + approx.epsilon)
+
+    def test_every_nan_is_one_item_to_a_sketch_but_not_to_a_dict(self):
+        # group_id names every NaN alike, so the sketches count one; the
+        # exact count's dict finds a NaN only by identity, so it keeps each
+        # NaN object apart (DESIGN §5.1).
+        nans = [float("nan") for _ in range(3)]
+        sketch = KMVSketch(k=64, seed=7)
+        approx = get_summary("decayed_distinct_count").factory()
+        exact = get_summary("exact_decayed_distinct").factory()
+        for item in nans:
+            sketch.update(item)
+            approx.update(item, 1.0)
+            exact.update(item, 1.0)
+        assert sketch.estimate() == 1.0
+        assert 1.0 <= approx.query() <= 1.0 + approx.epsilon
+        assert exact.query() == 3.0
+
+    def test_a_tuple_is_not_its_one_part(self):
+        sketch = KMVSketch(k=64, seed=7)
+        for item in ("a", ("a",), ("a", 1), (1, "a"), ("a", "b")):
+            sketch.update(item)
+        assert sketch.estimate() == 5.0
 
 
 class TestKMV:

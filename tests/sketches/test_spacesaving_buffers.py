@@ -53,7 +53,7 @@ class TestRestoredCounters:
         payload["capacity"] = 49
         refused(name, payload)
         payload["capacity"] = 50
-        payload["counters"].append([["str", "one-too-many"], 1, 0])
+        payload["counters"].append(["one-too-many", 1, 0])
         refused(name, payload)
 
     def test_an_item_monitored_twice_is_refused(self, name):

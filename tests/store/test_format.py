@@ -6,9 +6,9 @@ Two guarantees pinned here:
   byte-for-byte stable.  Any codec change that alters bytes on disk —
   intentional or not — fails these tests and forces a version bump
   instead of a silent format fork.  The segments older builds wrote
-  (``GOLDEN_V3_WIDE``, ``GOLDEN_V5``, ``GOLDEN_V6``) are refused by their
-  version; the older column kinds inside a current-version file still
-  decode.
+  (``GOLDEN_V3_WIDE``, ``GOLDEN_V5``, ``GOLDEN_V6``, ``GOLDEN_V7``) are
+  refused by their version, and their pages inside a current-version
+  file by the JSON ``tagged`` column they hold.
 
 * **No garbage, ever.**  A segment truncated at *any* byte, or with any
   single corrupted byte, must either read back exactly the original
@@ -43,7 +43,7 @@ SUMMARY = b"\x02\x03abc-opaque-summary-buffer"
 #: One page per shape the group-batch packing has: fixed-arity scalar
 #: slots under a key column of mixed types (None / bool / an int past
 #: i64 fall to the tagged kind), a summary slot, and a ragged slot
-#: (scalar arity differs between the two groups).
+#: (scalar arity differs between the two groups: a tagged column of lists).
 PAGES = [
     (
         [(7, "h-alpha"), (None, "h-beta"), (True, "h-gamma"), (1 << 70, "h-δ")],
@@ -56,8 +56,24 @@ PAGES = [
 
 #: The writer's output: the page batches at the typed column encodings
 #: (i8 states, str/u8 keys with their shared "h-" once, a bytes/u8
-#: summary column), each page deflated (by zlib 1.2.13: ``GOLDEN_ZLIB``).
+#: summary column, tree-packed tagged columns), each page deflated (by
+#: zlib 1.2.13: ``GOLDEN_ZLIB``).
 GOLDEN = (
+    "525345470872000000050d6fd501920000006362606260616000928c0cac401a"
+    "06581858d9816c797690240333880d064c2c9c40da01c26160580c648833b1b2"
+    "b03265e826e614642426a59624a627e6e6269edb620894636166606462023214"
+    "1c5c1c8014034303986460a8ff0061d4993fb1e960289d0356cdc8c4cc020044"
+    "000000fe3c9843014f0000006364606260646000e2ffff5981340c3032303301"
+    "d91c0e2c10114320c5c8a90a2465a4999813939275f30b120b4b53758b4b7373"
+    "138b2a75934ad3d2528b0036000000f68a7b7d014c0000006364606460626060"
+    "f8f79f1548c2001303933290cdc2c89898c40e64a8b283d43040486646101b08"
+    "603a1cd841224c8c00240000003d5bce7c0300000007000000000000007a0000"
+    "00040000004c000000010000003e000000020000000901000000000000"
+)
+#: The same pages as a version-7 segment of the commits before a ``tagged``
+#: column was a :mod:`repro.core.tree` list: its first and last pages hold
+#: JSON ``tagged`` blocks (kind 4).
+GOLDEN_V7 = (
     "52534547079b000000f4eb718201bf0000006362606260616000928c601ac804"
     "0316065690b04f74b452665e89928e79ac4eb4524e66496a51628e924e5e694e"
     "0e8a404951692a4800acd6d0d0c2c0d4d2d0ccc8c0dcd0dcc4d0d0d8c0d8c4c8"
@@ -154,10 +170,13 @@ def segment_of(index_head: bytes, pages: list[tuple[bytes, int]]) -> bytes:
 
 
 def restamp(golden: str) -> bytes:
-    """A version-3, -5 or -6 segment as a current one: each page body
+    """A version-3, -5, -6 or -7 segment as a current one: each page body
     framed (and so deflated) afresh behind a rebuilt index, every body
-    untouched (the column codec reads every version it ever wrote)."""
-    index_head, pages = pages_of(binascii.unhexlify(golden))
+    untouched."""
+    data = binascii.unhexlify(golden)
+    index_head, pages = pages_of(data)
+    if data[4] == 7:  # deflated bodies: each re-framed as what it inflates to
+        pages = [(inflate(SEGMENT._replace(version=7), body), n) for body, n in pages]
     return segment_of(index_head, [(frame(SEGMENT, body), n) for body, n in pages])
 
 
@@ -186,28 +205,33 @@ class TestGoldenBytes:
         path = build_segment(str(tmp_path / "g.seg"))
         with open(path, "rb") as handle:
             data = handle.read()
-        # Version 7 deflates version 6's page bodies, byte for byte.
-        assert [bytes(inflate(SEGMENT, body)) for body, _ in pages_of(data)[1]] == [
-            body for body, _rows in pages_of(binascii.unhexlify(GOLDEN_V6))[1]
-        ]
         if zlib.ZLIB_RUNTIME_VERSION == GOLDEN_ZLIB:  # another picks other streams
             assert data == binascii.unhexlify(GOLDEN), binascii.hexlify(data)
-            assert restamp(GOLDEN_V6) == data
+        # Version 8 changed the tagged blocks alone: the summary page, which
+        # holds none, inflates to version 7's body; the other two shrink.
+        inflated = [bytes(inflate(SEGMENT, body)) for body, _ in pages_of(data)[1]]
+        v7 = SEGMENT._replace(version=7)
+        older = [bytes(inflate(v7, body)) for body, _ in
+                 pages_of(binascii.unhexlify(GOLDEN_V7))[1]]
+        cols = 8 + 2 * 2  # the page head and two slot codes: its version byte
+        assert (older[1][cols], inflated[1][cols]) == (4, 5)
+        assert older[1][:cols] + older[1][cols + 1:] == (
+            inflated[1][:cols] + inflated[1][cols + 1:])
+        assert [len(a) - len(b) for a, b in zip(inflated, older)] == [-45, 0, -20]
+        # Version 7 deflated version 6's page bodies, byte for byte.
+        assert older == [
+            body for body, _rows in pages_of(binascii.unhexlify(GOLDEN_V6))[1]
+        ]
 
-    @pytest.mark.parametrize(
-        "golden", [binascii.unhexlify(GOLDEN), restamp(GOLDEN_V3_WIDE),
-                   restamp(GOLDEN_V5), restamp(GOLDEN_V6)],
-        ids=["v7", "v3-wide", "v5", "v6"],
-    )
-    def test_golden_bytes_decode_to_the_source_rows(self, tmp_path, golden):
+    def test_golden_bytes_decode_to_the_source_rows(self, tmp_path):
         # The inverse direction: committed bytes (not freshly written
         # ones) must still decode — this is what protects segments
         # already on users' disks.
         path = str(tmp_path / "g.seg")
         with open(path, "wb") as handle:
-            handle.write(golden)
+            handle.write(binascii.unhexlify(GOLDEN))
         reader = SegmentReader(path)
-        assert SEGMENT_VERSION == 7
+        assert SEGMENT_VERSION == 8
         assert reader.records == 7
         assert [rows for _o, _l, rows in reader.pages] == [4, 1, 2]
         decoded = [(keys, states) for _o, keys, states in read_everything(path)]
@@ -223,7 +247,7 @@ class TestGoldenBytes:
         ]
 
     @pytest.mark.parametrize("golden, version", [
-        (GOLDEN_V3_WIDE, 3), (GOLDEN_V5, 5), (GOLDEN_V6, 6),
+        (GOLDEN_V3_WIDE, 3), (GOLDEN_V5, 5), (GOLDEN_V6, 6), (GOLDEN_V7, 7),
     ])
     def test_an_older_segment_is_refused_naming_its_version(
         self, tmp_path, golden, version
@@ -235,6 +259,22 @@ class TestGoldenBytes:
         ) as excinfo:
             SegmentReader(str(path))
         assert excinfo.value.segment == str(path)
+
+    @pytest.mark.parametrize("golden", [GOLDEN_V3_WIDE, GOLDEN_V5, GOLDEN_V6, GOLDEN_V7],
+                             ids=["v3-wide", "v5", "v6", "v7"])
+    def test_an_older_page_is_refused_by_its_json_tagged_column(self, tmp_path, golden):
+        # Re-framed in a current segment, an older page's JSON tagged block
+        # is never read as a tree: a located StoreError names the kind.
+        path = tmp_path / "g.seg"
+        path.write_bytes(restamp(golden))
+        reader = SegmentReader(str(path))
+        first, _summary, last = reader.pages
+        with pytest.raises(StoreError, match="retired column kind 4") as excinfo:
+            read_everything(str(path))
+        assert (excinfo.value.segment, excinfo.value.offset) == (str(path), first[0])
+        with pytest.raises(StoreError, match="retired column kind 4") as excinfo:
+            read_record_at(str(path), last[0], last[1])
+        assert excinfo.value.offset == last[0]
 
     def test_the_record_shape_is_the_first_row_of_a_page(self, tmp_path):
         path = build_segment(str(tmp_path / "g.seg"))

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.cols import rows_to_cols
 from repro.core.errors import ParameterError, StoreError
-from repro.core.groups import group_hash, group_id
+from repro.core.groups import group_id
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
@@ -98,9 +98,10 @@ def test_a_staged_fault_in_hands_back_the_stored_key(tmp_path):
 
 
 @pytest.mark.parametrize("path", ["process", "insert_cols"])
-def test_every_nan_row_is_its_own_group_with_spills(tmp_path, path):
+def test_every_nan_row_is_one_group_with_spills(tmp_path, path):
     # Each row's NaN is its own float object, as after any wire, pipe or
-    # page: it equals no other NaN, so no fault-in finds it.
+    # page; the engine files each as the one shared NaN, so every fault-in
+    # finds the group.
     rows = [
         (t, float("nan") if t % 3 == 0 else (t % 7) + 0.5, 1.0)
         for t in range(90)
@@ -110,25 +111,60 @@ def test_every_nan_row_is_its_own_group_with_spills(tmp_path, path):
     feed(engine, rows, path)
     feed(reference, rows, path)
     assert store.stats()["evictions"] > 0
+    assert engine.partial_state_bytes() == reference.partial_state_bytes()
     answer = engine.flush()
     assert sorted(canon(answer)) == sorted(canon(reference.flush()))
     nans = [row for row in answer if row["x"] != row["x"]]
-    assert len(nans) == 30 and {row["c"] for row in nans} == {1}
+    assert len(nans) == 1 and nans[0]["c"] == 30
 
 
-def test_nan_groups_of_one_eviction_share_a_hash_but_not_a_page(tmp_path):
-    # Every NaN has one group id, so one directory hash; a slot names its
-    # page by hash, so the page builder closes a page before a hash
-    # repeats in it.
+def test_one_nan_object_is_one_group_with_spills(tmp_path):
+    # One float object, as a caller's math.nan, met again after each spill:
+    # the key that comes back from a page is a different object, so a
+    # group filed under it was found by no later row.
+    rows = []
+    for _ in range(40):
+        rows.append((len(rows), math.nan, 1.0))
+        rows += [(len(rows) + k, k + 0.5, 1.0) for k in range(6)]
+    store = TieredStore(str(tmp_path / "s"), hot_groups=2)
+    engine, reference = build(store), build()
+    for row in rows:
+        engine.insert_many([row])
+        reference.insert_many([row])
+    assert store.stats()["fault_ins"] > 0
+    assert store.stats()["pages_read"] <= len(rows)  # one per fault-in at most
+    answer = engine.flush()
+    assert canon(answer) == canon(reference.flush())
+    nans = [row for row in answer if row["x"] != row["x"]]
+    assert len(nans) == 1 and nans[0]["c"] == 40
+
+
+def test_nan_rows_of_one_batch_are_one_group(tmp_path):
     store = TieredStore(str(tmp_path / "s"), hot_groups=1)
     engine = build(store)
-    engine.insert_cols(rows_to_cols([(t, float("nan"), 1.0) for t in range(5)]))
+    engine.insert_cols(rows_to_cols(
+        [(t, float("nan") if t % 2 else t + 0.5, 1.0) for t in range(10)]
+    ))
+    assert store.stats()["evictions"] > 0
+    answer = engine.flush()
+    assert len(answer) == 6
+    assert [row["c"] for row in answer if row["x"] != row["x"]] == [5]
+
+
+def test_a_repeated_hash_closes_a_page_early(tmp_path, monkeypatch):
+    # A directory slot names its page by hash, so within a page a hash
+    # names one row: the page builder closes a page before a hash repeats
+    # in it.  Every key hashing alike forces the repeat.
+    monkeypatch.setattr("repro.store.tiered.group_hash", lambda key: 7)
+    store = TieredStore(str(tmp_path / "s"), hot_groups=1)
+    engine, reference = build(store), build()
+    rows = [(t, t + 0.5, 1.0) for t in range(5)]
+    engine.insert_cols(rows_to_cols(rows))
+    reference.insert_cols(rows_to_cols(rows))
     stats = store.stats()
     assert stats["evictions"] == 4 and stats["spill_pages"] == 4
-    slots = store._dir.lookup(group_hash((math.nan,)))
-    assert len({offset for _seg, offset, _length in slots}) == 4
-    answer = engine.flush()
-    assert len(answer) == 5 and {row["c"] for row in answer} == {1}
+    assert len({offset for _seg, offset, _length in store._dir.lookup(7)}) == 4
+    assert canon(engine.flush()) == canon(reference.flush())
 
 
 def test_a_directory_snapshot_of_version_2_is_refused(tmp_path):

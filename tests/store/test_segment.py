@@ -46,7 +46,7 @@ class TestWriterReader:
         path = str(tmp_path / "000000.seg")
         locations = write_segment(path)
         reader = SegmentReader(path)
-        assert SEGMENT_VERSION == 7
+        assert SEGMENT_VERSION == 8
         assert reader.records == 2
         assert [(o, n) for o, n, _rows in reader.pages] == [
             tuple(loc) for loc in locations.values()

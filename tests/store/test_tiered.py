@@ -21,6 +21,7 @@ import repro.core.serde as serde_mod
 import repro.store.tiered as tiered_mod
 from repro.core.errors import ParameterError, QueryError, StoreError
 from repro.core.serde import STORE_MANIFEST, seal, unseal
+from repro.core.tree import pack_tree, unpack_tree
 from repro.dsms.engine import QueryEngine
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Field, FieldType, Schema
@@ -83,16 +84,14 @@ def reference_flush(sql: str, rows: list[tuple], **kwargs) -> list:
     return engine.flush()
 
 
-def manifest_json(image: bytes):
-    """The JSON a sealed store-manifest image holds."""
-    return json.loads(bytes(unseal(STORE_MANIFEST, image)))
+def manifest_tree(image: bytes):
+    """The tree a sealed store-manifest image holds."""
+    return unpack_tree(unseal(STORE_MANIFEST, image))
 
 
 def sealed_manifest(manifest, version: int = MANIFEST_VERSION) -> bytes:
-    """``manifest`` as JSON in a store-manifest envelope of ``version``."""
-    return seal(
-        STORE_MANIFEST._replace(version=version), json.dumps(manifest).encode()
-    )
+    """``manifest`` packed in a store-manifest envelope of ``version``."""
+    return seal(STORE_MANIFEST._replace(version=version), pack_tree(manifest))
 
 
 def checkpointed_store(directory: str) -> str:
@@ -289,6 +288,8 @@ class TestPages:
         assert stats["spill_pages"] == 1  # one insert, one maintain(), one page
         before = stats["pages_read"]
         assert engine.group_count == stats["hot_groups"] + stats["cold_groups"]
+        assert store.stats()["pages_read"] == before  # a count reads no page
+        assert len(list(store.cold_key_set())) == stats["cold_groups"]
         assert store.stats()["pages_read"] == before + 1  # a scan reads it once
 
     def test_unconsumed_read_ahead_changes_nothing(self, tmp_path):
@@ -563,14 +564,14 @@ class TestCheckpointRestore:
             # Another version: tests/test_hostile.py.  What the builds
             # before the envelope wrote: bare JSON.
             (lambda m: json.dumps({**m, "version": 4}).encode(), "bad magic"),
-            (lambda m: seal(STORE_MANIFEST, b"{not json"), "malformed"),
+            (lambda m: seal(STORE_MANIFEST, b"{not a tree"), "malformed"),
             (lambda m: {k: v for k, v in m.items() if k != "segments"},
              "'segments' is None"),
             (lambda m: {**m, "segments": 5}, "'segments' is 5"),
             (lambda m: {**m, "segments": [5]}, "'segments' is [5]"),
             (lambda m: {**m, "directory_file": None}, "'directory_file' is None"),
         ],
-        ids=["list", "null", "str", "bare-json", "not-json", "no-segments",
+        ids=["list", "null", "str", "bare-json", "not-a-tree", "no-segments",
              "segments-int", "segment-name-int", "directory-file-null"],
     )
     def test_a_malformed_manifest_is_refused_before_any_file_moves(
@@ -579,8 +580,8 @@ class TestCheckpointRestore:
         directory = str(tmp_path / "s")
         manifest_path = checkpointed_store(directory)
         with open(manifest_path, "rb") as handle:
-            manifest = manifest_json(handle.read())
-        edited = edit(manifest)  # an image, or JSON to seal
+            manifest = manifest_tree(handle.read())
+        edited = edit(manifest)  # an image, or a tree to seal
         with open(manifest_path, "wb") as handle:
             handle.write(edited if type(edited) is bytes else sealed_manifest(edited))
         files = sorted(os.walk(directory))
@@ -597,7 +598,7 @@ class TestCheckpointRestore:
         # Such a flip used to recover silently one group short.
         directory = str(tmp_path / "s")
         with open(checkpointed_store(directory), "rb") as handle:
-            snap = os.path.join(directory, manifest_json(handle.read())["directory_file"])
+            snap = os.path.join(directory, manifest_tree(handle.read())["directory_file"])
         with open(snap, "rb") as handle:
             image = bytearray(handle.read())
         live = next(  # past envelope (13) and header (24): a slot in use
@@ -613,11 +614,28 @@ class TestCheckpointRestore:
         assert excinfo.value.segment == snap and snap in str(excinfo.value)
         assert sorted(os.walk(directory)) == files
 
+    def test_a_store_of_sealed_json_manifests_is_refused_not_wiped(self, tmp_path):
+        # What the builds before a packed manifest wrote, under its old
+        # name: refused by its version, every file left where it was.
+        directory = str(tmp_path / "s")
+        manifest_path = checkpointed_store(directory)
+        with open(manifest_path, "rb") as handle:
+            manifest = manifest_tree(handle.read())
+        with open(manifest_path, "wb") as handle:
+            handle.write(seal(STORE_MANIFEST._replace(version=5),
+                              json.dumps(manifest).encode()))
+        files = sorted(os.walk(directory))
+        for read in (lambda: build_engine(store=TieredStore(directory, hot_groups=4)),
+                     lambda: describe_store(directory)):
+            with pytest.raises(StoreError, match="unsupported version 5 at offset 4"):
+                read()
+        assert sorted(os.walk(directory)) == files
+
     def test_describe_store_reports_the_manifest_recovery_reads(self, tmp_path):
         directory = str(tmp_path / "s")
         manifest_path = checkpointed_store(directory)
         with open(manifest_path, "rb") as handle:
-            manifest = manifest_json(handle.read())
+            manifest = manifest_tree(handle.read())
         report = describe_store(directory)
         described = report["manifest"]
         assert described["version"] == MANIFEST_VERSION
@@ -636,7 +654,7 @@ class TestCheckpointRestore:
         directory = str(tmp_path / "s")
         manifest_path = checkpointed_store(directory)
         with open(manifest_path, "rb") as handle:
-            manifest = manifest_json(handle.read())
+            manifest = manifest_tree(handle.read())
         with open(manifest_path, "wb") as handle:
             handle.write(sealed_manifest(manifest, version=MANIFEST_VERSION + 1))
         with pytest.raises(StoreError, match=f"version {MANIFEST_VERSION + 1} "):

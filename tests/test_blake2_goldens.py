@@ -53,38 +53,65 @@ KEY_HASHES = {
     (): (b"", 0xC3AFFFD8BF4F1B3C),
 }
 
-ITEMS = [0, 1, -1, 2**64, 1.5, "", "10.0.0.1", ("ring", "a", 0)]
+#: Items by their identity bytes (``group_id``; a flat tuple's marked):
+#: equal spellings hash alike, a non-ASCII str by its UTF-8, never its repr.
+ITEMS = [0, 1, -1, 2**64, 1.5, "", "10.0.0.1", ("ring", "a", 0),
+         1.0, True, 0.0, -0.0, "café ∑ 𐀀", "a", ("a",), (1, "a", 2.5)]
 #: seed -> float.hex() of hash_to_unit(item, seed) for each of ITEMS
 UNIT_HASHES = {
     0: [
-        "0x1.0ce7dee420684p-1",
-        "0x1.a80734b6ba8efp-2",
-        "0x1.cb8c05e28eacdp-1",
-        "0x1.30dcb712dab3dp-1",
-        "0x1.e003026f3e049p-1",
-        "0x1.27e14b663fb53p-1",
-        "0x1.b74e00079f921p-1",
-        "0x1.6d21b4f1b75c5p-3",
+        "0x1.b246320ba7d31p-1",
+        "0x1.80b8189dd0d3fp-1",
+        "0x1.658e8ed58eb88p-11",
+        "0x1.1b604127c4c23p-2",
+        "0x1.0d9aace5747b1p-1",
+        "0x1.438d7659005cdp-1",
+        "0x1.a31e36b076202p-1",
+        "0x1.08cc7de0ca9ccp-3",
+        "0x1.80b8189dd0d3fp-1",
+        "0x1.80b8189dd0d3fp-1",
+        "0x1.b246320ba7d31p-1",
+        "0x1.b246320ba7d31p-1",
+        "0x1.c8f062b5764f6p-1",
+        "0x1.099802baf3a35p-7",
+        "0x1.6eb75ceba868fp-1",
+        "0x1.292b1d7ad0deap-2",
     ],
     7: [
-        "0x1.375820e645a3bp-1",
-        "0x1.532e6e00f398ep-1",
-        "0x1.b9c9a3f354b04p-1",
-        "0x1.7550c9334f291p-1",
-        "0x1.4857968adebd1p-1",
-        "0x1.b206aa0e444fap-1",
-        "0x1.e90a27a472868p-1",
-        "0x1.48ce60ef66c55p-1",
+        "0x1.5e9582a07f311p-1",
+        "0x1.2c574275de563p-1",
+        "0x1.2da9754e0f21fp-1",
+        "0x1.ca2bd33f8ef83p-1",
+        "0x1.e0a670f89aeaep-1",
+        "0x1.dc11b026ab023p-2",
+        "0x1.41d752274bf8bp-1",
+        "0x1.b52b985e9b4e2p-8",
+        "0x1.2c574275de563p-1",
+        "0x1.2c574275de563p-1",
+        "0x1.5e9582a07f311p-1",
+        "0x1.5e9582a07f311p-1",
+        "0x1.2296b2aabdd3cp-2",
+        "0x1.5a9fddd9c082fp-1",
+        "0x1.8d18838ca71b4p-1",
+        "0x1.b547a949eb5dcp-2",
     ],
     2**64 - 1: [
-        "0x1.5d6f3e186a191p-8",
-        "0x1.4f3d34967c926p-4",
-        "0x1.33a1fc52c8522p-3",
-        "0x1.8d2cd5221333cp-1",
-        "0x1.ea6ac2bec7d6ep-1",
-        "0x1.9f34f9f355e15p-1",
-        "0x1.b1e41e66c9ed2p-1",
-        "0x1.f00d6a8eeb03bp-2",
+        "0x1.d0dc7c6066678p-2",
+        "0x1.1b6c93dabe09dp-1",
+        "0x1.2a8fbb51a8d0fp-3",
+        "0x1.2668b8b4ed47ap-2",
+        "0x1.80f23ca25d93bp-1",
+        "0x1.fde4d19dabf94p-2",
+        "0x1.65cf748b05054p-2",
+        "0x1.0ee7933954f5ep-3",
+        "0x1.1b6c93dabe09dp-1",
+        "0x1.1b6c93dabe09dp-1",
+        "0x1.d0dc7c6066678p-2",
+        "0x1.d0dc7c6066678p-2",
+        "0x1.654f6ab8bccccp-2",
+        "0x1.46a7bef9abd8cp-1",
+        "0x1.820211ff6d2cbp-2",
+        "0x1.dccedef0922fdp-1",
     ],
 }
 
@@ -112,6 +139,18 @@ def test_key_hash_goldens(key):
 @pytest.mark.parametrize("seed", list(UNIT_HASHES))
 def test_hash_to_unit_goldens(seed):
     assert [hash_to_unit(item, seed).hex() for item in ITEMS] == UNIT_HASHES[seed]
+
+
+def test_equal_items_hash_alike_by_their_identity_bytes():
+    for seed in UNIT_HASHES:
+        assert len({hash_to_unit(item, seed) for item in (1, 1.0, True)}) == 1
+        assert len({hash_to_unit(item, seed) for item in (0, 0.0, -0.0, False)}) == 1
+        assert hash_to_unit("a", seed) != hash_to_unit(("a",), seed)
+    # A str's UTF-8 (its group id), never its repr, keyed by the seed.
+    digest = hashlib.blake2b(
+        group_id(("café ∑ 𐀀",)), digest_size=8, key=(7).to_bytes(8, "little")
+    ).digest()
+    assert hash_to_unit("café ∑ 𐀀", 7) == int.from_bytes(digest, "big") / 2**64
 
 
 def test_ring_placement_goldens():

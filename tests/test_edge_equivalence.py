@@ -306,10 +306,10 @@ KEY_CASES = {
         key_rows([-0.0, 2.5, -0.0, -0.0], 4),
         key_rows([0.0, -0.0], 8),
     ],
-    # A NaN key part equals no other NaN (each row's NaN is its own float
-    # object once it has crossed a wire, a pipe or a page), so every NaN
-    # row is its own group on every topology; all NaN ids are one id, so
-    # those groups share one owner.
+    # A NaN key part equals no other NaN, so every engine files it as one
+    # shared NaN object (each row's NaN is its own float object once it
+    # has crossed a wire, a pipe or a page): every NaN row is one group on
+    # every topology, and all NaN ids are one id, so it has one owner.
     "nan-keys": [
         key_rows([float("nan"), 1.5, float("nan")], 0),
         key_rows([float("nan"), float("-nan"), 1.5], 3),

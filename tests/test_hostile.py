@@ -225,12 +225,12 @@ ROWS = {
         masks=()) for name in ALL_NAMES},
     **{f"summary-flips-{name}": p(summary_flips_row, name) for name in ALL_NAMES},
     **{f"summary-golden-{name}": lambda _, name=name: Row(
-        (GOLDEN_DIR / f"{name}.v3").read_bytes(),
+        (GOLDEN_DIR / f"{name}.v4").read_bytes(),
         StreamSummary.from_bytes, ParameterError, accept=any_value)
        for name in GOLDEN},
-    **{f"tree-{len(data)}": lambda _, data=data: Row(
+    **{f"tree-{index}": lambda _, data=data: Row(
         data, unpack_tree, ParameterError, refuse=[data + b"\x00"],
-        accept=any_value) for data in TreeFixtures.BUFFERS},
+        accept=any_value) for index, data in enumerate(TreeFixtures.BUFFERS)},
     **{f"cols-{label}": p(cols_row, cols) for label, cols in KINDS.items()},
     **{f"cols-projected-{label}": p(projected_cols_row, cols)
        for label, cols in KINDS.items()},
